@@ -14,9 +14,11 @@
 //!   ARM cores (the heterogeneous case the uniform-machines LPT scheduler
 //!   exists for).
 //!
-//! Every cell runs the real frame engine
-//! (`FrameEngine::detect_frame_on_fabric`) on a `WeightedPool` mirroring
-//! the fabric, pricing batches at `Detector::extension_work() × PeCost` (the fine-grained effort signal). Before
+//! Every cell runs the real frame engine (`FrameEngine::detect_frame`) on
+//! a `WeightedPool` mirroring the fabric: the engine prices its batches at
+//! `Detector::extension_work() × symbols` (the fine-grained effort signal),
+//! the pool places and times them, and `FabricStats::from_run` audits the
+//! pool's record under the fabric's `PeCost` model. Before
 //! any timing, an identity gate asserts the fabric-scheduled detections
 //! bit-identical to the sequential reference (`assert_grid_identity`) —
 //! heterogeneous placement is placement only. The timed frames then audit
@@ -116,7 +118,7 @@ fn run_cell<C: PeCost>(
     n_sym: usize,
     n_frames: usize,
 ) -> CellResult {
-    let work = WorkUnit::new(nt, c16().order());
+    let unit_s = cost.unit_seconds(&WorkUnit::new(nt, c16().order()));
     let channel = selective_channel(nt, n_sc, SEED + nt as u64);
     let mut engine = FrameEngine::new(template(adaptive));
     engine.prepare(&channel);
@@ -125,7 +127,7 @@ fn run_cell<C: PeCost>(
     // Identity gate: fabric scheduling must be placement only.
     let gate_frame = random_frame(&channel, nt, n_sym, SEED + 7 * nt as u64);
     let reference = engine.detect_frame(&gate_frame, &SequentialPool::new(1));
-    let fabric_out = engine.detect_frame_on_fabric(&gate_frame, &pool, cost, &work);
+    let fabric_out = engine.detect_frame(&gate_frame, &pool);
     assert_grid_identity(
         &format!(
             "hwtables identity ({}x{nt}, {}, {} fabric)",
@@ -155,11 +157,12 @@ fn run_cell<C: PeCost>(
     // neighbour usually does not.
     let mut audits: Vec<FabricStats> = Vec::new();
     for attempt in 0..2 {
-        engine.detect_frame_on_fabric(&frames[0], &pool, cost, &work); // warmup
+        engine.detect_frame(&frames[0], &pool); // warmup
         audits.clear();
         for frame in &frames[1..] {
-            engine.detect_frame_on_fabric(frame, &pool, cost, &work);
-            audits.push(engine.stats().fabric.expect("fabric audit recorded"));
+            engine.detect_frame(frame, &pool);
+            let run = pool.last_run().expect("the fabric recorded the run");
+            audits.push(FabricStats::from_run(&run, pool.speeds(), unit_s));
         }
         audits.sort_by(|a, b| {
             a.makespan_error

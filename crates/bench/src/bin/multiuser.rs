@@ -367,7 +367,7 @@ fn main() {
          1/refresh_period of its estimates, transmits one convolutionally-coded packet per \
          stream through the truth channels, and all users' (subcarrier x symbol) grids are \
          detected against the (stale) estimates in ONE shared PE-pool run, LPT-ordered across \
-         users by prepared per-subcarrier effort; each user's chain then finishes with \
+         users by prepared per-subcarrier extension work; each user's chain then finishes with \
          deinterleave -> (soft) Viterbi -> CRC-32. frames_per_sec is wall-clock over the full \
          chain (transmit + detect + decode) on the single-core host at a matched modelled PE \
          budget, so the aggregate stays roughly flat while per-user rate divides by U. \

@@ -35,11 +35,11 @@
 use flexcore::FlexCoreDetector;
 use flexcore_bench::{assert_grid_identity, GridView};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble};
-use flexcore_engine::{FrameChannel, FrameEngine, RxFrame};
-use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, WorkUnit};
+use flexcore_engine::{pool_for, FabricStats, FrameChannel, FrameEngine, RxFrame};
+use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::{set_lane_dispatch, Cx};
-use flexcore_parallel::{CrossbeamPool, SequentialPool, WeightedPool};
+use flexcore_parallel::{CrossbeamPool, SequentialPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -186,11 +186,11 @@ fn substrate_dispatch_gate() {
     ];
     for (nt, m) in grid {
         let (channel, frame) = workload_for(nt, m, 3, 6, SEED ^ nt as u64);
-        let fabric = HeterogeneousFabric::uniform("flat", 3);
-        let work = WorkUnit::new(nt, 16);
+        let unit_s = CpuModel::fx8120().unit_seconds(&WorkUnit::new(nt, 16));
         let seq = SequentialPool::new(1);
         let wq = CrossbeamPool::work_queue(3);
-        let weighted = WeightedPool::new(fabric.speed_factors());
+        let weighted = pool_for(&HeterogeneousFabric::uniform("flat", 3));
+        let fabric = pool_for(&HeterogeneousFabric::lte_smallcell());
         let mut outs = Vec::new();
         for lanes in [false, true] {
             set_lane_dispatch(lanes);
@@ -200,7 +200,12 @@ fn substrate_dispatch_gate() {
             outs.push(engine.detect_frame(&frame, &seq));
             outs.push(engine.detect_frame(&frame, &wq));
             outs.push(engine.detect_frame(&frame, &weighted));
-            outs.push(engine.detect_frame_on_fabric(&frame, &weighted, &CpuModel::fx8120(), &work));
+            outs.push(engine.detect_frame(&frame, &fabric));
+            // The fabric placed the engine's priced batches; its record
+            // must audit (every vector pays at least its nt² rotate).
+            let run = fabric.last_run().expect("the fabric recorded the run");
+            let audit = FabricStats::from_run(&run, fabric.speeds(), unit_s);
+            assert!(audit.total_units >= (nt * nt * frame.n_vectors()) as u64);
         }
         set_lane_dispatch(true);
         for other in &outs[1..] {

@@ -1,15 +1,14 @@
-//! The frame engine: prepared-detector cache + grid scheduling.
+//! The frame engine: prepared-detector cache in front of the tick core.
 
 use crate::channel::FrameChannel;
-use crate::fabric::FabricStats;
 use crate::frame::{DetectedFrame, RxFrame};
+use crate::tick::TickPlan;
 use flexcore_detect::common::Detector;
-use flexcore_hwmodel::{PeCost, WorkUnit};
 use flexcore_numeric::Cx;
-use flexcore_parallel::{lpt_order, PePool, WeightedPool};
+use flexcore_parallel::PePool;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 /// Snapshot of an engine's cumulative work counters plus the current
 /// per-subcarrier effort profile.
@@ -38,11 +37,6 @@ pub struct EngineStats {
     /// over the prepared subcarriers. A clean channel piles the mass on
     /// small efforts; a crowded one spreads it toward the PE budget.
     pub effort_histogram: Vec<(usize, u64)>,
-    /// Audit record of the most recent fabric-scheduled run
-    /// ([`FrameEngine::process_frame_on_fabric`]): predicted-vs-measured
-    /// makespan, packing efficiency and per-PE utilisation. `None` until a
-    /// fabric run happens.
-    pub fabric: Option<FabricStats>,
 }
 
 impl EngineStats {
@@ -56,68 +50,32 @@ impl EngineStats {
     }
 }
 
-/// Splits an `n_sc × n_sym` grid into `(subcarrier, symbol-range)` batches
-/// aiming for `task_target` tasks in total: every subcarrier contributes
-/// the same number of contiguous symbol chunks (≥ 1, ≤ `n_sym`). This is
-/// the one batch geometry every scheduling path shares — single-frame
-/// plans, multi-user ticks, and the pipelined cell all split through here,
-/// which is what keeps their detections bit-identical (identical batches →
-/// identical scratch-reuse sequences per batch).
-pub(crate) fn split_grid_batches(
-    n_sc: usize,
-    n_sym: usize,
-    task_target: usize,
-) -> Vec<(usize, usize, usize)> {
-    let tasks_per_sc = task_target.div_ceil(n_sc.max(1)).clamp(1, n_sym.max(1));
-    let chunk = n_sym.div_ceil(tasks_per_sc).max(1);
-    let mut batches = Vec::with_capacity(n_sc * tasks_per_sc);
-    for sc in 0..n_sc {
-        let mut from = 0;
-        while from < n_sym {
-            let to = (from + chunk).min(n_sym);
-            batches.push((sc, from, to));
-            from = to;
-        }
-    }
-    batches
-}
-
-/// Scatters per-batch outputs back to symbol-major grid order — the
-/// inverse of the batch split, shared by every scheduling path so
-/// reordering can never leak into results.
-pub(crate) fn scatter_grid<T>(
-    n_sc: usize,
-    n_vectors: usize,
-    batches: &[(usize, usize, usize)],
-    per_batch: Vec<Vec<T>>,
-) -> Vec<T> {
-    let mut grid: Vec<Option<T>> = (0..n_vectors).map(|_| None).collect();
-    for (&(sc, from, _), outputs) in batches.iter().zip(per_batch) {
-        for (offset, value) in outputs.into_iter().enumerate() {
-            grid[(from + offset) * n_sc + sc] = Some(value);
-        }
-    }
-    grid.into_iter()
-        // flexcore-lint: allow(FL004, reason = "the batches tile the frame exactly (every (subcarrier, vector) cell belongs to exactly one batch), so every slot was filled above")
-        .map(|v| v.expect("frame cell never produced"))
-        .collect()
-}
-
 struct Slot<D> {
-    detector: D,
+    /// Shared with every in-flight [`TickPlan`] that was planned against
+    /// this slot; mutation goes through [`Arc::make_mut`], so a plan keeps
+    /// the state it was planned against.
+    detector: Arc<D>,
     channel_id: u64,
     generation: u64,
     /// [`Detector::effort`] captured right after preparation — the
-    /// scheduling weight of this subcarrier's symbol batches.
+    /// reported per-subcarrier load (active paths).
     effort: usize,
     /// [`Detector::extension_work`] captured right after preparation —
-    /// the fine-grained cost the fabric scheduler prices batches with
+    /// the price the tick core plans this subcarrier's symbol batches at
     /// (equal efforts can hide severalfold work differences).
     extension_work: usize,
-    /// The engine's tune epoch when this slot was last prepared or
-    /// re-tuned — part of the slot's cache key, so snapshot consumers see
-    /// a re-tune exactly like a channel refresh.
-    tune_stamp: u64,
+}
+
+impl<D: Detector> Slot<D> {
+    fn new(detector: D, channel: &FrameChannel, subcarrier: usize) -> Self {
+        Slot {
+            effort: detector.effort(),
+            extension_work: detector.extension_work(),
+            detector: Arc::new(detector),
+            channel_id: channel.id(),
+            generation: channel.generation(subcarrier),
+        }
+    }
 }
 
 /// Drives one detector design across whole OFDM frames.
@@ -128,7 +86,8 @@ struct Slot<D> {
 /// re-prepared only when its [`FrameChannel`] generation moved.
 /// [`FrameEngine::detect_frame`] is the parallel phase: the
 /// *(subcarrier × symbol)* grid is carved into per-subcarrier symbol
-/// batches and scheduled onto the given [`PePool`], each batch flowing
+/// batches by the tick core (see [`TickPlan`]) and scheduled onto the
+/// given [`PePool`], each batch flowing
 /// through [`Detector::detect_batch_refs`] on its subcarrier's prepared
 /// clone — borrowed slices in, one reused scratch workspace per batch, so
 /// a software PE streams a subcarrier's symbols exactly like the paper's
@@ -137,8 +96,9 @@ struct Slot<D> {
 /// The engine is also **load-aware**: preparation captures each
 /// subcarrier's [`Detector::effort`] (for a-FlexCore, the PEs its stopping
 /// criterion activates — §5.1's adjustable FlexCore, lifted to the frame
-/// grid), aggregates the profile into [`EngineStats`], and orders symbol
-/// batches longest-processing-time-first so cheap near-SIC subcarriers
+/// grid) and [`Detector::extension_work`], aggregates the effort profile
+/// into [`EngineStats`], and the plan orders symbol batches
+/// longest-processing-time-first by work so cheap near-SIC subcarriers
 /// never pad out the critical path behind the crowded ones.
 pub struct FrameEngine<D> {
     template: D,
@@ -147,8 +107,6 @@ pub struct FrameEngine<D> {
     vectors: AtomicU64,
     prepare_runs: AtomicU64,
     subcarriers_refreshed: AtomicU64,
-    fabric: Mutex<Option<FabricStats>>,
-    tune_epoch: u64,
 }
 
 impl<D: Detector + Clone + Sync> FrameEngine<D> {
@@ -162,19 +120,13 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
             vectors: AtomicU64::new(0),
             prepare_runs: AtomicU64::new(0),
             subcarriers_refreshed: AtomicU64::new(0),
-            fabric: Mutex::new(None),
-            tune_epoch: 0,
         }
     }
 
     /// Cumulative work counters plus the current effort profile.
     pub fn stats(&self) -> EngineStats {
         let mut histogram: BTreeMap<usize, u64> = BTreeMap::new();
-        let mut effort_total = 0u64;
-        let mut prepared = 0u64;
         for slot in self.slots.iter().flatten() {
-            prepared += 1;
-            effort_total += slot.effort as u64;
             *histogram.entry(slot.effort).or_insert(0) += 1;
         }
         EngineStats {
@@ -182,20 +134,23 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
             vectors: self.vectors.load(Ordering::Relaxed),
             prepare_runs: self.prepare_runs.load(Ordering::Relaxed),
             subcarriers_refreshed: self.subcarriers_refreshed.load(Ordering::Relaxed),
-            prepared_subcarriers: prepared,
-            effort_total,
+            prepared_subcarriers: histogram.values().sum(),
+            effort_total: self.effort_total(),
             effort_histogram: histogram.into_iter().collect(),
-            // A panic while holding the stats lock only poisons
-            // bookkeeping, never detector state — recover the inner value.
-            fabric: self
-                .fabric
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clone(),
         }
     }
 
-    /// The scheduling weight of one subcarrier: its prepared detector's
+    /// Σ [`Detector::effort`] over the prepared subcarriers
+    /// ([`EngineStats::effort_total`] without building the histogram).
+    pub(crate) fn effort_total(&self) -> u64 {
+        self.slots
+            .iter()
+            .flatten()
+            .map(|slot| slot.effort as u64)
+            .sum()
+    }
+
+    /// The reported load of one subcarrier: its prepared detector's
     /// [`Detector::effort`], or 1 while unprepared.
     pub fn slot_effort(&self, subcarrier: usize) -> usize {
         self.slots
@@ -204,11 +159,11 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
             .map_or(1, |slot| slot.effort)
     }
 
-    /// The fabric-scheduling weight of one subcarrier: its prepared
-    /// detector's [`Detector::extension_work`], or 1 while unprepared —
-    /// public so serving layers (the city simulation's admission and load
-    /// calibration) can price a user's frames in the same units the fabric
-    /// scheduler plans in.
+    /// The planning price of one subcarrier: its prepared detector's
+    /// [`Detector::extension_work`], or 1 while unprepared — public so
+    /// serving layers (the city simulation's admission and load
+    /// calibration) can price a user's frames in the same units every
+    /// [`TickPlan`] is priced in.
     pub fn slot_extension_work(&self, subcarrier: usize) -> usize {
         self.slots
             .get(subcarrier)
@@ -228,6 +183,31 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
             // flexcore-lint: allow(FL004, reason = "prepare-before-access API contract; documented panic on the public accessor")
             .expect("FrameEngine: subcarrier not prepared")
             .detector
+    }
+
+    /// The prepared detectors of an `n_sc`-wide frame, shared (a refcount
+    /// bump each) — a [`TickPlan`]'s frozen view of this engine.
+    ///
+    /// # Panics
+    /// Panics if the engine's prepared band is not `n_sc` wide, or a
+    /// subcarrier was never prepared.
+    pub(crate) fn share_detectors(&self, n_sc: usize) -> Vec<Arc<D>> {
+        assert_eq!(
+            n_sc,
+            self.slots.len(),
+            "FrameEngine: frame has {n_sc} subcarriers, engine prepared {}",
+            self.slots.len()
+        );
+        self.slots
+            .iter()
+            .map(|slot| {
+                let slot = slot
+                    .as_ref()
+                    // flexcore-lint: allow(FL004, reason = "prepare-before-detect API contract; documented panic on every frame entry point")
+                    .expect("FrameEngine: subcarrier not prepared");
+                Arc::clone(&slot.detector)
+            })
+            .collect()
     }
 
     /// Synchronises the per-subcarrier prepared detectors with `channel`,
@@ -251,42 +231,22 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
                 })
             })
             .collect();
-        if stale.is_empty() {
-            return 0;
-        }
-        if channel.is_flat() {
-            // One preparation, cloned into every stale slot.
-            let mut detector = self.template.clone();
-            detector.prepare(channel.h(stale[0]), channel.sigma2());
-            let effort = detector.effort();
-            let extension_work = detector.extension_work();
-            self.prepare_runs.fetch_add(1, Ordering::Relaxed);
-            for &sc in &stale {
-                self.slots[sc] = Some(Slot {
-                    detector: detector.clone(),
-                    channel_id: channel.id(),
-                    generation: channel.generation(sc),
-                    effort,
-                    extension_work,
-                    tune_stamp: self.tune_epoch,
-                });
-            }
-        } else {
-            for &sc in &stale {
-                let mut detector = self.template.clone();
-                detector.prepare(channel.h(sc), channel.sigma2());
-                let effort = detector.effort();
-                let extension_work = detector.extension_work();
-                self.prepare_runs.fetch_add(1, Ordering::Relaxed);
-                self.slots[sc] = Some(Slot {
-                    detector,
-                    channel_id: channel.id(),
-                    generation: channel.generation(sc),
-                    effort,
-                    extension_work,
-                    tune_stamp: self.tune_epoch,
-                });
-            }
+        // One preparation per stale slot, or — flat — one for all of them.
+        let mut flat: Option<D> = None;
+        for &sc in &stale {
+            let detector = match &flat {
+                Some(prepared) => prepared.clone(),
+                None => {
+                    let mut detector = self.template.clone();
+                    detector.prepare(channel.h(sc), channel.sigma2());
+                    self.prepare_runs.fetch_add(1, Ordering::Relaxed);
+                    if channel.is_flat() {
+                        flat = Some(detector.clone());
+                    }
+                    detector
+                }
+            };
+            self.slots[sc] = Some(Slot::new(detector, channel, sc));
         }
         self.subcarriers_refreshed
             .fetch_add(stale.len() as u64, Ordering::Relaxed);
@@ -299,27 +259,23 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// `FlexCoreDetector::retune_threshold`: a prefix re-truncation of the
     /// already-searched path selection, no QR and no tree search). `f`
     /// returns whether it changed the detector's active configuration;
-    /// changed slots have their effort / extension-work scheduling weights
-    /// recaptured and their tune stamp bumped, so snapshot consumers (the
-    /// pipelined cell) notice exactly like a channel refresh. Returns how
-    /// many prepared subcarriers changed.
+    /// changed slots have their effort / extension-work weights
+    /// recaptured. A slot an in-flight [`TickPlan`] still shares is copied
+    /// before `f` touches it, so the plan keeps the tuning it was planned
+    /// at. Returns how many prepared subcarriers changed.
     ///
     /// The template is re-tuned first, so subcarriers refreshed by a later
     /// [`FrameEngine::prepare`] come up already at the current tuning.
     pub fn retune(&mut self, mut f: impl FnMut(&mut D) -> bool) -> usize {
         f(&mut self.template);
-        let epoch = self.tune_epoch + 1;
         let mut changed = 0;
         for slot in self.slots.iter_mut().flatten() {
-            if f(&mut slot.detector) {
-                slot.effort = slot.detector.effort();
-                slot.extension_work = slot.detector.extension_work();
-                slot.tune_stamp = epoch;
+            let detector = Arc::make_mut(&mut slot.detector);
+            if f(detector) {
+                slot.effort = detector.effort();
+                slot.extension_work = detector.extension_work();
                 changed += 1;
             }
-        }
-        if changed > 0 {
-            self.tune_epoch = epoch;
         }
         changed
     }
@@ -331,18 +287,12 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// different detector type needs its own preparation (QR factors,
     /// MMSE filter, path selection) against the channel.
     ///
-    /// The tune epoch is bumped so snapshot consumers (the pipelined
-    /// cell) treat the next [`FrameEngine::prepare`] like a re-tune plus
-    /// channel refresh rather than a cache hit. Work counters are kept:
-    /// the user keeps its service history across the swap.
-    ///
-    /// The engine is unprepared until the next [`FrameEngine::prepare`].
+    /// Work counters are kept: the user keeps its service history across
+    /// the swap. The engine is unprepared until the next
+    /// [`FrameEngine::prepare`].
     pub fn set_template(&mut self, template: D) {
         self.template = template;
-        for slot in self.slots.iter_mut() {
-            *slot = None;
-        }
-        self.tune_epoch += 1;
+        self.slots.fill_with(|| None);
     }
 
     /// The current template detector (the swap/retune target; per-slot
@@ -351,71 +301,18 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
         &self.template
     }
 
-    /// Cache key of one prepared subcarrier: `(channel id, channel
-    /// generation, tune stamp)`. The key moves exactly when the slot's
-    /// prepared state can differ — the pipelined cell snapshots detectors
-    /// and uses this to refresh only moved slots. `None` while unprepared.
-    pub(crate) fn slot_key(&self, subcarrier: usize) -> Option<(u64, u64, u64)> {
-        self.slots
-            .get(subcarrier)
-            .and_then(Option::as_ref)
-            .map(|slot| (slot.channel_id, slot.generation, slot.tune_stamp))
-    }
-
-    /// Splits the frame's grid into `(subcarrier, symbol-range)` batches —
-    /// every subcarrier contributes `tasks_per_sc` contiguous symbol
-    /// chunks, sized so the pool sees a few tasks per PE even on narrow
-    /// frames — and orders them longest-processing-time-first by each
-    /// batch's estimated cost (subcarrier effort × symbols).
-    ///
-    /// Under a channel-adaptive template the per-subcarrier costs are
-    /// wildly unequal (a near-SIC subcarrier costs ~1 path-walk per symbol,
-    /// a crowded one the full PE budget); LPT keeps the expensive batches
-    /// off the work queue's tail so they can't pad out the critical path.
-    /// Ordering only: [`FrameEngine::process_frame`] scatters results by
-    /// grid position, so outputs are unchanged.
-    pub(crate) fn plan(&self, frame: &RxFrame, n_pes: usize) -> Vec<(usize, usize, usize)> {
-        let batches = self.plan_batches(frame, n_pes);
-        let costs: Vec<u64> = batches
-            .iter()
-            .map(|&(sc, from, to)| self.slot_effort(sc) as u64 * (to - from) as u64)
-            .collect();
-        lpt_order(&costs).into_iter().map(|i| batches[i]).collect()
-    }
-
-    /// The unordered batch split behind [`FrameEngine::plan`]. The
-    /// multi-user cell consumes this directly: it concatenates every
-    /// served user's batches and LPT-orders the whole list once, so a
-    /// per-engine pre-sort would be wasted work.
-    pub(crate) fn plan_batches(&self, frame: &RxFrame, n_pes: usize) -> Vec<(usize, usize, usize)> {
-        // Aim for ≥ 2 tasks per PE so the work queue can balance unequal
-        // batch costs, without slicing symbols thinner than needed.
-        self.plan_batches_with_target(frame, 2 * n_pes)
-    }
-
-    /// [`FrameEngine::plan_batches`] with an explicit task-count target
-    /// instead of a PE count. The multi-user cell divides one shared
-    /// `2 × n_pes` target across its served users so the per-tick task
-    /// count stays bounded by the pool, not by the user count.
-    pub(crate) fn plan_batches_with_target(
-        &self,
-        frame: &RxFrame,
-        task_target: usize,
-    ) -> Vec<(usize, usize, usize)> {
-        split_grid_batches(frame.n_subcarriers(), frame.n_symbols(), task_target)
-    }
-
-    /// Credits one externally scheduled frame of `n_vectors` vectors to
-    /// this engine's counters — the multi-user cell detects many users'
-    /// frames in one shared pool run, then books each user's share here so
-    /// [`FrameEngine::stats`] stays truthful per user.
+    /// Credits one frame of `n_vectors` vectors to this engine's counters
+    /// — a tick detects many users' frames in one shared pool run, then
+    /// each user's share is booked here so [`FrameEngine::stats`] stays
+    /// truthful per user.
     pub(crate) fn record_frame(&self, n_vectors: usize) {
         self.frames.fetch_add(1, Ordering::Relaxed);
         self.vectors.fetch_add(n_vectors as u64, Ordering::Relaxed);
     }
 
     /// Runs `f` over every `(subcarrier, symbol-batch)` of the frame on the
-    /// pool and reassembles the per-vector outputs in symbol-major order.
+    /// pool and reassembles the per-vector outputs in symbol-major order —
+    /// a one-entry [`TickPlan`], run on the spot.
     ///
     /// `f` receives the subcarrier's prepared detector, the subcarrier
     /// index, and the batch of received vectors (consecutive symbols of
@@ -426,6 +323,12 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// its whole symbol batch — and the soft-output uplink streams LLRs
     /// through it.
     ///
+    /// Batches are priced at [`Detector::extension_work`]` × symbols` and
+    /// handed to the pool most expensive first; a pool that models a
+    /// heterogeneous fabric (`flexcore_parallel::WeightedPool`) places and
+    /// times them by those prices — see [`crate::fabric`]. Outputs are
+    /// scattered back by grid position, so they never depend on the pool.
+    ///
     /// # Panics
     /// Panics if a subcarrier of `frame` was never prepared, or if `f`
     /// returns the wrong number of outputs for a batch.
@@ -435,118 +338,13 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
         T: Send,
         F: Fn(&D, usize, &[&[Cx]]) -> Vec<T> + Sync,
     {
-        let n_sc = frame.n_subcarriers();
-        assert_eq!(
-            n_sc,
-            self.slots.len(),
-            "FrameEngine: frame has {n_sc} subcarriers, engine prepared {}",
-            self.slots.len()
-        );
-        let batches = self.plan(frame, pool.n_pes());
-        let f = &f;
-        let tasks: Vec<_> = batches
-            .iter()
-            .map(|&(sc, from, to)| {
-                let det = self.detector(sc);
-                move || {
-                    let ys = frame.column_chunk(sc, from, to);
-                    let out = f(det, sc, &ys);
-                    assert_eq!(out.len(), to - from, "batch output count mismatch");
-                    out
-                }
-            })
-            .collect();
-        let per_batch = pool.run(tasks);
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        self.vectors
-            .fetch_add(frame.n_vectors() as u64, Ordering::Relaxed);
-        scatter_grid(n_sc, frame.n_vectors(), &batches, per_batch)
-    }
-
-    /// [`FrameEngine::process_frame`] on a heterogeneous fabric: batches
-    /// are priced at [`Detector::extension_work`]` × symbols` work units
-    /// (the fine-grained companion of the effort profile — equal path
-    /// counts can hide severalfold trie-walk differences), placed onto
-    /// the [`WeightedPool`]'s non-uniform PEs with the uniform-machines
-    /// LPT rule (most expensive first, each batch to the PE that finishes
-    /// it earliest), and timed. The audit record — predicted-vs-measured
-    /// makespan under `cost`'s pricing, packing efficiency, per-PE
-    /// utilisation — lands in [`EngineStats::fabric`].
-    ///
-    /// Placement and pricing never touch results: outputs are
-    /// bit-identical to [`FrameEngine::process_frame`] on any pool.
-    ///
-    /// # Panics
-    /// Panics if a subcarrier of `frame` was never prepared, or if `f`
-    /// returns the wrong number of outputs for a batch.
-    pub fn process_frame_on_fabric<C, T, F>(
-        &self,
-        frame: &RxFrame,
-        pool: &WeightedPool,
-        cost: &C,
-        work: &WorkUnit,
-        f: F,
-    ) -> Vec<T>
-    where
-        C: PeCost,
-        T: Send,
-        F: Fn(&D, usize, &[&[Cx]]) -> Vec<T> + Sync,
-    {
-        let n_sc = frame.n_subcarriers();
-        assert_eq!(
-            n_sc,
-            self.slots.len(),
-            "FrameEngine: frame has {n_sc} subcarriers, engine prepared {}",
-            self.slots.len()
-        );
-        let batches = self.plan_batches(frame, pool.n_pes());
-        let costs: Vec<u64> = batches
-            .iter()
-            .map(|&(sc, from, to)| self.slot_extension_work(sc) as u64 * (to - from) as u64)
-            .collect();
-        let f = &f;
-        let tasks: Vec<_> = batches
-            .iter()
-            .map(|&(sc, from, to)| {
-                let det = self.detector(sc);
-                move || {
-                    let ys = frame.column_chunk(sc, from, to);
-                    let out = f(det, sc, &ys);
-                    assert_eq!(out.len(), to - from, "batch output count mismatch");
-                    out
-                }
-            })
-            .collect();
-        let (per_batch, run) = pool.run_scheduled(tasks, &costs);
-        *self
-            .fabric
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(FabricStats::from_run(
-            &run,
-            pool.speeds(),
-            cost.unit_seconds(work),
-            &costs,
-        ));
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        self.vectors
-            .fetch_add(frame.n_vectors() as u64, Ordering::Relaxed);
-        scatter_grid(n_sc, frame.n_vectors(), &batches, per_batch)
-    }
-
-    /// Hard-detects the frame on a heterogeneous fabric — see
-    /// [`FrameEngine::process_frame_on_fabric`]. Bit-identical to
-    /// [`FrameEngine::detect_frame`] on any pool.
-    pub fn detect_frame_on_fabric<C: PeCost>(
-        &self,
-        frame: &RxFrame,
-        pool: &WeightedPool,
-        cost: &C,
-        work: &WorkUnit,
-    ) -> DetectedFrame {
-        let symbols = self.process_frame_on_fabric(frame, pool, cost, work, |det, _sc, ys| {
-            det.detect_batch_refs(ys)
-        });
-        DetectedFrame::from_parts(frame.n_subcarriers(), symbols)
+        let outputs = TickPlan::new([(0, frame, self)], pool.n_pes())
+            .run(pool, |det, _user, sc, ys| f(det, sc, ys));
+        self.record_frame(frame.n_vectors());
+        outputs
+            .into_iter()
+            .next()
+            .map_or_else(Vec::new, |out| out.cells)
     }
 
     /// Detects every received vector of the frame, returning decisions in
@@ -565,7 +363,7 @@ mod tests {
     use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
     use flexcore_detect::{MmseDetector, SphereDecoder};
     use flexcore_modulation::{Constellation, Modulation};
-    use flexcore_parallel::{CrossbeamPool, SequentialPool};
+    use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -774,56 +572,26 @@ mod tests {
     }
 
     #[test]
-    fn plan_orders_batches_longest_first() {
-        use flexcore::AdaptiveFlexCore;
-        // An adaptive template over a selective channel yields unequal
-        // slot efforts; the plan must be sorted by batch cost, descending.
-        let mut engine = FrameEngine::new(AdaptiveFlexCore::new(
-            Constellation::new(Modulation::Qam16),
-            16,
-            0.95,
-        ));
-        let ch = selective_channel(12, 23);
-        engine.prepare(&ch);
-        let (frame, _) = build_frame(12, 6, &ch, 24);
-        let batches = engine.plan(&frame, 4);
-        let cost = |&(sc, from, to): &(usize, usize, usize)| {
-            engine.slot_effort(sc) as u64 * (to - from) as u64
-        };
-        for pair in batches.windows(2) {
-            assert!(
-                cost(&pair[0]) >= cost(&pair[1]),
-                "plan not LPT-sorted: {pair:?}"
-            );
-        }
-        // Every grid cell is still covered exactly once.
-        let mut covered = vec![0usize; frame.n_vectors()];
-        for &(sc, from, to) in &batches {
-            for sym in from..to {
-                covered[sym * 12 + sc] += 1;
-            }
-        }
-        assert!(covered.iter().all(|&c| c == 1), "coverage: {covered:?}");
-    }
-
-    #[test]
     fn empty_frame_and_single_subcarrier_schedules() {
-        // The LPT ordering must survive the degenerate grids: a frame with
-        // zero symbols produces no batches, a one-subcarrier frame slices
-        // into per-PE chunks that reassemble in order.
+        // The plan must survive the degenerate grids: a frame with zero
+        // symbols produces no batches, a one-subcarrier frame slices into
+        // per-PE chunks that reassemble in order.
         let c = Constellation::new(Modulation::Qam16);
         let mut engine = FrameEngine::new(MmseDetector::new(c.clone()));
         let ch = selective_channel(1, 25);
         engine.prepare(&ch);
 
-        let empty = RxFrame::empty(1);
-        assert!(engine.plan(&empty, 4).is_empty());
-        let out = engine.detect_frame(&empty, &SequentialPool::new(4));
+        let pool = SequentialPool::new(4);
+        let out = engine.detect_frame(&RxFrame::empty(1), &pool);
         assert_eq!(out.n_symbols(), 0);
+        assert_eq!(pool.stats().tasks(), 0, "an empty frame has no batches");
 
         let (frame, _) = build_frame(1, 9, &ch, 26);
-        let batches = engine.plan(&frame, 4);
-        assert!(batches.len() > 1, "single subcarrier should still chunk");
+        engine.detect_frame(&frame, &pool);
+        assert!(
+            pool.stats().tasks() > 1,
+            "single subcarrier should still chunk"
+        );
         let out = engine.detect_frame(&frame, &CrossbeamPool::work_queue(3));
         let mut reference = MmseDetector::new(c);
         reference.prepare(ch.h(0), ch.sigma2());
@@ -833,59 +601,26 @@ mod tests {
     }
 
     #[test]
-    fn fabric_scheduling_preserves_bit_identity() {
-        use flexcore::AdaptiveFlexCore;
-        use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, WorkUnit};
-        // Heterogeneous placement (2 fast + 6 slow) must not change a
-        // single cell, fixed or adaptive, wide or degenerate grids.
-        let ch = selective_channel(9, 41);
-        let (frame, _) = build_frame(9, 5, &ch, 42);
-        let pool = crate::fabric::pool_for(&HeterogeneousFabric::lte_smallcell());
-        let cpu = CpuModel::fx8120();
-        let work = WorkUnit::new(NT, 16);
-
-        let mut fixed = FrameEngine::new(SphereDecoder::new(Constellation::new(Modulation::Qam16)));
-        fixed.prepare(&ch);
-        let reference = fixed.detect_frame(&frame, &SequentialPool::new(1));
-        assert_eq!(
-            fixed.detect_frame_on_fabric(&frame, &pool, &cpu, &work),
-            reference
-        );
-
-        let mut adaptive = FrameEngine::new(AdaptiveFlexCore::new(
-            Constellation::new(Modulation::Qam16),
-            16,
-            0.95,
-        ));
-        adaptive.prepare(&ch);
-        let reference = adaptive.detect_frame(&frame, &SequentialPool::new(1));
-        assert_eq!(
-            adaptive.detect_frame_on_fabric(&frame, &pool, &cpu, &work),
-            reference
-        );
-
-        // Degenerate: empty frame on the fabric.
-        let empty = RxFrame::empty(9);
-        let out = fixed.detect_frame_on_fabric(&empty, &pool, &cpu, &work);
-        assert_eq!(out.n_symbols(), 0);
-    }
-
-    #[test]
     fn fabric_stats_report_prediction_and_utilization() {
+        use crate::fabric::FabricStats;
         use flexcore::FlexCoreDetector;
-        use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, WorkUnit};
+        use flexcore_parallel::WeightedPool;
         let ch = selective_channel(16, 43);
         let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(
             Constellation::new(Modulation::Qam16),
             16,
         ));
         engine.prepare(&ch);
-        assert!(engine.stats().fabric.is_none(), "no fabric run yet");
         let (frame, _) = build_frame(16, 8, &ch, 44);
-        let pool = crate::fabric::pool_for(&HeterogeneousFabric::lte_smallcell());
-        let work = WorkUnit::new(NT, 16);
-        engine.detect_frame_on_fabric(&frame, &pool, &CpuModel::fx8120(), &work);
-        let fabric = engine.stats().fabric.expect("fabric stats recorded");
+        // 2 fast + 6 slow PEs, the LTE small-cell shape.
+        let pool = WeightedPool::new(vec![4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        assert!(pool.last_run().is_none(), "no fabric run yet");
+        let audit = |pool: &WeightedPool| {
+            let run = pool.last_run().expect("fabric run recorded");
+            FabricStats::from_run(&run, pool.speeds(), 1e-9)
+        };
+        engine.detect_frame(&frame, &pool);
+        let fabric = audit(&pool);
         assert_eq!(fabric.n_pes, 8);
         // Batches are priced at extension_work × symbols: the prepared
         // tries' static walk costs, channel-dependent even at a fixed
@@ -923,10 +658,9 @@ mod tests {
         ));
         engine.prepare(&flat);
         let (frame, _) = build_frame(16, 8, &flat, 46);
-        let uniform = crate::fabric::pool_for(&HeterogeneousFabric::uniform("u", 4));
-        engine.detect_frame_on_fabric(&frame, &uniform, &CpuModel::fx8120(), &work);
-        let fabric = engine.stats().fabric.expect("fabric stats recorded");
-        assert_eq!(fabric.packing_efficiency, 1.0);
+        let uniform = WeightedPool::uniform(4);
+        engine.detect_frame(&frame, &uniform);
+        assert_eq!(audit(&uniform).packing_efficiency, 1.0);
     }
 
     #[test]

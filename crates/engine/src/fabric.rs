@@ -1,7 +1,7 @@
 //! Hardware-aware scheduling: running the engine on a heterogeneous
 //! fabric and auditing the cost model that placed the work.
 //!
-//! The planner's currency is the path-extension work unit
+//! Every plan is priced in one currency, the path-extension work unit
 //! (`flexcore_hwmodel::WorkUnit` names the config it is priced at): a
 //! batch of `n` OFDM symbols on a subcarrier whose prepared detector
 //! reports
@@ -11,18 +11,26 @@
 //! rotate front-end plus the prepared trie's static walk cost, because
 //! equal path counts can hide severalfold per-subcarrier time
 //! differences that a finish-time prediction must see (and, at
-//! massive-MIMO widths, the rotate dominates a trimmed trie's walk). A [`PeCost`] model prices one unit on a concrete substrate, and a
-//! [`WeightedPool`] (typically built from
-//! [`HeterogeneousFabric::speed_factors`]) supplies the per-PE speed
-//! factors the uniform-machines LPT scheduler places batches onto.
+//! massive-MIMO widths, the rotate dominates a trimmed trie's walk).
 //!
-//! [`FabricStats`] is the audit record of one such run: the predicted
-//! makespan (in units, in modelled-hardware seconds, and calibrated to the
-//! measured unit cost), the measured makespan, their relative error, the
-//! packing efficiency, and per-PE utilisation. The `hwtables` bench gates
-//! on the error staying under 25 % — if the cost signal stopped tracking
-//! what detection actually costs, the prediction (and the paper-style
-//! hardware tables built from it) would silently drift.
+//! Placement is the pool's business. The engine and the cells hand every
+//! pool its tasks together with those prices
+//! ([`PePool::run_priced`](flexcore_parallel::PePool::run_priced)); a
+//! [`WeightedPool`] (typically built from
+//! [`HeterogeneousFabric::speed_factors`] via [`pool_for`]) places them
+//! onto its non-uniform PEs with the uniform-machines LPT rule, times
+//! every batch, and keeps the record of its last run. So running on a
+//! fabric is a plain `detect_frame(&frame, &weighted_pool)` or
+//! `detect_tick(&weighted_pool)`, bit-identical to any other pool.
+//!
+//! [`FabricStats`] is the audit of one such run, built from the pool's
+//! record and a `PeCost` price per unit: the predicted makespan (in
+//! units, in modelled-hardware seconds, and calibrated to the measured
+//! unit cost), the measured makespan, their relative error, the packing
+//! efficiency, and per-PE utilisation. The `hwtables` bench gates on the
+//! error staying under 25 % — if the cost signal stopped tracking what
+//! detection actually costs, the prediction (and the paper-style hardware
+//! tables built from it) would silently drift.
 
 use flexcore_hwmodel::HeterogeneousFabric;
 use flexcore_parallel::{ScheduledRun, WeightedPool};
@@ -42,8 +50,8 @@ pub fn pool_for(fabric: &HeterogeneousFabric) -> WeightedPool {
     WeightedPool::new(fabric.speed_factors())
 }
 
-/// Audit record of one fabric-scheduled run (a frame or a multi-user
-/// tick): how well the `extension_work × PeCost` prediction matched the
+/// Audit record of one priced run on a [`WeightedPool`] (a frame or a
+/// multi-user tick): how well the `extension_work × PeCost` prediction matched the
 /// measured per-batch work, and how evenly the fabric was used.
 ///
 /// "Measured" times book each batch's wall-clock seconds to its assigned
@@ -90,19 +98,28 @@ pub struct FabricStats {
 }
 
 impl FabricStats {
-    /// Builds the audit record from a scheduled run.
+    /// Builds the audit record from a [`WeightedPool`]'s record of a
+    /// priced run (`pool.last_run()` right after a `detect_frame` /
+    /// `detect_tick` on that pool) and the pool's `speeds`.
     ///
     /// `unit_seconds` is the [`PeCost`](flexcore_hwmodel::PeCost) price of
     /// one work unit on the modelled substrate
-    /// (`cost.unit_seconds(&work)`), threaded through by the engine entry
-    /// points.
-    pub(crate) fn from_run(
-        run: &ScheduledRun,
-        speeds: &[f64],
-        unit_seconds: f64,
-        costs: &[u64],
-    ) -> Self {
-        let total_units: u64 = costs.iter().sum();
+    /// (`cost.unit_seconds(&work)`).
+    ///
+    /// ```
+    /// use flexcore_engine::{pool_for, FabricStats};
+    /// use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
+    /// use flexcore_parallel::PePool;
+    /// let pool = pool_for(&HeterogeneousFabric::lte_smallcell());
+    /// pool.run_priced(vec![|| 1u8, || 2, || 3], &[40, 4, 4]);
+    /// let run = pool.last_run().expect("a priced run was recorded");
+    /// let unit_s = CpuModel::fx8120().unit_seconds(&WorkUnit::new(4, 16));
+    /// let audit = FabricStats::from_run(&run, pool.speeds(), unit_s);
+    /// assert_eq!((audit.n_pes, audit.total_units), (8, 48));
+    /// assert_eq!(audit.predicted_makespan_units, 10.0); // 40 units on a 4x PE
+    /// ```
+    pub fn from_run(run: &ScheduledRun, speeds: &[f64], unit_seconds: f64) -> Self {
+        let total_units: u64 = run.costs.iter().sum();
         let total_speed: f64 = speeds.iter().sum();
         let makespan_units = run.schedule.makespan_units;
         let packing_efficiency = if makespan_units > 0.0 {
@@ -139,7 +156,7 @@ impl FabricStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexcore_parallel::WeightedPool;
+    use flexcore_parallel::PePool;
 
     #[test]
     fn stats_from_a_perfectly_predicted_run() {
@@ -159,8 +176,9 @@ mod tests {
                 }
             })
             .collect();
-        let (_, run) = pool.run_scheduled(tasks, &costs);
-        let stats = FabricStats::from_run(&run, pool.speeds(), 1e-9, &costs);
+        pool.run_priced(tasks, &costs);
+        let run = pool.last_run().expect("priced run recorded");
+        let stats = FabricStats::from_run(&run, pool.speeds(), 1e-9);
         assert_eq!(stats.n_pes, 2);
         assert_eq!(stats.total_units, 1000);
         assert!(stats.predicted_makespan_units > 0.0);
@@ -185,9 +203,10 @@ mod tests {
     #[test]
     fn empty_run_reports_zeroes() {
         let pool = WeightedPool::uniform(3);
-        let (out, run) = pool.run_scheduled(Vec::<fn() -> u8>::new(), &[]);
+        let out = pool.run_priced(Vec::<fn() -> u8>::new(), &[]);
         assert!(out.is_empty());
-        let stats = FabricStats::from_run(&run, pool.speeds(), 1e-9, &[]);
+        let run = pool.last_run().expect("priced run recorded");
+        let stats = FabricStats::from_run(&run, pool.speeds(), 1e-9);
         assert_eq!(stats.total_units, 0);
         assert_eq!(stats.makespan_error, 0.0);
         assert_eq!(stats.packing_efficiency, 1.0);

@@ -18,22 +18,26 @@
 //!   invalidate only the subcarriers they touch;
 //! * [`FrameEngine`] — owns one prepared detector clone per subcarrier
 //!   (the paper's per-channel pre-processing, run only when a subcarrier's
-//!   generation changes), captures each subcarrier's
-//!   [`flexcore_detect::Detector::effort`] at preparation, carves the
-//!   frame into per-subcarrier symbol batches ordered
-//!   longest-processing-time-first, and schedules them onto a PE pool.
-//!   Each batch goes through
-//!   [`flexcore_detect::Detector::detect_batch_refs`], amortising prepared
-//!   state across the whole column exactly as §3 prescribes;
+//!   generation changes) and captures each subcarrier's
+//!   [`flexcore_detect::Detector::effort`] and
+//!   [`flexcore_detect::Detector::extension_work`] at preparation;
+//! * [`TickPlan`] — the one plan → run core under every path below: it
+//!   shares the served engines' prepared detectors, carves the frames
+//!   into per-subcarrier symbol batches, prices them at
+//!   `extension_work × symbols`, orders them
+//!   longest-processing-time-first, hands tasks and prices to a PE pool,
+//!   and scatters the outputs back by grid position. Each batch goes
+//!   through [`flexcore_detect::Detector::detect_batch_refs`], amortising
+//!   prepared state across the whole column exactly as §3 prescribes;
 //! * [`ChannelStream`] — the streaming time-varying scenario: one
 //!   Gauss–Markov truth process per subcarrier aged every frame, with
 //!   staggered estimate refresh bumping exactly the generations the
 //!   engine's cache must re-prepare;
 //! * [`StreamingCell`] — the multi-user serving layer: N independent
 //!   per-user `ChannelStream` + `FrameEngine` pairs whose frames are
-//!   sharded onto **one** shared PE pool per tick, LPT-ordered across
-//!   users, with per-user fairness accounting (frames-behind, effort
-//!   share);
+//!   planned and run as **one** tick on a shared PE pool, LPT-ordered
+//!   across users, with per-user fairness accounting (frames-behind,
+//!   effort share);
 //! * [`PipelinedCell`] — the overlapped serving loop: transmit/prepare of
 //!   frame *N+1*, detection of frame *N*, and decode of frame *N−1* run
 //!   concurrently, coupled by bounded backpressure queues
@@ -42,13 +46,13 @@
 //!   a per-frame deadline, and a per-user [`EffortController`] closes the
 //!   loop by re-tuning the a-FlexCore stopping threshold from observed
 //!   latency — without ever changing detections on a frozen schedule;
-//! * [`fabric`] — the hardware-aware layer: both the engine and the cell
-//!   can schedule onto a *heterogeneous* fabric
-//!   ([`flexcore_hwmodel::HeterogeneousFabric`] → a
-//!   [`flexcore_parallel::WeightedPool`] via [`pool_for`]), pricing each
-//!   batch at `Detector::extension_work() × PeCost` (the fine-grained
-//!   effort signal) and reporting predicted-vs-measured makespan plus
-//!   per-PE utilisation in [`FabricStats`].
+//! * [`fabric`] — the hardware-aware layer: a
+//!   [`flexcore_hwmodel::HeterogeneousFabric`] becomes a
+//!   [`flexcore_parallel::WeightedPool`] via [`pool_for`]; any of the
+//!   paths above run on it unchanged (the pool places the priced batches
+//!   onto its non-uniform PEs and times them), and [`FabricStats`] audits
+//!   the pool's record of the run: predicted-vs-measured makespan plus
+//!   per-PE utilisation under a `PeCost` model.
 //!
 //! Results are **bit-identical** across substrates and batch shapes: the
 //! engine only reorders *scheduling*, never arithmetic, so
@@ -67,11 +71,13 @@ pub mod frame;
 pub mod multiuser;
 pub mod pipeline;
 pub mod stream;
+mod tick;
 
 pub use channel::FrameChannel;
 pub use engine::{EngineStats, FrameEngine};
 pub use fabric::{pool_for, FabricStats};
 pub use frame::{DetectedFrame, RxFrame};
-pub use multiuser::{CellStats, StreamingCell, TickOutput};
+pub use multiuser::{CellStats, StreamingCell};
 pub use pipeline::{EffortController, LatencyRecord, LatencyStats, PipelineReport, PipelinedCell};
 pub use stream::ChannelStream;
+pub use tick::{TickOutput, TickPlan};

@@ -9,11 +9,11 @@
 //!   and a [`FrameEngine`] stamped from its *own* detector template (mix
 //!   fixed FlexCore and a-FlexCore users via `flexcore::CellDetector`);
 //! * [`StreamingCell::process_tick`] pops the oldest queued frame of every
-//!   user and shards **all** users' `(subcarrier × symbol)` batches onto
-//!   one shared [`PePool`] in a single run, ordered
-//!   longest-processing-time-first across users by the prepared
-//!   per-subcarrier efforts — a crowded subcarrier of user 3 is scheduled
-//!   before an easy one of user 0, exactly as within a single frame;
+//!   user, plans **all** users' `(subcarrier × symbol)` batches as one
+//!   [`TickPlan`] — ordered longest-processing-time-first across users by
+//!   the prepared per-subcarrier work, so a crowded subcarrier of user 3
+//!   is scheduled before an easy one of user 0, exactly as within a single
+//!   frame — and runs it on one shared [`PePool`] in a single run;
 //! * per-user accounting (frames submitted/completed, frames-behind,
 //!   effort share) feeds the fairness numbers the multi-user bench
 //!   reports.
@@ -24,19 +24,14 @@
 //! and keeps the §5.1 trace-driven methodology intact at cell scale.
 
 use crate::engine::FrameEngine;
-use crate::fabric::FabricStats;
 use crate::frame::{DetectedFrame, RxFrame};
 use crate::stream::ChannelStream;
+use crate::tick::{TickOutput, TickPlan};
 use flexcore_detect::common::Detector;
-use flexcore_hwmodel::{PeCost, WorkUnit};
 use flexcore_numeric::Cx;
-use flexcore_parallel::{lpt_makespan_from_order, lpt_order, PePool, WeightedPool};
+use flexcore_parallel::{lpt_makespan, PePool};
 use rand::Rng;
 use std::collections::VecDeque;
-
-/// One tick's work item: `(work index, subcarrier, symbol range)` of a
-/// served user's oldest queued frame.
-type TickBatch = (usize, usize, usize, usize);
 
 struct UserSlot<D> {
     stream: ChannelStream,
@@ -46,23 +41,9 @@ struct UserSlot<D> {
     completed: u64,
 }
 
-/// One user's share of a tick: the detected (or soft-demapped) cells of
-/// its oldest queued frame, symbol-major like [`RxFrame`].
-#[derive(Clone, Debug)]
-pub struct TickOutput<T> {
-    /// The user this output belongs to.
-    pub user: usize,
-    /// Grid width, for reassembling `(symbol, subcarrier)` coordinates.
-    pub n_subcarriers: usize,
-    /// One entry per grid cell in symbol-major order.
-    pub cells: Vec<T>,
-}
-
 /// Audit of the most recent **non-empty** tick, stamped with the tick id
-/// it describes. One record per tick, written wholesale — a plain tick can
-/// never leave a previous fabric tick's audit dangling, and an empty call
-/// (no queued frames anywhere) leaves the record untouched *and*
-/// identifiable as belonging to an earlier tick.
+/// it describes — an empty call (no queued frames anywhere) leaves the
+/// record untouched *and* identifiable as belonging to an earlier tick.
 #[derive(Clone, Debug, PartialEq)]
 struct TickAudit {
     /// The 1-based tick id this audit describes (`CellStats::ticks` right
@@ -70,8 +51,6 @@ struct TickAudit {
     tick: u64,
     /// Modelled parallel efficiency of that tick.
     efficiency: f64,
-    /// The fabric audit, `Some` iff that tick was fabric-scheduled.
-    fabric: Option<FabricStats>,
 }
 
 /// Snapshot of a cell's serving state: aggregate progress, per-user
@@ -98,21 +77,12 @@ pub struct CellStats {
     pub per_user_effort: Vec<u64>,
     /// Modelled parallel efficiency of the tick identified by
     /// [`CellStats::audited_tick`] — always in `(0, 1]`:
-    /// `Σ batch costs / (n_pes · LPT makespan)` on identical PEs, and the
-    /// fabric audit's packing efficiency
-    /// (`Σ costs / (Σ speeds · weighted makespan)`) for a fabric tick;
-    /// 1.0 before the first non-empty tick.
+    /// `Σ batch costs / (n_pes · LPT makespan)` of the tick's plan on
+    /// `n_pes` identical PEs; 1.0 before the first non-empty tick. (For a
+    /// heterogeneous fabric's packing, build a
+    /// [`FabricStats`](crate::FabricStats) from the pool's last run.)
     pub last_tick_efficiency: f64,
-    /// Audit record of the tick identified by [`CellStats::audited_tick`]
-    /// **iff that tick was fabric-scheduled**
-    /// ([`StreamingCell::process_tick_on_fabric`]):
-    /// predicted-vs-measured makespan, packing efficiency and per-PE
-    /// utilisation across **all** users' batches. `None` before the first
-    /// non-empty tick *and* whenever the most recent non-empty tick ran on
-    /// identical PEs — a plain tick clears it, so a stale fabric audit can
-    /// never masquerade as the latest tick's.
-    pub last_tick_fabric: Option<FabricStats>,
-    /// The 1-based tick id the `last_tick_*` fields describe (the value
+    /// The 1-based tick id `last_tick_efficiency` describes (the value
     /// [`CellStats::ticks`] had right after that tick), or `None` before
     /// the first non-empty tick. Empty calls don't advance the tick
     /// counter and don't touch the audit, so after a burst of empty calls
@@ -226,17 +196,71 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         slot.submitted - slot.completed
     }
 
+    /// The plan half of a tick: pops every user's **oldest queued frame**
+    /// (users with an empty queue are skipped) and plans them as one
+    /// [`TickPlan`] for a pool of `n_pes`. The plan owns the popped
+    /// frames, so it must be handed to [`StreamingCell::run_tick`] — its
+    /// [`TickPlan::costs`] are the prices that run will be ordered and
+    /// placed by, which is the city layer's *modelled-time* hook.
+    pub fn plan_tick(&mut self, n_pes: usize) -> TickPlan<D> {
+        let mut work: Vec<(usize, RxFrame)> = Vec::new();
+        for (u, slot) in self.users.iter_mut().enumerate() {
+            if let Some(frame) = slot.queue.pop_front() {
+                work.push((u, frame));
+            }
+        }
+        let users = &self.users;
+        TickPlan::new(
+            work.into_iter()
+                .map(|(u, frame)| (u, frame, &users[u].engine)),
+            n_pes,
+        )
+    }
+
+    /// The run half of a tick: runs a plan from
+    /// [`StreamingCell::plan_tick`] on `pool` (see [`TickPlan::run`] for
+    /// `f`'s contract), books every served user's completion, and stamps
+    /// the tick's audit. Returns one [`TickOutput`] per served user, in
+    /// user order; a plan that serves nobody is not a tick.
+    pub fn run_tick<P, T, F>(&mut self, plan: TickPlan<D>, pool: &P, f: F) -> Vec<TickOutput<T>>
+    where
+        P: PePool,
+        T: Send,
+        F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
+    {
+        let outputs = plan.run(pool, f);
+        if outputs.is_empty() {
+            return outputs;
+        }
+        self.ticks += 1;
+        for out in &outputs {
+            let slot = &mut self.users[out.user];
+            slot.completed += 1;
+            slot.engine.record_frame(out.cells.len());
+        }
+        let makespan = lpt_makespan(plan.costs(), pool.n_pes());
+        let efficiency = if makespan == 0 {
+            1.0
+        } else {
+            plan.costs().iter().sum::<u64>() as f64 / (pool.n_pes() as f64 * makespan as f64)
+        };
+        self.audit = Some(TickAudit {
+            tick: self.ticks,
+            efficiency,
+        });
+        outputs
+    }
+
     /// Runs `f` over every `(user, subcarrier, symbol-batch)` of each
     /// user's **oldest queued frame**, all in one shared pool run, and
-    /// reassembles per-user outputs in symbol-major order. Users with an
-    /// empty queue are skipped. Returns one [`TickOutput`] per served
-    /// user, in user order.
+    /// reassembles per-user outputs in symbol-major order:
+    /// [`StreamingCell::plan_tick`] then [`StreamingCell::run_tick`].
     ///
     /// `f` receives the user's prepared subcarrier detector, the user id,
     /// the subcarrier index, and the borrowed batch of received vectors;
     /// it must return one output per vector. The batch list is ordered
-    /// longest-processing-time-first by `effort × symbols` *across all
-    /// users* — ordering only, outputs are scattered back by grid
+    /// longest-processing-time-first by `extension_work × symbols` *across
+    /// all users* — ordering only, outputs are scattered back by grid
     /// position, so results never depend on the pool or the user mix.
     pub fn process_tick<P, T, F>(&mut self, pool: &P, f: F) -> Vec<TickOutput<T>>
     where
@@ -244,223 +268,8 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         T: Send,
         F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
     {
-        let (work, batches) = self.pop_tick_work(pool.n_pes());
-        if work.is_empty() {
-            return Vec::new();
-        }
-        // Identical PEs: weight batches by the effort profile and
-        // LPT-order the concatenated list globally (one sort across all
-        // users — the per-engine ordering `plan` would apply is discarded
-        // here, so skip it).
-        let costs = self.batch_costs(&work, &batches, FrameEngine::slot_effort);
-        let order = lpt_order(&costs);
-        let ordered: Vec<TickBatch> = order.iter().map(|&i| batches[i]).collect();
-
-        let f = &f;
-        let tasks: Vec<_> = ordered
-            .iter()
-            .map(|&(widx, sc, from, to)| {
-                let (u, frame) = &work[widx];
-                let u = *u;
-                let det = self.users[u].engine.detector(sc);
-                move || {
-                    let ys = frame.column_chunk(sc, from, to);
-                    let out = f(det, u, sc, &ys);
-                    assert_eq!(out.len(), to - from, "tick batch output count mismatch");
-                    out
-                }
-            })
-            .collect();
-        let per_batch = pool.run(tasks);
-
-        // Book the tick's pool model, then scatter and complete. The audit
-        // is written wholesale with `fabric: None` — a plain tick must not
-        // leave an earlier fabric tick's audit attributed to itself.
-        let makespan = lpt_makespan_from_order(&costs, &order, pool.n_pes());
-        let efficiency = if makespan == 0 {
-            1.0
-        } else {
-            costs.iter().sum::<u64>() as f64 / (pool.n_pes() as f64 * makespan as f64)
-        };
-        let outputs = self.scatter_tick(work, &ordered, per_batch);
-        self.audit = Some(TickAudit {
-            tick: self.ticks,
-            efficiency,
-            fabric: None,
-        });
-        outputs
-    }
-
-    /// [`StreamingCell::process_tick`] on a heterogeneous fabric: the
-    /// concatenated batches of **all** served users are priced at
-    /// [`Detector::extension_work`]` × symbols` work units and placed onto the
-    /// [`WeightedPool`]'s non-uniform PEs with the uniform-machines LPT
-    /// rule — so an 8-user cell can run on, say, 2 fast DSP cores beside
-    /// 6 slow ARM ones ([`flexcore_hwmodel::HeterogeneousFabric`]), with
-    /// a crowded user's batches gravitating to the fast PEs. The audit
-    /// record lands in [`CellStats::last_tick_fabric`].
-    ///
-    /// Placement only: every user's outputs are bit-identical to
-    /// [`StreamingCell::process_tick`] on any pool.
-    pub fn process_tick_on_fabric<C, T, F>(
-        &mut self,
-        pool: &WeightedPool,
-        cost: &C,
-        work_unit: &WorkUnit,
-        f: F,
-    ) -> Vec<TickOutput<T>>
-    where
-        C: PeCost,
-        T: Send,
-        F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
-    {
-        let (work, batches) = self.pop_tick_work(pool.n_pes());
-        if work.is_empty() {
-            return Vec::new();
-        }
-        // Fabric placement prices batches with the fine-grained
-        // extension-work signal — equal efforts can hide severalfold
-        // trie-walk differences a finish-time prediction must see.
-        let costs = self.batch_costs(&work, &batches, FrameEngine::slot_extension_work);
-        let f = &f;
-        let tasks: Vec<_> = batches
-            .iter()
-            .map(|&(widx, sc, from, to)| {
-                let (u, frame) = &work[widx];
-                let u = *u;
-                let det = self.users[u].engine.detector(sc);
-                move || {
-                    let ys = frame.column_chunk(sc, from, to);
-                    let out = f(det, u, sc, &ys);
-                    assert_eq!(out.len(), to - from, "tick batch output count mismatch");
-                    out
-                }
-            })
-            .collect();
-        let (per_batch, run) = pool.run_scheduled(tasks, &costs);
-        let stats =
-            FabricStats::from_run(&run, pool.speeds(), cost.unit_seconds(work_unit), &costs);
-
-        // On non-uniform PEs the packing notion that stays in (0, 1] is
-        // work over Σspeeds × weighted makespan — exactly what the audit
-        // computed.
-        let efficiency = stats.packing_efficiency;
-        let outputs = self.scatter_tick(work, &batches, per_batch);
-        self.audit = Some(TickAudit {
-            tick: self.ticks,
-            efficiency,
-            fabric: Some(stats),
-        });
-        outputs
-    }
-
-    /// Hard-detects every served user's oldest queued frame on a
-    /// heterogeneous fabric — see
-    /// [`StreamingCell::process_tick_on_fabric`]. Bit-identical to
-    /// [`StreamingCell::detect_tick`] on any pool.
-    pub fn detect_tick_on_fabric<C: PeCost>(
-        &mut self,
-        pool: &WeightedPool,
-        cost: &C,
-        work_unit: &WorkUnit,
-    ) -> Vec<(usize, DetectedFrame)> {
-        self.process_tick_on_fabric(pool, cost, work_unit, |det, _u, _sc, ys| {
-            det.detect_batch_refs(ys)
-        })
-        .into_iter()
-        .map(|out| {
-            (
-                out.user,
-                DetectedFrame::from_parts(out.n_subcarriers, out.cells),
-            )
-        })
-        .collect()
-    }
-
-    /// Pops each served user's oldest frame and splits every frame into
-    /// `(work index, subcarrier, symbol range)` batches — the shared
-    /// front half of every tick flavour. Popping up front lets the task
-    /// closures borrow `self.users` immutably.
-    fn pop_tick_work(&mut self, n_pes: usize) -> (Vec<(usize, RxFrame)>, Vec<TickBatch>) {
-        let mut work: Vec<(usize, RxFrame)> = Vec::new();
-        for u in 0..self.users.len() {
-            if let Some(frame) = self.users[u].queue.pop_front() {
-                work.push((u, frame));
-            }
-        }
-        // One shared `2 × n_pes` task target for the whole tick, divided
-        // across the served users: an N-user tick stays at ~2·n_pes tasks
-        // instead of ~2·N·n_pes (each user still contributes ≥ 1 batch per
-        // prepared subcarrier, the split's floor), so per-task overhead is
-        // bounded by the pool, not the user count.
-        let target = (2 * n_pes).div_ceil(work.len().max(1));
-        let mut batches: Vec<TickBatch> = Vec::new();
-        for (widx, (u, frame)) in work.iter().enumerate() {
-            for (sc, from, to) in self.users[*u]
-                .engine
-                .plan_batches_with_target(frame, target)
-            {
-                batches.push((widx, sc, from, to));
-            }
-        }
-        (work, batches)
-    }
-
-    /// Per-batch scheduling weights: `slot weight × symbols`, with the
-    /// per-subcarrier weight supplied by the tick flavour
-    /// ([`FrameEngine::slot_effort`] on identical PEs,
-    /// [`FrameEngine::slot_extension_work`] on a fabric).
-    fn batch_costs(
-        &self,
-        work: &[(usize, RxFrame)],
-        batches: &[TickBatch],
-        slot_weight: impl Fn(&FrameEngine<D>, usize) -> usize,
-    ) -> Vec<u64> {
-        batches
-            .iter()
-            .map(|&(widx, sc, from, to)| {
-                let u = work[widx].0;
-                slot_weight(&self.users[u].engine, sc) as u64 * (to - from) as u64
-            })
-            .collect()
-    }
-
-    /// Scatters per-batch outputs back to each user's symbol-major grid,
-    /// books completions, and bumps the tick counter — the shared back
-    /// half of every tick flavour. `batches` must be in the same order as
-    /// `per_batch`.
-    fn scatter_tick<T>(
-        &mut self,
-        work: Vec<(usize, RxFrame)>,
-        batches: &[TickBatch],
-        per_batch: Vec<Vec<T>>,
-    ) -> Vec<TickOutput<T>> {
-        let mut grids: Vec<Vec<Option<T>>> = work
-            .iter()
-            .map(|(_, frame)| (0..frame.n_vectors()).map(|_| None).collect())
-            .collect();
-        for (&(widx, sc, from, _), outputs) in batches.iter().zip(per_batch) {
-            let n_sc = work[widx].1.n_subcarriers();
-            for (offset, value) in outputs.into_iter().enumerate() {
-                grids[widx][(from + offset) * n_sc + sc] = Some(value);
-            }
-        }
-        self.ticks += 1;
-        let mut outputs = Vec::with_capacity(work.len());
-        for ((u, frame), grid) in work.into_iter().zip(grids) {
-            self.users[u].completed += 1;
-            self.users[u].engine.record_frame(frame.n_vectors());
-            outputs.push(TickOutput {
-                user: u,
-                n_subcarriers: frame.n_subcarriers(),
-                cells: grid
-                    .into_iter()
-                    // flexcore-lint: allow(FL004, reason = "drained ticks tile the user grid exactly, so every cell was produced above")
-                    .map(|v| v.expect("tick cell never produced"))
-                    .collect(),
-            });
-        }
-        outputs
+        let plan = self.plan_tick(pool.n_pes());
+        self.run_tick(plan, pool, f)
     }
 
     /// Hard-detects every served user's oldest queued frame in one shared
@@ -484,11 +293,6 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         let behind: Vec<u64> = (0..self.users.len())
             .map(|u| self.frames_behind(u))
             .collect();
-        let per_user_effort: Vec<u64> = self
-            .users
-            .iter()
-            .map(|slot| slot.engine.stats().effort_total)
-            .collect();
         CellStats {
             n_users: self.users.len(),
             ticks: self.ticks,
@@ -496,9 +300,8 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
             frames_completed: self.users.iter().map(|s| s.completed).sum(),
             min_frames_behind: behind.iter().copied().min().unwrap_or(0),
             max_frames_behind: behind.iter().copied().max().unwrap_or(0),
-            per_user_effort,
+            per_user_effort: self.users.iter().map(|s| s.engine.effort_total()).collect(),
             last_tick_efficiency: self.audit.as_ref().map_or(1.0, |a| a.efficiency),
-            last_tick_fabric: self.audit.as_ref().and_then(|a| a.fabric.clone()),
             audited_tick: self.audit.as_ref().map(|a| a.tick),
         }
     }
@@ -525,35 +328,6 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         let slot = &mut self.users[user];
         slot.engine.set_template(template);
         slot.engine.prepare(slot.stream.estimate())
-    }
-
-    /// The extension-work prices of the batches the **next** tick would
-    /// run, without popping anything: each queued user's oldest frame is
-    /// split exactly like [`StreamingCell::process_tick`] splits it for a
-    /// pool of `n_pes` (same shared task target over the same served
-    /// users), and each batch is priced at
-    /// [`Detector::extension_work`]` × symbols` — the same pricing the
-    /// fabric tick schedules with. Empty when no user has queued work.
-    ///
-    /// This is the city layer's *modelled-time* hook: feeding these costs
-    /// to `flexcore_parallel::lpt_makespan_weighted` with a fabric's speed
-    /// factors yields the tick's deterministic makespan in work units
-    /// before (or without) running it.
-    pub fn planned_tick_costs(&self, n_pes: usize) -> Vec<u64> {
-        let served: Vec<usize> = (0..self.users.len())
-            .filter(|&u| !self.users[u].queue.is_empty())
-            .collect();
-        let target = (2 * n_pes).div_ceil(served.len().max(1));
-        let mut costs = Vec::new();
-        for &u in &served {
-            let slot = &self.users[u];
-            if let Some(frame) = slot.queue.front() {
-                for (sc, from, to) in slot.engine.plan_batches_with_target(frame, target) {
-                    costs.push(slot.engine.slot_extension_work(sc) as u64 * (to - from) as u64);
-                }
-            }
-        }
-        costs
     }
 }
 
@@ -764,73 +538,11 @@ mod tests {
     }
 
     #[test]
-    fn fabric_tick_matches_each_users_solo_engine() {
-        use crate::fabric::pool_for;
-        use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, WorkUnit};
-        // A mixed fixed/adaptive cell served on the 2-fast+6-slow LTE
-        // fabric: every user's detections must equal its solo engine, and
-        // the cell must record a fabric audit.
-        let mut cell = StreamingCell::new();
-        cell.add_user(mk_stream(6, 0.9, 91), CellDetector::fixed(c16(), 16));
-        cell.add_user(
-            mk_stream(6, 0.9, 92),
-            CellDetector::adaptive(c16(), 16, 0.95),
-        );
-        cell.add_user(
-            mk_stream(6, 0.9, 93),
-            CellDetector::adaptive(c16(), 16, 0.95),
-        );
-        let frames: Vec<RxFrame> = (0..3)
-            .map(|u| tx_frame(cell.stream(u), 4, 900 + u as u64))
-            .collect();
-        for (u, f) in frames.iter().enumerate() {
-            cell.submit(u, f.clone());
-        }
-        assert!(cell.stats().last_tick_fabric.is_none());
-        let pool = pool_for(&HeterogeneousFabric::lte_smallcell());
-        let work = WorkUnit::new(NT, 16);
-        let outs = cell.detect_tick_on_fabric(&pool, &CpuModel::fx8120(), &work);
-        assert_eq!(outs.len(), 3);
-        for (u, detected) in outs {
-            let solo = cell
-                .engine(u)
-                .detect_frame(&frames[u], &SequentialPool::new(1));
-            assert_eq!(detected, solo, "user {u}");
-        }
-        let stats = cell.stats();
-        // Heterogeneous packing still reports as a ratio in (0, 1]: the
-        // weighted makespan divides Σ speeds, not the PE count.
-        assert!(
-            stats.last_tick_efficiency > 0.0 && stats.last_tick_efficiency <= 1.0,
-            "fabric tick efficiency out of range: {}",
-            stats.last_tick_efficiency
-        );
-        let fabric = stats.last_tick_fabric.expect("fabric audit recorded");
-        assert_eq!(fabric.n_pes, 8);
-        assert_eq!(stats.last_tick_efficiency, fabric.packing_efficiency);
-        assert!(fabric.total_units > 0);
-        assert!(fabric.measured_makespan_s > 0.0);
-        assert!(fabric.packing_efficiency > 0.0 && fabric.packing_efficiency <= 1.0);
-        assert!(fabric
-            .per_pe_utilization
-            .iter()
-            .any(|&u| (u - 1.0).abs() < 1e-9));
-        // An empty fabric tick is a no-op that leaves the audit in place.
-        assert!(cell
-            .detect_tick_on_fabric(&pool, &CpuModel::fx8120(), &work)
-            .is_empty());
-        assert!(cell.stats().last_tick_fabric.is_some());
-    }
-
-    #[test]
     fn tick_audit_is_tick_stamped_across_fabric_plain_and_empty_ticks() {
-        use crate::fabric::pool_for;
-        use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, WorkUnit};
-        // Regression for the stale-audit bug: a plain tick after a fabric
-        // tick used to leave `last_tick_fabric` holding the *fabric*
-        // tick's audit, so `stats()` attributed an old audit to the most
-        // recent tick; empty calls compounded it. The audit is now written
-        // wholesale per non-empty tick and stamped with its tick id.
+        use flexcore_parallel::WeightedPool;
+        // The audit is written wholesale per non-empty tick, whatever pool
+        // ran it, and stamped with its tick id; empty calls touch neither
+        // the tick counter nor the audit.
         let mut cell = StreamingCell::new();
         cell.add_user(mk_stream(5, 0.9, 141), FlexCoreDetector::with_pes(c16(), 8));
         cell.add_user(mk_stream(5, 0.9, 142), FlexCoreDetector::with_pes(c16(), 8));
@@ -841,85 +553,40 @@ mod tests {
             }
         };
         assert_eq!(cell.stats().audited_tick, None);
+        assert_eq!(cell.stats().last_tick_efficiency, 1.0);
 
-        // Tick 1: fabric-scheduled — the audit must carry a fabric record.
-        let pool = pool_for(&HeterogeneousFabric::lte_smallcell());
-        let work = WorkUnit::new(NT, 8);
+        // Tick 1 on a heterogeneous fabric: the pool keeps the placement
+        // record, the cell the identical-PE packing model.
+        let pool = WeightedPool::new(vec![4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
         submit_all(&mut cell, 1000);
-        cell.detect_tick_on_fabric(&pool, &CpuModel::fx8120(), &work);
+        cell.detect_tick(&pool);
         let s1 = cell.stats();
         assert_eq!(s1.audited_tick, Some(1));
-        assert!(
-            s1.last_tick_fabric.is_some(),
-            "fabric tick records an audit"
-        );
+        assert!(s1.last_tick_efficiency > 0.0 && s1.last_tick_efficiency <= 1.0);
+        let run = pool.last_run().expect("the fabric recorded the tick");
+        assert!(run.costs.iter().sum::<u64>() > 0);
+        assert_eq!(run.task_seconds.len() as u64, pool.stats().tasks());
 
-        // Tick 2: plain — the fabric audit from tick 1 must NOT survive as
-        // if it described tick 2 (the pre-fix behaviour).
+        // Tick 2 on identical PEs.
         submit_all(&mut cell, 2000);
         cell.detect_tick(&SequentialPool::new(4));
         let s2 = cell.stats();
         assert_eq!(s2.audited_tick, Some(2));
-        assert!(
-            s2.last_tick_fabric.is_none(),
-            "plain tick must clear the previous fabric tick's audit"
-        );
         assert!(s2.last_tick_efficiency > 0.0 && s2.last_tick_efficiency <= 1.0);
 
         // Empty call: not a tick — counter and audit both stay at tick 2,
-        // so the audit remains attributed to the tick it describes.
-        assert!(cell.detect_tick(&SequentialPool::new(4)).is_empty());
+        // so the audit remains attributed to the tick it describes, and
+        // the pool is never touched.
+        assert!(cell.detect_tick(&pool).is_empty());
         let s3 = cell.stats();
         assert_eq!((s3.ticks, s3.audited_tick), (2, Some(2)));
         assert_eq!(s3.last_tick_efficiency, s2.last_tick_efficiency);
+        assert_eq!(pool.stats().batches(), 1, "an empty tick ran a batch");
 
-        // Tick 3: fabric again — stamp moves with the tick.
+        // Tick 3: the stamp moves with the tick.
         submit_all(&mut cell, 3000);
-        cell.detect_tick_on_fabric(&pool, &CpuModel::fx8120(), &work);
-        let s4 = cell.stats();
-        assert_eq!(s4.audited_tick, Some(3));
-        let fabric = s4.last_tick_fabric.expect("fabric audit recorded");
-        assert_eq!(s4.last_tick_efficiency, fabric.packing_efficiency);
-    }
-
-    #[test]
-    fn tick_batch_count_is_bounded_by_the_pool_not_the_user_count() {
-        // Regression for cross-user over-splitting: each served user's
-        // engine used to plan against the full `2·n_pes` target, so a
-        // 4-user tick on an 8-PE pool created 48 batches. The shared
-        // target is now divided across served users; the per-tick batch
-        // count is bounded by Σ_u n_subcarriers(u) + 2·n_pes (every user
-        // keeps ≥ 1 batch per prepared subcarrier).
-        const N_USERS: usize = 4;
-        const N_SC: usize = 6;
-        const N_PES: usize = 8;
-        let mut cell = StreamingCell::new();
-        for u in 0..N_USERS {
-            cell.add_user(
-                mk_stream(N_SC, 0.9, 160 + u as u64),
-                FlexCoreDetector::with_pes(c16(), 8),
-            );
-        }
-        for u in 0..N_USERS {
-            let f = tx_frame(cell.stream(u), 4, 170 + u as u64);
-            cell.submit(u, f);
-        }
-        let (work, batches) = cell.pop_tick_work(N_PES);
-        assert_eq!(work.len(), N_USERS);
-        assert!(
-            batches.len() <= N_USERS * N_SC + 2 * N_PES,
-            "tick batch count grew with the user count: {} batches",
-            batches.len()
-        );
-        // Floor: every (user, subcarrier) of every served frame is covered.
-        for widx in 0..N_USERS {
-            for sc in 0..N_SC {
-                assert!(
-                    batches.iter().any(|&(w, s, _, _)| w == widx && s == sc),
-                    "work {widx} subcarrier {sc} got no batch"
-                );
-            }
-        }
+        cell.detect_tick(&pool);
+        assert_eq!(cell.stats().audited_tick, Some(3));
     }
 
     #[test]
@@ -957,26 +624,21 @@ mod tests {
 
         // The plan covers exactly user 2's frame, and the shared task
         // target is divided by the *served* count (1), not the user count:
-        // the lone backlogged user gets the whole 2·n_pes target.
-        let planned = cell.planned_tick_costs(N_PES);
-        let (work, batches) = cell.pop_tick_work(N_PES);
-        assert_eq!(work.len(), 1);
-        assert_eq!(work[0].0, 2);
-        assert!(batches.iter().all(|&(widx, ..)| widx == 0));
-        assert_eq!(planned.len(), batches.len(), "planned costs mirror the pop");
-        let solo_batches = cell.users[2]
-            .engine
-            .plan_batches_with_target(&work[0].1, 2 * N_PES);
-        assert_eq!(batches.len(), solo_batches.len());
-        // Put the frame back and serve it for the accounting checks below.
-        cell.users[2]
-            .queue
-            .push_front(work.into_iter().next().unwrap().1);
+        // the lone backlogged user gets the whole 2·n_pes target (5
+        // subcarriers × 4 one-symbol chunks; a quarter share would leave
+        // one batch per subcarrier).
+        let plan = cell.plan_tick(N_PES);
+        assert_eq!(plan.costs().len(), 5 * 4);
+        assert!(!cell.has_queued(), "planning pops the served frames");
 
         let before: Vec<u64> = (0..4).map(|u| cell.engine(u).stats().frames).collect();
-        let outs = cell.detect_tick(&SequentialPool::new(N_PES));
+        let outs = cell.run_tick(plan, &SequentialPool::new(N_PES), |det, _u, _sc, ys| {
+            det.detect_batch_refs(ys)
+        });
         assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].0, 2);
+        assert_eq!(outs[0].user, 2);
+        let solo = cell.engine(2).detect_frame(&frame, &SequentialPool::new(1));
+        assert!(outs[0].cells.iter().map(Vec::as_slice).eq(solo.iter()));
         for u in [0usize, 1, 3] {
             assert_eq!(cell.frames_behind(u), 0, "idle user {u} fell behind");
             assert_eq!(
@@ -990,7 +652,7 @@ mod tests {
         assert_eq!((stats.min_frames_behind, stats.max_frames_behind), (0, 0));
         assert_eq!(stats.frames_completed, 1);
         assert!(!cell.has_queued());
-        assert!(cell.planned_tick_costs(N_PES).is_empty());
+        assert!(cell.plan_tick(N_PES).costs().is_empty());
     }
 
     #[test]
@@ -1020,22 +682,19 @@ mod tests {
             solo.detect_frame(&frames[1], &SequentialPool::new(1)),
             "swapped user diverged from its solo engine"
         );
-        // The downgraded user's planned costs collapse to one unit per
-        // symbol batch while the FlexCore users keep their trie prices.
-        cell.submit(0, frames[0].clone());
-        cell.submit(1, frames[1].clone());
-        let per_user: Vec<u64> = {
-            let mut sums = vec![0u64; 2];
-            let (work, batches) = cell.pop_tick_work(8);
-            let costs = cell.batch_costs(&work, &batches, FrameEngine::slot_extension_work);
-            for (&(widx, _, _, _), &c) in batches.iter().zip(&costs) {
-                sums[work[widx].0] += c;
-            }
-            sums
+        // The downgraded user's price collapses to one unit per subcarrier
+        // while the FlexCore users keep their trie prices.
+        let band_price = |u: usize| -> usize {
+            (0..5)
+                .map(|sc| cell.engine(u).slot_extension_work(sc))
+                .sum()
         };
+        assert_eq!(band_price(1), 5);
         assert!(
-            per_user[1] * 4 < per_user[0],
-            "SIC user should cost a small fraction of FlexCore: {per_user:?}"
+            band_price(1) * 4 < band_price(0),
+            "SIC user should cost a small fraction of FlexCore: {} vs {}",
+            band_price(1),
+            band_price(0)
         );
     }
 

@@ -9,12 +9,11 @@
 //! deployed base-band does:
 //!
 //! * the **transmit stage** (caller thread) ages channels, re-prepares the
-//!   moved subcarriers, builds frame *N+1*, and snapshots each
-//!   subcarrier's prepared detector ([`Arc`]-shared, refreshed only when
-//!   the slot's cache key moved);
-//! * the **detect stage** (worker thread) runs frame *N* through the
-//!   shared [`PePool`] with the same batch split, effort weighting, and
-//!   LPT order as a barrier tick;
+//!   moved subcarriers, builds frame *N+1*, and plans the tick — the same
+//!   [`TickPlan`] a barrier tick builds, sharing each subcarrier's
+//!   prepared detector by reference count;
+//! * the **detect stage** (worker thread) runs frame *N*'s plan on the
+//!   shared [`PePool`];
 //! * the **decode stage** (worker thread) drains frame *N−1* into the
 //!   caller's decode hook and stamps the frame's **submit→decode latency**
 //!   into a [`LatencyRecord`].
@@ -27,10 +26,11 @@
 //!
 //! **Pipelining is scheduling-only.** A batch's result depends on exactly
 //! two things: the prepared detector state it runs against and the batch
-//! geometry. The detect stage consumes the transmit stage's snapshots
-//! (bit-identical clones of the prepared slots) and splits through the
-//! same shared grid-split helper as every other scheduling path, so on a
-//! frozen tuning schedule the pipelined detections are bit-identical to
+//! geometry. The plan that crosses the job channel *is* the barrier
+//! tick's plan — same carve, same prices, same order — and it holds the
+//! prepared slots it was planned against (a later re-prepare or re-tune
+//! of the engine copies on write), so on a frozen tuning schedule the
+//! pipelined detections are bit-identical to
 //! [`StreamingCell::process_tick`](crate::StreamingCell::process_tick) —
 //! a property the tests enforce cell-for-cell.
 //!
@@ -42,14 +42,14 @@
 //! path selection (think `FlexCoreDetector::retune_threshold`), so the
 //! loop never pays a QR or a tree search to shed load.
 
-use crate::engine::{split_grid_batches, FrameEngine};
+use crate::engine::FrameEngine;
 use crate::frame::RxFrame;
-use crate::multiuser::TickOutput;
 use crate::stream::ChannelStream;
+use crate::tick::{TickOutput, TickPlan};
 use flexcore_detect::common::Detector;
 use flexcore_numeric::Cx;
-use flexcore_parallel::{bounded, lpt_order, PePool};
-use std::sync::{Arc, Mutex, PoisonError};
+use flexcore_parallel::{bounded, PePool};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Per-frame submit→decode latency samples against one deadline.
@@ -307,15 +307,6 @@ impl EffortController {
     }
 }
 
-/// A bit-identical snapshot of one prepared subcarrier slot, keyed so the
-/// transmit stage refreshes it only when the engine's slot actually moved
-/// (channel refresh or re-tune).
-struct SlotSnap<D> {
-    key: (u64, u64, u64),
-    det: Arc<D>,
-    effort: u64,
-}
-
 struct PipeUser<D> {
     stream: ChannelStream,
     engine: FrameEngine<D>,
@@ -323,67 +314,13 @@ struct PipeUser<D> {
     /// The threshold last applied through the retune hook, so the loop
     /// only pays a retune sweep when the setpoint actually moved.
     applied: Option<f64>,
-    snaps: Vec<Option<SlotSnap<D>>>,
-}
-
-impl<D: Detector + Clone + Sync> PipeUser<D> {
-    /// Refreshes the detector snapshots for every subcarrier whose slot
-    /// cache key moved since the last snapshot.
-    fn refresh_snaps(&mut self) {
-        let n_sc = self.stream.n_subcarriers();
-        if self.snaps.len() != n_sc {
-            self.snaps = (0..n_sc).map(|_| None).collect();
-        }
-        for sc in 0..n_sc {
-            let key = self
-                .engine
-                .slot_key(sc)
-                // flexcore-lint: allow(FL004, reason = "the transmit stage prepares the engine against the stream's estimate immediately before snapshotting, so every subcarrier holds a prepared slot")
-                .expect("pipeline: subcarrier not prepared");
-            let stale = match &self.snaps[sc] {
-                Some(snap) => snap.key != key,
-                None => true,
-            };
-            if stale {
-                self.snaps[sc] = Some(SlotSnap {
-                    key,
-                    det: Arc::new(self.engine.detector(sc).clone()),
-                    effort: self.engine.slot_effort(sc) as u64,
-                });
-            }
-        }
-    }
-
-    /// The current snapshots as `(shared detectors, efforts)` per
-    /// subcarrier — the detect stage's entire view of this user.
-    fn snapshot(&self) -> (Vec<Arc<D>>, Vec<u64>) {
-        self.snaps
-            .iter()
-            .map(|snap| {
-                let snap = snap
-                    .as_ref()
-                    // flexcore-lint: allow(FL004, reason = "refresh_snaps runs before every snapshot call and fills every subcarrier")
-                    .expect("pipeline: snapshot before refresh");
-                (Arc::clone(&snap.det), snap.effort)
-            })
-            .unzip()
-    }
-}
-
-/// One user's share of one in-flight tick: its frame plus the snapshotted
-/// per-subcarrier detectors and efforts the detect stage schedules with.
-struct JobEntry<D> {
-    user: usize,
-    frame: RxFrame,
-    dets: Vec<Arc<D>>,
-    efforts: Vec<u64>,
 }
 
 /// One tick travelling from the transmit stage to the detect stage.
 struct TickJob<D> {
     tick: u64,
     submitted: Instant,
-    entries: Vec<JobEntry<D>>,
+    plan: TickPlan<D>,
 }
 
 /// One detected tick travelling from the detect stage to the decode
@@ -483,7 +420,6 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
             engine,
             controller,
             applied: None,
-            snaps: Vec::new(),
         });
         self.users.len() - 1
     }
@@ -517,13 +453,12 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
     /// setpoint, returning whether it changed the active configuration —
     /// pass `|_, _| false` when no user is controlled), then for every
     /// user calls `advance` (age the stream however the scenario
-    /// dictates), re-prepares the engine, and calls `transmit`; a
-    /// returned frame is snapshotted into the tick's job (`None` skips
-    /// the user this tick). The **detect stage** runs each job on `pool`
-    /// with the shared batch split, per-subcarrier effort weights, and
-    /// one LPT-ordered run per tick, exactly like a barrier tick. The
-    /// **decode stage** feeds every [`TickOutput`] to `decode` and stamps
-    /// the frame's submit→decode latency against `deadline_s`.
+    /// dictates), re-prepares the engine, and calls `transmit`; the
+    /// returned frames (`None` skips the user this tick) are planned as
+    /// one [`TickPlan`], exactly like a barrier tick. The **detect stage**
+    /// runs each plan on `pool`. The **decode stage** feeds every
+    /// [`TickOutput`] to `decode` and stamps the frame's submit→decode
+    /// latency against `deadline_s`.
     ///
     /// On a frozen tuning schedule (no controllers, `retune` never
     /// fires) every user's detections are bit-identical to the barrier
@@ -576,7 +511,11 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
         let (overall, per_user) = std::thread::scope(|scope| {
             let detect_handle = scope.spawn(move || {
                 while let Some(job) = job_rx.recv() {
-                    let done = detect_stage(pool, detect_fn, job);
+                    let done = DoneTick {
+                        tick: job.tick,
+                        submitted: job.submitted,
+                        outputs: job.plan.run(pool, detect_fn),
+                    };
                     if done_tx.send(done).is_err() {
                         break; // decode stage is gone; drain and exit
                     }
@@ -610,7 +549,7 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
                 // Close the loop: latencies decoded since last tick move
                 // the controllers, and a moved setpoint is applied to the
                 // user's engine (template + every prepared slot) before
-                // this tick's snapshots are taken.
+                // this tick is planned.
                 let decoded: Vec<(usize, f64)> =
                     std::mem::take(&mut *feedback.lock().unwrap_or_else(PoisonError::into_inner));
                 for (u, latency) in decoded {
@@ -629,37 +568,34 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
 
                 // Transmit/prepare frame N+1 while the workers hold N and
                 // N−1.
-                let mut entries = Vec::with_capacity(n_users);
-                for u in 0..n_users {
-                    let user = &mut self.users[u];
+                let mut work = Vec::with_capacity(n_users);
+                for (u, user) in self.users.iter_mut().enumerate() {
                     advance(tick, u, &mut user.stream);
                     user.engine.prepare(user.stream.estimate());
-                    user.refresh_snaps();
                     if let Some(frame) = transmit(tick, u, &user.stream) {
                         assert_eq!(
                             frame.n_subcarriers(),
                             user.stream.n_subcarriers(),
                             "pipeline: frame width does not match user {u}'s band"
                         );
-                        let (dets, efforts) = user.snapshot();
                         user.engine.record_frame(frame.n_vectors());
                         frames += 1;
-                        entries.push(JobEntry {
-                            user: u,
-                            frame,
-                            dets,
-                            efforts,
-                        });
+                        work.push((u, frame));
                     }
                 }
-                if entries.is_empty() {
+                if work.is_empty() {
                     continue;
                 }
                 ticks += 1;
+                let users = &self.users;
                 let job = TickJob {
                     tick,
                     submitted: Instant::now(),
-                    entries,
+                    plan: TickPlan::new(
+                        work.into_iter()
+                            .map(|(u, frame)| (u, frame, &users[u].engine)),
+                        pool.n_pes(),
+                    ),
                 };
                 // A full queue blocks here — backpressure, not loss.
                 if job_tx.send(job).is_err() {
@@ -692,86 +628,6 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
             overall,
             per_user,
         }
-    }
-}
-
-/// The detect stage's work for one tick: the same split, weighting, LPT
-/// order and scatter as a barrier tick, run against the job's detector
-/// snapshots instead of the (possibly already re-prepared) engines.
-fn detect_stage<D, P, T, F>(pool: &P, f: &F, job: TickJob<D>) -> DoneTick<T>
-where
-    D: Detector + Send + Sync,
-    P: PePool,
-    T: Send,
-    F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
-{
-    // One shared 2·n_pes task target divided across the served users —
-    // identical to the barrier tick's split, which is what keeps the
-    // batch geometry (and therefore the results) bit-identical.
-    let target = (2 * pool.n_pes()).div_ceil(job.entries.len().max(1));
-    let mut batches: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for (eidx, entry) in job.entries.iter().enumerate() {
-        for (sc, from, to) in
-            split_grid_batches(entry.frame.n_subcarriers(), entry.frame.n_symbols(), target)
-        {
-            batches.push((eidx, sc, from, to));
-        }
-    }
-    let costs: Vec<u64> = batches
-        .iter()
-        .map(|&(e, sc, from, to)| job.entries[e].efforts[sc] * (to - from) as u64)
-        .collect();
-    let order = lpt_order(&costs);
-    let ordered: Vec<(usize, usize, usize, usize)> = order.iter().map(|&i| batches[i]).collect();
-
-    let tasks: Vec<_> = ordered
-        .iter()
-        .map(|&(e, sc, from, to)| {
-            let entry = &job.entries[e];
-            move || {
-                let ys = entry.frame.column_chunk(sc, from, to);
-                let out = f(entry.dets[sc].as_ref(), entry.user, sc, &ys);
-                assert_eq!(out.len(), to - from, "pipeline batch output count mismatch");
-                out
-            }
-        })
-        .collect();
-    let per_batch = pool.run(tasks);
-
-    let mut grids: Vec<Vec<Option<T>>> = job
-        .entries
-        .iter()
-        .map(|e| (0..e.frame.n_vectors()).map(|_| None).collect())
-        .collect();
-    {
-        // flexcore-lint: hot-path
-        // Scatter by grid position into the preallocated grids — the
-        // ordering-erasing step that makes LPT order invisible downstream.
-        for (&(e, sc, from, _), outputs) in ordered.iter().zip(per_batch) {
-            let n_sc = job.entries[e].frame.n_subcarriers();
-            for (offset, value) in outputs.into_iter().enumerate() {
-                grids[e][(from + offset) * n_sc + sc] = Some(value);
-            }
-        }
-    }
-    let outputs = job
-        .entries
-        .iter()
-        .zip(grids)
-        .map(|(entry, grid)| TickOutput {
-            user: entry.user,
-            n_subcarriers: entry.frame.n_subcarriers(),
-            cells: grid
-                .into_iter()
-                // flexcore-lint: allow(FL004, reason = "the batches tile each entry's grid exactly (shared split helper), so every cell was produced above")
-                .map(|v| v.expect("pipeline cell never produced"))
-                .collect(),
-        })
-        .collect();
-    DoneTick {
-        tick: job.tick,
-        submitted: job.submitted,
-        outputs,
     }
 }
 

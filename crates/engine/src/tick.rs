@@ -1,0 +1,434 @@
+//! The plan → run core: the one carve / price / order / scatter
+//! implementation under every serving path.
+//!
+//! A *tick* is one shared pool run over one frame of each served user.
+//! [`TickPlan::new`] is the plan phase: it shares each served engine's
+//! prepared detectors (a refcount bump per subcarrier — a later
+//! re-prepare or re-tune of the engine copies on write, so the plan keeps
+//! the state it was planned against), carves every frame's
+//! *(subcarrier × symbol)* grid into batches under **one** `2·n_pes` task
+//! target divided across the served users, prices each batch at
+//! [`Detector::extension_work`]` × symbols`, and orders the batch list
+//! longest-processing-time-first. [`TickPlan::run`] is the run phase: it
+//! hands the tasks and their prices to the pool
+//! ([`PePool::run_priced`] — placement and timing are the pool's business)
+//! and scatters the per-batch outputs back by grid position.
+//!
+//! [`FrameEngine::process_frame`] is a one-entry plan run on the spot,
+//! [`StreamingCell::process_tick`](crate::StreamingCell::process_tick) is
+//! pop → plan → run → book, [`PipelinedCell`](crate::PipelinedCell) sends
+//! the plan across a bounded channel and runs it on its detect thread,
+//! and the city reads [`TickPlan::costs`] for modelled time before running
+//! the same plan.
+//!
+//! **Planning is scheduling-only.** A batch's result depends on the
+//! prepared detector it runs against and on the batch geometry, never on
+//! its price or its place in the run order — the scatter erases both — so
+//! every caller returns cells bit-identical to per-vector
+//! [`Detector::detect`] on any pool.
+
+use crate::engine::FrameEngine;
+use crate::frame::RxFrame;
+use flexcore_detect::common::Detector;
+use flexcore_numeric::Cx;
+use flexcore_parallel::{lpt_order, PePool};
+use std::borrow::Borrow;
+use std::sync::Arc;
+
+/// One user's share of a tick: the detected (or soft-demapped) cells of
+/// its frame, symbol-major like [`RxFrame`].
+#[derive(Clone, Debug)]
+pub struct TickOutput<T> {
+    /// The user this output belongs to.
+    pub user: usize,
+    /// Grid width, for reassembling `(symbol, subcarrier)` coordinates.
+    pub n_subcarriers: usize,
+    /// One entry per grid cell in symbol-major order.
+    pub cells: Vec<T>,
+}
+
+/// One batch of a plan: `(entry index, subcarrier, symbol range)`.
+type Batch = (usize, usize, usize, usize);
+
+/// One served user's frame and the prepared detectors it runs against.
+struct Entry<D, R> {
+    user: usize,
+    frame: R,
+    detectors: Vec<Arc<D>>,
+}
+
+/// One tick, planned: the served users' frames, their shared prepared
+/// detectors, and the priced batch list in run order — see the
+/// [module docs](self).
+///
+/// `R` is how the plan holds its frames: owned ([`RxFrame`], the default —
+/// the plan is then `Send` and can cross a stage boundary) or borrowed
+/// (`&RxFrame`, for a frame the caller keeps).
+pub struct TickPlan<D, R = RxFrame> {
+    entries: Vec<Entry<D, R>>,
+    /// Run order: most expensive first, ties in carve order.
+    batches: Vec<Batch>,
+    /// `costs[i]` prices `batches[i]`.
+    costs: Vec<u64>,
+}
+
+/// Splits an `n_sc × n_sym` grid into `(subcarrier, symbol-range)` batches
+/// aiming for `task_target` tasks in total: every subcarrier contributes
+/// the same number of contiguous symbol chunks (≥ 1, ≤ `n_sym`).
+fn split_grid_batches(n_sc: usize, n_sym: usize, task_target: usize) -> Vec<(usize, usize, usize)> {
+    let tasks_per_sc = task_target.div_ceil(n_sc.max(1)).clamp(1, n_sym.max(1));
+    let chunk = n_sym.div_ceil(tasks_per_sc).max(1);
+    let mut batches = Vec::with_capacity(n_sc * tasks_per_sc);
+    for sc in 0..n_sc {
+        let mut from = 0;
+        while from < n_sym {
+            let to = (from + chunk).min(n_sym);
+            batches.push((sc, from, to));
+            from = to;
+        }
+    }
+    batches
+}
+
+impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
+    /// Plans one tick over `served` — `(user id, frame, the user's
+    /// engine)` per served user — for a pool of `n_pes`.
+    ///
+    /// One shared `2·n_pes` task target is divided across the served
+    /// users, so an N-user tick stays at ~`2·n_pes` tasks instead of
+    /// ~`2·N·n_pes` (each user still contributes ≥ 1 batch per subcarrier,
+    /// the split's floor): per-task overhead is bounded by the pool, not
+    /// by the user count.
+    ///
+    /// # Panics
+    /// Panics if a frame's width does not match its engine's prepared
+    /// band, or a subcarrier was never prepared.
+    pub(crate) fn new<'e>(
+        served: impl IntoIterator<Item = (usize, R, &'e FrameEngine<D>)>,
+        n_pes: usize,
+    ) -> Self
+    where
+        D: 'e,
+    {
+        let served: Vec<_> = served.into_iter().collect();
+        let target = (2 * n_pes).div_ceil(served.len().max(1));
+        let mut entries = Vec::with_capacity(served.len());
+        let mut batches: Vec<Batch> = Vec::new();
+        let mut costs: Vec<u64> = Vec::new();
+        for (e, (user, frame, engine)) in served.into_iter().enumerate() {
+            let grid: &RxFrame = frame.borrow();
+            let detectors = engine.share_detectors(grid.n_subcarriers());
+            for (sc, from, to) in split_grid_batches(grid.n_subcarriers(), grid.n_symbols(), target)
+            {
+                batches.push((e, sc, from, to));
+                costs.push(engine.slot_extension_work(sc) as u64 * (to - from) as u64);
+            }
+            entries.push(Entry {
+                user,
+                frame,
+                detectors,
+            });
+        }
+        let order = lpt_order(&costs);
+        TickPlan {
+            entries,
+            batches: order.iter().map(|&i| batches[i]).collect(),
+            costs: order.iter().map(|&i| costs[i]).collect(),
+        }
+    }
+
+    /// The price of every batch, in run order (non-increasing):
+    /// [`Detector::extension_work`]` × symbols`, in path-extension units.
+    /// Feeding these to `flexcore_parallel::lpt_makespan_weighted` with a
+    /// fabric's speed factors yields the tick's deterministic makespan in
+    /// work units before (or without) running it.
+    pub fn costs(&self) -> &[u64] {
+        &self.costs
+    }
+
+    /// Runs `f` over every batch of the plan in one pool run and
+    /// reassembles per-user outputs in symbol-major order — one
+    /// [`TickOutput`] per served user, in plan order. A plan that serves
+    /// nobody returns nothing and does not touch the pool.
+    ///
+    /// `f` receives the batch's prepared detector, the user id, the
+    /// subcarrier index, and the batch of received vectors (consecutive
+    /// symbols of that subcarrier, borrowed straight from the frame's flat
+    /// plane); it must return one output per vector, in order.
+    ///
+    /// # Panics
+    /// Panics if `f` returns the wrong number of outputs for a batch.
+    pub(crate) fn run<P, T, F>(&self, pool: &P, f: F) -> Vec<TickOutput<T>>
+    where
+        P: PePool,
+        T: Send,
+        F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
+    {
+        if self.entries.is_empty() {
+            return Vec::new();
+        }
+        let f = &f;
+        let tasks: Vec<_> = self
+            .batches
+            .iter()
+            .map(|&(e, sc, from, to)| {
+                let entry = &self.entries[e];
+                let (user, frame): (usize, &RxFrame) = (entry.user, entry.frame.borrow());
+                let det: &D = &entry.detectors[sc];
+                move || {
+                    let ys = frame.column_chunk(sc, from, to);
+                    let out = f(det, user, sc, &ys);
+                    assert_eq!(out.len(), to - from, "batch output count mismatch");
+                    out
+                }
+            })
+            .collect();
+        let per_batch = pool.run_priced(tasks, &self.costs);
+
+        let mut grids: Vec<Vec<Option<T>>> = self
+            .entries
+            .iter()
+            .map(|e| (0..e.frame.borrow().n_vectors()).map(|_| None).collect())
+            .collect();
+        {
+            // flexcore-lint: hot-path
+            // Scatter by grid position into the preallocated grids — the
+            // ordering-erasing step that makes price and LPT order
+            // invisible downstream.
+            for (&(e, sc, from, _), outputs) in self.batches.iter().zip(per_batch) {
+                let n_sc = self.entries[e].frame.borrow().n_subcarriers();
+                for (offset, value) in outputs.into_iter().enumerate() {
+                    grids[e][(from + offset) * n_sc + sc] = Some(value);
+                }
+            }
+        }
+        self.entries
+            .iter()
+            .zip(grids)
+            .map(|(entry, grid)| TickOutput {
+                user: entry.user,
+                n_subcarriers: entry.frame.borrow().n_subcarriers(),
+                cells: grid
+                    .into_iter()
+                    // flexcore-lint: allow(FL004, reason = "the batches tile each entry's grid exactly (every (subcarrier, symbol) cell belongs to exactly one batch of the split), so every cell was produced above")
+                    .map(|v| v.expect("tick cell never produced"))
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::multiuser::StreamingCell;
+    use crate::pipeline::PipelinedCell;
+    use crate::stream::ChannelStream;
+    use flexcore::CellDetector;
+    use flexcore_channel::ChannelEnsemble;
+    use flexcore_modulation::{Constellation, Modulation};
+    use flexcore_parallel::{CrossbeamPool, SequentialPool, WeightedPool};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Mutex;
+
+    const NT: usize = 4;
+
+    /// One random tick: per user a stream, a detector template and a frame.
+    fn random_tick(
+        rng: &mut StdRng,
+        n_users: usize,
+        n_sc: usize,
+        n_sym: usize,
+    ) -> Vec<(ChannelStream, CellDetector, RxFrame)> {
+        let c = Constellation::new(Modulation::Qam16);
+        let ens = ChannelEnsemble::iid(NT, NT);
+        (0..n_users)
+            .map(|_| {
+                let stream = ChannelStream::new(&ens, n_sc, 0.9, 3, 0.02, rng);
+                let template = match rng.gen_range(0..3) {
+                    0 => CellDetector::fixed(c.clone(), 8),
+                    1 => CellDetector::adaptive(c.clone(), 8, 0.9),
+                    _ => CellDetector::sic(c.clone()),
+                };
+                let mut noise_rng = StdRng::seed_from_u64(rng.gen());
+                let frame = stream.transmit_frame(
+                    n_sym,
+                    |_, _| {
+                        (0..NT)
+                            .map(|_| c.point(rng.gen_range(0..c.order())))
+                            .collect()
+                    },
+                    &mut noise_rng,
+                );
+                (stream, template, frame)
+            })
+            .collect()
+    }
+
+    fn detect(det: &CellDetector, _user: usize, _sc: usize, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
+        det.detect_batch_refs(ys)
+    }
+
+    /// The one property test over the plan → run core, replacing the
+    /// per-path copies: for random (users ≤ 5, n_sc ≤ 13, n_sym ≤ 9,
+    /// n_pes ≤ 9) the plan tiles every user grid exactly once, stays
+    /// within the `2·n_pes`-per-tick task bound plus the
+    /// one-batch-per-subcarrier floor, is priced at
+    /// `extension_work × symbols` in non-increasing run order — and
+    /// `process_frame`, `process_tick`, `PipelinedCell::run` and a
+    /// `WeightedPool` run of the same frames all return cells equal to
+    /// per-vector `Detector::detect`.
+    #[test]
+    fn every_serving_path_runs_the_one_plan_bit_identically() {
+        let mut rng = StdRng::seed_from_u64(0x71C4_0014);
+        for case in 0..20 {
+            let n_users = rng.gen_range(1..=5usize);
+            let n_sc = rng.gen_range(1..=13usize);
+            let n_sym = rng.gen_range(1..=9usize);
+            let n_pes = rng.gen_range(1..=9usize);
+            let tag = format!("case {case}: {n_users} users, {n_sc} sc x {n_sym} sym, {n_pes} PEs");
+            let tick = random_tick(&mut rng, n_users, n_sc, n_sym);
+            let engines: Vec<FrameEngine<CellDetector>> = tick
+                .iter()
+                .map(|(stream, template, _)| {
+                    let mut engine = FrameEngine::new(template.clone());
+                    engine.prepare(stream.estimate());
+                    engine
+                })
+                .collect();
+            // The reference: per-vector `detect` on the prepared slots.
+            let want: Vec<Vec<Vec<usize>>> = tick
+                .iter()
+                .zip(&engines)
+                .map(|((_, _, frame), engine)| {
+                    (0..n_sym * n_sc)
+                        .map(|v| {
+                            engine
+                                .detector(v % n_sc)
+                                .detect(frame.get(v / n_sc, v % n_sc))
+                        })
+                        .collect()
+                })
+                .collect();
+
+            // Plan structure.
+            let plan = TickPlan::new(
+                tick.iter()
+                    .zip(&engines)
+                    .enumerate()
+                    .map(|(u, ((_, _, frame), engine))| (u, frame, engine)),
+                n_pes,
+            );
+            let mut covered = vec![vec![0usize; n_sym * n_sc]; n_users];
+            for (&(e, sc, from, to), &cost) in plan.batches.iter().zip(plan.costs()) {
+                assert!(from < to && to <= n_sym, "{tag}: empty or overlong batch");
+                assert_eq!(
+                    cost,
+                    engines[e].detector(sc).extension_work() as u64 * (to - from) as u64,
+                    "{tag}: batch not priced at extension_work x symbols"
+                );
+                for sym in from..to {
+                    covered[e][sym * n_sc + sc] += 1;
+                }
+            }
+            assert!(
+                covered.iter().flatten().all(|&n| n == 1),
+                "{tag}: grids not tiled exactly once"
+            );
+            assert!(
+                plan.batches.len() <= 2 * n_pes + n_users * n_sc,
+                "{tag}: {} tasks",
+                plan.batches.len()
+            );
+            assert!(
+                plan.costs().windows(2).all(|w| w[0] >= w[1]),
+                "{tag}: run order is not longest-first"
+            );
+
+            // The same plan on a heterogeneous fabric.
+            let speeds: Vec<f64> = (0..n_pes).map(|_| rng.gen_range(0.5..4.0)).collect();
+            let fabric = WeightedPool::new(speeds);
+            let outs = plan.run(&fabric, detect);
+            let run = fabric.last_run().expect("the fabric recorded the run");
+            assert_eq!(
+                run.costs,
+                plan.costs(),
+                "{tag}: the pool was handed other prices"
+            );
+            for (u, out) in outs.iter().enumerate() {
+                assert_eq!((out.user, out.n_subcarriers), (u, n_sc), "{tag}");
+                assert_eq!(out.cells, want[u], "{tag}: fabric run, user {u}");
+            }
+
+            // One-entry plans: each user's engine alone.
+            for (u, ((_, _, frame), engine)) in tick.iter().zip(&engines).enumerate() {
+                let cells =
+                    engine.process_frame(frame, &SequentialPool::new(n_pes), |d, sc, ys| {
+                        detect(d, u, sc, ys)
+                    });
+                assert_eq!(cells, want[u], "{tag}: process_frame, user {u}");
+            }
+
+            // The barrier cell on real threads.
+            let mut cell = StreamingCell::new();
+            for (u, (stream, template, frame)) in tick.iter().enumerate() {
+                cell.add_user(stream.clone(), template.clone());
+                cell.submit(u, frame.clone());
+            }
+            let outs = cell.process_tick(&CrossbeamPool::work_queue(n_pes), detect);
+            assert_eq!(outs.len(), n_users, "{tag}");
+            for (u, out) in outs.iter().enumerate() {
+                assert_eq!(out.cells, want[u], "{tag}: process_tick, user {u}");
+            }
+
+            // The pipelined cell: the plan crosses the job channel.
+            let mut pipe = PipelinedCell::new();
+            for (stream, template, _) in &tick {
+                pipe.add_user(stream.clone(), template.clone());
+            }
+            let got: Mutex<Vec<TickOutput<Vec<usize>>>> = Mutex::new(Vec::new());
+            let report = pipe.run(
+                &CrossbeamPool::new(n_pes),
+                1,
+                1.0,
+                |_, _, _| {},
+                |_, u, _| Some(tick[u].2.clone()),
+                detect,
+                |_, out| got.lock().unwrap().push(out.clone()),
+                |_, _| false,
+            );
+            assert_eq!(report.frames as usize, n_users, "{tag}");
+            for (u, out) in got.into_inner().unwrap().iter().enumerate() {
+                assert_eq!(out.user, u, "{tag}");
+                assert_eq!(out.cells, want[u], "{tag}: PipelinedCell::run, user {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_plan_keeps_the_state_it_was_planned_against() {
+        // Copy-on-write is the pipeline's frozen view: re-tuning or
+        // re-preparing the engine after planning must not reach the plan.
+        let mut rng = StdRng::seed_from_u64(0x71C4_0015);
+        let (stream, _, frame) = random_tick(&mut rng, 1, 6, 4).remove(0);
+        let c = Constellation::new(Modulation::Qam16);
+        let mut engine = FrameEngine::new(CellDetector::adaptive(c.clone(), 8, 0.95));
+        engine.prepare(stream.estimate());
+        let pool = SequentialPool::new(3);
+        let before = engine.process_frame(&frame, &pool, |d, _, ys| d.detect_batch_refs(ys));
+
+        let plan = TickPlan::new([(0, frame.clone(), &engine)], 3);
+        assert!(
+            engine.retune(|d| d.retune_threshold(0.5)) > 0,
+            "retune was a no-op"
+        );
+        let mut moved = stream.clone();
+        moved.advance(&mut rng);
+        engine.prepare(moved.estimate());
+        engine.set_template(CellDetector::sic(c));
+
+        let frozen = plan.run(&pool, detect);
+        assert_eq!(frozen[0].cells, before);
+    }
+}

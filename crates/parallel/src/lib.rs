@@ -25,9 +25,10 @@
 //!   from `flexcore_hwmodel::HeterogeneousFabric`). Batches are placed
 //!   with [`lpt_assign_weighted`] — the uniform-machines LPT rule, which
 //!   assigns each task to the PE that would *finish it earliest* instead
-//!   of assuming identical PEs — and every task is timed, so the frame
-//!   engine can report predicted-vs-measured makespan and per-PE
-//!   utilisation.
+//!   of assuming identical PEs — whenever the caller hands the pool its
+//!   task prices ([`PePool::run_priced`]), and every task of such a run is
+//!   timed, so predicted-vs-measured makespan and per-PE utilisation can
+//!   be read back from [`WeightedPool::last_run`].
 //!
 //! All three implement [`PePool`], so every detector in the workspace runs
 //! unmodified on any of them, and `flexcore-engine` drives whole OFDM
@@ -49,8 +50,8 @@ pub mod weighted;
 
 pub use channel::{bounded, Receiver, SendError, Sender};
 pub use pool::{
-    lpt_makespan, lpt_makespan_from_order, lpt_order, schedule_rounds, CrossbeamPool, PePool,
-    ScheduleMode, SequentialPool, WorkStats,
+    lpt_makespan, lpt_order, schedule_rounds, CrossbeamPool, PePool, ScheduleMode, SequentialPool,
+    WorkStats,
 };
 pub use weighted::{
     lpt_assign_weighted, lpt_makespan_weighted, ScheduledRun, WeightedPool, WeightedSchedule,

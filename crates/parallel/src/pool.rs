@@ -62,24 +62,9 @@ pub fn lpt_order(costs: &[u64]) -> Vec<usize> {
 /// assert_eq!(lpt_makespan(&[5, 5, 5, 5], 2), 10);
 /// ```
 pub fn lpt_makespan(costs: &[u64], n_pes: usize) -> u64 {
-    lpt_makespan_from_order(costs, &lpt_order(costs), n_pes)
-}
-
-/// [`lpt_makespan`] for a caller that already holds the [`lpt_order`]
-/// permutation of `costs` — skips the redundant sort (the multi-user
-/// cell computes the order once per tick for scheduling and reuses it
-/// here for the efficiency model).
-///
-/// ```
-/// use flexcore_parallel::{lpt_makespan, lpt_makespan_from_order, lpt_order};
-/// let costs = [7, 6, 5, 4, 3];
-/// let order = lpt_order(&costs);
-/// assert_eq!(lpt_makespan_from_order(&costs, &order, 2), lpt_makespan(&costs, 2));
-/// ```
-pub fn lpt_makespan_from_order(costs: &[u64], order: &[usize], n_pes: usize) -> u64 {
     assert!(n_pes > 0, "lpt_makespan: zero PEs");
     let mut loads = vec![0u64; n_pes];
-    for &i in order {
+    for i in lpt_order(costs) {
         // `n_pes > 0` is asserted above, so the minimum always exists;
         // the 0 fallback keeps this arm panic-free.
         let min = loads
@@ -167,6 +152,29 @@ pub trait PePool {
     where
         T: Send,
         F: FnOnce() -> T + Send;
+
+    /// [`PePool::run`] for a caller that knows what each task costs:
+    /// `costs[i]` is the predicted work of `tasks[i]`, in the caller's
+    /// units. Placement and timing are the pool's business — a pool that
+    /// models non-uniform PEs ([`WeightedPool`](crate::WeightedPool))
+    /// places and times the batch by these prices; every other pool
+    /// ignores them. Results are the same on every pool, in task order.
+    ///
+    /// ```
+    /// use flexcore_parallel::{PePool, SequentialPool, WeightedPool};
+    /// let tasks = || (0..4).map(|i| move || i * 10).collect::<Vec<_>>();
+    /// let plain = SequentialPool::new(2).run_priced(tasks(), &[4, 3, 2, 1]);
+    /// let placed = WeightedPool::new(vec![2.0, 1.0]).run_priced(tasks(), &[4, 3, 2, 1]);
+    /// assert_eq!(plain, placed);
+    /// ```
+    fn run_priced<T, F>(&self, tasks: Vec<F>, costs: &[u64]) -> Vec<T>
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+    {
+        let _ = costs;
+        self.run(tasks)
+    }
 
     /// Work accounting (tasks, batches, modelled rounds).
     fn stats(&self) -> &WorkStats;

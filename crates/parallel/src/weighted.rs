@@ -18,11 +18,12 @@
 //! `flexcore_hwmodel::HeterogeneousFabric::speed_factors()`.
 
 use crate::pool::{PePool, WorkStats};
+use parking_lot::Mutex;
 use std::time::Instant;
 
 /// Placement of one task batch onto non-uniform PEs, plus the modelled
 /// finish times. Produced by [`lpt_assign_weighted`]; consumed by
-/// [`WeightedPool::run_scheduled`] and the frame engine's fabric stats.
+/// [`WeightedPool`]'s priced runs and the frame engine's fabric stats.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WeightedSchedule {
     /// Task indices in the order the scheduler visited them (LPT:
@@ -136,9 +137,9 @@ pub fn lpt_makespan_weighted(costs: &[u64], speeds: &[f64]) -> f64 {
     lpt_assign_weighted(costs, speeds).makespan_units
 }
 
-/// The record of one [`WeightedPool::run_scheduled`] batch: where every
-/// task was placed, how long it actually took, and the resulting
-/// modelled-parallel timings.
+/// The record of one priced [`WeightedPool`] batch
+/// ([`PePool::run_priced`]): where every task was placed, how long it
+/// actually took, and the resulting modelled-parallel timings.
 ///
 /// "Measured" quantities divide each task's wall-clock seconds by its
 /// assigned PE's speed factor, i.e. they answer *"how long would this
@@ -149,6 +150,9 @@ pub fn lpt_makespan_weighted(costs: &[u64], speeds: &[f64]) -> f64 {
 pub struct ScheduledRun {
     /// The placement the batch executed under.
     pub schedule: WeightedSchedule,
+    /// The prices the batch was placed by, in task order (the caller's
+    /// units).
+    pub costs: Vec<u64>,
     /// Wall-clock seconds each task took on the calling thread, in task
     /// order.
     pub task_seconds: Vec<f64>,
@@ -183,23 +187,28 @@ impl ScheduledRun {
 /// Like [`SequentialPool`](crate::SequentialPool), tasks execute in order
 /// on the calling thread — results are bit-identical to every other
 /// substrate, which is what keeps heterogeneous scheduling auditable — but
-/// the pool carries per-PE **speed factors** and
-/// [`WeightedPool::run_scheduled`] additionally places each task with
-/// [`lpt_assign_weighted`] and times it, so callers can compare the
-/// predicted makespan against the measured one and report per-PE
-/// utilisation.
+/// the pool carries per-PE **speed factors**, and a priced run
+/// ([`PePool::run_priced`]) additionally places each task with
+/// [`lpt_assign_weighted`] and times it. The record of the most recent
+/// priced run stays readable through [`WeightedPool::last_run`], so callers
+/// can compare the predicted makespan against the measured one and report
+/// per-PE utilisation.
 ///
 /// ```
 /// use flexcore_parallel::{PePool, WeightedPool};
 /// let pool = WeightedPool::new(vec![4.0, 1.0, 1.0]);
 /// assert_eq!(pool.n_pes(), 3);
-/// let out = pool.run((0..5).map(|i| move || i * 2).collect::<Vec<_>>());
+/// let out = pool.run_priced((0..5).map(|i| move || i * 2).collect::<Vec<_>>(), &[5, 4, 3, 2, 1]);
 /// assert_eq!(out, vec![0, 2, 4, 6, 8]);
+/// let run = pool.last_run().expect("a priced run was recorded");
+/// assert_eq!(run.schedule.assignment[0], 0); // the heaviest task went to the fast PE
+/// assert_eq!(run.costs, [5, 4, 3, 2, 1]);
 /// ```
 #[derive(Debug)]
 pub struct WeightedPool {
     speeds: Vec<f64>,
     stats: WorkStats,
+    last_run: Mutex<Option<ScheduledRun>>,
 }
 
 impl WeightedPool {
@@ -222,12 +231,13 @@ impl WeightedPool {
         WeightedPool {
             speeds,
             stats: WorkStats::default(),
+            last_run: Mutex::new(None),
         }
     }
 
     /// A pool of `n` identical reference-speed PEs — behaviourally a
-    /// [`SequentialPool`](crate::SequentialPool) that can also
-    /// [`run_scheduled`](WeightedPool::run_scheduled).
+    /// [`SequentialPool`](crate::SequentialPool) that also records its
+    /// priced runs.
     ///
     /// ```
     /// use flexcore_parallel::{PePool, WeightedPool};
@@ -242,17 +252,39 @@ impl WeightedPool {
         &self.speeds
     }
 
+    /// The record of the most recent [`PePool::run_priced`] batch, `None`
+    /// before the first one. Unpriced [`PePool::run`] batches leave it
+    /// untouched.
+    pub fn last_run(&self) -> Option<ScheduledRun> {
+        self.last_run.lock().clone()
+    }
+}
+
+impl PePool for WeightedPool {
+    fn n_pes(&self) -> usize {
+        self.speeds.len()
+    }
+
+    fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+    {
+        self.stats.record(tasks.len(), self.speeds.len());
+        tasks.into_iter().map(|t| t()).collect()
+    }
+
     /// Runs every task (in task order, on the calling thread), placing the
     /// batch on the fabric with [`lpt_assign_weighted`] over `costs` and
-    /// timing each task. Returns the results in task order plus the
-    /// [`ScheduledRun`] record.
+    /// timing each task; the [`ScheduledRun`] record replaces
+    /// [`WeightedPool::last_run`].
     ///
     /// Placement never touches results — it only decides which modelled PE
     /// each task's measured seconds are booked to.
     ///
     /// # Panics
     /// Panics if `costs.len() != tasks.len()`.
-    pub fn run_scheduled<T, F>(&self, tasks: Vec<F>, costs: &[u64]) -> (Vec<T>, ScheduledRun)
+    fn run_priced<T, F>(&self, tasks: Vec<F>, costs: &[u64]) -> Vec<T>
     where
         T: Send,
         F: FnOnce() -> T + Send,
@@ -260,7 +292,7 @@ impl WeightedPool {
         assert_eq!(
             tasks.len(),
             costs.len(),
-            "run_scheduled: {} tasks but {} costs",
+            "run_priced: {} tasks but {} costs",
             tasks.len(),
             costs.len()
         );
@@ -278,30 +310,14 @@ impl WeightedPool {
             busy_s[pe] += task_seconds[task] / self.speeds[pe];
         }
         let measured_makespan_s = busy_s.iter().copied().fold(0.0, f64::max);
-        (
-            results,
-            ScheduledRun {
-                schedule,
-                task_seconds,
-                busy_s,
-                measured_makespan_s,
-            },
-        )
-    }
-}
-
-impl PePool for WeightedPool {
-    fn n_pes(&self) -> usize {
-        self.speeds.len()
-    }
-
-    fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        self.stats.record(tasks.len(), self.speeds.len());
-        tasks.into_iter().map(|t| t()).collect()
+        *self.last_run.lock() = Some(ScheduledRun {
+            schedule,
+            costs: costs.to_vec(),
+            task_seconds,
+            busy_s,
+            measured_makespan_s,
+        });
+        results
     }
 
     fn stats(&self) -> &WorkStats {
@@ -432,11 +448,17 @@ mod tests {
     }
 
     #[test]
-    fn run_scheduled_returns_results_in_task_order() {
+    fn priced_run_returns_results_in_task_order_and_records_the_run() {
         let pool = WeightedPool::new(vec![2.0, 1.0]);
+        assert!(pool.last_run().is_none(), "no priced run yet");
+        pool.run(square_tasks(3));
+        assert!(pool.last_run().is_none(), "an unpriced run records nothing");
         let costs: Vec<u64> = (0..10).map(|i| 10 - i as u64).collect();
-        let (out, run) = pool.run_scheduled(square_tasks(10), &costs);
+        let out = pool.run_priced(square_tasks(10), &costs);
+        let run = pool.last_run().expect("priced run recorded");
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(run.costs, costs);
+        assert_eq!(run.schedule, lpt_assign_weighted(&costs, pool.speeds()));
         assert_eq!(run.task_seconds.len(), 10);
         assert!(run.task_seconds.iter().all(|&t| t >= 0.0));
         assert_eq!(run.busy_s.len(), 2);
@@ -449,9 +471,10 @@ mod tests {
     }
 
     #[test]
-    fn run_scheduled_empty_batch() {
+    fn priced_run_of_an_empty_batch() {
         let pool = WeightedPool::uniform(4);
-        let (out, run) = pool.run_scheduled(Vec::<fn() -> usize>::new(), &[]);
+        let out = pool.run_priced(Vec::<fn() -> usize>::new(), &[]);
+        let run = pool.last_run().expect("priced run recorded");
         assert!(out.is_empty());
         assert_eq!(run.measured_makespan_s, 0.0);
         assert_eq!(run.utilization(), vec![0.0; 4]);
@@ -459,8 +482,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "tasks but")]
-    fn run_scheduled_rejects_cost_mismatch() {
+    fn priced_run_rejects_cost_mismatch() {
         let pool = WeightedPool::uniform(2);
-        let _ = pool.run_scheduled(square_tasks(3), &[1, 2]);
+        let _ = pool.run_priced(square_tasks(3), &[1, 2]);
     }
 }

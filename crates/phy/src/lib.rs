@@ -9,16 +9,20 @@
 //!   IFFT + cyclic-prefix path;
 //! * [`link`] — the end-to-end coded uplink: per-user encode → interleave →
 //!   modulate → MIMO channel → detect (any [`flexcore_detect::Detector`]) →
-//!   deinterleave → Viterbi → packet check. Detection runs one vector at a
-//!   time ([`simulate_packet`]), as whole frames on a PE pool through
-//!   `flexcore-engine` ([`simulate_packet_framed`]), or over streaming
-//!   time-varying channels ([`simulate_packet_streamed`],
-//!   [`cell_packet_tick`] for a whole multi-user cell) — all with
-//!   bit-identical outcomes where the channel realisations coincide;
-//! * [`soft_link`] — the same chains carrying LLRs end to end (list-based
-//!   max-log demapping → soft Viterbi), generic over any
-//!   [`flexcore::SoftDetector`], including the streamed and multi-user
-//!   ticks ([`simulate_packet_soft_streamed`], [`cell_packet_tick_soft`]);
+//!   deinterleave → Viterbi → packet check. [`simulate_packet`] detects
+//!   one vector at a time and is the reference; every engine-backed path
+//!   is an instantiation of **one** packet runner and **one** cell tick,
+//!   generic over hard/soft output: whole frames on a PE pool through
+//!   `flexcore-engine` over a block-fading channel
+//!   ([`simulate_packet_framed`]) or a streaming time-varying one
+//!   ([`simulate_packet_streamed`]), and [`cell_packet_tick`] for a whole
+//!   multi-user cell — all with bit-identical outcomes where the channel
+//!   realisations coincide;
+//! * [`soft_link`] — the same runner and tick carrying LLRs end to end
+//!   (list-based max-log demapping → soft Viterbi), generic over any
+//!   [`flexcore::SoftDetector`]: the per-vector reference
+//!   [`simulate_packet_soft`], [`simulate_packet_soft_streamed`] and
+//!   [`cell_packet_tick_soft`];
 //! * [`throughput`] — PER → network-throughput mapping (the y-axis of
 //!   Figs. 9 and 10) plus the [`GoodputMeter`] CRC-delivery accounting of
 //!   the streamed paths.
@@ -32,13 +36,9 @@ pub mod soft_link;
 pub mod throughput;
 
 pub use link::{
-    cell_packet_tick, packet_error_rate, packet_error_rate_framed, simulate_packet,
-    simulate_packet_framed, simulate_packet_framed_prepared, simulate_packet_streamed, LinkConfig,
-    LinkOutcome, StreamedOutcome,
+    cell_packet_tick, packet_error_rate, simulate_packet, simulate_packet_framed,
+    simulate_packet_streamed, LinkConfig, LinkOutcome, StreamedOutcome,
 };
 pub use ofdm::OfdmConfig;
-pub use soft_link::{
-    cell_packet_tick_soft, simulate_packet_soft, simulate_packet_soft_framed,
-    simulate_packet_soft_streamed,
-};
+pub use soft_link::{cell_packet_tick_soft, simulate_packet_soft, simulate_packet_soft_streamed};
 pub use throughput::{network_throughput_mbps, GoodputMeter};

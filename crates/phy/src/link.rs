@@ -13,14 +13,20 @@
 //! 500-kByte packets only rescale PER at fixed BER, so the harness default
 //! (see `flexcore-sim`) uses shorter packets and documents the scaling in
 //! EXPERIMENTS.md.
+//!
+//! [`simulate_packet`] (and `simulate_packet_soft` beside it) detect one
+//! vector at a time and are the references the identity tests compare
+//! against. Every engine-backed path is an instantiation of **one** packet
+//! runner and **one** cell tick, generic over what crosses from detector
+//! to decoder (hard decisions here, LLRs in [`crate::soft_link`]) and, for
+//! the packet runner, over the air the frame crosses (block fading or a
+//! [`ChannelStream`]).
 
 use crate::ofdm::OfdmConfig;
 use flexcore_channel::MimoChannel;
 use flexcore_coding::{crc_check, CodeRate, ConvCode, Interleaver};
 use flexcore_detect::common::Detector;
-use flexcore_engine::{
-    ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
-};
+use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, RxFrame, StreamingCell};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::Cx;
 use flexcore_parallel::PePool;
@@ -111,15 +117,19 @@ impl LinkOutcome {
     }
 }
 
+/// One packet's transmit-side product: `(payloads, interleaved coded
+/// streams)`, one of each per spatial stream.
+pub(crate) type TxChains = (Vec<Vec<u8>>, Vec<Vec<u8>>);
+
 /// Per-user transmit chains: random payloads → convolutional encode → pad →
 /// interleave. Returns `(payloads, interleaved coded streams)`. Shared by
-/// the sequential and frame-engine packet paths, which must consume the RNG
-/// in exactly the same order to stay bit-identical.
+/// every packet path, which must consume the RNG in exactly the same order
+/// to stay bit-identical.
 pub(crate) fn transmit_chains<R: Rng + ?Sized>(
     cfg: &LinkConfig,
     nt: usize,
     rng: &mut R,
-) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+) -> TxChains {
     let code = ConvCode::new(cfg.rate);
     let il = Interleaver::new(cfg.ofdm.n_data, cfg.constellation.bits_per_symbol());
     let n_sym = cfg.ofdm_symbols_per_packet();
@@ -159,123 +169,218 @@ pub(crate) fn tx_vector(
         .collect()
 }
 
-/// Receive chains: deinterleave → Viterbi → compare against the payloads.
-/// Also returns the decoded payloads so streamed callers can run the
-/// MAC-style CRC delivery check on exactly what the decoder produced.
-pub(crate) fn receive_chains_decoded(
-    cfg: &LinkConfig,
-    payloads: &[Vec<u8>],
-    coded_streams: &[Vec<u8>],
-    detected_bits: &[Vec<u8>],
-) -> (LinkOutcome, Vec<Vec<u8>>) {
-    let code = ConvCode::new(cfg.rate);
-    let il = Interleaver::new(cfg.ofdm.n_data, cfg.constellation.bits_per_symbol());
-    let n_sym = cfg.ofdm_symbols_per_packet();
-    let bits_per_sym = cfg.bits_per_ofdm_symbol();
-    let payload_bits = cfg.payload_bytes * 8;
-    let nt = payloads.len();
-    let mut user_ok = Vec::with_capacity(nt);
-    let mut raw_bit_errors = Vec::with_capacity(nt);
-    let mut decoded_payloads = Vec::with_capacity(nt);
-    for u in 0..nt {
-        let deinterleaved = il.deinterleave_stream(&detected_bits[u]);
-        let raw_errs = deinterleaved
-            .iter()
-            .zip(il.deinterleave_stream(&coded_streams[u]).iter())
-            .filter(|(a, b)| a != b)
-            .count();
-        let coded_len = code.coded_len(payload_bits);
-        let decoded = code.decode(&deinterleaved[..coded_len], payload_bits);
-        user_ok.push(decoded == payloads[u]);
-        raw_bit_errors.push(raw_errs);
-        decoded_payloads.push(decoded);
+/// What crosses from detector to decoder — the one seam between the hard
+/// uplink ([`Hard`]: symbol decisions → bits → Viterbi) and the soft one
+/// (`Soft` in [`crate::soft_link`]: LLRs → soft Viterbi). Everything else
+/// about a packet exchange — transmit chains, framing, scheduling,
+/// deinterleaving, raw-error and CRC accounting — is shared.
+pub(crate) trait LinkOutput<D: ?Sized> {
+    /// One grid cell's detector output.
+    type Cell: Send;
+    /// One coded bit's decoder input.
+    type Metric: Copy + Default;
+    /// Detects one symbol batch of a subcarrier at noise variance `sigma2`.
+    fn detect(det: &D, sigma2: f64, ys: &[&[Cx]]) -> Vec<Self::Cell>;
+    /// The cell's hard symbol decision per stream.
+    fn hard(cell: &Self::Cell) -> &[usize];
+    /// Appends stream `u`'s decoder inputs for this cell; `hard_bits` are
+    /// the bits of its hard decision.
+    fn push(cell: &Self::Cell, u: usize, hard_bits: &[u8], stream: &mut Vec<Self::Metric>);
+    /// Viterbi-decodes one stream's deinterleaved inputs.
+    fn decode(code: &ConvCode, metrics: &[Self::Metric], payload_bits: usize) -> Vec<u8>;
+}
+
+/// Hard-decision output: [`Detector::detect_batch_refs`] → bits → Viterbi.
+pub(crate) struct Hard;
+
+impl<D: Detector + ?Sized> LinkOutput<D> for Hard {
+    type Cell = Vec<usize>;
+    type Metric = u8;
+    fn detect(det: &D, _sigma2: f64, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
+        det.detect_batch_refs(ys)
     }
+    fn hard(cell: &Vec<usize>) -> &[usize] {
+        cell
+    }
+    fn push(_cell: &Vec<usize>, _u: usize, hard_bits: &[u8], stream: &mut Vec<u8>) {
+        stream.extend_from_slice(hard_bits);
+    }
+    fn decode(code: &ConvCode, metrics: &[u8], payload_bits: usize) -> Vec<u8> {
+        code.decode(metrics, payload_bits)
+    }
+}
+
+/// Inverts the interleaver over a multi-block stream of decoder inputs
+/// (bits or LLRs — the same permutation either way).
+pub(crate) fn deinterleave<T: Copy + Default>(il: &Interleaver, stream: &[T]) -> Vec<T> {
+    let block = il.block_len();
+    assert_eq!(stream.len() % block, 0, "stream not block-aligned");
+    let mut out = vec![T::default(); stream.len()];
+    for (dst, src) in out.chunks_mut(block).zip(stream.chunks(block)) {
+        for (j, &v) in src.iter().enumerate() {
+            dst[il.source_index(j)] = v;
+        }
+    }
+    out
+}
+
+/// Receive chains over a symbol-major grid of detector outputs: demap per
+/// stream, count raw (hard-decision) bit errors against the coded streams,
+/// deinterleave → Viterbi → compare against the payloads. Also returns the
+/// decoded payloads so streamed callers can run the MAC-style CRC delivery
+/// check on exactly what the decoder produced.
+pub(crate) fn receive_chains<D: ?Sized, O: LinkOutput<D>>(
+    cfg: &LinkConfig,
+    (payloads, coded_streams): &TxChains,
+    cells: &[O::Cell],
+) -> (LinkOutcome, Vec<Vec<u8>>) {
+    let c = &cfg.constellation;
+    let bps = c.bits_per_symbol();
+    let nt = payloads.len();
+    let mut streams: Vec<Vec<O::Metric>> = vec![Vec::with_capacity(cells.len() * bps); nt];
+    let mut raw_bit_errors = vec![0usize; nt];
+    let mut hard_bits = vec![0u8; bps];
+    // Cell `v` of the symbol-major grid carries coded bits `v·bps ..`.
+    for (v, cell) in cells.iter().enumerate() {
+        for u in 0..nt {
+            c.index_to_bits_into(O::hard(cell)[u], &mut hard_bits);
+            let sent = &coded_streams[u][v * bps..(v + 1) * bps];
+            raw_bit_errors[u] += hard_bits.iter().zip(sent).filter(|(a, b)| a != b).count();
+            O::push(cell, u, &hard_bits, &mut streams[u]);
+        }
+    }
+
+    let code = ConvCode::new(cfg.rate);
+    let il = Interleaver::new(cfg.ofdm.n_data, bps);
+    let payload_bits = cfg.payload_bytes * 8;
+    let coded_len = code.coded_len(payload_bits);
+    let decoded: Vec<Vec<u8>> = streams
+        .iter()
+        .map(|stream| O::decode(&code, &deinterleave(&il, stream)[..coded_len], payload_bits))
+        .collect();
     (
         LinkOutcome {
-            user_ok,
+            user_ok: decoded.iter().zip(payloads).map(|(d, p)| d == p).collect(),
             raw_bit_errors,
-            coded_bits_per_user: n_sym * bits_per_sym,
+            coded_bits_per_user: cfg.ofdm_symbols_per_packet() * cfg.bits_per_ofdm_symbol(),
         },
-        decoded_payloads,
+        decoded,
     )
 }
 
-/// Receive chains: deinterleave → Viterbi → compare against the payloads.
-fn receive_chains(
+/// [`receive_chains`] plus the per-stream CRC delivery check (`crc_ok[u]`
+/// iff the decoded payload of stream `u` carries the transmitted payload's
+/// CRC-32), stamped with the cell `user` the packet belongs to.
+fn streamed_outcome<D: ?Sized, O: LinkOutput<D>>(
     cfg: &LinkConfig,
-    payloads: &[Vec<u8>],
-    coded_streams: &[Vec<u8>],
-    detected_bits: &[Vec<u8>],
-) -> LinkOutcome {
-    receive_chains_decoded(cfg, payloads, coded_streams, detected_bits).0
-}
-
-/// Flattens a detected frame back into per-stream coded-bit streams —
-/// the demapping step every hard receive path shares.
-pub(crate) fn collect_detected_bits(
-    cfg: &LinkConfig,
-    detected: &DetectedFrame,
-    nt: usize,
-) -> Vec<Vec<u8>> {
-    let c = &cfg.constellation;
-    let n_sc = cfg.ofdm.n_data;
-    let n_sym = detected.n_symbols();
-    let bits_per_sym = cfg.bits_per_ofdm_symbol();
-    let mut detected_bits: Vec<Vec<u8>> = vec![Vec::with_capacity(n_sym * bits_per_sym); nt];
-    for sym_idx in 0..n_sym {
-        for sc in 0..n_sc {
-            for (u, &sym) in detected.get(sym_idx, sc).iter().enumerate() {
-                detected_bits[u].extend(c.index_to_bits(sym));
-            }
-        }
-    }
-    detected_bits
-}
-
-/// The per-stream CRC delivery check: `crc_ok[u]` iff the decoded payload
-/// of stream `u` carries the transmitted payload's CRC-32.
-pub(crate) fn crc_flags(payloads: &[Vec<u8>], decoded: &[Vec<u8>]) -> Vec<bool> {
-    payloads
+    user: usize,
+    chains: &TxChains,
+    cells: &[O::Cell],
+) -> StreamedOutcome {
+    let (link, decoded) = receive_chains::<D, O>(cfg, chains, cells);
+    let crc_ok = chains
+        .0
         .iter()
-        .zip(decoded)
+        .zip(&decoded)
         .map(|(sent, got)| crc_check(sent, got))
-        .collect()
+        .collect();
+    StreamedOutcome { user, link, crc_ok }
 }
 
 /// Simulates one packet exchange over the given channel with the given
-/// detector. The detector must already be `prepare`d for `channel.h`.
+/// detector, one [`Detector::detect`] call per received vector. The
+/// detector must already be `prepare`d for `channel.h`.
 pub fn simulate_packet<R: Rng + ?Sized>(
     cfg: &LinkConfig,
     channel: &MimoChannel,
     detector: &dyn Detector,
     rng: &mut R,
 ) -> LinkOutcome {
-    let nt = channel.nt();
-    let c = &cfg.constellation;
+    let chains = transmit_chains(cfg, channel.nt(), rng);
+    // Transmit symbol-by-symbol, subcarrier-by-subcarrier, and detect.
+    let n_sc = cfg.ofdm.n_data;
+    let cells: Vec<Vec<usize>> = (0..cfg.ofdm_symbols_per_packet() * n_sc)
+        .map(|v| {
+            let tx = tx_vector(cfg, &chains.1, v / n_sc, v % n_sc);
+            detector.detect(&channel.transmit(&tx, rng))
+        })
+        .collect();
+    receive_chains::<dyn Detector, Hard>(cfg, &chains, &cells).0
+}
+
+/// The air a packet's frame crosses, and with it what the engine prepares
+/// against.
+#[derive(Clone, Copy)]
+pub(crate) enum Air<'a> {
+    /// Block fading: one `H` for the whole packet, known to the receiver —
+    /// the engine prepares against that `H` at the channel's own `σ²`.
+    Block(&'a MimoChannel),
+    /// A streaming channel: the frame crosses the stream's *truth*
+    /// channels while the engine prepares against its (possibly stale)
+    /// *estimates*.
+    Stream(&'a ChannelStream),
+}
+
+/// The one engine-backed packet runner: transmit chains → one frame across
+/// `air` → prepare → the whole `(subcarrier × symbol)` grid detected in one
+/// [`FrameEngine::process_frame`] call on the pool → receive chains.
+///
+/// Consumes the RNG in exactly [`simulate_packet`]'s order (chains, then
+/// noise symbol-major) whatever the air and the output, which is what keeps
+/// every instantiation seed-for-seed comparable with the per-vector
+/// references and with each other.
+pub(crate) fn run_packet<O, R, D, P>(
+    cfg: &LinkConfig,
+    air: Air<'_>,
+    engine: &mut FrameEngine<D>,
+    pool: &P,
+    rng: &mut R,
+) -> StreamedOutcome
+where
+    O: LinkOutput<D>,
+    R: Rng + ?Sized,
+    D: Detector + Clone + Sync,
+    P: PePool,
+{
+    let n_sc = cfg.ofdm.n_data;
     let n_sym = cfg.ofdm_symbols_per_packet();
-    let bits_per_sym = cfg.bits_per_ofdm_symbol();
-    let (payloads, coded_streams) = transmit_chains(cfg, nt, rng);
-
-    // Transmit symbol-by-symbol, subcarrier-by-subcarrier, detect, collect.
-    let mut detected_bits: Vec<Vec<u8>> = vec![Vec::with_capacity(n_sym * bits_per_sym); nt];
-    for sym_idx in 0..n_sym {
-        for sc in 0..cfg.ofdm.n_data {
-            let tx = tx_vector(cfg, &coded_streams, sym_idx, sc);
-            let y = channel.transmit(&tx, rng);
-            let decided = detector.detect(&y);
-            for (u, &sym) in decided.iter().enumerate() {
-                detected_bits[u].extend(c.index_to_bits(sym));
-            }
+    let block;
+    let (nt, estimate) = match air {
+        Air::Block(channel) => {
+            block = FrameChannel::from_mimo(channel, n_sc);
+            (channel.nt(), &block)
         }
-    }
-
-    receive_chains(cfg, &payloads, &coded_streams, &detected_bits)
+        Air::Stream(stream) => (stream.truth(0).cols(), stream.estimate()),
+    };
+    assert_eq!(
+        estimate.n_subcarriers(),
+        n_sc,
+        "run_packet: channel width != OFDM data subcarriers"
+    );
+    let chains = transmit_chains(cfg, nt, rng);
+    let tx = |sym_idx, sc| tx_vector(cfg, &chains.1, sym_idx, sc);
+    let frame = match air {
+        Air::Block(channel) => {
+            let mut frame = RxFrame::empty(n_sc);
+            for sym_idx in 0..n_sym {
+                let row = (0..n_sc).map(|sc| channel.transmit(&tx(sym_idx, sc), rng));
+                frame.push_symbol(row.collect());
+            }
+            frame
+        }
+        Air::Stream(stream) => stream.transmit_frame(n_sym, tx, rng),
+    };
+    engine.prepare(estimate);
+    let sigma2 = estimate.sigma2();
+    let cells = engine.process_frame(&frame, pool, |det, _sc, ys| O::detect(det, sigma2, ys));
+    streamed_outcome::<D, O>(cfg, 0, &chains, &cells)
 }
 
 /// Simulates one packet exchange through the frame engine: the whole
 /// packet's `(subcarrier × symbol)` grid is detected in one
-/// [`FrameEngine::detect_frame`] call on the given PE pool, instead of one
-/// [`Detector::detect`] call at a time.
+/// [`FrameEngine::detect_frame`]-shaped call on the given PE pool, instead
+/// of one [`Detector::detect`] call at a time. Block fading: the engine is
+/// prepared against `channel.h` at the channel's own noise variance.
 ///
 /// Consumes the RNG in exactly [`simulate_packet`]'s order and relies on
 /// the engine's bit-identity guarantee, so with equal seeds the outcome is
@@ -293,58 +398,22 @@ where
     D: Detector + Clone + Sync,
     P: PePool,
 {
-    // Block fading: one H for the whole packet, prepared at the channel's
-    // own noise variance.
-    engine.prepare(&FrameChannel::from_mimo(channel, cfg.ofdm.n_data));
-    simulate_packet_framed_prepared(cfg, channel, engine, pool, rng)
-}
-
-/// Like [`simulate_packet_framed`] but trusts the engine's existing
-/// preparation — for callers that prepare at an explicit `σ²` different
-/// from the channel's (noise-mismatch studies, [`packet_error_rate`]'s
-/// signature) or manage a persistent [`FrameChannel`] themselves.
-pub fn simulate_packet_framed_prepared<R, D, P>(
-    cfg: &LinkConfig,
-    channel: &MimoChannel,
-    engine: &FrameEngine<D>,
-    pool: &P,
-    rng: &mut R,
-) -> LinkOutcome
-where
-    R: Rng + ?Sized,
-    D: Detector + Clone + Sync,
-    P: PePool,
-{
-    let nt = channel.nt();
-    let n_sc = cfg.ofdm.n_data;
-    let n_sym = cfg.ofdm_symbols_per_packet();
-    let (payloads, coded_streams) = transmit_chains(cfg, nt, rng);
-
-    // Build the received frame, drawing noise in simulate_packet's order.
-    let mut frame = RxFrame::empty(n_sc);
-    for sym_idx in 0..n_sym {
-        let mut row = Vec::with_capacity(n_sc);
-        for sc in 0..n_sc {
-            let tx = tx_vector(cfg, &coded_streams, sym_idx, sc);
-            row.push(channel.transmit(&tx, rng));
-        }
-        frame.push_symbol(row);
-    }
-    let detected = engine.detect_frame(&frame, pool);
-    let detected_bits = collect_detected_bits(cfg, &detected, nt);
-    receive_chains(cfg, &payloads, &coded_streams, &detected_bits)
+    run_packet::<Hard, _, _, _>(cfg, Air::Block(channel), engine, pool, rng).link
 }
 
 /// Simulates one packet exchange over a **streaming** channel: the packet's
 /// frame passes through the stream's *truth* channels while detection runs
 /// against its (possibly stale) *estimates* through the frame engine.
 ///
-/// Reuses [`transmit_chains`] and draws noise in exactly
-/// [`simulate_packet_framed`]'s order, so on a frozen (zero-Doppler)
-/// [`ChannelStream`] holding the same `H` and `σ²` the outcome is
-/// **bit-for-bit identical** to the block-fading framed path — the bridge
-/// `tests/coded_streaming.rs` enforces. The stream is *not* advanced here;
-/// the caller ages it between packets (or not, for block fading).
+/// Draws noise in exactly [`simulate_packet_framed`]'s order, so on a
+/// frozen (zero-Doppler) [`ChannelStream`] holding the same `H` and `σ²`
+/// the outcome is **bit-for-bit identical** to the block-fading framed
+/// path — the bridge `tests/coded_streaming.rs` enforces. The stream is
+/// *not* advanced here; the caller ages it between packets (or not, for
+/// block fading).
+///
+/// # Panics
+/// Panics unless the stream is `cfg.ofdm.n_data` subcarriers wide.
 pub fn simulate_packet_streamed<R, D, P>(
     cfg: &LinkConfig,
     stream: &ChannelStream,
@@ -357,37 +426,72 @@ where
     D: Detector + Clone + Sync,
     P: PePool,
 {
+    run_packet::<Hard, _, _, _>(cfg, Air::Stream(stream), engine, pool, rng)
+}
+
+/// The one serving tick, generic over the output: every cell user ages
+/// one frame interval and transmits one whole packet through its truth
+/// channels ([`transmit_chains`] per user, each on its *own* RNG so a
+/// user's traffic is independent of who else is scheduled); all users'
+/// `(subcarrier × symbol)` grids are detected in **one** shared pool run
+/// ([`StreamingCell::process_tick`], each user at its own estimate's
+/// `σ²`); then per user: receive chains → CRC-32 delivery check.
+pub(crate) fn run_cell_tick<O, R, D, P>(
+    cfg: &LinkConfig,
+    cell: &mut StreamingCell<D>,
+    pool: &P,
+    rngs: &mut [R],
+) -> Vec<StreamedOutcome>
+where
+    O: LinkOutput<D>,
+    R: Rng,
+    D: Detector + Clone + Sync,
+    P: PePool,
+{
     assert_eq!(
-        stream.n_subcarriers(),
-        cfg.ofdm.n_data,
-        "simulate_packet_streamed: stream width != OFDM data subcarriers"
+        rngs.len(),
+        cell.n_users(),
+        "cell_packet_tick: one RNG per user"
     );
-    let nt = stream.truth(0).cols();
     let n_sym = cfg.ofdm_symbols_per_packet();
-    let (payloads, coded_streams) = transmit_chains(cfg, nt, rng);
-    let frame = stream.transmit_frame(
-        n_sym,
-        |sym_idx, sc| tx_vector(cfg, &coded_streams, sym_idx, sc),
-        rng,
-    );
-    engine.prepare(stream.estimate());
-    let detected = engine.detect_frame(&frame, pool);
-    let detected_bits = collect_detected_bits(cfg, &detected, nt);
-    let (link, decoded) = receive_chains_decoded(cfg, &payloads, &coded_streams, &detected_bits);
-    StreamedOutcome {
-        user: 0,
-        link,
-        crc_ok: crc_flags(&payloads, &decoded),
+    let mut chains: Vec<TxChains> = Vec::with_capacity(cell.n_users());
+    for (u, rng) in rngs.iter_mut().enumerate() {
+        assert_eq!(
+            cell.stream(u).n_subcarriers(),
+            cfg.ofdm.n_data,
+            "cell_packet_tick: user {u} stream width != OFDM data subcarriers"
+        );
+        assert_eq!(
+            cell.pending(u),
+            0,
+            "cell_packet_tick: user {u} already has a queued frame — the tick \
+             decodes the oldest queued frame against this tick's transmit \
+             chains, so the queue must be drained before serving"
+        );
+        cell.advance_user(u, rng);
+        let nt = cell.stream(u).truth(0).cols();
+        let user_chains = transmit_chains(cfg, nt, rng);
+        let frame = cell.stream(u).transmit_frame(
+            n_sym,
+            |sym_idx, sc| tx_vector(cfg, &user_chains.1, sym_idx, sc),
+            rng,
+        );
+        cell.submit(u, frame);
+        chains.push(user_chains);
     }
+    let sigma2s: Vec<f64> = (0..cell.n_users())
+        .map(|u| cell.stream(u).estimate().sigma2())
+        .collect();
+    cell.process_tick(pool, |det, u, _sc, ys| O::detect(det, sigma2s[u], ys))
+        .into_iter()
+        .map(|out| streamed_outcome::<D, O>(cfg, out.user, &chains[out.user], &out.cells))
+        .collect()
 }
 
 /// One multi-user serving tick, hard detection: every cell user ages one
 /// frame interval, transmits one whole packet through its truth channels
-/// ([`transmit_chains`] per user, each on its *own* RNG so a user's
-/// traffic is independent of who else is scheduled), and all users'
-/// `(subcarrier × symbol)` grids are detected in **one** shared pool run
-/// ([`StreamingCell::detect_tick`]). Per user: deinterleave → Viterbi →
-/// CRC-32 delivery check.
+/// on its own RNG, and all users' grids are detected in **one** shared
+/// pool run. Per user: deinterleave → Viterbi → CRC-32 delivery check.
 ///
 /// Each user's detections — and therefore its [`StreamedOutcome`] — are
 /// bit-identical to running that user alone in a single-user cell with the
@@ -410,72 +514,7 @@ where
     D: Detector + Clone + Sync,
     P: PePool,
 {
-    let chains = cell_transmit_tick(cfg, cell, rngs);
-    let detected = cell.detect_tick(pool);
-    detected
-        .into_iter()
-        .map(|(u, frame)| {
-            let (payloads, coded_streams) = &chains[u];
-            let detected_bits = collect_detected_bits(cfg, &frame, payloads.len());
-            let (link, decoded) =
-                receive_chains_decoded(cfg, payloads, coded_streams, &detected_bits);
-            StreamedOutcome {
-                user: u,
-                link,
-                crc_ok: crc_flags(payloads, &decoded),
-            }
-        })
-        .collect()
-}
-
-/// One user's transmit-tick product: `(payloads, interleaved coded streams)`.
-pub(crate) type TxTickOutput = (Vec<Vec<u8>>, Vec<Vec<u8>>);
-
-/// The transmit half of a serving tick, shared by the hard and soft paths:
-/// advances every user, runs its transmit chains, passes the packet frame
-/// through its truth channels, and queues it. Returns each user's
-/// `(payloads, interleaved coded streams)`.
-pub(crate) fn cell_transmit_tick<R, D>(
-    cfg: &LinkConfig,
-    cell: &mut StreamingCell<D>,
-    rngs: &mut [R],
-) -> Vec<TxTickOutput>
-where
-    R: Rng,
-    D: Detector + Clone + Sync,
-{
-    assert_eq!(
-        rngs.len(),
-        cell.n_users(),
-        "cell_packet_tick: one RNG per user"
-    );
-    let n_sym = cfg.ofdm_symbols_per_packet();
-    let mut chains = Vec::with_capacity(cell.n_users());
-    for (u, rng) in rngs.iter_mut().enumerate() {
-        assert_eq!(
-            cell.stream(u).n_subcarriers(),
-            cfg.ofdm.n_data,
-            "cell_packet_tick: user {u} stream width != OFDM data subcarriers"
-        );
-        assert_eq!(
-            cell.pending(u),
-            0,
-            "cell_packet_tick: user {u} already has a queued frame — the tick \
-             decodes the oldest queued frame against this tick's transmit \
-             chains, so the queue must be drained before serving"
-        );
-        cell.advance_user(u, rng);
-        let nt = cell.stream(u).truth(0).cols();
-        let (payloads, coded_streams) = transmit_chains(cfg, nt, rng);
-        let frame = cell.stream(u).transmit_frame(
-            n_sym,
-            |sym_idx, sc| tx_vector(cfg, &coded_streams, sym_idx, sc),
-            rng,
-        );
-        cell.submit(u, frame);
-        chains.push((payloads, coded_streams));
-    }
-    chains
+    run_cell_tick::<Hard, _, _, _>(cfg, cell, pool, rngs)
 }
 
 /// Measures the mean packet error rate over `n_packets` packets with a
@@ -498,38 +537,6 @@ pub fn packet_error_rate<R: Rng + ?Sized>(
         let ch = draw_channel(rng);
         detector.prepare(&ch.h, sigma2);
         let out = simulate_packet(cfg, &ch, detector, rng);
-        fails += out.user_ok.iter().filter(|&&ok| !ok).count();
-        total += out.user_ok.len();
-    }
-    fails as f64 / total as f64
-}
-
-/// Frame-parallel, drop-in counterpart of [`packet_error_rate`]: same
-/// signature semantics (preparation at the explicit `sigma2`, transmission
-/// at each drawn channel's own `sigma2`), with every packet's detection
-/// grid running on the pool through the engine. With equal seeds the
-/// measured PER is bit-identical to [`packet_error_rate`] for the same
-/// detector design.
-pub fn packet_error_rate_framed<R, D, P>(
-    cfg: &LinkConfig,
-    engine: &mut FrameEngine<D>,
-    pool: &P,
-    n_packets: usize,
-    sigma2: f64,
-    mut draw_channel: impl FnMut(&mut R) -> MimoChannel,
-    rng: &mut R,
-) -> f64
-where
-    R: Rng + ?Sized,
-    D: Detector + Clone + Sync,
-    P: PePool,
-{
-    let mut fails = 0usize;
-    let mut total = 0usize;
-    for _ in 0..n_packets {
-        let ch = draw_channel(rng);
-        engine.prepare(&FrameChannel::flat(ch.h.clone(), sigma2, cfg.ofdm.n_data));
-        let out = simulate_packet_framed_prepared(cfg, &ch, engine, pool, rng);
         fails += out.user_ok.iter().filter(|&&ok| !ok).count();
         total += out.user_ok.len();
     }
@@ -650,42 +657,6 @@ mod tests {
                 assert_eq!(out.coded_bits_per_user, reference.coded_bits_per_user);
             }
         }
-    }
-
-    #[test]
-    fn framed_per_matches_sequential_per() {
-        use flexcore_engine::FrameEngine;
-        use flexcore_parallel::CrossbeamPool;
-        let cfg = cfg16(40);
-        let ens = ChannelEnsemble::iid(4, 4);
-        let snr = 14.0;
-        let sigma2 = sigma2_from_snr_db(snr);
-
-        let mut det = SphereDecoder::new(cfg.constellation.clone());
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let per_seq = packet_error_rate(
-            &cfg,
-            &mut det,
-            5,
-            sigma2,
-            |r| MimoChannel::new(ens.draw(r), snr),
-            &mut rng_a,
-        );
-
-        let mut engine = FrameEngine::new(SphereDecoder::new(cfg.constellation.clone()));
-        let pool = CrossbeamPool::work_queue(4);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        let per_framed = packet_error_rate_framed(
-            &cfg,
-            &mut engine,
-            &pool,
-            5,
-            sigma2,
-            |r| MimoChannel::new(ens.draw(r), snr),
-            &mut rng_b,
-        );
-        assert_eq!(per_seq, per_framed);
-        assert_eq!(engine.stats().frames, 5);
     }
 
     #[test]

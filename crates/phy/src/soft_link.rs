@@ -6,116 +6,67 @@
 //! to the soft Viterbi decoder (`flexcore-coding::soft`). At equal SNR and
 //! equal PE count the soft pipeline delivers strictly more packets — the
 //! gain the paper anticipates from "soft-detectors as in \[7, 43\]".
+//!
+//! Structurally this module is one [`LinkOutput`] impl: the packet runner,
+//! the cell tick and the receive chains are [`crate::link`]'s, instantiated
+//! at [`Soft`].
 
-use crate::link::{crc_flags, LinkConfig, LinkOutcome, StreamedOutcome};
+use crate::link::{
+    receive_chains, run_cell_tick, run_packet, transmit_chains, tx_vector, Air, LinkConfig,
+    LinkOutcome, LinkOutput, StreamedOutcome,
+};
 use flexcore::{SoftDecision, SoftDetector};
 use flexcore_channel::MimoChannel;
-use flexcore_coding::{ConvCode, Interleaver};
-use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, RxFrame, StreamingCell};
+use flexcore_coding::ConvCode;
+use flexcore_engine::{ChannelStream, FrameEngine, StreamingCell};
 use flexcore_numeric::Cx;
 use flexcore_parallel::PePool;
 use rand::Rng;
 
+/// Soft-decision output: [`SoftDetector::detect_soft`] at the estimate's
+/// `σ²` → per-bit LLRs → soft Viterbi.
+pub(crate) struct Soft;
+
+impl<D: SoftDetector + ?Sized> LinkOutput<D> for Soft {
+    type Cell = SoftDecision;
+    type Metric = f64;
+    fn detect(det: &D, sigma2: f64, ys: &[&[Cx]]) -> Vec<SoftDecision> {
+        ys.iter().map(|y| det.detect_soft(y, sigma2)).collect()
+    }
+    fn hard(cell: &SoftDecision) -> &[usize] {
+        &cell.hard
+    }
+    fn push(cell: &SoftDecision, u: usize, _hard_bits: &[u8], stream: &mut Vec<f64>) {
+        stream.extend_from_slice(&cell.llrs[u]);
+    }
+    fn decode(code: &ConvCode, metrics: &[f64], payload_bits: usize) -> Vec<u8> {
+        code.decode_soft(metrics, payload_bits)
+    }
+}
+
 /// Simulates one packet exchange with soft-output detection (any
 /// [`SoftDetector`]: fixed FlexCore, a-FlexCore, or a mixed
-/// `flexcore::CellDetector`).
+/// `flexcore::CellDetector`), one [`SoftDetector::detect_soft`] call per
+/// received vector.
 ///
 /// The detector must already be `prepare`d for `channel.h`. Mirrors
-/// [`crate::link::simulate_packet`] (same framing, same per-user coding)
-/// but carries LLRs end to end.
+/// [`crate::link::simulate_packet`] (same framing, same per-user coding,
+/// same RNG order) but carries LLRs end to end.
 pub fn simulate_packet_soft<R: Rng + ?Sized, D: SoftDetector>(
     cfg: &LinkConfig,
     channel: &MimoChannel,
     detector: &D,
     rng: &mut R,
 ) -> LinkOutcome {
-    let nt = channel.nt();
-    let c = &cfg.constellation;
-    let bps = c.bits_per_symbol();
-    let n_sym = cfg.ofdm_symbols_per_packet();
-    let bits_per_sym = cfg.bits_per_ofdm_symbol();
-
-    // Transmit chains (identical to the hard path — the shared helper
-    // keeps the RNG consumption order in lockstep with simulate_packet
-    // and the framed variants).
-    let (payloads, coded_streams) = crate::link::transmit_chains(cfg, nt, rng);
-
-    // Detection with LLR output.
-    let mut llr_streams: Vec<Vec<f64>> = vec![Vec::with_capacity(n_sym * bits_per_sym); nt];
-    let mut raw_bit_errors = vec![0usize; nt];
-    for sym_idx in 0..n_sym {
-        for sc in 0..cfg.ofdm.n_data {
-            let bit_base = sym_idx * bits_per_sym + sc * bps;
-            let tx: Vec<Cx> = (0..nt)
-                .map(|u| {
-                    let bits = &coded_streams[u][bit_base..bit_base + bps];
-                    c.point(c.bits_to_index(bits))
-                })
-                .collect();
-            let y = channel.transmit(&tx, rng);
-            let soft = detector.detect_soft(&y, channel.sigma2);
-            for u in 0..nt {
-                llr_streams[u].extend(&soft.llrs[u]);
-                // Raw (hard) errors for diagnostics.
-                let hard_bits = c.index_to_bits(soft.hard[u]);
-                for (j, &hb) in hard_bits.iter().enumerate() {
-                    if hb != coded_streams[u][bit_base + j] {
-                        raw_bit_errors[u] += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    soft_receive_chains(cfg, &payloads, llr_streams, raw_bit_errors)
-}
-
-/// Frame-parallel variant of [`simulate_packet_soft`]: the packet's whole
-/// `(subcarrier × symbol)` grid of soft detections runs on the given PE
-/// pool through the frame engine's generic
-/// [`FrameEngine::process_frame`] primitive.
-///
-/// Consumes the RNG in exactly [`simulate_packet_soft`]'s order and
-/// computes identical per-vector LLRs, so with equal seeds the outcome is
-/// bit-for-bit identical on any pool.
-pub fn simulate_packet_soft_framed<R, D, P>(
-    cfg: &LinkConfig,
-    channel: &MimoChannel,
-    engine: &mut FrameEngine<D>,
-    pool: &P,
-    rng: &mut R,
-) -> LinkOutcome
-where
-    R: Rng + ?Sized,
-    D: SoftDetector + Clone + Sync,
-    P: PePool,
-{
-    let nt = channel.nt();
+    let chains = transmit_chains(cfg, channel.nt(), rng);
     let n_sc = cfg.ofdm.n_data;
-    let n_sym = cfg.ofdm_symbols_per_packet();
-
-    // Transmit chains and received frame, in simulate_packet_soft's RNG
-    // order.
-    let (payloads, coded_streams) = crate::link::transmit_chains(cfg, nt, rng);
-    let mut frame = RxFrame::empty(n_sc);
-    for sym_idx in 0..n_sym {
-        let mut row = Vec::with_capacity(n_sc);
-        for sc in 0..n_sc {
-            let tx = crate::link::tx_vector(cfg, &coded_streams, sym_idx, sc);
-            row.push(channel.transmit(&tx, rng));
-        }
-        frame.push_symbol(row);
-    }
-
-    // Soft detection of the whole grid on the pool.
-    engine.prepare(&FrameChannel::from_mimo(channel, n_sc));
-    let sigma2 = channel.sigma2;
-    let soft_grid = engine.process_frame(&frame, pool, |det, _sc, ys| {
-        ys.iter().map(|y| det.detect_soft(y, sigma2)).collect()
-    });
-
-    let (llr_streams, raw_bit_errors) = collect_llr_streams(cfg, nt, &soft_grid, &coded_streams);
-    soft_receive_chains(cfg, &payloads, llr_streams, raw_bit_errors)
+    let cells: Vec<SoftDecision> = (0..cfg.ofdm_symbols_per_packet() * n_sc)
+        .map(|v| {
+            let tx = tx_vector(cfg, &chains.1, v / n_sc, v % n_sc);
+            detector.detect_soft(&channel.transmit(&tx, rng), channel.sigma2)
+        })
+        .collect();
+    receive_chains::<D, Soft>(cfg, &chains, &cells).0
 }
 
 /// Soft-decision counterpart of
@@ -124,12 +75,14 @@ where
 /// against the (possibly stale) estimates on the pool, and the LLRs flow
 /// deinterleave → soft Viterbi → CRC-32 delivery check.
 ///
-/// Reuses [`crate::link::transmit_chains`] and draws noise in exactly the
-/// hard streamed path's order, so with equal seeds the two paths see
+/// Same runner as the hard streamed path, so with equal seeds the two see
 /// identical channels, payloads and noise — at matched PE budget the soft
 /// path's delivered-packet count can only match or beat the hard one's
 /// (the §7 claim, now measurable under streaming). The stream is not
 /// advanced; the caller ages it between packets.
+///
+/// # Panics
+/// Panics unless the stream is `cfg.ofdm.n_data` subcarriers wide.
 pub fn simulate_packet_soft_streamed<R, D, P>(
     cfg: &LinkConfig,
     stream: &ChannelStream,
@@ -142,39 +95,13 @@ where
     D: SoftDetector + Clone + Sync,
     P: PePool,
 {
-    assert_eq!(
-        stream.n_subcarriers(),
-        cfg.ofdm.n_data,
-        "simulate_packet_soft_streamed: stream width != OFDM data subcarriers"
-    );
-    let nt = stream.truth(0).cols();
-    let n_sym = cfg.ofdm_symbols_per_packet();
-    let (payloads, coded_streams) = crate::link::transmit_chains(cfg, nt, rng);
-    let frame = stream.transmit_frame(
-        n_sym,
-        |sym_idx, sc| crate::link::tx_vector(cfg, &coded_streams, sym_idx, sc),
-        rng,
-    );
-    engine.prepare(stream.estimate());
-    let sigma2 = stream.estimate().sigma2();
-    let soft_grid = engine.process_frame(&frame, pool, |det, _sc, ys| {
-        ys.iter().map(|y| det.detect_soft(y, sigma2)).collect()
-    });
-    let (llr_streams, raw_bit_errors) = collect_llr_streams(cfg, nt, &soft_grid, &coded_streams);
-    let (link, decoded) = soft_receive_chains_decoded(cfg, &payloads, llr_streams, raw_bit_errors);
-    StreamedOutcome {
-        user: 0,
-        link,
-        crc_ok: crc_flags(&payloads, &decoded),
-    }
+    run_packet::<Soft, _, _, _>(cfg, Air::Stream(stream), engine, pool, rng)
 }
 
 /// One multi-user serving tick, soft detection: the soft-path counterpart
-/// of [`cell_packet_tick`](crate::link::cell_packet_tick). Every user ages
-/// a frame interval and transmits one packet on its own RNG; all users'
-/// soft detections run in **one** shared pool run through
-/// [`StreamingCell::process_tick`]; each user's LLR streams then flow
-/// deinterleave → soft Viterbi → CRC-32 check independently.
+/// of [`cell_packet_tick`](crate::link::cell_packet_tick) — the same tick
+/// with every user's soft detections in the shared pool run and each
+/// user's LLR streams flowing deinterleave → soft Viterbi → CRC-32 check.
 ///
 /// RNG consumption is in lockstep with the hard tick: with equal seeds
 /// both ticks see identical channels, payloads and noise, and the soft
@@ -196,122 +123,7 @@ where
     D: SoftDetector + Clone + Sync,
     P: PePool,
 {
-    let chains = crate::link::cell_transmit_tick(cfg, cell, rngs);
-    let sigma2s: Vec<f64> = (0..cell.n_users())
-        .map(|u| cell.stream(u).estimate().sigma2())
-        .collect();
-    let soft_ticks = cell.process_tick(pool, |det, u, _sc, ys| {
-        ys.iter().map(|y| det.detect_soft(y, sigma2s[u])).collect()
-    });
-    soft_ticks
-        .into_iter()
-        .map(|out| {
-            let u = out.user;
-            let (payloads, coded_streams) = &chains[u];
-            let (llr_streams, raw_bit_errors) =
-                collect_llr_streams(cfg, payloads.len(), &out.cells, coded_streams);
-            let (link, decoded) =
-                soft_receive_chains_decoded(cfg, payloads, llr_streams, raw_bit_errors);
-            StreamedOutcome {
-                user: u,
-                link,
-                crc_ok: crc_flags(payloads, &decoded),
-            }
-        })
-        .collect()
-}
-
-/// Reassembles a cell-major soft-decision grid into per-stream LLR
-/// streams, counting raw (hard-decision) bit errors against the coded
-/// streams — shared by every grid-shaped soft path.
-fn collect_llr_streams(
-    cfg: &LinkConfig,
-    nt: usize,
-    soft_grid: &[SoftDecision],
-    coded_streams: &[Vec<u8>],
-) -> (Vec<Vec<f64>>, Vec<usize>) {
-    let c = &cfg.constellation;
-    let n_sc = cfg.ofdm.n_data;
-    let bps = c.bits_per_symbol();
-    let bits_per_sym = cfg.bits_per_ofdm_symbol();
-    let n_sym = soft_grid.len() / n_sc;
-    let mut llr_streams: Vec<Vec<f64>> = vec![Vec::with_capacity(n_sym * bits_per_sym); nt];
-    let mut raw_bit_errors = vec![0usize; nt];
-    for sym_idx in 0..n_sym {
-        for sc in 0..n_sc {
-            let bit_base = sym_idx * bits_per_sym + sc * bps;
-            let soft = &soft_grid[sym_idx * n_sc + sc];
-            for u in 0..nt {
-                llr_streams[u].extend(&soft.llrs[u]);
-                let hard_bits = c.index_to_bits(soft.hard[u]);
-                for (j, &hb) in hard_bits.iter().enumerate() {
-                    if hb != coded_streams[u][bit_base + j] {
-                        raw_bit_errors[u] += 1;
-                    }
-                }
-            }
-        }
-    }
-    (llr_streams, raw_bit_errors)
-}
-
-/// Soft receive chains, also returning the decoded payloads for the
-/// MAC-style CRC delivery check.
-fn soft_receive_chains_decoded(
-    cfg: &LinkConfig,
-    payloads: &[Vec<u8>],
-    llr_streams: Vec<Vec<f64>>,
-    raw_bit_errors: Vec<usize>,
-) -> (LinkOutcome, Vec<Vec<u8>>) {
-    let code = ConvCode::new(cfg.rate);
-    let il = Interleaver::new(cfg.ofdm.n_data, cfg.constellation.bits_per_symbol());
-    let n_sym = cfg.ofdm_symbols_per_packet();
-    let bits_per_sym = cfg.bits_per_ofdm_symbol();
-    let payload_bits = cfg.payload_bytes * 8;
-    let coded_len = code.coded_len(payload_bits);
-    let mut user_ok = Vec::with_capacity(payloads.len());
-    let mut decoded_payloads = Vec::with_capacity(payloads.len());
-    for (payload, llrs) in payloads.iter().zip(&llr_streams) {
-        let deinterleaved = deinterleave_f64(&il, llrs);
-        let decoded = code.decode_soft(&deinterleaved[..coded_len], payload_bits);
-        user_ok.push(decoded == *payload);
-        decoded_payloads.push(decoded);
-    }
-    (
-        LinkOutcome {
-            user_ok,
-            raw_bit_errors,
-            coded_bits_per_user: n_sym * bits_per_sym,
-        },
-        decoded_payloads,
-    )
-}
-
-/// Soft receive chains shared by the sequential and framed packet paths:
-/// deinterleave LLRs → soft Viterbi → compare against the payloads.
-fn soft_receive_chains(
-    cfg: &LinkConfig,
-    payloads: &[Vec<u8>],
-    llr_streams: Vec<Vec<f64>>,
-    raw_bit_errors: Vec<usize>,
-) -> LinkOutcome {
-    soft_receive_chains_decoded(cfg, payloads, llr_streams, raw_bit_errors).0
-}
-
-/// Deinterleaves a multi-block LLR stream (same permutation as the bit
-/// deinterleaver, applied to `f64` values).
-fn deinterleave_f64(il: &Interleaver, llrs: &[f64]) -> Vec<f64> {
-    let block = il.block_len();
-    assert_eq!(llrs.len() % block, 0, "LLR stream not block-aligned");
-    let mut out = Vec::with_capacity(llrs.len());
-    for chunk in llrs.chunks(block) {
-        let mut dst = vec![0.0f64; block];
-        for (j, &v) in chunk.iter().enumerate() {
-            dst[il.source_index(j)] = v;
-        }
-        out.extend(dst);
-    }
-    out
+    run_cell_tick::<Soft, _, _, _>(cfg, cell, pool, rngs)
 }
 
 #[cfg(test)]
@@ -402,10 +214,11 @@ mod tests {
                 let h = ens.draw(&mut rng);
                 let ch = MimoChannel::new(h, snr);
                 let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(c.clone(), 16));
+                let air = Air::Block(&ch);
                 let out = if run == 0 {
-                    simulate_packet_soft_framed(&cfg, &ch, &mut engine, &seq, &mut rng)
+                    run_packet::<Soft, _, _, _>(&cfg, air, &mut engine, &seq, &mut rng).link
                 } else {
-                    simulate_packet_soft_framed(&cfg, &ch, &mut engine, &queue, &mut rng)
+                    run_packet::<Soft, _, _, _>(&cfg, air, &mut engine, &queue, &mut rng).link
                 };
                 assert_eq!(out.user_ok, reference.user_ok, "seed {seed} run {run}");
                 assert_eq!(out.raw_bit_errors, reference.raw_bit_errors);
@@ -478,18 +291,28 @@ mod tests {
 
     #[test]
     fn llr_deinterleaver_matches_bit_deinterleaver() {
+        use crate::link::deinterleave;
+        use flexcore_coding::Interleaver;
         let il = Interleaver::new(48, 4);
         let mut rng = StdRng::seed_from_u64(3);
         use rand::Rng as _;
-        let bits: Vec<u8> = (0..il.block_len()).map(|_| rng.gen_range(0..2)).collect();
-        let interleaved = il.interleave(&bits);
-        // Encode bits as signed LLRs and push through the f64 path.
+        let bits: Vec<u8> = (0..2 * il.block_len())
+            .map(|_| rng.gen_range(0..2))
+            .collect();
+        let interleaved = il.interleave_stream(&bits);
+        // The generic deinterleaver is the coding crate's bit
+        // deinterleaver on bits…
+        assert_eq!(deinterleave(&il, &interleaved), bits);
+        assert_eq!(il.deinterleave_stream(&interleaved), bits);
+        // …and the same permutation on signed LLRs.
         let llrs: Vec<f64> = interleaved
             .iter()
             .map(|&b| if b == 0 { 5.0 } else { -5.0 })
             .collect();
-        let de = deinterleave_f64(&il, &llrs);
-        let back: Vec<u8> = de.iter().map(|&l| u8::from(l < 0.0)).collect();
+        let back: Vec<u8> = deinterleave(&il, &llrs)
+            .iter()
+            .map(|&l| u8::from(l < 0.0))
+            .collect();
         assert_eq!(back, bits);
     }
 }

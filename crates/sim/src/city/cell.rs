@@ -7,12 +7,14 @@
 //!
 //! 1. ages every user's channel and draws its arrivals (frames beyond the
 //!    user's queue cap are shed at the door);
-//! 2. serves shared-pool rounds in **modelled time**: each round's
-//!    duration is the deterministic weighted-LPT makespan of the planned
-//!    batch costs ([`StreamingCell::planned_tick_costs`]) on the budget's
-//!    fabric, priced in seconds by the CPU cost model — rounds start while
-//!    the interval has time left, and time that spills past the interval
-//!    carries into the next tick as backlog;
+//! 2. serves shared-pool rounds in **modelled time**: each round is
+//!    planned once ([`StreamingCell::plan_tick`]), its duration is the
+//!    deterministic weighted-LPT makespan of that plan's batch costs
+//!    ([`TickPlan::costs`](flexcore_engine::TickPlan::costs)) on the
+//!    budget's fabric, priced in seconds by the CPU cost model, and the
+//!    same plan then runs ([`StreamingCell::run_tick`]) — rounds start
+//!    while the interval has time left, and time that spills past the
+//!    interval carries into the next tick as backlog;
 //! 3. evaluates the shed policy on the signals the serving layer already
 //!    keeps: per-user frames-behind counters and the windowed latency
 //!    percentile ([`LatencyRecord`]).
@@ -38,10 +40,10 @@ use std::collections::VecDeque;
 
 use flexcore::{CellDetector, ServiceTier};
 use flexcore_detect::Detector;
-use flexcore_engine::{ChannelStream, LatencyRecord, RxFrame, StreamingCell};
+use flexcore_engine::{pool_for, ChannelStream, LatencyRecord, RxFrame, StreamingCell};
 use flexcore_hwmodel::{CellBudget, CpuModel, PeCost, WorkUnit};
 use flexcore_modulation::Constellation;
-use flexcore_parallel::{lpt_makespan_weighted, PePool, SequentialPool};
+use flexcore_parallel::{lpt_makespan_weighted, PePool, WeightedPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -193,8 +195,9 @@ pub struct CityCell {
     cell: StreamingCell<CellDetector>,
     users: Vec<CellUser>,
     budget: CellBudget,
-    pool: SequentialPool,
-    speeds: Vec<f64>,
+    /// The budget's fabric as an execution substrate: rounds run on it,
+    /// and its speed factors price them.
+    pool: WeightedPool,
     unit_s: f64,
     constellation: Constellation,
     base: CellDetector,
@@ -224,13 +227,10 @@ impl CityCell {
         let cost = CpuModel::fx8120();
         let work_unit = WorkUnit::new(cfg.nt, cfg.modulation.order());
         let unit_s = cost.unit_seconds(&work_unit);
-        let speeds = budget.fabric.speed_factors();
-        let n_pes = budget.fabric.n_pes();
         CityCell {
             cell: StreamingCell::new(),
             users: Vec::new(),
-            pool: SequentialPool::new(n_pes),
-            speeds,
+            pool: pool_for(&budget.fabric),
             unit_s,
             constellation: Constellation::new(cfg.modulation),
             base: CellDetector::fixed(Constellation::new(cfg.modulation), cfg.flexcore_budget),
@@ -395,15 +395,15 @@ impl CityCell {
         // 2. Serve rounds in modelled time. A round may start whenever the
         // interval still has time left (so a backlogged cell always makes
         // progress), and its completion may spill past the interval — the
-        // spill carries forward as backlog and shows up as latency.
+        // spill carries forward as backlog and shows up as latency. One
+        // plan per round: its costs price the round, then that plan runs.
         let mut free_at = self.backlog_s;
         while free_at < interval && self.cell.has_queued() {
-            let costs = self.cell.planned_tick_costs(self.pool.n_pes());
-            let round_s = lpt_makespan_weighted(&costs, &self.speeds) * self.unit_s;
-            free_at += round_s;
-            let outs = self
-                .cell
-                .process_tick(&self.pool, |det, _u, _sc, ys| det.detect_batch_refs(ys));
+            let plan = self.cell.plan_tick(self.pool.n_pes());
+            free_at += lpt_makespan_weighted(plan.costs(), self.pool.speeds()) * self.unit_s;
+            let outs = self.cell.run_tick(plan, &self.pool, |det, _u, _sc, ys| {
+                det.detect_batch_refs(ys)
+            });
             let done_s = start_s + free_at;
             for out in outs {
                 self.deliver(out.user, out.cells, done_s, sink);
@@ -774,5 +774,52 @@ mod tests {
         assert_eq!(cell.events().len(), 1);
         cell.force_tier(0, ServiceTier::Full);
         assert!(cell.events()[1].restore);
+    }
+
+    #[test]
+    fn a_round_is_priced_and_run_from_one_plan() {
+        // One `step_with` carves each round once: the cost vector that
+        // priced the round's modelled duration is the cost vector of the
+        // plan that then ran — same length, same values, same order.
+        let mut cfg = small_cfg();
+        cfg.policy = ShedPolicy::disabled();
+        let mut cell = CityCell::new(&cfg, CellBudget::lte_subframe());
+        add_users(&mut cell, 3, QosClass::Bulk, 0.6, 70);
+        cell.force_tier(2, ServiceTier::Sic);
+        let mut single_round_ticks = 0;
+        for _ in 0..40 {
+            // Light load: every tick starts drained, at modelled time 0
+            // of its interval.
+            assert_eq!(cell.backlog_s(), 0.0);
+            assert!(!cell.cell.has_queued());
+            let rounds_before = cell.pool.stats().batches();
+            let mut served: Vec<(usize, f64)> = Vec::new();
+            cell.step_with(1.0, &mut |f| served.push((f.user, f.latency_s)));
+            if cell.pool.stats().batches() - rounds_before != 1 {
+                continue; // no arrivals, or a user queued two frames
+            }
+            single_round_ticks += 1;
+
+            // What ran: the prices the pool was handed with the tasks.
+            let ran = cell.pool.last_run().expect("the round ran on the fabric");
+            assert!(ran.costs.windows(2).all(|w| w[0] >= w[1]), "run order");
+            // Every served user's whole frame is in that one vector.
+            let offered: u64 = served.iter().map(|&(u, _)| cell.frame_units(u)).sum();
+            assert_eq!(ran.costs.iter().sum::<u64>(), offered);
+            // What was priced: every delivery's latency is the round's
+            // modelled duration, which must be the makespan of exactly
+            // the vector that ran.
+            let round_s = lpt_makespan_weighted(&ran.costs, cell.pool.speeds()) * cell.unit_s;
+            // (`latency = (start + round) − start`, so equal up to the
+            // rounding of the tick's start time.)
+            assert!(round_s > 0.0);
+            assert!(
+                served
+                    .iter()
+                    .all(|&(_, l)| (l - round_s).abs() < 1e-9 * round_s),
+                "{served:?} vs {round_s}"
+            );
+        }
+        assert!(single_round_ticks >= 5, "{single_round_ticks} usable ticks");
     }
 }

@@ -9,7 +9,8 @@
 //! * a downgraded user's detections are bit-identical to a solo cell
 //!   running the same profile with the same tier schedule — shedding
 //!   changes cost and scheduling, never results;
-//! * same-seed city runs are bit-identical end to end.
+//! * same-seed city runs are bit-identical end to end, and equal to the
+//!   digests recorded before the plan → run refactor.
 
 use flexcore::ServiceTier;
 use flexcore_hwmodel::CellBudget;
@@ -158,6 +159,18 @@ fn downgraded_user_detections_match_a_solo_run_with_the_same_schedule() {
     }
 }
 
+/// `CityReport::digest` of `test_city_config(12)` run for 60 ticks at load
+/// 1.8, recorded at commit `111ed89` (before the serving loops were folded
+/// onto one plan → run core). The digest folds every delivered detection
+/// in delivery order, so it moves if planning, scheduling or shedding ever
+/// leaks into results — a rerun compared only with itself cannot see that.
+const SMALL_CITY_DIGEST: u64 = 0xa8b5_6a0c_f290_c8e6;
+
+/// The same pin for the city bench's `CITY_FAST=1` determinism gate: the
+/// smoke city (seed `0x5EED_0010`, 2 cells × 32 users, shedding on), 60
+/// ticks at load 1.8 — the digest `--bin city` prints.
+const CITY_FAST_DIGEST: u64 = 0x2fed_7a89_585d_027d;
+
 #[test]
 fn same_seed_city_runs_are_bit_identical() {
     let cfg = test_city_config(12);
@@ -166,6 +179,23 @@ fn same_seed_city_runs_are_bit_identical() {
     assert_eq!(a, b, "same-seed city runs diverged");
     assert!(a.delivered_frames > 0);
     assert!(a.goodput_bits > 0);
+    assert_eq!(
+        a.digest, SMALL_CITY_DIGEST,
+        "delivered detections moved: {:#018x}",
+        a.digest
+    );
+}
+
+#[test]
+fn city_bench_smoke_digest_is_pinned() {
+    let mut cfg = CityConfig::small_city();
+    cfg.seed = 0x5EED_0010;
+    let report = City::new(&cfg).run(60, 1.8);
+    assert_eq!(
+        report.digest, CITY_FAST_DIGEST,
+        "delivered detections moved: {:#018x}",
+        report.digest
+    );
 }
 
 #[test]

@@ -4,23 +4,26 @@
 //! cell.
 //!
 //! Two anchors:
-//! 1. the streamed hard path is **bit-identical** to the block-fading
-//!    framed path on a frozen (zero-Doppler) channel, so the streaming
-//!    entry points cannot drift from the paths the paper's figures are
-//!    built on;
+//! 1. the streamed paths, hard and soft, are **bit-identical** to the
+//!    block-fading paths on a frozen (zero-Doppler) channel, so the
+//!    streaming entry points cannot drift from the paths the paper's
+//!    figures are built on;
 //! 2. at high SNR the streaming soft pipeline decodes *every* packet for
 //!    *every* user — goodput equals offered load — for a mixed
 //!    fixed/adaptive user population on a shared pool.
 
 use flexcore::{AdaptiveFlexCore, CellDetector, FlexCoreDetector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel, MimoChannel};
+use flexcore_detect::common::Detector;
 use flexcore_engine::{ChannelStream, FrameEngine, StreamingCell};
 use flexcore_modulation::{Constellation, Modulation};
-use flexcore_parallel::{CrossbeamPool, SequentialPool};
+use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
 use flexcore_phy::link::{cell_packet_tick, simulate_packet_framed, simulate_packet_streamed};
-use flexcore_phy::soft_link::{cell_packet_tick_soft, simulate_packet_soft_streamed};
+use flexcore_phy::soft_link::{
+    cell_packet_tick_soft, simulate_packet_soft, simulate_packet_soft_streamed,
+};
 use flexcore_phy::throughput::GoodputMeter;
-use flexcore_phy::LinkConfig;
+use flexcore_phy::{LinkConfig, StreamedOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,48 +34,59 @@ fn cfg16(payload: usize) -> LinkConfig {
 #[test]
 fn streamed_hard_path_is_bit_identical_to_framed_on_frozen_channel() {
     // A frozen ChannelStream (rho = 1, estimates always exact) is the
-    // block-fading model: with the same seed, simulate_packet_streamed
-    // must consume the RNG in simulate_packet_framed's exact order and
-    // produce the identical outcome, on any pool.
+    // block-fading model: with the same seed the streamed path must
+    // consume the RNG in the block-fading path's exact order and produce
+    // the identical outcome, on any pool — hard (against
+    // simulate_packet_framed) and soft (against the per-vector
+    // simulate_packet_soft, the soft uplink's block-fading reference).
+    fn streamed<P: PePool>(
+        soft: bool,
+        cfg: &LinkConfig,
+        stream: &ChannelStream,
+        pool: &P,
+        rng: &mut StdRng,
+    ) -> StreamedOutcome {
+        let mut engine =
+            FrameEngine::new(FlexCoreDetector::with_pes(cfg.constellation.clone(), 16));
+        if soft {
+            simulate_packet_soft_streamed(cfg, stream, &mut engine, pool, rng)
+        } else {
+            simulate_packet_streamed(cfg, stream, &mut engine, pool, rng)
+        }
+    }
     let cfg = cfg16(45);
     let ens = ChannelEnsemble::iid(4, 4);
     let snr = 13.0;
-    for seed in [3u64, 4, 5] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let h = ens.draw(&mut rng);
-        let ch = MimoChannel::new(h.clone(), snr);
-        let mut engine =
-            FrameEngine::new(FlexCoreDetector::with_pes(cfg.constellation.clone(), 16));
-        let reference =
-            simulate_packet_framed(&cfg, &ch, &mut engine, &SequentialPool::new(1), &mut rng);
-
-        for pe in [1usize, 4] {
+    for soft in [false, true] {
+        for seed in [3u64, 4, 5] {
             let mut rng = StdRng::seed_from_u64(seed);
             let h = ens.draw(&mut rng);
-            let stream = ChannelStream::frozen(h, cfg.ofdm.n_data, sigma2_from_snr_db(snr));
-            let mut engine =
-                FrameEngine::new(FlexCoreDetector::with_pes(cfg.constellation.clone(), 16));
-            let out = if pe == 1 {
-                simulate_packet_streamed(
-                    &cfg,
-                    &stream,
-                    &mut engine,
-                    &SequentialPool::new(1),
-                    &mut rng,
-                )
+            let ch = MimoChannel::new(h.clone(), snr);
+            let reference = if soft {
+                let mut det = FlexCoreDetector::with_pes(cfg.constellation.clone(), 16);
+                det.prepare(&h, ch.sigma2);
+                simulate_packet_soft(&cfg, &ch, &det, &mut rng)
             } else {
-                simulate_packet_streamed(
-                    &cfg,
-                    &stream,
-                    &mut engine,
-                    &CrossbeamPool::work_queue(4),
-                    &mut rng,
-                )
+                let mut engine =
+                    FrameEngine::new(FlexCoreDetector::with_pes(cfg.constellation.clone(), 16));
+                simulate_packet_framed(&cfg, &ch, &mut engine, &SequentialPool::new(1), &mut rng)
             };
-            assert_eq!(out.link.user_ok, reference.user_ok, "seed {seed} pe {pe}");
-            assert_eq!(out.link.raw_bit_errors, reference.raw_bit_errors);
-            assert_eq!(out.link.coded_bits_per_user, reference.coded_bits_per_user);
-            assert_eq!(out.crc_ok, out.link.user_ok, "CRC must agree at this SNR");
+
+            for pe in [1usize, 4] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let h = ens.draw(&mut rng);
+                let stream = ChannelStream::frozen(h, cfg.ofdm.n_data, sigma2_from_snr_db(snr));
+                let out = if pe == 1 {
+                    streamed(soft, &cfg, &stream, &SequentialPool::new(1), &mut rng)
+                } else {
+                    streamed(soft, &cfg, &stream, &CrossbeamPool::work_queue(4), &mut rng)
+                };
+                let tag = format!("soft {soft} seed {seed} pe {pe}");
+                assert_eq!(out.link.user_ok, reference.user_ok, "{tag}");
+                assert_eq!(out.link.raw_bit_errors, reference.raw_bit_errors, "{tag}");
+                assert_eq!(out.link.coded_bits_per_user, reference.coded_bits_per_user);
+                assert_eq!(out.crc_ok, out.link.user_ok, "CRC must agree at this SNR");
+            }
         }
     }
 }

@@ -113,11 +113,14 @@ fn crossbeam_frame_output_is_identical_to_sequential_for_real_detectors() {
 #[test]
 fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
     // The PR 5 extension of the substrate-equivalence requirement:
-    // heterogeneous placement (weighted pool, fabric-priced scheduling)
-    // is placement only. Plain-PePool runs and effort×PeCost-scheduled
-    // runs on every fabric shape must match the sequential reference.
+    // heterogeneous placement is placement only. On every fabric shape a
+    // plain `detect_frame` on the weighted pool — which places the
+    // engine's priced batches by the uniform-machines LPT rule — must
+    // match the sequential reference, fixed and adaptive, and leave a run
+    // record that audits under any `PeCost` model.
     use flexcore::AdaptiveFlexCore;
-    use flexcore_hwmodel::{CpuModel, FpgaModel, HeterogeneousFabric, PeClass, WorkUnit};
+    use flexcore_engine::FabricStats;
+    use flexcore_hwmodel::{CpuModel, FpgaModel, HeterogeneousFabric, PeClass, PeCost, WorkUnit};
     use flexcore_parallel::WeightedPool;
 
     let channel = selective_channel(12, 31);
@@ -141,35 +144,34 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
     let adaptive_ref = frame_on(mk_adaptive(), &channel, &frame, &seq);
     for fabric in &fabrics {
         let pool = WeightedPool::new(fabric.speed_factors());
-        // Plain PePool execution on the weighted pool.
         assert_eq!(
             frame_on(mk_fixed(), &channel, &frame, &pool),
             fixed_ref,
-            "{} plain run",
+            "{} fixed",
             fabric.name
         );
-        // Fabric-priced scheduled execution, CPU and FPGA cost models.
-        let mut engine = FrameEngine::new(mk_fixed());
-        engine.prepare(&channel);
         assert_eq!(
-            engine.detect_frame_on_fabric(&frame, &pool, &CpuModel::fx8120(), &work),
-            fixed_ref,
-            "{} scheduled fixed",
-            fabric.name
-        );
-        let mut engine = FrameEngine::new(mk_adaptive());
-        engine.prepare(&channel);
-        assert_eq!(
-            engine.detect_frame_on_fabric(
-                &frame,
-                &pool,
-                &FpgaModel::new(flexcore_hwmodel::EngineKind::FlexCore, NT, 16),
-                &work
-            ),
+            frame_on(mk_adaptive(), &channel, &frame, &pool),
             adaptive_ref,
-            "{} scheduled adaptive",
+            "{} adaptive",
             fabric.name
         );
+        // The record of the adaptive run, priced on CPU and FPGA models.
+        let run = pool.last_run().expect("the fabric recorded the run");
+        let fpga = FpgaModel::new(flexcore_hwmodel::EngineKind::FlexCore, NT, 16);
+        for unit_s in [
+            CpuModel::fx8120().unit_seconds(&work),
+            fpga.unit_seconds(&work),
+        ] {
+            let audit = FabricStats::from_run(&run, pool.speeds(), unit_s);
+            assert_eq!(audit.n_pes, fabric.n_pes(), "{}", fabric.name);
+            assert!(audit.total_units > 0);
+            assert!(audit.packing_efficiency > 0.0 && audit.packing_efficiency <= 1.0);
+            assert_eq!(
+                audit.predicted_model_makespan_s,
+                audit.predicted_makespan_units * unit_s
+            );
+        }
     }
 }
 

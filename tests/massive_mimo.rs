@@ -11,8 +11,8 @@ use flexcore::{AdaptiveFlexCore, FlexCoreDetector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble};
 use flexcore_detect::common::Detector;
 use flexcore_detect::{FcsdDetector, KBestDetector};
-use flexcore_engine::{DetectedFrame, FrameChannel, FrameEngine, RxFrame};
-use flexcore_hwmodel::{CpuModel, FpgaModel, HeterogeneousFabric, WorkUnit};
+use flexcore_engine::{DetectedFrame, FabricStats, FrameChannel, FrameEngine, RxFrame};
+use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::Cx;
@@ -77,7 +77,6 @@ fn assert_substrate_identity(nt: usize, m: Modulation, seed: u64) {
     let c = Constellation::new(m);
     let channel = channel_for(nt, 4, 22.0, seed);
     let (frame, _) = random_frame(&channel, &c, nt, 3, seed + 1);
-    let work = WorkUnit::new(nt, c.order());
     let seq = SequentialPool::new(1);
 
     let mk_fixed = || FlexCoreDetector::with_pes(c.clone(), 16);
@@ -95,27 +94,24 @@ fn assert_substrate_identity(nt: usize, m: Modulation, seed: u64) {
         adaptive_ref
     );
 
-    // Heterogeneous fabric, plain and cost-model-scheduled.
+    // Heterogeneous fabric: the weighted pool places the engine's priced
+    // batches, and its run record audits under the CPU cost model.
     let fabric = HeterogeneousFabric::lte_smallcell();
     let pool = WeightedPool::new(fabric.speed_factors());
     assert_eq!(frame_on(mk_fixed(), &channel, &frame, &pool), fixed_ref);
-    let mut engine = FrameEngine::new(mk_fixed());
-    engine.prepare(&channel);
     assert_eq!(
-        engine.detect_frame_on_fabric(&frame, &pool, &CpuModel::fx8120(), &work),
-        fixed_ref
-    );
-    let mut engine = FrameEngine::new(mk_adaptive());
-    engine.prepare(&channel);
-    assert_eq!(
-        engine.detect_frame_on_fabric(
-            &frame,
-            &pool,
-            &FpgaModel::new(flexcore_hwmodel::EngineKind::FlexCore, nt, c.order()),
-            &work
-        ),
+        frame_on(mk_adaptive(), &channel, &frame, &pool),
         adaptive_ref
     );
+    let run = pool.last_run().expect("the fabric recorded the run");
+    let audit = FabricStats::from_run(
+        &run,
+        pool.speeds(),
+        CpuModel::fx8120().unit_seconds(&WorkUnit::new(nt, c.order())),
+    );
+    assert_eq!(audit.n_pes, 8);
+    // At massive-MIMO widths every vector pays at least its nt² rotate.
+    assert!(audit.total_units >= (nt * nt * frame.n_vectors()) as u64);
 }
 
 #[test]

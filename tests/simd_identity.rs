@@ -331,7 +331,8 @@ fn frame_workload(
 fn substrates_bit_identical_across_dispatch_at_required_widths() {
     // The acceptance grid: at nt ∈ {4, 8, 16, 32, 64}, scalar and SIMD
     // dispatch must agree bit-for-bit on every pool/fabric substrate.
-    use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, WorkUnit};
+    use flexcore_engine::FabricStats;
+    use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
     use flexcore_parallel::WeightedPool;
 
     for &nt in &[4usize, 8, 16, 32, 64] {
@@ -343,8 +344,9 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
         let c = Constellation::new(m);
         // 6 OFDM symbols per subcarrier: one full lane block + tail.
         let (channel, frame) = frame_workload(nt, m, 3, 6, 11_000 + nt as u64);
-        let work = WorkUnit::new(nt, 16);
-        let fabric = HeterogeneousFabric::uniform("flat", 3);
+        let unit_s = CpuModel::fx8120().unit_seconds(&WorkUnit::new(nt, 16));
+        let flat = HeterogeneousFabric::uniform("flat", 3);
+        let skewed = HeterogeneousFabric::lte_smallcell();
 
         fn on_pool<P: PePool>(
             pool: &P,
@@ -359,15 +361,19 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
         let run_all = || -> Vec<DetectedFrame> {
             let seq = SequentialPool::new(1);
             let cb = CrossbeamPool::new(3);
-            let weighted = WeightedPool::new(fabric.speed_factors());
-            let mut out = vec![
+            let weighted = WeightedPool::new(flat.speed_factors());
+            let fabric = WeightedPool::new(skewed.speed_factors());
+            let out = vec![
                 on_pool(&seq, &c, &channel, &frame),
                 on_pool(&cb, &c, &channel, &frame),
                 on_pool(&weighted, &c, &channel, &frame),
+                on_pool(&fabric, &c, &channel, &frame),
             ];
-            let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(c.clone(), 8));
-            engine.prepare(&channel);
-            out.push(engine.detect_frame_on_fabric(&frame, &weighted, &CpuModel::fx8120(), &work));
+            // The fabric run was placed by the engine's prices: every
+            // vector pays at least its nt² rotate.
+            let run = fabric.last_run().expect("the fabric recorded the run");
+            let audit = FabricStats::from_run(&run, fabric.speeds(), unit_s);
+            assert!(audit.total_units >= (nt * nt * frame.n_vectors()) as u64);
             out
         };
         let (lanes, scalar) = under_both_dispatch_modes(run_all);
