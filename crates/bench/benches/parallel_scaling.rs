@@ -31,7 +31,7 @@ fn bench_pool_scaling(crit: &mut Criterion) {
     let mut group = crit.benchmark_group("flexcore_512paths_pool");
     group.bench_function("sequential", |b| {
         let pool = SequentialPool::new(512);
-        b.iter(|| det.detect_on_pool(&y, &pool)[0])
+        b.iter(|| det.detect_batch_on_pool(&[y.as_slice()], &pool)[0][0])
     });
     for workers in [2usize, 4, 8] {
         group.bench_with_input(
@@ -39,7 +39,7 @@ fn bench_pool_scaling(crit: &mut Criterion) {
             &workers,
             |b, &workers| {
                 let pool = CrossbeamPool::new(workers);
-                b.iter(|| det.detect_on_pool(&y, &pool)[0])
+                b.iter(|| det.detect_batch_on_pool(&[y.as_slice()], &pool)[0][0])
             },
         );
     }

@@ -32,7 +32,7 @@
 //! repetitions for CI, where the point is that the binary runs and the
 //! gates hold, not that the numbers are stable.
 
-use flexcore::FlexCoreDetector;
+use flexcore::{FlexCoreDetector, PathScratch};
 use flexcore_bench::{assert_grid_identity, GridView};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble};
 use flexcore_engine::{pool_for, FabricStats, FrameChannel, FrameEngine, RxFrame};
@@ -86,23 +86,27 @@ fn workload() -> (FrameChannel, RxFrame) {
 }
 
 /// The PR 1 detection hot path, re-enacted per vector: materialise `Q*`
-/// for the rotate (as `Qr::rotate` did before `rotate_into`), allocate
-/// per-path symbol vectors through the allocating `run_path` wrapper, and
-/// reduce a nested `Vec<Option<(Vec, f64)>>`.
+/// for the rotate (as `Qr::rotate` did before `rotate_into`), allocate a
+/// fresh scratch and a `Vec<usize>` of symbols per path (PR 1's `run_path`
+/// shape), and reduce a nested `Vec<Option<(Vec, f64)>>`.
 fn detect_pr1_style(det: &FlexCoreDetector, y: &[Cx]) -> Vec<usize> {
     let tri = det.triangular();
     let ybar = tri.qr.q.hermitian().mul_vec(y);
     let results: Vec<Option<(Vec<usize>, f64)>> = det
         .position_vectors()
         .iter()
-        .map(|p| det.run_path(&ybar, p))
+        .map(|p| {
+            let mut scratch = PathScratch::new();
+            let metric = det.run_path_into(&ybar, p, &mut scratch)?;
+            Some((scratch.symbols.to_indices(), metric))
+        })
         .collect();
     let (symbols, _) = results
         .into_iter()
         .flatten()
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN metric"))
         .expect("the SIC path always completes");
-    tri.unpermute(&symbols)
+    tri.qr.unpermute(&symbols)
 }
 
 /// One measurement slot in the interleaved timing loop: a frame-detection

@@ -22,7 +22,7 @@
 //! error rate. Results land in `BENCH_PR3.json` (path overridable with
 //! `BENCH_OUT`); `STREAMING_FAST=1` shrinks the frame count for CI smoke.
 
-use flexcore::{AdaptiveFlexCore, FlexCoreDetector};
+use flexcore::FlexCoreDetector;
 use flexcore_bench::{assert_grid_identity, GridView};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel};
 use flexcore_detect::common::Detector;
@@ -135,7 +135,7 @@ fn identity_gate() {
         &mut rng,
     );
     let mut fixed = FrameEngine::new(FlexCoreDetector::with_pes(c.clone(), N_PE));
-    let mut adaptive = FrameEngine::new(AdaptiveFlexCore::new(c.clone(), N_PE, 1.0));
+    let mut adaptive = FrameEngine::new(FlexCoreDetector::adaptive(c.clone(), N_PE, 1.0));
     stream.advance(&mut rng);
     fixed.prepare(stream.estimate());
     adaptive.prepare(stream.estimate());
@@ -156,9 +156,7 @@ fn identity_gate() {
     // coincide (where the stopping criterion fired, the sets differ by
     // design) and gate on the filtered grids, cell for cell.
     let coinciding_scs: Vec<usize> = (0..N_SC)
-        .filter(|&sc| {
-            adaptive.detector(sc).inner().active_paths() == fixed.detector(sc).active_paths()
-        })
+        .filter(|&sc| adaptive.detector(sc).active_paths() == fixed.detector(sc).active_paths())
         .collect();
     let coinciding = coinciding_scs.len();
     assert!(
@@ -208,7 +206,7 @@ fn main() {
             seed,
         );
         let adaptive = run_stream(
-            AdaptiveFlexCore::new(c.clone(), N_PE, STOP),
+            FlexCoreDetector::adaptive(c.clone(), N_PE, STOP),
             rho,
             n_frames,
             seed,

@@ -15,7 +15,6 @@
 //! rank-1 lookups fall back to the clamped slicer so the SIC path always
 //! completes (a software-robustness addition, see DESIGN.md).
 
-use crate::grid::PathGrid;
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
 use crate::preprocess::Preprocessor;
@@ -331,6 +330,17 @@ impl FlexCoreDetector {
         Self::new(constellation, FlexCoreConfig::new(n_pe))
     }
 
+    /// a-FlexCore (§5.1, Fig. 10): out of `n_pe` *available* processing
+    /// elements, each channel activates only as many paths as it takes for
+    /// their cumulative probability `Σ Pc` to reach `threshold` (the paper
+    /// uses 0.95). A well-conditioned channel collapses to ~1 active path —
+    /// [`FlexCoreDetector::active_paths`] reports the count per `prepare`.
+    pub fn adaptive(constellation: Constellation, n_pe: usize, threshold: f64) -> Self {
+        let mut config = FlexCoreConfig::new(n_pe);
+        config.stop_threshold = Some(threshold);
+        Self::new(constellation, config)
+    }
+
     /// The configuration in use.
     pub fn config(&self) -> &FlexCoreConfig {
         &self.config
@@ -429,27 +439,6 @@ impl FlexCoreDetector {
         self.state.as_ref().map_or(&[], |s| &s.paths)
     }
 
-    /// Owned copy of the selected position vectors.
-    #[deprecated(
-        since = "0.2.0",
-        note = "position_vectors() now borrows; call .to_vec() only if ownership is needed"
-    )]
-    pub fn position_vectors_cloned(&self) -> Vec<PositionVector> {
-        self.position_vectors().to_vec()
-    }
-
-    /// Evaluates one position vector against a rotated observation.
-    /// Returns `(symbols_in_tree_order, metric)` or `None` if the path was
-    /// deactivated (predefined order left the constellation).
-    ///
-    /// Thin allocating wrapper over [`FlexCoreDetector::run_path_into`]
-    /// (bit-identical results).
-    pub fn run_path(&self, ybar: &[Cx], p: &PositionVector) -> Option<(Vec<usize>, f64)> {
-        let mut scratch = PathScratch::new();
-        let metric = self.run_path_into(ybar, p, &mut scratch)?;
-        Some((scratch.symbols.to_indices(), metric))
-    }
-
     /// Allocation-free path evaluation: streams the tree path selected by
     /// `p` for the rotated observation `ybar`, writing per-level symbol
     /// decisions into `scratch.symbols` (tree order). Returns the path
@@ -475,7 +464,7 @@ impl FlexCoreDetector {
         scratch.symbols.reset(nt);
         let mut metric = 0.0f64;
         for row in (0..nt).rev() {
-            let eff = tri.effective_point_sym(ybar, scratch.symbols.as_slice(), row);
+            let eff = tri.effective_point(ybar, scratch.symbols.as_slice(), row);
             let sym = self.pick_symbol(eff, p.rank(row) as usize)?;
             scratch.symbols.set(row, sym as u16);
             let rdiag = tri.qr.r[(row, row)].norm_sqr();
@@ -562,7 +551,7 @@ impl FlexCoreDetector {
         }
         let tri = &state.tri;
         let row = state.trie.nodes[first as usize].row as usize;
-        let eff = tri.effective_point_sym(ybar, symbols.as_slice(), row);
+        let eff = tri.effective_point(ybar, symbols.as_slice(), row);
         let rdiag = tri.qr.r[(row, row)].norm_sqr();
         let mut idx = first;
         while idx != NIL {
@@ -701,7 +690,7 @@ impl FlexCoreDetector {
         let nt = tri.nt();
         let row = state.trie.nodes[first as usize].row as usize;
         let ybar_lane = CxLane::from_fn(|l| ybars[l * nt + row]);
-        let eff = tri.effective_point_from_points(ybar_lane, points, row);
+        let eff = tri.effective_point_lanes(ybar_lane, points, row);
         let rdiag = tri.qr.r[(row, row)].norm_sqr();
         // One locate per lane per chain: every sibling shares it. Inactive
         // lanes are located on garbage effective points — the clamp window
@@ -792,83 +781,22 @@ impl FlexCoreDetector {
         }
     }
 
-    /// Detection with explicit parallelism: one task per position vector on
-    /// the given pool. The single rotated observation is shared by
-    /// reference across tasks, and each task returns a stack-resident
-    /// `(SymVec, metric)` — no per-path allocation. Results are identical
-    /// to [`Detector::detect`].
-    pub fn detect_on_pool<P: PePool>(&self, y: &[Cx], pool: &P) -> Vec<usize> {
-        let state = self.prepared();
-        let ybar = state.tri.rotate(y);
-        let ybar = &ybar;
-        let tasks: Vec<_> = state
-            .paths
-            .iter()
-            .map(|p| {
-                move || {
-                    let mut scratch = PathScratch::new();
-                    self.run_path_into(ybar, p, &mut scratch)
-                        .map(|m| (scratch.symbols, m))
-                }
-            })
-            .collect();
-        let results = pool.run(tasks);
-        // The all-ones (SIC) path is always selected first by the
-        // pre-processor and always completes thanks to the rank-1 slicing
-        // fallback, so at least one result survives.
-        let (i, _) = first_min_metric(
-            results
-                .iter()
-                .map(|r| r.as_ref().map_or(f64::NAN, |&(_, m)| m)),
-        )
-        // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback guarantees the SIC path completes, so a minimum exists and its slot is Some")
-        .expect("the SIC path always completes");
-        // flexcore-lint: allow(FL004, reason = "first_min_metric only returns indices whose metric is finite, which requires the slot to be Some")
-        let (symbols, _) = results[i].as_ref().expect("selected path is active");
-        state.tri.unpermute_sym(symbols.as_slice())
-    }
-
-    /// Batched parallel detection: one task per position vector, each
-    /// streaming *every* observation in `ys` through its tree path — the
-    /// way a hardware PE consumes back-to-back subcarriers (§4's pipelined
-    /// engines). This amortises task-dispatch overhead across the batch,
-    /// unlike [`FlexCoreDetector::detect_on_pool`], which parallelises a
-    /// single vector.
-    ///
-    /// Thin wrapper: evaluates the batch into a flat [`PathGrid`] via
-    /// [`FlexCoreDetector::detect_batch_grid_on_pool`] and reduces each
-    /// vector to its minimum-metric decision.
-    pub fn detect_batch_on_pool<P: PePool>(&self, ys: &[Vec<Cx>], pool: &P) -> Vec<Vec<usize>> {
-        let state = self.prepared();
-        let grid = self.detect_batch_grid_on_pool(ys, pool);
-        (0..ys.len())
-            .map(|v| {
-                // The all-ones (SIC) path is always selected first by the
-                // pre-processor and always completes thanks to the rank-1
-                // slicing fallback, so at least one path survives.
-                let (symbols, _) = grid
-                    .best_for_vector(v)
-                    // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback guarantees the SIC path completes for every vector of the grid")
-                    .expect("the SIC path always completes");
-                state.tri.unpermute_sym(symbols)
-            })
-            .collect()
-    }
-
-    /// Evaluates every (position vector × observation) pair of a batch on
-    /// the pool and returns the flat [`PathGrid`]: one `u16` symbol plane
-    /// and one `f64` metric plane (NaN = deactivated), replacing PR 1's
-    /// `Vec<Vec<Option<(Vec<usize>, f64)>>>` transpose. Each task owns one
-    /// position vector, reuses a single [`PathScratch`] across the whole
-    /// batch, and borrows the shared plane of rotated observations.
-    pub fn detect_batch_grid_on_pool<P: PePool>(&self, ys: &[Vec<Cx>], pool: &P) -> PathGrid {
+    /// Detection with explicit parallelism — the paper's PE-per-path
+    /// mapping, and the trie-free reference the trie walk is tested
+    /// against: one task per position vector, each streaming *every*
+    /// observation of the batch through its tree path with one
+    /// [`PathScratch`], the way a hardware PE consumes back-to-back
+    /// subcarriers (§4's pipelined engines). The rotated observations are
+    /// one flat plane shared by reference across tasks; each evaluation
+    /// returns a stack-resident `(SymVec, metric)`. A single vector is a
+    /// batch of one. Results are identical to
+    /// [`Detector::detect_batch_refs`].
+    pub fn detect_batch_on_pool<P: PePool>(&self, ys: &[&[Cx]], pool: &P) -> Vec<Vec<usize>> {
         let state = self.prepared();
         let tri = &state.tri;
         let nt = tri.nt();
-        let n_vec = ys.len();
-        // One flat plane of rotated observations, shared by every task.
-        let mut ybars = vec![Cx::ZERO; n_vec * nt];
-        for (y, out) in ys.iter().zip(ybars.chunks_mut(nt.max(1))) {
+        let mut ybars = vec![Cx::ZERO; ys.len() * nt];
+        for (y, out) in ys.iter().zip(ybars.chunks_mut(nt)) {
             tri.rotate_into(y, out);
         }
         let ybars = &ybars;
@@ -877,21 +805,35 @@ impl FlexCoreDetector {
             .iter()
             .map(|p| {
                 move || {
-                    let mut syms = vec![0u16; n_vec * nt];
-                    let mut mets = vec![f64::NAN; n_vec];
                     let mut scratch = PathScratch::new();
-                    for v in 0..n_vec {
-                        let yb = &ybars[v * nt..(v + 1) * nt];
-                        if let Some(m) = self.run_path_into(yb, p, &mut scratch) {
-                            mets[v] = m;
-                            syms[v * nt..(v + 1) * nt].copy_from_slice(scratch.symbols.as_slice());
-                        }
-                    }
-                    (syms, mets)
+                    ybars
+                        .chunks(nt)
+                        .map(|yb| {
+                            self.run_path_into(yb, p, &mut scratch)
+                                .map(|m| (scratch.symbols.clone(), m))
+                        })
+                        .collect::<Vec<_>>()
                 }
             })
             .collect();
-        PathGrid::from_per_path(n_vec, nt, pool.run(tasks))
+        let per_path = pool.run(tasks);
+        (0..ys.len())
+            .map(|v| {
+                // The all-ones (SIC) path is always selected first by the
+                // pre-processor and always completes thanks to the rank-1
+                // slicing fallback, so at least one result survives.
+                let (i, _) = first_min_metric(
+                    per_path
+                        .iter()
+                        .map(|r| r[v].as_ref().map_or(f64::NAN, |&(_, m)| m)),
+                )
+                // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback guarantees the SIC path completes, so a minimum exists and its slot is Some")
+                .expect("the SIC path always completes");
+                // flexcore-lint: allow(FL004, reason = "first_min_metric only returns indices whose metric is finite, which requires the slot to be Some")
+                let (symbols, _) = per_path[i][v].as_ref().expect("selected path is active");
+                tri.unpermute(symbols.as_slice())
+            })
+            .collect()
     }
 
     /// Evaluates all paths over one rotated observation (trie walk) and
@@ -904,7 +846,7 @@ impl FlexCoreDetector {
         let (i, _) =
             // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback guarantees the SIC path completes, so the walk always yields a finite metric")
             first_min_metric(walk.metrics.iter().copied()).expect("the SIC path always completes");
-        state.tri.unpermute_sym(walk.syms[i].as_slice())
+        state.tri.unpermute(walk.syms[i].as_slice())
     }
 }
 
@@ -989,7 +931,7 @@ impl Detector for FlexCoreDetector {
                     // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback guarantees the SIC path completes on every active lane")
                     .expect("the SIC path always completes");
                 let slot = (i * LANES + l) * nt;
-                results.push(state.tri.unpermute_sym(&block.syms[slot..slot + nt]));
+                results.push(state.tri.unpermute(&block.syms[slot..slot + nt]));
             };
             let mut j = 0;
             while j < full {
@@ -1207,6 +1149,73 @@ mod tests {
         assert_eq!(changed, full.active_paths() != 16);
     }
 
+    /// Mean active paths of the paper's a-FlexCore (64 available PEs,
+    /// target 0.95) over 160 channel draws — the line Fig. 10 plots.
+    fn mean_active(nr: usize, nt: usize, snr: f64, seed: u64) -> f64 {
+        let mut afc = FlexCoreDetector::adaptive(Constellation::new(Modulation::Qam64), 64, 0.95);
+        let ens = ChannelEnsemble::iid(nr, nt);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sum = 0usize;
+        for _ in 0..160 {
+            afc.prepare(&ens.draw(&mut rng), sigma2_from_snr_db(snr));
+            sum += afc.active_paths();
+        }
+        sum as f64 / 160.0
+    }
+
+    #[test]
+    fn adaptive_well_conditioned_channel_collapses_to_few_pes() {
+        // Fig. 10: with 6 users on 12 antennas at 21.6 dB, a-FlexCore
+        // activates close to one PE.
+        let light = mean_active(12, 6, 21.6, 1);
+        assert!(light < 6.0, "6-user mean active PEs {light}");
+    }
+
+    #[test]
+    fn adaptive_crowded_channel_uses_more_pes() {
+        // The magnitude depends on the operating SNR; at a noisier point
+        // the 12-user effect is pronounced (Fig. 10 plots the calibrated
+        // PER_ML = 0.01 point, reproduced in flexcore-sim::fig10).
+        let light = mean_active(12, 6, 18.0, 2);
+        let full = mean_active(12, 12, 18.0, 2);
+        assert!(
+            full > 2.0 * light.max(1.0),
+            "12-user ({full}) should need several times the 6-user PEs ({light})"
+        );
+    }
+
+    #[test]
+    fn adaptive_higher_snr_means_fewer_active_pes() {
+        let noisy = mean_active(12, 12, 15.0, 4);
+        let clean = mean_active(12, 12, 30.0, 4);
+        assert!(clean < noisy, "30 dB ({clean}) vs 15 dB ({noisy})");
+    }
+
+    #[test]
+    fn adaptive_activation_is_bounded_by_budget_and_is_the_effort() {
+        let c = Constellation::new(Modulation::Qam64);
+        let mut afc = FlexCoreDetector::adaptive(c, 16, 0.9999);
+        assert_eq!(afc.name(), "a-FlexCore(N_PE=16, t=0.9999)");
+        assert_eq!(afc.effort(), 1, "unprepared effort defaults to 1");
+        let mut rng = StdRng::seed_from_u64(3);
+        let h = ChannelEnsemble::iid(12, 12).draw(&mut rng);
+        afc.prepare(&h, sigma2_from_snr_db(10.0)); // very noisy: wants many
+        assert!((1..=16).contains(&afc.active_paths()));
+        assert_eq!(afc.effort(), afc.active_paths());
+    }
+
+    #[test]
+    fn adaptive_detection_still_works() {
+        let c = Constellation::new(Modulation::Qam16);
+        let mut rng = StdRng::seed_from_u64(6);
+        let h = ChannelEnsemble::iid(4, 4).draw(&mut rng);
+        let mut afc = FlexCoreDetector::adaptive(c.clone(), 32, 0.95);
+        afc.prepare(&h, 1e-6);
+        let s = vec![3usize, 7, 11, 0];
+        let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
+        assert_eq!(afc.detect(&h.mul_vec(&x)), s);
+    }
+
     #[test]
     fn single_pe_equals_sic_shape() {
         // N_PE = 1 is the SIC path; noiseless recovery must be exact.
@@ -1353,47 +1362,51 @@ mod tests {
     }
 
     #[test]
-    fn pool_detection_matches_inline() {
-        let c = Constellation::new(Modulation::Qam16);
-        let mut rng = StdRng::seed_from_u64(8);
-        let h = ChannelEnsemble::iid(4, 4).draw(&mut rng);
-        let mut fc = FlexCoreDetector::with_pes(c.clone(), 12);
-        fc.prepare(&h, 0.05);
-        let ch = MimoChannel::new(h, 15.0);
-        let seq = SequentialPool::new(12);
-        let par = CrossbeamPool::new(4);
-        for _ in 0..10 {
-            let s: Vec<usize> = (0..4).map(|_| rng.gen_range(0..16)).collect();
-            let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
-            let y = ch.transmit(&x, &mut rng);
-            let a = fc.detect(&y);
-            assert_eq!(a, fc.detect_on_pool(&y, &seq));
-            assert_eq!(a, fc.detect_on_pool(&y, &par));
-        }
-    }
-
-    #[test]
-    fn batched_pool_detection_matches_per_vector() {
+    fn pool_driver_matches_batch_and_per_vector_detection() {
+        // The one per-path pool driver against the trie walk, on a modelled
+        // and a real-thread substrate: an empty batch, a batch of one, a
+        // lane-remainder batch; default ordering and strict deactivation
+        // at low SNR (where whole subtrees switch off).
         let c = Constellation::new(Modulation::Qam16);
         let mut rng = StdRng::seed_from_u64(21);
-        let h = ChannelEnsemble::iid(4, 4).draw(&mut rng);
-        let mut fc = FlexCoreDetector::with_pes(c.clone(), 12);
-        fc.prepare(&h, 0.05);
-        let ch = MimoChannel::new(h, 15.0);
-        let ys: Vec<Vec<Cx>> = (0..20)
-            .map(|_| {
-                let s: Vec<usize> = (0..4).map(|_| rng.gen_range(0..16)).collect();
-                let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
-                ch.transmit(&x, &mut rng)
-            })
-            .collect();
         let seq = SequentialPool::new(12);
-        let par = CrossbeamPool::new(4);
-        let batched_seq = fc.detect_batch_on_pool(&ys, &seq);
-        let batched_par = fc.detect_batch_on_pool(&ys, &par);
-        let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| fc.detect(y)).collect();
-        assert_eq!(batched_seq, per_vector);
-        assert_eq!(batched_par, per_vector);
+        let par = CrossbeamPool::work_queue(4);
+        for (ordering, snr) in [
+            (PathOrdering::TriangleLut, 15.0),
+            (PathOrdering::TriangleLutStrict, 6.0),
+        ] {
+            let h = ChannelEnsemble::iid(5, 5).draw(&mut rng);
+            let mut cfg = FlexCoreConfig::new(24);
+            cfg.path_ordering = ordering;
+            let mut fc = FlexCoreDetector::new(c.clone(), cfg);
+            fc.prepare(&h, sigma2_from_snr_db(snr));
+            let ch = MimoChannel::new(h, snr);
+            for n_obs in [0usize, 1, 7] {
+                let ys: Vec<Vec<Cx>> = (0..n_obs)
+                    .map(|_| {
+                        let x: Vec<Cx> = (0..5).map(|_| c.point(rng.gen_range(0..16))).collect();
+                        ch.transmit(&x, &mut rng)
+                    })
+                    .collect();
+                let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+                let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| fc.detect(y)).collect();
+                assert_eq!(
+                    fc.detect_batch_refs(&refs),
+                    per_vector,
+                    "{ordering:?} {n_obs}"
+                );
+                assert_eq!(
+                    fc.detect_batch_on_pool(&refs, &seq),
+                    per_vector,
+                    "{ordering:?} {n_obs}"
+                );
+                assert_eq!(
+                    fc.detect_batch_on_pool(&refs, &par),
+                    per_vector,
+                    "{ordering:?} {n_obs}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1418,20 +1431,17 @@ mod tests {
             // in path order with first-min tie-breaking.
             let ybar = fc.triangular().rotate(&y);
             let mut scratch = PathScratch::new();
-            let mut best: Option<(Vec<usize>, f64)> = None;
+            let mut best: Option<(SymVec, f64)> = None;
             for p in fc.position_vectors() {
                 if let Some(m) = fc.run_path_into(&ybar, p, &mut scratch) {
                     if best.as_ref().is_none_or(|(_, bm)| m < *bm) {
-                        best = Some((scratch.symbols.to_indices(), m));
+                        best = Some((scratch.symbols.clone(), m));
                     }
                 }
             }
-            let reference = fc
-                .triangular()
-                .unpermute(&best.expect("SIC always completes").0);
+            let (best, _) = best.expect("SIC always completes");
+            let reference = fc.triangular().unpermute(best.as_slice());
             assert_eq!(fc.detect(&y), reference, "trial {trial}");
-            let seq = SequentialPool::new(4);
-            assert_eq!(fc.detect_on_pool(&y, &seq), reference, "pool {trial}");
         }
     }
 
@@ -1458,7 +1468,8 @@ mod tests {
                 })
                 .collect();
             let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| fc.detect(y)).collect();
-            assert_eq!(fc.detect_batch(&ys), per_vector, "batch of {n_obs}");
+            let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+            assert_eq!(fc.detect_batch_refs(&refs), per_vector, "batch of {n_obs}");
         }
     }
 

@@ -24,17 +24,16 @@
 //!    `flexcore-modulation` instead of per-level exhaustive sorting (§3.2).
 //!    Paths share nothing; the final answer is the minimum-distance path.
 //!
-//! The adaptive variant **a-FlexCore** (module [`adaptive`]) activates only
-//! as many PEs as needed for the selected paths' cumulative likelihood to
-//! reach a target (0.95 in Fig. 10), collapsing to ~1 path in
-//! well-conditioned channels.
+//! The adaptive variant **a-FlexCore** is the same detector built with
+//! [`FlexCoreDetector::adaptive`]: a stopping threshold makes `prepare`
+//! activate only as many PEs as needed for the selected paths' cumulative
+//! likelihood to reach a target (0.95 in Fig. 10), collapsing to ~1 path
+//! in well-conditioned channels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod detector;
-pub mod grid;
 pub mod kbest_adaptive;
 pub mod mixed;
 pub mod model;
@@ -42,11 +41,9 @@ pub mod position;
 pub mod preprocess;
 pub mod soft;
 
-pub use adaptive::AdaptiveFlexCore;
 pub use detector::{FlexCoreConfig, FlexCoreDetector, PathOrdering, QrOrdering};
 pub use flexcore_detect::common::PathScratch;
 pub use flexcore_numeric::SymVec;
-pub use grid::PathGrid;
 pub use kbest_adaptive::AdaptiveKBest;
 pub use mixed::{CellDetector, ServiceTier};
 pub use model::LevelErrorModel;

@@ -9,14 +9,13 @@
 //! theirs at the PE budget, exactly the mixed deployment §5.1 anticipates
 //! (an operator migrating users to the adjustable detector one at a time).
 
-use crate::adaptive::AdaptiveFlexCore;
 use crate::detector::FlexCoreDetector;
 use crate::soft::{SoftDecision, SoftDetector, MISSING_HYPOTHESIS_LLR};
 use flexcore_detect::common::Detector;
 use flexcore_detect::linear::MmseDetector;
 use flexcore_detect::sic::SicDetector;
 use flexcore_modulation::Constellation;
-use flexcore_numeric::{CMat, Cx};
+use flexcore_numeric::{CMat, Cx, SymVec};
 
 /// The service quality a [`CellDetector`] variant delivers, ordered from
 /// best to cheapest. Overload policies (the city layer's shedding
@@ -38,12 +37,16 @@ pub enum ServiceTier {
 /// A per-user detector choice for a mixed cell — one type, so a
 /// [`FrameEngine`](../flexcore_engine) template (and therefore a
 /// streaming cell) can mix all variants per user.
+// A cell holds one of these per subcarrier slot and nearly all are the
+// FlexCore variant, so boxing it would buy no memory and put a pointer
+// chase in front of every forwarded call.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum CellDetector {
-    /// FlexCore spending its full `N_PE` path budget on every channel.
-    Fixed(FlexCoreDetector),
-    /// a-FlexCore with the §5.1 stopping criterion.
-    Adaptive(AdaptiveFlexCore),
+    /// Full tier: FlexCore, either spending its whole `N_PE` path budget on
+    /// every channel or (built by [`CellDetector::adaptive`]) a-FlexCore
+    /// with the §5.1 stopping criterion.
+    FlexCore(FlexCoreDetector),
     /// Degraded tier: ordered SIC (the shedding lever's first stop).
     Sic(SicDetector),
     /// Degraded tier: linear MMSE (the cheapest shedding tier).
@@ -53,13 +56,13 @@ pub enum CellDetector {
 impl CellDetector {
     /// A fixed FlexCore-`n_pe` user.
     pub fn fixed(constellation: Constellation, n_pe: usize) -> Self {
-        CellDetector::Fixed(FlexCoreDetector::with_pes(constellation, n_pe))
+        CellDetector::FlexCore(FlexCoreDetector::with_pes(constellation, n_pe))
     }
 
     /// An adaptive user: `n_pe` available PEs, cumulative-probability
     /// stopping target `threshold` (the paper uses 0.95).
     pub fn adaptive(constellation: Constellation, n_pe: usize, threshold: f64) -> Self {
-        CellDetector::Adaptive(AdaptiveFlexCore::new(constellation, n_pe, threshold))
+        CellDetector::FlexCore(FlexCoreDetector::adaptive(constellation, n_pe, threshold))
     }
 
     /// A downgraded user on the ordered-SIC tier.
@@ -83,7 +86,7 @@ impl CellDetector {
                 // Already-full users keep their exact variant; degraded
                 // users are restored to a fixed FlexCore at the paper's
                 // default budget of one PE per constellation point.
-                CellDetector::Fixed(_) | CellDetector::Adaptive(_) => self.clone(),
+                CellDetector::FlexCore(_) => self.clone(),
                 _ => CellDetector::fixed(c.clone(), c.order()),
             },
             ServiceTier::Sic => CellDetector::sic(c),
@@ -94,7 +97,7 @@ impl CellDetector {
     /// The service tier this variant delivers.
     pub fn tier(&self) -> ServiceTier {
         match self {
-            CellDetector::Fixed(_) | CellDetector::Adaptive(_) => ServiceTier::Full,
+            CellDetector::FlexCore(_) => ServiceTier::Full,
             CellDetector::Sic(_) => ServiceTier::Sic,
             CellDetector::Linear(_) => ServiceTier::Linear,
         }
@@ -105,16 +108,17 @@ impl CellDetector {
         self.tier() != ServiceTier::Full
     }
 
-    /// Whether this user runs the adaptive variant.
+    /// Whether this user runs the adaptive variant (a FlexCore configured
+    /// with a stopping threshold).
     pub fn is_adaptive(&self) -> bool {
-        matches!(self, CellDetector::Adaptive(_))
+        self.core()
+            .is_some_and(|d| d.config().stop_threshold.is_some())
     }
 
     /// The constellation this user transmits with (same across tiers).
     pub fn constellation(&self) -> &Constellation {
         match self {
-            CellDetector::Fixed(d) => d.constellation(),
-            CellDetector::Adaptive(d) => d.inner().constellation(),
+            CellDetector::FlexCore(d) => d.constellation(),
             CellDetector::Sic(d) => d.constellation(),
             CellDetector::Linear(d) => d.constellation(),
         }
@@ -124,8 +128,7 @@ impl CellDetector {
     /// `None` for the degraded tiers, which carry no trie state.
     pub fn core(&self) -> Option<&FlexCoreDetector> {
         match self {
-            CellDetector::Fixed(d) => Some(d),
-            CellDetector::Adaptive(d) => Some(d.inner()),
+            CellDetector::FlexCore(d) => Some(d),
             CellDetector::Sic(_) | CellDetector::Linear(_) => None,
         }
     }
@@ -140,7 +143,9 @@ impl CellDetector {
     /// `false` for a fixed user).
     pub fn retune_threshold(&mut self, t: f64) -> bool {
         match self {
-            CellDetector::Adaptive(d) => d.retune_threshold(t),
+            CellDetector::FlexCore(d) if d.config().stop_threshold.is_some() => {
+                d.retune_threshold(t)
+            }
             _ => false,
         }
     }
@@ -149,8 +154,7 @@ impl CellDetector {
 impl Detector for CellDetector {
     fn name(&self) -> String {
         match self {
-            CellDetector::Fixed(d) => d.name(),
-            CellDetector::Adaptive(d) => format!("a-{}", d.name()),
+            CellDetector::FlexCore(d) => d.name(),
             CellDetector::Sic(d) => d.name(),
             CellDetector::Linear(d) => d.name(),
         }
@@ -158,8 +162,7 @@ impl Detector for CellDetector {
 
     fn prepare(&mut self, h: &CMat, sigma2: f64) {
         match self {
-            CellDetector::Fixed(d) => d.prepare(h, sigma2),
-            CellDetector::Adaptive(d) => d.prepare(h, sigma2),
+            CellDetector::FlexCore(d) => d.prepare(h, sigma2),
             CellDetector::Sic(d) => d.prepare(h, sigma2),
             CellDetector::Linear(d) => d.prepare(h, sigma2),
         }
@@ -167,21 +170,19 @@ impl Detector for CellDetector {
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
         match self {
-            CellDetector::Fixed(d) => d.detect(y),
-            CellDetector::Adaptive(d) => d.detect(y),
+            CellDetector::FlexCore(d) => d.detect(y),
             CellDetector::Sic(d) => d.detect(y),
             CellDetector::Linear(d) => d.detect(y),
         }
     }
 
     fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
-        // Forward explicitly so the FlexCore variants keep their
-        // scratch-reuse batch fast path (the trait default would fall back
-        // per-vector); the degraded tiers have no batch state, so the
-        // per-vector default *is* their batch path.
+        // Forward explicitly so FlexCore keeps its scratch-reuse batch fast
+        // path (the trait default would fall back per-vector); the
+        // degraded tiers have no batch state, so the per-vector default
+        // *is* their batch path.
         match self {
-            CellDetector::Fixed(d) => d.detect_batch_refs(ys),
-            CellDetector::Adaptive(d) => d.detect_batch_refs(ys),
+            CellDetector::FlexCore(d) => d.detect_batch_refs(ys),
             CellDetector::Sic(d) => d.detect_batch_refs(ys),
             CellDetector::Linear(d) => d.detect_batch_refs(ys),
         }
@@ -189,8 +190,7 @@ impl Detector for CellDetector {
 
     fn effort(&self) -> usize {
         match self {
-            CellDetector::Fixed(d) => d.effort(),
-            CellDetector::Adaptive(d) => d.effort(),
+            CellDetector::FlexCore(d) => d.effort(),
             // One path's worth of work — the trait default, stated
             // explicitly because the LPT planner leans on it: a downgraded
             // user weighs (and costs) a single-path descent.
@@ -201,8 +201,7 @@ impl Detector for CellDetector {
 
     fn extension_work(&self) -> usize {
         match self {
-            CellDetector::Fixed(d) => d.extension_work(),
-            CellDetector::Adaptive(d) => d.extension_work(),
+            CellDetector::FlexCore(d) => d.extension_work(),
             CellDetector::Sic(d) => d.extension_work(),
             CellDetector::Linear(d) => d.extension_work(),
         }
@@ -212,8 +211,7 @@ impl Detector for CellDetector {
 impl SoftDetector for CellDetector {
     fn detect_soft(&self, y: &[Cx], sigma2: f64) -> SoftDecision {
         match self {
-            CellDetector::Fixed(d) => d.detect_soft(y, sigma2),
-            CellDetector::Adaptive(d) => SoftDetector::detect_soft(d, y, sigma2),
+            CellDetector::FlexCore(d) => d.detect_soft(y, sigma2),
             CellDetector::Sic(d) => sic_soft(d, y, sigma2),
             CellDetector::Linear(d) => mmse_soft(d, y, sigma2),
         }
@@ -234,16 +232,16 @@ fn sic_soft(d: &SicDetector, y: &[Cx], sigma2: f64) -> SoftDecision {
     let nt = tri.nt();
     let bps = c.bits_per_symbol();
     let ybar = tri.rotate(y);
-    let mut symbols = vec![0usize; nt];
+    let mut symbols = SymVec::zeroed(nt);
     let mut row_llrs = vec![vec![0.0f64; bps]; nt];
     let mut bits = vec![0u8; bps];
     for row in (0..nt).rev() {
-        let eff = tri.effective_point(&ybar, &symbols, row);
-        symbols[row] = c.slice(eff);
+        let eff = tri.effective_point(&ybar, symbols.as_slice(), row);
+        symbols.set(row, c.slice(eff) as u16);
         let mut min0 = vec![f64::INFINITY; bps];
         let mut min1 = vec![f64::INFINITY; bps];
         for sym in 0..c.order() {
-            let ped = tri.ped_increment(&ybar, &symbols, row, sym);
+            let ped = tri.ped_increment(&ybar, symbols.as_slice(), row, sym);
             c.index_to_bits_into(sym, &mut bits);
             for (b, &bit) in bits.iter().enumerate() {
                 let slot = if bit == 0 { &mut min0 } else { &mut min1 };
@@ -265,7 +263,7 @@ fn sic_soft(d: &SicDetector, y: &[Cx], sigma2: f64) -> SoftDecision {
     }
     SoftDecision {
         llrs,
-        hard: tri.unpermute(&symbols),
+        hard: tri.unpermute(symbols.as_slice()),
     }
 }
 
@@ -353,13 +351,13 @@ mod tests {
     fn adaptive_variant_is_transparent() {
         let (h, sigma2, ys, c) = workload(2);
         let mut wrapped = CellDetector::adaptive(c.clone(), 16, 0.95);
-        let mut plain = AdaptiveFlexCore::new(c, 16, 0.95);
+        let mut plain = FlexCoreDetector::adaptive(c, 16, 0.95);
         wrapped.prepare(&h, sigma2);
         plain.prepare(&h, sigma2);
         assert!(wrapped.is_adaptive());
         assert_eq!(wrapped.effort(), plain.effort());
         let core = wrapped.core().unwrap();
-        assert_eq!(core.active_paths(), plain.active_pes());
+        assert_eq!(core.active_paths(), plain.active_paths());
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
         assert_eq!(
             wrapped.detect_batch_refs(&refs),
@@ -427,11 +425,16 @@ mod tests {
     #[test]
     fn tier_ladder_round_trips_through_for_tier() {
         let c = Constellation::new(Modulation::Qam16);
-        let full = CellDetector::adaptive(c.clone(), 12, 0.95);
+        let full = CellDetector::adaptive(c.clone(), 16, 0.95);
         let sic = full.for_tier(ServiceTier::Sic);
         assert_eq!(sic.tier(), ServiceTier::Sic);
         let lin = sic.for_tier(ServiceTier::Linear);
         assert_eq!(lin.tier(), ServiceTier::Linear);
+        // Each tier prints the figure-legend name of the detector inside.
+        assert_eq!(full.name(), "a-FlexCore(N_PE=16, t=0.95)");
+        assert_eq!(lin.for_tier(ServiceTier::Full).name(), "FlexCore(N_PE=16)");
+        assert_eq!(sic.name(), "SIC");
+        assert_eq!(lin.name(), "MMSE");
         // A full-tier request on an already-full user keeps the variant…
         assert!(full.for_tier(ServiceTier::Full).is_adaptive());
         // …while restoring a degraded user yields fixed FlexCore at one PE

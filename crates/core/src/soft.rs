@@ -19,7 +19,6 @@
 //! example). Larger `N_PE` improves both the hard decision and LLR
 //! fidelity.
 
-use crate::adaptive::AdaptiveFlexCore;
 use crate::detector::{FlexCoreDetector, WalkScratch};
 use flexcore_detect::common::{first_min_metric, Detector};
 use flexcore_numeric::Cx;
@@ -45,8 +44,10 @@ pub struct SoftDecision {
 ///
 /// The soft uplink paths in `flexcore-phy::soft_link` are generic over
 /// this trait, so a streaming cell can mix fixed-budget FlexCore,
-/// a-FlexCore, or any future list detector per user without the service
-/// layer caring. The contract ties the soft output to the hard one:
+/// a-FlexCore (whose list is the *adaptively activated* path set — fewer
+/// candidates, hence coarser LLRs, exactly where the stopping criterion
+/// judged the channel easy), or any future list detector per user without
+/// the service layer caring. The contract ties the soft output to the hard one:
 /// [`SoftDetector::detect_soft`]'s `hard` field must be **bit-identical**
 /// to [`Detector::detect`] on the same prepared state, so the soft and
 /// hard pipelines stay RNG- and decision-lockstepped (the workspace's
@@ -64,16 +65,6 @@ impl SoftDetector for FlexCoreDetector {
         // Inherent method (defined below); inherent resolution wins, so
         // this is not a recursive trait call.
         FlexCoreDetector::detect_soft(self, y, sigma2)
-    }
-}
-
-impl SoftDetector for AdaptiveFlexCore {
-    /// a-FlexCore's soft output is its inner FlexCore's over the
-    /// *adaptively activated* path set — fewer candidates on easy
-    /// channels, so LLR fidelity degrades exactly where the stopping
-    /// criterion judged the channel easy enough not to need it.
-    fn detect_soft(&self, y: &[Cx], sigma2: f64) -> SoftDecision {
-        self.inner().detect_soft(y, sigma2)
     }
 }
 
@@ -274,25 +265,25 @@ mod tests {
 
     #[test]
     fn adaptive_soft_agrees_with_its_active_path_set() {
-        // The SoftDetector impl for a-FlexCore must demap over exactly the
-        // activated candidate list: hard decisions match detect(), and with
-        // the stopping criterion disabled (threshold 1.0) the LLRs are
-        // bit-identical to the fixed detector's.
+        // a-FlexCore demaps over exactly the activated candidate list: hard
+        // decisions match detect(), and with the stopping criterion
+        // disabled (threshold 1.0) the LLRs are bit-identical to the fixed
+        // detector's.
         let c = Constellation::new(Modulation::Qam16);
         let mut rng = StdRng::seed_from_u64(21);
         let h = ChannelEnsemble::iid(4, 4).draw(&mut rng);
         let sigma2 = sigma2_from_snr_db(14.0);
-        let mut adaptive = AdaptiveFlexCore::new(c.clone(), 16, 1.0);
+        let mut adaptive = FlexCoreDetector::adaptive(c.clone(), 16, 1.0);
         let mut fixed = FlexCoreDetector::with_pes(c.clone(), 16);
         adaptive.prepare(&h, sigma2);
         fixed.prepare(&h, sigma2);
-        assert_eq!(adaptive.active_pes(), fixed.active_paths());
+        assert_eq!(adaptive.active_paths(), fixed.active_paths());
         let ch = MimoChannel::new(h, 14.0);
         for _ in 0..10 {
             let s: Vec<usize> = (0..4).map(|_| rng.gen_range(0..16)).collect();
             let x: Vec<flexcore_numeric::Cx> = s.iter().map(|&i| c.point(i)).collect();
             let y = ch.transmit(&x, &mut rng);
-            let soft_a = SoftDetector::detect_soft(&adaptive, &y, sigma2);
+            let soft_a = adaptive.detect_soft(&y, sigma2);
             assert_eq!(soft_a.hard, adaptive.detect(&y));
             let soft_f = fixed.detect_soft(&y, sigma2);
             for (ra, rf) in soft_a.llrs.iter().zip(&soft_f.llrs) {

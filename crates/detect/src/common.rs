@@ -3,7 +3,7 @@
 
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::Qr;
-use flexcore_numeric::{CMat, Cx, CxLane, FlopCounter, SymVec, LANES};
+use flexcore_numeric::{CMat, Cx, CxLane, SymVec, LANES};
 
 /// Object-safe detector interface shared by every scheme in the workspace.
 ///
@@ -31,27 +31,16 @@ pub trait Detector {
     /// Detects a batch of received vectors observed under the **same**
     /// prepared channel — e.g. every OFDM symbol of one subcarrier in a
     /// frame — amortising the per-channel pre-processing exactly as §3 of
-    /// the paper prescribes.
+    /// the paper prescribes. The vectors are borrowed: the frame engine's
+    /// flat frame plane lends each one as a `&[Cx]` without cloning.
     ///
     /// The contract is strict: the result must be **bit-identical** to
     /// `ys.iter().map(|y| self.detect(y))`, whatever the implementation
     /// does internally (the frame engine and its substrate-equivalence
-    /// tests rely on this). This method only adapts the owned-vector shape;
-    /// override [`Detector::detect_batch_refs`] to hoist per-batch work.
-    fn detect_batch(&self, ys: &[Vec<Cx>]) -> Vec<Vec<usize>> {
-        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        self.detect_batch_refs(&refs)
-    }
-
-    /// Borrowed-slice batch detection — the shape the frame engine feeds
-    /// (its flat frame plane lends each received vector as a `&[Cx]`
-    /// without cloning).
-    ///
-    /// Same strict contract as [`Detector::detect_batch`]: results must be
-    /// bit-identical to per-vector [`Detector::detect`]. Implementations
-    /// override this (not `detect_batch`) to reuse one scratch workspace
-    /// across the whole batch, exactly as a hardware PE streams
-    /// back-to-back subcarrier symbols through one set of registers.
+    /// tests rely on this). Implementations override this to reuse one
+    /// scratch workspace across the whole batch, exactly as a hardware PE
+    /// streams back-to-back subcarrier symbols through one set of
+    /// registers.
     fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
         ys.iter().map(|y| self.detect(y)).collect()
     }
@@ -139,6 +128,10 @@ pub struct PathScratch {
     /// tree row `row`. Empty until a blocked evaluation first primes it;
     /// reused (no reallocation) thereafter.
     pub plane: Vec<u16>,
+    /// The lane-resident constellation points of `plane` (`points[row]` =
+    /// the four decided points at `row`), kept in sync with it — the input
+    /// of the `_lanes` kernels. Primed and reused like `plane`.
+    pub points: Vec<CxLane>,
 }
 
 impl PathScratch {
@@ -148,6 +141,14 @@ impl PathScratch {
     /// store first spills — after which both buffers are reused).
     pub fn new() -> Self {
         PathScratch::default()
+    }
+
+    /// Records lane `lane`'s decision `sym` at `row` in both lane planes.
+    pub(crate) fn decide_lane(&mut self, c: &Constellation, row: usize, lane: usize, sym: usize) {
+        self.plane[row * LANES + lane] = sym as u16;
+        let pt = c.point(sym);
+        self.points[row].re[lane] = pt.re;
+        self.points[row].im[lane] = pt.im;
     }
 
     /// Rotates `y` into the workspace's `ybar` buffer via
@@ -206,23 +207,12 @@ impl Triangular {
     /// The *effective received point* at row `row` (Eq. 5):
     /// `ỹ = (ȳ_row − Σ_{p>row} R(row,p)·s_p) / R(row,row)`,
     /// where `symbols[p]` for `p > row` holds the already-decided symbol
-    /// indices (entries `< row` are ignored).
+    /// indices (entries `≤ row` are ignored) — a [`SymVec`]'s `as_slice()`,
+    /// the workspace's one symbol storage.
     ///
     /// Slicing this point gives the zero-forcing decision for the row given
     /// the decisions above it.
-    pub fn effective_point(&self, ybar: &[Cx], symbols: &[usize], row: usize) -> Cx {
-        let r = &self.qr.r;
-        let mut acc = ybar[row];
-        for p in row + 1..self.nt() {
-            acc -= r[(row, p)] * self.constellation.point(symbols[p]);
-        }
-        acc / r[(row, row)]
-    }
-
-    /// [`Triangular::effective_point`] over the `u16` symbol storage of a
-    /// scratch workspace ([`SymVec`]). Same term values in the same order,
-    /// so the result is bit-identical to the `usize` variant.
-    pub fn effective_point_sym(&self, ybar: &[Cx], symbols: &[u16], row: usize) -> Cx {
+    pub fn effective_point(&self, ybar: &[Cx], symbols: &[u16], row: usize) -> Cx {
         let r = &self.qr.r;
         let mut acc = ybar[row];
         for p in row + 1..self.nt() {
@@ -231,84 +221,22 @@ impl Triangular {
         acc / r[(row, row)]
     }
 
-    /// Counted variant of [`Triangular::effective_point`]: tallies the
-    /// complex multiplies and the division (Table 1 / Table 2 accounting).
-    pub fn effective_point_counted(
-        &self,
-        ybar: &[Cx],
-        symbols: &[usize],
-        row: usize,
-        flops: &mut FlopCounter,
-    ) -> Cx {
-        let n_terms = (self.nt() - row - 1) as u64;
-        flops.cmul(n_terms);
-        flops.cadd(n_terms);
-        flops.cmul(1); // the division by R(row,row)
-        self.effective_point(ybar, symbols, row)
-    }
-
-    /// Partial-Euclidean-distance increment at `row` for choosing symbol
-    /// index `sym` (Eq. 1): `|ȳ_row − Σ_{p≥row} R(row,p)·s_p|²`.
-    pub fn ped_increment(&self, ybar: &[Cx], symbols: &[usize], row: usize, sym: usize) -> f64 {
-        let r = &self.qr.r;
-        let mut acc = ybar[row] - r[(row, row)] * self.constellation.point(sym);
-        for p in row + 1..self.nt() {
-            acc -= r[(row, p)] * self.constellation.point(symbols[p]);
-        }
-        acc.norm_sqr()
-    }
-
-    /// [`Triangular::ped_increment`] over `u16` scratch storage
-    /// (bit-identical to the `usize` variant).
-    pub fn ped_increment_sym(&self, ybar: &[Cx], symbols: &[u16], row: usize, sym: usize) -> f64 {
-        let r = &self.qr.r;
-        let mut acc = ybar[row] - r[(row, row)] * self.constellation.point(sym);
-        for p in row + 1..self.nt() {
-            acc -= r[(row, p)] * self.constellation.point(symbols[p] as usize);
-        }
-        acc.norm_sqr()
-    }
-
-    /// Four-wide [`Triangular::effective_point_sym`]: computes the
-    /// effective received point at `row` for **four independent lanes at
-    /// once** (four tree paths, or four observations sharing one channel).
+    /// Four-wide [`Triangular::effective_point`]: the effective received
+    /// point at `row` for **four independent lanes at once** (four tree
+    /// paths, or four observations sharing one channel).
     ///
     /// * `ybar_lane` — lane `l` holds `ȳ_row` of lane `l`'s observation
     ///   (splat one value when all lanes share an observation);
-    /// * `symbols_plane` — level-major, lane-minor SoA plane:
-    ///   `symbols_plane[p * LANES + l]` is lane `l`'s decision for row `p`
-    ///   (entries at rows `≤ row` are ignored).
+    /// * `points` — the lane-resident points plane: `points[p]` holds the
+    ///   four decided constellation points at row `p` (entries at rows
+    ///   `≤ row` are ignored), so the cancellation is contiguous lane
+    ///   arithmetic with no per-term symbol-index gather.
     ///
     /// The `R` coefficients are broadcast, the cancellation runs in
     /// ascending `p` exactly as the scalar kernel, and the division
     /// replicates `Cx`'s divide-via-reciprocal — so lane `l` is
-    /// bit-identical to `effective_point_sym` on lane `l`'s inputs.
+    /// bit-identical to `effective_point` on lane `l`'s inputs.
     pub fn effective_point_lanes(
-        &self,
-        ybar_lane: CxLane,
-        symbols_plane: &[u16],
-        row: usize,
-    ) -> CxLane {
-        let r = &self.qr.r;
-        let mut acc = ybar_lane;
-        for p in row + 1..self.nt() {
-            let coef = CxLane::splat(r[(row, p)]);
-            let pts = CxLane::from_fn(|l| {
-                self.constellation
-                    .point(symbols_plane[p * LANES + l] as usize)
-            });
-            acc.sub_mul(coef, pts);
-        }
-        acc.div_scalar(r[(row, row)])
-    }
-
-    /// [`Triangular::effective_point_lanes`] over a **lane-resident points
-    /// plane**: `points[p]` already holds the four decided constellation
-    /// points at row `p` (entries at rows `≤ row` are ignored), so the
-    /// cancellation is pure contiguous lane arithmetic with no per-term
-    /// symbol-index gather. Values and order are identical to the plane
-    /// variant — the caller just materialised the same points earlier.
-    pub fn effective_point_from_points(
         &self,
         ybar_lane: CxLane,
         points: &[CxLane],
@@ -322,7 +250,18 @@ impl Triangular {
         acc.div_scalar(r[(row, row)])
     }
 
-    /// Four-wide [`Triangular::ped_increment_sym`] over **four consecutive
+    /// Partial-Euclidean-distance increment at `row` for choosing symbol
+    /// index `sym` (Eq. 1): `|ȳ_row − Σ_{p≥row} R(row,p)·s_p|²`.
+    pub fn ped_increment(&self, ybar: &[Cx], symbols: &[u16], row: usize, sym: usize) -> f64 {
+        let r = &self.qr.r;
+        let mut acc = ybar[row] - r[(row, row)] * self.constellation.point(sym);
+        for p in row + 1..self.nt() {
+            acc -= r[(row, p)] * self.constellation.point(symbols[p] as usize);
+        }
+        acc.norm_sqr()
+    }
+
+    /// Four-wide [`Triangular::ped_increment`] over **four consecutive
     /// candidate symbols** `sym0..sym0+4` of one survivor path: lane `l`
     /// returns the PED increment for candidate `sym0 + l`. The survivor's
     /// interference terms (identical across candidates) are broadcast;
@@ -337,7 +276,7 @@ impl Triangular {
         row: usize,
         sym0: usize,
     ) -> [f64; LANES] {
-        // flexcore-lint: scalar-twin = ped_increment_sym
+        // flexcore-lint: scalar-twin = ped_increment
         let r = &self.qr.r;
         let mut acc = CxLane::splat(ybar[row]);
         let pts = CxLane::load(&self.constellation.points()[sym0..sym0 + LANES]);
@@ -350,61 +289,38 @@ impl Triangular {
         acc.norm_sqr()
     }
 
-    /// Four-wide [`Triangular::ped_increment_sym`] over **four independent
-    /// lanes** (paths/observations): lane `l` scores its own chosen symbol
-    /// `syms[l]` at `row` against its own observation and its own decisions
-    /// above (`symbols_plane`, level-major lane-minor as in
-    /// [`Triangular::effective_point_lanes`]). Bit-identical per lane to
-    /// the scalar kernel.
+    /// Four-wide [`Triangular::ped_increment`] over **four independent
+    /// lanes** (paths/observations): lane `l` scores its own chosen point
+    /// `points[row]` against its own observation and its own decisions
+    /// above (the points plane of [`Triangular::effective_point_lanes`]).
+    /// Bit-identical per lane to the scalar kernel.
     pub fn ped_increment_lanes(
         &self,
         ybar_lane: CxLane,
-        symbols_plane: &[u16],
+        points: &[CxLane],
         row: usize,
-        syms: [u16; LANES],
     ) -> [f64; LANES] {
         let r = &self.qr.r;
         let mut acc = ybar_lane;
-        let pts = CxLane::from_fn(|l| self.constellation.point(syms[l] as usize));
-        acc.sub_mul(CxLane::splat(r[(row, row)]), pts);
-        for p in row + 1..self.nt() {
-            let coef = CxLane::splat(r[(row, p)]);
-            let s = CxLane::from_fn(|l| {
-                self.constellation
-                    .point(symbols_plane[p * LANES + l] as usize)
-            });
-            acc.sub_mul(coef, s);
+        for p in row..self.nt() {
+            acc.sub_mul(CxLane::splat(r[(row, p)]), points[p]);
         }
         acc.norm_sqr()
     }
 
     /// Full path metric `‖ȳ − R·s‖²` for a complete symbol-index vector.
-    pub fn path_metric(&self, ybar: &[Cx], symbols: &[usize]) -> f64 {
+    pub fn path_metric(&self, ybar: &[Cx], symbols: &[u16]) -> f64 {
         (0..self.nt())
-            .map(|row| self.ped_increment(ybar, symbols, row, symbols[row]))
+            .map(|row| self.ped_increment(ybar, symbols, row, symbols[row] as usize))
             .sum()
     }
 
-    /// [`Triangular::path_metric`] over `u16` scratch storage
-    /// (bit-identical to the `usize` variant).
-    pub fn path_metric_sym(&self, ybar: &[Cx], symbols: &[u16]) -> f64 {
-        (0..self.nt())
-            .map(|row| self.ped_increment_sym(ybar, symbols, row, symbols[row] as usize))
-            .sum()
-    }
-
-    /// Undoes the QR column permutation, mapping per-level symbol decisions
-    /// back to original stream order.
-    pub fn unpermute(&self, symbols: &[usize]) -> Vec<usize> {
-        self.qr.unpermute(symbols)
-    }
-
-    /// Undoes the QR column permutation on `u16` scratch decisions (a
-    /// [`SymVec`]'s `as_slice()` or a flat-grid stripe), widening to the
-    /// `Vec<usize>` shape every detector returns. One allocation — the
+    /// Undoes the QR column permutation on tree-order decisions, widening
+    /// to the `Vec<usize>` shape every detector returns — the one place the
+    /// workspace's `u16` symbol storage becomes `usize`. One allocation: the
     /// output itself, which the public API owes the caller anyway.
-    pub fn unpermute_sym(&self, symbols: &[u16]) -> Vec<usize> {
-        assert_eq!(symbols.len(), self.qr.perm.len(), "unpermute_sym: length");
+    pub fn unpermute(&self, symbols: &[u16]) -> Vec<usize> {
+        assert_eq!(symbols.len(), self.qr.perm.len(), "unpermute: length");
         // flexcore-lint: allow(FL001, reason = "the returned decision vector is the one allocation the public detector API owes the caller; alloc_regression budgets it")
         let mut out = vec![0usize; symbols.len()];
         for (j, &p) in self.qr.perm.iter().enumerate() {
@@ -424,18 +340,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn setup(nt: usize, seed: u64) -> (Triangular, Vec<usize>, Vec<Cx>) {
+    fn setup_mod(nt: usize, m: Modulation, seed: u64) -> (Triangular, Vec<u16>, Vec<Cx>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let h = CMat::from_fn(nt, nt, |_, _| rng.cx_normal(1.0));
-        let c = Constellation::new(Modulation::Qam16);
+        let c = Constellation::new(m);
         let qr = sorted_qr_sqrd(&h);
         let tri = Triangular::new(qr, c.clone());
         // Random transmitted symbols (in permuted order for convenience).
-        let s: Vec<usize> = (0..nt).map(|_| rng.gen_range(0..c.order())).collect();
-        let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
+        let s: Vec<u16> = (0..nt)
+            .map(|_| rng.gen_range(0..c.order()) as u16)
+            .collect();
+        let x: Vec<Cx> = s.iter().map(|&i| c.point(i as usize)).collect();
         let hp = h.permute_cols(&tri.qr.perm);
         let y = hp.mul_vec(&x);
         (tri, s, y)
+    }
+
+    fn setup(nt: usize, seed: u64) -> (Triangular, Vec<u16>, Vec<Cx>) {
+        setup_mod(nt, Modulation::Qam16, seed)
     }
 
     #[test]
@@ -446,7 +368,7 @@ mod tests {
         let ybar = tri.rotate(&y);
         for row in (0..6).rev() {
             let eff = tri.effective_point(&ybar, &s, row);
-            let want = tri.constellation.point(s[row]);
+            let want = tri.constellation.point(s[row] as usize);
             assert!((eff - want).abs() < 1e-9, "row {row}");
         }
     }
@@ -458,7 +380,7 @@ mod tests {
         assert!(tri.path_metric(&ybar, &s) < 1e-16);
         // And strictly positive for any wrong path.
         let mut wrong = s.clone();
-        wrong[2] = (wrong[2] + 1) % tri.constellation.order();
+        wrong[2] = (wrong[2] + 1) % tri.constellation.order() as u16;
         assert!(tri.path_metric(&ybar, &wrong) > 1e-6);
     }
 
@@ -467,24 +389,12 @@ mod tests {
         let (tri, s, y) = setup(4, 3);
         let ybar = tri.rotate(&y);
         let mut wrong = s.clone();
-        wrong[0] = (wrong[0] + 5) % tri.constellation.order();
-        wrong[3] = (wrong[3] + 9) % tri.constellation.order();
+        wrong[0] = (wrong[0] + 5) % tri.constellation.order() as u16;
+        wrong[3] = (wrong[3] + 9) % tri.constellation.order() as u16;
         let sum: f64 = (0..4)
-            .map(|row| tri.ped_increment(&ybar, &wrong, row, wrong[row]))
+            .map(|row| tri.ped_increment(&ybar, &wrong, row, wrong[row] as usize))
             .sum();
         assert!((sum - tri.path_metric(&ybar, &wrong)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counted_effective_point_tallies() {
-        let (tri, s, y) = setup(4, 4);
-        let ybar = tri.rotate(&y);
-        let mut f = FlopCounter::new();
-        let a = tri.effective_point_counted(&ybar, &s, 1, &mut f);
-        let b = tri.effective_point(&ybar, &s, 1);
-        assert_eq!(a, b);
-        // 2 cancellation terms (rows 2,3) + 1 division = 3 cmuls = 12 mults.
-        assert_eq!(f.mults, 12);
     }
 
     #[test]
@@ -492,81 +402,60 @@ mod tests {
         let (tri, s, _) = setup(5, 5);
         let orig = tri.unpermute(&s);
         for (j, &p) in tri.qr.perm.iter().enumerate() {
-            assert_eq!(orig[p], s[j]);
+            assert_eq!(orig[p], s[j] as usize);
         }
-    }
-
-    #[test]
-    fn sym_kernels_are_bit_identical_to_usize_kernels() {
-        use flexcore_numeric::SymVec;
-        let (tri, s, y) = setup(6, 6);
-        let ybar = tri.rotate(&y);
-        let sym = SymVec::from_indices(&s);
-        for row in 0..6 {
-            let a = tri.effective_point(&ybar, &s, row);
-            let b = tri.effective_point_sym(&ybar, sym.as_slice(), row);
-            assert_eq!(
-                (a.re.to_bits(), a.im.to_bits()),
-                (b.re.to_bits(), b.im.to_bits())
-            );
-            for cand in 0..tri.constellation.order() {
-                let pa = tri.ped_increment(&ybar, &s, row, cand);
-                let pb = tri.ped_increment_sym(&ybar, sym.as_slice(), row, cand);
-                assert_eq!(pa.to_bits(), pb.to_bits());
-            }
-        }
-        assert_eq!(
-            tri.path_metric(&ybar, &s).to_bits(),
-            tri.path_metric_sym(&ybar, sym.as_slice()).to_bits()
-        );
-        assert_eq!(tri.unpermute(&s), tri.unpermute_sym(sym.as_slice()));
     }
 
     #[test]
     fn lane_kernels_match_scalar_kernels_bitwise() {
-        use flexcore_numeric::{CxLane, SymVec, LANES};
-        let (tri, s, y) = setup(6, 16);
-        let ybar = tri.rotate(&y);
-        let mut rng = StdRng::seed_from_u64(99);
-        // Four independent symbol vectors → one level-major lane-minor plane.
-        let lanes_syms: Vec<Vec<usize>> = (0..LANES)
-            .map(|_| {
-                (0..6)
-                    .map(|_| rng.gen_range(0..tri.constellation.order()))
-                    .collect()
-            })
-            .collect();
-        let mut plane = vec![0u16; 6 * LANES];
-        for (l, v) in lanes_syms.iter().enumerate() {
-            for (p, &sym) in v.iter().enumerate() {
-                plane[p * LANES + l] = sym as u16;
-            }
-        }
-        let ybar_lane = CxLane::splat(ybar[2]);
-        // effective_point_lanes vs scalar per lane.
-        let eff = tri.effective_point_lanes(ybar_lane, &plane, 2);
-        for (l, lane_syms) in lanes_syms.iter().enumerate() {
-            let want = tri.effective_point(&ybar, lane_syms, 2);
-            let got = eff.get(l);
-            assert_eq!(
-                (want.re.to_bits(), want.im.to_bits()),
-                (got.re.to_bits(), got.im.to_bits())
-            );
-        }
-        // ped_increment_lanes vs scalar per lane.
-        let chosen = [1u16, 5, 9, 14];
-        let peds = tri.ped_increment_lanes(ybar_lane, &plane, 2, chosen);
-        for l in 0..LANES {
-            let want = tri.ped_increment(&ybar, &lanes_syms[l], 2, chosen[l] as usize);
-            assert_eq!(want.to_bits(), peds[l].to_bits());
-        }
-        // ped_increment_block vs scalar per candidate, one shared survivor.
-        let sym = SymVec::from_indices(&s);
-        for sym0 in (0..tri.constellation.order() - LANES + 1).step_by(LANES) {
-            let block = tri.ped_increment_block(&ybar, sym.as_slice(), 1, sym0);
-            for (l, got) in block.iter().enumerate() {
-                let want = tri.ped_increment(&ybar, &s, 1, sym0 + l);
-                assert_eq!(want.to_bits(), got.to_bits());
+        // Widths on both sides of every lane and spill boundary × every
+        // modulation with a full candidate block; the scalar kernels on
+        // lane `l`'s inputs are the reference.
+        for nt in [1usize, 4, 16, 17, 64] {
+            for m in [
+                Modulation::Qpsk,
+                Modulation::Qam16,
+                Modulation::Qam64,
+                Modulation::Qam256,
+            ] {
+                let (tri, s, y) = setup_mod(nt, m, 16 + nt as u64);
+                let q = tri.constellation.order();
+                let ybar = tri.rotate(&y);
+                let mut rng = StdRng::seed_from_u64(99);
+                // Four independent decision vectors and their points plane.
+                let lanes_syms: Vec<Vec<u16>> = (0..LANES)
+                    .map(|_| (0..nt).map(|_| rng.gen_range(0..q) as u16).collect())
+                    .collect();
+                let points: Vec<CxLane> = (0..nt)
+                    .map(|p| {
+                        CxLane::from_fn(|l| tri.constellation.point(lanes_syms[l][p] as usize))
+                    })
+                    .collect();
+                for row in [0, nt / 2, nt - 1] {
+                    let ybar_lane = CxLane::splat(ybar[row]);
+                    let eff = tri.effective_point_lanes(ybar_lane, &points, row);
+                    let peds = tri.ped_increment_lanes(ybar_lane, &points, row);
+                    for (l, syms) in lanes_syms.iter().enumerate() {
+                        let want = tri.effective_point(&ybar, syms, row);
+                        let got = eff.get(l);
+                        assert_eq!(
+                            (want.re.to_bits(), want.im.to_bits()),
+                            (got.re.to_bits(), got.im.to_bits()),
+                            "eff nt={nt} {m:?} row={row}"
+                        );
+                        let want = tri.ped_increment(&ybar, syms, row, syms[row] as usize);
+                        assert_eq!(want.to_bits(), peds[l].to_bits(), "ped nt={nt} {m:?}");
+                    }
+                    // ped_increment_block vs scalar per candidate, one
+                    // shared survivor.
+                    for sym0 in (0..=q - LANES).step_by(LANES) {
+                        let block = tri.ped_increment_block(&ybar, &s, row, sym0);
+                        for (l, got) in block.iter().enumerate() {
+                            let want = tri.ped_increment(&ybar, &s, row, sym0 + l);
+                            assert_eq!(want.to_bits(), got.to_bits(), "block nt={nt} {m:?}");
+                        }
+                    }
+                }
             }
         }
     }

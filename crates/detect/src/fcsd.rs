@@ -66,21 +66,11 @@ impl FcsdDetector {
         self.tri.as_ref().expect("FCSD: prepare() not called")
     }
 
-    /// Evaluates path number `path_idx ∈ 0..paths()`: the top `L` symbols
-    /// are the base-`|Q|` digits of `path_idx`; the rest is a SIC descent.
-    /// Returns `(symbols, metric)` in permuted (tree) order.
-    ///
-    /// Thin allocating wrapper over [`FcsdDetector::run_path_into`]
-    /// (bit-identical results).
-    pub fn run_path(&self, ybar: &[Cx], path_idx: usize) -> (Vec<usize>, f64) {
-        let mut scratch = PathScratch::new();
-        let metric = self.run_path_into(ybar, path_idx, &mut scratch);
-        (scratch.symbols.to_indices(), metric)
-    }
-
-    /// Allocation-free path evaluation: writes the path's per-level symbol
-    /// decisions into `scratch.symbols` (tree order) and returns the path
-    /// metric. FCSD paths never deactivate, so the metric is unconditional.
+    /// Evaluates path number `path_idx ∈ 0..paths()` without allocating:
+    /// the top `L` symbols are the base-`|Q|` digits of `path_idx`; the rest
+    /// is a SIC descent. Writes the path's per-level symbol decisions into
+    /// `scratch.symbols` (tree order) and returns the path metric. FCSD
+    /// paths never deactivate, so the metric is unconditional.
     ///
     /// # Panics
     /// Panics if `prepare` was never called.
@@ -100,12 +90,12 @@ impl FcsdDetector {
         debug_assert_eq!(rem, 0, "path_idx out of range");
         // Single-child (SIC) descent below.
         for row in (0..nt - self.l_full).rev() {
-            let eff = tri.effective_point_sym(ybar, scratch.symbols.as_slice(), row);
+            let eff = tri.effective_point(ybar, scratch.symbols.as_slice(), row);
             scratch
                 .symbols
                 .set(row, self.constellation.slice(eff) as u16);
         }
-        tri.path_metric_sym(ybar, scratch.symbols.as_slice())
+        tri.path_metric(ybar, scratch.symbols.as_slice())
     }
 
     /// Runs all paths on a processing-element pool and returns the decision
@@ -129,7 +119,7 @@ impl FcsdDetector {
         let results = pool.run(tasks);
         // flexcore-lint: allow(FL004, reason = "paths() = |Q|^L >= 1 and every FCSD path completes, so the minimum exists")
         let (i, _) = first_min_metric(results.iter().map(|&(_, m)| m)).expect("at least one path");
-        tri.unpermute_sym(results[i].0.as_slice())
+        tri.unpermute(results[i].0.as_slice())
     }
 
     /// Evaluates four consecutive paths `path0..path0+4` at once through
@@ -137,7 +127,8 @@ impl FcsdDetector {
     /// fix, SIC descent and path-metric sum replay the scalar
     /// [`FcsdDetector::run_path_into`] operation chain exactly (the `R`
     /// coefficients are broadcast, the per-lane symbol decisions live in
-    /// `scratch.plane`, and the metric accumulates row-ascending from
+    /// `scratch.plane` with their constellation points beside them in
+    /// `scratch.points`, and the metric accumulates row-ascending from
     /// `0.0`), so each lane's metric and symbols are bit-identical to the
     /// scalar path evaluation.
     fn run_path_block(&self, ybar: &[Cx], path0: usize, scratch: &mut PathScratch) -> [f64; LANES] {
@@ -149,12 +140,13 @@ impl FcsdDetector {
         let q = self.constellation.order();
         scratch.plane.clear();
         scratch.plane.resize(nt * LANES, 0);
-        let plane = &mut scratch.plane;
+        scratch.points.clear();
+        scratch.points.resize(nt, CxLane::zero());
         // Fix the fully-enumerated top levels, per lane.
         for l in 0..LANES {
             let mut rem = path0 + l;
             for lvl in 0..self.l_full {
-                plane[(nt - 1 - lvl) * LANES + l] = (rem % q) as u16;
+                scratch.decide_lane(&self.constellation, nt - 1 - lvl, l, rem % q);
                 rem /= q;
             }
             debug_assert_eq!(rem, 0, "path_idx out of range");
@@ -162,17 +154,16 @@ impl FcsdDetector {
         // Four-wide SIC descent: one effective point per row for all four
         // paths, sliced per lane.
         for row in (0..nt - self.l_full).rev() {
-            let eff = tri.effective_point_lanes(CxLane::splat(ybar[row]), plane, row);
+            let eff = tri.effective_point_lanes(CxLane::splat(ybar[row]), &scratch.points, row);
             for l in 0..LANES {
-                plane[row * LANES + l] = self.constellation.slice(eff.get(l)) as u16;
+                let sym = self.constellation.slice(eff.get(l));
+                scratch.decide_lane(&self.constellation, row, l, sym);
             }
         }
-        // Four-wide path metric, row-ascending as in `path_metric_sym`.
+        // Four-wide path metric, row-ascending as in `path_metric`.
         let mut metrics = [0.0; LANES];
-        for row in 0..nt {
-            let mut syms = [0u16; LANES];
-            syms.copy_from_slice(&plane[row * LANES..(row + 1) * LANES]);
-            let incs = tri.ped_increment_lanes(CxLane::splat(ybar[row]), plane, row, syms);
+        for (row, &yb) in ybar.iter().enumerate() {
+            let incs = tri.ped_increment_lanes(CxLane::splat(yb), &scratch.points, row);
             for l in 0..LANES {
                 metrics[l] += incs[l];
             }
@@ -221,7 +212,7 @@ impl FcsdDetector {
         }
         // flexcore-lint: allow(FL004, reason = "paths() = |Q|^L >= 1, so the loop body ran and set best_metric")
         best_metric.expect("at least one path");
-        tri.unpermute_sym(best_syms.as_slice())
+        tri.unpermute(best_syms.as_slice())
     }
 }
 

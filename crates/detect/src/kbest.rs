@@ -103,7 +103,7 @@ where
                 }
             }
             while sym < q {
-                let inc = tri.ped_increment_sym(ybar, syms, row, sym);
+                let inc = tri.ped_increment(ybar, syms, row, sym);
                 child_peds.push(ped + inc);
                 child_syms.extend_from_slice(syms);
                 let last = child_syms.len() - nt;
@@ -134,7 +134,7 @@ where
             surv_syms.extend_from_slice(&child_syms[ci * nt..(ci + 1) * nt]);
         }
     }
-    tri.unpermute_sym(&surv_syms[..nt])
+    tri.unpermute(&surv_syms[..nt])
 }
 
 /// K-best breadth-first detector.

@@ -14,7 +14,7 @@
 use crate::common::{Detector, Triangular};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::mmse_sorted_qr;
-use flexcore_numeric::{CMat, Cx};
+use flexcore_numeric::{CMat, Cx, SymVec};
 
 /// Ordered successive interference cancellation (V-BLAST style).
 #[derive(Clone, Debug)]
@@ -65,16 +65,15 @@ impl Detector for SicDetector {
     }
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
-        // flexcore-lint: allow(FL004, reason = "prepare-before-detect API contract; documented panic on the public entry point")
-        let tri = self.tri.as_ref().expect("SIC: prepare() not called");
+        let tri = self.prepared();
         let nt = tri.nt();
         let ybar = tri.rotate(y);
-        let mut symbols = vec![0usize; nt];
+        let mut symbols = SymVec::zeroed(nt);
         for row in (0..nt).rev() {
-            let eff = tri.effective_point(&ybar, &symbols, row);
-            symbols[row] = self.constellation.slice(eff);
+            let eff = tri.effective_point(&ybar, symbols.as_slice(), row);
+            symbols.set(row, self.constellation.slice(eff) as u16);
         }
-        tri.unpermute(&symbols)
+        tri.unpermute(symbols.as_slice())
     }
 }
 
@@ -100,24 +99,33 @@ impl ParallelSicDetector {
         self.constellation.order()
     }
 
-    /// Evaluates the path seeded with `top_sym` at the top level and returns
-    /// `(symbols, metric)`. Each invocation is independent — this is the
-    /// unit of work one processing element executes.
-    pub fn run_path(&self, y: &[Cx], top_sym: usize) -> (Vec<usize>, f64) {
-        let tri = self
-            .tri
+    /// The prepared triangular system; the single prepare-before-detect
+    /// panic site of this detector.
+    #[track_caller]
+    fn prepared(&self) -> &Triangular {
+        self.tri
             .as_ref()
-            // flexcore-lint: allow(FL004, reason = "prepare-before-detect API contract; documented panic on the public entry point")
-            .expect("ParallelSIC: prepare() not called");
+            // flexcore-lint: allow(FL004, reason = "prepare-before-detect API contract; sole audited panic site, documented on every public entry point")
+            .expect("ParallelSIC: prepare() not called")
+    }
+
+    /// Evaluates the path seeded with `top_sym` at the top level against
+    /// the rotated observation `ybar` and returns `(symbols, metric)` in
+    /// tree order. Each invocation is independent — this is the unit of
+    /// work one processing element executes.
+    ///
+    /// # Panics
+    /// Panics if `prepare` was never called.
+    pub fn run_path(&self, ybar: &[Cx], top_sym: usize) -> (SymVec, f64) {
+        let tri = self.prepared();
         let nt = tri.nt();
-        let ybar = tri.rotate(y);
-        let mut symbols = vec![0usize; nt];
-        symbols[nt - 1] = top_sym;
+        let mut symbols = SymVec::zeroed(nt);
+        symbols.set(nt - 1, top_sym as u16);
         for row in (0..nt - 1).rev() {
-            let eff = tri.effective_point(&ybar, &symbols, row);
-            symbols[row] = self.constellation.slice(eff);
+            let eff = tri.effective_point(ybar, symbols.as_slice(), row);
+            symbols.set(row, self.constellation.slice(eff) as u16);
         }
-        let metric = tri.path_metric(&ybar, &symbols);
+        let metric = tri.path_metric(ybar, symbols.as_slice());
         (symbols, metric)
     }
 }
@@ -135,22 +143,19 @@ impl Detector for ParallelSicDetector {
     }
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
-        let tri = self
-            .tri
-            .as_ref()
-            // flexcore-lint: allow(FL004, reason = "prepare-before-detect API contract; documented panic on the public entry point")
-            .expect("ParallelSIC: prepare() not called");
-        let q = self.constellation.order();
-        let mut best = Vec::new();
+        let tri = self.prepared();
+        // One rotation per vector, shared by all |Q| paths.
+        let ybar = tri.rotate(y);
+        let mut best = SymVec::new();
         let mut best_metric = f64::INFINITY;
-        for top in 0..q {
-            let (sym, m) = self.run_path(y, top);
+        for top in 0..self.constellation.order() {
+            let (sym, m) = self.run_path(&ybar, top);
             if m < best_metric {
                 best_metric = m;
                 best = sym;
             }
         }
-        tri.unpermute(&best)
+        tri.unpermute(best.as_slice())
     }
 }
 
@@ -265,13 +270,23 @@ mod tests {
         let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
         let ch = MimoChannel::new(h, 15.0);
         let y = ch.transmit(&x, &mut rng);
-        // detect() must equal the min-metric path over all run_path calls.
-        let tri = det.tri.as_ref().unwrap();
-        let best = (0..16)
-            .map(|t| det.run_path(&y, t))
+        // detect() must equal the min-metric path over all run_path calls
+        // on the once-rotated observation.
+        let tri = det.prepared();
+        let ybar = tri.rotate(&y);
+        let paths: Vec<(SymVec, f64)> = (0..16).map(|t| det.run_path(&ybar, t)).collect();
+        let best = paths
+            .iter()
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
-        assert_eq!(det.detect(&y), tri.unpermute(&best.0));
+        assert_eq!(det.detect(&y), tri.unpermute(best.0.as_slice()));
+        // Sharing one `ȳ` moves nothing: a fresh rotation per path (what
+        // detect() used to do) gives the same symbols and metric bits.
+        for (top, (syms, metric)) in paths.iter().enumerate() {
+            let (fresh_syms, fresh_metric) = det.run_path(&tri.rotate(&y), top);
+            assert_eq!(syms, &fresh_syms, "top {top}");
+            assert_eq!(metric.to_bits(), fresh_metric.to_bits(), "top {top}");
+        }
         assert_eq!(det.required_pes(), 16);
     }
 }

@@ -665,10 +665,10 @@ mod tests {
 
     #[test]
     fn lpt_scheduling_preserves_bit_identity_for_adaptive_templates() {
-        use flexcore::AdaptiveFlexCore;
+        use flexcore::FlexCoreDetector;
         // The scheduling tentpole must not change results: adaptive
         // template, unequal efforts, every substrate agrees cell-for-cell.
-        let mk = || AdaptiveFlexCore::new(Constellation::new(Modulation::Qam16), 16, 0.95);
+        let mk = || FlexCoreDetector::adaptive(Constellation::new(Modulation::Qam16), 16, 0.95);
         let ch = selective_channel(10, 27);
         let (frame, _) = build_frame(10, 5, &ch, 28);
         let mut engine = FrameEngine::new(mk());

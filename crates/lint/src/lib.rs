@@ -82,6 +82,18 @@ pub struct AllowRecord {
     pub reason: String,
 }
 
+/// One crate's library size, for the report's `surface` section: the
+/// trend ROADMAP's "Quality of design" aim asks to see PR over PR.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CrateSurface {
+    /// The crate's directory (`crates/<name>`, or `src` for the root).
+    pub krate: String,
+    /// Lines carrying code, outside `#[cfg(test)]`.
+    pub code_lines: usize,
+    /// `pub` items, outside `#[cfg(test)]`.
+    pub pub_items: usize,
+}
+
 /// The result of linting a workspace.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -94,6 +106,9 @@ pub struct Report {
     pub hot_path_modules: Vec<String>,
     /// Files containing at least one `bit-identity` region.
     pub bit_identity_modules: Vec<String>,
+    /// Library size per crate, sorted by crate directory — see
+    /// [`scan::FileScan::surface`] for what counts.
+    pub surface: Vec<CrateSurface>,
 }
 
 impl Report {
@@ -133,6 +148,15 @@ pub fn classify(rel: &str) -> FileClass {
     } else {
         FileClass::Lib
     }
+}
+
+/// The crate directory a repo-relative path belongs to: `crates/<name>`,
+/// or the first path component outside `crates/`.
+fn crate_dir(rel: &str) -> &str {
+    let depth = if rel.starts_with("crates/") { 2 } else { 1 };
+    rel.match_indices('/')
+        .nth(depth - 1)
+        .map_or(rel, |(end, _)| &rel[..end])
 }
 
 /// Directory names never descended into.
@@ -213,7 +237,14 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         files_scanned: scans.len(),
         ..Report::default()
     };
+    let mut surface: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     for (rel, class, scanned) in &scans {
+        if *class == FileClass::Lib {
+            let entry = surface.entry(crate_dir(rel)).or_default();
+            let (lines, items) = scanned.surface();
+            entry.0 += lines;
+            entry.1 += items;
+        }
         report
             .findings
             .extend(lints::lint_file(rel, *class, scanned, &twins));
@@ -240,6 +271,14 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
             report.bit_identity_modules.push(rel.clone());
         }
     }
+    report.surface = surface
+        .into_iter()
+        .map(|(krate, (code_lines, pub_items))| CrateSurface {
+            krate: krate.to_string(),
+            code_lines,
+            pub_items,
+        })
+        .collect();
     report
         .findings
         .sort_by(|a, b| (&a.path, a.line, a.col, &a.code).cmp(&(&b.path, b.line, b.col, &b.code)));

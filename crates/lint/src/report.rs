@@ -15,7 +15,8 @@
 //!   "allows": [{"path": "…", "line": 1, "codes": ["FL004"],
 //!               "reason": "…"}],
 //!   "hot_path_modules": ["crates/…"],
-//!   "bit_identity_modules": ["crates/…"]
+//!   "bit_identity_modules": ["crates/…"],
+//!   "surface": [{"crate": "crates/…", "code_lines": 1, "pub_items": 1}]
 //! }
 //! ```
 
@@ -104,9 +105,26 @@ pub fn to_json(report: &Report) -> String {
     );
     let _ = writeln!(
         out,
-        "  \"bit_identity_modules\": {}",
+        "  \"bit_identity_modules\": {},",
         json_str_list(&report.bit_identity_modules)
     );
+    // One row per line, so `grep '"crate": "crates/core"'` prints a row.
+    out.push_str("  \"surface\": [\n");
+    for (i, c) in report.surface.iter().enumerate() {
+        let comma = if i + 1 < report.surface.len() {
+            ","
+        } else {
+            ""
+        };
+        let _ = writeln!(
+            out,
+            "    {{\"crate\": \"{}\", \"code_lines\": {}, \"pub_items\": {}}}{comma}",
+            esc(&c.krate),
+            c.code_lines,
+            c.pub_items,
+        );
+    }
+    out.push_str("  ]\n");
     out.push_str("}\n");
     out
 }
@@ -156,7 +174,7 @@ pub fn lint_table() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllowRecord, Finding};
+    use crate::{AllowRecord, CrateSurface, Finding};
 
     fn sample() -> Report {
         Report {
@@ -178,6 +196,11 @@ mod tests {
             }],
             hot_path_modules: vec!["crates/x/src/b.rs".into()],
             bit_identity_modules: vec![],
+            surface: vec![CrateSurface {
+                krate: "crates/x".into(),
+                code_lines: 40,
+                pub_items: 3,
+            }],
         }
     }
 
@@ -190,6 +213,7 @@ mod tests {
         assert!(j.contains(r#"panics \"here\""#));
         assert!(j.contains("\"FL004\": 1"));
         assert!(j.contains("\"total\": 1"));
+        assert!(j.contains(r#"{"crate": "crates/x", "code_lines": 40, "pub_items": 3}"#));
     }
 
     #[test]

@@ -108,6 +108,25 @@ impl FileScan {
             .any(|a| a.target_line == line && a.codes.iter().any(|c| c == code))
     }
 
+    /// Size of this file's non-test code: `(code lines, pub items)`. A
+    /// code line carries at least one code token — comments, blank lines
+    /// and attribute-only lines do not count. A `pub` item is a bare
+    /// `pub` followed by an item keyword; `pub(crate)`-style restricted
+    /// items and struct fields are not public surface.
+    pub fn surface(&self) -> (usize, usize) {
+        let code = || self.code.iter().filter(|t| !self.in_test(t.line));
+        let mut lines: Vec<u32> = code().map(|t| t.line).collect();
+        lines.dedup();
+        let pub_items = code()
+            .zip(code().skip(1))
+            .filter(|(t, next)| {
+                t.ident() == Some("pub")
+                    && next.ident().is_some_and(|kw| ITEM_KEYWORDS.contains(&kw))
+            })
+            .count();
+        (lines.len(), pub_items)
+    }
+
     /// True when any module-scope hot-path marker covers this file.
     pub fn has_module_hot_path(&self) -> bool {
         self.regions
@@ -115,6 +134,12 @@ impl FileScan {
             .any(|r| r.kind == RegionKind::HotPath && r.module_scope)
     }
 }
+
+/// Keywords that open an item after `pub` (see [`FileScan::surface`]).
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "use", "unsafe", "async",
+    "extern",
+];
 
 /// What one marker comment asks for.
 enum MarkerAction {

@@ -79,6 +79,16 @@ fn every_good_fixture_passes() {
     }
 }
 
+/// The `surface` report counts code lines and `pub` items outside test
+/// code from the token stream: comments, blanks, attribute-only lines,
+/// `pub(crate)` items, `pub` fields and everything under `#[cfg(test)]`
+/// stay out.
+#[test]
+fn surface_counts_code_lines_and_pub_items_outside_tests() {
+    let src = fs::read_to_string(fixture_dir("good").join("surface.rs")).expect("read fixture");
+    assert_eq!(flexcore_lint::scan::scan(&src).surface(), (12, 3));
+}
+
 /// The tool turned on itself and everything else: the live workspace must
 /// be lint-clean. This is the same gate CI runs via
 /// `cargo run -p flexcore-lint -- check`.
@@ -100,6 +110,15 @@ fn live_workspace_is_lint_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+    // The surface section has one row per crate, lower crates included.
+    for krate in ["numeric", "modulation", "detect", "core"] {
+        let row = report
+            .surface
+            .iter()
+            .find(|c| c.krate == format!("crates/{krate}"))
+            .unwrap_or_else(|| panic!("no surface row for {krate}"));
+        assert!(row.code_lines > 100 && row.pub_items > 0, "{row:?}");
+    }
     // Every allow that suppresses something must carry a reason — the
     // scanner enforces non-empty reasons at parse time, so just pin the
     // invariant here against future loosening.

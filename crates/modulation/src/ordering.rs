@@ -338,22 +338,6 @@ impl OrderingLut {
         (ci, cj, triangle_index_fast(dx, dy))
     }
 
-    /// Four-lane form of [`OrderingLut::locate_fast`]: locates four
-    /// effective points (split re/im planes) in one call — per-lane
-    /// applications of the identical scalar locate. (A hand-written
-    /// elementwise-array form measured *slower* than four scalar calls:
-    /// the locate is round/clamp/cast-heavy, not flop-heavy, and gains
-    /// nothing from lane-major layout.)
-    #[inline]
-    pub fn locate_fast_lanes(
-        &self,
-        c: &Constellation,
-        re: &[f64; 4],
-        im: &[f64; 4],
-    ) -> [(i32, i32, usize); 4] {
-        std::array::from_fn(|l| self.locate_fast(c, Cx::new(re[l], im[l])))
-    }
-
     /// Locates the effective point: nearest infinite-lattice centre
     /// `(ci, cj)` in level-index units and the triangle index within its
     /// minimum-distance square.
@@ -390,7 +374,7 @@ const NO_SYM: u16 = u16::MAX;
 /// node per lane. The window covers centres within two steps of the grid
 /// (`ci, cj ∈ [−2, side+1]`), which is every effective point that isn't a
 /// deep-noise outlier; out-of-window centres return `None` from
-/// [`LocatedOrderingTable::lookup`] and the caller falls back to the scan.
+/// [`LocatedOrderingTable::base`] and the caller falls back to the scan.
 /// BPSK's degenerate ordering reads the observation directly, so its table
 /// is built windowless (every lookup falls back).
 #[derive(Clone, Debug)]
@@ -642,21 +626,7 @@ impl LocatedOrderingTable {
         })
     }
 
-    /// Looks up the `k`-th symbol for a located centre.
-    ///
-    /// Outer `None`: the centre is outside the table window — the caller
-    /// must use the scan path. Inner option: the lookup result, exactly as
-    /// the corresponding scan would return it (`None` = deactivated /
-    /// exhausted).
-    #[inline]
-    pub fn lookup(&self, ci: i32, cj: i32, tri: usize, k: usize) -> Option<Option<usize>> {
-        if k == 0 || k > self.depth {
-            return Some(None);
-        }
-        Some(self.get(self.base(ci, cj, tri)?, k))
-    }
-
-    /// The rank-independent half of [`LocatedOrderingTable::lookup`]: the
+    /// The rank-independent half of a table lookup: the
     /// flat index base for a located `(centre, triangle)`, or `None` when
     /// the centre is outside the table window (the caller must use the
     /// scan path). The blocked trie walk computes this once per sibling
@@ -673,9 +643,9 @@ impl LocatedOrderingTable {
         Some(((j as usize * self.w as usize + i as usize) * 8 + tri) * self.depth)
     }
 
-    /// Rank-`k` read at a [`LocatedOrderingTable::base`] — exactly the
-    /// inner option of [`LocatedOrderingTable::lookup`] (`None` =
-    /// deactivated / exhausted).
+    /// Rank-`k` read at a [`LocatedOrderingTable::base`], exactly as the
+    /// corresponding scan would return it (`None` = deactivated /
+    /// exhausted).
     #[inline]
     pub fn get(&self, base: usize, k: usize) -> Option<usize> {
         if k == 0 || k > self.depth {
@@ -881,16 +851,6 @@ mod tests {
                 let y = rng.cx_normal(1.5);
                 assert_eq!(lut.locate_fast(&c, y), lut.locate(&c, y), "{m:?} {y:?}");
             }
-            // Lane form agrees with the scalar form on every lane.
-            for _ in 0..5_000 {
-                let ys: Vec<Cx> = (0..4).map(|_| rng.cx_normal(1.5)).collect();
-                let re = [ys[0].re, ys[1].re, ys[2].re, ys[3].re];
-                let im = [ys[0].im, ys[1].im, ys[2].im, ys[3].im];
-                let lanes = lut.locate_fast_lanes(&c, &re, &im);
-                for l in 0..4 {
-                    assert_eq!(lanes[l], lut.locate(&c, ys[l]), "{m:?} lane {l}");
-                }
-            }
             // Exact lattice centres and boundary mid-points.
             for gi in -3..(c.grid_side() as i32 + 3) {
                 for gj in -3..(c.grid_side() as i32 + 3) {
@@ -928,14 +888,16 @@ mod tests {
                             (level_value_i(cj, side) + 0.5 * a.sin()) * c.scale(),
                         );
                         assert_eq!(lut.locate_fast(&c, y), (ci, cj, tri), "{m:?}");
+                        let strict_base = strict_t.base(ci, cj, tri).expect("in window");
+                        let skip_base = skip_t.base(ci, cj, tri).expect("in window");
                         for k in 1..=depth + 1 {
                             assert_eq!(
-                                strict_t.lookup(ci, cj, tri, k).expect("in window"),
+                                strict_t.get(strict_base, k),
                                 lut.kth_nearest(&c, y, k),
                                 "strict {m:?} ({ci},{cj},{tri},{k})"
                             );
                             assert_eq!(
-                                skip_t.lookup(ci, cj, tri, k).expect("in window"),
+                                skip_t.get(skip_base, k),
                                 lut.kth_nearest_skip(&c, y, k),
                                 "skip {m:?} ({ci},{cj},{tri},{k})"
                             );
@@ -944,8 +906,8 @@ mod tests {
                 }
             }
             // Out-of-window centres must defer to the scan.
-            assert_eq!(strict_t.lookup(-3, 0, 0, 1), None);
-            assert_eq!(skip_t.lookup(0, side + 2, 0, 1), None);
+            assert_eq!(strict_t.base(-3, 0, 0), None);
+            assert_eq!(skip_t.base(0, side + 2, 0), None);
         }
     }
 
@@ -1022,7 +984,7 @@ mod tests {
         let c = Constellation::new(Modulation::Bpsk);
         let lut = OrderingLut::new(Modulation::Bpsk, 2);
         let t = lut.build_table(&c, false);
-        assert_eq!(t.lookup(0, 0, 0, 1), None, "BPSK lookups must fall back");
+        assert_eq!(t.base(0, 0, 0), None, "BPSK lookups must fall back");
     }
 
     #[test]

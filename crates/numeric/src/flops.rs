@@ -115,18 +115,6 @@ pub fn gflops_at_line_rate(
     flops_per_vector * n_subcarriers as f64 / symbol_duration_s / 1e9
 }
 
-/// Number of four-wide kernel passes a lane/blocked kernel executes over
-/// `n` independent elements (outputs, observations, paths or candidate
-/// symbols): `⌈n / LANES⌉`, with the last pass a scalar tail when `n` is
-/// not a multiple of [`crate::lanes::LANES`].
-///
-/// Lane kernels are an accounting no-op for [`FlopCounter`]: they reduce
-/// *passes* (throughput), not the per-element operation counts the paper's
-/// tables are built from.
-pub fn lane_passes(n: u64) -> u64 {
-    n.div_ceil(crate::lanes::LANES as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,16 +167,6 @@ mod tests {
         let mut f = FlopCounter::new();
         f.crotate(6, 4);
         assert_eq!(f.total_flops(), 8 * 24);
-    }
-
-    #[test]
-    fn lane_passes_counts_blocked_kernel_iterations() {
-        assert_eq!(lane_passes(0), 0);
-        assert_eq!(lane_passes(1), 1);
-        assert_eq!(lane_passes(4), 1);
-        assert_eq!(lane_passes(5), 2);
-        assert_eq!(lane_passes(17), 5);
-        assert_eq!(lane_passes(64), 16);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::cx::Cx;
 use crate::lanes::{lanes_enabled, CxLane, LANES};
 use crate::mat::{dot, norm_sqr, CMat};
-use crate::solve::{hermitian_inverse, pseudo_inverse};
+use crate::solve::pseudo_inverse;
 
 /// Result of a (possibly sorted) QR decomposition of the channel matrix.
 ///
@@ -401,13 +401,6 @@ pub fn mmse_sorted_qr(h: &CMat, sigma: f64) -> Qr {
         r: full.r,
         perm: full.perm,
     }
-}
-
-/// Condition-number-friendly helper: `(H*H)^{-1}` through the shared
-/// Hermitian inverse (re-exported here because orderings and detectors both
-/// need it).
-pub fn gram_inverse(h: &CMat) -> CMat {
-    hermitian_inverse(&h.gram())
 }
 
 #[cfg(test)]

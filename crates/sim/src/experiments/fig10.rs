@@ -11,13 +11,12 @@
 
 use crate::calibrate::operating_point_snr_db;
 use crate::table::ResultTable;
-use flexcore::AdaptiveFlexCore;
 use flexcore::FlexCoreDetector;
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_detect::{MmseDetector, SphereDecoder};
 use flexcore_modulation::{Constellation, Modulation};
-use flexcore_phy::link::{packet_error_rate, LinkConfig};
+use flexcore_phy::link::{packet_error_rate, simulate_packet, LinkConfig};
 use flexcore_phy::throughput::network_throughput_mbps;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,7 +102,7 @@ pub fn run(cfg: &Cfg) -> ResultTable {
         };
         let mut mmse = MmseDetector::new(c.clone());
         let mut fc = FlexCoreDetector::with_pes(c.clone(), cfg.n_pe);
-        let mut afc = AdaptiveFlexCore::new(c.clone(), cfg.n_pe, cfg.threshold);
+        let mut afc = FlexCoreDetector::adaptive(c.clone(), cfg.n_pe, cfg.threshold);
         let measure = |det: &mut dyn Detector, label: &str| {
             let mut rng = StdRng::seed_from_u64(cfg.seed);
             let per = packet_error_rate(
@@ -122,9 +121,21 @@ pub fn run(cfg: &Cfg) -> ResultTable {
             measure(&mut mmse, "MMSE"),
             measure(&mut fc, "FlexCore"),
         ];
-        let (label, per, tput) = measure(&mut afc, "a-FlexCore");
-        let active = afc.mean_active_pes();
-        rows.push((label, per, tput));
+        // a-FlexCore runs `packet_error_rate`'s loop here, on the same RNG
+        // stream, so each prepared channel's active-PE count can be read.
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let (mut fails, mut active_sum) = (0usize, 0usize);
+        for _ in 0..cfg.n_packets {
+            let ch = MimoChannel::new(ens.draw(&mut rng), snr);
+            afc.prepare(&ch.h, sigma2_from_snr_db(snr));
+            active_sum += afc.active_paths();
+            let out = simulate_packet(&link, &ch, &afc, &mut rng);
+            fails += out.user_ok.iter().filter(|&&ok| !ok).count();
+        }
+        let per = fails as f64 / (cfg.n_packets * nt) as f64;
+        let active = active_sum as f64 / cfg.n_packets as f64;
+        let tput = network_throughput_mbps(&link.ofdm, modulation, link.rate, nt, per);
+        rows.push(("a-FlexCore".to_string(), per, tput));
         for (i, (label, per, tput)) in rows.into_iter().enumerate() {
             table.push_row(vec![
                 format!("{nt}"),

@@ -8,7 +8,7 @@
 //! linear detection is fine), growing toward the full budget as the
 //! channel fills up — complexity proportional to need.
 
-use flexcore::AdaptiveFlexCore;
+use flexcore::FlexCoreDetector;
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_modulation::{Constellation, Modulation};
@@ -28,15 +28,17 @@ fn main() {
         "users", "mean active PEs", "vector errors", "PE savings"
     );
     for nt in (4..=nr).step_by(2) {
-        let mut afc = AdaptiveFlexCore::new(constellation.clone(), budget, 0.95);
+        let mut afc = FlexCoreDetector::adaptive(constellation.clone(), budget, 0.95);
         let ens = ChannelEnsemble::iid(nr, nt);
         let mut rng = StdRng::seed_from_u64(17);
         let mut errs = 0usize;
         let mut total = 0usize;
+        let mut active_sum = 0usize;
         for _ in 0..n_channels {
             let h = ens.draw(&mut rng);
             let ch = MimoChannel::new(h.clone(), snr_db);
             afc.prepare(&h, sigma2_from_snr_db(snr_db));
+            active_sum += afc.active_paths();
             for _ in 0..vectors_per_channel {
                 let s: Vec<usize> = (0..nt).map(|_| rng.gen_range(0..64)).collect();
                 let x: Vec<Cx> = s.iter().map(|&i| constellation.point(i)).collect();
@@ -47,7 +49,7 @@ fn main() {
                 total += 1;
             }
         }
-        let active = afc.mean_active_pes();
+        let active = active_sum as f64 / n_channels as f64;
         println!(
             "{:>5} {:>16.2} {:>13.1}% {:>11.0}%",
             nt,

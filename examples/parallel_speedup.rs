@@ -35,6 +35,7 @@ fn main() {
             ch.transmit(&x, &mut rng)
         })
         .collect();
+    let ys: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
 
     // One task per tree path, each streaming the whole batch of vectors —
     // exactly how a pipelined hardware PE consumes subcarriers (§4).

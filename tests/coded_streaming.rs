@@ -12,7 +12,7 @@
 //!    *every* user — goodput equals offered load — for a mixed
 //!    fixed/adaptive user population on a shared pool.
 
-use flexcore::{AdaptiveFlexCore, CellDetector, FlexCoreDetector};
+use flexcore::{CellDetector, FlexCoreDetector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_engine::{ChannelStream, FrameEngine, StreamingCell};
@@ -208,7 +208,7 @@ fn hard_cell_tick_matches_soft_ticks_raw_observables_under_aging() {
             );
             cell.add_user(
                 stream,
-                AdaptiveFlexCore::new(cfg.constellation.clone(), 16, 0.95),
+                FlexCoreDetector::adaptive(cfg.constellation.clone(), 16, 0.95),
             );
         }
         cell

@@ -149,10 +149,10 @@ fn lut_and_exact_flexcore_agree_at_high_snr() {
 #[test]
 fn detect_batch_is_bit_identical_to_repeated_detect_for_every_detector() {
     // The batch API's contract: whatever a detector does internally,
-    // `detect_batch(ys)` must equal `ys.iter().map(detect)` bit for bit.
-    // Exercised for every scheme in the workspace so any future override
-    // (today they all use the trait default) is held to the contract.
-    use flexcore::{AdaptiveFlexCore, AdaptiveKBest};
+    // `detect_batch_refs(ys)` must equal `ys.iter().map(detect)` bit for
+    // bit. Exercised for every scheme in the workspace so every override
+    // (and the trait default) is held to the contract.
+    use flexcore::AdaptiveKBest;
     use flexcore_detect::{MmseDetector, ParallelSicDetector, SicDetector, ZfDetector};
     let m = Modulation::Qam16;
     let c = Constellation::new(m);
@@ -169,17 +169,18 @@ fn detect_batch_is_bit_identical_to_repeated_detect_for_every_detector() {
         Box::new(KBestDetector::new(c.clone(), 6)),
         Box::new(FcsdDetector::new(c.clone(), 1)),
         Box::new(FlexCoreDetector::with_pes(c.clone(), 12)),
-        Box::new(AdaptiveFlexCore::paper_default(c.clone())),
+        Box::new(FlexCoreDetector::adaptive(c.clone(), 64, 0.95)),
         Box::new(AdaptiveKBest::new(c.clone(), 8)),
     ];
     let ys: Vec<Vec<Cx>> = (0..17).map(|_| w.observe().1).collect();
     for det in detectors.iter_mut() {
         det.prepare(&w.ch.h, sigma2);
-        let batched = det.detect_batch(&ys);
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        let batched = det.detect_batch_refs(&refs);
         let repeated: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
         assert_eq!(batched, repeated, "{}", det.name());
         // Empty batches are legal and empty.
-        assert!(det.detect_batch(&[]).is_empty(), "{}", det.name());
+        assert!(det.detect_batch_refs(&[]).is_empty(), "{}", det.name());
     }
 }
 

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full coded OFDM-MIMO uplink through
 //! every detector family.
 
-use flexcore::{AdaptiveFlexCore, FlexCoreDetector};
+use flexcore::FlexCoreDetector;
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_detect::{FcsdDetector, MmseDetector, SicDetector, SphereDecoder};
@@ -40,7 +40,7 @@ fn every_detector_delivers_clean_packets_at_high_snr() {
         Box::new(SphereDecoder::new(c.clone())),
         Box::new(FcsdDetector::new(c.clone(), 1)),
         Box::new(FlexCoreDetector::with_pes(c.clone(), 16)),
-        Box::new(AdaptiveFlexCore::new(c.clone(), 16, 0.95)),
+        Box::new(FlexCoreDetector::adaptive(c.clone(), 16, 0.95)),
     ];
     for det in detectors.iter_mut() {
         let ok = one_packet(det.as_mut(), m, nt, snr, 1);

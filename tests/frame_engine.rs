@@ -118,7 +118,6 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
     // engine's priced batches by the uniform-machines LPT rule — must
     // match the sequential reference, fixed and adaptive, and leave a run
     // record that audits under any `PeCost` model.
-    use flexcore::AdaptiveFlexCore;
     use flexcore_engine::FabricStats;
     use flexcore_hwmodel::{CpuModel, FpgaModel, HeterogeneousFabric, PeClass, PeCost, WorkUnit};
     use flexcore_parallel::WeightedPool;
@@ -138,7 +137,7 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
         ),
     ];
     let mk_fixed = || FlexCoreDetector::with_pes(c.clone(), 12);
-    let mk_adaptive = || AdaptiveFlexCore::new(c.clone(), 16, 0.95);
+    let mk_adaptive = || FlexCoreDetector::adaptive(c.clone(), 16, 0.95);
 
     let fixed_ref = frame_on(mk_fixed(), &channel, &frame, &seq);
     let adaptive_ref = frame_on(mk_adaptive(), &channel, &frame, &seq);

@@ -7,7 +7,7 @@
 //! detection must be bit-identical, and noiseless frames must be
 //! recovered exactly.
 
-use flexcore::{AdaptiveFlexCore, FlexCoreDetector};
+use flexcore::FlexCoreDetector;
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble};
 use flexcore_detect::common::Detector;
 use flexcore_detect::{FcsdDetector, KBestDetector};
@@ -80,7 +80,7 @@ fn assert_substrate_identity(nt: usize, m: Modulation, seed: u64) {
     let seq = SequentialPool::new(1);
 
     let mk_fixed = || FlexCoreDetector::with_pes(c.clone(), 16);
-    let mk_adaptive = || AdaptiveFlexCore::new(c.clone(), 16, 0.95);
+    let mk_adaptive = || FlexCoreDetector::adaptive(c.clone(), 16, 0.95);
     let fixed_ref = frame_on(mk_fixed(), &channel, &frame, &seq);
     let adaptive_ref = frame_on(mk_adaptive(), &channel, &frame, &seq);
 

@@ -1,19 +1,18 @@
 //! Bit-identity property tests for the allocation-free detection hot path.
 //!
 //! PR 2 rebuilt every tree-search hot loop on scratch workspaces
-//! (`PathScratch`/`SymVec`), flat result grids (`PathGrid`), and `_into`
-//! kernels. The refactor's contract is *bit-identity*: for any channel,
+//! (`PathScratch`/`SymVec`) and `_into` kernels. The refactor's contract is *bit-identity*: for any channel,
 //! SNR, and observation, the scratch-based paths must produce exactly the
 //! symbols, metrics, and LLRs of the allocating paths they replaced.
 //! These tests enforce the contract against independent re-enactments of
 //! the PR 1 implementations, across random channels and SNRs, on the
 //! sequential and crossbeam substrates.
 
-use flexcore::{FlexCoreDetector, PathScratch};
+use flexcore::{FlexCoreDetector, PathScratch, PositionVector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::{Detector, Triangular};
 use flexcore_detect::{FcsdDetector, KBestDetector};
-use flexcore_modulation::{Constellation, Modulation};
+use flexcore_modulation::{Constellation, Modulation, OrderingLut};
 use flexcore_numeric::qr::sorted_qr_sqrd;
 use flexcore_numeric::{CMat, Cx};
 use flexcore_parallel::{CrossbeamPool, SequentialPool};
@@ -57,17 +56,89 @@ fn modulation(idx: usize) -> Modulation {
     ][idx % 4]
 }
 
+/// The triangle LUT `FlexCoreDetector::new` builds, for [`run_path_pr1`].
+fn pr1_lut(det: &FlexCoreDetector) -> OrderingLut {
+    let c = det.constellation();
+    OrderingLut::new(c.modulation(), c.order())
+}
+
+/// PR 1's allocating per-path evaluation, re-enacted on plain `Vec`
+/// storage from the public kernels: effective point, the triangle-LUT's
+/// `k`-th nearest symbol (skip semantics, the default ordering) with the
+/// rank-1 clamped-slicer fallback, and the per-level metric term. `None` =
+/// the predefined order left the constellation (deactivated path). `lut`
+/// is [`pr1_lut`] of the detector.
+fn run_path_pr1(
+    det: &FlexCoreDetector,
+    lut: &OrderingLut,
+    ybar: &[Cx],
+    p: &PositionVector,
+) -> Option<(Vec<u16>, f64)> {
+    let tri = det.triangular();
+    let c = &tri.constellation;
+    let nt = tri.nt();
+    let mut symbols = vec![0u16; nt];
+    let mut metric = 0.0f64;
+    for row in (0..nt).rev() {
+        let eff = tri.effective_point(ybar, &symbols, row);
+        let k = p.rank(row) as usize;
+        let sym = match lut.kth_nearest_skip(c, eff, k) {
+            Some(sym) => sym,
+            None if k == 1 => c.slice(eff),
+            None => return None,
+        };
+        symbols[row] = sym as u16;
+        metric += tri.qr.r[(row, row)].norm_sqr() * c.point(sym).dist_sqr(eff);
+    }
+    Some((symbols, metric))
+}
+
+/// Asserts `run_path_into` reproduces [`run_path_pr1`] — symbols, metric
+/// bits and deactivation — for every selected path of every observation.
+fn assert_run_path_into_equals_pr1(
+    det: &FlexCoreDetector,
+    ys: &[Vec<Cx>],
+) -> Result<(), TestCaseError> {
+    let tri = det.triangular();
+    let lut = pr1_lut(det);
+    let mut scratch = PathScratch::new();
+    for y in ys {
+        let ybar = tri.rotate(y);
+        for p in det.position_vectors() {
+            let alloc = run_path_pr1(det, &lut, &ybar, p);
+            let metric = det.run_path_into(&ybar, p, &mut scratch);
+            match (alloc, metric) {
+                (Some((symbols, m_alloc)), Some(m_into)) => {
+                    // Exact f64 equality: the kernels must run the same
+                    // operations in the same order.
+                    prop_assert_eq!(m_alloc.to_bits(), m_into.to_bits());
+                    prop_assert_eq!(symbols.as_slice(), scratch.symbols.as_slice());
+                }
+                (None, None) => {}
+                (a, b) => prop_assert!(false, "activation mismatch: {a:?} vs {b:?}"),
+            }
+        }
+    }
+    Ok(())
+}
+
 /// PR 1's nested batched reduction, re-enacted: evaluate every path with
-/// the allocating `run_path`, transpose `results[path][vector]` into
-/// per-vector candidate lists, and reduce with `Iterator::min_by`.
+/// the allocating per-path evaluation, transpose `results[path][vector]`
+/// into per-vector candidate lists, and reduce with `Iterator::min_by`.
 fn detect_batch_pr1(det: &FlexCoreDetector, ys: &[Vec<Cx>]) -> Vec<Vec<usize>> {
     let tri = det.triangular();
+    let lut = pr1_lut(det);
     let ybars: Vec<Vec<Cx>> = ys.iter().map(|y| tri.rotate(y)).collect();
     #[allow(clippy::type_complexity)]
-    let per_path: Vec<Vec<Option<(Vec<usize>, f64)>>> = det
+    let per_path: Vec<Vec<Option<(Vec<u16>, f64)>>> = det
         .position_vectors()
         .iter()
-        .map(|p| ybars.iter().map(|yb| det.run_path(yb, p)).collect())
+        .map(|p| {
+            ybars
+                .iter()
+                .map(|yb| run_path_pr1(det, &lut, yb, p))
+                .collect()
+        })
         .collect();
     (0..ys.len())
         .map(|v| {
@@ -81,20 +152,36 @@ fn detect_batch_pr1(det: &FlexCoreDetector, ys: &[Vec<Cx>]) -> Vec<Vec<usize>> {
         .collect()
 }
 
+/// The FCSD decision from independent per-path scalar evaluations reduced
+/// with `Iterator::min_by` — PR 1's shape, over `run_path_into`.
+fn fcsd_per_path_reference(det: &FcsdDetector, y: &[Cx]) -> Vec<usize> {
+    let tri = det.triangular();
+    let ybar = tri.rotate(y);
+    let mut scratch = PathScratch::new();
+    let (symbols, _) = (0..det.paths())
+        .map(|idx| {
+            let metric = det.run_path_into(&ybar, idx, &mut scratch);
+            (scratch.symbols.clone(), metric)
+        })
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN metric"))
+        .expect("at least one path");
+    tri.unpermute(symbols.as_slice())
+}
+
 /// PR 1's K-best, re-enacted with per-child `symbols.clone()` on the same
 /// SQRD front end `KBestDetector` uses.
 fn kbest_pr1(tri: &Triangular, c: &Constellation, k: usize, y: &[Cx]) -> Vec<usize> {
     let nt = tri.nt();
     let q = c.order();
     let ybar = tri.rotate(y);
-    let mut survivors: Vec<(f64, Vec<usize>)> = vec![(0.0, vec![0usize; nt])];
+    let mut survivors: Vec<(f64, Vec<u16>)> = vec![(0.0, vec![0u16; nt])];
     for row in (0..nt).rev() {
-        let mut children: Vec<(f64, Vec<usize>)> = Vec::with_capacity(survivors.len() * q);
+        let mut children: Vec<(f64, Vec<u16>)> = Vec::with_capacity(survivors.len() * q);
         for (ped, symbols) in &survivors {
             for sym in 0..q {
                 let inc = tri.ped_increment(&ybar, symbols, row, sym);
                 let mut s = symbols.clone();
-                s[row] = sym;
+                s[row] = sym as u16;
                 children.push((ped + inc, s));
             }
         }
@@ -119,29 +206,11 @@ proptest! {
         let c = Constellation::new(Modulation::Qam16);
         let mut det = FlexCoreDetector::with_pes(c, n_pe);
         det.prepare(&h, sigma2);
-        let tri = det.triangular();
-        let mut scratch = PathScratch::new();
-        for y in &ys {
-            let ybar = tri.rotate(y);
-            for p in det.position_vectors() {
-                let alloc = det.run_path(&ybar, p);
-                let metric = det.run_path_into(&ybar, p, &mut scratch);
-                match (alloc, metric) {
-                    (Some((symbols, m_alloc)), Some(m_into)) => {
-                        // Exact f64 equality: the kernels must run the same
-                        // operations in the same order.
-                        prop_assert_eq!(m_alloc.to_bits(), m_into.to_bits());
-                        prop_assert_eq!(symbols, scratch.symbols.to_indices());
-                    }
-                    (None, None) => {}
-                    (a, b) => prop_assert!(false, "activation mismatch: {a:?} vs {b:?}"),
-                }
-            }
-        }
+        assert_run_path_into_equals_pr1(&det, &ys)?;
     }
 
     #[test]
-    fn flat_grid_batch_equals_pr1_nested_grid(
+    fn pool_batch_equals_pr1_nested_reduction(
         seed in 0u64..1_000_000,
         nt in 2usize..6,
         snr in 6.0f64..24.0,
@@ -152,30 +221,12 @@ proptest! {
         let mut det = FlexCoreDetector::with_pes(c, n_pe);
         det.prepare(&h, sigma2);
         let reference = detect_batch_pr1(&det, &ys);
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
         let seq = SequentialPool::new(4);
         let par = CrossbeamPool::new(3);
-        prop_assert_eq!(&det.detect_batch_on_pool(&ys, &seq), &reference);
-        prop_assert_eq!(&det.detect_batch_on_pool(&ys, &par), &reference);
-        // The flat grid itself must carry the allocating kernels' numbers.
-        let grid = det.detect_batch_grid_on_pool(&ys, &seq);
-        prop_assert_eq!(grid.n_vectors(), ys.len());
-        let tri = det.triangular();
-        for (pi, p) in det.position_vectors().iter().enumerate() {
-            for (v, y) in ys.iter().enumerate() {
-                let ybar = tri.rotate(y);
-                match det.run_path(&ybar, p) {
-                    Some((symbols, metric)) => {
-                        prop_assert!(grid.is_active(pi, v));
-                        prop_assert_eq!(grid.metric(pi, v).to_bits(), metric.to_bits());
-                        let flat: Vec<usize> =
-                            grid.symbols(pi, v).iter().map(|&s| s as usize).collect();
-                        prop_assert_eq!(flat, symbols);
-                    }
-                    None => prop_assert!(!grid.is_active(pi, v)),
-                }
-            }
-        }
-        // And the per-vector decisions match plain detect on every pool.
+        prop_assert_eq!(&det.detect_batch_on_pool(&refs, &seq), &reference);
+        prop_assert_eq!(&det.detect_batch_on_pool(&refs, &par), &reference);
+        // And the trie-walk decisions match the nested reduction too.
         let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
         prop_assert_eq!(&per_vector, &reference);
     }
@@ -214,16 +265,9 @@ proptest! {
         let c = Constellation::new(Modulation::Qam16);
         let mut det = FcsdDetector::new(c, l_full.min(nt));
         det.prepare(&h, sigma2);
-        let tri = det.triangular();
         let seq = SequentialPool::new(8);
         for y in &ys {
-            // Reference: allocating run_path over all paths + min_by.
-            let ybar = tri.rotate(y);
-            let best = (0..det.paths())
-                .map(|idx| det.run_path(&ybar, idx))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN metric"))
-                .expect("at least one path");
-            let reference = tri.unpermute(&best.0);
+            let reference = fcsd_per_path_reference(&det, y);
             prop_assert_eq!(&det.detect(y), &reference);
             prop_assert_eq!(&det.detect_on_pool(y, &seq), &reference);
         }
@@ -245,23 +289,7 @@ proptest! {
         let c = Constellation::new(m);
         let mut det = FlexCoreDetector::with_pes(c, n_pe);
         det.prepare(&h, sigma2);
-        let tri = det.triangular();
-        let mut scratch = PathScratch::new();
-        for y in &ys {
-            let ybar = tri.rotate(y);
-            for p in det.position_vectors() {
-                let alloc = det.run_path(&ybar, p);
-                let metric = det.run_path_into(&ybar, p, &mut scratch);
-                match (alloc, metric) {
-                    (Some((symbols, m_alloc)), Some(m_into)) => {
-                        prop_assert_eq!(m_alloc.to_bits(), m_into.to_bits());
-                        prop_assert_eq!(symbols, scratch.symbols.to_indices());
-                    }
-                    (None, None) => {}
-                    (a, b) => prop_assert!(false, "activation mismatch: {a:?} vs {b:?}"),
-                }
-            }
-        }
+        assert_run_path_into_equals_pr1(&det, &ys)?;
     }
 
     #[test]
@@ -272,8 +300,8 @@ proptest! {
         n_pe in 1usize..13,
     ) {
         // Every public detection surface must agree at every width: the
-        // trie-walk detect(), the shared-scratch batch, the per-vector and
-        // batched pool paths, and the soft output's hard decision.
+        // trie-walk detect(), the shared-scratch batch, the per-path pool
+        // driver, and the soft output's hard decision.
         let m = modulation(m_idx);
         let (h, sigma2, ys) = draw_workload_mod(seed, nt, m, 16.0, 3);
         let c = Constellation::new(m);
@@ -285,12 +313,13 @@ proptest! {
         let seq = SequentialPool::new(4);
         let par = CrossbeamPool::new(3);
         for (y, want) in ys.iter().zip(&per_vector) {
-            prop_assert_eq!(&det.detect_on_pool(y, &seq), want);
-            prop_assert_eq!(&det.detect_on_pool(y, &par), want);
+            // A single vector is a batch of one.
+            prop_assert_eq!(&det.detect_batch_on_pool(&[y.as_slice()], &seq)[0], want);
+            prop_assert_eq!(&det.detect_batch_on_pool(&[y.as_slice()], &par)[0], want);
             prop_assert_eq!(&det.detect_soft(y, sigma2).hard, want);
         }
-        prop_assert_eq!(&det.detect_batch_on_pool(&ys, &seq), &per_vector);
-        prop_assert_eq!(&det.detect_batch_on_pool(&ys, &par), &per_vector);
+        prop_assert_eq!(&det.detect_batch_on_pool(&refs, &seq), &per_vector);
+        prop_assert_eq!(&det.detect_batch_on_pool(&refs, &par), &per_vector);
     }
 
     #[test]
@@ -306,15 +335,9 @@ proptest! {
         let l_full = usize::from(c.order() <= 64).min(nt);
         let mut det = FcsdDetector::new(c, l_full);
         det.prepare(&h, sigma2);
-        let tri = det.triangular();
         let seq = SequentialPool::new(8);
         for y in &ys {
-            let ybar = tri.rotate(y);
-            let best = (0..det.paths())
-                .map(|idx| det.run_path(&ybar, idx))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN metric"))
-                .expect("at least one path");
-            let reference = tri.unpermute(&best.0);
+            let reference = fcsd_per_path_reference(&det, y);
             prop_assert_eq!(&det.detect(y), &reference);
             prop_assert_eq!(&det.detect_on_pool(y, &seq), &reference);
         }
@@ -354,6 +377,7 @@ proptest! {
         let mut det = FlexCoreDetector::with_pes(c.clone(), n_pe);
         det.prepare(&h, sigma2);
         let tri = det.triangular();
+        let lut = pr1_lut(&det);
         let bps = c.bits_per_symbol();
         for y in &ys {
             let soft = det.detect_soft(y, sigma2);
@@ -361,7 +385,7 @@ proptest! {
             let ybar = tri.rotate(y);
             let mut list: Vec<(Vec<usize>, f64)> = Vec::new();
             for p in det.position_vectors() {
-                if let Some((symbols, metric)) = det.run_path(&ybar, p) {
+                if let Some((symbols, metric)) = run_path_pr1(&det, &lut, &ybar, p) {
                     list.push((tri.unpermute(&symbols), metric));
                 }
             }

@@ -109,7 +109,7 @@ fn mat_lane_kernels_bit_identical_across_nt_1_to_64() {
 
 #[test]
 fn triangular_lane_kernels_bit_identical_nt_sweep_all_modulations() {
-    // The detection-side lane kernels gather constellation points, so the
+    // The detection-side lane kernels read constellation points, so the
     // sweep crosses width with every modulation. Like the `_lanes`
     // variants above, these methods take the lane path unconditionally —
     // no lock needed; the scalar kernels are the reference.
@@ -121,22 +121,19 @@ fn triangular_lane_kernels_bit_identical_nt_sweep_all_modulations() {
             let q = c.order();
             let tri = Triangular::new(qr.clone(), c);
             let mut rng = StdRng::seed_from_u64(6000 + nt as u64 + q as u64);
-            // Four independent decision vectors → one SoA plane.
-            let lanes_syms: Vec<Vec<usize>> = (0..LANES)
-                .map(|_| (0..nt).map(|_| rng.gen_range(0..q)).collect())
+            // Four independent decision vectors → one lane-resident
+            // points plane.
+            let lanes_syms: Vec<Vec<u16>> = (0..LANES)
+                .map(|_| (0..nt).map(|_| rng.gen_range(0..q) as u16).collect())
                 .collect();
-            let mut plane = vec![0u16; nt * LANES];
-            for (l, v) in lanes_syms.iter().enumerate() {
-                for (p, &sym) in v.iter().enumerate() {
-                    plane[p * LANES + l] = sym as u16;
-                }
-            }
+            let points: Vec<CxLane> = (0..nt)
+                .map(|p| CxLane::from_fn(|l| tri.constellation.point(lanes_syms[l][p] as usize)))
+                .collect();
             let rows = [0, nt / 2, nt - 1];
             for &row in rows.iter() {
                 let ybar_lane = CxLane::from_fn(|l| ybar[row] * Cx::real(1.0 + l as f64 * 0.25));
-                let eff = tri.effective_point_lanes(ybar_lane, &plane, row);
-                let chosen: [u16; LANES] = std::array::from_fn(|l| lanes_syms[l][row] as u16);
-                let peds = tri.ped_increment_lanes(ybar_lane, &plane, row, chosen);
+                let eff = tri.effective_point_lanes(ybar_lane, &points, row);
+                let peds = tri.ped_increment_lanes(ybar_lane, &points, row);
                 for l in 0..LANES {
                     let mut yb = ybar.clone();
                     yb[row] = ybar_lane.get(l);
@@ -146,7 +143,8 @@ fn triangular_lane_kernels_bit_identical_nt_sweep_all_modulations() {
                         eff.get(l),
                         &format!("eff nt={nt} q={q} row={row}"),
                     );
-                    let want_ped = tri.ped_increment(&yb, &lanes_syms[l], row, chosen[l] as usize);
+                    let chosen = lanes_syms[l][row] as usize;
+                    let want_ped = tri.ped_increment(&yb, &lanes_syms[l], row, chosen);
                     assert_eq!(
                         want_ped.to_bits(),
                         peds[l].to_bits(),
@@ -155,9 +153,8 @@ fn triangular_lane_kernels_bit_identical_nt_sweep_all_modulations() {
                 }
                 if q >= LANES {
                     let survivor = &lanes_syms[0];
-                    let survivor_u16: Vec<u16> = survivor.iter().map(|&s| s as u16).collect();
                     for sym0 in (0..=q - LANES).step_by(LANES) {
-                        let block = tri.ped_increment_block(&ybar, &survivor_u16, row, sym0);
+                        let block = tri.ped_increment_block(&ybar, survivor, row, sym0);
                         for (l, got) in block.iter().enumerate() {
                             let want = tri.ped_increment(&ybar, survivor, row, sym0 + l);
                             assert_eq!(
@@ -229,16 +226,17 @@ fn assert_detector_dispatch_identity(
     ctx: &str,
 ) {
     det.prepare(h, sigma2);
+    let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
     let (lanes, scalar) = {
         let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_lane_dispatch(true);
         let lanes = (
-            det.detect_batch(ys),
+            det.detect_batch_refs(&refs),
             ys.iter().map(|y| det.detect(y)).collect::<Vec<_>>(),
         );
         set_lane_dispatch(false);
         let scalar = (
-            det.detect_batch(ys),
+            det.detect_batch_refs(&refs),
             ys.iter().map(|y| det.detect(y)).collect::<Vec<_>>(),
         );
         set_lane_dispatch(env_dispatch());
