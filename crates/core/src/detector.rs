@@ -9,7 +9,7 @@
 //! Per level, the `k`-th closest symbol to the effective received point is
 //! found through the *approximate predefined ordering* (triangle LUT,
 //! Fig. 6) in O(1), or exactly (sort all `|Q|` distances) when configured —
-//! the `ordering` bench quantifies the accuracy/cost trade, an ablation
+//! the `ablation` driver quantifies the accuracy/cost trade, an ablation
 //! DESIGN.md calls out. Paths whose predefined order points outside the
 //! constellation are deactivated exactly as in the paper's FPGA engine;
 //! rank-1 lookups fall back to the clamped slicer so the SIC path always

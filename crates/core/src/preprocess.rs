@@ -24,7 +24,7 @@
 //!
 //! `expand_batch > 1` models the paper's *parallel* pre-processing: the
 //! `B` best candidates are expanded per iteration instead of one. §3.1.1
-//! reports negligible loss for `N_PE / B ≥ 10`; the `preprocess` bench and
+//! reports negligible loss for `N_PE / B ≥ 10`; the `ablation` driver and
 //! the `batched_expansion_close_to_sequential` test quantify it here.
 
 use crate::model::LevelErrorModel;

@@ -27,10 +27,11 @@
 //! record and a `PeCost` price per unit: the predicted makespan (in
 //! units, in modelled-hardware seconds, and calibrated to the measured
 //! unit cost), the measured makespan, their relative error, the packing
-//! efficiency, and per-PE utilisation. The `hwtables` bench gates on the
-//! error staying under 25 % — if the cost signal stopped tracking what
-//! detection actually costs, the prediction (and the paper-style hardware
-//! tables built from it) would silently drift.
+//! efficiency, and per-PE utilisation. The workspace's ignored
+//! `frame_engine::fabric_makespan_prediction_tracks_real_detection_cost`
+//! test gates on the error staying under 25 % — if the cost signal stopped
+//! tracking what detection actually costs, the prediction (and the
+//! modelled `hwtable` built on the same prices) would silently drift.
 
 use flexcore_hwmodel::HeterogeneousFabric;
 use flexcore_parallel::{ScheduledRun, WeightedPool};

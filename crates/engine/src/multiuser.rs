@@ -15,13 +15,12 @@
 //!   is scheduled before an easy one of user 0, exactly as within a single
 //!   frame — and runs it on one shared [`PePool`] in a single run;
 //! * per-user accounting (frames submitted/completed, frames-behind,
-//!   effort share) feeds the fairness numbers the multi-user bench
-//!   reports.
+//!   effort share) backs the fairness numbers in [`CellStats`].
 //!
 //! Sharding is **ordering-only**: every user's detections are bit-identical
 //! to running that user's engine alone on any pool, which is what makes a
-//! multi-user run auditable against N solo runs (the bench's identity gate)
-//! and keeps the §5.1 trace-driven methodology intact at cell scale.
+//! multi-user run auditable against N solo runs and keeps the §5.1
+//! trace-driven methodology intact at cell scale.
 
 use crate::engine::FrameEngine;
 use crate::frame::{DetectedFrame, RxFrame};

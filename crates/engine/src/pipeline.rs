@@ -55,8 +55,7 @@ use std::time::Instant;
 /// Per-frame submit→decode latency samples against one deadline.
 ///
 /// Records every sample (seconds) plus a running deadline-miss count;
-/// [`LatencyRecord::stats`] reduces them to the nearest-rank percentiles
-/// the latency bench reports.
+/// [`LatencyRecord::stats`] reduces them to nearest-rank percentiles.
 ///
 /// ```
 /// use flexcore_engine::pipeline::LatencyRecord;
@@ -137,8 +136,8 @@ impl LatencyRecord {
         self.deadline_s
     }
 
-    /// The raw samples, in arrival order — the bench's audit gate
-    /// recomputes the miss rate from these.
+    /// The raw samples, in arrival order — enough to recompute the miss
+    /// rate or window the record (e.g. drop a warm-up prefix).
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
@@ -191,13 +190,13 @@ impl LatencyRecord {
 /// frame latencies into an a-FlexCore stopping-threshold setpoint.
 ///
 /// The policy is the classic asymmetric control loop: a deadline miss
-/// cuts the threshold by `down_step` scaled with how badly the frame
+/// cuts the threshold by a down step scaled with how badly the frame
 /// overran (capped at 4× the base step), while a frame comfortably inside
-/// the deadline (< `headroom` of it) earns a small `up_step` back. The
-/// setpoint is clamped to `[floor, ceiling]` — the ceiling is the initial
-/// threshold (the controller only ever *sheds* accuracy relative to the
-/// operator's configuration), the floor bounds how much detection quality
-/// the operator is willing to trade for latency.
+/// the deadline (below the headroom fraction of it) earns a small up step
+/// back. The setpoint is clamped to `[floor, ceiling]` — the ceiling is
+/// the initial threshold (the controller only ever *sheds* accuracy
+/// relative to the operator's configuration), the floor bounds how much
+/// detection quality the operator is willing to trade for latency.
 ///
 /// ```
 /// use flexcore_engine::pipeline::EffortController;
@@ -216,15 +215,20 @@ pub struct EffortController {
     threshold: f64,
     floor: f64,
     ceiling: f64,
-    down_step: f64,
-    up_step: f64,
-    headroom: f64,
 }
 
 impl EffortController {
+    // The one tuning ever measured end to end (the frozen BENCH_PR9.json
+    // run: 0 % deadline misses at 2× the calibrated load). A low headroom
+    // keeps a converged setpoint from creeping back up against the
+    // deadline.
+    const DOWN_STEP: f64 = 0.08;
+    const UP_STEP: f64 = 0.005;
+    const HEADROOM: f64 = 0.2;
+
     /// A controller targeting `deadline_s` with the a-FlexCore threshold
-    /// starting (and capped) at `initial_threshold`. Defaults: floor 0.5,
-    /// down step 0.07, up step 0.015, headroom 0.7.
+    /// starting (and capped) at `initial_threshold`, floor 0.5. The gains
+    /// are fixed: down step 0.08, up step 0.005, headroom 0.2.
     pub fn new(deadline_s: f64, initial_threshold: f64) -> Self {
         assert!(
             deadline_s > 0.0,
@@ -239,9 +243,6 @@ impl EffortController {
             threshold: initial_threshold,
             floor: 0.5_f64.min(initial_threshold),
             ceiling: initial_threshold,
-            down_step: 0.07,
-            up_step: 0.015,
-            headroom: 0.7,
         }
     }
 
@@ -253,31 +254,6 @@ impl EffortController {
         );
         self.floor = floor;
         self.threshold = self.threshold.max(floor);
-        self
-    }
-
-    /// Replaces the recovery headroom: the threshold climbs back only
-    /// when a frame's latency is below `headroom × deadline` (must be in
-    /// `[0, 1)`). Lower headroom keeps a converged setpoint from creeping
-    /// back up against the deadline — `0.0` disables recovery entirely,
-    /// turning the loop into a pure shed-on-miss ratchet.
-    pub fn with_headroom(mut self, headroom: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&headroom),
-            "EffortController: headroom must be in [0, 1), got {headroom}"
-        );
-        self.headroom = headroom;
-        self
-    }
-
-    /// Replaces the control gains (both must be positive).
-    pub fn with_gains(mut self, down_step: f64, up_step: f64) -> Self {
-        assert!(
-            down_step > 0.0 && up_step > 0.0,
-            "EffortController: gains must be positive"
-        );
-        self.down_step = down_step;
-        self.up_step = up_step;
         self
     }
 
@@ -298,9 +274,9 @@ impl EffortController {
             // Scale the cut with how badly the frame overran, capped so a
             // single pathological sample cannot crater the setpoint.
             let overrun = (latency_s / self.deadline_s - 1.0).min(3.0);
-            self.threshold -= self.down_step * (1.0 + overrun);
-        } else if latency_s < self.headroom * self.deadline_s {
-            self.threshold += self.up_step;
+            self.threshold -= Self::DOWN_STEP * (1.0 + overrun);
+        } else if latency_s < Self::HEADROOM * self.deadline_s {
+            self.threshold += Self::UP_STEP;
         }
         self.threshold = self.threshold.clamp(self.floor, self.ceiling);
         self.threshold

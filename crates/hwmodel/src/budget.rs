@@ -56,7 +56,7 @@ impl CellBudget {
 
     /// The canonical small-cell budget: the 2-fast-DSP + 6-slow-ARM LTE
     /// fabric ([`HeterogeneousFabric::lte_smallcell`]) serving 1 ms LTE
-    /// subframes — the per-cell deployment shape the city-scale bench
+    /// subframes — the per-cell deployment shape the city simulation
     /// calibrates against.
     ///
     /// ```

@@ -16,8 +16,8 @@
 //! factors, `flexcore-engine`'s planner multiplies the detector's
 //! effort-family cost signal (`Detector::effort()` /
 //! `Detector::extension_work()`) by a `PeCost` into per-slot predicted
-//! costs, and the `hwtables` bench converts predicted makespans back into
-//! the paper-style throughput-per-hardware tables.
+//! costs, and `flexcore-sim`'s `hwtable` driver converts planned makespans
+//! back into the paper-style throughput-per-hardware table.
 //!
 //! ## Calibration constants
 //!
@@ -349,8 +349,8 @@ impl HeterogeneousFabric {
     /// `units_per_vector` of them and yields
     /// [`WorkUnit::bits_per_vector`] bits.
     ///
-    /// The `hwtables` bench divides this by the scheduler's realised
-    /// packing efficiency to get table throughput.
+    /// `flexcore-sim`'s `hwtable` driver multiplies this by the
+    /// scheduler's packing efficiency to get table throughput.
     ///
     /// ```
     /// use flexcore_hwmodel::{EngineKind, FpgaModel, HeterogeneousFabric, WorkUnit};

@@ -137,7 +137,7 @@ fn lte_path_budget_pin_table() {
 
 #[test]
 fn fabric_presets_pin_table() {
-    // The fabric shapes the hwtables sweep commits to.
+    // The fabric shapes the `hwtable` sweep commits to.
     let table: &[(HeterogeneousFabric, usize, f64)] = &[
         (HeterogeneousFabric::fpga_engines(8), 8, 8.0),
         (

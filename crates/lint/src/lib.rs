@@ -66,8 +66,6 @@ pub enum FileClass {
     Bin,
     /// Integration tests.
     Test,
-    /// Criterion benches.
-    Bench,
     /// Examples.
     Example,
 }
@@ -141,8 +139,6 @@ pub fn classify(rel: &str) -> FileClass {
         FileClass::Bin
     } else if local.starts_with("tests/") {
         FileClass::Test
-    } else if local.starts_with("benches/") {
-        FileClass::Bench
     } else if local.starts_with("examples/") {
         FileClass::Example
     } else {
@@ -299,18 +295,11 @@ mod tests {
     #[test]
     fn classify_paths() {
         assert_eq!(classify("crates/numeric/src/lanes.rs"), FileClass::Lib);
-        assert_eq!(
-            classify("crates/bench/src/bin/perf_smoke.rs"),
-            FileClass::Bin
-        );
+        assert_eq!(classify("crates/bench/src/bin/fig9.rs"), FileClass::Bin);
         assert_eq!(classify("crates/lint/src/main.rs"), FileClass::Bin);
         assert_eq!(
             classify("crates/sim/tests/experiment_smoke.rs"),
             FileClass::Test
-        );
-        assert_eq!(
-            classify("crates/bench/benches/detectors.rs"),
-            FileClass::Bench
         );
         assert_eq!(classify("tests/alloc_regression.rs"), FileClass::Test);
         assert_eq!(classify("examples/quickstart.rs"), FileClass::Example);

@@ -518,12 +518,7 @@ mod tests {
         assert_eq!(codes(&lint_lib(src)), ["FL004"]);
         let s = scan(src);
         let tw = TwinUniverse::default();
-        for class in [
-            FileClass::Bin,
-            FileClass::Test,
-            FileClass::Bench,
-            FileClass::Example,
-        ] {
+        for class in [FileClass::Bin, FileClass::Test, FileClass::Example] {
             assert!(lint_file("p", class, &s, &tw).is_empty(), "{class:?}");
         }
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f(x: Option<u8>) -> u8 { x.unwrap() }\n}";

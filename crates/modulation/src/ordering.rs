@@ -269,7 +269,7 @@ impl OrderingLut {
     /// always in the grid) at the cost of a short in-bounds scan — still no
     /// Euclidean distances or sorting. The strict variant
     /// [`OrderingLut::kth_nearest`] reproduces the paper's FPGA
-    /// deactivation behaviour; the `ordering` bench compares both against
+    /// deactivation behaviour; the `ablation` driver compares both against
     /// the exact oracle. Returns `None` only when `k` exceeds the table
     /// depth or the constellation size.
     pub fn kth_nearest_skip(&self, c: &Constellation, y: Cx, k: usize) -> Option<usize> {

@@ -62,8 +62,8 @@ pub fn lanes_enabled() -> bool {
 
 /// Forces the dispatch decision at runtime: `true` selects the lane
 /// kernels, `false` the scalar fallback. Used by the forced-scalar
-/// property tests and by `perf_smoke` to re-enact the PR 2 scalar
-/// baseline inside one process; results are unaffected either way.
+/// property tests to run both twins inside one process; results are
+/// unaffected either way.
 pub fn set_lane_dispatch(lanes: bool) {
     DISPATCH.store(if lanes { 1 } else { 2 }, Ordering::Relaxed);
 }

@@ -495,7 +495,7 @@ where
 ///
 /// Each user's detections — and therefore its [`StreamedOutcome`] — are
 /// bit-identical to running that user alone in a single-user cell with the
-/// same seeds, whatever the user mix (the multiuser bench's identity gate).
+/// same seeds, whatever the user mix.
 ///
 /// # Panics
 /// Panics unless `rngs.len() == cell.n_users()`, every stream matches

@@ -40,8 +40,8 @@ pub fn network_throughput_mbps(
 ///
 /// *Goodput* is what the MAC actually hands up — payload bits of packets
 /// whose CRC-32 checked out — as opposed to the PER-scaled peak rate of
-/// [`network_throughput_mbps`]. The multi-user bench divides
-/// [`GoodputMeter::delivered_bits`] by wall-clock time for a processing
+/// [`network_throughput_mbps`]. Dividing
+/// [`GoodputMeter::delivered_bits`] by wall-clock time gives a processing
 /// goodput (can the detector keep up?), while the cross-layer tests
 /// compare delivered against offered bits (is anything lost at high
 /// SNR?).
@@ -91,16 +91,6 @@ impl GoodputMeter {
     /// Per-user delivered packet counts.
     pub fn delivered_per_user(&self) -> &[u64] {
         &self.delivered
-    }
-
-    /// `(min, max)` delivered packets over users — the delivery side of
-    /// the fairness story (the scheduling side is the cell's
-    /// frames-behind counters).
-    pub fn delivered_min_max(&self) -> (u64, u64) {
-        (
-            self.delivered.iter().copied().min().unwrap_or(0),
-            self.delivered.iter().copied().max().unwrap_or(0),
-        )
     }
 
     /// Aggregate goodput in Mbit/s against an elapsed wall-clock or
@@ -187,12 +177,11 @@ mod tests {
         assert_eq!(m.delivered_bits(), 5 * 80);
         assert!(!m.all_delivered());
         assert_eq!(m.delivered_per_user(), &[2, 3]);
-        assert_eq!(m.delivered_min_max(), (2, 3));
         // 400 delivered bits over 1 ms = 0.4 Mbit/s.
         assert!((m.goodput_mbps(1e-3) - 0.4).abs() < 1e-12);
         // A clean second tick levels the meter.
         m.record(&outcome(0, vec![true; 3]));
-        assert_eq!(m.delivered_min_max(), (3, 5));
+        assert_eq!(m.delivered_per_user(), &[5, 3]);
     }
 
     #[test]

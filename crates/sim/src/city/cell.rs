@@ -347,7 +347,7 @@ impl CityCell {
 
     /// Forces one user onto a tier immediately, through the same swap
     /// path the policy uses (recorded as a policy event). This is the
-    /// bench/test hook for pinning a fixed configuration or replaying a
+    /// test hook for pinning a fixed configuration or replaying a
     /// known downgrade schedule.
     pub fn force_tier(&mut self, user: usize, tier: ServiceTier) {
         if self.users[user].tier == tier {

@@ -37,7 +37,7 @@ use flexcore_modulation::Modulation;
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShedPolicy {
     /// Master switch; `false` pins every user at full service (the
-    /// bench's "fixed" arm).
+    /// "fixed" arm of a shedding comparison).
     pub enabled: bool,
     /// Downgrade when any user's frames-behind reaches this.
     pub lag_frames: u64,
@@ -74,9 +74,9 @@ impl ShedPolicy {
         }
     }
 
-    /// Shedding off: the fixed-configuration baseline the bench compares
-    /// against. All other knobs keep their defaults so the two arms
-    /// differ in exactly one bit.
+    /// Shedding off: the fixed-configuration baseline shedding is
+    /// compared against. All other knobs keep their defaults so the two
+    /// arms differ in exactly one bit.
     pub fn disabled() -> Self {
         ShedPolicy {
             enabled: false,
@@ -180,7 +180,7 @@ pub fn jain_index(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sq)
 }
 
-/// City-level outcome of one run — the numbers the PR 10 bench publishes.
+/// City-level outcome of one run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CityReport {
     /// The requested load as a multiple of city capacity.
@@ -209,7 +209,8 @@ pub struct CityReport {
     pub deadline_miss_rate: f64,
     /// Jain index over per-user goodput bits, admitted users only.
     pub jain: f64,
-    /// `goodput_bits × jain` — the bench's dominance metric.
+    /// `goodput_bits × jain` — the metric on which shedding must dominate
+    /// fixed full service under overload.
     pub goodput_fairness: f64,
     /// Latency-class latency distribution (aggregated over cells by
     /// worst-cell p95/p99, frame-weighted mean).
@@ -329,7 +330,7 @@ impl City {
         &self.cells
     }
 
-    /// Mutable access to one cell (bench/test hook for forced tiers).
+    /// Mutable access to one cell (test hook for forced tiers).
     pub fn cell_mut(&mut self, i: usize) -> &mut CityCell {
         &mut self.cells[i]
     }

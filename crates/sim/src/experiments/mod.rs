@@ -12,6 +12,7 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig9;
+pub mod hwtable;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -13,11 +13,10 @@
 //! * [`city`] — the city-scale serving layer: multi-cell simulation with
 //!   per-user arrival processes, QoS classes, admission control and
 //!   QoS-aware load shedding over `flexcore_engine::StreamingCell`;
-//! * [`experiments`] — the per-figure drivers;
-//! * [`hardware`] — the paper-style hardware-efficiency tables: converts
-//!   the `hwtables` bench's measured effort/packing/utilisation numbers
-//!   into modelled throughput per fabric via the unified
-//!   `flexcore_hwmodel::PeCost` pricing.
+//! * [`experiments`] — the per-figure drivers, plus
+//!   [`experiments::hwtable`]: the modelled hardware-efficiency table
+//!   (effort, LPT packing and Mb/s per fabric via the unified
+//!   `flexcore_hwmodel::PeCost` pricing).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +24,6 @@
 pub mod calibrate;
 pub mod city;
 pub mod experiments;
-pub mod hardware;
 pub mod table;
 
 pub use table::ResultTable;

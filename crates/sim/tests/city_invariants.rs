@@ -166,10 +166,9 @@ fn downgraded_user_detections_match_a_solo_run_with_the_same_schedule() {
 /// leaks into results — a rerun compared only with itself cannot see that.
 const SMALL_CITY_DIGEST: u64 = 0xa8b5_6a0c_f290_c8e6;
 
-/// The same pin for the city bench's `CITY_FAST=1` determinism gate: the
-/// smoke city (seed `0x5EED_0010`, 2 cells × 32 users, shedding on), 60
-/// ticks at load 1.8 — the digest `--bin city` prints.
-const CITY_FAST_DIGEST: u64 = 0x2fed_7a89_585d_027d;
+/// The same pin at full `CityConfig::small_city()` size (2 cells × 32
+/// users, shedding on): seed `0x5EED_0010`, 60 ticks at load 1.8.
+const SEEDED_SMALL_CITY_DIGEST: u64 = 0x2fed_7a89_585d_027d;
 
 #[test]
 fn same_seed_city_runs_are_bit_identical() {
@@ -187,12 +186,12 @@ fn same_seed_city_runs_are_bit_identical() {
 }
 
 #[test]
-fn city_bench_smoke_digest_is_pinned() {
+fn seeded_small_city_digest_is_pinned() {
     let mut cfg = CityConfig::small_city();
     cfg.seed = 0x5EED_0010;
     let report = City::new(&cfg).run(60, 1.8);
     assert_eq!(
-        report.digest, CITY_FAST_DIGEST,
+        report.digest, SEEDED_SMALL_CITY_DIGEST,
         "delivered detections moved: {:#018x}",
         report.digest
     );
@@ -202,7 +201,9 @@ fn city_bench_smoke_digest_is_pinned() {
 fn shedding_keeps_latency_users_inside_their_deadline_under_overload() {
     // The policy's purpose, end to end: at 2x load with shedding on, the
     // latency class's p95 stays within its deadline once the policy has
-    // had time to bite; with shedding off it blows through it.
+    // had time to bite; with shedding off it blows through it — and
+    // degrading a few bulk users beats letting the backlog starve
+    // everyone on goodput × Jain fairness.
     let mut cfg = test_city_config(16);
     cfg.seed = 0xA11_0C8ED;
     let shed = City::new(&cfg).run(120, 2.0);
@@ -216,5 +217,11 @@ fn shedding_keeps_latency_users_inside_their_deadline_under_overload() {
         "shedding did not improve latency-class p95: {} vs {}",
         shed.latency_class_p95_s,
         fixed.latency_class_p95_s
+    );
+    assert!(
+        shed.goodput_fairness > fixed.goodput_fairness,
+        "shedding did not dominate on goodput x fairness: {:.3e} vs {:.3e}",
+        shed.goodput_fairness,
+        fixed.goodput_fairness
     );
 }

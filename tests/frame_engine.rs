@@ -19,10 +19,14 @@ const NT: usize = 4;
 const SNR: f64 = 14.0;
 
 fn selective_channel(n_sc: usize, seed: u64) -> FrameChannel {
+    selective_channel_at(NT, SNR, n_sc, seed)
+}
+
+fn selective_channel_at(nt: usize, snr_db: f64, n_sc: usize, seed: u64) -> FrameChannel {
     let mut rng = StdRng::seed_from_u64(seed);
     FrameChannel::per_subcarrier(
-        ChannelEnsemble::iid(NT, NT).draw_many(&mut rng, n_sc),
-        sigma2_from_snr_db(SNR),
+        ChannelEnsemble::iid(nt, nt).draw_many(&mut rng, n_sc),
+        sigma2_from_snr_db(snr_db),
     )
 }
 
@@ -33,7 +37,7 @@ fn random_frame(channel: &FrameChannel, n_sym: usize, seed: u64) -> RxFrame {
     for _ in 0..n_sym {
         let mut row = Vec::with_capacity(channel.n_subcarriers());
         for sc in 0..channel.n_subcarriers() {
-            let x: Vec<Cx> = (0..NT)
+            let x: Vec<Cx> = (0..channel.h(sc).cols())
                 .map(|_| c.point(rng.gen_range(0..c.order())))
                 .collect();
             let mut y = channel.h(sc).mul_vec(&x);
@@ -169,6 +173,74 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
             assert_eq!(
                 audit.predicted_model_makespan_s,
                 audit.predicted_makespan_units * unit_s
+            );
+        }
+    }
+}
+
+#[test]
+#[ignore = "timing audit: run in release"]
+fn fabric_makespan_prediction_tracks_real_detection_cost() {
+    // What every modelled number rests on (`hwtable`'s Mb/s, the city's
+    // tick durations): a batch priced at `extension_work × symbols` must
+    // cost real detection time in proportion, or the predicted makespan
+    // silently drifts. PR 6 caught the unpriced nt² rotate at 64×64 with
+    // exactly this audit; spin-loop tasks
+    // (`fabric::tests::stats_from_a_perfectly_predicted_run`) cannot.
+    use flexcore_engine::{pool_for, FabricStats};
+    use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
+
+    const MAX_MAKESPAN_ERROR: f64 = 0.25;
+    let pool = pool_for(&HeterogeneousFabric::lte_smallcell());
+    let c = Constellation::new(Modulation::Qam16);
+    for nt in [8usize, 64] {
+        let unit_s = CpuModel::fx8120().unit_seconds(&WorkUnit::new(nt, 16));
+        // 52 subcarriers: each of the 8 PEs averages several, so
+        // per-subcarrier cost spread the price cannot see evens out.
+        let channel = selective_channel_at(nt, 20.0, 52, 600 + nt as u64);
+        let frames: Vec<RxFrame> = (0..10)
+            .map(|i| random_frame(&channel, 8, 700 + 10 * nt as u64 + i))
+            .collect();
+        for template in [
+            FlexCoreDetector::with_pes(c.clone(), 16),
+            FlexCoreDetector::adaptive(c.clone(), 16, 0.95),
+        ] {
+            let name = template.name();
+            let mut engine = FrameEngine::new(template);
+            engine.prepare(&channel);
+            // One warm-up frame, then the *minimum* error over 9 timed
+            // frames: the channel (and so the batch plan and predicted
+            // makespan) is the same every frame, and host-scheduler
+            // preemptions only ever add time — one ~20 µs spike on a
+            // ~6 µs batch of the critical PE inflates that frame's
+            // measured makespan by 30–50 %. A systematic cost-model error
+            // shows up in every frame including the quietest one, so
+            // min-of-N is the denoised estimate of exactly the error this
+            // audit is after.
+            let quietest_frame_error = || {
+                engine.detect_frame(&frames[0], &pool);
+                frames[1..]
+                    .iter()
+                    .map(|frame| {
+                        engine.detect_frame(frame, &pool);
+                        let run = pool.last_run().expect("the fabric recorded the run");
+                        FabricStats::from_run(&run, pool.speeds(), unit_s).makespan_error
+                    })
+                    .fold(f64::INFINITY, f64::min)
+            };
+            let mut error = quietest_frame_error();
+            if error >= MAX_MAKESPAN_ERROR {
+                // Every frame noisy (a co-tenant hogging the host for the
+                // whole measurement): one full re-measurement. A real
+                // cost-model error reproduces, a busy neighbour usually
+                // does not.
+                error = quietest_frame_error();
+            }
+            assert!(
+                error < MAX_MAKESPAN_ERROR,
+                "{nt}x{nt} {name}: predicted-vs-measured makespan error {:.1}% on the \
+                 quietest frame, even after a retry",
+                error * 100.0
             );
         }
     }
