@@ -95,8 +95,20 @@ struct TrieNode {
     /// Index into the path list when this node completes a path
     /// (`row == 0`), else [`NIL`].
     path_idx: u32,
+    /// Some path through this node (the one that created it).
+    via: u32,
     first_child: u32,
     next_sibling: u32,
+}
+
+/// One sibling chain in the block walk's level order.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    /// First node; the rest follow `next_sibling`.
+    first: u32,
+    /// A path through the chain's parent: the chain's ancestors, parent
+    /// first, are `lineage[via · nt + row + 1 .. (via + 1) · nt]`.
+    via: u32,
 }
 
 /// Prefix-sharing trie over the selected position vectors, built once in
@@ -111,17 +123,35 @@ struct TrieNode {
 /// every path's symbols and metric are bit-identical to an independent
 /// [`FlexCoreDetector::run_path_into`] evaluation — only the redundant
 /// arithmetic disappears.
+///
+/// For the four-observation block walk the same trie is also laid out as a
+/// level-synchronous program: `chains` lists every sibling chain level by
+/// level (top row first). A chain only reads state of strictly higher
+/// rows, so one plain loop over `chains` evaluates the whole trie, and
+/// consecutive chains are independent of one another — sibling subtrees
+/// overlap in the pipeline instead of queueing behind each other's
+/// dependent accumulate → locate → look-up → store chain as they do in a
+/// depth-first recursion.
 #[derive(Clone, Debug, Default)]
 struct PathTrie {
     nodes: Vec<TrieNode>,
     first_root: u32,
+    chains: Vec<Chain>,
+    /// `lineage[path · nt + row]` = the node of `path` at `row`. Every
+    /// chain's ancestor list is a row suffix of one path's lineage, so the
+    /// ids are materialised once per path (`n_paths · nt` words), not once
+    /// per chain.
+    lineage: Vec<u32>,
 }
 
 impl PathTrie {
     fn build(paths: &[PositionVector], nt: usize) -> Self {
         let mut trie = PathTrie {
-            nodes: Vec::new(),
+            // At most one node per path and row: sized once, never regrown.
+            nodes: Vec::with_capacity(paths.len() * nt),
             first_root: NIL,
+            chains: Vec::new(),
+            lineage: vec![NIL; paths.len() * nt],
         };
         for (pi, p) in paths.iter().enumerate() {
             let mut parent: Option<u32> = None;
@@ -150,6 +180,7 @@ impl PathTrie {
                         row: row as u8,
                         rank,
                         path_idx: NIL,
+                        via: pi as u32,
                         first_child: NIL,
                         next_sibling: NIL,
                     });
@@ -167,8 +198,33 @@ impl PathTrie {
                     // vectors, so a leaf is claimed at most once.
                     trie.nodes[found as usize].path_idx = pi as u32;
                 }
+                trie.lineage[pi * nt + row] = found;
                 parent = Some(found);
             }
+        }
+        // Level order: breadth-first over sibling chains, `chains` being
+        // its own queue.
+        trie.chains.reserve_exact(trie.nodes.len());
+        if trie.first_root != NIL {
+            trie.chains.push(Chain {
+                first: trie.first_root,
+                via: 0, // no ancestors: any path serves
+            });
+        }
+        let mut visited = 0;
+        while let Some(&Chain { first, .. }) = trie.chains.get(visited) {
+            let mut idx = first;
+            while idx != NIL {
+                let node = trie.nodes[idx as usize];
+                if node.first_child != NIL {
+                    trie.chains.push(Chain {
+                        first: node.first_child,
+                        via: node.via,
+                    });
+                }
+                idx = node.next_sibling;
+            }
+            visited += 1;
         }
         trie
     }
@@ -206,6 +262,9 @@ struct State {
     paths: Vec<PositionVector>,
     /// Prefix-sharing evaluation order over `paths`.
     trie: PathTrie,
+    /// Per row `(R(row,row)⁻¹, |R(row,row)|²)`, exactly as the scalar walk
+    /// forms them per chain.
+    diag: Vec<(Cx, f64)>,
     /// `Σ Pc` over the selected paths.
     cumulative_prob: f64,
     /// Pre-processing cost (Table 2).
@@ -261,31 +320,25 @@ pub(crate) struct WalkScratch {
     branch: SymVec,
 }
 
-/// Structure-of-arrays workspace for the four-observation block walk:
-/// every per-path quantity is a contiguous lane-minor plane, so one trie
-/// traversal streams four subcarriers' observations through the lane
-/// kernels at once. Sized on first use and reused across blocks.
+/// Workspace of the four-observation block walk: per-node lane state (by
+/// [`PathTrie`] node index) plus each lane's running winner. Sized on
+/// first use and reused across blocks.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkBlockScratch {
-    /// Path-metric plane, lane-minor: `metrics[path * LANES + lane]` is
-    /// lane `lane`'s metric for path `path` (`NaN` = deactivated for that
-    /// observation).
-    pub(crate) metrics: Vec<f64>,
-    /// Completed tree-order decision plane:
-    /// `syms[(path * LANES + lane) * nt + row]`. Slots are reused across
-    /// blocks; an entry is only read when its metric is non-`NaN`, and the
-    /// two planes are always written together.
-    pub(crate) syms: Vec<u16>,
-    /// The walk's branch-state plane, lane-major
-    /// (`branch[lane * nt + row]`), so a completed path's decision vector
-    /// is one contiguous `nt`-run per lane and the path-completion store
-    /// is a straight `copy_from_slice`.
-    branch: Vec<u16>,
-    /// Lane-resident constellation points of the branch decisions
-    /// (`points[row]` = the four decided points at `row`), kept in sync
-    /// with `branch` so the effective-point cancellation and the per-node
-    /// distance are contiguous lane arithmetic with no index gathers.
+    /// The four decided constellation points per node.
     points: Vec<CxLane>,
+    /// Accumulated path metric per node and lane; `NaN` = the lane is
+    /// deactivated at (or above) this node.
+    metric: Vec<[f64; LANES]>,
+    /// The four decided symbols per node.
+    syms: Vec<[u16; LANES]>,
+    /// Per lane: the best completed path so far and its metric
+    /// ([`NIL`] = none yet).
+    pub(crate) best_path: [u32; LANES],
+    pub(crate) best_metric: [f64; LANES],
+    /// Tree-order decisions of the lane last passed to
+    /// [`FlexCoreDetector::block_winner`].
+    pub(crate) winner: Vec<u16>,
 }
 
 /// The FlexCore detector.
@@ -569,33 +622,44 @@ impl FlexCoreDetector {
         }
     }
 
-    /// Four-observation block form of [`FlexCoreDetector::walk_paths`]:
-    /// one trie traversal evaluates **four rotated observations** at once.
+    /// Four-observation block form of [`FlexCoreDetector::walk_paths`]
+    /// followed by its `first_min_metric` reduction: one pass over the
+    /// trie's level-ordered `chains` evaluates it for **four rotated
+    /// observations** at once and leaves each lane's winning path in
+    /// `out.best_path` / `out.best_metric`
+    /// ([`FlexCoreDetector::block_winner`] reads its symbols back).
     /// `ybars` is the flat observation-major plane a blocked rotate
-    /// produces (`ybars[lane * nt + row]`); lane `l` of every output plane
-    /// corresponds to observation `l`.
+    /// produces (`ybars[lane * nt + row]`).
     ///
-    /// The trie is walked exactly once per block — each distinct
-    /// rank-prefix node costs one *four-wide* effective point (through
-    /// `Triangular::effective_point_lanes`) instead of four scalar ones,
-    /// and the sibling-chain pointer chasing is amortised ×4. Per lane,
-    /// term values and accumulation order replay the scalar walk exactly,
-    /// so every completed path's metric and symbols are bit-identical to
+    /// Per chain: one four-wide effective point (Eq. 5, cancelling the
+    /// ancestors' points in ascending row order like
+    /// `Triangular::effective_point`, then the hoisted reciprocal) and one
+    /// fused locate → table-base kernel; per node: one table read per lane
+    /// and a four-wide metric update. Per lane, term values and
+    /// accumulation order replay the scalar walk exactly, so every
+    /// completed path's metric and symbols are bit-identical to
     /// [`FlexCoreDetector::walk_paths`] on that lane's observation.
-    pub(crate) fn walk_paths_block(&self, ybars: &[Cx], out: &mut WalkBlockScratch) {
-        // flexcore-lint: scalar-twin = walk_paths
-        self.walk_paths_block_masked(ybars, [true; LANES], out);
-    }
-
-    /// [`FlexCoreDetector::walk_paths_block`] with an initial lane mask —
-    /// the partial-tail form. A batch whose length is not a multiple of
-    /// [`LANES`] pads the last block by repeating its final observation
-    /// and walks it with only the real lanes active: padding lanes ride
-    /// along in the lane kernels but never reach a store, so the active
-    /// lanes' metric/symbol planes are bit-identical to a full block's
-    /// (and hence to the scalar walk). Lanes inactive from the start keep
-    /// `NaN` metrics on every path — callers must not extract them.
-    pub(crate) fn walk_paths_block_masked(
+    ///
+    /// `active` is the partial-tail mask: a batch whose length is not a
+    /// multiple of [`LANES`] pads its last block by repeating the final
+    /// observation and walks it with only the real lanes active. A lane
+    /// that is inactive — from the start, or from the node where its
+    /// predefined order left the constellation — carries a `NaN` metric
+    /// down its subtree: it still rides through the lane kernels (on valid
+    /// points, so the results are finite garbage), but can never win, and a
+    /// chain whose four lanes are all dead is skipped. Lanes inactive from
+    /// the start end with `best_path == NIL` — callers must not extract
+    /// them.
+    ///
+    /// The winner is the streaming form of `first_min_metric`: strictly
+    /// smaller metric, equal metrics broken by the lower path index, `NaN`
+    /// never — independent of the order leaves are visited in.
+    ///
+    /// Out of line on purpose: inlined into `detect_batch_refs` the loop
+    /// shares its registers with the batch driver and spills more
+    /// (measured: 5 % slower at 4×4 and 64×64).
+    #[inline(never)]
+    pub(crate) fn walk_paths_block(
         &self,
         ybars: &[Cx],
         active: [bool; LANES],
@@ -605,25 +669,23 @@ impl FlexCoreDetector {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
         let state = self.prepared();
+        let (trie, r) = (&state.trie, &state.tri.qr.r);
         let nt = state.tri.nt();
         assert_eq!(ybars.len(), LANES * nt, "walk_paths_block: plane length");
-        let n = state.paths.len();
-        out.metrics.clear();
-        out.metrics.resize(n * LANES, f64::NAN);
-        // No clear(): stale symbol entries are unreachable (read only when
-        // the paired metric is non-NaN, and both planes are written
-        // together).
-        out.syms.resize(n * LANES * nt, 0);
-        out.branch.clear();
-        out.branch.resize(nt * LANES, 0);
-        out.points.clear();
-        out.points.resize(nt, CxLane::zero());
-        // The block walk's rank lookups go through the materialised
-        // (centre, triangle, rank) table — bit-identical to the scan path
-        // by construction, built once per detector on the first blocked
-        // batch. `Exact` ordering has no LUT; a table built under a
-        // different ordering semantics (the config changed after the first
-        // build) is discarded in favour of the scan.
+        let n = trie.nodes.len();
+        // Every node starts dead, so a skipped chain needs no marking.
+        out.metric.clear();
+        out.metric.resize(n, [f64::NAN; LANES]);
+        // No clear(): a live node's points and symbols are written before
+        // any chain below it (or the winner read-back) can reach them.
+        out.points.resize(n, CxLane::zero());
+        out.syms.resize(n, [0; LANES]);
+        let (mut best_path, mut best_metric) = ([NIL; LANES], [f64::INFINITY; LANES]);
+        // Rank lookups go through the materialised (centre, triangle,
+        // rank) table — bit-identical to the scan path by construction.
+        // `Exact` ordering has no LUT; a table built under a different
+        // ordering semantics (the config changed after the first build)
+        // is discarded in favour of the scan.
         let fast: Option<&LocatedOrderingTable> = match self.config.path_ordering {
             PathOrdering::Exact => None,
             mode => {
@@ -634,151 +696,108 @@ impl FlexCoreDetector {
                 (t.strict() == strict).then(|| &**t)
             }
         };
-        // Detach the branch planes to dodge the double &mut borrow of `out`.
-        let mut branch = std::mem::take(&mut out.branch);
-        let mut points = std::mem::take(&mut out.points);
-        self.walk_level_block(
-            state,
-            ybars,
-            state.trie.first_root,
-            &mut branch,
-            &mut points,
-            [0.0; LANES],
-            active,
-            fast,
-            out,
-        );
-        out.branch = branch;
-        out.points = points;
-    }
-
-    /// Blocked form of [`FlexCoreDetector::walk_level`]: walks one sibling
-    /// chain for four observations at once. The effective point is
-    /// computed four-wide once per chain; symbol picks, metric updates and
-    /// deactivation stay per-lane (`active` is the masked-tail rule: a
-    /// lane that leaves the constellation is masked out of the subtree,
-    /// not branched around). Inactive lanes still ride along in the lane
-    /// kernels — their results are garbage but provably unreachable, since
-    /// the mask gates every store and recursion.
-    ///
-    /// The triangle-LUT locate is memoised per chain per lane (all
-    /// siblings share the lane's effective point) through the filtered
-    /// `locate_fast`, and each sibling's rank lookup is a direct
-    /// [`LocatedOrderingTable`] read instead of re-locating and re-scanning
-    /// the predefined order — both bit-identical to the scalar
-    /// `pick_symbol` path, which stays untouched as the PR 2 baseline.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_level_block(
-        &self,
-        state: &State,
-        ybars: &[Cx],
-        first: u32,
-        branch: &mut [u16],
-        points: &mut [CxLane],
-        parent_metric: [f64; LANES],
-        active: [bool; LANES],
-        fast: Option<&LocatedOrderingTable>,
-        out: &mut WalkBlockScratch,
-    ) {
-        // flexcore-lint: scalar-twin = walk_level
-        // flexcore-lint: hot-path
-        // flexcore-lint: bit-identity
-        if first == NIL {
-            return;
-        }
-        let tri = &state.tri;
-        let nt = tri.nt();
-        let row = state.trie.nodes[first as usize].row as usize;
-        let ybar_lane = CxLane::from_fn(|l| ybars[l * nt + row]);
-        let eff = tri.effective_point_lanes(ybar_lane, points, row);
-        let rdiag = tri.qr.r[(row, row)].norm_sqr();
-        // One locate per lane per chain: every sibling shares it. Inactive
-        // lanes are located on garbage effective points — the clamp window
-        // makes that safe, and the mask keeps the results unreachable.
-        // Chain-constant pick state, one locate + window check per lane:
-        // `Some(base)` = every sibling's rank is a single table read at
-        // `base`; `None` = centre outside the window (deep-noise outlier),
-        // exact scan path per node.
-        let bases: Option<[Option<usize>; LANES]> = fast.map(|t| {
-            let pts: [Cx; LANES] = std::array::from_fn(|l| eff.get(l));
-            let cells = t.locate_array(&self.lut, &self.constellation, &pts);
-            std::array::from_fn(|l| {
-                let (ci, cj, tr) = cells[l];
-                t.base(ci, cj, tr)
-            })
-        });
-        let mut idx = first;
-        while idx != NIL {
-            let node = state.trie.nodes[idx as usize];
-            let mut child_active = [false; LANES];
-            let k = node.rank as usize;
-            for l in 0..LANES {
-                if !active[l] {
-                    continue;
-                }
-                let eff_l = eff.get(l);
-                let picked = match (fast, &bases) {
-                    (Some(t), Some(bs)) => match bs[l] {
-                        Some(b) => {
-                            let s = t.get(b, k);
-                            if s.is_none() && k == 1 {
-                                // Rank-1 clamped-slicer fallback, as in
-                                // `pick_symbol`.
-                                Some(self.constellation.slice(eff_l))
-                            } else {
-                                s
-                            }
-                        }
-                        None => self.pick_symbol(eff_l, k),
-                    },
-                    _ => self.pick_symbol(eff_l, k),
-                };
-                if let Some(sym) = picked {
-                    branch[l * nt + row] = sym as u16;
-                    let pt = self.constellation.point(sym);
-                    points[row].re[l] = pt.re;
-                    points[row].im[l] = pt.im;
-                    child_active[l] = true;
-                }
+        let cpoints = self.constellation.points();
+        for chain in &trie.chains {
+            let row = trie.nodes[chain.first as usize].row as usize;
+            let via = chain.via as usize * nt;
+            let ancestors = &trie.lineage[via + row + 1..via + nt];
+            let parent_metric = match ancestors.first() {
+                Some(&pa) => out.metric[pa as usize],
+                None => active.map(|a| if a { 0.0 } else { f64::NAN }),
+            };
+            if parent_metric.iter().all(|m| m.is_nan()) {
+                continue;
             }
-            if child_active.iter().any(|&a| a) {
-                // Four-wide metric: the freshly-decided points at `row`
-                // against the chain's effective point, then the scalar
-                // chain `parent + rdiag·dist` replayed per lane. Lanes
-                // that weren't picked compute garbage on stale points —
-                // masked out of `child_metric` and every store below.
-                let dist = points[row].dist_sqr(eff);
-                let mut child_metric = [f64::NAN; LANES];
+            let mut acc = CxLane::from_fn(|l| ybars[l * nt + row]);
+            for (&coef, &a) in r.row(row)[row + 1..].iter().zip(ancestors) {
+                acc.sub_mul(CxLane::splat(coef), out.points[a as usize]);
+            }
+            let (inv, rdiag) = state.diag[row];
+            let eff = acc * CxLane::splat(inv);
+            // One locate per lane per chain — every sibling shares it.
+            // `NIL` = no table, or centre outside its window (deep-noise
+            // outlier): exact scan per node.
+            let mut bases = [NIL; LANES];
+            if let Some(t) = fast {
+                t.locate_bases(&self.lut, &self.constellation, &eff.re, &eff.im, &mut bases);
+            }
+            let live = parent_metric.map(|m| !m.is_nan());
+            let mut next = chain.first;
+            while next != NIL {
+                let idx = next as usize;
+                let node = trie.nodes[idx];
+                next = node.next_sibling;
+                let k = node.rank as usize;
+                let (mut points, mut syms) = (CxLane::zero(), [0u16; LANES]);
+                let mut metric = [f64::NAN; LANES];
                 for l in 0..LANES {
-                    if child_active[l] {
-                        child_metric[l] = parent_metric[l] + rdiag * dist[l];
+                    let on_table = fast.filter(|_| bases[l] != NIL);
+                    let picked = match on_table.and_then(|t| t.get(bases[l] as usize, k)) {
+                        None if live[l] => self.pick_off_table(eff.get(l), k, on_table.is_none()),
+                        s => s,
+                    };
+                    if let Some(s) = picked {
+                        syms[l] = s as u16;
+                        metric[l] = parent_metric[l];
                     }
+                    points.re[l] = cpoints[syms[l] as usize].re;
+                    points.im[l] = cpoints[syms[l] as usize].im;
                 }
+                // Four-wide Eq. 1 increment, then the scalar chain
+                // `parent + rdiag·dist` per lane (`NaN` stays `NaN`).
+                let dist = points.dist_sqr(eff);
+                for l in 0..LANES {
+                    metric[l] += rdiag * dist[l];
+                }
+                out.points[idx] = points;
+                out.syms[idx] = syms;
+                out.metric[idx] = metric;
                 if node.path_idx != NIL {
                     for l in 0..LANES {
-                        if !child_active[l] {
-                            continue;
+                        let (m, best) = (metric[l], best_metric[l]);
+                        if (m < best) | ((m == best) & (node.path_idx < best_path[l])) {
+                            best_metric[l] = m;
+                            best_path[l] = node.path_idx;
                         }
-                        let slot = (node.path_idx as usize * LANES + l) * nt;
-                        out.metrics[node.path_idx as usize * LANES + l] = child_metric[l];
-                        // Lane-major `branch` makes this one contiguous run.
-                        out.syms[slot..slot + nt].copy_from_slice(&branch[l * nt..(l + 1) * nt]);
                     }
                 }
-                self.walk_level_block(
-                    state,
-                    ybars,
-                    node.first_child,
-                    branch,
-                    points,
-                    child_metric,
-                    child_active,
-                    fast,
-                    out,
-                );
             }
-            idx = node.next_sibling;
         }
+        out.best_path = best_path;
+        out.best_metric = best_metric;
+    }
+
+    /// The block walk's per-lane pick when the table has no answer. With
+    /// no table, or the centre outside its window (`scan`), that is the
+    /// exact [`FlexCoreDetector::pick_symbol`]; on a table deactivation it
+    /// is `pick_symbol`'s rank-1 clamped-slicer fallback.
+    #[cold]
+    #[inline(never)]
+    fn pick_off_table(&self, eff: Cx, k: usize, scan: bool) -> Option<usize> {
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        if scan {
+            self.pick_symbol(eff, k)
+        } else {
+            (k == 1).then(|| self.constellation.slice(eff))
+        }
+    }
+
+    /// Materialises lane `lane`'s winning path of the last
+    /// [`FlexCoreDetector::walk_paths_block`] into `out.winner` (tree
+    /// order) — the only path of the block whose symbols are ever
+    /// gathered.
+    pub(crate) fn block_winner(&self, lane: usize, out: &mut WalkBlockScratch) {
+        // flexcore-lint: hot-path
+        let state = self.prepared();
+        let nt = state.tri.nt();
+        // The rank-1 slicing fallback completes the SIC path on every
+        // active lane.
+        assert!(out.best_path[lane] != NIL, "the SIC path always completes");
+        let lineage = &state.trie.lineage[out.best_path[lane] as usize * nt..][..nt];
+        out.winner.clear();
+        out.winner
+            .extend(lineage.iter().map(|&node| out.syms[node as usize][lane]));
     }
 
     /// Detection with explicit parallelism — the paper's PE-per-path
@@ -879,8 +898,12 @@ impl Detector for FlexCoreDetector {
             Some(t) => truncate_selection(&out.paths, t),
             None => (out.position_vectors(), out.cumulative_prob),
         };
-        let trie = PathTrie::build(&paths, qr.r.cols());
+        let nt = qr.r.cols();
+        let trie = PathTrie::build(&paths, nt);
         self.state = Some(State {
+            diag: (0..nt)
+                .map(|row| (qr.r[(row, row)].inv(), qr.r[(row, row)].norm_sqr()))
+                .collect(),
             tri: Triangular::new(qr, self.constellation.clone()),
             paths,
             trie,
@@ -920,42 +943,21 @@ impl Detector for FlexCoreDetector {
     fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
         let state = self.prepared();
         let nt = state.tri.nt();
-        let n_paths = state.paths.len();
         let mut results = Vec::with_capacity(ys.len());
-        if lanes_enabled() && !ys.is_empty() {
-            let full = ys.len() / LANES * LANES;
+        if lanes_enabled() {
             let mut ybars = vec![Cx::ZERO; LANES * nt];
             let mut block = WalkBlockScratch::default();
-            let emit = |block: &WalkBlockScratch, l: usize, results: &mut Vec<Vec<usize>>| {
-                let (i, _) = first_min_metric((0..n_paths).map(|p| block.metrics[p * LANES + l]))
-                    // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback guarantees the SIC path completes on every active lane")
-                    .expect("the SIC path always completes");
-                let slot = (i * LANES + l) * nt;
-                results.push(state.tri.unpermute(&block.syms[slot..slot + nt]));
-            };
-            let mut j = 0;
-            while j < full {
-                state
-                    .tri
-                    .qr
-                    .rotate_batch_into(&ys[j..j + LANES], &mut ybars);
-                self.walk_paths_block(&ybars, &mut block);
-                for l in 0..LANES {
-                    emit(&block, l, &mut results);
-                }
-                j += LANES;
-            }
-            let rem = ys.len() - full;
-            if rem > 0 {
+            for chunk in ys.chunks(LANES) {
                 // Masked partial tail: pad to a full block by repeating
                 // the last real observation (valid data, so every lane
                 // kernel sees finite inputs), walk with only the real
                 // lanes active, and extract those lanes only.
-                let padded: [&[Cx]; LANES] = std::array::from_fn(|l| ys[full + l.min(rem - 1)]);
+                let padded: [&[Cx]; LANES] = std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)]);
                 state.tri.qr.rotate_batch_into(&padded, &mut ybars);
-                self.walk_paths_block_masked(&ybars, std::array::from_fn(|l| l < rem), &mut block);
-                for l in 0..rem {
-                    emit(&block, l, &mut results);
+                self.walk_paths_block(&ybars, std::array::from_fn(|l| l < chunk.len()), &mut block);
+                for l in 0..chunk.len() {
+                    self.block_winner(l, &mut block);
+                    results.push(state.tri.unpermute(&block.winner));
                 }
             }
             return results;
@@ -1442,6 +1444,123 @@ mod tests {
             let (best, _) = best.expect("SIC always completes");
             let reference = fc.triangular().unpermute(best.as_slice());
             assert_eq!(fc.detect(&y), reference, "trial {trial}");
+        }
+    }
+
+    /// The block walk's answer on `lane` against the scalar walk +
+    /// `first_min_metric` on that lane's observation: same winning path,
+    /// same metric bits, same symbols.
+    fn assert_lane_matches_scalar(
+        fc: &FlexCoreDetector,
+        ybar: &[Cx],
+        lane: usize,
+        block: &mut WalkBlockScratch,
+        what: &str,
+    ) -> usize {
+        let mut walk = WalkScratch::default();
+        fc.walk_paths(ybar, &mut walk);
+        let (i, m) = first_min_metric(walk.metrics.iter().copied()).expect("SIC completes");
+        assert_eq!(block.best_path[lane] as usize, i, "{what}: winning path");
+        assert_eq!(block.best_metric[lane].to_bits(), m.to_bits(), "{what}");
+        fc.block_winner(lane, block);
+        assert_eq!(block.winner, walk.syms[i].as_slice(), "{what}: symbols");
+        walk.metrics.iter().filter(|m| m.is_nan()).count()
+    }
+
+    #[test]
+    fn block_walk_winner_matches_scalar_walk_under_every_lane_mask() {
+        // Widths on both sides of the lane and spill boundaries × every
+        // ordering × all 16 initial lane masks, on observations noisy
+        // enough that strict ordering deactivates lanes mid-tree — with a
+        // single live lane that kills whole chains.
+        use flexcore_numeric::rng::CxRng;
+        let mut deactivated = 0;
+        for nt in [1usize, 4, 8, 17, 64] {
+            for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
+                for ordering in [
+                    PathOrdering::TriangleLut,
+                    PathOrdering::TriangleLutStrict,
+                    PathOrdering::Exact,
+                ] {
+                    let what = format!("nt={nt} {m:?} {ordering:?}");
+                    let mut rng = StdRng::seed_from_u64(nt as u64 * 31 + m.order() as u64);
+                    let mut cfg = FlexCoreConfig::new(12);
+                    cfg.path_ordering = ordering;
+                    let mut fc = FlexCoreDetector::new(Constellation::new(m), cfg);
+                    fc.prepare(
+                        &ChannelEnsemble::iid(nt, nt).draw(&mut rng),
+                        sigma2_from_snr_db(8.0),
+                    );
+                    // Lane 0 near the constellation, the others further out.
+                    let ybars: Vec<Cx> = (0..LANES * nt)
+                        .map(|i| rng.cx_normal(0.5 + (i / nt) as f64))
+                        .collect();
+                    let mut block = WalkBlockScratch::default();
+                    for mask in 0..1u32 << LANES {
+                        let active: [bool; LANES] = std::array::from_fn(|l| mask >> l & 1 == 1);
+                        fc.walk_paths_block(&ybars, active, &mut block);
+                        for l in 0..LANES {
+                            if active[l] {
+                                let ybar = &ybars[l * nt..(l + 1) * nt];
+                                let dead = assert_lane_matches_scalar(
+                                    &fc,
+                                    ybar,
+                                    l,
+                                    &mut block,
+                                    &format!("{what} mask {mask:04b} lane {l}"),
+                                );
+                                if ordering == PathOrdering::TriangleLutStrict {
+                                    deactivated += dead;
+                                }
+                            } else {
+                                assert_eq!(block.best_path[l], NIL, "{what}: masked lane won");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(deactivated > 0, "the sweep never deactivated a path");
+    }
+
+    #[test]
+    fn block_walk_breaks_metric_ties_by_path_index_not_visit_order() {
+        // R = I and the same observation on both rows make a path's metric
+        // the plain sum of its two per-level distances, so paths (1, 2) and
+        // (2, 1) tie exactly (d₁ + d₂ = d₂ + d₁). Path 0 = (2, 2) opens the
+        // rank-2 subtree first, so the level order reaches path 2 — its
+        // second leaf — before path 1: only the index tie-break picks 1.
+        let c = Constellation::new(Modulation::Qpsk);
+        let mut fc = FlexCoreDetector::with_pes(c.clone(), 3);
+        fc.prepare(&CMat::identity(2), 0.1);
+        let paths: Vec<PositionVector> = [[2, 2], [2, 1], [1, 2]]
+            .iter()
+            .map(|ranks| PositionVector::from_entries(ranks.to_vec()))
+            .collect();
+        let state = fc.state.as_mut().expect("prepared");
+        state.trie = PathTrie::build(&paths, 2);
+        state.paths = paths;
+        let trie = &state.trie;
+        let leaves: Vec<u32> = trie.chains[1..]
+            .iter()
+            .flat_map(|chain| {
+                std::iter::successors(Some(chain.first), |&i| {
+                    Some(trie.nodes[i as usize].next_sibling).filter(|&next| next != NIL)
+                })
+            })
+            .map(|i| trie.nodes[i as usize].path_idx)
+            .collect();
+        assert_eq!(leaves, [0, 2, 1], "the craft relies on this visit order");
+        let e = Cx::new(0.3 * c.scale(), 0.1 * c.scale());
+        let mut walk = WalkScratch::default();
+        fc.walk_paths(&[e, e], &mut walk);
+        assert_eq!(walk.metrics[1].to_bits(), walk.metrics[2].to_bits());
+        assert!(walk.metrics[1] < walk.metrics[0]);
+        let mut block = WalkBlockScratch::default();
+        fc.walk_paths_block(&[e; 2 * LANES], [true; LANES], &mut block);
+        for l in 0..LANES {
+            assert_lane_matches_scalar(&fc, &[e, e], l, &mut block, "tie");
+            assert_eq!(block.best_path[l], 1);
         }
     }
 

@@ -431,6 +431,26 @@ mod tests {
                         CxLane::from_fn(|l| tri.constellation.point(lanes_syms[l][p] as usize))
                     })
                     .collect();
+                // Signed zeros on the top row, where nothing is cancelled
+                // and the division alone decides the sign: each lane's
+                // `−0.0` components must survive it as the scalar's do.
+                let zeros = [
+                    Cx::new(-0.0, -1.0),
+                    Cx::new(0.0, -0.0),
+                    Cx::new(-0.0, 0.0),
+                    Cx::new(-3.0, -0.0),
+                ];
+                let eff = tri.effective_point_lanes(CxLane::load(&zeros), &points, nt - 1);
+                for (l, &z) in zeros.iter().enumerate() {
+                    let mut ybar_z = ybar.clone();
+                    ybar_z[nt - 1] = z;
+                    let want = tri.effective_point(&ybar_z, &lanes_syms[l], nt - 1);
+                    assert_eq!(
+                        (want.re.to_bits(), want.im.to_bits()),
+                        (eff.re[l].to_bits(), eff.im[l].to_bits()),
+                        "signed-zero eff nt={nt} {m:?} lane {l}"
+                    );
+                }
                 for row in [0, nt / 2, nt - 1] {
                     let ybar_lane = CxLane::splat(ybar[row]);
                     let eff = tri.effective_point_lanes(ybar_lane, &points, row);

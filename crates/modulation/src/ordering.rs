@@ -23,7 +23,7 @@
 //! triangle — a negligible-memory software simplification (see DESIGN.md).
 
 use crate::qam::{Constellation, Modulation};
-use flexcore_numeric::Cx;
+use flexcore_numeric::{Cx, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -321,10 +321,11 @@ impl OrderingLut {
 
     /// [`OrderingLut::locate`] with the filtered octant test
     /// ([`triangle_index_fast`]): bit-identical `(ci, cj, tri)` for every
-    /// input, without the unconditional `atan2`. This is the SIMD block
-    /// walk's per-chain locate; the scalar detection path keeps the plain
-    /// [`triangle_index`] form so the PR 2 baseline re-enactment stays
-    /// byte-for-byte the historical code.
+    /// input, without the unconditional `atan2`. This is what the block
+    /// walk's packed grid locate ([`LocatedOrderingTable::locate_bases`])
+    /// reproduces, and re-runs on any lane that fails its guard; the scalar
+    /// detection path keeps the plain [`triangle_index`] form so the PR 2
+    /// baseline re-enactment stays byte-for-byte the historical code.
     #[inline]
     pub fn locate_fast(&self, c: &Constellation, y: Cx) -> (i32, i32, usize) {
         let side = c.grid_side() as i32;
@@ -362,6 +363,12 @@ impl OrderingLut {
 
 /// Sentinel for "no symbol" entries in [`LocatedOrderingTable`].
 const NO_SYM: u16 = u16::MAX;
+/// "Centre outside the table window" from
+/// [`LocatedOrderingTable::locate_bases`].
+const MISS: u32 = u32::MAX;
+/// `2⁵² + 2⁵¹`: added to an integer-valued `|x| < 2⁵¹` the sum is exact
+/// and its low mantissa bits hold `x` in two's complement.
+const INT_MAGIC: f64 = 6_755_399_441_055_744.0;
 
 /// Direct-lookup form of the triangle-LUT ordering for every lattice
 /// centre near the constellation: `(centre, triangle, rank) → symbol`,
@@ -383,10 +390,10 @@ pub struct LocatedOrderingTable {
     lo: i32,
     w: i32,
     depth: usize,
-    /// Constellation grid side, cached for [`LocatedOrderingTable::locate`].
+    /// Constellation grid side, cached for the grid locate.
     side: i32,
     /// `1 / scale`, precomputed so the hot locate multiplies instead of
-    /// divides (the guard in `locate` makes the substitution exact).
+    /// divides (the grid locate's guard makes the substitution exact).
     inv_scale: f64,
     /// `syms[((j·w + i)·8 + tri)·depth + (k−1)]`, `NO_SYM` = deactivated.
     syms: Vec<u16>,
@@ -445,6 +452,10 @@ impl OrderingLut {
             (-2, side + 4)
         };
         let mut syms = vec![NO_SYM; (w as usize * w as usize) * 8 * self.depth];
+        // What `locate_bases` relies on: the window cap `2·side` far below
+        // the magic-number conversion's exact range (and any i32 wrap), and
+        // every table index representable beside the `u32::MAX` miss.
+        assert!(side < 1 << 16 && syms.len() < MISS as usize);
         for j in 0..w {
             for i in 0..w {
                 let (ci, cj) = (lo + i, lo + j);
@@ -494,10 +505,12 @@ impl LocatedOrderingTable {
         self.strict
     }
 
-    /// Division- and `atan2`-free locate: nearest lattice centre and
-    /// octant triangle from one unit-grid `floor` per axis, guarded so the
-    /// result is bit-identical to [`OrderingLut::locate_fast`] (and hence
-    /// to the scalar path's locate) for **every** input.
+    /// Division- and `atan2`-free locate of `N` points at once: nearest
+    /// lattice centre `(ci, cj)`, octant triangle and a per-lane guard
+    /// verdict, from one unit-grid `floor` per axis. A lane whose verdict
+    /// is `true` is bit-identical to [`OrderingLut::locate_fast`] (and
+    /// hence to the scalar path's locate); a lane whose verdict is `false`
+    /// holds garbage and must be re-run through `locate_fast`.
     ///
     /// Geometry: in level units `u = re/scale`, centres sit at odd
     /// integers, their minimum-distance cells are `[c−1, c+1]²`, and the
@@ -518,60 +531,62 @@ impl LocatedOrderingTable {
     /// identical cell/octant decisions (its round-half-away ties and the
     /// `triangle_index` boundary rays all live on those same boundaries).
     /// Any guard failure — including NaN, whose comparisons are all false
-    /// — falls back to the exact [`OrderingLut::locate_fast`].
-    #[inline]
-    pub fn locate(&self, lut: &OrderingLut, c: &Constellation, y: Cx) -> (i32, i32, usize) {
-        let u = y.re * self.inv_scale;
-        let v = y.im * self.inv_scale;
-        let (au, av) = (u.abs(), v.abs());
-        let m = 1e-9 * au.max(av).max(1.0);
-        let (nu, nv) = (u.floor(), v.floor());
-        let (fu, fv) = (u - nu, v - nv);
+    /// — yields a `false` verdict.
+    ///
+    /// Shape: one flat elementwise loop whose guards combine with
+    /// non-short-circuit `&`, a float→int conversion by magic-number add
+    /// (exact below the window cap; a saturating `as i32` would compile to
+    /// a scalar convert per lane) and wrapping 32-bit index math, so the
+    /// compiler packs every step — CI disassembles
+    /// [`LocatedOrderingTable::locate_bases`] to keep that true.
+    #[inline(always)]
+    fn locate_cells<const N: usize>(
+        &self,
+        re: &[f64; N],
+        im: &[f64; N],
+    ) -> ([i32; N], [i32; N], [u32; N], [bool; N]) {
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        let (mut ci, mut cj, mut tri, mut ok) = ([0i32; N], [0i32; N], [0u32; N], [false; N]);
         let lim = (2 * self.side) as f64;
-        let ok = au < lim
-            && av < lim
-            && fu > m
-            && 1.0 - fu > m
-            && fv > m
-            && 1.0 - fv > m
-            && (fu - fv).abs() > m
-            && (fu + fv - 1.0).abs() > m;
-        if !ok {
-            return lut.locate_fast(c, y);
+        for l in 0..N {
+            let (u, v) = (re[l] * self.inv_scale, im[l] * self.inv_scale);
+            let (au, av) = (u.abs(), v.abs());
+            let m = 1e-9 * au.max(av).max(1.0);
+            let (nu, nv) = (u.floor(), v.floor());
+            let (fu, fv) = (u - nu, v - nv);
+            ok[l] = (au < lim)
+                & (av < lim)
+                & (fu > m)
+                & (1.0 - fu > m)
+                & (fv > m)
+                & (1.0 - fv > m)
+                & ((fu - fv).abs() > m)
+                & ((fu + fv - 1.0).abs() > m);
+            // `nu` is an integer below the cap on every guarded lane, so
+            // the sum is exact and its low word is `n` in two's complement.
+            let n = (nu + INT_MAGIC).to_bits() as i32;
+            let mm = (nv + INT_MAGIC).to_bits() as i32;
+            // Odd end of the unit interval = the cell centre; its level
+            // index. `c + (side−1)` is even (odd+odd): the shift is exact.
+            ci[l] = (n | 1).wrapping_add(self.side - 1) >> 1;
+            cj[l] = (mm | 1).wrapping_add(self.side - 1) >> 1;
+            // du = u − cu is positive iff n is odd, with |du| = fu (n odd)
+            // or 1−fu (n even); same for dv. Octant encoding as in
+            // `triangle_index_fast`.
+            let (sx, sy) = (n & 1, mm & 1);
+            let adu = if sx != 0 { fu } else { 1.0 - fu };
+            let adv = if sy != 0 { fv } else { 1.0 - fv };
+            let d = (adv > adu) as u32;
+            let inner = if sx == sy { d } else { 3 - d };
+            tri[l] = if sy != 0 { inner } else { 4 + inner };
         }
-        let (n, mm) = (nu as i32, nv as i32);
-        // Odd end of the unit interval = the cell centre; its level index.
-        // `c + (side−1)` is even (odd+odd), so the shift is an exact /2.
-        let (cu, cv) = (n | 1, mm | 1);
-        let ci = (cu + (self.side - 1)) >> 1;
-        let cj = (cv + (self.side - 1)) >> 1;
-        // du = u − cu is positive iff n is odd, with |du| = fu (n odd) or
-        // 1−fu (n even); same for dv. Octant encoding as in
-        // `triangle_index_fast`.
-        let sx = (n & 1) != 0;
-        let sy = (mm & 1) != 0;
-        let adu = if sx { fu } else { 1.0 - fu };
-        let adv = if sy { fv } else { 1.0 - fv };
-        let d = (adv > adu) as usize;
-        let inner = if sx == sy { d } else { 3 - d };
-        let tri = if sy { inner } else { 4 + inner };
-        (ci, cj, tri)
+        (ci, cj, tri, ok)
     }
 
-    /// `N` [`LocatedOrderingTable::locate`]s at once, elementwise over an
-    /// array of points — the form the four-wide trie walk calls once per
-    /// sibling chain.
-    ///
-    /// The floating-point front half (scale, `abs`, `floor`, fractional
-    /// parts, all eight guard comparisons) is straight-line elementwise
-    /// arithmetic over fixed-size arrays, which the compiler turns into
-    /// `N`-wide vector ops; only the cheap integer cell/octant encoding —
-    /// and the rare guard-failure fallback — runs per lane. Results are
-    /// exactly `[self.locate(..); N]`, lane by lane. (The *old*
-    /// round/clamp/scan locate did not benefit from this treatment — its
-    /// hand-vectorised form measured slower than four scalar calls — but
-    /// the grid locate's front half is pure FP arithmetic and compares,
-    /// which is precisely what auto-vectorisation rewards.)
+    /// `N` grid locates at once over an array of points: lane for lane
+    /// [`OrderingLut::locate_fast`], through the packed front half with the
+    /// exact per-lane fallback on any guard failure.
     #[inline]
     pub fn locate_array<const N: usize>(
         &self,
@@ -579,51 +594,64 @@ impl LocatedOrderingTable {
         c: &Constellation,
         ys: &[Cx; N],
     ) -> [(i32, i32, usize); N] {
-        let mut u = [0.0f64; N];
-        let mut v = [0.0f64; N];
-        for l in 0..N {
-            u[l] = ys[l].re * self.inv_scale;
-            v[l] = ys[l].im * self.inv_scale;
-        }
-        let mut fu = [0.0f64; N];
-        let mut fv = [0.0f64; N];
-        let mut nu = [0.0f64; N];
-        let mut nv = [0.0f64; N];
-        let mut ok = [false; N];
-        let lim = (2 * self.side) as f64;
-        for l in 0..N {
-            let (au, av) = (u[l].abs(), v[l].abs());
-            let m = 1e-9 * au.max(av).max(1.0);
-            nu[l] = u[l].floor();
-            nv[l] = v[l].floor();
-            fu[l] = u[l] - nu[l];
-            fv[l] = v[l] - nv[l];
-            ok[l] = au < lim
-                && av < lim
-                && fu[l] > m
-                && 1.0 - fu[l] > m
-                && fv[l] > m
-                && 1.0 - fv[l] > m
-                && (fu[l] - fv[l]).abs() > m
-                && (fu[l] + fv[l] - 1.0).abs() > m;
-        }
+        let (ci, cj, tri, ok) = self.locate_cells(&ys.map(|y| y.re), &ys.map(|y| y.im));
         std::array::from_fn(|l| {
-            if !ok[l] {
-                return lut.locate_fast(c, ys[l]);
+            if ok[l] {
+                (ci[l], cj[l], tri[l] as usize)
+            } else {
+                lut.locate_fast(c, ys[l])
             }
-            let (n, mm) = (nu[l] as i32, nv[l] as i32);
-            let (cu, cv) = (n | 1, mm | 1);
-            let ci = (cu + (self.side - 1)) >> 1;
-            let cj = (cv + (self.side - 1)) >> 1;
-            let sx = (n & 1) != 0;
-            let sy = (mm & 1) != 0;
-            let adu = if sx { fu[l] } else { 1.0 - fu[l] };
-            let adv = if sy { fv[l] } else { 1.0 - fv[l] };
-            let d = (adv > adu) as usize;
-            let inner = if sx == sy { d } else { 3 - d };
-            let tri = if sy { inner } else { 4 + inner };
-            (ci, cj, tri)
         })
+    }
+
+    /// The fused per-chain kernel of the block walk: locates the four
+    /// effective points of one sibling chain (given as the split planes
+    /// they already are) and writes each lane's table base — what
+    /// [`LocatedOrderingTable::base`] of [`OrderingLut::locate_fast`]
+    /// returns, lane for lane — with `u32::MAX` for a centre outside the
+    /// window. Guard-failing lanes are re-run through exactly that scalar
+    /// pair.
+    ///
+    /// Kept out of line so the packed code has a symbol CI can
+    /// disassemble; the call costs a few cycles against the ~150 the
+    /// packing saves per chain.
+    #[inline(never)]
+    pub fn locate_bases(
+        &self,
+        lut: &OrderingLut,
+        c: &Constellation,
+        re: &[f64; LANES],
+        im: &[f64; LANES],
+        out: &mut [u32; LANES],
+    ) {
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        let (ci, cj, tri, ok) = self.locate_cells(re, im);
+        let (w, depth) = (self.w as u32, self.depth as u32);
+        for l in 0..LANES {
+            // A centre left of / below the window wraps to a huge index.
+            let i = ci[l].wrapping_sub(self.lo) as u32;
+            let j = cj[l].wrapping_sub(self.lo) as u32;
+            let base = (j.wrapping_mul(w).wrapping_add(i))
+                .wrapping_mul(8)
+                .wrapping_add(tri[l])
+                .wrapping_mul(depth);
+            out[l] = if (i < w) & (j < w) { base } else { MISS };
+        }
+        for l in 0..LANES {
+            if !ok[l] {
+                out[l] = self.base_exact(lut, c, Cx::new(re[l], im[l]));
+            }
+        }
+    }
+
+    /// The guard-failure lane of [`LocatedOrderingTable::locate_bases`]:
+    /// the exact scalar pair it stands in for.
+    #[cold]
+    #[inline(never)]
+    fn base_exact(&self, lut: &OrderingLut, c: &Constellation, y: Cx) -> u32 {
+        let (ci, cj, tri) = lut.locate_fast(c, y);
+        self.base(ci, cj, tri).map_or(MISS, |b| b as u32)
     }
 
     /// The rank-independent half of a table lookup: the
@@ -912,12 +940,19 @@ mod tests {
     }
 
     #[test]
-    fn table_locate_matches_locate_fast_everywhere() {
-        // The grid (floor-based, division-free) locate must agree with the
-        // exact locate on random points, lattice centres, cell-boundary and
-        // diagonal points (where the guard must force the fallback), huge
-        // outliers past the window cap, and non-finite values.
+    fn locate_kernel_matches_locate_fast_and_base_everywhere() {
+        // The packed grid locate against the exact pair it replaces —
+        // `locate_fast` + `base`, lane for lane — over a dense grid crossed
+        // with every decision boundary: integer lines (cell edges and
+        // centres), both unit-square diagonals (equal / complementary
+        // fractional parts), the table window's edge, the ±2·side cap,
+        // each a few ulp, a sub-guard and a super-guard step to either
+        // side; plus signed zeros, huge and non-finite values. Walking the
+        // cross product four at a time puts guard-failing lanes beside
+        // passing ones; a second loop puts each kind of failure in each of
+        // the four positions.
         for &m in &[
+            Modulation::Bpsk,
             Modulation::Qpsk,
             Modulation::Qam16,
             Modulation::Qam64,
@@ -925,55 +960,70 @@ mod tests {
         ] {
             let c = Constellation::new(m);
             let lut = OrderingLut::new(m, 8);
-            let t = lut.build_table(&c, false);
-            let mut rng = StdRng::seed_from_u64(0x6D1D);
-            for _ in 0..50_000 {
-                let y = rng.cx_normal(1.2);
-                assert_eq!(t.locate(&lut, &c, y), lut.locate_fast(&c, y), "{m:?} {y:?}");
-            }
-            let side = c.grid_side() as i32;
-            let mut adversarial = Vec::new();
-            for gi in -6..=(2 * side + 4) {
-                // Integer grid lines (cell boundaries and centres) and
-                // diagonal midpoints, a few ulp off in each direction.
-                for gj in -6..=(2 * side + 4) {
-                    for (eu, ev) in [
-                        (0.0, 0.0),
-                        (1e-16, 0.0),
-                        (-1e-16, 1e-16),
-                        (0.25, 0.25),
-                        (0.5, 0.5),
-                        (0.25, 0.75),
-                    ] {
-                        adversarial.push(Cx::new(
-                            (gi as f64 - side as f64 + eu) * c.scale(),
-                            (gj as f64 - side as f64 + ev) * c.scale(),
-                        ));
+            for strict in [false, true] {
+                let t = lut.build_table(&c, strict);
+                let oracle = |y: Cx| {
+                    let (ci, cj, tri) = lut.locate_fast(&c, y);
+                    t.base(ci, cj, tri).map_or(u32::MAX, |b| b as u32)
+                };
+                let check = |pts: [Cx; LANES]| {
+                    let mut got = [0u32; LANES];
+                    t.locate_bases(&lut, &c, &pts.map(|y| y.re), &pts.map(|y| y.im), &mut got);
+                    let cells = t.locate_array(&lut, &c, &pts);
+                    for l in 0..LANES {
+                        assert_eq!(got[l], oracle(pts[l]), "{m:?} lane {l} of {pts:?}");
+                        assert_eq!(cells[l], lut.locate_fast(&c, pts[l]), "{m:?} {pts:?}");
+                    }
+                };
+                let cap = 2 * c.grid_side() as i32;
+                let mut axis = vec![0.0, -0.0, 1e300, -1e300, 1e12];
+                axis.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+                // Past the cap, where the exact locate clamps its centre.
+                axis.extend([3.6 * cap as f64, -1e6 - 0.3, 4e9 + 0.3]);
+                for n in -(cap + 3)..=(cap + 3) {
+                    for frac in [0.0, 0.25, 0.5, 0.75] {
+                        let x = n as f64 + frac;
+                        axis.extend([x, x + 0.137, x - 0.0421]);
+                        for step in [4e-16, 1e-10, 1e-8] {
+                            axis.extend([x + step * x.abs().max(1.0), x - step * x.abs().max(1.0)]);
+                        }
                     }
                 }
-            }
-            adversarial.push(Cx::new(1e12, -3.0));
-            adversarial.push(Cx::new(-1e300, 1e300));
-            adversarial.push(Cx::new(f64::INFINITY, 0.5));
-            adversarial.push(Cx::new(f64::NAN, 0.5));
-            for &y in &adversarial {
-                assert_eq!(t.locate(&lut, &c, y), lut.locate_fast(&c, y), "{m:?} {y:?}");
-            }
-            // The array form is lane-for-lane the scalar locate — including
-            // blocks mixing fast-path lanes with fallback lanes.
-            for block in adversarial.chunks_exact(4) {
-                let pts: [Cx; 4] = [block[0], block[1], block[2], block[3]];
-                let got = t.locate_array(&lut, &c, &pts);
-                for l in 0..4 {
-                    assert_eq!(got[l], t.locate(&lut, &c, pts[l]), "{m:?} lane {l}");
+                // Every axis value against a thinned copy of the axis (the
+                // full square is ~10⁷ points at 256-QAM).
+                let thin: Vec<f64> = axis.iter().copied().step_by(5).collect();
+                let mut block = [Cx::ZERO; LANES];
+                let mut filled = 0;
+                for &u in &axis {
+                    for &v in &thin {
+                        block[filled] = Cx::new(u * c.scale(), v * c.scale());
+                        filled += 1;
+                        if filled == LANES {
+                            check(block);
+                            filled = 0;
+                        }
+                    }
                 }
-            }
-            let mut rng2 = StdRng::seed_from_u64(0xA44A);
-            for _ in 0..10_000 {
-                let pts: [Cx; 4] = std::array::from_fn(|_| rng2.cx_normal(1.5));
-                let got = t.locate_array(&lut, &c, &pts);
-                for l in 0..4 {
-                    assert_eq!(got[l], t.locate(&lut, &c, pts[l]), "{m:?} lane {l}");
+                // Each kind of guard failure in each lane position, beside
+                // three passing lanes.
+                let pass = Cx::new(0.3 * c.scale(), -0.6 * c.scale());
+                for bad in [
+                    Cx::new(f64::NAN, 0.1),
+                    Cx::new(0.1, f64::NEG_INFINITY),
+                    Cx::new(-1e300, 1e300),
+                    Cx::new(c.scale(), 0.2),
+                    Cx::new(0.25 * c.scale(), 0.25 * c.scale()),
+                    Cx::new(0.25 * c.scale(), 0.75 * c.scale()),
+                    Cx::new(cap as f64 * c.scale(), 0.3),
+                    Cx::new(0.0, -0.0),
+                ] {
+                    for pos in 0..LANES {
+                        check(std::array::from_fn(|l| if l == pos { bad } else { pass }));
+                    }
+                }
+                let mut rng = StdRng::seed_from_u64(0x6D1D);
+                for _ in 0..20_000 {
+                    check(std::array::from_fn(|_| rng.cx_normal(1.5)));
                 }
             }
         }

@@ -203,13 +203,7 @@ impl CxLane {
     /// in the scalar product order.
     #[inline]
     pub fn div_scalar(self, d: Cx) -> Self {
-        let inv = d.inv();
-        let mut out = self;
-        let mut prod = CxLane::zero();
-        prod.add_mul(out, CxLane::splat(inv));
-        out.re = prod.re;
-        out.im = prod.im;
-        out
+        self * CxLane::splat(d.inv())
     }
 
     /// Squared magnitude `|z|²` per lane (`re·re + im·im`, the scalar
@@ -232,6 +226,25 @@ impl CxLane {
             let d_re = self.re[l] - other.re[l];
             let d_im = self.im[l] - other.im[l];
             *o = d_re * d_re + d_im * d_im;
+        }
+        out
+    }
+}
+
+/// `a * b` per lane, the product formed directly in the scalar [`Cx`]
+/// multiply order (`re = a.re·b.re − a.im·b.im`,
+/// `im = a.re·b.im + a.im·b.re`) — never as `0 + a·b`, which would turn a
+/// `−0.0` product component into `+0.0`.
+impl std::ops::Mul for CxLane {
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    type Output = CxLane;
+    #[inline]
+    fn mul(self, b: CxLane) -> CxLane {
+        let mut out = CxLane::zero();
+        for l in 0..LANES {
+            out.re[l] = self.re[l] * b.re[l] - self.im[l] * b.im[l];
+            out.im[l] = self.re[l] * b.im[l] + self.im[l] * b.re[l];
         }
         out
     }
@@ -300,11 +313,31 @@ mod tests {
 
     #[test]
     fn div_scalar_matches_scalar_bitwise() {
-        let (la, _, a, _) = lanes();
+        let (la, lb, a, b) = lanes();
         let d = Cx::new(2.5, -0.5);
         let out = la.div_scalar(d);
-        for (l, &az) in a.iter().enumerate() {
-            assert_bits(out.get(l), az / d);
+        let prod = la * lb;
+        for l in 0..LANES {
+            assert_bits(out.get(l), a[l] / d);
+            assert_bits(prod.get(l), a[l] * b[l]);
+        }
+        // Signed zeros: a `−0.0` product component must stay `−0.0` (an
+        // accumulate-onto-zero form turns it into `+0.0`), for every sign
+        // mix of zero and non-zero parts and of the divisor.
+        let zeros = [
+            Cx::new(-0.0, -1.0),
+            Cx::new(0.0, -0.0),
+            Cx::new(-0.0, 0.0),
+            Cx::new(-3.0, -0.0),
+        ];
+        for d in [Cx::real(2.0), Cx::real(-2.0), Cx::new(0.0, 4.0), d] {
+            for shift in 0..LANES {
+                let z: [Cx; LANES] = std::array::from_fn(|l| zeros[(l + shift) % LANES]);
+                let out = CxLane::load(&z).div_scalar(d);
+                for (l, &zl) in z.iter().enumerate() {
+                    assert_bits(out.get(l), zl / d);
+                }
+            }
         }
     }
 

@@ -192,22 +192,26 @@ fn hot_path_allocation_budget() {
     }
 
     // --- Full detect surface: per-vector cost is the output alone --------
-    // detect_batch_refs owes the caller one Vec per vector (plus a
-    // constant workspace warm-up); doubling the batch must cost exactly
-    // the extra outputs — at 4×4 and, in steady state, at 32×32 too.
-    for nt in [4usize, 32] {
+    // detect_batch_refs owes the caller one Vec per vector plus a constant
+    // workspace: the first four-observation block sizes every plane of the
+    // block walk's scratch (per-node points, metrics and symbols, the
+    // winner buffer), and from the second block on — full, or a masked
+    // partial tail — a batch costs exactly its extra outputs. Inline and
+    // spilled widths alike.
+    for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 32, 64] {
         let (det, ys, _) = workload(nt, Modulation::Qam16, 200 + nt as u64);
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        let short = &refs[..4];
-        let base = allocs_in(|| drop(det.detect_batch_refs(short)));
-        let full = allocs_in(|| drop(det.detect_batch_refs(&refs)));
-        // Each decision Vec<usize> is one allocation; the collected outer
-        // Vec and scratch warm-up are shared constants of both runs.
-        assert_eq!(
-            full - base,
-            (refs.len() - short.len()) as u64,
-            "detect at nt={nt} allocates beyond its outputs"
-        );
+        let one_block = allocs_in(|| drop(det.detect_batch_refs(&refs[..4])));
+        for n in [7usize, 8] {
+            let more = allocs_in(|| drop(det.detect_batch_refs(&refs[..n])));
+            // Each decision Vec<usize> is one allocation; the collected
+            // outer Vec and the scratch warm-up are shared constants.
+            assert_eq!(
+                more - one_block,
+                (n - 4) as u64,
+                "detect of {n} vectors at nt={nt} allocates beyond its outputs"
+            );
+        }
     }
 
     // --- Discipline coverage: lint regions match the measured surface ----
