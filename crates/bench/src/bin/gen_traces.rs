@@ -1,5 +1,6 @@
 //! Generates a synthetic channel-trace campaign (the repo's substitute for
-//! the paper's over-the-air WARP measurements; DESIGN.md "Substitutions").
+//! the paper's over-the-air WARP measurements; README, "Faithfulness and
+//! substitutions").
 //!
 //! Usage: `cargo run -p flexcore-bench --bin gen_traces --release -- \
 //!           [nr] [nt] [count] [out.trace] [seed]`

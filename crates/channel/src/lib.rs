@@ -5,7 +5,8 @@
 //! The paper evaluates FlexCore on over-the-air WARP v3 measurements (8×8)
 //! and trace-driven simulation from combined 1×12 measurements (12×12).
 //! That hardware is not available here, so this crate provides the closest
-//! synthetic equivalent (see DESIGN.md "Substitutions"):
+//! synthetic equivalent (see the README's "Faithfulness and
+//! substitutions"):
 //!
 //! * [`model`] — i.i.d. Rayleigh and Kronecker spatially-correlated channel
 //!   ensembles, with the paper's ≤ 3 dB per-user SNR spread control;

@@ -46,10 +46,6 @@ impl CodeRate {
     /// Puncturing pattern over pairs of rate-1/2 output bits:
     /// `true` = transmit, `false` = puncture. The pattern is indexed as
     /// `[pair][branch]` with branch 0 = g0 output, 1 = g1 output.
-    pub(crate) fn pattern_public(self) -> &'static [[bool; 2]] {
-        self.pattern()
-    }
-
     fn pattern(self) -> &'static [[bool; 2]] {
         match self {
             CodeRate::Half => &[[true, true]],
@@ -90,13 +86,6 @@ impl ConvCode {
     /// The configured rate.
     pub fn rate(&self) -> CodeRate {
         self.rate
-    }
-
-    /// The two output bits for a trellis transition, packed `b0·2 + b1`
-    /// (shared by the hard and soft decoders).
-    #[inline]
-    pub(crate) fn output_bits(&self, state: usize, input: usize) -> u8 {
-        self.outputs[state][input]
     }
 
     /// Number of coded bits produced for `info_len` information bits
@@ -148,47 +137,46 @@ impl ConvCode {
             self.coded_len(info_len),
             "decode: wrong coded length"
         );
+        let coded = coded.iter().copied();
+        self.viterbi(coded, info_len, ERASED, (0, u32::MAX / 2), branch_metric)
+    }
+
+    /// The one trellis pass behind [`ConvCode::decode`] and
+    /// [`ConvCode::decode_soft`]: depuncture `received` (punctured
+    /// positions read as `erased`), add-compare-select over the 64 states
+    /// with `cost(output bits, received pair)` as the branch metric, and
+    /// trace back from state 0. Path metrics start at `zero` in state 0 and
+    /// `unreachable` everywhere else; only a strictly smaller candidate
+    /// replaces a survivor, so ties keep the lower predecessor state.
+    ///
+    /// The callers have checked that `received` yields exactly
+    /// `self.coded_len(info_len)` values.
+    pub(crate) fn viterbi<R: Copy, M: Copy + PartialOrd + std::ops::Add<Output = M>>(
+        &self,
+        mut received: impl Iterator<Item = R>,
+        info_len: usize,
+        erased: R,
+        (zero, unreachable): (M, M),
+        cost: impl Fn(u8, &[R; 2]) -> M,
+    ) -> Vec<u8> {
         let pattern = self.rate.pattern();
         let total_in = info_len + (CONSTRAINT - 1);
-        // Depuncture into (bit0, bit1) pairs with erasures (255).
-        let mut pairs: Vec<[u8; 2]> = Vec::with_capacity(total_in);
-        let mut pos = 0usize;
-        for i in 0..total_in {
-            let p = pattern[i % pattern.len()];
-            let b0 = if p[0] {
-                let v = coded[pos];
-                pos += 1;
-                v
-            } else {
-                255
-            };
-            let b1 = if p[1] {
-                let v = coded[pos];
-                pos += 1;
-                v
-            } else {
-                255
-            };
-            pairs.push([b0, b1]);
-        }
-        // Viterbi forward pass.
-        const INF: u32 = u32::MAX / 2;
-        let mut metric = vec![INF; STATES];
-        metric[0] = 0; // encoder starts in state 0
-        let mut survivors: Vec<Vec<u8>> = Vec::with_capacity(total_in);
-        let mut next = vec![INF; STATES];
-        for pair in &pairs {
-            let mut surv = vec![0u8; STATES];
-            next.iter_mut().for_each(|m| *m = INF);
+        let mut metric = vec![unreachable; STATES];
+        metric[0] = zero; // encoder starts in state 0
+        let mut next = vec![unreachable; STATES];
+        // One survivor byte per (step, state): `(prev_state & 1) << 1 | input`.
+        let mut survivors = vec![0u8; total_in * STATES];
+        for (i, surv) in survivors.chunks_exact_mut(STATES).enumerate() {
+            let pair = pattern[i % pattern.len()]
+                .map(|sent| sent.then(|| received.next()).flatten().unwrap_or(erased));
+            next.fill(unreachable);
             for (state, &m) in metric.iter().enumerate() {
-                if m >= INF {
+                if m >= unreachable {
                     continue;
                 }
                 for input in 0..2usize {
-                    let out = self.outputs[state][input];
-                    let bm = branch_metric(out, pair);
                     let ns = (state >> 1) | (input << (CONSTRAINT - 2));
-                    let cand = m + bm;
+                    let cand = m + cost(self.outputs[state][input], &pair);
                     if cand < next[ns] {
                         next[ns] = cand;
                         surv[ns] = ((state & 1) << 1 | input) as u8;
@@ -196,32 +184,32 @@ impl ConvCode {
                 }
             }
             std::mem::swap(&mut metric, &mut next);
-            survivors.push(surv);
         }
         // Traceback from state 0 (tail bits force termination there).
         let mut state = 0usize;
         let mut decoded = vec![0u8; total_in];
         for t in (0..total_in).rev() {
-            let s = survivors[t][state];
-            let input = (s & 1) as usize;
-            let prev_lsb = ((s >> 1) & 1) as usize;
-            decoded[t] = input as u8;
+            let s = survivors[t * STATES + state];
+            decoded[t] = s & 1;
             // Invert the state update: state = (prev >> 1) | input<<(K-2).
-            state = ((state << 1) & (STATES - 1)) | prev_lsb;
+            state = ((state << 1) & (STATES - 1)) | usize::from((s >> 1) & 1);
         }
         decoded.truncate(info_len);
         decoded
     }
 }
 
+/// The hard decoder's erasure mark for a punctured position.
+const ERASED: u8 = 255;
+
 /// Hamming branch metric with erasure support (erased positions add 0).
 #[inline]
 fn branch_metric(out: u8, pair: &[u8; 2]) -> u32 {
     let mut m = 0u32;
-    if pair[0] != 255 {
+    if pair[0] != ERASED {
         m += u32::from((out >> 1) != pair[0]);
     }
-    if pair[1] != 255 {
+    if pair[1] != ERASED {
         m += u32::from((out & 1) != pair[1]);
     }
     m

@@ -7,7 +7,7 @@
 //! "probably 0". Punctured positions carry `llr = 0` (no information) —
 //! the same erasure semantics as the hard decoder.
 
-use crate::conv::{ConvCode, CONSTRAINT, STATES};
+use crate::conv::ConvCode;
 
 /// LLR magnitude clamp: keeps path metrics well-conditioned and mirrors
 /// fixed-point detector outputs.
@@ -30,66 +30,9 @@ impl ConvCode {
             self.coded_len(info_len),
             "decode_soft: wrong LLR count"
         );
-        let total_in = info_len + (CONSTRAINT - 1);
-        // De-puncture into per-branch LLR pairs (0.0 = erasure).
-        let pattern = self.rate().pattern_public();
-        let mut pairs: Vec<[f64; 2]> = Vec::with_capacity(total_in);
-        let mut pos = 0usize;
-        for i in 0..total_in {
-            let p = pattern[i % pattern.len()];
-            let a = if p[0] {
-                let v = llrs[pos].clamp(-LLR_CLAMP, LLR_CLAMP);
-                pos += 1;
-                v
-            } else {
-                0.0
-            };
-            let b = if p[1] {
-                let v = llrs[pos].clamp(-LLR_CLAMP, LLR_CLAMP);
-                pos += 1;
-                v
-            } else {
-                0.0
-            };
-            pairs.push([a, b]);
-        }
-        // Viterbi forward pass with f64 metrics.
-        const INF: f64 = f64::INFINITY;
-        let mut metric = vec![INF; STATES];
-        metric[0] = 0.0;
-        let mut survivors: Vec<Vec<u8>> = Vec::with_capacity(total_in);
-        let mut next = vec![INF; STATES];
-        for pair in &pairs {
-            let mut surv = vec![0u8; STATES];
-            next.iter_mut().for_each(|m| *m = INF);
-            for (state, &m) in metric.iter().enumerate() {
-                if !m.is_finite() {
-                    continue;
-                }
-                for input in 0..2usize {
-                    let out = self.output_bits(state, input);
-                    let bm = branch_cost(out, pair);
-                    let ns = (state >> 1) | (input << (CONSTRAINT - 2));
-                    let cand = m + bm;
-                    if cand < next[ns] {
-                        next[ns] = cand;
-                        surv[ns] = ((state & 1) << 1 | input) as u8;
-                    }
-                }
-            }
-            std::mem::swap(&mut metric, &mut next);
-            survivors.push(surv);
-        }
-        // Traceback from state 0.
-        let mut state = 0usize;
-        let mut decoded = vec![0u8; total_in];
-        for t in (0..total_in).rev() {
-            let s = survivors[t][state];
-            decoded[t] = s & 1;
-            state = ((state << 1) & (STATES - 1)) | ((s >> 1) & 1) as usize;
-        }
-        decoded.truncate(info_len);
-        decoded
+        let clamped = llrs.iter().map(|l| l.clamp(-LLR_CLAMP, LLR_CLAMP));
+        // An erased (punctured) position is LLR 0.0: no cost either way.
+        self.viterbi(clamped, info_len, 0.0, (0.0, f64::INFINITY), branch_cost)
     }
 }
 
@@ -135,6 +78,17 @@ mod tests {
             let coded = code.encode(&info);
             let soft = code.decode_soft(&hard_to_llr(&coded), info.len());
             assert_eq!(soft, info, "{rate:?}");
+            // Corrupted words: a saturated LLR costs LLR_CLAMP × the Hamming
+            // distance exactly, so the f64 and u32 instantiations of the one
+            // trellis pass must agree on every decision, ties and erasures
+            // included — whether or not the word is still decodable.
+            let mut corrupted = coded;
+            corrupted.iter_mut().step_by(17).for_each(|b| *b ^= 1);
+            assert_eq!(
+                code.decode_soft(&hard_to_llr(&corrupted), info.len()),
+                code.decode(&corrupted, info.len()),
+                "{rate:?}, corrupted"
+            );
         }
     }
 

@@ -9,11 +9,11 @@
 //! Per level, the `k`-th closest symbol to the effective received point is
 //! found through the *approximate predefined ordering* (triangle LUT,
 //! Fig. 6) in O(1), or exactly (sort all `|Q|` distances) when configured —
-//! the `ablation` driver quantifies the accuracy/cost trade, an ablation
-//! DESIGN.md calls out. Paths whose predefined order points outside the
-//! constellation are deactivated exactly as in the paper's FPGA engine;
-//! rank-1 lookups fall back to the clamped slicer so the SIC path always
-//! completes (a software-robustness addition, see DESIGN.md).
+//! the `ablation` driver quantifies the accuracy/cost trade. Paths whose
+//! predefined order points outside the constellation are deactivated
+//! exactly as in the paper's FPGA engine; rank-1 lookups fall back to the
+//! clamped slicer so the SIC path always completes (a software-robustness
+//! addition).
 
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
@@ -34,7 +34,8 @@ pub enum PathOrdering {
     /// Euclidean distances, no sorting. The default.
     TriangleLut,
     /// The paper's strict FPGA semantics: an out-of-constellation entry
-    /// deactivates the processing element (ablation mode; see DESIGN.md).
+    /// deactivates the processing element (ablation mode; compared by the
+    /// `ablation` driver).
     TriangleLutStrict,
     /// Exact ordering (compute and sort all |Q| distances) — the oracle the
     /// LUT approximates; costs |Q|−1 redundant distance evaluations.

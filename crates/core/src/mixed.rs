@@ -10,7 +10,7 @@
 //! (an operator migrating users to the adjustable detector one at a time).
 
 use crate::detector::FlexCoreDetector;
-use crate::soft::{SoftDecision, SoftDetector, MISSING_HYPOTHESIS_LLR};
+use crate::soft::{MaxLogDemap, SoftDecision, SoftDetector};
 use flexcore_detect::common::Detector;
 use flexcore_detect::linear::MmseDetector;
 use flexcore_detect::sic::SicDetector;
@@ -221,44 +221,31 @@ impl SoftDetector for CellDetector {
 /// Max-log soft demap for the ordered-SIC tier: re-runs the descent with
 /// the same per-level kernels [`SicDetector::detect`] uses and, at each
 /// level, scores every constellation point against the decision feedback
-/// from the levels above (`LLR(b) = (min₁ − min₀)/σ²`, clipped at
-/// ±[`MISSING_HYPOTHESIS_LLR`]). Decision-feedback LLRs ignore error
-/// propagation — the usual SIC soft-output caveat, and part of why this is
-/// a *degraded* tier — but the hard decision is bit-identical to `detect`
-/// (same kernels, same order), preserving the [`SoftDetector`] contract.
+/// from the levels above (the crate's one max-log reduction,
+/// `MaxLogDemap`, clipped at ±`MISSING_HYPOTHESIS_LLR`). Decision-feedback
+/// LLRs ignore error propagation — the usual SIC soft-output caveat, and
+/// part of why this is a *degraded* tier — but the hard decision is
+/// bit-identical to `detect` (same kernels, same order), preserving the
+/// [`SoftDetector`] contract.
 fn sic_soft(d: &SicDetector, y: &[Cx], sigma2: f64) -> SoftDecision {
     let tri = d.prepared();
     let c = d.constellation();
     let nt = tri.nt();
-    let bps = c.bits_per_symbol();
     let ybar = tri.rotate(y);
     let mut symbols = SymVec::zeroed(nt);
-    let mut row_llrs = vec![vec![0.0f64; bps]; nt];
-    let mut bits = vec![0u8; bps];
+    let mut demap = MaxLogDemap::new(c, nt);
     for row in (0..nt).rev() {
         let eff = tri.effective_point(&ybar, symbols.as_slice(), row);
         symbols.set(row, c.slice(eff) as u16);
-        let mut min0 = vec![f64::INFINITY; bps];
-        let mut min1 = vec![f64::INFINITY; bps];
         for sym in 0..c.order() {
             let ped = tri.ped_increment(&ybar, symbols.as_slice(), row, sym);
-            c.index_to_bits_into(sym, &mut bits);
-            for (b, &bit) in bits.iter().enumerate() {
-                let slot = if bit == 0 { &mut min0 } else { &mut min1 };
-                if ped < slot[b] {
-                    slot[b] = ped;
-                }
-            }
-        }
-        for b in 0..bps {
-            row_llrs[row][b] = ((min1[b] - min0[b]) / sigma2)
-                .clamp(-MISSING_HYPOTHESIS_LLR, MISSING_HYPOTHESIS_LLR);
+            demap.offer(row, sym, ped);
         }
     }
     // Rows live in permuted (detection) order; map them back to original
     // stream order the same way `unpermute` maps the symbols.
     let mut llrs = vec![Vec::new(); nt];
-    for (j, lr) in row_llrs.into_iter().enumerate() {
+    for (j, lr) in demap.llrs(sigma2).into_iter().enumerate() {
         llrs[tri.qr.perm[j]] = lr;
     }
     SoftDecision {
@@ -268,42 +255,25 @@ fn sic_soft(d: &SicDetector, y: &[Cx], sigma2: f64) -> SoftDecision {
 }
 
 /// Max-log soft demap for the linear-MMSE tier: per-stream distances from
-/// the equalized point to each constellation point, scaled by `1/σ²` and
-/// clipped at ±[`MISSING_HYPOTHESIS_LLR`]. Ignores residual interference
-/// colouring (the equalizer output is treated as an AWGN observation) —
-/// the standard cheap demap for the tier. `hard` is bit-identical to
-/// [`MmseDetector::detect`], which slices the very same equalized points.
+/// the equalized point to each constellation point through `MaxLogDemap`
+/// (scaled by `1/σ²`, clipped at ±`MISSING_HYPOTHESIS_LLR`). Ignores
+/// residual interference colouring (the equalizer output is treated as an
+/// AWGN observation) — the standard cheap demap for the tier. `hard` is
+/// bit-identical to [`MmseDetector::detect`], which slices the very same
+/// equalized points.
 fn mmse_soft(d: &MmseDetector, y: &[Cx], sigma2: f64) -> SoftDecision {
     let c = d.constellation();
-    let bps = c.bits_per_symbol();
     let z = d.equalize(y);
-    let mut bits = vec![0u8; bps];
-    let mut llrs = Vec::with_capacity(z.len());
-    let mut hard = Vec::with_capacity(z.len());
-    for &zi in &z {
-        let mut min0 = vec![f64::INFINITY; bps];
-        let mut min1 = vec![f64::INFINITY; bps];
+    let mut demap = MaxLogDemap::new(c, z.len());
+    for (stream, &zi) in z.iter().enumerate() {
         for sym in 0..c.order() {
-            let dist = (zi - c.point(sym)).norm_sqr();
-            c.index_to_bits_into(sym, &mut bits);
-            for (b, &bit) in bits.iter().enumerate() {
-                let slot = if bit == 0 { &mut min0 } else { &mut min1 };
-                if dist < slot[b] {
-                    slot[b] = dist;
-                }
-            }
+            demap.offer(stream, sym, (zi - c.point(sym)).norm_sqr());
         }
-        llrs.push(
-            (0..bps)
-                .map(|b| {
-                    ((min1[b] - min0[b]) / sigma2)
-                        .clamp(-MISSING_HYPOTHESIS_LLR, MISSING_HYPOTHESIS_LLR)
-                })
-                .collect(),
-        );
-        hard.push(c.slice(zi));
     }
-    SoftDecision { llrs, hard }
+    SoftDecision {
+        llrs: demap.llrs(sigma2),
+        hard: z.iter().map(|&zi| c.slice(zi)).collect(),
+    }
 }
 
 #[cfg(test)]

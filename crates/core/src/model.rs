@@ -18,7 +18,7 @@
 //! make `Pe` exceed 1 at low SNR, which breaks the geometric model, so we
 //! implement the standard form and clamp `Pe` into `[PE_FLOOR, PE_CEIL]`.
 //! Fig. 14's model-vs-simulation agreement (reproduced in
-//! `flexcore-sim::fig14`) validates the choice. See DESIGN.md.
+//! `flexcore-sim::fig14`) validates the choice.
 //!
 //! All accumulation is done in **log domain**: at 12 levels × 256-QAM the
 //! linear-domain products underflow `f64` for exactly the deep paths the

@@ -21,6 +21,7 @@
 
 use crate::detector::{FlexCoreDetector, WalkScratch};
 use flexcore_detect::common::{first_min_metric, Detector};
+use flexcore_modulation::Constellation;
 use flexcore_numeric::Cx;
 
 /// The list-sphere-decoder clip level: bound on every output LLR
@@ -83,7 +84,6 @@ impl FlexCoreDetector {
         let ybar = tri.rotate(y);
         let c = &tri.constellation;
         let nt = tri.nt();
-        let bps = c.bits_per_symbol();
         let perm = &tri.qr.perm;
         // Evaluate the candidate list into two flat planes (symbols in
         // original stream order, one metric per completed path) — one trie
@@ -112,51 +112,74 @@ impl FlexCoreDetector {
             .iter()
             .map(|&s| s as usize)
             .collect();
-        // Per-bit minima over the list, in one flat `(stream, bit)` buffer
-        // each (index `stream * bps + j`).
-        let mut min0 = vec![f64::INFINITY; nt * bps];
-        let mut min1 = vec![f64::INFINITY; nt * bps];
-        let mut bits = vec![0u8; bps];
+        let mut demap = MaxLogDemap::new(c, nt);
         for (cand, &metric) in cand_metrics.iter().enumerate() {
             for stream in 0..nt {
-                let sym = cand_syms[cand * nt + stream] as usize;
-                c.index_to_bits_into(sym, &mut bits);
-                for (j, &b) in bits.iter().enumerate() {
-                    let slot = if b == 0 {
-                        &mut min0[stream * bps + j]
-                    } else {
-                        &mut min1[stream * bps + j]
-                    };
-                    if metric < *slot {
-                        *slot = metric;
-                    }
-                }
+                demap.offer(stream, cand_syms[cand * nt + stream] as usize, metric);
             }
         }
-        let llrs = (0..nt)
-            .map(|stream| {
-                (0..bps)
-                    .map(|j| {
-                        let (m0, m1) = (min0[stream * bps + j], min1[stream * bps + j]);
-                        // The standard list-sphere-decoder clip (±8, cf.
-                        // Hochwald & ten Brink): a small list overstates
-                        // per-bit confidence (the counter-hypothesis
-                        // minimum is an upper bound computed over few
-                        // candidates), so magnitudes are clipped well below
-                        // the decoder's saturation level. Missing
-                        // complement hypotheses saturate at the clip.
-                        match (m0.is_finite(), m1.is_finite()) {
-                            (true, true) => ((m1 - m0) / sigma2)
-                                .clamp(-MISSING_HYPOTHESIS_LLR, MISSING_HYPOTHESIS_LLR),
-                            (true, false) => MISSING_HYPOTHESIS_LLR,
-                            (false, true) => -MISSING_HYPOTHESIS_LLR,
-                            (false, false) => 0.0,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        SoftDecision { llrs, hard }
+        SoftDecision {
+            llrs: demap.llrs(sigma2),
+            hard,
+        }
+    }
+}
+
+/// The max-log reduction behind every soft demapper in this crate: offer
+/// any number of `(stream, symbol, metric)` hypotheses, then read
+/// `LLR(b) = (min_{b(s)=1} metric − min_{b(s)=0} metric) / σ²` for every
+/// stream and bit. FlexCore offers its candidate list, the SIC tier every
+/// constellation point per row against its decision feedback, the linear
+/// tier every point per equalised stream.
+pub(crate) struct MaxLogDemap<'c> {
+    constellation: &'c Constellation,
+    /// `min[bit value][stream * bps + bit]`.
+    min: [Vec<f64>; 2],
+    bits: Vec<u8>,
+}
+
+impl<'c> MaxLogDemap<'c> {
+    pub(crate) fn new(constellation: &'c Constellation, n_streams: usize) -> Self {
+        let bps = constellation.bits_per_symbol();
+        let unseen = vec![f64::INFINITY; n_streams * bps];
+        MaxLogDemap {
+            constellation,
+            min: [unseen.clone(), unseen],
+            bits: vec![0u8; bps],
+        }
+    }
+
+    pub(crate) fn offer(&mut self, stream: usize, sym: usize, metric: f64) {
+        self.constellation.index_to_bits_into(sym, &mut self.bits);
+        let base = stream * self.bits.len();
+        for (j, &b) in self.bits.iter().enumerate() {
+            let slot = &mut self.min[usize::from(b)][base + j];
+            if metric < *slot {
+                *slot = metric;
+            }
+        }
+    }
+
+    /// `llrs[stream][bit]`. The standard list-sphere-decoder clip (±8, cf.
+    /// Hochwald & ten Brink): a small list overstates per-bit confidence
+    /// (the counter-hypothesis minimum is an upper bound computed over few
+    /// candidates), so magnitudes are clipped well below the decoder's
+    /// saturation level. Missing complement hypotheses saturate at the
+    /// clip.
+    pub(crate) fn llrs(&self, sigma2: f64) -> Vec<Vec<f64>> {
+        let llr = |(&m0, &m1): (&f64, &f64)| match (m0.is_finite(), m1.is_finite()) {
+            (true, true) => {
+                ((m1 - m0) / sigma2).clamp(-MISSING_HYPOTHESIS_LLR, MISSING_HYPOTHESIS_LLR)
+            }
+            (true, false) => MISSING_HYPOTHESIS_LLR,
+            (false, true) => -MISSING_HYPOTHESIS_LLR,
+            (false, false) => 0.0,
+        };
+        let bps = self.bits.len();
+        let [min0, min1] = &self.min;
+        (min0.chunks(bps).zip(min1.chunks(bps)))
+            .map(|(m0, m1)| m0.iter().zip(m1).map(llr).collect())
+            .collect()
     }
 }
 

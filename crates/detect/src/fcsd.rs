@@ -357,7 +357,7 @@ mod tests {
         fcsd.prepare(&h, 0.05);
         let ch = MimoChannel::new(h, 15.0);
         let seq = SequentialPool::new(16);
-        let par = CrossbeamPool::new(8);
+        let par = CrossbeamPool::work_queue(8);
         for _ in 0..10 {
             let s: Vec<usize> = (0..4).map(|_| rng.gen_range(0..16)).collect();
             let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();

@@ -449,12 +449,10 @@ mod tests {
         let (frame, _) = build_frame(12, 6, &ch, 5);
         let seq1 = SequentialPool::new(1);
         let seq7 = SequentialPool::new(7);
-        let stat4 = CrossbeamPool::new(4);
         let queue4 = CrossbeamPool::work_queue(4);
         let queue9 = CrossbeamPool::work_queue(9);
         let reference = engine.detect_frame(&frame, &seq1);
         assert_eq!(engine.detect_frame(&frame, &seq7), reference);
-        assert_eq!(engine.detect_frame(&frame, &stat4), reference);
         assert_eq!(engine.detect_frame(&frame, &queue4), reference);
         assert_eq!(engine.detect_frame(&frame, &queue9), reference);
     }
@@ -658,7 +656,7 @@ mod tests {
         ));
         engine.prepare(&flat);
         let (frame, _) = build_frame(16, 8, &flat, 46);
-        let uniform = WeightedPool::uniform(4);
+        let uniform = WeightedPool::new(vec![1.0; 4]);
         engine.detect_frame(&frame, &uniform);
         assert_eq!(audit(&uniform).packing_efficiency, 1.0);
     }
@@ -676,10 +674,6 @@ mod tests {
         let reference = engine.detect_frame(&frame, &SequentialPool::new(1));
         assert_eq!(
             engine.detect_frame(&frame, &CrossbeamPool::work_queue(4)),
-            reference
-        );
-        assert_eq!(
-            engine.detect_frame(&frame, &CrossbeamPool::new(3)),
             reference
         );
         // And cell-for-cell against the per-vector sequential detector.

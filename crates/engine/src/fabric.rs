@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn empty_run_reports_zeroes() {
-        let pool = WeightedPool::uniform(3);
+        let pool = WeightedPool::new(vec![1.0; 3]);
         let out = pool.run_priced(Vec::<fn() -> u8>::new(), &[]);
         assert!(out.is_empty());
         let run = pool.last_run().expect("priced run recorded");

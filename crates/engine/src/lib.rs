@@ -57,9 +57,9 @@
 //! Results are **bit-identical** across substrates and batch shapes: the
 //! engine only reorders *scheduling*, never arithmetic, so
 //! [`SequentialPool`](flexcore_parallel::SequentialPool) and a
-//! [`CrossbeamPool`](flexcore_parallel::CrossbeamPool) in either schedule
-//! mode produce byte-for-byte the same [`DetectedFrame`] — a property the
-//! workspace tests enforce.
+//! [`CrossbeamPool`](flexcore_parallel::CrossbeamPool) produce
+//! byte-for-byte the same [`DetectedFrame`] — a property the workspace
+//! tests enforce.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

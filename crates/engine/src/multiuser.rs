@@ -398,12 +398,6 @@ mod tests {
                 }
                 cell.detect_tick(&CrossbeamPool::work_queue(3))
             }),
-            ("static", {
-                for (u, f) in frames.iter().enumerate() {
-                    cell.submit(u, f.clone());
-                }
-                cell.detect_tick(&CrossbeamPool::new(2))
-            }),
         ] {
             assert_eq!(outs.len(), 3, "{pool_name}");
             for (u, detected) in outs {

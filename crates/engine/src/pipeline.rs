@@ -154,15 +154,24 @@ impl LatencyRecord {
     /// empty: the smallest sample of rank `⌈q·n⌉`, so `quantile(1.0)` is
     /// the maximum and every returned value is an observed sample.
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile: q out of range: {q}");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
+        Self::nearest_rank(&self.sorted(), q)
+    }
+
+    fn sorted(&self) -> Vec<f64> {
         let mut sorted = self.samples.clone();
         sorted.sort_by(f64::total_cmp);
+        sorted
+    }
+
+    /// The one definition of [`LatencyRecord::quantile`]'s rule, over
+    /// already-sorted samples.
+    fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&q), "quantile: q out of range: {q}");
         let n = sorted.len();
-        let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-        sorted[idx]
+        if n == 0 {
+            return 0.0;
+        }
+        sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
     }
 
     /// Reduces the record to counts, percentiles and the miss rate.
@@ -173,13 +182,15 @@ impl LatencyRecord {
         } else {
             self.samples.iter().sum::<f64>() / n as f64
         };
+        // One sort serves all four ranks.
+        let sorted = self.sorted();
         LatencyStats {
             n: n as u64,
             deadline_s: self.deadline_s,
-            p50_s: self.quantile(0.50),
-            p95_s: self.quantile(0.95),
-            p99_s: self.quantile(0.99),
-            max_s: self.quantile(1.0),
+            p50_s: Self::nearest_rank(&sorted, 0.50),
+            p95_s: Self::nearest_rank(&sorted, 0.95),
+            p99_s: Self::nearest_rank(&sorted, 0.99),
+            max_s: Self::nearest_rank(&sorted, 1.0),
             mean_s: mean,
             miss_rate: self.miss_rate(),
         }
@@ -680,6 +691,20 @@ mod tests {
         assert_eq!(stats.miss_rate, 0.05);
         assert!(stats.p50_s <= stats.p95_s && stats.p95_s <= stats.p99_s);
         assert!(stats.p99_s <= stats.max_s);
+
+        // An unsorted record with ties and a non-round count: the one-sort
+        // `stats()` must read exactly what four `quantile` calls read.
+        let mut rec = LatencyRecord::new(0.5);
+        for i in 0..37u32 {
+            rec.record(f64::from(i * 7919 % 13) * 0.1 + 0.01);
+        }
+        let stats = rec.stats();
+        assert_eq!(
+            [stats.p50_s, stats.p95_s, stats.p99_s, stats.max_s],
+            [0.50, 0.95, 0.99, 1.0].map(|q| rec.quantile(q))
+        );
+        let worst = rec.samples().iter().copied().fold(0.0, f64::max);
+        assert_eq!(stats.max_s, worst);
     }
 
     #[test]

@@ -389,7 +389,7 @@ mod tests {
             }
             let got: Mutex<Vec<TickOutput<Vec<usize>>>> = Mutex::new(Vec::new());
             let report = pipe.run(
-                &CrossbeamPool::new(n_pes),
+                &CrossbeamPool::work_queue(n_pes),
                 1,
                 1.0,
                 |_, _, _| {},

@@ -2,10 +2,10 @@
 //!
 //! Analytic hardware cost/energy models substituting for the paper's
 //! GTX 970 GPU, FX-8120 CPU and Virtex UltraScale XCVU440 FPGA testbeds
-//! (see DESIGN.md "Substitutions"). The paper's hardware results are
-//! *ratios* — speedups, energy-efficiency gaps, iso-throughput PE counts —
-//! driven by path counts, per-path workload, occupancy and resource/power
-//! composition. These models capture exactly those drivers and are
+//! (see the README's "Faithfulness and substitutions"). The paper's
+//! hardware results are *ratios* — speedups, energy-efficiency gaps,
+//! iso-throughput PE counts — driven by path counts, per-path workload,
+//! occupancy and resource/power composition. These models capture exactly those drivers and are
 //! calibrated against the paper's published absolute anchors (Table 3,
 //! the 5.14× 8-thread OpenMP speedup, the 19× GPU headline).
 //!

@@ -20,7 +20,7 @@
 //! we sample points uniformly inside each triangle and rank lattice offsets
 //! by mean distance rank, which converges to the same modal order. We store
 //! all eight triangles explicitly rather than rotating a single stored
-//! triangle — a negligible-memory software simplification (see DESIGN.md).
+//! triangle — a negligible-memory software simplification.
 
 use crate::qam::{Constellation, Modulation};
 use flexcore_numeric::{Cx, LANES};

@@ -2,8 +2,8 @@
 //!
 //! Only `rand`'s uniform primitives are used; the Gaussian path is our own
 //! Box–Muller so that the whole workspace needs no `rand_distr`. All
-//! simulation code takes an explicit seed, so every experiment in
-//! EXPERIMENTS.md is bit-for-bit reproducible.
+//! simulation code takes an explicit seed, so every experiment driver in
+//! `flexcore-sim` is bit-for-bit reproducible.
 
 use crate::cx::Cx;
 use rand::Rng;

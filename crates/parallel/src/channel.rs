@@ -185,24 +185,6 @@ impl<T> Receiver<T> {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// Non-blocking [`Receiver::recv`]: `None` when the queue is
-    /// currently empty, whether or not senders remain.
-    ///
-    /// ```
-    /// let (tx, rx) = flexcore_parallel::bounded(1);
-    /// assert_eq!(rx.try_recv(), None);
-    /// tx.send(3).unwrap();
-    /// assert_eq!(rx.try_recv(), Some(3));
-    /// ```
-    pub fn try_recv(&self) -> Option<T> {
-        // flexcore-lint: hot-path
-        let value = self.shared.lock().buf.pop_front();
-        if value.is_some() {
-            self.shared.not_full.notify_one();
-        }
-        value
-    }
 }
 
 impl<T> Drop for Receiver<T> {

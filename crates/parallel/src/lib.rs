@@ -8,18 +8,18 @@
 //! the algorithm from the execution substrate:
 //!
 //! * [`SequentialPool`] — a *simulated* pool: executes tasks in order on the
-//!   calling thread while accounting for how many PEs the workload would
-//!   occupy and how many sequential rounds it would need. This is what the
-//!   experiment harness uses — detection results are bit-identical to
-//!   parallel execution, and latency is modelled, not measured.
+//!   calling thread while counting the tasks and batches a workload
+//!   submits. This is what the experiment harness uses — detection results
+//!   are bit-identical to parallel execution, and latency is modelled (from
+//!   task prices, see [`lpt_makespan`]), not measured.
 //! * [`CrossbeamPool`] — a real thread pool built on `crossbeam::thread`
 //!   scoped threads (workers = PEs), demonstrating that FlexCore's path
 //!   parallelism is "nearly embarrassingly parallel": tasks share nothing
-//!   and results are reduced with a single `min` pass at the end. It
-//!   schedules either statically (strided pre-assignment, for uniform
-//!   micro-tasks) or through a shared work queue
-//!   ([`CrossbeamPool::work_queue`], for coarse variable-cost tasks such as
-//!   the frame engine's per-subcarrier batches) — see [`ScheduleMode`].
+//!   and results are reduced with a single `min` pass at the end. Workers
+//!   pull from one shared work queue ([`CrossbeamPool::work_queue`]), so
+//!   coarse variable-cost tasks such as the frame engine's per-subcarrier
+//!   batches balance dynamically, and a panicking task unwinds out of
+//!   `run` with its own payload.
 //! * [`WeightedPool`] — a simulated pool of **non-uniform** PEs carrying
 //!   per-PE speed factors (e.g. 2 fast DSP cores beside 6 slow ARM cores,
 //!   from `flexcore_hwmodel::HeterogeneousFabric`). Batches are placed
@@ -49,10 +49,7 @@ pub mod pool;
 pub mod weighted;
 
 pub use channel::{bounded, Receiver, SendError, Sender};
-pub use pool::{
-    lpt_makespan, lpt_order, schedule_rounds, CrossbeamPool, PePool, ScheduleMode, SequentialPool,
-    WorkStats,
-};
+pub use pool::{lpt_makespan, lpt_order, CrossbeamPool, PePool, SequentialPool, WorkStats};
 pub use weighted::{
     lpt_assign_weighted, lpt_makespan_weighted, ScheduledRun, WeightedPool, WeightedSchedule,
 };

@@ -1,26 +1,8 @@
 //! Processing-element pools.
 
 use parking_lot::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of sequential *rounds* needed to run `n_tasks` on `n_pes`
-/// processing elements when each PE executes one task at a time
-/// (`ceil(n_tasks / n_pes)`).
-///
-/// The paper's minimum-latency evaluations (Fig. 9) assume one task per PE,
-/// i.e. one round; LTE-budget evaluations (Fig. 12) let PEs run several
-/// tasks back-to-back, paying `schedule_rounds` in latency.
-///
-/// ```
-/// use flexcore_parallel::schedule_rounds;
-/// assert_eq!(schedule_rounds(9, 8), 2);
-/// assert_eq!(schedule_rounds(8, 8), 1);
-/// assert_eq!(schedule_rounds(0, 8), 0);
-/// ```
-pub fn schedule_rounds(n_tasks: usize, n_pes: usize) -> usize {
-    assert!(n_pes > 0, "schedule_rounds: zero PEs");
-    n_tasks.div_ceil(n_pes)
-}
 
 /// Longest-processing-time-first task order: indices into `costs`, most
 /// expensive first, ties kept in submission order (stable).
@@ -45,9 +27,10 @@ pub fn lpt_order(costs: &[u64]) -> Vec<usize> {
     order
 }
 
-/// Modelled makespan of LPT list scheduling: feeds `costs` in
-/// [`lpt_order`] to `n_pes` greedy workers (each task goes to the
-/// least-loaded PE) and returns the maximum per-PE load.
+/// Modelled makespan of LPT list scheduling on `n_pes` identical PEs:
+/// [`lpt_assign_weighted`](crate::lpt_assign_weighted) at unit speeds
+/// (each task, most expensive first, goes to the least-loaded PE, ties
+/// to the lowest index), read back as the maximum per-PE load.
 ///
 /// This is the multi-user cell's shared-pool latency model: dividing
 /// `Σ costs / n_pes` by it gives the modelled parallel efficiency of a
@@ -61,20 +44,13 @@ pub fn lpt_order(costs: &[u64]) -> Vec<usize> {
 /// // …and equal costs pack perfectly.
 /// assert_eq!(lpt_makespan(&[5, 5, 5, 5], 2), 10);
 /// ```
+///
+/// # Panics
+/// Panics if `n_pes == 0`.
 pub fn lpt_makespan(costs: &[u64], n_pes: usize) -> u64 {
-    assert!(n_pes > 0, "lpt_makespan: zero PEs");
-    let mut loads = vec![0u64; n_pes];
-    for i in lpt_order(costs) {
-        // `n_pes > 0` is asserted above, so the minimum always exists;
-        // the 0 fallback keeps this arm panic-free.
-        let min = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &l)| l)
-            .map_or(0, |(p, _)| p);
-        loads[min] += costs[i];
-    }
-    loads.into_iter().max().unwrap_or(0)
+    // Unit speeds keep every load an integer-valued f64, so the cast back
+    // is exact.
+    crate::weighted::lpt_assign_weighted(costs, &vec![1.0; n_pes]).makespan_units as u64
 }
 
 /// Cumulative work accounting for a pool.
@@ -85,7 +61,6 @@ pub fn lpt_makespan(costs: &[u64], n_pes: usize) -> u64 {
 /// pool.run((0..10).map(|i| move || i).collect::<Vec<_>>());
 /// assert_eq!(pool.stats().tasks(), 10);
 /// assert_eq!(pool.stats().batches(), 1);
-/// assert_eq!(pool.stats().rounds(), 3); // ceil(10 / 4)
 /// pool.stats().reset();
 /// assert_eq!(pool.stats().tasks(), 0);
 /// ```
@@ -93,15 +68,12 @@ pub fn lpt_makespan(costs: &[u64], n_pes: usize) -> u64 {
 pub struct WorkStats {
     tasks: AtomicU64,
     batches: AtomicU64,
-    rounds: AtomicU64,
 }
 
 impl WorkStats {
-    pub(crate) fn record(&self, n_tasks: usize, n_pes: usize) {
+    pub(crate) fn record(&self, n_tasks: usize) {
         self.tasks.fetch_add(n_tasks as u64, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.rounds
-            .fetch_add(schedule_rounds(n_tasks, n_pes) as u64, Ordering::Relaxed);
     }
 
     /// Total tasks executed.
@@ -114,16 +86,10 @@ impl WorkStats {
         self.batches.load(Ordering::Relaxed)
     }
 
-    /// Total modelled sequential rounds (latency units).
-    pub fn rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Relaxed)
-    }
-
     /// Clears the counters.
     pub fn reset(&self) {
         self.tasks.store(0, Ordering::Relaxed);
         self.batches.store(0, Ordering::Relaxed);
-        self.rounds.store(0, Ordering::Relaxed);
     }
 }
 
@@ -176,7 +142,7 @@ pub trait PePool {
         self.run(tasks)
     }
 
-    /// Work accounting (tasks, batches, modelled rounds).
+    /// Work accounting (tasks, batches).
     fn stats(&self) -> &WorkStats;
 }
 
@@ -224,7 +190,7 @@ impl PePool for SequentialPool {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        self.stats.record(tasks.len(), self.n_pes);
+        self.stats.record(tasks.len());
         tasks.into_iter().map(|t| t()).collect()
     }
 
@@ -233,38 +199,17 @@ impl PePool for SequentialPool {
     }
 }
 
-/// How a [`CrossbeamPool`] distributes a batch over its workers.
-///
-/// ```
-/// use flexcore_parallel::{CrossbeamPool, ScheduleMode};
-/// assert_eq!(CrossbeamPool::new(4).mode(), ScheduleMode::Static);
-/// assert_eq!(CrossbeamPool::work_queue(4).mode(), ScheduleMode::WorkQueue);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScheduleMode {
-    /// Round-robin pre-assignment: each worker owns a fixed strided subset
-    /// of the task list. Zero scheduling overhead, but a slow task stalls
-    /// its whole stride — the right choice for many uniform micro-tasks
-    /// (e.g. one FlexCore tree path per task).
-    #[default]
-    Static,
-    /// Shared work queue: workers pull the next task as they finish the
-    /// previous one, so unequal task costs (a frame's subcarrier columns
-    /// under a sphere decoder, say) balance dynamically. Pays one lock
-    /// acquisition per task — the right choice for coarse tasks like the
-    /// frame engine's per-subcarrier symbol batches.
-    WorkQueue,
-}
-
 /// Real parallel execution on `n_pes` OS threads via `crossbeam` scoped
-/// threads.
+/// threads, scheduled through a shared work queue: workers pull the next
+/// task as they finish the previous one, so unequal task costs (a frame's
+/// subcarrier columns under a sphere decoder, say) balance dynamically at
+/// the price of one lock acquisition per task.
 ///
-/// Two scheduling modes are available (see [`ScheduleMode`]): statically
-/// strided assignment for uniform micro-tasks, and a shared work queue for
-/// coarse, variable-cost tasks such as whole-frame detection. Results are
-/// returned in task order in both modes, so detector output never depends
+/// Results are returned in task order, so detector output never depends
 /// on the substrate — mirroring FlexCore's claim of near-embarrassing
-/// parallelism.
+/// parallelism. A task that panics unwinds out of [`PePool::run`] with its
+/// own payload once every worker has been joined; the pool holds no state
+/// between batches, so it stays usable afterwards.
 ///
 /// ```
 /// use flexcore_parallel::{CrossbeamPool, PePool};
@@ -275,134 +220,26 @@ pub enum ScheduleMode {
 #[derive(Debug)]
 pub struct CrossbeamPool {
     n_pes: usize,
-    mode: ScheduleMode,
     stats: WorkStats,
 }
 
 impl CrossbeamPool {
-    /// A statically-scheduled pool backed by `n_pes` worker threads per
-    /// batch.
-    ///
-    /// ```
-    /// use flexcore_parallel::{CrossbeamPool, PePool};
-    /// assert_eq!(CrossbeamPool::new(2).run(vec![|| 5]), vec![5]);
-    /// ```
-    pub fn new(n_pes: usize) -> Self {
-        Self::with_mode(n_pes, ScheduleMode::Static)
-    }
-
-    /// A work-queue pool: `n_pes` workers pulling tasks from a shared
-    /// queue. Use for coarse tasks of unequal cost (frame processing).
-    ///
-    /// ```
-    /// use flexcore_parallel::{CrossbeamPool, ScheduleMode};
-    /// assert_eq!(CrossbeamPool::work_queue(2).mode(), ScheduleMode::WorkQueue);
-    /// ```
-    pub fn work_queue(n_pes: usize) -> Self {
-        Self::with_mode(n_pes, ScheduleMode::WorkQueue)
-    }
-
-    /// A pool with an explicit scheduling mode.
+    /// A work-queue pool: up to `n_pes` workers per batch pulling tasks
+    /// from a shared queue.
     ///
     /// # Panics
     /// Panics if `n_pes == 0`.
     ///
     /// ```
-    /// use flexcore_parallel::{CrossbeamPool, PePool, ScheduleMode};
-    /// let pool = CrossbeamPool::with_mode(3, ScheduleMode::Static);
-    /// assert_eq!((pool.n_pes(), pool.mode()), (3, ScheduleMode::Static));
+    /// use flexcore_parallel::{CrossbeamPool, PePool};
+    /// assert_eq!(CrossbeamPool::work_queue(2).run(vec![|| 5]), vec![5]);
     /// ```
-    pub fn with_mode(n_pes: usize, mode: ScheduleMode) -> Self {
+    pub fn work_queue(n_pes: usize) -> Self {
         assert!(n_pes > 0, "CrossbeamPool: zero PEs");
         CrossbeamPool {
             n_pes,
-            mode,
             stats: WorkStats::default(),
         }
-    }
-
-    /// The scheduling mode in use.
-    pub fn mode(&self) -> ScheduleMode {
-        self.mode
-    }
-
-    fn run_static<T, F>(&self, tasks: Vec<F>, workers: usize) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = tasks.len();
-        let shared: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-        // Hand each worker a strided subset of the (indexed) tasks.
-        let mut buckets: Vec<Vec<(usize, F)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, t) in tasks.into_iter().enumerate() {
-            buckets[i % workers].push((i, t));
-        }
-        let joined = crossbeam::thread::scope(|scope| {
-            for bucket in buckets {
-                scope.spawn(|_| {
-                    let mut local: Vec<(usize, T)> = Vec::with_capacity(bucket.len());
-                    for (i, task) in bucket {
-                        local.push((i, task()));
-                    }
-                    let mut guard = shared.lock();
-                    for (i, v) in local {
-                        guard[i] = Some(v);
-                    }
-                });
-            }
-        });
-        if let Err(payload) = joined {
-            // A worker panicked: re-raise the original payload on the
-            // scheduler thread instead of minting a new panic message, so
-            // the task's own diagnostic reaches the caller intact.
-            std::panic::resume_unwind(payload);
-        }
-        shared
-            .into_inner()
-            .into_iter()
-            // flexcore-lint: allow(FL004, reason = "every slot is written exactly once before the scope joins; a worker panic has already propagated via resume_unwind above")
-            .map(|v| v.expect("missing task result"))
-            .collect()
-    }
-
-    fn run_queue<T, F>(&self, tasks: Vec<F>, workers: usize) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = tasks.len();
-        // The queue is the task iterator itself: one lock acquisition pops
-        // the next (index, task) pair, giving dynamic load balance.
-        let queue = Mutex::new(tasks.into_iter().enumerate());
-        let shared: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-        let joined = crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    while let Some((i, task)) = {
-                        let popped = queue.lock().next();
-                        popped
-                    } {
-                        local.push((i, task()));
-                    }
-                    let mut guard = shared.lock();
-                    for (i, v) in local {
-                        guard[i] = Some(v);
-                    }
-                });
-            }
-        });
-        if let Err(payload) = joined {
-            // See run_static: re-raise the worker's own panic payload.
-            std::panic::resume_unwind(payload);
-        }
-        shared
-            .into_inner()
-            .into_iter()
-            // flexcore-lint: allow(FL004, reason = "every slot is written exactly once before the scope joins; a worker panic has already propagated via resume_unwind above")
-            .map(|v| v.expect("missing task result"))
-            .collect()
     }
 }
 
@@ -417,15 +254,52 @@ impl PePool for CrossbeamPool {
         F: FnOnce() -> T + Send,
     {
         let n = tasks.len();
-        self.stats.record(n, self.n_pes);
+        self.stats.record(n);
         if n == 0 {
             return Vec::new();
         }
-        let workers = self.n_pes.min(n);
-        match self.mode {
-            ScheduleMode::Static => self.run_static(tasks, workers),
-            ScheduleMode::WorkQueue => self.run_queue(tasks, workers),
+        // The queue is the task iterator itself: one lock acquisition pops
+        // the next (index, task) pair, giving dynamic load balance.
+        let queue = Mutex::new(tasks.into_iter().enumerate());
+        let shared: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+        // A task's panic is caught on its worker and carried out by hand: a
+        // scoped thread that dies panicking makes the scope panic with a
+        // generic message of its own, and the task's payload would be lost.
+        let panicked = Mutex::new(None);
+        let scoped = crossbeam::thread::scope(|scope| {
+            for _ in 0..self.n_pes.min(n) {
+                scope.spawn(|_| {
+                    let mut local: Vec<(usize, T)> = Vec::new();
+                    while let Some((i, task)) = {
+                        let popped = queue.lock().next();
+                        popped
+                    } {
+                        match catch_unwind(AssertUnwindSafe(task)) {
+                            Ok(v) => local.push((i, v)),
+                            Err(payload) => {
+                                panicked.lock().get_or_insert(payload);
+                                return;
+                            }
+                        }
+                    }
+                    let mut guard = shared.lock();
+                    for (i, v) in local {
+                        guard[i] = Some(v);
+                    }
+                });
+            }
+        });
+        if let Some(payload) = panicked.into_inner().or(scoped.err()) {
+            // Re-raise the first caught payload on the scheduler thread, so
+            // the task's own diagnostic reaches the caller intact.
+            resume_unwind(payload);
         }
+        shared
+            .into_inner()
+            .into_iter()
+            // flexcore-lint: allow(FL004, reason = "every slot is written exactly once before the scope joins; a task panic has already propagated via resume_unwind above")
+            .map(|v| v.expect("missing task result"))
+            .collect()
     }
 
     fn stats(&self) -> &WorkStats {
@@ -436,6 +310,7 @@ impl PePool for CrossbeamPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WeightedPool;
 
     #[test]
     fn lpt_order_sorts_descending_with_stable_ties() {
@@ -490,117 +365,61 @@ mod tests {
         assert_eq!(order, (0..costs.len()).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn schedule_rounds_ceiling() {
-        assert_eq!(schedule_rounds(0, 8), 0);
-        assert_eq!(schedule_rounds(1, 8), 1);
-        assert_eq!(schedule_rounds(8, 8), 1);
-        assert_eq!(schedule_rounds(9, 8), 2);
-        assert_eq!(schedule_rounds(4096, 64), 64);
+    /// Unequal-cost tasks (every 7th spins ~10⁴× longer), so real workers
+    /// finish them out of submission order.
+    fn skewed_tasks(n: usize) -> Vec<impl FnOnce() -> u64 + Send> {
+        (0..n as u64)
+            .map(|i| {
+                move || {
+                    let spins = if i % 7 == 0 { 200_000 } else { 10 };
+                    (0..spins).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
+                }
+            })
+            .collect()
+    }
+
+    fn check_task_order<P: PePool>(name: &str, pool: P) {
+        let n_pes = pool.n_pes();
+        let sizes = [0, 1, n_pes - 1, n_pes + 1, 100];
+        for n in sizes {
+            // What the sequential pool is by definition: tasks called in order.
+            let want: Vec<u64> = skewed_tasks(n).into_iter().map(|t| t()).collect();
+            assert_eq!(pool.run(skewed_tasks(n)), want, "{name}: {n} tasks");
+        }
+        assert_eq!(pool.stats().tasks(), sizes.iter().sum::<usize>() as u64);
+        assert_eq!(pool.stats().batches(), sizes.len() as u64);
     }
 
     #[test]
-    #[should_panic(expected = "zero PEs")]
-    fn schedule_rejects_zero_pes() {
-        schedule_rounds(1, 0);
-    }
-
-    fn square_tasks(n: usize) -> Vec<impl FnOnce() -> usize + Send> {
-        (0..n).map(|i| move || i * i).collect()
-    }
-
-    #[test]
-    fn sequential_pool_preserves_order() {
-        let pool = SequentialPool::new(4);
-        let out = pool.run(square_tasks(10));
-        assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(pool.stats().tasks(), 10);
-        assert_eq!(pool.stats().batches(), 1);
-        assert_eq!(pool.stats().rounds(), 3); // ceil(10/4)
+    fn every_pool_returns_task_order_results_at_every_batch_size() {
+        check_task_order("sequential", SequentialPool::new(4));
+        check_task_order("work queue", CrossbeamPool::work_queue(4));
+        check_task_order("work queue, 8 PEs", CrossbeamPool::work_queue(8));
+        check_task_order("weighted", WeightedPool::new(vec![4.0, 1.0, 1.0]));
     }
 
     #[test]
-    fn crossbeam_pool_preserves_order() {
-        let pool = CrossbeamPool::new(8);
-        let out = pool.run(square_tasks(100));
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(pool.stats().tasks(), 100);
-    }
-
-    #[test]
-    fn crossbeam_matches_sequential_results() {
-        let seq = SequentialPool::new(3);
-        let par = CrossbeamPool::new(3);
-        let a = seq.run(square_tasks(37));
-        let b = par.run(square_tasks(37));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn work_queue_preserves_order() {
-        let pool = CrossbeamPool::work_queue(8);
-        assert_eq!(pool.mode(), ScheduleMode::WorkQueue);
-        let out = pool.run(square_tasks(100));
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(pool.stats().tasks(), 100);
-    }
-
-    #[test]
-    fn work_queue_matches_static_under_skew() {
-        // Tasks with wildly unequal costs: results must still come back in
-        // task order, identical across modes, with every task run once.
-        let make = || -> Vec<Box<dyn FnOnce() -> u64 + Send>> {
-            (0..40u64)
-                .map(|i| {
-                    Box::new(move || {
-                        let spins = if i % 7 == 0 { 200_000 } else { 10 };
-                        (0..spins).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
-                    }) as Box<dyn FnOnce() -> u64 + Send>
-                })
-                .collect()
-        };
-        let stat = CrossbeamPool::new(4).run(make());
-        let queue = CrossbeamPool::work_queue(4).run(make());
-        let seq = SequentialPool::new(4).run(make());
-        assert_eq!(stat, seq);
-        assert_eq!(queue, seq);
-    }
-
-    #[test]
-    fn work_queue_handles_empty_single_and_overflow() {
-        let pool = CrossbeamPool::work_queue(4);
-        let empty: Vec<fn() -> usize> = Vec::new();
-        assert!(pool.run(empty).is_empty());
-        assert_eq!(pool.run(vec![|| 7usize]), vec![7]);
-        let out = pool.run(square_tasks(33));
-        assert_eq!(out.len(), 33);
-    }
-
-    #[test]
-    fn pools_handle_empty_and_single() {
-        let pool = CrossbeamPool::new(4);
-        let empty: Vec<fn() -> usize> = Vec::new();
-        assert!(pool.run(empty).is_empty());
-        let one = pool.run(vec![|| 42usize]);
-        assert_eq!(one, vec![42]);
-    }
-
-    #[test]
-    fn more_tasks_than_pes_works() {
-        let pool = CrossbeamPool::new(2);
-        let out = pool.run(square_tasks(33));
-        assert_eq!(out.len(), 33);
-        assert_eq!(pool.stats().rounds(), 17);
+    fn a_panicking_task_reaches_the_caller_with_its_own_payload() {
+        let pool = CrossbeamPool::work_queue(2);
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
+            vec![Box::new(|| 1), Box::new(|| panic!("boom")), Box::new(|| 3)];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run(tasks)))
+            .expect_err("the batch must unwind");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        // Nothing survives a batch, so the same pool runs the next one clean.
+        let clean: Vec<fn() -> usize> = vec![|| 1, || 2, || 3];
+        assert_eq!(pool.run(clean), vec![1, 2, 3]);
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
         let pool = SequentialPool::new(4);
-        pool.run(square_tasks(4));
-        pool.run(square_tasks(8));
+        pool.run(skewed_tasks(4));
+        pool.run(skewed_tasks(8));
         assert_eq!(pool.stats().tasks(), 12);
         assert_eq!(pool.stats().batches(), 2);
         pool.stats().reset();
         assert_eq!(pool.stats().tasks(), 0);
+        assert_eq!(pool.stats().batches(), 0);
     }
 }

@@ -65,9 +65,9 @@ impl WeightedSchedule {
 /// and each goes to the PE that would finish it earliest —
 /// `argmin_pe (load_pe + cost) / speed_pe`, ties to the lowest PE index.
 ///
-/// With all speeds equal this degenerates to the identical-machines rule
-/// of [`lpt_makespan`](crate::lpt_makespan) (the unit tests pin that), and
-/// like it this is *placement only*: executing tasks in any order with any
+/// With all speeds equal this is the identical-machines rule (least-loaded
+/// PE first) that [`lpt_makespan`](crate::lpt_makespan) reads its makespan
+/// from. It is *placement only*: executing tasks in any order with any
 /// placement yields bit-identical results, only the modelled latency
 /// changes.
 ///
@@ -235,18 +235,6 @@ impl WeightedPool {
         }
     }
 
-    /// A pool of `n` identical reference-speed PEs — behaviourally a
-    /// [`SequentialPool`](crate::SequentialPool) that also records its
-    /// priced runs.
-    ///
-    /// ```
-    /// use flexcore_parallel::{PePool, WeightedPool};
-    /// assert_eq!(WeightedPool::uniform(6).n_pes(), 6);
-    /// ```
-    pub fn uniform(n: usize) -> Self {
-        Self::new(vec![1.0; n])
-    }
-
     /// The per-PE speed factors.
     pub fn speeds(&self) -> &[f64] {
         &self.speeds
@@ -270,7 +258,7 @@ impl PePool for WeightedPool {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        self.stats.record(tasks.len(), self.speeds.len());
+        self.stats.record(tasks.len());
         tasks.into_iter().map(|t| t()).collect()
     }
 
@@ -296,7 +284,7 @@ impl PePool for WeightedPool {
             tasks.len(),
             costs.len()
         );
-        self.stats.record(tasks.len(), self.speeds.len());
+        self.stats.record(tasks.len());
         let schedule = lpt_assign_weighted(costs, &self.speeds);
         let mut results = Vec::with_capacity(tasks.len());
         let mut task_seconds = Vec::with_capacity(tasks.len());
@@ -328,26 +316,6 @@ impl PePool for WeightedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{lpt_makespan, SequentialPool};
-
-    #[test]
-    fn uniform_speeds_reduce_to_identical_machines_lpt() {
-        let cases: [&[u64]; 4] = [
-            &[7, 6, 5, 4, 3],
-            &[100, 1, 1, 1],
-            &[5, 5, 5, 5],
-            &[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5],
-        ];
-        for costs in cases {
-            for m in 1..=5usize {
-                assert_eq!(
-                    lpt_makespan_weighted(costs, &vec![1.0; m]),
-                    lpt_makespan(costs, m) as f64,
-                    "costs {costs:?}, m {m}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn faster_pe_attracts_the_long_task() {
@@ -439,15 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_pool_matches_sequential_results() {
-        let seq = SequentialPool::new(3);
-        let weighted = WeightedPool::new(vec![4.0, 1.0, 1.0]);
-        assert_eq!(weighted.run(square_tasks(23)), seq.run(square_tasks(23)));
-        assert_eq!(weighted.stats().tasks(), 23);
-        assert_eq!(weighted.stats().batches(), 1);
-    }
-
-    #[test]
     fn priced_run_returns_results_in_task_order_and_records_the_run() {
         let pool = WeightedPool::new(vec![2.0, 1.0]);
         assert!(pool.last_run().is_none(), "no priced run yet");
@@ -472,7 +431,7 @@ mod tests {
 
     #[test]
     fn priced_run_of_an_empty_batch() {
-        let pool = WeightedPool::uniform(4);
+        let pool = WeightedPool::new(vec![1.0; 4]);
         let out = pool.run_priced(Vec::<fn() -> usize>::new(), &[]);
         let run = pool.last_run().expect("priced run recorded");
         assert!(out.is_empty());
@@ -483,7 +442,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tasks but")]
     fn priced_run_rejects_cost_mismatch() {
-        let pool = WeightedPool::uniform(2);
+        let pool = WeightedPool::new(vec![1.0; 2]);
         let _ = pool.run_priced(square_tasks(3), &[1, 2]);
     }
 }

@@ -11,8 +11,8 @@
 //! Channels are block fading: one `H` per packet (the paper's channels are
 //! static over a packet, §5). Payload length is configurable; the paper's
 //! 500-kByte packets only rescale PER at fixed BER, so the harness default
-//! (see `flexcore-sim`) uses shorter packets and documents the scaling in
-//! EXPERIMENTS.md.
+//! (see `flexcore-sim`) uses shorter packets and documents the scaling at
+//! `flexcore_sim::calibrate::operating_point_snr_db`.
 //!
 //! [`simulate_packet`] (and `simulate_packet_soft` beside it) detect one
 //! vector at a time and are the references the identity tests compare
@@ -651,7 +651,6 @@ mod tests {
 
             let outs = [
                 framed(&cfg, snr, seed, &SequentialPool::new(4)),
-                framed(&cfg, snr, seed, &CrossbeamPool::new(4)),
                 framed(&cfg, snr, seed, &CrossbeamPool::work_queue(4)),
             ];
             for out in &outs {

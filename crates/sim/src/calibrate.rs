@@ -153,7 +153,8 @@ pub fn ml_per_at(
 /// our synthetic i.i.d. Rayleigh channels with short packets reach the
 /// same PER targets at lower SNRs (more diversity, no hardware
 /// impairments, 120-byte packets instead of 500 kB) — the shape of every
-/// comparison is what carries over, per DESIGN.md's substitution notes.
+/// comparison is what carries over (README, "Faithfulness and
+/// substitutions").
 pub fn operating_point_snr_db(nt: usize, q: usize, per_target: f64) -> f64 {
     // (nt, q, per) → snr. Values from `cargo run -p flexcore-bench --bin
     // calibrate -- --quick` (seed 7, 12-packet bisection, 120-byte

@@ -207,7 +207,6 @@ pub struct CityCell {
     n_symbols: usize,
     rho: f64,
     refresh_period: usize,
-    sigma2: f64,
     tick: u64,
     backlog_s: f64,
     window: LatencyRecord,
@@ -233,17 +232,19 @@ impl CityCell {
             pool: pool_for(&budget.fabric),
             unit_s,
             constellation: Constellation::new(cfg.modulation),
-            base: CellDetector::fixed(Constellation::new(cfg.modulation), cfg.flexcore_budget),
+            base: CellDetector::fixed(
+                Constellation::new(cfg.modulation),
+                CityConfig::FLEXCORE_BUDGET,
+            ),
             policy: cfg.policy.clone(),
             nt: cfg.nt,
             n_subcarriers: cfg.n_subcarriers,
             n_symbols: cfg.n_symbols,
             rho: cfg.rho,
             refresh_period: cfg.refresh_period,
-            sigma2: cfg.sigma2,
             tick: 0,
             backlog_s: 0.0,
-            window: LatencyRecord::new(cfg.policy.p95_limit_s),
+            window: LatencyRecord::new(ShedPolicy::P95_LIMIT_S),
             last_window_p95: 0.0,
             cooldown: 0,
             calm_streak: 0,
@@ -267,7 +268,7 @@ impl CityCell {
             self.n_subcarriers,
             self.rho,
             self.refresh_period,
-            self.sigma2,
+            CityConfig::SIGMA2,
             &mut stream_rng,
         );
         let source = TrafficSource::new(
@@ -413,13 +414,13 @@ impl CityCell {
 
         // 3. Bookkeeping and policy.
         self.tick += 1;
-        if self.policy.window_ticks > 0 && self.tick.is_multiple_of(self.policy.window_ticks) {
+        if self.tick.is_multiple_of(ShedPolicy::WINDOW_TICKS) {
             self.last_window_p95 = if self.window.is_empty() {
                 0.0
             } else {
                 self.window.quantile(0.95)
             };
-            self.window = LatencyRecord::new(self.policy.p95_limit_s);
+            self.window = LatencyRecord::new(ShedPolicy::P95_LIMIT_S);
         }
         self.apply_policy();
     }
@@ -514,31 +515,31 @@ impl CityCell {
             .map(|u| self.cell.frames_behind(u))
             .max()
             .unwrap_or(0);
-        let hot = lag >= self.policy.lag_frames
+        let hot = lag >= ShedPolicy::LAG_FRAMES
             || self.backlog_s > 0.0
-            || self.last_window_p95 > self.policy.p95_limit_s;
+            || self.last_window_p95 > ShedPolicy::P95_LIMIT_S;
         if hot {
             self.calm_streak = 0;
             if self.cooldown == 0 {
-                for _ in 0..self.policy.actions_per_tick {
+                for _ in 0..ShedPolicy::ACTIONS_PER_TICK {
                     if !self.downgrade_one() {
                         break;
                     }
                 }
-                self.cooldown = self.policy.cooldown_ticks;
+                self.cooldown = ShedPolicy::COOLDOWN_TICKS;
             }
             return;
         }
         let calm = lag == 0
             && self.backlog_s == 0.0
-            && self.last_window_p95 <= self.policy.restore_p95_fraction * self.policy.p95_limit_s;
+            && self.last_window_p95 <= ShedPolicy::RESTORE_P95_FRACTION * ShedPolicy::P95_LIMIT_S;
         if calm {
             self.calm_streak += 1;
-            if self.calm_streak >= self.policy.restore_after_ticks
+            if self.calm_streak >= ShedPolicy::RESTORE_AFTER_TICKS
                 && self.cooldown == 0
                 && self.restore_one()
             {
-                self.cooldown = self.policy.cooldown_ticks;
+                self.cooldown = ShedPolicy::COOLDOWN_TICKS;
             }
         } else {
             self.calm_streak = 0;

@@ -34,54 +34,44 @@ use flexcore_hwmodel::CellBudget;
 use flexcore_modulation::Modulation;
 
 /// The overload policy: when to downgrade, when to restore, how fast.
+/// Only the master switch is a setting; the thresholds are the LTE
+/// small-cell tuning every recorded run used — shed on 4 frames of lag or
+/// a windowed p95 above the latency-class deadline, up to 4 downgrades
+/// per decision with a 2-tick cooldown, restore after 40 calm ticks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShedPolicy {
     /// Master switch; `false` pins every user at full service (the
     /// "fixed" arm of a shedding comparison).
     pub enabled: bool,
-    /// Downgrade when any user's frames-behind reaches this.
-    pub lag_frames: u64,
-    /// Downgrade when the windowed p95 latency exceeds this (seconds).
-    pub p95_limit_s: f64,
-    /// Width of the latency window the p95 signal is computed over.
-    pub window_ticks: u64,
-    /// Ticks between policy actions (rate limit / hysteresis guard).
-    pub cooldown_ticks: u64,
-    /// Most downgrades applied in one decision — lets the policy shed a
-    /// deep overload in a few ticks instead of one user per cooldown.
-    pub actions_per_tick: usize,
-    /// Calm ticks required before restoring a degraded user.
-    pub restore_after_ticks: u64,
-    /// Restore only while the windowed p95 sits below this fraction of
-    /// the limit (hysteresis against flapping).
-    pub restore_p95_fraction: f64,
 }
 
 impl ShedPolicy {
-    /// The LTE small-cell default: shed on 4 frames of lag or a windowed
-    /// p95 above the latency-class deadline, up to 4 downgrades per
-    /// decision with a 2-tick cooldown, restore after 40 calm ticks.
+    /// Downgrade when any user's frames-behind reaches this.
+    const LAG_FRAMES: u64 = 4;
+    /// Downgrade when the windowed p95 latency exceeds this (seconds).
+    const P95_LIMIT_S: f64 = QosClass::Latency.default_deadline_s();
+    /// Width of the latency window the p95 signal is computed over.
+    const WINDOW_TICKS: u64 = 10;
+    /// Ticks between policy actions (rate limit / hysteresis guard).
+    const COOLDOWN_TICKS: u64 = 2;
+    /// Most downgrades applied in one decision — lets the policy shed a
+    /// deep overload in a few ticks instead of one user per cooldown.
+    const ACTIONS_PER_TICK: usize = 4;
+    /// Calm ticks required before restoring a degraded user.
+    const RESTORE_AFTER_TICKS: u64 = 40;
+    /// Restore only while the windowed p95 sits below this fraction of
+    /// the limit (hysteresis against flapping).
+    const RESTORE_P95_FRACTION: f64 = 0.5;
+
+    /// The LTE small-cell default: shedding on.
     pub fn lte_default() -> Self {
-        ShedPolicy {
-            enabled: true,
-            lag_frames: 4,
-            p95_limit_s: QosClass::Latency.default_deadline_s(),
-            window_ticks: 10,
-            cooldown_ticks: 2,
-            actions_per_tick: 4,
-            restore_after_ticks: 40,
-            restore_p95_fraction: 0.5,
-        }
+        ShedPolicy { enabled: true }
     }
 
     /// Shedding off: the fixed-configuration baseline shedding is
-    /// compared against. All other knobs keep their defaults so the two
-    /// arms differ in exactly one bit.
+    /// compared against. The two arms differ in exactly this one bit.
     pub fn disabled() -> Self {
-        ShedPolicy {
-            enabled: false,
-            ..Self::lte_default()
-        }
+        ShedPolicy { enabled: false }
     }
 }
 
@@ -95,17 +85,10 @@ pub struct CityConfig {
     pub users_per_cell: usize,
     /// Fraction of the population in the latency class, spread evenly.
     pub latency_fraction: f64,
-    /// Mean offered frames per tick per user at load 1.0 (before the
-    /// city-level calibration rescales to a capacity multiple).
-    pub base_rate: f64,
-    /// Ticks per diurnal day for the diurnal arrival cohort.
-    pub day_ticks: u64,
     /// Transmit/receive antennas per user.
     pub nt: usize,
     /// Modulation of every uplink.
     pub modulation: Modulation,
-    /// FlexCore path budget at full service.
-    pub flexcore_budget: usize,
     /// Subcarriers per user band.
     pub n_subcarriers: usize,
     /// OFDM symbols per frame.
@@ -114,13 +97,8 @@ pub struct CityConfig {
     pub rho: f64,
     /// Subcarriers between estimate refreshes (staggered pilots).
     pub refresh_period: usize,
-    /// Noise variance per receive antenna.
-    pub sigma2: f64,
-    /// Per-cell fabric budget (cloned per cell unless overridden).
+    /// Per-cell fabric budget (cloned per cell).
     pub budget: CellBudget,
-    /// Optional per-cell budget overrides, indexed by cell; cells beyond
-    /// the vector (or with no override) use `budget`.
-    pub cell_budgets: Vec<CellBudget>,
     /// Admission headroom in `(0, 1]`.
     pub headroom: f64,
     /// The overload policy every cell runs.
@@ -130,6 +108,16 @@ pub struct CityConfig {
 }
 
 impl CityConfig {
+    /// Mean offered frames per tick per user at load 1.0 (before the
+    /// city-level calibration rescales to a capacity multiple).
+    const BASE_RATE: f64 = 0.4;
+    /// Ticks per diurnal day for the diurnal arrival cohort.
+    const DAY_TICKS: u64 = 120;
+    /// FlexCore path budget at full service.
+    const FLEXCORE_BUDGET: usize = 16;
+    /// Noise variance per receive antenna (30 dB SNR).
+    const SIGMA2: f64 = 1e-3;
+
     /// A small city for tests and smokes: 2 cells × 32 users, 4×4 16-QAM
     /// FlexCore-16 uplinks on the LTE small-cell budget, 30 dB SNR.
     pub fn small_city() -> Self {
@@ -137,30 +125,16 @@ impl CityConfig {
             n_cells: 2,
             users_per_cell: 32,
             latency_fraction: 0.25,
-            base_rate: 0.4,
-            day_ticks: 120,
             nt: 4,
             modulation: Modulation::Qam16,
-            flexcore_budget: 16,
             n_subcarriers: 4,
             n_symbols: 2,
             rho: 0.95,
             refresh_period: 4,
-            sigma2: 1e-3,
             budget: CellBudget::lte_subframe(),
-            cell_budgets: Vec::new(),
             headroom: 0.9,
             policy: ShedPolicy::lte_default(),
             seed: 0xC17_15EED,
-        }
-    }
-
-    /// The budget cell `i` runs under: its override if present, the
-    /// shared default otherwise.
-    pub fn budget_for(&self, i: usize) -> CellBudget {
-        match self.cell_budgets.get(i) {
-            Some(b) => b.clone(),
-            None => self.budget.clone(),
         }
     }
 }
@@ -244,7 +218,7 @@ impl City {
     pub fn new(cfg: &CityConfig) -> Self {
         assert!(cfg.n_cells >= 1, "City: need at least one cell");
         let mut cells: Vec<CityCell> = (0..cfg.n_cells)
-            .map(|i| CityCell::new(cfg, cfg.budget_for(i)))
+            .map(|_| CityCell::new(cfg, cfg.budget.clone()))
             .collect();
 
         // Deterministic population: class via an exact-fraction
@@ -264,20 +238,20 @@ impl City {
             };
             let arrivals = match i % 3 {
                 0 => ArrivalProcess::Poisson {
-                    rate: cfg.base_rate,
+                    rate: CityConfig::BASE_RATE,
                 },
                 1 => {
-                    // Stationary mean p_on/(p_on+p_off) × peak = base_rate.
+                    // Stationary mean p_on/(p_on+p_off) × peak = BASE_RATE.
                     let (p_on, p_off) = (0.1, 0.25);
                     ArrivalProcess::OnOff {
                         p_on,
                         p_off,
-                        peak: cfg.base_rate * (p_on + p_off) / p_on,
+                        peak: CityConfig::BASE_RATE * (p_on + p_off) / p_on,
                     }
                 }
                 _ => ArrivalProcess::Diurnal {
-                    daily_volume: cfg.base_rate * cfg.day_ticks as f64,
-                    day_ticks: cfg.day_ticks,
+                    daily_volume: CityConfig::BASE_RATE * CityConfig::DAY_TICKS as f64,
+                    day_ticks: CityConfig::DAY_TICKS,
                 },
             };
             let seed = cfg
@@ -297,7 +271,7 @@ impl City {
         // tells us what a full-tier frame costs on this PHY shape (the
         // fixed-budget FlexCore price is channel-independent).
         let unit_price = {
-            let mut probe = CityCell::new(cfg, cfg.budget_for(0));
+            let mut probe = CityCell::new(cfg, cfg.budget.clone());
             probe.add_user(UserProfile::new(
                 QosClass::Bulk,
                 ArrivalProcess::Poisson { rate: 0.0 },
@@ -491,7 +465,7 @@ mod tests {
             for u in 0..cell.n_users() {
                 let m = cell.profile(u).arrivals.mean_rate();
                 assert!(
-                    (m - cfg.base_rate).abs() < 1e-12,
+                    (m - CityConfig::BASE_RATE).abs() < 1e-12,
                     "family rate drifted: {m}"
                 );
             }

@@ -30,7 +30,7 @@ pub enum QosClass {
 impl QosClass {
     /// The class's default per-frame deadline in seconds: 4 ms for
     /// latency users (four LTE subframes), 25 ms for bulk.
-    pub fn default_deadline_s(self) -> f64 {
+    pub const fn default_deadline_s(self) -> f64 {
         match self {
             QosClass::Latency => 4e-3,
             QosClass::Bulk => 25e-3,

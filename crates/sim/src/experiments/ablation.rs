@@ -1,4 +1,4 @@
-//! Ablations of FlexCore's design choices (DESIGN.md's list).
+//! Ablations of FlexCore's design choices.
 //!
 //! * **Symbol ordering**: exact sort vs triangle-LUT with skip semantics
 //!   vs the paper's strict deactivate-on-outside semantics (§3.2);

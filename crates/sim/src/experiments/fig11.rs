@@ -2,7 +2,7 @@
 //! (12×12, 64-QAM, L ∈ {1, 2}), with CPU/OpenMP reference lines.
 //!
 //! Driven entirely by the calibrated `flexcore-hwmodel` GPU/CPU models
-//! (see DESIGN.md "Substitutions"). Reproduced claims:
+//! (see the README's "Faithfulness and substitutions"). Reproduced claims:
 //!
 //! 1. speedup grows as `|E|` shrinks, reaching ~19× at `|E| = 128` vs the
 //!    L=2 FCSD (the §5.2 headline);

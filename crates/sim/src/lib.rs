@@ -2,9 +2,10 @@
 //!
 //! The experiment harness: one driver per table/figure of the paper's
 //! evaluation (§5), each emitting a small CSV-like table whose rows mirror
-//! the published result. `flexcore-bench` wraps each driver in a binary
-//! (`cargo run -p flexcore-bench --bin fig9`), and EXPERIMENTS.md records
-//! paper-vs-measured for every experiment.
+//! the published result. `flexcore-bench`'s `repro` binary runs any of them
+//! by name (`cargo run -p flexcore-bench --bin repro -- fig9`, names in
+//! [`experiments::EXPERIMENTS`]); each driver's module docs list the paper
+//! claims it reproduces.
 //!
 //! * [`table`] — the tiny result-table type and CSV emitter;
 //! * [`calibrate`] — SNR operating-point calibration (find the SNR where

@@ -25,7 +25,8 @@ fn main() {
     let (nt, snr_db, n_packets) = (12usize, 14.1, 6usize);
 
     // Record a trace campaign (the paper measured 1×12 channels over the
-    // air and combined them; we synthesise — DESIGN.md "Substitutions").
+    // air and combined them; we synthesise — README, "Faithfulness and
+    // substitutions").
     let mut rng = StdRng::seed_from_u64(99);
     let ens = ChannelEnsemble::iid(nt, nt);
     let set = TraceSet::new(ens.draw_many(&mut rng, n_packets));

@@ -84,10 +84,8 @@ fn assert_substrate_identity(nt: usize, m: Modulation, seed: u64) {
     let fixed_ref = frame_on(mk_fixed(), &channel, &frame, &seq);
     let adaptive_ref = frame_on(mk_adaptive(), &channel, &frame, &seq);
 
-    // Thread pools, static and work-queue scheduling.
-    let stat = CrossbeamPool::new(4);
+    // Real threads (work-queue scheduling).
     let queue = CrossbeamPool::work_queue(3);
-    assert_eq!(frame_on(mk_fixed(), &channel, &frame, &stat), fixed_ref);
     assert_eq!(frame_on(mk_fixed(), &channel, &frame, &queue), fixed_ref);
     assert_eq!(
         frame_on(mk_adaptive(), &channel, &frame, &queue),

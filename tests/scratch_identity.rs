@@ -223,7 +223,7 @@ proptest! {
         let reference = detect_batch_pr1(&det, &ys);
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
         let seq = SequentialPool::new(4);
-        let par = CrossbeamPool::new(3);
+        let par = CrossbeamPool::work_queue(3);
         prop_assert_eq!(&det.detect_batch_on_pool(&refs, &seq), &reference);
         prop_assert_eq!(&det.detect_batch_on_pool(&refs, &par), &reference);
         // And the trie-walk decisions match the nested reduction too.
@@ -311,7 +311,7 @@ proptest! {
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
         prop_assert_eq!(&det.detect_batch_refs(&refs), &per_vector);
         let seq = SequentialPool::new(4);
-        let par = CrossbeamPool::new(3);
+        let par = CrossbeamPool::work_queue(3);
         for (y, want) in ys.iter().zip(&per_vector) {
             // A single vector is a batch of one.
             prop_assert_eq!(&det.detect_batch_on_pool(&[y.as_slice()], &seq)[0], want);

@@ -358,7 +358,7 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
         }
         let run_all = || -> Vec<DetectedFrame> {
             let seq = SequentialPool::new(1);
-            let cb = CrossbeamPool::new(3);
+            let cb = CrossbeamPool::work_queue(3);
             let weighted = WeightedPool::new(flat.speed_factors());
             let fabric = WeightedPool::new(skewed.speed_factors());
             let out = vec![
