@@ -17,11 +17,11 @@
 
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
-use crate::preprocess::Preprocessor;
+use crate::preprocess::{PreprocessOutput, Preprocessor};
 use flexcore_detect::common::{first_min_metric, Detector, PathScratch, Triangular};
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
-use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd};
+use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
 use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, LANES};
 use flexcore_parallel::PePool;
 
@@ -91,7 +91,7 @@ const NIL: u32 = u32::MAX;
 /// at row `row`" given the (shared) rank prefix above it.
 #[derive(Clone, Copy, Debug)]
 struct TrieNode {
-    row: u8,
+    row: u16,
     rank: u32,
     /// Index into the path list when this node completes a path
     /// (`row == 0`), else [`NIL`].
@@ -112,8 +112,8 @@ struct Chain {
     via: u32,
 }
 
-/// Prefix-sharing trie over the selected position vectors, built once in
-/// `prepare`.
+/// Prefix-sharing trie over the selected position vectors, rebuilt in
+/// place by every `prepare`.
 ///
 /// Position vectors overwhelmingly agree on the top tree levels (SQRD
 /// places reliable streams on top, so rank bumps concentrate near the
@@ -136,6 +136,7 @@ struct Chain {
 #[derive(Clone, Debug, Default)]
 struct PathTrie {
     nodes: Vec<TrieNode>,
+    /// Set by [`PathTrie::rebuild`]; meaningless before the first one.
     first_root: u32,
     chains: Vec<Chain>,
     /// `lineage[path · nt + row]` = the node of `path` at `row`. Every
@@ -146,14 +147,24 @@ struct PathTrie {
 }
 
 impl PathTrie {
-    fn build(paths: &[PositionVector], nt: usize) -> Self {
-        let mut trie = PathTrie {
-            // At most one node per path and row: sized once, never regrown.
-            nodes: Vec::with_capacity(paths.len() * nt),
-            first_root: NIL,
-            chains: Vec::new(),
-            lineage: vec![NIL; paths.len() * nt],
-        };
+    /// Rebuilds the trie over `paths` inside its own `nodes` / `chains` /
+    /// `lineage` storage. `budget` is the most paths this trie will ever
+    /// be rebuilt over (the search's `N_PE`): capacity is sized for it
+    /// once, so neither a channel refresh nor a threshold retune regrows.
+    fn rebuild(&mut self, paths: &[PositionVector], nt: usize, budget: usize) {
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        assert!(nt <= u16::MAX as usize, "PathTrie: {nt} rows exceed u16");
+        // At most one node (and one chain) per path and row.
+        let bound = budget * nt;
+        self.nodes.clear();
+        self.nodes.reserve(bound);
+        self.chains.clear();
+        self.chains.reserve(bound);
+        self.lineage.clear();
+        self.lineage.reserve(bound);
+        self.lineage.resize(paths.len() * nt, NIL);
+        self.first_root = NIL;
         for (pi, p) in paths.iter().enumerate() {
             let mut parent: Option<u32> = None;
             for row in (0..nt).rev() {
@@ -162,23 +173,23 @@ impl PathTrie {
                 // node at the tail otherwise (keeps insertion order
                 // deterministic).
                 let mut slot = match parent {
-                    None => trie.first_root,
-                    Some(pa) => trie.nodes[pa as usize].first_child,
+                    None => self.first_root,
+                    Some(pa) => self.nodes[pa as usize].first_child,
                 };
                 let mut prev = NIL;
                 let mut found = NIL;
                 while slot != NIL {
-                    if trie.nodes[slot as usize].rank == rank {
+                    if self.nodes[slot as usize].rank == rank {
                         found = slot;
                         break;
                     }
                     prev = slot;
-                    slot = trie.nodes[slot as usize].next_sibling;
+                    slot = self.nodes[slot as usize].next_sibling;
                 }
                 if found == NIL {
-                    found = trie.nodes.len() as u32;
-                    trie.nodes.push(TrieNode {
-                        row: row as u8,
+                    found = self.nodes.len() as u32;
+                    self.nodes.push(TrieNode {
+                        row: row as u16,
                         rank,
                         path_idx: NIL,
                         via: pi as u32,
@@ -186,39 +197,38 @@ impl PathTrie {
                         next_sibling: NIL,
                     });
                     if prev != NIL {
-                        trie.nodes[prev as usize].next_sibling = found;
+                        self.nodes[prev as usize].next_sibling = found;
                     } else {
                         match parent {
-                            None => trie.first_root = found,
-                            Some(pa) => trie.nodes[pa as usize].first_child = found,
+                            None => self.first_root = found,
+                            Some(pa) => self.nodes[pa as usize].first_child = found,
                         }
                     }
                 }
                 if row == 0 {
                     // The pre-processor never selects duplicate position
                     // vectors, so a leaf is claimed at most once.
-                    trie.nodes[found as usize].path_idx = pi as u32;
+                    self.nodes[found as usize].path_idx = pi as u32;
                 }
-                trie.lineage[pi * nt + row] = found;
+                self.lineage[pi * nt + row] = found;
                 parent = Some(found);
             }
         }
         // Level order: breadth-first over sibling chains, `chains` being
         // its own queue.
-        trie.chains.reserve_exact(trie.nodes.len());
-        if trie.first_root != NIL {
-            trie.chains.push(Chain {
-                first: trie.first_root,
+        if self.first_root != NIL {
+            self.chains.push(Chain {
+                first: self.first_root,
                 via: 0, // no ancestors: any path serves
             });
         }
         let mut visited = 0;
-        while let Some(&Chain { first, .. }) = trie.chains.get(visited) {
+        while let Some(&Chain { first, .. }) = self.chains.get(visited) {
             let mut idx = first;
             while idx != NIL {
-                let node = trie.nodes[idx as usize];
+                let node = self.nodes[idx as usize];
                 if node.first_child != NIL {
-                    trie.chains.push(Chain {
+                    self.chains.push(Chain {
                         first: node.first_child,
                         via: node.via,
                     });
@@ -227,7 +237,6 @@ impl PathTrie {
             }
             visited += 1;
         }
-        trie
     }
 
     /// Arithmetic cost of the sibling chain starting at `first`: one
@@ -256,52 +265,82 @@ impl PathTrie {
     }
 }
 
-/// Per-channel state computed by `prepare`.
+/// Per-channel state computed by `prepare`. Every buffer is overwritten
+/// in place by the next `prepare`, so a channel refresh of the same shape
+/// touches no heap.
 #[derive(Clone, Debug)]
 struct State {
     tri: Triangular,
-    paths: Vec<PositionVector>,
-    /// Prefix-sharing evaluation order over `paths`.
+    /// Per-level error model of `tri`'s `R` (Eq. 4).
+    model: LevelErrorModel,
+    /// The full selection the prepare-time search produced (position
+    /// vectors with ln-probabilities, most promising first) — stored once.
+    /// The paper's stopping criterion only ever cuts the selection order
+    /// short (a stop cannot reorder what was already selected), so the
+    /// selection at threshold `t` is exactly the shortest prefix of this
+    /// list whose running `Σ exp(ln Pc)` reaches `t`.
+    selection: PreprocessOutput,
+    /// The active paths are `selection.paths[..n_active]`: the whole
+    /// selection, or the prefix an active (re-tuned) threshold cuts —
+    /// which [`FlexCoreDetector::retune_threshold`] just moves, without
+    /// re-running QR or the best-first search.
+    n_active: usize,
+    /// `Σ Pc` over the active paths.
+    cumulative_prob: f64,
+    /// Prefix-sharing evaluation order over the active paths.
     trie: PathTrie,
     /// Per row `(R(row,row)⁻¹, |R(row,row)|²)`, exactly as the scalar walk
     /// forms them per chain.
     diag: Vec<(Cx, f64)>,
-    /// `Σ Pc` over the selected paths.
-    cumulative_prob: f64,
-    /// Pre-processing cost (Table 2).
-    preprocess_mults: u64,
-    /// The full selection the prepare-time search produced (position
-    /// vectors with ln-probabilities, most promising first), *before* any
-    /// active-threshold truncation. Kept so
-    /// [`FlexCoreDetector::retune_threshold`] can re-truncate to a new
-    /// threshold without re-running QR or the best-first search: the
-    /// paper's stopping criterion only ever cuts the selection order short
-    /// (a stop cannot reorder what was already selected), so the selection
-    /// at threshold `t` is exactly the shortest prefix of this list whose
-    /// running `Σ exp(ln Pc)` reaches `t`.
-    selection: Vec<(PositionVector, f64)>,
 }
 
-/// The shortest prefix of `selection` whose running cumulative probability
-/// reaches `t` (at least one path), with the cumulative sum accumulated in
-/// selection order — term-for-term the same f64 additions the
-/// preprocessor's stopping loop would have performed, so a re-truncation
-/// is bit-identical to a fresh threshold-`t` prepare. When `t` is never
-/// reached the whole selection is kept (the budget-limited behaviour).
-fn truncate_selection(selection: &[(PositionVector, f64)], t: f64) -> (Vec<PositionVector>, f64) {
-    let mut cumulative = 0.0f64;
-    let mut cut = selection.len();
-    for (i, (_, lp)) in selection.iter().enumerate() {
-        cumulative += lp.exp();
-        if cumulative >= t {
-            cut = i + 1;
-            break;
+impl State {
+    /// The empty state the first `prepare` fills in.
+    fn new(constellation: Constellation) -> Self {
+        State {
+            tri: Triangular::new(Qr::default(), constellation),
+            model: LevelErrorModel::default(),
+            selection: PreprocessOutput::default(),
+            n_active: 0,
+            cumulative_prob: 0.0,
+            trie: PathTrie::default(),
+            diag: Vec::new(),
         }
     }
-    (
-        selection[..cut].iter().map(|(p, _)| p.clone()).collect(),
-        cumulative,
-    )
+
+    fn paths(&self) -> &[PositionVector] {
+        &self.selection.paths[..self.n_active]
+    }
+
+    /// Makes the first `n_active` selected paths, which capture
+    /// `cumulative_prob`, the active ones, and rebuilds the trie over them.
+    fn activate(&mut self, (n_active, cumulative_prob): (usize, f64), budget: usize) {
+        // flexcore-lint: hot-path
+        (self.n_active, self.cumulative_prob) = (n_active, cumulative_prob);
+        let paths = &self.selection.paths[..n_active];
+        self.trie.rebuild(paths, self.tri.nt(), budget);
+    }
+}
+
+/// Length of the shortest prefix of a selection (given as its `ln Pc`s)
+/// whose running cumulative probability reaches `t` (at least one path),
+/// with that cumulative sum accumulated in selection order — term-for-term
+/// the same f64 additions the preprocessor's stopping loop would have
+/// performed, so a re-truncation is bit-identical to a fresh threshold-`t`
+/// prepare. When `t` is never reached the whole selection is kept (the
+/// budget-limited behaviour).
+fn prefix_reaching(ln_probs: &[f64], t: f64) -> (usize, f64) {
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    let mut cumulative = 0.0f64;
+    for (i, lp) in ln_probs.iter().enumerate() {
+        // flexcore-lint: allow(FL002, reason = "replays the search's own Σ exp(ln Pc) term for term; both sides are this host's exp on the same argument")
+        cumulative += lp.exp();
+        if cumulative >= t {
+            return (i + 1, cumulative);
+        }
+    }
+    (ln_probs.len(), cumulative)
 }
 
 /// Reusable per-worker workspace for the sequential FlexCore hot path:
@@ -437,14 +476,12 @@ impl FlexCoreDetector {
         let Some(state) = self.state.as_mut() else {
             return false;
         };
-        let (paths, cumulative_prob) = truncate_selection(&state.selection, t);
-        if paths.len() == state.paths.len() {
+        let prefix = prefix_reaching(&state.selection.ln_probs, t);
+        if prefix.0 == state.n_active {
             // Same prefix → same paths, same trie, same cumulative sum.
             return false;
         }
-        state.trie = PathTrie::build(&paths, state.tri.nt());
-        state.paths = paths;
-        state.cumulative_prob = cumulative_prob;
+        state.activate(prefix, self.config.n_pe);
         true
     }
 
@@ -461,7 +498,7 @@ impl FlexCoreDetector {
     /// `n_pe` unless the stopping criterion fired earlier) — the quantity
     /// plotted as "active PEs" in Fig. 10.
     pub fn active_paths(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| s.paths.len())
+        self.state.as_ref().map_or(0, |s| s.n_active)
     }
 
     /// `Σ Pc` captured by the selected paths for the current channel.
@@ -471,7 +508,7 @@ impl FlexCoreDetector {
 
     /// Real multiplications spent by the last pre-processing run (Table 2).
     pub fn preprocess_mults(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.preprocess_mults)
+        self.state.as_ref().map_or(0, |s| s.selection.real_mults)
     }
 
     /// The prepared triangular system (QR factors + constellation).
@@ -490,7 +527,7 @@ impl FlexCoreDetector {
     /// The selected position vectors (most promising first), borrowed from
     /// the prepared state (empty before `prepare`).
     pub fn position_vectors(&self) -> &[PositionVector] {
-        self.state.as_ref().map_or(&[], |s| &s.paths)
+        self.state.as_ref().map_or(&[], State::paths)
     }
 
     /// Allocation-free path evaluation: streams the tree path selected by
@@ -570,7 +607,7 @@ impl FlexCoreDetector {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
         let state = self.prepared();
-        let n = state.paths.len();
+        let n = state.n_active;
         out.metrics.clear();
         out.metrics.resize(n, f64::NAN);
         // No clear(): surviving slots keep their storage (spill buffers
@@ -821,7 +858,7 @@ impl FlexCoreDetector {
         }
         let ybars = &ybars;
         let tasks: Vec<_> = state
-            .paths
+            .paths()
             .iter()
             .map(|p| {
                 move || {
@@ -878,40 +915,52 @@ impl Detector for FlexCoreDetector {
         }
     }
 
+    /// Overwrites the prepared state in place: after one `prepare`, the
+    /// next one on a channel of the same shape performs no heap
+    /// allocation (for [`QrOrdering::Sqrd`] and up to the inline width of
+    /// a [`PositionVector`]), and leaves exactly the state a fresh clone of
+    /// this detector would reach on that channel.
     fn prepare(&mut self, h: &CMat, sigma2: f64) {
-        let qr = match self.config.qr_ordering {
-            QrOrdering::Sqrd => sorted_qr_sqrd(h),
-            QrOrdering::Fcsd(l) => fcsd_sorted_qr(h, l),
-            QrOrdering::Plain => mgs_qr(h),
-        };
-        let model = LevelErrorModel::from_r(&qr.r, sigma2, self.constellation.modulation());
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        let state = self
+            .state
+            // flexcore-lint: allow(FL001, reason = "first prepare only: the state's own copy of the constellation, kept across refreshes")
+            .get_or_insert_with(|| State::new(self.constellation.clone()));
+        let qr = &mut state.tri.qr;
+        match self.config.qr_ordering {
+            QrOrdering::Sqrd => sorted_qr_sqrd_into(h, qr),
+            QrOrdering::Fcsd(l) => *qr = fcsd_sorted_qr(h, l),
+            QrOrdering::Plain => *qr = mgs_qr(h),
+        }
+        state
+            .model
+            .refit_from_r(&qr.r, sigma2, self.constellation.modulation());
         let mut pre =
             Preprocessor::new(self.config.n_pe).with_expand_batch(self.config.expand_batch);
         if let Some(t) = self.config.stop_threshold {
             pre = pre.with_stop_threshold(t);
         }
-        let out = pre.run(&model, self.constellation.order());
+        pre.run_into(
+            &state.model,
+            self.constellation.order(),
+            &mut state.selection,
+        );
         // An active (re-tuned) threshold truncates the search's selection
         // further; prefix truncation reproduces a fresh lower-threshold
-        // prepare bit-for-bit (see `truncate_selection`), so re-tuned
+        // prepare bit-for-bit (see `prefix_reaching`), so re-tuned
         // detectors survive channel refreshes at their current tuning.
-        let (paths, cumulative_prob) = match self.active_threshold {
-            Some(t) => truncate_selection(&out.paths, t),
-            None => (out.position_vectors(), out.cumulative_prob),
+        let selection = &state.selection;
+        let prefix = match self.active_threshold {
+            Some(t) => prefix_reaching(&selection.ln_probs, t),
+            None => (selection.paths.len(), selection.cumulative_prob),
         };
-        let nt = qr.r.cols();
-        let trie = PathTrie::build(&paths, nt);
-        self.state = Some(State {
-            diag: (0..nt)
-                .map(|row| (qr.r[(row, row)].inv(), qr.r[(row, row)].norm_sqr()))
-                .collect(),
-            tri: Triangular::new(qr, self.constellation.clone()),
-            paths,
-            trie,
-            cumulative_prob,
-            preprocess_mults: out.real_mults,
-            selection: out.paths,
-        });
+        state.activate(prefix, self.config.n_pe);
+        let r = &state.tri.qr.r;
+        state.diag.clear();
+        state
+            .diag
+            .extend((0..r.cols()).map(|row| (r[(row, row)].inv(), r[(row, row)].norm_sqr())));
         // Materialise the blocked walk's (centre, triangle, rank) table
         // here rather than on the first blocked batch: it depends only on
         // (constellation, ordering semantics) — not the channel — so the
@@ -1539,8 +1588,9 @@ mod tests {
             .map(|ranks| PositionVector::from_entries(ranks.to_vec()))
             .collect();
         let state = fc.state.as_mut().expect("prepared");
-        state.trie = PathTrie::build(&paths, 2);
-        state.paths = paths;
+        state.trie.rebuild(&paths, 2, 3);
+        state.selection.paths = paths;
+        state.n_active = 3;
         let trie = &state.trie;
         let leaves: Vec<u32> = trie.chains[1..]
             .iter()
@@ -1623,6 +1673,26 @@ mod tests {
         let s: Vec<usize> = (0..17).map(|_| rng.gen_range(0..4)).collect();
         let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
         assert_eq!(fc.detect(&h.mul_vec(&x)), s);
+    }
+
+    #[test]
+    fn rows_past_255_keep_their_index() {
+        // `TrieNode::row` was a `u8`: at 257 streams rows 256 and 255
+        // wrapped to 0 and 255, the scalar walk returned wrong symbols
+        // and the block walk found no completed path. The wider field
+        // fits the padding the struct already had.
+        assert_eq!(std::mem::size_of::<TrieNode>(), 24);
+        let nt = 257;
+        let c = Constellation::new(Modulation::Qpsk);
+        let mut rng = StdRng::seed_from_u64(42);
+        let h = ChannelEnsemble::iid(nt, nt).draw(&mut rng);
+        let mut fc = FlexCoreDetector::with_pes(c.clone(), 4);
+        fc.prepare(&h, 1e-9);
+        let s: Vec<usize> = (0..nt).map(|_| rng.gen_range(0..4)).collect();
+        let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
+        let y = h.mul_vec(&x);
+        assert_eq!(fc.detect(&y), s, "scalar walk");
+        assert_eq!(fc.detect_batch_refs(&[&y]), [s], "block walk");
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl Detector for AdaptiveKBest {
             .run(&model, self.constellation.order());
         let nt = qr.r.cols();
         let mut k_per_level = vec![1usize; nt];
-        for (p, _) in &out.paths {
+        for p in &out.paths {
             for (row, k) in k_per_level.iter_mut().enumerate() {
                 *k = (*k).max(p.rank(row) as usize);
             }

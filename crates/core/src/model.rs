@@ -35,7 +35,7 @@ pub const PE_FLOOR: f64 = 1e-300;
 pub const PE_CEIL: f64 = 0.5;
 
 /// Per-level error probabilities derived from `R` and the noise power.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LevelErrorModel {
     /// `pe[row]` for `R` row `row` (tree level `row+1`).
     pe: Vec<f64>,
@@ -50,25 +50,46 @@ impl LevelErrorModel {
     /// noise variance `sigma2`, and the modulation (Eq. 4). `Es = 1` by the
     /// workspace's constellation normalisation.
     pub fn from_r(r: &CMat, sigma2: f64, modulation: Modulation) -> Self {
+        let mut model = LevelErrorModel::default();
+        model.refit_from_r(r, sigma2, modulation);
+        model
+    }
+
+    /// [`LevelErrorModel::from_r`] over an existing model: a channel
+    /// refresh refits the levels it replaces, with no heap traffic once
+    /// the model has held this many.
+    pub(crate) fn refit_from_r(&mut self, r: &CMat, sigma2: f64, modulation: Modulation) {
+        // flexcore-lint: hot-path
         assert!(r.is_square(), "LevelErrorModel: R must be square");
         assert!(sigma2 > 0.0, "LevelErrorModel: sigma2 must be positive");
         let sigma = sigma2.sqrt();
-        let pe: Vec<f64> = (0..r.rows())
-            .map(|l| symbol_error_probability(r[(l, l)].abs(), sigma, modulation))
-            .collect();
-        Self::from_pe(pe)
+        self.refit(
+            (0..r.rows()).map(|l| symbol_error_probability(r[(l, l)].abs(), sigma, modulation)),
+        );
     }
 
     /// Builds the model directly from per-level error probabilities
     /// (used by tests and the independent-channel example of §3.1).
     pub fn from_pe(pe: Vec<f64>) -> Self {
-        let pe: Vec<f64> = pe.into_iter().map(|p| p.clamp(PE_FLOOR, PE_CEIL)).collect();
-        let ln_pe = pe.iter().map(|p| p.ln()).collect();
-        let ln_1m_pe = pe.iter().map(|p| (1.0 - p).ln()).collect();
-        LevelErrorModel {
-            pe,
-            ln_pe,
-            ln_1m_pe,
+        let mut model = LevelErrorModel::default();
+        model.refit(pe.into_iter());
+        model
+    }
+
+    /// The one place the per-level caches are derived from `Pe`.
+    fn refit(&mut self, pe: impl Iterator<Item = f64>) {
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        self.pe.clear();
+        self.ln_pe.clear();
+        self.ln_1m_pe.clear();
+        for p in pe {
+            let p = p.clamp(PE_FLOOR, PE_CEIL);
+            self.pe.push(p);
+            // flexcore-lint: allow(FL002, reason = "Eq. 3 is defined in the log domain; a fresh and an in-place fit reach this one call with the same argument, and nothing compares its bits across hosts or dispatch modes")
+            self.ln_pe.push(p.ln());
+            // flexcore-lint: allow(FL002, reason = "as above: the one ln(1 − Pe) every fit of this level performs")
+            self.ln_1m_pe.push((1.0 - p).ln());
         }
     }
 

@@ -14,7 +14,9 @@
 //! * a child's likelihood is the parent's times `Pe(w)` — one real
 //!   multiplication (we count these for Table 2);
 //! * traversal always expands the candidate-list node with the highest
-//!   `Pc`; the list is pruned to `N_PE` entries whenever it grows beyond;
+//!   `Pc`; the list is pruned to `N_PE` entries whenever it grows beyond
+//!   (here, to the number of selections still to make, which is tighter
+//!   and selects the same set);
 //! * an optional stopping criterion ends the search early once the
 //!   selected set's cumulative probability passes a threshold — this is
 //!   what powers **a-FlexCore**.
@@ -29,6 +31,7 @@
 
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
+use std::cmp::Ordering;
 
 /// Configuration + entry point for the pre-processing search.
 #[derive(Clone, Debug)]
@@ -70,91 +73,179 @@ impl Preprocessor {
 
     /// Runs the search for a constellation of `order` symbols.
     pub fn run(&self, model: &LevelErrorModel, order: usize) -> PreprocessOutput {
+        let mut out = PreprocessOutput::default();
+        self.run_into(model, order, &mut out);
+        out
+    }
+
+    /// [`Preprocessor::run`] over an existing output, which doubles as the
+    /// search's workspace: a channel refresh overwrites the selection it
+    /// replaces, with no heap traffic once `out` has run a search of this
+    /// budget (and, past the inline width of a [`PositionVector`], once it
+    /// has held this many vectors).
+    ///
+    /// A child is only ever generated from a node that has just been
+    /// selected, so a candidate is stored as `(ln Pc, index of its selected
+    /// parent, incremented row)` and its vector is only materialised when
+    /// it is selected itself — straight into `out.paths`.
+    pub(crate) fn run_into(
+        &self,
+        model: &LevelErrorModel,
+        order: usize,
+        out: &mut PreprocessOutput,
+    ) {
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
         let levels = model.levels();
-        let root = PositionVector::ones(levels);
-        let root_lp = model.ln_root_prob();
+        let PreprocessOutput {
+            paths,
+            ln_probs,
+            candidates,
+            popped,
+            ..
+        } = out;
+        ln_probs.clear();
+        ln_probs.reserve(self.n_pe);
+        paths.reserve(self.n_pe.saturating_sub(paths.len()));
         // Candidate list L, kept sorted by descending ln-probability.
-        // Entries: (ln_pc, vector, gen_row) — gen_row is the entry whose
-        // increment created the node (root: levels-1, allowing all children).
-        let mut list: Vec<(f64, PositionVector, usize)> = vec![(root_lp, root, levels - 1)];
-        let mut selected: Vec<(PositionVector, f64)> = Vec::with_capacity(self.n_pe);
+        candidates.clear();
+        candidates.reserve(self.n_pe);
+        candidates.push(Candidate {
+            ln_pc: model.ln_root_prob(),
+            parent: ROOT,
+            row: levels as u32 - 1,
+        });
+        popped.reserve(self.expand_batch.min(self.n_pe));
         let mut cumulative = 0.0f64;
         let mut real_mults = 0u64;
         let mut expanded = 0u64;
-        'outer: while selected.len() < self.n_pe && !list.is_empty() {
+        'outer: while ln_probs.len() < self.n_pe && !candidates.is_empty() {
             let batch = self
                 .expand_batch
-                .min(self.n_pe - selected.len())
-                .min(list.len());
+                .min(self.n_pe - ln_probs.len())
+                .min(candidates.len());
             // Pop the `batch` most promising nodes.
-            let popped: Vec<(f64, PositionVector, usize)> = list.drain(..batch).collect();
-            for (lp, vec, gen_row) in popped {
-                cumulative += lp.exp();
-                selected.push((vec.clone(), lp));
+            popped.clear();
+            popped.extend(candidates.drain(..batch));
+            for &Candidate { ln_pc, parent, row } in popped.iter() {
+                // flexcore-lint: allow(FL002, reason = "Σ Pc is defined in the linear domain; a fresh and an in-place search reach this one call with the same argument, and nothing compares its bits across hosts or dispatch modes")
+                cumulative += ln_pc.exp();
+                let n = ln_probs.len();
+                if n == paths.len() {
+                    paths.push(PositionVector::ones(levels));
+                }
+                let (selected, rest) = paths.split_at_mut(n);
+                if parent == ROOT {
+                    rest[0].set_ones(levels);
+                } else {
+                    rest[0].set_child(&selected[parent as usize], row as usize);
+                }
+                ln_probs.push(ln_pc);
                 if let Some(t) = self.stop_threshold {
                     if cumulative >= t {
                         break 'outer;
                     }
                 }
-                if selected.len() == self.n_pe {
+                if ln_probs.len() == self.n_pe {
                     break 'outer;
                 }
-                // Expand: children for rows 0..=gen_row (duplicate-free rule).
+                // Expand: children for rows 0..=row (duplicate-free rule; the
+                // root's `row` is the top one, allowing all). L is pruned as it grows (the paper's bound keeps it from
+                // growing past N_PE entries): an entry at or past the
+                // number of selections still to make is never popped,
+                // since later insertions only push it further back.
                 expanded += 1;
-                for row in 0..=gen_row {
-                    if vec.rank(row) as usize >= order {
+                let horizon = self.n_pe - ln_probs.len();
+                for child_row in 0..=row {
+                    if paths[n].rank(child_row as usize) as usize >= order {
                         continue; // rank cannot exceed |Q|
                     }
-                    let child = vec.child(row);
                     // Pc(child) = Pc(parent)·Pe(row): one real multiplication
                     // (an addition in our log domain, but Table 2 counts the
                     // linear-domain multiply).
-                    let child_lp = lp + model.ln_pe(row);
+                    let child = Candidate {
+                        ln_pc: ln_pc + model.ln_pe(child_row as usize),
+                        parent: n as u32,
+                        row: child_row,
+                    };
                     real_mults += 1;
-                    insert_sorted(&mut list, (child_lp, child, row));
-                }
-                // Prune L to N_PE entries (the paper's bound keeps the
-                // candidate list from growing past the useful horizon).
-                if list.len() > self.n_pe {
-                    list.truncate(self.n_pe);
+                    insert_sorted(candidates, &paths[..=n], child, horizon);
                 }
             }
         }
-        PreprocessOutput {
-            paths: selected,
-            cumulative_prob: cumulative,
-            real_mults,
-            expanded_nodes: expanded,
-        }
+        paths.truncate(ln_probs.len());
+        out.cumulative_prob = cumulative;
+        out.real_mults = real_mults;
+        out.expanded_nodes = expanded;
     }
 }
 
+/// `parent` of the root candidate, which has none.
+const ROOT: u32 = u32::MAX;
+
+/// One entry of the candidate list: the vector `selected[parent]` with
+/// entry `row` incremented (the all-ones root when `parent == ROOT`).
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    ln_pc: f64,
+    parent: u32,
+    row: u32,
+}
+
 /// Binary insertion keeping `list` sorted by descending ln-probability
-/// (ties broken by the vector itself for determinism).
-fn insert_sorted(list: &mut Vec<(f64, PositionVector, usize)>, item: (f64, PositionVector, usize)) {
-    let pos = list.partition_point(|e| e.0 > item.0 || (e.0 == item.0 && e.1 <= item.1));
+/// (ties broken by the vector itself for determinism) and no longer than
+/// `horizon`. The root is popped before anything is inserted, so every
+/// candidate compared has a parent.
+fn insert_sorted(
+    list: &mut Vec<Candidate>,
+    selected: &[PositionVector],
+    item: Candidate,
+    horizon: usize,
+) {
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    let before_item = |e: &Candidate| {
+        e.ln_pc > item.ln_pc
+            || (e.ln_pc == item.ln_pc && cmp_vectors(selected, *e, item) != Ordering::Greater)
+    };
+    if list.len() >= horizon && list.last().is_some_and(before_item) {
+        return; // would land past the horizon
+    }
+    let pos = list.partition_point(before_item);
     list.insert(pos, item);
+    list.truncate(horizon);
+}
+
+/// Lexicographic order of two candidates' vectors, read off their
+/// selected parents without materialising either.
+fn cmp_vectors(selected: &[PositionVector], a: Candidate, b: Candidate) -> Ordering {
+    let entries = |c: Candidate| {
+        selected[c.parent as usize]
+            .entries()
+            .iter()
+            .enumerate()
+            .map(move |(row, &rank)| rank + u32::from(row as u32 == c.row))
+    };
+    entries(a).cmp(entries(b))
 }
 
 /// Result of a pre-processing run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PreprocessOutput {
-    /// Selected position vectors with their ln-probabilities, in descending
-    /// probability order. The set `E` of the paper.
-    pub paths: Vec<(PositionVector, f64)>,
+    /// Selected position vectors in descending probability order. The set
+    /// `E` of the paper.
+    pub paths: Vec<PositionVector>,
+    /// `ln Pc` of each selected vector, parallel to `paths`.
+    pub ln_probs: Vec<f64>,
     /// `Σ Pc` over the selected set (linear domain).
     pub cumulative_prob: f64,
     /// Real multiplications performed (Table 2 accounting).
     pub real_mults: u64,
     /// Number of nodes expanded.
     pub expanded_nodes: u64,
-}
-
-impl PreprocessOutput {
-    /// Just the position vectors, most promising first.
-    pub fn position_vectors(&self) -> Vec<PositionVector> {
-        self.paths.iter().map(|(p, _)| p.clone()).collect()
-    }
+    /// The search's candidate list and pop buffer, kept for their capacity.
+    candidates: Vec<Candidate>,
+    popped: Vec<Candidate>,
 }
 
 #[cfg(test)]
@@ -170,15 +261,16 @@ mod tests {
     fn root_is_always_first() {
         let m = model(&[0.3, 0.1, 0.2]);
         let out = Preprocessor::new(5).run(&m, 16);
-        assert_eq!(out.paths[0].0, PositionVector::ones(3));
+        assert_eq!(out.paths[0], PositionVector::ones(3));
     }
 
     #[test]
     fn selection_is_descending_in_probability() {
         let m = model(&[0.25, 0.05, 0.4, 0.1]);
         let out = Preprocessor::new(32).run(&m, 16);
-        for w in out.paths.windows(2) {
-            assert!(w[0].1 >= w[1].1, "{:?} before {:?}", w[0], w[1]);
+        assert_eq!(out.ln_probs.len(), out.paths.len());
+        for w in out.ln_probs.windows(2) {
+            assert!(w[0] >= w[1], "{} before {}", w[0], w[1]);
         }
     }
 
@@ -186,7 +278,7 @@ mod tests {
     fn no_duplicates() {
         let m = model(&[0.3, 0.3, 0.3]);
         let out = Preprocessor::new(64).run(&m, 16);
-        let set: HashSet<_> = out.paths.iter().map(|(p, _)| p.clone()).collect();
+        let set: HashSet<_> = out.paths.iter().cloned().collect();
         assert_eq!(set.len(), out.paths.len());
     }
 
@@ -210,7 +302,7 @@ mod tests {
         assert_eq!(out.paths.len(), n_pe);
         // The selected *probabilities* must match the exhaustive top-K
         // exactly (vectors may differ only among equal-probability ties).
-        for (i, (_, lp)) in out.paths.iter().enumerate() {
+        for (i, lp) in out.ln_probs.iter().enumerate() {
             assert!(
                 (lp - all[i].0).abs() < 1e-9,
                 "rank {i}: got {lp}, want {}",
@@ -226,7 +318,7 @@ mod tests {
         // the *noisier* level.
         let m = model(&[0.05, 0.3]); // row 1 is noisier
         let out = Preprocessor::new(2).run(&m, 4);
-        assert_eq!(out.paths[1].0.entries(), &[1, 2]);
+        assert_eq!(out.paths[1].entries(), &[1, 2]);
     }
 
     #[test]
@@ -238,7 +330,7 @@ mod tests {
             out.paths.len() <= 4,
             "only 4 vectors exist for 2 levels of BPSK"
         );
-        for (p, _) in &out.paths {
+        for p in &out.paths {
             assert!(p.within_order(2));
         }
     }
@@ -287,8 +379,8 @@ mod tests {
         let loss = (seq.cumulative_prob - par.cumulative_prob) / seq.cumulative_prob;
         assert!(loss < 0.02, "batched loss {loss}");
         // And overlap of the selected sets.
-        let a: HashSet<_> = seq.paths.iter().map(|(p, _)| p.clone()).collect();
-        let overlap = par.paths.iter().filter(|(p, _)| a.contains(p)).count();
+        let a: HashSet<_> = seq.paths.iter().cloned().collect();
+        let overlap = par.paths.iter().filter(|p| a.contains(p)).count();
         assert!(
             overlap as f64 >= 0.9 * n_pe as f64,
             "overlap {overlap}/{n_pe}"
@@ -300,7 +392,7 @@ mod tests {
         let m = model(&[0.3, 0.3]);
         let out = Preprocessor::new(1).run(&m, 16);
         assert_eq!(out.paths.len(), 1);
-        assert_eq!(out.paths[0].0, PositionVector::ones(2));
+        assert_eq!(out.paths[0], PositionVector::ones(2));
         assert_eq!(out.expanded_nodes, 0, "no expansion needed for N_PE=1");
     }
 
@@ -309,6 +401,93 @@ mod tests {
         let m = model(&[0.22, 0.31, 0.17, 0.28]);
         let a = Preprocessor::new(100).run(&m, 64);
         let b = Preprocessor::new(100).run(&m, 64);
-        assert_eq!(a.position_vectors(), b.position_vectors());
+        assert_eq!(a.paths, b.paths);
+    }
+
+    /// The search as first written — a cloned vector per candidate in a
+    /// sorted list of `(ln Pc, vector, generating row)` — kept as the
+    /// reference the flat workspace form is pinned against.
+    fn run_cloning(
+        pre: &Preprocessor,
+        model: &LevelErrorModel,
+        order: usize,
+    ) -> (Vec<PositionVector>, Vec<f64>, f64, u64, u64) {
+        let levels = model.levels();
+        let mut list = vec![(
+            model.ln_root_prob(),
+            PositionVector::ones(levels),
+            levels - 1,
+        )];
+        let (mut paths, mut ln_probs) = (Vec::new(), Vec::new());
+        let (mut cumulative, mut real_mults, mut expanded) = (0.0f64, 0u64, 0u64);
+        'outer: while paths.len() < pre.n_pe && !list.is_empty() {
+            let batch = pre.expand_batch.min(pre.n_pe - paths.len()).min(list.len());
+            let popped: Vec<_> = list.drain(..batch).collect();
+            for (lp, vec, gen_row) in popped {
+                cumulative += lp.exp();
+                paths.push(vec.clone());
+                ln_probs.push(lp);
+                if pre.stop_threshold.is_some_and(|t| cumulative >= t) || paths.len() == pre.n_pe {
+                    break 'outer;
+                }
+                expanded += 1;
+                for row in 0..=gen_row {
+                    if vec.rank(row) as usize >= order {
+                        continue;
+                    }
+                    let item = (lp + model.ln_pe(row), vec.child(row), row);
+                    real_mults += 1;
+                    let pos =
+                        list.partition_point(|e| e.0 > item.0 || (e.0 == item.0 && e.1 <= item.1));
+                    list.insert(pos, item);
+                }
+                list.truncate(pre.n_pe);
+            }
+        }
+        (paths, ln_probs, cumulative, real_mults, expanded)
+    }
+
+    #[test]
+    fn workspace_search_equals_the_cloning_reference() {
+        // One output reused across models of changing depth and budget —
+        // distinct levels, exactly tied levels (every order decided by the
+        // lazy vector comparison), levels clamped at the ceiling, a width
+        // past the inline bound — sequential and batched, with and without
+        // a threshold, including one that selects a shorter set than the
+        // run before it.
+        let mut out = PreprocessOutput::default();
+        let models = [
+            model(&[0.22, 0.31, 0.17, 0.28, 0.05, 0.4, 0.11, 0.3]),
+            model(&[0.2; 6]),
+            model(&[0.9, 0.9, 0.01, 0.9]),
+            model(&[0.3, 0.1, 0.2]),
+            model(&[0.25; 20]),
+            model(&[0.01, 0.02]),
+        ];
+        for m in &models {
+            for n_pe in [1usize, 7, 16, 64] {
+                for batch in [1usize, 4] {
+                    for threshold in [None, Some(0.95), Some(0.5)] {
+                        let mut pre = Preprocessor::new(n_pe).with_expand_batch(batch);
+                        if let Some(t) = threshold {
+                            pre = pre.with_stop_threshold(t);
+                        }
+                        for order in [2usize, 16] {
+                            pre.run_into(m, order, &mut out);
+                            let (paths, ln_probs, cumulative, mults, expanded) =
+                                run_cloning(&pre, m, order);
+                            let what = format!("{pre:?} order {order} levels {}", m.levels());
+                            assert_eq!(out.paths, paths, "{what}");
+                            let bits =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&out.ln_probs), bits(&ln_probs), "{what}");
+                            assert_eq!(out.cumulative_prob.to_bits(), cumulative.to_bits());
+                            assert_eq!(out.real_mults, mults, "{what}");
+                            assert_eq!(out.expanded_nodes, expanded, "{what}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

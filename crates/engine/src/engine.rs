@@ -52,8 +52,9 @@ impl EngineStats {
 
 struct Slot<D> {
     /// Shared with every in-flight [`TickPlan`] that was planned against
-    /// this slot; mutation goes through [`Arc::make_mut`], so a plan keeps
-    /// the state it was planned against.
+    /// this slot, so a plan keeps the state it was planned against:
+    /// mutation goes through [`Arc::get_mut`] (a refresh, which replaces a
+    /// shared detector instead) or [`Arc::make_mut`] (a retune).
     detector: Arc<D>,
     channel_id: u64,
     generation: u64,
@@ -76,14 +77,29 @@ impl<D: Detector> Slot<D> {
             generation: channel.generation(subcarrier),
         }
     }
+
+    /// Re-prepares this slot's detector in place against `subcarrier` of
+    /// `channel` — unless an in-flight plan still shares it (`false`).
+    fn refresh(&mut self, channel: &FrameChannel, subcarrier: usize) -> bool {
+        let Some(detector) = Arc::get_mut(&mut self.detector) else {
+            return false;
+        };
+        detector.prepare(channel.h(subcarrier), channel.sigma2());
+        self.effort = detector.effort();
+        self.extension_work = detector.extension_work();
+        self.channel_id = channel.id();
+        self.generation = channel.generation(subcarrier);
+        true
+    }
 }
 
 /// Drives one detector design across whole OFDM frames.
 ///
-/// The engine owns a clone of the template detector per subcarrier, each
-/// prepared against that subcarrier's channel. [`FrameEngine::prepare`] is
-/// the paper's pre-processing phase with a cache in front: a subcarrier is
-/// re-prepared only when its [`FrameChannel`] generation moved.
+/// The engine owns one prepared detector per subcarrier, stamped out of
+/// the template on first use and from then on refreshed in place.
+/// [`FrameEngine::prepare`] is the paper's pre-processing phase with a
+/// cache in front: a subcarrier is re-prepared only when its
+/// [`FrameChannel`] generation moved.
 /// [`FrameEngine::detect_frame`] is the parallel phase: the
 /// *(subcarrier × symbol)* grid is carved into per-subcarrier symbol
 /// batches by the tick core (see [`TickPlan`]) and scheduled onto the
@@ -215,42 +231,49 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// changed (all of them, on first call). Returns how many were
     /// refreshed.
     ///
+    /// A stale slot is re-prepared **in place** — its detector overwrites
+    /// the state it replaces. Only an empty slot, or one an in-flight
+    /// [`TickPlan`] still shares (the plan keeps the channel it was planned
+    /// against), gets a fresh clone of the template instead.
+    ///
     /// Under a frequency-flat channel ([`FrameChannel::is_flat`]) the
     /// channel-dependent work runs **once** and the prepared state is
-    /// cloned into every stale slot — preparation is deterministic, so a
-    /// clone is bit-identical to re-preparing.
+    /// cloned into every other stale slot — preparation is deterministic,
+    /// so a clone is bit-identical to re-preparing.
     pub fn prepare(&mut self, channel: &FrameChannel) -> usize {
         let n_sc = channel.n_subcarriers();
         if self.slots.len() != n_sc {
             self.slots = (0..n_sc).map(|_| None).collect();
         }
-        let stale: Vec<usize> = (0..n_sc)
-            .filter(|&sc| {
-                self.slots[sc].as_ref().is_none_or(|slot| {
-                    slot.channel_id != channel.id() || slot.generation != channel.generation(sc)
-                })
-            })
-            .collect();
-        // One preparation per stale slot, or — flat — one for all of them.
-        let mut flat: Option<D> = None;
-        for &sc in &stale {
-            let detector = match &flat {
-                Some(prepared) => prepared.clone(),
-                None => {
-                    let mut detector = self.template.clone();
-                    detector.prepare(channel.h(sc), channel.sigma2());
-                    self.prepare_runs.fetch_add(1, Ordering::Relaxed);
-                    if channel.is_flat() {
-                        flat = Some(detector.clone());
-                    }
-                    detector
-                }
-            };
-            self.slots[sc] = Some(Slot::new(detector, channel, sc));
+        // Flat: the slot this call prepared, which the rest clone.
+        let mut flat: Option<usize> = None;
+        let mut refreshed = 0;
+        for sc in 0..n_sc {
+            if self.slots[sc].as_ref().is_some_and(|slot| {
+                slot.channel_id == channel.id() && slot.generation == channel.generation(sc)
+            }) {
+                continue;
+            }
+            refreshed += 1;
+            if let Some(prepared) = flat.and_then(|src| self.slots[src].as_ref()) {
+                let detector = D::clone(&prepared.detector);
+                self.slots[sc] = Some(Slot::new(detector, channel, sc));
+                continue;
+            }
+            let slot = &mut self.slots[sc];
+            if !slot.as_mut().is_some_and(|slot| slot.refresh(channel, sc)) {
+                let mut detector = self.template.clone();
+                detector.prepare(channel.h(sc), channel.sigma2());
+                *slot = Some(Slot::new(detector, channel, sc));
+            }
+            self.prepare_runs.fetch_add(1, Ordering::Relaxed);
+            if channel.is_flat() {
+                flat = Some(sc);
+            }
         }
         self.subcarriers_refreshed
-            .fetch_add(stale.len() as u64, Ordering::Relaxed);
-        stale.len()
+            .fetch_add(refreshed as u64, Ordering::Relaxed);
+        refreshed
     }
 
     /// Applies `f` to the template and to every prepared subcarrier

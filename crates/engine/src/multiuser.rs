@@ -217,8 +217,8 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
     }
 
     /// The run half of a tick: runs a plan from
-    /// [`StreamingCell::plan_tick`] on `pool` (see [`TickPlan::run`] for
-    /// `f`'s contract), books every served user's completion, and stamps
+    /// [`StreamingCell::plan_tick`] on `pool` (`f` has the contract of
+    /// [`StreamingCell::process_tick`]'s closure), books every served user's completion, and stamps
     /// the tick's audit. Returns one [`TickOutput`] per served user, in
     /// user order; a plan that serves nobody is not a tick.
     pub fn run_tick<P, T, F>(&mut self, plan: TickPlan<D>, pool: &P, f: F) -> Vec<TickOutput<T>>

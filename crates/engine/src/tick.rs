@@ -58,8 +58,8 @@ struct Entry<D, R> {
 }
 
 /// One tick, planned: the served users' frames, their shared prepared
-/// detectors, and the priced batch list in run order — see the
-/// [module docs](self).
+/// detectors, and the priced batch list in run order (the plan → run
+/// core every serving path shares; `tick.rs` has the whole story).
 ///
 /// `R` is how the plan holds its frames: owned ([`RxFrame`], the default —
 /// the plan is then `Send` and can cross a stage boundary) or borrowed
@@ -221,6 +221,7 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::FrameChannel;
     use crate::multiuser::StreamingCell;
     use crate::pipeline::PipelinedCell;
     use crate::stream::ChannelStream;
@@ -430,5 +431,60 @@ mod tests {
 
         let frozen = plan.run(&pool, detect);
         assert_eq!(frozen[0].cells, before);
+    }
+
+    #[test]
+    fn a_refresh_replaces_shared_slots_and_overwrites_unshared_ones() {
+        // `FrameEngine::prepare` re-prepares a stale slot in place — unless
+        // a plan still shares it, in which case the slot is replaced and
+        // the plan goes on detecting against the channel it was planned on.
+        let mut rng = StdRng::seed_from_u64(0x71C4_0019);
+        let (n_sc, n_sym) = (6, 4);
+        let (stream, _, frame) = random_tick(&mut rng, 1, n_sc, n_sym).remove(0);
+        let template = CellDetector::fixed(Constellation::new(Modulation::Qam16), 8);
+        let mut engine = FrameEngine::new(template.clone());
+        engine.prepare(stream.estimate());
+        let pool = SequentialPool::new(3);
+        let before = engine.process_frame(&frame, &pool, |d, _, ys| d.detect_batch_refs(ys));
+        let addresses = |engine: &FrameEngine<CellDetector>| -> Vec<*const CellDetector> {
+            (0..n_sc)
+                .map(|sc| engine.detector(sc) as *const _)
+                .collect()
+        };
+        let fresh_on = |channel: &FrameChannel| {
+            let mut fresh = FrameEngine::new(template.clone());
+            fresh.prepare(channel);
+            fresh.process_frame(&frame, &pool, |d, _, ys| d.detect_batch_refs(ys))
+        };
+        let ens = ChannelEnsemble::iid(NT, NT);
+        let mut new_band = || {
+            FrameChannel::per_subcarrier(ens.draw_many(&mut rng, n_sc), stream.estimate().sigma2())
+        };
+
+        // Shared by a plan: every slot is replaced, none overwritten.
+        let plan = TickPlan::new([(0, frame.clone(), &engine)], 3);
+        let planned_against = addresses(&engine);
+        let second = new_band();
+        assert_eq!(engine.prepare(&second), n_sc);
+        for (old, new) in planned_against.iter().zip(addresses(&engine)) {
+            assert_ne!(*old, new, "a shared slot was re-prepared under its plan");
+        }
+        assert_eq!(plan.run(&pool, detect)[0].cells, before);
+        let on_second = engine.process_frame(&frame, &pool, |d, _, ys| d.detect_batch_refs(ys));
+        assert_eq!(on_second, fresh_on(&second));
+        assert_ne!(on_second, before, "the refresh changed nothing");
+
+        // Unshared: every slot is overwritten where it sits.
+        drop(plan);
+        let in_place = addresses(&engine);
+        let third = new_band();
+        assert_eq!(engine.prepare(&third), n_sc);
+        assert_eq!(
+            addresses(&engine),
+            in_place,
+            "an unshared slot was replaced"
+        );
+        let on_third = engine.process_frame(&frame, &pool, |d, _, ys| d.detect_batch_refs(ys));
+        assert_eq!(on_third, fresh_on(&third));
     }
 }

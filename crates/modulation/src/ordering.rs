@@ -319,7 +319,7 @@ impl OrderingLut {
         }
     }
 
-    /// [`OrderingLut::locate`] with the filtered octant test
+    /// `OrderingLut::locate` with the filtered octant test
     /// ([`triangle_index_fast`]): bit-identical `(ci, cj, tri)` for every
     /// input, without the unconditional `atan2`. This is what the block
     /// walk's packed grid locate ([`LocatedOrderingTable::locate_bases`])

@@ -56,7 +56,7 @@ pub use cx::Cx;
 pub use flops::FlopCounter;
 pub use lanes::{lanes_enabled, set_lane_dispatch, CxLane, LANES};
 pub use mat::{CMat, CVec};
-pub use qr::{fcsd_sorted_qr, householder_qr, mgs_qr, sorted_qr_sqrd, Qr};
+pub use qr::{fcsd_sorted_qr, householder_qr, mgs_qr, sorted_qr_sqrd, sorted_qr_sqrd_into, Qr};
 pub use symvec::SymVec;
 
 /// The crate README's examples, compiled as doctests so they cannot rot

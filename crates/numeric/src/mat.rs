@@ -28,11 +28,30 @@ pub type CVec = Vec<Cx>;
 /// assert_eq!(m.rows(), 2);
 /// assert_eq!(m.cols(), 3);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq, Default)]
 pub struct CMat {
     rows: usize,
     cols: usize,
     data: Vec<Cx>,
+}
+
+impl Clone for CMat {
+    fn clone(&self) -> Self {
+        CMat {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Capacity-reusing overwrite: a destination that has already held a
+    /// matrix of this size keeps its storage (an in-place re-factorisation
+    /// copies the new channel over the old `Q` without touching the heap).
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl CMat {
@@ -43,6 +62,15 @@ impl CMat {
             cols,
             data: vec![Cx::ZERO; rows * cols],
         }
+    }
+
+    /// Reshapes to an all-zero `rows × cols` matrix, keeping the storage
+    /// (no allocation once it has held `rows * cols` entries).
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, Cx::ZERO);
     }
 
     /// Creates the `n × n` identity matrix.

@@ -30,7 +30,7 @@ use crate::solve::pseudo_inverse;
 ///
 /// Invariant: `q · r ≈ h.permute_cols(&perm)`, `q* q = I`, `r` upper
 /// triangular with real non-negative diagonal.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Qr {
     /// Orthonormal factor, `Nr × Nt`.
     pub q: CMat,
@@ -261,52 +261,104 @@ pub fn householder_qr(h: &CMat) -> Qr {
 /// residual norm is processed next, so the weakest streams land at the
 /// *bottom* tree levels (detected last, with the most interference already
 /// cancelled) — an efficient approximation of the V-BLAST ordering.
+///
+/// Allocates the factors and runs [`sorted_qr_sqrd_into`].
 pub fn sorted_qr_sqrd(h: &CMat) -> Qr {
+    let mut qr = Qr::default();
+    sorted_qr_sqrd_into(h, &mut qr);
+    qr
+}
+
+/// [`sorted_qr_sqrd`] written over an existing [`Qr`]: a channel refresh
+/// re-factorises into the `Q`, `R` and `perm` it replaces, with no heap
+/// traffic once they have held this shape.
+///
+/// There is no workspace. The columns are orthogonalised inside `Q`'s own
+/// storage (which starts as a copy of `H`), row sweep by row sweep, and
+/// the residual squared norm of every column still to be processed sits
+/// in the real part of its `R` diagonal entry until its own step
+/// overwrites that with the column's norm. Each entry of `Q` and `R` sees
+/// the same operations in the same order as the column-at-a-time textbook
+/// form, so the result does not depend on what `qr` held before.
+pub fn sorted_qr_sqrd_into(h: &CMat, qr: &mut Qr) {
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
     let (nr, nt) = (h.rows(), h.cols());
     assert!(nr >= nt, "QR requires Nr >= Nt (got {nr}x{nt})");
-    let mut cols: Vec<Vec<Cx>> = (0..nt).map(|j| h.col(j)).collect();
-    let mut norms: Vec<f64> = cols.iter().map(|c| norm_sqr(c)).collect();
-    let mut order: Vec<usize> = (0..nt).collect();
-    let mut q = CMat::zeros(nr, nt);
-    let mut r = CMat::zeros(nt, nt);
-    for k in 0..nt {
-        // Pick the remaining column with minimum residual norm.
-        // Residual norms are sums of squared magnitudes and never NaN;
-        // the `k` fallback is unreachable (the skip leaves >= 1 column)
-        // and only keeps this arm panic-free.
-        let kmin = norms
-            .iter()
-            .enumerate()
-            .skip(k)
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map_or(k, |(i, _)| i);
-        cols.swap(k, kmin);
-        norms.swap(k, kmin);
-        order.swap(k, kmin);
-        // Already-computed projections in rows 0..k refer to column
-        // *positions*, so they must follow the swap.
-        for i in 0..k {
-            let tmp = r[(i, k)];
-            r[(i, k)] = r[(i, kmin)];
-            r[(i, kmin)] = tmp;
+    let Qr { q, r, perm } = qr;
+    q.clone_from(h);
+    r.reset_zeros(nt, nt);
+    perm.clear();
+    perm.extend(0..nt);
+    for row in 0..nr {
+        for (j, v) in q.row(row).iter().enumerate() {
+            r[(j, j)].re += v.norm_sqr();
         }
-        let nrm = norm_sqr(&cols[k]).sqrt();
+    }
+    for k in 0..nt {
+        // Pick the remaining column with minimum residual norm; the first
+        // one on ties. Residual norms are sums of squared magnitudes and
+        // never NaN.
+        let mut kmin = k;
+        for j in k + 1..nt {
+            if r[(j, j)].re < r[(kmin, kmin)].re {
+                kmin = j;
+            }
+        }
+        if kmin != k {
+            for row in 0..nr {
+                q.row_mut(row).swap(k, kmin);
+            }
+            perm.swap(k, kmin);
+            let tmp = r[(k, k)];
+            r[(k, k)] = r[(kmin, kmin)];
+            r[(kmin, kmin)] = tmp;
+            // Already-computed projections in rows 0..k refer to column
+            // *positions*, so they must follow the swap.
+            for i in 0..k {
+                r.row_mut(i).swap(k, kmin);
+            }
+        }
+        let nrm = (0..nr)
+            .map(|row| q[(row, k)].norm_sqr())
+            .sum::<f64>()
+            .sqrt();
         r[(k, k)] = Cx::real(nrm);
         if nrm > 0.0 {
-            let qk: Vec<Cx> = cols[k].iter().map(|&v| v / nrm).collect();
-            q.set_col(k, &qk);
-            // Project q_k out of the remaining columns, updating norms.
-            for j in k + 1..nt {
-                let rkj = dot(&cols[j], &qk);
-                r[(k, j)] = rkj;
-                for (vi, qi) in cols[j].iter_mut().zip(&qk) {
-                    *vi -= rkj * *qi;
+            for row in 0..nr {
+                let v = &mut q.row_mut(row)[k];
+                *v = *v / nrm;
+            }
+            // Project q_k out of the remaining columns, updating norms:
+            // R(k, j) = ⟨v_j, q_k⟩ accumulates down the rows, then
+            // v_j −= R(k, j)·q_k.
+            let rk = &mut r.row_mut(k)[k + 1..];
+            for row in 0..nr {
+                let qrow = q.row(row);
+                let qk = qrow[k];
+                for (acc, &v) in rk.iter_mut().zip(&qrow[k + 1..]) {
+                    *acc += v.mul_conj(qk);
                 }
-                norms[j] = (norms[j] - rkj.norm_sqr()).max(0.0);
+            }
+            for row in 0..nr {
+                let qrow = q.row_mut(row);
+                let qk = qrow[k];
+                for (v, &rkj) in qrow[k + 1..].iter_mut().zip(rk.iter()) {
+                    *v -= rkj * qk;
+                }
+            }
+            for j in k + 1..nt {
+                let rkj = r[(k, j)];
+                let left = &mut r[(j, j)].re;
+                *left = (*left - rkj.norm_sqr()).max(0.0);
+            }
+        } else {
+            // A column with no residual contributes no direction.
+            for row in 0..nr {
+                q.row_mut(row)[k] = Cx::ZERO;
             }
         }
     }
-    Qr { q, r, perm: order }
 }
 
 /// Barbero–Thompson FCSD ordering \[4\] followed by QR.
@@ -478,6 +530,93 @@ mod tests {
             let h = random_h(8, 8, 200 + seed);
             let qr = sorted_qr_sqrd(&h);
             check_qr(&h, &qr, 1e-9);
+        }
+    }
+
+    /// The column-at-a-time textbook SQRD (one working vector per column),
+    /// as this crate computed it before the in-place kernel — the
+    /// reference its operation order is pinned against.
+    fn sqrd_textbook(h: &CMat) -> Qr {
+        let (nr, nt) = (h.rows(), h.cols());
+        let mut cols: Vec<Vec<Cx>> = (0..nt).map(|j| h.col(j)).collect();
+        let mut norms: Vec<f64> = cols.iter().map(|c| norm_sqr(c)).collect();
+        let mut order: Vec<usize> = (0..nt).collect();
+        let mut q = CMat::zeros(nr, nt);
+        let mut r = CMat::zeros(nt, nt);
+        for k in 0..nt {
+            let kmin = norms
+                .iter()
+                .enumerate()
+                .skip(k)
+                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .map_or(k, |(i, _)| i);
+            cols.swap(k, kmin);
+            norms.swap(k, kmin);
+            order.swap(k, kmin);
+            for i in 0..k {
+                let tmp = r[(i, k)];
+                r[(i, k)] = r[(i, kmin)];
+                r[(i, kmin)] = tmp;
+            }
+            let nrm = norm_sqr(&cols[k]).sqrt();
+            r[(k, k)] = Cx::real(nrm);
+            if nrm > 0.0 {
+                let qk: Vec<Cx> = cols[k].iter().map(|&v| v / nrm).collect();
+                q.set_col(k, &qk);
+                for j in k + 1..nt {
+                    let rkj = dot(&cols[j], &qk);
+                    r[(k, j)] = rkj;
+                    for (vi, qi) in cols[j].iter_mut().zip(&qk) {
+                        *vi -= rkj * *qi;
+                    }
+                    norms[j] = (norms[j] - rkj.norm_sqr()).max(0.0);
+                }
+            }
+        }
+        Qr { q, r, perm: order }
+    }
+
+    fn bits(m: &CMat) -> Vec<(u64, u64)> {
+        m.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn sqrd_in_place_is_bit_identical_to_the_textbook_form() {
+        // One Qr re-factorised across shapes (square, tall, shrinking,
+        // growing), a dependent column (zero residual norm), an all-zero
+        // column with negative zeros, and exactly tied column norms.
+        let mut dependent = random_h(6, 4, 71);
+        for row in 0..6 {
+            dependent[(row, 2)] = dependent[(row, 0)];
+        }
+        let mut zero_col = random_h(5, 5, 72);
+        for row in 0..5 {
+            zero_col[(row, 3)] = Cx::new(-0.0, 0.0);
+        }
+        let tied = CMat::identity(4);
+        let mut qr = sorted_qr_sqrd(&random_h(3, 3, 70));
+        for h in [
+            random_h(8, 8, 73),
+            dependent,
+            random_h(12, 8, 74),
+            zero_col,
+            random_h(4, 4, 75),
+            tied,
+            random_h(64, 64, 76),
+            random_h(8, 8, 77),
+        ] {
+            sorted_qr_sqrd_into(&h, &mut qr);
+            let want = sqrd_textbook(&h);
+            assert_eq!(qr.perm, want.perm);
+            assert_eq!(bits(&qr.q), bits(&want.q), "Q bits");
+            assert_eq!(bits(&qr.r), bits(&want.r), "R bits");
+            let fresh = sorted_qr_sqrd(&h);
+            assert_eq!(fresh.perm, want.perm);
+            assert_eq!(bits(&fresh.q), bits(&want.q));
+            assert_eq!(bits(&fresh.r), bits(&want.r));
         }
     }
 

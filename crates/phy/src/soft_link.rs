@@ -7,9 +7,9 @@
 //! equal PE count the soft pipeline delivers strictly more packets — the
 //! gain the paper anticipates from "soft-detectors as in \[7, 43\]".
 //!
-//! Structurally this module is one [`LinkOutput`] impl: the packet runner,
+//! Structurally this module is one `LinkOutput` impl: the packet runner,
 //! the cell tick and the receive chains are [`crate::link`]'s, instantiated
-//! at [`Soft`].
+//! at `Soft`.
 
 use crate::link::{
     receive_chains, run_cell_tick, run_packet, transmit_chains, tx_vector, Air, LinkConfig,

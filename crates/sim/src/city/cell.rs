@@ -2,7 +2,7 @@
 //! QoS accounting, and the overload (load-shedding) policy.
 //!
 //! Each tick is one scheduling interval of the cell's
-//! [`CellBudget`](flexcore_hwmodel::CellBudget) (an LTE subframe by
+//! [`CellBudget`] (an LTE subframe by
 //! default). A tick:
 //!
 //! 1. ages every user's channel and draws its arrivals (frames beyond the

@@ -5,7 +5,7 @@
 //! share one PE pool"; this module answers the deployment question above
 //! it: **who gets in, who gets what tier, and what happens at 2× load.**
 //! A [`City`] is a set of [`CityCell`]s, each bound to a per-cell
-//! [`CellBudget`](flexcore_hwmodel::CellBudget); a deterministic
+//! [`CellBudget`]; a deterministic
 //! population of [`UserProfile`]s (per-user arrival processes from
 //! [`traffic`], QoS classes from [`qos`]) is placed round-robin and gated
 //! by the [`AdmissionController`]. Under overload each cell's shed policy

@@ -7,6 +7,11 @@
 //! scratch has seen the width, further evaluations are allocation-free
 //! because `reset`/`clone_from` reuse the spill buffers.
 //!
+//! The same discipline covers the channel-rate step: after one warm-up
+//! `prepare`, a re-prepare on a new channel of the same shape overwrites
+//! the prepared state in place — zero heap traffic for a detector at
+//! nt ≤ 16 and for a whole `FrameEngine` band no plan shares.
+//!
 //! This binary installs a counting global allocator, so everything runs
 //! inside the single `#[test]` below — libtest would otherwise run tests
 //! on sibling threads and bleed their allocations into the counter.
@@ -15,6 +20,7 @@ use flexcore::{FlexCoreDetector, PathScratch};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_detect::FcsdDetector;
+use flexcore_engine::{FrameChannel, FrameEngine};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::symvec::{SymVec, INLINE_STREAMS};
 use flexcore_numeric::{lanes_enabled, set_lane_dispatch, Cx};
@@ -214,6 +220,66 @@ fn hot_path_allocation_budget() {
         }
     }
 
+    // --- Re-prepare: a channel refresh overwrites the state it replaces ---
+    // After one warm-up prepare, a second prepare on a different channel
+    // of the same shape is allocation-free at the inline widths — fixed
+    // and a-FlexCore (whose selection length moves with the channel), with
+    // and without a sticky retuned threshold — and so is the retune.
+    let c16 = Constellation::new(Modulation::Qam16);
+    let sigma2 = sigma2_from_snr_db(12.0);
+    let mut retunes_that_moved = 0;
+    for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 64] {
+        let mut rng = StdRng::seed_from_u64(400 + nt as u64);
+        let hs = ChannelEnsemble::iid(nt, nt).draw_many(&mut rng, 4);
+        for adaptive in [false, true] {
+            for retuned in [false, true] {
+                let mut det = if adaptive {
+                    FlexCoreDetector::adaptive(c16.clone(), 12, 0.95)
+                } else {
+                    FlexCoreDetector::with_pes(c16.clone(), 12)
+                };
+                det.prepare(&hs[0], sigma2);
+                if retuned {
+                    let mut moved = false;
+                    let n = allocs_in(|| moved = det.retune_threshold(0.6));
+                    assert_eq!(n, 0, "retune allocated");
+                    retunes_that_moved += usize::from(moved);
+                }
+                let n = allocs_in(|| {
+                    for h in &hs[1..] {
+                        det.prepare(h, sigma2);
+                    }
+                });
+                let what = format!("nt={nt} adaptive={adaptive} retuned={retuned}");
+                if nt <= INLINE_STREAMS || !adaptive {
+                    assert_eq!(n, 0, "warm re-prepare allocated: {what}");
+                } else {
+                    // Spilled position vectors own a heap buffer each: a
+                    // selection that grows past its previous length buys
+                    // the new ones, never more than the budget per refresh.
+                    assert!(n <= 3 * 12, "warm re-prepare allocated {n}: {what}");
+                }
+            }
+        }
+    }
+
+    assert!(retunes_that_moved > 0, "no retune rebuilt a trie");
+
+    // A whole band: every subcarrier of a 48-wide frame channel refreshed,
+    // no plan sharing the slots.
+    {
+        let mut rng = StdRng::seed_from_u64(500);
+        let ens = ChannelEnsemble::iid(8, 8);
+        let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(c16.clone(), 16));
+        let first = FrameChannel::per_subcarrier(ens.draw_many(&mut rng, 48), sigma2);
+        let second = FrameChannel::per_subcarrier(ens.draw_many(&mut rng, 48), sigma2);
+        assert_eq!(engine.prepare(&first), 48);
+        let mut refreshed = 0;
+        let n = allocs_in(|| refreshed = engine.prepare(&second));
+        assert_eq!(refreshed, 48);
+        assert_eq!(n, 0, "FrameEngine::prepare allocated on an unshared band");
+    }
+
     // --- Discipline coverage: lint regions match the measured surface ----
     // Everything this counting-allocator test just exercised must sit
     // inside a `// flexcore-lint: hot-path` region, so FL001 statically
@@ -224,12 +290,15 @@ fn hot_path_allocation_budget() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
         let marked = flexcore_lint::hot_path_modules(root).expect("lint scan");
         for exercised in [
-            "crates/numeric/src/symvec.rs", // SymVec storage contract
-            "crates/numeric/src/qr.rs",     // Givens rotations under rotate_into
-            "crates/numeric/src/lanes.rs",  // lane kernels inside run_path_into
-            "crates/detect/src/common.rs",  // Triangular::rotate_into, PathScratch
-            "crates/core/src/detector.rs",  // FlexCore run_path_into / trie walk
-            "crates/detect/src/fcsd.rs",    // FCSD run_path_into
+            "crates/numeric/src/symvec.rs",  // SymVec storage contract
+            "crates/numeric/src/qr.rs",      // rotate_into, the in-place SQRD kernel
+            "crates/numeric/src/lanes.rs",   // lane kernels inside run_path_into
+            "crates/detect/src/common.rs",   // Triangular::rotate_into, PathScratch
+            "crates/core/src/detector.rs",   // FlexCore run_path_into / trie walk / prepare
+            "crates/core/src/preprocess.rs", // the best-first search workspace
+            "crates/core/src/model.rs",      // level-model refit
+            "crates/core/src/position.rs",   // position-vector overwrites
+            "crates/detect/src/fcsd.rs",     // FCSD run_path_into
         ] {
             assert!(
                 marked.iter().any(|m| m == exercised),

@@ -140,15 +140,15 @@ proptest! {
         let out = Preprocessor::new(n_pe).run(&model, 16);
         prop_assert!(out.paths.len() <= n_pe);
         prop_assert!(!out.paths.is_empty());
-        prop_assert_eq!(out.paths[0].0.clone(), PositionVector::ones(pes.len()));
-        for w in out.paths.windows(2) {
-            prop_assert!(w[0].1 >= w[1].1, "not sorted");
+        prop_assert_eq!(out.paths[0].clone(), PositionVector::ones(pes.len()));
+        prop_assert_eq!(out.ln_probs.len(), out.paths.len());
+        for w in out.ln_probs.windows(2) {
+            prop_assert!(w[0] >= w[1], "not sorted");
         }
-        let set: std::collections::HashSet<_> =
-            out.paths.iter().map(|(p, _)| p.clone()).collect();
+        let set: std::collections::HashSet<_> = out.paths.iter().cloned().collect();
         prop_assert_eq!(set.len(), out.paths.len());
         prop_assert!(out.cumulative_prob <= 1.0 + 1e-9);
-        for (p, _) in &out.paths {
+        for p in &out.paths {
             prop_assert!(p.within_order(16));
         }
     }

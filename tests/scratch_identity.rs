@@ -8,7 +8,7 @@
 //! the PR 1 implementations, across random channels and SNRs, on the
 //! sequential and crossbeam substrates.
 
-use flexcore::{FlexCoreDetector, PathScratch, PositionVector};
+use flexcore::{FlexCoreConfig, FlexCoreDetector, PathScratch, PositionVector, QrOrdering};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::{Detector, Triangular};
 use flexcore_detect::{FcsdDetector, KBestDetector};
@@ -422,6 +422,140 @@ proptest! {
                         (false, false) => 0.0,
                     };
                     prop_assert_eq!(soft.llrs[stream][j].to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
+}
+
+/// Bits of a complex matrix, for exact comparison.
+fn mat_bits(m: &CMat) -> Vec<(u64, u64)> {
+    m.as_slice()
+        .iter()
+        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
+/// Everything `prepare` leaves behind, `reused` against `fresh`.
+fn assert_same_prepared_state(reused: &FlexCoreDetector, fresh: &FlexCoreDetector, what: &str) {
+    let (a, b) = (&reused.triangular().qr, &fresh.triangular().qr);
+    assert_eq!(a.perm, b.perm, "{what}: perm");
+    assert_eq!((a.q.rows(), a.q.cols()), (b.q.rows(), b.q.cols()), "{what}");
+    assert_eq!(mat_bits(&a.q), mat_bits(&b.q), "{what}: Q bits");
+    assert_eq!(mat_bits(&a.r), mat_bits(&b.r), "{what}: R bits");
+    assert_eq!(
+        reused.position_vectors(),
+        fresh.position_vectors(),
+        "{what}: position vectors"
+    );
+    assert_eq!(
+        reused.cumulative_prob().to_bits(),
+        fresh.cumulative_prob().to_bits(),
+        "{what}: cumulative probability bits"
+    );
+    assert_eq!(
+        reused.preprocess_mults(),
+        fresh.preprocess_mults(),
+        "{what}"
+    );
+    assert_eq!(reused.effort(), fresh.effort(), "{what}: effort");
+    assert_eq!(
+        reused.extension_work(),
+        fresh.extension_work(),
+        "{what}: extension work"
+    );
+}
+
+#[test]
+fn in_place_prepare_equals_a_fresh_prepare() {
+    // One detector re-prepared in place down a channel sequence against a
+    // fresh clone of its template prepared on each channel alone: same
+    // factors, same selection, same prices, same detections on the scalar
+    // (`detect`) and the block (`detect_batch_refs`) walk.
+    let c = Constellation::new(Modulation::Qam16);
+    let scaled_identity = |n: usize, g: f64| {
+        CMat::from_fn(n, n, |r, col| if r == col { Cx::real(g) } else { Cx::ZERO })
+    };
+    let orderings = [QrOrdering::Sqrd, QrOrdering::Fcsd(1), QrOrdering::Plain];
+    for (o, &qr_ordering) in orderings.iter().enumerate() {
+        for expand_batch in [1usize, 4] {
+            for stop_threshold in [None, Some(0.95)] {
+                for retuned in [None, Some(0.7)] {
+                    let mut cfg = FlexCoreConfig::new(16);
+                    cfg.qr_ordering = qr_ordering;
+                    cfg.expand_batch = expand_batch;
+                    cfg.stop_threshold = stop_threshold;
+                    let mut template = FlexCoreDetector::new(c.clone(), cfg);
+                    if let Some(t) = retuned {
+                        template.retune_threshold(t); // sticky: applies to every prepare
+                    }
+                    let mut rng = StdRng::seed_from_u64(0x19_0000 + (o * 8 + expand_batch) as u64);
+                    let mut iid =
+                        |nr: usize, nt: usize| ChannelEnsemble::iid(nr, nt).draw(&mut rng);
+                    // (channel, SNR dB, detect on it?)
+                    let mut zero_column = iid(8, 8);
+                    for row in 0..8 {
+                        zero_column[(row, 5)] = Cx::ZERO;
+                    }
+                    let sequence = [
+                        (iid(8, 8), 6.0, true),   // noisy: a long selection …
+                        (iid(8, 8), 30.0, true),  // … then a shorter one than before
+                        (iid(4, 4), 10.0, true),  // shape change down …
+                        (iid(8, 8), 12.0, true),  // … and back up
+                        (iid(12, 8), 10.0, true), // nr > nt
+                        // A column with no residual (`nrm == 0`): R(0,0) = 0, so
+                        // there is nothing to detect — the state must still agree.
+                        (zero_column, 12.0, false),
+                        // Equal R diagonals: every ln Pc ties exactly and the
+                        // vector comparison decides the whole selection order.
+                        (scaled_identity(8, 0.8), 8.0, true),
+                        (iid(20, 20), 14.0, true), // past the inline width …
+                        (iid(8, 8), 9.0, true),    // … and back inside it
+                    ];
+                    let mut reused = template.clone();
+                    let mut longest = 0;
+                    for (step, (h, snr_db, detectable)) in sequence.into_iter().enumerate() {
+                        if !detectable && matches!(qr_ordering, QrOrdering::Fcsd(_)) {
+                            continue; // the FCSD ordering inverts the Gram matrix
+                        }
+                        let what = format!(
+                            "{qr_ordering:?} batch {expand_batch} stop {stop_threshold:?} \
+                             retuned {retuned:?} step {step}"
+                        );
+                        let sigma2 = sigma2_from_snr_db(snr_db);
+                        reused.prepare(&h, sigma2);
+                        let mut fresh = template.clone();
+                        fresh.prepare(&h, sigma2);
+                        assert_same_prepared_state(&reused, &fresh, &what);
+                        if step == 1 && stop_threshold.is_some() {
+                            assert!(
+                                reused.active_paths() < longest,
+                                "{what}: the sequence no longer shrinks the selection"
+                            );
+                        }
+                        longest = longest.max(reused.active_paths());
+                        if !detectable {
+                            continue;
+                        }
+                        let ch = MimoChannel::new(h.clone(), snr_db);
+                        let ys: Vec<Vec<Cx>> = (0..6)
+                            .map(|_| {
+                                let x: Vec<Cx> = (0..h.cols())
+                                    .map(|_| c.point(rng.gen_range(0..c.order())))
+                                    .collect();
+                                ch.transmit(&x, &mut rng)
+                            })
+                            .collect();
+                        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+                        assert_eq!(
+                            reused.detect_batch_refs(&refs),
+                            fresh.detect_batch_refs(&refs),
+                            "{what}: block walk"
+                        );
+                        for y in &ys {
+                            assert_eq!(reused.detect(y), fresh.detect(y), "{what}: scalar walk");
+                        }
+                    }
                 }
             }
         }
