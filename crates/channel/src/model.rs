@@ -135,11 +135,6 @@ impl MimoChannel {
         }
         y
     }
-
-    /// Noise-free channel output (for testing).
-    pub fn transmit_noiseless(&self, s: &[Cx]) -> Vec<Cx> {
-        self.h.mul_vec(s)
-    }
 }
 
 #[cfg(test)]
@@ -245,15 +240,6 @@ mod tests {
         }
         let measured = p / n as f64;
         assert!((measured - 0.1).abs() < 0.01, "noise power {measured}");
-    }
-
-    #[test]
-    fn transmit_noiseless_is_deterministic() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let h = ChannelEnsemble::iid(4, 4).draw(&mut rng);
-        let ch = MimoChannel::new(h.clone(), 20.0);
-        let s: Vec<Cx> = (0..4).map(|i| Cx::new(i as f64, -(i as f64))).collect();
-        assert_eq!(ch.transmit_noiseless(&s), h.mul_vec(&s));
     }
 
     #[test]

@@ -117,8 +117,8 @@ struct Chain {
 ///
 /// Position vectors overwhelmingly agree on the top tree levels (SQRD
 /// places reliable streams on top, so rank bumps concentrate near the
-/// bottom), yet PR 1's hot path re-derived every shared effective point
-/// and LUT lookup once *per path*. Walking the trie evaluates each
+/// bottom), yet evaluating paths independently re-derives every shared
+/// effective point and LUT lookup once *per path*. Walking the trie evaluates each
 /// distinct `(rank-prefix, level)` node exactly once; per-level term
 /// values and the top-down metric accumulation order are unchanged, so
 /// every path's symbols and metric are bit-identical to an independent
@@ -570,29 +570,18 @@ impl FlexCoreDetector {
     /// path alive for ultra-far effective points.
     #[inline]
     fn pick_symbol(&self, eff: Cx, k: usize) -> Option<usize> {
-        match self.config.path_ordering {
-            PathOrdering::Exact => kth_nearest_exact(&self.constellation, eff, k),
-            PathOrdering::TriangleLut => {
-                let s = self.lut.kth_nearest_skip(&self.constellation, eff, k);
-                if s.is_none() && k == 1 {
-                    // Ultra-far effective points can out-range even the
-                    // skip table; the clamped slicer keeps the SIC path
-                    // alive (see `pick_best_sym`).
-                    Some(self.constellation.slice(eff))
-                } else {
-                    s
-                }
-            }
-            PathOrdering::TriangleLutStrict => {
-                let s = self.lut.kth_nearest(&self.constellation, eff, k);
-                if s.is_none() && k == 1 {
-                    // Rank-1 fallback: clamped slice, so the SIC path
-                    // always completes even for far-out effective points.
-                    Some(self.constellation.slice(eff))
-                } else {
-                    s
-                }
-            }
+        let c = &self.constellation;
+        let s = match self.config.path_ordering {
+            PathOrdering::Exact => return kth_nearest_exact(c, eff, k),
+            PathOrdering::TriangleLut => self.lut.kth_nearest_skip(c, eff, k),
+            PathOrdering::TriangleLutStrict => self.lut.kth_nearest(c, eff, k),
+        };
+        if s.is_none() && k == 1 {
+            // Ultra-far effective points can out-range even the skip
+            // table; the clamped slicer keeps the SIC path alive.
+            Some(c.slice(eff))
+        } else {
+            s
         }
     }
 
@@ -600,7 +589,7 @@ impl FlexCoreDetector {
     /// the prefix-sharing trie, filling `out.metrics[i]` / `out.syms[i]`
     /// for path `i` (`NaN` = deactivated). Each distinct rank-prefix node
     /// costs one effective point + one LUT lookup, instead of once per
-    /// path as in PR 1; values and accumulation order are unchanged, so
+    /// path; values and accumulation order are unchanged, so
     /// every completed path's result is bit-identical to
     /// [`FlexCoreDetector::run_path_into`].
     pub(crate) fn walk_paths(&self, ybar: &[Cx], out: &mut WalkScratch) {

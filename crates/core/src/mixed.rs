@@ -103,11 +103,6 @@ impl CellDetector {
         }
     }
 
-    /// Whether this user is on a degraded (shed) tier.
-    pub fn is_degraded(&self) -> bool {
-        self.tier() != ServiceTier::Full
-    }
-
     /// Whether this user runs the adaptive variant (a FlexCore configured
     /// with a stopping threshold).
     pub fn is_adaptive(&self) -> bool {
@@ -346,7 +341,6 @@ mod tests {
         let mut lin_plain = MmseDetector::new(c);
         for d in [&mut sic_wrapped, &mut lin_wrapped] {
             d.prepare(&h, sigma2);
-            assert!(d.is_degraded());
             assert!(d.core().is_none());
             assert_eq!(d.effort(), 1, "degraded tiers weigh one path");
             assert_eq!(d.extension_work(), 1);

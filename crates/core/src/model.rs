@@ -124,12 +124,6 @@ impl LevelErrorModel {
             .sum()
     }
 
-    /// Linear-domain `Pc(p)` (may underflow for deep paths; prefer the log
-    /// form for comparisons).
-    pub fn path_prob(&self, p: &[u32]) -> f64 {
-        self.ln_path_prob(p).exp()
-    }
-
     /// `ln Pc` of the all-ones root path, the most promising one.
     pub fn ln_root_prob(&self) -> f64 {
         self.ln_1m_pe.iter().sum()
@@ -201,7 +195,7 @@ mod tests {
     #[test]
     fn path_prob_factorises() {
         let model = LevelErrorModel::from_pe(vec![0.1, 0.3]);
-        let p = model.path_prob(&[2, 1]);
+        let p = model.ln_path_prob(&[2, 1]).exp();
         let want = (0.9 * 0.1) * 0.7;
         assert!((p - want).abs() < 1e-12);
     }

@@ -16,24 +16,18 @@ use flexcore_numeric::{CMat, Cx};
 pub struct MlDetector {
     constellation: Constellation,
     h: Option<CMat>,
-    /// Refuse to enumerate more than this many hypotheses.
-    max_hypotheses: u64,
 }
 
 impl MlDetector {
-    /// Creates the oracle with a default safety cap of 2²⁴ hypotheses.
+    /// Safety cap: `prepare` refuses to enumerate more hypotheses.
+    const MAX_HYPOTHESES: u64 = 1 << 24;
+
+    /// Creates the oracle (safety cap: 2²⁴ hypotheses).
     pub fn new(constellation: Constellation) -> Self {
         MlDetector {
             constellation,
             h: None,
-            max_hypotheses: 1 << 24,
         }
-    }
-
-    /// Overrides the hypothesis cap.
-    pub fn with_cap(mut self, cap: u64) -> Self {
-        self.max_hypotheses = cap;
-        self
     }
 }
 
@@ -46,9 +40,9 @@ impl Detector for MlDetector {
         let q = self.constellation.order() as u64;
         let hyp = q.checked_pow(h.cols() as u32).unwrap_or(u64::MAX);
         assert!(
-            hyp <= self.max_hypotheses,
+            hyp <= Self::MAX_HYPOTHESES,
             "MlDetector: {hyp} hypotheses exceeds cap {} — use SphereDecoder instead",
-            self.max_hypotheses
+            Self::MAX_HYPOTHESES
         );
         self.h = Some(h.clone());
     }

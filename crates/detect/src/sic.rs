@@ -94,11 +94,6 @@ impl ParallelSicDetector {
         }
     }
 
-    /// The fixed number of processing elements this scheme requires.
-    pub fn required_pes(&self) -> usize {
-        self.constellation.order()
-    }
-
     /// The prepared triangular system; the single prepare-before-detect
     /// panic site of this detector.
     #[track_caller]
@@ -287,6 +282,5 @@ mod tests {
             assert_eq!(syms, &fresh_syms, "top {top}");
             assert_eq!(metric.to_bits(), fresh_metric.to_bits(), "top {top}");
         }
-        assert_eq!(det.required_pes(), 16);
     }
 }

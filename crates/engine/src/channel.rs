@@ -127,18 +127,6 @@ impl FrameChannel {
         self.flat = false;
     }
 
-    /// Replaces every subcarrier with the same new matrix (whole-band
-    /// re-estimation under block fading).
-    pub fn update_flat(&mut self, h: CMat) {
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        for (slot, g) in self.hs.iter_mut().zip(&mut self.generations) {
-            *slot = h.clone();
-            *g = generation;
-        }
-        self.flat = true;
-    }
-
     /// Changes the noise variance. Preparation depends on `σ²` (MMSE
     /// filters, FlexCore's error model), so every generation is bumped.
     pub fn set_sigma2(&mut self, sigma2: f64) {
@@ -206,16 +194,5 @@ mod tests {
         assert_ne!(a.id(), b.id());
         assert_eq!(b.h(0)[(0, 0)].re, 1.0);
         assert_eq!(b.generation(0), a.generation(0));
-    }
-
-    #[test]
-    fn flat_update_restores_flatness() {
-        let mut ch = FrameChannel::flat(mat(1.0), 0.1, 3);
-        ch.update_subcarrier(0, mat(2.0));
-        assert!(!ch.is_flat());
-        ch.update_flat(mat(5.0));
-        assert!(ch.is_flat());
-        assert!((0..3).all(|sc| ch.h(sc)[(0, 0)].re == 5.0));
-        assert!((0..3).all(|sc| ch.generation(sc) == 3));
     }
 }

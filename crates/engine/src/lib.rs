@@ -33,13 +33,13 @@
 //!   Gauss–Markov truth process per subcarrier aged every frame, with
 //!   staggered estimate refresh bumping exactly the generations the
 //!   engine's cache must re-prepare;
-//! * [`StreamingCell`] — the multi-user serving layer: N independent
-//!   per-user `ChannelStream` + `FrameEngine` pairs whose frames are
-//!   planned and run as **one** tick on a shared PE pool, LPT-ordered
-//!   across users, with per-user fairness accounting (frames-behind,
-//!   effort share);
-//! * [`PipelinedCell`] — the overlapped serving loop: transmit/prepare of
-//!   frame *N+1*, detection of frame *N*, and decode of frame *N−1* run
+//! * [`StreamingCell`] — the multi-user serving layer, the one cell
+//!   under every driver: N independent per-user `ChannelStream` +
+//!   `FrameEngine` pairs whose frames are planned and run as **one** tick
+//!   on a shared PE pool, LPT-ordered across users, with per-user
+//!   fairness accounting (frames-behind, effort share);
+//! * [`PipelinedCell`] — the pipelined driver of a [`StreamingCell`]:
+//!   transmit/prepare of frame *N+1*, detection of frame *N*, and decode of frame *N−1* run
 //!   concurrently, coupled by bounded backpressure queues
 //!   ([`flexcore_parallel::bounded`]); every decoded frame's
 //!   submit→decode latency lands in a [`LatencyRecord`] measured against

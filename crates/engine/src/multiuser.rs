@@ -3,9 +3,18 @@
 //! A deployed base station does not serve one MIMO uplink — it serves many
 //! concurrent user groups, each with its own time-varying channel, its own
 //! detector configuration, and its own frame queue, all contending for one
-//! pool of processing elements. [`StreamingCell`] is that serving layer:
+//! pool of processing elements. [`StreamingCell`] is that serving layer,
+//! and the only one: it owns the user table, and every serving loop in the
+//! workspace is a *driver* making the same four calls on it — age
+//! ([`StreamingCell::age_user`]) → [`StreamingCell::submit`] →
+//! [`StreamingCell::plan_tick`] → run and book
+//! ([`StreamingCell::run_tick`]). The barrier loop of
+//! `flexcore_phy::link` makes them back to back,
+//! [`PipelinedCell`](crate::PipelinedCell) books on its transmit thread
+//! while its detect thread runs the plan, and the city's `CityCell` prices
+//! the plan in modelled time between planning and running it.
 //!
-//! * each user owns a [`ChannelStream`] (truth + staggered estimates, PR 3)
+//! * each user owns a [`ChannelStream`] (truth + staggered estimates)
 //!   and a [`FrameEngine`] stamped from its *own* detector template (mix
 //!   fixed FlexCore and a-FlexCore users via `flexcore::CellDetector`);
 //! * [`StreamingCell::process_tick`] pops the oldest queued frame of every
@@ -38,18 +47,6 @@ struct UserSlot<D> {
     queue: VecDeque<RxFrame>,
     submitted: u64,
     completed: u64,
-}
-
-/// Audit of the most recent **non-empty** tick, stamped with the tick id
-/// it describes — an empty call (no queued frames anywhere) leaves the
-/// record untouched *and* identifiable as belonging to an earlier tick.
-#[derive(Clone, Debug, PartialEq)]
-struct TickAudit {
-    /// The 1-based tick id this audit describes (`CellStats::ticks` right
-    /// after that tick ran).
-    tick: u64,
-    /// Modelled parallel efficiency of that tick.
-    efficiency: f64,
 }
 
 /// Snapshot of a cell's serving state: aggregate progress, per-user
@@ -93,13 +90,16 @@ pub struct CellStats {
 ///
 /// See the [module docs](self) for the serving model. All engines must be
 /// prepared before a tick — [`StreamingCell::add_user`] prepares against
-/// the stream's initial estimates and [`StreamingCell::advance_user`]
+/// the stream's initial estimates and [`StreamingCell::age_user`]
 /// re-prepares exactly the refreshed subcarriers, so the invariant holds
 /// as long as frames are built from the same streams.
 pub struct StreamingCell<D> {
     users: Vec<UserSlot<D>>,
+    /// Non-empty ticks booked; also the 1-based id of the tick
+    /// `last_tick_efficiency` audits, since only booking a non-empty tick
+    /// moves either.
     ticks: u64,
-    audit: Option<TickAudit>,
+    last_tick_efficiency: f64,
 }
 
 impl<D: Detector + Clone + Sync> Default for StreamingCell<D> {
@@ -114,7 +114,7 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         StreamingCell {
             users: Vec::new(),
             ticks: 0,
-            audit: None,
+            last_tick_efficiency: 1.0,
         }
     }
 
@@ -149,13 +149,25 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         &self.users[user].engine
     }
 
-    /// Ages one user's truth channels by a frame, refreshes its estimate
-    /// share, and re-prepares exactly the moved subcarriers. Returns how
-    /// many subcarriers were refreshed.
-    pub fn advance_user<R: Rng + ?Sized>(&mut self, user: usize, rng: &mut R) -> usize {
+    /// Lets `age` move one user's channel stream however the scenario
+    /// dictates, then re-prepares exactly the subcarriers whose estimate
+    /// moved — the one place a stream is mutated, so the engine can never
+    /// be left stale against it. Returns how many subcarriers were
+    /// re-prepared.
+    pub fn age_user(&mut self, user: usize, age: impl FnOnce(&mut ChannelStream)) -> usize {
         let slot = &mut self.users[user];
-        slot.stream.advance(rng);
+        age(&mut slot.stream);
         slot.engine.prepare(slot.stream.estimate())
+    }
+
+    /// Ages one user's truth channels by a frame, refreshes its estimate
+    /// share, and re-prepares exactly the moved subcarriers:
+    /// [`StreamingCell::age_user`] with [`ChannelStream::advance`].
+    /// Returns how many subcarriers were refreshed.
+    pub fn advance_user<R: Rng + ?Sized>(&mut self, user: usize, rng: &mut R) -> usize {
+        self.age_user(user, |stream| {
+            stream.advance(rng);
+        })
     }
 
     /// Queues a received frame for one user.
@@ -176,12 +188,6 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
     /// Frames queued but not yet processed for one user.
     pub fn pending(&self, user: usize) -> usize {
         self.users[user].queue.len()
-    }
-
-    /// How many users currently have at least one queued frame — the
-    /// number of users the next tick would serve.
-    pub fn queued_users(&self) -> usize {
-        self.users.iter().filter(|s| !s.queue.is_empty()).count()
     }
 
     /// Whether any user has queued work (the next tick would be non-empty).
@@ -218,9 +224,10 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
 
     /// The run half of a tick: runs a plan from
     /// [`StreamingCell::plan_tick`] on `pool` (`f` has the contract of
-    /// [`StreamingCell::process_tick`]'s closure), books every served user's completion, and stamps
-    /// the tick's audit. Returns one [`TickOutput`] per served user, in
-    /// user order; a plan that serves nobody is not a tick.
+    /// [`StreamingCell::process_tick`]'s closure), books every served
+    /// user's completion, and stamps the tick's audit. Returns one
+    /// [`TickOutput`] per served user, in user order; a plan that serves
+    /// nobody is not a tick.
     pub fn run_tick<P, T, F>(&mut self, plan: TickPlan<D>, pool: &P, f: F) -> Vec<TickOutput<T>>
     where
         P: PePool,
@@ -228,26 +235,33 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
     {
         let outputs = plan.run(pool, f);
-        if outputs.is_empty() {
-            return outputs;
+        self.book_tick(&plan, pool.n_pes());
+        outputs
+    }
+
+    /// The book half of a tick: counts every user `plan` serves as
+    /// completed, bills its engine the frame, and stamps the tick's audit
+    /// for a pool of `n_pes`. It reads the plan, not the outputs, so the
+    /// pipeline's transmit thread books a tick while its detect thread is
+    /// still running it. A plan that serves nobody is not a tick.
+    pub(crate) fn book_tick(&mut self, plan: &TickPlan<D>, n_pes: usize) {
+        let mut served = false;
+        for (user, n_vectors) in plan.served() {
+            served = true;
+            let slot = &mut self.users[user];
+            slot.completed += 1;
+            slot.engine.record_frame(n_vectors);
+        }
+        if !served {
+            return;
         }
         self.ticks += 1;
-        for out in &outputs {
-            let slot = &mut self.users[out.user];
-            slot.completed += 1;
-            slot.engine.record_frame(out.cells.len());
-        }
-        let makespan = lpt_makespan(plan.costs(), pool.n_pes());
-        let efficiency = if makespan == 0 {
+        let makespan = lpt_makespan(plan.costs(), n_pes);
+        self.last_tick_efficiency = if makespan == 0 {
             1.0
         } else {
-            plan.costs().iter().sum::<u64>() as f64 / (pool.n_pes() as f64 * makespan as f64)
+            plan.costs().iter().sum::<u64>() as f64 / (n_pes as f64 * makespan as f64)
         };
-        self.audit = Some(TickAudit {
-            tick: self.ticks,
-            efficiency,
-        });
-        outputs
     }
 
     /// Runs `f` over every `(user, subcarrier, symbol-batch)` of each
@@ -300,8 +314,8 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
             min_frames_behind: behind.iter().copied().min().unwrap_or(0),
             max_frames_behind: behind.iter().copied().max().unwrap_or(0),
             per_user_effort: self.users.iter().map(|s| s.engine.effort_total()).collect(),
-            last_tick_efficiency: self.audit.as_ref().map_or(1.0, |a| a.efficiency),
-            audited_tick: self.audit.as_ref().map(|a| a.tick),
+            last_tick_efficiency: self.last_tick_efficiency,
+            audited_tick: (self.ticks > 0).then_some(self.ticks),
         }
     }
 
@@ -650,10 +664,9 @@ mod tests {
 
     #[test]
     fn idle_users_contribute_no_work_and_no_lag() {
-        // Satellite regression for the city layer (ISSUE 10): users with
-        // empty queues must not consume PE budget, must not appear in the
-        // cross-user plan, and must not have their frames-behind counters
-        // advanced. This pins the served-only behaviour the city layer's
+        // Users with empty queues must not consume PE budget, must not
+        // appear in the cross-user plan, and must not have their
+        // frames-behind counters advanced. This pins the served-only behaviour the city layer's
         // arrival processes lean on (a bursty user is idle most ticks).
         const N_PES: usize = 8;
         let mut cell = StreamingCell::new();
@@ -666,7 +679,6 @@ mod tests {
         // Only user 2 has traffic.
         let frame = tx_frame(cell.stream(2), 4, 310);
         cell.submit(2, frame.clone());
-        assert_eq!(cell.queued_users(), 1);
         assert!(cell.has_queued());
 
         // The plan covers exactly user 2's frame, and the shared task

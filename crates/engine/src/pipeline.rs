@@ -1,17 +1,23 @@
-//! The pipelined streaming cell: overlapped stages, per-frame latency
-//! SLOs, and a closed-loop effort controller.
+//! The pipelined driver: overlapped stages, per-frame latency SLOs, and a
+//! closed-loop effort controller over the one serving cell.
 //!
-//! The barrier cell ([`StreamingCell`](crate::StreamingCell)) serialises a
-//! tick: every user's transmit/prepare, then one shared detection run,
-//! then the caller's decode — nothing overlaps, so the PEs idle during
-//! channel estimation and CRC exactly as the paper's §4 hardware pipeline
-//! warns against. [`PipelinedCell`] overlaps the three stages the way a
-//! deployed base-band does:
+//! A barrier driver of a [`StreamingCell`] serialises a tick: every user's
+//! transmit/prepare, then one shared detection run, then the caller's
+//! decode — nothing overlaps, so the PEs idle during channel estimation
+//! and CRC exactly as the paper's §4 hardware pipeline warns against.
+//! [`PipelinedCell`] owns a [`StreamingCell`] — the user table, the
+//! submit check, the plan and the booking are the cell's, not copies —
+//! and drives it with the three stages overlapped the way a deployed
+//! base-band does:
 //!
-//! * the **transmit stage** (caller thread) ages channels, re-prepares the
-//!   moved subcarriers, builds frame *N+1*, and plans the tick — the same
-//!   [`TickPlan`] a barrier tick builds, sharing each subcarrier's
-//!   prepared detector by reference count;
+//! * the **transmit stage** (caller thread) makes the same four calls
+//!   every driver makes: it ages each user's channel
+//!   ([`StreamingCell::age_user`], which re-prepares the moved
+//!   subcarriers), submits frame *N+1* ([`StreamingCell::submit`]), plans
+//!   the tick ([`StreamingCell::plan_tick`] — the same [`TickPlan`] a
+//!   barrier tick builds, sharing each subcarrier's prepared detector by
+//!   reference count) and books it, handing the plan on instead of
+//!   running it;
 //! * the **detect stage** (worker thread) runs frame *N*'s plan on the
 //!   shared [`PePool`];
 //! * the **decode stage** (worker thread) drains frame *N−1* into the
@@ -27,23 +33,25 @@
 //! **Pipelining is scheduling-only.** A batch's result depends on exactly
 //! two things: the prepared detector state it runs against and the batch
 //! geometry. The plan that crosses the job channel *is* the barrier
-//! tick's plan — same carve, same prices, same order — and it holds the
-//! prepared slots it was planned against (a later re-prepare or re-tune
-//! of the engine copies on write), so on a frozen tuning schedule the
-//! pipelined detections are bit-identical to
-//! [`StreamingCell::process_tick`](crate::StreamingCell::process_tick) —
-//! a property the tests enforce cell-for-cell.
+//! tick's plan — same cell, same carve, same prices, same order — and it
+//! holds the prepared slots it was planned against (a later re-prepare or
+//! re-tune of the engine copies on write), so on a frozen tuning schedule
+//! the pipelined detections are bit-identical to
+//! [`StreamingCell::process_tick`] — a property the tests enforce
+//! cell-for-cell.
 //!
 //! The **closed loop** is the paper's §5.1 adjustability put to work: each
 //! decoded frame's latency feeds that user's [`EffortController`], which
 //! nudges the a-FlexCore stopping threshold down when frames miss their
 //! deadline and back up when there is headroom. The retune lever is
-//! `FrameEngine::retune` — a prefix re-truncation of the already-searched
-//! path selection (think `FlexCoreDetector::retune_threshold`), so the
-//! loop never pays a QR or a tree search to shed load.
+//! [`StreamingCell::retune_user`] — a prefix re-truncation of the
+//! already-searched path selection (think
+//! `FlexCoreDetector::retune_threshold`), so the loop never pays a QR or a
+//! tree search to shed load.
 
 use crate::engine::FrameEngine;
 use crate::frame::RxFrame;
+use crate::multiuser::StreamingCell;
 use crate::stream::ChannelStream;
 use crate::tick::{TickOutput, TickPlan};
 use flexcore_detect::common::Detector;
@@ -294,10 +302,9 @@ impl EffortController {
     }
 }
 
-struct PipeUser<D> {
-    stream: ChannelStream,
-    engine: FrameEngine<D>,
-    controller: Option<EffortController>,
+/// One controlled user's closed loop, beside the cell's user table.
+struct ControlLoop {
+    controller: EffortController,
     /// The threshold last applied through the retune hook, so the loop
     /// only pays a retune sweep when the setpoint actually moved.
     applied: Option<f64>,
@@ -339,14 +346,18 @@ pub struct PipelineReport {
     pub per_user: Vec<LatencyRecord>,
 }
 
-/// The pipelined multi-user serving cell — see the [module docs](self).
+/// The pipelined driver of a [`StreamingCell`] — see the
+/// [module docs](self).
 ///
 /// Per tick, the transmit stage builds frame *N+1* while the detect stage
 /// works frame *N* and the decode stage drains frame *N−1*; the bounded
 /// hand-off queues (capacity [`PipelinedCell::with_queue_depth`]) make a
 /// saturated detect stage back-pressure the transmitter.
 pub struct PipelinedCell<D> {
-    users: Vec<PipeUser<D>>,
+    cell: StreamingCell<D>,
+    /// `loops[u]` is user `u`'s closed loop, `None` for an uncontrolled
+    /// user — one entry per user of `cell`.
+    loops: Vec<Option<ControlLoop>>,
     queue_depth: usize,
 }
 
@@ -369,17 +380,17 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
     pub fn with_queue_depth(queue_depth: usize) -> Self {
         assert!(queue_depth >= 1, "PipelinedCell: queue depth must be ≥ 1");
         PipelinedCell {
-            users: Vec::new(),
+            cell: StreamingCell::new(),
+            loops: Vec::new(),
             queue_depth,
         }
     }
 
-    /// Registers an uncontrolled user (fixed tuning for the whole run):
-    /// its channel stream plus the detector template its engine stamps
-    /// per subcarrier. The engine is prepared against the stream's
-    /// initial estimates immediately. Returns the user id.
+    /// Registers an uncontrolled user (fixed tuning for the whole run) —
+    /// see [`StreamingCell::add_user`]. Returns the user id.
     pub fn add_user(&mut self, stream: ChannelStream, template: D) -> usize {
-        self.push_user(stream, template, None)
+        self.loops.push(None);
+        self.cell.add_user(stream, template)
     }
 
     /// Registers a user whose effort is closed-loop controlled: every
@@ -391,44 +402,37 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
         template: D,
         controller: EffortController,
     ) -> usize {
-        self.push_user(stream, template, Some(controller))
-    }
-
-    fn push_user(
-        &mut self,
-        stream: ChannelStream,
-        template: D,
-        controller: Option<EffortController>,
-    ) -> usize {
-        let mut engine = FrameEngine::new(template);
-        engine.prepare(stream.estimate());
-        self.users.push(PipeUser {
-            stream,
-            engine,
+        self.loops.push(Some(ControlLoop {
             controller,
             applied: None,
-        });
-        self.users.len() - 1
+        }));
+        self.cell.add_user(stream, template)
     }
 
     /// Number of registered users.
     pub fn n_users(&self) -> usize {
-        self.users.len()
+        self.cell.n_users()
     }
 
     /// One user's channel stream.
     pub fn stream(&self, user: usize) -> &ChannelStream {
-        &self.users[user].stream
+        self.cell.stream(user)
     }
 
     /// One user's frame engine (prepared detectors, effort profile).
     pub fn engine(&self, user: usize) -> &FrameEngine<D> {
-        &self.users[user].engine
+        self.cell.engine(user)
     }
 
     /// One user's effort controller, if it was registered with one.
     pub fn controller(&self, user: usize) -> Option<&EffortController> {
-        self.users[user].controller.as_ref()
+        self.loops[user].as_ref().map(|l| &l.controller)
+    }
+
+    /// The cell this pipeline drives, for tests auditing its accounting.
+    #[cfg(test)]
+    pub(crate) fn cell(&self) -> &StreamingCell<D> {
+        &self.cell
     }
 
     /// Runs `n_ticks` through the three overlapped stages and returns the
@@ -439,23 +443,24 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
     /// threshold move via `retune` (which receives a detector and the new
     /// setpoint, returning whether it changed the active configuration —
     /// pass `|_, _| false` when no user is controlled), then for every
-    /// user calls `advance` (age the stream however the scenario
-    /// dictates), re-prepares the engine, and calls `transmit`; the
-    /// returned frames (`None` skips the user this tick) are planned as
-    /// one [`TickPlan`], exactly like a barrier tick. The **detect stage**
-    /// runs each plan on `pool`. The **decode stage** feeds every
-    /// [`TickOutput`] to `decode` and stamps the frame's submit→decode
-    /// latency against `deadline_s`.
+    /// user ages the stream through `advance` (however the scenario
+    /// dictates; the cell re-prepares what moved) and submits the frame
+    /// `transmit` returns (`None` skips the user this tick); the tick is
+    /// then planned as one [`TickPlan`] and booked, exactly like a barrier
+    /// tick. The **detect stage** runs each plan on `pool`. The **decode
+    /// stage** feeds every [`TickOutput`] to `decode` and stamps the
+    /// frame's submit→decode latency against `deadline_s`.
     ///
     /// On a frozen tuning schedule (no controllers, `retune` never
     /// fires) every user's detections are bit-identical to the barrier
-    /// [`StreamingCell::process_tick`](crate::StreamingCell::process_tick)
-    /// fed the same frames — pipelining is scheduling-only.
+    /// [`StreamingCell::process_tick`] fed the same frames — pipelining
+    /// is scheduling-only.
     ///
     /// # Panics
     /// Panics if `deadline_s` is not positive, if a transmitted frame's
-    /// width does not match its user's stream, or if a stage worker
-    /// panicked (the panic is resumed on this thread).
+    /// width does not match its user's stream
+    /// ([`StreamingCell::submit`]), or if a stage worker panicked (the
+    /// panic is resumed on this thread).
     #[allow(clippy::too_many_arguments)]
     pub fn run<P, T, A, X, F, G, R>(
         &mut self,
@@ -481,7 +486,7 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
             deadline_s > 0.0,
             "PipelinedCell: deadline must be positive, got {deadline_s}"
         );
-        let n_users = self.users.len();
+        let n_users = self.cell.n_users();
         let (job_tx, job_rx) = bounded::<TickJob<D>>(self.queue_depth);
         let (done_tx, done_rx) = bounded::<DoneTick<T>>(self.queue_depth);
         // Decoded frames' latencies flow back to the transmit stage's
@@ -540,49 +545,43 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
                 let decoded: Vec<(usize, f64)> =
                     std::mem::take(&mut *feedback.lock().unwrap_or_else(PoisonError::into_inner));
                 for (u, latency) in decoded {
-                    if let Some(ctrl) = self.users[u].controller.as_mut() {
-                        ctrl.observe(latency);
+                    if let Some(ctl) = self.loops[u].as_mut() {
+                        ctl.controller.observe(latency);
                     }
                 }
-                for user in &mut self.users {
-                    if let Some(t) = user.controller.as_ref().map(EffortController::threshold) {
-                        if user.applied != Some(t) {
-                            retuned_slots += user.engine.retune(|d| retune(d, t)) as u64;
-                            user.applied = Some(t);
-                        }
+                for (u, ctl) in self.loops.iter_mut().enumerate() {
+                    let Some(ctl) = ctl else { continue };
+                    let t = ctl.controller.threshold();
+                    if ctl.applied != Some(t) {
+                        retuned_slots += self.cell.retune_user(u, |d| retune(d, t)) as u64;
+                        ctl.applied = Some(t);
                     }
                 }
 
                 // Transmit/prepare frame N+1 while the workers hold N and
                 // N−1.
-                let mut work = Vec::with_capacity(n_users);
-                for (u, user) in self.users.iter_mut().enumerate() {
-                    advance(tick, u, &mut user.stream);
-                    user.engine.prepare(user.stream.estimate());
-                    if let Some(frame) = transmit(tick, u, &user.stream) {
-                        assert_eq!(
-                            frame.n_subcarriers(),
-                            user.stream.n_subcarriers(),
-                            "pipeline: frame width does not match user {u}'s band"
-                        );
-                        user.engine.record_frame(frame.n_vectors());
-                        frames += 1;
-                        work.push((u, frame));
+                let mut offered = 0u64;
+                for u in 0..n_users {
+                    self.cell.age_user(u, |stream| advance(tick, u, stream));
+                    if let Some(frame) = transmit(tick, u, self.cell.stream(u)) {
+                        self.cell.submit(u, frame);
+                        offered += 1;
                     }
                 }
-                if work.is_empty() {
+                if offered == 0 {
                     continue;
                 }
                 ticks += 1;
-                let users = &self.users;
+                frames += offered;
+                // Booked here, from the plan: the detect thread owns the
+                // outputs, this thread owns the cell.
+                let submitted = Instant::now();
+                let plan = self.cell.plan_tick(pool.n_pes());
+                self.cell.book_tick(&plan, pool.n_pes());
                 let job = TickJob {
                     tick,
-                    submitted: Instant::now(),
-                    plan: TickPlan::new(
-                        work.into_iter()
-                            .map(|(u, frame)| (u, frame, &users[u].engine)),
-                        pool.n_pes(),
-                    ),
+                    submitted,
+                    plan,
                 };
                 // A full queue blocks here — backpressure, not loss.
                 if job_tx.send(job).is_err() {
@@ -607,10 +606,8 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
             ticks,
             frames,
             retuned_slots,
-            final_thresholds: self
-                .users
-                .iter()
-                .map(|u| u.controller.as_ref().map(EffortController::threshold))
+            final_thresholds: (0..n_users)
+                .map(|u| self.controller(u).map(EffortController::threshold))
                 .collect(),
             overall,
             per_user,
@@ -622,7 +619,6 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
 mod tests {
     use super::*;
     use crate::frame::DetectedFrame;
-    use crate::multiuser::StreamingCell;
     use flexcore::CellDetector;
     use flexcore_channel::ChannelEnsemble;
     use flexcore_modulation::{Constellation, Modulation};

@@ -14,12 +14,16 @@
 //! ([`PePool::run_priced`] — placement and timing are the pool's business)
 //! and scatters the per-batch outputs back by grid position.
 //!
-//! [`FrameEngine::process_frame`] is a one-entry plan run on the spot,
-//! [`StreamingCell::process_tick`](crate::StreamingCell::process_tick) is
-//! pop → plan → run → book, [`PipelinedCell`](crate::PipelinedCell) sends
-//! the plan across a bounded channel and runs it on its detect thread,
-//! and the city reads [`TickPlan::costs`] for modelled time before running
-//! the same plan.
+//! Plans are built in two places. [`FrameEngine::process_frame`] is a
+//! one-entry plan run on the spot. Everything multi-user goes through the
+//! one serving cell, [`StreamingCell::plan_tick`](crate::StreamingCell::plan_tick),
+//! whose three drivers differ only in what happens between plan and book:
+//! the barrier loop runs the plan and books it back to back
+//! ([`StreamingCell::run_tick`](crate::StreamingCell::run_tick)),
+//! [`PipelinedCell`](crate::PipelinedCell) books it on the transmit
+//! thread and sends it across a bounded channel to run on its detect
+//! thread, and the city reads [`TickPlan::costs`] for modelled time
+//! before running the same plan.
 //!
 //! **Planning is scheduling-only.** A batch's result depends on the
 //! prepared detector it runs against and on the batch geometry, never on
@@ -144,6 +148,15 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
     /// work units before (or without) running it.
     pub fn costs(&self) -> &[u64] {
         &self.costs
+    }
+
+    /// `(user id, vectors in its frame)` per served user, in plan order —
+    /// what the cell books a tick by, so booking needs no outputs and can
+    /// happen while another thread runs the plan.
+    pub(crate) fn served(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.entries
+            .iter()
+            .map(|e| (e.user, e.frame.borrow().n_vectors()))
     }
 
     /// Runs `f` over every batch of the plan in one pool run and
@@ -403,6 +416,15 @@ mod tests {
             for (u, out) in got.into_inner().unwrap().iter().enumerate() {
                 assert_eq!(out.user, u, "{tag}");
                 assert_eq!(out.cells, want[u], "{tag}: PipelinedCell::run, user {u}");
+                // The pipeline drives the same cell, so once drained it
+                // has booked what the barrier leg booked.
+                let (piped, barrier) = (pipe.engine(u).stats(), cell.engine(u).stats());
+                assert_eq!(
+                    (piped.frames, piped.vectors),
+                    (barrier.frames, barrier.vectors),
+                    "{tag}: pipelined booking, user {u}"
+                );
+                assert_eq!(pipe.cell().frames_behind(u), 0, "{tag}: user {u} undrained");
             }
         }
     }

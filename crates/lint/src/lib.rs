@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn classify_paths() {
         assert_eq!(classify("crates/numeric/src/lanes.rs"), FileClass::Lib);
-        assert_eq!(classify("crates/bench/src/bin/repro.rs"), FileClass::Bin);
+        assert_eq!(classify("crates/sim/src/bin/repro.rs"), FileClass::Bin);
         assert_eq!(classify("crates/lint/src/main.rs"), FileClass::Bin);
         assert_eq!(
             classify("crates/sim/tests/experiment_smoke.rs"),

@@ -250,14 +250,9 @@ impl OrderingLut {
         tri: usize,
         k: usize,
     ) -> Option<usize> {
-        let side = c.grid_side() as i32;
         let (di, dj) = self.orders[tri][k - 1];
-        let col = ci + di;
-        let row = cj + dj;
-        if col < 0 || col >= side || row < 0 || row >= side {
-            return None; // outside the constellation: PE deactivated
-        }
-        Some(c.grid_to_index(col as usize, row as usize))
+        // `None` outside the constellation: PE deactivated.
+        grid_symbol(c, ci + di, cj + dj)
     }
 
     /// The approximate `k`-th closest **constellation** symbol, skipping
@@ -294,19 +289,21 @@ impl OrderingLut {
         tri: usize,
         k: usize,
     ) -> Option<usize> {
-        let side = c.grid_side() as i32;
-        let mut valid = 0usize;
-        for &(di, dj) in &self.orders[tri] {
-            let col = ci + di;
-            let row = cj + dj;
-            if col >= 0 && col < side && row >= 0 && row < side {
-                valid += 1;
-                if valid == k {
-                    return Some(c.grid_to_index(col as usize, row as usize));
-                }
-            }
-        }
-        None
+        self.in_grid(c, ci, cj, tri).nth(k - 1)
+    }
+
+    /// Triangle `tri`'s predefined order around centre `(ci, cj)`, reduced
+    /// to the entries that are constellation symbols, in rank order.
+    fn in_grid<'a>(
+        &'a self,
+        c: &'a Constellation,
+        ci: i32,
+        cj: i32,
+        tri: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.orders[tri]
+            .iter()
+            .filter_map(move |&(di, dj)| grid_symbol(c, ci + di, cj + dj))
     }
 
     /// Shared BPSK degenerate lookup.
@@ -319,30 +316,14 @@ impl OrderingLut {
         }
     }
 
-    /// `OrderingLut::locate` with the filtered octant test
-    /// ([`triangle_index_fast`]): bit-identical `(ci, cj, tri)` for every
-    /// input, without the unconditional `atan2`. This is what the block
-    /// walk's packed grid locate ([`LocatedOrderingTable::locate_bases`])
-    /// reproduces, and re-runs on any lane that fails its guard; the scalar
-    /// detection path keeps the plain [`triangle_index`] form so the PR 2
-    /// baseline re-enactment stays byte-for-byte the historical code.
-    #[inline]
-    pub fn locate_fast(&self, c: &Constellation, y: Cx) -> (i32, i32, usize) {
-        let side = c.grid_side() as i32;
-        let u = y.re / c.scale();
-        let v = y.im / c.scale();
-        let window = |x: f64| x.clamp(-(2 * side) as f64, (3 * side) as f64) as i32;
-        let ci = window(((u + (side - 1) as f64) / 2.0).round());
-        let cj = window(((v + (side - 1) as f64) / 2.0).round());
-        let dx = u - level_value_i(ci, side);
-        let dy = v - level_value_i(cj, side);
-        (ci, cj, triangle_index_fast(dx, dy))
-    }
-
     /// Locates the effective point: nearest infinite-lattice centre
     /// `(ci, cj)` in level-index units and the triangle index within its
-    /// minimum-distance square.
-    fn locate(&self, c: &Constellation, y: Cx) -> (i32, i32, usize) {
+    /// minimum-distance square ([`triangle_index_fast`], so no
+    /// unconditional `atan2`). This is what the block walk's packed grid
+    /// locate ([`LocatedOrderingTable::locate_bases`]) reproduces, and
+    /// re-runs on any lane that fails its guard.
+    #[inline]
+    pub fn locate(&self, c: &Constellation, y: Cx) -> (i32, i32, usize) {
         let side = c.grid_side() as i32;
         let u = y.re / c.scale();
         let v = y.im / c.scale();
@@ -357,7 +338,7 @@ impl OrderingLut {
         let cj = window(((v + (side - 1) as f64) / 2.0).round());
         let dx = u - level_value_i(ci, side);
         let dy = v - level_value_i(cj, side);
-        (ci, cj, triangle_index(dx, dy))
+        (ci, cj, triangle_index_fast(dx, dy))
     }
 }
 
@@ -470,18 +451,9 @@ impl OrderingLut {
                     } else {
                         // One pass over the predefined order collects every
                         // in-bounds entry in rank order.
-                        let mut valid = 0usize;
-                        for &(di, dj) in &self.orders[tri] {
-                            let col = ci + di;
-                            let row = cj + dj;
-                            if col >= 0 && col < side && row >= 0 && row < side {
-                                syms[base + valid] =
-                                    c.grid_to_index(col as usize, row as usize) as u16;
-                                valid += 1;
-                                if valid == self.depth {
-                                    break;
-                                }
-                            }
+                        let ranks = syms[base..base + self.depth].iter_mut();
+                        for (slot, s) in ranks.zip(self.in_grid(c, ci, cj, tri)) {
+                            *slot = s as u16;
                         }
                     }
                 }
@@ -508,9 +480,8 @@ impl LocatedOrderingTable {
     /// Division- and `atan2`-free locate of `N` points at once: nearest
     /// lattice centre `(ci, cj)`, octant triangle and a per-lane guard
     /// verdict, from one unit-grid `floor` per axis. A lane whose verdict
-    /// is `true` is bit-identical to [`OrderingLut::locate_fast`] (and
-    /// hence to the scalar path's locate); a lane whose verdict is `false`
-    /// holds garbage and must be re-run through `locate_fast`.
+    /// is `true` is bit-identical to [`OrderingLut::locate`]; a lane whose
+    /// verdict is `false` holds garbage and must be re-run through it.
     ///
     /// Geometry: in level units `u = re/scale`, centres sit at odd
     /// integers, their minimum-distance cells are `[c−1, c+1]²`, and the
@@ -585,7 +556,7 @@ impl LocatedOrderingTable {
     }
 
     /// `N` grid locates at once over an array of points: lane for lane
-    /// [`OrderingLut::locate_fast`], through the packed front half with the
+    /// [`OrderingLut::locate`], through the packed front half with the
     /// exact per-lane fallback on any guard failure.
     #[inline]
     pub fn locate_array<const N: usize>(
@@ -599,7 +570,7 @@ impl LocatedOrderingTable {
             if ok[l] {
                 (ci[l], cj[l], tri[l] as usize)
             } else {
-                lut.locate_fast(c, ys[l])
+                lut.locate(c, ys[l])
             }
         })
     }
@@ -607,7 +578,7 @@ impl LocatedOrderingTable {
     /// The fused per-chain kernel of the block walk: locates the four
     /// effective points of one sibling chain (given as the split planes
     /// they already are) and writes each lane's table base — what
-    /// [`LocatedOrderingTable::base`] of [`OrderingLut::locate_fast`]
+    /// [`LocatedOrderingTable::base`] of [`OrderingLut::locate`]
     /// returns, lane for lane — with `u32::MAX` for a centre outside the
     /// window. Guard-failing lanes are re-run through exactly that scalar
     /// pair.
@@ -650,7 +621,7 @@ impl LocatedOrderingTable {
     #[cold]
     #[inline(never)]
     fn base_exact(&self, lut: &OrderingLut, c: &Constellation, y: Cx) -> u32 {
-        let (ci, cj, tri) = lut.locate_fast(c, y);
+        let (ci, cj, tri) = lut.locate(c, y);
         self.base(ci, cj, tri).map_or(MISS, |b| b as u32)
     }
 
@@ -682,6 +653,14 @@ impl LocatedOrderingTable {
         let s = self.syms[base + k - 1];
         (s != NO_SYM).then_some(s as usize)
     }
+}
+
+/// The symbol at lattice cell `(col, row)`, `None` outside the grid.
+#[inline]
+fn grid_symbol(c: &Constellation, col: i32, row: i32) -> Option<usize> {
+    let side = c.grid_side() as i32;
+    (col >= 0 && col < side && row >= 0 && row < side)
+        .then(|| c.grid_to_index(col as usize, row as usize))
 }
 
 #[inline]
@@ -867,29 +846,29 @@ mod tests {
                 "({dx},{dy})"
             );
         }
-    }
-
-    #[test]
-    fn locate_fast_matches_locate() {
+        // And on the residuals the locate itself feeds it: the located
+        // triangle is the `atan2` definition's, for random points, exact
+        // lattice centres and boundary mid-points.
         for &m in &[Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
             let c = Constellation::new(m);
             let lut = OrderingLut::new(m, 8);
-            let mut rng = StdRng::seed_from_u64(0x10CA);
-            for _ in 0..20_000 {
-                let y = rng.cx_normal(1.5);
-                assert_eq!(lut.locate_fast(&c, y), lut.locate(&c, y), "{m:?} {y:?}");
-            }
-            // Exact lattice centres and boundary mid-points.
-            for gi in -3..(c.grid_side() as i32 + 3) {
-                for gj in -3..(c.grid_side() as i32 + 3) {
+            let side = c.grid_side() as i32;
+            let mut points: Vec<Cx> = (0..20_000).map(|_| rng.cx_normal(1.5)).collect();
+            for gi in -3..side + 3 {
+                for gj in -3..side + 3 {
                     for (dx, dy) in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.5, 0.0)] {
-                        let y = Cx::new(
-                            (level_value_i(gi, c.grid_side() as i32) + dx) * c.scale(),
-                            (level_value_i(gj, c.grid_side() as i32) + dy) * c.scale(),
-                        );
-                        assert_eq!(lut.locate_fast(&c, y), lut.locate(&c, y), "{m:?} {y:?}");
+                        points.push(Cx::new(
+                            (level_value_i(gi, side) + dx) * c.scale(),
+                            (level_value_i(gj, side) + dy) * c.scale(),
+                        ));
                     }
                 }
+            }
+            for y in points {
+                let (ci, cj, tri) = lut.locate(&c, y);
+                let dx = y.re / c.scale() - level_value_i(ci, side);
+                let dy = y.im / c.scale() - level_value_i(cj, side);
+                assert_eq!(tri, triangle_index(dx, dy), "{m:?} {y:?}");
             }
         }
     }
@@ -915,7 +894,7 @@ mod tests {
                             (level_value_i(ci, side) + 0.5 * a.cos()) * c.scale(),
                             (level_value_i(cj, side) + 0.5 * a.sin()) * c.scale(),
                         );
-                        assert_eq!(lut.locate_fast(&c, y), (ci, cj, tri), "{m:?}");
+                        assert_eq!(lut.locate(&c, y), (ci, cj, tri), "{m:?}");
                         let strict_base = strict_t.base(ci, cj, tri).expect("in window");
                         let skip_base = skip_t.base(ci, cj, tri).expect("in window");
                         for k in 1..=depth + 1 {
@@ -940,9 +919,9 @@ mod tests {
     }
 
     #[test]
-    fn locate_kernel_matches_locate_fast_and_base_everywhere() {
+    fn locate_kernel_matches_locate_and_base_everywhere() {
         // The packed grid locate against the exact pair it replaces —
-        // `locate_fast` + `base`, lane for lane — over a dense grid crossed
+        // `locate` + `base`, lane for lane — over a dense grid crossed
         // with every decision boundary: integer lines (cell edges and
         // centres), both unit-square diagonals (equal / complementary
         // fractional parts), the table window's edge, the ±2·side cap,
@@ -963,7 +942,7 @@ mod tests {
             for strict in [false, true] {
                 let t = lut.build_table(&c, strict);
                 let oracle = |y: Cx| {
-                    let (ci, cj, tri) = lut.locate_fast(&c, y);
+                    let (ci, cj, tri) = lut.locate(&c, y);
                     t.base(ci, cj, tri).map_or(u32::MAX, |b| b as u32)
                 };
                 let check = |pts: [Cx; LANES]| {
@@ -972,7 +951,7 @@ mod tests {
                     let cells = t.locate_array(&lut, &c, &pts);
                     for l in 0..LANES {
                         assert_eq!(got[l], oracle(pts[l]), "{m:?} lane {l} of {pts:?}");
-                        assert_eq!(cells[l], lut.locate_fast(&c, pts[l]), "{m:?} {pts:?}");
+                        assert_eq!(cells[l], lut.locate(&c, pts[l]), "{m:?} {pts:?}");
                     }
                 };
                 let cap = 2 * c.grid_side() as i32;

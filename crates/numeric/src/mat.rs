@@ -369,16 +369,6 @@ impl CMat {
         out
     }
 
-    /// Entry-wise difference `A − B`.
-    pub fn sub_mat(&self, other: &CMat) -> CMat {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let mut out = self.clone();
-        for (a, &b) in out.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-        out
-    }
-
     /// Scales every entry by a real factor.
     pub fn scale(&self, k: f64) -> CMat {
         let mut out = self.clone();

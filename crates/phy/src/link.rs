@@ -719,7 +719,7 @@ mod tests {
         // a-FlexCore as the engine template: the whole coded packet must
         // equal the sequential per-vector adaptive uplink bit-for-bit, and
         // every subcarrier slot must have been served by the batch fast
-        // path (the PR 3 bugfix), never the per-vector fallback.
+        // path, never the per-vector fallback.
         let cfg = cfg16(50);
         let ens = ChannelEnsemble::iid(4, 4);
         let snr = 15.0;

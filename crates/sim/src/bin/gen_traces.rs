@@ -2,7 +2,7 @@
 //! the paper's over-the-air WARP measurements; README, "Faithfulness and
 //! substitutions").
 //!
-//! Usage: `cargo run -p flexcore-bench --bin gen_traces --release -- \
+//! Usage: `cargo run -p flexcore-sim --bin gen_traces --release -- \
 //!           [nr] [nt] [count] [out.trace] [seed]`
 //!
 //! Defaults: 12 12 100 flexcore_12x12.trace 2017. The emitted file replays

@@ -146,7 +146,7 @@ pub fn ml_per_at(
 /// Cached operating points: SNRs at which our substrate's ML detector
 /// reaches the paper's PER targets (pre-computed with
 /// `calibrate_snr_for_ml_per`; regenerate with
-/// `cargo run -p flexcore-bench --bin calibrate`).
+/// `cargo run -p flexcore-sim --bin calibrate`).
 ///
 /// Keyed by `(nt, |Q|, per_target)`. The paper's WARP measurements quote
 /// 13.5 dB (16-QAM 12×12, PER 0.1) and 21.6 dB (64-QAM 12×12, PER 0.01);
@@ -156,7 +156,7 @@ pub fn ml_per_at(
 /// comparison is what carries over (README, "Faithfulness and
 /// substitutions").
 pub fn operating_point_snr_db(nt: usize, q: usize, per_target: f64) -> f64 {
-    // (nt, q, per) → snr. Values from `cargo run -p flexcore-bench --bin
+    // (nt, q, per) → snr. Values from `cargo run -p flexcore-sim --bin
     // calibrate -- --quick` (seed 7, 12-packet bisection, 120-byte
     // packets, FlexCore ML proxy).
     const POINTS: &[(usize, usize, f64, f64)] = &[

@@ -102,7 +102,6 @@ struct CellUser {
     source: TrafficSource,
     chan_rng: StdRng,
     pending: VecDeque<PendingFrame>,
-    latency: LatencyRecord,
     offered: u64,
     shed: u64,
     delivered: u64,
@@ -201,12 +200,9 @@ pub struct CityCell {
     unit_s: f64,
     constellation: Constellation,
     base: CellDetector,
-    policy: ShedPolicy,
-    nt: usize,
-    n_subcarriers: usize,
-    n_symbols: usize,
-    rho: f64,
-    refresh_period: usize,
+    /// The configuration the cell was built from: PHY shape, channel
+    /// dynamics and shed policy are read from it, never copied out.
+    cfg: CityConfig,
     tick: u64,
     backlog_s: f64,
     window: LatencyRecord,
@@ -236,12 +232,7 @@ impl CityCell {
                 Constellation::new(cfg.modulation),
                 CityConfig::FLEXCORE_BUDGET,
             ),
-            policy: cfg.policy.clone(),
-            nt: cfg.nt,
-            n_subcarriers: cfg.n_subcarriers,
-            n_symbols: cfg.n_symbols,
-            rho: cfg.rho,
-            refresh_period: cfg.refresh_period,
+            cfg: cfg.clone(),
             tick: 0,
             backlog_s: 0.0,
             window: LatencyRecord::new(ShedPolicy::P95_LIMIT_S),
@@ -261,13 +252,13 @@ impl CityCell {
     /// profile produces the same traffic and channel in any cell. Returns
     /// the user id.
     pub fn add_user(&mut self, profile: UserProfile) -> usize {
-        let ens = flexcore_channel::ChannelEnsemble::iid(self.nt, self.nt);
+        let ens = flexcore_channel::ChannelEnsemble::iid(self.cfg.nt, self.cfg.nt);
         let mut stream_rng = StdRng::seed_from_u64(mix(profile.seed, TAG_CHANNEL, 0, 0));
         let stream = ChannelStream::new(
             &ens,
-            self.n_subcarriers,
-            self.rho,
-            self.refresh_period,
+            self.cfg.n_subcarriers,
+            self.cfg.rho,
+            self.cfg.refresh_period,
             CityConfig::SIGMA2,
             &mut stream_rng,
         );
@@ -276,7 +267,6 @@ impl CityCell {
             mix(profile.seed, TAG_TRAFFIC, 0, 0),
         );
         let chan_rng = StdRng::seed_from_u64(mix(profile.seed, TAG_CHANNEL, 1, 0));
-        let latency = LatencyRecord::new(profile.deadline_s);
         self.cell.add_user(stream, self.base.clone());
         self.users.push(CellUser {
             profile,
@@ -284,7 +274,6 @@ impl CityCell {
             source,
             chan_rng,
             pending: VecDeque::new(),
-            latency,
             offered: 0,
             shed: 0,
             delivered: 0,
@@ -331,10 +320,10 @@ impl CityCell {
     /// The city's load calibration sums this over users.
     pub fn frame_units(&self, user: usize) -> u64 {
         let engine = self.cell.engine(user);
-        let per_symbol: u64 = (0..self.n_subcarriers)
+        let per_symbol: u64 = (0..self.cfg.n_subcarriers)
             .map(|sc| engine.slot_extension_work(sc) as u64)
             .sum();
-        per_symbol * self.n_symbols as u64
+        per_symbol * self.cfg.n_symbols as u64
     }
 
     /// The cell's per-tick capacity in path-extension units under its
@@ -342,7 +331,7 @@ impl CityCell {
     pub fn capacity_units(&self) -> f64 {
         self.budget.capacity_units(
             &CpuModel::fx8120(),
-            &WorkUnit::new(self.nt, self.constellation.order()),
+            &WorkUnit::new(self.cfg.nt, self.constellation.order()),
         )
     }
 
@@ -441,7 +430,6 @@ impl CityCell {
         let latency_s = done_s - pending.arrival_s;
         let class = self.users[u].profile.class;
         let on_time = latency_s <= self.users[u].profile.deadline_s;
-        self.users[u].latency.record(latency_s);
         self.window.record(latency_s);
         match class {
             QosClass::Latency => self.latency_rec.record(latency_s),
@@ -485,11 +473,15 @@ impl CityCell {
         let stream = self.cell.stream(user);
         let n_sc = stream.n_subcarriers();
         let order = self.constellation.order();
-        let truth: Vec<Vec<usize>> = (0..self.n_symbols * n_sc)
-            .map(|_| (0..self.nt).map(|_| sym_rng.gen_range(0..order)).collect())
+        let truth: Vec<Vec<usize>> = (0..self.cfg.n_symbols * n_sc)
+            .map(|_| {
+                (0..self.cfg.nt)
+                    .map(|_| sym_rng.gen_range(0..order))
+                    .collect()
+            })
             .collect();
         let frame = stream.transmit_frame(
-            self.n_symbols,
+            self.cfg.n_symbols,
             |sym, sc| {
                 truth[sym * n_sc + sc]
                     .iter()
@@ -505,7 +497,7 @@ impl CityCell {
     /// restore after a sustained calm stretch, both rate-limited by the
     /// cooldown.
     fn apply_policy(&mut self) {
-        if !self.policy.enabled {
+        if !self.cfg.policy.enabled {
             return;
         }
         if self.cooldown > 0 {
@@ -631,8 +623,9 @@ impl CityCell {
     /// Aggregate serving counters, per-user goodput, per-class latency
     /// distributions, and the delivered-detection digest.
     pub fn report(&self) -> CityCellReport {
+        let cfg = &self.cfg;
         let frame_bits =
-            (self.n_symbols * self.n_subcarriers * self.nt * self.constellation.bits_per_symbol())
+            (cfg.n_symbols * cfg.n_subcarriers * cfg.nt * self.constellation.bits_per_symbol())
                 as u64;
         let offered_frames: u64 = self.users.iter().map(|s| s.offered).sum();
         CityCellReport {
@@ -653,12 +646,6 @@ impl CityCell {
             bulk_class: self.bulk_rec.stats(),
             digest: self.digest,
         }
-    }
-
-    /// Access to the wrapped serving cell (read-only), for tests that
-    /// audit engine-level state.
-    pub fn serving_cell(&self) -> &StreamingCell<CellDetector> {
-        &self.cell
     }
 }
 

@@ -1,7 +1,7 @@
 //! City-scale serving: many cells, thousands of users, bursty traffic,
 //! QoS-aware admission and load shedding.
 //!
-//! The engine's `StreamingCell` (PR 4) answers "how do N queued uplinks
+//! The engine's `StreamingCell` answers "how do N queued uplinks
 //! share one PE pool"; this module answers the deployment question above
 //! it: **who gets in, who gets what tier, and what happens at 2× load.**
 //! A [`City`] is a set of [`CityCell`]s, each bound to a per-cell
@@ -302,11 +302,6 @@ impl City {
     /// The cells, in placement order.
     pub fn cells(&self) -> &[CityCell] {
         &self.cells
-    }
-
-    /// Mutable access to one cell (test hook for forced tiers).
-    pub fn cell_mut(&mut self, i: usize) -> &mut CityCell {
-        &mut self.cells[i]
     }
 
     /// Users admitted across all cells.

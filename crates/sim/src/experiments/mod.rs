@@ -4,7 +4,7 @@
 //! `quick()` and `full()` presets) plus a `run(&Cfg) -> ResultTable` (or a
 //! small set of tables). Quick presets finish in seconds-to-minutes on a
 //! laptop; full presets push the Monte-Carlo depth for tighter error bars.
-//! [`EXPERIMENTS`] lists them by name for `flexcore-bench`'s `repro` binary.
+//! [`EXPERIMENTS`] lists them by name for the crate's `repro` binary.
 
 use crate::table::ResultTable;
 

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one driver per table/figure of the paper's
 //! evaluation (§5), each emitting a small CSV-like table whose rows mirror
-//! the published result. `flexcore-bench`'s `repro` binary runs any of them
-//! by name (`cargo run -p flexcore-bench --bin repro -- fig9`, names in
+//! the published result. The crate's `repro` binary runs any of them
+//! by name (`cargo run -p flexcore-sim --bin repro -- fig9`, names in
 //! [`experiments::EXPERIMENTS`]); each driver's module docs list the paper
 //! claims it reproduces.
 //!
