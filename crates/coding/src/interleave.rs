@@ -50,52 +50,55 @@ impl Interleaver {
         self.n_cbps
     }
 
-    /// For an *interleaved* position `j`, the de-interleaved position its
-    /// value belongs at (`deinterleave(x)[source_index(j)] == x[j]`).
-    /// Lets soft pipelines deinterleave LLR streams with the same
-    /// permutation as the bit path.
-    pub fn source_index(&self, j: usize) -> usize {
-        self.inv[j]
-    }
-
     /// Interleaves one block.
     ///
     /// # Panics
     /// Panics if `bits.len() != block_len()`.
     pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
         assert_eq!(bits.len(), self.n_cbps, "interleave: wrong block size");
-        let mut out = vec![0u8; self.n_cbps];
-        for (k, &b) in bits.iter().enumerate() {
-            out[self.perm[k]] = b;
-        }
-        out
+        self.interleave_stream(bits)
     }
 
     /// Inverts [`Interleaver::interleave`].
     pub fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
         assert_eq!(bits.len(), self.n_cbps, "deinterleave: wrong block size");
-        let mut out = vec![0u8; self.n_cbps];
-        for (j, &b) in bits.iter().enumerate() {
-            out[self.inv[j]] = b;
-        }
-        out
+        self.deinterleave_stream(bits)
     }
 
     /// Interleaves a multi-block stream (length must be a multiple of the
     /// block size).
     pub fn interleave_stream(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len() % self.n_cbps, 0, "stream not block-aligned");
-        bits.chunks(self.n_cbps)
-            .flat_map(|b| self.interleave(b))
-            .collect()
+        let mut out = vec![0u8; bits.len()];
+        scatter_blocks(&self.perm, bits, &mut out);
+        out
     }
 
     /// Inverts [`Interleaver::interleave_stream`].
     pub fn deinterleave_stream(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len() % self.n_cbps, 0, "stream not block-aligned");
-        bits.chunks(self.n_cbps)
-            .flat_map(|b| self.deinterleave(b))
-            .collect()
+        let mut out = vec![0u8; bits.len()];
+        self.deinterleave_stream_into(bits, &mut out);
+        out
+    }
+
+    /// The inverse permutation over a multi-block stream of any element —
+    /// bits, or the LLRs of a soft pipeline — into a caller-owned buffer.
+    ///
+    /// # Panics
+    /// Panics unless `src` is block-aligned and `dst` is as long.
+    pub fn deinterleave_stream_into<T: Copy>(&self, src: &[T], dst: &mut [T]) {
+        scatter_blocks(&self.inv, src, dst);
+    }
+}
+
+/// `dst[block][perm[k]] = src[block][k]` over every `perm.len()`-block.
+fn scatter_blocks<T: Copy>(perm: &[usize], src: &[T], dst: &mut [T]) {
+    let n = perm.len();
+    assert_eq!(src.len() % n, 0, "stream not block-aligned");
+    assert_eq!(src.len(), dst.len(), "stream and output differ in length");
+    for (dst, src) in dst.chunks_exact_mut(n).zip(src.chunks_exact(n)) {
+        for (&to, &value) in perm.iter().zip(src) {
+            dst[to] = value;
+        }
     }
 }
 
@@ -133,6 +136,26 @@ mod tests {
             .map(|_| rng.gen_range(0..2))
             .collect();
         assert_eq!(il.deinterleave_stream(&il.interleave_stream(&bits)), bits);
+    }
+
+    #[test]
+    fn llr_streams_deinterleave_like_bit_streams() {
+        let il = Interleaver::new(48, 4);
+        let mut rng = StdRng::seed_from_u64(3);
+        let bits: Vec<u8> = (0..2 * il.block_len())
+            .map(|_| rng.gen_range(0..2))
+            .collect();
+        let interleaved = il.interleave_stream(&bits);
+        // The same inverse permutation on signed LLRs as on bits.
+        let llrs: Vec<f64> = interleaved
+            .iter()
+            .map(|&b| if b == 0 { 5.0 } else { -5.0 })
+            .collect();
+        let mut back = vec![0.0; llrs.len()];
+        il.deinterleave_stream_into(&llrs, &mut back);
+        let back: Vec<u8> = back.iter().map(|&l| u8::from(l < 0.0)).collect();
+        assert_eq!(back, bits);
+        assert_eq!(il.deinterleave_stream(&interleaved), bits);
     }
 
     #[test]

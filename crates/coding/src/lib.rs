@@ -22,7 +22,7 @@ pub mod crc;
 pub mod interleave;
 pub mod soft;
 
-pub use conv::{CodeRate, ConvCode};
+pub use conv::{CodeRate, ConvCode, ViterbiScratch};
 pub use crc::{crc32_bits, crc_check};
 pub use interleave::Interleaver;
 

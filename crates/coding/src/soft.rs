@@ -7,7 +7,7 @@
 //! "probably 0". Punctured positions carry `llr = 0` (no information) —
 //! the same erasure semantics as the hard decoder.
 
-use crate::conv::ConvCode;
+use crate::conv::{ConvCode, Received, ViterbiScratch};
 
 /// LLR magnitude clamp: keeps path metrics well-conditioned and mirrors
 /// fixed-point detector outputs.
@@ -21,25 +21,54 @@ impl ConvCode {
     /// metrics are the max-log path costs `Σ cost(bit_hyp, llr)` with
     /// `cost(0, llr) = max(−llr, 0)` and `cost(1, llr) = max(llr, 0)`, so
     /// a confident LLR penalises the disagreeing hypothesis by |llr|.
+    /// LLRs beyond ±[`LLR_CLAMP`] (±∞ included) clamp to it; a NaN LLR is
+    /// an erasure (`0.0`, what a punctured position reads).
     ///
     /// # Panics
     /// Panics if `llrs.len()` differs from the coded length.
     pub fn decode_soft(&self, llrs: &[f64], info_len: usize) -> Vec<u8> {
-        assert_eq!(
-            llrs.len(),
-            self.coded_len(info_len),
-            "decode_soft: wrong LLR count"
-        );
-        let clamped = llrs.iter().map(|l| l.clamp(-LLR_CLAMP, LLR_CLAMP));
-        // An erased (punctured) position is LLR 0.0: no cost either way.
-        self.viterbi(clamped, info_len, 0.0, (0.0, f64::INFINITY), branch_cost)
+        let (mut scratch, mut decoded) = (ViterbiScratch::default(), Vec::new());
+        self.decode_soft_into(llrs, info_len, &mut scratch, &mut decoded);
+        decoded
     }
+
+    /// [`ConvCode::decode_soft`] into caller-owned buffers: `decoded` is
+    /// overwritten with the `info_len` information bits.
+    pub fn decode_soft_into(
+        &self,
+        llrs: &[f64],
+        info_len: usize,
+        scratch: &mut ViterbiScratch,
+        decoded: &mut Vec<u8>,
+    ) {
+        self.viterbi(llrs, info_len, scratch, decoded)
+    }
+}
+
+impl Received for f64 {
+    type Metric = f64;
+    /// LLR 0.0: no information.
+    const ERASED: f64 = 0.0;
+    const START: (f64, f64) = (0.0, f64::INFINITY);
+    const WRONG_LEN: &'static str = "decode_soft: wrong LLR count";
+    fn costs(pair: &[f64; 2]) -> [f64; 4] {
+        let pair = pair.map(sanitize_llr);
+        [0, 1, 2, 3].map(|out| branch_cost(out, &pair))
+    }
+}
+
+/// The LLR the decoder acts on: NaN erased (`f64::clamp` passes it through,
+/// and a NaN path metric would lose every comparison and pick survivors by
+/// accident), everything else clamped to ±[`LLR_CLAMP`].
+pub(crate) fn sanitize_llr(llr: f64) -> f64 {
+    let llr = if llr.is_nan() { 0.0 } else { llr };
+    llr.clamp(-LLR_CLAMP, LLR_CLAMP)
 }
 
 /// Max-log cost of hypothesising output bits `out` (packed `b0·2 + b1`)
 /// against the received LLR pair.
 #[inline]
-fn branch_cost(out: u8, pair: &[f64; 2]) -> f64 {
+pub(crate) fn branch_cost(out: u8, pair: &[f64; 2]) -> f64 {
     let cost = |bit: u8, llr: f64| -> f64 {
         if bit == 0 {
             (-llr).max(0.0)
@@ -139,6 +168,30 @@ mod tests {
             soft_fail <= hard_fail,
             "soft fails {soft_fail} > hard fails {hard_fail}"
         );
+    }
+
+    #[test]
+    fn nan_llrs_decode_as_erasures() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+            let code = ConvCode::new(rate);
+            let info = random_bits(150, 6);
+            // Noisy enough that the five positions matter to the survivors.
+            let mut erased: Vec<f64> = hard_to_llr(&code.encode(&info))
+                .iter()
+                .map(|l| l * (rng.gen::<f64>() - 0.2))
+                .collect();
+            let mut with_nan = erased.clone();
+            for pos in [0usize, 7, 64, 65, erased.len() - 1] {
+                erased[pos] = 0.0;
+                with_nan[pos] = f64::NAN;
+            }
+            assert_eq!(
+                code.decode_soft(&with_nan, info.len()),
+                code.decode_soft(&erased, info.len()),
+                "{rate:?}"
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::ofdm::OfdmConfig;
 use flexcore_channel::MimoChannel;
-use flexcore_coding::{crc_check, CodeRate, ConvCode, Interleaver};
+use flexcore_coding::{crc_check, CodeRate, ConvCode, Interleaver, ViterbiScratch};
 use flexcore_detect::common::Detector;
 use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, RxFrame, StreamingCell};
 use flexcore_modulation::Constellation;
@@ -121,17 +121,57 @@ impl LinkOutcome {
 /// streams)`, one of each per spatial stream.
 pub(crate) type TxChains = (Vec<Vec<u8>>, Vec<Vec<u8>>);
 
+/// The coding side of a packet exchange, built **once** per `run_packet` /
+/// `run_cell_tick` and shared by all of its streams: the code, the
+/// interleaver, and the receive chains' reusable buffers (`T` is the
+/// decoder input, a bit or an LLR).
+pub(crate) struct Codec<T> {
+    code: ConvCode,
+    il: Interleaver,
+    deinterleaved: Vec<T>,
+    scratch: ViterbiScratch,
+    decoded: Vec<u8>,
+}
+
+impl<T: Copy + Default> Codec<T> {
+    pub(crate) fn new(cfg: &LinkConfig) -> Self {
+        Codec {
+            code: ConvCode::new(cfg.rate),
+            il: Interleaver::new(cfg.ofdm.n_data, cfg.constellation.bits_per_symbol()),
+            deinterleaved: Vec::new(),
+            scratch: ViterbiScratch::default(),
+            decoded: Vec::new(),
+        }
+    }
+
+    /// Deinterleaves one stream of decoder inputs and Viterbi-decodes its
+    /// first `coded_len(payload_bits)` positions (the rest is padding).
+    fn decode(&mut self, decode: DecodeInto<T>, stream: &[T], payload_bits: usize) -> &[u8] {
+        self.deinterleaved.resize(stream.len(), T::default());
+        self.il
+            .deinterleave_stream_into(stream, &mut self.deinterleaved);
+        let coded = &self.deinterleaved[..self.code.coded_len(payload_bits)];
+        decode(
+            &self.code,
+            coded,
+            payload_bits,
+            &mut self.scratch,
+            &mut self.decoded,
+        );
+        &self.decoded
+    }
+}
+
 /// Per-user transmit chains: random payloads → convolutional encode → pad →
 /// interleave. Returns `(payloads, interleaved coded streams)`. Shared by
 /// every packet path, which must consume the RNG in exactly the same order
 /// to stay bit-identical.
-pub(crate) fn transmit_chains<R: Rng + ?Sized>(
+pub(crate) fn transmit_chains<T, R: Rng + ?Sized>(
     cfg: &LinkConfig,
+    codec: &Codec<T>,
     nt: usize,
     rng: &mut R,
 ) -> TxChains {
-    let code = ConvCode::new(cfg.rate);
-    let il = Interleaver::new(cfg.ofdm.n_data, cfg.constellation.bits_per_symbol());
     let n_sym = cfg.ofdm_symbols_per_packet();
     let bits_per_sym = cfg.bits_per_ofdm_symbol();
     let payload_bits = cfg.payload_bytes * 8;
@@ -139,10 +179,10 @@ pub(crate) fn transmit_chains<R: Rng + ?Sized>(
     let mut coded_streams: Vec<Vec<u8>> = Vec::with_capacity(nt);
     for _ in 0..nt {
         let payload: Vec<u8> = (0..payload_bits).map(|_| rng.gen_range(0..2u8)).collect();
-        let mut coded = code.encode(&payload);
+        let mut coded = codec.code.encode(&payload);
         // Pad the final OFDM symbol with zero bits.
         coded.resize(n_sym * bits_per_sym, 0);
-        let interleaved = il.interleave_stream(&coded);
+        let interleaved = codec.il.interleave_stream(&coded);
         payloads.push(payload);
         coded_streams.push(interleaved);
     }
@@ -187,8 +227,12 @@ pub(crate) trait LinkOutput<D: ?Sized> {
     /// the bits of its hard decision.
     fn push(cell: &Self::Cell, u: usize, hard_bits: &[u8], stream: &mut Vec<Self::Metric>);
     /// Viterbi-decodes one stream's deinterleaved inputs.
-    fn decode(code: &ConvCode, metrics: &[Self::Metric], payload_bits: usize) -> Vec<u8>;
+    const DECODE: DecodeInto<Self::Metric>;
 }
+
+/// The shape [`ConvCode::decode_into`] and [`ConvCode::decode_soft_into`]
+/// share: `(code, inputs, payload bits, scratch, decoded payload)`.
+pub(crate) type DecodeInto<T> = fn(&ConvCode, &[T], usize, &mut ViterbiScratch, &mut Vec<u8>);
 
 /// Hard-decision output: [`Detector::detect_batch_refs`] → bits → Viterbi.
 pub(crate) struct Hard;
@@ -205,35 +249,23 @@ impl<D: Detector + ?Sized> LinkOutput<D> for Hard {
     fn push(_cell: &Vec<usize>, _u: usize, hard_bits: &[u8], stream: &mut Vec<u8>) {
         stream.extend_from_slice(hard_bits);
     }
-    fn decode(code: &ConvCode, metrics: &[u8], payload_bits: usize) -> Vec<u8> {
-        code.decode(metrics, payload_bits)
-    }
-}
-
-/// Inverts the interleaver over a multi-block stream of decoder inputs
-/// (bits or LLRs — the same permutation either way).
-pub(crate) fn deinterleave<T: Copy + Default>(il: &Interleaver, stream: &[T]) -> Vec<T> {
-    let block = il.block_len();
-    assert_eq!(stream.len() % block, 0, "stream not block-aligned");
-    let mut out = vec![T::default(); stream.len()];
-    for (dst, src) in out.chunks_mut(block).zip(stream.chunks(block)) {
-        for (j, &v) in src.iter().enumerate() {
-            dst[il.source_index(j)] = v;
-        }
-    }
-    out
+    const DECODE: DecodeInto<u8> = ConvCode::decode_into;
 }
 
 /// Receive chains over a symbol-major grid of detector outputs: demap per
 /// stream, count raw (hard-decision) bit errors against the coded streams,
-/// deinterleave → Viterbi → compare against the payloads. Also returns the
-/// decoded payloads so streamed callers can run the MAC-style CRC delivery
-/// check on exactly what the decoder produced.
+/// deinterleave → Viterbi → compare against the payloads, plus the
+/// per-stream MAC-style CRC delivery check on exactly what the decoder
+/// produced (`crc_ok[u]` iff stream `u`'s decoded payload carries the
+/// transmitted payload's CRC-32), stamped with the cell `user` the packet
+/// belongs to.
 pub(crate) fn receive_chains<D: ?Sized, O: LinkOutput<D>>(
     cfg: &LinkConfig,
+    codec: &mut Codec<O::Metric>,
+    user: usize,
     (payloads, coded_streams): &TxChains,
     cells: &[O::Cell],
-) -> (LinkOutcome, Vec<Vec<u8>>) {
+) -> StreamedOutcome {
     let c = &cfg.constellation;
     let bps = c.bits_per_symbol();
     let nt = payloads.len();
@@ -250,40 +282,20 @@ pub(crate) fn receive_chains<D: ?Sized, O: LinkOutput<D>>(
         }
     }
 
-    let code = ConvCode::new(cfg.rate);
-    let il = Interleaver::new(cfg.ofdm.n_data, bps);
     let payload_bits = cfg.payload_bytes * 8;
-    let coded_len = code.coded_len(payload_bits);
-    let decoded: Vec<Vec<u8>> = streams
+    let (user_ok, crc_ok) = streams
         .iter()
-        .map(|stream| O::decode(&code, &deinterleave(&il, stream)[..coded_len], payload_bits))
-        .collect();
-    (
-        LinkOutcome {
-            user_ok: decoded.iter().zip(payloads).map(|(d, p)| d == p).collect(),
-            raw_bit_errors,
-            coded_bits_per_user: cfg.ofdm_symbols_per_packet() * cfg.bits_per_ofdm_symbol(),
-        },
-        decoded,
-    )
-}
-
-/// [`receive_chains`] plus the per-stream CRC delivery check (`crc_ok[u]`
-/// iff the decoded payload of stream `u` carries the transmitted payload's
-/// CRC-32), stamped with the cell `user` the packet belongs to.
-fn streamed_outcome<D: ?Sized, O: LinkOutput<D>>(
-    cfg: &LinkConfig,
-    user: usize,
-    chains: &TxChains,
-    cells: &[O::Cell],
-) -> StreamedOutcome {
-    let (link, decoded) = receive_chains::<D, O>(cfg, chains, cells);
-    let crc_ok = chains
-        .0
-        .iter()
-        .zip(&decoded)
-        .map(|(sent, got)| crc_check(sent, got))
-        .collect();
+        .zip(payloads)
+        .map(|(stream, payload)| {
+            let decoded = codec.decode(O::DECODE, stream, payload_bits);
+            (decoded == payload, crc_check(payload, decoded))
+        })
+        .unzip();
+    let link = LinkOutcome {
+        user_ok,
+        raw_bit_errors,
+        coded_bits_per_user: cfg.ofdm_symbols_per_packet() * cfg.bits_per_ofdm_symbol(),
+    };
     StreamedOutcome { user, link, crc_ok }
 }
 
@@ -296,7 +308,8 @@ pub fn simulate_packet<R: Rng + ?Sized>(
     detector: &dyn Detector,
     rng: &mut R,
 ) -> LinkOutcome {
-    let chains = transmit_chains(cfg, channel.nt(), rng);
+    let mut codec = Codec::new(cfg);
+    let chains = transmit_chains(cfg, &codec, channel.nt(), rng);
     // Transmit symbol-by-symbol, subcarrier-by-subcarrier, and detect.
     let n_sc = cfg.ofdm.n_data;
     let cells: Vec<Vec<usize>> = (0..cfg.ofdm_symbols_per_packet() * n_sc)
@@ -305,7 +318,7 @@ pub fn simulate_packet<R: Rng + ?Sized>(
             detector.detect(&channel.transmit(&tx, rng))
         })
         .collect();
-    receive_chains::<dyn Detector, Hard>(cfg, &chains, &cells).0
+    receive_chains::<dyn Detector, Hard>(cfg, &mut codec, 0, &chains, &cells).link
 }
 
 /// The air a packet's frame crosses, and with it what the engine prepares
@@ -357,7 +370,8 @@ where
         n_sc,
         "run_packet: channel width != OFDM data subcarriers"
     );
-    let chains = transmit_chains(cfg, nt, rng);
+    let mut codec = Codec::new(cfg);
+    let chains = transmit_chains(cfg, &codec, nt, rng);
     let tx = |sym_idx, sc| tx_vector(cfg, &chains.1, sym_idx, sc);
     let frame = match air {
         Air::Block(channel) => {
@@ -373,7 +387,7 @@ where
     engine.prepare(estimate);
     let sigma2 = estimate.sigma2();
     let cells = engine.process_frame(&frame, pool, |det, _sc, ys| O::detect(det, sigma2, ys));
-    streamed_outcome::<D, O>(cfg, 0, &chains, &cells)
+    receive_chains::<D, O>(cfg, &mut codec, 0, &chains, &cells)
 }
 
 /// Simulates one packet exchange through the frame engine: the whole
@@ -454,6 +468,7 @@ where
         "cell_packet_tick: one RNG per user"
     );
     let n_sym = cfg.ofdm_symbols_per_packet();
+    let mut codec = Codec::new(cfg);
     let mut chains: Vec<TxChains> = Vec::with_capacity(cell.n_users());
     for (u, rng) in rngs.iter_mut().enumerate() {
         assert_eq!(
@@ -470,7 +485,7 @@ where
         );
         cell.advance_user(u, rng);
         let nt = cell.stream(u).truth(0).cols();
-        let user_chains = transmit_chains(cfg, nt, rng);
+        let user_chains = transmit_chains(cfg, &codec, nt, rng);
         let frame = cell.stream(u).transmit_frame(
             n_sym,
             |sym_idx, sc| tx_vector(cfg, &user_chains.1, sym_idx, sc),
@@ -484,7 +499,7 @@ where
         .collect();
     cell.process_tick(pool, |det, u, _sc, ys| O::detect(det, sigma2s[u], ys))
         .into_iter()
-        .map(|out| streamed_outcome::<D, O>(cfg, out.user, &chains[out.user], &out.cells))
+        .map(|out| receive_chains::<D, O>(cfg, &mut codec, out.user, &chains[out.user], &out.cells))
         .collect()
 }
 

@@ -12,8 +12,8 @@
 //! at `Soft`.
 
 use crate::link::{
-    receive_chains, run_cell_tick, run_packet, transmit_chains, tx_vector, Air, LinkConfig,
-    LinkOutcome, LinkOutput, StreamedOutcome,
+    receive_chains, run_cell_tick, run_packet, transmit_chains, tx_vector, Air, Codec, DecodeInto,
+    LinkConfig, LinkOutcome, LinkOutput, StreamedOutcome,
 };
 use flexcore::{SoftDecision, SoftDetector};
 use flexcore_channel::MimoChannel;
@@ -39,9 +39,7 @@ impl<D: SoftDetector + ?Sized> LinkOutput<D> for Soft {
     fn push(cell: &SoftDecision, u: usize, _hard_bits: &[u8], stream: &mut Vec<f64>) {
         stream.extend_from_slice(&cell.llrs[u]);
     }
-    fn decode(code: &ConvCode, metrics: &[f64], payload_bits: usize) -> Vec<u8> {
-        code.decode_soft(metrics, payload_bits)
-    }
+    const DECODE: DecodeInto<f64> = ConvCode::decode_soft_into;
 }
 
 /// Simulates one packet exchange with soft-output detection (any
@@ -58,7 +56,8 @@ pub fn simulate_packet_soft<R: Rng + ?Sized, D: SoftDetector>(
     detector: &D,
     rng: &mut R,
 ) -> LinkOutcome {
-    let chains = transmit_chains(cfg, channel.nt(), rng);
+    let mut codec = Codec::new(cfg);
+    let chains = transmit_chains(cfg, &codec, channel.nt(), rng);
     let n_sc = cfg.ofdm.n_data;
     let cells: Vec<SoftDecision> = (0..cfg.ofdm_symbols_per_packet() * n_sc)
         .map(|v| {
@@ -66,7 +65,7 @@ pub fn simulate_packet_soft<R: Rng + ?Sized, D: SoftDetector>(
             detector.detect_soft(&channel.transmit(&tx, rng), channel.sigma2)
         })
         .collect();
-    receive_chains::<D, Soft>(cfg, &chains, &cells).0
+    receive_chains::<D, Soft>(cfg, &mut codec, 0, &chains, &cells).link
 }
 
 /// Soft-decision counterpart of
@@ -287,32 +286,5 @@ mod tests {
             "soft {soft_delivered} vs hard {hard_delivered}"
         );
         assert!(soft_delivered > 0, "workload too hard to be informative");
-    }
-
-    #[test]
-    fn llr_deinterleaver_matches_bit_deinterleaver() {
-        use crate::link::deinterleave;
-        use flexcore_coding::Interleaver;
-        let il = Interleaver::new(48, 4);
-        let mut rng = StdRng::seed_from_u64(3);
-        use rand::Rng as _;
-        let bits: Vec<u8> = (0..2 * il.block_len())
-            .map(|_| rng.gen_range(0..2))
-            .collect();
-        let interleaved = il.interleave_stream(&bits);
-        // The generic deinterleaver is the coding crate's bit
-        // deinterleaver on bits…
-        assert_eq!(deinterleave(&il, &interleaved), bits);
-        assert_eq!(il.deinterleave_stream(&interleaved), bits);
-        // …and the same permutation on signed LLRs.
-        let llrs: Vec<f64> = interleaved
-            .iter()
-            .map(|&b| if b == 0 { 5.0 } else { -5.0 })
-            .collect();
-        let back: Vec<u8> = deinterleave(&il, &llrs)
-            .iter()
-            .map(|&l| u8::from(l < 0.0))
-            .collect();
-        assert_eq!(back, bits);
     }
 }

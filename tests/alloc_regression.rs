@@ -16,14 +16,18 @@
 //! inside the single `#[test]` below — libtest would otherwise run tests
 //! on sibling threads and bleed their allocations into the counter.
 
-use flexcore::{FlexCoreDetector, PathScratch};
-use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
+use flexcore::{CellDetector, FlexCoreDetector, PathScratch};
+use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel, MimoChannel};
+use flexcore_coding::soft::hard_to_llr;
+use flexcore_coding::{CodeRate, ConvCode, ViterbiScratch};
 use flexcore_detect::common::Detector;
 use flexcore_detect::FcsdDetector;
-use flexcore_engine::{FrameChannel, FrameEngine};
+use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, StreamingCell};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::symvec::{SymVec, INLINE_STREAMS};
 use flexcore_numeric::{lanes_enabled, set_lane_dispatch, Cx};
+use flexcore_parallel::SequentialPool;
+use flexcore_phy::link::{cell_packet_tick, LinkConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -280,6 +284,54 @@ fn hot_path_allocation_budget() {
         assert_eq!(n, 0, "FrameEngine::prepare allocated on an unshared band");
     }
 
+    // --- The coded uplink: Viterbi into caller-owned buffers --------------
+    // Once a `ViterbiScratch` and the output Vec have seen a packet length,
+    // decoding it again — hard or soft, any rate — touches the heap zero
+    // times: path metrics live on the stack, decisions in the scratch.
+    {
+        let mut rng = StdRng::seed_from_u64(600);
+        let mut scratch = ViterbiScratch::default();
+        let mut decoded = Vec::new();
+        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+            let code = ConvCode::new(rate);
+            let info: Vec<u8> = (0..240).map(|_| rng.gen_range(0..2u8)).collect();
+            let coded = code.encode(&info);
+            let llrs = hard_to_llr(&coded);
+            code.decode_into(&coded, info.len(), &mut scratch, &mut decoded);
+            let n = allocs_in(|| {
+                code.decode_into(&coded, info.len(), &mut scratch, &mut decoded);
+                assert_eq!(decoded, info);
+                code.decode_soft_into(&llrs, info.len(), &mut scratch, &mut decoded);
+                assert_eq!(decoded, info);
+            });
+            assert_eq!(n, 0, "warmed Viterbi allocated at {rate:?}");
+        }
+    }
+
+    // One warmed serving tick at the benchmark's `cell_coded` shape: 8
+    // users, 4×4 16-QAM a-FlexCore, 30-byte packets, sequential pool. The
+    // tick owes its caller the outcomes and builds every frame, transmit
+    // vector and detection on the way (≈ 5 Vecs per grid cell), so this is
+    // a pinned ceiling, not zero: 6 822 with one codec per tick, 7 171
+    // when every stream built its own code, interleaver and trellis Vecs.
+    {
+        let cfg = LinkConfig::paper_default(c16.clone(), 30);
+        let ens = ChannelEnsemble::iid(4, 4);
+        let rho = GaussMarkovChannel::rho_from_doppler(0.02);
+        let mut cell = StreamingCell::new();
+        for u in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(700 + u);
+            let sigma2 = sigma2_from_snr_db(16.0);
+            let stream = ChannelStream::new(&ens, cfg.ofdm.n_data, rho, 4, sigma2, &mut rng);
+            cell.add_user(stream, CellDetector::adaptive(c16.clone(), 16, 0.95));
+        }
+        let mut rngs: Vec<StdRng> = (0..8).map(|u| StdRng::seed_from_u64(800 + u)).collect();
+        let pool = SequentialPool::new(8);
+        drop(cell_packet_tick(&cfg, &mut cell, &pool, &mut rngs));
+        let n = allocs_in(|| drop(cell_packet_tick(&cfg, &mut cell, &pool, &mut rngs)));
+        assert!(n <= 6822, "a warmed cell_coded-shaped tick allocated {n}");
+    }
+
     // --- Discipline coverage: lint regions match the measured surface ----
     // Everything this counting-allocator test just exercised must sit
     // inside a `// flexcore-lint: hot-path` region, so FL001 statically
@@ -299,6 +351,7 @@ fn hot_path_allocation_budget() {
             "crates/core/src/model.rs",      // level-model refit
             "crates/core/src/position.rs",   // position-vector overwrites
             "crates/detect/src/fcsd.rs",     // FCSD run_path_into
+            "crates/coding/src/conv.rs",     // the Viterbi step loop and its ACS kernel
         ] {
             assert!(
                 marked.iter().any(|m| m == exercised),
