@@ -78,11 +78,12 @@ impl GaussMarkovChannel {
         if innov == 0.0 {
             return;
         }
-        let (nr, nt) = (self.h.rows(), self.h.cols());
-        for r in 0..nr {
-            for c in 0..nt {
+        // Row by row over the matrix's own storage: the draw order of the
+        // `(r, c)` double loop, without its two bounds checks per entry.
+        for r in 0..self.h.rows() {
+            for entry in self.h.row_mut(r) {
                 let w = rng.cx_normal(1.0);
-                self.h[(r, c)] = self.h[(r, c)].scale(self.rho) + w.scale(innov);
+                *entry = entry.scale(self.rho) + w.scale(innov);
             }
         }
     }

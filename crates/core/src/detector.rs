@@ -22,7 +22,7 @@ use flexcore_detect::common::{first_min_metric, Detector, PathScratch, Triangula
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
-use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, LANES};
+use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, G, LANES};
 use flexcore_parallel::PePool;
 
 /// How each level finds its k-th closest symbol.
@@ -115,10 +115,19 @@ struct Chain {
 /// Prefix-sharing trie over the selected position vectors, rebuilt in
 /// place by every `prepare`.
 ///
-/// Position vectors overwhelmingly agree on the top tree levels (SQRD
-/// places reliable streams on top, so rank bumps concentrate near the
-/// bottom), yet evaluating paths independently re-derives every shared
-/// effective point and LUT lookup once *per path*. Walking the trie evaluates each
+/// Position vectors share rank *prefixes* from the top row down, yet
+/// evaluating paths independently re-derives every shared effective point
+/// and LUT lookup once *per path*. How much there is to share depends on
+/// the width, and less than one would guess: the selected paths deviate
+/// from rank 1 mostly at the **top** rows — the first-detected levels are
+/// the unreliable ones — so prefixes split early. Counted over 48 i.i.d.
+/// draws of FlexCore-16 at the benchmark's SNRs (seed 3), deviations per
+/// row, bottom row first: 8×8 `[73, 59, 65, 63, 90, 153, 190, 259]`
+/// (85.8 nodes in 70.8 chains of a possible 128); 4×4
+/// `[222, 219, 242, 330]` (39.4 / 24.4 of 64); at 64×64 every deviation
+/// sits in the top 17 rows, so the 16 paths are distinct nearly all the
+/// way down (981 nodes in 966 chains of a possible 1024, ≈ 15 chains per
+/// level). Walking the trie evaluates each
 /// distinct `(rank-prefix, level)` node exactly once; per-level term
 /// values and the top-down metric accumulation order are unchanged, so
 /// every path's symbols and metric are bit-identical to an independent
@@ -128,11 +137,14 @@ struct Chain {
 /// For the four-observation block walk the same trie is also laid out as a
 /// level-synchronous program: `chains` lists every sibling chain level by
 /// level (top row first). A chain only reads state of strictly higher
-/// rows, so one plain loop over `chains` evaluates the whole trie, and
-/// consecutive chains are independent of one another — sibling subtrees
-/// overlap in the pipeline instead of queueing behind each other's
-/// dependent accumulate → locate → look-up → store chain as they do in a
-/// depth-first recursion.
+/// rows, so one plain loop over `chains` evaluates the whole trie, and the
+/// chains of one row are independent of one another. Independent is not
+/// yet overlapped: at 64×64 a chain's accumulate is up to 63 dependent
+/// subtract steps, longer than the out-of-order window, so chains run one
+/// behind the other unless they are interleaved explicitly — which the
+/// block walk does, [`G`] chains of a row per coefficient sweep
+/// (measured on detection alone: +15 % at 64×64, within noise at 8×8,
+/// where only the bottom four rows have enough ancestors to group).
 #[derive(Clone, Debug, Default)]
 struct PathTrie {
     nodes: Vec<TrieNode>,
@@ -239,6 +251,14 @@ impl PathTrie {
         }
     }
 
+    /// The ancestor nodes of `chain`, whose own nodes sit at `row`: parent
+    /// first, ascending by row.
+    #[inline]
+    fn ancestors(&self, chain: &Chain, row: usize, nt: usize) -> &[u32] {
+        let via = chain.via as usize * nt;
+        &self.lineage[via + row + 1..via + nt]
+    }
+
     /// Arithmetic cost of the sibling chain starting at `first`: one
     /// effective point (`nt − 1 − row` cancellation multiply-adds) plus
     /// the shared `|R(row,row)|²`, computed once for the whole chain.
@@ -341,6 +361,50 @@ fn prefix_reaching(ln_probs: &[f64], t: f64) -> (usize, f64) {
         }
     }
     (ln_probs.len(), cumulative)
+}
+
+/// The sweep kernel of the block walk's Eq. 5 effective point: `N` chains
+/// of one trie row cancel their ancestors in **one** pass over
+/// `coefs = R[row, row+1..]`. Every chain starts from the row's rotated
+/// observation `y` and subtracts `coefs[i] ·` its own lineage's point at
+/// row `row + 1 + i` (`ancestors[m][i]` indexes `points`), ascending `i` —
+/// term for term `Triangular::effective_point` on each lane — but each
+/// coefficient is splatted once for all `N`, and the `N` dependent
+/// subtract chains are independent of one another, so they fill the
+/// multiply/add ports instead of waiting out each other's latency. `N` is
+/// [`G`] ([`cancel_group`]), or 1 for what a row leaves over — inlined
+/// there, because a short chain (three ancestors at most at 4×4) costs
+/// less than the call.
+#[inline(always)]
+fn cancel_ancestors<const N: usize>(
+    coefs: &[Cx],
+    points: &[CxLane],
+    ancestors: [&[u32]; N],
+    y: CxLane,
+) -> [CxLane; N] {
+    // flexcore-lint: scalar-twin = walk_level
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    let ancestors = ancestors.map(|a| &a[..coefs.len()]);
+    let mut acc = [y; N];
+    for (i, &coef) in coefs.iter().enumerate() {
+        let coef = CxLane::splat(coef);
+        for (a, above) in acc.iter_mut().zip(ancestors) {
+            a.sub_mul(coef, points[above[i] as usize]);
+        }
+    }
+    acc
+}
+
+/// [`cancel_ancestors`] at its full width, out of line so CI can
+/// disassemble it (see "Packed kernels are still packed" in the workflow):
+/// eight `ymm` accumulators, 32 packed multiplies/adds per coefficient.
+#[inline(never)]
+fn cancel_group(coefs: &[Cx], points: &[CxLane], ancestors: [&[u32]; G], y: CxLane) -> [CxLane; G] {
+    // flexcore-lint: scalar-twin = walk_level
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    cancel_ancestors(coefs, points, ancestors, y)
 }
 
 /// Reusable per-worker workspace for the sequential FlexCore hot path:
@@ -662,10 +726,14 @@ impl FlexCoreDetector {
     /// ancestors' points in ascending row order like
     /// `Triangular::effective_point`, then the hoisted reciprocal) and one
     /// fused locate → table-base kernel; per node: one table read per lane
-    /// and a four-wide metric update. Per lane, term values and
-    /// accumulation order replay the scalar walk exactly, so every
-    /// completed path's metric and symbols are bit-identical to
-    /// [`FlexCoreDetector::walk_paths`] on that lane's observation.
+    /// and a four-wide metric update. The cancellation is the walk's one
+    /// O(nt²) part, and [`G`] consecutive chains of a row go through it
+    /// together ([`cancel_ancestors`]): one pass over `R[row, row+1..]`,
+    /// each chain still subtracting its own terms in its own order. Per
+    /// lane, term values and accumulation order replay the scalar walk
+    /// exactly, so every completed path's metric and symbols are
+    /// bit-identical to [`FlexCoreDetector::walk_paths`] on that lane's
+    /// observation.
     ///
     /// `active` is the partial-tail mask: a batch whose length is not a
     /// multiple of [`LANES`] pads its last block by repeating the final
@@ -724,21 +792,47 @@ impl FlexCoreDetector {
             }
         };
         let cpoints = self.constellation.points();
-        for chain in &trie.chains {
-            let row = trie.nodes[chain.first as usize].row as usize;
-            let via = chain.via as usize * nt;
-            let ancestors = &trie.lineage[via + row + 1..via + nt];
-            let parent_metric = match ancestors.first() {
+        // Accumulators swept ahead of their chains: `accs` holds those of
+        // chains `swept_end - G..swept_end`.
+        let (mut accs, mut swept_end) = ([CxLane::zero(); G], 0);
+        let row_of = |chain: &Chain| trie.nodes[chain.first as usize].row as usize;
+        for (at, chain) in trie.chains.iter().enumerate() {
+            let row = row_of(chain);
+            let above = trie.ancestors(chain, row, nt);
+            let parent_metric = match above.first() {
                 Some(&pa) => out.metric[pa as usize],
                 None => active.map(|a| if a { 0.0 } else { f64::NAN }),
             };
             if parent_metric.iter().all(|m| m.is_nan()) {
                 continue;
             }
-            let mut acc = CxLane::from_fn(|l| ybars[l * nt + row]);
-            for (&coef, &a) in r.row(row)[row + 1..].iter().zip(ancestors) {
-                acc.sub_mul(CxLane::splat(coef), out.points[a as usize]);
+            let coefs = &r.row(row)[row + 1..];
+            let y = CxLane::from_fn(|l| ybars[l * nt + row]);
+            // `chains` is level ordered: when the chain `G − 1` further on
+            // is still on this row, so are those in between, and all `G`
+            // cancel their ancestors in one sweep (a dead one among them
+            // rides along on whatever its ancestors' slots hold — finite,
+            // and never read). A row with fewer than `G` ancestors (every
+            // row at 4×4) has nothing worth sharing, and what a row leaves
+            // over goes one by one. (Asked of `nt − row`, not of
+            // `coefs.len()`: LLVM turns the latter into a `range` on
+            // `cancel_group`'s argument, and with it the kernel compiles
+            // half scalar — CI disassembles it.)
+            if at >= swept_end && nt - row > G {
+                if let Some(group) = trie.chains.get(at..at + G) {
+                    if row_of(&group[G - 1]) == row {
+                        let group = std::array::from_fn(|m| trie.ancestors(&group[m], row, nt));
+                        accs = cancel_group(coefs, &out.points, group, y);
+                        swept_end = at + G;
+                    }
+                }
             }
+            let acc = if at < swept_end {
+                accs[at + G - swept_end]
+            } else {
+                let [acc] = cancel_ancestors(coefs, &out.points, [above], y);
+                acc
+            };
             let (inv, rdiag) = state.diag[row];
             let eff = acc * CxLane::splat(inv);
             // One locate per lane per chain — every sibling shares it.
@@ -1560,6 +1654,87 @@ mod tests {
             }
         }
         assert!(deactivated > 0, "the sweep never deactivated a path");
+    }
+
+    #[test]
+    fn grouped_block_walk_equals_scalar_walk_per_path_for_every_group_shape() {
+        // Hand-built tries with exactly `c` chains on every row below the
+        // top one — path `i` takes its own rank at the top row and rank 1
+        // below (plus one path that splits off path 0 at the bottom row,
+        // so a chain with two nodes rides in a group) — for every `c` from
+        // 1 to 2G + 1: full groups, every remainder, and at nt ≤ G + 1
+        // rows too short to group at all. A top-row rank no ordering can
+        // serve kills its node on all four lanes, hence the chain below
+        // it on every row: one dead chain in each slot in turn, and in the
+        // first and last slot together. Every path's metric and symbols
+        // must carry the scalar walk's bits on every active lane, under
+        // all 16 lane masks.
+        use flexcore_numeric::rng::CxRng;
+        const DEAD: u32 = 1000;
+        let mut dead_chains_seen = 0;
+        for nt in [2usize, 4, 8, 12, 64] {
+            let mut rng = StdRng::seed_from_u64(77 + nt as u64);
+            let budget = 2 * G + 2;
+            let mut fc = FlexCoreDetector::with_pes(Constellation::new(Modulation::Qam16), budget);
+            fc.prepare(
+                &ChannelEnsemble::iid(nt, nt).draw(&mut rng),
+                sigma2_from_snr_db(10.0),
+            );
+            let ybars: Vec<Cx> = (0..LANES * nt)
+                .map(|i| rng.cx_normal(0.4 + 0.2 * (i / nt) as f64))
+                .collect();
+            for c in 1..=2 * G + 1 {
+                let kills = std::iter::once(vec![])
+                    .chain((0..c).map(|p| vec![p]))
+                    .chain((c > 1).then(|| vec![0, c - 1]));
+                for dead in kills {
+                    let top_rank = |i: usize| match dead.iter().position(|&p| p == i) {
+                        Some(d) => DEAD + d as u32,
+                        None => i as u32 + 1,
+                    };
+                    // Path `c` is path 0 again down to the bottom row.
+                    let paths: Vec<PositionVector> = (0..=c)
+                        .map(|i| {
+                            let mut ranks = vec![1u32; nt];
+                            ranks[0] = if i == c { 2 } else { 1 };
+                            ranks[nt - 1] = top_rank(i % c);
+                            PositionVector::from_entries(ranks)
+                        })
+                        .collect();
+                    let state = fc.state.as_mut().expect("prepared");
+                    state.trie.rebuild(&paths, nt, budget);
+                    assert_eq!(state.trie.chains.len(), 1 + (nt - 1) * c);
+                    state.n_active = paths.len();
+                    state.selection.paths = paths;
+                    let what = format!("nt={nt} c={c} dead={dead:?}");
+                    let mut block = WalkBlockScratch::default();
+                    for mask in 1..1u32 << LANES {
+                        let active: [bool; LANES] = std::array::from_fn(|l| mask >> l & 1 == 1);
+                        fc.walk_paths_block(&ybars, active, &mut block);
+                        for l in (0..LANES).filter(|&l| active[l]) {
+                            let mut walk = WalkScratch::default();
+                            fc.walk_paths(&ybars[l * nt..(l + 1) * nt], &mut walk);
+                            let trie = &fc.state.as_ref().expect("prepared").trie;
+                            for (path, lineage) in trie.lineage.chunks(nt).enumerate() {
+                                let what = format!("{what} mask {mask:04b} lane {l} path {path}");
+                                let got = block.metric[lineage[0] as usize][l];
+                                let want = walk.metrics[path];
+                                assert_eq!(got.is_nan(), want.is_nan(), "{what}: liveness");
+                                if want.is_nan() {
+                                    dead_chains_seen += 1;
+                                    continue;
+                                }
+                                assert_eq!(got.to_bits(), want.to_bits(), "{what}: metric");
+                                let syms: Vec<u16> =
+                                    lineage.iter().map(|&n| block.syms[n as usize][l]).collect();
+                                assert_eq!(syms, walk.syms[path].as_slice(), "{what}: symbols");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(dead_chains_seen > 0, "no rank ever killed a chain");
     }
 
     #[test]

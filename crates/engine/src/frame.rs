@@ -50,8 +50,9 @@ impl RxFrame {
         Self::from_vectors(n_subcarriers, Vec::new())
     }
 
-    /// Appends one received vector to the flat plane.
-    fn push_vector(&mut self, v: &[Cx]) {
+    /// Appends one received vector to the flat plane (symbol-major: the
+    /// caller appends whole symbols, one vector per subcarrier).
+    pub(crate) fn push_vector(&mut self, v: &[Cx]) {
         assert!(!v.is_empty(), "RxFrame: empty received vector");
         if self.nr == 0 {
             self.nr = v.len();

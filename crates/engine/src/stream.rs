@@ -143,16 +143,20 @@ impl ChannelStream {
         let n_sc = self.truth.len();
         let sigma2 = self.estimate.sigma2();
         let mut frame = RxFrame::empty(n_sc);
+        // One `Nr` buffer for every cell: `H·x + n` lands in it and is
+        // appended to the frame's flat plane — the products, the noise
+        // draws and their order are those of a `mul_vec` per cell.
+        let mut y = Vec::new();
         for sym in 0..n_symbols {
-            let mut row = Vec::with_capacity(n_sc);
-            for sc in 0..n_sc {
-                let mut y = self.truth[sc].current().mul_vec(&tx(sym, sc));
+            for (sc, truth) in self.truth.iter().enumerate() {
+                let h = truth.current();
+                y.resize(h.rows(), Cx::ZERO);
+                h.mul_vec_into(&tx(sym, sc), &mut y);
                 for v in &mut y {
                     *v += rng.cx_normal(sigma2);
                 }
-                row.push(y);
+                frame.push_vector(&y);
             }
-            frame.push_symbol(row);
         }
         frame
     }

@@ -34,6 +34,18 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// register (or two SSE2 registers) per plane.
 pub const LANES: usize = 4;
 
+/// Independent accumulators the two O(nt²) lane kernels advance per
+/// coefficient sweep: `G` sibling chains of one trie row in FlexCore's
+/// block walk, `G` adjacent output rows in `Qr::rotate_batch_into`. One
+/// 64×64 accumulation is up to 63 dependent steps — longer than the
+/// out-of-order window — so single chains run one behind the other;
+/// `G` of them interleaved reach the multiply/add ports' throughput.
+/// Four is what fits: `2·G` accumulator registers plus the splatted
+/// coefficient and the product temporaries in sixteen `ymm`. Measured
+/// (64×64 detection per vector, parent 28.3 µs): `G = 2` 25.3 µs, `4`
+/// 22 µs, `8` 25.2 µs — its sixteen accumulators spill.
+pub const G: usize = 4;
+
 /// Dispatch state: 0 = uninitialised (read the environment on first use),
 /// 1 = lane kernels, 2 = scalar fallback.
 static DISPATCH: AtomicU8 = AtomicU8::new(0);

@@ -54,7 +54,7 @@ pub mod symvec;
 
 pub use cx::Cx;
 pub use flops::FlopCounter;
-pub use lanes::{lanes_enabled, set_lane_dispatch, CxLane, LANES};
+pub use lanes::{lanes_enabled, set_lane_dispatch, CxLane, G, LANES};
 pub use mat::{CMat, CVec};
 pub use qr::{fcsd_sorted_qr, householder_qr, mgs_qr, sorted_qr_sqrd, sorted_qr_sqrd_into, Qr};
 pub use symvec::SymVec;

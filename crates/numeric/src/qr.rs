@@ -22,7 +22,7 @@
 //! probability model (Eq. 4 uses `|R(l,l)|`) and the slicer rely on.
 
 use crate::cx::Cx;
-use crate::lanes::{lanes_enabled, CxLane, LANES};
+use crate::lanes::{lanes_enabled, CxLane, G, LANES};
 use crate::mat::{dot, norm_sqr, CMat};
 use crate::solve::pseudo_inverse;
 
@@ -68,51 +68,61 @@ impl Qr {
     /// blocks of four observations per kernel pass.
     ///
     /// `out` is observation-major: `out[j*Nt .. (j+1)*Nt]` receives
-    /// `Q*·ys[j]`. Lanes are four *observations* sharing one broadcast `Q`
-    /// entry, so each `Q` coefficient is loaded once per four rotates and
-    /// each lane replays the exact scalar `rotate_into` accumulation chain
-    /// — results are bit-identical to calling [`Qr::rotate_into`] per
-    /// observation (which is also the scalar fallback and the tail path
-    /// for the last `ys.len() % 4` observations).
+    /// `Q*·ys[j]`. Lanes are four *observations*, transposed to
+    /// [`CxLane`]s once per block; [`G`] adjacent output rows then advance
+    /// together down the rows of `Q` (`rotate_rows`), so every row of
+    /// `Q` is read contiguously and each lane of each output row replays
+    /// the exact scalar `rotate_into` accumulation chain — results are
+    /// bit-identical to calling [`Qr::rotate_into`] per observation (which
+    /// is also the scalar fallback and the tail path for the last
+    /// `ys.len() % 4` observations).
     ///
     /// # Panics
     /// Panics if any `ys[j].len() != Nr` or `out.len() != ys.len() * Nt`.
     pub fn rotate_batch_into(&self, ys: &[&[Cx]], out: &mut [Cx]) {
+        // flexcore-lint: scalar-twin = rotate_into
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
-        let nt = self.q.cols();
+        let (nr, nt) = (self.q.rows(), self.q.cols());
         assert_eq!(out.len(), ys.len() * nt, "rotate_batch_into: output length");
-        if !lanes_enabled() {
-            for (y, chunk) in ys.iter().zip(out.chunks_mut(nt.max(1))) {
-                self.rotate_into(y, chunk);
-            }
-            return;
-        }
-        let nr = self.q.rows();
-        let full = ys.len() / LANES * LANES;
-        let mut j = 0;
-        while j < full {
-            for y in &ys[j..j + LANES] {
+        let full = if lanes_enabled() {
+            ys.len() / LANES * LANES
+        } else {
+            0
+        };
+        // The block's observations, transposed: `tile[i]` holds sample
+        // `c0 + i` of all four. On the stack, so a block allocates
+        // nothing; a taller `Q` goes through in several tiles, its
+        // accumulators parked in `out` in between.
+        let mut tile = [CxLane::zero(); ROTATE_TILE];
+        for (block, out) in ys[..full]
+            .chunks_exact(LANES)
+            .zip(out.chunks_exact_mut(LANES * nt.max(1)))
+        {
+            for y in block {
                 assert_eq!(y.len(), nr, "rotate_batch_into: observation length");
             }
-            for r in 0..nt {
-                let mut acc = CxLane::zero();
-                // `c` runs over rows of `Q` and samples of each `ys[_]` in
-                // lockstep; an iterator form would obscure the kernel.
-                #[allow(clippy::needless_range_loop)]
-                for c in 0..nr {
-                    let q = CxLane::splat(self.q[(c, r)]);
-                    let y = CxLane::from_fn(|l| ys[j + l][c]);
-                    acc.add_conj_mul(q, y);
+            for c0 in (0..nr).step_by(ROTATE_TILE) {
+                let tile = &mut tile[..ROTATE_TILE.min(nr - c0)];
+                for (i, t) in tile.iter_mut().enumerate() {
+                    *t = CxLane::from_fn(|l| block[l][c0 + i]);
                 }
-                for l in 0..LANES {
-                    out[(j + l) * nt + r] = acc.get(l);
+                let mut r = 0;
+                while r + G <= nt {
+                    rotate_rows::<G>(&self.q, c0, tile, r, out);
+                    r += G;
+                }
+                while r < nt {
+                    rotate_rows::<1>(&self.q, c0, tile, r, out);
+                    r += 1;
                 }
             }
-            j += LANES;
         }
-        for (l, y) in ys[full..].iter().enumerate() {
-            self.rotate_into(y, &mut out[(full + l) * nt..(full + l + 1) * nt]);
+        for (y, out) in ys[full..]
+            .iter()
+            .zip(out[full * nt..].chunks_mut(nt.max(1)))
+        {
+            self.rotate_into(y, out);
         }
     }
 
@@ -131,6 +141,77 @@ impl Qr {
     pub fn reconstruct(&self) -> CMat {
         self.q.mul_mat(&self.r)
     }
+}
+
+/// Rows of `Q` (samples per observation) one pass of
+/// [`Qr::rotate_batch_into`] holds transposed on its stack: 4 KiB, and one
+/// tile is the whole of `Q` up to 64 receive antennas. Smaller tiles were
+/// measured (one block per call, as `detect_batch_refs` drives it, ns per
+/// vector at 4×4 / 64×64): 16 rows 19–24 / 2 455, 32 rows 20–28 / 1 755,
+/// 64 rows 22–23 / 1 305 — zeroing the tile costs a 4×4 block a few ns,
+/// picking the accumulators up from `out` again costs 64×64 far more.
+const ROTATE_TILE: usize = 64;
+
+/// Output rows `r..r + N` of one four-observation block (`out`,
+/// observation-major) over `Q` rows `c0..c0 + tile.len()`: the
+/// accumulators start from zero on the first tile and from where the
+/// previous tile parked them in `out` after that — `f64`s through memory,
+/// so tiling changes no bits. `N` is [`G`], or 1 for the `Nt % G` rows
+/// left over.
+#[inline]
+fn rotate_rows<const N: usize>(q: &CMat, c0: usize, tile: &[CxLane], r: usize, out: &mut [Cx]) {
+    // flexcore-lint: scalar-twin = rotate_into
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    let nt = q.cols();
+    let mut acc = [CxLane::zero(); N];
+    if c0 > 0 {
+        for (g, a) in acc.iter_mut().enumerate() {
+            *a = CxLane::from_fn(|l| out[l * nt + r + g]);
+        }
+    }
+    let acc = sweep_q_rows(&q.as_slice()[c0 * nt..], nt, tile, r, acc);
+    for (g, a) in acc.iter().enumerate() {
+        for l in 0..LANES {
+            out[l * nt + r + g] = a.get(l);
+        }
+    }
+}
+
+/// The sweep kernel of [`Qr::rotate_batch_into`]: `N` adjacent output rows
+/// accumulate `conj(Q[c, r + g]) · y[c]` together, one `Q` row (`nt`
+/// entries of `q_rows`) per transposed sample of `tile` —
+/// `Q[c, r..r + N]` is one contiguous read and the `N` chains are
+/// independent. Each chain adds its terms in ascending `c`, exactly like
+/// [`CMat::mul_vec_hermitian_into_scalar`].
+///
+/// Out of line so CI can disassemble it (see "Packed kernels are still
+/// packed" in the workflow) — and so the accumulators cross a call
+/// boundary as whole [`CxLane`]s: fused with the observation-major
+/// scatter of its caller the loop was compiled two-wide over (re, im)
+/// pairs with a shuffle per term.
+#[inline(never)]
+fn sweep_q_rows<const N: usize>(
+    q_rows: &[Cx],
+    nt: usize,
+    tile: &[CxLane],
+    r: usize,
+    acc: [CxLane; N],
+) -> [CxLane; N] {
+    // flexcore-lint: scalar-twin = rotate_into
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    // A local copy: the by-value `acc` lives in the caller's frame, and
+    // updating it there costs a store per plane per `Q` row (the slice
+    // checks below can unwind, so none could be deferred).
+    let mut sums = acc;
+    for (c, &y) in tile.iter().enumerate() {
+        let coefs = &q_rows[c * nt + r..][..N];
+        for (a, &coef) in sums.iter_mut().zip(coefs) {
+            a.add_conj_mul(CxLane::splat(coef), y);
+        }
+    }
+    sums
 }
 
 /// Modified Gram–Schmidt QR with an explicit, caller-supplied column order.
@@ -576,11 +657,12 @@ mod tests {
         Qr { q, r, perm: order }
     }
 
+    fn bits_of(v: &[Cx]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
     fn bits(m: &CMat) -> Vec<(u64, u64)> {
-        m.as_slice()
-            .iter()
-            .map(|z| (z.re.to_bits(), z.im.to_bits()))
-            .collect()
+        bits_of(m.as_slice())
     }
 
     #[test]
@@ -678,24 +760,32 @@ mod tests {
 
     #[test]
     fn rotate_batch_into_matches_per_vector_bitwise() {
-        // Batch sizes exercising full lanes plus every tail remainder.
-        for &n_obs in &[1usize, 2, 3, 4, 5, 7, 8, 11] {
-            let h = random_h(6, 5, 400 + n_obs as u64);
-            let qr = sorted_qr_sqrd(&h);
-            let mut rng = StdRng::seed_from_u64(n_obs as u64);
-            let ys: Vec<Vec<Cx>> = (0..n_obs)
-                .map(|_| (0..6).map(|_| rng.cx_normal(1.0)).collect())
+        // Widths on both sides of every `G` remainder (and 1), square and
+        // tall, two shapes taller than one `ROTATE_TILE` (so accumulators
+        // are parked in `out` between tiles), × batch lengths with full
+        // blocks plus every tail remainder.
+        let shapes = [1, 2, 3, 5, 7, 12, 64]
+            .iter()
+            .flat_map(|&nt| [(nt, nt), (nt + 3, nt)])
+            .chain([(12, 8), (ROTATE_TILE + 6, 5), (2 * ROTATE_TILE + 1, 9)]);
+        for (nr, nt) in shapes {
+            let qr = sorted_qr_sqrd(&random_h(nr, nt, 400 + (nr * 64 + nt) as u64));
+            let mut rng = StdRng::seed_from_u64(nr as u64);
+            let ys: Vec<Vec<Cx>> = (0..9)
+                .map(|_| (0..nr).map(|_| rng.cx_normal(1.0)).collect())
                 .collect();
             let refs: Vec<&[Cx]> = ys.iter().map(|y| y.as_slice()).collect();
-            let mut batch = vec![Cx::ZERO; n_obs * 5];
-            qr.rotate_batch_into(&refs, &mut batch);
-            let mut single = vec![Cx::ZERO; 5];
-            for (j, y) in ys.iter().enumerate() {
-                qr.rotate_into(y, &mut single);
-                for (w, g) in single.iter().zip(&batch[j * 5..(j + 1) * 5]) {
+            for n_obs in 1..=refs.len() {
+                // Stale garbage in `out` must not leak into the sums.
+                let mut batch = vec![Cx::new(f64::NAN, -1.0); n_obs * nt];
+                qr.rotate_batch_into(&refs[..n_obs], &mut batch);
+                let mut single = vec![Cx::ZERO; nt];
+                for (j, y) in ys[..n_obs].iter().enumerate() {
+                    qr.rotate_into(y, &mut single);
                     assert_eq!(
-                        (w.re.to_bits(), w.im.to_bits()),
-                        (g.re.to_bits(), g.im.to_bits())
+                        bits_of(&single),
+                        bits_of(&batch[j * nt..(j + 1) * nt]),
+                        "{nr}x{nt}, batch of {n_obs}, observation {j}"
                     );
                 }
             }

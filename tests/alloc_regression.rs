@@ -24,8 +24,9 @@ use flexcore_detect::common::Detector;
 use flexcore_detect::FcsdDetector;
 use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, StreamingCell};
 use flexcore_modulation::{Constellation, Modulation};
+use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::symvec::{SymVec, INLINE_STREAMS};
-use flexcore_numeric::{lanes_enabled, set_lane_dispatch, Cx};
+use flexcore_numeric::{lanes_enabled, set_lane_dispatch, sorted_qr_sqrd, Cx};
 use flexcore_parallel::SequentialPool;
 use flexcore_phy::link::{cell_packet_tick, LinkConfig};
 use rand::rngs::StdRng;
@@ -222,6 +223,21 @@ fn hot_path_allocation_budget() {
                 "detect of {n} vectors at nt={nt} allocates beyond its outputs"
             );
         }
+    }
+
+    // The blocked rotate on its own: the block's transposed observations
+    // are a stack tile, never a per-block Vec — full blocks, a scalar tail,
+    // and (130 × 8) a `Q` taller than one tile.
+    for (nr, nt) in [(4usize, 4usize), (8, 8), (64, 64), (130, 8)] {
+        let mut rng = StdRng::seed_from_u64(300 + nr as u64);
+        let qr = sorted_qr_sqrd(&ChannelEnsemble::iid(nr, nt).draw(&mut rng));
+        let ys: Vec<Vec<Cx>> = (0..7)
+            .map(|_| (0..nr).map(|_| rng.cx_normal(1.0)).collect())
+            .collect();
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        let mut out = vec![Cx::ZERO; refs.len() * nt];
+        let n = allocs_in(|| qr.rotate_batch_into(&refs, &mut out));
+        assert_eq!(n, 0, "rotate_batch_into allocated at {nr}x{nt}");
     }
 
     // --- Re-prepare: a channel refresh overwrites the state it replaces ---

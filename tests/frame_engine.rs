@@ -225,6 +225,9 @@ fn fabric_makespan_prediction_tracks_real_detection_cost() {
                 // does not.
                 error = quietest_frame_error();
             }
+            // The margin, for whoever re-runs the audit after touching a
+            // kernel (`-- --ignored --nocapture`).
+            println!("{nt}x{nt} {name}: makespan error {:.1}%", error * 100.0);
             assert!(
                 error < MAX_MAKESPAN_ERROR,
                 "{nt}x{nt} {name}: predicted-vs-measured makespan error {:.1}% on the \
