@@ -491,7 +491,9 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
         let (done_tx, done_rx) = bounded::<DoneTick<T>>(self.queue_depth);
         // Decoded frames' latencies flow back to the transmit stage's
         // controllers through here — one lock per decoded frame, drained
-        // once per tick.
+        // once per tick — and only when some user has a controller to
+        // read them.
+        let controlled = self.loops.iter().any(Option::is_some);
         let feedback: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
         let feedback_ref = &feedback;
         let detect_fn = &detect;
@@ -528,10 +530,12 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
                         let latency = done.submitted.elapsed().as_secs_f64();
                         overall.record(latency);
                         per_user[out.user].record(latency);
-                        feedback_ref
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push((out.user, latency));
+                        if controlled {
+                            feedback_ref
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .push((out.user, latency));
+                        }
                     }
                 }
                 (overall, per_user)
@@ -542,11 +546,14 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
                 // the controllers, and a moved setpoint is applied to the
                 // user's engine (template + every prepared slot) before
                 // this tick is planned.
-                let decoded: Vec<(usize, f64)> =
-                    std::mem::take(&mut *feedback.lock().unwrap_or_else(PoisonError::into_inner));
-                for (u, latency) in decoded {
-                    if let Some(ctl) = self.loops[u].as_mut() {
-                        ctl.controller.observe(latency);
+                if controlled {
+                    let decoded: Vec<(usize, f64)> = std::mem::take(
+                        &mut *feedback.lock().unwrap_or_else(PoisonError::into_inner),
+                    );
+                    for (u, latency) in decoded {
+                        if let Some(ctl) = self.loops[u].as_mut() {
+                            ctl.controller.observe(latency);
+                        }
                     }
                 }
                 for (u, ctl) in self.loops.iter_mut().enumerate() {
@@ -625,6 +632,11 @@ mod tests {
     use flexcore_parallel::{CrossbeamPool, SequentialPool};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     const NT: usize = 4;
 
@@ -724,8 +736,9 @@ mod tests {
         assert_eq!(ctrl.observe(0.9), before);
     }
 
-    #[test]
-    fn pipelined_detections_are_bit_identical_to_the_barrier_tick() {
+    /// Runs one schedule through the barrier cell and through a fresh
+    /// pipelined cell on `pool`, and asserts they agree cell for cell.
+    fn assert_pipeline_matches_the_barrier_tick<P: PePool + Sync>(pool: &P) {
         // 3 users (fixed + adaptive mix), 5 ticks, one user skipping one
         // tick: every decoded frame must equal the barrier StreamingCell
         // fed the same deterministic schedule, cell for cell.
@@ -768,9 +781,8 @@ mod tests {
             pipe.add_user(stream, det);
         }
         let got: Mutex<Vec<(u64, usize, DetectedFrame)>> = Mutex::new(Vec::new());
-        let pool = CrossbeamPool::work_queue(3);
         let report = pipe.run(
-            &pool,
+            pool,
             N_TICKS,
             1.0,
             |tick, u, stream| {
@@ -805,6 +817,103 @@ mod tests {
         assert_eq!(report.overall.len(), want.len());
         let per_user_total: usize = report.per_user.iter().map(LatencyRecord::len).sum();
         assert_eq!(per_user_total, want.len());
+    }
+
+    #[test]
+    fn pipelined_detections_are_bit_identical_to_the_barrier_tick() {
+        assert_pipeline_matches_the_barrier_tick(&CrossbeamPool::work_queue(3));
+    }
+
+    /// Sets its flag when dropped: captured by a stage's closure, it tells
+    /// another stage that the first has unwound.
+    struct SetOnDrop(Arc<AtomicBool>);
+
+    impl Drop for SetOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Runs `scenario` on a thread of its own and fails — instead of
+    /// hanging the suite on a stage left blocked — when it takes a minute.
+    fn within_a_minute(scenario: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            scenario();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => resume_unwind(worker.join().unwrap_err()),
+            Err(RecvTimeoutError::Timeout) => panic!("a pipeline stage is still blocked"),
+        }
+    }
+
+    /// Eight one-symbol ticks of two users on `pool` — one symbol, so every
+    /// tick calls `detect` exactly once per user and subcarrier and the
+    /// `n`-th call for user 0's subcarrier 0 is tick `n`. Either `detect`
+    /// panics on tick 3, or `decode` panics on tick 0 while tick 1's
+    /// `detect` — inside `pool.run` — waits for it to have unwound.
+    /// Returns what [`PipelinedCell::run`] unwound with.
+    fn run_into_a_stage_panic(
+        pool: &CrossbeamPool,
+        detect_panics: bool,
+    ) -> Box<dyn std::any::Any + Send> {
+        let mut pipe = PipelinedCell::new();
+        pipe.add_user(mk_stream(4, 61), CellDetector::fixed(c16(), 8));
+        pipe.add_user(mk_stream(4, 62), CellDetector::fixed(c16(), 8));
+        let tick_of_next_call = AtomicUsize::new(0);
+        let decode_gone = Arc::new(AtomicBool::new(false));
+        let decode_guard = SetOnDrop(Arc::clone(&decode_gone));
+        catch_unwind(AssertUnwindSafe(|| {
+            pipe.run(
+                pool,
+                8,
+                1.0,
+                |_, _, _| {},
+                |tick, u, stream| Some(tx_frame(stream, 1, tx_seed(tick, u))),
+                |det, u, sc, ys| {
+                    if u == 0 && sc == 0 {
+                        let tick = tick_of_next_call.fetch_add(1, Ordering::SeqCst);
+                        if detect_panics && tick == 3 {
+                            panic!("detect on tick 3");
+                        }
+                        if !detect_panics && tick == 1 {
+                            let t0 = Instant::now();
+                            while !decode_gone.load(Ordering::SeqCst)
+                                && t0.elapsed() < Duration::from_secs(5)
+                            {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        }
+                    }
+                    det.detect_batch_refs(ys)
+                },
+                move |_tick, _out| {
+                    let _unwound_with_the_stage = &decode_guard;
+                    if !detect_panics {
+                        panic!("decode on tick 0");
+                    }
+                },
+                |_d, _t| false,
+            )
+        }))
+        .expect_err("the run must unwind")
+    }
+
+    #[test]
+    fn a_stage_panic_resumes_on_the_caller_and_the_same_pool_serves_the_next_cell() {
+        // With parked helpers something does survive a batch: show that a
+        // stage dying mid-run leaves no thread blocked on either channel
+        // and leaves the pool's helpers serving.
+        within_a_minute(|| {
+            let pool = CrossbeamPool::work_queue(2);
+            for (detect_panics, want) in [(true, "detect on tick 3"), (false, "decode on tick 0")] {
+                let payload = run_into_a_stage_panic(&pool, detect_panics);
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&want));
+                assert_pipeline_matches_the_barrier_tick(&pool);
+            }
+        });
     }
 
     #[test]

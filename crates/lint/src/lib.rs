@@ -8,7 +8,7 @@
 //! were policed only dynamically, by a counting-allocator test and
 //! sampled identity property tests. This crate makes them static: a
 //! hand-rolled lexer (no crates.io access, so no `syn`) feeds a
-//! region/item scanner, and five token-pattern lints with stable `FLxxx`
+//! region/item scanner, and six token-pattern lints with stable `FLxxx`
 //! codes walk every workspace crate. See [`lints::LINTS`] for the code
 //! table and the crate README for the marker syntax.
 //!
@@ -59,7 +59,7 @@ impl std::fmt::Display for Finding {
 /// How a file participates in the build — decides which lints apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library code: full discipline (FL001–FL005 as marked/applicable).
+    /// Library code: full discipline (FL001–FL006 as marked/applicable).
     Lib,
     /// Binary entry points (`src/bin/**`, `src/main.rs`): marker-driven
     /// lints only — bins legitimately read env vars and exit loudly.

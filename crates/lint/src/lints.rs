@@ -1,4 +1,4 @@
-//! The five FlexCore lints, as token-pattern checks over a
+//! The six FlexCore lints, as token-pattern checks over a
 //! [`FileScan`].
 //!
 //! | code  | slug              | scope                                    |
@@ -9,6 +9,7 @@
 //! | FL003 | lane-twin         | `*_block` lane kernels must name an existing scalar twin |
 //! | FL004 | panic-surface     | `unwrap` / `expect` / panicking macros in non-test library code |
 //! | FL005 | env-discipline    | environment reads outside the sanctioned dispatch module |
+//! | FL006 | unsafe-surface    | `unsafe` outside the sanctioned module, or there without a `// SAFETY:` comment |
 
 use crate::scan::{FileScan, RegionKind};
 use crate::{FileClass, Finding};
@@ -46,11 +47,22 @@ pub const LINTS: &[(&str, &str, &str)] = &[
         "env-discipline",
         "environment reads are only permitted in the sanctioned dispatch module",
     ),
+    (
+        "FL006",
+        "unsafe-surface",
+        "`unsafe` is only permitted in the sanctioned module, directly below a `// SAFETY:` comment",
+    ),
 ];
 
 /// Modules permitted to read process environment variables: runtime
 /// dispatch toggles stay centralized here (`FLEXCORE_FORCE_SCALAR`).
 pub const ENV_SANCTIONED: &[&str] = &["crates/numeric/src/lanes.rs"];
+
+/// Modules permitted to hold `unsafe` code: the work-queue pool's one
+/// lifetime erasure. Every crate but `flexcore-parallel` also carries
+/// `#![forbid(unsafe_code)]`; this lint says where inside that crate the
+/// exception may live.
+pub const UNSAFE_SANCTIONED: &[&str] = &["crates/parallel/src/pool.rs"];
 
 /// Macros that allocate.
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
@@ -245,11 +257,12 @@ fn skip_turbofish(scan: &FileScan, i: usize) -> usize {
     j
 }
 
-/// The token-pattern lints: FL001, FL002, FL004, FL005.
+/// The token-pattern lints: FL001, FL002, FL004, FL005, FL006.
 fn check_patterns(rel_path: &str, class: FileClass, scan: &FileScan, out: &mut Vec<Finding>) {
     let code = &scan.code;
     let lib = class == FileClass::Lib;
     let env_ok = ENV_SANCTIONED.contains(&rel_path);
+    let unsafe_ok = UNSAFE_SANCTIONED.contains(&rel_path);
     for i in 0..code.len() {
         let t = &code[i];
         let Some(id) = t.ident() else { continue };
@@ -377,6 +390,33 @@ fn check_patterns(rel_path: &str, class: FileClass, scan: &FileScan, out: &mut V
                 if ENV_READERS.contains(&m) {
                     emit(out, scan, "FL005", rel_path, line, col, format!("`env::{m}` outside the sanctioned dispatch module ({}): keep runtime toggles centralized", ENV_SANCTIONED.join(", ")));
                 }
+            }
+        }
+
+        // ---- FL006: unsafe outside the audited surface -------------------
+        if lib && id == "unsafe" {
+            let problem = if !unsafe_ok {
+                Some(format!(
+                    "outside the sanctioned module ({})",
+                    UNSAFE_SANCTIONED.join(", ")
+                ))
+            } else if !scan.safety_documented(line) {
+                Some("without a `// SAFETY:` comment directly above it".to_string())
+            } else {
+                None
+            };
+            if let Some(problem) = problem {
+                emit(
+                    out,
+                    scan,
+                    "FL006",
+                    rel_path,
+                    line,
+                    col,
+                    format!(
+                        "`unsafe` {problem}: the workspace's unsafe surface is one audited block"
+                    ),
+                );
             }
         }
     }
@@ -557,6 +597,27 @@ mod tests {
             "fn f() -> &'static str { env!(\"CARGO_MANIFEST_DIR\") }"
         ))
         .is_empty());
+    }
+
+    #[test]
+    fn fl006_unsafe_needs_the_sanctioned_module_and_a_safety_comment() {
+        let documented =
+            "fn f(p: *const u8) -> u8 {\n    // SAFETY: p is valid, the caller checked.\n    // (second comment line)\n    unsafe { *p }\n}";
+        let bare = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}";
+        // Anywhere else, even a documented block is a finding.
+        assert_eq!(codes(&lint_lib(documented)), ["FL006"]);
+        let lint_pool = |src: &str| {
+            let tw = TwinUniverse::default();
+            lint_file(UNSAFE_SANCTIONED[0], FileClass::Lib, &scan(src), &tw)
+        };
+        assert!(lint_pool(documented).is_empty());
+        assert_eq!(codes(&lint_pool(bare)), ["FL006"]);
+        // A comment that documents an earlier line does not carry over.
+        let stale = "fn f(p: *const u8) -> u8 {\n    // SAFETY: about the next line only.\n    let q = p;\n    unsafe { *q }\n}";
+        assert_eq!(codes(&lint_pool(stale)), ["FL006"]);
+        // Test code and the `unsafe_code` lint name in attributes are not findings.
+        let exempt = "#![deny(unsafe_code)]\n#[cfg(test)]\nmod tests {\n    fn f(p: *const u8) -> u8 { unsafe { *p } }\n}";
+        assert!(lint_lib(exempt).is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@ USAGE:
     flexcore-lint lints
 
 COMMANDS:
-    check    Walk the workspace and report FL000–FL005 findings
+    check    Walk the workspace and report FL000–FL006 findings
     lints    Print the stable lint-code table
 
 OPTIONS:

@@ -231,7 +231,9 @@ mod tests {
     #[test]
     fn table_lists_every_code() {
         let t = lint_table();
-        for code in ["FL000", "FL001", "FL002", "FL003", "FL004", "FL005"] {
+        for code in [
+            "FL000", "FL001", "FL002", "FL003", "FL004", "FL005", "FL006",
+        ] {
             assert!(t.contains(code), "{code}");
         }
     }

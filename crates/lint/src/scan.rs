@@ -86,6 +86,8 @@ pub struct FileScan {
     pub fns: Vec<FnItem>,
     pub allows: Vec<Allow>,
     pub marker_errors: Vec<MarkerError>,
+    /// Code lines directly below a `// SAFETY:` comment (FL006).
+    pub safety_lines: Vec<u32>,
 }
 
 impl FileScan {
@@ -106,6 +108,11 @@ impl FileScan {
         self.allows
             .iter()
             .any(|a| a.target_line == line && a.codes.iter().any(|c| c == code))
+    }
+
+    /// True when a `// SAFETY:` comment sits directly above `line`.
+    pub fn safety_documented(&self, line: u32) -> bool {
+        self.safety_lines.contains(&line)
     }
 
     /// Size of this file's non-test code: `(code lines, pub items)`. A
@@ -183,6 +190,13 @@ pub fn scan(src: &str) -> FileScan {
         let t = &tokens[i];
         match &t.kind {
             TokKind::Comment(text) => {
+                if text
+                    .trim_start_matches('/')
+                    .trim_start()
+                    .starts_with("SAFETY:")
+                {
+                    out.safety_lines.push(t.line); // patched in resolve_comment_targets
+                }
                 match parse_marker(text) {
                     MarkerAction::Region(kind) => {
                         let idx = out.regions.len();
@@ -201,7 +215,7 @@ pub fn scan(src: &str) -> FileScan {
                         codes,
                         reason,
                         line: t.line,
-                        target_line: t.line, // patched in resolve_allow_targets
+                        target_line: t.line, // patched in resolve_comment_targets
                     }),
                     MarkerAction::Twin(name) => twin_markers.push((t.line, name)),
                     MarkerAction::Error(message) => out.marker_errors.push(MarkerError {
@@ -330,7 +344,7 @@ pub fn scan(src: &str) -> FileScan {
         }
     }
 
-    resolve_allow_targets(&mut out);
+    resolve_comment_targets(&mut out);
     attach_twins(&mut out, twin_markers);
     out
 }
@@ -505,15 +519,20 @@ fn parse_allow(rest: &str) -> Result<(Vec<String>, String), String> {
 }
 
 /// Allows written on their own line suppress the next code line; allows
-/// trailing code on the same line suppress that line.
-fn resolve_allow_targets(out: &mut FileScan) {
+/// trailing code on the same line suppress that line. A `// SAFETY:`
+/// comment documents the next code line.
+fn resolve_comment_targets(out: &mut FileScan) {
     let code_lines: Vec<u32> = out.code.iter().map(|t| t.line).collect();
+    let next_code_line = |line: u32| code_lines.iter().copied().find(|&l| l > line);
     for a in &mut out.allows {
         if code_lines.contains(&a.line) {
             a.target_line = a.line;
-        } else if let Some(&next) = code_lines.iter().find(|&&l| l > a.line) {
+        } else if let Some(next) = next_code_line(a.line) {
             a.target_line = next;
         }
+    }
+    for line in &mut out.safety_lines {
+        *line = next_code_line(*line).unwrap_or(*line);
     }
 }
 

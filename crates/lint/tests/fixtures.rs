@@ -79,6 +79,20 @@ fn every_good_fixture_passes() {
     }
 }
 
+/// FL006's second failure mode only shows in the sanctioned module:
+/// there a documented `unsafe` block is clean and an undocumented one is
+/// still a finding.
+#[test]
+fn fl006_in_the_sanctioned_module_turns_on_the_safety_comment() {
+    let pool = flexcore_lint::lints::UNSAFE_SANCTIONED[0];
+    let read = |name: &str| fs::read_to_string(fixture_dir("bad").join(name)).expect("fixture");
+    let documented = lint_source(pool, &read("fl006_unsafe_outside_sanctioned.rs"));
+    assert!(documented.is_empty(), "{documented:?}");
+    let bare = lint_source(pool, &read("fl006_unsafe_without_safety.rs"));
+    assert_eq!(bare.len(), 1, "{bare:?}");
+    assert_eq!(bare[0].code, "FL006");
+}
+
 /// The `surface` report counts code lines and `pub` items outside test
 /// code from the token stream: comments, blanks, attribute-only lines,
 /// `pub(crate)` items, `pub` fields and everything under `#[cfg(test)]`

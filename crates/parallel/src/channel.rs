@@ -2,7 +2,7 @@
 //!
 //! `flexcore-engine`'s pipelined cell overlaps transmit/prepare of frame
 //! N+1 with detection of frame N and decode of frame N−1. The stages are
-//! plain scoped threads ([`crossbeam::thread::scope`]); what couples them
+//! plain scoped threads ([`std::thread::scope`]); what couples them
 //! is this channel: a fixed-capacity queue whose **blocking send is the
 //! backpressure** — when detection falls behind, the transmit stage parks
 //! on a full queue instead of growing an unbounded backlog, so per-frame

@@ -12,14 +12,19 @@
 //!   submits. This is what the experiment harness uses — detection results
 //!   are bit-identical to parallel execution, and latency is modelled (from
 //!   task prices, see [`lpt_makespan`]), not measured.
-//! * [`CrossbeamPool`] — a real thread pool built on `crossbeam::thread`
-//!   scoped threads (workers = PEs), demonstrating that FlexCore's path
-//!   parallelism is "nearly embarrassingly parallel": tasks share nothing
-//!   and results are reduced with a single `min` pass at the end. Workers
-//!   pull from one shared work queue ([`CrossbeamPool::work_queue`]), so
-//!   coarse variable-cost tasks such as the frame engine's per-subcarrier
-//!   batches balance dynamically, and a panicking task unwinds out of
-//!   `run` with its own payload.
+//! * [`CrossbeamPool`] — a real thread pool (PEs = the thread that calls
+//!   `run` plus `n_pes − 1` long-lived helper threads parked between
+//!   batches; nothing is spawned per batch), demonstrating that FlexCore's
+//!   path parallelism is "nearly embarrassingly parallel": tasks share
+//!   nothing and results are reduced with a single `min` pass at the end.
+//!   Every PE pulls from one shared work queue
+//!   ([`CrossbeamPool::work_queue`]), so coarse variable-cost tasks such
+//!   as the frame engine's per-subcarrier batches balance dynamically, and
+//!   a panicking task unwinds out of `run` with its own payload while the
+//!   helpers live on. Handing borrowed tasks to threads that outlive the
+//!   call takes the workspace's one `unsafe` expression — a lifetime
+//!   erasure in `pool.rs`, retracted by a drop guard before `run` can
+//!   return or unwind.
 //! * [`WeightedPool`] — a simulated pool of **non-uniform** PEs carrying
 //!   per-PE speed factors (e.g. 2 fast DSP cores beside 6 slow ARM cores,
 //!   from `flexcore_hwmodel::HeterogeneousFabric`). Batches are placed
@@ -41,7 +46,9 @@
 //! blocking send is the backpressure coupling the pipelined cell's
 //! overlapped transmit / detect / decode stages in `flexcore-engine`.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `pool.rs` allows exactly one `unsafe` expression
+// (flexcore-lint FL006 polices where it may live and that it is documented).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod channel;

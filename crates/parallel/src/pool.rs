@@ -3,6 +3,8 @@
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// Longest-processing-time-first task order: indices into `costs`, most
 /// expensive first, ties kept in submission order (stable).
@@ -199,33 +201,171 @@ impl PePool for SequentialPool {
     }
 }
 
-/// Real parallel execution on `n_pes` OS threads via `crossbeam` scoped
-/// threads, scheduled through a shared work queue: workers pull the next
-/// task as they finish the previous one, so unequal task costs (a frame's
-/// subcarrier columns under a sphere decoder, say) balance dynamically at
-/// the price of one lock acquisition per task.
+/// A batch as the helpers see it: the drain loop of one [`PePool::run`].
+type Job<'a> = dyn Fn() + Sync + 'a;
+
+/// What a [`CrossbeamPool`]'s caller and helpers share, under one lock.
+#[derive(Default)]
+struct Slot {
+    /// The published batch — `Some` only between [`Shared::publish`] and
+    /// the drop of the [`Retract`] it returned.
+    job: Option<&'static Job<'static>>,
+    /// Helpers the published batch can still use.
+    wanted: usize,
+    /// Helpers inside `job` right now.
+    running: usize,
+    /// A `run` owns the slot; any other `run` drains inline meanwhile.
+    busy: bool,
+    shutdown: bool,
+}
+
+#[derive(Default)]
+struct Shared {
+    slot: std::sync::Mutex<Slot>,
+    /// Helpers park here until a batch wants them (or the pool shuts down).
+    work: Condvar,
+    /// A retracting `run` parks here until `running` reaches zero.
+    idle: Condvar,
+}
+
+impl Shared {
+    /// Every update leaves the slot valid, and nothing that can panic runs
+    /// under the lock — recover the guard like `channel` does.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper thread's whole life: park, serve a batch, park again.
+    fn serve(&self) {
+        loop {
+            let job = {
+                let mut slot = self.lock();
+                loop {
+                    if slot.shutdown {
+                        return;
+                    }
+                    if let (Some(job), true) = (slot.job, slot.wanted > 0) {
+                        // Reading the reference and counting this helper
+                        // in are one critical section: `Retract` cannot
+                        // miss a helper that holds the batch.
+                        slot.wanted -= 1;
+                        slot.running += 1;
+                        break job;
+                    }
+                    slot = self.work.wait(slot).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            // Counted out by a drop guard, so not even an unwind out of
+            // `job` (tasks are caught inside it) could hang a `run`.
+            let _leave = Leave(self);
+            job();
+        }
+    }
+
+    /// Hands `job` to up to `wanted` parked helpers until the returned
+    /// guard drops, or returns `None` when another `run` owns the slot (the
+    /// same pool re-entered from a task, or run from two threads at once).
+    #[allow(unsafe_code)]
+    fn publish<'a>(&'a self, job: &'a Job<'a>, wanted: usize) -> Option<Retract<'a>> {
+        let mut slot = self.lock();
+        if slot.busy {
+            return None;
+        }
+        // SAFETY: only the lifetime changes, and the erased reference never
+        // outlives `'a`: it is stored in `slot.job` and nowhere else; a
+        // helper copies it out and increments `running` in one critical
+        // section; and `Retract`'s drop — which runs on return and on
+        // unwind alike, before `'a` can end — clears `slot.job` and waits
+        // for `running == 0` under that same lock. So once the guard is
+        // gone no helper holds the reference or can obtain it. `run`, the
+        // only caller, never leaks the guard.
+        let erased = unsafe { std::mem::transmute::<&'a Job<'a>, &'static Job<'static>>(job) };
+        slot.job = Some(erased);
+        slot.wanted = wanted;
+        slot.busy = true;
+        drop(slot);
+        for _ in 0..wanted {
+            self.work.notify_one();
+        }
+        Some(Retract(self))
+    }
+}
+
+/// Counts a helper out of the batch it served.
+struct Leave<'a>(&'a Shared);
+
+impl Drop for Leave<'_> {
+    fn drop(&mut self) {
+        let mut slot = self.0.lock();
+        slot.running -= 1;
+        if slot.running == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
+/// Takes a published batch back: no helper can enter it once the drop
+/// starts, and none is still inside it once the drop returns.
+struct Retract<'a>(&'a Shared);
+
+impl Drop for Retract<'_> {
+    fn drop(&mut self) {
+        let mut slot = self.0.lock();
+        slot.job = None;
+        slot.wanted = 0;
+        while slot.running > 0 {
+            slot = self
+                .0
+                .idle
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        slot.busy = false;
+    }
+}
+
+/// Real parallel execution on `n_pes` OS threads scheduled through a
+/// shared work queue: the thread that calls [`PePool::run`] is PE 0 and
+/// `n_pes − 1` long-lived helper threads, parked on a condvar between
+/// batches, are the rest. Each pulls the next task as it finishes the
+/// previous one, so unequal task costs (a frame's subcarrier columns under
+/// a sphere decoder, say) balance dynamically at the price of one lock
+/// acquisition per task. Nothing is spawned per batch, and a batch of one
+/// task (or a pool of one PE) never leaves the calling thread.
 ///
 /// Results are returned in task order, so detector output never depends
 /// on the substrate — mirroring FlexCore's claim of near-embarrassing
-/// parallelism. A task that panics unwinds out of [`PePool::run`] with its
-/// own payload once every worker has been joined; the pool holds no state
-/// between batches, so it stays usable afterwards.
+/// parallelism. A task's panic is caught where the task ran and unwinds
+/// out of [`PePool::run`] with its own payload once no helper is inside
+/// the batch any more; the helpers survive it, so the pool stays usable.
+/// `run` re-entered from one of the pool's own tasks, or called while
+/// another thread's batch is published, drains its batch on the calling
+/// thread alone. Dropping the pool joins the helpers.
+///
+/// The name is historical — the workers were `crossbeam` scoped threads
+/// spawned per batch until PR 24 — and stays because `benchmark/`
+/// constructs the pool by it.
 ///
 /// ```
 /// use flexcore_parallel::{CrossbeamPool, PePool};
 /// let pool = CrossbeamPool::work_queue(4);
-/// let out = pool.run((0..100).map(|i| move || i * 2).collect::<Vec<_>>());
-/// assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+/// // Tasks may borrow from the caller's stack: no helper can touch a
+/// // batch after `run` has returned.
+/// let base = vec![1, 2, 3];
+/// let base = &base;
+/// let out = pool.run((0..100).map(|i| move || i * 2 + base[i % 3]).collect::<Vec<_>>());
+/// assert_eq!(out[4], 8 + base[1]);
 /// ```
-#[derive(Debug)]
 pub struct CrossbeamPool {
     n_pes: usize,
     stats: WorkStats,
+    shared: Arc<Shared>,
+    helpers: Vec<JoinHandle<()>>,
 }
 
 impl CrossbeamPool {
-    /// A work-queue pool: up to `n_pes` workers per batch pulling tasks
-    /// from a shared queue.
+    /// A work-queue pool of `n_pes` PEs: the caller of each batch plus
+    /// `n_pes − 1` parked helper threads, started here.
     ///
     /// # Panics
     /// Panics if `n_pes == 0`.
@@ -236,9 +376,39 @@ impl CrossbeamPool {
     /// ```
     pub fn work_queue(n_pes: usize) -> Self {
         assert!(n_pes > 0, "CrossbeamPool: zero PEs");
+        let shared = Arc::<Shared>::default();
+        let helpers = (1..n_pes)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || shared.serve())
+            })
+            .collect();
         CrossbeamPool {
             n_pes,
             stats: WorkStats::default(),
+            shared,
+            helpers,
+        }
+    }
+}
+
+impl std::fmt::Debug for CrossbeamPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CrossbeamPool")
+            .field("n_pes", &self.n_pes)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for CrossbeamPool {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.work.notify_all();
+        for helper in self.helpers.drain(..) {
+            // A helper runs nothing that can panic outside a task's
+            // `catch_unwind`; there is no error to report from a drop.
+            let _ = helper.join();
         }
     }
 }
@@ -262,42 +432,48 @@ impl PePool for CrossbeamPool {
         // the next (index, task) pair, giving dynamic load balance.
         let queue = Mutex::new(tasks.into_iter().enumerate());
         let shared: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-        // A task's panic is caught on its worker and carried out by hand: a
-        // scoped thread that dies panicking makes the scope panic with a
-        // generic message of its own, and the task's payload would be lost.
+        // A task's panic is caught where it ran and carried out by hand:
+        // a helper must outlive it, and the caller must retract the batch
+        // before it unwinds.
         let panicked = Mutex::new(None);
-        let scoped = crossbeam::thread::scope(|scope| {
-            for _ in 0..self.n_pes.min(n) {
-                scope.spawn(|_| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    while let Some((i, task)) = {
-                        let popped = queue.lock().next();
-                        popped
-                    } {
-                        match catch_unwind(AssertUnwindSafe(task)) {
-                            Ok(v) => local.push((i, v)),
-                            Err(payload) => {
-                                panicked.lock().get_or_insert(payload);
-                                return;
-                            }
-                        }
+        let drain = || {
+            let mut local: Vec<(usize, T)> = Vec::new();
+            while let Some((i, task)) = {
+                let popped = queue.lock().next();
+                popped
+            } {
+                match catch_unwind(AssertUnwindSafe(task)) {
+                    Ok(v) => local.push((i, v)),
+                    Err(payload) => {
+                        panicked.lock().get_or_insert(payload);
+                        return;
                     }
-                    let mut guard = shared.lock();
-                    for (i, v) in local {
-                        guard[i] = Some(v);
-                    }
-                });
+                }
             }
-        });
-        if let Some(payload) = panicked.into_inner().or(scoped.err()) {
-            // Re-raise the first caught payload on the scheduler thread, so
+            let mut guard = shared.lock();
+            for (i, v) in local {
+                guard[i] = Some(v);
+            }
+        };
+        {
+            // The calling thread is PE 0: it publishes the drain loop to as
+            // many helpers as the batch has further tasks, drains the queue
+            // itself, then takes the batch back.
+            let wanted = (n - 1).min(self.helpers.len());
+            let _retract = (wanted > 0)
+                .then(|| self.shared.publish(&drain, wanted))
+                .flatten();
+            drain();
+        }
+        if let Some(payload) = panicked.into_inner() {
+            // Re-raise the first caught payload on the calling thread, so
             // the task's own diagnostic reaches the caller intact.
             resume_unwind(payload);
         }
         shared
             .into_inner()
             .into_iter()
-            // flexcore-lint: allow(FL004, reason = "every slot is written exactly once before the scope joins; a task panic has already propagated via resume_unwind above")
+            // flexcore-lint: allow(FL004, reason = "every slot is written exactly once before the batch is retracted; a task panic has already propagated via resume_unwind above")
             .map(|v| v.expect("missing task result"))
             .collect()
     }
@@ -311,6 +487,11 @@ impl PePool for CrossbeamPool {
 mod tests {
     use super::*;
     use crate::WeightedPool;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn lpt_order_sorts_descending_with_stable_ties() {
@@ -398,17 +579,294 @@ mod tests {
         check_task_order("weighted", WeightedPool::new(vec![4.0, 1.0, 1.0]));
     }
 
+    /// A rendezvous that cannot hang a test: [`Meet::wait`] returns `true`
+    /// once `n` threads are inside it at once, `false` after five seconds.
+    struct Meet {
+        n: usize,
+        arrived: std::sync::Mutex<usize>,
+        all: Condvar,
+    }
+
+    impl Meet {
+        fn new(n: usize) -> Self {
+            Meet {
+                n,
+                arrived: std::sync::Mutex::new(0),
+                all: Condvar::new(),
+            }
+        }
+
+        fn wait(&self) -> bool {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.all.notify_all();
+            let (_arrived, timeout) = self
+                .all
+                .wait_timeout_while(arrived, Duration::from_secs(5), |a| *a < self.n)
+                .unwrap();
+            !timeout.timed_out()
+        }
+    }
+
+    /// Runs `f` on a thread of its own and fails — instead of hanging the
+    /// suite — when it is not done within `limit`.
+    fn within(limit: Duration, f: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            f();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(limit) {
+            Ok(()) => worker.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => resume_unwind(worker.join().unwrap_err()),
+            Err(RecvTimeoutError::Timeout) => panic!("not done within {limit:?}"),
+        }
+    }
+
+    /// How many distinct threads serve a batch whose `n` tasks must all be
+    /// running at once.
+    fn pes_serving(pool: &CrossbeamPool, n: usize) -> usize {
+        let meet = Meet::new(n);
+        let tasks: Vec<_> = (0..n)
+            .map(|_| {
+                || {
+                    meet.wait();
+                    std::thread::current().id()
+                }
+            })
+            .collect();
+        pool.run(tasks).into_iter().collect::<HashSet<_>>().len()
+    }
+
+    fn unwind_of<R>(f: impl FnOnce() -> R) -> Box<dyn std::any::Any + Send> {
+        match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(_) => panic!("the batch must unwind"),
+            Err(payload) => payload,
+        }
+    }
+
     #[test]
     fn a_panicking_task_reaches_the_caller_with_its_own_payload() {
         let pool = CrossbeamPool::work_queue(2);
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> =
             vec![Box::new(|| 1), Box::new(|| panic!("boom")), Box::new(|| 3)];
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run(tasks)))
-            .expect_err("the batch must unwind");
+        let payload = unwind_of(|| pool.run(tasks));
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
-        // Nothing survives a batch, so the same pool runs the next one clean.
         let clean: Vec<fn() -> usize> = vec![|| 1, || 2, || 3];
         assert_eq!(pool.run(clean), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn borrowed_tasks_mutate_the_callers_stack_over_1000_back_to_back_runs() {
+        let pool = CrossbeamPool::work_queue(3);
+        let words: Vec<String> = (0..7).map(|i| format!("word {i}")).collect();
+        let seen = std::sync::Mutex::new(Vec::new());
+        for round in 0..1000usize {
+            // Dies with the round: a helper that outlived `run` would read
+            // freed memory here.
+            let offsets = vec![round; 5];
+            let tasks: Vec<_> = (0..5)
+                .map(|i| {
+                    let (words, seen, offsets) = (&words, &seen, &offsets);
+                    move || {
+                        seen.lock().unwrap().push(offsets[i] * 5 + i);
+                        words[(offsets[i] + i) % words.len()].as_str()
+                    }
+                })
+                .collect();
+            let got: Vec<&str> = pool.run(tasks);
+            let want: Vec<&str> = (0..5).map(|i| words[(round + i) % 7].as_str()).collect();
+            assert_eq!(got, want, "round {round}");
+        }
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..5000).collect::<Vec<_>>());
+        assert_eq!(pool.stats().batches(), 1000);
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_and_one_on_a_helper_each_reach_the_caller_and_both_pes_keep_serving() {
+        let pool = CrossbeamPool::work_queue(2);
+        let caller = std::thread::current().id();
+        for on_caller in [true, false] {
+            let meet = Meet::new(2);
+            let tasks: Vec<_> = (0..2)
+                .map(|_| {
+                    || {
+                        assert!(meet.wait(), "both PEs must be inside the batch at once");
+                        if (std::thread::current().id() == caller) == on_caller {
+                            std::panic::panic_any(format!("boom, on_caller = {on_caller}"));
+                        }
+                    }
+                })
+                .collect();
+            let payload = unwind_of(|| pool.run(tasks));
+            assert_eq!(
+                payload.downcast_ref::<String>(),
+                Some(&format!("boom, on_caller = {on_caller}"))
+            );
+            assert_eq!(
+                pes_serving(&pool, 2),
+                2,
+                "after a panic, on_caller = {on_caller}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_does_not_unwind_while_a_helper_is_inside_the_batch() {
+        let pool = CrossbeamPool::work_queue(2);
+        let caller = std::thread::current().id();
+        let meet = Meet::new(2);
+        let helper_finished = AtomicBool::new(false);
+        let tasks: Vec<_> = (0..2)
+            .map(|_| {
+                || {
+                    assert!(meet.wait(), "both PEs must be inside the batch at once");
+                    if std::thread::current().id() == caller {
+                        panic!("the caller's task is done first");
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                    helper_finished.store(true, Ordering::SeqCst);
+                }
+            })
+            .collect();
+        unwind_of(|| pool.run(tasks));
+        assert!(
+            helper_finished.load(Ordering::SeqCst),
+            "run left its frame while a helper still held the batch"
+        );
+    }
+
+    /// A result that panics when a helper drops it: the one way an unwind
+    /// can leave the drain loop itself, outside any task's `catch_unwind`.
+    struct Bomb(ThreadId);
+
+    impl Drop for Bomb {
+        fn drop(&mut self) {
+            if std::thread::current().id() != self.0 {
+                panic!("dropped on a helper");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unwind_out_of_the_drain_loop_on_a_helper_cannot_hang_run() {
+        within(Duration::from_secs(20), || {
+            let pool = CrossbeamPool::work_queue(2);
+            let caller = std::thread::current().id();
+            let on_helper = AtomicUsize::new(0);
+            // The caller holds its one task until the helper has taken the
+            // other two: the first leaves a `Bomb` in the helper's results,
+            // the second panics, and dropping those results unwinds the
+            // helper out of the batch.
+            let tasks: Vec<_> = (0..3)
+                .map(|_| {
+                    || {
+                        if std::thread::current().id() == caller {
+                            let t0 = Instant::now();
+                            while on_helper.load(Ordering::SeqCst) < 2
+                                && t0.elapsed() < Duration::from_secs(5)
+                            {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        } else if on_helper.fetch_add(1, Ordering::SeqCst) == 1 {
+                            panic!("second task on the helper");
+                        }
+                        Bomb(caller)
+                    }
+                })
+                .collect();
+            let payload = unwind_of(|| pool.run(tasks));
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"second task on the helper")
+            );
+            // The helper is gone; the caller alone still serves every batch.
+            let clean: Vec<fn() -> usize> = vec![|| 1, || 2, || 3];
+            assert_eq!(pool.run(clean), vec![1, 2, 3]);
+        });
+    }
+
+    #[test]
+    fn run_reentered_from_a_task_or_from_two_threads_at_once_completes_in_task_order() {
+        within(Duration::from_secs(30), || {
+            let pool = CrossbeamPool::work_queue(2);
+            // Both PEs are inside an outer task when they re-enter the pool.
+            let meet = Meet::new(2);
+            let nested: Vec<_> = (0..2usize)
+                .map(|i| {
+                    let (pool, meet) = (&pool, &meet);
+                    move || {
+                        assert!(meet.wait(), "both PEs must be inside the batch at once");
+                        pool.run((0..3).map(|j| move || i * 10 + j).collect::<Vec<_>>())
+                    }
+                })
+                .collect();
+            assert_eq!(pool.run(nested), vec![vec![0, 1, 2], vec![10, 11, 12]]);
+
+            // Two callers whose first tasks wait for each other, so both
+            // batches are in flight at once — one of them lost the gate.
+            let meet = Meet::new(2);
+            std::thread::scope(|scope| {
+                for caller in 0..2usize {
+                    let (pool, meet) = (&pool, &meet);
+                    scope.spawn(move || {
+                        for round in 0..200usize {
+                            let tasks: Vec<_> = (0..6)
+                                .map(|i| {
+                                    move || {
+                                        if round == 0 && i == 0 {
+                                            assert!(meet.wait(), "batches must overlap");
+                                        }
+                                        caller * 1000 + round + i
+                                    }
+                                })
+                                .collect();
+                            let want: Vec<usize> =
+                                (0..6).map(|i| caller * 1000 + round + i).collect();
+                            assert_eq!(pool.run(tasks), want);
+                        }
+                    });
+                }
+            });
+            assert_eq!(pes_serving(&pool, 2), 2);
+        });
+    }
+
+    #[test]
+    fn one_pe_pools_one_task_batches_and_empty_batches_wake_nobody() {
+        let me = std::thread::current().id();
+        // What a task sees: its thread, and whether its batch was published.
+        fn probes(pool: &CrossbeamPool, n: usize) -> Vec<impl FnOnce() -> (ThreadId, bool) + '_> {
+            (0..n)
+                .map(|_| move || (std::thread::current().id(), pool.shared.lock().busy))
+                .collect()
+        }
+        let solo = CrossbeamPool::work_queue(1);
+        assert_eq!(solo.run(probes(&solo, 50)), vec![(me, false); 50]);
+        let pool = CrossbeamPool::work_queue(4);
+        for _ in 0..1000 {
+            assert_eq!(pool.run(probes(&pool, 1)), vec![(me, false)]);
+        }
+        assert!(pool.run(probes(&pool, 0)).is_empty());
+        // …whereas two tasks do publish the batch.
+        assert!(pool.run(probes(&pool, 2)).iter().all(|&(_, busy)| busy));
+    }
+
+    #[test]
+    fn dropping_a_pool_joins_its_helpers_within_a_second() {
+        let idle = CrossbeamPool::work_queue(4);
+        let panicked = CrossbeamPool::work_queue(4);
+        unwind_of(|| panicked.run((0..8).map(|_| || panic!("last batch")).collect()));
+        for pool in [idle, panicked] {
+            // Every helper holds one reference to the shared slot until it
+            // exits.
+            let shared = Arc::clone(&pool.shared);
+            assert_eq!(Arc::strong_count(&shared), 5);
+            within(Duration::from_secs(1), move || drop(pool));
+            assert_eq!(Arc::strong_count(&shared), 1, "a helper was not joined");
+        }
     }
 
     #[test]

@@ -104,6 +104,41 @@ fn crossbeam_frame_output_is_identical_to_sequential_for_real_detectors() {
 }
 
 #[test]
+fn one_persistent_pool_serves_100_frames_bit_identically_across_a_task_panic() {
+    // The work-queue pool's helpers outlive every batch, so the pool —
+    // not just each `run` — has to be shown stateless: 100 frames through
+    // one `work_queue(2)` pool, a task panicking under frame 50, and the
+    // frames after it still equal to the sequential reference.
+    let channel = selective_channel(12, 41);
+    let c = Constellation::new(Modulation::Qam16);
+    let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(c, 12));
+    engine.prepare(&channel);
+    let seq = SequentialPool::new(1);
+    let queue = CrossbeamPool::work_queue(2);
+    for i in 0..100u64 {
+        let frame = random_frame(&channel, 3, 1000 + i);
+        if i == 50 {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.process_frame(&frame, &queue, |det, sc, ys| {
+                    assert!(sc != 7, "subcarrier 7 of frame 50");
+                    det.detect_batch_refs(ys)
+                })
+            }));
+            let payload = unwound.expect_err("the frame must unwind");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"subcarrier 7 of frame 50")
+            );
+        }
+        assert_eq!(
+            engine.detect_frame(&frame, &queue),
+            engine.detect_frame(&frame, &seq),
+            "frame {i}"
+        );
+    }
+}
+
+#[test]
 fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
     // The PR 5 extension of the substrate-equivalence requirement:
     // heterogeneous placement is placement only. On every fabric shape a
