@@ -22,7 +22,7 @@ use flexcore_detect::common::{first_min_metric, Detector, PathScratch, Triangula
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
-use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, G, LANES};
+use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, LANES};
 use flexcore_parallel::PePool;
 
 /// How each level finds its k-th closest symbol.
@@ -96,19 +96,18 @@ struct TrieNode {
     /// Index into the path list when this node completes a path
     /// (`row == 0`), else [`NIL`].
     path_idx: u32,
-    /// Some path through this node (the one that created it).
-    via: u32,
     first_child: u32,
     next_sibling: u32,
 }
 
-/// One sibling chain in the block walk's level order.
+/// One sibling chain in the block walk's selection order.
 #[derive(Clone, Copy, Debug)]
 struct Chain {
     /// First node; the rest follow `next_sibling`.
     first: u32,
-    /// A path through the chain's parent: the chain's ancestors, parent
-    /// first, are `lineage[via · nt + row + 1 .. (via + 1) · nt]`.
+    /// The path that opened the chain, so one through its parent: the
+    /// chain's ancestors, parent first, are
+    /// `lineage[via · nt + row + 1 .. (via + 1) · nt]`.
     via: u32,
 }
 
@@ -135,16 +134,14 @@ struct Chain {
 /// arithmetic disappears.
 ///
 /// For the four-observation block walk the same trie is also laid out as a
-/// level-synchronous program: `chains` lists every sibling chain level by
-/// level (top row first). A chain only reads state of strictly higher
-/// rows, so one plain loop over `chains` evaluates the whole trie, and the
-/// chains of one row are independent of one another. Independent is not
-/// yet overlapped: at 64×64 a chain's accumulate is up to 63 dependent
-/// subtract steps, longer than the out-of-order window, so chains run one
-/// behind the other unless they are interleaved explicitly — which the
-/// block walk does, [`G`] chains of a row per coefficient sweep
-/// (measured on detection alone: +15 % at 64×64, within noise at 8×8,
-/// where only the bottom four rows have enough ancestors to group).
+/// flat program: `chains` lists every sibling chain in **selection order**
+/// — in the order the paths, most probable first, opened them, each
+/// path's own chains top row first. A chain's parent sits in a chain
+/// opened earlier (by the same path, one row up, or by the earlier path it
+/// shares that prefix with), so one plain loop over `chains` evaluates the
+/// whole trie; and path 0, the SIC path, completes within its first `nt`
+/// chains, so every later chain already meets a finished path's metric —
+/// the bound [`FlexCoreDetector::walk_paths_block`] prunes against.
 #[derive(Clone, Debug, Default)]
 struct PathTrie {
     nodes: Vec<TrieNode>,
@@ -204,17 +201,22 @@ impl PathTrie {
                         row: row as u16,
                         rank,
                         path_idx: NIL,
-                        via: pi as u32,
                         first_child: NIL,
                         next_sibling: NIL,
                     });
                     if prev != NIL {
                         self.nodes[prev as usize].next_sibling = found;
                     } else {
+                        // A new sibling list: its chain runs in this
+                        // path's turn.
                         match parent {
                             None => self.first_root = found,
                             Some(pa) => self.nodes[pa as usize].first_child = found,
                         }
+                        self.chains.push(Chain {
+                            first: found,
+                            via: pi as u32,
+                        });
                     }
                 }
                 if row == 0 {
@@ -225,29 +227,6 @@ impl PathTrie {
                 self.lineage[pi * nt + row] = found;
                 parent = Some(found);
             }
-        }
-        // Level order: breadth-first over sibling chains, `chains` being
-        // its own queue.
-        if self.first_root != NIL {
-            self.chains.push(Chain {
-                first: self.first_root,
-                via: 0, // no ancestors: any path serves
-            });
-        }
-        let mut visited = 0;
-        while let Some(&Chain { first, .. }) = self.chains.get(visited) {
-            let mut idx = first;
-            while idx != NIL {
-                let node = self.nodes[idx as usize];
-                if node.first_child != NIL {
-                    self.chains.push(Chain {
-                        first: node.first_child,
-                        via: node.via,
-                    });
-                }
-                idx = node.next_sibling;
-            }
-            visited += 1;
         }
     }
 
@@ -275,7 +254,9 @@ impl PathTrie {
     /// and each node a LUT slice + metric update. This is what
     /// [`Detector::extension_work`] reports for FlexCore — equal path
     /// *counts* can walk very differently sized tries, and the difference
-    /// is real detection time a fabric scheduler must predict.
+    /// is real detection time a fabric scheduler must predict. It prices
+    /// the whole trie: what the bounded block walk prunes depends on the
+    /// observations, so a static price cannot see it.
     fn static_work(&self, nt: usize) -> usize {
         let mut work = self.chain_cost(self.first_root, nt);
         for node in &self.nodes {
@@ -361,50 +342,6 @@ fn prefix_reaching(ln_probs: &[f64], t: f64) -> (usize, f64) {
         }
     }
     (ln_probs.len(), cumulative)
-}
-
-/// The sweep kernel of the block walk's Eq. 5 effective point: `N` chains
-/// of one trie row cancel their ancestors in **one** pass over
-/// `coefs = R[row, row+1..]`. Every chain starts from the row's rotated
-/// observation `y` and subtracts `coefs[i] ·` its own lineage's point at
-/// row `row + 1 + i` (`ancestors[m][i]` indexes `points`), ascending `i` —
-/// term for term `Triangular::effective_point` on each lane — but each
-/// coefficient is splatted once for all `N`, and the `N` dependent
-/// subtract chains are independent of one another, so they fill the
-/// multiply/add ports instead of waiting out each other's latency. `N` is
-/// [`G`] ([`cancel_group`]), or 1 for what a row leaves over — inlined
-/// there, because a short chain (three ancestors at most at 4×4) costs
-/// less than the call.
-#[inline(always)]
-fn cancel_ancestors<const N: usize>(
-    coefs: &[Cx],
-    points: &[CxLane],
-    ancestors: [&[u32]; N],
-    y: CxLane,
-) -> [CxLane; N] {
-    // flexcore-lint: scalar-twin = walk_level
-    // flexcore-lint: hot-path
-    // flexcore-lint: bit-identity
-    let ancestors = ancestors.map(|a| &a[..coefs.len()]);
-    let mut acc = [y; N];
-    for (i, &coef) in coefs.iter().enumerate() {
-        let coef = CxLane::splat(coef);
-        for (a, above) in acc.iter_mut().zip(ancestors) {
-            a.sub_mul(coef, points[above[i] as usize]);
-        }
-    }
-    acc
-}
-
-/// [`cancel_ancestors`] at its full width, out of line so CI can
-/// disassemble it (see "Packed kernels are still packed" in the workflow):
-/// eight `ymm` accumulators, 32 packed multiplies/adds per coefficient.
-#[inline(never)]
-fn cancel_group(coefs: &[Cx], points: &[CxLane], ancestors: [&[u32]; G], y: CxLane) -> [CxLane; G] {
-    // flexcore-lint: scalar-twin = walk_level
-    // flexcore-lint: hot-path
-    // flexcore-lint: bit-identity
-    cancel_ancestors(coefs, points, ancestors, y)
 }
 
 /// Reusable per-worker workspace for the sequential FlexCore hot path:
@@ -715,7 +652,7 @@ impl FlexCoreDetector {
 
     /// Four-observation block form of [`FlexCoreDetector::walk_paths`]
     /// followed by its `first_min_metric` reduction: one pass over the
-    /// trie's level-ordered `chains` evaluates it for **four rotated
+    /// trie's selection-ordered `chains` evaluates it for **four rotated
     /// observations** at once and leaves each lane's winning path in
     /// `out.best_path` / `out.best_metric`
     /// ([`FlexCoreDetector::block_winner`] reads its symbols back).
@@ -726,14 +663,24 @@ impl FlexCoreDetector {
     /// ancestors' points in ascending row order like
     /// `Triangular::effective_point`, then the hoisted reciprocal) and one
     /// fused locate → table-base kernel; per node: one table read per lane
-    /// and a four-wide metric update. The cancellation is the walk's one
-    /// O(nt²) part, and [`G`] consecutive chains of a row go through it
-    /// together ([`cancel_ancestors`]): one pass over `R[row, row+1..]`,
-    /// each chain still subtracting its own terms in its own order. Per
-    /// lane, term values and accumulation order replay the scalar walk
-    /// exactly, so every completed path's metric and symbols are
-    /// bit-identical to [`FlexCoreDetector::walk_paths`] on that lane's
+    /// and a four-wide metric update. Per lane, term values and
+    /// accumulation order replay the scalar walk exactly, so every path the
+    /// block walk completes carries the metric and symbols
+    /// [`FlexCoreDetector::walk_paths`] gives it on that lane's
     /// observation.
+    ///
+    /// **Bounded:** before a chain runs, every lane whose parent metric is
+    /// strictly greater than that lane's best completed metric so far is
+    /// marked dead. Each Eq. 1 increment `|R(row,row)|²·dist` is ≥ 0 (and
+    /// rounding is monotone), so a path's final metric is ≥ each of its
+    /// partial metrics: a pruned path can neither win nor tie, and the
+    /// winner is exactly the full walk's. The comparison is strict so an
+    /// equal-metric path with a lower index still gets to tie and win.
+    /// Selection order brings the SIC path's metric in after its first
+    /// `nt` chains; at the benchmark's operating points (i.i.d. channels,
+    /// FlexCore-16, four observations per channel) whole chains skipped
+    /// 47 % of the nodes at 8×8, 45 % at 64×64 and 48 % at fixed 4×4, but
+    /// 7 % of the ≈ 1.5-path tries adaptive 4×4 keeps.
     ///
     /// `active` is the partial-tail mask: a batch whose length is not a
     /// multiple of [`LANES`] pads its last block by repeating the final
@@ -742,9 +689,9 @@ impl FlexCoreDetector {
     /// predefined order left the constellation — carries a `NaN` metric
     /// down its subtree: it still rides through the lane kernels (on valid
     /// points, so the results are finite garbage), but can never win, and a
-    /// chain whose four lanes are all dead is skipped. Lanes inactive from
-    /// the start end with `best_path == NIL` — callers must not extract
-    /// them.
+    /// chain whose four lanes are all dead or pruned is skipped with its
+    /// whole subtree. Lanes inactive from the start end with
+    /// `best_path == NIL` — callers must not extract them.
     ///
     /// The winner is the streaming form of `first_min_metric`: strictly
     /// smaller metric, equal metrics broken by the lower path index, `NaN`
@@ -792,47 +739,27 @@ impl FlexCoreDetector {
             }
         };
         let cpoints = self.constellation.points();
-        // Accumulators swept ahead of their chains: `accs` holds those of
-        // chains `swept_end - G..swept_end`.
-        let (mut accs, mut swept_end) = ([CxLane::zero(); G], 0);
-        let row_of = |chain: &Chain| trie.nodes[chain.first as usize].row as usize;
-        for (at, chain) in trie.chains.iter().enumerate() {
-            let row = row_of(chain);
+        for chain in &trie.chains {
+            let row = trie.nodes[chain.first as usize].row as usize;
             let above = trie.ancestors(chain, row, nt);
-            let parent_metric = match above.first() {
+            let mut parent_metric = match above.first() {
                 Some(&pa) => out.metric[pa as usize],
                 None => active.map(|a| if a { 0.0 } else { f64::NAN }),
             };
+            // The bound: a lane already beaten by a completed path is
+            // dead from here down (`NaN > x` is false, so dead stays dead).
+            for l in 0..LANES {
+                if parent_metric[l] > best_metric[l] {
+                    parent_metric[l] = f64::NAN;
+                }
+            }
             if parent_metric.iter().all(|m| m.is_nan()) {
                 continue;
             }
-            let coefs = &r.row(row)[row + 1..];
-            let y = CxLane::from_fn(|l| ybars[l * nt + row]);
-            // `chains` is level ordered: when the chain `G − 1` further on
-            // is still on this row, so are those in between, and all `G`
-            // cancel their ancestors in one sweep (a dead one among them
-            // rides along on whatever its ancestors' slots hold — finite,
-            // and never read). A row with fewer than `G` ancestors (every
-            // row at 4×4) has nothing worth sharing, and what a row leaves
-            // over goes one by one. (Asked of `nt − row`, not of
-            // `coefs.len()`: LLVM turns the latter into a `range` on
-            // `cancel_group`'s argument, and with it the kernel compiles
-            // half scalar — CI disassembles it.)
-            if at >= swept_end && nt - row > G {
-                if let Some(group) = trie.chains.get(at..at + G) {
-                    if row_of(&group[G - 1]) == row {
-                        let group = std::array::from_fn(|m| trie.ancestors(&group[m], row, nt));
-                        accs = cancel_group(coefs, &out.points, group, y);
-                        swept_end = at + G;
-                    }
-                }
+            let mut acc = CxLane::from_fn(|l| ybars[l * nt + row]);
+            for (&coef, &pa) in r.row(row)[row + 1..].iter().zip(above) {
+                acc.sub_mul(CxLane::splat(coef), out.points[pa as usize]);
             }
-            let acc = if at < swept_end {
-                accs[at + G - swept_end]
-            } else {
-                let [acc] = cancel_ancestors(coefs, &out.points, [above], y);
-                acc
-            };
             let (inv, rdiag) = state.diag[row];
             let eff = acc * CxLane::splat(inv);
             // One locate per lane per chain — every sibling shares it.
@@ -1657,24 +1584,24 @@ mod tests {
     }
 
     #[test]
-    fn grouped_block_walk_equals_scalar_walk_per_path_for_every_group_shape() {
+    fn bounded_block_walk_completes_scalar_bits_and_prunes_only_beaten_paths() {
         // Hand-built tries with exactly `c` chains on every row below the
         // top one — path `i` takes its own rank at the top row and rank 1
         // below (plus one path that splits off path 0 at the bottom row,
-        // so a chain with two nodes rides in a group) — for every `c` from
-        // 1 to 2G + 1: full groups, every remainder, and at nt ≤ G + 1
-        // rows too short to group at all. A top-row rank no ordering can
+        // so one chain has two nodes). A top-row rank no ordering can
         // serve kills its node on all four lanes, hence the chain below
         // it on every row: one dead chain in each slot in turn, and in the
-        // first and last slot together. Every path's metric and symbols
-        // must carry the scalar walk's bits on every active lane, under
-        // all 16 lane masks.
+        // first and last slot together. Under all 15 non-empty lane masks,
+        // every path the block walk completes must carry the scalar walk's
+        // bits, and every path it prunes (`NaN` in the block, finite in
+        // the scalar walk) must be strictly beaten by the lane's winner.
         use flexcore_numeric::rng::CxRng;
         const DEAD: u32 = 1000;
-        let mut dead_chains_seen = 0;
+        const MAX_C: usize = 9;
+        let (mut dead_chains_seen, mut pruned) = (0, 0);
         for nt in [2usize, 4, 8, 12, 64] {
             let mut rng = StdRng::seed_from_u64(77 + nt as u64);
-            let budget = 2 * G + 2;
+            let budget = MAX_C + 1;
             let mut fc = FlexCoreDetector::with_pes(Constellation::new(Modulation::Qam16), budget);
             fc.prepare(
                 &ChannelEnsemble::iid(nt, nt).draw(&mut rng),
@@ -1683,7 +1610,7 @@ mod tests {
             let ybars: Vec<Cx> = (0..LANES * nt)
                 .map(|i| rng.cx_normal(0.4 + 0.2 * (i / nt) as f64))
                 .collect();
-            for c in 1..=2 * G + 1 {
+            for c in 1..=MAX_C {
                 let kills = std::iter::once(vec![])
                     .chain((0..c).map(|p| vec![p]))
                     .chain((c > 1).then(|| vec![0, c - 1]));
@@ -1714,14 +1641,26 @@ mod tests {
                         for l in (0..LANES).filter(|&l| active[l]) {
                             let mut walk = WalkScratch::default();
                             fc.walk_paths(&ybars[l * nt..(l + 1) * nt], &mut walk);
+                            let best = first_min_metric(walk.metrics.iter().copied());
+                            let want = best.map_or(f64::INFINITY, |(_, m)| m);
+                            let winner = format!("{what} mask {mask:04b} lane {l}: winner");
+                            assert_eq!(block.best_metric[l].to_bits(), want.to_bits(), "{winner}");
                             let trie = &fc.state.as_ref().expect("prepared").trie;
                             for (path, lineage) in trie.lineage.chunks(nt).enumerate() {
                                 let what = format!("{what} mask {mask:04b} lane {l} path {path}");
                                 let got = block.metric[lineage[0] as usize][l];
                                 let want = walk.metrics[path];
-                                assert_eq!(got.is_nan(), want.is_nan(), "{what}: liveness");
                                 if want.is_nan() {
+                                    assert!(got.is_nan(), "{what}: a dead path completed");
                                     dead_chains_seen += 1;
+                                    continue;
+                                }
+                                if got.is_nan() {
+                                    assert!(
+                                        want > block.best_metric[l],
+                                        "{what}: pruned a contender"
+                                    );
+                                    pruned += 1;
                                     continue;
                                 }
                                 assert_eq!(got.to_bits(), want.to_bits(), "{what}: metric");
@@ -1735,47 +1674,86 @@ mod tests {
             }
         }
         assert!(dead_chains_seen > 0, "no rank ever killed a chain");
+        assert!(pruned > 0, "the bound never pruned a path");
     }
 
     #[test]
     fn block_walk_breaks_metric_ties_by_path_index_not_visit_order() {
-        // R = I and the same observation on both rows make a path's metric
-        // the plain sum of its two per-level distances, so paths (1, 2) and
-        // (2, 1) tie exactly (d₁ + d₂ = d₂ + d₁). Path 0 = (2, 2) opens the
-        // rank-2 subtree first, so the level order reaches path 2 — its
-        // second leaf — before path 1: only the index tie-break picks 1.
+        // R = I makes a path's metric the plain sum of its two per-level
+        // distances to the rows' observations. In both crafts path 0 opens
+        // the top-rank-2 subtree and path 2 joins it, so the selection
+        // order reaches path 2 — that chain's second leaf — before path 1,
+        // the only leaf of a later chain; paths 1 and 2 tie exactly, and
+        // only the index tie-break picks 1.
+        //
+        // Craft 1: the same observation on both rows, ranks (top, bottom)
+        // (1, 2) and (2, 1) tie as d₁ + d₂ = d₂ + d₁. Craft 2 pins the
+        // prune boundary: the top observation sits midway between two
+        // points (d₁ = d₂ bit for bit) and the bottom one on a point
+        // (d₁ = 0), so (1, 1) and (2, 1) tie and path 1's chain starts at
+        // a parent metric *equal* to path 2's completed one. A `>=` bound
+        // would skip that chain and crown path 2.
         let c = Constellation::new(Modulation::Qpsk);
         let mut fc = FlexCoreDetector::with_pes(c.clone(), 3);
         fc.prepare(&CMat::identity(2), 0.1);
-        let paths: Vec<PositionVector> = [[2, 2], [2, 1], [1, 2]]
-            .iter()
-            .map(|ranks| PositionVector::from_entries(ranks.to_vec()))
-            .collect();
-        let state = fc.state.as_mut().expect("prepared");
-        state.trie.rebuild(&paths, 2, 3);
-        state.selection.paths = paths;
-        state.n_active = 3;
-        let trie = &state.trie;
-        let leaves: Vec<u32> = trie.chains[1..]
-            .iter()
-            .flat_map(|chain| {
-                std::iter::successors(Some(chain.first), |&i| {
-                    Some(trie.nodes[i as usize].next_sibling).filter(|&next| next != NIL)
-                })
-            })
-            .map(|i| trie.nodes[i as usize].path_idx)
-            .collect();
-        assert_eq!(leaves, [0, 2, 1], "the craft relies on this visit order");
         let e = Cx::new(0.3 * c.scale(), 0.1 * c.scale());
-        let mut walk = WalkScratch::default();
-        fc.walk_paths(&[e, e], &mut walk);
-        assert_eq!(walk.metrics[1].to_bits(), walk.metrics[2].to_bits());
-        assert!(walk.metrics[1] < walk.metrics[0]);
-        let mut block = WalkBlockScratch::default();
-        fc.walk_paths_block(&[e; 2 * LANES], [true; LANES], &mut block);
-        for l in 0..LANES {
-            assert_lane_matches_scalar(&fc, &[e, e], l, &mut block, "tie");
-            assert_eq!(block.best_path[l], 1);
+        let on_point = c.point(0);
+        let midway = Cx::new(0.0, on_point.im);
+        // Ranks bottom row first, observations `[bottom, top]`.
+        let crafts = [
+            ([[2, 2], [2, 1], [1, 2]], [e, e]),
+            ([[2, 2], [1, 1], [1, 2]], [on_point, midway]),
+        ];
+        for (craft, (ranks, ybar)) in crafts.into_iter().enumerate() {
+            let what = format!("craft {}", craft + 1);
+            let paths: Vec<PositionVector> = ranks
+                .iter()
+                .map(|ranks| PositionVector::from_entries(ranks.to_vec()))
+                .collect();
+            let state = fc.state.as_mut().expect("prepared");
+            state.trie.rebuild(&paths, 2, 3);
+            state.selection.paths = paths;
+            state.n_active = 3;
+            let trie = &state.trie;
+            let leaves: Vec<u32> = trie.chains[1..]
+                .iter()
+                .flat_map(|chain| {
+                    std::iter::successors(Some(chain.first), |&i| {
+                        Some(trie.nodes[i as usize].next_sibling).filter(|&next| next != NIL)
+                    })
+                })
+                .map(|i| trie.nodes[i as usize].path_idx)
+                .collect();
+            assert_eq!(
+                leaves,
+                [0, 2, 1],
+                "{what}: the craft relies on this visit order"
+            );
+            // `lineage[path · nt + row]`: path 1's top-row node.
+            let path1_top = trie.lineage[2 + 1] as usize;
+            let mut walk = WalkScratch::default();
+            fc.walk_paths(&ybar, &mut walk);
+            assert_eq!(
+                walk.metrics[1].to_bits(),
+                walk.metrics[2].to_bits(),
+                "{what}"
+            );
+            assert!(walk.metrics[1] < walk.metrics[0], "{what}");
+            let mut block = WalkBlockScratch::default();
+            let ybars: Vec<Cx> = (0..LANES).flat_map(|_| ybar).collect();
+            fc.walk_paths_block(&ybars, [true; LANES], &mut block);
+            for l in 0..LANES {
+                assert_lane_matches_scalar(&fc, &ybar, l, &mut block, &what);
+                assert_eq!(block.best_path[l], 1, "{what}");
+            }
+            if craft == 1 {
+                let parent = block.metric[path1_top][0];
+                assert_eq!(
+                    parent.to_bits(),
+                    walk.metrics[2].to_bits(),
+                    "{what}: boundary"
+                );
+            }
         }
     }
 
@@ -1845,7 +1823,7 @@ mod tests {
         // wrapped to 0 and 255, the scalar walk returned wrong symbols
         // and the block walk found no completed path. The wider field
         // fits the padding the struct already had.
-        assert_eq!(std::mem::size_of::<TrieNode>(), 24);
+        assert_eq!(std::mem::size_of::<TrieNode>(), 20);
         let nt = 257;
         let c = Constellation::new(Modulation::Qpsk);
         let mut rng = StdRng::seed_from_u64(42);

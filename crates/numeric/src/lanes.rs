@@ -34,16 +34,17 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// register (or two SSE2 registers) per plane.
 pub const LANES: usize = 4;
 
-/// Independent accumulators the two O(nt²) lane kernels advance per
-/// coefficient sweep: `G` sibling chains of one trie row in FlexCore's
-/// block walk, `G` adjacent output rows in `Qr::rotate_batch_into`. One
-/// 64×64 accumulation is up to 63 dependent steps — longer than the
-/// out-of-order window — so single chains run one behind the other;
-/// `G` of them interleaved reach the multiply/add ports' throughput.
-/// Four is what fits: `2·G` accumulator registers plus the splatted
-/// coefficient and the product temporaries in sixteen `ymm`. Measured
-/// (64×64 detection per vector, parent 28.3 µs): `G = 2` 25.3 µs, `4`
-/// 22 µs, `8` 25.2 µs — its sixteen accumulators spill.
+/// Independent accumulators `Qr::rotate_batch_into` advances per
+/// coefficient sweep: `G` adjacent output rows. One 64×64 accumulation is
+/// up to 64 dependent steps — longer than the out-of-order window — so
+/// single rows run one behind the other; `G` of them interleaved reach
+/// the multiply/add ports' throughput. Four is what fits: `2·G`
+/// accumulator registers plus the splatted coefficient and the product
+/// temporaries in sixteen `ymm`. Measured in PR 23, when FlexCore's block
+/// walk swept `G` sibling chains the same way (64×64 detection per
+/// vector, parent 28.3 µs): `G = 2` 25.3 µs, `4` 22 µs, `8` 25.2 µs — its
+/// sixteen accumulators spill. The walk stopped grouping in PR 25: its
+/// chains run in selection order, where neighbours rarely share a row.
 pub const G: usize = 4;
 
 /// Dispatch state: 0 = uninitialised (read the environment on first use),
