@@ -24,6 +24,7 @@ use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
 use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, LANES};
 use flexcore_parallel::PePool;
+use std::sync::Arc;
 
 /// How each level finds its k-th closest symbol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -387,14 +388,19 @@ pub(crate) struct WalkBlockScratch {
 pub struct FlexCoreDetector {
     constellation: Constellation,
     config: FlexCoreConfig,
+    /// The predefined ordering (§3.2), read by the scan path: its orders
+    /// are the process-wide derivation for this modulation, shared by
+    /// `Arc` with every other detector and clone of it.
     lut: OrderingLut,
     /// Materialised `(centre, triangle, rank) → symbol` form of `lut` for
-    /// the SIMD block walk, resolved in [`FlexCoreDetector::prepare`]
-    /// through the process-wide `OrderingLut::shared_table` cache: every
-    /// detector clone (one per subcarrier in a frame engine) points at the
-    /// *same* ~100 KiB table, which depends only on the constellation and
-    /// the ordering semantics — never on the channel.
-    fast_lut: std::sync::OnceLock<std::sync::Arc<LocatedOrderingTable>>,
+    /// the SIMD block walk (`None` under [`PathOrdering::Exact`]), resolved
+    /// once in [`FlexCoreDetector::new`] — the config has no setter, so the
+    /// semantics it was built for cannot change — through the process-wide
+    /// `OrderingLut::shared_table` memo: every detector clone (one per
+    /// subcarrier in a frame engine) points at the *same* ~100 KiB table,
+    /// which depends only on the constellation and the ordering semantics —
+    /// never on the channel.
+    fast_lut: Option<Arc<LocatedOrderingTable>>,
     state: Option<State>,
     /// A stopping threshold applied **on top of** the configured one by
     /// [`FlexCoreDetector::retune_threshold`]: the prepare-time search
@@ -404,16 +410,23 @@ pub struct FlexCoreDetector {
 }
 
 impl FlexCoreDetector {
-    /// Creates a FlexCore detector. The triangle LUT is built once here
-    /// (it depends only on the constellation, not the channel).
+    /// Creates a FlexCore detector. The triangle LUT and its located table
+    /// are resolved here (they depend only on the constellation and the
+    /// ordering semantics, not the channel) — from the process-wide memo,
+    /// so only the first detector of a modulation in a process derives.
     pub fn new(constellation: Constellation, config: FlexCoreConfig) -> Self {
         assert!(config.n_pe >= 1, "FlexCore: need at least one PE");
         let lut = OrderingLut::new(constellation.modulation(), constellation.order());
+        let fast_lut = match config.path_ordering {
+            PathOrdering::Exact => None,
+            PathOrdering::TriangleLut => Some(lut.shared_table(&constellation, false)),
+            PathOrdering::TriangleLutStrict => Some(lut.shared_table(&constellation, true)),
+        };
         FlexCoreDetector {
             constellation,
             config,
             lut,
-            fast_lut: std::sync::OnceLock::new(),
+            fast_lut,
             state: None,
             active_threshold: None,
         }
@@ -725,19 +738,8 @@ impl FlexCoreDetector {
         let (mut best_path, mut best_metric) = ([NIL; LANES], [f64::INFINITY; LANES]);
         // Rank lookups go through the materialised (centre, triangle,
         // rank) table — bit-identical to the scan path by construction.
-        // `Exact` ordering has no LUT; a table built under a different
-        // ordering semantics (the config changed after the first build)
-        // is discarded in favour of the scan.
-        let fast: Option<&LocatedOrderingTable> = match self.config.path_ordering {
-            PathOrdering::Exact => None,
-            mode => {
-                let strict = matches!(mode, PathOrdering::TriangleLutStrict);
-                let t = self
-                    .fast_lut
-                    .get_or_init(|| self.lut.shared_table(&self.constellation, strict));
-                (t.strict() == strict).then(|| &**t)
-            }
-        };
+        // `Exact` ordering has no LUT.
+        let fast = self.fast_lut.as_deref();
         let cpoints = self.constellation.points();
         for chain in &trie.chains {
             let row = trie.nodes[chain.first as usize].row as usize;
@@ -971,16 +973,6 @@ impl Detector for FlexCoreDetector {
         state
             .diag
             .extend((0..r.cols()).map(|row| (r[(row, row)].inv(), r[(row, row)].norm_sqr())));
-        // Materialise the blocked walk's (centre, triangle, rank) table
-        // here rather than on the first blocked batch: it depends only on
-        // (constellation, ordering semantics) — not the channel — so the
-        // `OnceLock` makes re-prepares free, and `detect_batch_refs` stays
-        // allocation-free beyond its outputs.
-        if !matches!(self.config.path_ordering, PathOrdering::Exact) {
-            let strict = matches!(self.config.path_ordering, PathOrdering::TriangleLutStrict);
-            self.fast_lut
-                .get_or_init(|| self.lut.shared_table(&self.constellation, strict));
-        }
     }
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
@@ -1057,6 +1049,7 @@ impl Detector for FlexCoreDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mixed::{CellDetector, ServiceTier};
     use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
     use flexcore_detect::{FcsdDetector, MlDetector, SicDetector};
     use flexcore_modulation::Modulation;
@@ -1783,6 +1776,32 @@ mod tests {
             let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
             assert_eq!(fc.detect_batch_refs(&refs), per_vector, "batch of {n_obs}");
         }
+    }
+
+    #[test]
+    fn clones_and_tier_restores_share_the_ordering_artifacts() {
+        // The ordering LUT and its located table are process-wide: an
+        // engine slot's clone and a fresh `for_tier(Full)` restore read
+        // the first detector's by `Arc`; only the semantics split tables.
+        let c = Constellation::new(Modulation::Qam16);
+        let det = FlexCoreDetector::with_pes(c.clone(), 16);
+        let table = |d: &FlexCoreDetector| d.fast_lut.clone().expect("a triangle-LUT detector");
+        let shared = |d: &FlexCoreDetector| {
+            d.lut.shares_orders(&det.lut) && Arc::ptr_eq(&table(d), &table(&det))
+        };
+        assert!(shared(&det.clone()), "clone");
+        let restored = CellDetector::sic(c.clone()).for_tier(ServiceTier::Full);
+        assert!(shared(restored.core().expect("full tier")), "tier restore");
+        let with = |path_ordering| {
+            let mut cfg = FlexCoreConfig::new(16);
+            cfg.path_ordering = path_ordering;
+            FlexCoreDetector::new(c.clone(), cfg)
+        };
+        let strict = with(PathOrdering::TriangleLutStrict);
+        assert!(strict.lut.shares_orders(&det.lut));
+        assert!(!Arc::ptr_eq(&table(&strict), &table(&det)));
+        assert!(table(&strict).strict() && !table(&det).strict());
+        assert!(with(PathOrdering::Exact).fast_lut.is_none());
     }
 
     #[test]

@@ -21,17 +21,48 @@
 //! by mean distance rank, which converges to the same modal order. We store
 //! all eight triangles explicitly rather than rotating a single stored
 //! triangle — a negligible-memory software simplification.
+//!
+//! The derivation is the paper's offline table step, so it runs **once per
+//! process and modulation**: the orders depend on nothing else, and every
+//! [`OrderingLut`] of that modulation (any depth, any detector clone)
+//! shares them by `Arc` through the same process-wide memo that holds the
+//! materialised [`LocatedOrderingTable`]s. It is also fast: each sample's
+//! full distance ranking is an insertion sort that starts from the previous
+//! sample's permutation, with samples visited in a strip-snake order so
+//! that neighbours differ by a few swaps (near-linear instead of a
+//! comparator sort per sample). No bit of the result can move against the
+//! plain sort-per-sample definition: the RNG stream is consumed by the same
+//! draws and the same (filter-proven identical) rejection test; the sort
+//! key `(dist².to_bits(), index)` orders exactly as the comparator did,
+//! because finite non-negative floats order like their bit patterns and the
+//! index makes every key distinct, so each sample has one sorted
+//! permutation however it is reached; and rank sums are integers far below
+//! 2⁵³ (exact in the `f64` the per-sample definition summed them in), so
+//! the order the samples are visited in cannot change them. The candidate
+//! set is the `(2·side + 1)²` offsets around the centre for every depth —
+//! the per-sample definition's depth-dependent radius reached `side` for
+//! every `depth ≤ |Q|` — which is why one derivation serves all depths.
 
 use crate::qam::{Constellation, Modulation};
 use flexcore_numeric::{Cx, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Samples per triangle when deriving the predefined order.
 const LUT_SAMPLES: usize = 600;
 /// Fixed seed: the LUT is part of the algorithm definition, so it must be
 /// identical across runs and machines.
 const LUT_SEED: u64 = 0x5EED_F1EC;
+/// Strips (in `dx`, across the whole `[−1, 1]` square) of the snake that
+/// orders a triangle's samples for the incremental ranking. Any value
+/// gives the same orders; this one keeps consecutive samples close.
+const SNAKE_STRIPS: f64 = 32.0;
+
+/// One predefined order per triangle: `orders[t][k-1]` = lattice offset
+/// `(Δcol, Δrow)` of the k-th closest lattice point for effective points
+/// inside triangle `t`.
+type Orders = [Vec<(i32, i32)>; 8];
 
 /// Returns all symbol indices sorted by ascending distance to `y`
 /// (ties broken by index for determinism).
@@ -119,92 +150,86 @@ pub fn triangle_index_fast(dx: f64, dy: f64) -> usize {
 
 /// The approximate predefined symbol ordering of §3.2.
 ///
-/// Built once per (modulation, depth) — the paper computes it offline and
-/// stores it in a look-up table; the FPGA keeps it in non-pipelined
-/// registers. `depth` bounds the largest `k` the table can answer.
+/// The paper computes it offline and stores it in a look-up table; the
+/// FPGA keeps it in non-pipelined registers. Here the orders are derived
+/// **once per process and modulation** (see the module doc for the exact
+/// incremental ranking and why it reproduces the sort-per-sample
+/// definition bit for bit) and shared by `Arc`: every table of one
+/// modulation, at any depth, and every clone of one, reads the same
+/// orders. `depth` bounds the largest `k` the table can answer.
 #[derive(Clone, Debug)]
 pub struct OrderingLut {
     modulation: Modulation,
     depth: usize,
-    /// `orders[t][k-1]` = lattice offset `(Δcol, Δrow)` of the k-th closest
-    /// lattice point for effective points inside triangle `t`.
-    orders: Vec<Vec<(i32, i32)>>,
+    /// The modulation's shared predefined orders (the memo's `Arc`).
+    orders: Arc<Orders>,
 }
 
+/// Process-wide memo of the ordering artifacts, each a pure function of
+/// its key (the predefined order is seeded deterministically):
+///
+/// * `orders` — one derivation per modulation, shared by every
+///   [`OrderingLut`] of it;
+/// * `tables` — one [`LocatedOrderingTable`] per `(modulation, depth,
+///   strict)`. At 16-QAM a table weighs ~100 KiB, so when a frame engine
+///   clones one detector per subcarrier, 48 private copies would blow the
+///   last-level cache and tax every blocked batch with table re-faults.
+///
+/// Association lists suffice: at most five orders exist, and detectors
+/// ask for tables only at depth `|Q|`, so one per `(modulation,
+/// semantics)` pair.
+struct Memo {
+    orders: Vec<(Modulation, Arc<Orders>)>,
+    tables: Vec<((Modulation, usize, bool), Arc<LocatedOrderingTable>)>,
+}
+
+static MEMO: Mutex<Memo> = Mutex::new(Memo {
+    orders: Vec::new(),
+    tables: Vec::new(),
+});
+
+/// The memo, locked. A panic while holding the lock cannot leave an entry
+/// half-built (entries are pushed fully formed) — recover.
+fn memo() -> std::sync::MutexGuard<'static, Memo> {
+    MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Derivations run per modulation (index `Modulation as usize`), so a test
+/// can check the memo derives each at most once per process.
+#[cfg(test)]
+static DERIVATIONS: [std::sync::atomic::AtomicUsize; 5] =
+    [const { std::sync::atomic::AtomicUsize::new(0) }; 5];
+
 impl OrderingLut {
-    /// Builds the table for `modulation`, answering `k ≤ depth`
-    /// (`depth` is clamped to `|Q|`).
+    /// The table for `modulation`, answering `k ≤ depth` (`depth` is
+    /// clamped to `|Q|`). `depth` only clamps lookups and never changes the
+    /// derivation: the orders span every candidate of every triangle,
+    /// derived on the first call for `modulation` in this process and
+    /// shared by every later one.
     pub fn new(modulation: Modulation, depth: usize) -> Self {
         let depth = depth.clamp(1, modulation.order());
-        if modulation == Modulation::Bpsk {
-            // Degenerate 1-D case: closest, then the other point.
-            return OrderingLut {
-                modulation,
-                depth: depth.min(2),
-                orders: (0..8).map(|_| vec![(0, 0), (1, 0)]).collect(),
-            };
-        }
-        // Candidate lattice offsets: a neighbourhood comfortably larger
-        // than `depth` points, and always wide enough to reach every
-        // constellation symbol from any in-grid centre (needed by the
-        // skip-outside lookup mode).
-        let radius = {
-            let mut r = 1i32;
-            while ((2 * r + 1) * (2 * r + 1)) < depth as i32 + 8 {
-                r += 1;
+        let orders = {
+            let mut memo = memo();
+            match memo.orders.iter().find(|(m, _)| *m == modulation) {
+                Some((_, o)) => o.clone(),
+                None => {
+                    let o = Arc::new(derive_orders(modulation));
+                    memo.orders.push((modulation, o.clone()));
+                    o
+                }
             }
-            r.max(modulation.grid_side() as i32)
         };
-        let mut candidates = Vec::new();
-        for dj in -radius..=radius {
-            for di in -radius..=radius {
-                candidates.push((di, dj));
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(LUT_SEED);
-        let mut orders = Vec::with_capacity(8);
-        for tri in 0..8 {
-            let mut rank_sum = vec![0.0f64; candidates.len()];
-            let mut taken = 0usize;
-            while taken < LUT_SAMPLES {
-                // Rejection-sample a point in the target triangle.
-                let dx: f64 = rng.gen_range(-1.0..1.0);
-                let dy: f64 = rng.gen_range(-1.0..1.0);
-                if triangle_index(dx, dy) != tri {
-                    continue;
-                }
-                taken += 1;
-                // Rank every candidate by distance from this sample.
-                // Lattice points sit at even grid coordinates (2di, 2dj).
-                let mut order: Vec<usize> = (0..candidates.len()).collect();
-                order.sort_by(|&a, &b| {
-                    let da = dist2(dx, dy, candidates[a]);
-                    let db = dist2(dx, dy, candidates[b]);
-                    da.partial_cmp(&db)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                for (rank, &ci) in order.iter().enumerate() {
-                    rank_sum[ci] += rank as f64;
-                }
-            }
-            let mut by_rank: Vec<usize> = (0..candidates.len()).collect();
-            by_rank.sort_by(|&a, &b| {
-                rank_sum[a]
-                    .partial_cmp(&rank_sum[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            // Store the full candidate ordering (not just `depth` entries):
-            // the skip-outside lookup mode may need to pass over many
-            // out-of-constellation offsets near the grid edge.
-            orders.push(by_rank.iter().map(|&i| candidates[i]).collect());
-        }
         OrderingLut {
             modulation,
             depth,
             orders,
         }
+    }
+
+    /// Whether `self` and `other` read one shared derivation (the memo's
+    /// `Arc`), as every table of one modulation in a process does.
+    pub fn shares_orders(&self, other: &OrderingLut) -> bool {
+        Arc::ptr_eq(&self.orders, &other.orders)
     }
 
     /// The modulation this table was built for.
@@ -380,45 +405,20 @@ pub struct LocatedOrderingTable {
     syms: Vec<u16>,
 }
 
-/// Process-wide [`LocatedOrderingTable`] cache, keyed by
-/// `(modulation, depth, strict)`.
-///
-/// The table is a pure function of that key (the predefined order is
-/// seeded deterministically), and at 16-QAM it weighs ~100 KiB — so when a
-/// frame engine clones one detector per subcarrier, 48 private copies
-/// would blow the last-level cache and tax every blocked batch with table
-/// re-faults. An association list suffices: at most one entry per
-/// `(modulation, semantics)` pair ever exists.
-#[allow(clippy::type_complexity)]
-static TABLE_CACHE: std::sync::Mutex<
-    Vec<(
-        (Modulation, usize, bool),
-        std::sync::Arc<LocatedOrderingTable>,
-    )>,
-> = std::sync::Mutex::new(Vec::new());
-
 impl OrderingLut {
     /// The shared, process-wide [`LocatedOrderingTable`] for this ordering
     /// — [`OrderingLut::build_table`] memoised by
-    /// `(modulation, depth, strict)`, so every detector clone (one per
-    /// subcarrier in a frame engine) reads the *same* table instead of
-    /// faulting a private ~100 KiB copy per clone.
-    pub fn shared_table(
-        &self,
-        c: &Constellation,
-        strict: bool,
-    ) -> std::sync::Arc<LocatedOrderingTable> {
+    /// `(modulation, depth, strict)` beside the orders, so every detector
+    /// clone (one per subcarrier in a frame engine) reads the *same* table
+    /// instead of faulting a private ~100 KiB copy per clone.
+    pub fn shared_table(&self, c: &Constellation, strict: bool) -> Arc<LocatedOrderingTable> {
         let key = (self.modulation, self.depth, strict);
-        // A panic while holding the cache lock cannot leave a table
-        // half-built (entries are pushed fully formed) — recover.
-        let mut cache = TABLE_CACHE
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((_, t)) = cache.iter().find(|(k, _)| *k == key) {
+        let mut memo = memo();
+        if let Some((_, t)) = memo.tables.iter().find(|(k, _)| *k == key) {
             return t.clone();
         }
-        let t = std::sync::Arc::new(self.build_table(c, strict));
-        cache.push((key, t.clone()));
+        let t = Arc::new(self.build_table(c, strict));
+        memo.tables.push((key, t.clone()));
         t
     }
 
@@ -663,11 +663,97 @@ fn grid_symbol(c: &Constellation, col: i32, row: i32) -> Option<usize> {
         .then(|| c.grid_to_index(col as usize, row as usize))
 }
 
-#[inline]
-fn dist2(dx: f64, dy: f64, (di, dj): (i32, i32)) -> f64 {
-    let ex = dx - 2.0 * di as f64;
-    let ey = dy - 2.0 * dj as f64;
-    ex * ex + ey * ey
+/// The predefined orders of `modulation`: every candidate lattice offset
+/// of every triangle, ranked by its summed distance rank over
+/// [`LUT_SAMPLES`] uniform samples of the triangle (ties by candidate
+/// index). The memo in [`OrderingLut::new`] runs this once per process;
+/// the module doc argues why the incremental ranking equals one comparator
+/// sort per sample, bit for bit.
+fn derive_orders(modulation: Modulation) -> Orders {
+    #[cfg(test)]
+    DERIVATIONS[modulation as usize].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    if modulation == Modulation::Bpsk {
+        // Degenerate 1-D case: closest, then the other point.
+        return std::array::from_fn(|_| vec![(0, 0), (1, 0)]);
+    }
+    // Candidate lattice offsets: every constellation symbol is reachable
+    // from any in-grid centre (the skip-outside lookup mode needs that),
+    // and `side` is at least the `depth + 8`-point neighbourhood any
+    // `depth ≤ |Q|` asks for.
+    let radius = modulation.grid_side() as i32;
+    let candidates: Vec<(i32, i32)> = (-radius..=radius)
+        .flat_map(|dj| (-radius..=radius).map(move |di| (di, dj)))
+        .collect();
+    // Lattice points sit at even grid coordinates (2di, 2dj).
+    let coords: Vec<(f64, f64)> = candidates
+        .iter()
+        .map(|&(di, dj)| (2.0 * di as f64, 2.0 * dj as f64))
+        .collect();
+    // Draw every triangle's accepted samples first, consuming the RNG
+    // exactly as one rejection loop per triangle does.
+    let mut rng = StdRng::seed_from_u64(LUT_SEED);
+    let samples: [Vec<(f64, f64)>; 8] = std::array::from_fn(|tri| {
+        let mut taken = Vec::with_capacity(LUT_SAMPLES);
+        while taken.len() < LUT_SAMPLES {
+            let dx: f64 = rng.gen_range(-1.0..1.0);
+            let dy: f64 = rng.gen_range(-1.0..1.0);
+            if triangle_index_fast(dx, dy) == tri {
+                taken.push((dx, dy));
+            }
+        }
+        taken
+    });
+    // `(dist² bits, candidate)` in rank order, carried from sample to
+    // sample (and triangle to triangle) so each re-rank starts sorted but
+    // for the few pairs the step swapped.
+    let mut ranked: Vec<(u64, u32)> = (0..candidates.len() as u32).map(|i| (0, i)).collect();
+    samples.map(|pts| {
+        let mut snake: Vec<(f64, f64, f64)> = pts
+            .into_iter()
+            .map(|(dx, dy)| (snake_key(dx, dy), dx, dy))
+            .collect();
+        snake.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut rank_sum = vec![0u64; candidates.len()];
+        for (_, dx, dy) in snake {
+            for entry in ranked.iter_mut() {
+                let (cx, cy) = coords[entry.1 as usize];
+                let (ex, ey) = (dx - cx, dy - cy);
+                entry.0 = (ex * ex + ey * ey).to_bits();
+            }
+            insertion_sort(&mut ranked);
+            for (rank, &(_, ci)) in ranked.iter().enumerate() {
+                rank_sum[ci as usize] += rank as u64;
+            }
+        }
+        let mut by_rank: Vec<usize> = (0..candidates.len()).collect();
+        by_rank.sort_unstable_by_key(|&i| (rank_sum[i], i));
+        // The full candidate ordering (not just `depth` entries): the
+        // skip-outside lookup mode may need to pass over many
+        // out-of-constellation offsets near the grid edge.
+        by_rank.iter().map(|&i| candidates[i]).collect()
+    })
+}
+
+/// A sample's position along the strip snake that orders a triangle's
+/// samples for the incremental ranking: strips in `dx`, alternating
+/// direction in `dy`. A strip's keys lie within ±1 of `4·strip`, so strips
+/// never interleave.
+fn snake_key(dx: f64, dy: f64) -> f64 {
+    let strip = ((dx + 1.0) * (SNAKE_STRIPS / 2.0)).floor();
+    4.0 * strip + if strip % 2.0 == 0.0 { dy } else { -dy }
+}
+
+/// Sorts an almost-sorted slice in `O(len + inversions)`.
+fn insertion_sort<T: Copy + Ord>(v: &mut [T]) {
+    for i in 1..v.len() {
+        let x = v[i];
+        let mut j = i;
+        while j > 0 && v[j - 1] > x {
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
+    }
 }
 
 #[inline]
@@ -1030,6 +1116,139 @@ mod tests {
     fn depth_clamps_to_order() {
         let lut = OrderingLut::new(Modulation::Qpsk, 1000);
         assert_eq!(lut.depth(), 4);
+        assert_eq!(OrderingLut::new(Modulation::Bpsk, 5).depth(), 2);
+    }
+
+    /// The defining derivation — one comparator sort of every candidate
+    /// per sample, over a `depth`-dependent candidate radius: the
+    /// reference the incremental derivation is pinned to.
+    fn reference_orders(modulation: Modulation, depth: usize) -> Vec<Vec<(i32, i32)>> {
+        let depth = depth.clamp(1, modulation.order());
+        if modulation == Modulation::Bpsk {
+            return (0..8).map(|_| vec![(0, 0), (1, 0)]).collect();
+        }
+        let radius = {
+            let mut r = 1i32;
+            while ((2 * r + 1) * (2 * r + 1)) < depth as i32 + 8 {
+                r += 1;
+            }
+            r.max(modulation.grid_side() as i32)
+        };
+        let mut candidates = Vec::new();
+        for dj in -radius..=radius {
+            for di in -radius..=radius {
+                candidates.push((di, dj));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(LUT_SEED);
+        let mut orders = Vec::with_capacity(8);
+        for tri in 0..8 {
+            let mut rank_sum = vec![0.0f64; candidates.len()];
+            let mut taken = 0usize;
+            while taken < LUT_SAMPLES {
+                let dx: f64 = rng.gen_range(-1.0..1.0);
+                let dy: f64 = rng.gen_range(-1.0..1.0);
+                if triangle_index(dx, dy) != tri {
+                    continue;
+                }
+                taken += 1;
+                let mut order: Vec<usize> = (0..candidates.len()).collect();
+                order.sort_by(|&a, &b| {
+                    let da = dist2(dx, dy, candidates[a]);
+                    let db = dist2(dx, dy, candidates[b]);
+                    da.partial_cmp(&db)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+                for (rank, &ci) in order.iter().enumerate() {
+                    rank_sum[ci] += rank as f64;
+                }
+            }
+            let mut by_rank: Vec<usize> = (0..candidates.len()).collect();
+            by_rank.sort_by(|&a, &b| {
+                rank_sum[a]
+                    .partial_cmp(&rank_sum[b])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            orders.push(by_rank.iter().map(|&i| candidates[i]).collect());
+        }
+        orders
+    }
+
+    fn dist2(dx: f64, dy: f64, (di, dj): (i32, i32)) -> f64 {
+        let ex = dx - 2.0 * di as f64;
+        let ey = dy - 2.0 * dj as f64;
+        ex * ex + ey * ey
+    }
+
+    /// Full orders — every candidate of every triangle — against the
+    /// reference, at the largest depth and (where cheap) the smallest.
+    fn assert_orders_match_reference(m: Modulation, depths: &[usize]) {
+        let lut = OrderingLut::new(m, m.order());
+        for &depth in depths {
+            assert_eq!(
+                &lut.orders[..],
+                &reference_orders(m, depth)[..],
+                "{m:?} at depth {depth}"
+            );
+        }
+    }
+
+    #[test]
+    fn fast_derivation_equals_the_reference_bit_for_bit() {
+        for m in [Modulation::Bpsk, Modulation::Qpsk, Modulation::Qam16] {
+            assert_orders_match_reference(m, &[1, m.order()]);
+        }
+        assert_orders_match_reference(Modulation::Qam64, &[64]);
+    }
+
+    #[test]
+    #[ignore = "3.5 s in a debug build; CI runs it in the release step"]
+    fn fast_derivation_equals_the_reference_at_256_qam() {
+        assert_orders_match_reference(Modulation::Qam256, &[256]);
+    }
+
+    #[test]
+    fn located_tables_identical_under_both_derivations() {
+        let m = Modulation::Qam16;
+        let c = Constellation::new(m);
+        let fast = OrderingLut::new(m, 16);
+        let reference = OrderingLut {
+            orders: Arc::new(reference_orders(m, 16).try_into().expect("eight triangles")),
+            ..fast.clone()
+        };
+        for strict in [false, true] {
+            assert_eq!(
+                fast.build_table(&c, strict).syms,
+                reference.build_table(&c, strict).syms,
+                "strict = {strict}"
+            );
+        }
+    }
+
+    #[test]
+    fn orders_are_derived_once_per_modulation_and_shared() {
+        let all = [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+            Modulation::Qam256,
+        ];
+        for m in all {
+            let (shallow, full) = (OrderingLut::new(m, 1), OrderingLut::new(m, m.order()));
+            assert!(shallow.shares_orders(&full), "{m:?}: two derivations");
+            assert!(full.clone().shares_orders(&full), "{m:?}: clone copied");
+            let c = Constellation::new(m);
+            let skip = full.shared_table(&c, false);
+            assert!(Arc::ptr_eq(&skip, &full.clone().shared_table(&c, false)));
+            assert!(!Arc::ptr_eq(&skip, &full.shared_table(&c, true)));
+        }
+        for m in all {
+            let n = DERIVATIONS[m as usize].load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(n, 1, "{m:?} derived {n} times in this process");
+        }
     }
 
     use rand::rngs::StdRng;
