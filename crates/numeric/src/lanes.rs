@@ -45,6 +45,8 @@ pub const LANES: usize = 4;
 /// vector, parent 28.3 µs): `G = 2` 25.3 µs, `4` 22 µs, `8` 25.2 µs — its
 /// sixteen accumulators spill. The walk stopped grouping in PR 25: its
 /// chains run in selection order, where neighbours rarely share a row.
+/// The SQRD's projection and update sweeps hold `G` blocks of `R(k, ·)`
+/// lanes the same way (`sorted_qr_sqrd_into`).
 pub const G: usize = 4;
 
 /// Dispatch state: 0 = uninitialised (read the environment on first use),

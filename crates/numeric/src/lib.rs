@@ -10,10 +10,10 @@
 //! * [`Cx`] — a `f64` complex scalar with full arithmetic (module [`cx`]);
 //! * [`CMat`] / [`CVec`] — dense row-major complex matrices and vectors
 //!   (module [`mat`]);
-//! * QR decompositions: Householder and modified Gram–Schmidt, plus the two
-//!   *sorted* QR variants the paper evaluates — Wübben's SQRD and the
-//!   Barbero–Thompson FCSD ordering (module [`qr`]);
-//! * triangular solvers, matrix inversion and the MMSE filter kernel
+//! * QR decompositions: modified Gram–Schmidt, plus the two *sorted* QR
+//!   variants the paper evaluates — Wübben's SQRD and the Barbero–Thompson
+//!   FCSD ordering (module [`qr`]);
+//! * triangular solvers, Hermitian inversion and the MMSE filter kernel
 //!   (module [`solve`]);
 //! * singular-value extrema / condition numbers via power iteration
 //!   (module [`eig`]);
@@ -56,7 +56,7 @@ pub use cx::Cx;
 pub use flops::FlopCounter;
 pub use lanes::{lanes_enabled, set_lane_dispatch, CxLane, G, LANES};
 pub use mat::{CMat, CVec};
-pub use qr::{fcsd_sorted_qr, householder_qr, mgs_qr, sorted_qr_sqrd, sorted_qr_sqrd_into, Qr};
+pub use qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd, sorted_qr_sqrd_into, Qr};
 pub use symvec::SymVec;
 
 /// The crate README's examples, compiled as doctests so they cannot rot

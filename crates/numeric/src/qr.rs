@@ -5,7 +5,7 @@
 //! The *column order* of `H` at decomposition time decides which stream maps
 //! to which tree level, and has a large performance impact:
 //!
-//! * [`mgs_qr`] / [`householder_qr`] — plain decompositions (natural order);
+//! * [`mgs_qr`] — plain modified Gram–Schmidt (natural order);
 //! * [`sorted_qr_sqrd`] — Wübben et al.'s SQRD \[13\]: at each Gram–Schmidt
 //!   step the remaining column with the *smallest* residual norm is chosen,
 //!   pushing reliable streams to the top tree levels (detected first);
@@ -256,86 +256,6 @@ pub fn mgs_qr(h: &CMat) -> Qr {
     mgs_qr_with_order(h, &order)
 }
 
-/// Householder QR (no column sorting).
-///
-/// Numerically more robust than Gram–Schmidt; used as the reference
-/// implementation in tests. Diagonal phases are normalised so that
-/// `diag(R)` is real and non-negative.
-pub fn householder_qr(h: &CMat) -> Qr {
-    let (nr, nt) = (h.rows(), h.cols());
-    assert!(nr >= nt, "QR requires Nr >= Nt (got {nr}x{nt})");
-    let mut r_full = h.clone(); // will be reduced in place (Nr × Nt)
-    let mut q_full = CMat::identity(nr);
-    for k in 0..nt {
-        // Build the Householder reflector for column k, rows k..nr.
-        let mut x: Vec<Cx> = (k..nr).map(|i| r_full[(i, k)]).collect();
-        let xnorm = norm_sqr(&x).sqrt();
-        if xnorm == 0.0 {
-            continue;
-        }
-        // alpha = -e^{i·arg(x0)}·‖x‖ ensures v = x − alpha·e1 is well scaled.
-        let phase = if x[0] == Cx::ZERO {
-            Cx::ONE
-        } else {
-            x[0] / x[0].abs()
-        };
-        let alpha = -(phase * xnorm);
-        x[0] -= alpha;
-        let vnorm2 = norm_sqr(&x);
-        if vnorm2 == 0.0 {
-            continue;
-        }
-        // Apply P = I − 2vv*/‖v‖² to R (rows k..) and accumulate into Q.
-        for c in k..nt {
-            let col: Vec<Cx> = (k..nr).map(|i| r_full[(i, c)]).collect();
-            let coef = dot(&col, &x).scale(2.0 / vnorm2); // ⟨col, v⟩·2/‖v‖²
-            for (idx, i) in (k..nr).enumerate() {
-                r_full[(i, c)] -= coef * x[idx];
-            }
-        }
-        for c in 0..nr {
-            let col: Vec<Cx> = (k..nr).map(|i| q_full[(i, c)]).collect();
-            let coef = dot(&col, &x).scale(2.0 / vnorm2);
-            for (idx, i) in (k..nr).enumerate() {
-                q_full[(i, c)] -= coef * x[idx];
-            }
-        }
-    }
-    // q_full now holds P_{nt}···P_1 so that q_full·H = R; hence Q = q_full*.
-    let qh = q_full.hermitian();
-    // Thin factors.
-    let mut q = CMat::zeros(nr, nt);
-    let mut r = CMat::zeros(nt, nt);
-    for c in 0..nt {
-        for i in 0..nr {
-            q[(i, c)] = qh[(i, c)];
-        }
-        for i in 0..=c {
-            r[(i, c)] = r_full[(i, c)];
-        }
-    }
-    // Normalise diagonal phases to real non-negative.
-    for k in 0..nt {
-        let d = r[(k, k)];
-        if d == Cx::ZERO {
-            continue;
-        }
-        let ph = d / d.abs(); // e^{iφ}
-        let ph_conj = ph.conj();
-        for c in k..nt {
-            r[(k, c)] = ph_conj * r[(k, c)];
-        }
-        for i in 0..nr {
-            q[(i, k)] *= ph;
-        }
-    }
-    Qr {
-        q,
-        r,
-        perm: (0..nt).collect(),
-    }
-}
-
 /// Wübben et al.'s sorted QR decomposition (SQRD) \[13\].
 ///
 /// At each Gram–Schmidt step the remaining column with the **smallest**
@@ -352,94 +272,339 @@ pub fn sorted_qr_sqrd(h: &CMat) -> Qr {
 
 /// [`sorted_qr_sqrd`] written over an existing [`Qr`]: a channel refresh
 /// re-factorises into the `Q`, `R` and `perm` it replaces, with no heap
-/// traffic once they have held this shape.
+/// traffic once they, and this thread's working planes, have held the
+/// shape.
 ///
-/// There is no workspace. The columns are orthogonalised inside `Q`'s own
-/// storage (which starts as a copy of `H`), row sweep by row sweep, and
-/// the residual squared norm of every column still to be processed sits
-/// in the real part of its `R` diagonal entry until its own step
-/// overwrites that with the column's norm. Each entry of `Q` and `R` sees
-/// the same operations in the same order as the column-at-a-time textbook
-/// form, so the result does not depend on what `qr` held before.
+/// `H` is first split into re/im planes, row-major, in cache-line blocks
+/// of [`LANES`] adjacent columns. The planes belong to the calling
+/// thread, not to `qr`: a thread's first factorisation of a shape sizes
+/// them, and every later one reuses them. Step `k` normalises the pivot
+/// column `q_k` and then makes two sweeps down the rows:
+///
+/// * the projection sweep (`project_rows`) accumulates
+///   `R(k, j) = ⟨v_j, q_k⟩` for up to [`G`] blocks at once, the
+///   accumulators held in registers across all rows;
+/// * the update sweep (`update_rows`) subtracts `R(k, j)·q_k` from every
+///   remaining column, with the `R(k, ·)` lanes in registers, and takes
+///   the *next* pivot column out of the planes, folding its squared norm.
+///
+/// The next pivot is known before the update sweep: it is picked from the
+/// downdated residual norms, which need `R(k, ·)` alone. Each lane carries
+/// one column and replays the scalar chain of the column-at-a-time
+/// textbook form — the same operations in the same order for every entry
+/// of `Q` and `R` and every pivot decision — so the factors are
+/// bit-identical to it and do not depend on what `qr` held before.
 pub fn sorted_qr_sqrd_into(h: &CMat, qr: &mut Qr) {
     // flexcore-lint: hot-path
     // flexcore-lint: bit-identity
     let (nr, nt) = (h.rows(), h.cols());
     assert!(nr >= nt, "QR requires Nr >= Nt (got {nr}x{nt})");
     let Qr { q, r, perm } = qr;
-    q.clone_from(h);
+    // Every entry of `Q` is written below, so a `Q` of this shape is not
+    // cleared first; `R` keeps the zeros under its diagonal.
+    if (q.rows(), q.cols()) != (nr, nt) {
+        q.reset_zeros(nr, nt);
+    }
     r.reset_zeros(nt, nt);
     perm.clear();
     perm.extend(0..nt);
-    for row in 0..nr {
-        for (j, v) in q.row(row).iter().enumerate() {
-            r[(j, j)].re += v.norm_sqr();
+    if nt > 0 {
+        SQRD_PLANES.with_borrow_mut(|planes| planes.factorise(h, q, r, perm));
+    }
+}
+
+thread_local! {
+    /// The working planes of [`sorted_qr_sqrd_into`], one set per thread:
+    /// grown by the first factorisation of a shape, reused by every
+    /// later one. A detector does not own them, so a band of prepared
+    /// detectors shares one thread's planes instead of faulting in a set
+    /// each.
+    static SQRD_PLANES: std::cell::RefCell<SqrdPlanes> =
+        const { std::cell::RefCell::new(SqrdPlanes::new()) };
+}
+
+/// Four adjacent columns of one plane row, split re/im: one cache line,
+/// so a block never straddles two and a block just stored forwards
+/// whole to the next load of it.
+#[derive(Clone, Copy, Default)]
+#[repr(align(64))]
+struct Block(CxLane);
+
+/// Working storage of one SQRD (see [`sorted_qr_sqrd_into`]). Entries
+/// beyond the current shape hold whatever an earlier shape left there;
+/// every call writes what it reads.
+struct SqrdPlanes {
+    /// The columns, row-major, `⌈Nt / LANES⌉` blocks per row: lane `l`
+    /// of block `b` is column position `LANES·b + l` of `Q·R`. Lanes left
+    /// of a step's first remaining column are dead (computed on, never
+    /// read), and those right of `Nt` stay zero. Rows are reached by
+    /// offset (`row · nb`): `chunks_exact(nb)` costs an integer division
+    /// per sweep, which a 4×4 factorisation notices.
+    cols: Vec<Block>,
+    /// The step's pivot column, one entry per row: gathered unnormalised
+    /// by the previous step's update sweep, normalised in place.
+    pivot: Vec<Cx>,
+    /// `R(k, ·)` of the step, one lane vector per block.
+    rk: Vec<CxLane>,
+    /// Downdated residual squared norm of every column position, in
+    /// blocks like `cols`.
+    norms: Vec<[f64; LANES]>,
+}
+
+impl SqrdPlanes {
+    const fn new() -> Self {
+        SqrdPlanes {
+            cols: Vec::new(),
+            pivot: Vec::new(),
+            rk: Vec::new(),
+            norms: Vec::new(),
         }
     }
-    for k in 0..nt {
-        // Pick the remaining column with minimum residual norm; the first
-        // one on ties. Residual norms are sums of squared magnitudes and
-        // never NaN.
-        let mut kmin = k;
-        for j in k + 1..nt {
-            if r[(j, j)].re < r[(kmin, kmin)].re {
-                kmin = j;
-            }
-        }
-        if kmin != k {
-            for row in 0..nr {
-                q.row_mut(row).swap(k, kmin);
-            }
-            perm.swap(k, kmin);
-            let tmp = r[(k, k)];
-            r[(k, k)] = r[(kmin, kmin)];
-            r[(kmin, kmin)] = tmp;
-            // Already-computed projections in rows 0..k refer to column
-            // *positions*, so they must follow the swap.
-            for i in 0..k {
-                r.row_mut(i).swap(k, kmin);
-            }
-        }
-        let nrm = (0..nr)
-            .map(|row| q[(row, k)].norm_sqr())
-            .sum::<f64>()
-            .sqrt();
-        r[(k, k)] = Cx::real(nrm);
-        if nrm > 0.0 {
-            for row in 0..nr {
-                let v = &mut q.row_mut(row)[k];
-                *v = *v / nrm;
-            }
-            // Project q_k out of the remaining columns, updating norms:
-            // R(k, j) = ⟨v_j, q_k⟩ accumulates down the rows, then
-            // v_j −= R(k, j)·q_k.
-            let rk = &mut r.row_mut(k)[k + 1..];
-            for row in 0..nr {
-                let qrow = q.row(row);
-                let qk = qrow[k];
-                for (acc, &v) in rk.iter_mut().zip(&qrow[k + 1..]) {
-                    *acc += v.mul_conj(qk);
-                }
-            }
-            for row in 0..nr {
-                let qrow = q.row_mut(row);
-                let qk = qrow[k];
-                for (v, &rkj) in qrow[k + 1..].iter_mut().zip(rk.iter()) {
-                    *v -= rkj * qk;
-                }
-            }
-            for j in k + 1..nt {
-                let rkj = r[(k, j)];
-                let left = &mut r[(j, j)].re;
-                *left = (*left - rkj.norm_sqr()).max(0.0);
-            }
-        } else {
+
+    /// The body of [`sorted_qr_sqrd_into`] for `Nt ≥ 1`: `q`, `r` and
+    /// `perm` come shaped, `R` zeroed and `perm` the identity.
+    fn factorise(&mut self, h: &CMat, q: &mut CMat, r: &mut CMat, perm: &mut [usize]) {
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        let (nr, nt) = (h.rows(), h.cols());
+        let nb = nt.div_ceil(LANES);
+        let cols = grown(&mut self.cols, nr * nb);
+        let pivot_col = grown(&mut self.pivot, nr);
+        let rk = grown(&mut self.rk, nb);
+        let norms = grown(&mut self.norms, nb);
+        split_planes(h, cols, norms);
+        let norms = &mut norms.as_flattened_mut()[..nt];
+        let first = pivot(norms, 0);
+        let mut nrm2 = take_pivot(cols, nb, 0, first, pivot_col);
+        perm.swap(0, first);
+        norms.swap(0, first);
+        for k in 0..nt {
+            let nrm = nrm2.sqrt();
+            r[(k, k)] = Cx::real(nrm);
             // A column with no residual contributes no direction.
-            for row in 0..nr {
-                q.row_mut(row)[k] = Cx::ZERO;
+            let live = nrm > 0.0;
+            for (row, z) in pivot_col.iter_mut().enumerate() {
+                *z = if live { *z / nrm } else { Cx::ZERO };
+                q[(row, k)] = *z;
             }
+            let k1 = k + 1;
+            if k1 == nt {
+                break;
+            }
+            // The blocks holding the remaining columns `k1..`.
+            let b0 = k1 / LANES;
+            if live {
+                for (g, out) in rk[b0..nb].chunks_mut(G).enumerate() {
+                    let from = b0 + g * G;
+                    match out.len() {
+                        G => project_rows::<G>(cols, nb, from, pivot_col, out),
+                        3 => project_rows::<3>(cols, nb, from, pivot_col, out),
+                        2 => project_rows::<2>(cols, nb, from, pivot_col, out),
+                        _ => project_rows::<1>(cols, nb, from, pivot_col, out),
+                    }
+                }
+                let row = r.row_mut(k).iter_mut().zip(&mut *norms).enumerate();
+                for (j, (out, left)) in row.skip(k1) {
+                    *out = rk[j / LANES].get(j % LANES);
+                    *left = (*left - out.norm_sqr()).max(0.0);
+                }
+            }
+            let next = pivot(norms, k1);
+            perm.swap(k1, next);
+            norms.swap(k1, next);
+            // Projections in rows 0..=k refer to column *positions*, so
+            // they follow the swap.
+            for i in 0..k1 {
+                r.row_mut(i).swap(k1, next);
+            }
+            nrm2 = if live {
+                // Every group of blocks but the first, then the first,
+                // whose sweep also takes the next pivot: by then both
+                // columns it moves are updated.
+                let groups = rk[b0..nb].chunks(G).enumerate();
+                for (g, rkg) in groups.skip(1) {
+                    update_group(cols, nb, b0 + g * G, rkg, pivot_col, None);
+                }
+                let rkg = &rk[b0..nb.min(b0 + G)];
+                update_group(cols, nb, b0, rkg, pivot_col, Some((k1, next)))
+            } else {
+                take_pivot(cols, nb, k1, next, pivot_col)
+            };
         }
     }
+}
+
+/// The first `len` entries of `v`, growing it only when it is shorter.
+fn grown<T: Copy + Default>(v: &mut Vec<T>, len: usize) -> &mut [T] {
+    if v.len() < len {
+        v.resize(len, T::default());
+    }
+    &mut v[..len]
+}
+
+/// Splits `h` into the blocks of `cols` (padding lanes zero) and sums
+/// every column's squared norm down the rows into the lanes of `norms`.
+fn split_planes(h: &CMat, cols: &mut [Block], norms: &mut [[f64; LANES]]) {
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    let nb = norms.len();
+    for row in 0..h.rows() {
+        let line = &mut cols[row * nb..][..nb];
+        for ((b, zs), n) in line
+            .iter_mut()
+            .zip(h.row(row).chunks(LANES))
+            .zip(&mut *norms)
+        {
+            b.0 = if zs.len() == LANES {
+                CxLane::from_fn(|l| zs[l])
+            } else {
+                CxLane::from_fn(|l| zs.get(l).copied().unwrap_or(Cx::ZERO))
+            };
+            // The first row's terms start the sums: `0.0 + x` is `x` for
+            // every squared magnitude.
+            let sq = b.0.norm_sqr();
+            *n = if row == 0 {
+                sq
+            } else {
+                std::array::from_fn(|l| n[l] + sq[l])
+            };
+        }
+    }
+}
+
+/// The position in `from..` of the smallest residual norm; the first one
+/// on ties. Residual norms are sums of squared magnitudes and never NaN.
+fn pivot(norms: &[f64], from: usize) -> usize {
+    let mut best = from;
+    for (j, &n) in norms.iter().enumerate().skip(from + 1) {
+        if n < norms[best] {
+            best = j;
+        }
+    }
+    best
+}
+
+/// Moves column `next` of one plane row into the pivot entry `q` and
+/// column `k1` into its place.
+#[inline]
+fn swap_in_pivot(line: &mut [Block], k1: usize, next: usize, q: &mut Cx) {
+    let (b, l) = (next / LANES, next % LANES);
+    *q = line[b].0.get(l);
+    let moved = line[k1 / LANES].0.get(k1 % LANES);
+    line[b].0.re[l] = moved.re;
+    line[b].0.im[l] = moved.im;
+}
+
+/// The update sweep without the update — for the first step and after a
+/// column with no residual: takes column `next` as the pivot (see
+/// `swap_in_pivot`) and returns its squared norm summed down the rows.
+fn take_pivot(cols: &mut [Block], nb: usize, k1: usize, next: usize, pivot: &mut [Cx]) -> f64 {
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    let mut nrm2 = 0.0;
+    for (row, q) in pivot.iter_mut().enumerate() {
+        swap_in_pivot(&mut cols[row * nb..][..nb], k1, next, q);
+        nrm2 += q.norm_sqr();
+    }
+    nrm2
+}
+
+/// The projection sweep of [`sorted_qr_sqrd_into`]: the `N` blocks from
+/// block `from` on accumulate `v_j[row]·conj(q_k[row])` down all rows,
+/// lane by lane in ascending row order from zero — the textbook
+/// `dot(v_j, q_k)` chain of each column — into `out`. The `2·N`
+/// accumulators stay in registers for the whole sweep.
+///
+/// Out of line so CI can disassemble it (see "Packed kernels are still
+/// packed" in the workflow).
+#[inline(never)]
+fn project_rows<const N: usize>(
+    cols: &[Block],
+    nb: usize,
+    from: usize,
+    qk: &[Cx],
+    out: &mut [CxLane],
+) {
+    // flexcore-lint: scalar-twin = sqrd_textbook
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    let mut acc = [CxLane::zero(); N];
+    for (row, &q) in qk.iter().enumerate() {
+        // `conj(q)·v` per lane is `v·conj(q)` bit for bit: IEEE products
+        // commute, and the two sums add the same products in the same
+        // order as `Cx::mul_conj`.
+        let q = CxLane::splat(q);
+        let o = row * nb + from;
+        for (s, v) in acc.iter_mut().zip(&cols[o..o + N]) {
+            s.add_conj_mul(q, v.0);
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// Runs [`update_rows`] over the `rk.len()` (at most [`G`]) blocks from
+/// block `from` on.
+fn update_group(
+    cols: &mut [Block],
+    nb: usize,
+    from: usize,
+    rk: &[CxLane],
+    pivot: &mut [Cx],
+    swap: Option<(usize, usize)>,
+) -> f64 {
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    match rk.len() {
+        G => update_rows::<G>(cols, nb, from, rk, pivot, swap),
+        3 => update_rows::<3>(cols, nb, from, rk, pivot, swap),
+        2 => update_rows::<2>(cols, nb, from, rk, pivot, swap),
+        _ => update_rows::<1>(cols, nb, from, rk, pivot, swap),
+    }
+}
+
+/// The update sweep of [`sorted_qr_sqrd_into`]: every row subtracts
+/// `R(k, j)·q_k[row]` from the `N` blocks from block `from` on, the `rk`
+/// lanes held in registers across all rows.
+///
+/// With `swap = Some((k1, next))` the sweep also takes the next pivot:
+/// per row, once `from`'s blocks are updated, column `next` moves into
+/// `pivot` (whose entry, `q_k[row]`, has just been used) and column `k1`
+/// into its place (`k1` lies in block `from`; `next` may lie in another
+/// group, whose sweep has run before). It returns the pivot's squared
+/// norm summed down the rows: the lanes of `next`'s block fold their
+/// squared magnitudes, and `next`'s lane is that column's chain.
+///
+/// Out of line so CI can disassemble it — and packed throughout, the
+/// norm fold included, so the check can demand no scalar multiply.
+#[inline(never)]
+fn update_rows<const N: usize>(
+    cols: &mut [Block],
+    nb: usize,
+    from: usize,
+    rk: &[CxLane],
+    pivot: &mut [Cx],
+    swap: Option<(usize, usize)>,
+) -> f64 {
+    // flexcore-lint: scalar-twin = sqrd_textbook
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    let rk: [CxLane; N] = std::array::from_fn(|g| rk[g]);
+    let mut folded = [0.0; LANES];
+    for (row, q) in pivot.iter_mut().enumerate() {
+        let line = &mut cols[row * nb..][..nb];
+        let qk = CxLane::splat(*q);
+        for (v, &rkj) in line[from..from + N].iter_mut().zip(&rk) {
+            v.0.sub_mul(rkj, qk);
+        }
+        if let Some((k1, next)) = swap {
+            let sq = line[next / LANES].0.norm_sqr();
+            for (f, s) in folded.iter_mut().zip(sq) {
+                *f += s;
+            }
+            swap_in_pivot(line, k1, next, q);
+        }
+    }
+    swap.map_or(0.0, |(_, next)| folded[next % LANES])
 }
 
 /// Barbero–Thompson FCSD ordering \[4\] followed by QR.
@@ -586,26 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn householder_qr_reconstructs() {
-        for seed in 0..5 {
-            let h = random_h(8, 8, 100 + seed);
-            check_qr(&h, &householder_qr(&h), 1e-9);
-        }
-        let h = random_h(12, 6, 999);
-        check_qr(&h, &householder_qr(&h), 1e-9);
-    }
-
-    #[test]
-    fn householder_and_mgs_agree_on_r() {
-        // Both produce the unique QR with positive real diagonal, so R must
-        // match (up to numerical noise) for a full-rank matrix.
-        let h = random_h(6, 6, 42);
-        let a = mgs_qr(&h);
-        let b = householder_qr(&h);
-        assert!(a.r.max_abs_diff(&b.r) < 1e-8);
-    }
-
-    #[test]
     fn sqrd_reconstructs_and_orders() {
         for seed in 0..8 {
             let h = random_h(8, 8, 200 + seed);
@@ -615,8 +760,9 @@ mod tests {
     }
 
     /// The column-at-a-time textbook SQRD (one working vector per column),
-    /// as this crate computed it before the in-place kernel — the
-    /// reference its operation order is pinned against.
+    /// as this crate computed it before its in-place kernels — the
+    /// reference the split-plane sweeps' operation order is pinned
+    /// against (their FL003 scalar twin).
     fn sqrd_textbook(h: &CMat) -> Qr {
         let (nr, nt) = (h.rows(), h.cols());
         let mut cols: Vec<Vec<Cx>> = (0..nt).map(|j| h.col(j)).collect();
@@ -665,41 +811,108 @@ mod tests {
         bits_of(m.as_slice())
     }
 
+    /// Factorises each of `hs` into the one `qr` (and this thread's
+    /// planes), and freshly, checking both against the textbook form bit
+    /// for bit.
+    fn assert_sqrd_matches_textbook(qr: &mut Qr, hs: &[CMat]) {
+        for h in hs {
+            let shape = (h.rows(), h.cols());
+            let want = sqrd_textbook(h);
+            sorted_qr_sqrd_into(h, qr);
+            assert_eq!(qr.perm, want.perm, "{shape:?} perm");
+            assert_eq!(bits(&qr.q), bits(&want.q), "{shape:?} Q bits");
+            assert_eq!(bits(&qr.r), bits(&want.r), "{shape:?} R bits");
+            let fresh = sorted_qr_sqrd(h);
+            assert_eq!(fresh.perm, want.perm, "{shape:?} fresh perm");
+            assert_eq!(bits(&fresh.q), bits(&want.q), "{shape:?} fresh Q bits");
+            assert_eq!(bits(&fresh.r), bits(&want.r), "{shape:?} fresh R bits");
+        }
+    }
+
+    /// `h` with columns `cols` replaced by `−0.0` zeros.
+    fn with_zero_cols(mut h: CMat, cols: &[usize]) -> CMat {
+        for row in 0..h.rows() {
+            for &c in cols {
+                h[(row, c)] = Cx::new(-0.0, -0.0);
+            }
+        }
+        h
+    }
+
     #[test]
     fn sqrd_in_place_is_bit_identical_to_the_textbook_form() {
-        // One Qr re-factorised across shapes (square, tall, shrinking,
-        // growing), a dependent column (zero residual norm), an all-zero
-        // column with negative zeros, and exactly tied column norms.
+        // Every block remainder and group count of the split-plane kernel,
+        // square and tall, in one Qr (and this thread's planes) whose
+        // shape grows and shrinks from one factorisation to the next.
+        let mut hs: Vec<CMat> = [1usize, 2, 3, 5, 7, 9, 13, 31, 63, 64]
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &nt)| {
+                let seed = 80 + 2 * i as u64;
+                [random_h(nt, nt, seed), random_h(nt + 3, nt, seed + 1)]
+            })
+            .collect();
+        hs.extend([random_h(70, 64, 100), random_h(12, 8, 101)]);
+        // A dependent column (residual rounding noise), and one whose
+        // residual is exactly zero after a live step: `2·e₀` is the first
+        // pivot (`q₀ = e₀` exactly), so `4·e₀` is left with nothing and
+        // is the dead second pivot.
         let mut dependent = random_h(6, 4, 71);
         for row in 0..6 {
             dependent[(row, 2)] = dependent[(row, 0)];
         }
-        let mut zero_col = random_h(5, 5, 72);
+        let mut exact = random_h(5, 5, 76).scale(3.0);
         for row in 0..5 {
-            zero_col[(row, 3)] = Cx::new(-0.0, 0.0);
+            exact[(row, 0)] = Cx::real(if row == 0 { 2.0 } else { 0.0 });
+            exact[(row, 1)] = Cx::real(if row == 0 { 4.0 } else { 0.0 });
         }
-        let tied = CMat::identity(4);
+        let diag = |h: &CMat, k: usize| sorted_qr_sqrd(h).r[(k, k)];
+        assert!(diag(&exact, 0).re > 0.0 && diag(&exact, 1) == Cx::ZERO);
+        hs.extend([dependent, exact]);
+        // `−0.0` zero columns: the first pivot, then the next one too (two
+        // dead steps in a row), and in the last column of a width that
+        // leaves padding lanes.
+        let two_dead = with_zero_cols(random_h(9, 9, 73), &[1, 2]);
+        assert_eq!(
+            (diag(&two_dead, 0), diag(&two_dead, 1)),
+            (Cx::ZERO, Cx::ZERO)
+        );
+        hs.extend([
+            with_zero_cols(random_h(5, 5, 72), &[3]),
+            two_dead,
+            with_zero_cols(random_h(7, 7, 74), &[6]),
+            with_zero_cols(random_h(8, 8, 75), &[7]),
+        ]);
+        // Exactly tied norms at every step.
+        hs.extend([CMat::identity(4), CMat::identity(9)]);
         let mut qr = sorted_qr_sqrd(&random_h(3, 3, 70));
-        for h in [
-            random_h(8, 8, 73),
-            dependent,
-            random_h(12, 8, 74),
-            zero_col,
-            random_h(4, 4, 75),
-            tied,
-            random_h(64, 64, 76),
-            random_h(8, 8, 77),
-        ] {
-            sorted_qr_sqrd_into(&h, &mut qr);
-            let want = sqrd_textbook(&h);
-            assert_eq!(qr.perm, want.perm);
-            assert_eq!(bits(&qr.q), bits(&want.q), "Q bits");
-            assert_eq!(bits(&qr.r), bits(&want.r), "R bits");
-            let fresh = sorted_qr_sqrd(&h);
-            assert_eq!(fresh.perm, want.perm);
-            assert_eq!(bits(&fresh.q), bits(&want.q));
-            assert_eq!(bits(&fresh.r), bits(&want.r));
-        }
+        assert_sqrd_matches_textbook(&mut qr, &hs);
+        // Back down and up again through the same planes.
+        hs.reverse();
+        assert_sqrd_matches_textbook(&mut qr, &hs);
+    }
+
+    #[test]
+    fn sqrd_planes_are_per_thread() {
+        // Two threads factorise different shapes at the same time, each
+        // through its own planes; every result is checked bit for bit.
+        let shapes = |nts: [usize; 4], seed: u64| -> Vec<CMat> {
+            let hs = nts.iter().enumerate();
+            hs.map(|(i, &nt)| random_h(nt + i, nt, seed + i as u64))
+                .collect()
+        };
+        let a = shapes([64, 4, 31, 8], 200);
+        let b = shapes([8, 63, 5, 64], 300);
+        std::thread::scope(|s| {
+            for hs in [&a, &b] {
+                s.spawn(move || {
+                    let mut qr = Qr::default();
+                    for _ in 0..3 {
+                        assert_sqrd_matches_textbook(&mut qr, hs);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

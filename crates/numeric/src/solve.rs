@@ -2,13 +2,12 @@
 //!
 //! Linear MIMO detectors (ZF, MMSE) and the FCSD/V-BLAST orderings all need
 //! small dense inversions. Everything here targets the well-conditioned,
-//! tiny (≤ 16×16) matrices of the MIMO setting; no pivoted LU is required —
-//! the Hermitian positive-definite path goes through Cholesky, and general
-//! square inversion goes through Householder QR.
+//! tiny (≤ 16×16) matrices of the MIMO setting, and every matrix inverted
+//! is Hermitian positive definite (a regularised Gram matrix), so
+//! inversion goes through Cholesky; no pivoted LU is required.
 
 use crate::cx::Cx;
 use crate::mat::{CMat, CVec};
-use crate::qr::householder_qr;
 
 /// Solves the upper-triangular system `R·x = b` by back-substitution.
 ///
@@ -100,26 +99,6 @@ pub fn hermitian_inverse(a: &CMat) -> CMat {
     inv
 }
 
-/// Inverse of a general square matrix via Householder QR.
-///
-/// # Panics
-/// Panics if the matrix is numerically singular.
-pub fn inverse(a: &CMat) -> CMat {
-    let n = a.rows();
-    assert!(a.is_square(), "inverse: matrix must be square");
-    let qr = householder_qr(a);
-    let qh = qr.q.hermitian();
-    let mut inv = CMat::zeros(n, n);
-    for c in 0..n {
-        let mut e = vec![Cx::ZERO; n];
-        e[c] = Cx::ONE;
-        let qe = qh.mul_vec(&e);
-        let x = back_substitute(&qr.r, &qe);
-        inv.set_col(c, &x);
-    }
-    inv
-}
-
 /// Moore–Penrose pseudo-inverse `H⁺ = (H*H)^{-1}·H*` for a full-column-rank
 /// (tall or square) matrix.
 pub fn pseudo_inverse(h: &CMat) -> CMat {
@@ -206,16 +185,6 @@ mod tests {
         let g = h.gram();
         let gi = hermitian_inverse(&g);
         assert!(g.mul_mat(&gi).max_abs_diff(&CMat::identity(8)) < 1e-8);
-    }
-
-    #[test]
-    fn general_inverse_is_inverse() {
-        for seed in 0..4 {
-            let a = random_h(6, 6, 50 + seed);
-            let ai = inverse(&a);
-            assert!(a.mul_mat(&ai).max_abs_diff(&CMat::identity(6)) < 1e-8);
-            assert!(ai.mul_mat(&a).max_abs_diff(&CMat::identity(6)) < 1e-8);
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, StreamingCell};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::symvec::{SymVec, INLINE_STREAMS};
-use flexcore_numeric::{lanes_enabled, set_lane_dispatch, sorted_qr_sqrd, Cx};
+use flexcore_numeric::{lanes_enabled, set_lane_dispatch, sorted_qr_sqrd, sorted_qr_sqrd_into, Cx};
 use flexcore_parallel::SequentialPool;
 use flexcore_phy::link::{cell_packet_tick, LinkConfig};
 use rand::rngs::StdRng;
@@ -240,6 +240,24 @@ fn hot_path_allocation_budget() {
         assert_eq!(n, 0, "rotate_batch_into allocated at {nr}x{nt}");
     }
 
+    // The SQRD on its own: a refresh writes into the `Qr` it replaces, and
+    // works in this thread's planes, sized by the first call of a shape —
+    // so once every shape has been seen, none of them allocates, in any
+    // order (the planes shrink and grow across them without the heap).
+    {
+        let mut rng = StdRng::seed_from_u64(350);
+        let shapes = [(4usize, 4usize), (8, 8), (64, 64), (70, 64)];
+        let hs: Vec<_> = shapes
+            .iter()
+            .map(|&(nr, nt)| ChannelEnsemble::iid(nr, nt).draw(&mut rng))
+            .collect();
+        let mut qrs: Vec<_> = hs.iter().map(sorted_qr_sqrd).collect();
+        for ((h, qr), (nr, nt)) in hs.iter().zip(&mut qrs).zip(shapes).rev() {
+            let n = allocs_in(|| sorted_qr_sqrd_into(h, qr));
+            assert_eq!(n, 0, "warm sorted_qr_sqrd_into allocated at {nr}x{nt}");
+        }
+    }
+
     // --- Re-prepare: a channel refresh overwrites the state it replaces ---
     // After one warm-up prepare, a second prepare on a different channel
     // of the same shape is allocation-free at the inline widths — fixed
@@ -359,7 +377,7 @@ fn hot_path_allocation_budget() {
         let marked = flexcore_lint::hot_path_modules(root).expect("lint scan");
         for exercised in [
             "crates/numeric/src/symvec.rs",  // SymVec storage contract
-            "crates/numeric/src/qr.rs",      // rotate_into, the in-place SQRD kernel
+            "crates/numeric/src/qr.rs",      // rotate_into, the split-plane SQRD sweeps
             "crates/numeric/src/lanes.rs",   // lane kernels inside run_path_into
             "crates/detect/src/common.rs",   // Triangular::rotate_into, PathScratch
             "crates/core/src/detector.rs",   // FlexCore run_path_into / trie walk / prepare
