@@ -389,8 +389,7 @@ pub struct FlexCoreDetector {
     constellation: Constellation,
     config: FlexCoreConfig,
     /// The predefined ordering (§3.2), read by the scan path: its orders
-    /// are the process-wide derivation for this modulation, shared by
-    /// `Arc` with every other detector and clone of it.
+    /// are the modulation's build-time `static` table.
     lut: OrderingLut,
     /// Materialised `(centre, triangle, rank) → symbol` form of `lut` for
     /// the SIMD block walk (`None` under [`PathOrdering::Exact`]), resolved
@@ -412,8 +411,9 @@ pub struct FlexCoreDetector {
 impl FlexCoreDetector {
     /// Creates a FlexCore detector. The triangle LUT and its located table
     /// are resolved here (they depend only on the constellation and the
-    /// ordering semantics, not the channel) — from the process-wide memo,
-    /// so only the first detector of a modulation in a process derives.
+    /// ordering semantics, not the channel): the orders are `static`, and
+    /// only the first detector of a modulation and semantics in a process
+    /// builds the located table.
     pub fn new(constellation: Constellation, config: FlexCoreConfig) -> Self {
         assert!(config.n_pe >= 1, "FlexCore: need at least one PE");
         let lut = OrderingLut::new(constellation.modulation(), constellation.order());
@@ -1780,15 +1780,14 @@ mod tests {
 
     #[test]
     fn clones_and_tier_restores_share_the_ordering_artifacts() {
-        // The ordering LUT and its located table are process-wide: an
-        // engine slot's clone and a fresh `for_tier(Full)` restore read
-        // the first detector's by `Arc`; only the semantics split tables.
+        // The located table is process-wide: an engine slot's clone and a
+        // fresh `for_tier(Full)` restore read the first detector's by
+        // `Arc`; only the semantics split tables. (The orders under it are
+        // `static` data, shared by construction.)
         let c = Constellation::new(Modulation::Qam16);
         let det = FlexCoreDetector::with_pes(c.clone(), 16);
         let table = |d: &FlexCoreDetector| d.fast_lut.clone().expect("a triangle-LUT detector");
-        let shared = |d: &FlexCoreDetector| {
-            d.lut.shares_orders(&det.lut) && Arc::ptr_eq(&table(d), &table(&det))
-        };
+        let shared = |d: &FlexCoreDetector| Arc::ptr_eq(&table(d), &table(&det));
         assert!(shared(&det.clone()), "clone");
         let restored = CellDetector::sic(c.clone()).for_tier(ServiceTier::Full);
         assert!(shared(restored.core().expect("full tier")), "tier restore");
@@ -1798,8 +1797,7 @@ mod tests {
             FlexCoreDetector::new(c.clone(), cfg)
         };
         let strict = with(PathOrdering::TriangleLutStrict);
-        assert!(strict.lut.shares_orders(&det.lut));
-        assert!(!Arc::ptr_eq(&table(&strict), &table(&det)));
+        assert!(!shared(&strict));
         assert!(table(&strict).strict() && !table(&det).strict());
         assert!(with(PathOrdering::Exact).fast_lut.is_none());
     }

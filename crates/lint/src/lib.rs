@@ -61,8 +61,9 @@ impl std::fmt::Display for Finding {
 pub enum FileClass {
     /// Library code: full discipline (FL001–FL006 as marked/applicable).
     Lib,
-    /// Binary entry points (`src/bin/**`, `src/main.rs`): marker-driven
-    /// lints only — bins legitimately read env vars and exit loudly.
+    /// Binary entry points (`src/bin/**`, `src/main.rs`, a `build.rs`
+    /// build script): marker-driven lints only — bins legitimately read
+    /// env vars and exit loudly.
     Bin,
     /// Integration tests.
     Test,
@@ -135,7 +136,7 @@ pub fn classify(rel: &str) -> FileClass {
         .strip_prefix("crates/")
         .map(|r| r.split_once('/').map(|(_, rest)| rest).unwrap_or(r));
     let local = in_crate.unwrap_or(rel);
-    if local.starts_with("src/bin/") || local == "src/main.rs" {
+    if local.starts_with("src/bin/") || local == "src/main.rs" || local == "build.rs" {
         FileClass::Bin
     } else if local.starts_with("tests/") {
         FileClass::Test
@@ -297,6 +298,7 @@ mod tests {
         assert_eq!(classify("crates/numeric/src/lanes.rs"), FileClass::Lib);
         assert_eq!(classify("crates/sim/src/bin/repro.rs"), FileClass::Bin);
         assert_eq!(classify("crates/lint/src/main.rs"), FileClass::Bin);
+        assert_eq!(classify("crates/modulation/build.rs"), FileClass::Bin);
         assert_eq!(
             classify("crates/sim/tests/experiment_smoke.rs"),
             FileClass::Test

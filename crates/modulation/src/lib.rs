@@ -17,8 +17,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod derive;
+mod octant;
 pub mod ordering;
 pub mod qam;
 
-pub use ordering::{triangle_index, triangle_index_fast, LocatedOrderingTable, OrderingLut};
+pub use octant::{triangle_index, triangle_index_fast};
+pub use ordering::{LocatedOrderingTable, OrderingLut};
 pub use qam::{Constellation, Modulation};

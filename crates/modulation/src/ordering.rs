@@ -22,47 +22,25 @@
 //! all eight triangles explicitly rather than rotating a single stored
 //! triangle — a negligible-memory software simplification.
 //!
-//! The derivation is the paper's offline table step, so it runs **once per
-//! process and modulation**: the orders depend on nothing else, and every
-//! [`OrderingLut`] of that modulation (any depth, any detector clone)
-//! shares them by `Arc` through the same process-wide memo that holds the
-//! materialised [`LocatedOrderingTable`]s. It is also fast: each sample's
-//! full distance ranking is an insertion sort that starts from the previous
-//! sample's permutation, with samples visited in a strip-snake order so
-//! that neighbours differ by a few swaps (near-linear instead of a
-//! comparator sort per sample). No bit of the result can move against the
-//! plain sort-per-sample definition: the RNG stream is consumed by the same
-//! draws and the same (filter-proven identical) rejection test; the sort
-//! key `(dist².to_bits(), index)` orders exactly as the comparator did,
-//! because finite non-negative floats order like their bit patterns and the
-//! index makes every key distinct, so each sample has one sorted
-//! permutation however it is reached; and rank sums are integers far below
-//! 2⁵³ (exact in the `f64` the per-sample definition summed them in), so
-//! the order the samples are visited in cannot change them. The candidate
-//! set is the `(2·side + 1)²` offsets around the centre for every depth —
-//! the per-sample definition's depth-dependent radius reached `side` for
-//! every `depth ≤ |Q|` — which is why one derivation serves all depths.
+//! The derivation is the paper's offline table step, so it runs **at build
+//! time**: `build.rs` runs it (`derive.rs`, with why its incremental
+//! ranking reproduces the sort-per-sample definition bit for bit) and
+//! writes every modulation's orders as a `static` table that this module
+//! includes. No process draws a sample or ranks a candidate; the orders
+//! depend on nothing but the modulation, and every [`OrderingLut`] of it
+//! (any depth, any detector clone) reads the same `static` slices.
 
 use crate::qam::{Constellation, Modulation};
+use crate::triangle_index_fast;
 use flexcore_numeric::{Cx, LANES};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Samples per triangle when deriving the predefined order.
-const LUT_SAMPLES: usize = 600;
-/// Fixed seed: the LUT is part of the algorithm definition, so it must be
-/// identical across runs and machines.
-const LUT_SEED: u64 = 0x5EED_F1EC;
-/// Strips (in `dx`, across the whole `[−1, 1]` square) of the snake that
-/// orders a triangle's samples for the incremental ranking. Any value
-/// gives the same orders; this one keeps consecutive samples close.
-const SNAKE_STRIPS: f64 = 32.0;
+include!(concat!(env!("OUT_DIR"), "/orders.rs"));
 
-/// One predefined order per triangle: `orders[t][k-1]` = lattice offset
-/// `(Δcol, Δrow)` of the k-th closest lattice point for effective points
-/// inside triangle `t`.
-type Orders = [Vec<(i32, i32)>; 8];
+/// One modulation's predefined orders: `[triangle][k - 1]` = lattice
+/// offset `(Δcol, Δrow)` of the k-th closest lattice point for effective
+/// points inside that triangle.
+type Orders = [&'static [(i8, i8)]; 8];
 
 /// Returns all symbol indices sorted by ascending distance to `y`
 /// (ties broken by index for determinism).
@@ -92,101 +70,35 @@ pub fn kth_nearest_exact(c: &Constellation, y: Cx, k: usize) -> Option<usize> {
     Some(exact_order(c, y)[k - 1])
 }
 
-/// Classifies an offset within the minimum-distance square into one of the
-/// eight triangles of Fig. 6.
-///
-/// `dx`, `dy` are the coordinates of the effective point relative to the
-/// square's centre, in *grid units* (square side = 2, so `dx, dy ∈ [−1, 1]`).
-/// Triangles are octants: index `i ∈ 0..8` covers angles
-/// `[i·45°, (i+1)·45°)`.
-pub fn triangle_index(dx: f64, dy: f64) -> usize {
-    let a = dy.atan2(dx); // (−π, π]
-    let two_pi = 2.0 * std::f64::consts::PI;
-    let norm = if a < 0.0 { a + two_pi } else { a };
-    ((norm / (std::f64::consts::PI / 4.0)) as usize).min(7)
-}
-
-/// Filtered form of [`triangle_index`]: sign/magnitude comparisons decide
-/// the octant whenever the point is provably far from every octant
-/// boundary, and only points inside a narrow guard band around the
-/// boundaries fall back to the `atan2` definition.
-///
-/// The result is identical to [`triangle_index`] for **every** input: the
-/// comparison fast path only fires when the angular distance to the
-/// nearest boundary (a multiple of 45°) exceeds ~`GUARD/2` radians, which
-/// dwarfs the combined rounding error of `atan2` (≤ a few ulp in any libm)
-/// plus one addition and one division (≤ 1 ulp each, ~1e-14 rad absolute
-/// here) — so the floored octant in [`triangle_index`] cannot land on the
-/// other side of the boundary. Inputs inside the guard band — including
-/// zeros and signed zeros — take the exact `atan2` path unchanged. This is
-/// the classic floating-point-filter construction; the SIMD block walk
-/// uses it to drop `atan2` from the per-chain locate without perturbing a
-/// single bit of any decision.
-#[inline]
-pub fn triangle_index_fast(dx: f64, dy: f64) -> usize {
-    const GUARD: f64 = 1e-9;
-    let ax = dx.abs();
-    let ay = dy.abs();
-    let guard = GUARD * ax.max(ay);
-    if ax > guard && ay > guard && (ax - ay).abs() > guard {
-        // Strictly inside an octant, with margin: quadrant signs plus the
-        // |dy| vs |dx| comparison pick it exactly. Branchless (selects, no
-        // data-dependent jumps — the octant of a noisy effective point is
-        // unpredictable) encoding of the truth table
-        //   (dx>0, dy>0, ay>ax):  TTf→0 TTt→1 FTt→2 FTf→3
-        //                         FFf→4 FFt→5 TFt→6 TFf→7
-        // as `quadrant-base + within-quadrant index`.
-        let d = (ay > ax) as usize;
-        let inner = if (dx > 0.0) == (dy > 0.0) { d } else { 3 - d };
-        if dy > 0.0 {
-            inner
-        } else {
-            4 + inner
-        }
-    } else {
-        triangle_index(dx, dy)
-    }
-}
-
 /// The approximate predefined symbol ordering of §3.2.
 ///
 /// The paper computes it offline and stores it in a look-up table; the
 /// FPGA keeps it in non-pipelined registers. Here the orders are derived
-/// **once per process and modulation** (see the module doc for the exact
-/// incremental ranking and why it reproduces the sort-per-sample
-/// definition bit for bit) and shared by `Arc`: every table of one
-/// modulation, at any depth, and every clone of one, reads the same
-/// orders. `depth` bounds the largest `k` the table can answer.
+/// **at build time** (see the module doc) and compiled in as `static`
+/// data: every table of one modulation, at any depth, and every clone of
+/// one, reads the same orders. `depth` bounds the largest `k` the table
+/// can answer.
 #[derive(Clone, Debug)]
 pub struct OrderingLut {
     modulation: Modulation,
     depth: usize,
-    /// The modulation's shared predefined orders (the memo's `Arc`).
-    orders: Arc<Orders>,
+    /// The modulation's predefined orders, from the build-time table.
+    orders: &'static Orders,
 }
 
-/// Process-wide memo of the ordering artifacts, each a pure function of
-/// its key (the predefined order is seeded deterministically):
+/// Process-wide memo of the [`LocatedOrderingTable`]s, one per
+/// `(modulation, depth, strict)`, each a pure function of its key. At
+/// 16-QAM a table weighs ~100 KiB, so when a frame engine clones one
+/// detector per subcarrier, 48 private copies would blow the last-level
+/// cache and tax every blocked batch with table re-faults. (The tables are
+/// materialised at run time, not built in like the orders: a 64-QAM table
+/// is ~147 KB and a 256-QAM one ~1.6 MB.)
 ///
-/// * `orders` — one derivation per modulation, shared by every
-///   [`OrderingLut`] of it;
-/// * `tables` — one [`LocatedOrderingTable`] per `(modulation, depth,
-///   strict)`. At 16-QAM a table weighs ~100 KiB, so when a frame engine
-///   clones one detector per subcarrier, 48 private copies would blow the
-///   last-level cache and tax every blocked batch with table re-faults.
-///
-/// Association lists suffice: at most five orders exist, and detectors
-/// ask for tables only at depth `|Q|`, so one per `(modulation,
-/// semantics)` pair.
-struct Memo {
-    orders: Vec<(Modulation, Arc<Orders>)>,
-    tables: Vec<((Modulation, usize, bool), Arc<LocatedOrderingTable>)>,
-}
+/// An association list suffices: detectors ask for tables only at depth
+/// `|Q|`, so there is one per `(modulation, semantics)` pair.
+type Memo = Vec<((Modulation, usize, bool), Arc<LocatedOrderingTable>)>;
 
-static MEMO: Mutex<Memo> = Mutex::new(Memo {
-    orders: Vec::new(),
-    tables: Vec::new(),
-});
+static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
 
 /// The memo, locked. A panic while holding the lock cannot leave an entry
 /// half-built (entries are pushed fully formed) — recover.
@@ -194,42 +106,16 @@ fn memo() -> std::sync::MutexGuard<'static, Memo> {
     MEMO.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Derivations run per modulation (index `Modulation as usize`), so a test
-/// can check the memo derives each at most once per process.
-#[cfg(test)]
-static DERIVATIONS: [std::sync::atomic::AtomicUsize; 5] =
-    [const { std::sync::atomic::AtomicUsize::new(0) }; 5];
-
 impl OrderingLut {
     /// The table for `modulation`, answering `k ≤ depth` (`depth` is
-    /// clamped to `|Q|`). `depth` only clamps lookups and never changes the
-    /// derivation: the orders span every candidate of every triangle,
-    /// derived on the first call for `modulation` in this process and
-    /// shared by every later one.
+    /// clamped to `|Q|`). `depth` only clamps lookups: the build-time
+    /// orders span every candidate of every triangle.
     pub fn new(modulation: Modulation, depth: usize) -> Self {
-        let depth = depth.clamp(1, modulation.order());
-        let orders = {
-            let mut memo = memo();
-            match memo.orders.iter().find(|(m, _)| *m == modulation) {
-                Some((_, o)) => o.clone(),
-                None => {
-                    let o = Arc::new(derive_orders(modulation));
-                    memo.orders.push((modulation, o.clone()));
-                    o
-                }
-            }
-        };
         OrderingLut {
             modulation,
-            depth,
-            orders,
+            depth: depth.clamp(1, modulation.order()),
+            orders: &ORDERS[modulation as usize],
         }
-    }
-
-    /// Whether `self` and `other` read one shared derivation (the memo's
-    /// `Arc`), as every table of one modulation in a process does.
-    pub fn shares_orders(&self, other: &OrderingLut) -> bool {
-        Arc::ptr_eq(&self.orders, &other.orders)
     }
 
     /// The modulation this table was built for.
@@ -244,7 +130,8 @@ impl OrderingLut {
 
     /// Raw lattice offset for triangle `tri` and rank `k` (1-based).
     pub fn kth_offset(&self, tri: usize, k: usize) -> Option<(i32, i32)> {
-        self.orders.get(tri)?.get(k - 1).copied()
+        let &(di, dj) = self.orders.get(tri)?.get(k - 1)?;
+        Some((di.into(), dj.into()))
     }
 
     /// The approximate `k`-th closest symbol index to the effective point
@@ -277,7 +164,7 @@ impl OrderingLut {
     ) -> Option<usize> {
         let (di, dj) = self.orders[tri][k - 1];
         // `None` outside the constellation: PE deactivated.
-        grid_symbol(c, ci + di, cj + dj)
+        grid_symbol(c, ci + i32::from(di), cj + i32::from(dj))
     }
 
     /// The approximate `k`-th closest **constellation** symbol, skipping
@@ -328,7 +215,7 @@ impl OrderingLut {
     ) -> impl Iterator<Item = usize> + 'a {
         self.orders[tri]
             .iter()
-            .filter_map(move |&(di, dj)| grid_symbol(c, ci + di, cj + dj))
+            .filter_map(move |&(di, dj)| grid_symbol(c, ci + i32::from(di), cj + i32::from(dj)))
     }
 
     /// Shared BPSK degenerate lookup.
@@ -408,17 +295,17 @@ pub struct LocatedOrderingTable {
 impl OrderingLut {
     /// The shared, process-wide [`LocatedOrderingTable`] for this ordering
     /// — [`OrderingLut::build_table`] memoised by
-    /// `(modulation, depth, strict)` beside the orders, so every detector
+    /// `(modulation, depth, strict)`, so every detector
     /// clone (one per subcarrier in a frame engine) reads the *same* table
     /// instead of faulting a private ~100 KiB copy per clone.
     pub fn shared_table(&self, c: &Constellation, strict: bool) -> Arc<LocatedOrderingTable> {
         let key = (self.modulation, self.depth, strict);
         let mut memo = memo();
-        if let Some((_, t)) = memo.tables.iter().find(|(k, _)| *k == key) {
+        if let Some((_, t)) = memo.iter().find(|(k, _)| *k == key) {
             return t.clone();
         }
         let t = Arc::new(self.build_table(c, strict));
-        memo.tables.push((key, t.clone()));
+        memo.push((key, t.clone()));
         t
     }
 
@@ -661,99 +548,6 @@ fn grid_symbol(c: &Constellation, col: i32, row: i32) -> Option<usize> {
     let side = c.grid_side() as i32;
     (col >= 0 && col < side && row >= 0 && row < side)
         .then(|| c.grid_to_index(col as usize, row as usize))
-}
-
-/// The predefined orders of `modulation`: every candidate lattice offset
-/// of every triangle, ranked by its summed distance rank over
-/// [`LUT_SAMPLES`] uniform samples of the triangle (ties by candidate
-/// index). The memo in [`OrderingLut::new`] runs this once per process;
-/// the module doc argues why the incremental ranking equals one comparator
-/// sort per sample, bit for bit.
-fn derive_orders(modulation: Modulation) -> Orders {
-    #[cfg(test)]
-    DERIVATIONS[modulation as usize].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    if modulation == Modulation::Bpsk {
-        // Degenerate 1-D case: closest, then the other point.
-        return std::array::from_fn(|_| vec![(0, 0), (1, 0)]);
-    }
-    // Candidate lattice offsets: every constellation symbol is reachable
-    // from any in-grid centre (the skip-outside lookup mode needs that),
-    // and `side` is at least the `depth + 8`-point neighbourhood any
-    // `depth ≤ |Q|` asks for.
-    let radius = modulation.grid_side() as i32;
-    let candidates: Vec<(i32, i32)> = (-radius..=radius)
-        .flat_map(|dj| (-radius..=radius).map(move |di| (di, dj)))
-        .collect();
-    // Lattice points sit at even grid coordinates (2di, 2dj).
-    let coords: Vec<(f64, f64)> = candidates
-        .iter()
-        .map(|&(di, dj)| (2.0 * di as f64, 2.0 * dj as f64))
-        .collect();
-    // Draw every triangle's accepted samples first, consuming the RNG
-    // exactly as one rejection loop per triangle does.
-    let mut rng = StdRng::seed_from_u64(LUT_SEED);
-    let samples: [Vec<(f64, f64)>; 8] = std::array::from_fn(|tri| {
-        let mut taken = Vec::with_capacity(LUT_SAMPLES);
-        while taken.len() < LUT_SAMPLES {
-            let dx: f64 = rng.gen_range(-1.0..1.0);
-            let dy: f64 = rng.gen_range(-1.0..1.0);
-            if triangle_index_fast(dx, dy) == tri {
-                taken.push((dx, dy));
-            }
-        }
-        taken
-    });
-    // `(dist² bits, candidate)` in rank order, carried from sample to
-    // sample (and triangle to triangle) so each re-rank starts sorted but
-    // for the few pairs the step swapped.
-    let mut ranked: Vec<(u64, u32)> = (0..candidates.len() as u32).map(|i| (0, i)).collect();
-    samples.map(|pts| {
-        let mut snake: Vec<(f64, f64, f64)> = pts
-            .into_iter()
-            .map(|(dx, dy)| (snake_key(dx, dy), dx, dy))
-            .collect();
-        snake.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let mut rank_sum = vec![0u64; candidates.len()];
-        for (_, dx, dy) in snake {
-            for entry in ranked.iter_mut() {
-                let (cx, cy) = coords[entry.1 as usize];
-                let (ex, ey) = (dx - cx, dy - cy);
-                entry.0 = (ex * ex + ey * ey).to_bits();
-            }
-            insertion_sort(&mut ranked);
-            for (rank, &(_, ci)) in ranked.iter().enumerate() {
-                rank_sum[ci as usize] += rank as u64;
-            }
-        }
-        let mut by_rank: Vec<usize> = (0..candidates.len()).collect();
-        by_rank.sort_unstable_by_key(|&i| (rank_sum[i], i));
-        // The full candidate ordering (not just `depth` entries): the
-        // skip-outside lookup mode may need to pass over many
-        // out-of-constellation offsets near the grid edge.
-        by_rank.iter().map(|&i| candidates[i]).collect()
-    })
-}
-
-/// A sample's position along the strip snake that orders a triangle's
-/// samples for the incremental ranking: strips in `dx`, alternating
-/// direction in `dy`. A strip's keys lie within ±1 of `4·strip`, so strips
-/// never interleave.
-fn snake_key(dx: f64, dy: f64) -> f64 {
-    let strip = ((dx + 1.0) * (SNAKE_STRIPS / 2.0)).floor();
-    4.0 * strip + if strip % 2.0 == 0.0 { dy } else { -dy }
-}
-
-/// Sorts an almost-sorted slice in `O(len + inversions)`.
-fn insertion_sort<T: Copy + Ord>(v: &mut [T]) {
-    for i in 1..v.len() {
-        let x = v[i];
-        let mut j = i;
-        while j > 0 && v[j - 1] > x {
-            v[j] = v[j - 1];
-            j -= 1;
-        }
-        v[j] = x;
-    }
 }
 
 #[inline]
@@ -1182,14 +976,54 @@ mod tests {
         ex * ex + ey * ey
     }
 
-    /// Full orders — every candidate of every triangle — against the
-    /// reference, at the largest depth and (where cheap) the smallest.
+    /// `m`'s build-time orders, widened to the derivation's offsets.
+    fn static_orders(m: Modulation) -> Vec<Vec<(i32, i32)>> {
+        let widen = |o: &[(i8, i8)]| o.iter().map(|&(di, dj)| (di.into(), dj.into())).collect();
+        OrderingLut::new(m, 1)
+            .orders
+            .iter()
+            .map(|o| widen(o))
+            .collect()
+    }
+
+    /// Orders in the [`OrderingLut`] field's form (leaked: tests only).
+    fn leak(orders: Vec<Vec<(i32, i32)>>) -> &'static Orders {
+        let narrow = |x: i32| i8::try_from(x).expect("offsets fit in i8");
+        let narrowed = orders.into_iter().map(|o| {
+            &*o.into_iter()
+                .map(|(di, dj)| (narrow(di), narrow(dj)))
+                .collect::<Vec<_>>()
+                .leak()
+        });
+        let triangles: Vec<&'static [(i8, i8)]> = narrowed.collect();
+        Box::leak(Box::new(triangles.try_into().expect("eight triangles")))
+    }
+
+    #[test]
+    fn static_table_equals_the_runtime_derivation() {
+        // All five: the incremental derivation takes 0.2 s at 256-QAM even
+        // in a debug build.
+        for m in [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+            Modulation::Qam256,
+        ] {
+            // What `build.rs` ran, re-run here: every candidate of every
+            // triangle.
+            let radius = (m != Modulation::Bpsk).then(|| m.grid_side() as i32);
+            assert_eq!(static_orders(m), derive_orders(radius).to_vec(), "{m:?}");
+        }
+    }
+
+    /// Full static orders — every candidate of every triangle — against
+    /// the reference, at the largest depth and (where cheap) the smallest.
     fn assert_orders_match_reference(m: Modulation, depths: &[usize]) {
-        let lut = OrderingLut::new(m, m.order());
         for &depth in depths {
             assert_eq!(
-                &lut.orders[..],
-                &reference_orders(m, depth)[..],
+                static_orders(m),
+                reference_orders(m, depth),
                 "{m:?} at depth {depth}"
             );
         }
@@ -1215,7 +1049,7 @@ mod tests {
         let c = Constellation::new(m);
         let fast = OrderingLut::new(m, 16);
         let reference = OrderingLut {
-            orders: Arc::new(reference_orders(m, 16).try_into().expect("eight triangles")),
+            orders: leak(reference_orders(m, 16)),
             ..fast.clone()
         };
         for strict in [false, true] {
@@ -1228,29 +1062,30 @@ mod tests {
     }
 
     #[test]
-    fn orders_are_derived_once_per_modulation_and_shared() {
-        let all = [
+    fn luts_and_tables_are_built_without_deriving() {
+        for m in [
             Modulation::Bpsk,
             Modulation::Qpsk,
             Modulation::Qam16,
             Modulation::Qam64,
             Modulation::Qam256,
-        ];
-        for m in all {
-            let (shallow, full) = (OrderingLut::new(m, 1), OrderingLut::new(m, m.order()));
-            assert!(shallow.shares_orders(&full), "{m:?}: two derivations");
-            assert!(full.clone().shares_orders(&full), "{m:?}: clone copied");
+        ] {
             let c = Constellation::new(m);
-            let skip = full.shared_table(&c, false);
-            assert!(Arc::ptr_eq(&skip, &full.clone().shared_table(&c, false)));
-            assert!(!Arc::ptr_eq(&skip, &full.shared_table(&c, true)));
+            let lut = OrderingLut::new(m, m.order());
+            let skip = lut.shared_table(&c, false);
+            assert!(Arc::ptr_eq(&skip, &lut.clone().shared_table(&c, false)));
+            assert!(!Arc::ptr_eq(&skip, &lut.shared_table(&c, true)));
+            // The memo may hold another test's tables: build one here too.
+            lut.build_table(&c, true);
         }
-        for m in all {
-            let n = DERIVATIONS[m as usize].load(std::sync::atomic::Ordering::Relaxed);
-            assert_eq!(n, 1, "{m:?} derived {n} times in this process");
-        }
+        assert_eq!(ENTERED.get(), 0, "a lookup table derived its orders");
+        // The probe is live: a derivation on this thread registers.
+        derive_orders(None);
+        assert_eq!(ENTERED.get(), 1);
     }
 
+    use crate::derive::{derive_orders, ENTERED, LUT_SAMPLES, LUT_SEED};
+    use crate::triangle_index;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 }
