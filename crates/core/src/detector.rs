@@ -18,12 +18,13 @@
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
 use crate::preprocess::{PreprocessOutput, Preprocessor};
-use flexcore_detect::common::{first_min_metric, Detector, PathScratch, Triangular};
+use flexcore_detect::common::{batch_rows, first_min_metric, Detector, PathScratch, Triangular};
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
 use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, LANES};
 use flexcore_parallel::PePool;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// How each level finds its k-th closest symbol.
@@ -383,6 +384,28 @@ pub(crate) struct WalkBlockScratch {
     pub(crate) winner: Vec<u16>,
 }
 
+/// Everything [`FlexCoreDetector::detect_batch_into`] works in: the block
+/// walk's rotated observations and lane state, and the scalar walk's
+/// rotate buffer and path planes. Sized by the first batch of a shape and
+/// reused by every later one.
+#[derive(Default)]
+struct BatchScratch {
+    /// One block's rotated observations, observation-major.
+    ybars: Vec<Cx>,
+    block: WalkBlockScratch,
+    ybar: Vec<Cx>,
+    walk: WalkScratch,
+}
+
+thread_local! {
+    /// The batch path's workspace, one per thread like the SQRD planes: a
+    /// PE streams batch after batch through the same registers, and a
+    /// band of prepared detectors shares them instead of owning a set
+    /// each. A batch takes it out of the slot and puts it back, so a
+    /// batch nested on the same thread starts from an empty one.
+    static BATCH_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
+}
+
 /// The FlexCore detector.
 #[derive(Clone, Debug)]
 pub struct FlexCoreDetector {
@@ -710,7 +733,7 @@ impl FlexCoreDetector {
     /// smaller metric, equal metrics broken by the lower path index, `NaN`
     /// never — independent of the order leaves are visited in.
     ///
-    /// Out of line on purpose: inlined into `detect_batch_refs` the loop
+    /// Out of line on purpose: inlined into `detect_batch_into` the loop
     /// shares its registers with the batch driver and spills more
     /// (measured: 5 % slower at 4×4 and 64×64).
     #[inline(never)]
@@ -859,7 +882,7 @@ impl FlexCoreDetector {
     /// one flat plane shared by reference across tasks; each evaluation
     /// returns a stack-resident `(SymVec, metric)`. A single vector is a
     /// batch of one. Results are identical to
-    /// [`Detector::detect_batch_refs`].
+    /// [`Detector::detect_batch_into`].
     pub fn detect_batch_on_pool<P: PePool>(&self, ys: &[&[Cx]], pool: &P) -> Vec<Vec<usize>> {
         let state = self.prepared();
         let tri = &state.tri;
@@ -906,16 +929,16 @@ impl FlexCoreDetector {
     }
 
     /// Evaluates all paths over one rotated observation (trie walk) and
-    /// returns the minimum-metric decision in original stream order — the
-    /// shared allocation-free core of `detect` and `detect_batch_refs`.
-    /// Only the returned decision vector is allocated.
-    fn detect_prepared(&self, ybar: &[Cx], walk: &mut WalkScratch) -> Vec<usize> {
+    /// writes the minimum-metric decision into `row`, in original stream
+    /// order — the shared allocation-free core of `detect` and the scalar
+    /// `detect_batch_into`.
+    fn detect_prepared(&self, ybar: &[Cx], walk: &mut WalkScratch, row: &mut [u16]) {
         let state = self.prepared();
         self.walk_paths(ybar, walk);
         let (i, _) =
             // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback guarantees the SIC path completes, so the walk always yields a finite metric")
             first_min_metric(walk.metrics.iter().copied()).expect("the SIC path always completes");
-        state.tri.unpermute(walk.syms[i].as_slice())
+        state.tri.unpermute_into(walk.syms[i].as_slice(), row);
     }
 }
 
@@ -978,8 +1001,13 @@ impl Detector for FlexCoreDetector {
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
         let state = self.prepared();
         let ybar = state.tri.rotate(y);
-        let mut walk = WalkScratch::default();
-        self.detect_prepared(&ybar, &mut walk)
+        let mut row = vec![0u16; state.tri.nt()];
+        self.detect_prepared(&ybar, &mut WalkScratch::default(), &mut row);
+        row.into_iter().map(usize::from).collect()
+    }
+
+    fn n_streams(&self) -> usize {
+        self.state.as_ref().map_or(0, |s| s.tri.nt())
     }
 
     /// Scratch-based batch override — the SoA streaming path a
@@ -988,39 +1016,42 @@ impl Detector for FlexCoreDetector {
     /// four-wide trie walk per block); a batch tail shorter than a block
     /// is padded by repeating its last observation and walked as a masked
     /// partial block, so no observation ever falls back to the scalar
-    /// per-vector loop. All scratch planes are allocated once for the
-    /// whole batch. With dispatch disabled the whole batch runs the scalar
-    /// loop. Results stay bit-identical to per-vector [`Detector::detect`]
+    /// per-vector loop. With dispatch disabled the whole batch runs the
+    /// scalar loop. Every plane lives in this thread's `BatchScratch`,
+    /// so once the thread has seen the shape a batch touches no heap.
+    /// Results stay bit-identical to per-vector [`Detector::detect`]
     /// either way.
-    fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
+        // flexcore-lint: hot-path
         let state = self.prepared();
         let nt = state.tri.nt();
-        let mut results = Vec::with_capacity(ys.len());
+        let mut rows = batch_rows(out, ys.len(), nt);
+        let mut scratch = BATCH_SCRATCH.take();
         if lanes_enabled() {
-            let mut ybars = vec![Cx::ZERO; LANES * nt];
-            let mut block = WalkBlockScratch::default();
+            let BatchScratch { ybars, block, .. } = &mut scratch;
+            ybars.resize(LANES * nt, Cx::ZERO);
             for chunk in ys.chunks(LANES) {
                 // Masked partial tail: pad to a full block by repeating
                 // the last real observation (valid data, so every lane
                 // kernel sees finite inputs), walk with only the real
                 // lanes active, and extract those lanes only.
                 let padded: [&[Cx]; LANES] = std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)]);
-                state.tri.qr.rotate_batch_into(&padded, &mut ybars);
-                self.walk_paths_block(&ybars, std::array::from_fn(|l| l < chunk.len()), &mut block);
-                for l in 0..chunk.len() {
-                    self.block_winner(l, &mut block);
-                    results.push(state.tri.unpermute(&block.winner));
+                state.tri.qr.rotate_batch_into(&padded, ybars);
+                self.walk_paths_block(ybars, std::array::from_fn(|l| l < chunk.len()), block);
+                for (l, row) in (0..chunk.len()).zip(&mut rows) {
+                    self.block_winner(l, block);
+                    state.tri.unpermute_into(&block.winner, row);
                 }
             }
-            return results;
+        } else {
+            let BatchScratch { ybar, walk, .. } = &mut scratch;
+            ybar.resize(nt, Cx::ZERO);
+            for (y, row) in ys.iter().zip(rows) {
+                state.tri.rotate_into(y, ybar);
+                self.detect_prepared(ybar, walk, row);
+            }
         }
-        let mut ybar = vec![Cx::ZERO; nt];
-        let mut walk = WalkScratch::default();
-        for y in ys {
-            state.tri.rotate_into(y, &mut ybar);
-            results.push(self.detect_prepared(&ybar, &mut walk));
-        }
-        results
+        BATCH_SCRATCH.set(scratch);
     }
 
     /// Per-vector cost = tree paths evaluated, i.e. the PEs the prepared

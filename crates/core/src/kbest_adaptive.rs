@@ -22,7 +22,7 @@
 
 use crate::model::LevelErrorModel;
 use crate::preprocess::Preprocessor;
-use flexcore_detect::common::{Detector, Triangular};
+use flexcore_detect::common::{batch_rows, Detector, Triangular};
 use flexcore_detect::{kbest_descend, KBestScratch};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::sorted_qr_sqrd;
@@ -30,7 +30,7 @@ use flexcore_numeric::{CMat, Cx};
 
 /// Reusable workspace for one adaptive K-best descent: the rotate buffer
 /// plus the shared flip-flop survivor/child planes
-/// ([`flexcore_detect::KBestScratch`]), so `detect_batch_refs` streams a
+/// ([`flexcore_detect::KBestScratch`]), so `detect_batch_into` streams a
 /// whole batch without per-vector (or per-child) heap traffic.
 #[derive(Clone, Debug, Default)]
 struct AkbScratch {
@@ -99,13 +99,14 @@ impl AdaptiveKBest {
     /// (`keep(row) = K_row · n_survivors`). Decisions are bit-identical to
     /// the original clone-per-child implementation (regression-tested
     /// below).
-    fn descend(&self, state: &State, scratch: &mut AkbScratch) -> Vec<usize> {
+    fn descend(&self, state: &State, scratch: &mut AkbScratch, row: &mut [u16]) {
         kbest_descend(
             &state.tri,
             &scratch.ybar,
             |row, n_surv| state.k_per_level[row] * n_surv,
             &mut scratch.kbest,
-        )
+            row,
+        );
     }
 }
 
@@ -142,23 +143,28 @@ impl Detector for AdaptiveKBest {
         let mut scratch = AkbScratch::default();
         scratch.ybar.resize(state.tri.nt(), Cx::ZERO);
         state.tri.rotate_into(y, &mut scratch.ybar);
-        self.descend(state, &mut scratch)
+        let mut row = vec![0u16; state.tri.nt()];
+        self.descend(state, &mut scratch, &mut row);
+        row.into_iter().map(usize::from).collect()
+    }
+
+    fn n_streams(&self) -> usize {
+        self.state.as_ref().map_or(0, |s| s.tri.nt())
     }
 
     /// Scratch-based batch override: the rotate buffer and the flip-flop
     /// survivor/child planes are allocated once and reused across the whole
     /// batch (bit-identical to per-vector [`Detector::detect`]). This is
     /// the path the frame engine schedules.
-    fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
         let state = self.prepared();
+        let nt = state.tri.nt();
         let mut scratch = AkbScratch::default();
-        scratch.ybar.resize(state.tri.nt(), Cx::ZERO);
-        ys.iter()
-            .map(|y| {
-                state.tri.rotate_into(y, &mut scratch.ybar);
-                self.descend(state, &mut scratch)
-            })
-            .collect()
+        scratch.ybar.resize(nt, Cx::ZERO);
+        for (y, row) in ys.iter().zip(batch_rows(out, ys.len(), nt)) {
+            state.tri.rotate_into(y, &mut scratch.ybar);
+            self.descend(state, &mut scratch, row);
+        }
     }
 
     /// Per-vector cost = total survivor width `Σ K_l` the prepared channel

@@ -171,15 +171,21 @@ impl Detector for CellDetector {
         }
     }
 
-    fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
-        // Forward explicitly so FlexCore keeps its scratch-reuse batch fast
-        // path (the trait default would fall back per-vector); the
-        // degraded tiers have no batch state, so the per-vector default
-        // *is* their batch path.
+    fn n_streams(&self) -> usize {
         match self {
-            CellDetector::FlexCore(d) => d.detect_batch_refs(ys),
-            CellDetector::Sic(d) => d.detect_batch_refs(ys),
-            CellDetector::Linear(d) => d.detect_batch_refs(ys),
+            CellDetector::FlexCore(d) => d.n_streams(),
+            CellDetector::Sic(d) => d.n_streams(),
+            CellDetector::Linear(d) => d.n_streams(),
+        }
+    }
+
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
+        // Forward explicitly so every tier keeps its scratch-reuse batch
+        // path (the trait default would fall back per-vector).
+        match self {
+            CellDetector::FlexCore(d) => d.detect_batch_into(ys, out),
+            CellDetector::Sic(d) => d.detect_batch_into(ys, out),
+            CellDetector::Linear(d) => d.detect_batch_into(ys, out),
         }
     }
 

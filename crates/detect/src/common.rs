@@ -28,21 +28,49 @@ pub trait Detector {
     /// has the wrong length.
     fn detect(&self, y: &[Cx]) -> Vec<usize>;
 
+    /// Transmit streams of the prepared channel: the length of every
+    /// decision [`Detector::detect`] returns, and the row width of
+    /// [`Detector::detect_batch_into`]; 0 before `prepare`.
+    fn n_streams(&self) -> usize;
+
     /// Detects a batch of received vectors observed under the **same**
     /// prepared channel — e.g. every OFDM symbol of one subcarrier in a
     /// frame — amortising the per-channel pre-processing exactly as §3 of
     /// the paper prescribes. The vectors are borrowed: the frame engine's
     /// flat frame plane lends each one as a `&[Cx]` without cloning.
     ///
-    /// The contract is strict: the result must be **bit-identical** to
-    /// `ys.iter().map(|y| self.detect(y))`, whatever the implementation
-    /// does internally (the frame engine and its substrate-equivalence
-    /// tests rely on this). Implementations override this to reuse one
-    /// scratch workspace across the whole batch, exactly as a hardware PE
-    /// streams back-to-back subcarrier symbols through one set of
-    /// registers.
+    /// Vector `i`'s decision goes to row `i` of `out` — the
+    /// [`Detector::n_streams`]-wide slice `out[i·nt .. (i+1)·nt]`, in
+    /// original stream order — so the caller owns every output byte and a
+    /// warm batch needs no heap. The contract is strict: row `i` must be
+    /// **bit-identical** to `self.detect(ys[i])`, whatever the
+    /// implementation does internally (the frame engine and its
+    /// substrate-equivalence tests rely on this). Implementations override
+    /// this to reuse one scratch workspace across the whole batch, exactly
+    /// as a hardware PE streams back-to-back subcarrier symbols through
+    /// one set of registers; this default runs `detect` per vector.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != ys.len() · n_streams()`.
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
+        for (y, row) in ys.iter().zip(batch_rows(out, ys.len(), self.n_streams())) {
+            for (o, s) in row.iter_mut().zip(self.detect(y)) {
+                *o = s as u16;
+            }
+        }
+    }
+
+    /// [`Detector::detect_batch_into`] returning one `Vec` per vector —
+    /// the owned form for callers that keep decisions per vector. Product
+    /// paths detect into caller-owned planes instead.
     fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
-        ys.iter().map(|y| self.detect(y)).collect()
+        let nt = self.n_streams();
+        let mut plane = vec![0u16; ys.len() * nt];
+        self.detect_batch_into(ys, &mut plane);
+        plane
+            .chunks_exact(nt.max(1))
+            .map(|row| row.iter().map(|&s| usize::from(s)).collect())
+            .collect()
     }
 
     /// Relative cost of detecting **one vector** under the currently
@@ -79,6 +107,16 @@ pub trait Detector {
     fn extension_work(&self) -> usize {
         self.effort()
     }
+}
+
+/// The rows of a batch output plane: `n` rows of `nt` symbols each, the
+/// layout [`Detector::detect_batch_into`] writes.
+///
+/// # Panics
+/// Panics if `out.len() != n · nt`.
+pub fn batch_rows(out: &mut [u16], n: usize, nt: usize) -> std::slice::ChunksExactMut<'_, u16> {
+    assert_eq!(out.len(), n * nt, "detect_batch_into: output plane length");
+    out.chunks_exact_mut(nt.max(1))
 }
 
 /// Streaming form of the workspace-wide minimum-metric reduction: `true`
@@ -315,10 +353,25 @@ impl Triangular {
             .sum()
     }
 
+    /// Undoes the QR column permutation on tree-order decisions into one
+    /// row of a caller-owned output plane (original stream order) — how
+    /// every batch path writes its decisions, with no allocation.
+    ///
+    /// # Panics
+    /// Panics unless `symbols` and `row` are both `Nt` long.
+    pub fn unpermute_into(&self, symbols: &[u16], row: &mut [u16]) {
+        // flexcore-lint: hot-path
+        assert_eq!(symbols.len(), self.qr.perm.len(), "unpermute: length");
+        assert_eq!(row.len(), self.qr.perm.len(), "unpermute: row length");
+        for (&p, &s) in self.qr.perm.iter().zip(symbols) {
+            row[p] = s;
+        }
+    }
+
     /// Undoes the QR column permutation on tree-order decisions, widening
-    /// to the `Vec<usize>` shape every detector returns — the one place the
-    /// workspace's `u16` symbol storage becomes `usize`. One allocation: the
-    /// output itself, which the public API owes the caller anyway.
+    /// to the `Vec<usize>` shape [`Detector::detect`] returns. One
+    /// allocation: the output itself, which the per-vector API owes the
+    /// caller anyway.
     pub fn unpermute(&self, symbols: &[u16]) -> Vec<usize> {
         assert_eq!(symbols.len(), self.qr.perm.len(), "unpermute: length");
         // flexcore-lint: allow(FL001, reason = "the returned decision vector is the one allocation the public detector API owes the caller; alloc_regression budgets it")
@@ -401,8 +454,11 @@ mod tests {
     fn unpermute_restores_stream_order() {
         let (tri, s, _) = setup(5, 5);
         let orig = tri.unpermute(&s);
+        let mut row = vec![0u16; 5];
+        tri.unpermute_into(&s, &mut row);
         for (j, &p) in tri.qr.perm.iter().enumerate() {
             assert_eq!(orig[p], s[j] as usize);
+            assert_eq!(row[p], s[j]);
         }
     }
 

@@ -14,10 +14,12 @@
 //!
 //! These are precisely the axes along which Fig. 9 shows FlexCore winning.
 
-use crate::common::{first_min_metric, replaces_best, Detector, PathScratch, Triangular};
+use crate::common::{
+    batch_rows, first_min_metric, replaces_best, Detector, PathScratch, Triangular,
+};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::fcsd_sorted_qr;
-use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, LANES};
+use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, LANES};
 use flexcore_parallel::PePool;
 
 /// Fixed-complexity sphere decoder with `L` fully-enumerated levels.
@@ -172,18 +174,19 @@ impl FcsdDetector {
     }
 
     /// Streams every path over one rotated observation with a shared
-    /// scratch, returning the first-minimum decision ([`replaces_best`]
-    /// semantics) — the allocation-free core of `detect` /
-    /// `detect_batch_refs`. With lane dispatch enabled, paths run four
-    /// per iteration through [`FcsdDetector::run_path_block`]; the
+    /// scratch and writes the first-minimum decision ([`replaces_best`]
+    /// semantics) into `row`, in original stream order — the
+    /// allocation-free core of `detect` / `detect_batch_into`. A path
+    /// that takes the lead is unpermuted into `row` on the spot, so no
+    /// best-so-far copy is kept. With lane dispatch enabled, paths run
+    /// four per iteration through [`FcsdDetector::run_path_block`]; the
     /// reduction still visits metrics in ascending path order, so the
     /// decision is bit-identical to the scalar loop.
-    fn detect_prepared(&self, ybar: &[Cx], scratch: &mut PathScratch) -> Vec<usize> {
+    fn detect_prepared(&self, ybar: &[Cx], scratch: &mut PathScratch, row: &mut [u16]) {
+        // flexcore-lint: hot-path
         let tri = self.prepared();
-        let nt = tri.nt();
         let n_paths = self.paths();
         let mut best_metric: Option<f64> = None;
-        let mut best_syms = SymVec::new();
         let mut idx = 0;
         if lanes_enabled() && n_paths >= LANES {
             while idx + LANES <= n_paths {
@@ -191,9 +194,8 @@ impl FcsdDetector {
                 for (l, &metric) in metrics.iter().enumerate() {
                     if replaces_best(metric, best_metric) {
                         best_metric = Some(metric);
-                        best_syms.reset(nt);
-                        for row in 0..nt {
-                            best_syms.set(row, scratch.plane[row * LANES + l]);
+                        for (r, &p) in tri.qr.perm.iter().enumerate() {
+                            row[p] = scratch.plane[r * LANES + l];
                         }
                     }
                 }
@@ -204,15 +206,12 @@ impl FcsdDetector {
             let metric = self.run_path_into(ybar, idx, scratch);
             if replaces_best(metric, best_metric) {
                 best_metric = Some(metric);
-                // Capacity-reusing copy: allocation-free once warmed, at
-                // any width.
-                best_syms.clone_from(&scratch.symbols);
+                tri.unpermute_into(scratch.symbols.as_slice(), row);
             }
             idx += 1;
         }
         // flexcore-lint: allow(FL004, reason = "paths() = |Q|^L >= 1, so the loop body ran and set best_metric")
         best_metric.expect("at least one path");
-        tri.unpermute(best_syms.as_slice())
     }
 }
 
@@ -237,23 +236,26 @@ impl Detector for FcsdDetector {
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
         let tri = self.prepared();
         let ybar = tri.rotate(y);
-        let mut scratch = PathScratch::new();
-        self.detect_prepared(&ybar, &mut scratch)
+        let mut row = vec![0u16; tri.nt()];
+        self.detect_prepared(&ybar, &mut PathScratch::new(), &mut row);
+        row.into_iter().map(usize::from).collect()
+    }
+
+    fn n_streams(&self) -> usize {
+        self.tri.as_ref().map_or(0, Triangular::nt)
     }
 
     /// Scratch-based batch override: one rotate buffer and one
     /// [`PathScratch`] serve the whole batch (bit-identical to per-vector
     /// [`Detector::detect`]).
-    fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
         let tri = self.prepared();
         let mut ybar = vec![Cx::ZERO; tri.nt()];
         let mut scratch = PathScratch::new();
-        ys.iter()
-            .map(|y| {
-                tri.rotate_into(y, &mut ybar);
-                self.detect_prepared(&ybar, &mut scratch)
-            })
-            .collect()
+        for (y, row) in ys.iter().zip(batch_rows(out, ys.len(), tri.nt())) {
+            tri.rotate_into(y, &mut ybar);
+            self.detect_prepared(&ybar, &mut scratch, row);
+        }
     }
 }
 

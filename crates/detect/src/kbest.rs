@@ -9,11 +9,11 @@
 //!
 //! The descent keeps its survivors in two flat flip-flop buffer pairs
 //! (`KBestScratch`) instead of cloning a symbol vector per expanded
-//! child; `detect_batch_refs` reuses one workspace across a whole batch.
+//! child; `detect_batch_into` reuses one workspace across a whole batch.
 //! Decisions are bit-identical to the clone-per-child implementation
 //! (enforced by `tests/scratch_identity.rs`).
 
-use crate::common::{Detector, Triangular};
+use crate::common::{batch_rows, Detector, Triangular};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::sorted_qr_sqrd;
 use flexcore_numeric::{lanes_enabled, CMat, Cx, LANES};
@@ -52,13 +52,14 @@ pub struct KBestScratch {
 /// decision — is bit-identical to the original clone-and-sort
 /// implementations on both call sites (enforced by
 /// `tests/scratch_identity.rs` and the `flexcore` adaptive regressions).
+/// The surviving path is unpermuted into `row` (original stream order).
 pub fn kbest_descend<K>(
     tri: &Triangular,
     ybar: &[Cx],
     keep: K,
     scratch: &mut KBestScratch,
-) -> Vec<usize>
-where
+    row: &mut [u16],
+) where
     K: Fn(usize, usize) -> usize,
 {
     let nt = tri.nt();
@@ -134,7 +135,7 @@ where
             surv_syms.extend_from_slice(&child_syms[ci * nt..(ci + 1) * nt]);
         }
     }
-    tri.unpermute(&surv_syms[..nt])
+    tri.unpermute_into(&surv_syms[..nt], row);
 }
 
 /// K-best breadth-first detector.
@@ -173,9 +174,9 @@ impl KBestDetector {
     /// One K-best descent over a rotated observation using the flip-flop
     /// workspace: [`kbest_descend`] with the uniform width `K` at every
     /// level.
-    fn descend(&self, ybar: &[Cx], scratch: &mut KBestScratch) -> Vec<usize> {
+    fn descend(&self, ybar: &[Cx], scratch: &mut KBestScratch, row: &mut [u16]) {
         let tri = self.prepared();
-        kbest_descend(tri, ybar, |_, _| self.k, scratch)
+        kbest_descend(tri, ybar, |_, _| self.k, scratch, row);
     }
 }
 
@@ -194,22 +195,26 @@ impl Detector for KBestDetector {
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
         let tri = self.prepared();
         let ybar = tri.rotate(y);
-        self.descend(&ybar, &mut KBestScratch::default())
+        let mut row = vec![0u16; tri.nt()];
+        self.descend(&ybar, &mut KBestScratch::default(), &mut row);
+        row.into_iter().map(usize::from).collect()
+    }
+
+    fn n_streams(&self) -> usize {
+        self.tri.as_ref().map_or(0, Triangular::nt)
     }
 
     /// Scratch-based batch override: the rotate buffer and the flip-flop
     /// survivor/child buffers are allocated once and reused across the
     /// whole batch (bit-identical to per-vector [`Detector::detect`]).
-    fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
         let tri = self.prepared();
         let mut ybar = vec![Cx::ZERO; tri.nt()];
         let mut scratch = KBestScratch::default();
-        ys.iter()
-            .map(|y| {
-                tri.rotate_into(y, &mut ybar);
-                self.descend(&ybar, &mut scratch)
-            })
-            .collect()
+        for (y, row) in ys.iter().zip(batch_rows(out, ys.len(), tri.nt())) {
+            tri.rotate_into(y, &mut ybar);
+            self.descend(&ybar, &mut scratch, row);
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! when the channel is ill-conditioned (`Nt → Nr`), which Figs. 9 and 10
 //! quantify.
 
-use crate::common::Detector;
+use crate::common::{batch_rows, Detector};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::solve::{mmse_filter, pseudo_inverse};
 use flexcore_numeric::{CMat, Cx};
@@ -45,6 +45,10 @@ impl Detector for ZfDetector {
             .map(|z| self.constellation.slice(z))
             .collect()
     }
+
+    fn n_streams(&self) -> usize {
+        self.filter.as_ref().map_or(0, CMat::rows)
+    }
 }
 
 /// Minimum mean-squared-error detection:
@@ -74,9 +78,15 @@ impl MmseDetector {
     /// # Panics
     /// Panics if `prepare` was never called.
     pub fn equalize(&self, y: &[Cx]) -> Vec<Cx> {
-        // flexcore-lint: allow(FL004, reason = "prepare-before-detect API contract; documented panic on the public entry point")
-        let w = self.filter.as_ref().expect("MMSE: prepare() not called");
-        w.mul_vec(y)
+        self.filter().mul_vec(y)
+    }
+
+    /// The prepared filter `W`; the single prepare-before-detect panic
+    /// site of this detector.
+    #[track_caller]
+    fn filter(&self) -> &CMat {
+        // flexcore-lint: allow(FL004, reason = "prepare-before-detect API contract; sole audited panic site, documented on every public entry point")
+        self.filter.as_ref().expect("MMSE: prepare() not called")
     }
 
     /// The constellation this detector slices against.
@@ -99,6 +109,24 @@ impl Detector for MmseDetector {
             .into_iter()
             .map(|z| self.constellation.slice(z))
             .collect()
+    }
+
+    fn n_streams(&self) -> usize {
+        self.filter.as_ref().map_or(0, CMat::rows)
+    }
+
+    /// One equalizer buffer serves the whole batch: `z = W·y` into it,
+    /// sliced into the row (bit-identical to per-vector
+    /// [`Detector::detect`]).
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
+        let w = self.filter();
+        let mut z = vec![Cx::ZERO; w.rows()];
+        for (y, row) in ys.iter().zip(batch_rows(out, ys.len(), w.rows())) {
+            w.mul_vec_into(y, &mut z);
+            for (o, &zi) in row.iter_mut().zip(&z) {
+                *o = self.constellation.slice(zi) as u16;
+            }
+        }
     }
 }
 

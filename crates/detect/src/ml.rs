@@ -47,6 +47,10 @@ impl Detector for MlDetector {
         self.h = Some(h.clone());
     }
 
+    fn n_streams(&self) -> usize {
+        self.h.as_ref().map_or(0, CMat::cols)
+    }
+
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
         // flexcore-lint: allow(FL004, reason = "prepare-before-detect API contract; documented panic on the public entry point")
         let h = self.h.as_ref().expect("ML: prepare() not called");

@@ -11,7 +11,7 @@
 //!   inflexible parallelism (`N_PE = |Q|` exactly), which is exactly the
 //!   limitation Fig. 9 exhibits.
 
-use crate::common::{Detector, Triangular};
+use crate::common::{batch_rows, Detector, Triangular};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::mmse_sorted_qr;
 use flexcore_numeric::{CMat, Cx, SymVec};
@@ -49,6 +49,16 @@ impl SicDetector {
     pub fn constellation(&self) -> &Constellation {
         &self.constellation
     }
+
+    /// One SIC descent over a rotated observation, decisions into
+    /// `symbols` (tree order).
+    fn descend(&self, tri: &Triangular, ybar: &[Cx], symbols: &mut SymVec) {
+        symbols.reset(tri.nt());
+        for row in (0..tri.nt()).rev() {
+            let eff = tri.effective_point(ybar, symbols.as_slice(), row);
+            symbols.set(row, self.constellation.slice(eff) as u16);
+        }
+    }
 }
 
 impl Detector for SicDetector {
@@ -66,14 +76,27 @@ impl Detector for SicDetector {
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
         let tri = self.prepared();
-        let nt = tri.nt();
         let ybar = tri.rotate(y);
-        let mut symbols = SymVec::zeroed(nt);
-        for row in (0..nt).rev() {
-            let eff = tri.effective_point(&ybar, symbols.as_slice(), row);
-            symbols.set(row, self.constellation.slice(eff) as u16);
-        }
+        let mut symbols = SymVec::new();
+        self.descend(tri, &ybar, &mut symbols);
         tri.unpermute(symbols.as_slice())
+    }
+
+    fn n_streams(&self) -> usize {
+        self.tri.as_ref().map_or(0, Triangular::nt)
+    }
+
+    /// One rotate buffer and one decision vector serve the whole batch
+    /// (bit-identical to per-vector [`Detector::detect`]).
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
+        let tri = self.prepared();
+        let mut ybar = vec![Cx::ZERO; tri.nt()];
+        let mut symbols = SymVec::new();
+        for (y, row) in ys.iter().zip(batch_rows(out, ys.len(), tri.nt())) {
+            tri.rotate_into(y, &mut ybar);
+            self.descend(tri, &ybar, &mut symbols);
+            tri.unpermute_into(symbols.as_slice(), row);
+        }
     }
 }
 
@@ -135,6 +158,10 @@ impl Detector for ParallelSicDetector {
             mmse_sorted_qr(h, sigma2.sqrt()),
             self.constellation.clone(),
         ));
+    }
+
+    fn n_streams(&self) -> usize {
+        self.tri.as_ref().map_or(0, Triangular::nt)
     }
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {

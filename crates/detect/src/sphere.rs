@@ -148,6 +148,10 @@ impl Detector for SphereDecoder {
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
         self.detect_with_stats(y).0
     }
+
+    fn n_streams(&self) -> usize {
+        self.tri.as_ref().map_or(0, Triangular::nt)
+    }
 }
 
 #[cfg(test)]

@@ -104,10 +104,11 @@ impl<D: Detector> Slot<D> {
 /// *(subcarrier × symbol)* grid is carved into per-subcarrier symbol
 /// batches by the tick core (see [`TickPlan`]) and scheduled onto the
 /// given [`PePool`], each batch flowing
-/// through [`Detector::detect_batch_refs`] on its subcarrier's prepared
-/// clone — borrowed slices in, one reused scratch workspace per batch, so
-/// a software PE streams a subcarrier's symbols exactly like the paper's
-/// pipelined hardware engines (§4), with zero per-vector heap traffic.
+/// through [`Detector::detect_batch_into`] on its subcarrier's prepared
+/// clone — borrowed slices in, decision rows out into one plane for the
+/// whole run, so a software PE streams a subcarrier's symbols exactly like
+/// the paper's pipelined hardware engines (§4), with no per-vector heap
+/// traffic.
 ///
 /// The engine is also **load-aware**: preparation captures each
 /// subcarrier's [`Detector::effort`] (for a-FlexCore, the PEs its stopping
@@ -340,11 +341,9 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// `f` receives the subcarrier's prepared detector, the subcarrier
     /// index, and the batch of received vectors (consecutive symbols of
     /// that subcarrier, borrowed straight from the frame's flat plane); it
-    /// must return one output per vector, in order. This is the engine's
-    /// core primitive: [`FrameEngine::detect_frame`] is
-    /// `f = detect_batch_refs` — each PE reuses one scratch workspace for
-    /// its whole symbol batch — and the soft-output uplink streams LLRs
-    /// through it.
+    /// must return one output per vector, in order. This is the owned-output
+    /// adapter over the run core [`FrameEngine::detect_frame`] drives: the
+    /// soft-output uplink streams LLRs through it.
     ///
     /// Batches are priced at [`Detector::extension_work`]` × symbols` and
     /// handed to the pool most expensive first; a pool that models a
@@ -373,10 +372,21 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// Detects every received vector of the frame, returning decisions in
     /// the same grid shape. Results are bit-identical to calling
     /// [`Detector::detect`] on each vector with that subcarrier's prepared
-    /// detector, regardless of the pool or batch shape.
+    /// detector, regardless of the pool or batch shape. The run writes
+    /// decision rows into one plane and widens them into the returned
+    /// frame's, so the allocations do not depend on the grid size.
     pub fn detect_frame<P: PePool>(&self, frame: &RxFrame, pool: &P) -> DetectedFrame {
-        let symbols = self.process_frame(frame, pool, |det, _sc, ys| det.detect_batch_refs(ys));
-        DetectedFrame::from_parts(frame.n_subcarriers(), symbols)
+        let plan = TickPlan::new([(0, frame, self)], pool.n_pes());
+        let nt = self.detector(0).n_streams();
+        let mut symbols = vec![0usize; frame.n_vectors() * nt];
+        plan.detect_rows(pool, &mut Vec::new(), |_, v, row| {
+            // flexcore-lint: hot-path
+            for (out, &s) in symbols[v * nt..(v + 1) * nt].iter_mut().zip(row.iter()) {
+                *out = usize::from(s);
+            }
+        });
+        self.record_frame(frame.n_vectors());
+        DetectedFrame::from_parts(frame.n_subcarriers(), nt, symbols)
     }
 }
 

@@ -96,27 +96,25 @@ impl RxFrame {
         let v = symbol * self.n_subcarriers + subcarrier;
         &self.data[v * self.nr..(v + 1) * self.nr]
     }
-
-    /// Borrows the symbol range `[from, to)` of one subcarrier's column —
-    /// the unit of work the engine hands to a processing element. Only the
-    /// slice table is allocated; no sample is copied.
-    pub(crate) fn column_chunk(&self, subcarrier: usize, from: usize, to: usize) -> Vec<&[Cx]> {
-        (from..to).map(|sym| self.get(sym, subcarrier)).collect()
-    }
 }
 
-/// Detected symbol indices for one frame: one `Vec<usize>` (a symbol index
-/// per transmit stream, original stream order) per `(symbol, subcarrier)`.
+/// Detected symbol indices for one frame, in **one flat plane**: each
+/// `(symbol, subcarrier)` cell holds `nt` indices (one per transmit
+/// stream, original stream order), cells symbol-major like [`RxFrame`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DetectedFrame {
     n_subcarriers: usize,
-    symbols: Vec<Vec<usize>>,
+    /// Streams per cell.
+    nt: usize,
+    /// Cell `v` occupies `symbols[v*nt .. (v+1)*nt]`.
+    symbols: Vec<usize>,
 }
 
 impl DetectedFrame {
-    pub(crate) fn from_parts(n_subcarriers: usize, symbols: Vec<Vec<usize>>) -> Self {
+    pub(crate) fn from_parts(n_subcarriers: usize, nt: usize, symbols: Vec<usize>) -> Self {
         DetectedFrame {
             n_subcarriers,
+            nt,
             symbols,
         }
     }
@@ -128,19 +126,20 @@ impl DetectedFrame {
 
     /// Number of OFDM symbols in the frame.
     pub fn n_symbols(&self) -> usize {
-        self.symbols.len() / self.n_subcarriers
+        self.symbols.len() / self.nt.max(1) / self.n_subcarriers
     }
 
     /// The detected stream-symbol indices at `(symbol, subcarrier)`.
     pub fn get(&self, symbol: usize, subcarrier: usize) -> &[usize] {
         assert!(subcarrier < self.n_subcarriers, "subcarrier out of range");
-        &self.symbols[symbol * self.n_subcarriers + subcarrier]
+        let v = symbol * self.n_subcarriers + subcarrier;
+        &self.symbols[v * self.nt..(v + 1) * self.nt]
     }
 
     /// Iterates decisions in symbol-major `(symbol, subcarrier)` order —
     /// the order a receive chain consumes them.
     pub fn iter(&self) -> impl Iterator<Item = &[usize]> {
-        self.symbols.iter().map(Vec::as_slice)
+        self.symbols.chunks_exact(self.nt.max(1))
     }
 }
 
@@ -162,10 +161,8 @@ mod tests {
         assert_eq!(f.n_symbols(), 2);
         assert_eq!(f.n_vectors(), 6);
         assert_eq!(f.get(1, 2)[0].re, 12.0);
-        let col = f.column_chunk(1, 0, 2);
-        assert_eq!(col.len(), 2);
-        assert_eq!(col[0][0].re, 1.0);
-        assert_eq!(col[1][0].re, 11.0);
+        assert_eq!(f.get(0, 1)[0].re, 1.0);
+        assert_eq!(f.get(1, 1)[0].re, 11.0);
     }
 
     #[test]
@@ -176,10 +173,10 @@ mod tests {
 
     #[test]
     fn detected_frame_round_trip() {
-        let d = DetectedFrame::from_parts(2, vec![vec![1], vec![2], vec![3], vec![4]]);
+        let d = DetectedFrame::from_parts(2, 2, (1..=8).collect());
         assert_eq!(d.n_symbols(), 2);
-        assert_eq!(d.get(1, 0), &[3]);
+        assert_eq!(d.get(1, 0), &[5, 6]);
         let all: Vec<_> = d.iter().collect();
-        assert_eq!(all.len(), 4);
+        assert_eq!(all, [[1, 2], [3, 4], [5, 6], [7, 8]]);
     }
 }

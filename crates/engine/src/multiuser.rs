@@ -34,7 +34,7 @@
 use crate::engine::FrameEngine;
 use crate::frame::{DetectedFrame, RxFrame};
 use crate::stream::ChannelStream;
-use crate::tick::{TickOutput, TickPlan};
+use crate::tick::{TickOutput, TickPlan, TickPlane};
 use flexcore_detect::common::Detector;
 use flexcore_numeric::Cx;
 use flexcore_parallel::{lpt_makespan, PePool};
@@ -100,6 +100,8 @@ pub struct StreamingCell<D> {
     /// moves either.
     ticks: u64,
     last_tick_efficiency: f64,
+    /// The last tick's hard decisions, reused tick after tick.
+    plane: TickPlane,
 }
 
 impl<D: Detector + Clone + Sync> Default for StreamingCell<D> {
@@ -115,6 +117,7 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
             users: Vec::new(),
             ticks: 0,
             last_tick_efficiency: 1.0,
+            plane: TickPlane::default(),
         }
     }
 
@@ -222,21 +225,23 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         )
     }
 
-    /// The run half of a tick: runs a plan from
-    /// [`StreamingCell::plan_tick`] on `pool` (`f` has the contract of
-    /// [`StreamingCell::process_tick`]'s closure), books every served
-    /// user's completion, and stamps the tick's audit. Returns one
-    /// [`TickOutput`] per served user, in user order; a plan that serves
-    /// nobody is not a tick.
-    pub fn run_tick<P, T, F>(&mut self, plan: TickPlan<D>, pool: &P, f: F) -> Vec<TickOutput<T>>
-    where
-        P: PePool,
-        T: Send,
-        F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
-    {
-        let outputs = plan.run(pool, f);
+    /// The run half of a tick: hard-detects a plan from
+    /// [`StreamingCell::plan_tick`] on `pool` into the cell's own decision
+    /// plane, books every served user's completion, and stamps the tick's
+    /// audit. Yields `(user id, decisions)` per served user, in user order:
+    /// the user's frame as one symbol-major plane of `nt` stream-ordered
+    /// symbol indices per grid cell, each bit-identical to
+    /// [`Detector::detect`]. The plane is sized by the first tick of a
+    /// shape and reused, so a warm tick allocates nothing per vector. A
+    /// plan that serves nobody is not a tick.
+    pub fn run_tick<P: PePool>(
+        &mut self,
+        plan: TickPlan<D>,
+        pool: &P,
+    ) -> impl Iterator<Item = (usize, &[u16])> + '_ {
+        plan.detect_plane(pool, &mut self.plane);
         self.book_tick(&plan, pool.n_pes());
-        outputs
+        self.plane.users().map(|(user, _, _, cells)| (user, cells))
     }
 
     /// The book half of a tick: counts every user `plan` serves as
@@ -266,8 +271,9 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
 
     /// Runs `f` over every `(user, subcarrier, symbol-batch)` of each
     /// user's **oldest queued frame**, all in one shared pool run, and
-    /// reassembles per-user outputs in symbol-major order:
-    /// [`StreamingCell::plan_tick`] then [`StreamingCell::run_tick`].
+    /// reassembles per-user outputs in symbol-major order — the
+    /// owned-output adapter over the plan → run core
+    /// [`StreamingCell::run_tick`] drives.
     ///
     /// `f` receives the user's prepared subcarrier detector, the user id,
     /// the subcarrier index, and the borrowed batch of received vectors;
@@ -282,20 +288,22 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
     {
         let plan = self.plan_tick(pool.n_pes());
-        self.run_tick(plan, pool, f)
+        let outputs = plan.run(pool, f);
+        self.book_tick(&plan, pool.n_pes());
+        outputs
     }
 
     /// Hard-detects every served user's oldest queued frame in one shared
     /// pool run. Each user's [`DetectedFrame`] is bit-identical to
     /// [`FrameEngine::detect_frame`] on that user's engine alone.
     pub fn detect_tick<P: PePool>(&mut self, pool: &P) -> Vec<(usize, DetectedFrame)> {
-        self.process_tick(pool, |det, _u, _sc, ys| det.detect_batch_refs(ys))
-            .into_iter()
-            .map(|out| {
-                (
-                    out.user,
-                    DetectedFrame::from_parts(out.n_subcarriers, out.cells),
-                )
+        let plan = self.plan_tick(pool.n_pes());
+        let _ = self.run_tick(plan, pool);
+        self.plane
+            .users()
+            .map(|(user, n_sc, nt, cells)| {
+                let symbols = cells.iter().map(|&s| usize::from(s)).collect();
+                (user, DetectedFrame::from_parts(n_sc, nt, symbols))
             })
             .collect()
     }
@@ -530,7 +538,7 @@ mod tests {
     }
 
     /// Test-local detector wrapper that counts which entry point a serving
-    /// layer drives: `calls.0` = `detect_batch_refs` (the scratch-reuse batch
+    /// layer drives: `calls.0` = `detect_batch_into` (the scratch-reuse batch
     /// path), `calls.1` = per-vector `detect`. Clones share the counters, so a
     /// template's tally covers every slot an engine stamps from it.
     #[derive(Clone, Debug)]
@@ -567,9 +575,12 @@ mod tests {
             self.calls.1.fetch_add(1, Ordering::Relaxed);
             self.inner.detect(y)
         }
-        fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
+        fn n_streams(&self) -> usize {
+            self.inner.n_streams()
+        }
+        fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
             self.calls.0.fetch_add(1, Ordering::Relaxed);
-            self.inner.detect_batch_refs(ys)
+            self.inner.detect_batch_into(ys, out)
         }
         fn effort(&self) -> usize {
             self.inner.effort()
@@ -691,13 +702,14 @@ mod tests {
         assert!(!cell.has_queued(), "planning pops the served frames");
 
         let before: Vec<u64> = (0..4).map(|u| cell.engine(u).stats().frames).collect();
-        let outs = cell.run_tick(plan, &SequentialPool::new(N_PES), |det, _u, _sc, ys| {
-            det.detect_batch_refs(ys)
-        });
+        let outs: Vec<(usize, Vec<usize>)> = cell
+            .run_tick(plan, &SequentialPool::new(N_PES))
+            .map(|(u, cells)| (u, cells.iter().map(|&s| usize::from(s)).collect()))
+            .collect();
         assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].user, 2);
+        assert_eq!(outs[0].0, 2);
         let solo = cell.engine(2).detect_frame(&frame, &SequentialPool::new(1));
-        assert!(outs[0].cells.iter().map(Vec::as_slice).eq(solo.iter()));
+        assert!(outs[0].1.chunks(NT).eq(solo.iter()));
         for u in [0usize, 1, 3] {
             assert_eq!(cell.frames_behind(u), 0, "idle user {u} fell behind");
             assert_eq!(

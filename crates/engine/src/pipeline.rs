@@ -795,7 +795,7 @@ mod tests {
                 got.lock().unwrap().push((
                     tick,
                     out.user,
-                    DetectedFrame::from_parts(out.n_subcarriers, out.cells.clone()),
+                    DetectedFrame::from_parts(out.n_subcarriers, NT, out.cells.concat()),
                 ));
             },
             |_d, _t| false,

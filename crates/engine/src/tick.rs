@@ -37,6 +37,7 @@ use flexcore_detect::common::Detector;
 use flexcore_numeric::Cx;
 use flexcore_parallel::{lpt_order, PePool};
 use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One user's share of a tick: the detected (or soft-demapped) cells of
@@ -59,6 +60,9 @@ struct Entry<D, R> {
     user: usize,
     frame: R,
     detectors: Vec<Arc<D>>,
+    /// Row width of its decisions: the prepared channel's transmit
+    /// streams ([`Detector::n_streams`]).
+    nt: usize,
 }
 
 /// One tick, planned: the served users' frames, their shared prepared
@@ -74,24 +78,40 @@ pub struct TickPlan<D, R = RxFrame> {
     batches: Vec<Batch>,
     /// `costs[i]` prices `batches[i]`.
     costs: Vec<u64>,
+    /// Received vectors over every entry: the rows of one run.
+    vectors: usize,
 }
 
-/// Splits an `n_sc × n_sym` grid into `(subcarrier, symbol-range)` batches
-/// aiming for `task_target` tasks in total: every subcarrier contributes
-/// the same number of contiguous symbol chunks (≥ 1, ≤ `n_sym`).
-fn split_grid_batches(n_sc: usize, n_sym: usize, task_target: usize) -> Vec<(usize, usize, usize)> {
-    let tasks_per_sc = task_target.div_ceil(n_sc.max(1)).clamp(1, n_sym.max(1));
-    let chunk = n_sym.div_ceil(tasks_per_sc).max(1);
-    let mut batches = Vec::with_capacity(n_sc * tasks_per_sc);
-    for sc in 0..n_sc {
-        let mut from = 0;
-        while from < n_sym {
-            let to = (from + chunk).min(n_sym);
-            batches.push((sc, from, to));
-            from = to;
-        }
+/// Hard decisions of one tick: every served user's frame as one
+/// symbol-major `u16` plane — `nt` symbols per grid cell — back to back in
+/// plan order, plus the batch-major buffer the run wrote them to first.
+/// Sized by the first tick of a shape and reused by every later one (a
+/// [`StreamingCell`](crate::StreamingCell) keeps one).
+#[derive(Debug, Default)]
+pub(crate) struct TickPlane {
+    rows: Vec<u16>,
+    cells: Vec<u16>,
+    /// Per served user, in plan order: `(user id, grid width, row width,
+    /// its plane's span of cells)`.
+    users: Vec<(usize, usize, usize, Range<usize>)>,
+}
+
+impl TickPlane {
+    /// `(user id, grid width, row width, plane)` per served user of the
+    /// last tick, in plan order.
+    pub(crate) fn users(&self) -> impl Iterator<Item = (usize, usize, usize, &[u16])> + '_ {
+        self.users
+            .iter()
+            .map(|(user, n_sc, nt, span)| (*user, *n_sc, *nt, &self.cells[span.clone()]))
     }
-    batches
+}
+
+/// The symbol-chunk length that splits an `n_sc × n_sym` grid into about
+/// `task_target` batches: every subcarrier contributes the same number of
+/// contiguous symbol chunks (≥ 1, ≤ `n_sym`).
+fn grid_chunk(n_sc: usize, n_sym: usize, task_target: usize) -> usize {
+    let tasks_per_sc = task_target.div_ceil(n_sc.max(1)).clamp(1, n_sym.max(1));
+    n_sym.div_ceil(tasks_per_sc).max(1)
 }
 
 impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
@@ -102,7 +122,8 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
     /// users, so an N-user tick stays at ~`2·n_pes` tasks instead of
     /// ~`2·N·n_pes` (each user still contributes ≥ 1 batch per subcarrier,
     /// the split's floor): per-task overhead is bounded by the pool, not
-    /// by the user count.
+    /// by the user count. The batch list is sized before it is filled, so
+    /// planning allocates per served user, never per batch.
     ///
     /// # Panics
     /// Panics if a frame's width does not match its engine's prepared
@@ -116,20 +137,34 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
     {
         let served: Vec<_> = served.into_iter().collect();
         let target = (2 * n_pes).div_ceil(served.len().max(1));
+        let chunk = |grid: &RxFrame| grid_chunk(grid.n_subcarriers(), grid.n_symbols(), target);
+        let n_batches = served
+            .iter()
+            .map(|(_, frame, _)| {
+                let grid = frame.borrow();
+                grid.n_subcarriers() * grid.n_symbols().div_ceil(chunk(grid))
+            })
+            .sum();
         let mut entries = Vec::with_capacity(served.len());
-        let mut batches: Vec<Batch> = Vec::new();
-        let mut costs: Vec<u64> = Vec::new();
+        let mut batches: Vec<Batch> = Vec::with_capacity(n_batches);
+        let mut costs: Vec<u64> = Vec::with_capacity(n_batches);
+        let mut vectors = 0;
         for (e, (user, frame, engine)) in served.into_iter().enumerate() {
             let grid: &RxFrame = frame.borrow();
+            let (n_sym, step) = (grid.n_symbols(), chunk(grid));
             let detectors = engine.share_detectors(grid.n_subcarriers());
-            for (sc, from, to) in split_grid_batches(grid.n_subcarriers(), grid.n_symbols(), target)
-            {
-                batches.push((e, sc, from, to));
-                costs.push(engine.slot_extension_work(sc) as u64 * (to - from) as u64);
+            for sc in 0..grid.n_subcarriers() {
+                for from in (0..n_sym).step_by(step) {
+                    let to = (from + step).min(n_sym);
+                    batches.push((e, sc, from, to));
+                    costs.push(engine.slot_extension_work(sc) as u64 * (to - from) as u64);
+                }
             }
+            vectors += grid.n_vectors();
             entries.push(Entry {
                 user,
                 frame,
+                nt: detectors.first().map_or(0, |d| d.n_streams()),
                 detectors,
             });
         }
@@ -138,6 +173,7 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
             entries,
             batches: order.iter().map(|&i| batches[i]).collect(),
             costs: order.iter().map(|&i| costs[i]).collect(),
+            vectors,
         }
     }
 
@@ -159,15 +195,117 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
             .map(|e| (e.user, e.frame.borrow().n_vectors()))
     }
 
+    /// The run core under every output form. One pool run in which each
+    /// batch writes its rows — `width(entry)` elements per vector — into
+    /// its own stretch of `rows`, batch-major in run order: the stretches
+    /// are split off with `split_at_mut`, so the tasks share nothing
+    /// mutable, and one slice table per run lends every batch its received
+    /// vectors (consecutive symbols of one subcarrier, borrowed straight
+    /// from the frame's flat plane). Then `place(entry, cell, row)` gets
+    /// every row at its symbol-major grid position in that entry's frame —
+    /// the ordering-erasing step that makes price and LPT order invisible
+    /// downstream. A plan that serves nobody does not touch the pool.
+    ///
+    /// `fill` receives the batch's prepared detector, the user id, the
+    /// subcarrier index, the batch's vectors and its rows.
+    fn run_core<P, E, F>(
+        &self,
+        pool: &P,
+        rows: &mut [E],
+        width: impl Fn(&Entry<D, R>) -> usize,
+        fill: F,
+        mut place: impl FnMut(usize, usize, &mut [E]),
+    ) where
+        P: PePool,
+        E: Send,
+        F: Fn(&D, usize, usize, &[&[Cx]], &mut [E]) + Sync,
+    {
+        if self.entries.is_empty() {
+            return;
+        }
+        let mut table: Vec<&[Cx]> = Vec::with_capacity(self.vectors);
+        for &(e, sc, from, to) in &self.batches {
+            let frame: &RxFrame = self.entries[e].frame.borrow();
+            table.extend((from..to).map(|sym| frame.get(sym, sc)));
+        }
+        let fill = &fill;
+        let (mut ys_left, mut rows_left) = (table.as_slice(), &mut *rows);
+        let tasks: Vec<_> = self
+            .batches
+            .iter()
+            .map(|&(e, sc, from, to)| {
+                let entry = &self.entries[e];
+                let (ys, ys_rest) = ys_left.split_at(to - from);
+                let (out, rows_rest) =
+                    std::mem::take(&mut rows_left).split_at_mut((to - from) * width(entry));
+                (ys_left, rows_left) = (ys_rest, rows_rest);
+                let (det, user): (&D, usize) = (&entry.detectors[sc], entry.user);
+                move || fill(det, user, sc, ys, out)
+            })
+            .collect();
+        pool.run_priced(tasks, &self.costs);
+        // flexcore-lint: hot-path
+        let mut left = rows;
+        for &(e, sc, from, to) in &self.batches {
+            let entry = &self.entries[e];
+            let (w, n_sc) = (width(entry), entry.frame.borrow().n_subcarriers());
+            let (batch, rest) = std::mem::take(&mut left).split_at_mut((to - from) * w);
+            left = rest;
+            for (offset, row) in batch.chunks_exact_mut(w).enumerate() {
+                place(e, (from + offset) * n_sc + sc, row);
+            }
+        }
+    }
+
+    /// Hard-detects the whole plan in one pool run
+    /// ([`Detector::detect_batch_into`] per batch) and hands every vector's
+    /// decision row to `place(entry, cell, row)` by grid position. `rows`
+    /// is the run's batch-major buffer, resized here (a warm one is
+    /// reused). A plan that serves nobody does not touch the pool.
+    pub(crate) fn detect_rows<P: PePool>(
+        &self,
+        pool: &P,
+        rows: &mut Vec<u16>,
+        place: impl FnMut(usize, usize, &mut [u16]),
+    ) {
+        let n_rows = self
+            .entries
+            .iter()
+            .map(|e| e.frame.borrow().n_vectors() * e.nt);
+        rows.resize(n_rows.sum(), 0);
+        let detect =
+            |det: &D, _user, _sc, ys: &[&[Cx]], out: &mut [u16]| det.detect_batch_into(ys, out);
+        self.run_core(pool, rows, |e| e.nt, detect, place);
+    }
+
+    /// [`TickPlan::detect_rows`] into `plane`: every served user's
+    /// decisions land in its own symbol-major span of the plane.
+    pub(crate) fn detect_plane<P: PePool>(&self, pool: &P, plane: &mut TickPlane) {
+        let TickPlane { rows, cells, users } = plane;
+        users.clear();
+        let mut end = 0;
+        for entry in &self.entries {
+            let grid: &RxFrame = entry.frame.borrow();
+            let span = end..end + grid.n_vectors() * entry.nt;
+            end = span.end;
+            users.push((entry.user, grid.n_subcarriers(), entry.nt, span));
+        }
+        cells.resize(end, 0);
+        self.detect_rows(pool, rows, |e, v, row| {
+            // flexcore-lint: hot-path
+            let start = users[e].3.start + v * row.len();
+            cells[start..start + row.len()].copy_from_slice(row);
+        });
+    }
+
     /// Runs `f` over every batch of the plan in one pool run and
     /// reassembles per-user outputs in symbol-major order — one
-    /// [`TickOutput`] per served user, in plan order. A plan that serves
-    /// nobody returns nothing and does not touch the pool.
+    /// [`TickOutput`] per served user, in plan order: the owned-output
+    /// adapter over the run core.
     ///
     /// `f` receives the batch's prepared detector, the user id, the
-    /// subcarrier index, and the batch of received vectors (consecutive
-    /// symbols of that subcarrier, borrowed straight from the frame's flat
-    /// plane); it must return one output per vector, in order.
+    /// subcarrier index, and the batch of received vectors; it must return
+    /// one output per vector, in order.
     ///
     /// # Panics
     /// Panics if `f` returns the wrong number of outputs for a batch.
@@ -177,44 +315,21 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
         T: Send,
         F: Fn(&D, usize, usize, &[&[Cx]]) -> Vec<T> + Sync,
     {
-        if self.entries.is_empty() {
-            return Vec::new();
-        }
-        let f = &f;
-        let tasks: Vec<_> = self
-            .batches
-            .iter()
-            .map(|&(e, sc, from, to)| {
-                let entry = &self.entries[e];
-                let (user, frame): (usize, &RxFrame) = (entry.user, entry.frame.borrow());
-                let det: &D = &entry.detectors[sc];
-                move || {
-                    let ys = frame.column_chunk(sc, from, to);
-                    let out = f(det, user, sc, &ys);
-                    assert_eq!(out.len(), to - from, "batch output count mismatch");
-                    out
-                }
-            })
-            .collect();
-        let per_batch = pool.run_priced(tasks, &self.costs);
-
+        let mut rows: Vec<Option<T>> = (0..self.vectors).map(|_| None).collect();
         let mut grids: Vec<Vec<Option<T>>> = self
             .entries
             .iter()
             .map(|e| (0..e.frame.borrow().n_vectors()).map(|_| None).collect())
             .collect();
-        {
-            // flexcore-lint: hot-path
-            // Scatter by grid position into the preallocated grids — the
-            // ordering-erasing step that makes price and LPT order
-            // invisible downstream.
-            for (&(e, sc, from, _), outputs) in self.batches.iter().zip(per_batch) {
-                let n_sc = self.entries[e].frame.borrow().n_subcarriers();
-                for (offset, value) in outputs.into_iter().enumerate() {
-                    grids[e][(from + offset) * n_sc + sc] = Some(value);
-                }
+        let fill = |det: &D, user, sc, ys: &[&[Cx]], out: &mut [Option<T>]| {
+            let outputs = f(det, user, sc, ys);
+            assert_eq!(outputs.len(), out.len(), "batch output count mismatch");
+            for (slot, value) in out.iter_mut().zip(outputs) {
+                *slot = Some(value);
             }
-        }
+        };
+        let place = |e: usize, v: usize, row: &mut [Option<T>]| grids[e][v] = row[0].take();
+        self.run_core(pool, &mut rows, |_| 1, fill, place);
         self.entries
             .iter()
             .zip(grids)

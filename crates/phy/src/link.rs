@@ -26,7 +26,9 @@ use crate::ofdm::OfdmConfig;
 use flexcore_channel::MimoChannel;
 use flexcore_coding::{crc_check, CodeRate, ConvCode, Interleaver, ViterbiScratch};
 use flexcore_detect::common::Detector;
-use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, RxFrame, StreamingCell};
+use flexcore_engine::{
+    ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
+};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::Cx;
 use flexcore_parallel::PePool;
@@ -209,47 +211,84 @@ pub(crate) fn tx_vector(
         .collect()
 }
 
-/// What crosses from detector to decoder — the one seam between the hard
-/// uplink ([`Hard`]: symbol decisions → bits → Viterbi) and the soft one
-/// (`Soft` in [`crate::soft_link`]: LLRs → soft Viterbi). Everything else
-/// about a packet exchange — transmit chains, framing, scheduling,
-/// deinterleaving, raw-error and CRC accounting — is shared.
-pub(crate) trait LinkOutput<D: ?Sized> {
-    /// One grid cell's detector output.
-    type Cell: Send;
+/// One frame's detector outputs, symbol-major, as the receive chains read
+/// them — the one seam between the hard uplink (decision rows → bits →
+/// Viterbi) and the soft one (LLRs → soft Viterbi, `[SoftDecision]` in
+/// [`crate::soft_link`]). Everything else about a packet exchange —
+/// transmit chains, framing, scheduling, deinterleaving, raw-error and CRC
+/// accounting — is shared.
+pub(crate) trait Grid {
     /// One coded bit's decoder input.
     type Metric: Copy + Default;
-    /// Detects one symbol batch of a subcarrier at noise variance `sigma2`.
-    fn detect(det: &D, sigma2: f64, ys: &[&[Cx]]) -> Vec<Self::Cell>;
-    /// The cell's hard symbol decision per stream.
-    fn hard(cell: &Self::Cell) -> &[usize];
-    /// Appends stream `u`'s decoder inputs for this cell; `hard_bits` are
-    /// the bits of its hard decision.
-    fn push(cell: &Self::Cell, u: usize, hard_bits: &[u8], stream: &mut Vec<Self::Metric>);
     /// Viterbi-decodes one stream's deinterleaved inputs.
     const DECODE: DecodeInto<Self::Metric>;
+    /// Stream `u`'s hard symbol decision at grid cell `v` of an
+    /// `nt`-stream grid.
+    fn hard(&self, nt: usize, v: usize, u: usize) -> usize;
+    /// Appends stream `u`'s decoder inputs for cell `v`; `hard_bits` are
+    /// the bits of its hard decision.
+    fn feed(&self, v: usize, u: usize, hard_bits: &[u8], stream: &mut Vec<Self::Metric>);
 }
 
 /// The shape [`ConvCode::decode_into`] and [`ConvCode::decode_soft_into`]
 /// share: `(code, inputs, payload bits, scratch, decoded payload)`.
 pub(crate) type DecodeInto<T> = fn(&ConvCode, &[T], usize, &mut ViterbiScratch, &mut Vec<u8>);
 
-/// Hard-decision output: [`Detector::detect_batch_refs`] → bits → Viterbi.
-pub(crate) struct Hard;
-
-impl<D: Detector + ?Sized> LinkOutput<D> for Hard {
-    type Cell = Vec<usize>;
+/// Hard decisions as one plane of `nt`-wide rows — a cell tick's plane
+/// ([`StreamingCell::run_tick`]) or the per-vector reference's.
+impl Grid for [u16] {
     type Metric = u8;
-    fn detect(det: &D, _sigma2: f64, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
-        det.detect_batch_refs(ys)
+    const DECODE: DecodeInto<u8> = ConvCode::decode_into;
+    fn hard(&self, nt: usize, v: usize, u: usize) -> usize {
+        usize::from(self[v * nt + u])
     }
-    fn hard(cell: &Vec<usize>) -> &[usize] {
-        cell
-    }
-    fn push(_cell: &Vec<usize>, _u: usize, hard_bits: &[u8], stream: &mut Vec<u8>) {
+    fn feed(&self, _v: usize, _u: usize, hard_bits: &[u8], stream: &mut Vec<u8>) {
         stream.extend_from_slice(hard_bits);
     }
+}
+
+/// One engine's hard decisions ([`FrameEngine::detect_frame`]).
+impl Grid for DetectedFrame {
+    type Metric = u8;
     const DECODE: DecodeInto<u8> = ConvCode::decode_into;
+    fn hard(&self, _nt: usize, v: usize, u: usize) -> usize {
+        let n_sc = self.n_subcarriers();
+        self.get(v / n_sc, v % n_sc)[u]
+    }
+    fn feed(&self, _v: usize, _u: usize, hard_bits: &[u8], stream: &mut Vec<u8>) {
+        stream.extend_from_slice(hard_bits);
+    }
+}
+
+/// How a packet's frames are detected on their way to the receive chains:
+/// [`Hard`] here, `Soft` in [`crate::soft_link`].
+pub(crate) trait LinkOutput<D> {
+    /// One engine's detected frame.
+    type Frame: Grid;
+    /// One served user's share of a cell tick.
+    type Rows: Grid<Metric = <Self::Frame as Grid>::Metric> + ?Sized;
+    /// Detects `frame` on `engine`, prepared at noise variance `sigma2`.
+    fn frame<P: PePool>(e: &FrameEngine<D>, frame: &RxFrame, pool: &P, sigma2: f64) -> Self::Frame;
+    /// Detects every user's queued frame in one shared tick, handing each
+    /// served user's outputs to `each`, in user order.
+    fn tick<P: PePool>(cell: &mut StreamingCell<D>, pool: &P, each: impl FnMut(usize, &Self::Rows));
+}
+
+/// Hard-decision output: [`Detector::detect_batch_into`] → decision
+/// planes → bits → Viterbi.
+pub(crate) struct Hard;
+
+impl<D: Detector + Clone + Sync> LinkOutput<D> for Hard {
+    type Frame = DetectedFrame;
+    type Rows = [u16];
+    fn frame<P: PePool>(e: &FrameEngine<D>, frame: &RxFrame, pool: &P, _: f64) -> DetectedFrame {
+        e.detect_frame(frame, pool)
+    }
+    fn tick<P: PePool>(cell: &mut StreamingCell<D>, pool: &P, mut each: impl FnMut(usize, &[u16])) {
+        let plan = cell.plan_tick(pool.n_pes());
+        cell.run_tick(plan, pool)
+            .for_each(|(user, rows)| each(user, rows));
+    }
 }
 
 /// Receive chains over a symbol-major grid of detector outputs: demap per
@@ -259,26 +298,28 @@ impl<D: Detector + ?Sized> LinkOutput<D> for Hard {
 /// produced (`crc_ok[u]` iff stream `u`'s decoded payload carries the
 /// transmitted payload's CRC-32), stamped with the cell `user` the packet
 /// belongs to.
-pub(crate) fn receive_chains<D: ?Sized, O: LinkOutput<D>>(
+pub(crate) fn receive_chains<G: Grid + ?Sized>(
     cfg: &LinkConfig,
-    codec: &mut Codec<O::Metric>,
+    codec: &mut Codec<G::Metric>,
     user: usize,
     (payloads, coded_streams): &TxChains,
-    cells: &[O::Cell],
+    grid: &G,
 ) -> StreamedOutcome {
     let c = &cfg.constellation;
     let bps = c.bits_per_symbol();
     let nt = payloads.len();
-    let mut streams: Vec<Vec<O::Metric>> = vec![Vec::with_capacity(cells.len() * bps); nt];
+    let n_cells = cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data;
+    let mut streams: Vec<Vec<G::Metric>> = vec![Vec::with_capacity(n_cells * bps); nt];
     let mut raw_bit_errors = vec![0usize; nt];
     let mut hard_bits = vec![0u8; bps];
     // Cell `v` of the symbol-major grid carries coded bits `v·bps ..`.
-    for (v, cell) in cells.iter().enumerate() {
+    for v in 0..n_cells {
+        // flexcore-lint: hot-path
         for u in 0..nt {
-            c.index_to_bits_into(O::hard(cell)[u], &mut hard_bits);
+            c.index_to_bits_into(grid.hard(nt, v, u), &mut hard_bits);
             let sent = &coded_streams[u][v * bps..(v + 1) * bps];
             raw_bit_errors[u] += hard_bits.iter().zip(sent).filter(|(a, b)| a != b).count();
-            O::push(cell, u, &hard_bits, &mut streams[u]);
+            grid.feed(v, u, &hard_bits, &mut streams[u]);
         }
     }
 
@@ -287,7 +328,7 @@ pub(crate) fn receive_chains<D: ?Sized, O: LinkOutput<D>>(
         .iter()
         .zip(payloads)
         .map(|(stream, payload)| {
-            let decoded = codec.decode(O::DECODE, stream, payload_bits);
+            let decoded = codec.decode(G::DECODE, stream, payload_bits);
             (decoded == payload, crc_check(payload, decoded))
         })
         .unzip();
@@ -312,13 +353,13 @@ pub fn simulate_packet<R: Rng + ?Sized>(
     let chains = transmit_chains(cfg, &codec, channel.nt(), rng);
     // Transmit symbol-by-symbol, subcarrier-by-subcarrier, and detect.
     let n_sc = cfg.ofdm.n_data;
-    let cells: Vec<Vec<usize>> = (0..cfg.ofdm_symbols_per_packet() * n_sc)
-        .map(|v| {
-            let tx = tx_vector(cfg, &chains.1, v / n_sc, v % n_sc);
-            detector.detect(&channel.transmit(&tx, rng))
-        })
-        .collect();
-    receive_chains::<dyn Detector, Hard>(cfg, &mut codec, 0, &chains, &cells).link
+    let mut cells: Vec<u16> = Vec::new();
+    for v in 0..cfg.ofdm_symbols_per_packet() * n_sc {
+        let tx = tx_vector(cfg, &chains.1, v / n_sc, v % n_sc);
+        let decision = detector.detect(&channel.transmit(&tx, rng));
+        cells.extend(decision.into_iter().map(|s| s as u16));
+    }
+    receive_chains(cfg, &mut codec, 0, &chains, cells.as_slice()).link
 }
 
 /// The air a packet's frame crosses, and with it what the engine prepares
@@ -336,7 +377,7 @@ pub(crate) enum Air<'a> {
 
 /// The one engine-backed packet runner: transmit chains → one frame across
 /// `air` → prepare → the whole `(subcarrier × symbol)` grid detected in one
-/// [`FrameEngine::process_frame`] call on the pool → receive chains.
+/// engine run on the pool ([`LinkOutput::frame`]) → receive chains.
 ///
 /// Consumes the RNG in exactly [`simulate_packet`]'s order (chains, then
 /// noise symbol-major) whatever the air and the output, which is what keeps
@@ -385,9 +426,8 @@ where
         Air::Stream(stream) => stream.transmit_frame(n_sym, tx, rng),
     };
     engine.prepare(estimate);
-    let sigma2 = estimate.sigma2();
-    let cells = engine.process_frame(&frame, pool, |det, _sc, ys| O::detect(det, sigma2, ys));
-    receive_chains::<D, O>(cfg, &mut codec, 0, &chains, &cells)
+    let detected = O::frame(engine, &frame, pool, estimate.sigma2());
+    receive_chains(cfg, &mut codec, 0, &chains, &detected)
 }
 
 /// Simulates one packet exchange through the frame engine: the whole
@@ -494,13 +534,11 @@ where
         cell.submit(u, frame);
         chains.push(user_chains);
     }
-    let sigma2s: Vec<f64> = (0..cell.n_users())
-        .map(|u| cell.stream(u).estimate().sigma2())
-        .collect();
-    cell.process_tick(pool, |det, u, _sc, ys| O::detect(det, sigma2s[u], ys))
-        .into_iter()
-        .map(|out| receive_chains::<D, O>(cfg, &mut codec, out.user, &chains[out.user], &out.cells))
-        .collect()
+    let mut outcomes = Vec::with_capacity(chains.len());
+    O::tick(cell, pool, |user, rows| {
+        outcomes.push(receive_chains(cfg, &mut codec, user, &chains[user], rows));
+    });
+    outcomes
 }
 
 /// One multi-user serving tick, hard detection: every cell user ages one
@@ -677,7 +715,7 @@ mod tests {
     }
 
     /// Test-local detector wrapper that counts which entry point a serving
-    /// layer drives: `calls.0` = `detect_batch_refs` (the scratch-reuse batch
+    /// layer drives: `calls.0` = `detect_batch_into` (the scratch-reuse batch
     /// path), `calls.1` = per-vector `detect`. Clones share the counters, so a
     /// template's tally covers every slot an engine stamps from it.
     #[derive(Clone, Debug)]
@@ -714,9 +752,12 @@ mod tests {
             self.calls.1.fetch_add(1, Ordering::Relaxed);
             self.inner.detect(y)
         }
-        fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
+        fn n_streams(&self) -> usize {
+            self.inner.n_streams()
+        }
+        fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
             self.calls.0.fetch_add(1, Ordering::Relaxed);
-            self.inner.detect_batch_refs(ys)
+            self.inner.detect_batch_into(ys, out)
         }
         fn effort(&self) -> usize {
             self.inner.effort()

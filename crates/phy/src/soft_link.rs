@@ -13,33 +13,56 @@
 
 use crate::link::{
     receive_chains, run_cell_tick, run_packet, transmit_chains, tx_vector, Air, Codec, DecodeInto,
-    LinkConfig, LinkOutcome, LinkOutput, StreamedOutcome,
+    Grid, LinkConfig, LinkOutcome, LinkOutput, StreamedOutcome,
 };
 use flexcore::{SoftDecision, SoftDetector};
 use flexcore_channel::MimoChannel;
 use flexcore_coding::ConvCode;
-use flexcore_engine::{ChannelStream, FrameEngine, StreamingCell};
+use flexcore_engine::{ChannelStream, FrameEngine, RxFrame, StreamingCell};
 use flexcore_numeric::Cx;
 use flexcore_parallel::PePool;
 use rand::Rng;
 
+/// Soft decisions, one per grid cell: per-bit LLRs → soft Viterbi.
+impl Grid for Vec<SoftDecision> {
+    type Metric = f64;
+    const DECODE: DecodeInto<f64> = ConvCode::decode_soft_into;
+    fn hard(&self, _nt: usize, v: usize, u: usize) -> usize {
+        self[v].hard[u]
+    }
+    fn feed(&self, v: usize, u: usize, _hard_bits: &[u8], stream: &mut Vec<f64>) {
+        stream.extend_from_slice(&self[v].llrs[u]);
+    }
+}
+
+/// One batch's soft decisions at noise variance `sigma2`.
+fn detect_soft<D: SoftDetector>(det: &D, sigma2: f64, ys: &[&[Cx]]) -> Vec<SoftDecision> {
+    ys.iter().map(|y| det.detect_soft(y, sigma2)).collect()
+}
+
 /// Soft-decision output: [`SoftDetector::detect_soft`] at the estimate's
-/// `σ²` → per-bit LLRs → soft Viterbi.
+/// `σ²`, one [`SoftDecision`] per vector through the engine's owned-output
+/// adapters → per-bit LLRs → soft Viterbi.
 pub(crate) struct Soft;
 
-impl<D: SoftDetector + ?Sized> LinkOutput<D> for Soft {
-    type Cell = SoftDecision;
-    type Metric = f64;
-    fn detect(det: &D, sigma2: f64, ys: &[&[Cx]]) -> Vec<SoftDecision> {
-        ys.iter().map(|y| det.detect_soft(y, sigma2)).collect()
+impl<D: SoftDetector + Clone + Sync> LinkOutput<D> for Soft {
+    type Frame = Vec<SoftDecision>;
+    type Rows = Vec<SoftDecision>;
+    fn frame<P: PePool>(e: &FrameEngine<D>, frame: &RxFrame, pool: &P, sigma2: f64) -> Self::Frame {
+        e.process_frame(frame, pool, |det, _sc, ys| detect_soft(det, sigma2, ys))
     }
-    fn hard(cell: &SoftDecision) -> &[usize] {
-        &cell.hard
+    fn tick<P: PePool>(
+        cell: &mut StreamingCell<D>,
+        pool: &P,
+        mut each: impl FnMut(usize, &Self::Rows),
+    ) {
+        let sigma2s: Vec<f64> = (0..cell.n_users())
+            .map(|u| cell.stream(u).estimate().sigma2())
+            .collect();
+        for out in cell.process_tick(pool, |det, u, _sc, ys| detect_soft(det, sigma2s[u], ys)) {
+            each(out.user, &out.cells);
+        }
     }
-    fn push(cell: &SoftDecision, u: usize, _hard_bits: &[u8], stream: &mut Vec<f64>) {
-        stream.extend_from_slice(&cell.llrs[u]);
-    }
-    const DECODE: DecodeInto<f64> = ConvCode::decode_soft_into;
 }
 
 /// Simulates one packet exchange with soft-output detection (any
@@ -65,7 +88,7 @@ pub fn simulate_packet_soft<R: Rng + ?Sized, D: SoftDetector>(
             detector.detect_soft(&channel.transmit(&tx, rng), channel.sigma2)
         })
         .collect();
-    receive_chains::<D, Soft>(cfg, &mut codec, 0, &chains, &cells).link
+    receive_chains(cfg, &mut codec, 0, &chains, &cells).link
 }
 
 /// Soft-decision counterpart of

@@ -39,7 +39,6 @@
 use std::collections::VecDeque;
 
 use flexcore::{CellDetector, ServiceTier};
-use flexcore_detect::Detector;
 use flexcore_engine::{pool_for, ChannelStream, LatencyRecord, RxFrame, StreamingCell};
 use flexcore_hwmodel::{CellBudget, CpuModel, PeCost, WorkUnit};
 use flexcore_modulation::Constellation;
@@ -145,9 +144,9 @@ pub struct DeliveredFrame<'a> {
     pub latency_s: f64,
     /// Whether the frame met its user's deadline.
     pub on_time: bool,
-    /// Detected symbol indices, symbol-major, one `nt`-vector per grid
-    /// cell.
-    pub cells: &'a [Vec<usize>],
+    /// Detected symbol indices: the frame's decision plane, symbol-major,
+    /// `nt` stream-ordered indices per grid cell.
+    pub cells: &'a [u16],
 }
 
 /// Aggregate serving counters for one cell — see [`CityCell::report`].
@@ -387,18 +386,20 @@ impl CityCell {
         // progress), and its completion may spill past the interval — the
         // spill carries forward as backlog and shows up as latency. One
         // plan per round: its costs price the round, then that plan runs.
+        // The serving cell is moved out for the rounds, so each round's
+        // decisions are delivered straight from its plane while `deliver`
+        // updates the rest of `self`.
+        let mut cell = std::mem::take(&mut self.cell);
         let mut free_at = self.backlog_s;
-        while free_at < interval && self.cell.has_queued() {
-            let plan = self.cell.plan_tick(self.pool.n_pes());
+        while free_at < interval && cell.has_queued() {
+            let plan = cell.plan_tick(self.pool.n_pes());
             free_at += lpt_makespan_weighted(plan.costs(), self.pool.speeds()) * self.unit_s;
-            let outs = self.cell.run_tick(plan, &self.pool, |det, _u, _sc, ys| {
-                det.detect_batch_refs(ys)
-            });
             let done_s = start_s + free_at;
-            for out in outs {
-                self.deliver(out.user, out.cells, done_s, sink);
+            for (user, cells) in cell.run_tick(plan, &self.pool) {
+                self.deliver(user, cells, done_s, sink);
             }
         }
+        self.cell = cell;
         self.backlog_s = (free_at - interval).max(0.0);
 
         // 3. Bookkeeping and policy.
@@ -418,7 +419,7 @@ impl CityCell {
     fn deliver(
         &mut self,
         u: usize,
-        cells: Vec<Vec<usize>>,
+        cells: &[u16],
         done_s: f64,
         sink: &mut dyn FnMut(&DeliveredFrame<'_>),
     ) {
@@ -438,10 +439,10 @@ impl CityCell {
 
         let mut good_syms = 0u64;
         let mut h = fnv(self.digest, u as u64);
-        for (detected, truth) in cells.iter().zip(&pending.truth) {
+        for (detected, truth) in cells.chunks_exact(self.cfg.nt).zip(&pending.truth) {
             for (&a, &b) in detected.iter().zip(truth) {
-                h = fnv(h, a as u64);
-                if a == b {
+                h = fnv(h, u64::from(a));
+                if usize::from(a) == b {
                     good_syms += 1;
                 }
             }
@@ -459,7 +460,7 @@ impl CityCell {
             tick: self.tick,
             latency_s,
             on_time,
-            cells: &cells,
+            cells,
         });
     }
 

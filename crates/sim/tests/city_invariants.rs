@@ -117,7 +117,7 @@ fn downgraded_user_detections_match_a_solo_run_with_the_same_schedule() {
         for p in profiles {
             cell.add_user(p.clone());
         }
-        let mut frames: Vec<Vec<Vec<usize>>> = Vec::new();
+        let mut frames: Vec<Vec<u16>> = Vec::new();
         for (tick, tier) in [
             (0u64, ServiceTier::Full),
             (10, ServiceTier::Sic),

@@ -95,7 +95,7 @@ fn adaptive_batch_paths_are_bit_identical_to_per_vector_detect() {
 }
 
 /// Test-local detector wrapper that counts which entry point a serving
-/// layer drives: `calls.0` = `detect_batch_refs` (the scratch-reuse batch
+/// layer drives: `calls.0` = `detect_batch_into` (the scratch-reuse batch
 /// path), `calls.1` = per-vector `detect`. Clones share the counters, so a
 /// template's tally covers every slot an engine stamps from it.
 #[derive(Clone, Debug)]
@@ -132,9 +132,12 @@ impl<D: Detector> Detector for Counting<D> {
         self.calls.1.fetch_add(1, Ordering::Relaxed);
         self.inner.detect(y)
     }
-    fn detect_batch_refs(&self, ys: &[&[Cx]]) -> Vec<Vec<usize>> {
+    fn n_streams(&self) -> usize {
+        self.inner.n_streams()
+    }
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
         self.calls.0.fetch_add(1, Ordering::Relaxed);
-        self.inner.detect_batch_refs(ys)
+        self.inner.detect_batch_into(ys, out)
     }
     fn effort(&self) -> usize {
         self.inner.effort()
@@ -148,7 +151,7 @@ impl<D: Detector> Detector for Counting<D> {
 fn engine_uses_the_batch_path_for_adaptive_detectors() {
     // The acceptance-criteria proof: a detect_frame serves every prepared
     // a-FlexCore slot through batch calls and makes *zero* per-vector
-    // calls — the engine really goes through detect_batch_refs (before
+    // calls — the engine really goes through detect_batch_into (before
     // PR 3 the trait default silently fell back to detect per vector).
     let c = Constellation::new(Modulation::Qam16);
     let channel = selective_channel(8, 14.0, 42);

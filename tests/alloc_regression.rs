@@ -202,27 +202,77 @@ fn hot_path_allocation_budget() {
         assert_eq!(n, 0, "forced-scalar FlexCore kernel allocated at nt={nt}");
     }
 
-    // --- Full detect surface: per-vector cost is the output alone --------
-    // detect_batch_refs owes the caller one Vec per vector plus a constant
-    // workspace: the first four-observation block sizes every plane of the
-    // block walk's scratch (per-node points, metrics and symbols, the
-    // winner buffer), and from the second block on — full, or a masked
-    // partial tail — a batch costs exactly its extra outputs. Inline and
-    // spilled widths alike.
-    for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 32, 64] {
-        let (det, ys, _) = workload(nt, Modulation::Qam16, 200 + nt as u64);
-        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        let one_block = allocs_in(|| drop(det.detect_batch_refs(&refs[..4])));
-        for n in [7usize, 8] {
-            let more = allocs_in(|| drop(det.detect_batch_refs(&refs[..n])));
-            // Each decision Vec<usize> is one allocation; the collected
-            // outer Vec and the scratch warm-up are shared constants.
-            assert_eq!(
-                more - one_block,
-                (n - 4) as u64,
-                "detect of {n} vectors at nt={nt} allocates beyond its outputs"
-            );
+    // --- Full detect surface: a warm batch touches no heap ---------------
+    // detect_batch_into writes into the caller's plane and walks in this
+    // thread's scratch, which the first batch of a shape sizes (per-node
+    // points, metrics and symbols, the winner buffer, the scalar path
+    // planes): from then on a batch of any length — full blocks, a masked
+    // partial tail, one vector — allocates nothing, inline and spilled
+    // widths alike, with lane dispatch on and off.
+    let dispatch_before = lanes_enabled();
+    for lanes in [true, false] {
+        set_lane_dispatch(lanes);
+        for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 32, 64] {
+            let (det, ys, _) = workload(nt, Modulation::Qam16, 200 + nt as u64);
+            let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+            let mut plane = vec![0u16; refs.len() * nt];
+            det.detect_batch_into(&refs, &mut plane);
+            for n in [1usize, 4, 7, 8] {
+                let rows = &mut plane[..n * nt];
+                let allocs = allocs_in(|| det.detect_batch_into(&refs[..n], rows));
+                assert_eq!(
+                    allocs, 0,
+                    "warm detect_batch_into of {n} vectors allocated at nt={nt}, lanes={lanes}"
+                );
+            }
         }
+    }
+    set_lane_dispatch(dispatch_before);
+
+    // --- The frame engine and the serving cell: per call, not per vector --
+    // A warm detect_frame / detect_tick plans and runs into planes, so what
+    // it allocates (the plan, one slice table and task list per run, the
+    // returned frames) does not depend on the grid: two grid sizes, one
+    // count.
+    {
+        let c16 = Constellation::new(Modulation::Qam16);
+        let ens = ChannelEnsemble::iid(4, 4);
+        let pool = SequentialPool::new(4);
+        let counts = |n_sc: usize, n_sym: usize| -> (u64, u64) {
+            let mut rng = StdRng::seed_from_u64(450 + n_sc as u64);
+            let mut cell = StreamingCell::new();
+            let mut frames = Vec::new();
+            for _ in 0..3 {
+                let stream = ChannelStream::new(&ens, n_sc, 0.9, 3, 0.02, &mut rng);
+                let frame = stream.transmit_frame(
+                    n_sym,
+                    |_, _| (0..4).map(|_| c16.point(rng.gen_range(0..16))).collect(),
+                    &mut StdRng::seed_from_u64(7),
+                );
+                cell.add_user(stream, CellDetector::adaptive(c16.clone(), 16, 0.95));
+                frames.push(frame);
+            }
+            let tick = |cell: &mut StreamingCell<CellDetector>| {
+                let queued: Vec<_> = frames.clone();
+                allocs_in(|| {
+                    for (u, frame) in queued.into_iter().enumerate() {
+                        cell.submit(u, frame);
+                    }
+                    drop(cell.detect_tick(&pool));
+                })
+            };
+            tick(&mut cell);
+            let per_tick = tick(&mut cell);
+            let engine = cell.engine(0);
+            drop(engine.detect_frame(&frames[0], &pool));
+            let per_frame = allocs_in(|| drop(engine.detect_frame(&frames[0], &pool)));
+            (per_frame, per_tick)
+        };
+        let (small, large) = (counts(12, 3), counts(48, 14));
+        assert_eq!(
+            small, large,
+            "detect_frame / detect_tick allocations grew with the grid"
+        );
     }
 
     // The blocked rotate on its own: the block's transposed observations
@@ -344,10 +394,12 @@ fn hot_path_allocation_budget() {
 
     // One warmed serving tick at the benchmark's `cell_coded` shape: 8
     // users, 4×4 16-QAM a-FlexCore, 30-byte packets, sequential pool. The
-    // tick owes its caller the outcomes and builds every frame, transmit
-    // vector and detection on the way (≈ 5 Vecs per grid cell), so this is
-    // a pinned ceiling, not zero: 6 822 with one codec per tick, 7 171
-    // when every stream built its own code, interleaver and trellis Vecs.
+    // tick detects into the cell's plane and demaps its rows, so detection
+    // allocates nothing per vector; the pinned ceiling is what the rest of
+    // the tick builds. Of its 1 743: transmit_frame 1 232 (the `tx_vector`
+    // closure's `Vec` per grid cell is 1 152 of them), receive chains 243,
+    // transmit chains 144, channel ageing 96, the plan and run 26, the
+    // codec 2.
     {
         let cfg = LinkConfig::paper_default(c16.clone(), 30);
         let ens = ChannelEnsemble::iid(4, 4);
@@ -363,7 +415,7 @@ fn hot_path_allocation_budget() {
         let pool = SequentialPool::new(8);
         drop(cell_packet_tick(&cfg, &mut cell, &pool, &mut rngs));
         let n = allocs_in(|| drop(cell_packet_tick(&cfg, &mut cell, &pool, &mut rngs)));
-        assert!(n <= 6822, "a warmed cell_coded-shaped tick allocated {n}");
+        assert!(n <= 1743, "a warmed cell_coded-shaped tick allocated {n}");
     }
 
     // --- Discipline coverage: lint regions match the measured surface ----
@@ -386,6 +438,9 @@ fn hot_path_allocation_budget() {
             "crates/core/src/position.rs",   // position-vector overwrites
             "crates/detect/src/fcsd.rs",     // FCSD run_path_into
             "crates/coding/src/conv.rs",     // the Viterbi step loop and its ACS kernel
+            "crates/engine/src/tick.rs",     // the run core's scatter into planes
+            "crates/engine/src/frame.rs",    // RxFrame::get, the run's slice table
+            "crates/phy/src/link.rs",        // the receive chains' demap loop
         ] {
             assert!(
                 marked.iter().any(|m| m == exercised),

@@ -18,7 +18,7 @@
 
 use std::sync::Mutex;
 
-use flexcore::FlexCoreDetector;
+use flexcore::{AdaptiveKBest, CellDetector, FlexCoreDetector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::{Detector, Triangular};
 use flexcore_detect::{FcsdDetector, KBestDetector};
@@ -245,6 +245,61 @@ fn assert_detector_dispatch_identity(
     assert_eq!(lanes.0, scalar.0, "{ctx}: batch lanes vs scalar");
     assert_eq!(lanes.1, scalar.1, "{ctx}: per-vector lanes vs scalar");
     assert_eq!(lanes.0, scalar.1, "{ctx}: batch vs per-vector reference");
+}
+
+/// `detect_batch_into` over every prefix of `refs` — batch lengths 1 to
+/// `refs.len()` — under the current dispatch mode, rows widened for
+/// comparison with per-vector `detect`. The plane starts poisoned, so a
+/// row the batch forgets to write shows.
+fn batch_into_prefixes(det: &dyn Detector, refs: &[&[Cx]]) -> Vec<Vec<Vec<usize>>> {
+    let nt = det.n_streams();
+    (1..=refs.len())
+        .map(|n| {
+            let mut plane = vec![u16::MAX; n * nt];
+            det.detect_batch_into(&refs[..n], &mut plane);
+            plane
+                .chunks(nt)
+                .map(|row| row.iter().map(|&s| usize::from(s)).collect())
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
+    // Every batch path writes rows bit-identical to per-vector `detect`:
+    // one vector, full four-observation blocks and masked tails (batch
+    // lengths 1–9), at widths on both sides of each lane and spill
+    // boundary, with lane dispatch on and off.
+    for nt in [1usize, 3, 4, 8, 16, 17, 64] {
+        let m = if nt > 8 {
+            Modulation::Qpsk
+        } else {
+            Modulation::Qam16
+        };
+        let c = Constellation::new(m);
+        let (h, sigma2, ys) = workload(nt, m, 9, 900 + nt as u64);
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        let detectors: Vec<Box<dyn Detector>> = vec![
+            Box::new(FlexCoreDetector::with_pes(c.clone(), 12)),
+            Box::new(CellDetector::adaptive(c.clone(), 16, 0.95)),
+            Box::new(CellDetector::sic(c.clone())),
+            Box::new(CellDetector::linear(c.clone())),
+            Box::new(FcsdDetector::new(c.clone(), 1)),
+            Box::new(KBestDetector::new(c.clone(), 4)),
+            Box::new(AdaptiveKBest::new(c.clone(), 8)),
+        ];
+        for mut det in detectors {
+            det.prepare(&h, sigma2);
+            let want: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
+            let (lanes, scalar) = under_both_dispatch_modes(|| batch_into_prefixes(&*det, &refs));
+            for (n, (lanes, scalar)) in lanes.iter().zip(&scalar).enumerate() {
+                let ctx = format!("{} nt={nt}, batch of {}", det.name(), n + 1);
+                assert_eq!(lanes.as_slice(), &want[..=n], "{ctx}: lanes");
+                assert_eq!(scalar.as_slice(), &want[..=n], "{ctx}: scalar");
+            }
+        }
+    }
 }
 
 #[test]
