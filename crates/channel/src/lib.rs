@@ -8,13 +8,12 @@
 //! synthetic equivalent (see the README's "Faithfulness and
 //! substitutions"):
 //!
-//! * [`model`] — i.i.d. Rayleigh and Kronecker spatially-correlated channel
-//!   ensembles, with the paper's ≤ 3 dB per-user SNR spread control;
+//! * [`model`] — i.i.d. Rayleigh channel ensembles, with the paper's
+//!   ≤ 3 dB per-user SNR spread control;
+//! * [`timevar`] — Gauss–Markov channel ageing;
 //! * [`trace`] — a line-oriented text trace format plus reader/writer, so
 //!   large-array evaluations are *trace-driven* exactly as in §5.1 of the
-//!   paper (generate once, replay across detectors);
-//! * condition-number statistics to sanity-check ensembles against the
-//!   paper's "well-conditioned when users ≪ AP antennas" observations.
+//!   paper (generate once, replay across detectors).
 //!
 //! SNR convention: `snr_db` is the **per-stream** (per-user) SNR
 //! `Es/σ²` with `Es = 1`, so `σ² = 10^(−snr_db/10)`. The paper's quoted

@@ -1,8 +1,6 @@
 //! Channel ensembles and the AWGN uplink model.
 
-use flexcore_numeric::eig::condition_number;
 use flexcore_numeric::rng::CxRng;
-use flexcore_numeric::solve::cholesky;
 use flexcore_numeric::{CMat, Cx};
 use rand::Rng;
 
@@ -20,19 +18,14 @@ pub fn snr_db_from_sigma2(sigma2: f64) -> f64 {
 /// Parameters of a randomly drawn MIMO uplink ensemble.
 ///
 /// Each draw produces an `Nr × Nt` channel whose entries are unit-variance
-/// complex Gaussians (Rayleigh magnitudes), optionally spatially correlated
-/// at the AP side (Kronecker model, exponential correlation profile), with a
-/// bounded per-user gain spread.
+/// i.i.d. complex Gaussians (Rayleigh magnitudes), with a bounded per-user
+/// gain spread.
 #[derive(Clone, Debug)]
 pub struct ChannelEnsemble {
     /// Number of AP (receive) antennas.
     pub nr: usize,
     /// Number of single-antenna users (transmit streams).
     pub nt: usize,
-    /// Receive-side correlation coefficient `ρ ∈ [0, 1)`; 0 = i.i.d.
-    /// The paper's co-located AP antennas (~6 cm apart at 5 GHz) exhibit
-    /// mild correlation; 0.0–0.4 is a realistic range.
-    pub rx_correlation: f64,
     /// Maximum per-user SNR spread in dB. The paper's scheduler keeps the
     /// individual SNRs of scheduled users within 3 dB of each other (§5.1),
     /// which bounds the channel's condition number.
@@ -45,7 +38,6 @@ impl ChannelEnsemble {
         ChannelEnsemble {
             nr,
             nt,
-            rx_correlation: 0.0,
             user_snr_spread_db: 3.0,
         }
     }
@@ -53,12 +45,7 @@ impl ChannelEnsemble {
     /// Draws one channel matrix.
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> CMat {
         assert!(self.nr >= self.nt, "uplink requires Nr >= Nt");
-        assert!((0.0..1.0).contains(&self.rx_correlation));
         let mut h = CMat::from_fn(self.nr, self.nt, |_, _| rng.cx_normal(1.0));
-        if self.rx_correlation > 0.0 {
-            let sqrt_r = correlation_sqrt(self.nr, self.rx_correlation);
-            h = sqrt_r.mul_mat(&h);
-        }
         // Per-user gain spread: users are scheduled so their SNRs differ by
         // at most `user_snr_spread_db`; realise that as a per-column gain
         // drawn uniformly in dB across the allowed window.
@@ -79,23 +66,6 @@ impl ChannelEnsemble {
     pub fn draw_many<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<CMat> {
         (0..n).map(|_| self.draw(rng)).collect()
     }
-
-    /// Mean 2-norm condition number over `n` draws — the paper's indicator
-    /// of channel favourability.
-    pub fn mean_condition_number<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> f64 {
-        (0..n)
-            .map(|_| condition_number(&self.draw(rng)))
-            .sum::<f64>()
-            / n as f64
-    }
-}
-
-/// Hermitian square root (Cholesky factor) of the exponential correlation
-/// matrix `R[i][j] = ρ^|i−j|`.
-fn correlation_sqrt(n: usize, rho: f64) -> CMat {
-    let r = CMat::from_fn(n, n, |i, j| Cx::real(rho.powi((i as i32 - j as i32).abs())));
-    // flexcore-lint: allow(FL004, reason = "exponential correlation matrices are positive definite for rho in [0,1), which the ChannelModel constructor enforces")
-    cholesky(&r).expect("exponential correlation matrix is PD for rho in [0,1)")
 }
 
 /// One concrete channel use: `y = H·s + n` with `n ~ CN(0, σ²·I)`.
@@ -196,34 +166,6 @@ mod tests {
         // All columns share the same distribution → long-run energies close.
         let ratio_db = 10.0 * (emax / emin).log10();
         assert!(ratio_db < 1.5, "per-user long-run spread {ratio_db} dB");
-    }
-
-    #[test]
-    fn correlation_raises_condition_number() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let iid = ChannelEnsemble {
-            rx_correlation: 0.0,
-            user_snr_spread_db: 0.0,
-            ..ChannelEnsemble::iid(8, 8)
-        };
-        let corr = ChannelEnsemble {
-            rx_correlation: 0.8,
-            user_snr_spread_db: 0.0,
-            ..ChannelEnsemble::iid(8, 8)
-        };
-        let k_iid = iid.mean_condition_number(&mut rng, 60);
-        let k_corr = corr.mean_condition_number(&mut rng, 60);
-        assert!(k_corr > 1.5 * k_iid, "correlated {k_corr} vs iid {k_iid}");
-    }
-
-    #[test]
-    fn fewer_users_improves_conditioning() {
-        // The paper's Fig. 10 premise: Nt ≪ Nr gives a well-conditioned
-        // channel where even linear detection performs well.
-        let mut rng = StdRng::seed_from_u64(4);
-        let full = ChannelEnsemble::iid(12, 12).mean_condition_number(&mut rng, 60);
-        let light = ChannelEnsemble::iid(12, 6).mean_condition_number(&mut rng, 60);
-        assert!(light < full, "12x6 {light} should beat 12x12 {full}");
     }
 
     #[test]

@@ -23,7 +23,6 @@ use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
 use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, LANES};
-use flexcore_parallel::PePool;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -873,61 +872,6 @@ impl FlexCoreDetector {
             .extend(lineage.iter().map(|&node| out.syms[node as usize][lane]));
     }
 
-    /// Detection with explicit parallelism — the paper's PE-per-path
-    /// mapping, and the trie-free reference the trie walk is tested
-    /// against: one task per position vector, each streaming *every*
-    /// observation of the batch through its tree path with one
-    /// [`PathScratch`], the way a hardware PE consumes back-to-back
-    /// subcarriers (§4's pipelined engines). The rotated observations are
-    /// one flat plane shared by reference across tasks; each evaluation
-    /// returns a stack-resident `(SymVec, metric)`. A single vector is a
-    /// batch of one. Results are identical to
-    /// [`Detector::detect_batch_into`].
-    pub fn detect_batch_on_pool<P: PePool>(&self, ys: &[&[Cx]], pool: &P) -> Vec<Vec<usize>> {
-        let state = self.prepared();
-        let tri = &state.tri;
-        let nt = tri.nt();
-        let mut ybars = vec![Cx::ZERO; ys.len() * nt];
-        for (y, out) in ys.iter().zip(ybars.chunks_mut(nt)) {
-            tri.rotate_into(y, out);
-        }
-        let ybars = &ybars;
-        let tasks: Vec<_> = state
-            .paths()
-            .iter()
-            .map(|p| {
-                move || {
-                    let mut scratch = PathScratch::new();
-                    ybars
-                        .chunks(nt)
-                        .map(|yb| {
-                            self.run_path_into(yb, p, &mut scratch)
-                                .map(|m| (scratch.symbols.clone(), m))
-                        })
-                        .collect::<Vec<_>>()
-                }
-            })
-            .collect();
-        let per_path = pool.run(tasks);
-        (0..ys.len())
-            .map(|v| {
-                // The all-ones (SIC) path is always selected first by the
-                // pre-processor and always completes thanks to the rank-1
-                // slicing fallback, so at least one result survives.
-                let (i, _) = first_min_metric(
-                    per_path
-                        .iter()
-                        .map(|r| r[v].as_ref().map_or(f64::NAN, |&(_, m)| m)),
-                )
-                // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback guarantees the SIC path completes, so a minimum exists and its slot is Some")
-                .expect("the SIC path always completes");
-                // flexcore-lint: allow(FL004, reason = "first_min_metric only returns indices whose metric is finite, which requires the slot to be Some")
-                let (symbols, _) = per_path[i][v].as_ref().expect("selected path is active");
-                tri.unpermute(symbols.as_slice())
-            })
-            .collect()
-    }
-
     /// Evaluates all paths over one rotated observation (trie walk) and
     /// writes the minimum-metric decision into `row`, in original stream
     /// order — the shared allocation-free core of `detect` and the scalar
@@ -1084,7 +1028,6 @@ mod tests {
     use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
     use flexcore_detect::{FcsdDetector, MlDetector, SicDetector};
     use flexcore_modulation::Modulation;
-    use flexcore_parallel::{CrossbeamPool, SequentialPool};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1445,54 +1388,6 @@ mod tests {
             s_lut < s_exact * 1.5 + 0.01,
             "LUT {s_lut} vs exact {s_exact}"
         );
-    }
-
-    #[test]
-    fn pool_driver_matches_batch_and_per_vector_detection() {
-        // The one per-path pool driver against the trie walk, on a modelled
-        // and a real-thread substrate: an empty batch, a batch of one, a
-        // lane-remainder batch; default ordering and strict deactivation
-        // at low SNR (where whole subtrees switch off).
-        let c = Constellation::new(Modulation::Qam16);
-        let mut rng = StdRng::seed_from_u64(21);
-        let seq = SequentialPool::new(12);
-        let par = CrossbeamPool::work_queue(4);
-        for (ordering, snr) in [
-            (PathOrdering::TriangleLut, 15.0),
-            (PathOrdering::TriangleLutStrict, 6.0),
-        ] {
-            let h = ChannelEnsemble::iid(5, 5).draw(&mut rng);
-            let mut cfg = FlexCoreConfig::new(24);
-            cfg.path_ordering = ordering;
-            let mut fc = FlexCoreDetector::new(c.clone(), cfg);
-            fc.prepare(&h, sigma2_from_snr_db(snr));
-            let ch = MimoChannel::new(h, snr);
-            for n_obs in [0usize, 1, 7] {
-                let ys: Vec<Vec<Cx>> = (0..n_obs)
-                    .map(|_| {
-                        let x: Vec<Cx> = (0..5).map(|_| c.point(rng.gen_range(0..16))).collect();
-                        ch.transmit(&x, &mut rng)
-                    })
-                    .collect();
-                let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-                let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| fc.detect(y)).collect();
-                assert_eq!(
-                    fc.detect_batch_refs(&refs),
-                    per_vector,
-                    "{ordering:?} {n_obs}"
-                );
-                assert_eq!(
-                    fc.detect_batch_on_pool(&refs, &seq),
-                    per_vector,
-                    "{ordering:?} {n_obs}"
-                );
-                assert_eq!(
-                    fc.detect_batch_on_pool(&refs, &par),
-                    per_vector,
-                    "{ordering:?} {n_obs}"
-                );
-            }
-        }
     }
 
     #[test]

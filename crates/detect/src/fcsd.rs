@@ -14,13 +14,10 @@
 //!
 //! These are precisely the axes along which Fig. 9 shows FlexCore winning.
 
-use crate::common::{
-    batch_rows, first_min_metric, replaces_best, Detector, PathScratch, Triangular,
-};
+use crate::common::{batch_rows, replaces_best, Detector, PathScratch, Triangular};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::fcsd_sorted_qr;
 use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, LANES};
-use flexcore_parallel::PePool;
 
 /// Fixed-complexity sphere decoder with `L` fully-enumerated levels.
 #[derive(Clone, Debug)]
@@ -98,30 +95,6 @@ impl FcsdDetector {
                 .set(row, self.constellation.slice(eff) as u16);
         }
         tri.path_metric(ybar, scratch.symbols.as_slice())
-    }
-
-    /// Runs all paths on a processing-element pool and returns the decision
-    /// (identical to [`Detector::detect`], but demonstrating real
-    /// parallelism: each path is one task). The rotated observation is
-    /// shared by reference across tasks; each task returns a
-    /// stack-resident `(SymVec, metric)`.
-    pub fn detect_on_pool<P: PePool>(&self, y: &[Cx], pool: &P) -> Vec<usize> {
-        let tri = self.prepared();
-        let ybar = tri.rotate(y);
-        let ybar = &ybar;
-        let tasks: Vec<_> = (0..self.paths())
-            .map(|idx| {
-                move || {
-                    let mut scratch = PathScratch::new();
-                    let metric = self.run_path_into(ybar, idx, &mut scratch);
-                    (scratch.symbols, metric)
-                }
-            })
-            .collect();
-        let results = pool.run(tasks);
-        // flexcore-lint: allow(FL004, reason = "paths() = |Q|^L >= 1 and every FCSD path completes, so the minimum exists")
-        let (i, _) = first_min_metric(results.iter().map(|&(_, m)| m)).expect("at least one path");
-        tri.unpermute(results[i].0.as_slice())
     }
 
     /// Evaluates four consecutive paths `path0..path0+4` at once through
@@ -266,7 +239,6 @@ mod tests {
     use crate::sic::SicDetector;
     use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
     use flexcore_modulation::Modulation;
-    use flexcore_parallel::{CrossbeamPool, SequentialPool};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -348,29 +320,6 @@ mod tests {
         }
         let rate = agree as f64 / total as f64;
         assert!(rate > 0.95, "ML agreement {rate}");
-    }
-
-    #[test]
-    fn pool_detection_matches_sequential() {
-        let c = Constellation::new(Modulation::Qam16);
-        let mut rng = StdRng::seed_from_u64(4);
-        let h = ChannelEnsemble::iid(4, 4).draw(&mut rng);
-        let mut fcsd = FcsdDetector::new(c.clone(), 1);
-        fcsd.prepare(&h, 0.05);
-        let ch = MimoChannel::new(h, 15.0);
-        let seq = SequentialPool::new(16);
-        let par = CrossbeamPool::work_queue(8);
-        for _ in 0..10 {
-            let s: Vec<usize> = (0..4).map(|_| rng.gen_range(0..16)).collect();
-            let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
-            let y = ch.transmit(&x, &mut rng);
-            let a = fcsd.detect(&y);
-            let b = fcsd.detect_on_pool(&y, &seq);
-            let c2 = fcsd.detect_on_pool(&y, &par);
-            assert_eq!(a, b);
-            assert_eq!(a, c2);
-        }
-        assert_eq!(seq.stats().tasks(), 160); // 10 vectors × 16 paths
     }
 
     #[test]

@@ -160,14 +160,6 @@ impl Constellation {
         self.points[idx]
     }
 
-    /// Minimum distance between distinct constellation points.
-    pub fn min_distance(&self) -> f64 {
-        match self.modulation {
-            Modulation::Bpsk => 2.0,
-            _ => 2.0 * self.scale,
-        }
-    }
-
     /// Converts `(col, row)` grid coordinates to a symbol index.
     ///
     /// BPSK uses `row = 0` and `col ∈ {0, 1}`.
@@ -270,12 +262,6 @@ impl Constellation {
             .flat_map(|&y| self.index_to_bits(self.slice(y)))
             .collect()
     }
-
-    /// Average symbol energy (should be 1 by construction; exposed for
-    /// tests and Es-dependent formulas).
-    pub fn average_energy(&self) -> f64 {
-        self.points.iter().map(|p| p.norm_sqr()).sum::<f64>() / self.order() as f64
-    }
 }
 
 /// The amplitude (in integer grid units) of level index `i` out of `side`:
@@ -330,7 +316,7 @@ mod tests {
     fn unit_average_energy() {
         for &m in ALL {
             let c = Constellation::new(m);
-            let e = c.average_energy();
+            let e = (0..c.order()).map(|i| c.point(i).norm_sqr()).sum::<f64>() / c.order() as f64;
             assert!((e - 1.0).abs() < 1e-12, "{:?}: Es = {e}", m);
         }
     }
@@ -394,19 +380,6 @@ mod tests {
             assert_eq!(syms.len(), 32);
             assert_eq!(c.demodulate(&syms), bits, "{:?}", m);
         }
-    }
-
-    #[test]
-    fn min_distance_matches_grid() {
-        let c = Constellation::new(Modulation::Qam64);
-        // Exhaustive check of min pairwise distance.
-        let mut min = f64::INFINITY;
-        for i in 0..64 {
-            for j in 0..i {
-                min = min.min((c.point(i) - c.point(j)).abs());
-            }
-        }
-        assert!((min - c.min_distance()).abs() < 1e-12);
     }
 
     #[test]

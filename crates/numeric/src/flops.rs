@@ -54,43 +54,16 @@ impl FlopCounter {
         self.mults += n;
     }
 
-    /// Records `n` real additions.
-    #[inline]
-    pub fn radd(&mut self, n: u64) {
-        self.adds += n;
-    }
-
     /// Records `n` comparisons.
     #[inline]
     pub fn cmp(&mut self, n: u64) {
         self.cmps += n;
     }
 
-    /// Records one QR rotate front-end `ȳ = Q*·y` for an `Nr × Nt` `Q`:
-    /// `Nr·Nt` complex multiply–accumulates (each a complex multiply plus a
-    /// complex add into the accumulator). This is the per-vector
-    /// pre-detection cost the detectors' `extension_work` models price with
-    /// their `nt²` term; the counts are identical whether the rotate runs
-    /// through the scalar path, the four-wide lane kernel, or the blocked
-    /// batch rotate — lane kernels change how many elements one pass
-    /// touches, never how many operations each element costs.
-    #[inline]
-    pub fn crotate(&mut self, nr: u64, nt: u64) {
-        self.cmul(nr * nt);
-        self.cadd(nr * nt);
-    }
-
     /// Total arithmetic FLOPs (multiplications + additions; comparisons are
     /// reported separately, matching the paper's conventions).
     pub fn total_flops(&self) -> u64 {
         self.mults + self.adds
-    }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &FlopCounter) {
-        self.mults += other.mults;
-        self.adds += other.adds;
-        self.cmps += other.cmps;
     }
 
     /// Resets all tallies to zero.
@@ -134,39 +107,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_reset() {
+    fn real_ops_and_reset() {
         let mut a = FlopCounter::new();
         a.rmul(5);
         a.cmp(2);
-        let mut b = FlopCounter::new();
-        b.radd(7);
-        a.merge(&b);
         assert_eq!(a.mults, 5);
-        assert_eq!(a.adds, 7);
         assert_eq!(a.cmps, 2);
         a.reset();
         assert_eq!(a, FlopCounter::new());
-    }
-
-    #[test]
-    fn rotate_front_end_agrees_with_extension_work_pricing() {
-        // The detectors' `extension_work` cost models price the per-vector
-        // rotate front-end with an `nt²` term (one abstract unit per Q
-        // coefficient on a square channel). Pin the exchange rate: one unit
-        // = one complex multiply–accumulate = 8 real FLOPs, so the counter
-        // must report exactly 8·nt² for the square rotate — if either side
-        // changes, pricing and accounting have diverged.
-        for nt in [4u64, 8, 16, 32, 64] {
-            let mut f = FlopCounter::new();
-            f.crotate(nt, nt);
-            assert_eq!(f.total_flops(), 8 * nt * nt);
-            assert_eq!(f.mults, 4 * nt * nt);
-            assert_eq!(f.adds, 4 * nt * nt);
-        }
-        // Rectangular channels price at nr·nt, not nt².
-        let mut f = FlopCounter::new();
-        f.crotate(6, 4);
-        assert_eq!(f.total_flops(), 8 * 24);
     }
 
     #[test]

@@ -15,13 +15,10 @@
 //!   FCSD ordering (module [`qr`]);
 //! * triangular solvers, Hermitian inversion and the MMSE filter kernel
 //!   (module [`solve`]);
-//! * singular-value extrema / condition numbers via power iteration
-//!   (module [`eig`]);
 //! * `erf`/`erfc` and the Gaussian Q-function (module [`special`]) — needed
 //!   by FlexCore's Eq. (4) symbol-error model;
-//! * a radix-2 FFT/IFFT pair (module [`fft`]) for the time-domain OFDM path;
-//! * seeded Gaussian / complex-Gaussian / Rayleigh sampling via Box–Muller
-//!   (module [`rng`]);
+//! * seeded Gaussian / complex-Gaussian sampling via Box–Muller (module
+//!   [`rng`]);
 //! * a lightweight FLOP-accounting helper (module [`flops`]) used to
 //!   regenerate Table 1 and Table 2 of the paper;
 //! * [`CxLane`] — a four-wide structure-of-arrays complex lane type
@@ -41,8 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod cx;
-pub mod eig;
-pub mod fft;
 pub mod flops;
 pub mod lanes;
 pub mod mat;

@@ -8,8 +8,8 @@
 use crate::cx::Cx;
 use rand::Rng;
 
-/// Extension trait adding Gaussian / complex-Gaussian / Rayleigh sampling to
-/// any [`rand::Rng`].
+/// Extension trait adding Gaussian and complex-Gaussian sampling to any
+/// [`rand::Rng`].
 pub trait CxRng: Rng {
     /// A standard normal `N(0, 1)` sample via Box–Muller.
     fn standard_normal(&mut self) -> f64 {
@@ -19,32 +19,15 @@ pub trait CxRng: Rng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// A real normal `N(0, var)` sample.
-    fn normal(&mut self, var: f64) -> f64 {
-        self.standard_normal() * var.sqrt()
-    }
-
     /// A circularly-symmetric complex Gaussian `CN(0, var)` sample —
     /// `var` is the *total* variance, split evenly between I and Q.
     fn cx_normal(&mut self, var: f64) -> Cx {
         let s = (var / 2.0).sqrt();
         Cx::new(self.standard_normal() * s, self.standard_normal() * s)
     }
-
-    /// A Rayleigh-distributed magnitude with scale `sigma`
-    /// (mode `sigma`, mean `sigma·√(π/2)`).
-    fn rayleigh(&mut self, sigma: f64) -> f64 {
-        let u: f64 = 1.0 - self.gen::<f64>();
-        sigma * (-2.0 * u.ln()).sqrt()
-    }
 }
 
 impl<R: Rng + ?Sized> CxRng for R {}
-
-/// Fills a vector with `CN(0, var)` noise.
-pub fn cx_noise_vec<R: Rng + ?Sized>(rng: &mut R, len: usize, var: f64) -> Vec<Cx> {
-    (0..len).map(|_| rng.cx_normal(var)).collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -80,31 +63,11 @@ mod tests {
     }
 
     #[test]
-    fn rayleigh_mean_matches_theory() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let sigma = 1.5;
-        let mean = (0..N).map(|_| rng.rayleigh(sigma)).sum::<f64>() / N as f64;
-        let expect = sigma * (std::f64::consts::PI / 2.0).sqrt();
-        assert!((mean - expect).abs() < 0.02, "mean {mean} want {expect}");
-    }
-
-    #[test]
-    fn rayleigh_magnitude_of_cx_normal() {
-        // |CN(0, 2σ²)| is Rayleigh(σ): check second moments line up.
-        let mut rng = StdRng::seed_from_u64(4);
-        let sigma = 0.8;
-        let m2_cx = (0..N)
-            .map(|_| rng.cx_normal(2.0 * sigma * sigma).abs().powi(2))
-            .sum::<f64>()
-            / N as f64;
-        let m2_ray = (0..N).map(|_| rng.rayleigh(sigma).powi(2)).sum::<f64>() / N as f64;
-        assert!((m2_cx - m2_ray).abs() < 0.05, "{m2_cx} vs {m2_ray}");
-    }
-
-    #[test]
     fn seeded_streams_are_reproducible() {
-        let a: Vec<Cx> = cx_noise_vec(&mut StdRng::seed_from_u64(99), 16, 1.0);
-        let b: Vec<Cx> = cx_noise_vec(&mut StdRng::seed_from_u64(99), 16, 1.0);
-        assert_eq!(a, b);
+        let draw = || {
+            let mut rng = StdRng::seed_from_u64(99);
+            (0..16).map(|_| rng.cx_normal(1.0)).collect::<Vec<Cx>>()
+        };
+        assert_eq!(draw(), draw());
     }
 }

@@ -24,12 +24,6 @@
 /// to the heap.
 pub const INLINE_STREAMS: usize = 16;
 
-/// Former hard capacity of a [`SymVec`], kept as an alias for
-/// [`INLINE_STREAMS`]. Since the massive-MIMO storage refactor it bounds
-/// only the *allocation-free inline* representation; `SymVec` itself holds
-/// any number of streams by spilling to the heap.
-pub const MAX_STREAMS: usize = INLINE_STREAMS;
-
 /// Storage behind a [`SymVec`]: inline registers for the ≤ 16-stream hot
 /// path, a heap buffer beyond. `Spilled` may also hold ≤ 16 entries — a
 /// workspace that has once seen a wide channel keeps its buffer (freeing
@@ -426,10 +420,10 @@ mod tests {
 
     #[test]
     fn over_inline_capacity_spills_instead_of_panicking() {
-        // Seed-era contract: `zeroed(MAX_STREAMS + 1)` panicked. The
-        // massive-MIMO refactor makes it spill and succeed.
-        let v = SymVec::zeroed(MAX_STREAMS + 1);
-        assert_eq!(v.len(), MAX_STREAMS + 1);
+        // Past the inline capacity a `SymVec` spills to the heap instead
+        // of panicking.
+        let v = SymVec::zeroed(INLINE_STREAMS + 1);
+        assert_eq!(v.len(), INLINE_STREAMS + 1);
         assert!(v.is_spilled());
     }
 

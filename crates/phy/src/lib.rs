@@ -5,8 +5,8 @@
 //! rate-1/2 convolutional coding, and one independently-coded packet per
 //! user.
 //!
-//! * [`ofdm`] — OFDM configuration, subcarrier maps, and the time-domain
-//!   IFFT + cyclic-prefix path;
+//! * [`ofdm`] — the OFDM numerology (payload subcarriers, symbol
+//!   duration); detection runs per subcarrier in the frequency domain;
 //! * [`link`] — the end-to-end coded uplink: per-user encode → interleave →
 //!   modulate → MIMO channel → detect (any [`flexcore_detect::Detector`]) →
 //!   deinterleave → Viterbi → packet check. [`simulate_packet`] detects

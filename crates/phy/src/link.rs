@@ -83,8 +83,6 @@ pub struct LinkOutcome {
     pub user_ok: Vec<bool>,
     /// Per-user uncoded (pre-Viterbi) bit error counts.
     pub raw_bit_errors: Vec<usize>,
-    /// Total coded bits per user (for BER computation).
-    pub coded_bits_per_user: usize,
 }
 
 /// Result of one packet exchange over a *streaming* channel: the usual
@@ -110,12 +108,6 @@ impl LinkOutcome {
     pub fn packet_error_rate(&self) -> f64 {
         let fails = self.user_ok.iter().filter(|&&ok| !ok).count();
         fails as f64 / self.user_ok.len() as f64
-    }
-
-    /// Mean uncoded BER across users.
-    pub fn raw_ber(&self) -> f64 {
-        let total: usize = self.raw_bit_errors.iter().sum();
-        total as f64 / (self.coded_bits_per_user * self.user_ok.len()) as f64
     }
 }
 
@@ -335,7 +327,6 @@ pub(crate) fn receive_chains<G: Grid + ?Sized>(
     let link = LinkOutcome {
         user_ok,
         raw_bit_errors,
-        coded_bits_per_user: cfg.ofdm_symbols_per_packet() * cfg.bits_per_ofdm_symbol(),
     };
     StreamedOutcome { user, link, crc_ok }
 }
@@ -634,7 +625,7 @@ mod tests {
         let out = simulate_packet(&cfg, &ch, &det, &mut rng);
         assert!(out.user_ok.iter().all(|&ok| ok));
         assert_eq!(out.packet_error_rate(), 0.0);
-        assert_eq!(out.raw_ber(), 0.0);
+        assert!(out.raw_bit_errors.iter().all(|&e| e == 0));
     }
 
     #[test]
@@ -709,7 +700,6 @@ mod tests {
             for out in &outs {
                 assert_eq!(out.user_ok, reference.user_ok, "seed {seed}");
                 assert_eq!(out.raw_bit_errors, reference.raw_bit_errors, "seed {seed}");
-                assert_eq!(out.coded_bits_per_user, reference.coded_bits_per_user);
             }
         }
     }
@@ -917,15 +907,11 @@ mod tests {
         let ch = MimoChannel::new(h.clone(), snr);
         let mut det = SphereDecoder::new(cfg.constellation.clone());
         det.prepare(&h, sigma2_from_snr_db(snr));
-        let mut raw = 0.0;
         let mut ok = 0usize;
-        let n = 12;
-        for _ in 0..n {
+        for _ in 0..12 {
             let out = simulate_packet(&cfg, &ch, &det, &mut rng);
-            raw += out.raw_ber();
             ok += out.user_ok.iter().filter(|&&k| k).count();
         }
-        let _ = raw / n as f64;
         // At least some packets delivered despite raw errors.
         assert!(ok > 0, "expected some successes");
     }

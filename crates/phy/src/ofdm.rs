@@ -1,37 +1,26 @@
-//! OFDM configuration and the time-domain transform path.
+//! OFDM numerology.
 //!
 //! The paper's testbed is an 802.11-style OFDM system: 64 subcarriers of
 //! which 48 carry payload, 20 MHz bandwidth, 4 µs symbols (3.2 µs useful +
 //! 0.8 µs cyclic prefix). Detection operates per subcarrier in the
-//! frequency domain; the time-domain helpers here (IFFT + CP insertion and
-//! the inverse) exist so examples and tests can exercise a full transmit
-//! chain and verify the frequency-domain shortcut is equivalent for flat
-//! channels.
-
-use flexcore_numeric::fft::{fft_in_place, ifft_in_place};
-use flexcore_numeric::Cx;
+//! frequency domain, so the link needs only the payload width and the
+//! symbol duration.
 
 /// OFDM numerology.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OfdmConfig {
-    /// FFT size (total subcarriers).
-    pub n_fft: usize,
     /// Payload (data) subcarriers per symbol.
     pub n_data: usize,
-    /// Cyclic-prefix length in samples.
-    pub cp_len: usize,
     /// OFDM symbol duration in nanoseconds (including CP).
     pub symbol_duration_ns: u64,
 }
 
 impl OfdmConfig {
     /// The 802.11a/g 20 MHz numerology used throughout the paper:
-    /// 64 subcarriers, 48 data, 16-sample CP, 4 µs symbols.
+    /// 48 data subcarriers (of 64), 4 µs symbols.
     pub fn wifi20() -> Self {
         OfdmConfig {
-            n_fft: 64,
             n_data: 48,
-            cp_len: 16,
             symbol_duration_ns: 4_000,
         }
     }
@@ -40,143 +29,16 @@ impl OfdmConfig {
     pub fn symbol_duration_s(&self) -> f64 {
         self.symbol_duration_ns as f64 * 1e-9
     }
-
-    /// OFDM symbols per second.
-    pub fn symbols_per_second(&self) -> f64 {
-        1.0 / self.symbol_duration_s()
-    }
-
-    /// The data subcarrier indices (frequency bins), 802.11-style: bins
-    /// ±1..±6, ±8..±20, ±22..±26 around DC are data; DC, the pilots
-    /// (±7, ±21) and the guard band are excluded.
-    pub fn data_subcarriers(&self) -> Vec<usize> {
-        assert_eq!(
-            (self.n_fft, self.n_data),
-            (64, 48),
-            "data_subcarriers: only the 802.11 64/48 map is defined"
-        );
-        let mut out = Vec::with_capacity(48);
-        let pilot = [7i32, 21];
-        for k in -26i32..=26 {
-            if k == 0 || pilot.contains(&k.abs()) {
-                continue;
-            }
-            // Negative frequencies wrap to the top half of the FFT.
-            out.push(if k < 0 { (64 + k) as usize } else { k as usize });
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Maps 48 data symbols into a 64-bin frequency grid (zeros elsewhere).
-    pub fn map_symbols(&self, data: &[Cx]) -> Vec<Cx> {
-        let sc = self.data_subcarriers();
-        assert_eq!(
-            data.len(),
-            sc.len(),
-            "map_symbols: need {} symbols",
-            sc.len()
-        );
-        let mut grid = vec![Cx::ZERO; self.n_fft];
-        for (&bin, &sym) in sc.iter().zip(data) {
-            grid[bin] = sym;
-        }
-        grid
-    }
-
-    /// Extracts the 48 data symbols from a 64-bin frequency grid.
-    pub fn unmap_symbols(&self, grid: &[Cx]) -> Vec<Cx> {
-        assert_eq!(grid.len(), self.n_fft, "unmap_symbols: wrong grid size");
-        self.data_subcarriers().iter().map(|&b| grid[b]).collect()
-    }
-
-    /// Frequency grid → time-domain OFDM symbol with cyclic prefix.
-    pub fn to_time_domain(&self, grid: &[Cx]) -> Vec<Cx> {
-        assert_eq!(grid.len(), self.n_fft);
-        let mut td = grid.to_vec();
-        ifft_in_place(&mut td);
-        let mut out = Vec::with_capacity(self.n_fft + self.cp_len);
-        out.extend_from_slice(&td[self.n_fft - self.cp_len..]);
-        out.extend_from_slice(&td);
-        out
-    }
-
-    /// Time-domain symbol (with CP) → frequency grid.
-    pub fn to_frequency_domain(&self, samples: &[Cx]) -> Vec<Cx> {
-        assert_eq!(
-            samples.len(),
-            self.n_fft + self.cp_len,
-            "to_frequency_domain: wrong sample count"
-        );
-        let mut fd = samples[self.cp_len..].to_vec();
-        fft_in_place(&mut fd);
-        fd
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexcore_numeric::rng::CxRng;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn wifi20_numerology() {
         let cfg = OfdmConfig::wifi20();
-        assert_eq!(cfg.n_fft, 64);
         assert_eq!(cfg.n_data, 48);
         assert!((cfg.symbol_duration_s() - 4e-6).abs() < 1e-15);
-        assert!((cfg.symbols_per_second() - 250_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn data_subcarrier_map_is_standard() {
-        let sc = OfdmConfig::wifi20().data_subcarriers();
-        assert_eq!(sc.len(), 48);
-        // No DC, no pilots.
-        for bad in [0usize, 7, 21, 64 - 7, 64 - 21] {
-            assert!(!sc.contains(&bad), "bin {bad} must be excluded");
-        }
-        // All within the ±26 occupied band.
-        for &b in &sc {
-            let k = if b > 32 { b as i32 - 64 } else { b as i32 };
-            assert!((1..=26).contains(&k.abs()));
-        }
-    }
-
-    #[test]
-    fn map_unmap_roundtrip() {
-        let cfg = OfdmConfig::wifi20();
-        let mut rng = StdRng::seed_from_u64(1);
-        let data: Vec<Cx> = (0..48).map(|_| rng.cx_normal(1.0)).collect();
-        let grid = cfg.map_symbols(&data);
-        assert_eq!(cfg.unmap_symbols(&grid), data);
-    }
-
-    #[test]
-    fn time_domain_roundtrip() {
-        let cfg = OfdmConfig::wifi20();
-        let mut rng = StdRng::seed_from_u64(2);
-        let data: Vec<Cx> = (0..48).map(|_| rng.cx_normal(1.0)).collect();
-        let grid = cfg.map_symbols(&data);
-        let td = cfg.to_time_domain(&grid);
-        assert_eq!(td.len(), 80); // 64 + 16 CP
-        let back = cfg.to_frequency_domain(&td);
-        let recovered = cfg.unmap_symbols(&back);
-        for (a, b) in recovered.iter().zip(&data) {
-            assert!((*a - *b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn cyclic_prefix_is_a_copy_of_the_tail() {
-        let cfg = OfdmConfig::wifi20();
-        let mut rng = StdRng::seed_from_u64(3);
-        let data: Vec<Cx> = (0..48).map(|_| rng.cx_normal(1.0)).collect();
-        let td = cfg.to_time_domain(&cfg.map_symbols(&data));
-        for i in 0..16 {
-            assert_eq!(td[i], td[64 + i]);
-        }
     }
 }

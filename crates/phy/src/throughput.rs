@@ -162,7 +162,6 @@ mod tests {
             link: LinkOutcome {
                 user_ok: crc_ok.clone(),
                 raw_bit_errors: vec![0; n],
-                coded_bits_per_user: 0,
             },
             crc_ok,
         }

@@ -3,7 +3,6 @@
 use flexcore::{LevelErrorModel, PositionVector, Preprocessor};
 use flexcore_coding::{CodeRate, ConvCode, Interleaver};
 use flexcore_modulation::{Constellation, Modulation};
-use flexcore_numeric::fft::{fft, ifft};
 use flexcore_numeric::mat::norm_sqr;
 use flexcore_numeric::qr::{mgs_qr, sorted_qr_sqrd};
 use flexcore_numeric::solve::{back_substitute, hermitian_inverse};
@@ -83,18 +82,6 @@ proptest! {
         let gi = hermitian_inverse(&g);
         let err = g.mul_mat(&gi).max_abs_diff(&CMat::identity(3));
         prop_assert!(err < 1e-6 * g.fro_norm().max(1.0));
-    }
-
-    #[test]
-    fn fft_roundtrip_and_parseval(v in proptest::collection::vec(cx(), 64)) {
-        let spec = fft(&v);
-        let back = ifft(&spec);
-        for (a, b) in back.iter().zip(&v) {
-            prop_assert!((*a - *b).abs() < 1e-9);
-        }
-        let e_time: f64 = v.iter().map(|z| z.norm_sqr()).sum();
-        let e_freq: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / 64.0;
-        prop_assert!((e_time - e_freq).abs() < 1e-9 * (1.0 + e_time));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! SNR, and observation, the scratch-based paths must produce exactly the
 //! symbols, metrics, and LLRs of the allocating paths they replaced.
 //! These tests enforce the contract against independent re-enactments of
-//! the PR 1 implementations, across random channels and SNRs, on the
-//! sequential and crossbeam substrates.
+//! those allocating implementations, across random channels and SNRs.
 
 use flexcore::{FlexCoreConfig, FlexCoreDetector, PathScratch, PositionVector, QrOrdering};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
@@ -15,7 +14,6 @@ use flexcore_detect::{FcsdDetector, KBestDetector};
 use flexcore_modulation::{Constellation, Modulation, OrderingLut};
 use flexcore_numeric::qr::sorted_qr_sqrd;
 use flexcore_numeric::{CMat, Cx};
-use flexcore_parallel::{CrossbeamPool, SequentialPool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -210,7 +208,7 @@ proptest! {
     }
 
     #[test]
-    fn pool_batch_equals_pr1_nested_reduction(
+    fn batch_equals_nested_reduction(
         seed in 0u64..1_000_000,
         nt in 2usize..6,
         snr in 6.0f64..24.0,
@@ -222,10 +220,7 @@ proptest! {
         det.prepare(&h, sigma2);
         let reference = detect_batch_pr1(&det, &ys);
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        let seq = SequentialPool::new(4);
-        let par = CrossbeamPool::work_queue(3);
-        prop_assert_eq!(&det.detect_batch_on_pool(&refs, &seq), &reference);
-        prop_assert_eq!(&det.detect_batch_on_pool(&refs, &par), &reference);
+        prop_assert_eq!(&det.detect_batch_refs(&refs), &reference);
         // And the trie-walk decisions match the nested reduction too.
         let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
         prop_assert_eq!(&per_vector, &reference);
@@ -265,11 +260,8 @@ proptest! {
         let c = Constellation::new(Modulation::Qam16);
         let mut det = FcsdDetector::new(c, l_full.min(nt));
         det.prepare(&h, sigma2);
-        let seq = SequentialPool::new(8);
         for y in &ys {
-            let reference = fcsd_per_path_reference(&det, y);
-            prop_assert_eq!(&det.detect(y), &reference);
-            prop_assert_eq!(&det.detect_on_pool(y, &seq), &reference);
+            prop_assert_eq!(&det.detect(y), &fcsd_per_path_reference(&det, y));
         }
     }
 
@@ -300,8 +292,8 @@ proptest! {
         n_pe in 1usize..13,
     ) {
         // Every public detection surface must agree at every width: the
-        // trie-walk detect(), the shared-scratch batch, the per-path pool
-        // driver, and the soft output's hard decision.
+        // trie-walk detect(), the shared-scratch batch, and the soft
+        // output's hard decision.
         let m = modulation(m_idx);
         let (h, sigma2, ys) = draw_workload_mod(seed, nt, m, 16.0, 3);
         let c = Constellation::new(m);
@@ -310,16 +302,9 @@ proptest! {
         let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
         prop_assert_eq!(&det.detect_batch_refs(&refs), &per_vector);
-        let seq = SequentialPool::new(4);
-        let par = CrossbeamPool::work_queue(3);
         for (y, want) in ys.iter().zip(&per_vector) {
-            // A single vector is a batch of one.
-            prop_assert_eq!(&det.detect_batch_on_pool(&[y.as_slice()], &seq)[0], want);
-            prop_assert_eq!(&det.detect_batch_on_pool(&[y.as_slice()], &par)[0], want);
             prop_assert_eq!(&det.detect_soft(y, sigma2).hard, want);
         }
-        prop_assert_eq!(&det.detect_batch_on_pool(&refs, &seq), &per_vector);
-        prop_assert_eq!(&det.detect_batch_on_pool(&refs, &par), &per_vector);
     }
 
     #[test]
@@ -335,11 +320,8 @@ proptest! {
         let l_full = usize::from(c.order() <= 64).min(nt);
         let mut det = FcsdDetector::new(c, l_full);
         det.prepare(&h, sigma2);
-        let seq = SequentialPool::new(8);
         for y in &ys {
-            let reference = fcsd_per_path_reference(&det, y);
-            prop_assert_eq!(&det.detect(y), &reference);
-            prop_assert_eq!(&det.detect_on_pool(y, &seq), &reference);
+            prop_assert_eq!(&det.detect(y), &fcsd_per_path_reference(&det, y));
         }
     }
 

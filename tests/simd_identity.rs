@@ -247,13 +247,13 @@ fn assert_detector_dispatch_identity(
     assert_eq!(lanes.0, scalar.1, "{ctx}: batch vs per-vector reference");
 }
 
-/// `detect_batch_into` over every prefix of `refs` — batch lengths 1 to
+/// `detect_batch_into` over every prefix of `refs` — batch lengths 0 to
 /// `refs.len()` — under the current dispatch mode, rows widened for
 /// comparison with per-vector `detect`. The plane starts poisoned, so a
 /// row the batch forgets to write shows.
 fn batch_into_prefixes(det: &dyn Detector, refs: &[&[Cx]]) -> Vec<Vec<Vec<usize>>> {
     let nt = det.n_streams();
-    (1..=refs.len())
+    (0..=refs.len())
         .map(|n| {
             let mut plane = vec![u16::MAX; n * nt];
             det.detect_batch_into(&refs[..n], &mut plane);
@@ -268,8 +268,8 @@ fn batch_into_prefixes(det: &dyn Detector, refs: &[&[Cx]]) -> Vec<Vec<Vec<usize>
 #[test]
 fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
     // Every batch path writes rows bit-identical to per-vector `detect`:
-    // one vector, full four-observation blocks and masked tails (batch
-    // lengths 1–9), at widths on both sides of each lane and spill
+    // an empty batch, one vector, full four-observation blocks and masked
+    // tails (batch lengths 0–9), at widths on both sides of each lane and spill
     // boundary, with lane dispatch on and off.
     for nt in [1usize, 3, 4, 8, 16, 17, 64] {
         let m = if nt > 8 {
@@ -294,9 +294,9 @@ fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
             let want: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
             let (lanes, scalar) = under_both_dispatch_modes(|| batch_into_prefixes(&*det, &refs));
             for (n, (lanes, scalar)) in lanes.iter().zip(&scalar).enumerate() {
-                let ctx = format!("{} nt={nt}, batch of {}", det.name(), n + 1);
-                assert_eq!(lanes.as_slice(), &want[..=n], "{ctx}: lanes");
-                assert_eq!(scalar.as_slice(), &want[..=n], "{ctx}: scalar");
+                let ctx = format!("{} nt={nt}, batch of {n}", det.name());
+                assert_eq!(lanes.as_slice(), &want[..n], "{ctx}: lanes");
+                assert_eq!(scalar.as_slice(), &want[..n], "{ctx}: scalar");
             }
         }
     }
