@@ -5,8 +5,11 @@
 //! channels, DVB…). Higher rates are obtained by puncturing. Decoding is
 //! hard-decision Viterbi over the 64-state trellis with full traceback,
 //! with punctured positions treated as erasures (zero branch-metric
-//! contribution). The forward pass is a butterfly add-compare-select that
-//! keeps one decision *bit* per (step, state) — one `u64` word per step.
+//! contribution). The forward pass is a butterfly add-compare-select over
+//! per-step branch-cost vectors that keeps one decision byte per
+//! (step, state); the hard decoder carries 16-bit path metrics,
+//! renormalised so that any packet length fits, which is what lets the
+//! step run on full-width packed 16-bit lanes.
 
 use std::hint::select_unpredictable;
 
@@ -30,6 +33,18 @@ const fn output_pair(state: usize, input: usize) -> u8 {
     (((window & G0).count_ones() & 1) << 1 | (window & G1).count_ones() & 1) as u8
 }
 
+/// `PAIRS[window]` = the output pair of the 7-bit encoder window
+/// `input << 6 | state`; the next state is `window >> 1`.
+const PAIRS: [u8; 2 * STATES] = {
+    let mut pairs = [0u8; 2 * STATES];
+    let mut window = 0;
+    while window < 2 * STATES {
+        pairs[window] = output_pair(window % STATES, window / STATES);
+        window += 1;
+    }
+    pairs
+};
+
 /// `LABELS[j]` = the output pair on butterfly `j`'s straight edges
 /// (`2j → j`, `2j + 1 → j + 32`). Both generators tap the oldest and the
 /// newest register bit, so its cross edges carry the complement, `3 − l`.
@@ -45,6 +60,68 @@ const LABELS: [u8; BUTTERFLIES] = {
     }
     labels
 };
+
+/// The butterfly a step computes in lane `i`: `rev5(i)`, the one whose
+/// predecessors sit at positions `i` and `i + 32` of the bit-reversed
+/// metric layout (see [`forward`]).
+const fn lane_butterfly(i: usize) -> usize {
+    ((i as u32).reverse_bits() >> (32 - (CONSTRAINT - 2))) as usize
+}
+
+/// `LANE_LABELS[i]` = the straight label of lane `i`'s butterfly.
+const LANE_LABELS: [u8; BUTTERFLIES] = {
+    let mut labels = [0u8; BUTTERFLIES];
+    let mut i = 0;
+    while i < BUTTERFLIES {
+        labels[i] = LABELS[lane_butterfly(i)];
+        i += 1;
+    }
+    labels
+};
+
+/// One trellis step's branch costs: `[straight, cross]`, one entry per
+/// lane (the label of butterfly [`lane_butterfly`]`(i)`, and its
+/// complement).
+pub(crate) type StepCosts<M> = [[M; BUTTERFLIES]; 2];
+
+/// The hard decoder's step costs for every received pair, indexed
+/// `3·r0 + r1` with `r ∈ {0, 1, 2 = erased}`: Hamming distance to each
+/// lane's straight label and to its complement, an erased position
+/// adding 0 either way.
+const HARD_COSTS: [StepCosts<u16>; 9] = {
+    let mut table = [[[0u16; BUTTERFLIES]; 2]; 9];
+    let mut r = 0;
+    while r < 9 {
+        let mut j = 0;
+        while j < BUTTERFLIES {
+            let l = LANE_LABELS[j];
+            table[r][0][j] = hamming(l, r / 3, r % 3);
+            table[r][1][j] = hamming(3 - l, r / 3, r % 3);
+            j += 1;
+        }
+        r += 1;
+    }
+    table
+};
+
+/// Hamming distance of output pair `out` to the received `(r0, r1)`, each
+/// 0, 1 or 2 (erased, no cost).
+const fn hamming(out: u8, r0: usize, r1: usize) -> u16 {
+    miss(out >> 1, r0) + miss(out & 1, r1)
+}
+
+/// 1 iff the received `r` (0, 1 or 2 = erased) is a bit other than `bit`.
+const fn miss(bit: u8, r: usize) -> u16 {
+    (r < 2 && bit as usize != r) as u16
+}
+
+/// Trellis steps between two renormalisations of the 16-bit metrics. Once
+/// every state is reachable (after `K − 1` steps) the metrics span at most
+/// `2·(K − 1)` (any state is `K − 1` steps of at most 2 each from the
+/// best), and the best grows by at most 2 per step, so a period of `2^14`
+/// steps keeps every metric below `2^15 + 12`; before that the unreachable
+/// start value `2^15 − 1` drifts by at most 12.
+const RENORM_PERIOD: usize = 1 << 14;
 
 /// Supported puncturing rates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -94,12 +171,13 @@ pub struct ConvCode {
 }
 
 /// Reusable storage for [`ConvCode::decode_into`] and
-/// [`ConvCode::decode_soft_into`]: one decision word per trellis step
-/// (bit `s` set iff state `s` kept its odd predecessor). Once it has seen
-/// a packet length, decoding that length again allocates nothing.
+/// [`ConvCode::decode_soft_into`]: one decision row per trellis step of
+/// the longest packet seen, a byte per state. Once it
+/// has seen a packet length, decoding that length or a shorter one again
+/// allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct ViterbiScratch {
-    decisions: Vec<u64>,
+    decisions: Vec<[u8; STATES]>,
 }
 
 impl ConvCode {
@@ -124,21 +202,39 @@ impl ConvCode {
     /// Encodes information bits (values 0/1), appending `K−1` zero tail bits
     /// so the trellis terminates in state 0.
     pub fn encode(&self, info: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.coded_len(info.len()));
-        let mut state = 0u32;
-        let bits = info.iter().chain(std::iter::repeat_n(&0u8, CONSTRAINT - 1));
-        for (&bit, p) in bits.zip(self.rate.pattern().iter().cycle()) {
-            debug_assert!(bit <= 1, "encode: bits must be 0/1");
-            let pair = output_pair(state as usize, usize::from(bit));
-            if p[0] {
-                out.push(pair >> 1);
-            }
-            if p[1] {
-                out.push(pair & 1);
-            }
-            state = (state >> 1) | ((bit as u32) << (CONSTRAINT - 2));
-        }
+        let mut out = Vec::new();
+        self.encode_into(info, &mut out);
         out
+    }
+
+    /// [`ConvCode::encode`] into a caller-owned buffer, which is
+    /// overwritten with the `coded_len(info.len())` coded bits: one
+    /// table lookup per input bit. The buffer holds the unpunctured
+    /// pairs first, so once it has encoded a length it allocates nothing
+    /// for that length again.
+    pub fn encode_into(&self, info: &[u8], out: &mut Vec<u8>) {
+        // Every rate-1/2 pair in place, then the punctured positions
+        // squeezed out.
+        out.clear();
+        out.resize(2 * (info.len() + CONSTRAINT - 1), 0);
+        let mut window = 0usize;
+        let bits = info.iter().chain(&[0; CONSTRAINT - 1]);
+        for (pair, &bit) in out.chunks_exact_mut(2).zip(bits) {
+            debug_assert!(bit <= 1, "encode: bits must be 0/1");
+            window = (window >> 1) | usize::from(bit & 1) << (CONSTRAINT - 1);
+            let out = PAIRS[window];
+            pair.copy_from_slice(&[out >> 1, out & 1]);
+        }
+        let pattern = self.rate.pattern();
+        if pattern.len() > 1 {
+            let sent = pattern.iter().flatten().cycle();
+            let mut kept = 0;
+            for (k, &sent) in (0..out.len()).zip(sent) {
+                out[kept] = out[k];
+                kept += usize::from(sent);
+            }
+            out.truncate(kept);
+        }
     }
 
     /// Decodes hard bits back to `info_len` information bits via Viterbi.
@@ -165,18 +261,8 @@ impl ConvCode {
     }
 
     /// The one trellis pass behind [`ConvCode::decode`] and
-    /// [`ConvCode::decode_soft`]: depuncture `received` (punctured
-    /// positions read as [`Received::ERASED`]), butterfly
-    /// add-compare-select over the 64 states with [`Received::costs`] as
-    /// the branch metrics, and trace back from state 0. A state keeps its
-    /// odd predecessor only on a strictly smaller metric, so ties keep the
-    /// even (lower) one.
-    ///
-    /// An unreachable state's metric drifts upwards from its start value
-    /// (by at most one branch cost per step for the six steps until every
-    /// state is reachable — `u32::MAX / 2` cannot wrap, `∞` stays `∞`) and
-    /// its decision bit is arbitrary, but a reachable state's survivor is
-    /// always reachable, so no such bit is on the path traced from state 0.
+    /// [`ConvCode::decode_soft`]: the forward pass ([`forward`]) over
+    /// `received`, then a traceback from state 0 through its decisions.
     pub(crate) fn viterbi<R: Received>(
         &self,
         received: &[R],
@@ -186,71 +272,109 @@ impl ConvCode {
     ) {
         assert_eq!(received.len(), self.coded_len(info_len), "{}", R::WRONG_LEN);
         let total_in = info_len + (CONSTRAINT - 1);
-        let mut metric = [R::START.1; STATES];
-        metric[0] = R::START.0; // encoder starts in state 0
-        let mut next = metric;
-        scratch.decisions.clear();
-        scratch.decisions.resize(total_in, 0);
-        let mut pos = 0;
-        let pattern = self.rate.pattern().iter().cycle();
-        for (decision, sent) in scratch.decisions.iter_mut().zip(pattern) {
+        // Every row is overwritten, so a longer scratch is only cut short.
+        if scratch.decisions.len() < total_in {
+            scratch.decisions.resize(total_in, [0; STATES]);
+        }
+        let decisions = &mut scratch.decisions[..total_in];
+        forward(self.rate.pattern(), received, decisions);
+        // Traceback from state 0 (tail bits force termination there), in
+        // positions of the bit-reversed layout: position `p` holds state
+        // `rev6(p)`, whose top bit — the input — is `p`'s low bit, whose
+        // decision sits at `rotr1(p)`, and whose predecessor (shifted up,
+        // the decision as low bit) sits at `p >> 1 | decision << 5`.
+        let mut p = 0usize;
+        decoded.clear();
+        decoded.resize(total_in, 0);
+        for (bit, decision) in decoded.iter_mut().zip(decisions.iter()).rev() {
+            *bit = (p & 1) as u8;
+            let taken = usize::from(decision[p >> 1 | (p & 1) << (CONSTRAINT - 2)] & 1);
+            p = p >> 1 | taken << (CONSTRAINT - 2);
+        }
+        decoded.truncate(info_len);
+    }
+}
+
+/// The forward pass: depuncture `received` by `pattern` (punctured
+/// positions read as [`Received::ERASED`]), then one butterfly
+/// add-compare-select ([`acs_step`]) per step with [`Received::costs`] as
+/// the branch metrics, one row of `decisions` per step. A state keeps its
+/// odd predecessor only on a strictly smaller metric, so ties keep the
+/// even (lower) one. The metrics are a value carried from step to step —
+/// registers, not a buffer a step stores and the next reloads — and
+/// every [`RENORM_PERIOD`] steps [`Received::renormalise`] shifts them all
+/// by one common amount, which moves no comparison.
+///
+/// The metrics are laid out by bit-reversed state (position `p` holds
+/// state `rev6(p)`): the successors of states `2j`, `2j + 1` are `j`,
+/// `j + 32`, and in this layout the predecessors of lane `i` are the two
+/// halves' `i`-th entries while its successors land side by side at
+/// `2i`, `2i + 1`. A step then reads whole vectors and interleaves its
+/// output once, where the natural layout must deinterleave its input.
+///
+/// An unreachable state's metric drifts upwards from its start value
+/// (by at most one branch cost per step for the six steps until every
+/// state is reachable — the start values cannot wrap, `∞` stays `∞`) and
+/// its decision is arbitrary, but a reachable state's survivor is always
+/// reachable, so no such decision is on the path traced from state 0.
+///
+/// Never inlined so CI can disassemble the hard (`u16`) instantiation,
+/// which holds the step, and fail if it stops compiling to full-width
+/// packed 16-bit min.
+#[inline(never)]
+fn forward<R: Received>(pattern: &[[bool; 2]], received: &[R], decisions: &mut [[u8; STATES]]) {
+    let mut metric = [R::START.1; STATES];
+    metric[0] = R::START.0; // encoder starts in state 0
+    let mut costs = [[R::START.0; BUTTERFLIES]; 2];
+    let mut pos = 0;
+    let mut pattern = pattern.iter().cycle();
+    for chunk in decisions.chunks_mut(RENORM_PERIOD) {
+        metric = R::renormalise(metric);
+        for (decision, sent) in chunk.iter_mut().zip(&mut pattern) {
             // flexcore-lint: hot-path
             let pair = sent.map(|sent| {
                 let value = if sent { received[pos] } else { R::ERASED };
                 pos += usize::from(sent);
                 value
             });
-            *decision = acs_step(&metric, &R::costs(&pair), &mut next);
-            std::mem::swap(&mut metric, &mut next);
+            metric = acs_step(&metric, R::costs(&pair, &mut costs), decision);
         }
-        // Traceback from state 0 (tail bits force termination there): the
-        // input bit is the state's top bit, the predecessor's low bit is
-        // the decision bit.
-        let mut state = 0usize;
-        decoded.clear();
-        decoded.resize(total_in, 0);
-        for (bit, &decision) in decoded.iter_mut().zip(&scratch.decisions).rev() {
-            *bit = (state >> (CONSTRAINT - 2)) as u8;
-            state = ((state << 1) & (STATES - 1)) | (decision >> state & 1) as usize;
-        }
-        decoded.truncate(info_len);
     }
 }
 
-/// One trellis step: every state's two candidate metrics from `metric` and
-/// the four branch `costs` (indexed by output pair), the smaller one into
-/// `next`, and the step's decision word (bit `s` set iff state `s` took
-/// its odd predecessor, i.e. iff `odd < even` strictly).
-///
-/// Never inlined so CI can disassemble the `u32` instantiation and fail if
-/// it stops compiling to packed min.
-#[inline(never)]
+/// One trellis step in the bit-reversed layout: every state's two
+/// candidate metrics from `metric` and the step's branch `costs`, the
+/// smaller one into the returned metrics, and the step's decisions
+/// (1 iff the state took its odd predecessor, i.e. iff `odd < even`
+/// strictly): lane `i`'s successor at position `2i` decides into byte
+/// `i`, the one at `2i + 1` into byte `i + 32`. Decisions are bytes, not
+/// bits: a bit-packed decision word made LLVM pick a vector width for the
+/// 32-bit word and halve every metric lane.
+#[inline(always)]
 fn acs_step<M: Copy + PartialOrd + std::ops::Add<Output = M>>(
     metric: &[M; STATES],
-    costs: &[M; 4],
-    next: &mut [M; STATES],
-) -> u64 {
+    [straight, cross]: &StepCosts<M>,
+    decision: &mut [u8; STATES],
+) -> [M; STATES] {
+    // flexcore-lint: scalar-twin = acs_step_parent
     // flexcore-lint: hot-path
     // flexcore-lint: bit-identity
-    // A butterfly's cost per edge, by select (a plain table index compiles
-    // to scalar loads): `straight` on the edges labelled `LABELS[j]`,
-    // `cross` on the complement-labelled ones.
-    let pick = |label: u8| {
-        let lo = select_unpredictable(label & 2 == 0, costs[0], costs[2]);
-        let hi = select_unpredictable(label & 2 == 0, costs[1], costs[3]);
-        select_unpredictable(label & 1 == 0, lo, hi)
-    };
-    let mut word = 0u64;
-    for (j, &label) in LABELS.iter().enumerate() {
-        let (straight, cross) = (pick(label), pick(3 - label));
-        let (even, odd) = (metric[2 * j], metric[2 * j + 1]);
-        let (even0, odd0) = (even + straight, odd + cross);
-        let (even1, odd1) = (even + cross, odd + straight);
-        next[j] = if odd0 < even0 { odd0 } else { even0 };
-        next[j + BUTTERFLIES] = if odd1 < even1 { odd1 } else { even1 };
-        word |= u64::from(odd0 < even0) << j | u64::from(odd1 < even1) << (j + BUTTERFLIES);
+    let (mut to_low, mut to_high) = ([metric[0]; BUTTERFLIES], [metric[0]; BUTTERFLIES]);
+    for i in 0..BUTTERFLIES {
+        let (even, odd) = (metric[i], metric[i + BUTTERFLIES]);
+        let (even0, odd0) = (even + straight[i], odd + cross[i]);
+        let (even1, odd1) = (even + cross[i], odd + straight[i]);
+        to_low[i] = if odd0 < even0 { odd0 } else { even0 };
+        to_high[i] = if odd1 < even1 { odd1 } else { even1 };
+        decision[i] = u8::from(odd0 < even0);
+        decision[i + BUTTERFLIES] = u8::from(odd1 < even1);
     }
-    word
+    let mut next = *metric;
+    for i in 0..BUTTERFLIES {
+        next[2 * i] = to_low[i];
+        next[2 * i + 1] = to_high[i];
+    }
+    next
 }
 
 /// A received coded position the trellis pass decodes from: a hard bit
@@ -264,31 +388,52 @@ pub(crate) trait Received: Copy {
     const START: (Self::Metric, Self::Metric);
     /// The panic message for a stream that is not `coded_len` long.
     const WRONG_LEN: &'static str;
-    /// Branch cost of each output pair (`g0·2 + g1`) against `pair`.
-    fn costs(pair: &[Self; 2]) -> [Self::Metric; 4];
+    /// The step's branch costs against `pair`: each lane's straight
+    /// label and its complement, written into `buf` or borrowed from a
+    /// table.
+    fn costs<'a>(
+        pair: &[Self; 2],
+        buf: &'a mut StepCosts<Self::Metric>,
+    ) -> &'a StepCosts<Self::Metric>;
+    /// Shifts every metric down by one common amount (or leaves them be)
+    /// so the next [`RENORM_PERIOD`] steps cannot overflow.
+    #[inline(always)]
+    fn renormalise(metric: [Self::Metric; STATES]) -> [Self::Metric; STATES] {
+        metric
+    }
 }
 
 impl Received for u8 {
-    type Metric = u32;
+    type Metric = u16;
     const ERASED: u8 = 255;
-    const START: (u32, u32) = (0, u32::MAX / 2);
+    const START: (u16, u16) = (0, u16::MAX / 2);
     const WRONG_LEN: &'static str = "decode: wrong coded length";
-    fn costs(pair: &[u8; 2]) -> [u32; 4] {
-        [0, 1, 2, 3].map(|out| branch_metric(out, pair))
+    fn costs<'a>(pair: &[u8; 2], _: &'a mut StepCosts<u16>) -> &'a StepCosts<u16> {
+        // 0 and 1 index themselves, the erasure (and any non-bit, which
+        // costs every label alike) reads as 2.
+        let [r0, r1] = pair.map(|r| usize::from(r.min(2)));
+        &HARD_COSTS[3 * r0 + r1]
+    }
+    #[inline(always)]
+    fn renormalise(metric: [u16; STATES]) -> [u16; STATES] {
+        let best = metric.iter().copied().fold(u16::MAX, u16::min);
+        metric.map(|m| m - best)
     }
 }
 
-/// Hamming branch metric with erasure support (erased positions add 0).
-#[inline]
-fn branch_metric(out: u8, pair: &[u8; 2]) -> u32 {
-    let mut m = 0u32;
-    if pair[0] != u8::ERASED {
-        m += u32::from((out >> 1) != pair[0]);
+/// Per-lane costs from the four output-pair costs `costs[g0·2 + g1]`,
+/// picked by select against the constant lane labels (an index into
+/// `costs` compiles to one scalar load per lane).
+pub(crate) fn label_costs<M: Copy>(costs: &[M; 4], out: &mut StepCosts<M>) {
+    let pick = |label: u8| {
+        let lo = select_unpredictable(label & 2 == 0, costs[0], costs[2]);
+        let hi = select_unpredictable(label & 2 == 0, costs[1], costs[3]);
+        select_unpredictable(label & 1 == 0, lo, hi)
+    };
+    for (i, &label) in LANE_LABELS.iter().enumerate() {
+        out[0][i] = pick(label);
+        out[1][i] = pick(3 - label);
     }
-    if pair[1] != u8::ERASED {
-        m += u32::from((out & 1) != pair[1]);
-    }
-    m
 }
 
 #[cfg(test)]
@@ -303,6 +448,101 @@ mod tests {
     fn random_bits(n: usize, seed: u64) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(0..2u8)).collect()
+    }
+
+    /// Hamming branch metric with erasure support (erased positions add 0).
+    fn branch_metric(out: u8, pair: &[u8; 2]) -> u32 {
+        let mut m = 0u32;
+        if pair[0] != u8::ERASED {
+            m += u32::from((out >> 1) != pair[0]);
+        }
+        if pair[1] != u8::ERASED {
+            m += u32::from((out & 1) != pair[1]);
+        }
+        m
+    }
+
+    /// What the parent commit's trellis pass decoded from: `u32` Hamming
+    /// metrics for hard bits, and the soft decoder's own costs for LLRs.
+    trait ParentReceived: Received {
+        type Wide: Copy + PartialOrd + std::ops::Add<Output = Self::Wide>;
+        const WIDE_START: (Self::Wide, Self::Wide);
+        fn wide_costs(pair: &[Self; 2]) -> [Self::Wide; 4];
+    }
+
+    impl ParentReceived for u8 {
+        type Wide = u32;
+        const WIDE_START: (u32, u32) = (0, u32::MAX / 2);
+        fn wide_costs(pair: &[u8; 2]) -> [u32; 4] {
+            [0, 1, 2, 3].map(|out| branch_metric(out, pair))
+        }
+    }
+
+    impl ParentReceived for f64 {
+        type Wide = f64;
+        const WIDE_START: (f64, f64) = (0.0, f64::INFINITY);
+        fn wide_costs(pair: &[f64; 2]) -> [f64; 4] {
+            let pair = pair.map(sanitize_llr);
+            [0, 1, 2, 3].map(|out| branch_cost(out, &pair))
+        }
+    }
+
+    /// The parent commit's add-compare-select step, verbatim: 32-bit hard
+    /// metrics, the branch cost picked per butterfly by select, one
+    /// decision bit per state.
+    fn acs_step_parent<M: Copy + PartialOrd + std::ops::Add<Output = M>>(
+        metric: &[M; STATES],
+        costs: &[M; 4],
+        next: &mut [M; STATES],
+    ) -> u64 {
+        let pick = |label: u8| {
+            let lo = select_unpredictable(label & 2 == 0, costs[0], costs[2]);
+            let hi = select_unpredictable(label & 2 == 0, costs[1], costs[3]);
+            select_unpredictable(label & 1 == 0, lo, hi)
+        };
+        let mut word = 0u64;
+        for (j, &label) in LABELS.iter().enumerate() {
+            let (straight, cross) = (pick(label), pick(3 - label));
+            let (even, odd) = (metric[2 * j], metric[2 * j + 1]);
+            let (even0, odd0) = (even + straight, odd + cross);
+            let (even1, odd1) = (even + cross, odd + straight);
+            next[j] = if odd0 < even0 { odd0 } else { even0 };
+            next[j + BUTTERFLIES] = if odd1 < even1 { odd1 } else { even1 };
+            word |= u64::from(odd0 < even0) << j | u64::from(odd1 < even1) << (j + BUTTERFLIES);
+        }
+        word
+    }
+
+    impl ConvCode {
+        /// The parent commit's trellis pass over [`acs_step_parent`]: no
+        /// renormalisation, a `swap` per step, a decision word per step.
+        fn viterbi_parent<R: ParentReceived>(&self, received: &[R], info_len: usize) -> Vec<u8> {
+            assert_eq!(received.len(), self.coded_len(info_len));
+            let total_in = info_len + (CONSTRAINT - 1);
+            let mut metric = [R::WIDE_START.1; STATES];
+            metric[0] = R::WIDE_START.0;
+            let mut next = metric;
+            let mut decisions = vec![0u64; total_in];
+            let mut pos = 0;
+            let pattern = self.rate.pattern().iter().cycle();
+            for (decision, sent) in decisions.iter_mut().zip(pattern) {
+                let pair = sent.map(|sent| {
+                    let value = if sent { received[pos] } else { R::ERASED };
+                    pos += usize::from(sent);
+                    value
+                });
+                *decision = acs_step_parent(&metric, &R::wide_costs(&pair), &mut next);
+                std::mem::swap(&mut metric, &mut next);
+            }
+            let mut state = 0usize;
+            let mut decoded = vec![0u8; total_in];
+            for (bit, &decision) in decoded.iter_mut().zip(&decisions).rev() {
+                *bit = (state >> (CONSTRAINT - 2)) as u8;
+                state = ((state << 1) & (STATES - 1)) | (decision >> state & 1) as usize;
+            }
+            decoded.truncate(info_len);
+            decoded
+        }
     }
 
     impl ConvCode {
@@ -359,7 +599,7 @@ mod tests {
 
         fn scatter_hard(&self, coded: &[u8], info_len: usize) -> Vec<u8> {
             let coded = coded.iter().copied();
-            self.viterbi_scatter(coded, info_len, u8::ERASED, u8::START, branch_metric)
+            self.viterbi_scatter(coded, info_len, u8::ERASED, u8::WIDE_START, branch_metric)
         }
 
         fn scatter_soft(&self, llrs: &[f64], info_len: usize) -> Vec<u8> {
@@ -461,6 +701,94 @@ mod tests {
                 wild.iter_mut().step_by(7).for_each(|l| *l *= f64::INFINITY);
                 wild.iter_mut().step_by(11).for_each(|l| *l = f64::NAN);
                 assert_matches_scatter(&code, (&flipped, &wild), info_len, &mut scratch, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn sixteen_bit_pass_equals_the_u32_twin() {
+        // The renormalised 16-bit pass against the parent's unrenormalised
+        // 32-bit one, bit for bit, through one shared scratch: every rate
+        // (punctured positions as erasures), 0–10 % flips, lengths across
+        // the renormalisation period, and the soft pass on the same words.
+        let mut scratch = ViterbiScratch::default();
+        let mut decoded = Vec::new();
+        for &rate in RATES {
+            let code = ConvCode::new(rate);
+            for info_len in [1usize, 2, 6, 7, 64, 240, 1000, RENORM_PERIOD - 6, 20_000] {
+                for flip in [0.0, 0.02, 0.05, 0.1] {
+                    let seed = info_len as u64 * 31 + (flip * 100.0) as u64;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut bits = code.encode(&random_bits(info_len, seed));
+                    bits.iter_mut()
+                        .for_each(|b| *b ^= u8::from(rng.gen::<f64>() < flip));
+                    let what = format!("{rate:?} n={info_len} flip={flip}");
+                    code.decode_into(&bits, info_len, &mut scratch, &mut decoded);
+                    assert_eq!(decoded, code.viterbi_parent(&bits, info_len), "{what}");
+                    let llrs: Vec<f64> = bits
+                        .iter()
+                        .map(|&b| f64::from(rng.gen_range(-3..=8i32)) * (0.5 - f64::from(b)))
+                        .collect();
+                    code.decode_soft_into(&llrs, info_len, &mut scratch, &mut decoded);
+                    assert_eq!(
+                        decoded,
+                        code.viterbi_parent(&llrs, info_len),
+                        "soft, {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sixteen_bit_pass_equals_the_u32_twin_on_worst_case_growth() {
+        // Words far from every codeword make the best metric grow fastest:
+        // every coded bit flipped, coin-flip noise, and a word of ones.
+        let mut scratch = ViterbiScratch::default();
+        let mut decoded = Vec::new();
+        for &rate in RATES {
+            let code = ConvCode::new(rate);
+            for info_len in [1usize, 300, 2 * RENORM_PERIOD + 1] {
+                let n = code.coded_len(info_len);
+                let mut flipped = code.encode(&random_bits(info_len, 8));
+                flipped.iter_mut().for_each(|b| *b ^= 1);
+                for (word, what) in [
+                    (flipped, "all flipped"),
+                    (random_bits(n, 9), "coin flips"),
+                    (vec![1u8; n], "all ones"),
+                ] {
+                    code.decode_into(&word, info_len, &mut scratch, &mut decoded);
+                    let want = code.viterbi_parent(&word, info_len);
+                    assert_eq!(decoded, want, "{rate:?} n={info_len} {what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_encoder_equals_the_shift_register() {
+        let mut out = Vec::new();
+        for &rate in RATES {
+            let code = ConvCode::new(rate);
+            for info_len in [0usize, 1, 5, 64, 241] {
+                let info = random_bits(info_len, info_len as u64);
+                // The parent's encoder: one `output_pair` per input bit.
+                let mut want = Vec::new();
+                let mut state = 0usize;
+                let bits = info.iter().chain(std::iter::repeat_n(&0u8, CONSTRAINT - 1));
+                for (&bit, p) in bits.zip(rate.pattern().iter().cycle()) {
+                    let pair = output_pair(state, usize::from(bit));
+                    want.extend(
+                        p.iter()
+                            .zip([pair >> 1, pair & 1])
+                            .filter(|(s, _)| **s)
+                            .map(|(_, b)| b),
+                    );
+                    state = (state >> 1) | usize::from(bit) << (CONSTRAINT - 2);
+                }
+                code.encode_into(&info, &mut out);
+                assert_eq!(out, want, "{rate:?} n={info_len}");
+                assert_eq!(code.encode(&info), want);
             }
         }
     }

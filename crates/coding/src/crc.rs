@@ -18,19 +18,53 @@
 /// The reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
+/// `TABLE[b]` = eight bit steps of the register from `b` (the canonical
+/// byte-wise CRC-32 table).
+const TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut k = 0;
+        while k < 8 {
+            crc = bit_step(crc, 0);
+            k += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+};
+
+/// One register step on input bit `b`, the polynomial folded in by mask.
+const fn bit_step(crc: u32, b: u8) -> u32 {
+    let fed = (crc ^ b as u32) & 1;
+    (crc >> 1) ^ (POLY & fed.wrapping_neg())
+}
+
 /// CRC-32 of a bit stream (`bits[i] ∈ {0, 1}`, transmission order).
+///
+/// Branch-free: each whole byte of bits is packed LSB-first (the order the
+/// byte-wise CRC consumes) by one multiply and takes one table step;
+/// the last `len % 8` bits take register steps.
 ///
 /// # Panics
 /// Panics if any entry is not 0 or 1.
 pub fn crc32_bits(bits: &[u8]) -> u32 {
+    let worst = bits.iter().fold(0, |worst, &b| worst.max(b));
+    assert!(worst <= 1, "crc32_bits: non-bit value {worst}");
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bits {
-        assert!(b <= 1, "crc32_bits: non-bit value {b}");
-        let fed = (crc ^ u32::from(b)) & 1;
-        crc >>= 1;
-        if fed == 1 {
-            crc ^= POLY;
-        }
+    let mut bytes = bits.chunks_exact(8);
+    for chunk in &mut bytes {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        // Byte `i` of the word (0 or 1) lands on bit `56 + i`: the eight
+        // shifted copies never overlap there and carry nothing into it.
+        let byte = (u64::from_le_bytes(word).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32;
+        crc = TABLE[((crc ^ byte) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    for &b in bytes.remainder() {
+        crc = bit_step(crc, b);
     }
     !crc
 }
@@ -59,6 +93,34 @@ mod tests {
     fn matches_the_canonical_check_value() {
         // The universal CRC-32 test vector.
         assert_eq!(crc32_bits(&bytes_to_bits(b"123456789")), 0xCBF4_3926);
+    }
+
+    /// The parent commit's register, one branch per bit.
+    fn crc32_bitwise(bits: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bits {
+            let fed = (crc ^ u32::from(b)) & 1;
+            crc >>= 1;
+            if fed == 1 {
+                crc ^= POLY;
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn byte_steps_equal_the_bitwise_register() {
+        // Every length mod 8 (the tail), and every byte value in a chunk.
+        let bits: Vec<u8> = (0..256u32 * 8 + 13)
+            .map(|i| ((i / 8) >> (i % 8) & 1) as u8)
+            .collect();
+        for len in (0..64).chain([240, 961, bits.len()]) {
+            assert_eq!(
+                crc32_bits(&bits[..len]),
+                crc32_bitwise(&bits[..len]),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! "probably 0". Punctured positions carry `llr = 0` (no information) —
 //! the same erasure semantics as the hard decoder.
 
-use crate::conv::{ConvCode, Received, ViterbiScratch};
+use crate::conv::{label_costs, ConvCode, Received, StepCosts, ViterbiScratch};
 
 /// LLR magnitude clamp: keeps path metrics well-conditioned and mirrors
 /// fixed-point detector outputs.
@@ -51,9 +51,10 @@ impl Received for f64 {
     const ERASED: f64 = 0.0;
     const START: (f64, f64) = (0.0, f64::INFINITY);
     const WRONG_LEN: &'static str = "decode_soft: wrong LLR count";
-    fn costs(pair: &[f64; 2]) -> [f64; 4] {
+    fn costs<'a>(pair: &[f64; 2], buf: &'a mut StepCosts<f64>) -> &'a StepCosts<f64> {
         let pair = pair.map(sanitize_llr);
-        [0, 1, 2, 3].map(|out| branch_cost(out, &pair))
+        label_costs(&[0, 1, 2, 3].map(|out| branch_cost(out, &pair)), buf);
+        buf
     }
 }
 

@@ -50,6 +50,11 @@ impl RxFrame {
         Self::from_vectors(n_subcarriers, Vec::new())
     }
 
+    /// Reserves room for `n_samples` more samples in the flat plane.
+    pub(crate) fn reserve(&mut self, n_samples: usize) {
+        self.data.reserve(n_samples);
+    }
+
     /// Appends one received vector to the flat plane (symbol-major: the
     /// caller appends whole symbols, one vector per subcarrier).
     pub(crate) fn push_vector(&mut self, v: &[Cx]) {

@@ -37,7 +37,7 @@ use crate::stream::ChannelStream;
 use crate::tick::{TickOutput, TickPlan, TickPlane};
 use flexcore_detect::common::Detector;
 use flexcore_numeric::Cx;
-use flexcore_parallel::{lpt_makespan, PePool};
+use flexcore_parallel::PePool;
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -100,6 +100,8 @@ pub struct StreamingCell<D> {
     /// moves either.
     ticks: u64,
     last_tick_efficiency: f64,
+    /// Per-PE loads of the last tick's audit, reused tick after tick.
+    pe_loads: Vec<u64>,
     /// The last tick's hard decisions, reused tick after tick.
     plane: TickPlane,
 }
@@ -117,6 +119,7 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
             users: Vec::new(),
             ticks: 0,
             last_tick_efficiency: 1.0,
+            pe_loads: Vec::new(),
             plane: TickPlane::default(),
         }
     }
@@ -261,7 +264,7 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
             return;
         }
         self.ticks += 1;
-        let makespan = lpt_makespan(plan.costs(), n_pes);
+        let makespan = unit_lpt_makespan(plan.costs(), n_pes, &mut self.pe_loads);
         self.last_tick_efficiency = if makespan == 0 {
             1.0
         } else {
@@ -352,6 +355,22 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
     }
 }
 
+/// The LPT makespan of `costs`, already longest first (a
+/// [`TickPlan::costs`]), on `n_pes` identical PEs: each cost goes to the
+/// least-loaded PE, ties to the lowest index, in one pass over `loads`
+/// (overwritten) — `flexcore_parallel::lpt_makespan` without its sort and
+/// its allocations, and equal to it on such input.
+fn unit_lpt_makespan(costs: &[u64], n_pes: usize, loads: &mut Vec<u64>) -> u64 {
+    loads.clear();
+    loads.resize(n_pes, 0);
+    for &cost in costs {
+        if let Some(least) = loads.iter_mut().min_by_key(|load| **load) {
+            *least += cost;
+        }
+    }
+    loads.iter().copied().max().unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,6 +410,26 @@ mod tests {
             },
             &mut noise_rng,
         )
+    }
+
+    #[test]
+    fn unit_lpt_pass_equals_lpt_makespan_on_sorted_costs() {
+        use flexcore_parallel::lpt_makespan;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut loads = Vec::new();
+        for case in 0..2_000 {
+            let n = rng.gen_range(0..40);
+            // Small ranges make ties (equal costs, equal loads) common.
+            let top = if case % 2 == 0 { 4 } else { 1_000_000 };
+            let mut costs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..top)).collect();
+            costs.sort_by(|a, b| b.cmp(a));
+            let n_pes = rng.gen_range(1..10);
+            assert_eq!(
+                unit_lpt_makespan(&costs, n_pes, &mut loads),
+                lpt_makespan(&costs, n_pes),
+                "{costs:?} on {n_pes} PEs"
+            );
+        }
     }
 
     #[test]

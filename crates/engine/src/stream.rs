@@ -19,6 +19,7 @@ use crate::channel::FrameChannel;
 use crate::frame::RxFrame;
 use flexcore_channel::{ChannelEnsemble, GaussMarkovChannel};
 use flexcore_numeric::rng::CxRng;
+use flexcore_numeric::symvec::INLINE_STREAMS;
 use flexcore_numeric::{CMat, Cx};
 use rand::Rng;
 
@@ -134,28 +135,51 @@ impl ChannelStream {
     /// vectors through the **truth** channels plus `CN(0, σ²)` noise:
     /// `tx(symbol, subcarrier)` supplies each grid cell's transmit vector.
     /// Detection then runs against the (possibly stale) estimates — the
-    /// mismatch is the scenario.
+    /// mismatch is the scenario. The owned-vector adapter over
+    /// [`ChannelStream::transmit_frame_into`].
     pub fn transmit_frame<R, F>(&self, n_symbols: usize, mut tx: F, rng: &mut R) -> RxFrame
     where
         R: Rng + ?Sized,
         F: FnMut(usize, usize) -> Vec<Cx>,
     {
+        self.transmit_frame_into(n_symbols, |sym, sc, x| x.copy_from_slice(&tx(sym, sc)), rng)
+    }
+
+    /// [`ChannelStream::transmit_frame`] with the transmit vector written
+    /// in place: `tx(symbol, subcarrier, x)` fills each grid cell's `Nt`
+    /// symbols into `x`. Up to [`INLINE_STREAMS`] antennas per side, `x`
+    /// and the received vector are stack buffers, so building a frame
+    /// allocates its plane and nothing else.
+    pub fn transmit_frame_into<R, F>(&self, n_symbols: usize, mut tx: F, rng: &mut R) -> RxFrame
+    where
+        R: Rng + ?Sized,
+        F: FnMut(usize, usize, &mut [Cx]),
+    {
         let n_sc = self.truth.len();
         let sigma2 = self.estimate.sigma2();
+        let (nr, nt) = (self.truth(0).rows(), self.truth(0).cols());
         let mut frame = RxFrame::empty(n_sc);
-        // One `Nr` buffer for every cell: `H·x + n` lands in it and is
-        // appended to the frame's flat plane — the products, the noise
-        // draws and their order are those of a `mul_vec` per cell.
-        let mut y = Vec::new();
+        frame.reserve(n_symbols * n_sc * nr);
+        let mut stack = [[Cx::ZERO; INLINE_STREAMS]; 2];
+        let mut heap = Vec::new();
+        let (x, y) = if nt.max(nr) <= INLINE_STREAMS {
+            let [x, y] = &mut stack;
+            (&mut x[..nt], &mut y[..nr])
+        } else {
+            heap.resize(nt + nr, Cx::ZERO);
+            heap.split_at_mut(nt)
+        };
+        // `H·x + n` lands in `y` and is appended to the frame's flat plane
+        // — the products, the noise draws and their order are those of a
+        // `mul_vec` per cell.
         for sym in 0..n_symbols {
             for (sc, truth) in self.truth.iter().enumerate() {
-                let h = truth.current();
-                y.resize(h.rows(), Cx::ZERO);
-                h.mul_vec_into(&tx(sym, sc), &mut y);
-                for v in &mut y {
+                tx(sym, sc, x);
+                truth.current().mul_vec_into(x, y);
+                for v in y.iter_mut() {
                     *v += rng.cx_normal(sigma2);
                 }
-                frame.push_vector(&y);
+                frame.push_vector(y);
             }
         }
         frame
@@ -413,6 +437,38 @@ mod tests {
                 let want = quiet.truth(sc).mul_vec(&x);
                 for (a, b) in frame.get(sym, sc).iter().zip(&want) {
                     assert!((*a - *b).abs() < 1e-9, "({sym},{sc})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_transmit_equals_the_vec_adapter_on_stack_and_heap_widths() {
+        // 4×4 runs in the stack buffers, 20×18 past them; both must draw
+        // the same noise and land the same samples as the owned form.
+        for (nr, nt) in [(4usize, 4usize), (20, 18)] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let ens = ChannelEnsemble::iid(nr, nt);
+            let s = ChannelStream::new(&ens, 5, 0.9, 2, 0.1, &mut rng);
+            let x = |sym: usize, sc: usize, u: usize| Cx::new((sym + u) as f64, sc as f64 - 1.5);
+            let owned = s.transmit_frame(
+                3,
+                |sym, sc| (0..nt).map(|u| x(sym, sc, u)).collect(),
+                &mut StdRng::seed_from_u64(12),
+            );
+            let in_place = s.transmit_frame_into(
+                3,
+                |sym, sc, out| {
+                    out.iter_mut()
+                        .enumerate()
+                        .for_each(|(u, v)| *v = x(sym, sc, u))
+                },
+                &mut StdRng::seed_from_u64(12),
+            );
+            for sym in 0..3 {
+                for sc in 0..5 {
+                    assert_eq!(owned.get(sym, sc), in_place.get(sym, sc), "{nr}x{nt}");
+                    assert_eq!(in_place.get(sym, sc).len(), nr);
                 }
             }
         }

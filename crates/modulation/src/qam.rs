@@ -72,32 +72,25 @@ pub struct Constellation {
     points: Vec<Cx>,
     /// `scale` maps integer grid levels to normalised amplitudes.
     scale: f64,
-    /// Per-axis Gray code: `gray[level_index] = gray code of that level`.
-    gray: Vec<usize>,
-    /// Inverse of `gray`.
-    gray_inv: Vec<usize>,
+    /// `bit_words[idx]` = the symbol's bits, MSB first, one byte each
+    /// (byte `k` of the little-endian word is bit `k`).
+    bit_words: Vec<u64>,
+    /// `index_of[pattern]` = the symbol whose bits, read MSB first as a
+    /// `bits_per_symbol`-bit integer, are `pattern`.
+    index_of: Vec<u8>,
 }
 
 impl Constellation {
     /// Builds the constellation for a modulation order.
     pub fn new(modulation: Modulation) -> Self {
-        match modulation {
-            Modulation::Bpsk => {
-                // ±1 on the real axis; Es = 1 already.
-                Constellation {
-                    modulation,
-                    points: vec![Cx::real(-1.0), Cx::real(1.0)],
-                    scale: 1.0,
-                    gray: vec![0, 1],
-                    gray_inv: vec![0, 1],
-                }
-            }
+        let (points, scale) = match modulation {
+            // ±1 on the real axis; Es = 1 already.
+            Modulation::Bpsk => (vec![Cx::real(-1.0), Cx::real(1.0)], 1.0),
             m => {
                 let side = m.grid_side();
-                let order = m.order();
                 // Average energy of unit-spaced square QAM: 2(M−1)/3.
-                let scale = (3.0 / (2.0 * (order as f64 - 1.0))).sqrt();
-                let mut points = Vec::with_capacity(order);
+                let scale = (3.0 / (2.0 * (m.order() as f64 - 1.0))).sqrt();
+                let mut points = Vec::with_capacity(m.order());
                 for row in 0..side {
                     for col in 0..side {
                         points.push(Cx::new(
@@ -106,19 +99,22 @@ impl Constellation {
                         ));
                     }
                 }
-                let gray: Vec<usize> = (0..side).map(|i| i ^ (i >> 1)).collect();
-                let mut gray_inv = vec![0usize; side];
-                for (i, &g) in gray.iter().enumerate() {
-                    gray_inv[g] = i;
-                }
-                Constellation {
-                    modulation: m,
-                    points,
-                    scale,
-                    gray,
-                    gray_inv,
-                }
+                (points, scale)
             }
+        };
+        let bit_words: Vec<u64> = (0..modulation.order())
+            .map(|idx| gray_word(modulation, idx))
+            .collect();
+        let mut index_of = vec![0u8; modulation.order()];
+        for (idx, &word) in bit_words.iter().enumerate() {
+            index_of[pattern_of(word, modulation.bits_per_symbol())] = idx as u8;
+        }
+        Constellation {
+            modulation,
+            points,
+            scale,
+            bit_words,
+            index_of,
         }
     }
 
@@ -194,13 +190,11 @@ impl Constellation {
             self.bits_per_symbol(),
             "bits_to_index: wrong bit count"
         );
-        if self.modulation == Modulation::Bpsk {
-            return bits[0] as usize;
-        }
-        let half = bits.len() / 2;
-        let col = self.gray_inv[bits_to_uint(&bits[..half])];
-        let row = self.gray_inv[bits_to_uint(&bits[half..])];
-        self.grid_to_index(col, row)
+        let pattern = bits.iter().fold(0usize, |acc, &b| {
+            debug_assert!(b <= 1);
+            (acc << 1) | usize::from(b & 1)
+        });
+        usize::from(self.index_of[pattern])
     }
 
     /// Maps a symbol index back to its bits (MSB first).
@@ -218,14 +212,7 @@ impl Constellation {
     /// Panics if `out.len() != bits_per_symbol()`.
     pub fn index_to_bits_into(&self, idx: usize, out: &mut [u8]) {
         assert_eq!(out.len(), self.bits_per_symbol(), "index_to_bits_into");
-        if self.modulation == Modulation::Bpsk {
-            out[0] = idx as u8;
-            return;
-        }
-        let (col, row) = self.index_to_grid(idx);
-        let half = self.bits_per_symbol() / 2;
-        uint_to_bits_into(self.gray[col], &mut out[..half]);
-        uint_to_bits_into(self.gray[row], &mut out[half..]);
+        out.copy_from_slice(&self.bit_words[idx].to_le_bytes()[..out.len()]);
     }
 
     /// Modulates a bit slice into symbols (length must be a multiple of
@@ -278,18 +265,26 @@ pub fn nearest_level_index(x: f64, side: usize) -> usize {
     (i.round().max(0.0) as usize).min(side - 1)
 }
 
-fn bits_to_uint(bits: &[u8]) -> usize {
-    bits.iter().fold(0usize, |acc, &b| {
-        debug_assert!(b <= 1);
-        (acc << 1) | b as usize
-    })
+/// Symbol `idx`'s bits as a byte-per-bit word (byte `k` = bit `k`, MSB
+/// first): each axis's level index Gray-coded, in-phase half first.
+fn gray_word(modulation: Modulation, idx: usize) -> u64 {
+    let (col, row, half) = match modulation {
+        Modulation::Bpsk => return idx as u64,
+        m => (
+            idx % m.grid_side(),
+            idx / m.grid_side(),
+            m.bits_per_symbol() / 2,
+        ),
+    };
+    let gray = |level: usize| level ^ (level >> 1);
+    let axes = gray(col) << half | gray(row);
+    let bit = |k: usize| ((axes >> (2 * half - 1 - k)) & 1) as u64;
+    (0..2 * half).fold(0, |word, k| word | bit(k) << (8 * k))
 }
 
-fn uint_to_bits_into(mut v: usize, out: &mut [u8]) {
-    for i in (0..out.len()).rev() {
-        out[i] = (v & 1) as u8;
-        v >>= 1;
-    }
+/// A byte-per-bit word's `bps` bits read MSB first as an integer.
+fn pattern_of(word: u64, bps: usize) -> usize {
+    (0..bps).fold(0, |acc, k| acc << 1 | (word >> (8 * k) & 1) as usize)
 }
 
 #[cfg(test)]
@@ -303,6 +298,77 @@ mod tests {
         Modulation::Qam64,
         Modulation::Qam256,
     ];
+
+    /// The parent commit's Gray mapping: grid coordinates by `%` and `/`,
+    /// a per-axis Gray code and its inverse, a loop per bit.
+    fn gray_reference(m: Modulation) -> (Vec<Vec<u8>>, Vec<usize>) {
+        let c = Constellation::new(m);
+        let (bps, side) = (m.bits_per_symbol(), m.grid_side());
+        let gray: Vec<usize> = (0..side).map(|i| i ^ (i >> 1)).collect();
+        let mut gray_inv = vec![0usize; side];
+        for (i, &g) in gray.iter().enumerate() {
+            gray_inv[g] = i;
+        }
+        let to_bits = |mut v: usize, out: &mut [u8]| {
+            for i in (0..out.len()).rev() {
+                out[i] = (v & 1) as u8;
+                v >>= 1;
+            }
+        };
+        let to_uint = |bits: &[u8]| bits.iter().fold(0, |acc, &b| (acc << 1) | b as usize);
+        let bits = (0..c.order())
+            .map(|idx| {
+                let mut out = vec![0u8; bps];
+                if m == Modulation::Bpsk {
+                    out[0] = idx as u8;
+                } else {
+                    let (col, row) = c.index_to_grid(idx);
+                    to_bits(gray[col], &mut out[..bps / 2]);
+                    to_bits(gray[row], &mut out[bps / 2..]);
+                }
+                out
+            })
+            .collect();
+        let indices = (0..c.order())
+            .map(|pattern| {
+                let mut bits = vec![0u8; bps];
+                to_bits(pattern, &mut bits);
+                if m == Modulation::Bpsk {
+                    return usize::from(bits[0]);
+                }
+                let col = gray_inv[to_uint(&bits[..bps / 2])];
+                let row = gray_inv[to_uint(&bits[bps / 2..])];
+                c.grid_to_index(col, row)
+            })
+            .collect();
+        (bits, indices)
+    }
+
+    #[test]
+    fn mapping_tables_equal_the_gray_reference_exhaustively() {
+        for &m in ALL {
+            let c = Constellation::new(m);
+            let (bits, indices) = gray_reference(m);
+            let mut out = vec![0u8; c.bits_per_symbol()];
+            for (idx, want) in bits.iter().enumerate() {
+                c.index_to_bits_into(idx, &mut out);
+                assert_eq!(&out, want, "{m:?} index {idx}");
+                assert_eq!(&c.index_to_bits(idx), want);
+            }
+            for (pattern, &idx) in indices.iter().enumerate() {
+                let mut pattern_bits = bits[idx].clone();
+                pattern_bits
+                    .iter_mut()
+                    .enumerate()
+                    .for_each(|(k, b)| *b = (pattern >> (c.bits_per_symbol() - 1 - k) & 1) as u8);
+                assert_eq!(
+                    c.bits_to_index(&pattern_bits),
+                    idx,
+                    "{m:?} pattern {pattern}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn orders_and_bits() {

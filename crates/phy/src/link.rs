@@ -111,17 +111,66 @@ impl LinkOutcome {
     }
 }
 
-/// One packet's transmit-side product: `(payloads, interleaved coded
-/// streams)`, one of each per spatial stream.
-pub(crate) type TxChains = (Vec<Vec<u8>>, Vec<Vec<u8>>);
+/// One packet's transmit-side product, every spatial stream's back to
+/// back: the payload bits and the symbol index each grid cell carries.
+pub(crate) struct TxChains {
+    /// `nt × payload_bits` payload bits, stream-major.
+    payloads: Vec<u8>,
+    /// `nt × n_cells` transmitted symbol indices, stream-major.
+    symbols: Vec<u8>,
+    /// Grid cells per stream.
+    n_cells: usize,
+}
+
+impl TxChains {
+    /// Number of spatial streams.
+    fn nt(&self) -> usize {
+        self.symbols.len() / self.n_cells
+    }
+
+    /// Stream `u`'s payload bits.
+    fn payload(&self, u: usize) -> &[u8] {
+        let bits = self.payloads.len() / self.nt();
+        &self.payloads[u * bits..(u + 1) * bits]
+    }
+
+    /// Stream `u`'s symbol index per grid cell.
+    fn symbols(&self, u: usize) -> &[u8] {
+        &self.symbols[u * self.n_cells..(u + 1) * self.n_cells]
+    }
+
+    /// Writes the transmitted MIMO vector of grid cell `v` (symbol-major)
+    /// into `x`: stream `u`'s constellation point in slot `u`.
+    pub(crate) fn tx_into(&self, c: &Constellation, v: usize, x: &mut [Cx]) {
+        for (u, x) in x.iter_mut().enumerate() {
+            *x = c.point(usize::from(self.symbols[u * self.n_cells + v]));
+        }
+    }
+
+    /// [`TxChains::tx_into`] as an owned vector.
+    pub(crate) fn tx_vector(&self, c: &Constellation, v: usize) -> Vec<Cx> {
+        let mut x = vec![Cx::ZERO; self.nt()];
+        self.tx_into(c, v, &mut x);
+        x
+    }
+}
 
 /// The coding side of a packet exchange, built **once** per `run_packet` /
 /// `run_cell_tick` and shared by all of its streams: the code, the
-/// interleaver, and the receive chains' reusable buffers (`T` is the
-/// decoder input, a bit or an LLR).
+/// interleaver, the constellation's demap table, and the transmit and
+/// receive chains' reusable buffers (`T` is the decoder input, a bit or
+/// an LLR).
 pub(crate) struct Codec<T> {
     code: ConvCode,
     il: Interleaver,
+    /// `words[idx]` = symbol `idx`'s bits, one byte each, MSB first
+    /// (byte `k` of the little-endian word is bit `k`).
+    words: Vec<u64>,
+    /// One stream's coded bits, padded to whole OFDM symbols.
+    coded: Vec<u8>,
+    /// One stream's decoder inputs in air order, plus room for one whole
+    /// word past the last cell.
+    inputs: Vec<T>,
     deinterleaved: Vec<T>,
     scratch: ViterbiScratch,
     decoded: Vec<u8>,
@@ -129,78 +178,94 @@ pub(crate) struct Codec<T> {
 
 impl<T: Copy + Default> Codec<T> {
     pub(crate) fn new(cfg: &LinkConfig) -> Self {
+        let c = &cfg.constellation;
+        let mut bits = [0u8; 8];
+        let words = (0..c.order())
+            .map(|idx| {
+                c.index_to_bits_into(idx, &mut bits[..c.bits_per_symbol()]);
+                u64::from_le_bytes(bits)
+            })
+            .collect();
         Codec {
             code: ConvCode::new(cfg.rate),
-            il: Interleaver::new(cfg.ofdm.n_data, cfg.constellation.bits_per_symbol()),
+            il: Interleaver::new(cfg.ofdm.n_data, c.bits_per_symbol()),
+            words,
+            coded: Vec::new(),
+            inputs: Vec::new(),
             deinterleaved: Vec::new(),
             scratch: ViterbiScratch::default(),
             decoded: Vec::new(),
         }
     }
 
-    /// Deinterleaves one stream of decoder inputs and Viterbi-decodes its
-    /// first `coded_len(payload_bits)` positions (the rest is padding).
-    fn decode(&mut self, decode: DecodeInto<T>, stream: &[T], payload_bits: usize) -> &[u8] {
-        self.deinterleaved.resize(stream.len(), T::default());
+    /// Receive chain of stream `u` of `grid`, sent as `sent` symbol
+    /// indices: demaps each hard decision to its bit word, counts the bits
+    /// it gets wrong (XOR + popcount), lays out the decoder inputs, then
+    /// deinterleaves and Viterbi-decodes the first
+    /// `coded_len(payload_bits)` positions (the rest is padding). Returns
+    /// the raw bit errors and the decoded payload.
+    fn receive<G: Grid<Metric = T> + ?Sized>(
+        &mut self,
+        grid: &G,
+        (nt, u): (usize, usize),
+        sent: &[u8],
+        payload_bits: usize,
+    ) -> (usize, &[u8]) {
+        let bps = self.words.len().trailing_zeros() as usize;
+        let n_bits = sent.len() * bps;
+        self.inputs.resize(n_bits + 8, T::default());
+        let mut raw_bit_errors = 0;
+        for (v, &sent) in sent.iter().enumerate() {
+            // flexcore-lint: hot-path
+            let word = self.words[grid.hard(nt, v, u)];
+            raw_bit_errors += (word ^ self.words[usize::from(sent)]).count_ones() as usize;
+            grid.feed(v, u, word, &mut self.inputs[v * bps..]);
+        }
+        self.deinterleaved.resize(n_bits, T::default());
         self.il
-            .deinterleave_stream_into(stream, &mut self.deinterleaved);
+            .deinterleave_stream_into(&self.inputs[..n_bits], &mut self.deinterleaved);
         let coded = &self.deinterleaved[..self.code.coded_len(payload_bits)];
-        decode(
+        G::DECODE(
             &self.code,
             coded,
             payload_bits,
             &mut self.scratch,
             &mut self.decoded,
         );
-        &self.decoded
+        (raw_bit_errors, &self.decoded)
     }
 }
 
 /// Per-user transmit chains: random payloads → convolutional encode → pad →
-/// interleave. Returns `(payloads, interleaved coded streams)`. Shared by
+/// interleave → one symbol index per grid cell, per stream. Shared by
 /// every packet path, which must consume the RNG in exactly the same order
 /// to stay bit-identical.
 pub(crate) fn transmit_chains<T, R: Rng + ?Sized>(
     cfg: &LinkConfig,
-    codec: &Codec<T>,
+    codec: &mut Codec<T>,
     nt: usize,
     rng: &mut R,
 ) -> TxChains {
-    let n_sym = cfg.ofdm_symbols_per_packet();
-    let bits_per_sym = cfg.bits_per_ofdm_symbol();
-    let payload_bits = cfg.payload_bytes * 8;
-    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(nt);
-    let mut coded_streams: Vec<Vec<u8>> = Vec::with_capacity(nt);
-    for _ in 0..nt {
-        let payload: Vec<u8> = (0..payload_bits).map(|_| rng.gen_range(0..2u8)).collect();
-        let mut coded = codec.code.encode(&payload);
-        // Pad the final OFDM symbol with zero bits.
-        coded.resize(n_sym * bits_per_sym, 0);
-        let interleaved = codec.il.interleave_stream(&coded);
-        payloads.push(payload);
-        coded_streams.push(interleaved);
-    }
-    (payloads, coded_streams)
-}
-
-/// The transmitted MIMO vector at `(symbol, subcarrier)`: user `u` sends
-/// its next `bps` coded bits as one constellation point.
-pub(crate) fn tx_vector(
-    cfg: &LinkConfig,
-    coded_streams: &[Vec<u8>],
-    sym_idx: usize,
-    sc: usize,
-) -> Vec<Cx> {
     let c = &cfg.constellation;
-    let bps = c.bits_per_symbol();
-    let bit_base = sym_idx * cfg.bits_per_ofdm_symbol() + sc * bps;
-    coded_streams
-        .iter()
-        .map(|stream| {
-            let bits = &stream[bit_base..bit_base + bps];
-            c.point(c.bits_to_index(bits))
-        })
-        .collect()
+    let n_cells = cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data;
+    let payload_bits = cfg.payload_bytes * 8;
+    let mut payloads = Vec::with_capacity(nt * payload_bits);
+    let mut symbols = Vec::with_capacity(nt * n_cells);
+    for u in 0..nt {
+        payloads.extend((0..payload_bits).map(|_| rng.gen_range(0..2u8)));
+        let payload = &payloads[u * payload_bits..];
+        codec.code.encode_into(payload, &mut codec.coded);
+        // Pad the final OFDM symbol with zero bits.
+        codec.coded.resize(n_cells * c.bits_per_symbol(), 0);
+        let interleaved = codec.il.interleave_stream(&codec.coded);
+        let cells = interleaved.chunks_exact(c.bits_per_symbol());
+        symbols.extend(cells.map(|bits| c.bits_to_index(bits) as u8));
+    }
+    TxChains {
+        payloads,
+        symbols,
+        n_cells,
+    }
 }
 
 /// One frame's detector outputs, symbol-major, as the receive chains read
@@ -217,9 +282,11 @@ pub(crate) trait Grid {
     /// Stream `u`'s hard symbol decision at grid cell `v` of an
     /// `nt`-stream grid.
     fn hard(&self, nt: usize, v: usize, u: usize) -> usize;
-    /// Appends stream `u`'s decoder inputs for cell `v`; `hard_bits` are
-    /// the bits of its hard decision.
-    fn feed(&self, v: usize, u: usize, hard_bits: &[u8], stream: &mut Vec<Self::Metric>);
+    /// Writes stream `u`'s decoder inputs for cell `v` to the front of
+    /// `out`, which has room for 8; `word` is its hard decision's bit word
+    /// (byte `k` = bit `k`). Whatever lands past the cell's
+    /// `bits_per_symbol` inputs is overwritten by the next cell.
+    fn feed(&self, v: usize, u: usize, word: u64, out: &mut [Self::Metric]);
 }
 
 /// The shape [`ConvCode::decode_into`] and [`ConvCode::decode_soft_into`]
@@ -234,8 +301,8 @@ impl Grid for [u16] {
     fn hard(&self, nt: usize, v: usize, u: usize) -> usize {
         usize::from(self[v * nt + u])
     }
-    fn feed(&self, _v: usize, _u: usize, hard_bits: &[u8], stream: &mut Vec<u8>) {
-        stream.extend_from_slice(hard_bits);
+    fn feed(&self, _v: usize, _u: usize, word: u64, out: &mut [u8]) {
+        out[..8].copy_from_slice(&word.to_le_bytes());
     }
 }
 
@@ -247,8 +314,8 @@ impl Grid for DetectedFrame {
         let n_sc = self.n_subcarriers();
         self.get(v / n_sc, v % n_sc)[u]
     }
-    fn feed(&self, _v: usize, _u: usize, hard_bits: &[u8], stream: &mut Vec<u8>) {
-        stream.extend_from_slice(hard_bits);
+    fn feed(&self, _v: usize, _u: usize, word: u64, out: &mut [u8]) {
+        out[..8].copy_from_slice(&word.to_le_bytes());
     }
 }
 
@@ -283,51 +350,34 @@ impl<D: Detector + Clone + Sync> LinkOutput<D> for Hard {
     }
 }
 
-/// Receive chains over a symbol-major grid of detector outputs: demap per
-/// stream, count raw (hard-decision) bit errors against the coded streams,
-/// deinterleave → Viterbi → compare against the payloads, plus the
-/// per-stream MAC-style CRC delivery check on exactly what the decoder
-/// produced (`crc_ok[u]` iff stream `u`'s decoded payload carries the
-/// transmitted payload's CRC-32), stamped with the cell `user` the packet
-/// belongs to.
+/// Receive chains over a symbol-major grid of detector outputs: per
+/// stream, demap, count raw (hard-decision) bit errors against the
+/// transmitted symbols, deinterleave → Viterbi → compare against the
+/// payload, plus the MAC-style CRC delivery check on exactly what the
+/// decoder produced (`crc_ok[u]` iff stream `u`'s decoded payload carries
+/// the transmitted payload's CRC-32), stamped with the cell `user` the
+/// packet belongs to.
 pub(crate) fn receive_chains<G: Grid + ?Sized>(
     cfg: &LinkConfig,
     codec: &mut Codec<G::Metric>,
     user: usize,
-    (payloads, coded_streams): &TxChains,
+    chains: &TxChains,
     grid: &G,
 ) -> StreamedOutcome {
-    let c = &cfg.constellation;
-    let bps = c.bits_per_symbol();
-    let nt = payloads.len();
-    let n_cells = cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data;
-    let mut streams: Vec<Vec<G::Metric>> = vec![Vec::with_capacity(n_cells * bps); nt];
-    let mut raw_bit_errors = vec![0usize; nt];
-    let mut hard_bits = vec![0u8; bps];
-    // Cell `v` of the symbol-major grid carries coded bits `v·bps ..`.
-    for v in 0..n_cells {
-        // flexcore-lint: hot-path
-        for u in 0..nt {
-            c.index_to_bits_into(grid.hard(nt, v, u), &mut hard_bits);
-            let sent = &coded_streams[u][v * bps..(v + 1) * bps];
-            raw_bit_errors[u] += hard_bits.iter().zip(sent).filter(|(a, b)| a != b).count();
-            grid.feed(v, u, &hard_bits, &mut streams[u]);
-        }
-    }
-
+    let nt = chains.nt();
     let payload_bits = cfg.payload_bytes * 8;
-    let (user_ok, crc_ok) = streams
-        .iter()
-        .zip(payloads)
-        .map(|(stream, payload)| {
-            let decoded = codec.decode(G::DECODE, stream, payload_bits);
-            (decoded == payload, crc_check(payload, decoded))
-        })
-        .unzip();
-    let link = LinkOutcome {
-        user_ok,
-        raw_bit_errors,
+    let mut link = LinkOutcome {
+        user_ok: Vec::with_capacity(nt),
+        raw_bit_errors: Vec::with_capacity(nt),
     };
+    let mut crc_ok = Vec::with_capacity(nt);
+    for u in 0..nt {
+        let payload = chains.payload(u);
+        let (errors, decoded) = codec.receive(grid, (nt, u), chains.symbols(u), payload_bits);
+        link.raw_bit_errors.push(errors);
+        link.user_ok.push(decoded == payload);
+        crc_ok.push(crc_check(payload, decoded));
+    }
     StreamedOutcome { user, link, crc_ok }
 }
 
@@ -341,12 +391,11 @@ pub fn simulate_packet<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> LinkOutcome {
     let mut codec = Codec::new(cfg);
-    let chains = transmit_chains(cfg, &codec, channel.nt(), rng);
+    let chains = transmit_chains(cfg, &mut codec, channel.nt(), rng);
     // Transmit symbol-by-symbol, subcarrier-by-subcarrier, and detect.
-    let n_sc = cfg.ofdm.n_data;
     let mut cells: Vec<u16> = Vec::new();
-    for v in 0..cfg.ofdm_symbols_per_packet() * n_sc {
-        let tx = tx_vector(cfg, &chains.1, v / n_sc, v % n_sc);
+    for v in 0..cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data {
+        let tx = chains.tx_vector(&cfg.constellation, v);
         let decision = detector.detect(&channel.transmit(&tx, rng));
         cells.extend(decision.into_iter().map(|s| s as u16));
     }
@@ -403,18 +452,22 @@ where
         "run_packet: channel width != OFDM data subcarriers"
     );
     let mut codec = Codec::new(cfg);
-    let chains = transmit_chains(cfg, &codec, nt, rng);
-    let tx = |sym_idx, sc| tx_vector(cfg, &chains.1, sym_idx, sc);
+    let chains = transmit_chains(cfg, &mut codec, nt, rng);
+    let c = &cfg.constellation;
     let frame = match air {
         Air::Block(channel) => {
             let mut frame = RxFrame::empty(n_sc);
             for sym_idx in 0..n_sym {
-                let row = (0..n_sc).map(|sc| channel.transmit(&tx(sym_idx, sc), rng));
+                let row = (0..n_sc)
+                    .map(|sc| channel.transmit(&chains.tx_vector(c, sym_idx * n_sc + sc), rng));
                 frame.push_symbol(row.collect());
             }
             frame
         }
-        Air::Stream(stream) => stream.transmit_frame(n_sym, tx, rng),
+        Air::Stream(stream) => {
+            let tx = |sym_idx, sc, x: &mut [Cx]| chains.tx_into(c, sym_idx * n_sc + sc, x);
+            stream.transmit_frame_into(n_sym, tx, rng)
+        }
     };
     engine.prepare(estimate);
     let detected = O::frame(engine, &frame, pool, estimate.sigma2());
@@ -498,7 +551,7 @@ where
         cell.n_users(),
         "cell_packet_tick: one RNG per user"
     );
-    let n_sym = cfg.ofdm_symbols_per_packet();
+    let (n_sym, n_sc) = (cfg.ofdm_symbols_per_packet(), cfg.ofdm.n_data);
     let mut codec = Codec::new(cfg);
     let mut chains: Vec<TxChains> = Vec::with_capacity(cell.n_users());
     for (u, rng) in rngs.iter_mut().enumerate() {
@@ -516,10 +569,10 @@ where
         );
         cell.advance_user(u, rng);
         let nt = cell.stream(u).truth(0).cols();
-        let user_chains = transmit_chains(cfg, &codec, nt, rng);
-        let frame = cell.stream(u).transmit_frame(
+        let user_chains = transmit_chains(cfg, &mut codec, nt, rng);
+        let frame = cell.stream(u).transmit_frame_into(
             n_sym,
-            |sym_idx, sc| tx_vector(cfg, &user_chains.1, sym_idx, sc),
+            |sym_idx, sc, x| user_chains.tx_into(&cfg.constellation, sym_idx * n_sc + sc, x),
             rng,
         );
         cell.submit(u, frame);
@@ -601,6 +654,35 @@ mod tests {
 
     fn cfg16(payload: usize) -> LinkConfig {
         LinkConfig::paper_default(Constellation::new(Modulation::Qam16), payload)
+    }
+
+    #[test]
+    fn demap_words_count_raw_errors_exactly() {
+        // Every (sent, decided) symbol pair of every constellation: the
+        // word's bytes are the symbol's bits, and XOR + popcount of two
+        // words is the per-bit disagreement count.
+        for m in [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+            Modulation::Qam256,
+        ] {
+            let cfg = LinkConfig::paper_default(Constellation::new(m), 10);
+            let c = &cfg.constellation;
+            let codec = Codec::<u8>::new(&cfg);
+            let bits: Vec<Vec<u8>> = (0..c.order()).map(|i| c.index_to_bits(i)).collect();
+            for (a, bits_a) in bits.iter().enumerate() {
+                let word = codec.words[a].to_le_bytes();
+                assert_eq!(&word[..bits_a.len()], bits_a, "{m:?} {a}");
+                assert!(word[bits_a.len()..].iter().all(|&b| b == 0));
+                for (b, bits_b) in bits.iter().enumerate() {
+                    let per_bit = bits_a.iter().zip(bits_b).filter(|(x, y)| x != y).count();
+                    let packed = (codec.words[a] ^ codec.words[b]).count_ones() as usize;
+                    assert_eq!(packed, per_bit, "{m:?} {a} vs {b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! at `Soft`.
 
 use crate::link::{
-    receive_chains, run_cell_tick, run_packet, transmit_chains, tx_vector, Air, Codec, DecodeInto,
-    Grid, LinkConfig, LinkOutcome, LinkOutput, StreamedOutcome,
+    receive_chains, run_cell_tick, run_packet, transmit_chains, Air, Codec, DecodeInto, Grid,
+    LinkConfig, LinkOutcome, LinkOutput, StreamedOutcome,
 };
 use flexcore::{SoftDecision, SoftDetector};
 use flexcore_channel::MimoChannel;
@@ -30,8 +30,9 @@ impl Grid for Vec<SoftDecision> {
     fn hard(&self, _nt: usize, v: usize, u: usize) -> usize {
         self[v].hard[u]
     }
-    fn feed(&self, v: usize, u: usize, _hard_bits: &[u8], stream: &mut Vec<f64>) {
-        stream.extend_from_slice(&self[v].llrs[u]);
+    fn feed(&self, v: usize, u: usize, _word: u64, out: &mut [f64]) {
+        let llrs = &self[v].llrs[u];
+        out[..llrs.len()].copy_from_slice(llrs);
     }
 }
 
@@ -80,11 +81,10 @@ pub fn simulate_packet_soft<R: Rng + ?Sized, D: SoftDetector>(
     rng: &mut R,
 ) -> LinkOutcome {
     let mut codec = Codec::new(cfg);
-    let chains = transmit_chains(cfg, &codec, channel.nt(), rng);
-    let n_sc = cfg.ofdm.n_data;
-    let cells: Vec<SoftDecision> = (0..cfg.ofdm_symbols_per_packet() * n_sc)
+    let chains = transmit_chains(cfg, &mut codec, channel.nt(), rng);
+    let cells: Vec<SoftDecision> = (0..cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data)
         .map(|v| {
-            let tx = tx_vector(cfg, &chains.1, v / n_sc, v % n_sc);
+            let tx = chains.tx_vector(&cfg.constellation, v);
             detector.detect_soft(&channel.transmit(&tx, rng), channel.sigma2)
         })
         .collect();

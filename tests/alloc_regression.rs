@@ -368,10 +368,11 @@ fn hot_path_allocation_budget() {
         assert_eq!(n, 0, "FrameEngine::prepare allocated on an unshared band");
     }
 
-    // --- The coded uplink: Viterbi into caller-owned buffers --------------
-    // Once a `ViterbiScratch` and the output Vec have seen a packet length,
-    // decoding it again — hard or soft, any rate — touches the heap zero
-    // times: path metrics live on the stack, decisions in the scratch.
+    // --- The coded uplink: encoder and Viterbi into caller-owned buffers --
+    // Once a `ViterbiScratch` and the output Vecs have seen a packet
+    // length, encoding and decoding it again — hard or soft, any rate —
+    // touches the heap zero times: path metrics live in registers,
+    // decisions in the scratch.
     {
         let mut rng = StdRng::seed_from_u64(600);
         let mut scratch = ViterbiScratch::default();
@@ -382,7 +383,11 @@ fn hot_path_allocation_budget() {
             let coded = code.encode(&info);
             let llrs = hard_to_llr(&coded);
             code.decode_into(&coded, info.len(), &mut scratch, &mut decoded);
+            let mut encoded = Vec::new();
+            code.encode_into(&info, &mut encoded);
             let n = allocs_in(|| {
+                code.encode_into(&info, &mut encoded);
+                assert_eq!(encoded, coded);
                 code.decode_into(&coded, info.len(), &mut scratch, &mut decoded);
                 assert_eq!(decoded, info);
                 code.decode_soft_into(&llrs, info.len(), &mut scratch, &mut decoded);
@@ -394,12 +399,14 @@ fn hot_path_allocation_budget() {
 
     // One warmed serving tick at the benchmark's `cell_coded` shape: 8
     // users, 4×4 16-QAM a-FlexCore, 30-byte packets, sequential pool. The
-    // tick detects into the cell's plane and demaps its rows, so detection
-    // allocates nothing per vector; the pinned ceiling is what the rest of
-    // the tick builds. Of its 1 743: transmit_frame 1 232 (the `tx_vector`
-    // closure's `Vec` per grid cell is 1 152 of them), receive chains 243,
-    // transmit chains 144, channel ageing 96, the plan and run 26, the
-    // codec 2.
+    // tick detects into the cell's plane, builds each frame with its
+    // transmit vector in a stack buffer, and runs the coded chains in the
+    // codec's buffers; the pinned ceiling is what is left. Of its 206:
+    // channel ageing 96 (the refreshed estimates), transmit chains 49 (per
+    // user the payload and symbol planes, plus `interleave_stream`'s `Vec`
+    // per stream, 32 in all), receive chains 25 (the outcome `Vec`s), the
+    // submit, plan and run 19, the codec 9 (tables and first-use buffers),
+    // the frames 8 (one plane each).
     {
         let cfg = LinkConfig::paper_default(c16.clone(), 30);
         let ens = ChannelEnsemble::iid(4, 4);
@@ -415,7 +422,7 @@ fn hot_path_allocation_budget() {
         let pool = SequentialPool::new(8);
         drop(cell_packet_tick(&cfg, &mut cell, &pool, &mut rngs));
         let n = allocs_in(|| drop(cell_packet_tick(&cfg, &mut cell, &pool, &mut rngs)));
-        assert!(n <= 1743, "a warmed cell_coded-shaped tick allocated {n}");
+        assert!(n <= 206, "a warmed cell_coded-shaped tick allocated {n}");
     }
 
     // --- Discipline coverage: lint regions match the measured surface ----
