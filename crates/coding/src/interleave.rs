@@ -69,8 +69,17 @@ impl Interleaver {
     /// block size).
     pub fn interleave_stream(&self, bits: &[u8]) -> Vec<u8> {
         let mut out = vec![0u8; bits.len()];
-        scatter_blocks(&self.perm, bits, &mut out);
+        self.interleave_stream_into(bits, &mut out);
         out
+    }
+
+    /// [`Interleaver::interleave_stream`] into a caller-owned buffer, for
+    /// any element.
+    ///
+    /// # Panics
+    /// Panics unless `src` is block-aligned and `dst` is as long.
+    pub fn interleave_stream_into<T: Copy>(&self, src: &[T], dst: &mut [T]) {
+        scatter_blocks(&self.perm, src, dst);
     }
 
     /// Inverts [`Interleaver::interleave_stream`].
@@ -136,6 +145,10 @@ mod tests {
             .map(|_| rng.gen_range(0..2))
             .collect();
         assert_eq!(il.deinterleave_stream(&il.interleave_stream(&bits)), bits);
+        // The in-place form overwrites whatever the buffer held.
+        let mut reused = vec![7u8; bits.len()];
+        il.interleave_stream_into(&bits, &mut reused);
+        assert_eq!(reused, il.interleave_stream(&bits));
     }
 
     #[test]

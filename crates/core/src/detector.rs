@@ -17,7 +17,7 @@
 
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
-use crate::preprocess::{PreprocessOutput, Preprocessor};
+use crate::preprocess::{prob_sum, PreprocessOutput, Preprocessor, ROOT};
 use flexcore_detect::common::{batch_rows, first_min_metric, Detector, PathScratch, Triangular};
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
@@ -90,7 +90,7 @@ const NIL: u32 = u32::MAX;
 
 /// One node of the prefix-sharing path trie: the decision "take rank `k`
 /// at row `row`" given the (shared) rank prefix above it.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct TrieNode {
     row: u16,
     rank: u32,
@@ -101,8 +101,23 @@ struct TrieNode {
     next_sibling: u32,
 }
 
+impl TrieNode {
+    /// Node `id` at `row` of rank `rank`, made while [`PathTrie::build`]
+    /// lays a path down top row first: its first child, if it has a row
+    /// below it, is the next node made.
+    fn fresh(row: usize, rank: u32, id: u32) -> Self {
+        TrieNode {
+            row: row as u16,
+            rank,
+            path_idx: NIL,
+            first_child: if row > 0 { id + 1 } else { NIL },
+            next_sibling: NIL,
+        }
+    }
+}
+
 /// One sibling chain in the block walk's selection order.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Chain {
     /// First node; the rest follow `next_sibling`.
     first: u32,
@@ -112,8 +127,9 @@ struct Chain {
     via: u32,
 }
 
-/// Prefix-sharing trie over the selected position vectors, rebuilt in
-/// place by every `prepare`.
+/// Prefix-sharing trie over the selected position vectors, built in place
+/// from the search's own `(parent, row)` links by every `prepare` and
+/// every threshold retune ([`PathTrie::build`]).
 ///
 /// Position vectors share rank *prefixes* from the top row down, yet
 /// evaluating paths independently re-derives every shared effective point
@@ -146,7 +162,7 @@ struct Chain {
 #[derive(Clone, Debug, Default)]
 struct PathTrie {
     nodes: Vec<TrieNode>,
-    /// Set by [`PathTrie::rebuild`]; meaningless before the first one.
+    /// Set by [`PathTrie::build`]; meaningless before the first one.
     first_root: u32,
     chains: Vec<Chain>,
     /// `lineage[path · nt + row]` = the node of `path` at `row`. Every
@@ -154,18 +170,105 @@ struct PathTrie {
     /// ids are materialised once per path (`n_paths · nt` words), not once
     /// per chain.
     lineage: Vec<u32>,
+    /// Static per-vector work of walking this trie, in arithmetic-weighted
+    /// path-extension units, counted as the trie is built: each sibling
+    /// chain whose nodes sit at `row` pays one effective point
+    /// (`nt − 1 − row` cancellation multiply-adds) plus the shared
+    /// `|R(row,row)|²`, i.e. `nt − row`, and each node a LUT slice + metric
+    /// update, 2. This is what [`Detector::extension_work`] reports for
+    /// FlexCore — equal path *counts* can walk very differently sized
+    /// tries, and the difference is real detection time a fabric scheduler
+    /// must predict. It prices the whole trie: what the bounded block walk
+    /// prunes depends on the observations, so a static price cannot see
+    /// it.
+    work: usize,
 }
 
 impl PathTrie {
-    /// Rebuilds the trie over `paths` inside its own `nodes` / `chains` /
-    /// `lineage` storage. `budget` is the most paths this trie will ever
-    /// be rebuilt over (the search's `N_PE`): capacity is sized for it
-    /// once, so neither a channel refresh nor a threshold retune regrows.
-    fn rebuild(&mut self, paths: &[PositionVector], nt: usize, budget: usize) {
+    /// Builds the trie over the paths the search reached through `links`
+    /// (see `PreprocessOutput::links`) inside its own storage, in
+    /// O(nodes built). `budget` is the most paths this trie will ever be
+    /// built over (the search's `N_PE`): capacity is sized for it once, so
+    /// neither a channel refresh nor a threshold retune regrows.
+    ///
+    /// Path `i` with link `(p, row)` is path `p` plus one at `row`, and all
+    /// of `p`'s own increments sit at rows ≥ `row` (the search only
+    /// deepens rows at or below the one a node was generated by). So `i`
+    /// shares `p`'s nodes above `row`; at `row` it opens a node of rank
+    /// `p`'s + 1, which no earlier path holds — any other path with this
+    /// prefix down to `row` descends from `i` and is selected after it;
+    /// below `row` it is rank 1 on a path of its own, one new one-node
+    /// chain per row. The root (a [`ROOT`] parent) is that last case for
+    /// every row. A rank above 1 only ever appears this way, one past an
+    /// existing sibling, so a sibling list holds ranks 1, 2, … in order
+    /// and `p`'s node at `row` is its tail: the new node goes right after
+    /// it. Node ids, sibling order, chain order and `lineage` come out
+    /// exactly as a scan of the vectors in selection order makes them
+    /// (the test-only `PathTrie::rebuild`, which looks each path's rank up
+    /// in the sibling list at every row).
+    fn build(&mut self, links: &[(u32, u32)], nt: usize, budget: usize) {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
         assert!(nt <= u16::MAX as usize, "PathTrie: {nt} rows exceed u16");
         // At most one node (and one chain) per path and row.
+        let bound = budget * nt;
+        self.nodes.clear();
+        self.nodes.reserve(bound);
+        self.chains.clear();
+        self.chains.reserve(bound);
+        self.lineage.clear();
+        self.lineage.reserve(bound);
+        (self.first_root, self.work) = (NIL, 0);
+        for (pi, &(parent, row)) in links.iter().enumerate() {
+            let via = pi as u32;
+            // Rows below `fresh` are this path's alone; at `fresh` a child
+            // path opens its link node, and above it shares its parent's.
+            let (fresh, shared) = match parent {
+                ROOT => {
+                    self.first_root = self.nodes.len() as u32;
+                    (nt, None)
+                }
+                parent => {
+                    let (from, row) = (parent as usize * nt, row as usize);
+                    let (tail, id) = (self.lineage[from + row] as usize, self.nodes.len() as u32);
+                    debug_assert_eq!(self.nodes[tail].next_sibling, NIL);
+                    self.nodes[tail].next_sibling = id;
+                    let rank = self.nodes[tail].rank + 1;
+                    self.nodes.push(TrieNode::fresh(row, rank, id));
+                    self.work += 2;
+                    (row, Some((id, from)))
+                }
+            };
+            // Each fresh node, rank 1, opens a chain under the one made
+            // just before it (or heads the top row's list).
+            let end = self.nodes.len() + fresh;
+            let id_at = move |row: usize| (end - 1 - row) as u32;
+            let node = |row| TrieNode::fresh(row, 1, id_at(row));
+            self.nodes.extend((0..fresh).rev().map(node));
+            let chain = |row| Chain {
+                first: id_at(row),
+                via,
+            };
+            self.chains.extend((0..fresh).rev().map(chain));
+            // Σ over rows r < fresh of a chain's `nt − r` and a node's 2.
+            self.work += fresh * (nt + 2) - fresh * fresh.saturating_sub(1) / 2;
+            // The path's lineage in row order.
+            self.lineage.extend((0..fresh).map(id_at));
+            if let Some((id, from)) = shared {
+                self.lineage.push(id);
+                self.lineage.extend_from_within(from + fresh + 1..from + nt);
+            }
+            self.nodes[self.lineage[pi * nt] as usize].path_idx = via;
+        }
+    }
+
+    /// The reference [`PathTrie::build`] is pinned against: the trie over
+    /// `paths` by scanning each one top row down for an existing node of
+    /// its rank and appending a new one at the sibling list's tail
+    /// otherwise, with the work priced by [`PathTrie::static_work`]
+    /// afterwards. Also builds the hand-made tries of the walk tests.
+    #[cfg(test)]
+    fn rebuild(&mut self, paths: &[PositionVector], nt: usize, budget: usize) {
         let bound = budget * nt;
         self.nodes.clear();
         self.nodes.reserve(bound);
@@ -180,8 +283,7 @@ impl PathTrie {
             for row in (0..nt).rev() {
                 let rank = p.rank(row);
                 // Scan the sibling list for an existing node; append a new
-                // node at the tail otherwise (keeps insertion order
-                // deterministic).
+                // node at the tail otherwise.
                 let mut slot = match parent {
                     None => self.first_root,
                     Some(pa) => self.nodes[pa as usize].first_child,
@@ -221,14 +323,30 @@ impl PathTrie {
                     }
                 }
                 if row == 0 {
-                    // The pre-processor never selects duplicate position
-                    // vectors, so a leaf is claimed at most once.
                     self.nodes[found as usize].path_idx = pi as u32;
                 }
                 self.lineage[pi * nt + row] = found;
                 parent = Some(found);
             }
         }
+        self.work = self.static_work(nt);
+    }
+
+    /// The node-walk price [`PathTrie::work`] is pinned against: each
+    /// sibling list, the top row's and every node's children, costs `nt` −
+    /// its row, and each node 2.
+    #[cfg(test)]
+    fn static_work(&self, nt: usize) -> usize {
+        let chain_cost = |first: u32| match first {
+            NIL => 0,
+            first => nt - self.nodes[first as usize].row as usize,
+        };
+        let children: usize = self
+            .nodes
+            .iter()
+            .map(|n| 2 + chain_cost(n.first_child))
+            .sum();
+        chain_cost(self.first_root) + children
     }
 
     /// The ancestor nodes of `chain`, whose own nodes sit at `row`: parent
@@ -237,33 +355,6 @@ impl PathTrie {
     fn ancestors(&self, chain: &Chain, row: usize, nt: usize) -> &[u32] {
         let via = chain.via as usize * nt;
         &self.lineage[via + row + 1..via + nt]
-    }
-
-    /// Arithmetic cost of the sibling chain starting at `first`: one
-    /// effective point (`nt − 1 − row` cancellation multiply-adds) plus
-    /// the shared `|R(row,row)|²`, computed once for the whole chain.
-    fn chain_cost(&self, first: u32, nt: usize) -> usize {
-        if first == NIL {
-            0
-        } else {
-            nt - self.nodes[first as usize].row as usize
-        }
-    }
-
-    /// Static per-vector work of walking this trie, in arithmetic-weighted
-    /// path-extension units: each sibling chain pays [`PathTrie::chain_cost`]
-    /// and each node a LUT slice + metric update. This is what
-    /// [`Detector::extension_work`] reports for FlexCore — equal path
-    /// *counts* can walk very differently sized tries, and the difference
-    /// is real detection time a fabric scheduler must predict. It prices
-    /// the whole trie: what the bounded block walk prunes depends on the
-    /// observations, so a static price cannot see it.
-    fn static_work(&self, nt: usize) -> usize {
-        let mut work = self.chain_cost(self.first_root, nt);
-        for node in &self.nodes {
-            work += 2 + self.chain_cost(node.first_child, nt);
-        }
-        work
     }
 }
 
@@ -287,8 +378,6 @@ struct State {
     /// which [`FlexCoreDetector::retune_threshold`] just moves, without
     /// re-running QR or the best-first search.
     n_active: usize,
-    /// `Σ Pc` over the active paths.
-    cumulative_prob: f64,
     /// Prefix-sharing evaluation order over the active paths.
     trie: PathTrie,
     /// Per row `(R(row,row)⁻¹, |R(row,row)|²)`, exactly as the scalar walk
@@ -304,7 +393,6 @@ impl State {
             model: LevelErrorModel::default(),
             selection: PreprocessOutput::default(),
             n_active: 0,
-            cumulative_prob: 0.0,
             trie: PathTrie::default(),
             diag: Vec::new(),
         }
@@ -314,13 +402,13 @@ impl State {
         &self.selection.paths[..self.n_active]
     }
 
-    /// Makes the first `n_active` selected paths, which capture
-    /// `cumulative_prob`, the active ones, and rebuilds the trie over them.
-    fn activate(&mut self, (n_active, cumulative_prob): (usize, f64), budget: usize) {
+    /// Makes the first `n_active` selected paths the active ones and
+    /// builds the trie over them from the search's links.
+    fn activate(&mut self, n_active: usize, budget: usize) {
         // flexcore-lint: hot-path
-        (self.n_active, self.cumulative_prob) = (n_active, cumulative_prob);
-        let paths = &self.selection.paths[..n_active];
-        self.trie.rebuild(paths, self.tri.nt(), budget);
+        self.n_active = n_active;
+        let links = &self.selection.links[..n_active];
+        self.trie.build(links, self.tri.nt(), budget);
     }
 }
 
@@ -331,7 +419,7 @@ impl State {
 /// performed, so a re-truncation is bit-identical to a fresh threshold-`t`
 /// prepare. When `t` is never reached the whole selection is kept (the
 /// budget-limited behaviour).
-fn prefix_reaching(ln_probs: &[f64], t: f64) -> (usize, f64) {
+fn prefix_reaching(ln_probs: &[f64], t: f64) -> usize {
     // flexcore-lint: hot-path
     // flexcore-lint: bit-identity
     let mut cumulative = 0.0f64;
@@ -339,10 +427,10 @@ fn prefix_reaching(ln_probs: &[f64], t: f64) -> (usize, f64) {
         // flexcore-lint: allow(FL002, reason = "replays the search's own Σ exp(ln Pc) term for term; both sides are this host's exp on the same argument")
         cumulative += lp.exp();
         if cumulative >= t {
-            return (i + 1, cumulative);
+            return i + 1;
         }
     }
-    (ln_probs.len(), cumulative)
+    ln_probs.len()
 }
 
 /// Reusable per-worker workspace for the sequential FlexCore hot path:
@@ -485,8 +573,9 @@ impl FlexCoreDetector {
     /// Re-tunes the a-FlexCore stopping threshold **without a full
     /// re-prepare** — the closed-loop effort controller's lever. The
     /// prepare-time best-first search is untouched; only its stored
-    /// selection is re-truncated at `t` and the path trie rebuilt, which
-    /// costs `O(|E| · Nt)` instead of a QR factorisation plus tree search.
+    /// selection is re-truncated at `t` and the path trie rebuilt from the
+    /// search's links, which costs one `exp` per path up to the cut plus
+    /// O(trie nodes) instead of a QR factorisation plus tree search.
     ///
     /// Exactness: the stopping criterion can only cut the selection order
     /// short, so for any `t` at or below the search's own threshold (the
@@ -513,7 +602,7 @@ impl FlexCoreDetector {
             return false;
         };
         let prefix = prefix_reaching(&state.selection.ln_probs, t);
-        if prefix.0 == state.n_active {
+        if prefix == state.n_active {
             // Same prefix → same paths, same trie, same cumulative sum.
             return false;
         }
@@ -537,9 +626,13 @@ impl FlexCoreDetector {
         self.state.as_ref().map_or(0, |s| s.n_active)
     }
 
-    /// `Σ Pc` captured by the selected paths for the current channel.
+    /// `Σ Pc` captured by the active paths for the current channel, summed
+    /// on demand over their `ln Pc`s in selection order — the bits the
+    /// search's (or a retune's) own running sum had at the cut.
     pub fn cumulative_prob(&self) -> f64 {
-        self.state.as_ref().map_or(0.0, |s| s.cumulative_prob)
+        self.state
+            .as_ref()
+            .map_or(0.0, |s| prob_sum(&s.selection.ln_probs[..s.n_active]))
     }
 
     /// Real multiplications spent by the last pre-processing run (Table 2).
@@ -930,10 +1023,9 @@ impl Detector for FlexCoreDetector {
         // prepare bit-for-bit (see `prefix_reaching`), so re-tuned
         // detectors survive channel refreshes at their current tuning.
         let selection = &state.selection;
-        let prefix = match self.active_threshold {
-            Some(t) => prefix_reaching(&selection.ln_probs, t),
-            None => (selection.paths.len(), selection.cumulative_prob),
-        };
+        let prefix = self.active_threshold.map_or(selection.paths.len(), |t| {
+            prefix_reaching(&selection.ln_probs, t)
+        });
         state.activate(prefix, self.config.n_pe);
         let r = &state.tri.qr.r;
         state.diag.clear();
@@ -1014,10 +1106,9 @@ impl Detector for FlexCoreDetector {
     /// a-FlexCore trie, so omitting it would make the fabric scheduler
     /// predict severalfold cost spreads the hardware never exhibits.
     fn extension_work(&self) -> usize {
-        self.state.as_ref().map_or(1, |s| {
-            let nt = s.tri.nt();
-            (nt * nt + s.trie.static_work(nt)).max(1)
-        })
+        self.state
+            .as_ref()
+            .map_or(1, |s| (s.tri.nt().pow(2) + s.trie.work).max(1))
     }
 }
 
@@ -1117,6 +1208,157 @@ mod tests {
                 fresh95.detect_batch_refs(&refs)
             );
         }
+    }
+
+    /// The link-built `trie` against the path-scan reference over `paths`:
+    /// node ids with their rows, ranks, leaves, first children and next
+    /// siblings (so sibling order), the root, the chain program in order,
+    /// `lineage`, and the counted work against the node walk.
+    fn assert_trie_is_the_reference(
+        trie: &PathTrie,
+        paths: &[PositionVector],
+        nt: usize,
+        what: &str,
+    ) {
+        let mut reference = PathTrie::default();
+        reference.rebuild(paths, nt, paths.len());
+        assert_eq!(trie.nodes, reference.nodes, "{what}: nodes");
+        assert_eq!(trie.first_root, reference.first_root, "{what}: root");
+        assert_eq!(trie.chains, reference.chains, "{what}: chains");
+        assert_eq!(trie.lineage, reference.lineage, "{what}: lineage");
+        assert_eq!(trie.work, reference.static_work(nt), "{what}: counted work");
+    }
+
+    /// `draws` random selections, each built from its links into one
+    /// reused trie and compared with the reference — the whole selection,
+    /// then re-truncated down and back up as `retune_threshold` does. The
+    /// level models mix distinct levels, exactly tied ones and ones
+    /// clamped at `PE_CEIL` (tied too); widths run 1–20 and 64, past the
+    /// inline `PositionVector`; BPSK and QPSK orders cap ranks.
+    fn sweep_link_built_tries(seed: u64, draws: usize) {
+        use crate::model::PE_CEIL;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut out, mut trie) = (PreprocessOutput::default(), PathTrie::default());
+        let (mut capped, mut tied_at_ceiling, mut cut) = (0, 0, 0);
+        for draw in 0..draws {
+            let nt = match rng.gen_range(0..21) {
+                20 => 64,
+                w => w + 1,
+            };
+            let pe: Vec<f64> = (0..nt)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.2,
+                    1 => rng.gen_range(PE_CEIL..0.9),
+                    _ => rng.gen_range(1e-4..PE_CEIL),
+                })
+                .collect();
+            tied_at_ceiling += usize::from(pe.iter().filter(|&&p| p >= PE_CEIL).count() > 1);
+            let model = LevelErrorModel::from_pe(pe);
+            let order = [2usize, 4, 16][rng.gen_range(0..3usize)];
+            let n_pe = rng.gen_range(1..=48);
+            let mut pre =
+                Preprocessor::new(n_pe).with_expand_batch([1, 4][rng.gen_range(0..2usize)]);
+            if rng.gen_bool(0.5) {
+                pre = pre.with_stop_threshold([0.95, 0.6][rng.gen_range(0..2usize)]);
+            }
+            pre.run_into(&model, order, &mut out);
+            let what = format!("draw {draw}: nt {nt} order {order} {pre:?}");
+            capped += usize::from(out.paths.len() < n_pe && pre.stop_threshold.is_none());
+            for t in [None, Some(0.9), Some(0.5), Some(0.99), Some(1.0)] {
+                let n = t.map_or(out.paths.len(), |t| prefix_reaching(&out.ln_probs, t));
+                cut += usize::from(n < out.paths.len());
+                trie.build(&out.links[..n], nt, n_pe);
+                assert_trie_is_the_reference(&trie, &out.paths[..n], nt, &format!("{what} {t:?}"));
+            }
+        }
+        assert!(capped > 0, "no constellation order ever capped a selection");
+        assert!(
+            tied_at_ceiling > 0,
+            "no model tied two levels at the ceiling"
+        );
+        assert!(cut > 0, "no threshold ever cut a selection");
+    }
+
+    #[test]
+    fn link_built_trie_equals_the_path_scan_reference() {
+        sweep_link_built_tries(0x7121, 2_000);
+    }
+
+    #[test]
+    #[ignore = "200 000 random selections; run in release with --ignored"]
+    fn link_built_trie_equals_the_path_scan_reference_sweep() {
+        sweep_link_built_tries(0x7122, 200_000);
+    }
+
+    #[test]
+    fn prepared_tries_and_their_work_are_the_references() {
+        // The detectors the engine tests prepare — fixed FlexCore of 4 to
+        // 64 PEs, a-FlexCore at 0.95, QPSK to 64-QAM, square and tall
+        // channels up to 64×64, a batched search — each retuned down and
+        // back up: the prepared trie is the path-scan reference's, and
+        // `extension_work` is the rotate's `nt²` plus the node walk's
+        // price of it.
+        let mut rng = StdRng::seed_from_u64(0x7123);
+        let shapes = [(4usize, 4usize), (8, 8), (12, 12), (8, 4), (64, 64)];
+        for (nr, nt) in shapes {
+            for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
+                for (n_pe, threshold, batch) in [
+                    (4, None, 1),
+                    (8, None, 1),
+                    (16, None, 1),
+                    (64, None, 4),
+                    (16, Some(0.95), 1),
+                    (64, Some(0.95), 1),
+                ] {
+                    let mut cfg = FlexCoreConfig::new(n_pe);
+                    (cfg.stop_threshold, cfg.expand_batch) = (threshold, batch);
+                    let mut det = FlexCoreDetector::new(Constellation::new(m), cfg);
+                    let h = ChannelEnsemble::iid(nr, nt).draw(&mut rng);
+                    det.prepare(&h, sigma2_from_snr_db(rng.gen_range(6.0..24.0)));
+                    for t in [None, Some(0.5), Some(0.9), Some(0.95)] {
+                        if let Some(t) = t {
+                            det.retune_threshold(t);
+                        }
+                        let what = format!("{nr}x{nt} {m:?} {:?} {t:?}", det.config);
+                        let state = det.state.as_ref().expect("prepared");
+                        assert_trie_is_the_reference(&state.trie, state.paths(), nt, &what);
+                        let walked = state.trie.static_work(nt);
+                        assert_eq!(det.extension_work(), nt * nt + walked, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cumulative_prob_has_the_running_sum_bits() {
+        // Summed on demand over the active `ln Pc`s, `cumulative_prob`
+        // carries the bits of the running sum a thresholded search stops
+        // on — for the configured threshold, for a retuned prefix (a
+        // fresh search at that threshold), and back up again.
+        let c = Constellation::new(Modulation::Qam16);
+        let mut rng = StdRng::seed_from_u64(0x7124);
+        let mut checked = 0;
+        for (n, snr) in [(4usize, 8.0), (4, 14.0), (8, 10.0), (12, 18.0)] {
+            for _ in 0..4 {
+                let h = ChannelEnsemble::iid(n, n).draw(&mut rng);
+                let mut det = FlexCoreDetector::adaptive(c.clone(), 32, 0.99);
+                det.prepare(&h, sigma2_from_snr_db(snr));
+                for t in [0.99, 0.9, 0.6, 0.3, 0.95] {
+                    det.retune_threshold(t);
+                    let model = &det.state.as_ref().expect("prepared").model;
+                    let search = Preprocessor::new(32).with_stop_threshold(t).run(model, 16);
+                    assert_eq!(det.active_paths(), search.paths.len(), "{n}x{n} t={t}");
+                    assert_eq!(
+                        det.cumulative_prob().to_bits(),
+                        search.cumulative_prob.to_bits(),
+                        "{n}x{n} {snr} dB t={t}"
+                    );
+                    checked += usize::from(search.paths.len() > 1);
+                }
+            }
+        }
+        assert!(checked > 0, "every selection was a single path");
     }
 
     #[test]

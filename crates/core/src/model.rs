@@ -62,10 +62,8 @@ impl LevelErrorModel {
         // flexcore-lint: hot-path
         assert!(r.is_square(), "LevelErrorModel: R must be square");
         assert!(sigma2 > 0.0, "LevelErrorModel: sigma2 must be positive");
-        let sigma = sigma2.sqrt();
-        self.refit(
-            (0..r.rows()).map(|l| symbol_error_probability(r[(l, l)].abs(), sigma, modulation)),
-        );
+        let (sigma, pe) = (sigma2.sqrt(), eq4(modulation));
+        self.refit((0..r.rows()).map(|l| pe(r[(l, l)].abs(), sigma)));
     }
 
     /// Builds the model directly from per-level error probabilities
@@ -135,16 +133,27 @@ impl LevelErrorModel {
 /// effective point out of the transmitted symbol's decision region, for a
 /// level with gain `r_ll = |R(l,l)|`.
 pub fn symbol_error_probability(r_ll: f64, sigma: f64, modulation: Modulation) -> f64 {
+    eq4(modulation)(r_ll, sigma)
+}
+
+/// Eq. 4 as `(r_ll, sigma) ↦ Pe`, with its per-modulation constants — the
+/// prefactor and the unit-energy constellation's half min-distance —
+/// derived once, so a refit pays them once rather than once per level.
+/// BPSK's half-distance `1` keeps its argument `r_ll / σ` exact.
+fn eq4(modulation: Modulation) -> impl Fn(f64, f64) -> f64 {
     let m = modulation.order() as f64;
-    let p = match modulation {
-        Modulation::Bpsk => 0.5 * erfc(r_ll / sigma),
-        _ => {
-            // Half min-distance of the unit-energy constellation.
-            let half_dmin = (3.0 / (2.0 * (m - 1.0))).sqrt();
-            2.0 * (1.0 - 1.0 / m.sqrt()) * erfc(half_dmin * r_ll / sigma)
-        }
+    let (prefactor, half_dmin) = match modulation {
+        Modulation::Bpsk => (0.5, 1.0),
+        _ => (
+            2.0 * (1.0 - 1.0 / m.sqrt()),
+            (3.0 / (2.0 * (m - 1.0))).sqrt(),
+        ),
     };
-    p.clamp(PE_FLOOR, PE_CEIL)
+    move |r_ll: f64, sigma: f64| {
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        (prefactor * erfc(half_dmin * r_ll / sigma)).clamp(PE_FLOOR, PE_CEIL)
+    }
 }
 
 #[cfg(test)]
@@ -169,6 +178,50 @@ mod tests {
         let c = symbol_error_probability(1.0, 0.6, m);
         assert!(b < a, "higher gain must reduce Pe");
         assert!(c > a, "higher noise must increase Pe");
+    }
+
+    #[test]
+    fn hoisted_constants_keep_the_per_level_bits() {
+        // The refit derives Eq. 4's constants once per modulation; every
+        // level must keep the bits of the expression as it was written per
+        // level, for every modulation, across gains and noise levels that
+        // hit both clamps.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+        for modulation in [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+            Modulation::Qam256,
+        ] {
+            let m = modulation.order() as f64;
+            let per_level = |r_ll: f64, sigma: f64| {
+                let p = match modulation {
+                    Modulation::Bpsk => 0.5 * erfc(r_ll / sigma),
+                    _ => {
+                        let half_dmin = (3.0 / (2.0 * (m - 1.0))).sqrt();
+                        2.0 * (1.0 - 1.0 / m.sqrt()) * erfc(half_dmin * r_ll / sigma)
+                    }
+                };
+                p.clamp(PE_FLOOR, PE_CEIL)
+            };
+            for _ in 0..40 {
+                let d: Vec<f64> = (0..6)
+                    .map(|_| 10f64.powf(rng.gen_range(-3.0..1.5)))
+                    .collect();
+                let sigma2 = 10f64.powf(rng.gen_range(-6.0..1.0));
+                let r = diag_r(&d);
+                let model = LevelErrorModel::from_r(&r, sigma2, modulation);
+                for l in 0..d.len() {
+                    let r_ll = r[(l, l)].abs();
+                    let want = per_level(r_ll, sigma2.sqrt());
+                    assert_eq!(model.pe(l).to_bits(), want.to_bits(), "{modulation:?}");
+                    let one = symbol_error_probability(r_ll, sigma2.sqrt(), modulation);
+                    assert_eq!(one.to_bits(), want.to_bits(), "{modulation:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -75,6 +75,9 @@ impl Preprocessor {
     pub fn run(&self, model: &LevelErrorModel, order: usize) -> PreprocessOutput {
         let mut out = PreprocessOutput::default();
         self.run_into(model, order, &mut out);
+        if self.stop_threshold.is_none() {
+            out.cumulative_prob = prob_sum(&out.ln_probs);
+        }
         out
     }
 
@@ -87,7 +90,13 @@ impl Preprocessor {
     /// A child is only ever generated from a node that has just been
     /// selected, so a candidate is stored as `(ln Pc, index of its selected
     /// parent, incremented row)` and its vector is only materialised when
-    /// it is selected itself — straight into `out.paths`.
+    /// it is selected itself — straight into `out.paths`, with its
+    /// `(parent, row)` link into `out.links`.
+    ///
+    /// Only a stopping threshold reads the running `Σ Pc`, so only a
+    /// thresholded search keeps one: without a threshold,
+    /// `out.cumulative_prob` is left `NaN` ([`prob_sum`] over
+    /// `out.ln_probs` gives the same bits on demand).
     pub(crate) fn run_into(
         &self,
         model: &LevelErrorModel,
@@ -100,12 +109,15 @@ impl Preprocessor {
         let PreprocessOutput {
             paths,
             ln_probs,
+            links,
             candidates,
             popped,
             ..
         } = out;
         ln_probs.clear();
         ln_probs.reserve(self.n_pe);
+        links.clear();
+        links.reserve(self.n_pe);
         paths.reserve(self.n_pe.saturating_sub(paths.len()));
         // Candidate list L, kept sorted by descending ln-probability.
         candidates.clear();
@@ -128,8 +140,6 @@ impl Preprocessor {
             popped.clear();
             popped.extend(candidates.drain(..batch));
             for &Candidate { ln_pc, parent, row } in popped.iter() {
-                // flexcore-lint: allow(FL002, reason = "Σ Pc is defined in the linear domain; a fresh and an in-place search reach this one call with the same argument, and nothing compares its bits across hosts or dispatch modes")
-                cumulative += ln_pc.exp();
                 let n = ln_probs.len();
                 if n == paths.len() {
                     paths.push(PositionVector::ones(levels));
@@ -141,7 +151,10 @@ impl Preprocessor {
                     rest[0].set_child(&selected[parent as usize], row as usize);
                 }
                 ln_probs.push(ln_pc);
+                links.push((parent, row));
                 if let Some(t) = self.stop_threshold {
+                    // flexcore-lint: allow(FL002, reason = "Σ Pc is defined in the linear domain; a fresh and an in-place search reach this one call with the same argument, and nothing compares its bits across hosts or dispatch modes")
+                    cumulative += ln_pc.exp();
                     if cumulative >= t {
                         break 'outer;
                     }
@@ -174,14 +187,24 @@ impl Preprocessor {
             }
         }
         paths.truncate(ln_probs.len());
-        out.cumulative_prob = cumulative;
+        out.cumulative_prob = self.stop_threshold.map_or(f64::NAN, |_| cumulative);
         out.real_mults = real_mults;
         out.expanded_nodes = expanded;
     }
 }
 
 /// `parent` of the root candidate, which has none.
-const ROOT: u32 = u32::MAX;
+pub(crate) const ROOT: u32 = u32::MAX;
+
+/// `Σ exp(ln Pc)` over `ln_probs`, added in order from `0.0`: term for
+/// term the running sum a thresholded search keeps, so for any prefix of
+/// a selection it has the bits the search had at that point.
+pub(crate) fn prob_sum(ln_probs: &[f64]) -> f64 {
+    // flexcore-lint: hot-path
+    // flexcore-lint: bit-identity
+    // flexcore-lint: allow(FL002, reason = "replays the search's own Σ exp(ln Pc) term for term; both sides are this host's exp on the same argument")
+    ln_probs.iter().fold(0.0, |sum, lp| sum + lp.exp())
+}
 
 /// One entry of the candidate list: the vector `selected[parent]` with
 /// entry `row` incremented (the all-ones root when `parent == ROOT`).
@@ -237,7 +260,16 @@ pub struct PreprocessOutput {
     pub paths: Vec<PositionVector>,
     /// `ln Pc` of each selected vector, parallel to `paths`.
     pub ln_probs: Vec<f64>,
-    /// `Σ Pc` over the selected set (linear domain).
+    /// How the search reached each selected vector, parallel to `paths`:
+    /// `(index of its selected parent, incremented row)`, with a [`ROOT`]
+    /// parent for the all-ones root. The detector builds its path trie
+    /// from these instead of re-scanning the vectors.
+    pub(crate) links: Vec<(u32, u32)>,
+    /// `Σ Pc` over the selected set (linear domain), as
+    /// [`Preprocessor::run`] reports it. The detector's in-place search
+    /// keeps it only under a stopping threshold; the detector sums its
+    /// active prefix on demand instead
+    /// (`FlexCoreDetector::cumulative_prob`).
     pub cumulative_prob: f64,
     /// Real multiplications performed (Table 2 accounting).
     pub real_mults: u64,
@@ -481,7 +513,32 @@ mod tests {
                             let bits =
                                 |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                             assert_eq!(bits(&out.ln_probs), bits(&ln_probs), "{what}");
-                            assert_eq!(out.cumulative_prob.to_bits(), cumulative.to_bits());
+                            // The in-place search keeps the running Σ Pc only
+                            // for a threshold; summed on demand, and as `run`
+                            // reports it, it has the same bits either way.
+                            let kept = out.cumulative_prob;
+                            if threshold.is_some() {
+                                assert_eq!(kept.to_bits(), cumulative.to_bits(), "{what}");
+                            } else {
+                                assert!(kept.is_nan(), "{what}: a Σ Pc nothing asked for");
+                            }
+                            let summed = prob_sum(&out.ln_probs);
+                            assert_eq!(summed.to_bits(), cumulative.to_bits(), "{what}");
+                            let reported = pre.run(m, order).cumulative_prob;
+                            assert_eq!(reported.to_bits(), cumulative.to_bits(), "{what}");
+                            // Each selected vector is its link's parent, selected
+                            // before it, plus one at the link's row.
+                            assert_eq!(out.links.len(), paths.len(), "{what}");
+                            for (i, &(parent, row)) in out.links.iter().enumerate() {
+                                let want = match parent {
+                                    ROOT => PositionVector::ones(m.levels()),
+                                    p => {
+                                        assert!((p as usize) < i, "{what}: link {i}");
+                                        paths[p as usize].child(row as usize)
+                                    }
+                                };
+                                assert_eq!(paths[i], want, "{what}: link {i}");
+                            }
                             assert_eq!(out.real_mults, mults, "{what}");
                             assert_eq!(out.expanded_nodes, expanded, "{what}");
                         }

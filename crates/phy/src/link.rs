@@ -166,8 +166,10 @@ pub(crate) struct Codec<T> {
     /// `words[idx]` = symbol `idx`'s bits, one byte each, MSB first
     /// (byte `k` of the little-endian word is bit `k`).
     words: Vec<u64>,
-    /// One stream's coded bits, padded to whole OFDM symbols.
+    /// One stream's coded bits, padded to whole OFDM symbols, and the
+    /// same bits in air order.
     coded: Vec<u8>,
+    interleaved: Vec<u8>,
     /// One stream's decoder inputs in air order, plus room for one whole
     /// word past the last cell.
     inputs: Vec<T>,
@@ -191,6 +193,7 @@ impl<T: Copy + Default> Codec<T> {
             il: Interleaver::new(cfg.ofdm.n_data, c.bits_per_symbol()),
             words,
             coded: Vec::new(),
+            interleaved: Vec::new(),
             inputs: Vec::new(),
             deinterleaved: Vec::new(),
             scratch: ViterbiScratch::default(),
@@ -257,8 +260,11 @@ pub(crate) fn transmit_chains<T, R: Rng + ?Sized>(
         codec.code.encode_into(payload, &mut codec.coded);
         // Pad the final OFDM symbol with zero bits.
         codec.coded.resize(n_cells * c.bits_per_symbol(), 0);
-        let interleaved = codec.il.interleave_stream(&codec.coded);
-        let cells = interleaved.chunks_exact(c.bits_per_symbol());
+        codec.interleaved.resize(codec.coded.len(), 0);
+        codec
+            .il
+            .interleave_stream_into(&codec.coded, &mut codec.interleaved);
+        let cells = codec.interleaved.chunks_exact(c.bits_per_symbol());
         symbols.extend(cells.map(|bits| c.bits_to_index(bits) as u8));
     }
     TxChains {
