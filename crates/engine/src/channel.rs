@@ -8,7 +8,6 @@
 //! [`FrameEngine`](crate::FrameEngine) can re-run the paper's per-channel
 //! pre-processing for exactly the subcarriers that changed.
 
-use flexcore_channel::MimoChannel;
 use flexcore_numeric::CMat;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,9 +30,6 @@ pub struct FrameChannel {
     generations: Vec<u64>,
     next_generation: u64,
     sigma2: f64,
-    /// True while every subcarrier still holds the identical matrix set by
-    /// [`FrameChannel::flat`] — lets the engine prepare once and clone.
-    flat: bool,
 }
 
 impl Clone for FrameChannel {
@@ -47,31 +43,11 @@ impl Clone for FrameChannel {
             generations: self.generations.clone(),
             next_generation: self.next_generation,
             sigma2: self.sigma2,
-            flat: self.flat,
         }
     }
 }
 
 impl FrameChannel {
-    /// A frequency-flat channel: the same `h` on all `n_subcarriers`
-    /// subcarriers (the paper's block-fading packet model, §5).
-    pub fn flat(h: CMat, sigma2: f64, n_subcarriers: usize) -> Self {
-        assert!(n_subcarriers > 0, "FrameChannel: zero subcarriers");
-        FrameChannel {
-            id: fresh_channel_id(),
-            hs: vec![h; n_subcarriers],
-            generations: vec![1; n_subcarriers],
-            next_generation: 2,
-            sigma2,
-            flat: true,
-        }
-    }
-
-    /// A frequency-flat channel taken from a [`MimoChannel`].
-    pub fn from_mimo(ch: &MimoChannel, n_subcarriers: usize) -> Self {
-        Self::flat(ch.h.clone(), ch.sigma2, n_subcarriers)
-    }
-
     /// A frequency-selective channel: one matrix per subcarrier.
     pub fn per_subcarrier(hs: Vec<CMat>, sigma2: f64) -> Self {
         assert!(!hs.is_empty(), "FrameChannel: zero subcarriers");
@@ -82,7 +58,6 @@ impl FrameChannel {
             generations: vec![1; n],
             next_generation: 2,
             sigma2,
-            flat: false,
         }
     }
 
@@ -113,18 +88,12 @@ impl FrameChannel {
         self.generations[subcarrier]
     }
 
-    /// Whether all subcarriers still share one identical matrix.
-    pub fn is_flat(&self) -> bool {
-        self.flat
-    }
-
     /// Replaces one subcarrier's channel (a narrowband estimation update);
     /// only that subcarrier's generation is bumped.
     pub fn update_subcarrier(&mut self, subcarrier: usize, h: CMat) {
         self.hs[subcarrier] = h;
         self.generations[subcarrier] = self.next_generation;
         self.next_generation += 1;
-        self.flat = false;
     }
 
     /// Changes the noise variance. Preparation depends on `σ²` (MMSE
@@ -158,19 +127,21 @@ mod tests {
         )
     }
 
+    fn uniform(n_subcarriers: usize) -> FrameChannel {
+        FrameChannel::per_subcarrier(vec![mat(1.0); n_subcarriers], 0.1)
+    }
+
     #[test]
-    fn flat_channel_shares_generation() {
-        let ch = FrameChannel::flat(mat(1.0), 0.1, 4);
-        assert!(ch.is_flat());
+    fn fresh_channel_starts_every_subcarrier_at_generation_one() {
+        let ch = uniform(4);
         assert_eq!(ch.n_subcarriers(), 4);
         assert!((0..4).all(|sc| ch.generation(sc) == 1));
     }
 
     #[test]
     fn narrowband_update_bumps_one_generation() {
-        let mut ch = FrameChannel::flat(mat(1.0), 0.1, 4);
+        let mut ch = uniform(4);
         ch.update_subcarrier(2, mat(3.0));
-        assert!(!ch.is_flat());
         assert_eq!(ch.generation(2), 2);
         assert_eq!(ch.generation(0), 1);
         assert_eq!(ch.h(2)[(0, 0)].re, 3.0);
@@ -179,7 +150,7 @@ mod tests {
 
     #[test]
     fn sigma2_change_invalidates_everything() {
-        let mut ch = FrameChannel::flat(mat(1.0), 0.1, 3);
+        let mut ch = uniform(3);
         ch.set_sigma2(0.2);
         assert!((0..3).all(|sc| ch.generation(sc) == 2));
         assert_eq!(ch.sigma2(), 0.2);
@@ -189,7 +160,7 @@ mod tests {
     fn clone_gets_a_fresh_identity() {
         // Diverging clones share generation numbers; only a fresh id keeps
         // an engine's cache from confusing them.
-        let a = FrameChannel::flat(mat(1.0), 0.1, 2);
+        let a = uniform(2);
         let b = a.clone();
         assert_ne!(a.id(), b.id());
         assert_eq!(b.h(0)[(0, 0)].re, 1.0);

@@ -19,10 +19,8 @@ pub struct EngineStats {
     pub frames: u64,
     /// Received vectors detected.
     pub vectors: u64,
-    /// Channel-dependent preparation executions (QR / ordering / filters).
-    /// Under a flat channel one execution can refresh many subcarriers.
-    pub prepare_runs: u64,
-    /// Subcarrier slots refreshed by [`FrameEngine::prepare`].
+    /// Subcarrier slots refreshed by [`FrameEngine::prepare`], one
+    /// channel-dependent preparation (QR / ordering / filters) each.
     pub subcarriers_refreshed: u64,
     /// Subcarriers currently holding a prepared detector.
     pub prepared_subcarriers: u64,
@@ -122,7 +120,6 @@ pub struct FrameEngine<D> {
     slots: Vec<Option<Slot<D>>>,
     frames: AtomicU64,
     vectors: AtomicU64,
-    prepare_runs: AtomicU64,
     subcarriers_refreshed: AtomicU64,
 }
 
@@ -135,7 +132,6 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
             slots: Vec::new(),
             frames: AtomicU64::new(0),
             vectors: AtomicU64::new(0),
-            prepare_runs: AtomicU64::new(0),
             subcarriers_refreshed: AtomicU64::new(0),
         }
     }
@@ -149,7 +145,6 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
         EngineStats {
             frames: self.frames.load(Ordering::Relaxed),
             vectors: self.vectors.load(Ordering::Relaxed),
-            prepare_runs: self.prepare_runs.load(Ordering::Relaxed),
             subcarriers_refreshed: self.subcarriers_refreshed.load(Ordering::Relaxed),
             prepared_subcarriers: histogram.values().sum(),
             effort_total: self.effort_total(),
@@ -236,40 +231,23 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// the state it replaces. Only an empty slot, or one an in-flight
     /// [`TickPlan`] still shares (the plan keeps the channel it was planned
     /// against), gets a fresh clone of the template instead.
-    ///
-    /// Under a frequency-flat channel ([`FrameChannel::is_flat`]) the
-    /// channel-dependent work runs **once** and the prepared state is
-    /// cloned into every other stale slot — preparation is deterministic,
-    /// so a clone is bit-identical to re-preparing.
     pub fn prepare(&mut self, channel: &FrameChannel) -> usize {
         let n_sc = channel.n_subcarriers();
         if self.slots.len() != n_sc {
             self.slots = (0..n_sc).map(|_| None).collect();
         }
-        // Flat: the slot this call prepared, which the rest clone.
-        let mut flat: Option<usize> = None;
         let mut refreshed = 0;
-        for sc in 0..n_sc {
-            if self.slots[sc].as_ref().is_some_and(|slot| {
+        for (sc, slot) in self.slots.iter_mut().enumerate() {
+            if slot.as_ref().is_some_and(|slot| {
                 slot.channel_id == channel.id() && slot.generation == channel.generation(sc)
             }) {
                 continue;
             }
             refreshed += 1;
-            if let Some(prepared) = flat.and_then(|src| self.slots[src].as_ref()) {
-                let detector = D::clone(&prepared.detector);
-                self.slots[sc] = Some(Slot::new(detector, channel, sc));
-                continue;
-            }
-            let slot = &mut self.slots[sc];
             if !slot.as_mut().is_some_and(|slot| slot.refresh(channel, sc)) {
                 let mut detector = self.template.clone();
                 detector.prepare(channel.h(sc), channel.sigma2());
                 *slot = Some(Slot::new(detector, channel, sc));
-            }
-            self.prepare_runs.fetch_add(1, Ordering::Relaxed);
-            if channel.is_flat() {
-                flat = Some(sc);
             }
         }
         self.subcarriers_refreshed
@@ -447,30 +425,6 @@ mod tests {
         ch.update_subcarrier(3, ens.draw(&mut rng));
         assert_eq!(engine.prepare(&ch), 1, "only the touched subcarrier");
         assert_eq!(engine.stats().subcarriers_refreshed, 9);
-        assert_eq!(engine.stats().prepare_runs, 9);
-    }
-
-    #[test]
-    fn flat_channel_prepares_once_and_clones() {
-        let mut engine = FrameEngine::new(MmseDetector::new(Constellation::new(Modulation::Qam16)));
-        let ens = ChannelEnsemble::iid(NT, NT);
-        let mut rng = StdRng::seed_from_u64(2);
-        let ch = FrameChannel::flat(ens.draw(&mut rng), sigma2_from_snr_db(SNR), 48);
-        assert_eq!(engine.prepare(&ch), 48);
-        assert_eq!(engine.stats().prepare_runs, 1, "flat prep should run once");
-
-        // The cloned slots must behave exactly like individually prepared
-        // detectors.
-        let (frame, _) = build_frame(48, 2, &ch, 3);
-        let seq = SequentialPool::new(4);
-        let out = engine.detect_frame(&frame, &seq);
-        let mut reference = MmseDetector::new(Constellation::new(Modulation::Qam16));
-        reference.prepare(ch.h(0), ch.sigma2());
-        for sym in 0..2 {
-            for sc in 0..48 {
-                assert_eq!(out.get(sym, sc), reference.detect(frame.get(sym, sc)));
-            }
-        }
     }
 
     #[test]
@@ -678,11 +632,13 @@ mod tests {
             .per_pe_utilization
             .iter()
             .any(|&u| (u - 1.0).abs() < 1e-9));
-        // A flat channel prepares one detector and clones it, so every
-        // batch costs the same and a uniform pool packs perfectly.
+        // The same matrix on every subcarrier prepares to the same
+        // detector, so every batch costs the same and a uniform pool packs
+        // perfectly.
         let ens = flexcore_channel::ChannelEnsemble::iid(NT, NT);
         let mut rng = StdRng::seed_from_u64(45);
-        let flat = FrameChannel::flat(ens.draw(&mut rng), sigma2_from_snr_db(SNR), 16);
+        let flat =
+            FrameChannel::per_subcarrier(vec![ens.draw(&mut rng); 16], sigma2_from_snr_db(SNR));
         let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(
             Constellation::new(Modulation::Qam16),
             16,

@@ -81,3 +81,9 @@ pub use multiuser::{CellStats, StreamingCell};
 pub use pipeline::{EffortController, LatencyRecord, LatencyStats, PipelineReport, PipelinedCell};
 pub use stream::ChannelStream;
 pub use tick::{TickOutput, TickPlan};
+
+/// The crate README's examples, compiled as doctests so they cannot rot
+/// (`cargo test --doc`): this module exists only during doctest collection.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+mod readme_doctests {}

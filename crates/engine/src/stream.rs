@@ -68,10 +68,10 @@ impl ChannelStream {
 
     /// A *frozen* stream: every subcarrier holds the same static `h`
     /// (`ρ = 1`, whole-band refresh every frame), so truth and estimate
-    /// never diverge. [`ChannelStream::advance`] and
-    /// [`ChannelStream::transmit_frame`] behave exactly like a block-fading
-    /// flat channel — the bridge the cross-layer tests use to prove the
-    /// streamed packet paths bit-identical to the framed ones.
+    /// never diverge and [`ChannelStream::advance`] draws no randomness.
+    /// [`ChannelStream::transmit_frame_into`] then behaves exactly like a
+    /// block-fading flat channel — what lets the cross-layer tests hold a
+    /// serving cell's coded ticks to the per-vector references.
     pub fn frozen(h: CMat, n_subcarriers: usize, sigma2: f64) -> Self {
         assert!(n_subcarriers > 0, "ChannelStream: zero subcarriers");
         let truth: Vec<GaussMarkovChannel> = (0..n_subcarriers)

@@ -16,19 +16,17 @@
 //!
 //! [`simulate_packet`] (and `simulate_packet_soft` beside it) detect one
 //! vector at a time and are the references the identity tests compare
-//! against. Every engine-backed path is an instantiation of **one** packet
-//! runner and **one** cell tick, generic over what crosses from detector
-//! to decoder (hard decisions here, LLRs in [`crate::soft_link`]) and, for
-//! the packet runner, over the air the frame crosses (block fading or a
-//! [`ChannelStream`]).
+//! against. The engine-backed path is **one** cell tick over
+//! [`StreamingCell`] users, generic over what crosses from detector to
+//! decoder (hard decisions here, LLRs in [`crate::soft_link`]): on frozen
+//! [`ChannelStream`](flexcore_engine::ChannelStream)s it reproduces the
+//! references bit for bit.
 
 use crate::ofdm::OfdmConfig;
 use flexcore_channel::MimoChannel;
 use flexcore_coding::{crc_check, CodeRate, ConvCode, Interleaver, ViterbiScratch};
 use flexcore_detect::common::Detector;
-use flexcore_engine::{
-    ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
-};
+use flexcore_engine::StreamingCell;
 use flexcore_modulation::Constellation;
 use flexcore_numeric::Cx;
 use flexcore_parallel::PePool;
@@ -90,11 +88,10 @@ pub struct LinkOutcome {
 /// goodput accounting.
 #[derive(Clone, Debug)]
 pub struct StreamedOutcome {
-    /// The cell user (user-group) this packet belongs to; `0` for the
-    /// single-stream entry points.
+    /// The cell user (user-group) this packet belongs to.
     pub user: usize,
-    /// The link-layer outcome, bit-identical in semantics to the framed
-    /// block-fading paths.
+    /// The link-layer outcome, in the same terms as the per-vector
+    /// references' [`LinkOutcome`].
     pub link: LinkOutcome,
     /// Per-stream CRC-32 frame check of the decoded payload against the
     /// transmitted one ([`flexcore_coding::crc_check`]) — what a real MAC
@@ -155,8 +152,8 @@ impl TxChains {
     }
 }
 
-/// The coding side of a packet exchange, built **once** per `run_packet` /
-/// `run_cell_tick` and shared by all of its streams: the code, the
+/// The coding side of a packet exchange, built **once** per reference
+/// packet or `run_cell_tick` and shared by all of its streams: the code, the
 /// interleaver, the constellation's demap table, and the transmit and
 /// receive chains' reusable buffers (`T` is the decoder input, a bit or
 /// an LLR).
@@ -312,43 +309,23 @@ impl Grid for [u16] {
     }
 }
 
-/// One engine's hard decisions ([`FrameEngine::detect_frame`]).
-impl Grid for DetectedFrame {
-    type Metric = u8;
-    const DECODE: DecodeInto<u8> = ConvCode::decode_into;
-    fn hard(&self, _nt: usize, v: usize, u: usize) -> usize {
-        let n_sc = self.n_subcarriers();
-        self.get(v / n_sc, v % n_sc)[u]
-    }
-    fn feed(&self, _v: usize, _u: usize, word: u64, out: &mut [u8]) {
-        out[..8].copy_from_slice(&word.to_le_bytes());
-    }
-}
-
-/// How a packet's frames are detected on their way to the receive chains:
-/// [`Hard`] here, `Soft` in [`crate::soft_link`].
+/// How a cell tick's frames are detected on their way to the receive
+/// chains: [`Hard`] here, `Soft` in [`crate::soft_link`].
 pub(crate) trait LinkOutput<D> {
-    /// One engine's detected frame.
-    type Frame: Grid;
     /// One served user's share of a cell tick.
-    type Rows: Grid<Metric = <Self::Frame as Grid>::Metric> + ?Sized;
-    /// Detects `frame` on `engine`, prepared at noise variance `sigma2`.
-    fn frame<P: PePool>(e: &FrameEngine<D>, frame: &RxFrame, pool: &P, sigma2: f64) -> Self::Frame;
+    type Rows: Grid + ?Sized;
     /// Detects every user's queued frame in one shared tick, handing each
     /// served user's outputs to `each`, in user order.
     fn tick<P: PePool>(cell: &mut StreamingCell<D>, pool: &P, each: impl FnMut(usize, &Self::Rows));
 }
 
-/// Hard-decision output: [`Detector::detect_batch_into`] → decision
-/// planes → bits → Viterbi.
+/// Hard-decision output: [`StreamingCell::plan_tick`] +
+/// [`StreamingCell::run_tick`] ([`Detector::detect_batch_into`]) →
+/// decision planes → bits → Viterbi.
 pub(crate) struct Hard;
 
 impl<D: Detector + Clone + Sync> LinkOutput<D> for Hard {
-    type Frame = DetectedFrame;
     type Rows = [u16];
-    fn frame<P: PePool>(e: &FrameEngine<D>, frame: &RxFrame, pool: &P, _: f64) -> DetectedFrame {
-        e.detect_frame(frame, pool)
-    }
     fn tick<P: PePool>(cell: &mut StreamingCell<D>, pool: &P, mut each: impl FnMut(usize, &[u16])) {
         let plan = cell.plan_tick(pool.n_pes());
         cell.run_tick(plan, pool)
@@ -408,138 +385,18 @@ pub fn simulate_packet<R: Rng + ?Sized>(
     receive_chains(cfg, &mut codec, 0, &chains, cells.as_slice()).link
 }
 
-/// The air a packet's frame crosses, and with it what the engine prepares
-/// against.
-#[derive(Clone, Copy)]
-pub(crate) enum Air<'a> {
-    /// Block fading: one `H` for the whole packet, known to the receiver —
-    /// the engine prepares against that `H` at the channel's own `σ²`.
-    Block(&'a MimoChannel),
-    /// A streaming channel: the frame crosses the stream's *truth*
-    /// channels while the engine prepares against its (possibly stale)
-    /// *estimates*.
-    Stream(&'a ChannelStream),
-}
-
-/// The one engine-backed packet runner: transmit chains → one frame across
-/// `air` → prepare → the whole `(subcarrier × symbol)` grid detected in one
-/// engine run on the pool ([`LinkOutput::frame`]) → receive chains.
-///
-/// Consumes the RNG in exactly [`simulate_packet`]'s order (chains, then
-/// noise symbol-major) whatever the air and the output, which is what keeps
-/// every instantiation seed-for-seed comparable with the per-vector
-/// references and with each other.
-pub(crate) fn run_packet<O, R, D, P>(
-    cfg: &LinkConfig,
-    air: Air<'_>,
-    engine: &mut FrameEngine<D>,
-    pool: &P,
-    rng: &mut R,
-) -> StreamedOutcome
-where
-    O: LinkOutput<D>,
-    R: Rng + ?Sized,
-    D: Detector + Clone + Sync,
-    P: PePool,
-{
-    let n_sc = cfg.ofdm.n_data;
-    let n_sym = cfg.ofdm_symbols_per_packet();
-    let block;
-    let (nt, estimate) = match air {
-        Air::Block(channel) => {
-            block = FrameChannel::from_mimo(channel, n_sc);
-            (channel.nt(), &block)
-        }
-        Air::Stream(stream) => (stream.truth(0).cols(), stream.estimate()),
-    };
-    assert_eq!(
-        estimate.n_subcarriers(),
-        n_sc,
-        "run_packet: channel width != OFDM data subcarriers"
-    );
-    let mut codec = Codec::new(cfg);
-    let chains = transmit_chains(cfg, &mut codec, nt, rng);
-    let c = &cfg.constellation;
-    let frame = match air {
-        Air::Block(channel) => {
-            let mut frame = RxFrame::empty(n_sc);
-            for sym_idx in 0..n_sym {
-                let row = (0..n_sc)
-                    .map(|sc| channel.transmit(&chains.tx_vector(c, sym_idx * n_sc + sc), rng));
-                frame.push_symbol(row.collect());
-            }
-            frame
-        }
-        Air::Stream(stream) => {
-            let tx = |sym_idx, sc, x: &mut [Cx]| chains.tx_into(c, sym_idx * n_sc + sc, x);
-            stream.transmit_frame_into(n_sym, tx, rng)
-        }
-    };
-    engine.prepare(estimate);
-    let detected = O::frame(engine, &frame, pool, estimate.sigma2());
-    receive_chains(cfg, &mut codec, 0, &chains, &detected)
-}
-
-/// Simulates one packet exchange through the frame engine: the whole
-/// packet's `(subcarrier × symbol)` grid is detected in one
-/// [`FrameEngine::detect_frame`]-shaped call on the given PE pool, instead
-/// of one [`Detector::detect`] call at a time. Block fading: the engine is
-/// prepared against `channel.h` at the channel's own noise variance.
-///
-/// Consumes the RNG in exactly [`simulate_packet`]'s order and relies on
-/// the engine's bit-identity guarantee, so with equal seeds the outcome is
-/// **bit-for-bit identical** to [`simulate_packet`] run on an equally
-/// prepared detector — on any pool.
-pub fn simulate_packet_framed<R, D, P>(
-    cfg: &LinkConfig,
-    channel: &MimoChannel,
-    engine: &mut FrameEngine<D>,
-    pool: &P,
-    rng: &mut R,
-) -> LinkOutcome
-where
-    R: Rng + ?Sized,
-    D: Detector + Clone + Sync,
-    P: PePool,
-{
-    run_packet::<Hard, _, _, _>(cfg, Air::Block(channel), engine, pool, rng).link
-}
-
-/// Simulates one packet exchange over a **streaming** channel: the packet's
-/// frame passes through the stream's *truth* channels while detection runs
-/// against its (possibly stale) *estimates* through the frame engine.
-///
-/// Draws noise in exactly [`simulate_packet_framed`]'s order, so on a
-/// frozen (zero-Doppler) [`ChannelStream`] holding the same `H` and `σ²`
-/// the outcome is **bit-for-bit identical** to the block-fading framed
-/// path — the bridge `tests/coded_streaming.rs` enforces. The stream is
-/// *not* advanced here; the caller ages it between packets (or not, for
-/// block fading).
-///
-/// # Panics
-/// Panics unless the stream is `cfg.ofdm.n_data` subcarriers wide.
-pub fn simulate_packet_streamed<R, D, P>(
-    cfg: &LinkConfig,
-    stream: &ChannelStream,
-    engine: &mut FrameEngine<D>,
-    pool: &P,
-    rng: &mut R,
-) -> StreamedOutcome
-where
-    R: Rng + ?Sized,
-    D: Detector + Clone + Sync,
-    P: PePool,
-{
-    run_packet::<Hard, _, _, _>(cfg, Air::Stream(stream), engine, pool, rng)
-}
-
 /// The one serving tick, generic over the output: every cell user ages
 /// one frame interval and transmits one whole packet through its truth
 /// channels ([`transmit_chains`] per user, each on its *own* RNG so a
 /// user's traffic is independent of who else is scheduled); all users'
 /// `(subcarrier × symbol)` grids are detected in **one** shared pool run
-/// ([`StreamingCell::process_tick`], each user at its own estimate's
-/// `σ²`); then per user: receive chains → CRC-32 delivery check.
+/// ([`LinkOutput::tick`]: [`StreamingCell::plan_tick`] +
+/// [`StreamingCell::run_tick`] for hard decisions,
+/// [`StreamingCell::process_tick`] at each user's own estimate's `σ²` for
+/// soft ones); then per user: receive chains → CRC-32 delivery check.
+///
+/// Every precondition is checked for every user before any user is
+/// touched, so a rejected tick leaves the cell as it found it.
 pub(crate) fn run_cell_tick<O, R, D, P>(
     cfg: &LinkConfig,
     cell: &mut StreamingCell<D>,
@@ -558,12 +415,10 @@ where
         "cell_packet_tick: one RNG per user"
     );
     let (n_sym, n_sc) = (cfg.ofdm_symbols_per_packet(), cfg.ofdm.n_data);
-    let mut codec = Codec::new(cfg);
-    let mut chains: Vec<TxChains> = Vec::with_capacity(cell.n_users());
-    for (u, rng) in rngs.iter_mut().enumerate() {
+    for u in 0..cell.n_users() {
         assert_eq!(
             cell.stream(u).n_subcarriers(),
-            cfg.ofdm.n_data,
+            n_sc,
             "cell_packet_tick: user {u} stream width != OFDM data subcarriers"
         );
         assert_eq!(
@@ -573,6 +428,10 @@ where
              decodes the oldest queued frame against this tick's transmit \
              chains, so the queue must be drained before serving"
         );
+    }
+    let mut codec = Codec::new(cfg);
+    let mut chains: Vec<TxChains> = Vec::with_capacity(cell.n_users());
+    for (u, rng) in rngs.iter_mut().enumerate() {
         cell.advance_user(u, rng);
         let nt = cell.stream(u).truth(0).cols();
         let user_chains = transmit_chains(cfg, &mut codec, nt, rng);
@@ -598,14 +457,18 @@ where
 ///
 /// Each user's detections — and therefore its [`StreamedOutcome`] — are
 /// bit-identical to running that user alone in a single-user cell with the
-/// same seeds, whatever the user mix.
+/// same seeds, whatever the user mix. On a frozen
+/// [`ChannelStream`](flexcore_engine::ChannelStream) (ageing draws no
+/// randomness) a user's outcome equals [`simulate_packet`] on the same
+/// `H` and RNG, bit for bit.
 ///
 /// # Panics
 /// Panics unless `rngs.len() == cell.n_users()`, every stream matches
 /// `cfg.ofdm.n_data` subcarriers, and every user's queue is empty on
 /// entry — the tick pops each user's *oldest* queued frame and decodes it
 /// against *this* tick's transmit chains, so a pre-queued frame would be
-/// silently paired with the wrong payloads.
+/// silently paired with the wrong payloads. The checks run before any
+/// user is aged or served, so a caught panic leaves the cell untouched.
 pub fn cell_packet_tick<R, D, P>(
     cfg: &LinkConfig,
     cell: &mut StreamingCell<D>,
@@ -756,42 +619,6 @@ mod tests {
         assert!(pers[2] < 0.1, "30 dB should be nearly clean: {pers:?}");
     }
 
-    #[test]
-    fn framed_packet_is_bit_identical_to_sequential() {
-        use flexcore_engine::FrameEngine;
-        use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
-        let snr = 14.0;
-        // Replays the same seed for every run: identical channel draw,
-        // payloads, and noise.
-        fn framed<P: PePool>(cfg: &LinkConfig, snr: f64, seed: u64, pool: &P) -> LinkOutcome {
-            let ens = ChannelEnsemble::iid(4, 4);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let h = ens.draw(&mut rng);
-            let ch = MimoChannel::new(h, snr);
-            let mut engine = FrameEngine::new(SphereDecoder::new(cfg.constellation.clone()));
-            simulate_packet_framed(cfg, &ch, &mut engine, pool, &mut rng)
-        }
-        let cfg = cfg16(60);
-        let ens = ChannelEnsemble::iid(4, 4);
-        for seed in [1u64, 2, 3] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let h = ens.draw(&mut rng);
-            let ch = MimoChannel::new(h.clone(), snr);
-            let mut det = SphereDecoder::new(cfg.constellation.clone());
-            det.prepare(&h, sigma2_from_snr_db(snr));
-            let reference = simulate_packet(&cfg, &ch, &det, &mut rng);
-
-            let outs = [
-                framed(&cfg, snr, seed, &SequentialPool::new(4)),
-                framed(&cfg, snr, seed, &CrossbeamPool::work_queue(4)),
-            ];
-            for out in &outs {
-                assert_eq!(out.user_ok, reference.user_ok, "seed {seed}");
-                assert_eq!(out.raw_bit_errors, reference.raw_bit_errors, "seed {seed}");
-            }
-        }
-    }
-
     /// Test-local detector wrapper that counts which entry point a serving
     /// layer drives: `calls.0` = `detect_batch_into` (the scratch-reuse batch
     /// path), `calls.1` = per-vector `detect`. Clones share the counters, so a
@@ -846,11 +673,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_framed_uplink_is_bit_identical_and_batch_scheduled() {
+    fn adaptive_cell_tick_is_bit_identical_and_batch_scheduled() {
         use flexcore::FlexCoreDetector;
-        use flexcore_engine::FrameEngine;
+        use flexcore_engine::{ChannelStream, StreamingCell};
         use flexcore_parallel::CrossbeamPool;
-        // a-FlexCore as the engine template: the whole coded packet must
+        // a-FlexCore as a cell user's template: the whole coded packet must
         // equal the sequential per-vector adaptive uplink bit-for-bit, and
         // every subcarrier slot must have been served by the batch fast
         // path, never the per-vector fallback.
@@ -862,24 +689,24 @@ mod tests {
             let h = ens.draw(&mut rng);
             let ch = MimoChannel::new(h.clone(), snr);
             let mut det = FlexCoreDetector::adaptive(cfg.constellation.clone(), 16, 0.95);
-            det.prepare(&h, sigma2_from_snr_db(snr));
+            det.prepare(&h, ch.sigma2);
+            let mut rngs = [rng.clone()];
             let reference = simulate_packet(&cfg, &ch, &det, &mut rng);
 
-            let mut rng = StdRng::seed_from_u64(seed);
-            let h = ens.draw(&mut rng);
-            let ch = MimoChannel::new(h, snr);
             let template = Counting::new(FlexCoreDetector::adaptive(
                 cfg.constellation.clone(),
                 16,
                 0.95,
             ));
-            let mut engine = FrameEngine::new(template.clone());
+            let mut cell = StreamingCell::new();
+            let stream = ChannelStream::frozen(h, cfg.ofdm.n_data, ch.sigma2);
+            cell.add_user(stream, template.clone());
             let pool = CrossbeamPool::work_queue(4);
-            let framed = simulate_packet_framed(&cfg, &ch, &mut engine, &pool, &mut rng);
+            let tick = cell_packet_tick(&cfg, &mut cell, &pool, &mut rngs);
 
-            assert_eq!(framed.user_ok, reference.user_ok, "seed {seed}");
+            assert_eq!(tick[0].link.user_ok, reference.user_ok, "seed {seed}");
             assert_eq!(
-                framed.raw_bit_errors, reference.raw_bit_errors,
+                tick[0].link.raw_bit_errors, reference.raw_bit_errors,
                 "seed {seed}"
             );
             let (batch, per_vector) = template.calls();
@@ -890,7 +717,7 @@ mod tests {
             assert_eq!(per_vector, 0, "the engine fell back per-vector");
             // The engine exposes the paper's Fig. 10 quantity at packet
             // scale: mean active PEs over the prepared band.
-            let stats = engine.stats();
+            let stats = cell.engine(0).stats();
             assert!(stats.mean_effort() >= 1.0 && stats.mean_effort() <= 16.0);
         }
     }
@@ -958,10 +785,9 @@ mod tests {
 
     #[test]
     fn crc_flags_agree_with_payload_comparison() {
-        // Same workload as the frozen-channel regression: at a workable
-        // SNR the CRC delivery check and the simulator's payload equality
-        // must tell the same story.
-        use flexcore_engine::{ChannelStream, FrameEngine};
+        // At a workable SNR the CRC delivery check and the simulator's
+        // payload equality must tell the same story.
+        use flexcore_engine::{ChannelStream, StreamingCell};
         use flexcore_parallel::SequentialPool;
         let cfg = cfg16(40);
         let ens = ChannelEnsemble::iid(4, 4);
@@ -970,16 +796,42 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let h = ens.draw(&mut rng);
             let stream = ChannelStream::frozen(h, cfg.ofdm.n_data, sigma2_from_snr_db(snr));
-            let mut engine = FrameEngine::new(SphereDecoder::new(cfg.constellation.clone()));
-            let out = simulate_packet_streamed(
-                &cfg,
-                &stream,
-                &mut engine,
-                &SequentialPool::new(1),
-                &mut rng,
-            );
-            assert_eq!(out.crc_ok, out.link.user_ok, "seed {seed}");
+            let mut cell = StreamingCell::new();
+            cell.add_user(stream, SphereDecoder::new(cfg.constellation.clone()));
+            let out = cell_packet_tick(&cfg, &mut cell, &SequentialPool::new(1), &mut [rng]);
+            assert_eq!(out[0].crc_ok, out[0].link.user_ok, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_refused_tick_leaves_every_user_untouched() {
+        use flexcore_engine::{ChannelStream, StreamingCell};
+        use flexcore_parallel::SequentialPool;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // User 1 arrives with a frame already queued. The tick must refuse
+        // before it ages, re-prepares or queues anything for user 0, or a
+        // caught panic would leave user 0 a frame the next tick decodes
+        // against the wrong payloads.
+        let cfg = cfg16(20);
+        let ens = ChannelEnsemble::iid(4, 4);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut cell = StreamingCell::new();
+        for _ in 0..2 {
+            let stream = ChannelStream::new(&ens, cfg.ofdm.n_data, 0.97, 4, 0.05, &mut rng);
+            cell.add_user(stream, MmseDetector::new(cfg.constellation.clone()));
+        }
+        let early = cell
+            .stream(1)
+            .transmit_frame_into(1, |_, _, x| x.fill(Cx::ZERO), &mut rng);
+        cell.submit(1, early);
+        let mut rngs: Vec<StdRng> = (0..2).map(StdRng::seed_from_u64).collect();
+        let tick = catch_unwind(AssertUnwindSafe(|| {
+            cell_packet_tick(&cfg, &mut cell, &SequentialPool::new(1), &mut rngs)
+        }));
+        assert!(tick.is_err(), "a pre-queued frame must be refused");
+        assert_eq!(cell.pending(0), 0, "user 0 was given a frame");
+        assert_eq!(cell.stream(0).frames_elapsed(), 0, "user 0 was aged");
+        assert_eq!(cell.pending(1), 1);
     }
 
     #[test]

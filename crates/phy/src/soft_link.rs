@@ -7,18 +7,19 @@
 //! equal PE count the soft pipeline delivers strictly more packets — the
 //! gain the paper anticipates from "soft-detectors as in \[7, 43\]".
 //!
-//! Structurally this module is one `LinkOutput` impl: the packet runner,
-//! the cell tick and the receive chains are [`crate::link`]'s, instantiated
-//! at `Soft`.
+//! Two entry points: the per-vector reference [`simulate_packet_soft`] and
+//! the serving tick [`cell_packet_tick_soft`]. Both share
+//! [`crate::link`]'s transmit and receive chains; the tick is its one cell
+//! tick, instantiated at `Soft`.
 
 use crate::link::{
-    receive_chains, run_cell_tick, run_packet, transmit_chains, Air, Codec, DecodeInto, Grid,
-    LinkConfig, LinkOutcome, LinkOutput, StreamedOutcome,
+    receive_chains, run_cell_tick, transmit_chains, Codec, DecodeInto, Grid, LinkConfig,
+    LinkOutcome, LinkOutput, StreamedOutcome,
 };
 use flexcore::{SoftDecision, SoftDetector};
 use flexcore_channel::MimoChannel;
 use flexcore_coding::ConvCode;
-use flexcore_engine::{ChannelStream, FrameEngine, RxFrame, StreamingCell};
+use flexcore_engine::StreamingCell;
 use flexcore_numeric::Cx;
 use flexcore_parallel::PePool;
 use rand::Rng;
@@ -42,16 +43,12 @@ fn detect_soft<D: SoftDetector>(det: &D, sigma2: f64, ys: &[&[Cx]]) -> Vec<SoftD
 }
 
 /// Soft-decision output: [`SoftDetector::detect_soft`] at the estimate's
-/// `σ²`, one [`SoftDecision`] per vector through the engine's owned-output
-/// adapters → per-bit LLRs → soft Viterbi.
+/// `σ²`, one [`SoftDecision`] per vector through the cell's owned-output
+/// adapter ([`StreamingCell::process_tick`]) → per-bit LLRs → soft Viterbi.
 pub(crate) struct Soft;
 
 impl<D: SoftDetector + Clone + Sync> LinkOutput<D> for Soft {
-    type Frame = Vec<SoftDecision>;
     type Rows = Vec<SoftDecision>;
-    fn frame<P: PePool>(e: &FrameEngine<D>, frame: &RxFrame, pool: &P, sigma2: f64) -> Self::Frame {
-        e.process_frame(frame, pool, |det, _sc, ys| detect_soft(det, sigma2, ys))
-    }
     fn tick<P: PePool>(
         cell: &mut StreamingCell<D>,
         pool: &P,
@@ -91,35 +88,6 @@ pub fn simulate_packet_soft<R: Rng + ?Sized, D: SoftDetector>(
     receive_chains(cfg, &mut codec, 0, &chains, &cells).link
 }
 
-/// Soft-decision counterpart of
-/// [`simulate_packet_streamed`](crate::link::simulate_packet_streamed):
-/// the packet crosses the stream's **truth** channels, soft detection runs
-/// against the (possibly stale) estimates on the pool, and the LLRs flow
-/// deinterleave → soft Viterbi → CRC-32 delivery check.
-///
-/// Same runner as the hard streamed path, so with equal seeds the two see
-/// identical channels, payloads and noise — at matched PE budget the soft
-/// path's delivered-packet count can only match or beat the hard one's
-/// (the §7 claim, now measurable under streaming). The stream is not
-/// advanced; the caller ages it between packets.
-///
-/// # Panics
-/// Panics unless the stream is `cfg.ofdm.n_data` subcarriers wide.
-pub fn simulate_packet_soft_streamed<R, D, P>(
-    cfg: &LinkConfig,
-    stream: &ChannelStream,
-    engine: &mut FrameEngine<D>,
-    pool: &P,
-    rng: &mut R,
-) -> StreamedOutcome
-where
-    R: Rng + ?Sized,
-    D: SoftDetector + Clone + Sync,
-    P: PePool,
-{
-    run_packet::<Soft, _, _, _>(cfg, Air::Stream(stream), engine, pool, rng)
-}
-
 /// One multi-user serving tick, soft detection: the soft-path counterpart
 /// of [`cell_packet_tick`](crate::link::cell_packet_tick) — the same tick
 /// with every user's soft detections in the shared pool run and each
@@ -129,6 +97,9 @@ where
 /// both ticks see identical channels, payloads and noise, and the soft
 /// `raw_bit_errors` equal the hard ones (the `hard` field of every
 /// [`SoftDecision`] matches [`flexcore_detect::common::Detector::detect`]).
+/// On a frozen [`ChannelStream`](flexcore_engine::ChannelStream) a user's
+/// outcome equals [`simulate_packet_soft`] on the same `H` and RNG, bit
+/// for bit.
 ///
 /// # Panics
 /// Same preconditions as [`cell_packet_tick`](crate::link::cell_packet_tick):
@@ -212,40 +183,6 @@ mod tests {
             soft_ok > 30,
             "soft path should deliver most packets: {soft_ok}"
         );
-    }
-
-    #[test]
-    fn framed_soft_packet_is_bit_identical_to_sequential() {
-        use flexcore_parallel::{CrossbeamPool, SequentialPool};
-        let c = Constellation::new(Modulation::Qam16);
-        let cfg = LinkConfig::paper_default(c.clone(), 40);
-        let ens = ChannelEnsemble::iid(4, 4);
-        let snr = 12.0;
-        for seed in [1u64, 2] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let h = ens.draw(&mut rng);
-            let ch = MimoChannel::new(h.clone(), snr);
-            let mut det = FlexCoreDetector::with_pes(c.clone(), 16);
-            det.prepare(&h, sigma2_from_snr_db(snr));
-            let reference = simulate_packet_soft(&cfg, &ch, &det, &mut rng);
-
-            let seq = SequentialPool::new(4);
-            let queue = CrossbeamPool::work_queue(4);
-            for run in 0..2 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let h = ens.draw(&mut rng);
-                let ch = MimoChannel::new(h, snr);
-                let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(c.clone(), 16));
-                let air = Air::Block(&ch);
-                let out = if run == 0 {
-                    run_packet::<Soft, _, _, _>(&cfg, air, &mut engine, &seq, &mut rng).link
-                } else {
-                    run_packet::<Soft, _, _, _>(&cfg, air, &mut engine, &queue, &mut rng).link
-                };
-                assert_eq!(out.user_ok, reference.user_ok, "seed {seed} run {run}");
-                assert_eq!(out.raw_bit_errors, reference.raw_bit_errors);
-            }
-        }
     }
 
     #[test]

@@ -90,8 +90,9 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 struct PendingFrame {
     /// Modelled arrival time (seconds since the run started).
     arrival_s: f64,
-    /// The transmitted symbol indices, symbol-major like the detections.
-    truth: Vec<Vec<usize>>,
+    /// The transmitted symbol indices: one plane of `nt`-wide rows,
+    /// symbol-major like the detections.
+    truth: Vec<u16>,
 }
 
 /// Per-user serving state and counters.
@@ -439,12 +440,10 @@ impl CityCell {
 
         let mut good_syms = 0u64;
         let mut h = fnv(self.digest, u as u64);
-        for (detected, truth) in cells.chunks_exact(self.cfg.nt).zip(&pending.truth) {
-            for (&a, &b) in detected.iter().zip(truth) {
-                h = fnv(h, u64::from(a));
-                if usize::from(a) == b {
-                    good_syms += 1;
-                }
+        for (&a, &b) in cells.iter().zip(&pending.truth) {
+            h = fnv(h, u64::from(a));
+            if a == b {
+                good_syms += 1;
             }
         }
         self.digest = h;
@@ -467,27 +466,24 @@ impl CityCell {
     /// Builds one arrival for `user`: payload symbols and noise keyed by
     /// `(seed, tick, arrival index)`, so the k-th arrival of tick t is the
     /// same frame at every load multiplier that produces it.
-    fn make_frame(&self, user: usize, k: u64) -> (RxFrame, Vec<Vec<usize>>) {
+    fn make_frame(&self, user: usize, k: u64) -> (RxFrame, Vec<u16>) {
         let seed = self.users[user].profile.seed;
         let mut sym_rng = StdRng::seed_from_u64(mix(seed, TAG_SYMBOLS, self.tick, k));
         let mut noise_rng = StdRng::seed_from_u64(mix(seed, TAG_NOISE, self.tick, k));
         let stream = self.cell.stream(user);
         let n_sc = stream.n_subcarriers();
         let order = self.constellation.order();
-        let truth: Vec<Vec<usize>> = (0..self.cfg.n_symbols * n_sc)
-            .map(|_| {
-                (0..self.cfg.nt)
-                    .map(|_| sym_rng.gen_range(0..order))
-                    .collect()
-            })
+        let nt = self.cfg.nt;
+        let truth: Vec<u16> = (0..self.cfg.n_symbols * n_sc * nt)
+            .map(|_| sym_rng.gen_range(0..order) as u16)
             .collect();
-        let frame = stream.transmit_frame(
+        let frame = stream.transmit_frame_into(
             self.cfg.n_symbols,
-            |sym, sc| {
-                truth[sym * n_sc + sc]
-                    .iter()
-                    .map(|&i| self.constellation.point(i))
-                    .collect()
+            |sym, sc, x| {
+                let row = &truth[(sym * n_sc + sc) * nt..][..nt];
+                for (x, &i) in x.iter_mut().zip(row) {
+                    *x = self.constellation.point(usize::from(i));
+                }
             },
             &mut noise_rng,
         );

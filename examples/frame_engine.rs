@@ -106,7 +106,7 @@ fn main() {
     println!("narrowband update on subcarrier 7: {refreshed} subcarrier re-prepared");
     let stats = par_engine.stats();
     println!(
-        "engine stats: {} frames, {} vectors, {} prepare runs, {} subcarriers refreshed",
-        stats.frames, stats.vectors, stats.prepare_runs, stats.subcarriers_refreshed
+        "engine stats: {} frames, {} vectors, {} subcarriers refreshed",
+        stats.frames, stats.vectors, stats.subcarriers_refreshed
     );
 }

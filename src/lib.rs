@@ -14,3 +14,9 @@ pub use flexcore_numeric as numeric;
 pub use flexcore_parallel as parallel;
 pub use flexcore_phy as phy;
 pub use flexcore_sim as sim;
+
+/// The README's examples, compiled as doctests so they cannot rot
+/// (`cargo test --doc`): this module exists only during doctest collection.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+mod readme_doctests {}

@@ -4,9 +4,10 @@
 //! cell.
 //!
 //! Two anchors:
-//! 1. the streamed paths, hard and soft, are **bit-identical** to the
-//!    block-fading paths on a frozen (zero-Doppler) channel, so the
-//!    streaming entry points cannot drift from the paths the paper's
+//! 1. the serving ticks, hard and soft, are **bit-identical** per user to
+//!    the per-vector references `simulate_packet` / `simulate_packet_soft`
+//!    on frozen (zero-Doppler) channels, so the tick the benchmark's
+//!    `cell_coded` workload runs cannot drift from the paths the paper's
 //!    figures are built on;
 //! 2. at high SNR the streaming soft pipeline decodes *every* packet for
 //!    *every* user — goodput equals offered load — for a mixed
@@ -15,15 +16,15 @@
 use flexcore::{CellDetector, FlexCoreDetector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel, MimoChannel};
 use flexcore_detect::common::Detector;
-use flexcore_engine::{ChannelStream, FrameEngine, StreamingCell};
+use flexcore_engine::{pool_for, ChannelStream, StreamingCell};
+use flexcore_hwmodel::HeterogeneousFabric;
 use flexcore_modulation::{Constellation, Modulation};
+use flexcore_numeric::CMat;
 use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
-use flexcore_phy::link::{cell_packet_tick, simulate_packet_framed, simulate_packet_streamed};
-use flexcore_phy::soft_link::{
-    cell_packet_tick_soft, simulate_packet_soft, simulate_packet_soft_streamed,
-};
+use flexcore_phy::link::{cell_packet_tick, simulate_packet};
+use flexcore_phy::soft_link::{cell_packet_tick_soft, simulate_packet_soft};
 use flexcore_phy::throughput::GoodputMeter;
-use flexcore_phy::{LinkConfig, StreamedOutcome};
+use flexcore_phy::{LinkConfig, LinkOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,28 +33,117 @@ fn cfg16(payload: usize) -> LinkConfig {
 }
 
 #[test]
-fn streamed_hard_path_is_bit_identical_to_framed_on_frozen_channel() {
+fn cell_tick_equals_the_per_vector_reference() {
     // A frozen ChannelStream (rho = 1, estimates always exact) is the
-    // block-fading model: with the same seed the streamed path must
-    // consume the RNG in the block-fading path's exact order and produce
-    // the identical outcome, on any pool — hard (against
-    // simulate_packet_framed) and soft (against the per-vector
-    // simulate_packet_soft, the soft uplink's block-fading reference).
-    fn streamed<P: PePool>(
-        soft: bool,
-        cfg: &LinkConfig,
-        stream: &ChannelStream,
+    // block-fading model, and ageing it draws no randomness: a user's RNG
+    // feeds its transmit chains, then its noise symbol-major, in exactly
+    // the per-vector reference's order. So per user and per round the
+    // hard and soft ticks must reproduce simulate_packet /
+    // simulate_packet_soft bit for bit, on any pool and in any user mix.
+    const ROUNDS: usize = 2;
+    let cfg = cfg16(40);
+    let sigma2 = sigma2_from_snr_db(12.0);
+    let ens = ChannelEnsemble::iid(4, 4);
+    let mut rng = StdRng::seed_from_u64(41);
+    let hs: Vec<CMat> = (0..3).map(|_| ens.draw(&mut rng)).collect();
+    let seeds = [61u64, 62, 63];
+    let templates = || {
+        let c = &cfg.constellation;
+        vec![
+            CellDetector::fixed(c.clone(), 16),
+            CellDetector::adaptive(c.clone(), 16, 0.95),
+            CellDetector::adaptive(c.clone(), 8, 0.99),
+        ]
+    };
+    // `reference[soft][user][round]`: each user alone, its rounds drawn
+    // from one RNG.
+    let reference: Vec<Vec<Vec<LinkOutcome>>> = [false, true]
+        .into_iter()
+        .map(|soft| {
+            let users = templates().into_iter().zip(&hs).zip(seeds);
+            users
+                .map(|((mut det, h), seed)| {
+                    det.prepare(h, sigma2);
+                    let ch = MimoChannel {
+                        h: h.clone(),
+                        sigma2,
+                    };
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    (0..ROUNDS)
+                        .map(|_| {
+                            if soft {
+                                simulate_packet_soft(&cfg, &ch, &det, &mut rng)
+                            } else {
+                                simulate_packet(&cfg, &ch, &det, &mut rng)
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let raw_errors: usize = reference
+        .iter()
+        .flatten()
+        .flatten()
+        .flat_map(|out| &out.raw_bit_errors)
+        .sum();
+    assert!(raw_errors > 0, "a clean workload compares nothing");
+
+    fn check<P: PePool>(
         pool: &P,
-        rng: &mut StdRng,
-    ) -> StreamedOutcome {
-        let mut engine =
-            FrameEngine::new(FlexCoreDetector::with_pes(cfg.constellation.clone(), 16));
-        if soft {
-            simulate_packet_soft_streamed(cfg, stream, &mut engine, pool, rng)
-        } else {
-            simulate_packet_streamed(cfg, stream, &mut engine, pool, rng)
+        cfg: &LinkConfig,
+        cell: impl Fn() -> StreamingCell<CellDetector>,
+        seeds: &[u64],
+        reference: &[Vec<Vec<LinkOutcome>>],
+    ) {
+        for (soft, reference) in reference.iter().enumerate() {
+            let mut cell = cell();
+            let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+            for round in 0..ROUNDS {
+                let outs = match soft {
+                    0 => cell_packet_tick(cfg, &mut cell, pool, &mut rngs),
+                    _ => cell_packet_tick_soft(cfg, &mut cell, pool, &mut rngs),
+                };
+                assert_eq!(outs.len(), seeds.len());
+                for (u, (out, user)) in outs.iter().zip(reference).enumerate() {
+                    let want = &user[round];
+                    let tag = format!("{} pes, soft {soft}, round {round}, user {u}", pool.n_pes());
+                    assert_eq!(out.user, u, "{tag}");
+                    assert_eq!(out.link.user_ok, want.user_ok, "{tag}");
+                    assert_eq!(out.link.raw_bit_errors, want.raw_bit_errors, "{tag}");
+                }
+            }
         }
     }
+    let cell = || {
+        let mut cell = StreamingCell::new();
+        for (h, det) in hs.iter().zip(templates()) {
+            let stream = ChannelStream::frozen(h.clone(), cfg.ofdm.n_data, sigma2);
+            cell.add_user(stream, det);
+        }
+        cell
+    };
+    check(&SequentialPool::new(1), &cfg, cell, &seeds, &reference);
+    check(
+        &CrossbeamPool::work_queue(4),
+        &cfg,
+        cell,
+        &seeds,
+        &reference,
+    );
+    let fabric = pool_for(&HeterogeneousFabric::lte_smallcell());
+    check(&fabric, &cfg, cell, &seeds, &reference);
+}
+
+#[test]
+fn streamed_hard_path_is_bit_identical_to_framed_on_frozen_channel() {
+    // A frozen ChannelStream (rho = 1, estimates always exact) is the
+    // block-fading model: with the same seed — `H` drawn from the user's
+    // own RNG first — a one-user tick must consume the RNG in the
+    // block-fading reference's exact order and produce the identical
+    // outcome, on any pool: hard against simulate_packet, soft against
+    // simulate_packet_soft.
     let cfg = cfg16(45);
     let ens = ChannelEnsemble::iid(4, 4);
     let snr = 13.0;
@@ -62,25 +152,41 @@ fn streamed_hard_path_is_bit_identical_to_framed_on_frozen_channel() {
             let mut rng = StdRng::seed_from_u64(seed);
             let h = ens.draw(&mut rng);
             let ch = MimoChannel::new(h.clone(), snr);
+            let mut det = FlexCoreDetector::with_pes(cfg.constellation.clone(), 16);
+            det.prepare(&h, ch.sigma2);
             let reference = if soft {
-                let mut det = FlexCoreDetector::with_pes(cfg.constellation.clone(), 16);
-                det.prepare(&h, ch.sigma2);
                 simulate_packet_soft(&cfg, &ch, &det, &mut rng)
             } else {
-                let mut engine =
-                    FrameEngine::new(FlexCoreDetector::with_pes(cfg.constellation.clone(), 16));
-                simulate_packet_framed(&cfg, &ch, &mut engine, &SequentialPool::new(1), &mut rng)
+                simulate_packet(&cfg, &ch, &det, &mut rng)
             };
 
             for pe in [1usize, 4] {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let h = ens.draw(&mut rng);
                 let stream = ChannelStream::frozen(h, cfg.ofdm.n_data, sigma2_from_snr_db(snr));
-                let out = if pe == 1 {
-                    streamed(soft, &cfg, &stream, &SequentialPool::new(1), &mut rng)
-                } else {
-                    streamed(soft, &cfg, &stream, &CrossbeamPool::work_queue(4), &mut rng)
-                };
+                let mut cell = StreamingCell::new();
+                cell.add_user(
+                    stream,
+                    FlexCoreDetector::with_pes(cfg.constellation.clone(), 16),
+                );
+                let mut rngs = [rng];
+                let out = match (soft, pe) {
+                    (false, 1) => {
+                        cell_packet_tick(&cfg, &mut cell, &SequentialPool::new(1), &mut rngs)
+                    }
+                    (false, _) => {
+                        let pool = CrossbeamPool::work_queue(4);
+                        cell_packet_tick(&cfg, &mut cell, &pool, &mut rngs)
+                    }
+                    (true, 1) => {
+                        cell_packet_tick_soft(&cfg, &mut cell, &SequentialPool::new(1), &mut rngs)
+                    }
+                    (true, _) => {
+                        let pool = CrossbeamPool::work_queue(4);
+                        cell_packet_tick_soft(&cfg, &mut cell, &pool, &mut rngs)
+                    }
+                }
+                .remove(0);
                 let tag = format!("soft {soft} seed {seed} pe {pe}");
                 assert_eq!(out.link.user_ok, reference.user_ok, "{tag}");
                 assert_eq!(out.link.raw_bit_errors, reference.raw_bit_errors, "{tag}");
@@ -92,8 +198,8 @@ fn streamed_hard_path_is_bit_identical_to_framed_on_frozen_channel() {
 
 #[test]
 fn streamed_soft_path_is_rng_lockstepped_with_hard() {
-    // Same seeds ⇒ same channels, payloads and noise for both paths; the
-    // soft path's raw (hard-decision) errors must equal the hard path's,
+    // Same seeds ⇒ same channels, payloads and noise for both ticks; the
+    // soft tick's raw (hard-decision) errors must equal the hard tick's,
     // and its delivered set must dominate at a workable SNR.
     let cfg = cfg16(40);
     let ens = ChannelEnsemble::iid(4, 4);
@@ -103,16 +209,18 @@ fn streamed_soft_path_is_rng_lockstepped_with_hard() {
         let h = ens.draw(&mut rng);
         let stream = ChannelStream::frozen(h, cfg.ofdm.n_data, sigma2_from_snr_db(snr));
         let pool = SequentialPool::new(2);
+        let cell = || {
+            let mut cell = StreamingCell::new();
+            let det = FlexCoreDetector::with_pes(cfg.constellation.clone(), 16);
+            cell.add_user(stream.clone(), det);
+            cell
+        };
 
-        let mut rng_hard = StdRng::seed_from_u64(1000 + seed);
-        let mut engine =
-            FrameEngine::new(FlexCoreDetector::with_pes(cfg.constellation.clone(), 16));
-        let hard = simulate_packet_streamed(&cfg, &stream, &mut engine, &pool, &mut rng_hard);
+        let mut rng_hard = [StdRng::seed_from_u64(1000 + seed)];
+        let hard = cell_packet_tick(&cfg, &mut cell(), &pool, &mut rng_hard).remove(0);
 
-        let mut rng_soft = StdRng::seed_from_u64(1000 + seed);
-        let mut engine =
-            FrameEngine::new(FlexCoreDetector::with_pes(cfg.constellation.clone(), 16));
-        let soft = simulate_packet_soft_streamed(&cfg, &stream, &mut engine, &pool, &mut rng_soft);
+        let mut rng_soft = [StdRng::seed_from_u64(1000 + seed)];
+        let soft = cell_packet_tick_soft(&cfg, &mut cell(), &pool, &mut rng_soft).remove(0);
 
         assert_eq!(
             soft.link.raw_bit_errors, hard.link.raw_bit_errors,

@@ -1,17 +1,21 @@
 //! Cross-crate integration tests for the frame-level detection engine:
-//! substrate equivalence on real detectors, preparation caching, and the
-//! frame-parallel uplink paths.
+//! substrate equivalence on real detectors, preparation caching, and
+//! whole coded packets through the engine on every pool.
 
 use flexcore::FlexCoreDetector;
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_detect::{FcsdDetector, MmseDetector, SphereDecoder};
-use flexcore_engine::{DetectedFrame, FrameChannel, FrameEngine, RxFrame};
+use flexcore_engine::{
+    pool_for, ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
+};
+use flexcore_hwmodel::HeterogeneousFabric;
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::Cx;
 use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
-use flexcore_phy::link::{simulate_packet, simulate_packet_framed, LinkConfig};
+use flexcore_phy::link::{cell_packet_tick, simulate_packet, LinkConfig};
+use flexcore_phy::LinkOutcome;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -306,11 +310,28 @@ fn engine_cache_tracks_narrowband_updates_through_detection() {
     assert_eq!(out_a.n_symbols(), 4); // the pre-update output stays valid
 }
 
+/// One coded packet through the engine: a one-user cell tick on a frozen
+/// stream whose `H` is drawn from the user's own RNG first, as in the
+/// per-vector reference.
+fn tick_one_user<P: PePool>(cfg: &LinkConfig, seed: u64, snr: f64, pool: &P) -> LinkOutcome {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let h = ChannelEnsemble::iid(NT, NT).draw(&mut rng);
+    let stream = ChannelStream::frozen(h, cfg.ofdm.n_data, sigma2_from_snr_db(snr));
+    let mut cell = StreamingCell::new();
+    cell.add_user(
+        stream,
+        FlexCoreDetector::with_pes(cfg.constellation.clone(), 16),
+    );
+    cell_packet_tick(cfg, &mut cell, pool, &mut [rng])
+        .remove(0)
+        .link
+}
+
 #[test]
 fn framed_uplink_equals_sequential_uplink_through_every_pool() {
-    // End-to-end: whole coded packets through the engine on threads vs the
-    // seed's per-vector path — identical delivered packets, identical raw
-    // bit errors.
+    // End-to-end: whole coded packets through the engine — a one-user
+    // cell tick on a frozen stream — on every pool vs the per-vector
+    // reference: identical delivered packets, identical raw bit errors.
     let c = Constellation::new(Modulation::Qam16);
     let cfg = LinkConfig::paper_default(c.clone(), 50);
     let ens = ChannelEnsemble::iid(NT, NT);
@@ -323,40 +344,31 @@ fn framed_uplink_equals_sequential_uplink_through_every_pool() {
         det.prepare(&h, sigma2_from_snr_db(snr));
         let reference = simulate_packet(&cfg, &ch, &det, &mut rng);
 
-        let pool = CrossbeamPool::work_queue(4);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let h = ens.draw(&mut rng);
-        let ch = MimoChannel::new(h, snr);
-        let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(c.clone(), 16));
-        let framed = simulate_packet_framed(&cfg, &ch, &mut engine, &pool, &mut rng);
-
-        assert_eq!(framed.user_ok, reference.user_ok, "seed {seed}");
-        assert_eq!(
-            framed.raw_bit_errors, reference.raw_bit_errors,
-            "seed {seed}"
-        );
+        let framed = [
+            (
+                "sequential",
+                tick_one_user(&cfg, seed, snr, &SequentialPool::new(1)),
+            ),
+            (
+                "work_queue(4)",
+                tick_one_user(&cfg, seed, snr, &CrossbeamPool::work_queue(4)),
+            ),
+            (
+                "fabric",
+                tick_one_user(
+                    &cfg,
+                    seed,
+                    snr,
+                    &pool_for(&HeterogeneousFabric::lte_smallcell()),
+                ),
+            ),
+        ];
+        for (pool, framed) in framed {
+            assert_eq!(framed.user_ok, reference.user_ok, "seed {seed} {pool}");
+            assert_eq!(
+                framed.raw_bit_errors, reference.raw_bit_errors,
+                "seed {seed} {pool}"
+            );
+        }
     }
-}
-
-#[test]
-fn streaming_across_packets_reuses_preparation_per_block() {
-    // Block fading: each packet re-prepares once (fresh FrameChannel), but
-    // within a packet the engine touches preparation exactly once per
-    // subcarrier — the §3 amortisation at frame scale.
-    let c = Constellation::new(Modulation::Qam16);
-    let cfg = LinkConfig::paper_default(c.clone(), 30);
-    let ens = ChannelEnsemble::iid(NT, NT);
-    let mut engine = FrameEngine::new(MmseDetector::new(c));
-    let pool = SequentialPool::new(4);
-    let mut rng = StdRng::seed_from_u64(21);
-    for _ in 0..3 {
-        let ch = MimoChannel::new(ens.draw(&mut rng), SNR);
-        let _ = simulate_packet_framed(&cfg, &ch, &mut engine, &pool, &mut rng);
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.frames, 3);
-    // Flat per-packet channels: one preparation run per packet, cloned to
-    // all 48 subcarriers.
-    assert_eq!(stats.prepare_runs, 3);
-    assert_eq!(stats.subcarriers_refreshed, 3 * 48);
 }

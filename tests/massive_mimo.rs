@@ -11,13 +11,15 @@ use flexcore::FlexCoreDetector;
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble};
 use flexcore_detect::common::Detector;
 use flexcore_detect::{FcsdDetector, KBestDetector};
-use flexcore_engine::{DetectedFrame, FabricStats, FrameChannel, FrameEngine, RxFrame};
+use flexcore_engine::{
+    ChannelStream, DetectedFrame, FabricStats, FrameChannel, FrameEngine, RxFrame, StreamingCell,
+};
 use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::Cx;
 use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool, WeightedPool};
-use flexcore_phy::link::{simulate_packet_framed, LinkConfig};
+use flexcore_phy::link::{cell_packet_tick, LinkConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -174,18 +176,21 @@ fn classical_detectors_cross_the_spill_boundary() {
 #[test]
 fn coded_packet_survives_a_32x32_uplink() {
     // The full PHY stack (framing, coding, interleaving) over a 32-stream
-    // channel: at high SNR the packet must be delivered for every user.
+    // channel through the serving tick, whose in-place transmit takes its
+    // heap branch past 16 antennas: at high SNR the packet must be
+    // delivered for every stream.
     let c = Constellation::new(Modulation::Qam16);
     let cfg = LinkConfig::paper_default(c.clone(), 40);
     let mut rng = StdRng::seed_from_u64(77);
     let h = ChannelEnsemble::iid(32, 32).draw(&mut rng);
-    let ch = flexcore_channel::MimoChannel::new(h, 30.0);
-    let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(c, 16));
+    let stream = ChannelStream::frozen(h, cfg.ofdm.n_data, sigma2_from_snr_db(30.0));
+    let mut cell = StreamingCell::new();
+    cell.add_user(stream, FlexCoreDetector::with_pes(c, 16));
     let pool = CrossbeamPool::work_queue(4);
-    let out = simulate_packet_framed(&cfg, &ch, &mut engine, &pool, &mut rng);
+    let out = cell_packet_tick(&cfg, &mut cell, &pool, &mut [rng]).remove(0);
     assert!(
-        out.user_ok.iter().all(|&ok| ok),
+        out.link.user_ok.iter().all(|&ok| ok),
         "32×32 coded uplink dropped a user at 30 dB: {:?}",
-        out.user_ok
+        out.link.user_ok
     );
 }
