@@ -22,7 +22,7 @@ use flexcore_detect::common::{batch_rows, first_min_metric, Detector, PathScratc
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
-use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, SymVec, LANES};
+use flexcore_numeric::{CMat, Cx, CxLane, SymVec, LANES};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -472,16 +472,13 @@ pub(crate) struct WalkBlockScratch {
 }
 
 /// Everything [`FlexCoreDetector::detect_batch_into`] works in: the block
-/// walk's rotated observations and lane state, and the scalar walk's
-/// rotate buffer and path planes. Sized by the first batch of a shape and
-/// reused by every later one.
+/// walk's rotated observations and lane state. Sized by the first batch
+/// of a shape and reused by every later one.
 #[derive(Default)]
 struct BatchScratch {
     /// One block's rotated observations, observation-major.
     ybars: Vec<Cx>,
     block: WalkBlockScratch,
-    ybar: Vec<Cx>,
-    walk: WalkScratch,
 }
 
 thread_local! {
@@ -1047,44 +1044,33 @@ impl Detector for FlexCoreDetector {
     }
 
     /// Scratch-based batch override — the SoA streaming path a
-    /// frame-engine PE drives: with lane dispatch enabled, observations go
-    /// through in blocks of four (one blocked `rotate_batch_into` + one
-    /// four-wide trie walk per block); a batch tail shorter than a block
-    /// is padded by repeating its last observation and walked as a masked
-    /// partial block, so no observation ever falls back to the scalar
-    /// per-vector loop. With dispatch disabled the whole batch runs the
-    /// scalar loop. Every plane lives in this thread's `BatchScratch`,
-    /// so once the thread has seen the shape a batch touches no heap.
-    /// Results stay bit-identical to per-vector [`Detector::detect`]
-    /// either way.
+    /// frame-engine PE drives: observations go through in blocks of four
+    /// (one blocked `rotate_batch_into` + one four-wide trie walk per
+    /// block); a batch tail shorter than a block is padded by repeating
+    /// its last observation and walked as a masked partial block, so no
+    /// observation ever falls back to the scalar per-vector loop. Every
+    /// plane lives in this thread's `BatchScratch`, so once the thread has
+    /// seen the shape a batch touches no heap. Results stay bit-identical
+    /// to per-vector [`Detector::detect`], the scalar walk.
     fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
         // flexcore-lint: hot-path
         let state = self.prepared();
         let nt = state.tri.nt();
         let mut rows = batch_rows(out, ys.len(), nt);
         let mut scratch = BATCH_SCRATCH.take();
-        if lanes_enabled() {
-            let BatchScratch { ybars, block, .. } = &mut scratch;
-            ybars.resize(LANES * nt, Cx::ZERO);
-            for chunk in ys.chunks(LANES) {
-                // Masked partial tail: pad to a full block by repeating
-                // the last real observation (valid data, so every lane
-                // kernel sees finite inputs), walk with only the real
-                // lanes active, and extract those lanes only.
-                let padded: [&[Cx]; LANES] = std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)]);
-                state.tri.qr.rotate_batch_into(&padded, ybars);
-                self.walk_paths_block(ybars, std::array::from_fn(|l| l < chunk.len()), block);
-                for (l, row) in (0..chunk.len()).zip(&mut rows) {
-                    self.block_winner(l, block);
-                    state.tri.unpermute_into(&block.winner, row);
-                }
-            }
-        } else {
-            let BatchScratch { ybar, walk, .. } = &mut scratch;
-            ybar.resize(nt, Cx::ZERO);
-            for (y, row) in ys.iter().zip(rows) {
-                state.tri.rotate_into(y, ybar);
-                self.detect_prepared(ybar, walk, row);
+        let BatchScratch { ybars, block } = &mut scratch;
+        ybars.resize(LANES * nt, Cx::ZERO);
+        for chunk in ys.chunks(LANES) {
+            // Masked partial tail: pad to a full block by repeating the
+            // last real observation (valid data, so every lane kernel
+            // sees finite inputs), walk with only the real lanes active,
+            // and extract those lanes only.
+            let padded: [&[Cx]; LANES] = std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)]);
+            state.tri.qr.rotate_batch_into(&padded, ybars);
+            self.walk_paths_block(ybars, std::array::from_fn(|l| l < chunk.len()), block);
+            for (l, row) in (0..chunk.len()).zip(&mut rows) {
+                self.block_winner(l, block);
+                state.tri.unpermute_into(&block.winner, row);
             }
         }
         BATCH_SCRATCH.set(scratch);

@@ -84,7 +84,7 @@ impl LevelErrorModel {
         for p in pe {
             let p = p.clamp(PE_FLOOR, PE_CEIL);
             self.pe.push(p);
-            // flexcore-lint: allow(FL002, reason = "Eq. 3 is defined in the log domain; a fresh and an in-place fit reach this one call with the same argument, and nothing compares its bits across hosts or dispatch modes")
+            // flexcore-lint: allow(FL002, reason = "Eq. 3 is defined in the log domain; a fresh and an in-place fit reach this one call with the same argument, and nothing compares its bits across hosts")
             self.ln_pe.push(p.ln());
             // flexcore-lint: allow(FL002, reason = "as above: the one ln(1 − Pe) every fit of this level performs")
             self.ln_1m_pe.push((1.0 - p).ln());

@@ -153,7 +153,7 @@ impl Preprocessor {
                 ln_probs.push(ln_pc);
                 links.push((parent, row));
                 if let Some(t) = self.stop_threshold {
-                    // flexcore-lint: allow(FL002, reason = "Σ Pc is defined in the linear domain; a fresh and an in-place search reach this one call with the same argument, and nothing compares its bits across hosts or dispatch modes")
+                    // flexcore-lint: allow(FL002, reason = "Σ Pc is defined in the linear domain; a fresh and an in-place search reach this one call with the same argument, and nothing compares its bits across hosts")
                     cumulative += ln_pc.exp();
                     if cumulative >= t {
                         break 'outer;

@@ -17,7 +17,7 @@
 use crate::common::{batch_rows, replaces_best, Detector, PathScratch, Triangular};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::fcsd_sorted_qr;
-use flexcore_numeric::{lanes_enabled, CMat, Cx, CxLane, LANES};
+use flexcore_numeric::{CMat, Cx, CxLane, LANES};
 
 /// Fixed-complexity sphere decoder with `L` fully-enumerated levels.
 #[derive(Clone, Debug)]
@@ -151,29 +151,28 @@ impl FcsdDetector {
     /// semantics) into `row`, in original stream order — the
     /// allocation-free core of `detect` / `detect_batch_into`. A path
     /// that takes the lead is unpermuted into `row` on the spot, so no
-    /// best-so-far copy is kept. With lane dispatch enabled, paths run
-    /// four per iteration through [`FcsdDetector::run_path_block`]; the
-    /// reduction still visits metrics in ascending path order, so the
-    /// decision is bit-identical to the scalar loop.
+    /// best-so-far copy is kept. Full groups of four paths run through
+    /// [`FcsdDetector::run_path_block`], the last `n_paths % 4` through
+    /// [`FcsdDetector::run_path_into`]; the reduction still visits metrics
+    /// in ascending path order, so the decision is bit-identical to the
+    /// scalar loop.
     fn detect_prepared(&self, ybar: &[Cx], scratch: &mut PathScratch, row: &mut [u16]) {
         // flexcore-lint: hot-path
         let tri = self.prepared();
         let n_paths = self.paths();
         let mut best_metric: Option<f64> = None;
         let mut idx = 0;
-        if lanes_enabled() && n_paths >= LANES {
-            while idx + LANES <= n_paths {
-                let metrics = self.run_path_block(ybar, idx, scratch);
-                for (l, &metric) in metrics.iter().enumerate() {
-                    if replaces_best(metric, best_metric) {
-                        best_metric = Some(metric);
-                        for (r, &p) in tri.qr.perm.iter().enumerate() {
-                            row[p] = scratch.plane[r * LANES + l];
-                        }
+        while idx + LANES <= n_paths {
+            let metrics = self.run_path_block(ybar, idx, scratch);
+            for (l, &metric) in metrics.iter().enumerate() {
+                if replaces_best(metric, best_metric) {
+                    best_metric = Some(metric);
+                    for (r, &p) in tri.qr.perm.iter().enumerate() {
+                        row[p] = scratch.plane[r * LANES + l];
                     }
                 }
-                idx += LANES;
             }
+            idx += LANES;
         }
         while idx < n_paths {
             let metric = self.run_path_into(ybar, idx, scratch);

@@ -16,7 +16,7 @@
 use crate::common::{batch_rows, Detector, Triangular};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::sorted_qr_sqrd;
-use flexcore_numeric::{lanes_enabled, CMat, Cx, LANES};
+use flexcore_numeric::{CMat, Cx, LANES};
 
 /// Reusable flip-flop workspace for one K-best descent: survivors live in
 /// one flat `(peds, symbols)` buffer pair, children are expanded into the
@@ -82,7 +82,6 @@ pub fn kbest_descend<K>(
         child_peds.clear();
         child_syms.clear();
         child_syms.reserve(n_surv * q * nt);
-        let use_lanes = lanes_enabled() && q >= LANES;
         for i in 0..n_surv {
             let ped = surv_peds[i];
             let syms = &surv_syms[i * nt..(i + 1) * nt];
@@ -91,17 +90,15 @@ pub fn kbest_descend<K>(
             // still pushed in ascending symbol order, so the stable sort
             // below sees the exact sequence the scalar loop produces and
             // the kept survivors are bit-identical.
-            if use_lanes {
-                while sym + LANES <= q {
-                    let incs = tri.ped_increment_block(ybar, syms, row, sym);
-                    for (l, &inc) in incs.iter().enumerate() {
-                        child_peds.push(ped + inc);
-                        child_syms.extend_from_slice(syms);
-                        let last = child_syms.len() - nt;
-                        child_syms[last + row] = (sym + l) as u16;
-                    }
-                    sym += LANES;
+            while sym + LANES <= q {
+                let incs = tri.ped_increment_block(ybar, syms, row, sym);
+                for (l, &inc) in incs.iter().enumerate() {
+                    child_peds.push(ped + inc);
+                    child_syms.extend_from_slice(syms);
+                    let last = child_syms.len() - nt;
+                    child_syms[last + row] = (sym + l) as u16;
                 }
+                sym += LANES;
             }
             while sym < q {
                 let inc = tri.ped_increment(ybar, syms, row, sym);

@@ -95,17 +95,6 @@ impl FrameChannel {
         self.generations[subcarrier] = self.next_generation;
         self.next_generation += 1;
     }
-
-    /// Changes the noise variance. Preparation depends on `σ²` (MMSE
-    /// filters, FlexCore's error model), so every generation is bumped.
-    pub fn set_sigma2(&mut self, sigma2: f64) {
-        self.sigma2 = sigma2;
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        for g in &mut self.generations {
-            *g = generation;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,14 +135,6 @@ mod tests {
         assert_eq!(ch.generation(0), 1);
         assert_eq!(ch.h(2)[(0, 0)].re, 3.0);
         assert_eq!(ch.h(0)[(0, 0)].re, 1.0);
-    }
-
-    #[test]
-    fn sigma2_change_invalidates_everything() {
-        let mut ch = uniform(3);
-        ch.set_sigma2(0.2);
-        assert!((0..3).all(|sc| ch.generation(sc) == 2));
-        assert_eq!(ch.sigma2(), 0.2);
     }
 
     #[test]

@@ -418,12 +418,11 @@ mod tests {
 
     #[test]
     fn transmit_frame_applies_truth_channels() {
-        let mut s = stream(3, 0.5, 1, 9);
-        let mut rng = StdRng::seed_from_u64(10);
-        s.advance(&mut rng);
         // Near-zero noise: y must equal H_truth·x, not H_estimate·x.
-        let mut quiet = s.clone();
-        quiet.estimate.set_sigma2(1e-30);
+        let ens = ChannelEnsemble::iid(4, 4);
+        let mut quiet = ChannelStream::new(&ens, 3, 0.5, 1, 1e-30, &mut StdRng::seed_from_u64(9));
+        let mut rng = StdRng::seed_from_u64(10);
+        quiet.advance(&mut rng);
         let x = vec![
             Cx::new(1.0, 0.0),
             Cx::new(0.0, 1.0),

@@ -8,7 +8,7 @@
 //! | FL002 | float-determinism | libm / reassociation hazards inside `bit-identity` regions |
 //! | FL003 | lane-twin         | `*_block` lane kernels must name an existing scalar twin |
 //! | FL004 | panic-surface     | `unwrap` / `expect` / panicking macros in non-test library code |
-//! | FL005 | env-discipline    | environment reads outside the sanctioned dispatch module |
+//! | FL005 | env-discipline    | any environment read in library code     |
 //! | FL006 | unsafe-surface    | `unsafe` outside the sanctioned module, or there without a `// SAFETY:` comment |
 
 use crate::scan::{FileScan, RegionKind};
@@ -45,7 +45,7 @@ pub const LINTS: &[(&str, &str, &str)] = &[
     (
         "FL005",
         "env-discipline",
-        "environment reads are only permitted in the sanctioned dispatch module",
+        "environment reads are forbidden in library code: behaviour never depends on a setting",
     ),
     (
         "FL006",
@@ -53,10 +53,6 @@ pub const LINTS: &[(&str, &str, &str)] = &[
         "`unsafe` is only permitted in the sanctioned module, directly below a `// SAFETY:` comment",
     ),
 ];
-
-/// Modules permitted to read process environment variables: runtime
-/// dispatch toggles stay centralized here (`FLEXCORE_FORCE_SCALAR`).
-pub const ENV_SANCTIONED: &[&str] = &["crates/numeric/src/lanes.rs"];
 
 /// Modules permitted to hold `unsafe` code: the work-queue pool's one
 /// lifetime erasure. Every crate but `flexcore-parallel` also carries
@@ -261,7 +257,6 @@ fn skip_turbofish(scan: &FileScan, i: usize) -> usize {
 fn check_patterns(rel_path: &str, class: FileClass, scan: &FileScan, out: &mut Vec<Finding>) {
     let code = &scan.code;
     let lib = class == FileClass::Lib;
-    let env_ok = ENV_SANCTIONED.contains(&rel_path);
     let unsafe_ok = UNSAFE_SANCTIONED.contains(&rel_path);
     for i in 0..code.len() {
         let t = &code[i];
@@ -378,9 +373,8 @@ fn check_patterns(rel_path: &str, class: FileClass, scan: &FileScan, out: &mut V
             }
         }
 
-        // ---- FL005: env reads outside the dispatch module ----------------
+        // ---- FL005: env reads in library code ----------------------------
         if lib
-            && !env_ok
             && id == "env"
             && !prev_dot
             && code.get(i + 1).is_some_and(|n| n.is_punct(':'))
@@ -388,7 +382,8 @@ fn check_patterns(rel_path: &str, class: FileClass, scan: &FileScan, out: &mut V
         {
             if let Some(m) = code.get(i + 3).and_then(|n| n.ident()) {
                 if ENV_READERS.contains(&m) {
-                    emit(out, scan, "FL005", rel_path, line, col, format!("`env::{m}` outside the sanctioned dispatch module ({}): keep runtime toggles centralized", ENV_SANCTIONED.join(", ")));
+                    let msg = format!("`env::{m}` in library code: no setting selects behaviour");
+                    emit(out, scan, "FL005", rel_path, line, col, msg);
                 }
             }
         }
@@ -585,13 +580,14 @@ mod tests {
     }
 
     #[test]
-    fn fl005_env_reads_centralized() {
+    fn fl005_every_library_env_read_is_a_finding() {
         let src = "fn f() -> bool { std::env::var(\"X\").is_ok() }";
         assert_eq!(codes(&lint_lib(src)), ["FL005"]);
-        // The sanctioned module itself is clean.
+        // No module is exempt, the lane kernels' included.
         let s = scan(src);
         let tw = TwinUniverse::default();
-        assert!(lint_file(ENV_SANCTIONED[0], FileClass::Lib, &s, &tw).is_empty());
+        let found = lint_file("crates/numeric/src/lanes.rs", FileClass::Lib, &s, &tw);
+        assert_eq!(codes(&found), ["FL005"]);
         // …and compile-time env! is not a runtime read.
         assert!(codes(&lint_lib(
             "fn f() -> &'static str { env!(\"CARGO_MANIFEST_DIR\") }"

@@ -17,18 +17,15 @@
 //! therefore vectorize across *independent outputs* (4 matrix rows, 4
 //! observations, 4 tree paths, 4 candidate symbols) and keep every
 //! reduction (an accumulation over matrix columns, a path-metric sum) in
-//! its original scalar order within each lane. The workspace's grid
-//! identity gates compare lane and scalar paths bitwise; `cargo test`
-//! with `FLEXCORE_FORCE_SCALAR=1` runs the whole suite on the scalar
-//! fallback to keep both paths green.
-//!
-//! Dispatch is runtime-selectable (see [`lanes_enabled`]): the
-//! `FLEXCORE_FORCE_SCALAR` environment variable (or
-//! [`set_lane_dispatch`]) routes every dispatching kernel to its scalar
-//! reference implementation.
+//! its original scalar order within each lane. A kernel takes its lane
+//! form whenever its input is wide enough (four rows, observations,
+//! paths or candidates) and finishes any remainder with the scalar chain;
+//! no setting selects between them. Every lane kernel keeps its scalar
+//! twin as a reference, and the workspace's identity tests
+//! (`tests/simd_identity.rs`, `tests/scratch_identity.rs`) pin each lane
+//! kernel bitwise to an explicitly scalar chain.
 
 use crate::cx::Cx;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Lane width of the SoA kernels: four `f64` pairs, one 256-bit AVX
 /// register (or two SSE2 registers) per plane.
@@ -48,40 +45,6 @@ pub const LANES: usize = 4;
 /// The SQRD's projection and update sweeps hold `G` blocks of `R(k, ·)`
 /// lanes the same way (`sorted_qr_sqrd_into`).
 pub const G: usize = 4;
-
-/// Dispatch state: 0 = uninitialised (read the environment on first use),
-/// 1 = lane kernels, 2 = scalar fallback.
-static DISPATCH: AtomicU8 = AtomicU8::new(0);
-
-/// True when dispatching kernels should take the four-wide lane path.
-///
-/// Initialised from the `FLEXCORE_FORCE_SCALAR` environment variable on
-/// first call (any non-empty value other than `0` forces the scalar
-/// fallback); overridable at runtime with [`set_lane_dispatch`]. Both
-/// paths are bit-identical by construction, so the toggle trades only
-/// throughput, never results — which is precisely what lets CI run the
-/// full test suite once per path.
-#[inline]
-pub fn lanes_enabled() -> bool {
-    match DISPATCH.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let scalar = std::env::var_os("FLEXCORE_FORCE_SCALAR")
-                .is_some_and(|v| !v.is_empty() && v != "0");
-            DISPATCH.store(if scalar { 2 } else { 1 }, Ordering::Relaxed);
-            !scalar
-        }
-    }
-}
-
-/// Forces the dispatch decision at runtime: `true` selects the lane
-/// kernels, `false` the scalar fallback. Used by the forced-scalar
-/// property tests to run both twins inside one process; results are
-/// unaffected either way.
-pub fn set_lane_dispatch(lanes: bool) {
-    DISPATCH.store(if lanes { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// Four complex numbers in structure-of-arrays (split re/im) form.
 ///
@@ -375,14 +338,5 @@ mod tests {
         let mut out = [Cx::ZERO; LANES];
         lane.store(&mut out);
         assert_eq!(out[2], Cx::real(2.0));
-    }
-
-    #[test]
-    fn dispatch_toggle_round_trips() {
-        // Whatever the environment says, the explicit setter wins.
-        set_lane_dispatch(false);
-        assert!(!lanes_enabled());
-        set_lane_dispatch(true);
-        assert!(lanes_enabled());
     }
 }

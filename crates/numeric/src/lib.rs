@@ -22,7 +22,7 @@
 //! * a lightweight FLOP-accounting helper (module [`flops`]) used to
 //!   regenerate Table 1 and Table 2 of the paper;
 //! * [`CxLane`] — a four-wide structure-of-arrays complex lane type
-//!   (module [`lanes`]) behind the runtime-dispatched SIMD kernels of
+//!   (module [`lanes`]) behind the SIMD kernels of
 //!   `mul_vec_into` / `mul_vec_hermitian_into` / `Qr::rotate_batch_into`,
 //!   bit-identical per lane to the scalar path by construction;
 //! * [`SymVec`] — a spill-capable small-vector of symbol indices (module
@@ -49,7 +49,7 @@ pub mod symvec;
 
 pub use cx::Cx;
 pub use flops::FlopCounter;
-pub use lanes::{lanes_enabled, set_lane_dispatch, CxLane, G, LANES};
+pub use lanes::{CxLane, G, LANES};
 pub use mat::{CMat, CVec};
 pub use qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd, sorted_qr_sqrd_into, Qr};
 pub use symvec::SymVec;

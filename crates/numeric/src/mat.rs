@@ -3,13 +3,13 @@
 //! [`CMat`] is a row-major dense matrix of [`Cx`]; [`CVec`] is a plain
 //! `Vec<Cx>` alias with free-function helpers. The matrix–vector products
 //! on the detection hot path (`mul_vec_into`, `mul_vec_hermitian_into`)
-//! dispatch to four-wide [`CxLane`] kernels that compute four output
-//! entries per iteration — bit-identical to the scalar fallback because
-//! each lane replays the scalar accumulation chain — while everything
-//! off the hot path keeps the clear row-major scalar form.
+//! are four-wide [`CxLane`] kernels that compute four output entries per
+//! iteration — bit-identical to their `_scalar` twins because each lane
+//! replays the scalar accumulation chain — while everything off the hot
+//! path keeps the clear row-major scalar form.
 
 use crate::cx::Cx;
-use crate::lanes::{lanes_enabled, CxLane, LANES};
+use crate::lanes::{CxLane, LANES};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -212,48 +212,15 @@ impl CMat {
     }
 
     /// Matrix–vector product written into a caller-owned buffer — the
-    /// allocation-free kernel behind [`CMat::mul_vec`]. Dispatches to a
-    /// four-wide lane kernel ([`CMat::mul_vec_into_lanes`]) when lane
-    /// dispatch is enabled; both paths keep the scalar accumulation order
-    /// per output entry, so results are always bit-identical.
+    /// allocation-free kernel behind [`CMat::mul_vec`]. Lanes are four
+    /// consecutive *output rows*, the per-column accumulation runs in the
+    /// scalar order within each lane (no reassociation), and rows past the
+    /// last full lane (all of them below four rows) take the scalar tail.
+    /// Bit-identical to [`CMat::mul_vec_into_scalar`].
     ///
     /// # Panics
     /// Panics if `x.len() != self.cols()` or `out.len() != self.rows()`.
     pub fn mul_vec_into(&self, x: &[Cx], out: &mut [Cx]) {
-        if lanes_enabled() && self.rows >= LANES {
-            self.mul_vec_into_lanes(x, out);
-        } else {
-            self.mul_vec_into_scalar(x, out);
-        }
-    }
-
-    /// Scalar reference implementation of [`CMat::mul_vec_into`] — the
-    /// dispatch fallback, kept public so identity tests and benchmarks can
-    /// pin the lane kernel against it.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols()` or `out.len() != self.rows()`.
-    pub fn mul_vec_into_scalar(&self, x: &[Cx], out: &mut [Cx]) {
-        assert_eq!(x.len(), self.cols, "mul_vec: dimension mismatch");
-        assert_eq!(out.len(), self.rows, "mul_vec_into: output length");
-        for (r, slot) in out.iter_mut().enumerate() {
-            *slot = self
-                .row(r)
-                .iter()
-                .zip(x)
-                .fold(Cx::ZERO, |acc, (&a, &b)| acc + a * b);
-        }
-    }
-
-    /// Four-wide lane implementation of [`CMat::mul_vec_into`]: lanes are
-    /// four consecutive *output rows*, the per-column accumulation runs in
-    /// the scalar order within each lane (no reassociation), and rows past
-    /// the last full lane take the scalar tail. Bit-identical to
-    /// [`CMat::mul_vec_into_scalar`].
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols()` or `out.len() != self.rows()`.
-    pub fn mul_vec_into_lanes(&self, x: &[Cx], out: &mut [Cx]) {
         assert_eq!(x.len(), self.cols, "mul_vec: dimension mismatch");
         assert_eq!(out.len(), self.rows, "mul_vec_into: output length");
         let full = self.rows / LANES * LANES;
@@ -269,12 +236,31 @@ impl CMat {
             r += LANES;
         }
         for (slot, row) in out[full..].iter_mut().zip(full..self.rows) {
-            *slot = self
-                .row(row)
-                .iter()
-                .zip(x)
-                .fold(Cx::ZERO, |acc, (&a, &b)| acc + a * b);
+            *slot = self.row_dot(row, x);
         }
+    }
+
+    /// Scalar twin of [`CMat::mul_vec_into`]: one accumulation chain per
+    /// output row, kept public so identity tests can pin the lane kernel
+    /// against it.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != self.cols()` or `out.len() != self.rows()`.
+    pub fn mul_vec_into_scalar(&self, x: &[Cx], out: &mut [Cx]) {
+        assert_eq!(x.len(), self.cols, "mul_vec: dimension mismatch");
+        assert_eq!(out.len(), self.rows, "mul_vec_into: output length");
+        for (r, slot) in out.iter_mut().enumerate() {
+            *slot = self.row_dot(r, x);
+        }
+    }
+
+    /// `Σ_c A[r, c]·x[c]` in ascending `c`: one entry of `A·x`.
+    #[inline]
+    fn row_dot(&self, r: usize, x: &[Cx]) -> Cx {
+        self.row(r)
+            .iter()
+            .zip(x)
+            .fold(Cx::ZERO, |acc, (&a, &b)| acc + a * b)
     }
 
     /// Hermitian-transposed matrix–vector product `A*·x`, written into a
@@ -285,54 +271,18 @@ impl CMat {
     /// produces, so results are bit-identical while skipping the `A*`
     /// matrix allocation (the old per-vector cost of the QR rotate).
     ///
-    /// Dispatches to a four-wide lane kernel
-    /// ([`CMat::mul_vec_hermitian_into_lanes`]) when lane dispatch is
-    /// enabled; results are bit-identical either way.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.rows()` or `out.len() != self.cols()`.
-    pub fn mul_vec_hermitian_into(&self, x: &[Cx], out: &mut [Cx]) {
-        if lanes_enabled() && self.cols >= LANES {
-            self.mul_vec_hermitian_into_lanes(x, out);
-        } else {
-            self.mul_vec_hermitian_into_scalar(x, out);
-        }
-    }
-
-    /// Scalar reference implementation of
-    /// [`CMat::mul_vec_hermitian_into`] — the dispatch fallback, public so
-    /// identity tests and benchmarks can pin the lane kernel against it.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.rows()` or `out.len() != self.cols()`.
-    pub fn mul_vec_hermitian_into_scalar(&self, x: &[Cx], out: &mut [Cx]) {
-        assert_eq!(x.len(), self.rows, "mul_vec_hermitian: dimension mismatch");
-        assert_eq!(
-            out.len(),
-            self.cols,
-            "mul_vec_hermitian_into: output length"
-        );
-        for (r, slot) in out.iter_mut().enumerate() {
-            let mut acc = Cx::ZERO;
-            for (c, &b) in x.iter().enumerate() {
-                acc += self[(c, r)].conj() * b;
-            }
-            *slot = acc;
-        }
-    }
-
-    /// Four-wide lane implementation of [`CMat::mul_vec_hermitian_into`]:
-    /// lanes are four consecutive *output entries* `r..r+4`, so the load
+    /// Lanes are four consecutive *output entries* `r..r+4`, so the load
     /// `A[c, r..r+4]` is contiguous in row-major storage; the per-`c`
     /// accumulation keeps the scalar order within each lane, and entries
-    /// past the last full lane take the scalar tail. Bit-identical to
+    /// past the last full lane (all of them below four columns) take the
+    /// scalar tail. Bit-identical to
     /// [`CMat::mul_vec_hermitian_into_scalar`] (the conjugated product is
     /// expanded in place — exact in IEEE, a sign flip of one multiplicand
     /// negates the product with no rounding).
     ///
     /// # Panics
     /// Panics if `x.len() != self.rows()` or `out.len() != self.cols()`.
-    pub fn mul_vec_hermitian_into_lanes(&self, x: &[Cx], out: &mut [Cx]) {
+    pub fn mul_vec_hermitian_into(&self, x: &[Cx], out: &mut [Cx]) {
         assert_eq!(x.len(), self.rows, "mul_vec_hermitian: dimension mismatch");
         assert_eq!(
             out.len(),
@@ -351,12 +301,36 @@ impl CMat {
             r += LANES;
         }
         for (slot, col) in out[full..].iter_mut().zip(full..self.cols) {
-            let mut acc = Cx::ZERO;
-            for (c, &b) in x.iter().enumerate() {
-                acc += self[(c, col)].conj() * b;
-            }
-            *slot = acc;
+            *slot = self.col_conj_dot(col, x);
         }
+    }
+
+    /// Scalar twin of [`CMat::mul_vec_hermitian_into`]: one accumulation
+    /// chain per output entry, public so identity tests can pin the lane
+    /// kernel against it.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != self.rows()` or `out.len() != self.cols()`.
+    pub fn mul_vec_hermitian_into_scalar(&self, x: &[Cx], out: &mut [Cx]) {
+        assert_eq!(x.len(), self.rows, "mul_vec_hermitian: dimension mismatch");
+        assert_eq!(
+            out.len(),
+            self.cols,
+            "mul_vec_hermitian_into: output length"
+        );
+        for (col, slot) in out.iter_mut().enumerate() {
+            *slot = self.col_conj_dot(col, x);
+        }
+    }
+
+    /// `Σ_c conj(A[c, col])·x[c]` in ascending `c`: one entry of `A*·x`.
+    #[inline]
+    fn col_conj_dot(&self, col: usize, x: &[Cx]) -> Cx {
+        let mut acc = Cx::ZERO;
+        for (c, &b) in x.iter().enumerate() {
+            acc += self[(c, col)].conj() * b;
+        }
+        acc
     }
 
     /// Entry-wise sum `A + B`.

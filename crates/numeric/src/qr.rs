@@ -22,7 +22,7 @@
 //! probability model (Eq. 4 uses `|R(l,l)|`) and the slicer rely on.
 
 use crate::cx::Cx;
-use crate::lanes::{lanes_enabled, CxLane, G, LANES};
+use crate::lanes::{CxLane, G, LANES};
 use crate::mat::{dot, norm_sqr, CMat};
 use crate::solve::pseudo_inverse;
 
@@ -74,8 +74,7 @@ impl Qr {
     /// `Q` is read contiguously and each lane of each output row replays
     /// the exact scalar `rotate_into` accumulation chain — results are
     /// bit-identical to calling [`Qr::rotate_into`] per observation (which
-    /// is also the scalar fallback and the tail path for the last
-    /// `ys.len() % 4` observations).
+    /// is also the tail path for the last `ys.len() % 4` observations).
     ///
     /// # Panics
     /// Panics if any `ys[j].len() != Nr` or `out.len() != ys.len() * Nt`.
@@ -85,11 +84,7 @@ impl Qr {
         // flexcore-lint: bit-identity
         let (nr, nt) = (self.q.rows(), self.q.cols());
         assert_eq!(out.len(), ys.len() * nt, "rotate_batch_into: output length");
-        let full = if lanes_enabled() {
-            ys.len() / LANES * LANES
-        } else {
-            0
-        };
+        let full = ys.len() / LANES * LANES;
         // The block's observations, transposed: `tile[i]` holds sample
         // `c0 + i` of all four. On the stack, so a block allocates
         // nothing; a taller `Q` goes through in several tiles, its

@@ -20,8 +20,7 @@
 //!   [`flexcore::SoftDetector`]: [`simulate_packet_soft`] and
 //!   [`cell_packet_tick_soft`];
 //! * [`throughput`] — PER → network-throughput mapping (the y-axis of
-//!   Figs. 9 and 10) plus the [`GoodputMeter`] CRC-delivery accounting of
-//!   the cell ticks.
+//!   Figs. 9 and 10).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,4 +35,4 @@ pub use link::{
 };
 pub use ofdm::OfdmConfig;
 pub use soft_link::{cell_packet_tick_soft, simulate_packet_soft};
-pub use throughput::{network_throughput_mbps, GoodputMeter};
+pub use throughput::network_throughput_mbps;

@@ -67,11 +67,6 @@ impl LinkConfig {
         let coded = code.coded_len(self.payload_bytes * 8);
         coded.div_ceil(self.bits_per_ofdm_symbol())
     }
-
-    /// Airtime of one packet in seconds.
-    pub fn packet_airtime_s(&self) -> f64 {
-        self.ofdm_symbols_per_packet() as f64 * self.ofdm.symbol_duration_s()
-    }
 }
 
 /// Result of one simulated packet exchange.
@@ -561,7 +556,6 @@ mod tests {
         // 48·4 = 192 coded bits per OFDM symbol → 11 symbols.
         assert_eq!(cfg.bits_per_ofdm_symbol(), 192);
         assert_eq!(cfg.ofdm_symbols_per_packet(), 11);
-        assert!((cfg.packet_airtime_s() - 44e-6).abs() < 1e-12);
     }
 
     #[test]

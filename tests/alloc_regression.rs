@@ -26,7 +26,7 @@ use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, StreamingCell};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::symvec::{SymVec, INLINE_STREAMS};
-use flexcore_numeric::{lanes_enabled, set_lane_dispatch, sorted_qr_sqrd, sorted_qr_sqrd_into, Cx};
+use flexcore_numeric::{sorted_qr_sqrd, sorted_qr_sqrd_into, Cx};
 use flexcore_parallel::SequentialPool;
 use flexcore_phy::link::{cell_packet_tick, LinkConfig};
 use rand::rngs::StdRng;
@@ -175,59 +175,49 @@ fn hot_path_allocation_budget() {
         assert_eq!(n, 0, "spilled FlexCore kernel allocated at nt={nt}");
     }
 
-    // Same spilled width with lane dispatch forced off: the scalar twins
-    // must honour the identical steady-state budget, so the zero-alloc
-    // guarantee is a property of the kernels, not of the SIMD path the
-    // dispatcher happened to pick. (This test is the binary's only
-    // thread, so the process-global toggle is safe to flip here.)
+    // Same spilled width through the scalar twins (the rotate's scalar
+    // form and the per-path walk): they honour the identical steady-state
+    // budget, so the zero-alloc guarantee is a property of the kernels,
+    // not of the lane path the input size happens to pick.
     {
-        let dispatch_before = lanes_enabled();
-        set_lane_dispatch(false);
         let nt = 32;
         let (det, ys, _) = workload(nt, Modulation::Qam16, 300 + nt as u64);
-        let tri = det.triangular();
+        let q = &det.triangular().qr.q;
         let mut scratch = PathScratch::new();
         let mut ybar = vec![Cx::ZERO; nt];
-        tri.rotate_into(&ys[0], &mut ybar);
+        q.mul_vec_hermitian_into_scalar(&ys[0], &mut ybar);
         let _ = det.run_path_into(&ybar, &det.position_vectors()[0], &mut scratch);
         let n = allocs_in(|| {
             for y in &ys {
-                tri.rotate_into(y, &mut ybar);
+                q.mul_vec_hermitian_into_scalar(y, &mut ybar);
                 for p in det.position_vectors() {
                     let _ = det.run_path_into(&ybar, p, &mut scratch);
                 }
             }
         });
-        set_lane_dispatch(dispatch_before);
-        assert_eq!(n, 0, "forced-scalar FlexCore kernel allocated at nt={nt}");
+        assert_eq!(n, 0, "scalar-twin FlexCore kernel allocated at nt={nt}");
     }
 
     // --- Full detect surface: a warm batch touches no heap ---------------
     // detect_batch_into writes into the caller's plane and walks in this
     // thread's scratch, which the first batch of a shape sizes (per-node
-    // points, metrics and symbols, the winner buffer, the scalar path
-    // planes): from then on a batch of any length — full blocks, a masked
-    // partial tail, one vector — allocates nothing, inline and spilled
-    // widths alike, with lane dispatch on and off.
-    let dispatch_before = lanes_enabled();
-    for lanes in [true, false] {
-        set_lane_dispatch(lanes);
-        for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 32, 64] {
-            let (det, ys, _) = workload(nt, Modulation::Qam16, 200 + nt as u64);
-            let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-            let mut plane = vec![0u16; refs.len() * nt];
-            det.detect_batch_into(&refs, &mut plane);
-            for n in [1usize, 4, 7, 8] {
-                let rows = &mut plane[..n * nt];
-                let allocs = allocs_in(|| det.detect_batch_into(&refs[..n], rows));
-                assert_eq!(
-                    allocs, 0,
-                    "warm detect_batch_into of {n} vectors allocated at nt={nt}, lanes={lanes}"
-                );
-            }
+    // points, metrics and symbols, the winner buffer): from then on a
+    // batch of any length — full blocks, a masked partial tail, one vector
+    // — allocates nothing, inline and spilled widths alike.
+    for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 32, 64] {
+        let (det, ys, _) = workload(nt, Modulation::Qam16, 200 + nt as u64);
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        let mut plane = vec![0u16; refs.len() * nt];
+        det.detect_batch_into(&refs, &mut plane);
+        for n in [1usize, 4, 7, 8] {
+            let rows = &mut plane[..n * nt];
+            let allocs = allocs_in(|| det.detect_batch_into(&refs[..n], rows));
+            assert_eq!(
+                allocs, 0,
+                "warm detect_batch_into of {n} vectors allocated at nt={nt}"
+            );
         }
     }
-    set_lane_dispatch(dispatch_before);
 
     // --- The frame engine and the serving cell: per call, not per vector --
     // A warm detect_frame / detect_tick plans and runs into planes, so what

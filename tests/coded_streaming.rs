@@ -1,6 +1,6 @@
 //! Cross-layer regression tests for the coded **streaming** uplink: the
 //! full stack — channel aging → (adaptive) detection → LLRs → soft
-//! Viterbi → CRC/goodput — in one loop, for one user and for a multi-user
+//! Viterbi → CRC — in one loop, for one user and for a multi-user
 //! cell.
 //!
 //! Two anchors:
@@ -10,7 +10,7 @@
 //!    `cell_coded` workload runs cannot drift from the paths the paper's
 //!    figures are built on;
 //! 2. at high SNR the streaming soft pipeline decodes *every* packet for
-//!    *every* user — goodput equals offered load — for a mixed
+//!    *every* user — every CRC checks out — for a mixed
 //!    fixed/adaptive user population on a shared pool.
 
 use flexcore::{CellDetector, FlexCoreDetector};
@@ -23,7 +23,6 @@ use flexcore_numeric::CMat;
 use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
 use flexcore_phy::link::{cell_packet_tick, simulate_packet};
 use flexcore_phy::soft_link::{cell_packet_tick_soft, simulate_packet_soft};
-use flexcore_phy::throughput::GoodputMeter;
 use flexcore_phy::{LinkConfig, LinkOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -264,29 +263,29 @@ fn high_snr_soft_streaming_decodes_every_packet_for_every_user() {
         cell.add_user(stream, det);
     }
     let mut rngs: Vec<StdRng> = (0..3).map(|u| StdRng::seed_from_u64(500 + u)).collect();
-    let mut meter = GoodputMeter::new(3, cfg.payload_bytes);
     let pool = CrossbeamPool::work_queue(3);
     let n_ticks = 4;
+    let mut delivered = 0;
     for _ in 0..n_ticks {
-        for out in cell_packet_tick_soft(&cfg, &mut cell, &pool, &mut rngs) {
+        let outcomes = cell_packet_tick_soft(&cfg, &mut cell, &pool, &mut rngs);
+        let served: Vec<usize> = outcomes.iter().map(|out| out.user).collect();
+        assert_eq!(served, [0, 1, 2], "every user is served every tick");
+        for out in &outcomes {
             assert!(
                 out.crc_ok.iter().all(|&ok| ok),
                 "user {} dropped a packet at 30 dB: {:?}",
                 out.user,
                 out.crc_ok
             );
-            meter.record(&out);
+            delivered += out.crc_ok.len();
         }
     }
-    assert!(meter.all_delivered(), "goodput must equal offered load");
+    // One packet per stream per user per tick, every one delivered.
     assert_eq!(
-        meter.offered_bits(),
-        (3 * 4 * n_ticks * cfg.payload_bytes * 8) as u64
+        delivered,
+        3 * 4 * n_ticks,
+        "goodput must equal offered load"
     );
-    // Goodput over airtime equals the offered rate exactly.
-    let airtime = n_ticks as f64 * cfg.packet_airtime_s();
-    let offered_mbps = meter.offered_bits() as f64 / airtime / 1e6;
-    assert!((meter.goodput_mbps(airtime) - offered_mbps).abs() < 1e-9);
     // Everyone was served every tick.
     let stats = cell.stats();
     assert_eq!(stats.max_frames_behind, 0);

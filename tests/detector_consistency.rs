@@ -6,7 +6,7 @@ use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_detect::{FcsdDetector, KBestDetector, MlDetector, SphereDecoder};
 use flexcore_modulation::{Constellation, Modulation};
-use flexcore_numeric::{set_lane_dispatch, Cx};
+use flexcore_numeric::Cx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,46 +111,40 @@ fn exact_flexcore_at_full_budget_equals_ml_on_every_vector() {
     // Ground truth: with the exact per-level ordering and one PE per
     // position vector (N_PE = |Q|^nt) FlexCore selects every tree path,
     // so the bounded block walk must return the exhaustive-ML decision
-    // on every vector — per vector and in batch, lanes on and forced
-    // scalar. (The default `TriangleLut` ordering does not promise this:
+    // on every vector, per vector (the scalar walk) and in batch (the
+    // block walk). (The default `TriangleLut` ordering does not promise this:
     // its approximate ranks can miss a leaf even at the full budget.)
-    let forced_scalar =
-        std::env::var_os("FLEXCORE_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-    for lanes in [true, false] {
-        set_lane_dispatch(lanes);
-        for (m, nt) in [
-            (Modulation::Qpsk, 2),
-            (Modulation::Qpsk, 3),
-            (Modulation::Qpsk, 4),
-            (Modulation::Qam16, 2),
-        ] {
-            for (k, snr) in [0.0, 5.0, 10.0, 15.0, 20.0].into_iter().enumerate() {
-                for trial in 0..4u64 {
-                    let mut w = World::new(m, nt, snr, 100 * k as u64 + trial);
-                    let sigma2 = sigma2_from_snr_db(snr);
-                    let n_pe = w.c.order().pow(nt as u32);
-                    let mut cfg = FlexCoreConfig::new(n_pe);
-                    cfg.path_ordering = PathOrdering::Exact;
-                    let mut fc = FlexCoreDetector::new(w.c.clone(), cfg);
-                    let mut ml = MlDetector::new(w.c.clone());
-                    fc.prepare(&w.ch.h, sigma2);
-                    ml.prepare(&w.ch.h, sigma2);
-                    let ys: Vec<Vec<Cx>> = (0..80).map(|_| w.observe().1).collect();
-                    let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-                    let mut plane = vec![0u16; ys.len() * nt];
-                    fc.detect_batch_into(&refs, &mut plane);
-                    for (y, row) in ys.iter().zip(plane.chunks(nt)) {
-                        let want = ml.detect(y);
-                        let tag = format!("{m:?} nt {nt} {snr} dB trial {trial} lanes {lanes}");
-                        assert_eq!(fc.detect(y), want, "detect: {tag}");
-                        let batch: Vec<usize> = row.iter().map(|&s| usize::from(s)).collect();
-                        assert_eq!(batch, want, "detect_batch_into: {tag}");
-                    }
+    for (m, nt) in [
+        (Modulation::Qpsk, 2),
+        (Modulation::Qpsk, 3),
+        (Modulation::Qpsk, 4),
+        (Modulation::Qam16, 2),
+    ] {
+        for (k, snr) in [0.0, 5.0, 10.0, 15.0, 20.0].into_iter().enumerate() {
+            for trial in 0..4u64 {
+                let mut w = World::new(m, nt, snr, 100 * k as u64 + trial);
+                let sigma2 = sigma2_from_snr_db(snr);
+                let n_pe = w.c.order().pow(nt as u32);
+                let mut cfg = FlexCoreConfig::new(n_pe);
+                cfg.path_ordering = PathOrdering::Exact;
+                let mut fc = FlexCoreDetector::new(w.c.clone(), cfg);
+                let mut ml = MlDetector::new(w.c.clone());
+                fc.prepare(&w.ch.h, sigma2);
+                ml.prepare(&w.ch.h, sigma2);
+                let ys: Vec<Vec<Cx>> = (0..80).map(|_| w.observe().1).collect();
+                let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+                let mut plane = vec![0u16; ys.len() * nt];
+                fc.detect_batch_into(&refs, &mut plane);
+                for (y, row) in ys.iter().zip(plane.chunks(nt)) {
+                    let want = ml.detect(y);
+                    let tag = format!("{m:?} nt {nt} {snr} dB trial {trial}");
+                    assert_eq!(fc.detect(y), want, "detect: {tag}");
+                    let batch: Vec<usize> = row.iter().map(|&s| usize::from(s)).collect();
+                    assert_eq!(batch, want, "detect_batch_into: {tag}");
                 }
             }
         }
     }
-    set_lane_dispatch(!forced_scalar);
 }
 
 #[test]

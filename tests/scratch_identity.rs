@@ -54,6 +54,15 @@ fn modulation(idx: usize) -> Modulation {
     ][idx % 4]
 }
 
+/// `Q*·y` through the scalar twin of the rotate, so each reference below
+/// is a scalar chain end to end (`Triangular::rotate` runs the lane
+/// kernel from four streams up).
+fn rotate_scalar(tri: &Triangular, y: &[Cx]) -> Vec<Cx> {
+    let mut ybar = vec![Cx::ZERO; tri.nt()];
+    tri.qr.q.mul_vec_hermitian_into_scalar(y, &mut ybar);
+    ybar
+}
+
 /// The triangle LUT `FlexCoreDetector::new` builds, for [`run_path_pr1`].
 fn pr1_lut(det: &FlexCoreDetector) -> OrderingLut {
     let c = det.constellation();
@@ -126,7 +135,7 @@ fn assert_run_path_into_equals_pr1(
 fn detect_batch_pr1(det: &FlexCoreDetector, ys: &[Vec<Cx>]) -> Vec<Vec<usize>> {
     let tri = det.triangular();
     let lut = pr1_lut(det);
-    let ybars: Vec<Vec<Cx>> = ys.iter().map(|y| tri.rotate(y)).collect();
+    let ybars: Vec<Vec<Cx>> = ys.iter().map(|y| rotate_scalar(tri, y)).collect();
     #[allow(clippy::type_complexity)]
     let per_path: Vec<Vec<Option<(Vec<u16>, f64)>>> = det
         .position_vectors()
@@ -154,7 +163,7 @@ fn detect_batch_pr1(det: &FlexCoreDetector, ys: &[Vec<Cx>]) -> Vec<Vec<usize>> {
 /// with `Iterator::min_by` — PR 1's shape, over `run_path_into`.
 fn fcsd_per_path_reference(det: &FcsdDetector, y: &[Cx]) -> Vec<usize> {
     let tri = det.triangular();
-    let ybar = tri.rotate(y);
+    let ybar = rotate_scalar(tri, y);
     let mut scratch = PathScratch::new();
     let (symbols, _) = (0..det.paths())
         .map(|idx| {
@@ -171,7 +180,7 @@ fn fcsd_per_path_reference(det: &FcsdDetector, y: &[Cx]) -> Vec<usize> {
 fn kbest_pr1(tri: &Triangular, c: &Constellation, k: usize, y: &[Cx]) -> Vec<usize> {
     let nt = tri.nt();
     let q = c.order();
-    let ybar = tri.rotate(y);
+    let ybar = rotate_scalar(tri, y);
     let mut survivors: Vec<(f64, Vec<u16>)> = vec![(0.0, vec![0u16; nt])];
     for row in (0..nt).rev() {
         let mut children: Vec<(f64, Vec<u16>)> = Vec::with_capacity(survivors.len() * q);
@@ -364,7 +373,7 @@ proptest! {
         for y in &ys {
             let soft = det.detect_soft(y, sigma2);
             // PR 1's nested min0/min1 reference, from the allocating paths.
-            let ybar = tri.rotate(y);
+            let ybar = rotate_scalar(tri, y);
             let mut list: Vec<(Vec<usize>, f64)> = Vec::new();
             for p in det.position_vectors() {
                 if let Some((symbols, metric)) = run_path_pr1(&det, &lut, &ybar, p) {

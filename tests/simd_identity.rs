@@ -1,57 +1,30 @@
 //! Bit-identity property tests for the PR 7 SIMD/SoA detection kernels.
 //!
-//! The lane kernels (`CxLane`, the `mul_vec*` lane paths, the blocked QR
-//! rotate, the four-wide trie walk and path blocks) promise *bitwise*
-//! equality with the scalar fallback: each lane replays the scalar
-//! operation chain, so toggling dispatch must never change a single bit
-//! of any symbol decision or metric. These tests enforce that promise
-//! across the full width sweep (nt 1..=64), every modulation
-//! (BPSK..256-QAM), the lane-remainder edge cases (nt = 3, 5, 17; path
-//! counts 1, 2, 3), and — at nt ∈ {4, 8, 16, 32, 64} — across every
-//! pool/fabric execution substrate.
-//!
-//! Each dispatch-sensitive case runs under **both** settings of
-//! `set_lane_dispatch` inside a serialising mutex (the toggle is a
-//! process-global); CI additionally re-runs the entire workspace suite
-//! with `FLEXCORE_FORCE_SCALAR=1` so the scalar fallback stays green on
-//! its own.
+//! The lane kernels (`CxLane`, the `mul_vec*` products, the blocked QR
+//! rotate, the four-wide trie walk, path blocks and candidate blocks)
+//! promise *bitwise* equality with their scalar twins: each lane replays
+//! the scalar operation chain, so a lane path must never change a single
+//! bit of any symbol decision or metric. A kernel picks its lane form from
+//! its input size alone, so these tests pin every lane path to an
+//! **explicitly scalar** chain built from the twins (`_scalar` matrix
+//! products, `run_path_into`, `ped_increment`, `first_min_metric`) across
+//! the full width sweep (nt 1..=64), every modulation (BPSK..256-QAM),
+//! the lane-remainder edge cases (nt = 3, 5, 17; path counts 1, 2, 3),
+//! and — at nt ∈ {4, 8, 16, 32, 64} — every pool/fabric execution
+//! substrate.
 
-use std::sync::Mutex;
-
-use flexcore::{AdaptiveKBest, CellDetector, FlexCoreDetector};
+use flexcore::{AdaptiveKBest, CellDetector, FlexCoreDetector, PathScratch};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
-use flexcore_detect::common::{Detector, Triangular};
+use flexcore_detect::common::{first_min_metric, Detector, Triangular};
 use flexcore_detect::{FcsdDetector, KBestDetector};
 use flexcore_engine::{DetectedFrame, FrameChannel, FrameEngine, RxFrame};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::qr::sorted_qr_sqrd;
 use flexcore_numeric::rng::CxRng;
-use flexcore_numeric::{set_lane_dispatch, CMat, Cx, CxLane, LANES};
+use flexcore_numeric::{CMat, Cx, CxLane, LANES};
 use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Serialises every test that flips the process-global lane dispatch.
-static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
-
-/// Dispatch setting the rest of the process expects when we're done: lane
-/// kernels unless the CI scalar run forced the fallback via environment.
-fn env_dispatch() -> bool {
-    std::env::var_os("FLEXCORE_FORCE_SCALAR").is_none_or(|v| v.is_empty() || v == "0")
-}
-
-/// Runs `f` once with lane dispatch on and once forced scalar (under the
-/// global lock), restores the environment-selected dispatch, and returns
-/// both results for comparison.
-fn under_both_dispatch_modes<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_lane_dispatch(true);
-    let lanes = f();
-    set_lane_dispatch(false);
-    let scalar = f();
-    set_lane_dispatch(env_dispatch());
-    (lanes, scalar)
-}
 
 fn assert_cx_bits(a: Cx, b: Cx, ctx: &str) {
     assert_eq!(
@@ -81,9 +54,8 @@ const ALL_MODS: [Modulation; 5] = [
 
 #[test]
 fn mat_lane_kernels_bit_identical_across_nt_1_to_64() {
-    // The explicit `_lanes`/`_scalar` variants are dispatch-independent,
-    // so this sweep needs no lock. Square and rectangular shapes cover
-    // every tail remainder of both kernels.
+    // Square and rectangular shapes cover every tail remainder of both
+    // kernels, including the all-tail shapes below four rows / columns.
     for nt in 1..=64usize {
         for (rows, cols) in [(nt, nt), (nt + 3, nt)] {
             let a = random_mat(rows, cols, 1000 + nt as u64);
@@ -91,7 +63,7 @@ fn mat_lane_kernels_bit_identical_across_nt_1_to_64() {
             let mut want = vec![Cx::ZERO; rows];
             let mut got = vec![Cx::ZERO; rows];
             a.mul_vec_into_scalar(&x, &mut want);
-            a.mul_vec_into_lanes(&x, &mut got);
+            a.mul_vec_into(&x, &mut got);
             for (w, g) in want.iter().zip(&got) {
                 assert_cx_bits(*w, *g, &format!("mul_vec {rows}x{cols}"));
             }
@@ -99,7 +71,7 @@ fn mat_lane_kernels_bit_identical_across_nt_1_to_64() {
             let mut want = vec![Cx::ZERO; cols];
             let mut got = vec![Cx::ZERO; cols];
             a.mul_vec_hermitian_into_scalar(&xh, &mut want);
-            a.mul_vec_hermitian_into_lanes(&xh, &mut got);
+            a.mul_vec_hermitian_into(&xh, &mut got);
             for (w, g) in want.iter().zip(&got) {
                 assert_cx_bits(*w, *g, &format!("mul_vec_hermitian {rows}x{cols}"));
             }
@@ -110,9 +82,8 @@ fn mat_lane_kernels_bit_identical_across_nt_1_to_64() {
 #[test]
 fn triangular_lane_kernels_bit_identical_nt_sweep_all_modulations() {
     // The detection-side lane kernels read constellation points, so the
-    // sweep crosses width with every modulation. Like the `_lanes`
-    // variants above, these methods take the lane path unconditionally —
-    // no lock needed; the scalar kernels are the reference.
+    // sweep crosses width with every modulation. These methods take the
+    // lane path unconditionally; the scalar kernels are the reference.
     for nt in 1..=64usize {
         let qr = sorted_qr_sqrd(&random_mat(nt, nt, 4000 + nt as u64));
         let ybar = random_vec(nt, 5000 + nt as u64);
@@ -172,6 +143,9 @@ fn triangular_lane_kernels_bit_identical_nt_sweep_all_modulations() {
 
 #[test]
 fn rotate_batch_bit_identical_under_both_dispatch_modes() {
+    // The blocked batch rotate (full blocks of four observations plus the
+    // per-vector tail) and the per-vector rotate, against the scalar twin
+    // applied per observation.
     for &nt in &[1usize, 3, 4, 5, 8, 17, 32, 64] {
         let qr = sorted_qr_sqrd(&random_mat(nt, nt, 7000 + nt as u64));
         for &n_obs in &[1usize, 3, 4, 7] {
@@ -179,23 +153,92 @@ fn rotate_batch_bit_identical_under_both_dispatch_modes() {
                 .map(|j| random_vec(nt, 8000 + (nt * 100 + j) as u64))
                 .collect();
             let refs: Vec<&[Cx]> = ys.iter().map(|y| y.as_slice()).collect();
-            // Dispatch-independent scalar reference.
             let mut want = vec![Cx::ZERO; n_obs * nt];
+            let mut single = vec![Cx::ZERO; n_obs * nt];
             for (j, y) in ys.iter().enumerate() {
                 qr.q.mul_vec_hermitian_into_scalar(y, &mut want[j * nt..(j + 1) * nt]);
+                qr.rotate_into(y, &mut single[j * nt..(j + 1) * nt]);
             }
-            let (lanes, scalar) = under_both_dispatch_modes(|| {
-                let mut out = vec![Cx::ZERO; n_obs * nt];
-                qr.rotate_batch_into(&refs, &mut out);
-                out
-            });
-            for (mode, got) in [("lanes", &lanes), ("scalar", &scalar)] {
-                for (w, g) in want.iter().zip(got.iter()) {
-                    assert_cx_bits(*w, *g, &format!("rotate_batch {mode} nt={nt} n={n_obs}"));
+            let mut batch = vec![Cx::ZERO; n_obs * nt];
+            qr.rotate_batch_into(&refs, &mut batch);
+            for (kernel, got) in [("batch", &batch), ("single", &single)] {
+                for (w, g) in want.iter().zip(got) {
+                    assert_cx_bits(*w, *g, &format!("rotate {kernel} nt={nt} n={n_obs}"));
                 }
             }
         }
     }
+}
+
+/// `Q*·y` through the scalar twin of the rotate.
+fn rotate_scalar(tri: &Triangular, y: &[Cx]) -> Vec<Cx> {
+    let mut ybar = vec![Cx::ZERO; tri.nt()];
+    tri.qr.q.mul_vec_hermitian_into_scalar(y, &mut ybar);
+    ybar
+}
+
+/// FlexCore's decision as a scalar chain: scalar rotate, every active
+/// path through the per-path PE kernel `run_path_into`, the first
+/// minimum metric (`first_min_metric`), unpermuted.
+fn flexcore_scalar(det: &FlexCoreDetector, y: &[Cx]) -> Vec<usize> {
+    let tri = det.triangular();
+    let ybar = rotate_scalar(tri, y);
+    let mut scratch = PathScratch::new();
+    let paths = det.position_vectors();
+    let metrics: Vec<f64> = paths
+        .iter()
+        .map(|p| {
+            det.run_path_into(&ybar, p, &mut scratch)
+                .unwrap_or(f64::NAN)
+        })
+        .collect();
+    let (best, _) = first_min_metric(metrics).expect("the SIC path always completes");
+    det.run_path_into(&ybar, &paths[best], &mut scratch);
+    tri.unpermute(scratch.symbols.as_slice())
+}
+
+/// FCSD's decision as a scalar chain: scalar rotate, every path through
+/// `run_path_into`, the first minimum metric, unpermuted.
+fn fcsd_scalar(det: &FcsdDetector, y: &[Cx]) -> Vec<usize> {
+    let tri = det.triangular();
+    let ybar = rotate_scalar(tri, y);
+    let mut scratch = PathScratch::new();
+    let metrics: Vec<f64> = (0..det.paths())
+        .map(|idx| det.run_path_into(&ybar, idx, &mut scratch))
+        .collect();
+    let (best, _) = first_min_metric(metrics).expect("at least one path");
+    det.run_path_into(&ybar, best, &mut scratch);
+    tri.unpermute(scratch.symbols.as_slice())
+}
+
+/// K-best's decision as a scalar chain on the SQRD front end both K-best
+/// detectors use: scalar rotate, one `ped_increment` per child in
+/// survivor-major / symbol-minor order, a stable sort keeping
+/// `keep(row, n_surv)` children (floored at 1, capped at the child count).
+fn kbest_scalar(
+    h: &CMat,
+    c: &Constellation,
+    keep: impl Fn(usize, usize) -> usize,
+    y: &[Cx],
+) -> Vec<usize> {
+    let tri = Triangular::new(sorted_qr_sqrd(h), c.clone());
+    let ybar = rotate_scalar(&tri, y);
+    let mut survivors: Vec<(f64, Vec<u16>)> = vec![(0.0, vec![0u16; tri.nt()])];
+    for row in (0..tri.nt()).rev() {
+        let mut children = Vec::new();
+        for (ped, symbols) in &survivors {
+            for sym in 0..c.order() {
+                let inc = tri.ped_increment(&ybar, symbols, row, sym);
+                let mut s = symbols.clone();
+                s[row] = sym as u16;
+                children.push((ped + inc, s));
+            }
+        }
+        children.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN PED"));
+        children.truncate(keep(row, survivors.len()).clamp(1, children.len()));
+        survivors = children;
+    }
+    tri.unpermute(&survivors[0].1)
 }
 
 /// One random batch workload for a detector comparison.
@@ -216,41 +259,9 @@ fn workload(nt: usize, m: Modulation, n_obs: usize, seed: u64) -> (CMat, f64, Ve
     (h, sigma2_from_snr_db(snr), ys)
 }
 
-/// Asserts a prepared detector's batch output is identical under both
-/// dispatch modes and equal to the per-vector scalar reference.
-fn assert_detector_dispatch_identity(
-    det: &mut dyn Detector,
-    h: &CMat,
-    sigma2: f64,
-    ys: &[Vec<Cx>],
-    ctx: &str,
-) {
-    det.prepare(h, sigma2);
-    let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-    let (lanes, scalar) = {
-        let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_lane_dispatch(true);
-        let lanes = (
-            det.detect_batch_refs(&refs),
-            ys.iter().map(|y| det.detect(y)).collect::<Vec<_>>(),
-        );
-        set_lane_dispatch(false);
-        let scalar = (
-            det.detect_batch_refs(&refs),
-            ys.iter().map(|y| det.detect(y)).collect::<Vec<_>>(),
-        );
-        set_lane_dispatch(env_dispatch());
-        (lanes, scalar)
-    };
-    assert_eq!(lanes.0, scalar.0, "{ctx}: batch lanes vs scalar");
-    assert_eq!(lanes.1, scalar.1, "{ctx}: per-vector lanes vs scalar");
-    assert_eq!(lanes.0, scalar.1, "{ctx}: batch vs per-vector reference");
-}
-
 /// `detect_batch_into` over every prefix of `refs` — batch lengths 0 to
-/// `refs.len()` — under the current dispatch mode, rows widened for
-/// comparison with per-vector `detect`. The plane starts poisoned, so a
-/// row the batch forgets to write shows.
+/// `refs.len()` — rows widened for comparison with per-vector `detect`.
+/// The plane starts poisoned, so a row the batch forgets to write shows.
 fn batch_into_prefixes(det: &dyn Detector, refs: &[&[Cx]]) -> Vec<Vec<Vec<usize>>> {
     let nt = det.n_streams();
     (0..=refs.len())
@@ -265,12 +276,45 @@ fn batch_into_prefixes(det: &dyn Detector, refs: &[&[Cx]]) -> Vec<Vec<Vec<usize>
         .collect()
 }
 
+/// The explicitly scalar decision a detector's lane paths are pinned to.
+type ScalarChain<'a, D> = &'a dyn Fn(&D, &[Cx]) -> Vec<usize>;
+
+/// Prepares `det` and asserts its batch path, over every prefix of `ys`,
+/// writes the rows of per-vector `detect`, and — given a `scalar` chain —
+/// that both equal it on every observation.
+fn assert_pinned<D: Detector>(
+    mut det: D,
+    h: &CMat,
+    sigma2: f64,
+    ys: &[Vec<Cx>],
+    scalar: Option<ScalarChain<'_, D>>,
+    ctx: &str,
+) {
+    det.prepare(h, sigma2);
+    let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+    let want: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
+    if let Some(scalar) = scalar {
+        for (i, (y, got)) in ys.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got,
+                &scalar(&det, y),
+                "{ctx}: detect vs scalar chain, vector {i}"
+            );
+        }
+    }
+    for (n, got) in batch_into_prefixes(&det, &refs).iter().enumerate() {
+        assert_eq!(got.as_slice(), &want[..n], "{ctx}: batch of {n}");
+    }
+}
+
 #[test]
 fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
     // Every batch path writes rows bit-identical to per-vector `detect`:
     // an empty batch, one vector, full four-observation blocks and masked
-    // tails (batch lengths 0–9), at widths on both sides of each lane and spill
-    // boundary, with lane dispatch on and off.
+    // tails (batch lengths 0–9), at widths on both sides of each lane and
+    // spill boundary. The detectors with lane forms of their own (the
+    // block walk, path blocks, candidate blocks) are also pinned to their
+    // scalar chains; SIC and linear run only the matrix kernels above.
     for nt in [1usize, 3, 4, 8, 16, 17, 64] {
         let m = if nt > 8 {
             Modulation::Qpsk
@@ -278,27 +322,40 @@ fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
             Modulation::Qam16
         };
         let c = Constellation::new(m);
-        let (h, sigma2, ys) = workload(nt, m, 9, 900 + nt as u64);
-        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        let detectors: Vec<Box<dyn Detector>> = vec![
-            Box::new(FlexCoreDetector::with_pes(c.clone(), 12)),
-            Box::new(CellDetector::adaptive(c.clone(), 16, 0.95)),
-            Box::new(CellDetector::sic(c.clone())),
-            Box::new(CellDetector::linear(c.clone())),
-            Box::new(FcsdDetector::new(c.clone(), 1)),
-            Box::new(KBestDetector::new(c.clone(), 4)),
-            Box::new(AdaptiveKBest::new(c.clone(), 8)),
-        ];
-        for mut det in detectors {
-            det.prepare(&h, sigma2);
-            let want: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
-            let (lanes, scalar) = under_both_dispatch_modes(|| batch_into_prefixes(&*det, &refs));
-            for (n, (lanes, scalar)) in lanes.iter().zip(&scalar).enumerate() {
-                let ctx = format!("{} nt={nt}, batch of {n}", det.name());
-                assert_eq!(lanes.as_slice(), &want[..n], "{ctx}: lanes");
-                assert_eq!(scalar.as_slice(), &want[..n], "{ctx}: scalar");
-            }
-        }
+        let (h, s2, ys) = workload(nt, m, 9, 900 + nt as u64);
+        let ctx = |name: &str| format!("{name} nt={nt}");
+        let adaptive_core =
+            |d: &CellDetector, y: &[Cx]| flexcore_scalar(d.core().expect("core"), y);
+        let kbest = |d: &KBestDetector, y: &[Cx]| kbest_scalar(&h, &c, |_, _| d.k(), y);
+        let akb = |d: &AdaptiveKBest, y: &[Cx]| {
+            kbest_scalar(&h, &c, |row, n| d.k_per_level()[row] * n, y)
+        };
+        let fc = FlexCoreDetector::with_pes(c.clone(), 12);
+        assert_pinned(fc, &h, s2, &ys, Some(&flexcore_scalar), &ctx("FlexCore"));
+        let adaptive = CellDetector::adaptive(c.clone(), 16, 0.95);
+        assert_pinned(
+            adaptive,
+            &h,
+            s2,
+            &ys,
+            Some(&adaptive_core),
+            &ctx("a-FlexCore"),
+        );
+        assert_pinned(CellDetector::sic(c.clone()), &h, s2, &ys, None, &ctx("SIC"));
+        assert_pinned(
+            CellDetector::linear(c.clone()),
+            &h,
+            s2,
+            &ys,
+            None,
+            &ctx("linear"),
+        );
+        let fcsd = FcsdDetector::new(c.clone(), 1);
+        assert_pinned(fcsd, &h, s2, &ys, Some(&fcsd_scalar), &ctx("FCSD"));
+        let kb = KBestDetector::new(c.clone(), 4);
+        assert_pinned(kb, &h, s2, &ys, Some(&kbest), &ctx("K-best"));
+        let a = AdaptiveKBest::new(c.clone(), 8);
+        assert_pinned(a, &h, s2, &ys, Some(&akb), &ctx("a-K-best"));
     }
 }
 
@@ -306,30 +363,32 @@ fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
 fn detectors_bit_identical_at_lane_remainder_widths_and_path_counts() {
     // nt = 3, 5, 17 are the widths whose SoA planes end in masked tails;
     // path counts 1, 2, 3 keep FlexCore's trie below one full lane of
-    // paths. Batch size 6 = one full observation block + a scalar tail.
+    // paths. Batch size 6 = one full observation block + a masked tail.
     for &nt in &[3usize, 5, 17] {
         let m = if nt > 8 {
             Modulation::Qpsk
         } else {
             Modulation::Qam16
         };
-        let (h, sigma2, ys) = workload(nt, m, 6, 9000 + nt as u64);
-        for n_pe in 1..=3usize {
-            let c = Constellation::new(m);
-            let mut fc = FlexCoreDetector::with_pes(c, n_pe);
-            assert_detector_dispatch_identity(
-                &mut fc,
-                &h,
-                sigma2,
-                &ys,
-                &format!("FlexCore nt={nt} n_pe={n_pe}"),
-            );
-        }
         let c = Constellation::new(m);
-        let mut fcsd = FcsdDetector::new(c.clone(), 1);
-        assert_detector_dispatch_identity(&mut fcsd, &h, sigma2, &ys, &format!("FCSD nt={nt}"));
-        let mut kb = KBestDetector::new(c, 3);
-        assert_detector_dispatch_identity(&mut kb, &h, sigma2, &ys, &format!("KBest nt={nt}"));
+        let (h, s2, ys) = workload(nt, m, 6, 9000 + nt as u64);
+        for n_pe in 1..=3usize {
+            let fc = FlexCoreDetector::with_pes(c.clone(), n_pe);
+            let ctx = format!("FlexCore nt={nt} n_pe={n_pe}");
+            assert_pinned(fc, &h, s2, &ys, Some(&flexcore_scalar), &ctx);
+        }
+        let fcsd = FcsdDetector::new(c.clone(), 1);
+        assert_pinned(
+            fcsd,
+            &h,
+            s2,
+            &ys,
+            Some(&fcsd_scalar),
+            &format!("FCSD nt={nt}"),
+        );
+        let kbest = |_: &KBestDetector, y: &[Cx]| kbest_scalar(&h, &c, |_, _| 3, y);
+        let kb = KBestDetector::new(c.clone(), 3);
+        assert_pinned(kb, &h, s2, &ys, Some(&kbest), &format!("KBest nt={nt}"));
     }
 }
 
@@ -338,14 +397,29 @@ fn detectors_bit_identical_across_modulations() {
     // BPSK (order 2 < LANES: pure scalar tail in the symbol-block loops)
     // through 256-QAM, at an odd width.
     for m in ALL_MODS {
-        let (h, sigma2, ys) = workload(5, m, 5, 10_000 + m.order() as u64);
+        let (h, s2, ys) = workload(5, m, 5, 10_000 + m.order() as u64);
         let c = Constellation::new(m);
-        let mut fc = FlexCoreDetector::with_pes(c.clone(), 6);
-        assert_detector_dispatch_identity(&mut fc, &h, sigma2, &ys, &format!("FlexCore {m:?}"));
-        let mut fcsd = FcsdDetector::new(c.clone(), 1);
-        assert_detector_dispatch_identity(&mut fcsd, &h, sigma2, &ys, &format!("FCSD {m:?}"));
-        let mut kb = KBestDetector::new(c, 4);
-        assert_detector_dispatch_identity(&mut kb, &h, sigma2, &ys, &format!("KBest {m:?}"));
+        let fc = FlexCoreDetector::with_pes(c.clone(), 6);
+        assert_pinned(
+            fc,
+            &h,
+            s2,
+            &ys,
+            Some(&flexcore_scalar),
+            &format!("FlexCore {m:?}"),
+        );
+        let fcsd = FcsdDetector::new(c.clone(), 1);
+        assert_pinned(
+            fcsd,
+            &h,
+            s2,
+            &ys,
+            Some(&fcsd_scalar),
+            &format!("FCSD {m:?}"),
+        );
+        let kbest = |_: &KBestDetector, y: &[Cx]| kbest_scalar(&h, &c, |_, _| 4, y);
+        let kb = KBestDetector::new(c.clone(), 4);
+        assert_pinned(kb, &h, s2, &ys, Some(&kbest), &format!("KBest {m:?}"));
     }
 }
 
@@ -382,8 +456,9 @@ fn frame_workload(
 
 #[test]
 fn substrates_bit_identical_across_dispatch_at_required_widths() {
-    // The acceptance grid: at nt ∈ {4, 8, 16, 32, 64}, scalar and SIMD
-    // dispatch must agree bit-for-bit on every pool/fabric substrate.
+    // The acceptance grid: at nt ∈ {4, 8, 16, 32, 64}, every pool/fabric
+    // substrate's frame equals the scalar chain (scalar rotate +
+    // `run_path_into` + `first_min_metric`) on every vector.
     use flexcore_engine::FabricStats;
     use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
     use flexcore_parallel::WeightedPool;
@@ -411,30 +486,37 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
             engine.prepare(channel);
             engine.detect_frame(frame, pool)
         }
-        let run_all = || -> Vec<DetectedFrame> {
-            let seq = SequentialPool::new(1);
-            let cb = CrossbeamPool::work_queue(3);
-            let weighted = WeightedPool::new(flat.speed_factors());
-            let fabric = WeightedPool::new(skewed.speed_factors());
-            let out = vec![
-                on_pool(&seq, &c, &channel, &frame),
-                on_pool(&cb, &c, &channel, &frame),
-                on_pool(&weighted, &c, &channel, &frame),
-                on_pool(&fabric, &c, &channel, &frame),
-            ];
-            // The fabric run was placed by the engine's prices: every
-            // vector pays at least its nt² rotate.
-            let run = fabric.last_run().expect("the fabric recorded the run");
-            let audit = FabricStats::from_run(&run, fabric.speeds(), unit_s);
-            assert!(audit.total_units >= (nt * nt * frame.n_vectors()) as u64);
-            out
-        };
-        let (lanes, scalar) = under_both_dispatch_modes(run_all);
-        for (i, (a, b)) in lanes.iter().zip(&scalar).enumerate() {
-            assert_eq!(a, b, "nt={nt} substrate {i}: lanes vs scalar");
-        }
-        for (i, a) in lanes.iter().enumerate().skip(1) {
-            assert_eq!(a, &lanes[0], "nt={nt} substrate {i} vs sequential");
+        let seq = SequentialPool::new(1);
+        let cb = CrossbeamPool::work_queue(3);
+        let weighted = WeightedPool::new(flat.speed_factors());
+        let fabric = WeightedPool::new(skewed.speed_factors());
+        let frames = [
+            on_pool(&seq, &c, &channel, &frame),
+            on_pool(&cb, &c, &channel, &frame),
+            on_pool(&weighted, &c, &channel, &frame),
+            on_pool(&fabric, &c, &channel, &frame),
+        ];
+        // The fabric run was placed by the engine's prices: every vector
+        // pays at least its nt² rotate.
+        let run = fabric.last_run().expect("the fabric recorded the run");
+        let audit = FabricStats::from_run(&run, fabric.speeds(), unit_s);
+        assert!(audit.total_units >= (nt * nt * frame.n_vectors()) as u64);
+
+        let detectors: Vec<FlexCoreDetector> = (0..frame.n_subcarriers())
+            .map(|sc| {
+                let mut det = FlexCoreDetector::with_pes(c.clone(), 8);
+                det.prepare(channel.h(sc), channel.sigma2());
+                det
+            })
+            .collect();
+        for (i, got) in frames.iter().enumerate() {
+            for sym in 0..frame.n_symbols() {
+                for (sc, det) in detectors.iter().enumerate() {
+                    let want = flexcore_scalar(det, frame.get(sym, sc));
+                    let ctx = format!("nt={nt} substrate {i} symbol {sym} subcarrier {sc}");
+                    assert_eq!(got.get(sym, sc), want.as_slice(), "{ctx}");
+                }
+            }
         }
     }
 }
