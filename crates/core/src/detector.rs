@@ -503,9 +503,10 @@ pub struct FlexCoreDetector {
     /// once in [`FlexCoreDetector::new`] — the config has no setter, so the
     /// semantics it was built for cannot change — through the process-wide
     /// `OrderingLut::shared_table` memo: every detector clone (one per
-    /// subcarrier in a frame engine) points at the *same* ~100 KiB table,
-    /// which depends only on the constellation and the ordering semantics —
-    /// never on the channel.
+    /// subcarrier in a frame engine) points at the *same* table (36 KiB at
+    /// 16-QAM), which depends only on the constellation and the ordering
+    /// semantics — never on the channel. Its window is the predefined
+    /// order's reach, so every located pick is one read of it.
     fast_lut: Option<Arc<LocatedOrderingTable>>,
     state: Option<State>,
     /// A stopping threshold applied **on top of** the configured one by
@@ -876,9 +877,10 @@ impl FlexCoreDetector {
             }
             let (inv, rdiag) = state.diag[row];
             let eff = acc * CxLane::splat(inv);
-            // One locate per lane per chain — every sibling shares it.
-            // `NIL` = no table, or centre outside its window (deep-noise
-            // outlier): exact scan per node.
+            // One locate per lane per chain — every sibling shares it. A
+            // centre beyond the table's window gets its shared empty row;
+            // `NIL` = no table (`Exact`, or BPSK's windowless one): exact
+            // scan per node.
             let mut bases = [NIL; LANES];
             if let Some(t) = fast {
                 t.locate_bases(&self.lut, &self.constellation, &eff.re, &eff.im, &mut bases);
@@ -930,9 +932,12 @@ impl FlexCoreDetector {
     }
 
     /// The block walk's per-lane pick when the table has no answer. With
-    /// no table, or the centre outside its window (`scan`), that is the
-    /// exact [`FlexCoreDetector::pick_symbol`]; on a table deactivation it
-    /// is `pick_symbol`'s rank-1 clamped-slicer fallback.
+    /// no table row (`scan`: `Exact`, or BPSK) that is the exact
+    /// [`FlexCoreDetector::pick_symbol`]. On a table `None` — a
+    /// deactivation, an exhausted skip row, or the empty row of a centre
+    /// beyond the order's reach — it is `pick_symbol`'s rank-1
+    /// clamped-slicer fallback, which is what `pick_symbol` returns after
+    /// a scan that finds nothing.
     #[cold]
     #[inline(never)]
     fn pick_off_table(&self, eff: Cx, k: usize, scan: bool) -> Option<usize> {
@@ -1728,6 +1733,82 @@ mod tests {
             }
         }
         assert!(deactivated > 0, "the sweep never deactivated a path");
+    }
+
+    #[test]
+    fn block_walk_winner_matches_scalar_chain_on_far_outliers() {
+        // Transmitted points 3 to 2·side cells outside the grid (one
+        // coordinate in four inside it), noiseless: most effective points
+        // land outside `[−2, side + 1]`, the two cells around the grid,
+        // both inside the located table's window and beyond the order's
+        // reach, where every located pick reads the shared empty row. The
+        // block walk must still pick the scalar chain's winner (scalar
+        // rotate + `walk_paths` + `first_min_metric`), bit for bit.
+        let (mut far, mut points) = (0usize, 0usize);
+        for m in [Modulation::Qpsk, Modulation::Qam16] {
+            let c = Constellation::new(m);
+            let side = c.grid_side() as i32;
+            let near = -2..side + 2;
+            let coord = |rng: &mut StdRng| {
+                if rng.gen_range(0..4) == 0 {
+                    return rng.gen_range(-(side as f64)..side as f64);
+                }
+                let cells_out = rng.gen_range(3..=2 * side);
+                let u = (side - 1 + 2 * cells_out) as f64 + rng.gen_range(-1.0..1.0);
+                if rng.gen_range(0..2) == 0 {
+                    u
+                } else {
+                    -u
+                }
+            };
+            for ordering in [PathOrdering::TriangleLut, PathOrdering::TriangleLutStrict] {
+                for nt in [4usize, 8] {
+                    let what = format!("nt={nt} {m:?} {ordering:?}");
+                    let mut rng = StdRng::seed_from_u64(nt as u64 * 131 + m.order() as u64);
+                    let mut cfg = FlexCoreConfig::new(16);
+                    cfg.path_ordering = ordering;
+                    let mut fc = FlexCoreDetector::new(c.clone(), cfg);
+                    let h = ChannelEnsemble::iid(nt, nt).draw(&mut rng);
+                    fc.prepare(&h, sigma2_from_snr_db(9.0));
+                    let tri = fc.triangular();
+                    let mut block = WalkBlockScratch::default();
+                    for _ in 0..16 {
+                        let mut ybars = vec![Cx::ZERO; LANES * nt];
+                        for ybar in ybars.chunks_exact_mut(nt) {
+                            let x: Vec<Cx> = (0..nt)
+                                .map(|_| Cx::new(coord(&mut rng), coord(&mut rng)).scale(c.scale()))
+                                .collect();
+                            tri.qr.q.mul_vec_hermitian_into_scalar(&h.mul_vec(&x), ybar);
+                        }
+                        fc.walk_paths_block(&ybars, [true; LANES], &mut block);
+                        for (l, ybar) in ybars.chunks_exact(nt).enumerate() {
+                            let at = format!("{what} lane {l}");
+                            assert_lane_matches_scalar(&fc, ybar, l, &mut block, &at);
+                            // Where the scalar chain's effective points fall.
+                            for p in fc.position_vectors() {
+                                let mut syms = vec![0u16; nt];
+                                for row in (0..nt).rev() {
+                                    let eff = tri.effective_point(ybar, &syms, row);
+                                    let (ci, cj, _) = fc.lut.locate(&c, eff);
+                                    points += 1;
+                                    let close = near.contains(&ci) && near.contains(&cj);
+                                    far += usize::from(!close);
+                                    let Some(sym) = fc.pick_symbol(eff, p.rank(row) as usize)
+                                    else {
+                                        break;
+                                    };
+                                    syms[row] = sym as u16;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            far * 2 > points,
+            "{far} of {points} effective points outside [−2, side + 1]"
+        );
     }
 
     #[test]

@@ -88,11 +88,11 @@ pub struct OrderingLut {
 
 /// Process-wide memo of the [`LocatedOrderingTable`]s, one per
 /// `(modulation, depth, strict)`, each a pure function of its key. At
-/// 16-QAM a table weighs ~100 KiB, so when a frame engine clones one
+/// 16-QAM a table weighs 36 KiB, so when a frame engine clones one
 /// detector per subcarrier, 48 private copies would blow the last-level
 /// cache and tax every blocked batch with table re-faults. (The tables are
 /// materialised at run time, not built in like the orders: a 64-QAM table
-/// is ~147 KB and a 256-QAM one ~1.6 MB.)
+/// is 576 KiB and a 256-QAM one 9 MiB.)
 ///
 /// An association list suffices: detectors ask for tables only at depth
 /// `|Q|`, so there is one per `(modulation, semantics)` pair.
@@ -128,12 +128,6 @@ impl OrderingLut {
         self.depth
     }
 
-    /// Raw lattice offset for triangle `tri` and rank `k` (1-based).
-    pub fn kth_offset(&self, tri: usize, k: usize) -> Option<(i32, i32)> {
-        let &(di, dj) = self.orders.get(tri)?.get(k - 1)?;
-        Some((di.into(), dj.into()))
-    }
-
     /// The approximate `k`-th closest symbol index to the effective point
     /// `y` (1-based `k`), with the paper's **strict** semantics.
     ///
@@ -149,19 +143,6 @@ impl OrderingLut {
             return self.bpsk_kth(c, y, k);
         }
         let (ci, cj, tri) = self.locate(c, y);
-        self.kth_from_centre_strict(c, ci, cj, tri, k)
-    }
-
-    /// Post-locate half of [`OrderingLut::kth_nearest`]: the strict lookup
-    /// for an already-located centre `(ci, cj)` and triangle `tri`.
-    fn kth_from_centre_strict(
-        &self,
-        c: &Constellation,
-        ci: i32,
-        cj: i32,
-        tri: usize,
-        k: usize,
-    ) -> Option<usize> {
         let (di, dj) = self.orders[tri][k - 1];
         // `None` outside the constellation: PE deactivated.
         grid_symbol(c, ci + i32::from(di), cj + i32::from(dj))
@@ -178,7 +159,9 @@ impl OrderingLut {
     /// [`OrderingLut::kth_nearest`] reproduces the paper's FPGA
     /// deactivation behaviour; the `ablation` driver compares both against
     /// the exact oracle. Returns `None` only when `k` exceeds the table
-    /// depth or the constellation size.
+    /// depth, or the order reaches fewer than `k` symbols from the located
+    /// centre (always so for a centre more than `side` cells outside the
+    /// grid).
     pub fn kth_nearest_skip(&self, c: &Constellation, y: Cx, k: usize) -> Option<usize> {
         debug_assert_eq!(c.modulation(), self.modulation);
         if k == 0 || k > self.depth {
@@ -188,19 +171,6 @@ impl OrderingLut {
             return self.bpsk_kth(c, y, k);
         }
         let (ci, cj, tri) = self.locate(c, y);
-        self.kth_from_centre_skip(c, ci, cj, tri, k)
-    }
-
-    /// Post-locate half of [`OrderingLut::kth_nearest_skip`]: the in-bounds
-    /// scan for an already-located centre `(ci, cj)` and triangle `tri`.
-    fn kth_from_centre_skip(
-        &self,
-        c: &Constellation,
-        ci: i32,
-        cj: i32,
-        tri: usize,
-        k: usize,
-    ) -> Option<usize> {
         self.in_grid(c, ci, cj, tri).nth(k - 1)
     }
 
@@ -256,8 +226,8 @@ impl OrderingLut {
 
 /// Sentinel for "no symbol" entries in [`LocatedOrderingTable`].
 const NO_SYM: u16 = u16::MAX;
-/// "Centre outside the table window" from
-/// [`LocatedOrderingTable::locate_bases`].
+/// "No table row" from [`LocatedOrderingTable::locate_bases`]: only
+/// BPSK's windowless table answers it.
 const MISS: u32 = u32::MAX;
 /// `2⁵² + 2⁵¹`: added to an integer-valued `|x| < 2⁵¹` the sum is exact
 /// and its low mantissa bits hold `x` in two's complement.
@@ -267,16 +237,21 @@ const INT_MAGIC: f64 = 6_755_399_441_055_744.0;
 /// centre near the constellation: `(centre, triangle, rank) → symbol`,
 /// materialised once per `(modulation, depth, semantics)`.
 ///
-/// Each entry is computed with the **same** post-locate code the scan path
-/// runs ([`OrderingLut::kth_nearest`] / [`OrderingLut::kth_nearest_skip`]
-/// after `locate`), so a lookup is bit-identical to the scan by
-/// construction — it just happens at prepare time instead of once per tree
-/// node per lane. The window covers centres within two steps of the grid
-/// (`ci, cj ∈ [−2, side+1]`), which is every effective point that isn't a
-/// deep-noise outlier; out-of-window centres return `None` from
-/// [`LocatedOrderingTable::base`] and the caller falls back to the scan.
-/// BPSK's degenerate ordering reads the observation directly, so its table
-/// is built windowless (every lookup falls back).
+/// Each row holds what the scan path ([`OrderingLut::kth_nearest`] /
+/// [`OrderingLut::kth_nearest_skip`] after `locate`) returns for its
+/// centre, triangle and rank — the same predefined order filtered by the
+/// same grid test — so a lookup equals the scan; it just happens once per
+/// process instead of once per tree node per lane.
+///
+/// The window is the order's reach. Every triangle's predefined order
+/// spans exactly ±`side` cells, so a centre more than `side` cells outside
+/// the grid has no in-grid entry at any rank, under either semantics. The
+/// window covers centres `ci, cj ∈ [−side, 2·side)`; one shared all-`None`
+/// row after it answers every centre beyond, so every located pick is one
+/// table read. At 16-QAM the table weighs 36 KiB. BPSK's degenerate
+/// ordering reads the observation directly, so its table is built
+/// windowless: [`LocatedOrderingTable::base`] returns `None` and the
+/// caller falls back to the scan.
 #[derive(Clone, Debug)]
 pub struct LocatedOrderingTable {
     strict: bool,
@@ -288,7 +263,11 @@ pub struct LocatedOrderingTable {
     /// `1 / scale`, precomputed so the hot locate multiplies instead of
     /// divides (the grid locate's guard makes the substitution exact).
     inv_scale: f64,
-    /// `syms[((j·w + i)·8 + tri)·depth + (k−1)]`, `NO_SYM` = deactivated.
+    /// The base every centre outside the window gets: the shared empty
+    /// row's, or `MISS` for the windowless BPSK table.
+    beyond: u32,
+    /// `syms[((j·w + i)·8 + tri)·depth + (k−1)]`, `NO_SYM` = deactivated,
+    /// then the shared empty row.
     syms: Vec<u16>,
 }
 
@@ -297,7 +276,7 @@ impl OrderingLut {
     /// — [`OrderingLut::build_table`] memoised by
     /// `(modulation, depth, strict)`, so every detector
     /// clone (one per subcarrier in a frame engine) reads the *same* table
-    /// instead of faulting a private ~100 KiB copy per clone.
+    /// instead of faulting a private copy per clone.
     pub fn shared_table(&self, c: &Constellation, strict: bool) -> Arc<LocatedOrderingTable> {
         let key = (self.modulation, self.depth, strict);
         let mut memo = memo();
@@ -317,31 +296,60 @@ impl OrderingLut {
         let (lo, w) = if self.modulation == Modulation::Bpsk {
             (0, 0) // windowless: bpsk_kth slices the observation itself
         } else {
-            (-2, side + 4)
+            (-side, 3 * side) // the orders' reach: ±side around the grid
         };
-        let mut syms = vec![NO_SYM; (w as usize * w as usize) * 8 * self.depth];
-        // What `locate_bases` relies on: the window cap `2·side` far below
+        let (wu, depth) = (w as usize, self.depth);
+        let rows = wu * wu * 8;
+        // The window's rows, then (when there is a window) the empty row.
+        let mut syms = vec![NO_SYM; (rows + usize::from(w > 0)) * depth];
+        // What `locate_bases` relies on: its guard cap `4·side` far below
         // the magic-number conversion's exact range (and any i32 wrap), and
         // every table index representable beside the `u32::MAX` miss.
         assert!(side < 1 << 16 && syms.len() < MISS as usize);
-        for j in 0..w {
-            for i in 0..w {
-                let (ci, cj) = (lo + i, lo + j);
-                for tri in 0..8 {
-                    let base = ((j as usize * w as usize + i as usize) * 8 + tri) * self.depth;
+        // Every cell the orders reach from the window,
+        // `[lo − side, lo + w + side)²`, as its symbol or `NO_SYM`; an
+        // offset is a flat step from the corner of its centre's reach
+        // square, so a candidate is one read.
+        let pw = if w > 0 { wu + 2 * side as usize } else { 0 };
+        let cells: Vec<u16> = (0..pw * pw)
+            .map(|p| {
+                let (col, row) = ((p % pw) as i32 + lo - side, (p / pw) as i32 + lo - side);
+                grid_symbol(c, col, row).map_or(NO_SYM, |s| s as u16)
+            })
+            .collect();
+        // Offsets lie within ±side (`every_order_spans_exactly_the_grid_side`).
+        let reach = |d: i8| (side + i32::from(d)) as usize;
+        let steps: Vec<Vec<usize>> = self
+            .orders
+            .iter()
+            .map(|o| {
+                o.iter()
+                    .map(|&(di, dj)| reach(dj) * pw + reach(di))
+                    .collect()
+            })
+            .collect();
+        let mut ranked = vec![NO_SYM; steps.iter().map(Vec::len).max().unwrap_or(0)];
+        for j in 0..wu {
+            for i in 0..wu {
+                let corner = j * pw + i;
+                for (tri, steps) in steps.iter().enumerate() {
+                    let row = &mut syms[((j * wu + i) * 8 + tri) * depth..][..depth];
                     if strict {
-                        for k in 1..=self.depth {
-                            if let Some(s) = self.kth_from_centre_strict(c, ci, cj, tri, k) {
-                                syms[base + k - 1] = s as u16;
-                            }
+                        for (slot, &step) in row.iter_mut().zip(steps) {
+                            *slot = cells[corner + step];
                         }
                     } else {
-                        // One pass over the predefined order collects every
-                        // in-bounds entry in rank order.
-                        let ranks = syms[base..base + self.depth].iter_mut();
-                        for (slot, s) in ranks.zip(self.in_grid(c, ci, cj, tri)) {
-                            *slot = s as u16;
+                        // Every candidate written, the cursor advanced
+                        // past the in-grid ones: the in-grid entries in
+                        // rank order, without a branch per candidate.
+                        let mut n = 0;
+                        for &step in steps {
+                            let s = cells[corner + step];
+                            ranked[n] = s;
+                            n += usize::from(s != NO_SYM);
                         }
+                        let n = n.min(depth);
+                        row[..n].copy_from_slice(&ranked[..n]);
                     }
                 }
             }
@@ -350,9 +358,10 @@ impl OrderingLut {
             strict,
             lo,
             w,
-            depth: self.depth,
+            depth,
             side,
             inv_scale: 1.0 / c.scale(),
+            beyond: if w > 0 { (rows * depth) as u32 } else { MISS },
             syms,
         }
     }
@@ -381,19 +390,22 @@ impl LocatedOrderingTable {
     ///
     /// Exactness: `u' = re·inv_scale` differs from the scalar path's
     /// `u = re/scale` by ≤ 2 ulp, the fractional parts are computed to
-    /// within ~4·10⁻¹⁶ absolute, and `|u'|` is capped at `2·side ≤ 128` —
+    /// within ~4·10⁻¹⁶ absolute, and `|u'|` is capped at `4·side ≤ 64` —
     /// so if `u', v'` clear every decision boundary (integer lines, both
-    /// unit-square diagonals, the window cap) by the relative guard
+    /// unit-square diagonals, the guard cap) by the relative guard
     /// `10⁻⁹·max(1, |u'|, |v'|)`, then `u, v` lie strictly on the same
     /// side of each boundary and the scalar locate provably makes the
     /// identical cell/octant decisions (its round-half-away ties and the
     /// `triangle_index` boundary rays all live on those same boundaries).
-    /// Any guard failure — including NaN, whose comparisons are all false
-    /// — yields a `false` verdict.
+    /// The cap keeps every guarded centre, `ci, cj ∈ [−1.5·side,
+    /// 2.5·side)`, inside `locate`'s clamp window `[−2·side, 3·side]`, so
+    /// the clamp never decides a guarded lane. Any guard failure —
+    /// including NaN, whose comparisons are all false — yields a `false`
+    /// verdict.
     ///
     /// Shape: one flat elementwise loop whose guards combine with
     /// non-short-circuit `&`, a float→int conversion by magic-number add
-    /// (exact below the window cap; a saturating `as i32` would compile to
+    /// (exact below the guard cap; a saturating `as i32` would compile to
     /// a scalar convert per lane) and wrapping 32-bit index math, so the
     /// compiler packs every step — CI disassembles
     /// [`LocatedOrderingTable::locate_bases`] to keep that true.
@@ -406,7 +418,7 @@ impl LocatedOrderingTable {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
         let (mut ci, mut cj, mut tri, mut ok) = ([0i32; N], [0i32; N], [0u32; N], [false; N]);
-        let lim = (2 * self.side) as f64;
+        let lim = (4 * self.side) as f64;
         for l in 0..N {
             let (u, v) = (re[l] * self.inv_scale, im[l] * self.inv_scale);
             let (au, av) = (u.abs(), v.abs());
@@ -466,8 +478,9 @@ impl LocatedOrderingTable {
     /// effective points of one sibling chain (given as the split planes
     /// they already are) and writes each lane's table base — what
     /// [`LocatedOrderingTable::base`] of [`OrderingLut::locate`]
-    /// returns, lane for lane — with `u32::MAX` for a centre outside the
-    /// window. Guard-failing lanes are re-run through exactly that scalar
+    /// returns, lane for lane: the shared empty row's base for a centre
+    /// beyond the window, and `u32::MAX` only from BPSK's windowless
+    /// table. Guard-failing lanes are re-run through exactly that scalar
     /// pair.
     ///
     /// Kept out of line so the packed code has a symbol CI can
@@ -494,7 +507,7 @@ impl LocatedOrderingTable {
                 .wrapping_mul(8)
                 .wrapping_add(tri[l])
                 .wrapping_mul(depth);
-            out[l] = if (i < w) & (j < w) { base } else { MISS };
+            out[l] = if (i < w) & (j < w) { base } else { self.beyond };
         }
         for l in 0..LANES {
             if !ok[l] {
@@ -512,21 +525,24 @@ impl LocatedOrderingTable {
         self.base(ci, cj, tri).map_or(MISS, |b| b as u32)
     }
 
-    /// The rank-independent half of a table lookup: the
-    /// flat index base for a located `(centre, triangle)`, or `None` when
-    /// the centre is outside the table window (the caller must use the
-    /// scan path). The blocked trie walk computes this once per sibling
-    /// chain per lane — every node of the chain then reads its rank with
-    /// one [`LocatedOrderingTable::get`] instead of re-checking the
-    /// window.
+    /// The rank-independent half of a table lookup: the flat index base
+    /// for a located `(centre, triangle)` — the shared empty row's for a
+    /// centre beyond the window, where the order reaches no symbol — or
+    /// `None` from BPSK's windowless table (the caller must use the scan
+    /// path). The blocked trie walk computes this once per sibling chain
+    /// per lane — every node of the chain then reads its rank with one
+    /// [`LocatedOrderingTable::get`] instead of re-checking the window.
     #[inline]
     pub fn base(&self, ci: i32, cj: i32, tri: usize) -> Option<usize> {
-        let i = ci - self.lo;
-        let j = cj - self.lo;
-        if i < 0 || i >= self.w || j < 0 || j >= self.w {
-            return None;
+        // A centre left of / below the window wraps to a huge index.
+        let i = ci.wrapping_sub(self.lo) as u32;
+        let j = cj.wrapping_sub(self.lo) as u32;
+        let w = self.w as u32;
+        if i < w && j < w {
+            Some(((j as usize * w as usize + i as usize) * 8 + tri) * self.depth)
+        } else {
+            (self.beyond != MISS).then_some(self.beyond as usize)
         }
-        Some(((j as usize * self.w as usize + i as usize) * 8 + tri) * self.depth)
     }
 
     /// Rank-`k` read at a [`LocatedOrderingTable::base`], exactly as the
@@ -600,7 +616,7 @@ mod tests {
         for &m in &[Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
             let lut = OrderingLut::new(m, 8);
             for tri in 0..8 {
-                assert_eq!(lut.kth_offset(tri, 1), Some((0, 0)), "{:?} tri {tri}", m);
+                assert_eq!(lut.orders[tri].first(), Some(&(0, 0)), "{m:?} tri {tri}");
             }
         }
     }
@@ -657,8 +673,7 @@ mod tests {
         let lut = OrderingLut::new(Modulation::Qam64, 32);
         for tri in 0..8 {
             let mut seen = std::collections::HashSet::new();
-            for k in 1..=32 {
-                let off = lut.kth_offset(tri, k).unwrap();
+            for off in &lut.orders[tri][..32] {
                 assert!(seen.insert(off), "duplicate offset {off:?} in tri {tri}");
             }
         }
@@ -753,48 +768,103 @@ mod tests {
         }
     }
 
-    #[test]
-    fn located_table_matches_scan_for_all_window_centres() {
-        // Every in-window (centre, triangle, rank) must look up exactly
-        // what the scan path returns, under both semantics.
-        for &m in &[Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
-            let c = Constellation::new(m);
-            let depth = 16usize.min(c.order());
-            let lut = OrderingLut::new(m, depth);
-            let strict_t = lut.build_table(&c, true);
-            let skip_t = lut.build_table(&c, false);
-            let side = c.grid_side() as i32;
-            for cj in -2..=(side + 1) {
-                for ci in -2..=(side + 1) {
-                    for tri in 0..8usize {
-                        // A representative effective point inside (ci, cj,
-                        // tri): centre plus a mid-octant offset.
-                        let a = (tri as f64 + 0.5) * std::f64::consts::PI / 4.0;
-                        let y = Cx::new(
-                            (level_value_i(ci, side) + 0.5 * a.cos()) * c.scale(),
-                            (level_value_i(cj, side) + 0.5 * a.sin()) * c.scale(),
+    /// The located table's contract for `m` at full depth, under both
+    /// semantics: every centre of `locate`'s clamp domain reads what its
+    /// scan returns at every rank up to `depth + 1`. Inside the window
+    /// that is the row the scan fills; beyond it, `None` at every rank,
+    /// because the order reaches no symbol from there. Each row is checked
+    /// against the strict lookup per rank and the in-grid entries
+    /// collected once, plus the public scans at ranks 1 and `depth`.
+    fn assert_table_contract(m: Modulation) {
+        let c = Constellation::new(m);
+        let lut = OrderingLut::new(m, m.order());
+        let depth = lut.depth();
+        let (strict_t, skip_t) = (lut.build_table(&c, true), lut.build_table(&c, false));
+        let side = c.grid_side() as i32;
+        let window = -side..2 * side;
+        let mut beyond = 0;
+        for cj in -2 * side..=3 * side {
+            for ci in -2 * side..=3 * side {
+                let inside = window.contains(&ci) && window.contains(&cj);
+                beyond += usize::from(!inside);
+                for tri in 0..8usize {
+                    let at = format!("{m:?} ({ci},{cj},{tri})");
+                    // A representative effective point inside (ci, cj,
+                    // tri): centre plus a mid-octant offset.
+                    let a = (tri as f64 + 0.5) * std::f64::consts::PI / 4.0;
+                    let y = Cx::new(
+                        (level_value_i(ci, side) + 0.5 * a.cos()) * c.scale(),
+                        (level_value_i(cj, side) + 0.5 * a.sin()) * c.scale(),
+                    );
+                    assert_eq!(lut.locate(&c, y), (ci, cj, tri), "{at}");
+                    let in_grid: Vec<usize> = lut.in_grid(&c, ci, cj, tri).collect();
+                    assert!(inside || in_grid.is_empty(), "{at}: reach past the window");
+                    let strict_base = strict_t.base(ci, cj, tri).expect("a windowed table");
+                    let skip_base = skip_t.base(ci, cj, tri).expect("a windowed table");
+                    for k in 1..=depth + 1 {
+                        let ranked = k <= depth;
+                        let strict = ranked
+                            .then(|| {
+                                let (di, dj) = lut.orders[tri][k - 1];
+                                grid_symbol(&c, ci + i32::from(di), cj + i32::from(dj))
+                            })
+                            .flatten();
+                        let skip = in_grid.get(k - 1).copied().filter(|_| ranked);
+                        assert_eq!(strict_t.get(strict_base, k), strict, "strict {at} k {k}");
+                        assert_eq!(skip_t.get(skip_base, k), skip, "skip {at} k {k}");
+                    }
+                    for k in [1, depth] {
+                        let (strict, skip) =
+                            (lut.kth_nearest(&c, y, k), lut.kth_nearest_skip(&c, y, k));
+                        assert_eq!(
+                            strict_t.get(strict_base, k),
+                            strict,
+                            "strict scan {at} k {k}"
                         );
-                        assert_eq!(lut.locate(&c, y), (ci, cj, tri), "{m:?}");
-                        let strict_base = strict_t.base(ci, cj, tri).expect("in window");
-                        let skip_base = skip_t.base(ci, cj, tri).expect("in window");
-                        for k in 1..=depth + 1 {
-                            assert_eq!(
-                                strict_t.get(strict_base, k),
-                                lut.kth_nearest(&c, y, k),
-                                "strict {m:?} ({ci},{cj},{tri},{k})"
-                            );
-                            assert_eq!(
-                                skip_t.get(skip_base, k),
-                                lut.kth_nearest_skip(&c, y, k),
-                                "skip {m:?} ({ci},{cj},{tri},{k})"
-                            );
-                        }
+                        assert_eq!(skip_t.get(skip_base, k), skip, "skip scan {at} k {k}");
                     }
                 }
             }
-            // Out-of-window centres must defer to the scan.
-            assert_eq!(strict_t.base(-3, 0, 0), None);
-            assert_eq!(skip_t.base(0, side + 2, 0), None);
+        }
+        assert!(
+            beyond > 0,
+            "{m:?}: the clamp domain reaches past the window"
+        );
+    }
+
+    #[test]
+    fn located_table_matches_scan_for_every_clamped_centre() {
+        for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
+            assert_table_contract(m);
+        }
+    }
+
+    #[test]
+    #[ignore = "≈ 10⁸ reads; CI runs it in the release step"]
+    fn located_table_matches_scan_for_every_clamped_centre_at_256_qam() {
+        assert_table_contract(Modulation::Qam256);
+    }
+
+    #[test]
+    fn every_order_spans_exactly_the_grid_side() {
+        // The window's exactness rests on this: each triangle's order is
+        // the whole square of offsets within ±side cells, and no more.
+        for m in [
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+            Modulation::Qam256,
+        ] {
+            let side = m.grid_side() as i8;
+            let mut square: Vec<(i8, i8)> = (-side..=side)
+                .flat_map(|dj| (-side..=side).map(move |di| (di, dj)))
+                .collect();
+            square.sort_unstable();
+            for (tri, order) in OrderingLut::new(m, 1).orders.iter().enumerate() {
+                let mut offsets = order.to_vec();
+                offsets.sort_unstable();
+                assert_eq!(offsets, square, "{m:?} tri {tri}");
+            }
         }
     }
 
@@ -804,12 +874,14 @@ mod tests {
         // `locate` + `base`, lane for lane — over a dense grid crossed
         // with every decision boundary: integer lines (cell edges and
         // centres), both unit-square diagonals (equal / complementary
-        // fractional parts), the table window's edge, the ±2·side cap,
-        // each a few ulp, a sub-guard and a super-guard step to either
-        // side; plus signed zeros, huge and non-finite values. Walking the
-        // cross product four at a time puts guard-failing lanes beside
-        // passing ones; a second loop puts each kind of failure in each of
-        // the four positions.
+        // fractional parts), the table window's edge, the ±4·side guard
+        // cap, each a few ulp, a sub-guard and a super-guard step to
+        // either side; plus signed zeros, huge and non-finite values.
+        // Walking the cross product four at a time puts guard-failing lanes
+        // beside passing ones; a second loop puts each kind of failure in
+        // each of the four positions. Every lane of a windowed table gets
+        // a row — past the window, the shared empty one — so only BPSK's
+        // windowless table ever answers `MISS`.
         for &m in &[
             Modulation::Bpsk,
             Modulation::Qpsk,
@@ -831,14 +903,16 @@ mod tests {
                     let cells = t.locate_array(&lut, &c, &pts);
                     for l in 0..LANES {
                         assert_eq!(got[l], oracle(pts[l]), "{m:?} lane {l} of {pts:?}");
+                        assert_eq!(got[l] == MISS, m == Modulation::Bpsk, "{m:?} {pts:?}");
                         assert_eq!(cells[l], lut.locate(&c, pts[l]), "{m:?} {pts:?}");
                     }
                 };
-                let cap = 2 * c.grid_side() as i32;
-                let mut axis = vec![0.0, -0.0, 1e300, -1e300, 1e12];
+                let cap = 4 * c.grid_side() as i32;
+                let mut axis = vec![0.0, -0.0, 1e300, -1e300, 1e150, -1e150, 1e12];
                 axis.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
                 // Past the cap, where the exact locate clamps its centre.
                 axis.extend([3.6 * cap as f64, -1e6 - 0.3, 4e9 + 0.3]);
+                let specials = axis.len();
                 for n in -(cap + 3)..=(cap + 3) {
                     for frac in [0.0, 0.25, 0.5, 0.75] {
                         let x = n as f64 + frac;
@@ -849,8 +923,12 @@ mod tests {
                     }
                 }
                 // Every axis value against a thinned copy of the axis (the
-                // full square is ~10⁷ points at 256-QAM).
-                let thin: Vec<f64> = axis.iter().copied().step_by(5).collect();
+                // full square is ~2·10⁷ points at 256-QAM): every special
+                // value, then every fifth grid value. The stride is coprime
+                // to the nine values per grid step, so the copy still holds
+                // every kind of grid value.
+                let mut thin = axis[..specials].to_vec();
+                thin.extend(axis[specials..].iter().copied().step_by(5));
                 let mut block = [Cx::ZERO; LANES];
                 let mut filled = 0;
                 for &u in &axis {
