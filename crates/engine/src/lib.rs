@@ -46,13 +46,14 @@
 //!   a per-frame deadline, and a per-user [`EffortController`] closes the
 //!   loop by re-tuning the a-FlexCore stopping threshold from observed
 //!   latency — without ever changing detections on a frozen schedule;
-//! * [`fabric`] — the hardware-aware layer: a
-//!   [`flexcore_hwmodel::HeterogeneousFabric`] becomes a
-//!   [`flexcore_parallel::WeightedPool`] via [`pool_for`]; any of the
-//!   paths above run on it unchanged (the pool places the priced batches
-//!   onto its non-uniform PEs and times them), and [`FabricStats`] audits
-//!   the pool's record of the run: predicted-vs-measured makespan plus
-//!   per-PE utilisation under a `PeCost` model.
+//! * heterogeneous fabrics — every path above prices its batches at
+//!   `extension_work × symbols` and hands tasks and prices to its pool
+//!   ([`flexcore_parallel::PePool::run_priced`]), so a
+//!   [`flexcore_parallel::WeightedPool`] built from a
+//!   [`flexcore_hwmodel::HeterogeneousFabric`]'s speed factors runs them
+//!   unchanged: it places the batches onto its non-uniform PEs, times
+//!   them, and its [`flexcore_parallel::ScheduledRun`] record audits the
+//!   run (predicted-vs-measured makespan, per-PE utilisation).
 //!
 //! Results are **bit-identical** across substrates and batch shapes: the
 //! engine only reorders *scheduling*, never arithmetic, so
@@ -66,7 +67,6 @@
 
 pub mod channel;
 pub mod engine;
-pub mod fabric;
 pub mod frame;
 pub mod multiuser;
 pub mod pipeline;
@@ -75,7 +75,6 @@ mod tick;
 
 pub use channel::FrameChannel;
 pub use engine::{EngineStats, FrameEngine};
-pub use fabric::{pool_for, FabricStats};
 pub use frame::{DetectedFrame, RxFrame};
 pub use multiuser::{CellStats, StreamingCell};
 pub use pipeline::{EffortController, LatencyRecord, LatencyStats, PipelineReport, PipelinedCell};

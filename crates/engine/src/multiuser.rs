@@ -75,8 +75,8 @@ pub struct CellStats {
     /// [`CellStats::audited_tick`] — always in `(0, 1]`:
     /// `Σ batch costs / (n_pes · LPT makespan)` of the tick's plan on
     /// `n_pes` identical PEs; 1.0 before the first non-empty tick. (For a
-    /// heterogeneous fabric's packing, build a
-    /// [`FabricStats`](crate::FabricStats) from the pool's last run.)
+    /// heterogeneous fabric's packing, read the
+    /// [`WeightedPool`](flexcore_parallel::WeightedPool)'s last run.)
     pub last_tick_efficiency: f64,
     /// The 1-based tick id `last_tick_efficiency` describes (the value
     /// [`CellStats::ticks`] had right after that tick), or `None` before
@@ -358,8 +358,9 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
 /// The LPT makespan of `costs`, already longest first (a
 /// [`TickPlan::costs`]), on `n_pes` identical PEs: each cost goes to the
 /// least-loaded PE, ties to the lowest index, in one pass over `loads`
-/// (overwritten) — `flexcore_parallel::lpt_makespan` without its sort and
-/// its allocations, and equal to it on such input.
+/// (overwritten) — `flexcore_parallel::lpt_makespan_weighted` at unit
+/// speeds without its sort, its float loads and its allocations, and
+/// equal to it on such input.
 fn unit_lpt_makespan(costs: &[u64], n_pes: usize, loads: &mut Vec<u64>) -> u64 {
     loads.clear();
     loads.resize(n_pes, 0);
@@ -414,7 +415,7 @@ mod tests {
 
     #[test]
     fn unit_lpt_pass_equals_lpt_makespan_on_sorted_costs() {
-        use flexcore_parallel::lpt_makespan;
+        use flexcore_parallel::lpt_makespan_weighted;
         let mut rng = StdRng::seed_from_u64(17);
         let mut loads = Vec::new();
         for case in 0..2_000 {
@@ -426,7 +427,7 @@ mod tests {
             let n_pes = rng.gen_range(1..10);
             assert_eq!(
                 unit_lpt_makespan(&costs, n_pes, &mut loads),
-                lpt_makespan(&costs, n_pes),
+                lpt_makespan_weighted(&costs, &vec![1.0; n_pes]) as u64,
                 "{costs:?} on {n_pes} PEs"
             );
         }

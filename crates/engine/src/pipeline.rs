@@ -57,7 +57,7 @@ use crate::tick::{TickOutput, TickPlan};
 use flexcore_detect::common::Detector;
 use flexcore_numeric::Cx;
 use flexcore_parallel::{bounded, PePool};
-use std::sync::{Mutex, PoisonError};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// Per-frame submit→decode latency samples against one deadline.
@@ -490,12 +490,15 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
         let (job_tx, job_rx) = bounded::<TickJob<D>>(self.queue_depth);
         let (done_tx, done_rx) = bounded::<DoneTick<T>>(self.queue_depth);
         // Decoded frames' latencies flow back to the transmit stage's
-        // controllers through here — one lock per decoded frame, drained
+        // controllers through here — one send per decoded frame, drained
         // once per tick — and only when some user has a controller to
         // read them.
-        let controlled = self.loops.iter().any(Option::is_some);
-        let feedback: Mutex<Vec<(usize, f64)>> = Mutex::new(Vec::new());
-        let feedback_ref = &feedback;
+        let (feedback_tx, feedback_rx) = self
+            .loops
+            .iter()
+            .any(Option::is_some)
+            .then(mpsc::channel::<(usize, f64)>)
+            .unzip();
         let detect_fn = &detect;
 
         let mut ticks = 0u64;
@@ -530,11 +533,10 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
                         let latency = done.submitted.elapsed().as_secs_f64();
                         overall.record(latency);
                         per_user[out.user].record(latency);
-                        if controlled {
-                            feedback_ref
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .push((out.user, latency));
+                        if let Some(tx) = &feedback_tx {
+                            // The transmit stage outlives this thread, so
+                            // the receiver is still there.
+                            let _ = tx.send((out.user, latency));
                         }
                     }
                 }
@@ -546,14 +548,9 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
                 // the controllers, and a moved setpoint is applied to the
                 // user's engine (template + every prepared slot) before
                 // this tick is planned.
-                if controlled {
-                    let decoded: Vec<(usize, f64)> = std::mem::take(
-                        &mut *feedback.lock().unwrap_or_else(PoisonError::into_inner),
-                    );
-                    for (u, latency) in decoded {
-                        if let Some(ctl) = self.loops[u].as_mut() {
-                            ctl.controller.observe(latency);
-                        }
+                for (u, latency) in feedback_rx.iter().flat_map(mpsc::Receiver::try_iter) {
+                    if let Some(ctl) = self.loops[u].as_mut() {
+                        ctl.controller.observe(latency);
                     }
                 }
                 for (u, ctl) in self.loops.iter_mut().enumerate() {
@@ -635,7 +632,7 @@ mod tests {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::mpsc::RecvTimeoutError;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     const NT: usize = 4;

@@ -1,4 +1,4 @@
-//! A small bounded MPSC channel — the pipelined cell's stage coupling.
+//! A bounded MPSC channel — the pipelined cell's stage coupling.
 //!
 //! `flexcore-engine`'s pipelined cell overlaps transmit/prepare of frame
 //! N+1 with detection of frame N and decode of frame N−1. The stages are
@@ -8,59 +8,18 @@
 //! on a full queue instead of growing an unbounded backlog, so per-frame
 //! latency stays observable instead of exploding silently.
 //!
-//! Deliberately tiny — no runtime, no `unsafe`, no spinning: a
-//! [`std::sync::Mutex`] around a preallocated ring plus two
-//! [`std::sync::Condvar`]s. Multiple producers ([`Sender`] is `Clone`),
-//! one consumer. FIFO per queue; senders and the receiver learn about
-//! each other's disconnection through the same lock.
+//! The queue is [`std::sync::mpsc::sync_channel`]: FIFO, blocking sends
+//! on a full queue, end-of-stream once every [`Sender`] clone is dropped,
+//! and a failed send hands its value back in [`SendError`]. This module
+//! only forbids the rendezvous (capacity 0) form and reads end-of-stream
+//! as `None`.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc;
 
-/// The error returned by [`Sender::send`] when the [`Receiver`] has been
-/// dropped; carries the unsent value back to the caller.
-///
-/// ```
-/// let (tx, rx) = flexcore_parallel::bounded::<u32>(1);
-/// drop(rx);
-/// assert_eq!(tx.send(7), Err(flexcore_parallel::SendError(7)));
-/// ```
-#[derive(Debug, PartialEq, Eq)]
-pub struct SendError<T>(pub T);
-
-struct State<T> {
-    buf: VecDeque<T>,
-    cap: usize,
-    senders: usize,
-    receiver_alive: bool,
-}
-
-struct Shared<T> {
-    state: Mutex<State<T>>,
-    /// Signalled when a slot frees up (or the receiver goes away).
-    not_full: Condvar,
-    /// Signalled when a value arrives (or the last sender goes away).
-    not_empty: Condvar,
-}
-
-impl<T> Shared<T> {
-    /// A panic while holding the channel lock only abandons queued
-    /// values, never detector state — recover the inner value.
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The producing half of a [`bounded`] channel. Cloning registers another
-/// producer; the receiver sees end-of-stream once every clone is dropped.
-pub struct Sender<T> {
-    shared: Arc<Shared<T>>,
-}
+pub use std::sync::mpsc::{SendError, SyncSender as Sender};
 
 /// The consuming half of a [`bounded`] channel.
-pub struct Receiver<T> {
-    shared: Arc<Shared<T>>,
-}
+pub struct Receiver<T>(mpsc::Receiver<T>);
 
 /// Creates a bounded FIFO channel with room for `cap` in-flight values.
 ///
@@ -81,83 +40,16 @@ pub struct Receiver<T> {
 /// assert_eq!(rx.recv(), Some(1));
 /// assert_eq!(rx.recv(), Some(2));
 /// assert_eq!(rx.recv(), None); // all senders gone, queue drained
+///
+/// // A send after the receiver is gone fails with the value.
+/// let (tx, rx) = flexcore_parallel::bounded::<u32>(1);
+/// drop(rx);
+/// assert_eq!(tx.send(7), Err(flexcore_parallel::SendError(7)));
 /// ```
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     assert!(cap > 0, "bounded: capacity must be at least 1");
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            buf: VecDeque::with_capacity(cap),
-            cap,
-            senders: 1,
-            receiver_alive: true,
-        }),
-        not_full: Condvar::new(),
-        not_empty: Condvar::new(),
-    });
-    (
-        Sender {
-            shared: Arc::clone(&shared),
-        },
-        Receiver { shared },
-    )
-}
-
-impl<T> Sender<T> {
-    /// Enqueues `value`, **blocking while the channel is full** — this is
-    /// the pipeline's backpressure. Returns `Err` with the value if the
-    /// receiver has been dropped (the pipeline is shutting down).
-    ///
-    /// ```
-    /// let (tx, rx) = flexcore_parallel::bounded(1);
-    /// tx.send("frame").unwrap();
-    /// assert_eq!(rx.recv(), Some("frame"));
-    /// ```
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        // flexcore-lint: hot-path
-        // Steady-state sends push onto the preallocated ring: the buffer
-        // never grows past `cap`, so no allocation after construction.
-        let mut state = self.shared.lock();
-        loop {
-            if !state.receiver_alive {
-                return Err(SendError(value));
-            }
-            if state.buf.len() < state.cap {
-                state.buf.push_back(value);
-                drop(state);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self
-                .shared
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.shared.lock().senders += 1;
-        Sender {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let senders = {
-            let mut state = self.shared.lock();
-            state.senders -= 1;
-            state.senders
-        };
-        if senders == 0 {
-            // Wake a receiver blocked on an empty queue so it can see
-            // end-of-stream.
-            self.shared.not_empty.notify_all();
-        }
-    }
+    let (tx, rx) = mpsc::sync_channel(cap);
+    (tx, Receiver(rx))
 }
 
 impl<T> Receiver<T> {
@@ -165,33 +57,7 @@ impl<T> Receiver<T> {
     /// empty**. Returns `None` once every [`Sender`] clone has been
     /// dropped and the queue is drained — the pipeline's end-of-stream.
     pub fn recv(&self) -> Option<T> {
-        // flexcore-lint: hot-path
-        // Pops hand values out of the preallocated ring; nothing here
-        // allocates.
-        let mut state = self.shared.lock();
-        loop {
-            if let Some(value) = state.buf.pop_front() {
-                drop(state);
-                self.shared.not_full.notify_one();
-                return Some(value);
-            }
-            if state.senders == 0 {
-                return None;
-            }
-            state = self
-                .shared
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.shared.lock().receiver_alive = false;
-        // Wake senders parked on a full queue so they can fail fast.
-        self.shared.not_full.notify_all();
+        self.0.recv().ok()
     }
 }
 
@@ -218,8 +84,8 @@ mod tests {
         // complete after the consumer pops — observable as the consumer
         // always seeing strictly ordered values with at most one queued.
         let (tx, rx) = bounded(1);
-        crossbeam::thread::scope(|s| {
-            s.spawn(move |_| {
+        std::thread::scope(|s| {
+            s.spawn(move || {
                 for i in 0..100 {
                     tx.send(i).unwrap();
                 }
@@ -228,18 +94,17 @@ mod tests {
                 assert_eq!(rx.recv(), Some(i));
             }
             assert_eq!(rx.recv(), None);
-        })
-        .unwrap();
+        });
     }
 
     #[test]
     fn multiple_producers_all_drain() {
         let (tx, rx) = bounded(2);
         let done: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for p in 0..3u64 {
                 let tx = tx.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..50 {
                         tx.send(100 * p + i).unwrap();
                     }
@@ -249,8 +114,7 @@ mod tests {
             while let Some(v) = rx.recv() {
                 done.lock().unwrap().push(v);
             }
-        })
-        .unwrap();
+        });
         let mut got = done.into_inner().unwrap();
         got.sort_unstable();
         let want: Vec<u64> = (0..3u64)

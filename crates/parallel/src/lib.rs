@@ -11,7 +11,7 @@
 //!   calling thread while counting the tasks and batches a workload
 //!   submits. This is what the experiment harness uses — detection results
 //!   are bit-identical to parallel execution, and latency is modelled (from
-//!   task prices, see [`lpt_makespan`]), not measured.
+//!   task prices, see [`lpt_makespan_weighted`]), not measured.
 //! * [`CrossbeamPool`] — a real thread pool (PEs = the thread that calls
 //!   `run` plus `n_pes − 1` long-lived helper threads parked between
 //!   batches; nothing is spawned per batch), demonstrating that FlexCore's
@@ -28,12 +28,13 @@
 //! * [`WeightedPool`] — a simulated pool of **non-uniform** PEs carrying
 //!   per-PE speed factors (e.g. 2 fast DSP cores beside 6 slow ARM cores,
 //!   from `flexcore_hwmodel::HeterogeneousFabric`). Batches are placed
-//!   with [`lpt_assign_weighted`] — the uniform-machines LPT rule, which
-//!   assigns each task to the PE that would *finish it earliest* instead
-//!   of assuming identical PEs — whenever the caller hands the pool its
-//!   task prices ([`PePool::run_priced`]), and every task of such a run is
-//!   timed, so predicted-vs-measured makespan and per-PE utilisation can
-//!   be read back from [`WeightedPool::last_run`].
+//!   with the uniform-machines LPT rule, which assigns each task to the
+//!   PE that would *finish it earliest* instead of assuming identical
+//!   PEs, whenever the caller hands the pool its task prices
+//!   ([`PePool::run_priced`]). Every task of such a run is timed, and
+//!   [`WeightedPool::last_run`] returns the [`ScheduledRun`] record, which
+//!   is also the audit: predicted-vs-measured makespan, packing
+//!   efficiency and per-PE utilisation.
 //!
 //! All three implement [`PePool`], so every detector in the workspace runs
 //! unmodified on any of them, and `flexcore-engine` drives whole OFDM
@@ -41,8 +42,8 @@
 //! stay bit-identical across substrates, a property the workspace tests
 //! enforce.
 //!
-//! The crate also carries [`bounded`] — a tiny fixed-capacity MPSC channel
-//! (one `std` mutex plus two condvars, no runtime, no `unsafe`) whose
+//! The crate also carries [`bounded`] — [`std::sync::mpsc::sync_channel`]
+//! with a capacity of at least 1 and end-of-stream read as `None` — whose
 //! blocking send is the backpressure coupling the pipelined cell's
 //! overlapped transmit / detect / decode stages in `flexcore-engine`.
 
@@ -56,10 +57,8 @@ pub mod pool;
 pub mod weighted;
 
 pub use channel::{bounded, Receiver, SendError, Sender};
-pub use pool::{lpt_makespan, lpt_order, CrossbeamPool, PePool, SequentialPool, WorkStats};
-pub use weighted::{
-    lpt_assign_weighted, lpt_makespan_weighted, ScheduledRun, WeightedPool, WeightedSchedule,
-};
+pub use pool::{lpt_order, CrossbeamPool, PePool, SequentialPool, WorkStats};
+pub use weighted::{lpt_makespan_weighted, ScheduledRun, WeightedPool};
 
 /// The crate README's examples, compiled as doctests so they cannot rot
 /// (`cargo test --doc`): this item exists only during doctest collection.

@@ -29,32 +29,6 @@ pub fn lpt_order(costs: &[u64]) -> Vec<usize> {
     order
 }
 
-/// Modelled makespan of LPT list scheduling on `n_pes` identical PEs:
-/// [`lpt_assign_weighted`](crate::lpt_assign_weighted) at unit speeds
-/// (each task, most expensive first, goes to the least-loaded PE, ties
-/// to the lowest index), read back as the maximum per-PE load.
-///
-/// This is the multi-user cell's shared-pool latency model: dividing
-/// `Σ costs / n_pes` by it gives the modelled parallel efficiency of a
-/// tick — 1.0 when the per-user batch costs pack perfectly, less when one
-/// crowded subcarrier column dominates the critical path.
-///
-/// ```
-/// use flexcore_parallel::lpt_makespan;
-/// // One dominant task bounds the makespan from below…
-/// assert_eq!(lpt_makespan(&[100, 1, 1, 1], 4), 100);
-/// // …and equal costs pack perfectly.
-/// assert_eq!(lpt_makespan(&[5, 5, 5, 5], 2), 10);
-/// ```
-///
-/// # Panics
-/// Panics if `n_pes == 0`.
-pub fn lpt_makespan(costs: &[u64], n_pes: usize) -> u64 {
-    // Unit speeds keep every load an integer-valued f64, so the cast back
-    // is exact.
-    crate::weighted::lpt_assign_weighted(costs, &vec![1.0; n_pes]).makespan_units as u64
-}
-
 /// Cumulative work accounting for a pool.
 ///
 /// ```
@@ -492,6 +466,12 @@ mod tests {
     use std::sync::mpsc::RecvTimeoutError;
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
+
+    /// LPT makespan on `n_pes` identical PEs: the weighted rule at unit
+    /// speeds, whose loads stay integer-valued, so the cast is exact.
+    fn lpt_makespan(costs: &[u64], n_pes: usize) -> u64 {
+        crate::lpt_makespan_weighted(costs, &vec![1.0; n_pes]) as u64
+    }
 
     #[test]
     fn lpt_order_sorts_descending_with_stable_ties() {

@@ -6,83 +6,38 @@
 //! base-station SoC pairs DSP cores with ARM cores — so this module adds
 //! the *uniform machines* (`Q||C_max`) variant: every PE carries a **speed
 //! factor**, and LPT assigns each task to the PE that would *finish it
-//! earliest* given current loads ([`lpt_assign_weighted`]).
+//! earliest* given current loads ([`lpt_makespan_weighted`] reads the
+//! resulting makespan).
 //!
 //! [`WeightedPool`] is the execution substrate: a *simulated* heterogeneous
 //! pool in the same spirit as
 //! [`SequentialPool`](crate::SequentialPool) — tasks run on the calling
 //! thread (results therefore bit-identical to any other pool), while
-//! placement, per-PE finish times and per-task wall clocks are recorded so
-//! the frame engine can report predicted-vs-measured makespan and per-PE
-//! utilisation. Speed factors typically come from
+//! placement and per-task wall clocks are recorded in a [`ScheduledRun`],
+//! which audits predicted-vs-measured makespan and per-PE utilisation.
+//! Speed factors typically come from
 //! `flexcore_hwmodel::HeterogeneousFabric::speed_factors()`.
 
 use crate::pool::{PePool, WorkStats};
 use parking_lot::Mutex;
 use std::time::Instant;
 
-/// Placement of one task batch onto non-uniform PEs, plus the modelled
-/// finish times. Produced by [`lpt_assign_weighted`]; consumed by
-/// [`WeightedPool`]'s priced runs and the frame engine's fabric stats.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WeightedSchedule {
-    /// Task indices in the order the scheduler visited them (LPT:
-    /// most expensive first, ties in submission order).
-    pub order: Vec<usize>,
-    /// `assignment[task] = pe` — which PE each task landed on.
-    pub assignment: Vec<usize>,
-    /// Per-PE finish time in *work units per unit speed*
-    /// (`Σ assigned costs / speed`).
-    pub finish_units: Vec<f64>,
-    /// `max(finish_units)` — the modelled makespan of the batch.
-    pub makespan_units: f64,
-}
-
-impl WeightedSchedule {
-    /// Modelled per-PE utilisation: each PE's busy time over the makespan
-    /// (1.0 for the critical PE; 0.0 for an idle one). Empty batches
-    /// report all-zero.
-    ///
-    /// ```
-    /// use flexcore_parallel::lpt_assign_weighted;
-    /// let s = lpt_assign_weighted(&[4, 4], &[1.0, 1.0, 1.0]);
-    /// let util = s.utilization();
-    /// assert_eq!(util, vec![1.0, 1.0, 0.0]); // two tasks, three PEs
-    /// ```
-    pub fn utilization(&self) -> Vec<f64> {
-        if self.makespan_units <= 0.0 {
-            return vec![0.0; self.finish_units.len()];
-        }
-        self.finish_units
-            .iter()
-            .map(|&f| f / self.makespan_units)
-            .collect()
-    }
-}
-
 /// Longest-processing-time-first list scheduling for **uniform machines**:
 /// tasks are visited most-expensive-first ([`lpt_order`](crate::lpt_order))
 /// and each goes to the PE that would finish it earliest —
 /// `argmin_pe (load_pe + cost) / speed_pe`, ties to the lowest PE index.
+/// Returns `assignment[task] = pe` and each PE's finish time in work
+/// units per unit speed (`Σ assigned costs / speed`).
 ///
 /// With all speeds equal this is the identical-machines rule (least-loaded
-/// PE first) that [`lpt_makespan`](crate::lpt_makespan) reads its makespan
-/// from. It is *placement only*: executing tasks in any order with any
-/// placement yields bit-identical results, only the modelled latency
+/// PE first). It is *placement only*: executing tasks in any order with
+/// any placement yields bit-identical results, only the modelled latency
 /// changes.
-///
-/// ```
-/// use flexcore_parallel::lpt_assign_weighted;
-/// // One PE twice as fast as the other: the heavy task goes fast.
-/// let s = lpt_assign_weighted(&[8, 2], &[1.0, 2.0]);
-/// assert_eq!(s.assignment, vec![1, 0]);
-/// assert_eq!(s.makespan_units, 4.0); // max(2/1, 8/2)
-/// ```
 ///
 /// # Panics
 /// Panics if `speeds` is empty or contains a non-positive / non-finite
 /// factor.
-pub fn lpt_assign_weighted(costs: &[u64], speeds: &[f64]) -> WeightedSchedule {
+fn lpt_assign_weighted(costs: &[u64], speeds: &[f64]) -> (Vec<usize>, Vec<f64>) {
     assert!(!speeds.is_empty(), "lpt_assign_weighted: zero PEs");
     for &s in speeds {
         assert!(
@@ -90,10 +45,9 @@ pub fn lpt_assign_weighted(costs: &[u64], speeds: &[f64]) -> WeightedSchedule {
             "lpt_assign_weighted: bad speed {s}"
         );
     }
-    let order = crate::pool::lpt_order(costs);
     let mut loads = vec![0u64; speeds.len()];
     let mut assignment = vec![0usize; costs.len()];
-    for &task in &order {
+    for task in crate::pool::lpt_order(costs) {
         let cost = costs[task];
         let mut best_pe = 0usize;
         let mut best_finish = f64::INFINITY;
@@ -107,52 +61,75 @@ pub fn lpt_assign_weighted(costs: &[u64], speeds: &[f64]) -> WeightedSchedule {
         assignment[task] = best_pe;
         loads[best_pe] += cost;
     }
-    let finish_units: Vec<f64> = loads
+    let finish_units = loads
         .iter()
         .zip(speeds)
         .map(|(&l, &s)| l as f64 / s)
         .collect();
-    let makespan_units = finish_units.iter().copied().fold(0.0, f64::max);
-    WeightedSchedule {
-        order,
-        assignment,
-        finish_units,
-        makespan_units,
-    }
+    (assignment, finish_units)
 }
 
-/// Modelled makespan of weighted LPT scheduling — the uniform-machines
-/// analogue of [`lpt_makespan`](crate::lpt_makespan), in work units per
-/// unit speed.
+/// The largest entry of `values`, 0 when empty.
+fn max_of(values: &[f64]) -> f64 {
+    values.iter().copied().fold(0.0, f64::max)
+}
+
+/// Modelled makespan of weighted LPT scheduling (each task, most
+/// expensive first, goes to the PE that would finish it earliest), in
+/// work units per unit speed. With unit speeds it is the classic
+/// identical-machines LPT makespan.
 ///
 /// ```
-/// use flexcore_parallel::{lpt_makespan, lpt_makespan_weighted};
+/// use flexcore_parallel::lpt_makespan_weighted;
 /// let costs = [7, 6, 5, 4, 3];
-/// // Equal speeds reproduce the identical-machines makespan exactly.
-/// assert_eq!(lpt_makespan_weighted(&costs, &[1.0, 1.0]), lpt_makespan(&costs, 2) as f64);
+/// // Two identical PEs: greedy LPT packs 7+4+3 | 6+5.
+/// assert_eq!(lpt_makespan_weighted(&costs, &[1.0, 1.0]), 14.0);
 /// // A faster pair of PEs shrinks it.
-/// assert!(lpt_makespan_weighted(&costs, &[2.0, 2.0]) < lpt_makespan(&costs, 2) as f64);
+/// assert!(lpt_makespan_weighted(&costs, &[2.0, 2.0]) < 14.0);
+/// // One PE twice as fast as the other: the heavy task goes fast.
+/// assert_eq!(lpt_makespan_weighted(&[8, 2], &[1.0, 2.0]), 4.0); // max(2/1, 8/2)
 /// ```
+///
+/// # Panics
+/// Panics if `speeds` is empty or contains a non-positive / non-finite
+/// factor.
 pub fn lpt_makespan_weighted(costs: &[u64], speeds: &[f64]) -> f64 {
-    lpt_assign_weighted(costs, speeds).makespan_units
+    max_of(&lpt_assign_weighted(costs, speeds).1)
 }
 
 /// The record of one priced [`WeightedPool`] batch
-/// ([`PePool::run_priced`]): where every task was placed, how long it
-/// actually took, and the resulting modelled-parallel timings.
+/// ([`PePool::run_priced`]) and its audit: where every task was placed,
+/// how long it actually took, and how well the prices predicted that.
 ///
 /// "Measured" quantities divide each task's wall-clock seconds by its
 /// assigned PE's speed factor, i.e. they answer *"how long would this
 /// batch have taken on the modelled fabric, given the work each task
 /// actually turned out to be?"* — which is exactly what a predicted
-/// makespan must be compared against.
+/// makespan must be compared against. The prediction's price in
+/// modelled-hardware seconds is `makespan_units × PeCost::unit_seconds`,
+/// computed by whoever holds the cost model.
+///
+/// ```
+/// use flexcore_parallel::{PePool, WeightedPool};
+/// // 2 fast + 6 slow PEs, the LTE small-cell shape.
+/// let pool = WeightedPool::new(vec![4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+/// pool.run_priced(vec![|| 1u8, || 2, || 3], &[40, 4, 4]);
+/// let run = pool.last_run().expect("a priced run was recorded");
+/// assert_eq!((run.speeds.len(), run.total_units()), (8, 48));
+/// assert_eq!(run.makespan_units, 10.0); // 40 units on a 4x PE
+/// ```
 #[derive(Clone, Debug)]
 pub struct ScheduledRun {
-    /// The placement the batch executed under.
-    pub schedule: WeightedSchedule,
+    /// The per-PE speed factors the batch was placed on.
+    pub speeds: Vec<f64>,
     /// The prices the batch was placed by, in task order (the caller's
     /// units).
     pub costs: Vec<u64>,
+    /// `assignment[task] = pe` — which PE each task was booked to.
+    pub assignment: Vec<usize>,
+    /// The predicted makespan of the weighted-LPT placement, in work
+    /// units per unit speed.
+    pub makespan_units: f64,
     /// Wall-clock seconds each task took on the calling thread, in task
     /// order.
     pub task_seconds: Vec<f64>,
@@ -164,7 +141,8 @@ pub struct ScheduledRun {
 }
 
 impl ScheduledRun {
-    /// Measured per-PE utilisation: busy time over the measured makespan.
+    /// Measured per-PE utilisation: busy time over the measured makespan,
+    /// 1.0 for the critical PE; all-zero when nothing ran.
     pub fn utilization(&self) -> Vec<f64> {
         if self.measured_makespan_s <= 0.0 {
             return vec![0.0; self.busy_s.len()];
@@ -180,6 +158,43 @@ impl ScheduledRun {
     pub fn total_task_seconds(&self) -> f64 {
         self.task_seconds.iter().sum()
     }
+
+    /// Total predicted work, `Σ costs`, in the caller's units.
+    pub fn total_units(&self) -> u64 {
+        self.costs.iter().sum()
+    }
+
+    /// `total_units / (Σ speeds · makespan_units)` — 1.0 when the tasks
+    /// pack the fabric perfectly (or nothing ran), less when one
+    /// expensive task strands the rest of the pool.
+    pub fn packing_efficiency(&self) -> f64 {
+        if self.makespan_units <= 0.0 {
+            return 1.0;
+        }
+        self.total_units() as f64 / (self.speeds.iter().sum::<f64>() * self.makespan_units)
+    }
+
+    /// The predicted makespan in measured-host seconds: `makespan_units`
+    /// calibrated by the run's own mean cost per unit
+    /// (`Σ task_seconds / total_units`), i.e. the prediction with the
+    /// host's absolute speed divided out. Compare against
+    /// [`ScheduledRun::measured_makespan_s`].
+    pub fn predicted_makespan_s(&self) -> f64 {
+        match self.total_units() {
+            0 => 0.0,
+            units => self.makespan_units * (self.total_task_seconds() / units as f64),
+        }
+    }
+
+    /// `|predicted − measured| / measured` over the two host-second
+    /// makespans — how much the relative cost model (price proportional
+    /// to real work) misplaced the critical path. 0 when nothing ran.
+    pub fn makespan_error(&self) -> f64 {
+        if self.measured_makespan_s <= 0.0 {
+            return 0.0;
+        }
+        (self.predicted_makespan_s() - self.measured_makespan_s).abs() / self.measured_makespan_s
+    }
 }
 
 /// A *simulated* pool of non-uniform processing elements.
@@ -188,8 +203,8 @@ impl ScheduledRun {
 /// on the calling thread — results are bit-identical to every other
 /// substrate, which is what keeps heterogeneous scheduling auditable — but
 /// the pool carries per-PE **speed factors**, and a priced run
-/// ([`PePool::run_priced`]) additionally places each task with
-/// [`lpt_assign_weighted`] and times it. The record of the most recent
+/// ([`PePool::run_priced`]) additionally places each task with the
+/// uniform-machines LPT rule and times it. The record of the most recent
 /// priced run stays readable through [`WeightedPool::last_run`], so callers
 /// can compare the predicted makespan against the measured one and report
 /// per-PE utilisation.
@@ -201,7 +216,7 @@ impl ScheduledRun {
 /// let out = pool.run_priced((0..5).map(|i| move || i * 2).collect::<Vec<_>>(), &[5, 4, 3, 2, 1]);
 /// assert_eq!(out, vec![0, 2, 4, 6, 8]);
 /// let run = pool.last_run().expect("a priced run was recorded");
-/// assert_eq!(run.schedule.assignment[0], 0); // the heaviest task went to the fast PE
+/// assert_eq!(run.assignment[0], 0); // the heaviest task went to the fast PE
 /// assert_eq!(run.costs, [5, 4, 3, 2, 1]);
 /// ```
 #[derive(Debug)]
@@ -263,8 +278,8 @@ impl PePool for WeightedPool {
     }
 
     /// Runs every task (in task order, on the calling thread), placing the
-    /// batch on the fabric with [`lpt_assign_weighted`] over `costs` and
-    /// timing each task; the [`ScheduledRun`] record replaces
+    /// batch on the fabric with the uniform-machines LPT rule over `costs`
+    /// and timing each task; the [`ScheduledRun`] record replaces
     /// [`WeightedPool::last_run`].
     ///
     /// Placement never touches results — it only decides which modelled PE
@@ -285,7 +300,7 @@ impl PePool for WeightedPool {
             costs.len()
         );
         self.stats.record(tasks.len());
-        let schedule = lpt_assign_weighted(costs, &self.speeds);
+        let (assignment, finish_units) = lpt_assign_weighted(costs, &self.speeds);
         let mut results = Vec::with_capacity(tasks.len());
         let mut task_seconds = Vec::with_capacity(tasks.len());
         for task in tasks {
@@ -294,16 +309,17 @@ impl PePool for WeightedPool {
             task_seconds.push(t0.elapsed().as_secs_f64());
         }
         let mut busy_s = vec![0.0f64; self.speeds.len()];
-        for (task, &pe) in schedule.assignment.iter().enumerate() {
+        for (task, &pe) in assignment.iter().enumerate() {
             busy_s[pe] += task_seconds[task] / self.speeds[pe];
         }
-        let measured_makespan_s = busy_s.iter().copied().fold(0.0, f64::max);
         *self.last_run.lock() = Some(ScheduledRun {
-            schedule,
+            speeds: self.speeds.clone(),
             costs: costs.to_vec(),
+            assignment,
+            makespan_units: max_of(&finish_units),
             task_seconds,
+            measured_makespan_s: max_of(&busy_s),
             busy_s,
-            measured_makespan_s,
         });
         results
     }
@@ -323,13 +339,13 @@ mod tests {
         // must land on the fast PEs.
         let speeds = [4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
         let costs = [40u64, 40, 4, 4, 4, 4, 4, 4];
-        let s = lpt_assign_weighted(&costs, &speeds);
-        assert_eq!(s.assignment[0], 0);
-        assert_eq!(s.assignment[1], 1);
+        let (assignment, finish_units) = lpt_assign_weighted(&costs, &speeds);
+        assert_eq!(assignment[0], 0);
+        assert_eq!(assignment[1], 1);
         // Finish times stay balanced: makespan 10 (40/4), everyone busy.
-        assert_eq!(s.makespan_units, 10.0);
-        for (pe, &f) in s.finish_units.iter().enumerate() {
-            assert!(f > 0.0, "PE {pe} idle: {:?}", s.finish_units);
+        assert_eq!(max_of(&finish_units), 10.0);
+        for (pe, &f) in finish_units.iter().enumerate() {
+            assert!(f > 0.0, "PE {pe} idle: {finish_units:?}");
         }
     }
 
@@ -351,21 +367,17 @@ mod tests {
     fn weighted_schedule_is_a_partition() {
         let costs = [3u64, 1, 4, 1, 5, 9, 2, 6];
         let speeds = [2.0, 1.0, 0.5];
-        let s = lpt_assign_weighted(&costs, &speeds);
-        assert_eq!(s.assignment.len(), costs.len());
-        assert!(s.assignment.iter().all(|&pe| pe < speeds.len()));
+        let (assignment, finish_units) = lpt_assign_weighted(&costs, &speeds);
+        assert_eq!(assignment.len(), costs.len());
+        assert!(assignment.iter().all(|&pe| pe < speeds.len()));
         // Loads reconstruct the finish times exactly.
         let mut loads = vec![0u64; speeds.len()];
-        for (task, &pe) in s.assignment.iter().enumerate() {
+        for (task, &pe) in assignment.iter().enumerate() {
             loads[pe] += costs[task];
         }
         for (pe, (&load, &speed)) in loads.iter().zip(&speeds).enumerate() {
-            assert_eq!(s.finish_units[pe], load as f64 / speed);
+            assert_eq!(finish_units[pe], load as f64 / speed);
         }
-        // Order is the LPT permutation.
-        let mut sorted = s.order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..costs.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -382,12 +394,12 @@ mod tests {
 
     #[test]
     fn empty_batch_and_degenerate_shapes() {
-        let s = lpt_assign_weighted(&[], &[1.0, 2.0]);
-        assert_eq!(s.makespan_units, 0.0);
-        assert_eq!(s.utilization(), vec![0.0, 0.0]);
-        let one = lpt_assign_weighted(&[5], &[0.5]);
-        assert_eq!(one.makespan_units, 10.0);
-        assert_eq!(one.utilization(), vec![1.0]);
+        let (_, finish_units) = lpt_assign_weighted(&[], &[1.0, 2.0]);
+        assert_eq!(max_of(&finish_units), 0.0);
+        assert_eq!(finish_units, vec![0.0, 0.0]);
+        let (_, one) = lpt_assign_weighted(&[5], &[0.5]);
+        assert_eq!(max_of(&one), 10.0);
+        assert_eq!(one, vec![10.0]);
     }
 
     #[test]
@@ -417,7 +429,10 @@ mod tests {
         let run = pool.last_run().expect("priced run recorded");
         assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(run.costs, costs);
-        assert_eq!(run.schedule, lpt_assign_weighted(&costs, pool.speeds()));
+        let (assignment, finish_units) = lpt_assign_weighted(&costs, pool.speeds());
+        assert_eq!(run.assignment, assignment);
+        assert_eq!(run.makespan_units, max_of(&finish_units));
+        assert_eq!(run.speeds, pool.speeds());
         assert_eq!(run.task_seconds.len(), 10);
         assert!(run.task_seconds.iter().all(|&t| t >= 0.0));
         assert_eq!(run.busy_s.len(), 2);
@@ -437,6 +452,43 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(run.measured_makespan_s, 0.0);
         assert_eq!(run.utilization(), vec![0.0; 4]);
+        assert_eq!(run.total_units(), 0);
+        assert_eq!(run.makespan_error(), 0.0);
+        assert_eq!(run.packing_efficiency(), 1.0);
+    }
+
+    #[test]
+    fn stats_from_a_perfectly_predicted_run() {
+        // Tasks whose wall time is (approximately) proportional to their
+        // cost: spin loops scaled by the declared units.
+        let pool = WeightedPool::new(vec![2.0, 1.0]);
+        let costs: Vec<u64> = vec![400, 200, 200, 100, 100];
+        let tasks: Vec<_> = costs
+            .iter()
+            .map(|&c| {
+                move || {
+                    let mut acc = 0u64;
+                    for i in 0..c * 40_000 {
+                        acc = acc.wrapping_mul(31).wrapping_add(i);
+                    }
+                    acc
+                }
+            })
+            .collect();
+        pool.run_priced(tasks, &costs);
+        let run = pool.last_run().expect("priced run recorded");
+        assert_eq!(run.speeds.len(), 2);
+        assert_eq!(run.total_units(), 1000);
+        assert!(run.makespan_units > 0.0);
+        assert!(run.packing_efficiency() > 0.5 && run.packing_efficiency() <= 1.0);
+        assert!(
+            run.makespan_error() < 0.25,
+            "spin-loop work should be predictable: error {}",
+            run.makespan_error()
+        );
+        let util = run.utilization();
+        assert_eq!(util.len(), 2);
+        assert!(util.iter().any(|&u| (u - 1.0).abs() < 1e-9));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use std::collections::VecDeque;
 
 use flexcore::{CellDetector, ServiceTier};
-use flexcore_engine::{pool_for, ChannelStream, LatencyRecord, RxFrame, StreamingCell};
+use flexcore_engine::{ChannelStream, LatencyRecord, RxFrame, StreamingCell};
 use flexcore_hwmodel::{CellBudget, CpuModel, PeCost, WorkUnit};
 use flexcore_modulation::Constellation;
 use flexcore_parallel::{lpt_makespan_weighted, PePool, WeightedPool};
@@ -225,7 +225,7 @@ impl CityCell {
         CityCell {
             cell: StreamingCell::new(),
             users: Vec::new(),
-            pool: pool_for(&budget.fabric),
+            pool: WeightedPool::new(budget.fabric.speed_factors()),
             unit_s,
             constellation: Constellation::new(cfg.modulation),
             base: CellDetector::fixed(

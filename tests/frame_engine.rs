@@ -7,13 +7,13 @@ use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_detect::{FcsdDetector, MmseDetector, SphereDecoder};
 use flexcore_engine::{
-    pool_for, ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
+    ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
 };
 use flexcore_hwmodel::HeterogeneousFabric;
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::Cx;
-use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
+use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool, WeightedPool};
 use flexcore_phy::link::{cell_packet_tick, simulate_packet, LinkConfig};
 use flexcore_phy::LinkOutcome;
 use rand::rngs::StdRng;
@@ -150,9 +150,7 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
     // engine's priced batches by the uniform-machines LPT rule — must
     // match the sequential reference, fixed and adaptive, and leave a run
     // record that audits under any `PeCost` model.
-    use flexcore_engine::FabricStats;
-    use flexcore_hwmodel::{CpuModel, FpgaModel, HeterogeneousFabric, PeClass, PeCost, WorkUnit};
-    use flexcore_parallel::WeightedPool;
+    use flexcore_hwmodel::{CpuModel, FpgaModel, PeClass, PeCost, WorkUnit};
 
     let channel = selective_channel(12, 31);
     let frame = random_frame(&channel, 5, 32);
@@ -194,14 +192,11 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
             CpuModel::fx8120().unit_seconds(&work),
             fpga.unit_seconds(&work),
         ] {
-            let audit = FabricStats::from_run(&run, pool.speeds(), unit_s);
-            assert_eq!(audit.n_pes, fabric.n_pes(), "{}", fabric.name);
-            assert!(audit.total_units > 0);
-            assert!(audit.packing_efficiency > 0.0 && audit.packing_efficiency <= 1.0);
-            assert_eq!(
-                audit.predicted_model_makespan_s,
-                audit.predicted_makespan_units * unit_s
-            );
+            assert_eq!(run.speeds.len(), fabric.n_pes(), "{}", fabric.name);
+            assert!(run.total_units() > 0);
+            assert!(run.packing_efficiency() > 0.0 && run.packing_efficiency() <= 1.0);
+            let model_makespan_s = run.makespan_units * unit_s;
+            assert!(model_makespan_s > 0.0 && model_makespan_s.is_finite());
         }
     }
 }
@@ -214,15 +209,11 @@ fn fabric_makespan_prediction_tracks_real_detection_cost() {
     // cost real detection time in proportion, or the predicted makespan
     // silently drifts. PR 6 caught the unpriced nt² rotate at 64×64 with
     // exactly this audit; spin-loop tasks
-    // (`fabric::tests::stats_from_a_perfectly_predicted_run`) cannot.
-    use flexcore_engine::{pool_for, FabricStats};
-    use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
-
+    // (`weighted::tests::stats_from_a_perfectly_predicted_run`) cannot.
     const MAX_MAKESPAN_ERROR: f64 = 0.25;
-    let pool = pool_for(&HeterogeneousFabric::lte_smallcell());
+    let pool = WeightedPool::new(HeterogeneousFabric::lte_smallcell().speed_factors());
     let c = Constellation::new(Modulation::Qam16);
     for nt in [8usize, 64] {
-        let unit_s = CpuModel::fx8120().unit_seconds(&WorkUnit::new(nt, 16));
         // 52 subcarriers: each of the 8 PEs averages several, so
         // per-subcarrier cost spread the price cannot see evens out.
         let channel = selective_channel_at(nt, 20.0, 52, 600 + nt as u64);
@@ -252,7 +243,7 @@ fn fabric_makespan_prediction_tracks_real_detection_cost() {
                     .map(|frame| {
                         engine.detect_frame(frame, &pool);
                         let run = pool.last_run().expect("the fabric recorded the run");
-                        FabricStats::from_run(&run, pool.speeds(), unit_s).makespan_error
+                        run.makespan_error()
                     })
                     .fold(f64::INFINITY, f64::min)
             };
@@ -359,7 +350,7 @@ fn framed_uplink_equals_sequential_uplink_through_every_pool() {
                     &cfg,
                     seed,
                     snr,
-                    &pool_for(&HeterogeneousFabric::lte_smallcell()),
+                    &WeightedPool::new(HeterogeneousFabric::lte_smallcell().speed_factors()),
                 ),
             ),
         ];
