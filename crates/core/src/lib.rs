@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod detector;
-pub mod kbest_adaptive;
 pub mod mixed;
 pub mod model;
 pub mod position;
@@ -44,7 +43,6 @@ pub mod soft;
 pub use detector::{FlexCoreConfig, FlexCoreDetector, PathOrdering, QrOrdering};
 pub use flexcore_detect::common::PathScratch;
 pub use flexcore_numeric::SymVec;
-pub use kbest_adaptive::AdaptiveKBest;
 pub use mixed::{CellDetector, ServiceTier};
 pub use model::LevelErrorModel;
 pub use position::PositionVector;

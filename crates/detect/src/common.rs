@@ -75,8 +75,8 @@ pub trait Detector {
 
     /// Relative cost of detecting **one vector** under the currently
     /// prepared channel, in detector-specific work units (FlexCore: active
-    /// tree paths; adaptive K-best: total survivor width). `1` for
-    /// detectors whose per-vector cost is channel-independent or unknown.
+    /// tree paths). `1` for detectors whose per-vector cost is
+    /// channel-independent or unknown.
     ///
     /// Channel-adaptive detectors report *smaller* values on easier
     /// channels, so a frame scheduler can order per-subcarrier batches
@@ -299,34 +299,6 @@ impl Triangular {
         acc.norm_sqr()
     }
 
-    /// Four-wide [`Triangular::ped_increment`] over **four consecutive
-    /// candidate symbols** `sym0..sym0+4` of one survivor path: lane `l`
-    /// returns the PED increment for candidate `sym0 + l`. The survivor's
-    /// interference terms (identical across candidates) are broadcast;
-    /// per-lane operation order matches the scalar kernel exactly.
-    ///
-    /// # Panics
-    /// Panics if `sym0 + LANES` exceeds the constellation order.
-    pub fn ped_increment_block(
-        &self,
-        ybar: &[Cx],
-        symbols: &[u16],
-        row: usize,
-        sym0: usize,
-    ) -> [f64; LANES] {
-        // flexcore-lint: scalar-twin = ped_increment
-        let r = &self.qr.r;
-        let mut acc = CxLane::splat(ybar[row]);
-        let pts = CxLane::load(&self.constellation.points()[sym0..sym0 + LANES]);
-        acc.sub_mul(CxLane::splat(r[(row, row)]), pts);
-        for p in row + 1..self.nt() {
-            let coef = CxLane::splat(r[(row, p)]);
-            let s = CxLane::splat(self.constellation.point(symbols[p] as usize));
-            acc.sub_mul(coef, s);
-        }
-        acc.norm_sqr()
-    }
-
     /// Four-wide [`Triangular::ped_increment`] over **four independent
     /// lanes** (paths/observations): lane `l` scores its own chosen point
     /// `points[row]` against its own observation and its own decisions
@@ -465,8 +437,8 @@ mod tests {
     #[test]
     fn lane_kernels_match_scalar_kernels_bitwise() {
         // Widths on both sides of every lane and spill boundary × every
-        // modulation with a full candidate block; the scalar kernels on
-        // lane `l`'s inputs are the reference.
+        // modulation; the scalar kernels on lane `l`'s inputs are the
+        // reference.
         for nt in [1usize, 4, 16, 17, 64] {
             for m in [
                 Modulation::Qpsk,
@@ -474,7 +446,7 @@ mod tests {
                 Modulation::Qam64,
                 Modulation::Qam256,
             ] {
-                let (tri, s, y) = setup_mod(nt, m, 16 + nt as u64);
+                let (tri, _, y) = setup_mod(nt, m, 16 + nt as u64);
                 let q = tri.constellation.order();
                 let ybar = tri.rotate(&y);
                 let mut rng = StdRng::seed_from_u64(99);
@@ -521,15 +493,6 @@ mod tests {
                         );
                         let want = tri.ped_increment(&ybar, syms, row, syms[row] as usize);
                         assert_eq!(want.to_bits(), peds[l].to_bits(), "ped nt={nt} {m:?}");
-                    }
-                    // ped_increment_block vs scalar per candidate, one
-                    // shared survivor.
-                    for sym0 in (0..=q - LANES).step_by(LANES) {
-                        let block = tri.ped_increment_block(&ybar, &s, row, sym0);
-                        for (l, got) in block.iter().enumerate() {
-                            let want = tri.ped_increment(&ybar, &s, row, sym0 + l);
-                            assert_eq!(want.to_bits(), got.to_bits(), "block nt={nt} {m:?}");
-                        }
                     }
                 }
             }

@@ -7,10 +7,9 @@
 //! |---|---|---|
 //! | [`ml`] | Exhaustive maximum likelihood | test oracle (tiny systems) |
 //! | [`sphere`] | Depth-first Schnorr–Euchner sphere decoder | exact ML at scale — the paper's "Geosphere" reference \[32\] and the Table 1 complexity subject |
-//! | [`linear`] | Zero-forcing and MMSE | the Argos/BigStation-style linear baselines |
-//! | [`sic`] | Ordered successive interference cancellation (V-BLAST) | the SIC curve of Fig. 12 |
+//! | [`linear`] | MMSE (zero-forcing is its σ² = 0 limit) | the Argos/BigStation-style linear baselines of Figs. 9 and 10 |
+//! | [`sic`] | Ordered successive interference cancellation (V-BLAST) | the city's `ServiceTier::Sic` tier (Fig. 12's "SIC" curve is single-path FlexCore, not this) |
 //! | [`sic`] | Parallel-SIC, one PE per constellation point | the trellis-based fixed-parallelism decoder of \[50\] in Fig. 9 |
-//! | [`kbest`] | Breadth-first K-best | related-work baseline (§6) |
 //! | [`fcsd`] | Fixed-Complexity Sphere Decoder \[4\] | FlexCore's main head-to-head competitor |
 //!
 //! All detectors implement the object-safe [`Detector`] trait: `prepare`
@@ -23,7 +22,6 @@
 
 pub mod common;
 pub mod fcsd;
-pub mod kbest;
 pub mod linear;
 pub mod ml;
 pub mod sic;
@@ -31,8 +29,7 @@ pub mod sphere;
 
 pub use common::{Detector, Triangular};
 pub use fcsd::FcsdDetector;
-pub use kbest::{kbest_descend, KBestDetector, KBestScratch};
-pub use linear::{MmseDetector, ZfDetector};
+pub use linear::MmseDetector;
 pub use ml::MlDetector;
 pub use sic::{ParallelSicDetector, SicDetector};
 pub use sphere::SphereDecoder;

@@ -1,4 +1,5 @@
-//! Linear detectors: zero-forcing and MMSE.
+//! Linear detection: MMSE, whose σ² = 0 limit is zero-forcing
+//! (`mmse_filter(h, 0)` is the pseudo-inverse `H⁺`).
 //!
 //! These are the detectors used by the large-MIMO systems the paper argues
 //! against (Argos, BigStation, SAM): one matrix–vector product per received
@@ -8,48 +9,8 @@
 
 use crate::common::{batch_rows, Detector};
 use flexcore_modulation::Constellation;
-use flexcore_numeric::solve::{mmse_filter, pseudo_inverse};
+use flexcore_numeric::solve::mmse_filter;
 use flexcore_numeric::{CMat, Cx};
-
-/// Zero-forcing detection: `ŝ = slice(H⁺·y)`.
-#[derive(Clone, Debug)]
-pub struct ZfDetector {
-    constellation: Constellation,
-    filter: Option<CMat>,
-}
-
-impl ZfDetector {
-    /// Creates a ZF detector for the given constellation.
-    pub fn new(constellation: Constellation) -> Self {
-        ZfDetector {
-            constellation,
-            filter: None,
-        }
-    }
-}
-
-impl Detector for ZfDetector {
-    fn name(&self) -> String {
-        "ZF".into()
-    }
-
-    fn prepare(&mut self, h: &CMat, _sigma2: f64) {
-        self.filter = Some(pseudo_inverse(h));
-    }
-
-    fn detect(&self, y: &[Cx]) -> Vec<usize> {
-        // flexcore-lint: allow(FL004, reason = "prepare-before-detect API contract; documented panic on the public entry point")
-        let w = self.filter.as_ref().expect("ZF: prepare() not called");
-        w.mul_vec(y)
-            .into_iter()
-            .map(|z| self.constellation.slice(z))
-            .collect()
-    }
-
-    fn n_streams(&self) -> usize {
-        self.filter.as_ref().map_or(0, CMat::rows)
-    }
-}
 
 /// Minimum mean-squared-error detection:
 /// `ŝ = slice((H*H + σ²I)⁻¹·H*·y)`.
@@ -160,13 +121,35 @@ mod tests {
         errs as f64 / total as f64
     }
 
+    /// Zero-forcing as the σ² = 0 limit of MMSE: whatever noise power
+    /// `prepare` is handed, the filter is `H⁺`.
+    struct ZeroForcing(MmseDetector);
+
+    impl Detector for ZeroForcing {
+        fn name(&self) -> String {
+            "ZF".into()
+        }
+
+        fn prepare(&mut self, h: &CMat, _sigma2: f64) {
+            self.0.prepare(h, 0.0);
+        }
+
+        fn detect(&self, y: &[Cx]) -> Vec<usize> {
+            self.0.detect(y)
+        }
+
+        fn n_streams(&self) -> usize {
+            self.0.n_streams()
+        }
+    }
+
     #[test]
     fn zf_perfect_in_noiseless_channel() {
         let c = Constellation::new(Modulation::Qam64);
         let ens = ChannelEnsemble::iid(6, 6);
         let mut rng = StdRng::seed_from_u64(1);
         let h = ens.draw(&mut rng);
-        let mut det = ZfDetector::new(c.clone());
+        let mut det = MmseDetector::new(c.clone());
         det.prepare(&h, 0.0);
         let s: Vec<usize> = (0..6).map(|_| rng.gen_range(0..64)).collect();
         let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
@@ -177,7 +160,7 @@ mod tests {
     #[test]
     fn mmse_beats_zf_at_low_snr() {
         let c = Constellation::new(Modulation::Qam16);
-        let mut zf = ZfDetector::new(c.clone());
+        let mut zf = ZeroForcing(MmseDetector::new(c.clone()));
         let mut mmse = MmseDetector::new(c);
         let ser_zf = run_ser(&mut zf, 12.0, 8, 60);
         let ser_mmse = run_ser(&mut mmse, 12.0, 8, 60);
@@ -236,7 +219,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "prepare() not called")]
     fn detect_before_prepare_panics() {
-        let det = ZfDetector::new(Constellation::new(Modulation::Qpsk));
+        let det = MmseDetector::new(Constellation::new(Modulation::Qpsk));
         det.detect(&[Cx::ZERO; 4]);
     }
 }

@@ -49,8 +49,9 @@ struct UserSlot<D> {
     completed: u64,
 }
 
-/// Snapshot of a cell's serving state: aggregate progress, per-user
-/// fairness, and the shared-pool packing quality of the last tick.
+/// Snapshot of a cell's serving state: aggregate progress and per-user
+/// fairness. (A tick's packing is the pool's business: read a
+/// [`WeightedPool`](flexcore_parallel::WeightedPool)'s last run.)
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellStats {
     /// Users registered.
@@ -71,19 +72,6 @@ pub struct CellStats {
     /// Per-user Σ [`Detector::effort`] over currently prepared subcarriers
     /// — how the PE demand splits across users right now.
     pub per_user_effort: Vec<u64>,
-    /// Modelled parallel efficiency of the tick identified by
-    /// [`CellStats::audited_tick`] — always in `(0, 1]`:
-    /// `Σ batch costs / (n_pes · LPT makespan)` of the tick's plan on
-    /// `n_pes` identical PEs; 1.0 before the first non-empty tick. (For a
-    /// heterogeneous fabric's packing, read the
-    /// [`WeightedPool`](flexcore_parallel::WeightedPool)'s last run.)
-    pub last_tick_efficiency: f64,
-    /// The 1-based tick id `last_tick_efficiency` describes (the value
-    /// [`CellStats::ticks`] had right after that tick), or `None` before
-    /// the first non-empty tick. Empty calls don't advance the tick
-    /// counter and don't touch the audit, so after a burst of empty calls
-    /// this still names the tick the audit belongs to.
-    pub audited_tick: Option<u64>,
 }
 
 /// N per-user streaming uplinks sharing one processing-element pool.
@@ -95,13 +83,8 @@ pub struct CellStats {
 /// as long as frames are built from the same streams.
 pub struct StreamingCell<D> {
     users: Vec<UserSlot<D>>,
-    /// Non-empty ticks booked; also the 1-based id of the tick
-    /// `last_tick_efficiency` audits, since only booking a non-empty tick
-    /// moves either.
+    /// Non-empty ticks booked.
     ticks: u64,
-    last_tick_efficiency: f64,
-    /// Per-PE loads of the last tick's audit, reused tick after tick.
-    pe_loads: Vec<u64>,
     /// The last tick's hard decisions, reused tick after tick.
     plane: TickPlane,
 }
@@ -118,8 +101,6 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         StreamingCell {
             users: Vec::new(),
             ticks: 0,
-            last_tick_efficiency: 1.0,
-            pe_loads: Vec::new(),
             plane: TickPlane::default(),
         }
     }
@@ -230,29 +211,29 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
 
     /// The run half of a tick: hard-detects a plan from
     /// [`StreamingCell::plan_tick`] on `pool` into the cell's own decision
-    /// plane, books every served user's completion, and stamps the tick's
-    /// audit. Yields `(user id, decisions)` per served user, in user order:
-    /// the user's frame as one symbol-major plane of `nt` stream-ordered
-    /// symbol indices per grid cell, each bit-identical to
-    /// [`Detector::detect`]. The plane is sized by the first tick of a
-    /// shape and reused, so a warm tick allocates nothing per vector. A
-    /// plan that serves nobody is not a tick.
+    /// plane and books every served user's completion. Yields `(user id,
+    /// decisions)` per served user, in user order: the user's frame as one
+    /// symbol-major plane of `nt` stream-ordered symbol indices per grid
+    /// cell, each bit-identical to [`Detector::detect`]. The plane is
+    /// sized by the first tick of a shape and reused, so a warm tick
+    /// allocates nothing per vector. A plan that serves nobody is not a
+    /// tick.
     pub fn run_tick<P: PePool>(
         &mut self,
         plan: TickPlan<D>,
         pool: &P,
     ) -> impl Iterator<Item = (usize, &[u16])> + '_ {
         plan.detect_plane(pool, &mut self.plane);
-        self.book_tick(&plan, pool.n_pes());
+        self.book_tick(&plan);
         self.plane.users().map(|(user, _, _, cells)| (user, cells))
     }
 
     /// The book half of a tick: counts every user `plan` serves as
-    /// completed, bills its engine the frame, and stamps the tick's audit
-    /// for a pool of `n_pes`. It reads the plan, not the outputs, so the
-    /// pipeline's transmit thread books a tick while its detect thread is
-    /// still running it. A plan that serves nobody is not a tick.
-    pub(crate) fn book_tick(&mut self, plan: &TickPlan<D>, n_pes: usize) {
+    /// completed and bills its engine the frame. It reads the plan, not
+    /// the outputs, so the pipeline's transmit thread books a tick while
+    /// its detect thread is still running it. A plan that serves nobody is
+    /// not a tick.
+    pub(crate) fn book_tick(&mut self, plan: &TickPlan<D>) {
         let mut served = false;
         for (user, n_vectors) in plan.served() {
             served = true;
@@ -260,16 +241,9 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
             slot.completed += 1;
             slot.engine.record_frame(n_vectors);
         }
-        if !served {
-            return;
+        if served {
+            self.ticks += 1;
         }
-        self.ticks += 1;
-        let makespan = unit_lpt_makespan(plan.costs(), n_pes, &mut self.pe_loads);
-        self.last_tick_efficiency = if makespan == 0 {
-            1.0
-        } else {
-            plan.costs().iter().sum::<u64>() as f64 / (n_pes as f64 * makespan as f64)
-        };
     }
 
     /// Runs `f` over every `(user, subcarrier, symbol-batch)` of each
@@ -292,7 +266,7 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
     {
         let plan = self.plan_tick(pool.n_pes());
         let outputs = plan.run(pool, f);
-        self.book_tick(&plan, pool.n_pes());
+        self.book_tick(&plan);
         outputs
     }
 
@@ -311,8 +285,7 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
             .collect()
     }
 
-    /// Serving statistics: aggregate progress, per-user fairness, and the
-    /// modelled pool-packing efficiency of the last tick.
+    /// Serving statistics: aggregate progress and per-user fairness.
     pub fn stats(&self) -> CellStats {
         let behind: Vec<u64> = (0..self.users.len())
             .map(|u| self.frames_behind(u))
@@ -325,8 +298,6 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
             min_frames_behind: behind.iter().copied().min().unwrap_or(0),
             max_frames_behind: behind.iter().copied().max().unwrap_or(0),
             per_user_effort: self.users.iter().map(|s| s.engine.effort_total()).collect(),
-            last_tick_efficiency: self.last_tick_efficiency,
-            audited_tick: (self.ticks > 0).then_some(self.ticks),
         }
     }
 
@@ -353,23 +324,6 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         slot.engine.set_template(template);
         slot.engine.prepare(slot.stream.estimate())
     }
-}
-
-/// The LPT makespan of `costs`, already longest first (a
-/// [`TickPlan::costs`]), on `n_pes` identical PEs: each cost goes to the
-/// least-loaded PE, ties to the lowest index, in one pass over `loads`
-/// (overwritten) — `flexcore_parallel::lpt_makespan_weighted` at unit
-/// speeds without its sort, its float loads and its allocations, and
-/// equal to it on such input.
-fn unit_lpt_makespan(costs: &[u64], n_pes: usize, loads: &mut Vec<u64>) -> u64 {
-    loads.clear();
-    loads.resize(n_pes, 0);
-    for &cost in costs {
-        if let Some(least) = loads.iter_mut().min_by_key(|load| **load) {
-            *least += cost;
-        }
-    }
-    loads.iter().copied().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -411,26 +365,6 @@ mod tests {
             },
             &mut noise_rng,
         )
-    }
-
-    #[test]
-    fn unit_lpt_pass_equals_lpt_makespan_on_sorted_costs() {
-        use flexcore_parallel::lpt_makespan_weighted;
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut loads = Vec::new();
-        for case in 0..2_000 {
-            let n = rng.gen_range(0..40);
-            // Small ranges make ties (equal costs, equal loads) common.
-            let top = if case % 2 == 0 { 4 } else { 1_000_000 };
-            let mut costs: Vec<u64> = (0..n).map(|_| rng.gen_range(0..top)).collect();
-            costs.sort_by(|a, b| b.cmp(a));
-            let n_pes = rng.gen_range(1..10);
-            assert_eq!(
-                unit_lpt_makespan(&costs, n_pes, &mut loads),
-                lpt_makespan_weighted(&costs, &vec![1.0; n_pes]) as u64,
-                "{costs:?} on {n_pes} PEs"
-            );
-        }
     }
 
     #[test]
@@ -527,7 +461,6 @@ mod tests {
         assert_eq!(stats.frames_submitted, 3);
         assert_eq!(stats.frames_completed, 2);
         assert_eq!((stats.min_frames_behind, stats.max_frames_behind), (0, 1));
-        assert!(stats.last_tick_efficiency > 0.0 && stats.last_tick_efficiency <= 1.0);
         // Draining the backlog levels the lag; a tick with only user 0's
         // frame serves just that user.
         let outs = cell.detect_tick(&SequentialPool::new(2));
@@ -650,11 +583,10 @@ mod tests {
     }
 
     #[test]
-    fn tick_audit_is_tick_stamped_across_fabric_plain_and_empty_ticks() {
+    fn ticks_count_served_calls_across_fabric_plain_and_empty_ticks() {
         use flexcore_parallel::WeightedPool;
-        // The audit is written wholesale per non-empty tick, whatever pool
-        // ran it, and stamped with its tick id; empty calls touch neither
-        // the tick counter nor the audit.
+        // A tick is counted only when it serves someone, whatever pool ran
+        // it; an empty call touches neither the tick counter nor the pool.
         let mut cell = StreamingCell::new();
         cell.add_user(mk_stream(5, 0.9, 141), FlexCoreDetector::with_pes(c16(), 8));
         cell.add_user(mk_stream(5, 0.9, 142), FlexCoreDetector::with_pes(c16(), 8));
@@ -664,17 +596,14 @@ mod tests {
                 cell.submit(u, f);
             }
         };
-        assert_eq!(cell.stats().audited_tick, None);
-        assert_eq!(cell.stats().last_tick_efficiency, 1.0);
+        assert_eq!(cell.stats().ticks, 0);
 
         // Tick 1 on a heterogeneous fabric: the pool keeps the placement
-        // record, the cell the identical-PE packing model.
+        // record.
         let pool = WeightedPool::new(vec![4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
         submit_all(&mut cell, 1000);
         cell.detect_tick(&pool);
-        let s1 = cell.stats();
-        assert_eq!(s1.audited_tick, Some(1));
-        assert!(s1.last_tick_efficiency > 0.0 && s1.last_tick_efficiency <= 1.0);
+        assert_eq!(cell.stats().ticks, 1);
         let run = pool.last_run().expect("the fabric recorded the tick");
         assert!(run.costs.iter().sum::<u64>() > 0);
         assert_eq!(run.task_seconds.len() as u64, pool.stats().tasks());
@@ -682,23 +611,17 @@ mod tests {
         // Tick 2 on identical PEs.
         submit_all(&mut cell, 2000);
         cell.detect_tick(&SequentialPool::new(4));
-        let s2 = cell.stats();
-        assert_eq!(s2.audited_tick, Some(2));
-        assert!(s2.last_tick_efficiency > 0.0 && s2.last_tick_efficiency <= 1.0);
+        assert_eq!(cell.stats().ticks, 2);
 
-        // Empty call: not a tick — counter and audit both stay at tick 2,
-        // so the audit remains attributed to the tick it describes, and
-        // the pool is never touched.
+        // Empty call: not a tick, and the pool is never touched.
         assert!(cell.detect_tick(&pool).is_empty());
-        let s3 = cell.stats();
-        assert_eq!((s3.ticks, s3.audited_tick), (2, Some(2)));
-        assert_eq!(s3.last_tick_efficiency, s2.last_tick_efficiency);
+        assert_eq!(cell.stats().ticks, 2);
         assert_eq!(pool.stats().batches(), 1, "an empty tick ran a batch");
 
-        // Tick 3: the stamp moves with the tick.
+        // Tick 3: the counter moves with the next served tick.
         submit_all(&mut cell, 3000);
         cell.detect_tick(&pool);
-        assert_eq!(cell.stats().audited_tick, Some(3));
+        assert_eq!(cell.stats().ticks, 3);
     }
 
     #[test]

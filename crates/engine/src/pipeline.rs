@@ -581,7 +581,7 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
                 // outputs, this thread owns the cell.
                 let submitted = Instant::now();
                 let plan = self.cell.plan_tick(pool.n_pes());
-                self.cell.book_tick(&plan, pool.n_pes());
+                self.cell.book_tick(&plan);
                 let job = TickJob {
                     tick,
                     submitted,

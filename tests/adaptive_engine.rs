@@ -3,14 +3,14 @@
 //! time-varying scenario.
 //!
 //! The load-bearing guarantees:
-//! * a-FlexCore / `AdaptiveKBest` batch detection is bit-identical
-//!   to their per-vector `detect` — and inside the engine the batch path is
+//! * a-FlexCore batch detection is bit-identical to its per-vector
+//!   `detect` — and inside the engine the batch path is
 //!   actually *taken* (no silent per-vector fallback, the PR 3 bugfix);
 //! * adaptive and fixed FlexCore produce identical detected grids whenever
 //!   the stopping criterion leaves every path active;
 //! * LPT batch ordering never changes results, only scheduling.
 
-use flexcore::{AdaptiveKBest, FlexCoreDetector};
+use flexcore::FlexCoreDetector;
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, RxFrame};
@@ -55,9 +55,8 @@ fn random_frame(channel: &FrameChannel, n_sym: usize, seed: u64) -> RxFrame {
 
 #[test]
 fn adaptive_batch_paths_are_bit_identical_to_per_vector_detect() {
-    // The PR 3 bugfix regression: both adaptive detectors'
-    // detect_batch_refs must equal the per-vector loop exactly, across
-    // channels and SNRs.
+    // The batch-path regression: a-FlexCore's detect_batch_refs must
+    // equal the per-vector loop exactly, across channels and SNRs.
     let c = Constellation::new(Modulation::Qam16);
     let ens = ChannelEnsemble::iid(NT, NT);
     let mut rng = StdRng::seed_from_u64(41);
@@ -81,15 +80,6 @@ fn adaptive_batch_paths_are_bit_identical_to_per_vector_detect() {
             afc.detect_batch_refs(&refs),
             per_vector,
             "a-FlexCore {snr} dB"
-        );
-
-        let mut akb = AdaptiveKBest::new(c.clone(), 16);
-        akb.prepare(&h, sigma2_from_snr_db(snr));
-        let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| akb.detect(y)).collect();
-        assert_eq!(
-            akb.detect_batch_refs(&refs),
-            per_vector,
-            "a-K-best {snr} dB"
         );
     }
 }

@@ -10,9 +10,8 @@
 use flexcore::{FlexCoreConfig, FlexCoreDetector, PathScratch, PositionVector, QrOrdering};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::{Detector, Triangular};
-use flexcore_detect::{FcsdDetector, KBestDetector};
+use flexcore_detect::FcsdDetector;
 use flexcore_modulation::{Constellation, Modulation, OrderingLut};
-use flexcore_numeric::qr::sorted_qr_sqrd;
 use flexcore_numeric::{CMat, Cx};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -175,30 +174,6 @@ fn fcsd_per_path_reference(det: &FcsdDetector, y: &[Cx]) -> Vec<usize> {
     tri.unpermute(symbols.as_slice())
 }
 
-/// PR 1's K-best, re-enacted with per-child `symbols.clone()` on the same
-/// SQRD front end `KBestDetector` uses.
-fn kbest_pr1(tri: &Triangular, c: &Constellation, k: usize, y: &[Cx]) -> Vec<usize> {
-    let nt = tri.nt();
-    let q = c.order();
-    let ybar = rotate_scalar(tri, y);
-    let mut survivors: Vec<(f64, Vec<u16>)> = vec![(0.0, vec![0u16; nt])];
-    for row in (0..nt).rev() {
-        let mut children: Vec<(f64, Vec<u16>)> = Vec::with_capacity(survivors.len() * q);
-        for (ped, symbols) in &survivors {
-            for sym in 0..q {
-                let inc = tri.ped_increment(&ybar, symbols, row, sym);
-                let mut s = symbols.clone();
-                s[row] = sym as u16;
-                children.push((ped + inc, s));
-            }
-        }
-        children.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN PED"));
-        children.truncate(k);
-        survivors = children;
-    }
-    tri.unpermute(&survivors[0].1)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -233,29 +208,6 @@ proptest! {
         // And the trie-walk decisions match the nested reduction too.
         let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
         prop_assert_eq!(&per_vector, &reference);
-    }
-
-    #[test]
-    fn kbest_flat_survivors_equal_cloning_reference(
-        seed in 0u64..1_000_000,
-        nt in 2usize..6,
-        snr in 6.0f64..24.0,
-        k in 1usize..9,
-    ) {
-        let (h, sigma2, ys) = draw_workload(seed, nt, snr, 6);
-        let c = Constellation::new(Modulation::Qam16);
-        let mut det = KBestDetector::new(c.clone(), k);
-        det.prepare(&h, sigma2);
-        // Same front end as KBestDetector::prepare.
-        let tri = Triangular::new(sorted_qr_sqrd(&h), c.clone());
-        for y in &ys {
-            prop_assert_eq!(det.detect(y), kbest_pr1(&tri, &c, k, y));
-        }
-        // The batch override (shared flip-flop scratch) must not drift.
-        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        let batched = det.detect_batch_refs(&refs);
-        let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
-        prop_assert_eq!(batched, per_vector);
     }
 
     #[test]
@@ -332,28 +284,6 @@ proptest! {
         for y in &ys {
             prop_assert_eq!(&det.detect(y), &fcsd_per_path_reference(&det, y));
         }
-    }
-
-    #[test]
-    fn kbest_flat_survivors_equal_cloning_reference_at_any_width(
-        seed in 0u64..1_000_000,
-        nt in 1usize..65,
-        m_idx in 0usize..4,
-        k in 1usize..5,
-    ) {
-        let m = modulation(m_idx);
-        let (h, sigma2, ys) = draw_workload_mod(seed, nt, m, 14.0, 2);
-        let c = Constellation::new(m);
-        let mut det = KBestDetector::new(c.clone(), k);
-        det.prepare(&h, sigma2);
-        let tri = Triangular::new(sorted_qr_sqrd(&h), c.clone());
-        for y in &ys {
-            prop_assert_eq!(det.detect(y), kbest_pr1(&tri, &c, k, y));
-        }
-        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        let batched = det.detect_batch_refs(&refs);
-        let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
-        prop_assert_eq!(batched, per_vector);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Bit-identity property tests for the PR 7 SIMD/SoA detection kernels.
 //!
 //! The lane kernels (`CxLane`, the `mul_vec*` products, the blocked QR
-//! rotate, the four-wide trie walk, path blocks and candidate blocks)
+//! rotate, the four-wide trie walk and path blocks)
 //! promise *bitwise* equality with their scalar twins: each lane replays
 //! the scalar operation chain, so a lane path must never change a single
 //! bit of any symbol decision or metric. A kernel picks its lane form from
@@ -13,10 +13,10 @@
 //! and — at nt ∈ {4, 8, 16, 32, 64} — every pool/fabric execution
 //! substrate.
 
-use flexcore::{AdaptiveKBest, CellDetector, FlexCoreDetector, PathScratch};
+use flexcore::{CellDetector, FlexCoreDetector, PathScratch};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::{first_min_metric, Detector, Triangular};
-use flexcore_detect::{FcsdDetector, KBestDetector};
+use flexcore_detect::FcsdDetector;
 use flexcore_engine::{DetectedFrame, FrameChannel, FrameEngine, RxFrame};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::qr::sorted_qr_sqrd;
@@ -122,20 +122,6 @@ fn triangular_lane_kernels_bit_identical_nt_sweep_all_modulations() {
                         "ped_lanes nt={nt} q={q} row={row}"
                     );
                 }
-                if q >= LANES {
-                    let survivor = &lanes_syms[0];
-                    for sym0 in (0..=q - LANES).step_by(LANES) {
-                        let block = tri.ped_increment_block(&ybar, survivor, row, sym0);
-                        for (l, got) in block.iter().enumerate() {
-                            let want = tri.ped_increment(&ybar, survivor, row, sym0 + l);
-                            assert_eq!(
-                                want.to_bits(),
-                                got.to_bits(),
-                                "ped_block nt={nt} q={q} row={row} sym0={sym0}"
-                            );
-                        }
-                    }
-                }
             }
         }
     }
@@ -211,36 +197,6 @@ fn fcsd_scalar(det: &FcsdDetector, y: &[Cx]) -> Vec<usize> {
     tri.unpermute(scratch.symbols.as_slice())
 }
 
-/// K-best's decision as a scalar chain on the SQRD front end both K-best
-/// detectors use: scalar rotate, one `ped_increment` per child in
-/// survivor-major / symbol-minor order, a stable sort keeping
-/// `keep(row, n_surv)` children (floored at 1, capped at the child count).
-fn kbest_scalar(
-    h: &CMat,
-    c: &Constellation,
-    keep: impl Fn(usize, usize) -> usize,
-    y: &[Cx],
-) -> Vec<usize> {
-    let tri = Triangular::new(sorted_qr_sqrd(h), c.clone());
-    let ybar = rotate_scalar(&tri, y);
-    let mut survivors: Vec<(f64, Vec<u16>)> = vec![(0.0, vec![0u16; tri.nt()])];
-    for row in (0..tri.nt()).rev() {
-        let mut children = Vec::new();
-        for (ped, symbols) in &survivors {
-            for sym in 0..c.order() {
-                let inc = tri.ped_increment(&ybar, symbols, row, sym);
-                let mut s = symbols.clone();
-                s[row] = sym as u16;
-                children.push((ped + inc, s));
-            }
-        }
-        children.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN PED"));
-        children.truncate(keep(row, survivors.len()).clamp(1, children.len()));
-        survivors = children;
-    }
-    tri.unpermute(&survivors[0].1)
-}
-
 /// One random batch workload for a detector comparison.
 fn workload(nt: usize, m: Modulation, n_obs: usize, seed: u64) -> (CMat, f64, Vec<Vec<Cx>>) {
     let c = Constellation::new(m);
@@ -313,8 +269,8 @@ fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
     // an empty batch, one vector, full four-observation blocks and masked
     // tails (batch lengths 0–9), at widths on both sides of each lane and
     // spill boundary. The detectors with lane forms of their own (the
-    // block walk, path blocks, candidate blocks) are also pinned to their
-    // scalar chains; SIC and linear run only the matrix kernels above.
+    // block walk, path blocks) are also pinned to their scalar chains; SIC
+    // and linear run only the matrix kernels above.
     for nt in [1usize, 3, 4, 8, 16, 17, 64] {
         let m = if nt > 8 {
             Modulation::Qpsk
@@ -326,10 +282,6 @@ fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
         let ctx = |name: &str| format!("{name} nt={nt}");
         let adaptive_core =
             |d: &CellDetector, y: &[Cx]| flexcore_scalar(d.core().expect("core"), y);
-        let kbest = |d: &KBestDetector, y: &[Cx]| kbest_scalar(&h, &c, |_, _| d.k(), y);
-        let akb = |d: &AdaptiveKBest, y: &[Cx]| {
-            kbest_scalar(&h, &c, |row, n| d.k_per_level()[row] * n, y)
-        };
         let fc = FlexCoreDetector::with_pes(c.clone(), 12);
         assert_pinned(fc, &h, s2, &ys, Some(&flexcore_scalar), &ctx("FlexCore"));
         let adaptive = CellDetector::adaptive(c.clone(), 16, 0.95);
@@ -352,10 +304,6 @@ fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
         );
         let fcsd = FcsdDetector::new(c.clone(), 1);
         assert_pinned(fcsd, &h, s2, &ys, Some(&fcsd_scalar), &ctx("FCSD"));
-        let kb = KBestDetector::new(c.clone(), 4);
-        assert_pinned(kb, &h, s2, &ys, Some(&kbest), &ctx("K-best"));
-        let a = AdaptiveKBest::new(c.clone(), 8);
-        assert_pinned(a, &h, s2, &ys, Some(&akb), &ctx("a-K-best"));
     }
 }
 
@@ -386,16 +334,12 @@ fn detectors_bit_identical_at_lane_remainder_widths_and_path_counts() {
             Some(&fcsd_scalar),
             &format!("FCSD nt={nt}"),
         );
-        let kbest = |_: &KBestDetector, y: &[Cx]| kbest_scalar(&h, &c, |_, _| 3, y);
-        let kb = KBestDetector::new(c.clone(), 3);
-        assert_pinned(kb, &h, s2, &ys, Some(&kbest), &format!("KBest nt={nt}"));
     }
 }
 
 #[test]
 fn detectors_bit_identical_across_modulations() {
-    // BPSK (order 2 < LANES: pure scalar tail in the symbol-block loops)
-    // through 256-QAM, at an odd width.
+    // BPSK (order 2 < LANES) through 256-QAM, at an odd width.
     for m in ALL_MODS {
         let (h, s2, ys) = workload(5, m, 5, 10_000 + m.order() as u64);
         let c = Constellation::new(m);
@@ -417,9 +361,6 @@ fn detectors_bit_identical_across_modulations() {
             Some(&fcsd_scalar),
             &format!("FCSD {m:?}"),
         );
-        let kbest = |_: &KBestDetector, y: &[Cx]| kbest_scalar(&h, &c, |_, _| 4, y);
-        let kb = KBestDetector::new(c.clone(), 4);
-        assert_pinned(kb, &h, s2, &ys, Some(&kbest), &format!("KBest {m:?}"));
     }
 }
 
