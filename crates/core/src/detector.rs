@@ -12,8 +12,10 @@
 //! the `ablation` driver quantifies the accuracy/cost trade. Paths whose
 //! predefined order points outside the constellation are deactivated
 //! exactly as in the paper's FPGA engine; rank-1 lookups fall back to the
-//! clamped slicer so the SIC path always completes (a software-robustness
-//! addition).
+//! clamped slicer so the SIC path always completes, and a row whose
+//! SQRD pivot is exactly zero gets a finite effective point
+//! (`Triangular::pivot_inv`) so its metric stays finite (both
+//! software-robustness additions).
 
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
@@ -380,8 +382,8 @@ struct State {
     n_active: usize,
     /// Prefix-sharing evaluation order over the active paths.
     trie: PathTrie,
-    /// Per row `(R(row,row)⁻¹, |R(row,row)|²)`, exactly as the scalar walk
-    /// forms them per chain.
+    /// Per row `(Triangular::pivot_inv, |R(row,row)|²)`, exactly as the
+    /// scalar walk forms them per chain.
     diag: Vec<(Cx, f64)>,
 }
 
@@ -959,7 +961,7 @@ impl FlexCoreDetector {
         let state = self.prepared();
         let nt = state.tri.nt();
         // The rank-1 slicing fallback completes the SIC path on every
-        // active lane.
+        // active lane, with a finite metric even past a zero pivot.
         assert!(out.best_path[lane] != NIL, "the SIC path always completes");
         let lineage = &state.trie.lineage[out.best_path[lane] as usize * nt..][..nt];
         out.winner.clear();
@@ -975,7 +977,7 @@ impl FlexCoreDetector {
         let state = self.prepared();
         self.walk_paths(ybar, walk);
         let (i, _) =
-            // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback guarantees the SIC path completes, so the walk always yields a finite metric")
+            // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback completes the SIC path and pivot_inv keeps a zero pivot's effective point finite, so the walk always yields a finite metric")
             first_min_metric(walk.metrics.iter().copied()).expect("the SIC path always completes");
         state.tri.unpermute_into(walk.syms[i].as_slice(), row);
     }
@@ -1029,11 +1031,11 @@ impl Detector for FlexCoreDetector {
             prefix_reaching(&selection.ln_probs, t)
         });
         state.activate(prefix, self.config.n_pe);
-        let r = &state.tri.qr.r;
+        let tri = &state.tri;
         state.diag.clear();
         state
             .diag
-            .extend((0..r.cols()).map(|row| (r[(row, row)].inv(), r[(row, row)].norm_sqr())));
+            .extend((0..tri.nt()).map(|row| (tri.pivot_inv(row), tri.qr.r[(row, row)].norm_sqr())));
     }
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {

@@ -249,14 +249,32 @@ impl Triangular {
     /// the workspace's one symbol storage.
     ///
     /// Slicing this point gives the zero-forcing decision for the row given
-    /// the decisions above it.
+    /// the decisions above it. A dead row (`R(row,row) = 0`, see
+    /// [`Triangular::pivot_inv`]) gets the origin instead.
     pub fn effective_point(&self, ybar: &[Cx], symbols: &[u16], row: usize) -> Cx {
         let r = &self.qr.r;
         let mut acc = ybar[row];
         for p in row + 1..self.nt() {
             acc -= r[(row, p)] * self.constellation.point(symbols[p] as usize);
         }
-        acc / r[(row, row)]
+        acc * self.pivot_inv(row)
+    }
+
+    /// The reciprocal the effective point divides by, `1 / R(row,row)`,
+    /// or zero on a dead row: an SQRD pivot whose residual rounded to
+    /// exactly zero (an exactly collinear column) leaves `R(row,row) = 0`.
+    /// The row then says nothing about its symbol, so its effective point
+    /// is the origin (finite, so `|R(row,row)|²·dist` adds a zero
+    /// increment) instead of the `NaN` that would poison every path
+    /// metric. Every effective point — scalar, lane and FlexCore's block
+    /// walk — multiplies by this one value, which keeps them bit-identical.
+    pub fn pivot_inv(&self, row: usize) -> Cx {
+        let d = self.qr.r[(row, row)];
+        if d == Cx::ZERO {
+            Cx::ZERO
+        } else {
+            d.inv()
+        }
     }
 
     /// Four-wide [`Triangular::effective_point`]: the effective received
@@ -272,7 +290,7 @@ impl Triangular {
     ///
     /// The `R` coefficients are broadcast, the cancellation runs in
     /// ascending `p` exactly as the scalar kernel, and the division
-    /// replicates `Cx`'s divide-via-reciprocal — so lane `l` is
+    /// multiplies by the same [`Triangular::pivot_inv`] — so lane `l` is
     /// bit-identical to `effective_point` on lane `l`'s inputs.
     pub fn effective_point_lanes(
         &self,
@@ -285,7 +303,7 @@ impl Triangular {
         for p in row + 1..self.nt() {
             acc.sub_mul(CxLane::splat(r[(row, p)]), points[p]);
         }
-        acc.div_scalar(r[(row, row)])
+        acc * CxLane::splat(self.pivot_inv(row))
     }
 
     /// Partial-Euclidean-distance increment at `row` for choosing symbol
@@ -431,6 +449,38 @@ mod tests {
         for (j, &p) in tri.qr.perm.iter().enumerate() {
             assert_eq!(orig[p], s[j] as usize);
             assert_eq!(row[p], s[j]);
+        }
+    }
+
+    #[test]
+    fn dead_row_effective_point_is_the_origin_in_both_kernels() {
+        // An exactly collinear column leaves the SQRD a zero pivot. Its
+        // row's effective point must be finite (a `NaN` there poisons
+        // every path metric), the scalar and lane kernels must agree bit
+        // for bit, and a live row must still divide by its pivot.
+        let (mut tri, _, y) = setup(4, 7);
+        tri.qr.r[(1, 1)] = Cx::ZERO;
+        assert_eq!(tri.pivot_inv(1), Cx::ZERO);
+        assert_eq!(tri.pivot_inv(2), tri.qr.r[(2, 2)].inv());
+        let ybar = tri.rotate(&y);
+        let q = tri.constellation.order();
+        let mut rng = StdRng::seed_from_u64(8);
+        let lanes_syms: Vec<Vec<u16>> = (0..LANES)
+            .map(|_| (0..4).map(|_| rng.gen_range(0..q) as u16).collect())
+            .collect();
+        let points: Vec<CxLane> = (0..4)
+            .map(|p| CxLane::from_fn(|l| tri.constellation.point(lanes_syms[l][p] as usize)))
+            .collect();
+        let eff = tri.effective_point_lanes(CxLane::splat(ybar[1]), &points, 1);
+        for (l, syms) in lanes_syms.iter().enumerate() {
+            let want = tri.effective_point(&ybar, syms, 1);
+            assert_eq!(want.abs(), 0.0, "lane {l}");
+            let got = eff.get(l);
+            assert_eq!(
+                (want.re.to_bits(), want.im.to_bits()),
+                (got.re.to_bits(), got.im.to_bits()),
+                "lane {l}"
+            );
         }
     }
 

@@ -175,15 +175,6 @@ impl CxLane {
         }
     }
 
-    /// Divides every lane by the scalar `d`, replicating `Cx`'s division
-    /// (`z / d = z * d.inv()`): the reciprocal is formed once from `d`
-    /// exactly as the scalar operator forms it, then multiplied per lane
-    /// in the scalar product order.
-    #[inline]
-    pub fn div_scalar(self, d: Cx) -> Self {
-        self * CxLane::splat(d.inv())
-    }
-
     /// Squared magnitude `|z|²` per lane (`re·re + im·im`, the scalar
     /// [`Cx::norm_sqr`] order).
     #[inline]
@@ -290,10 +281,12 @@ mod tests {
     }
 
     #[test]
-    fn div_scalar_matches_scalar_bitwise() {
+    fn reciprocal_product_matches_scalar_division_bitwise() {
+        // `z * splat(d.inv())` per lane is `Cx`'s `z / d` (the effective
+        // point's division, formed once per row and multiplied per lane).
         let (la, lb, a, b) = lanes();
         let d = Cx::new(2.5, -0.5);
-        let out = la.div_scalar(d);
+        let out = la * CxLane::splat(d.inv());
         let prod = la * lb;
         for l in 0..LANES {
             assert_bits(out.get(l), a[l] / d);
@@ -311,7 +304,7 @@ mod tests {
         for d in [Cx::real(2.0), Cx::real(-2.0), Cx::new(0.0, 4.0), d] {
             for shift in 0..LANES {
                 let z: [Cx; LANES] = std::array::from_fn(|l| zeros[(l + shift) % LANES]);
-                let out = CxLane::load(&z).div_scalar(d);
+                let out = CxLane::load(&z) * CxLane::splat(d.inv());
                 for (l, &zl) in z.iter().enumerate() {
                     assert_bits(out.get(l), zl / d);
                 }
