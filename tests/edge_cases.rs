@@ -60,28 +60,47 @@ fn extreme_noise_never_panics() {
 #[test]
 fn near_singular_channel_is_handled() {
     // Two nearly-identical user columns: the worst conditioning FlexCore
-    // can face short of exact rank deficiency.
+    // can face short of exact rank deficiency. On some draws the second
+    // column's SQRD residual rounds to exactly zero and leaves
+    // `R(1,1) = 0` (seed 720 of this sweep under Box–Muller draws), so
+    // every draw must come back well-formed from both detect paths, and
+    // the two must agree.
+    //
+    // Which draws confuse the ill-conditioned pair is luck, so one draw
+    // says nothing about the detector: the other four streams collapse
+    // (fewer than 2 of 4 right) at a bounded rate instead. Measured on
+    // these 2 000 seeds with Box–Muller draws: 32.4 % (one standard error
+    // is 1.0 point).
+    const DRAWS: u64 = 2000;
+    const MAX_COLLAPSE_RATE: f64 = 0.38;
     let c = Constellation::new(Modulation::Qam16);
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut h = ChannelEnsemble::iid(6, 6).draw(&mut rng);
-    for r in 0..6 {
-        let v = h[(r, 0)];
-        h[(r, 1)] = v + v.scale(1e-4); // almost collinear
+    let mut collapsed = 0;
+    for seed in 0..DRAWS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut h = ChannelEnsemble::iid(6, 6).draw(&mut rng);
+        for r in 0..6 {
+            let v = h[(r, 0)];
+            h[(r, 1)] = v + v.scale(1e-4); // almost collinear
+        }
+        let mut det = FlexCoreDetector::with_pes(c.clone(), 32);
+        det.prepare(&h, sigma2_from_snr_db(20.0));
+        let s: Vec<usize> = (0..6).map(|_| rng.gen_range(0..16)).collect();
+        let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
+        let ch = MimoChannel::new(h, 20.0);
+        let y = ch.transmit(&x, &mut rng);
+        let out = det.detect(&y);
+        assert_eq!(out.len(), 6, "seed {seed}");
+        let mut plane = [0u16; 6];
+        det.detect_batch_into(&[&y], &mut plane);
+        assert_eq!(plane.map(usize::from).to_vec(), out, "seed {seed}");
+        if (2..6).filter(|&i| out[i] == s[i]).count() < 2 {
+            collapsed += 1;
+        }
     }
-    let mut det = FlexCoreDetector::with_pes(c.clone(), 32);
-    det.prepare(&h, sigma2_from_snr_db(20.0));
-    let s: Vec<usize> = (0..6).map(|_| rng.gen_range(0..16)).collect();
-    let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
-    let ch = MimoChannel::new(h, 20.0);
-    let y = ch.transmit(&x, &mut rng);
-    let out = det.detect(&y);
-    assert_eq!(out.len(), 6);
-    // The ill-conditioned pair may be confused; the other four streams
-    // should mostly survive.
-    let others_ok = (2..6).filter(|&i| out[i] == s[i]).count();
+    let rate = collapsed as f64 / DRAWS as f64;
     assert!(
-        others_ok >= 2,
-        "well-conditioned streams collapsed: {out:?} vs {s:?}"
+        rate < MAX_COLLAPSE_RATE,
+        "well-conditioned streams collapsed on {collapsed} of {DRAWS} draws"
     );
 }
 
