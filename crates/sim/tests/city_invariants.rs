@@ -164,11 +164,14 @@ fn downgraded_user_detections_match_a_solo_run_with_the_same_schedule() {
 /// onto one plan → run core). The digest folds every delivered detection
 /// in delivery order, so it moves if planning, scheduling or shedding ever
 /// leaks into results — a rerun compared only with itself cannot see that.
-const SMALL_CITY_DIGEST: u64 = 0xa8b5_6a0c_f290_c8e6;
+/// Both pins were re-recorded once, deliberately, when `CxRng::cx_normal`
+/// moved from Box–Muller to the polar method: that changes every channel
+/// and noise draw, so every detection input.
+const SMALL_CITY_DIGEST: u64 = 0x12a7_1b48_731d_7356;
 
 /// The same pin at full `CityConfig::small_city()` size (2 cells × 32
 /// users, shedding on): seed `0x5EED_0010`, 60 ticks at load 1.8.
-const SEEDED_SMALL_CITY_DIGEST: u64 = 0x2fed_7a89_585d_027d;
+const SEEDED_SMALL_CITY_DIGEST: u64 = 0x441d_81a0_46bc_0193;
 
 #[test]
 fn same_seed_city_runs_are_bit_identical() {

@@ -62,15 +62,15 @@ fn near_singular_channel_is_handled() {
     // Two nearly-identical user columns: the worst conditioning FlexCore
     // can face short of exact rank deficiency. On some draws the second
     // column's SQRD residual rounds to exactly zero and leaves
-    // `R(1,1) = 0` (seed 720 of this sweep under Box–Muller draws), so
-    // every draw must come back well-formed from both detect paths, and
-    // the two must agree.
+    // `R(1,1) = 0` (seed 345 of this sweep; 720 under the Box–Muller
+    // sampler `cx_normal` once used), so every draw must come back
+    // well-formed from both detect paths, and the two must agree.
     //
     // Which draws confuse the ill-conditioned pair is luck, so one draw
     // says nothing about the detector: the other four streams collapse
     // (fewer than 2 of 4 right) at a bounded rate instead. Measured on
-    // these 2 000 seeds with Box–Muller draws: 32.4 % (one standard error
-    // is 1.0 point).
+    // these 2 000 seeds: 32.4 % with Box–Muller draws (where the bound was
+    // set), 32.5 % with polar ones; one standard error is 1.0 point.
     const DRAWS: u64 = 2000;
     const MAX_COLLAPSE_RATE: f64 = 0.38;
     let c = Constellation::new(Modulation::Qam16);
