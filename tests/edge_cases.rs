@@ -62,8 +62,7 @@ fn near_singular_channel_is_handled() {
     // Two nearly-identical user columns: the worst conditioning FlexCore
     // can face short of exact rank deficiency. On some draws the second
     // column's SQRD residual rounds to exactly zero and leaves
-    // `R(1,1) = 0` (seed 345 of this sweep; 720 under the Box–Muller
-    // sampler `cx_normal` once used), so every draw must come back
+    // `R(1,1) = 0` (seed 345 of this sweep), so every draw must come back
     // well-formed from both detect paths, and the two must agree.
     //
     // Which draws confuse the ill-conditioned pair is luck, so one draw
