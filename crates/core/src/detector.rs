@@ -130,8 +130,8 @@ struct Chain {
 }
 
 /// Prefix-sharing trie over the selected position vectors, built in place
-/// from the search's own `(parent, row)` links by every `prepare` and
-/// every threshold retune ([`PathTrie::build`]).
+/// from the search's own `(parent, row)` links by every `prepare`
+/// ([`PathTrie::build`]).
 ///
 /// Position vectors share rank *prefixes* from the top row down, yet
 /// evaluating paths independently re-derives every shared effective point
@@ -191,7 +191,7 @@ impl PathTrie {
     /// (see `PreprocessOutput::links`) inside its own storage, in
     /// O(nodes built). `budget` is the most paths this trie will ever be
     /// built over (the search's `N_PE`): capacity is sized for it once, so
-    /// neither a channel refresh nor a threshold retune regrows.
+    /// a channel refresh never regrows it.
     ///
     /// Path `i` with link `(p, row)` is path `p` plus one at `row`, and all
     /// of `p`'s own increments sit at rows ≥ `row` (the search only
@@ -368,19 +368,11 @@ struct State {
     tri: Triangular,
     /// Per-level error model of `tri`'s `R` (Eq. 4).
     model: LevelErrorModel,
-    /// The full selection the prepare-time search produced (position
-    /// vectors with ln-probabilities, most promising first) — stored once.
-    /// The paper's stopping criterion only ever cuts the selection order
-    /// short (a stop cannot reorder what was already selected), so the
-    /// selection at threshold `t` is exactly the shortest prefix of this
-    /// list whose running `Σ exp(ln Pc)` reaches `t`.
+    /// The selection the prepare-time search produced (position vectors
+    /// with ln-probabilities, most promising first): every selected path
+    /// is an active one.
     selection: PreprocessOutput,
-    /// The active paths are `selection.paths[..n_active]`: the whole
-    /// selection, or the prefix an active (re-tuned) threshold cuts —
-    /// which [`FlexCoreDetector::retune_threshold`] just moves, without
-    /// re-running QR or the best-first search.
-    n_active: usize,
-    /// Prefix-sharing evaluation order over the active paths.
+    /// Prefix-sharing evaluation order over the selected paths.
     trie: PathTrie,
     /// Per row `(Triangular::pivot_inv, |R(row,row)|²)`, exactly as the
     /// scalar walk forms them per chain.
@@ -394,45 +386,10 @@ impl State {
             tri: Triangular::new(Qr::default(), constellation),
             model: LevelErrorModel::default(),
             selection: PreprocessOutput::default(),
-            n_active: 0,
             trie: PathTrie::default(),
             diag: Vec::new(),
         }
     }
-
-    fn paths(&self) -> &[PositionVector] {
-        &self.selection.paths[..self.n_active]
-    }
-
-    /// Makes the first `n_active` selected paths the active ones and
-    /// builds the trie over them from the search's links.
-    fn activate(&mut self, n_active: usize, budget: usize) {
-        // flexcore-lint: hot-path
-        self.n_active = n_active;
-        let links = &self.selection.links[..n_active];
-        self.trie.build(links, self.tri.nt(), budget);
-    }
-}
-
-/// Length of the shortest prefix of a selection (given as its `ln Pc`s)
-/// whose running cumulative probability reaches `t` (at least one path),
-/// with that cumulative sum accumulated in selection order — term-for-term
-/// the same f64 additions the preprocessor's stopping loop would have
-/// performed, so a re-truncation is bit-identical to a fresh threshold-`t`
-/// prepare. When `t` is never reached the whole selection is kept (the
-/// budget-limited behaviour).
-fn prefix_reaching(ln_probs: &[f64], t: f64) -> usize {
-    // flexcore-lint: hot-path
-    // flexcore-lint: bit-identity
-    let mut cumulative = 0.0f64;
-    for (i, lp) in ln_probs.iter().enumerate() {
-        // flexcore-lint: allow(FL002, reason = "replays the search's own Σ exp(ln Pc) term for term; both sides are this host's exp on the same argument")
-        cumulative += lp.exp();
-        if cumulative >= t {
-            return i + 1;
-        }
-    }
-    ln_probs.len()
 }
 
 /// Reusable per-worker workspace for the sequential FlexCore hot path:
@@ -511,11 +468,6 @@ pub struct FlexCoreDetector {
     /// order's reach, so every located pick is one read of it.
     fast_lut: Option<Arc<LocatedOrderingTable>>,
     state: Option<State>,
-    /// A stopping threshold applied **on top of** the configured one by
-    /// [`FlexCoreDetector::retune_threshold`]: the prepare-time search
-    /// always runs at the configured ceiling, and this re-truncates its
-    /// selection. `None` = use the configured behaviour unchanged.
-    active_threshold: Option<f64>,
 }
 
 impl FlexCoreDetector {
@@ -538,7 +490,6 @@ impl FlexCoreDetector {
             lut,
             fast_lut,
             state: None,
-            active_threshold: None,
         }
     }
 
@@ -563,53 +514,6 @@ impl FlexCoreDetector {
         &self.config
     }
 
-    /// The stopping threshold currently steering the active path set: the
-    /// re-tuned one if [`FlexCoreDetector::retune_threshold`] was called,
-    /// otherwise the configured `stop_threshold`.
-    pub fn active_threshold(&self) -> Option<f64> {
-        self.active_threshold.or(self.config.stop_threshold)
-    }
-
-    /// Re-tunes the a-FlexCore stopping threshold **without a full
-    /// re-prepare** — the closed-loop effort controller's lever. The
-    /// prepare-time best-first search is untouched; only its stored
-    /// selection is re-truncated at `t` and the path trie rebuilt from the
-    /// search's links, which costs one `exp` per path up to the cut plus
-    /// O(trie nodes) instead of a QR factorisation plus tree search.
-    ///
-    /// Exactness: the stopping criterion can only cut the selection order
-    /// short, so for any `t` at or below the search's own threshold (the
-    /// configured ceiling — or no ceiling at all for a plain FlexCore
-    /// template) the re-truncated state is **bit-identical** to a fresh
-    /// `prepare` with `stop_threshold = t` on the same channel, detections
-    /// included. A `t` above the ceiling saturates at the ceiling's
-    /// selection — the search never expanded past it.
-    ///
-    /// The tuning is sticky: later [`Detector::prepare`] calls (channel
-    /// refreshes) re-apply it, and it survives cloning. Returns whether
-    /// the prepared active path set changed (`false` when unprepared —
-    /// the tuning still applies to the next prepare).
-    ///
-    /// # Panics
-    /// Panics unless `0 < t <= 1`.
-    pub fn retune_threshold(&mut self, t: f64) -> bool {
-        assert!(
-            t > 0.0 && t <= 1.0,
-            "retune_threshold: t must be in (0, 1], got {t}"
-        );
-        self.active_threshold = Some(t);
-        let Some(state) = self.state.as_mut() else {
-            return false;
-        };
-        let prefix = prefix_reaching(&state.selection.ln_probs, t);
-        if prefix == state.n_active {
-            // Same prefix → same paths, same trie, same cumulative sum.
-            return false;
-        }
-        state.activate(prefix, self.config.n_pe);
-        true
-    }
-
     /// The prepared channel state. Every detection entry point funnels its
     /// prepare-before-detect contract check through here so the panic
     /// surface is a single audited site.
@@ -623,16 +527,16 @@ impl FlexCoreDetector {
     /// `n_pe` unless the stopping criterion fired earlier) — the quantity
     /// plotted as "active PEs" in Fig. 10.
     pub fn active_paths(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| s.n_active)
+        self.state.as_ref().map_or(0, |s| s.selection.paths.len())
     }
 
     /// `Σ Pc` captured by the active paths for the current channel, summed
     /// on demand over their `ln Pc`s in selection order — the bits the
-    /// search's (or a retune's) own running sum had at the cut.
+    /// search's own running sum had at the cut.
     pub fn cumulative_prob(&self) -> f64 {
         self.state
             .as_ref()
-            .map_or(0.0, |s| prob_sum(&s.selection.ln_probs[..s.n_active]))
+            .map_or(0.0, |s| prob_sum(&s.selection.ln_probs))
     }
 
     /// Real multiplications spent by the last pre-processing run (Table 2).
@@ -656,7 +560,7 @@ impl FlexCoreDetector {
     /// The selected position vectors (most promising first), borrowed from
     /// the prepared state (empty before `prepare`).
     pub fn position_vectors(&self) -> &[PositionVector] {
-        self.state.as_ref().map_or(&[], State::paths)
+        self.state.as_ref().map_or(&[], |s| &s.selection.paths)
     }
 
     /// Allocation-free path evaluation: streams the tree path selected by
@@ -725,7 +629,7 @@ impl FlexCoreDetector {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
         let state = self.prepared();
-        let n = state.n_active;
+        let n = state.selection.paths.len();
         out.metrics.clear();
         out.metrics.resize(n, f64::NAN);
         // No clear(): surviving slots keep their storage (spill buffers
@@ -1022,15 +926,10 @@ impl Detector for FlexCoreDetector {
             self.constellation.order(),
             &mut state.selection,
         );
-        // An active (re-tuned) threshold truncates the search's selection
-        // further; prefix truncation reproduces a fresh lower-threshold
-        // prepare bit-for-bit (see `prefix_reaching`), so re-tuned
-        // detectors survive channel refreshes at their current tuning.
-        let selection = &state.selection;
-        let prefix = self.active_threshold.map_or(selection.paths.len(), |t| {
-            prefix_reaching(&selection.ln_probs, t)
-        });
-        state.activate(prefix, self.config.n_pe);
+        // Every selected path is active: the trie spans the whole selection.
+        state
+            .trie
+            .build(&state.selection.links, state.tri.nt(), self.config.n_pe);
         let tri = &state.tri;
         state.diag.clear();
         state
@@ -1138,71 +1037,6 @@ mod tests {
         e as f64 / t as f64
     }
 
-    #[test]
-    fn retune_threshold_is_bit_identical_to_a_fresh_prepare() {
-        // The effort controller's contract: re-truncating an adaptive
-        // detector to a lower threshold must reproduce — bit for bit — a
-        // detector freshly configured at that threshold and prepared on
-        // the same channel: same active path set, same cumulative
-        // probability (same f64 additions in the same order), same
-        // detections. Across random channels and a ladder of targets.
-        let c = Constellation::new(Modulation::Qam16);
-        let ens = ChannelEnsemble::iid(4, 4);
-        let mut rng = StdRng::seed_from_u64(0xAEAE);
-        for trial in 0..6u64 {
-            let h = ens.draw(&mut rng);
-            let sigma2 = sigma2_from_snr_db(12.0);
-            let ch = MimoChannel::new(h.clone(), 12.0);
-            let ys: Vec<Vec<Cx>> = (0..8)
-                .map(|_| {
-                    let x: Vec<Cx> = (0..4).map(|_| c.point(rng.gen_range(0..16))).collect();
-                    ch.transmit(&x, &mut rng)
-                })
-                .collect();
-            let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-
-            let mut cfg = FlexCoreConfig::new(16);
-            cfg.stop_threshold = Some(0.95);
-            let mut tuned = FlexCoreDetector::new(c.clone(), cfg);
-            tuned.prepare(&h, sigma2);
-            for t in [0.9, 0.75, 0.6, 0.5] {
-                tuned.retune_threshold(t);
-                let mut fresh_cfg = FlexCoreConfig::new(16);
-                fresh_cfg.stop_threshold = Some(t);
-                let mut fresh = FlexCoreDetector::new(c.clone(), fresh_cfg);
-                fresh.prepare(&h, sigma2);
-                assert_eq!(
-                    tuned.active_paths(),
-                    fresh.active_paths(),
-                    "trial {trial} t={t}: active path sets differ"
-                );
-                assert_eq!(
-                    tuned.cumulative_prob().to_bits(),
-                    fresh.cumulative_prob().to_bits(),
-                    "trial {trial} t={t}: cumulative probability differs in bits"
-                );
-                assert_eq!(tuned.position_vectors(), fresh.position_vectors());
-                assert_eq!(
-                    tuned.detect_batch_refs(&refs),
-                    fresh.detect_batch_refs(&refs),
-                    "trial {trial} t={t}: detections differ"
-                );
-                assert_eq!(tuned.extension_work(), fresh.extension_work());
-            }
-            // Re-tuning back *up* within the ceiling also matches, and the
-            // tuning survives a re-prepare on a new channel.
-            tuned.retune_threshold(0.95);
-            let mut fresh_cfg = FlexCoreConfig::new(16);
-            fresh_cfg.stop_threshold = Some(0.95);
-            let mut fresh95 = FlexCoreDetector::new(c.clone(), fresh_cfg);
-            fresh95.prepare(&h, sigma2);
-            assert_eq!(
-                tuned.detect_batch_refs(&refs),
-                fresh95.detect_batch_refs(&refs)
-            );
-        }
-    }
-
     /// The link-built `trie` against the path-scan reference over `paths`:
     /// node ids with their rows, ranks, leaves, first children and next
     /// siblings (so sibling order), the root, the chain program in order,
@@ -1223,11 +1057,11 @@ mod tests {
     }
 
     /// `draws` random selections, each built from its links into one
-    /// reused trie and compared with the reference — the whole selection,
-    /// then re-truncated down and back up as `retune_threshold` does. The
-    /// level models mix distinct levels, exactly tied ones and ones
-    /// clamped at `PE_CEIL` (tied too); widths run 1–20 and 64, past the
-    /// inline `PositionVector`; BPSK and QPSK orders cap ranks.
+    /// reused trie and compared with the reference; half of the searches
+    /// are thresholded, so some stop before their budget. The level models
+    /// mix distinct levels, exactly tied ones and ones clamped at
+    /// `PE_CEIL` (tied too); widths run 1–20 and 64, past the inline
+    /// `PositionVector`; BPSK and QPSK orders cap ranks.
     fn sweep_link_built_tries(seed: u64, draws: usize) {
         use crate::model::PE_CEIL;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1256,20 +1090,19 @@ mod tests {
             }
             pre.run_into(&model, order, &mut out);
             let what = format!("draw {draw}: nt {nt} order {order} {pre:?}");
-            capped += usize::from(out.paths.len() < n_pe && pre.stop_threshold.is_none());
-            for t in [None, Some(0.9), Some(0.5), Some(0.99), Some(1.0)] {
-                let n = t.map_or(out.paths.len(), |t| prefix_reaching(&out.ln_probs, t));
-                cut += usize::from(n < out.paths.len());
-                trie.build(&out.links[..n], nt, n_pe);
-                assert_trie_is_the_reference(&trie, &out.paths[..n], nt, &format!("{what} {t:?}"));
-            }
+            let short = out.paths.len() < n_pe;
+            capped += usize::from(short && pre.stop_threshold.is_none());
+            cut +=
+                usize::from(short && pre.stop_threshold.is_some_and(|t| out.cumulative_prob >= t));
+            trie.build(&out.links, nt, n_pe);
+            assert_trie_is_the_reference(&trie, &out.paths, nt, &what);
         }
         assert!(capped > 0, "no constellation order ever capped a selection");
         assert!(
             tied_at_ceiling > 0,
             "no model tied two levels at the ceiling"
         );
-        assert!(cut > 0, "no threshold ever cut a selection");
+        assert!(cut > 0, "no thresholded search stopped before its budget");
     }
 
     #[test]
@@ -1287,10 +1120,9 @@ mod tests {
     fn prepared_tries_and_their_work_are_the_references() {
         // The detectors the engine tests prepare — fixed FlexCore of 4 to
         // 64 PEs, a-FlexCore at 0.95, QPSK to 64-QAM, square and tall
-        // channels up to 64×64, a batched search — each retuned down and
-        // back up: the prepared trie is the path-scan reference's, and
-        // `extension_work` is the rotate's `nt²` plus the node walk's
-        // price of it.
+        // channels up to 64×64, a batched search: the prepared trie is the
+        // path-scan reference's, and `extension_work` is the rotate's
+        // `nt²` plus the node walk's price of it.
         let mut rng = StdRng::seed_from_u64(0x7123);
         let shapes = [(4usize, 4usize), (8, 8), (12, 12), (8, 4), (64, 64)];
         for (nr, nt) in shapes {
@@ -1308,16 +1140,11 @@ mod tests {
                     let mut det = FlexCoreDetector::new(Constellation::new(m), cfg);
                     let h = ChannelEnsemble::iid(nr, nt).draw(&mut rng);
                     det.prepare(&h, sigma2_from_snr_db(rng.gen_range(6.0..24.0)));
-                    for t in [None, Some(0.5), Some(0.9), Some(0.95)] {
-                        if let Some(t) = t {
-                            det.retune_threshold(t);
-                        }
-                        let what = format!("{nr}x{nt} {m:?} {:?} {t:?}", det.config);
-                        let state = det.state.as_ref().expect("prepared");
-                        assert_trie_is_the_reference(&state.trie, state.paths(), nt, &what);
-                        let walked = state.trie.static_work(nt);
-                        assert_eq!(det.extension_work(), nt * nt + walked, "{what}");
-                    }
+                    let what = format!("{nr}x{nt} {m:?} {:?}", det.config);
+                    let state = det.state.as_ref().expect("prepared");
+                    assert_trie_is_the_reference(&state.trie, &state.selection.paths, nt, &what);
+                    let walked = state.trie.static_work(nt);
+                    assert_eq!(det.extension_work(), nt * nt + walked, "{what}");
                 }
             }
         }
@@ -1325,20 +1152,18 @@ mod tests {
 
     #[test]
     fn cumulative_prob_has_the_running_sum_bits() {
-        // Summed on demand over the active `ln Pc`s, `cumulative_prob`
+        // Summed on demand over the selected `ln Pc`s, `cumulative_prob`
         // carries the bits of the running sum a thresholded search stops
-        // on — for the configured threshold, for a retuned prefix (a
-        // fresh search at that threshold), and back up again.
+        // on, at every configured threshold.
         let c = Constellation::new(Modulation::Qam16);
         let mut rng = StdRng::seed_from_u64(0x7124);
         let mut checked = 0;
         for (n, snr) in [(4usize, 8.0), (4, 14.0), (8, 10.0), (12, 18.0)] {
             for _ in 0..4 {
                 let h = ChannelEnsemble::iid(n, n).draw(&mut rng);
-                let mut det = FlexCoreDetector::adaptive(c.clone(), 32, 0.99);
-                det.prepare(&h, sigma2_from_snr_db(snr));
                 for t in [0.99, 0.9, 0.6, 0.3, 0.95] {
-                    det.retune_threshold(t);
+                    let mut det = FlexCoreDetector::adaptive(c.clone(), 32, t);
+                    det.prepare(&h, sigma2_from_snr_db(snr));
                     let model = &det.state.as_ref().expect("prepared").model;
                     let search = Preprocessor::new(32).with_stop_threshold(t).run(model, 16);
                     assert_eq!(det.active_paths(), search.paths.len(), "{n}x{n} t={t}");
@@ -1352,65 +1177,6 @@ mod tests {
             }
         }
         assert!(checked > 0, "every selection was a single path");
-    }
-
-    #[test]
-    fn retune_is_sticky_across_prepares_and_costs_no_search() {
-        // A re-tuned detector must come up at its tuned threshold after a
-        // channel refresh (the engine re-prepares refreshed subcarriers
-        // from the template), and the retune itself must not re-run the
-        // prepare-time search (preprocess_mults unchanged).
-        let c = Constellation::new(Modulation::Qam16);
-        let ens = ChannelEnsemble::iid(4, 4);
-        let mut rng = StdRng::seed_from_u64(0xBEBE);
-        let sigma2 = sigma2_from_snr_db(10.0);
-        let mut cfg = FlexCoreConfig::new(16);
-        cfg.stop_threshold = Some(0.95);
-        let mut det = FlexCoreDetector::new(c.clone(), cfg);
-        det.prepare(&ens.draw(&mut rng), sigma2);
-        let mults_before = det.preprocess_mults();
-        det.retune_threshold(0.5);
-        assert_eq!(
-            det.preprocess_mults(),
-            mults_before,
-            "retune must not re-run the search"
-        );
-        assert_eq!(det.active_threshold(), Some(0.5));
-
-        let h2 = ens.draw(&mut rng);
-        det.prepare(&h2, sigma2);
-        let mut fresh_cfg = FlexCoreConfig::new(16);
-        fresh_cfg.stop_threshold = Some(0.5);
-        let mut fresh = FlexCoreDetector::new(c.clone(), fresh_cfg);
-        fresh.prepare(&h2, sigma2);
-        assert_eq!(det.active_paths(), fresh.active_paths());
-        assert_eq!(det.position_vectors(), fresh.position_vectors());
-        // And the tuning survives cloning (engines stamp clones per
-        // subcarrier).
-        let clone = det.clone();
-        assert_eq!(clone.active_threshold(), Some(0.5));
-    }
-
-    #[test]
-    fn retune_on_a_full_budget_template_truncates_like_a_flexcore() {
-        // A plain FlexCore (no configured ceiling) can be re-tuned too:
-        // the stored selection is the full budget, so retune(t) equals a
-        // fresh a-FlexCore(t) with the same budget.
-        let c = Constellation::new(Modulation::Qam16);
-        let mut rng = StdRng::seed_from_u64(0xCECE);
-        let h = ChannelEnsemble::iid(4, 4).draw(&mut rng);
-        let sigma2 = sigma2_from_snr_db(12.0);
-        let mut full = FlexCoreDetector::with_pes(c.clone(), 16);
-        full.prepare(&h, sigma2);
-        assert_eq!(full.active_paths(), 16);
-        let changed = full.retune_threshold(0.8);
-        let mut cfg = FlexCoreConfig::new(16);
-        cfg.stop_threshold = Some(0.8);
-        let mut fresh = FlexCoreDetector::new(c.clone(), cfg);
-        fresh.prepare(&h, sigma2);
-        assert_eq!(full.active_paths(), fresh.active_paths());
-        assert_eq!(full.position_vectors(), fresh.position_vectors());
-        assert_eq!(changed, full.active_paths() != 16);
     }
 
     /// Mean active paths of the paper's a-FlexCore (64 available PEs,
@@ -1861,7 +1627,6 @@ mod tests {
                     let state = fc.state.as_mut().expect("prepared");
                     state.trie.rebuild(&paths, nt, budget);
                     assert_eq!(state.trie.chains.len(), 1 + (nt - 1) * c);
-                    state.n_active = paths.len();
                     state.selection.paths = paths;
                     let what = format!("nt={nt} c={c} dead={dead:?}");
                     let mut block = WalkBlockScratch::default();
@@ -1943,7 +1708,6 @@ mod tests {
             let state = fc.state.as_mut().expect("prepared");
             state.trie.rebuild(&paths, 2, 3);
             state.selection.paths = paths;
-            state.n_active = 3;
             let trie = &state.trie;
             let leaves: Vec<u32> = trie.chains[1..]
                 .iter()

@@ -21,7 +21,9 @@ use flexcore_numeric::{CMat, Cx, SymVec};
 /// best to cheapest. Overload policies (the city layer's shedding
 /// controller) walk users *down* this ladder instead of letting their
 /// queues starve: FlexCore → ordered SIC → linear MMSE, the mixed
-/// deployment §5.1 anticipates.
+/// deployment §5.1 anticipates. Swapping tiers is the only run-time
+/// effort lever; an a-FlexCore user's stopping threshold is fixed when
+/// its detector is built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServiceTier {
     /// Full tree-search service (fixed FlexCore or a-FlexCore).
@@ -103,13 +105,6 @@ impl CellDetector {
         }
     }
 
-    /// Whether this user runs the adaptive variant (a FlexCore configured
-    /// with a stopping threshold).
-    pub fn is_adaptive(&self) -> bool {
-        self.core()
-            .is_some_and(|d| d.config().stop_threshold.is_some())
-    }
-
     /// The constellation this user transmits with (same across tiers).
     pub fn constellation(&self) -> &Constellation {
         match self {
@@ -125,23 +120,6 @@ impl CellDetector {
         match self {
             CellDetector::FlexCore(d) => Some(d),
             CellDetector::Sic(_) | CellDetector::Linear(_) => None,
-        }
-    }
-
-    /// Re-tunes an adaptive user's stopping threshold without a full
-    /// re-prepare — see [`FlexCoreDetector::retune_threshold`]. This is
-    /// the mixed-deployment downgrade lever the closed-loop effort
-    /// controller pulls: **fixed users are left untouched** (a fixed
-    /// FlexCore's contract is its full path budget), so in a mixed cell
-    /// the controller only ever sheds effort on the adaptive users.
-    /// Returns whether the prepared active path set changed (always
-    /// `false` for a fixed user).
-    pub fn retune_threshold(&mut self, t: f64) -> bool {
-        match self {
-            CellDetector::FlexCore(d) if d.config().stop_threshold.is_some() => {
-                d.retune_threshold(t)
-            }
-            _ => false,
         }
     }
 }
@@ -308,7 +286,7 @@ mod tests {
         let mut plain = FlexCoreDetector::with_pes(c, 16);
         wrapped.prepare(&h, sigma2);
         plain.prepare(&h, sigma2);
-        assert!(!wrapped.is_adaptive());
+        assert_eq!(wrapped.core().unwrap().config().stop_threshold, None);
         assert_eq!(wrapped.effort(), plain.effort());
         for y in &ys {
             assert_eq!(wrapped.detect(y), plain.detect(y));
@@ -325,7 +303,7 @@ mod tests {
         let mut plain = FlexCoreDetector::adaptive(c, 16, 0.95);
         wrapped.prepare(&h, sigma2);
         plain.prepare(&h, sigma2);
-        assert!(wrapped.is_adaptive());
+        assert_eq!(wrapped.core().unwrap().config().stop_threshold, Some(0.95));
         assert_eq!(wrapped.effort(), plain.effort());
         let core = wrapped.core().unwrap();
         assert_eq!(core.active_paths(), plain.active_paths());
@@ -406,12 +384,10 @@ mod tests {
         assert_eq!(sic.name(), "SIC");
         assert_eq!(lin.name(), "MMSE");
         // A full-tier request on an already-full user keeps the variant…
-        assert!(full.for_tier(ServiceTier::Full).is_adaptive());
-        // …while restoring a degraded user yields fixed FlexCore at one PE
-        // per constellation point.
-        let restored = lin.for_tier(ServiceTier::Full);
-        assert_eq!(restored.tier(), ServiceTier::Full);
-        assert!(!restored.is_adaptive());
+        assert_eq!(full.for_tier(ServiceTier::Full).name(), full.name());
+        // …while restoring a degraded user (the name above) yields fixed
+        // FlexCore at one PE per constellation point.
+        assert_eq!(lin.for_tier(ServiceTier::Full).tier(), ServiceTier::Full);
         assert!(ServiceTier::Full < ServiceTier::Sic && ServiceTier::Sic < ServiceTier::Linear);
     }
 

@@ -50,9 +50,10 @@ impl EngineStats {
 
 struct Slot<D> {
     /// Shared with every in-flight [`TickPlan`] that was planned against
-    /// this slot, so a plan keeps the state it was planned against:
-    /// mutation goes through [`Arc::get_mut`] (a refresh, which replaces a
-    /// shared detector instead) or [`Arc::make_mut`] (a retune).
+    /// this slot, so a plan keeps the state it was planned against: a
+    /// refresh re-prepares through [`Arc::get_mut`] when no plan holds the
+    /// slot and replaces a shared detector otherwise. A shared slot is
+    /// never mutated.
     detector: Arc<D>,
     channel_id: u64,
     generation: u64,
@@ -255,37 +256,9 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
         refreshed
     }
 
-    /// Applies `f` to the template and to every prepared subcarrier
-    /// detector **in place** — the cheap re-tuning hook behind the
-    /// closed-loop effort controller (think
-    /// `FlexCoreDetector::retune_threshold`: a prefix re-truncation of the
-    /// already-searched path selection, no QR and no tree search). `f`
-    /// returns whether it changed the detector's active configuration;
-    /// changed slots have their effort / extension-work weights
-    /// recaptured. A slot an in-flight [`TickPlan`] still shares is copied
-    /// before `f` touches it, so the plan keeps the tuning it was planned
-    /// at. Returns how many prepared subcarriers changed.
-    ///
-    /// The template is re-tuned first, so subcarriers refreshed by a later
-    /// [`FrameEngine::prepare`] come up already at the current tuning.
-    pub fn retune(&mut self, mut f: impl FnMut(&mut D) -> bool) -> usize {
-        f(&mut self.template);
-        let mut changed = 0;
-        for slot in self.slots.iter_mut().flatten() {
-            let detector = Arc::make_mut(&mut slot.detector);
-            if f(detector) {
-                slot.effort = detector.effort();
-                slot.extension_work = detector.extension_work();
-                changed += 1;
-            }
-        }
-        changed
-    }
-
     /// Replaces the template detector wholesale and **clears every
     /// prepared slot** — the service-tier swap behind the city layer's
-    /// load-shedding lever (`CellDetector` FlexCore → SIC/linear), where
-    /// [`FrameEngine::retune`]'s in-place mutation is not enough: a
+    /// load-shedding lever (`CellDetector` FlexCore → SIC/linear): a
     /// different detector type needs its own preparation (QR factors,
     /// MMSE filter, path selection) against the channel.
     ///
@@ -297,7 +270,7 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
         self.slots.fill_with(|| None);
     }
 
-    /// The current template detector (the swap/retune target; per-slot
+    /// The current template detector (the swap target; per-slot
     /// prepared clones may carry channel-dependent state on top).
     pub fn template(&self) -> &D {
         &self.template

@@ -43,9 +43,8 @@
 //!   concurrently, coupled by bounded backpressure queues
 //!   ([`flexcore_parallel::bounded`]); every decoded frame's
 //!   submit→decode latency lands in a [`LatencyRecord`] measured against
-//!   a per-frame deadline, and a per-user [`EffortController`] closes the
-//!   loop by re-tuning the a-FlexCore stopping threshold from observed
-//!   latency — without ever changing detections on a frozen schedule;
+//!   a per-frame deadline. Pipelining is placement-only: detections are
+//!   bit-identical to the barrier tick's;
 //! * heterogeneous fabrics — every path above prices its batches at
 //!   `extension_work × symbols` and hands tasks and prices to its pool
 //!   ([`flexcore_parallel::PePool::run_priced`]), so a
@@ -77,7 +76,7 @@ pub use channel::FrameChannel;
 pub use engine::{EngineStats, FrameEngine};
 pub use frame::{DetectedFrame, RxFrame};
 pub use multiuser::{CellStats, StreamingCell};
-pub use pipeline::{EffortController, LatencyRecord, LatencyStats, PipelineReport, PipelinedCell};
+pub use pipeline::{LatencyRecord, LatencyStats, PipelineReport, PipelinedCell};
 pub use stream::ChannelStream;
 pub use tick::{TickOutput, TickPlan};
 

@@ -160,13 +160,21 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
     /// Queues a received frame for one user.
     ///
     /// # Panics
-    /// Panics if the frame's width does not match the user's stream.
+    /// Panics if the frame's width does not match the user's stream, or if
+    /// its vectors' length does not match the stream's receive-antenna
+    /// count (a frame with no vectors has none to check). Nothing is
+    /// queued or counted then.
     pub fn submit(&mut self, user: usize, frame: RxFrame) {
         let slot = &mut self.users[user];
         assert_eq!(
             frame.n_subcarriers(),
             slot.stream.n_subcarriers(),
             "submit: frame width does not match user {user}'s band"
+        );
+        let nr = slot.stream.estimate().h(0).rows();
+        assert!(
+            frame.n_vectors() == 0 || frame.get(0, 0).len() == nr,
+            "submit: frame vector length does not match user {user}'s {nr} receive antennas"
         );
         slot.queue.push_back(frame);
         slot.submitted += 1;
@@ -301,20 +309,10 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
         }
     }
 
-    /// Applies `f` to one user's template and prepared subcarrier
-    /// detectors in place — see [`FrameEngine::retune`]. The closed-loop
-    /// effort controller's lever: nudging an a-FlexCore user's stopping
-    /// threshold between ticks without paying a re-prepare. Returns how
-    /// many of that user's prepared subcarriers changed.
-    pub fn retune_user(&mut self, user: usize, f: impl FnMut(&mut D) -> bool) -> usize {
-        self.users[user].engine.retune(f)
-    }
-
     /// Swaps one user's detector **type** and re-prepares against the
     /// user's current channel estimates — the city layer's load-shedding
-    /// lever (`CellDetector` FlexCore → SIC/linear and back), where
-    /// [`StreamingCell::retune_user`]'s in-place mutation is not enough: a
-    /// different detector needs its own preparation. Queue contents and
+    /// lever (`CellDetector` FlexCore → SIC/linear and back): a different
+    /// detector needs its own preparation. Queue contents and
     /// submitted/completed counters are untouched, so frames queued before
     /// the swap are detected by the *new* detector and the fairness
     /// accounting spans the swap. Returns how many subcarriers were
@@ -740,5 +738,25 @@ mod tests {
         let narrow = mk_stream(3, 1.0, 82);
         let frame = tx_frame(&narrow, 1, 83);
         cell.submit(0, frame);
+    }
+
+    #[test]
+    fn submitting_a_wrong_nr_frame_panics_and_queues_nothing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut cell = StreamingCell::new();
+        cell.add_user(mk_stream(4, 1.0, 84), FlexCoreDetector::with_pes(c16(), 4));
+        cell.submit(0, tx_frame(cell.stream(0), 1, 85));
+        // Right width, one receive antenna too many.
+        let wide = RxFrame::from_vectors(4, vec![vec![Cx::ZERO; NT + 1]; 4]);
+        let payload = catch_unwind(AssertUnwindSafe(|| cell.submit(0, wide)))
+            .expect_err("a wrong-Nr frame must be rejected at submit");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(message.contains("user 0"), "{message}");
+        assert_eq!((cell.pending(0), cell.frames_behind(0)), (1, 1));
+        // A frame with no vectors has no antenna count to check.
+        cell.submit(0, RxFrame::empty(4));
+        assert_eq!((cell.pending(0), cell.frames_behind(0)), (2, 2));
     }
 }

@@ -4,8 +4,8 @@
 //! A *tick* is one shared pool run over one frame of each served user.
 //! [`TickPlan::new`] is the plan phase: it shares each served engine's
 //! prepared detectors (a refcount bump per subcarrier — a later
-//! re-prepare or re-tune of the engine copies on write, so the plan keeps
-//! the state it was planned against), carves every frame's
+//! re-prepare of the engine copies on write, so the plan keeps the state
+//! it was planned against), carves every frame's
 //! *(subcarrier × symbol)* grid into batches under **one** `2·n_pes` task
 //! target divided across the served users, prices each batch at
 //! [`Detector::extension_work`]` × symbols`, and orders the batch list
@@ -546,8 +546,9 @@ mod tests {
 
     #[test]
     fn a_plan_keeps_the_state_it_was_planned_against() {
-        // Copy-on-write is the pipeline's frozen view: re-tuning or
-        // re-preparing the engine after planning must not reach the plan.
+        // Copy-on-write is the pipeline's frozen view: re-preparing the
+        // engine or swapping its template after planning must not reach
+        // the plan.
         let mut rng = StdRng::seed_from_u64(0x71C4_0015);
         let (stream, _, frame) = random_tick(&mut rng, 1, 6, 4).remove(0);
         let c = Constellation::new(Modulation::Qam16);
@@ -557,10 +558,6 @@ mod tests {
         let before = engine.process_frame(&frame, &pool, |d, _, ys| d.detect_batch_refs(ys));
 
         let plan = TickPlan::new([(0, frame.clone(), &engine)], 3);
-        assert!(
-            engine.retune(|d| d.retune_threshold(0.5)) > 0,
-            "retune was a no-op"
-        );
         let mut moved = stream.clone();
         moved.advance(&mut rng);
         engine.prepare(moved.estimate());

@@ -301,47 +301,35 @@ fn hot_path_allocation_budget() {
     // --- Re-prepare: a channel refresh overwrites the state it replaces ---
     // After one warm-up prepare, a second prepare on a different channel
     // of the same shape is allocation-free at the inline widths — fixed
-    // and a-FlexCore (whose selection length moves with the channel), with
-    // and without a sticky retuned threshold — and so is the retune.
+    // and a-FlexCore (whose selection length moves with the channel).
     let c16 = Constellation::new(Modulation::Qam16);
     let sigma2 = sigma2_from_snr_db(12.0);
-    let mut retunes_that_moved = 0;
     for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 64] {
         let mut rng = StdRng::seed_from_u64(400 + nt as u64);
         let hs = ChannelEnsemble::iid(nt, nt).draw_many(&mut rng, 4);
         for adaptive in [false, true] {
-            for retuned in [false, true] {
-                let mut det = if adaptive {
-                    FlexCoreDetector::adaptive(c16.clone(), 12, 0.95)
-                } else {
-                    FlexCoreDetector::with_pes(c16.clone(), 12)
-                };
-                det.prepare(&hs[0], sigma2);
-                if retuned {
-                    let mut moved = false;
-                    let n = allocs_in(|| moved = det.retune_threshold(0.6));
-                    assert_eq!(n, 0, "retune allocated");
-                    retunes_that_moved += usize::from(moved);
+            let mut det = if adaptive {
+                FlexCoreDetector::adaptive(c16.clone(), 12, 0.95)
+            } else {
+                FlexCoreDetector::with_pes(c16.clone(), 12)
+            };
+            det.prepare(&hs[0], sigma2);
+            let n = allocs_in(|| {
+                for h in &hs[1..] {
+                    det.prepare(h, sigma2);
                 }
-                let n = allocs_in(|| {
-                    for h in &hs[1..] {
-                        det.prepare(h, sigma2);
-                    }
-                });
-                let what = format!("nt={nt} adaptive={adaptive} retuned={retuned}");
-                if nt <= INLINE_STREAMS || !adaptive {
-                    assert_eq!(n, 0, "warm re-prepare allocated: {what}");
-                } else {
-                    // Spilled position vectors own a heap buffer each: a
-                    // selection that grows past its previous length buys
-                    // the new ones, never more than the budget per refresh.
-                    assert!(n <= 3 * 12, "warm re-prepare allocated {n}: {what}");
-                }
+            });
+            let what = format!("nt={nt} adaptive={adaptive}");
+            if nt <= INLINE_STREAMS || !adaptive {
+                assert_eq!(n, 0, "warm re-prepare allocated: {what}");
+            } else {
+                // Spilled position vectors own a heap buffer each: a
+                // selection that grows past its previous length buys
+                // the new ones, never more than the budget per refresh.
+                assert!(n <= 3 * 12, "warm re-prepare allocated {n}: {what}");
             }
         }
     }
-
-    assert!(retunes_that_moved > 0, "no retune rebuilt a trie");
 
     // A whole band: every subcarrier of a 48-wide frame channel refreshed,
     // no plan sharing the slots.

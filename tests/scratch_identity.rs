@@ -400,82 +400,75 @@ fn in_place_prepare_equals_a_fresh_prepare() {
     let orderings = [QrOrdering::Sqrd, QrOrdering::Fcsd(1), QrOrdering::Plain];
     for (o, &qr_ordering) in orderings.iter().enumerate() {
         for expand_batch in [1usize, 4] {
-            for stop_threshold in [None, Some(0.95)] {
-                for retuned in [None, Some(0.7)] {
-                    let mut cfg = FlexCoreConfig::new(16);
-                    cfg.qr_ordering = qr_ordering;
-                    cfg.expand_batch = expand_batch;
-                    cfg.stop_threshold = stop_threshold;
-                    let mut template = FlexCoreDetector::new(c.clone(), cfg);
-                    if let Some(t) = retuned {
-                        template.retune_threshold(t); // sticky: applies to every prepare
+            for stop_threshold in [None, Some(0.95), Some(0.7)] {
+                let mut cfg = FlexCoreConfig::new(16);
+                cfg.qr_ordering = qr_ordering;
+                cfg.expand_batch = expand_batch;
+                cfg.stop_threshold = stop_threshold;
+                let template = FlexCoreDetector::new(c.clone(), cfg);
+                let mut rng = StdRng::seed_from_u64(0x19_0000 + (o * 8 + expand_batch) as u64);
+                let mut iid = |nr: usize, nt: usize| ChannelEnsemble::iid(nr, nt).draw(&mut rng);
+                // (channel, SNR dB, detect on it?)
+                let mut zero_column = iid(8, 8);
+                for row in 0..8 {
+                    zero_column[(row, 5)] = Cx::ZERO;
+                }
+                let sequence = [
+                    (iid(8, 8), 6.0, true),   // noisy: a long selection …
+                    (iid(8, 8), 30.0, true),  // … then a shorter one than before
+                    (iid(4, 4), 10.0, true),  // shape change down …
+                    (iid(8, 8), 12.0, true),  // … and back up
+                    (iid(12, 8), 10.0, true), // nr > nt
+                    // A column with no residual (`nrm == 0`): R(0,0) = 0, so
+                    // there is nothing to detect — the state must still agree.
+                    (zero_column, 12.0, false),
+                    // Equal R diagonals: every ln Pc ties exactly and the
+                    // vector comparison decides the whole selection order.
+                    (scaled_identity(8, 0.8), 8.0, true),
+                    (iid(20, 20), 14.0, true), // past the inline width …
+                    (iid(8, 8), 9.0, true),    // … and back inside it
+                ];
+                let mut reused = template.clone();
+                let mut longest = 0;
+                for (step, (h, snr_db, detectable)) in sequence.into_iter().enumerate() {
+                    if !detectable && matches!(qr_ordering, QrOrdering::Fcsd(_)) {
+                        continue; // the FCSD ordering inverts the Gram matrix
                     }
-                    let mut rng = StdRng::seed_from_u64(0x19_0000 + (o * 8 + expand_batch) as u64);
-                    let mut iid =
-                        |nr: usize, nt: usize| ChannelEnsemble::iid(nr, nt).draw(&mut rng);
-                    // (channel, SNR dB, detect on it?)
-                    let mut zero_column = iid(8, 8);
-                    for row in 0..8 {
-                        zero_column[(row, 5)] = Cx::ZERO;
+                    let what = format!(
+                        "{qr_ordering:?} batch {expand_batch} stop {stop_threshold:?} step {step}"
+                    );
+                    let sigma2 = sigma2_from_snr_db(snr_db);
+                    reused.prepare(&h, sigma2);
+                    let mut fresh = template.clone();
+                    fresh.prepare(&h, sigma2);
+                    assert_same_prepared_state(&reused, &fresh, &what);
+                    if step == 1 && stop_threshold.is_some() {
+                        assert!(
+                            reused.active_paths() < longest,
+                            "{what}: the sequence no longer shrinks the selection"
+                        );
                     }
-                    let sequence = [
-                        (iid(8, 8), 6.0, true),   // noisy: a long selection …
-                        (iid(8, 8), 30.0, true),  // … then a shorter one than before
-                        (iid(4, 4), 10.0, true),  // shape change down …
-                        (iid(8, 8), 12.0, true),  // … and back up
-                        (iid(12, 8), 10.0, true), // nr > nt
-                        // A column with no residual (`nrm == 0`): R(0,0) = 0, so
-                        // there is nothing to detect — the state must still agree.
-                        (zero_column, 12.0, false),
-                        // Equal R diagonals: every ln Pc ties exactly and the
-                        // vector comparison decides the whole selection order.
-                        (scaled_identity(8, 0.8), 8.0, true),
-                        (iid(20, 20), 14.0, true), // past the inline width …
-                        (iid(8, 8), 9.0, true),    // … and back inside it
-                    ];
-                    let mut reused = template.clone();
-                    let mut longest = 0;
-                    for (step, (h, snr_db, detectable)) in sequence.into_iter().enumerate() {
-                        if !detectable && matches!(qr_ordering, QrOrdering::Fcsd(_)) {
-                            continue; // the FCSD ordering inverts the Gram matrix
-                        }
-                        let what = format!(
-                            "{qr_ordering:?} batch {expand_batch} stop {stop_threshold:?} \
-                             retuned {retuned:?} step {step}"
-                        );
-                        let sigma2 = sigma2_from_snr_db(snr_db);
-                        reused.prepare(&h, sigma2);
-                        let mut fresh = template.clone();
-                        fresh.prepare(&h, sigma2);
-                        assert_same_prepared_state(&reused, &fresh, &what);
-                        if step == 1 && stop_threshold.is_some() {
-                            assert!(
-                                reused.active_paths() < longest,
-                                "{what}: the sequence no longer shrinks the selection"
-                            );
-                        }
-                        longest = longest.max(reused.active_paths());
-                        if !detectable {
-                            continue;
-                        }
-                        let ch = MimoChannel::new(h.clone(), snr_db);
-                        let ys: Vec<Vec<Cx>> = (0..6)
-                            .map(|_| {
-                                let x: Vec<Cx> = (0..h.cols())
-                                    .map(|_| c.point(rng.gen_range(0..c.order())))
-                                    .collect();
-                                ch.transmit(&x, &mut rng)
-                            })
-                            .collect();
-                        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-                        assert_eq!(
-                            reused.detect_batch_refs(&refs),
-                            fresh.detect_batch_refs(&refs),
-                            "{what}: block walk"
-                        );
-                        for y in &ys {
-                            assert_eq!(reused.detect(y), fresh.detect(y), "{what}: scalar walk");
-                        }
+                    longest = longest.max(reused.active_paths());
+                    if !detectable {
+                        continue;
+                    }
+                    let ch = MimoChannel::new(h.clone(), snr_db);
+                    let ys: Vec<Vec<Cx>> = (0..6)
+                        .map(|_| {
+                            let x: Vec<Cx> = (0..h.cols())
+                                .map(|_| c.point(rng.gen_range(0..c.order())))
+                                .collect();
+                            ch.transmit(&x, &mut rng)
+                        })
+                        .collect();
+                    let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+                    assert_eq!(
+                        reused.detect_batch_refs(&refs),
+                        fresh.detect_batch_refs(&refs),
+                        "{what}: block walk"
+                    );
+                    for y in &ys {
+                        assert_eq!(reused.detect(y), fresh.detect(y), "{what}: scalar walk");
                     }
                 }
             }
