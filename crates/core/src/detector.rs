@@ -1007,7 +1007,6 @@ impl Detector for FlexCoreDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mixed::{CellDetector, ServiceTier};
     use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
     use flexcore_detect::{FcsdDetector, MlDetector, SicDetector};
     use flexcore_modulation::Modulation;
@@ -1780,18 +1779,17 @@ mod tests {
     }
 
     #[test]
-    fn clones_and_tier_restores_share_the_ordering_artifacts() {
+    fn clones_and_fresh_detectors_share_the_ordering_artifacts() {
         // The located table is process-wide: an engine slot's clone and a
-        // fresh `for_tier(Full)` restore read the first detector's by
-        // `Arc`; only the semantics split tables. (The orders under it are
-        // `static` data, shared by construction.)
+        // detector built later read the first detector's by `Arc`; only
+        // the semantics split tables. (The orders under it are `static`
+        // data, shared by construction.)
         let c = Constellation::new(Modulation::Qam16);
         let det = FlexCoreDetector::with_pes(c.clone(), 16);
         let table = |d: &FlexCoreDetector| d.fast_lut.clone().expect("a triangle-LUT detector");
         let shared = |d: &FlexCoreDetector| Arc::ptr_eq(&table(d), &table(&det));
         assert!(shared(&det.clone()), "clone");
-        let restored = CellDetector::sic(c.clone()).for_tier(ServiceTier::Full);
-        assert!(shared(restored.core().expect("full tier")), "tier restore");
+        assert!(shared(&FlexCoreDetector::with_pes(c.clone(), 16)), "fresh");
         let with = |path_ordering| {
             let mut cfg = FlexCoreConfig::new(16);
             cfg.path_ordering = path_ordering;

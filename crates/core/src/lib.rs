@@ -43,7 +43,7 @@ pub mod soft;
 pub use detector::{FlexCoreConfig, FlexCoreDetector, PathOrdering, QrOrdering};
 pub use flexcore_detect::common::PathScratch;
 pub use flexcore_numeric::SymVec;
-pub use mixed::{CellDetector, ServiceTier};
+pub use mixed::CellDetector;
 pub use model::LevelErrorModel;
 pub use position::PositionVector;
 pub use preprocess::{PreprocessOutput, Preprocessor};

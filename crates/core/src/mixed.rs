@@ -2,12 +2,15 @@
 //!
 //! The streaming cell (`flexcore-engine::multiuser`) is generic over one
 //! detector type `D` shared by all of its users' engines. [`CellDetector`]
-//! makes that one type *a choice*: each user picks fixed-budget FlexCore
-//! or a-FlexCore at `add_user` time, and the cell schedules them side by
-//! side — adaptive users report their channel-dependent
+//! makes that one type *a choice*: each user picks fixed-budget FlexCore,
+//! a-FlexCore, ordered SIC or linear MMSE at `add_user` time (or later,
+//! through `StreamingCell::swap_user_detector`), and the cell schedules
+//! them side by side — adaptive users report their channel-dependent
 //! [`Detector::effort`] into the shared LPT plan while fixed users pin
 //! theirs at the PE budget, exactly the mixed deployment §5.1 anticipates
 //! (an operator migrating users to the adjustable detector one at a time).
+//! The SIC and MMSE variants are the cheaper rungs an overload policy
+//! (`flexcore_sim::city`'s load shedding) moves users onto.
 
 use crate::detector::FlexCoreDetector;
 use crate::soft::{MaxLogDemap, SoftDecision, SoftDetector};
@@ -16,25 +19,6 @@ use flexcore_detect::linear::MmseDetector;
 use flexcore_detect::sic::SicDetector;
 use flexcore_modulation::Constellation;
 use flexcore_numeric::{CMat, Cx, SymVec};
-
-/// The service quality a [`CellDetector`] variant delivers, ordered from
-/// best to cheapest. Overload policies (the city layer's shedding
-/// controller) walk users *down* this ladder instead of letting their
-/// queues starve: FlexCore → ordered SIC → linear MMSE, the mixed
-/// deployment §5.1 anticipates. Swapping tiers is the only run-time
-/// effort lever; an a-FlexCore user's stopping threshold is fixed when
-/// its detector is built.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ServiceTier {
-    /// Full tree-search service (fixed FlexCore or a-FlexCore).
-    Full,
-    /// Ordered successive interference cancellation — one path, a small
-    /// SER penalty, a fraction of the trie-walk work.
-    Sic,
-    /// Linear MMSE — one matrix–vector product per received vector, the
-    /// cheapest tier and the largest SER penalty.
-    Linear,
-}
 
 /// A per-user detector choice for a mixed cell — one type, so a
 /// [`FrameEngine`](../flexcore_engine) template (and therefore a
@@ -45,13 +29,14 @@ pub enum ServiceTier {
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum CellDetector {
-    /// Full tier: FlexCore, either spending its whole `N_PE` path budget on
-    /// every channel or (built by [`CellDetector::adaptive`]) a-FlexCore
-    /// with the §5.1 stopping criterion.
+    /// FlexCore, either spending its whole `N_PE` path budget on every
+    /// channel or (built by [`CellDetector::adaptive`]) a-FlexCore with the
+    /// §5.1 stopping criterion.
     FlexCore(FlexCoreDetector),
-    /// Degraded tier: ordered SIC (the shedding lever's first stop).
+    /// Ordered SIC: one path, a small SER penalty.
     Sic(SicDetector),
-    /// Degraded tier: linear MMSE (the cheapest shedding tier).
+    /// Linear MMSE: one matrix–vector product per received vector, the
+    /// cheapest variant and the largest SER penalty.
     Linear(MmseDetector),
 }
 
@@ -67,42 +52,14 @@ impl CellDetector {
         CellDetector::FlexCore(FlexCoreDetector::adaptive(constellation, n_pe, threshold))
     }
 
-    /// A downgraded user on the ordered-SIC tier.
+    /// An ordered-SIC user.
     pub fn sic(constellation: Constellation) -> Self {
         CellDetector::Sic(SicDetector::new(constellation))
     }
 
-    /// A downgraded user on the linear-MMSE tier.
+    /// A linear-MMSE user.
     pub fn linear(constellation: Constellation) -> Self {
         CellDetector::Linear(MmseDetector::new(constellation))
-    }
-
-    /// Builds the unprepared template for `tier`, reusing this user's
-    /// constellation and (for [`ServiceTier::Full`]) its PE budget and
-    /// stopping threshold. The caller swaps the result into the user's
-    /// engine and re-prepares — see `StreamingCell::swap_user_detector`.
-    pub fn for_tier(&self, tier: ServiceTier) -> Self {
-        let c = self.constellation().clone();
-        match tier {
-            ServiceTier::Full => match self {
-                // Already-full users keep their exact variant; degraded
-                // users are restored to a fixed FlexCore at the paper's
-                // default budget of one PE per constellation point.
-                CellDetector::FlexCore(_) => self.clone(),
-                _ => CellDetector::fixed(c.clone(), c.order()),
-            },
-            ServiceTier::Sic => CellDetector::sic(c),
-            ServiceTier::Linear => CellDetector::linear(c),
-        }
-    }
-
-    /// The service tier this variant delivers.
-    pub fn tier(&self) -> ServiceTier {
-        match self {
-            CellDetector::FlexCore(_) => ServiceTier::Full,
-            CellDetector::Sic(_) => ServiceTier::Sic,
-            CellDetector::Linear(_) => ServiceTier::Linear,
-        }
     }
 
     /// The constellation this user transmits with (same across tiers).
@@ -331,8 +288,8 @@ mod tests {
         }
         sic_plain.prepare(&h, sigma2);
         lin_plain.prepare(&h, sigma2);
-        assert_eq!(sic_wrapped.tier(), ServiceTier::Sic);
-        assert_eq!(lin_wrapped.tier(), ServiceTier::Linear);
+        assert!(matches!(sic_wrapped, CellDetector::Sic(_)));
+        assert!(matches!(lin_wrapped, CellDetector::Linear(_)));
         for y in &ys {
             assert_eq!(sic_wrapped.detect(y), sic_plain.detect(y));
             assert_eq!(lin_wrapped.detect(y), lin_plain.detect(y));
@@ -371,24 +328,18 @@ mod tests {
     }
 
     #[test]
-    fn tier_ladder_round_trips_through_for_tier() {
+    fn constructors_print_the_figure_legend_names() {
         let c = Constellation::new(Modulation::Qam16);
-        let full = CellDetector::adaptive(c.clone(), 16, 0.95);
-        let sic = full.for_tier(ServiceTier::Sic);
-        assert_eq!(sic.tier(), ServiceTier::Sic);
-        let lin = sic.for_tier(ServiceTier::Linear);
-        assert_eq!(lin.tier(), ServiceTier::Linear);
-        // Each tier prints the figure-legend name of the detector inside.
-        assert_eq!(full.name(), "a-FlexCore(N_PE=16, t=0.95)");
-        assert_eq!(lin.for_tier(ServiceTier::Full).name(), "FlexCore(N_PE=16)");
-        assert_eq!(sic.name(), "SIC");
-        assert_eq!(lin.name(), "MMSE");
-        // A full-tier request on an already-full user keeps the variant…
-        assert_eq!(full.for_tier(ServiceTier::Full).name(), full.name());
-        // …while restoring a degraded user (the name above) yields fixed
-        // FlexCore at one PE per constellation point.
-        assert_eq!(lin.for_tier(ServiceTier::Full).tier(), ServiceTier::Full);
-        assert!(ServiceTier::Full < ServiceTier::Sic && ServiceTier::Sic < ServiceTier::Linear);
+        assert_eq!(
+            CellDetector::adaptive(c.clone(), 16, 0.95).name(),
+            "a-FlexCore(N_PE=16, t=0.95)"
+        );
+        assert_eq!(
+            CellDetector::fixed(c.clone(), 16).name(),
+            "FlexCore(N_PE=16)"
+        );
+        assert_eq!(CellDetector::sic(c.clone()).name(), "SIC");
+        assert_eq!(CellDetector::linear(c).name(), "MMSE");
     }
 
     #[test]

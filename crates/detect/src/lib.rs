@@ -8,7 +8,7 @@
 //! | [`ml`] | Exhaustive maximum likelihood | test oracle (tiny systems) |
 //! | [`sphere`] | Depth-first Schnorr–Euchner sphere decoder | exact ML at scale — the paper's "Geosphere" reference \[32\] and the Table 1 complexity subject |
 //! | [`linear`] | MMSE (zero-forcing is its σ² = 0 limit) | the Argos/BigStation-style linear baselines of Figs. 9 and 10 |
-//! | [`sic`] | Ordered successive interference cancellation (V-BLAST) | the city's `ServiceTier::Sic` tier (Fig. 12's "SIC" curve is single-path FlexCore, not this) |
+//! | [`sic`] | Ordered successive interference cancellation (V-BLAST) | the middle rung of the city's shedding ladder, as `CellDetector::sic` (Fig. 12's "SIC" curve is single-path FlexCore, not this) |
 //! | [`sic`] | Parallel-SIC, one PE per constellation point | the trellis-based fixed-parallelism decoder of \[50\] in Fig. 9 |
 //! | [`fcsd`] | Fixed-Complexity Sphere Decoder \[4\] | FlexCore's main head-to-head competitor |
 //!

@@ -76,7 +76,7 @@ pub use channel::FrameChannel;
 pub use engine::{EngineStats, FrameEngine};
 pub use frame::{DetectedFrame, RxFrame};
 pub use multiuser::{CellStats, StreamingCell};
-pub use pipeline::{LatencyRecord, LatencyStats, PipelineReport, PipelinedCell};
+pub use pipeline::{LatencyRecord, PipelineReport, PipelinedCell};
 pub use stream::ChannelStream;
 pub use tick::{TickOutput, TickPlan};
 

@@ -54,7 +54,7 @@ use std::time::Instant;
 /// Per-frame submit→decode latency samples against one deadline.
 ///
 /// Records every sample (seconds) plus a running deadline-miss count;
-/// [`LatencyRecord::stats`] reduces them to nearest-rank percentiles.
+/// [`LatencyRecord::quantile`] reads nearest-rank percentiles off them.
 ///
 /// ```
 /// use flexcore_engine::pipeline::LatencyRecord;
@@ -71,28 +71,6 @@ pub struct LatencyRecord {
     deadline_s: f64,
     samples: Vec<f64>,
     misses: u64,
-}
-
-/// The reduced form of a [`LatencyRecord`]: sample count, nearest-rank
-/// percentiles, and the deadline-miss rate.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LatencyStats {
-    /// Samples recorded.
-    pub n: u64,
-    /// The deadline (s) the miss rate is measured against.
-    pub deadline_s: f64,
-    /// Median latency (s), nearest-rank.
-    pub p50_s: f64,
-    /// 95th-percentile latency (s), nearest-rank.
-    pub p95_s: f64,
-    /// 99th-percentile latency (s), nearest-rank.
-    pub p99_s: f64,
-    /// Worst observed latency (s).
-    pub max_s: f64,
-    /// Mean latency (s).
-    pub mean_s: f64,
-    /// Fraction of samples strictly above the deadline.
-    pub miss_rate: f64,
 }
 
 impl LatencyRecord {
@@ -148,46 +126,14 @@ impl LatencyRecord {
     /// empty: the smallest sample of rank `⌈q·n⌉`, so `quantile(1.0)` is
     /// the maximum and every returned value is an observed sample.
     pub fn quantile(&self, q: f64) -> f64 {
-        Self::nearest_rank(&self.sorted(), q)
-    }
-
-    fn sorted(&self) -> Vec<f64> {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        sorted
-    }
-
-    /// The one definition of [`LatencyRecord::quantile`]'s rule, over
-    /// already-sorted samples.
-    fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile: q out of range: {q}");
-        let n = sorted.len();
+        let n = self.samples.len();
         if n == 0 {
             return 0.0;
         }
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(f64::total_cmp);
         sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
-    }
-
-    /// Reduces the record to counts, percentiles and the miss rate.
-    pub fn stats(&self) -> LatencyStats {
-        let n = self.samples.len();
-        let mean = if n == 0 {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / n as f64
-        };
-        // One sort serves all four ranks.
-        let sorted = self.sorted();
-        LatencyStats {
-            n: n as u64,
-            deadline_s: self.deadline_s,
-            p50_s: Self::nearest_rank(&sorted, 0.50),
-            p95_s: Self::nearest_rank(&sorted, 0.95),
-            p99_s: Self::nearest_rank(&sorted, 0.99),
-            max_s: Self::nearest_rank(&sorted, 1.0),
-            mean_s: mean,
-            miss_rate: self.miss_rate(),
-        }
     }
 }
 
@@ -477,7 +423,7 @@ mod tests {
         let empty = LatencyRecord::new(1.0);
         assert!(empty.is_empty());
         assert_eq!(empty.miss_rate(), 0.0);
-        assert_eq!(empty.stats().p99_s, 0.0);
+        assert_eq!(empty.quantile(0.99), 0.0);
 
         // 1..=100 ms recorded out of order; nearest-rank percentiles must
         // be the observed samples regardless.
@@ -485,31 +431,25 @@ mod tests {
         for ms in (1..=100u32).rev() {
             rec.record(ms as f64 * 1e-3);
         }
-        let stats = rec.stats();
-        assert_eq!(stats.n, 100);
-        assert_eq!(stats.p50_s, 0.050);
-        assert_eq!(stats.p95_s, 0.095);
-        assert_eq!(stats.p99_s, 0.099);
-        assert_eq!(stats.max_s, 0.100);
-        assert!((stats.mean_s - 0.0505).abs() < 1e-12);
+        assert_eq!(rec.len(), 100);
+        assert_eq!(
+            [0.50, 0.95, 0.99, 1.0].map(|q| rec.quantile(q)),
+            [0.050, 0.095, 0.099, 0.100]
+        );
         // 96..=100 ms are strictly above the 95 ms deadline.
-        assert_eq!(stats.miss_rate, 0.05);
-        assert!(stats.p50_s <= stats.p95_s && stats.p95_s <= stats.p99_s);
-        assert!(stats.p99_s <= stats.max_s);
+        assert_eq!(rec.miss_rate(), 0.05);
 
-        // An unsorted record with ties and a non-round count: the one-sort
-        // `stats()` must read exactly what four `quantile` calls read.
+        // An unsorted record with ties and a non-round count: every rank
+        // is an observed sample, and rank 1.0 is the maximum.
         let mut rec = LatencyRecord::new(0.5);
         for i in 0..37u32 {
             rec.record(f64::from(i * 7919 % 13) * 0.1 + 0.01);
         }
-        let stats = rec.stats();
-        assert_eq!(
-            [stats.p50_s, stats.p95_s, stats.p99_s, stats.max_s],
-            [0.50, 0.95, 0.99, 1.0].map(|q| rec.quantile(q))
-        );
+        for q in [0.50, 0.95, 0.99] {
+            assert!(rec.samples().contains(&rec.quantile(q)), "q = {q}");
+        }
         let worst = rec.samples().iter().copied().fold(0.0, f64::max);
-        assert_eq!(stats.max_s, worst);
+        assert_eq!(rec.quantile(1.0), worst);
     }
 
     /// Runs one schedule through the barrier cell and through a fresh

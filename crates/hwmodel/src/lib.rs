@@ -34,13 +34,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget;
 pub mod fabric;
 pub mod fpga;
 pub mod gpu;
 pub mod lte;
 
-pub use budget::CellBudget;
 pub use fabric::{HeterogeneousFabric, PeClass, PeCost, WorkUnit};
 pub use fpga::{EngineKind, FpgaDevice, FpgaModel, PeResources};
 pub use gpu::{CpuModel, GpuModel};

@@ -1,9 +1,8 @@
 //! One city cell: a [`StreamingCell`] wrapped in traffic, modelled time,
 //! QoS accounting, and the overload (load-shedding) policy.
 //!
-//! Each tick is one scheduling interval of the cell's
-//! [`CellBudget`] (an LTE subframe by
-//! default). A tick:
+//! Each tick is one 1 ms LTE subframe, served by the LTE small-cell
+//! fabric (2 fast DSP + 6 slow ARM PEs). A tick:
 //!
 //! 1. ages every user's channel and draws its arrivals (frames beyond the
 //!    user's queue cap are shed at the door);
@@ -11,7 +10,7 @@
 //!    planned once ([`StreamingCell::plan_tick`]), its duration is the
 //!    deterministic weighted-LPT makespan of that plan's batch costs
 //!    ([`TickPlan::costs`](flexcore_engine::TickPlan::costs)) on the
-//!    budget's fabric, priced in seconds by the CPU cost model, and the
+//!    fabric, priced in seconds by the CPU cost model, and the
 //!    same plan then runs ([`StreamingCell::run_tick`]) — rounds start
 //!    while the interval has time left, and time that spills past the
 //!    interval carries into the next tick as backlog;
@@ -19,8 +18,8 @@
 //!    keeps: per-user frames-behind counters and the windowed latency
 //!    percentile ([`LatencyRecord`]).
 //!
-//! The shedding lever is [`StreamingCell::swap_user_detector`] over the
-//! [`CellDetector`] tier ladder (FlexCore → SIC → linear MMSE). Swaps
+//! The shedding lever is [`StreamingCell::swap_user_detector`] down the
+//! [`ServiceTier`] ladder (FlexCore → SIC → linear MMSE). Swaps
 //! change *cost*, never correctness bookkeeping: a downgraded user's
 //! detections remain bit-identical to a solo engine running the same tier
 //! on the same channel, which the invariant suite checks outright.
@@ -38,9 +37,9 @@
 
 use std::collections::VecDeque;
 
-use flexcore::{CellDetector, ServiceTier};
+use flexcore::CellDetector;
 use flexcore_engine::{ChannelStream, LatencyRecord, RxFrame, StreamingCell};
-use flexcore_hwmodel::{CellBudget, CpuModel, PeCost, WorkUnit};
+use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
 use flexcore_modulation::Constellation;
 use flexcore_parallel::{lpt_makespan_weighted, PePool, WeightedPool};
 use rand::rngs::StdRng;
@@ -48,7 +47,31 @@ use rand::{Rng, SeedableRng};
 
 use super::qos::{QosClass, UserProfile};
 use super::traffic::TrafficSource;
-use super::{CityConfig, ShedPolicy};
+use super::{CityConfig, CityReport};
+
+/// The scheduling interval: one LTE subframe, in seconds. Detection
+/// queued in one interval should drain within it, or the cell is falling
+/// behind.
+const SUBFRAME_S: f64 = 1e-3;
+
+// The shed policy's thresholds: the LTE small-cell tuning every recorded
+// run used.
+/// Downgrade when any user's frames-behind reaches this.
+const LAG_FRAMES: u64 = 4;
+/// Downgrade when the windowed p95 latency exceeds this (seconds).
+const P95_LIMIT_S: f64 = QosClass::Latency.deadline_s();
+/// Width of the latency window the p95 signal is computed over.
+const WINDOW_TICKS: u64 = 10;
+/// Ticks between policy actions (rate limit / hysteresis guard).
+const COOLDOWN_TICKS: u64 = 2;
+/// Most downgrades applied in one decision — lets the policy shed a deep
+/// overload in a few ticks instead of one user per cooldown.
+const ACTIONS_PER_TICK: usize = 4;
+/// Calm ticks required before restoring a degraded user.
+const RESTORE_AFTER_TICKS: u64 = 40;
+/// Restore only while the windowed p95 sits below this fraction of the
+/// limit (hysteresis against flapping).
+const RESTORE_P95_FRACTION: f64 = 0.5;
 
 /// Domain tags for deriving independent per-user random streams from one
 /// profile seed.
@@ -95,6 +118,41 @@ struct PendingFrame {
     truth: Vec<u16>,
 }
 
+/// The service a user gets, ordered from best to cheapest. The shed
+/// policy walks users *down* this ladder instead of letting their queues
+/// starve, and back up once the cell is calm.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ServiceTier {
+    /// Full tree-search service: the cell's FlexCore-16 detector.
+    Full,
+    /// Ordered successive interference cancellation — one path, a small
+    /// SER penalty, a fraction of the trie-walk work.
+    Sic,
+    /// Linear MMSE — one matrix–vector product per received vector, the
+    /// cheapest tier and the largest SER penalty.
+    Linear,
+}
+
+impl ServiceTier {
+    /// One step down the ladder, `None` at the bottom.
+    fn down(self) -> Option<Self> {
+        match self {
+            ServiceTier::Full => Some(ServiceTier::Sic),
+            ServiceTier::Sic => Some(ServiceTier::Linear),
+            ServiceTier::Linear => None,
+        }
+    }
+
+    /// One step up the ladder, `None` at the top.
+    fn up(self) -> Option<Self> {
+        match self {
+            ServiceTier::Linear => Some(ServiceTier::Sic),
+            ServiceTier::Sic => Some(ServiceTier::Full),
+            ServiceTier::Full => None,
+        }
+    }
+}
+
 /// Per-user serving state and counters.
 struct CellUser {
     profile: UserProfile,
@@ -125,9 +183,6 @@ pub struct ShedEvent {
     /// `true` for an upgrade back toward full service, `false` for a
     /// downgrade.
     pub restore: bool,
-    /// Bulk users still at [`ServiceTier::Full`] when the decision was
-    /// taken (before applying it).
-    pub bulk_at_full: usize,
     /// Bulk users still above the bottom tier when the decision was taken
     /// — zero whenever a latency user is picked as a downgrade victim,
     /// which the invariant suite asserts.
@@ -150,59 +205,22 @@ pub struct DeliveredFrame<'a> {
     pub cells: &'a [u16],
 }
 
-/// Aggregate serving counters for one cell — see [`CityCell::report`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CityCellReport {
-    /// Registered users.
-    pub n_users: usize,
-    /// Ticks stepped.
-    pub ticks: u64,
-    /// Frames offered by all arrival processes.
-    pub offered_frames: u64,
-    /// Frames shed at the queue cap (never served).
-    pub shed_frames: u64,
-    /// Frames detected and delivered.
-    pub delivered_frames: u64,
-    /// Delivered frames that met their user's deadline.
-    pub on_time_frames: u64,
-    /// Payload bits offered (`offered_frames × bits/frame`).
-    pub offered_bits: u64,
-    /// Goodput: bits of symbol-correct detections delivered on time.
-    pub goodput_bits: u64,
-    /// Per-user goodput bits, for fairness indices.
-    pub per_user_goodput_bits: Vec<u64>,
-    /// Per-user current service tier.
-    pub per_user_tier: Vec<ServiceTier>,
-    /// Per-user QoS class.
-    pub per_user_class: Vec<QosClass>,
-    /// Downgrade actions taken.
-    pub downgrades: usize,
-    /// Restore actions taken.
-    pub restores: usize,
-    /// Latency distribution of the latency class (class-default deadline).
-    pub latency_class: flexcore_engine::LatencyStats,
-    /// Latency distribution of the bulk class (class-default deadline).
-    pub bulk_class: flexcore_engine::LatencyStats,
-    /// FNV-1a digest over every delivered detection, in delivery order —
-    /// two same-seed runs must agree exactly.
-    pub digest: u64,
-}
-
 /// One cell of the city: traffic in, modelled-time serving, QoS-aware
 /// shedding. See the [module docs](self).
 pub struct CityCell {
     cell: StreamingCell<CellDetector>,
     users: Vec<CellUser>,
-    budget: CellBudget,
-    /// The budget's fabric as an execution substrate: rounds run on it,
-    /// and its speed factors price them.
+    /// The fabric as an execution substrate: rounds run on it, and its
+    /// speed factors price them.
     pool: WeightedPool,
+    /// Seconds one path-extension unit takes on the FX-8120 cost model.
     unit_s: f64,
+    /// Path-extension units the fabric retires per subframe.
+    capacity_units: f64,
     constellation: Constellation,
+    /// The full-tier detector every user starts on and is restored to.
     base: CellDetector,
-    /// The configuration the cell was built from: PHY shape, channel
-    /// dynamics and shed policy are read from it, never copied out.
-    cfg: CityConfig,
+    shedding: bool,
     tick: u64,
     backlog_s: f64,
     window: LatencyRecord,
@@ -216,34 +234,33 @@ pub struct CityCell {
 }
 
 impl CityCell {
-    /// An empty cell over `cfg`'s PHY shape and shed policy, served by
-    /// `budget`'s fabric on `budget`'s interval.
-    pub fn new(cfg: &CityConfig, budget: CellBudget) -> Self {
-        let cost = CpuModel::fx8120();
-        let work_unit = WorkUnit::new(cfg.nt, cfg.modulation.order());
-        let unit_s = cost.unit_seconds(&work_unit);
+    /// An empty cell running `cfg`'s shed policy.
+    pub fn new(cfg: &CityConfig) -> Self {
+        let fabric = HeterogeneousFabric::lte_smallcell();
+        let work_unit = WorkUnit::new(CityConfig::NT, CityConfig::MODULATION.order());
+        let unit_s = CpuModel::fx8120().unit_seconds(&work_unit);
         CityCell {
             cell: StreamingCell::new(),
             users: Vec::new(),
-            pool: WeightedPool::new(budget.fabric.speed_factors()),
+            pool: WeightedPool::new(fabric.speed_factors()),
             unit_s,
-            constellation: Constellation::new(cfg.modulation),
+            capacity_units: fabric.total_speed() * SUBFRAME_S / unit_s,
+            constellation: Constellation::new(CityConfig::MODULATION),
             base: CellDetector::fixed(
-                Constellation::new(cfg.modulation),
+                Constellation::new(CityConfig::MODULATION),
                 CityConfig::FLEXCORE_BUDGET,
             ),
-            cfg: cfg.clone(),
+            shedding: cfg.shedding,
             tick: 0,
             backlog_s: 0.0,
-            window: LatencyRecord::new(ShedPolicy::P95_LIMIT_S),
+            window: LatencyRecord::new(P95_LIMIT_S),
             last_window_p95: 0.0,
             cooldown: 0,
             calm_streak: 0,
             events: Vec::new(),
-            latency_rec: LatencyRecord::new(QosClass::Latency.default_deadline_s()),
-            bulk_rec: LatencyRecord::new(QosClass::Bulk.default_deadline_s()),
+            latency_rec: LatencyRecord::new(QosClass::Latency.deadline_s()),
+            bulk_rec: LatencyRecord::new(QosClass::Bulk.deadline_s()),
             digest: FNV_OFFSET,
-            budget,
         }
     }
 
@@ -252,13 +269,13 @@ impl CityCell {
     /// profile produces the same traffic and channel in any cell. Returns
     /// the user id.
     pub fn add_user(&mut self, profile: UserProfile) -> usize {
-        let ens = flexcore_channel::ChannelEnsemble::iid(self.cfg.nt, self.cfg.nt);
+        let ens = flexcore_channel::ChannelEnsemble::iid(CityConfig::NT, CityConfig::NT);
         let mut stream_rng = StdRng::seed_from_u64(mix(profile.seed, TAG_CHANNEL, 0, 0));
         let stream = ChannelStream::new(
             &ens,
-            self.cfg.n_subcarriers,
-            self.cfg.rho,
-            self.cfg.refresh_period,
+            CityConfig::N_SUBCARRIERS,
+            CityConfig::RHO,
+            CityConfig::REFRESH_PERIOD,
             CityConfig::SIGMA2,
             &mut stream_rng,
         );
@@ -298,11 +315,6 @@ impl CityCell {
         &self.users[user].profile
     }
 
-    /// Ticks stepped so far.
-    pub fn ticks(&self) -> u64 {
-        self.tick
-    }
-
     /// Modelled processing backlog carried past the last tick's interval,
     /// in seconds — positive means the cell is running behind real time.
     pub fn backlog_s(&self) -> f64 {
@@ -316,23 +328,22 @@ impl CityCell {
 
     /// The measured price of one of `user`'s frames right now, in
     /// path-extension units (`n_symbols × Σ_sc slot_extension_work`) —
-    /// the same units [`CellBudget::capacity_units`] prices capacity in.
+    /// the same units [`CityCell::capacity_units`] prices capacity in.
     /// The city's load calibration sums this over users.
     pub fn frame_units(&self, user: usize) -> u64 {
         let engine = self.cell.engine(user);
-        let per_symbol: u64 = (0..self.cfg.n_subcarriers)
+        let per_symbol: u64 = (0..CityConfig::N_SUBCARRIERS)
             .map(|sc| engine.slot_extension_work(sc) as u64)
             .sum();
-        per_symbol * self.cfg.n_symbols as u64
+        per_symbol * CityConfig::N_SYMBOLS as u64
     }
 
-    /// The cell's per-tick capacity in path-extension units under its
-    /// budget and the FX-8120 cost model.
+    /// The cell's per-subframe capacity in path-extension units under
+    /// perfect packing: `total_speed × subframe / unit_seconds` on the
+    /// FX-8120 cost model. The realised capacity is this times the LPT
+    /// packing efficiency.
     pub fn capacity_units(&self) -> f64 {
-        self.budget.capacity_units(
-            &CpuModel::fx8120(),
-            &WorkUnit::new(self.cfg.nt, self.constellation.order()),
-        )
+        self.capacity_units
     }
 
     /// Forces one user onto a tier immediately, through the same swap
@@ -358,8 +369,7 @@ impl CityCell {
     /// rounds, policy — handing each delivered frame to `sink` as it
     /// completes.
     pub fn step_with(&mut self, multiplier: f64, sink: &mut dyn FnMut(&DeliveredFrame<'_>)) {
-        let interval = self.budget.subframe_s;
-        let start_s = self.tick as f64 * interval;
+        let start_s = self.tick as f64 * SUBFRAME_S;
 
         // 1. Channel aging and arrivals. Shedding at the queue cap is the
         // *admission-to-queue* decision; the frame still counts as offered
@@ -370,7 +380,7 @@ impl CityCell {
             for k in 0..n {
                 let (frame, truth) = self.make_frame(u, k as u64);
                 self.users[u].offered += 1;
-                if self.cell.pending(u) >= self.users[u].profile.queue_cap {
+                if self.cell.pending(u) >= self.users[u].profile.class.queue_cap() {
                     self.users[u].shed += 1;
                 } else {
                     self.cell.submit(u, frame);
@@ -392,7 +402,7 @@ impl CityCell {
         // updates the rest of `self`.
         let mut cell = std::mem::take(&mut self.cell);
         let mut free_at = self.backlog_s;
-        while free_at < interval && cell.has_queued() {
+        while free_at < SUBFRAME_S && cell.has_queued() {
             let plan = cell.plan_tick(self.pool.n_pes());
             free_at += lpt_makespan_weighted(plan.costs(), self.pool.speeds()) * self.unit_s;
             let done_s = start_s + free_at;
@@ -401,17 +411,17 @@ impl CityCell {
             }
         }
         self.cell = cell;
-        self.backlog_s = (free_at - interval).max(0.0);
+        self.backlog_s = (free_at - SUBFRAME_S).max(0.0);
 
         // 3. Bookkeeping and policy.
         self.tick += 1;
-        if self.tick.is_multiple_of(ShedPolicy::WINDOW_TICKS) {
+        if self.tick.is_multiple_of(WINDOW_TICKS) {
             self.last_window_p95 = if self.window.is_empty() {
                 0.0
             } else {
                 self.window.quantile(0.95)
             };
-            self.window = LatencyRecord::new(ShedPolicy::P95_LIMIT_S);
+            self.window = LatencyRecord::new(P95_LIMIT_S);
         }
         self.apply_policy();
     }
@@ -431,7 +441,7 @@ impl CityCell {
         };
         let latency_s = done_s - pending.arrival_s;
         let class = self.users[u].profile.class;
-        let on_time = latency_s <= self.users[u].profile.deadline_s;
+        let on_time = latency_s <= class.deadline_s();
         self.window.record(latency_s);
         match class {
             QosClass::Latency => self.latency_rec.record(latency_s),
@@ -473,12 +483,12 @@ impl CityCell {
         let stream = self.cell.stream(user);
         let n_sc = stream.n_subcarriers();
         let order = self.constellation.order();
-        let nt = self.cfg.nt;
-        let truth: Vec<u16> = (0..self.cfg.n_symbols * n_sc * nt)
+        let nt = CityConfig::NT;
+        let truth: Vec<u16> = (0..CityConfig::N_SYMBOLS * n_sc * nt)
             .map(|_| sym_rng.gen_range(0..order) as u16)
             .collect();
         let frame = stream.transmit_frame_into(
-            self.cfg.n_symbols,
+            CityConfig::N_SYMBOLS,
             |sym, sc, x| {
                 let row = &truth[(sym * n_sc + sc) * nt..][..nt];
                 for (x, &i) in x.iter_mut().zip(row) {
@@ -494,7 +504,7 @@ impl CityCell {
     /// restore after a sustained calm stretch, both rate-limited by the
     /// cooldown.
     fn apply_policy(&mut self) {
-        if !self.cfg.policy.enabled {
+        if !self.shedding {
             return;
         }
         if self.cooldown > 0 {
@@ -504,31 +514,26 @@ impl CityCell {
             .map(|u| self.cell.frames_behind(u))
             .max()
             .unwrap_or(0);
-        let hot = lag >= ShedPolicy::LAG_FRAMES
-            || self.backlog_s > 0.0
-            || self.last_window_p95 > ShedPolicy::P95_LIMIT_S;
+        let hot = lag >= LAG_FRAMES || self.backlog_s > 0.0 || self.last_window_p95 > P95_LIMIT_S;
         if hot {
             self.calm_streak = 0;
             if self.cooldown == 0 {
-                for _ in 0..ShedPolicy::ACTIONS_PER_TICK {
+                for _ in 0..ACTIONS_PER_TICK {
                     if !self.downgrade_one() {
                         break;
                     }
                 }
-                self.cooldown = ShedPolicy::COOLDOWN_TICKS;
+                self.cooldown = COOLDOWN_TICKS;
             }
             return;
         }
         let calm = lag == 0
             && self.backlog_s == 0.0
-            && self.last_window_p95 <= ShedPolicy::RESTORE_P95_FRACTION * ShedPolicy::P95_LIMIT_S;
+            && self.last_window_p95 <= RESTORE_P95_FRACTION * P95_LIMIT_S;
         if calm {
             self.calm_streak += 1;
-            if self.calm_streak >= ShedPolicy::RESTORE_AFTER_TICKS
-                && self.cooldown == 0
-                && self.restore_one()
-            {
-                self.cooldown = ShedPolicy::COOLDOWN_TICKS;
+            if self.calm_streak >= RESTORE_AFTER_TICKS && self.cooldown == 0 && self.restore_one() {
+                self.cooldown = COOLDOWN_TICKS;
             }
         } else {
             self.calm_streak = 0;
@@ -537,18 +542,18 @@ impl CityCell {
 
     /// Applies a tier change through the engine swap and records it.
     fn apply_tier(&mut self, user: usize, to: ServiceTier, is_downgrade: bool) {
-        let bulk_at_full = self
-            .users
-            .iter()
-            .filter(|s| s.profile.class == QosClass::Bulk && s.tier == ServiceTier::Full)
-            .count();
         let bulk_above_bottom = self
             .users
             .iter()
             .filter(|s| s.profile.class == QosClass::Bulk && s.tier != ServiceTier::Linear)
             .count();
         let from = self.users[user].tier;
-        self.cell.swap_user_detector(user, self.base.for_tier(to));
+        let template = match to {
+            ServiceTier::Full => self.base.clone(),
+            ServiceTier::Sic => CellDetector::sic(self.constellation.clone()),
+            ServiceTier::Linear => CellDetector::linear(self.constellation.clone()),
+        };
+        self.cell.swap_user_detector(user, template);
         self.users[user].tier = to;
         self.events.push(ShedEvent {
             tick: self.tick,
@@ -557,7 +562,6 @@ impl CityCell {
             from,
             to,
             restore: !is_downgrade,
-            bulk_at_full,
             bulk_above_bottom,
         });
     }
@@ -585,7 +589,7 @@ impl CityCell {
         let victim = pick(&self.users, &self.cell, QosClass::Bulk)
             .or_else(|| pick(&self.users, &self.cell, QosClass::Latency));
         let Some(u) = victim else { return false };
-        let Some(next) = tier_down(self.users[u].tier) else {
+        let Some(next) = self.users[u].tier.down() else {
             return false;
         };
         self.apply_tier(u, next, true);
@@ -610,71 +614,93 @@ impl CityCell {
             })
             .map(|(u, _)| u);
         let Some(u) = candidate else { return false };
-        let Some(next) = tier_up(self.users[u].tier) else {
+        let Some(next) = self.users[u].tier.up() else {
             return false;
         };
         self.apply_tier(u, next, false);
         true
     }
 
-    /// Aggregate serving counters, per-user goodput, per-class latency
-    /// distributions, and the delivered-detection digest.
-    pub fn report(&self) -> CityCellReport {
-        let cfg = &self.cfg;
-        let frame_bits =
-            (cfg.n_symbols * cfg.n_subcarriers * cfg.nt * self.constellation.bits_per_symbol())
-                as u64;
-        let offered_frames: u64 = self.users.iter().map(|s| s.offered).sum();
-        CityCellReport {
-            n_users: self.users.len(),
-            ticks: self.tick,
+    /// This cell's serving counters, goodput, fairness, class p95s and
+    /// digest, as a one-cell [`CityReport`].
+    pub fn report(&self) -> CityReport {
+        CityReport::over(std::slice::from_ref(self), 0)
+    }
+}
+
+impl CityReport {
+    /// Aggregates `cells`: counters summed, Jain's index over every
+    /// user's goodput, worst-cell class p95s, and an FNV-1a fold of the
+    /// cells' delivered-detection digests in order.
+    pub(super) fn over(cells: &[CityCell], n_rejected: usize) -> Self {
+        let users = || cells.iter().flat_map(|c| &c.users);
+        let events = || cells.iter().flat_map(|c| &c.events);
+        let frame_bits = (CityConfig::N_SYMBOLS
+            * CityConfig::N_SUBCARRIERS
+            * CityConfig::NT
+            * CityConfig::MODULATION.bits_per_symbol()) as u64;
+        let offered_frames: u64 = users().map(|u| u.offered).sum();
+        let shed_frames: u64 = users().map(|u| u.shed).sum();
+        let delivered_frames: u64 = users().map(|u| u.delivered).sum();
+        let on_time_frames: u64 = users().map(|u| u.on_time).sum();
+        let goodput_bits: u64 = users().map(|u| u.good_bits).sum();
+        let per_user: Vec<f64> = users().map(|u| u.good_bits as f64).collect();
+        let jain = jain_index(&per_user);
+        let worst_p95 = |rec: fn(&CityCell) -> &LatencyRecord| {
+            cells
+                .iter()
+                .map(|c| rec(c).quantile(0.95))
+                .fold(0.0, f64::max)
+        };
+        CityReport {
+            n_admitted: users().count(),
+            n_rejected,
             offered_frames,
-            shed_frames: self.users.iter().map(|s| s.shed).sum(),
-            delivered_frames: self.users.iter().map(|s| s.delivered).sum(),
-            on_time_frames: self.users.iter().map(|s| s.on_time).sum(),
+            shed_frames,
+            delivered_frames,
+            on_time_frames,
             offered_bits: offered_frames * frame_bits,
-            goodput_bits: self.users.iter().map(|s| s.good_bits).sum(),
-            per_user_goodput_bits: self.users.iter().map(|s| s.good_bits).collect(),
-            per_user_tier: self.users.iter().map(|s| s.tier).collect(),
-            per_user_class: self.users.iter().map(|s| s.profile.class).collect(),
-            downgrades: self.events.iter().filter(|e| !e.restore).count(),
-            restores: self.events.iter().filter(|e| e.restore).count(),
-            latency_class: self.latency_rec.stats(),
-            bulk_class: self.bulk_rec.stats(),
-            digest: self.digest,
+            goodput_bits,
+            shed_fraction: if offered_frames == 0 {
+                0.0
+            } else {
+                shed_frames as f64 / offered_frames as f64
+            },
+            deadline_miss_rate: if delivered_frames == 0 {
+                0.0
+            } else {
+                (delivered_frames - on_time_frames) as f64 / delivered_frames as f64
+            },
+            jain,
+            goodput_fairness: goodput_bits as f64 * jain,
+            latency_class_p95_s: worst_p95(|c| &c.latency_rec),
+            bulk_class_p95_s: worst_p95(|c| &c.bulk_rec),
+            downgrades: events().filter(|e| !e.restore).count(),
+            restores: events().filter(|e| e.restore).count(),
+            digest: cells.iter().fold(FNV_OFFSET, |h, c| fnv(h, c.digest)),
         }
     }
 }
 
-/// One step down the service ladder, `None` at the bottom.
-fn tier_down(t: ServiceTier) -> Option<ServiceTier> {
-    match t {
-        ServiceTier::Full => Some(ServiceTier::Sic),
-        ServiceTier::Sic => Some(ServiceTier::Linear),
-        ServiceTier::Linear => None,
+/// Jain's fairness index `(Σx)² / (n·Σx²)`: 1.0 for a perfectly even
+/// allocation, `1/n` when one user gets everything. Empty and all-zero
+/// inputs — nobody is being treated unequally — return 1.0.
+fn jain_index(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 1.0;
     }
-}
-
-/// One step up the service ladder, `None` at the top.
-fn tier_up(t: ServiceTier) -> Option<ServiceTier> {
-    match t {
-        ServiceTier::Linear => Some(ServiceTier::Sic),
-        ServiceTier::Sic => Some(ServiceTier::Full),
-        ServiceTier::Full => None,
+    let sum: f64 = xs.iter().sum();
+    let sq: f64 = xs.iter().map(|x| x * x).sum();
+    if sq == 0.0 {
+        return 1.0;
     }
+    sum * sum / (xs.len() as f64 * sq)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::traffic::ArrivalProcess;
     use super::*;
-
-    fn small_cfg() -> CityConfig {
-        let mut cfg = CityConfig::small_city();
-        cfg.n_cells = 1;
-        cfg.users_per_cell = 4;
-        cfg
-    }
 
     fn add_users(cell: &mut CityCell, n: usize, class: QosClass, rate: f64, seed0: u64) {
         for i in 0..n {
@@ -687,9 +713,43 @@ mod tests {
     }
 
     #[test]
+    fn capacity_matches_hand_calculation() {
+        // FX-8120 at nt=4: 48 · 4 · 7 / 2 = 672 cycles/unit at 3.1 GHz;
+        // the LTE small-cell fabric's total speed is 14, 1 ms subframe.
+        let cap = CityCell::new(&CityConfig::small_city()).capacity_units();
+        let want = 14.0 * 1e-3 / (672.0 / 3.1e9);
+        assert!((cap - want).abs() / want < 1e-12, "{cap} vs {want}");
+    }
+
+    #[test]
+    fn tier_ladder_orders_best_to_cheapest_and_round_trips() {
+        use ServiceTier::*;
+        assert!(Full < Sic && Sic < Linear);
+        assert_eq!(Full.down(), Some(Sic));
+        assert_eq!(Sic.down(), Some(Linear));
+        assert_eq!(Linear.down(), None);
+        assert_eq!(Linear.up(), Some(Sic));
+        assert_eq!(Sic.up(), Some(Full));
+        assert_eq!(Full.up(), None);
+        for t in [Full, Sic, Linear] {
+            assert_eq!(t.down().and_then(ServiceTier::up).unwrap_or(t), t);
+            assert_eq!(t.up().and_then(ServiceTier::down).unwrap_or(t), t);
+        }
+    }
+
+    #[test]
+    fn jain_index_brackets() {
+        assert_eq!(jain_index(&[]), 1.0);
+        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
+        assert!((jain_index(&[5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
+        let skew = jain_index(&[10.0, 0.0, 0.0, 0.0]);
+        assert!((skew - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
     fn light_load_serves_everything_on_time_with_no_shedding() {
-        let cfg = small_cfg();
-        let mut cell = CityCell::new(&cfg, CellBudget::lte_subframe());
+        let cfg = CityConfig::small_city();
+        let mut cell = CityCell::new(&cfg);
         add_users(&mut cell, 2, QosClass::Latency, 0.3, 10);
         add_users(&mut cell, 2, QosClass::Bulk, 0.3, 20);
         for _ in 0..60 {
@@ -703,14 +763,14 @@ mod tests {
         assert_eq!(r.downgrades, 0);
         assert!(r.goodput_bits > 0);
         assert!(cell.backlog_s() == 0.0);
-        assert!(r.per_user_tier.iter().all(|&t| t == ServiceTier::Full));
+        assert!((0..4).all(|u| cell.tier(u) == ServiceTier::Full));
     }
 
     #[test]
     fn same_seed_reruns_are_bit_identical() {
         let run = || {
-            let cfg = small_cfg();
-            let mut cell = CityCell::new(&cfg, CellBudget::lte_subframe());
+            let cfg = CityConfig::small_city();
+            let mut cell = CityCell::new(&cfg);
             add_users(&mut cell, 2, QosClass::Latency, 0.4, 10);
             add_users(&mut cell, 2, QosClass::Bulk, 0.6, 20);
             for _ in 0..40 {
@@ -724,8 +784,8 @@ mod tests {
 
     #[test]
     fn overload_triggers_bulk_downgrades_and_bounds_the_backlog() {
-        let cfg = small_cfg();
-        let mut cell = CityCell::new(&cfg, CellBudget::lte_subframe());
+        let cfg = CityConfig::small_city();
+        let mut cell = CityCell::new(&cfg);
         add_users(&mut cell, 2, QosClass::Latency, 0.5, 30);
         add_users(&mut cell, 2, QosClass::Bulk, 0.5, 40);
         // Find the multiplier that makes offered work ≈ 2× capacity.
@@ -747,8 +807,8 @@ mod tests {
 
     #[test]
     fn force_tier_swaps_and_records_through_the_policy_path() {
-        let cfg = small_cfg();
-        let mut cell = CityCell::new(&cfg, CellBudget::lte_subframe());
+        let cfg = CityConfig::small_city();
+        let mut cell = CityCell::new(&cfg);
         add_users(&mut cell, 1, QosClass::Bulk, 0.2, 50);
         assert_eq!(cell.tier(0), ServiceTier::Full);
         cell.force_tier(0, ServiceTier::Linear);
@@ -766,9 +826,9 @@ mod tests {
         // One `step_with` carves each round once: the cost vector that
         // priced the round's modelled duration is the cost vector of the
         // plan that then ran — same length, same values, same order.
-        let mut cfg = small_cfg();
-        cfg.policy = ShedPolicy::disabled();
-        let mut cell = CityCell::new(&cfg, CellBudget::lte_subframe());
+        let mut cfg = CityConfig::small_city();
+        cfg.shedding = false;
+        let mut cell = CityCell::new(&cfg);
         add_users(&mut cell, 3, QosClass::Bulk, 0.6, 70);
         cell.force_tier(2, ServiceTier::Sic);
         let mut single_round_ticks = 0;

@@ -4,15 +4,15 @@
 //! The engine's `StreamingCell` answers "how do N queued uplinks
 //! share one PE pool"; this module answers the deployment question above
 //! it: **who gets in, who gets what tier, and what happens at 2× load.**
-//! A [`City`] is a set of [`CityCell`]s, each bound to a per-cell
-//! [`CellBudget`]; a deterministic
-//! population of [`UserProfile`]s (per-user arrival processes from
-//! [`traffic`], QoS classes from [`qos`]) is placed round-robin and gated
-//! by the [`AdmissionController`]. Under overload each cell's shed policy
-//! downgrades backlogged bulk users down the `CellDetector` tier ladder
-//! (FlexCore → SIC → linear) instead of letting the backlog starve
-//! everyone — decisions driven by the serving layer's frames-behind
-//! counters and windowed latency percentiles.
+//! A [`City`] is a set of [`CityCell`]s, each serving 1 ms LTE subframes
+//! on the LTE small-cell fabric; a deterministic population of
+//! [`UserProfile`]s (per-user arrival processes from [`traffic`], QoS
+//! classes from [`qos`]) is placed round-robin and gated by latency-first
+//! admission. Under overload each cell's shed policy downgrades
+//! backlogged bulk users down the [`ServiceTier`] ladder (FlexCore → SIC
+//! → linear) instead of letting the backlog starve everyone — decisions
+//! driven by the serving layer's frames-behind counters and windowed
+//! latency percentiles.
 //!
 //! Everything is seeded: the same [`CityConfig`] and seed replays the
 //! same arrivals, channels, payloads, swaps and detections, and the
@@ -25,89 +25,50 @@ pub mod cell;
 pub mod qos;
 pub mod traffic;
 
-pub use cell::{CityCell, CityCellReport, DeliveredFrame, ShedEvent};
-pub use qos::{AdmissionController, AdmissionRequest, QosClass, UserProfile};
+pub use cell::{CityCell, DeliveredFrame, ServiceTier, ShedEvent};
+pub use qos::{QosClass, UserProfile};
 pub use traffic::{poisson_quantile, ArrivalProcess, TrafficSource, MAX_ARRIVALS_PER_TICK};
 
-use flexcore_engine::LatencyStats;
-use flexcore_hwmodel::CellBudget;
 use flexcore_modulation::Modulation;
 
-/// The overload policy: when to downgrade, when to restore, how fast.
-/// Only the master switch is a setting; the thresholds are the LTE
-/// small-cell tuning every recorded run used — shed on 4 frames of lag or
-/// a windowed p95 above the latency-class deadline, up to 4 downgrades
-/// per decision with a 2-tick cooldown, restore after 40 calm ticks.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShedPolicy {
-    /// Master switch; `false` pins every user at full service (the
-    /// "fixed" arm of a shedding comparison).
-    pub enabled: bool,
-}
-
-impl ShedPolicy {
-    /// Downgrade when any user's frames-behind reaches this.
-    const LAG_FRAMES: u64 = 4;
-    /// Downgrade when the windowed p95 latency exceeds this (seconds).
-    const P95_LIMIT_S: f64 = QosClass::Latency.default_deadline_s();
-    /// Width of the latency window the p95 signal is computed over.
-    const WINDOW_TICKS: u64 = 10;
-    /// Ticks between policy actions (rate limit / hysteresis guard).
-    const COOLDOWN_TICKS: u64 = 2;
-    /// Most downgrades applied in one decision — lets the policy shed a
-    /// deep overload in a few ticks instead of one user per cooldown.
-    const ACTIONS_PER_TICK: usize = 4;
-    /// Calm ticks required before restoring a degraded user.
-    const RESTORE_AFTER_TICKS: u64 = 40;
-    /// Restore only while the windowed p95 sits below this fraction of
-    /// the limit (hysteresis against flapping).
-    const RESTORE_P95_FRACTION: f64 = 0.5;
-
-    /// The LTE small-cell default: shedding on.
-    pub fn lte_default() -> Self {
-        ShedPolicy { enabled: true }
-    }
-
-    /// Shedding off: the fixed-configuration baseline shedding is
-    /// compared against. The two arms differ in exactly this one bit.
-    pub fn disabled() -> Self {
-        ShedPolicy { enabled: false }
-    }
-}
-
-/// The full city parameterisation: PHY shape, per-cell budget, policy,
-/// population mix, and the run seed.
+/// The city parameterisation: size, population mix, admission headroom,
+/// the shedding switch and the run seed. The PHY shape (4×4 16-QAM
+/// FlexCore-16 uplinks, 4 subcarriers × 2 OFDM symbols per frame,
+/// Gauss–Markov ρ = 0.95, a refresh every 4 subcarriers, 30 dB SNR) is
+/// the same for every city, as constants below.
 #[derive(Clone, Debug)]
 pub struct CityConfig {
     /// Number of cells.
     pub n_cells: usize,
     /// Users *requesting* admission per cell (admission may reject some).
     pub users_per_cell: usize,
-    /// Fraction of the population in the latency class, spread evenly.
+    /// Fraction of the population in the latency class, spread evenly;
+    /// in `[0, 1]`.
     pub latency_fraction: f64,
-    /// Transmit/receive antennas per user.
-    pub nt: usize,
-    /// Modulation of every uplink.
-    pub modulation: Modulation,
-    /// Subcarriers per user band.
-    pub n_subcarriers: usize,
-    /// OFDM symbols per frame.
-    pub n_symbols: usize,
-    /// Gauss–Markov channel coherence (0 = i.i.d. per frame, 1 = frozen).
-    pub rho: f64,
-    /// Subcarriers between estimate refreshes (staggered pilots).
-    pub refresh_period: usize,
-    /// Per-cell fabric budget (cloned per cell).
-    pub budget: CellBudget,
-    /// Admission headroom in `(0, 1]`.
+    /// Admission headroom in `(0, 1]`: the fraction of each cell's
+    /// capacity admission books. Booking to 1.0 leaves no slack for burst
+    /// peaks above the mean.
     pub headroom: f64,
-    /// The overload policy every cell runs.
-    pub policy: ShedPolicy,
+    /// Whether the cells shed load; `false` pins every user at full
+    /// service (the "fixed" arm of a shedding comparison).
+    pub shedding: bool,
     /// Root seed; every per-user stream derives from this.
     pub seed: u64,
 }
 
 impl CityConfig {
+    /// Transmit/receive antennas per user.
+    const NT: usize = 4;
+    /// Modulation of every uplink.
+    const MODULATION: Modulation = Modulation::Qam16;
+    /// Subcarriers per user band.
+    const N_SUBCARRIERS: usize = 4;
+    /// OFDM symbols per frame.
+    const N_SYMBOLS: usize = 2;
+    /// Gauss–Markov channel coherence (0 = i.i.d. per frame, 1 = frozen).
+    const RHO: f64 = 0.95;
+    /// Subcarriers between estimate refreshes (staggered pilots).
+    const REFRESH_PERIOD: usize = 4;
     /// Mean offered frames per tick per user at load 1.0 (before the
     /// city-level calibration rescales to a capacity multiple).
     const BASE_RATE: f64 = 0.4;
@@ -118,52 +79,26 @@ impl CityConfig {
     /// Noise variance per receive antenna (30 dB SNR).
     const SIGMA2: f64 = 1e-3;
 
-    /// A small city for tests and smokes: 2 cells × 32 users, 4×4 16-QAM
-    /// FlexCore-16 uplinks on the LTE small-cell budget, 30 dB SNR.
+    /// A small city for tests and smokes: 2 cells × 32 users, a quarter
+    /// of them latency-class, 90 % admission headroom, shedding on.
     pub fn small_city() -> Self {
         CityConfig {
             n_cells: 2,
             users_per_cell: 32,
             latency_fraction: 0.25,
-            nt: 4,
-            modulation: Modulation::Qam16,
-            n_subcarriers: 4,
-            n_symbols: 2,
-            rho: 0.95,
-            refresh_period: 4,
-            budget: CellBudget::lte_subframe(),
             headroom: 0.9,
-            policy: ShedPolicy::lte_default(),
+            shedding: true,
             seed: 0xC17_15EED,
         }
     }
 }
 
-/// Jain's fairness index `(Σx)² / (n·Σx²)`: 1.0 for a perfectly even
-/// allocation, `1/n` when one user gets everything. Empty and all-zero
-/// inputs — nobody is being treated unequally — return 1.0.
-pub fn jain_index(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = xs.iter().sum();
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq == 0.0 {
-        return 1.0;
-    }
-    sum * sum / (xs.len() as f64 * sq)
-}
-
 /// City-level outcome of one run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CityReport {
-    /// The requested load as a multiple of city capacity.
-    pub load: f64,
-    /// The calibrated traffic multiplier that realises `load`.
-    pub multiplier: f64,
     /// Users admitted across all cells.
     pub n_admitted: usize,
-    /// Users rejected by admission control.
+    /// Users rejected by admission control (0 for one cell's report).
     pub n_rejected: usize,
     /// Frames offered by all admitted users.
     pub offered_frames: u64,
@@ -186,8 +121,7 @@ pub struct CityReport {
     /// `goodput_bits × jain` — the metric on which shedding must dominate
     /// fixed full service under overload.
     pub goodput_fairness: f64,
-    /// Latency-class latency distribution (aggregated over cells by
-    /// worst-cell p95/p99, frame-weighted mean).
+    /// Latency-class worst-cell p95 latency.
     pub latency_class_p95_s: f64,
     /// Bulk-class worst-cell p95 latency.
     pub bulk_class_p95_s: f64,
@@ -217,16 +151,23 @@ impl City {
     /// the latency class is spread evenly at `cfg.latency_fraction`.
     pub fn new(cfg: &CityConfig) -> Self {
         assert!(cfg.n_cells >= 1, "City: need at least one cell");
-        let mut cells: Vec<CityCell> = (0..cfg.n_cells)
-            .map(|_| CityCell::new(cfg, cfg.budget.clone()))
-            .collect();
+        assert!(
+            cfg.headroom > 0.0 && cfg.headroom <= 1.0,
+            "City: headroom must be in (0, 1]: {}",
+            cfg.headroom
+        );
+        assert!(
+            (0.0..=1.0).contains(&cfg.latency_fraction),
+            "City: latency_fraction must be in [0, 1]: {}",
+            cfg.latency_fraction
+        );
+        let mut cells: Vec<CityCell> = (0..cfg.n_cells).map(|_| CityCell::new(cfg)).collect();
 
         // Deterministic population: class via an exact-fraction
         // accumulator, arrivals cycling through the three families at
         // equal mean rate, seeds derived from the run seed by index.
         let total = cfg.n_cells * cfg.users_per_cell;
         let mut class_acc = 0.0;
-        let mut requests: Vec<Vec<AdmissionRequest>> = vec![Vec::new(); cfg.n_cells];
         let mut profiles: Vec<Vec<UserProfile>> = vec![Vec::new(); cfg.n_cells];
         for i in 0..total {
             class_acc += cfg.latency_fraction;
@@ -259,19 +200,14 @@ impl City {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(i as u64);
             let profile = UserProfile::new(class, arrivals, seed);
-            let cell = i % cfg.n_cells;
-            requests[cell].push(AdmissionRequest {
-                class,
-                mean_units_per_tick: 0.0, // priced below, after a probe user exists
-            });
-            profiles[cell].push(profile);
+            profiles[i % cfg.n_cells].push(profile);
         }
 
         // Price demand in measured extension-work units: one probe user
         // tells us what a full-tier frame costs on this PHY shape (the
         // fixed-budget FlexCore price is channel-independent).
         let unit_price = {
-            let mut probe = CityCell::new(cfg, cfg.budget.clone());
+            let mut probe = CityCell::new(cfg);
             probe.add_user(UserProfile::new(
                 QosClass::Bulk,
                 ArrivalProcess::Poisson { rate: 0.0 },
@@ -280,15 +216,14 @@ impl City {
             probe.frame_units(0) as f64
         };
 
-        let controller = AdmissionController::new(cfg.headroom);
         let mut n_rejected = 0;
-        for (c, cell) in cells.iter_mut().enumerate() {
-            for (req, profile) in requests[c].iter_mut().zip(&profiles[c]) {
-                req.mean_units_per_tick = profile.arrivals.mean_rate() * unit_price;
-            }
-            let capacity = cell.capacity_units();
-            let admitted = controller.admit(capacity, &requests[c]);
-            for (ok, profile) in admitted.iter().zip(&profiles[c]) {
+        for (cell, profiles) in cells.iter_mut().zip(&profiles) {
+            let requests: Vec<(QosClass, f64)> = profiles
+                .iter()
+                .map(|p| (p.class, p.arrivals.mean_rate() * unit_price))
+                .collect();
+            let admitted = qos::admit(cfg.headroom * cell.capacity_units(), &requests);
+            for (ok, profile) in admitted.iter().zip(profiles) {
                 if *ok {
                     cell.add_user(profile.clone());
                 } else {
@@ -329,91 +264,24 @@ impl City {
         load * capacity / offered
     }
 
-    /// Steps every cell one tick at the given raw multiplier.
-    pub fn step(&mut self, multiplier: f64) {
-        for cell in &mut self.cells {
-            cell.step(multiplier);
-        }
-    }
-
     /// Runs `n_ticks` at `load ×` capacity (calibrated up front, from the
-    /// full-tier prices at run start) and reports. Continues from the
-    /// current state — run once per `City` for a clean experiment.
+    /// full-tier prices at run start) and reports over every cell.
+    /// Continues from the current state — run once per `City` for a clean
+    /// experiment.
     pub fn run(&mut self, n_ticks: u64, load: f64) -> CityReport {
         let multiplier = self.calibrate_multiplier(load);
         for _ in 0..n_ticks {
-            self.step(multiplier);
-        }
-        self.report(load, multiplier)
-    }
-
-    /// Aggregates every cell's report into the city-level numbers.
-    pub fn report(&self, load: f64, multiplier: f64) -> CityReport {
-        let reports: Vec<CityCellReport> = self.cells.iter().map(CityCell::report).collect();
-        let offered_frames: u64 = reports.iter().map(|r| r.offered_frames).sum();
-        let shed_frames: u64 = reports.iter().map(|r| r.shed_frames).sum();
-        let delivered_frames: u64 = reports.iter().map(|r| r.delivered_frames).sum();
-        let on_time_frames: u64 = reports.iter().map(|r| r.on_time_frames).sum();
-        let goodput_bits: u64 = reports.iter().map(|r| r.goodput_bits).sum();
-        let per_user: Vec<f64> = reports
-            .iter()
-            .flat_map(|r| r.per_user_goodput_bits.iter().map(|&b| b as f64))
-            .collect();
-        let jain = jain_index(&per_user);
-        let worst_p95 = |f: fn(&CityCellReport) -> &LatencyStats| {
-            reports.iter().map(|r| f(r).p95_s).fold(0.0, f64::max)
-        };
-        let mut digest = 0xCBF2_9CE4_8422_2325u64;
-        for r in &reports {
-            for byte in r.digest.to_le_bytes() {
-                digest ^= byte as u64;
-                digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+            for cell in &mut self.cells {
+                cell.step(multiplier);
             }
         }
-        CityReport {
-            load,
-            multiplier,
-            n_admitted: self.n_admitted(),
-            n_rejected: self.n_rejected,
-            offered_frames,
-            shed_frames,
-            delivered_frames,
-            on_time_frames,
-            offered_bits: reports.iter().map(|r| r.offered_bits).sum(),
-            goodput_bits,
-            shed_fraction: if offered_frames == 0 {
-                0.0
-            } else {
-                shed_frames as f64 / offered_frames as f64
-            },
-            deadline_miss_rate: if delivered_frames == 0 {
-                0.0
-            } else {
-                (delivered_frames - on_time_frames) as f64 / delivered_frames as f64
-            },
-            jain,
-            goodput_fairness: goodput_bits as f64 * jain,
-            latency_class_p95_s: worst_p95(|r| &r.latency_class),
-            bulk_class_p95_s: worst_p95(|r| &r.bulk_class),
-            downgrades: reports.iter().map(|r| r.downgrades).sum(),
-            restores: reports.iter().map(|r| r.restores).sum(),
-            digest,
-        }
+        CityReport::over(&self.cells, self.n_rejected)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jain_index_brackets() {
-        assert_eq!(jain_index(&[]), 1.0);
-        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
-        assert!((jain_index(&[5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
-        let skew = jain_index(&[10.0, 0.0, 0.0, 0.0]);
-        assert!((skew - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn city_builds_admits_and_runs_deterministically() {
@@ -465,6 +333,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn headroom_scales_the_admitted_population() {
+        // 160 users ask one cell for more than its capacity at the base
+        // rate, so a tighter headroom must turn more of them away.
+        let admitted = |headroom| {
+            let mut cfg = CityConfig::small_city();
+            (cfg.n_cells, cfg.users_per_cell) = (1, 160);
+            cfg.headroom = headroom;
+            City::new(&cfg).n_admitted()
+        };
+        let (half, full) = (admitted(0.5), admitted(1.0));
+        assert!(0 < half && half < full, "{half} vs {full}");
+    }
+
+    #[test]
+    #[should_panic(expected = "headroom")]
+    fn zero_headroom_is_rejected() {
+        let mut cfg = CityConfig::small_city();
+        cfg.headroom = 0.0;
+        let _ = City::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "latency_fraction")]
+    fn nan_latency_fraction_is_rejected() {
+        let mut cfg = CityConfig::small_city();
+        cfg.latency_fraction = f64::NAN;
+        let _ = City::new(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "latency_fraction")]
+    fn latency_fraction_above_one_is_rejected() {
+        let mut cfg = CityConfig::small_city();
+        cfg.latency_fraction = 1.5;
+        let _ = City::new(&cfg);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::table::ResultTable;
 
 pub mod ablation;
+pub mod city;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -31,4 +32,6 @@ macro_rules! experiments {
         )*];
     };
 }
-experiments!(fig9, fig10, fig11, fig12, fig13, fig14, table1, table2, table3, hwtable, ablation);
+experiments!(
+    fig9, fig10, fig11, fig12, fig13, fig14, table1, table2, table3, hwtable, ablation, city
+);

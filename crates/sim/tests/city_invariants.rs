@@ -12,9 +12,9 @@
 //! * same-seed city runs are bit-identical end to end, and equal to the
 //!   digests recorded before the plan → run refactor.
 
-use flexcore::ServiceTier;
-use flexcore_hwmodel::CellBudget;
-use flexcore_sim::city::{ArrivalProcess, City, CityCell, CityConfig, QosClass, UserProfile};
+use flexcore_sim::city::{
+    ArrivalProcess, City, CityCell, CityConfig, QosClass, ServiceTier, UserProfile,
+};
 
 fn test_city_config(users_per_cell: usize) -> CityConfig {
     let mut cfg = CityConfig::small_city();
@@ -113,7 +113,7 @@ fn downgraded_user_detections_match_a_solo_run_with_the_same_schedule() {
     ];
 
     let run = |profiles: &[UserProfile], watch: usize| {
-        let mut cell = CityCell::new(&cfg, CellBudget::lte_subframe());
+        let mut cell = CityCell::new(&cfg);
         for p in profiles {
             cell.add_user(p.clone());
         }
@@ -211,7 +211,7 @@ fn shedding_keeps_latency_users_inside_their_deadline_under_overload() {
     cfg.seed = 0xA11_0C8ED;
     let shed = City::new(&cfg).run(120, 2.0);
     let mut fixed_cfg = cfg.clone();
-    fixed_cfg.policy.enabled = false;
+    fixed_cfg.shedding = false;
     let fixed = City::new(&fixed_cfg).run(120, 2.0);
     assert!(shed.downgrades > 0, "2x load never shed: {shed:?}");
     assert_eq!(fixed.downgrades, 0);

@@ -2,9 +2,11 @@
 //! counts, so the figure-regeneration code cannot rot unbuilt (or
 //! un-runnable) between the occasions someone regenerates a figure.
 //!
-//! These deliberately assert only *shape* (row counts, non-empty columns,
-//! finite numbers) — the statistical claims live in each driver's own
-//! `#[cfg(test)]` module at larger sample counts. They are
+//! These assert only *shape* (row counts, non-empty columns, finite
+//! numbers) — the statistical claims live in each driver's own
+//! `#[cfg(test)]` module at larger sample counts. The one exception is
+//! the city sweep, whose claim is pinned here as bands on its quick
+//! preset, the size the driver prints. They are
 //! `#[ignore]`d by default to keep `cargo test` fast; CI runs them
 //! explicitly with `cargo test -p flexcore-sim --test experiment_smoke
 //! --release -- --ignored`.
@@ -137,4 +139,43 @@ fn ablation_driver_runs_at_tiny_scale() {
     cfg.n_channels = 8;
     cfg.vectors_per_channel = 2;
     assert_table_sane("ablation", &ablation::run(&cfg));
+}
+
+#[test]
+#[ignore = "CI smoke profile: cargo test -p flexcore-sim --test experiment_smoke -- --ignored"]
+fn city_sweep_shedding_dominates_fixed_under_load() {
+    // The load sweep's claim as numeric bands, at the quick preset.
+    let t = city::run(&city::Cfg::quick());
+    assert_table_sane("city", &t);
+    let num = |r: usize, col: &str| -> f64 { t.cell(r, col).unwrap().parse().unwrap() };
+    let rows = |arm: &str| -> Vec<usize> {
+        (0..t.len())
+            .filter(|&r| t.cell(r, "arm") == Some(arm))
+            .collect()
+    };
+    let (fixed, shed) = (rows("fixed"), rows("shedding"));
+    assert_eq!((fixed.len(), shed.len()), (4, 4));
+    for (&f, &s) in fixed.iter().zip(&shed) {
+        assert_eq!(num(f, "load"), num(s, "load"));
+        if num(s, "load") >= 1.0 {
+            let (gf_shed, gf_fixed) = (num(s, "goodput_fairness"), num(f, "goodput_fairness"));
+            assert!(
+                gf_shed > gf_fixed,
+                "load {}: shedding {gf_shed} vs fixed {gf_fixed}",
+                num(s, "load")
+            );
+        }
+        assert_eq!(num(s, "miss_rate"), 0.0, "shedding missed a deadline");
+        assert!(
+            num(s, "latency_p95_ms") < 4.0,
+            "latency-class p95 over the 4 ms deadline"
+        );
+    }
+    for arm in [&fixed, &shed] {
+        let shed_frac: Vec<f64> = arm.iter().map(|&r| num(r, "shed_frac")).collect();
+        assert!(
+            shed_frac.windows(2).all(|w| w[0] <= w[1]),
+            "shed fraction fell with load: {shed_frac:?}"
+        );
+    }
 }
