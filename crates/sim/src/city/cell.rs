@@ -47,7 +47,7 @@ use rand::{Rng, SeedableRng};
 
 use super::qos::{QosClass, UserProfile};
 use super::traffic::TrafficSource;
-use super::{CityConfig, CityReport};
+use super::CityConfig;
 
 /// The scheduling interval: one LTE subframe, in seconds. Detection
 /// queued in one interval should drain within it, or the cell is falling
@@ -96,7 +96,7 @@ fn mix(seed: u64, tag: u64, a: u64, b: u64) -> u64 {
 }
 
 /// FNV-1a fold of one 64-bit word into a running digest.
-fn fnv(h: u64, x: u64) -> u64 {
+pub(super) fn fnv(h: u64, x: u64) -> u64 {
     let mut h = h;
     for byte in x.to_le_bytes() {
         h ^= byte as u64;
@@ -106,7 +106,7 @@ fn fnv(h: u64, x: u64) -> u64 {
 }
 
 /// The FNV-1a offset basis — the digest's starting value.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+pub(super) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// One queued frame's city-side bookkeeping, FIFO-parallel to the user's
 /// queue inside the [`StreamingCell`].
@@ -153,18 +153,24 @@ impl ServiceTier {
     }
 }
 
-/// Per-user serving state and counters.
-struct CellUser {
+/// Per-user serving state and counters. The counters are what
+/// [`City::run`](super::City::run) reports.
+pub(super) struct CellUser {
     profile: UserProfile,
     tier: ServiceTier,
     source: TrafficSource,
     chan_rng: StdRng,
     pending: VecDeque<PendingFrame>,
-    offered: u64,
-    shed: u64,
-    delivered: u64,
-    on_time: u64,
-    good_bits: u64,
+    /// Frames offered by the traffic source.
+    pub(super) offered: u64,
+    /// Frames shed at the queue cap.
+    pub(super) shed: u64,
+    /// Frames detected and delivered.
+    pub(super) delivered: u64,
+    /// Delivered frames that met their deadline.
+    pub(super) on_time: u64,
+    /// Bits of symbol-correct detections delivered on time.
+    pub(super) good_bits: u64,
 }
 
 /// One shed-policy action, recorded for post-hoc audit.
@@ -209,7 +215,7 @@ pub struct DeliveredFrame<'a> {
 /// shedding. See the [module docs](self).
 pub struct CityCell {
     cell: StreamingCell<CellDetector>,
-    users: Vec<CellUser>,
+    pub(super) users: Vec<CellUser>,
     /// The fabric as an execution substrate: rounds run on it, and its
     /// speed factors price them.
     pool: WeightedPool,
@@ -228,9 +234,12 @@ pub struct CityCell {
     cooldown: u64,
     calm_streak: u64,
     events: Vec<ShedEvent>,
-    latency_rec: LatencyRecord,
-    bulk_rec: LatencyRecord,
-    digest: u64,
+    /// Latency-class completion latencies over the whole run.
+    pub(super) latency_rec: LatencyRecord,
+    /// Bulk-class completion latencies over the whole run.
+    pub(super) bulk_rec: LatencyRecord,
+    /// FNV-1a digest of every delivered detection, in delivery order.
+    pub(super) digest: u64,
 }
 
 impl CityCell {
@@ -324,6 +333,11 @@ impl CityCell {
     /// The shed-policy actions taken so far, in order.
     pub fn events(&self) -> &[ShedEvent] {
         &self.events
+    }
+
+    /// Frames shed at the users' queue caps so far.
+    pub fn shed_frames(&self) -> u64 {
+        self.users.iter().map(|u| u.shed).sum()
     }
 
     /// The measured price of one of `user`'s frames right now, in
@@ -620,81 +634,6 @@ impl CityCell {
         self.apply_tier(u, next, false);
         true
     }
-
-    /// This cell's serving counters, goodput, fairness, class p95s and
-    /// digest, as a one-cell [`CityReport`].
-    pub fn report(&self) -> CityReport {
-        CityReport::over(std::slice::from_ref(self), 0)
-    }
-}
-
-impl CityReport {
-    /// Aggregates `cells`: counters summed, Jain's index over every
-    /// user's goodput, worst-cell class p95s, and an FNV-1a fold of the
-    /// cells' delivered-detection digests in order.
-    pub(super) fn over(cells: &[CityCell], n_rejected: usize) -> Self {
-        let users = || cells.iter().flat_map(|c| &c.users);
-        let events = || cells.iter().flat_map(|c| &c.events);
-        let frame_bits = (CityConfig::N_SYMBOLS
-            * CityConfig::N_SUBCARRIERS
-            * CityConfig::NT
-            * CityConfig::MODULATION.bits_per_symbol()) as u64;
-        let offered_frames: u64 = users().map(|u| u.offered).sum();
-        let shed_frames: u64 = users().map(|u| u.shed).sum();
-        let delivered_frames: u64 = users().map(|u| u.delivered).sum();
-        let on_time_frames: u64 = users().map(|u| u.on_time).sum();
-        let goodput_bits: u64 = users().map(|u| u.good_bits).sum();
-        let per_user: Vec<f64> = users().map(|u| u.good_bits as f64).collect();
-        let jain = jain_index(&per_user);
-        let worst_p95 = |rec: fn(&CityCell) -> &LatencyRecord| {
-            cells
-                .iter()
-                .map(|c| rec(c).quantile(0.95))
-                .fold(0.0, f64::max)
-        };
-        CityReport {
-            n_admitted: users().count(),
-            n_rejected,
-            offered_frames,
-            shed_frames,
-            delivered_frames,
-            on_time_frames,
-            offered_bits: offered_frames * frame_bits,
-            goodput_bits,
-            shed_fraction: if offered_frames == 0 {
-                0.0
-            } else {
-                shed_frames as f64 / offered_frames as f64
-            },
-            deadline_miss_rate: if delivered_frames == 0 {
-                0.0
-            } else {
-                (delivered_frames - on_time_frames) as f64 / delivered_frames as f64
-            },
-            jain,
-            goodput_fairness: goodput_bits as f64 * jain,
-            latency_class_p95_s: worst_p95(|c| &c.latency_rec),
-            bulk_class_p95_s: worst_p95(|c| &c.bulk_rec),
-            downgrades: events().filter(|e| !e.restore).count(),
-            restores: events().filter(|e| e.restore).count(),
-            digest: cells.iter().fold(FNV_OFFSET, |h, c| fnv(h, c.digest)),
-        }
-    }
-}
-
-/// Jain's fairness index `(Σx)² / (n·Σx²)`: 1.0 for a perfectly even
-/// allocation, `1/n` when one user gets everything. Empty and all-zero
-/// inputs — nobody is being treated unequally — return 1.0.
-fn jain_index(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = xs.iter().sum();
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq == 0.0 {
-        return 1.0;
-    }
-    sum * sum / (xs.len() as f64 * sq)
 }
 
 #[cfg(test)]
@@ -710,6 +649,20 @@ mod tests {
                 seed0 + i as u64,
             ));
         }
+    }
+
+    /// `(offered, shed, delivered, on_time, good_bits)` summed over the
+    /// cell's users.
+    fn totals(cell: &CityCell) -> (u64, u64, u64, u64, u64) {
+        cell.users.iter().fold((0, 0, 0, 0, 0), |t, u| {
+            (
+                t.0 + u.offered,
+                t.1 + u.shed,
+                t.2 + u.delivered,
+                t.3 + u.on_time,
+                t.4 + u.good_bits,
+            )
+        })
     }
 
     #[test]
@@ -738,15 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn jain_index_brackets() {
-        assert_eq!(jain_index(&[]), 1.0);
-        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
-        assert!((jain_index(&[5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
-        let skew = jain_index(&[10.0, 0.0, 0.0, 0.0]);
-        assert!((skew - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn light_load_serves_everything_on_time_with_no_shedding() {
         let cfg = CityConfig::small_city();
         let mut cell = CityCell::new(&cfg);
@@ -755,13 +699,13 @@ mod tests {
         for _ in 0..60 {
             cell.step(1.0);
         }
-        let r = cell.report();
-        assert!(r.offered_frames > 20, "no traffic generated: {r:?}");
-        assert_eq!(r.shed_frames, 0);
-        assert_eq!(r.delivered_frames, r.offered_frames);
-        assert_eq!(r.on_time_frames, r.delivered_frames);
-        assert_eq!(r.downgrades, 0);
-        assert!(r.goodput_bits > 0);
+        let (offered, shed, delivered, on_time, good_bits) = totals(&cell);
+        assert!(offered > 20, "no traffic generated: {offered}");
+        assert_eq!(shed, 0);
+        assert_eq!(delivered, offered);
+        assert_eq!(on_time, delivered);
+        assert!(cell.events().is_empty());
+        assert!(good_bits > 0);
         assert!(cell.backlog_s() == 0.0);
         assert!((0..4).all(|u| cell.tier(u) == ServiceTier::Full));
     }
@@ -776,8 +720,7 @@ mod tests {
             for _ in 0..40 {
                 cell.step(1.3);
             }
-            let r = cell.report();
-            (r.digest, r.goodput_bits, r.delivered_frames, r.shed_frames)
+            (cell.digest, totals(&cell))
         };
         assert_eq!(run(), run());
     }
@@ -794,8 +737,11 @@ mod tests {
         for _ in 0..80 {
             cell.step(mult);
         }
-        let r = cell.report();
-        assert!(r.downgrades > 0, "2x overload never shed: {r:?}");
+        assert!(
+            cell.events().iter().any(|e| !e.restore),
+            "2x overload never shed: {:?}",
+            totals(&cell)
+        );
         // Every downgrade victim so far should be bulk (bulk users were
         // never exhausted down to the bottom tier here).
         for e in cell.events() {

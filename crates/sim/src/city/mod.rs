@@ -29,7 +29,10 @@ pub use cell::{CityCell, DeliveredFrame, ServiceTier, ShedEvent};
 pub use qos::{QosClass, UserProfile};
 pub use traffic::{poisson_quantile, ArrivalProcess, TrafficSource, MAX_ARRIVALS_PER_TICK};
 
+use flexcore_engine::LatencyRecord;
 use flexcore_modulation::Modulation;
+
+use cell::{fnv, FNV_OFFSET};
 
 /// The city parameterisation: size, population mix, admission headroom,
 /// the shedding switch and the run seed. The PHY shape (4×4 16-QAM
@@ -98,7 +101,7 @@ impl CityConfig {
 pub struct CityReport {
     /// Users admitted across all cells.
     pub n_admitted: usize,
-    /// Users rejected by admission control (0 for one cell's report).
+    /// Users rejected by admission control.
     pub n_rejected: usize,
     /// Frames offered by all admitted users.
     pub offered_frames: u64,
@@ -275,8 +278,75 @@ impl City {
                 cell.step(multiplier);
             }
         }
-        CityReport::over(&self.cells, self.n_rejected)
+        self.report()
     }
+
+    /// Aggregates every cell: counters summed, Jain's index over every
+    /// user's goodput, worst-cell class p95s, and an FNV-1a fold of the
+    /// cells' delivered-detection digests in order.
+    fn report(&self) -> CityReport {
+        let users = || self.cells.iter().flat_map(|c| &c.users);
+        let events = || self.cells.iter().flat_map(CityCell::events);
+        let frame_bits = (CityConfig::N_SYMBOLS
+            * CityConfig::N_SUBCARRIERS
+            * CityConfig::NT
+            * CityConfig::MODULATION.bits_per_symbol()) as u64;
+        let offered_frames: u64 = users().map(|u| u.offered).sum();
+        let shed_frames: u64 = users().map(|u| u.shed).sum();
+        let delivered_frames: u64 = users().map(|u| u.delivered).sum();
+        let on_time_frames: u64 = users().map(|u| u.on_time).sum();
+        let goodput_bits: u64 = users().map(|u| u.good_bits).sum();
+        let per_user: Vec<f64> = users().map(|u| u.good_bits as f64).collect();
+        let jain = jain_index(&per_user);
+        let worst_p95 = |rec: fn(&CityCell) -> &LatencyRecord| {
+            self.cells
+                .iter()
+                .map(|c| rec(c).quantile(0.95))
+                .fold(0.0, f64::max)
+        };
+        CityReport {
+            n_admitted: users().count(),
+            n_rejected: self.n_rejected,
+            offered_frames,
+            shed_frames,
+            delivered_frames,
+            on_time_frames,
+            offered_bits: offered_frames * frame_bits,
+            goodput_bits,
+            shed_fraction: if offered_frames == 0 {
+                0.0
+            } else {
+                shed_frames as f64 / offered_frames as f64
+            },
+            deadline_miss_rate: if delivered_frames == 0 {
+                0.0
+            } else {
+                (delivered_frames - on_time_frames) as f64 / delivered_frames as f64
+            },
+            jain,
+            goodput_fairness: goodput_bits as f64 * jain,
+            latency_class_p95_s: worst_p95(|c| &c.latency_rec),
+            bulk_class_p95_s: worst_p95(|c| &c.bulk_rec),
+            downgrades: events().filter(|e| !e.restore).count(),
+            restores: events().filter(|e| e.restore).count(),
+            digest: self.cells.iter().fold(FNV_OFFSET, |h, c| fnv(h, c.digest)),
+        }
+    }
+}
+
+/// Jain's fairness index `(Σx)² / (n·Σx²)`: 1.0 for a perfectly even
+/// allocation, `1/n` when one user gets everything. Empty and all-zero
+/// inputs — nobody is being treated unequally — return 1.0.
+fn jain_index(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return 1.0;
+    }
+    let sum: f64 = xs.iter().sum();
+    let sq: f64 = xs.iter().map(|x| x * x).sum();
+    if sq == 0.0 {
+        return 1.0;
+    }
+    sum * sum / (xs.len() as f64 * sq)
 }
 
 #[cfg(test)]
@@ -295,6 +365,15 @@ mod tests {
             (r.digest, r.goodput_bits, r.shed_frames, r.n_admitted)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn jain_index_brackets() {
+        assert_eq!(jain_index(&[]), 1.0);
+        assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
+        assert!((jain_index(&[5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
+        let skew = jain_index(&[10.0, 0.0, 0.0, 0.0]);
+        assert!((skew - 0.25).abs() < 1e-12);
     }
 
     #[test]

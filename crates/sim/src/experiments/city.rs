@@ -15,33 +15,32 @@
 //! makespan on the LTE small-cell fabric, never read off a clock, so two
 //! runs print the same bytes, digest column included.
 
-use crate::city::{City, CityConfig};
+use crate::city::{City, CityConfig, CityReport};
 use crate::table::ResultTable;
 
-/// Configuration.
+/// Subframes per run.
+const N_TICKS: u64 = 240;
+/// Offered loads, as multiples of city capacity.
+const LOADS: [f64; 4] = [0.6, 1.0, 1.5, 2.2];
+/// Root seed, shared by both arms at every load.
+const SEED: u64 = 0x5EED_0010;
+
+/// Configuration: the city's size. Both presets run `N_TICKS` subframes
+/// at each of `LOADS` with `SEED`.
 #[derive(Clone, Debug)]
 pub struct Cfg {
     /// Number of cells.
     pub n_cells: usize,
     /// Users requesting admission per cell.
     pub users_per_cell: usize,
-    /// Subframes per run.
-    pub n_ticks: u64,
-    /// Offered loads, as multiples of city capacity.
-    pub loads: Vec<f64>,
-    /// Root seed, shared by both arms at every load.
-    pub seed: u64,
 }
 
 impl Cfg {
-    /// 2 cells × 32 users, 240 subframes per run.
+    /// 2 cells × 32 users.
     pub fn quick() -> Self {
         Cfg {
             n_cells: 2,
             users_per_cell: 32,
-            n_ticks: 240,
-            loads: vec![0.6, 1.0, 1.5, 2.2],
-            seed: 0x5EED_0010,
         }
     }
 
@@ -50,9 +49,27 @@ impl Cfg {
         Cfg {
             n_cells: 4,
             users_per_cell: 64,
-            ..Cfg::quick()
         }
     }
+}
+
+/// Runs both arms at every load: one `(load, arm, report)` per row, in
+/// table order.
+pub fn sweep(cfg: &Cfg) -> Vec<(f64, &'static str, CityReport)> {
+    let mut rows = Vec::new();
+    for load in LOADS {
+        for (arm, shedding) in [("fixed", false), ("shedding", true)] {
+            let city_cfg = CityConfig {
+                n_cells: cfg.n_cells,
+                users_per_cell: cfg.users_per_cell,
+                shedding,
+                seed: SEED,
+                ..CityConfig::small_city()
+            };
+            rows.push((load, arm, City::new(&city_cfg).run(N_TICKS, load)));
+        }
+    }
+    rows
 }
 
 /// Runs the experiment: one row per (load, arm).
@@ -75,32 +92,22 @@ pub fn run(cfg: &Cfg) -> ResultTable {
             "digest",
         ],
     );
-    for &load in &cfg.loads {
-        for (arm, shedding) in [("fixed", false), ("shedding", true)] {
-            let city_cfg = CityConfig {
-                n_cells: cfg.n_cells,
-                users_per_cell: cfg.users_per_cell,
-                shedding,
-                seed: cfg.seed,
-                ..CityConfig::small_city()
-            };
-            let r = City::new(&city_cfg).run(cfg.n_ticks, load);
-            table.push_row(vec![
-                format!("{load:.1}"),
-                arm.into(),
-                r.n_admitted.to_string(),
-                r.offered_frames.to_string(),
-                format!("{:.4}", r.shed_fraction),
-                format!("{:.4}", r.deadline_miss_rate),
-                format!("{:.4}", r.jain),
-                format!("{:.0}", r.goodput_fairness),
-                format!("{:.3}", r.latency_class_p95_s * 1e3),
-                format!("{:.3}", r.bulk_class_p95_s * 1e3),
-                r.downgrades.to_string(),
-                r.restores.to_string(),
-                format!("{:016x}", r.digest),
-            ]);
-        }
+    for (load, arm, r) in sweep(cfg) {
+        table.push_row(vec![
+            format!("{load:.1}"),
+            arm.into(),
+            r.n_admitted.to_string(),
+            r.offered_frames.to_string(),
+            format!("{:.4}", r.shed_fraction),
+            format!("{:.4}", r.deadline_miss_rate),
+            format!("{:.4}", r.jain),
+            format!("{:.0}", r.goodput_fairness),
+            format!("{:.3}", r.latency_class_p95_s * 1e3),
+            format!("{:.3}", r.bulk_class_p95_s * 1e3),
+            r.downgrades.to_string(),
+            r.restores.to_string(),
+            format!("{:016x}", r.digest),
+        ]);
     }
     table
 }
