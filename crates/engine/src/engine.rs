@@ -15,7 +15,9 @@ use std::sync::Arc;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineStats {
     /// Frames pushed through [`FrameEngine::detect_frame`] /
-    /// [`FrameEngine::process_frame`].
+    /// [`FrameEngine::process_frame`], plus every frame of this engine's
+    /// user a [`StreamingCell`](crate::StreamingCell) tick served (the
+    /// cell bills each served engine when it books the tick).
     pub frames: u64,
     /// Received vectors detected.
     pub vectors: u64,
@@ -297,12 +299,10 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// soft-output uplink streams LLRs through it.
     ///
     /// Batches are priced at [`Detector::extension_work`]` × symbols` and
-    /// handed to the pool most expensive first; a pool that models a
-    /// heterogeneous fabric (`flexcore_parallel::WeightedPool`) places and
-    /// times them by those prices, and its
-    /// [`ScheduledRun`](flexcore_parallel::ScheduledRun) record audits the
-    /// run. Outputs are scattered back by grid position, so they never
-    /// depend on the pool.
+    /// handed to the pool most expensive first (the prices are what
+    /// `flexcore_parallel::lpt_makespan_weighted` places on a modelled
+    /// fabric; see [`TickPlan::costs`]). Outputs are scattered back by
+    /// grid position, so they never depend on the pool.
     ///
     /// # Panics
     /// Panics if a subcarrier of `frame` was never prepared, or if `f`
@@ -349,7 +349,7 @@ mod tests {
     use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
     use flexcore_detect::{MmseDetector, SphereDecoder};
     use flexcore_modulation::{Constellation, Modulation};
-    use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
+    use flexcore_parallel::{CrossbeamPool, SequentialPool};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -541,15 +541,16 @@ mod tests {
         let ch = selective_channel(1, 25);
         engine.prepare(&ch);
 
-        let pool = SequentialPool::new(4);
-        let out = engine.detect_frame(&RxFrame::empty(1), &pool);
+        let empty = RxFrame::empty(1);
+        let out = engine.detect_frame(&empty, &SequentialPool::new(4));
         assert_eq!(out.n_symbols(), 0);
-        assert_eq!(pool.stats().tasks(), 0, "an empty frame has no batches");
+        let plan = TickPlan::new([(0, &empty, &engine)], 4);
+        assert!(plan.costs().is_empty(), "an empty frame has no batches");
 
         let (frame, _) = build_frame(1, 9, &ch, 26);
-        engine.detect_frame(&frame, &pool);
+        let plan = TickPlan::new([(0, &frame, &engine)], 4);
         assert!(
-            pool.stats().tasks() > 1,
+            plan.costs().len() > 1,
             "single subcarrier should still chunk"
         );
         let out = engine.detect_frame(&frame, &CrossbeamPool::work_queue(3));
@@ -561,9 +562,9 @@ mod tests {
     }
 
     #[test]
-    fn fabric_stats_report_prediction_and_utilization() {
+    fn fabric_makespan_is_read_off_the_plans_prices() {
         use flexcore::FlexCoreDetector;
-        use flexcore_parallel::WeightedPool;
+        use flexcore_parallel::lpt_makespan_weighted;
         let ch = selective_channel(16, 43);
         let mut engine = FrameEngine::new(FlexCoreDetector::with_pes(
             Constellation::new(Modulation::Qam16),
@@ -572,36 +573,30 @@ mod tests {
         engine.prepare(&ch);
         let (frame, _) = build_frame(16, 8, &ch, 44);
         // 2 fast + 6 slow PEs, the LTE small-cell shape.
-        let pool = WeightedPool::new(vec![4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
-        assert!(pool.last_run().is_none(), "no fabric run yet");
-        let audit = |pool: &WeightedPool| pool.last_run().expect("fabric run recorded");
-        engine.detect_frame(&frame, &pool);
-        let fabric = audit(&pool);
-        assert_eq!(fabric.speeds.len(), 8);
+        let speeds = [4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+        let plan = TickPlan::new([(0, &frame, &engine)], speeds.len());
         // Batches are priced at extension_work × symbols: the prepared
         // tries' static walk costs, channel-dependent even at a fixed
         // path budget.
         let want_units: u64 = (0..16)
             .map(|sc| engine.detector(sc).extension_work() as u64 * 8)
             .sum();
-        assert_eq!(fabric.total_units(), want_units);
+        let units: u64 = plan.costs().iter().sum();
+        assert_eq!(units, want_units);
         assert!(
-            fabric.total_units() >= 16 * 8 * 16,
-            "a 16-path trie walk costs at least one unit per path: {}",
-            fabric.total_units()
+            units >= 16 * 8 * 16,
+            "a 16-path trie walk costs at least one unit per path: {units}"
         );
-        assert!(fabric.makespan_units > 0.0);
-        assert!(fabric.measured_makespan_s > 0.0);
-        assert!(fabric.packing_efficiency() > 0.0 && fabric.packing_efficiency() <= 1.0);
-        assert_eq!(fabric.utilization().len(), 8);
-        assert!(fabric
-            .utilization()
-            .iter()
-            .all(|&u| (0.0..=1.0 + 1e-12).contains(&u)));
-        assert!(fabric.utilization().iter().any(|&u| (u - 1.0).abs() < 1e-9));
+        let packing = |costs: &[u64], speeds: &[f64]| {
+            let span = lpt_makespan_weighted(costs, speeds);
+            assert!(span > 0.0);
+            costs.iter().sum::<u64>() as f64 / (speeds.iter().sum::<f64>() * span)
+        };
+        let fabric = packing(plan.costs(), &speeds);
+        assert!(fabric > 0.0 && fabric <= 1.0, "packing {fabric}");
         // The same matrix on every subcarrier prepares to the same
-        // detector, so every batch costs the same and a uniform pool packs
-        // perfectly.
+        // detector, so every batch costs the same and a uniform fabric
+        // packs perfectly.
         let ens = flexcore_channel::ChannelEnsemble::iid(NT, NT);
         let mut rng = StdRng::seed_from_u64(45);
         let flat =
@@ -612,9 +607,8 @@ mod tests {
         ));
         engine.prepare(&flat);
         let (frame, _) = build_frame(16, 8, &flat, 46);
-        let uniform = WeightedPool::new(vec![1.0; 4]);
-        engine.detect_frame(&frame, &uniform);
-        assert_eq!(audit(&uniform).packing_efficiency(), 1.0);
+        let plan = TickPlan::new([(0, &frame, &engine)], 4);
+        assert_eq!(packing(plan.costs(), &[1.0; 4]), 1.0);
     }
 
     #[test]

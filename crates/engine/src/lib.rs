@@ -46,13 +46,11 @@
 //!   a per-frame deadline. Pipelining is placement-only: detections are
 //!   bit-identical to the barrier tick's;
 //! * heterogeneous fabrics — every path above prices its batches at
-//!   `extension_work × symbols` and hands tasks and prices to its pool
-//!   ([`flexcore_parallel::PePool::run_priced`]), so a
-//!   [`flexcore_parallel::WeightedPool`] built from a
-//!   [`flexcore_hwmodel::HeterogeneousFabric`]'s speed factors runs them
-//!   unchanged: it places the batches onto its non-uniform PEs, times
-//!   them, and its [`flexcore_parallel::ScheduledRun`] record audits the
-//!   run (predicted-vs-measured makespan, per-PE utilisation).
+//!   `extension_work × symbols` ([`TickPlan::costs`]), and placement on a
+//!   [`flexcore_hwmodel::HeterogeneousFabric`]'s non-uniform PEs is
+//!   modelled from those prices alone
+//!   ([`flexcore_parallel::lpt_makespan_weighted`] over the speed
+//!   factors); the same plan then runs unchanged on any pool.
 //!
 //! Results are **bit-identical** across substrates and batch shapes: the
 //! engine only reorders *scheduling*, never arithmetic, so

@@ -50,8 +50,8 @@ struct UserSlot<D> {
 }
 
 /// Snapshot of a cell's serving state: aggregate progress and per-user
-/// fairness. (A tick's packing is the pool's business: read a
-/// [`WeightedPool`](flexcore_parallel::WeightedPool)'s last run.)
+/// fairness. (A tick's packing is modelled from its plan's prices:
+/// `flexcore_parallel::lpt_makespan_weighted` over [`TickPlan::costs`].)
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellStats {
     /// Users registered.
@@ -200,8 +200,8 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
     /// (users with an empty queue are skipped) and plans them as one
     /// [`TickPlan`] for a pool of `n_pes`. The plan owns the popped
     /// frames, so it must be handed to [`StreamingCell::run_tick`] — its
-    /// [`TickPlan::costs`] are the prices that run will be ordered and
-    /// placed by, which is the city layer's *modelled-time* hook.
+    /// [`TickPlan::costs`] are the prices that run is ordered by, in run
+    /// order, which is the city layer's *modelled-time* hook.
     pub fn plan_tick(&mut self, n_pes: usize) -> TickPlan<D> {
         let mut work: Vec<(usize, RxFrame)> = Vec::new();
         for (u, slot) in self.users.iter_mut().enumerate() {
@@ -334,6 +334,7 @@ mod tests {
     use flexcore_parallel::{CrossbeamPool, SequentialPool};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -581,10 +582,9 @@ mod tests {
     }
 
     #[test]
-    fn ticks_count_served_calls_across_fabric_plain_and_empty_ticks() {
-        use flexcore_parallel::WeightedPool;
+    fn ticks_count_served_calls_across_pools_and_empty_ticks() {
         // A tick is counted only when it serves someone, whatever pool ran
-        // it; an empty call touches neither the tick counter nor the pool.
+        // it; an empty call does not move the tick counter.
         let mut cell = StreamingCell::new();
         cell.add_user(mk_stream(5, 0.9, 141), FlexCoreDetector::with_pes(c16(), 8));
         cell.add_user(mk_stream(5, 0.9, 142), FlexCoreDetector::with_pes(c16(), 8));
@@ -596,30 +596,75 @@ mod tests {
         };
         assert_eq!(cell.stats().ticks, 0);
 
-        // Tick 1 on a heterogeneous fabric: the pool keeps the placement
-        // record.
-        let pool = WeightedPool::new(vec![4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        // Tick 1 on real threads.
+        let pool = CrossbeamPool::work_queue(3);
         submit_all(&mut cell, 1000);
-        cell.detect_tick(&pool);
+        assert_eq!(cell.detect_tick(&pool).len(), 2);
         assert_eq!(cell.stats().ticks, 1);
-        let run = pool.last_run().expect("the fabric recorded the tick");
-        assert!(run.costs.iter().sum::<u64>() > 0);
-        assert_eq!(run.task_seconds.len() as u64, pool.stats().tasks());
 
-        // Tick 2 on identical PEs.
+        // Tick 2 on simulated PEs.
         submit_all(&mut cell, 2000);
         cell.detect_tick(&SequentialPool::new(4));
         assert_eq!(cell.stats().ticks, 2);
 
-        // Empty call: not a tick, and the pool is never touched.
+        // Empty call: not a tick.
         assert!(cell.detect_tick(&pool).is_empty());
         assert_eq!(cell.stats().ticks, 2);
-        assert_eq!(pool.stats().batches(), 1, "an empty tick ran a batch");
 
         // Tick 3: the counter moves with the next served tick.
         submit_all(&mut cell, 3000);
         cell.detect_tick(&pool);
         assert_eq!(cell.stats().ticks, 3);
+    }
+
+    /// Runs its tasks in order on the calling thread and counts the
+    /// batches it is handed.
+    #[derive(Default)]
+    struct CountingPool {
+        batches: Cell<usize>,
+    }
+
+    impl PePool for CountingPool {
+        fn n_pes(&self) -> usize {
+            4
+        }
+
+        fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
+        where
+            T: Send,
+            F: FnOnce() -> T + Send,
+        {
+            self.batches.set(self.batches.get() + 1);
+            tasks.into_iter().map(|t| t()).collect()
+        }
+    }
+
+    #[test]
+    fn a_plan_that_serves_nobody_never_calls_the_pool() {
+        let pool = CountingPool::default();
+        let mut cell = StreamingCell::new();
+        cell.add_user(mk_stream(5, 0.9, 151), FlexCoreDetector::with_pes(c16(), 8));
+
+        // A 0-symbol frame through the engine alone.
+        let out = cell.engine(0).detect_frame(&RxFrame::empty(5), &pool);
+        assert_eq!(out.n_symbols(), 0);
+        assert_eq!(pool.batches.get(), 0, "detect_frame of an empty frame");
+
+        // An empty plan: nothing is queued.
+        let plan = cell.plan_tick(pool.n_pes());
+        assert!(plan.costs().is_empty());
+        assert_eq!(cell.run_tick(plan, &pool).count(), 0);
+        assert_eq!(pool.batches.get(), 0, "run_tick of an empty plan");
+
+        // A served tick is one pool run; the drained cell then runs none.
+        cell.submit(0, tx_frame(cell.stream(0), 3, 152));
+        assert_eq!(cell.detect_tick(&pool).len(), 1);
+        assert_eq!(pool.batches.get(), 1, "a served tick");
+        assert!(cell.detect_tick(&pool).is_empty());
+        let outs = cell.process_tick(&pool, |d, _, _, ys| d.detect_batch_refs(ys));
+        assert!(outs.is_empty());
+        assert_eq!(pool.batches.get(), 1, "a drained cell ran a batch");
+        assert_eq!(cell.stats().ticks, 1);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! target divided across the served users, prices each batch at
 //! [`Detector::extension_work`]` × symbols`, and orders the batch list
 //! longest-processing-time-first. [`TickPlan::run`] is the run phase: it
-//! hands the tasks and their prices to the pool
-//! ([`PePool::run_priced`] — placement and timing are the pool's business)
-//! and scatters the per-batch outputs back by grid position.
+//! hands the tasks to the pool ([`PePool::run`], in that order) and
+//! scatters the per-batch outputs back by grid position. Where the batches
+//! would land on a modelled fabric is read off the prices, not the pool:
+//! `flexcore_parallel::lpt_makespan_weighted(plan.costs(), speeds)`.
 //!
 //! Plans are built in two places. [`FrameEngine::process_frame`] is a
 //! one-entry plan run on the spot. Everything multi-user goes through the
@@ -204,7 +205,8 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
     /// from the frame's flat plane). Then `place(entry, cell, row)` gets
     /// every row at its symbol-major grid position in that entry's frame —
     /// the ordering-erasing step that makes price and LPT order invisible
-    /// downstream. A plan that serves nobody does not touch the pool.
+    /// downstream. A plan with no batches (it serves nobody, or only
+    /// empty frames) does not touch the pool.
     ///
     /// `fill` receives the batch's prepared detector, the user id, the
     /// subcarrier index, the batch's vectors and its rows.
@@ -220,7 +222,7 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
         E: Send,
         F: Fn(&D, usize, usize, &[&[Cx]], &mut [E]) + Sync,
     {
-        if self.entries.is_empty() {
+        if self.batches.is_empty() {
             return;
         }
         let mut table: Vec<&[Cx]> = Vec::with_capacity(self.vectors);
@@ -243,7 +245,7 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
                 move || fill(det, user, sc, ys, out)
             })
             .collect();
-        pool.run_priced(tasks, &self.costs);
+        pool.run(tasks);
         // flexcore-lint: hot-path
         let mut left = rows;
         for &(e, sc, from, to) in &self.batches {
@@ -261,7 +263,7 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
     /// ([`Detector::detect_batch_into`] per batch) and hands every vector's
     /// decision row to `place(entry, cell, row)` by grid position. `rows`
     /// is the run's batch-major buffer, resized here (a warm one is
-    /// reused). A plan that serves nobody does not touch the pool.
+    /// reused). A plan with no batches does not touch the pool.
     pub(crate) fn detect_rows<P: PePool>(
         &self,
         pool: &P,
@@ -356,7 +358,7 @@ mod tests {
     use flexcore::CellDetector;
     use flexcore_channel::ChannelEnsemble;
     use flexcore_modulation::{Constellation, Modulation};
-    use flexcore_parallel::{CrossbeamPool, SequentialPool, WeightedPool};
+    use flexcore_parallel::{lpt_makespan_weighted, CrossbeamPool, SequentialPool};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Mutex;
@@ -404,10 +406,11 @@ mod tests {
     /// n_pes ≤ 9) the plan tiles every user grid exactly once, stays
     /// within the `2·n_pes`-per-tick task bound plus the
     /// one-batch-per-subcarrier floor, is priced at
-    /// `extension_work × symbols` in non-increasing run order — and
-    /// `process_frame`, `process_tick`, `PipelinedCell::run` and a
-    /// `WeightedPool` run of the same frames all return cells equal to
-    /// per-vector `Detector::detect`.
+    /// `extension_work × symbols` in non-increasing run order, with a
+    /// modelled makespan on a heterogeneous fabric inside the greedy
+    /// rule's bounds — and `TickPlan::run`, `process_frame`,
+    /// `process_tick` and `PipelinedCell::run` of the same frames all
+    /// return cells equal to per-vector `Detector::detect`.
     #[test]
     fn every_serving_path_runs_the_one_plan_bit_identically() {
         let mut rng = StdRng::seed_from_u64(0x71C4_0014);
@@ -475,19 +478,24 @@ mod tests {
                 "{tag}: run order is not longest-first"
             );
 
-            // The same plan on a heterogeneous fabric.
+            // The plan priced on a heterogeneous fabric: each task goes
+            // to the PE that would finish it earliest, so the makespan
+            // lies between the area bound and `(Σ costs + n_pes · max
+            // cost) / Σ speeds`.
             let speeds: Vec<f64> = (0..n_pes).map(|_| rng.gen_range(0.5..4.0)).collect();
-            let fabric = WeightedPool::new(speeds);
-            let outs = plan.run(&fabric, detect);
-            let run = fabric.last_run().expect("the fabric recorded the run");
-            assert_eq!(
-                run.costs,
-                plan.costs(),
-                "{tag}: the pool was handed other prices"
+            let span = lpt_makespan_weighted(plan.costs(), &speeds) * speeds.iter().sum::<f64>();
+            let total = plan.costs().iter().sum::<u64>() as f64;
+            let slack = (n_pes as u64 * plan.costs()[0]) as f64;
+            assert!(
+                span >= total * (1.0 - 1e-12) && span <= (total + slack) * (1.0 + 1e-12),
+                "{tag}: makespan x speed {span} outside [{total}, {total} + {slack}]"
             );
+
+            // The whole plan in one run.
+            let outs = plan.run(&SequentialPool::new(n_pes), detect);
             for (u, out) in outs.iter().enumerate() {
                 assert_eq!((out.user, out.n_subcarriers), (u, n_sc), "{tag}");
-                assert_eq!(out.cells, want[u], "{tag}: fabric run, user {u}");
+                assert_eq!(out.cells, want[u], "{tag}: plan run, user {u}");
             }
 
             // One-entry plans: each user's engine alone.

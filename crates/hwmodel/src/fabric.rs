@@ -12,8 +12,8 @@
 //! 2. a [`HeterogeneousFabric`] — a pool of PEs with per-PE *speed
 //!    factors* (a PE of speed `s` finishes a unit in `unit_seconds / s`).
 //!
-//! `flexcore-parallel`'s `WeightedPool` executes against the speed
-//! factors, `flexcore-engine`'s planner multiplies the detector's
+//! `flexcore-parallel`'s `lpt_makespan_weighted` places a plan's prices
+//! on the speed factors, `flexcore-engine`'s planner multiplies the detector's
 //! effort-family cost signal (`Detector::effort()` /
 //! `Detector::extension_work()`) by a `PeCost` into per-slot predicted
 //! costs, and `flexcore-sim`'s `hwtable` driver converts planned makespans
@@ -216,8 +216,8 @@ impl PeClass {
 /// *any* processing fabric — FPGA DSP slices, GPU SMs, many-core CPUs —
 /// including fabrics whose PEs are **not identical**. A fabric is a list
 /// of [`PeClass`]es; [`HeterogeneousFabric::speed_factors`] expands it to
-/// the per-PE speed vector that `flexcore_parallel::WeightedPool` and the
-/// uniform-machines LPT scheduler consume.
+/// the per-PE speed vector the uniform-machines LPT model
+/// (`flexcore_parallel::lpt_makespan_weighted`) consumes.
 ///
 /// ```
 /// use flexcore_hwmodel::HeterogeneousFabric;
@@ -326,7 +326,7 @@ impl HeterogeneousFabric {
     }
 
     /// Per-PE speed factors, classes expanded in declaration order — the
-    /// vector `flexcore_parallel::WeightedPool::new` takes.
+    /// vector `flexcore_parallel::lpt_makespan_weighted` takes.
     pub fn speed_factors(&self) -> Vec<f64> {
         let mut speeds = Vec::with_capacity(self.n_pes());
         for class in &self.classes {

@@ -19,7 +19,7 @@
 //!   to a [`PeCost`] (cycles per path-extension unit of work at a given
 //!   antenna/modulation config) and a [`HeterogeneousFabric`] (a pool of
 //!   PEs with per-PE speed factors) that `flexcore-parallel`'s
-//!   `WeightedPool` and `flexcore-engine`'s planner execute against.
+//!   `lpt_makespan_weighted` places a plan's prices on.
 //!
 //! ```
 //! use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};

@@ -59,7 +59,7 @@ impl std::fmt::Display for Finding {
 /// How a file participates in the build — decides which lints apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library code: full discipline (FL001–FL006 as marked/applicable).
+    /// Library code: full discipline (FL001–FL007 as marked/applicable).
     Lib,
     /// Binary entry points (`src/bin/**`, `src/main.rs`, a `build.rs`
     /// build script): marker-driven lints only — bins legitimately read

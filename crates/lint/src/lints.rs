@@ -1,4 +1,4 @@
-//! The six FlexCore lints, as token-pattern checks over a
+//! The seven FlexCore lints, as token-pattern checks over a
 //! [`FileScan`].
 //!
 //! | code  | slug              | scope                                    |
@@ -10,6 +10,7 @@
 //! | FL004 | panic-surface     | `unwrap` / `expect` / panicking macros in non-test library code |
 //! | FL005 | env-discipline    | any environment read in library code     |
 //! | FL006 | unsafe-surface    | `unsafe` outside the sanctioned module, or there without a `// SAFETY:` comment |
+//! | FL007 | wall-clock        | `Instant::now()` / `SystemTime::now()` in non-test library code |
 
 use crate::scan::{FileScan, RegionKind};
 use crate::{FileClass, Finding};
@@ -51,6 +52,11 @@ pub const LINTS: &[(&str, &str, &str)] = &[
         "FL006",
         "unsafe-surface",
         "`unsafe` is only permitted in the sanctioned module, directly below a `// SAFETY:` comment",
+    ),
+    (
+        "FL007",
+        "wall-clock",
+        "wall-clock reads are forbidden in library code: time is modelled from prices, not measured",
     ),
 ];
 
@@ -143,6 +149,13 @@ const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"]
 
 /// Panicking `Option`/`Result` escape hatches denied in library code.
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
+
+/// Clock types whose `now()` reads the wall clock.
+const CLOCKS: &[&str] = &["Instant", "SystemTime"];
+
+/// Trees whose job is to measure, exempt from FL007: the benchmark
+/// package times the product crates through their public items.
+const CLOCK_SANCTIONED: &[&str] = &["benchmark/"];
 
 /// Runtime environment readers.
 const ENV_READERS: &[&str] = &["var", "var_os", "vars", "vars_os", "args", "args_os"];
@@ -253,11 +266,14 @@ fn skip_turbofish(scan: &FileScan, i: usize) -> usize {
     j
 }
 
-/// The token-pattern lints: FL001, FL002, FL004, FL005, FL006.
+/// The token-pattern lints: FL001, FL002, FL004, FL005, FL006, FL007.
 fn check_patterns(rel_path: &str, class: FileClass, scan: &FileScan, out: &mut Vec<Finding>) {
     let code = &scan.code;
     let lib = class == FileClass::Lib;
     let unsafe_ok = UNSAFE_SANCTIONED.contains(&rel_path);
+    let clock_ok = CLOCK_SANCTIONED
+        .iter()
+        .any(|tree| rel_path.starts_with(tree));
     for i in 0..code.len() {
         let t = &code[i];
         let Some(id) = t.ident() else { continue };
@@ -386,6 +402,19 @@ fn check_patterns(rel_path: &str, class: FileClass, scan: &FileScan, out: &mut V
                     emit(out, scan, "FL005", rel_path, line, col, msg);
                 }
             }
+        }
+
+        // ---- FL007: wall-clock reads in library code ---------------------
+        if lib
+            && !clock_ok
+            && CLOCKS.contains(&id)
+            && !prev_dot
+            && code.get(i + 1).is_some_and(|n| n.is_punct(':'))
+            && code.get(i + 2).is_some_and(|n| n.is_punct(':'))
+            && code.get(i + 3).and_then(|n| n.ident()) == Some("now")
+        {
+            let msg = format!("`{id}::now` in library code: time is modelled, not measured");
+            emit(out, scan, "FL007", rel_path, line, col, msg);
         }
 
         // ---- FL006: unsafe outside the audited surface -------------------
@@ -614,6 +643,33 @@ mod tests {
         // Test code and the `unsafe_code` lint name in attributes are not findings.
         let exempt = "#![deny(unsafe_code)]\n#[cfg(test)]\nmod tests {\n    fn f(p: *const u8) -> u8 { unsafe { *p } }\n}";
         assert!(lint_lib(exempt).is_empty());
+    }
+
+    #[test]
+    fn fl007_every_library_clock_read_is_a_finding() {
+        let src = "fn f() -> std::time::Instant { std::time::Instant::now() }";
+        assert_eq!(codes(&lint_lib(src)), ["FL007"]);
+        let src = "use std::time::SystemTime;\nfn f() -> SystemTime { SystemTime::now() }";
+        assert_eq!(codes(&lint_lib(src)), ["FL007"]);
+        // Binaries, tests and examples may read the clock, and test code
+        // inside a library is exempt.
+        let s = scan("fn f() { let t = Instant::now(); }");
+        let tw = TwinUniverse::default();
+        for class in [FileClass::Bin, FileClass::Test, FileClass::Example] {
+            assert!(lint_file("p", class, &s, &tw).is_empty(), "{class:?}");
+        }
+        let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { let t = Instant::now(); }\n}";
+        assert!(codes(&lint_lib(test_src)).is_empty());
+        // The benchmark package measures: its clock reads are its job.
+        assert!(lint_file("benchmark/src/workloads.rs", FileClass::Lib, &s, &tw).is_empty());
+        // Elapsed-time arithmetic on a stamp handed in is not a read.
+        assert!(codes(&lint_lib(
+            "fn f(t0: Instant) -> f64 { t0.elapsed().as_secs_f64() }"
+        ))
+        .is_empty());
+        // A reasoned allow suppresses it.
+        let src = "fn f() {\n    // flexcore-lint: allow(FL007, reason = \"latency stamp\")\n    let t = Instant::now();\n}";
+        assert!(codes(&lint_lib(src)).is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@ USAGE:
     flexcore-lint lints
 
 COMMANDS:
-    check    Walk the workspace and report FL000–FL006 findings
+    check    Walk the workspace and report FL000–FL007 findings
     lints    Print the stable lint-code table
 
 OPTIONS:

@@ -232,7 +232,7 @@ mod tests {
     fn table_lists_every_code() {
         let t = lint_table();
         for code in [
-            "FL000", "FL001", "FL002", "FL003", "FL004", "FL005", "FL006",
+            "FL000", "FL001", "FL002", "FL003", "FL004", "FL005", "FL006", "FL007",
         ] {
             assert!(t.contains(code), "{code}");
         }

@@ -93,6 +93,18 @@ fn fl006_in_the_sanctioned_module_turns_on_the_safety_comment() {
     assert_eq!(bare[0].code, "FL006");
 }
 
+/// FL007's one exempt tree: the same clock read that fails in a product
+/// crate is the benchmark package's job.
+#[test]
+fn fl007_exempts_the_benchmark_package() {
+    let src = fs::read_to_string(fixture_dir("bad").join("fl007_wall_clock.rs")).expect("fixture");
+    let product = lint_source("crates/engine/src/fixture.rs", &src);
+    assert_eq!(product.len(), 1, "{product:?}");
+    assert_eq!(product[0].code, "FL007");
+    let bench = lint_source("benchmark/src/fixture.rs", &src);
+    assert!(bench.is_empty(), "{bench:?}");
+}
+
 /// The `surface` report counts code lines and `pub` items outside test
 /// code from the token stream: comments, blanks, attribute-only lines,
 /// `pub(crate)` items, `pub` fields and everything under `#[cfg(test)]`

@@ -8,10 +8,10 @@
 //! the algorithm from the execution substrate:
 //!
 //! * [`SequentialPool`] — a *simulated* pool: executes tasks in order on the
-//!   calling thread while counting the tasks and batches a workload
-//!   submits. This is what the experiment harness uses — detection results
-//!   are bit-identical to parallel execution, and latency is modelled (from
-//!   task prices, see [`lpt_makespan_weighted`]), not measured.
+//!   calling thread. This is what the experiment harness uses — detection
+//!   results are bit-identical to parallel execution, and latency is
+//!   modelled (from task prices, see [`lpt_makespan_weighted`]), not
+//!   measured.
 //! * [`CrossbeamPool`] — a real thread pool (PEs = the thread that calls
 //!   `run` plus `n_pes − 1` long-lived helper threads parked between
 //!   batches; nothing is spawned per batch), demonstrating that FlexCore's
@@ -25,22 +25,17 @@
 //!   call takes the workspace's one `unsafe` expression — a lifetime
 //!   erasure in `pool.rs`, retracted by a drop guard before `run` can
 //!   return or unwind.
-//! * [`WeightedPool`] — a simulated pool of **non-uniform** PEs carrying
-//!   per-PE speed factors (e.g. 2 fast DSP cores beside 6 slow ARM cores,
-//!   from `flexcore_hwmodel::HeterogeneousFabric`). Batches are placed
-//!   with the uniform-machines LPT rule, which assigns each task to the
-//!   PE that would *finish it earliest* instead of assuming identical
-//!   PEs, whenever the caller hands the pool its task prices
-//!   ([`PePool::run_priced`]). Every task of such a run is timed, and
-//!   [`WeightedPool::last_run`] returns the [`ScheduledRun`] record, which
-//!   is also the audit: predicted-vs-measured makespan, packing
-//!   efficiency and per-PE utilisation.
 //!
-//! All three implement [`PePool`], so every detector in the workspace runs
-//! unmodified on any of them, and `flexcore-engine` drives whole OFDM
-//! frames through them. Scheduling is ordering/placement only — detections
-//! stay bit-identical across substrates, a property the workspace tests
-//! enforce.
+//! Both implement [`PePool`] — `n_pes` and `run`, nothing else — so every
+//! detector in the workspace runs unmodified on either, and
+//! `flexcore-engine` drives whole OFDM frames through them. Placement on
+//! a **non-uniform** fabric (e.g. 2 fast DSP cores beside 6 slow ARM
+//! cores, from `flexcore_hwmodel::HeterogeneousFabric`) is a model, not a
+//! pool: [`lpt_makespan_weighted`] places a batch's prices with the
+//! uniform-machines LPT rule, which assigns each task to the PE that
+//! would *finish it earliest*, and returns the makespan. Scheduling is
+//! ordering/placement only — detections stay bit-identical across
+//! substrates, a property the workspace tests enforce.
 //!
 //! The crate also carries [`bounded`] — [`std::sync::mpsc::sync_channel`]
 //! with a capacity of at least 1 and end-of-stream read as `None` — whose
@@ -57,11 +52,11 @@ pub mod pool;
 pub mod weighted;
 
 pub use channel::{bounded, Receiver, SendError, Sender};
-pub use pool::{lpt_order, CrossbeamPool, PePool, SequentialPool, WorkStats};
-pub use weighted::{lpt_makespan_weighted, ScheduledRun, WeightedPool};
+pub use pool::{lpt_order, CrossbeamPool, PePool, SequentialPool};
+pub use weighted::lpt_makespan_weighted;
 
 /// The crate README's examples, compiled as doctests so they cannot rot
-/// (`cargo test --doc`): this item exists only during doctest collection.
+/// (`cargo test --doc`): this module exists only during doctest collection.
 #[doc = include_str!("../README.md")]
 #[cfg(doctest)]
-pub struct ReadmeDoctests;
+mod readme_doctests {}

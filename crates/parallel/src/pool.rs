@@ -2,7 +2,6 @@
 
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -29,50 +28,14 @@ pub fn lpt_order(costs: &[u64]) -> Vec<usize> {
     order
 }
 
-/// Cumulative work accounting for a pool.
-///
-/// ```
-/// use flexcore_parallel::{PePool, SequentialPool};
-/// let pool = SequentialPool::new(4);
-/// pool.run((0..10).map(|i| move || i).collect::<Vec<_>>());
-/// assert_eq!(pool.stats().tasks(), 10);
-/// assert_eq!(pool.stats().batches(), 1);
-/// pool.stats().reset();
-/// assert_eq!(pool.stats().tasks(), 0);
-/// ```
-#[derive(Debug, Default)]
-pub struct WorkStats {
-    tasks: AtomicU64,
-    batches: AtomicU64,
-}
-
-impl WorkStats {
-    pub(crate) fn record(&self, n_tasks: usize) {
-        self.tasks.fetch_add(n_tasks as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total tasks executed.
-    pub fn tasks(&self) -> u64 {
-        self.tasks.load(Ordering::Relaxed)
-    }
-
-    /// Total `run` invocations.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Clears the counters.
-    pub fn reset(&self) {
-        self.tasks.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-    }
-}
-
 /// A pool of processing elements that can run a batch of independent tasks.
 ///
 /// Implementations must return results **in task order** regardless of
 /// execution order, so detector outputs do not depend on the substrate.
+/// A pool only runs tasks: where a batch *would* land on a modelled
+/// fabric is a pure function of its prices
+/// ([`lpt_makespan_weighted`](crate::lpt_makespan_weighted)), read off
+/// the plan rather than off the pool.
 ///
 /// ```
 /// use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
@@ -94,36 +57,11 @@ pub trait PePool {
     where
         T: Send,
         F: FnOnce() -> T + Send;
-
-    /// [`PePool::run`] for a caller that knows what each task costs:
-    /// `costs[i]` is the predicted work of `tasks[i]`, in the caller's
-    /// units. Placement and timing are the pool's business — a pool that
-    /// models non-uniform PEs ([`WeightedPool`](crate::WeightedPool))
-    /// places and times the batch by these prices; every other pool
-    /// ignores them. Results are the same on every pool, in task order.
-    ///
-    /// ```
-    /// use flexcore_parallel::{PePool, SequentialPool, WeightedPool};
-    /// let tasks = || (0..4).map(|i| move || i * 10).collect::<Vec<_>>();
-    /// let plain = SequentialPool::new(2).run_priced(tasks(), &[4, 3, 2, 1]);
-    /// let placed = WeightedPool::new(vec![2.0, 1.0]).run_priced(tasks(), &[4, 3, 2, 1]);
-    /// assert_eq!(plain, placed);
-    /// ```
-    fn run_priced<T, F>(&self, tasks: Vec<F>, costs: &[u64]) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let _ = costs;
-        self.run(tasks)
-    }
-
-    /// Work accounting (tasks, batches).
-    fn stats(&self) -> &WorkStats;
 }
 
-/// Deterministic in-order execution with PE accounting — the "simulated
-/// processing elements" used throughout the experiment harness.
+/// Deterministic in-order execution on the calling thread — the "simulated
+/// processing elements" used throughout the experiment harness, whose
+/// latency is modelled from task prices, not measured.
 ///
 /// ```
 /// use flexcore_parallel::{PePool, SequentialPool};
@@ -134,7 +72,6 @@ pub trait PePool {
 #[derive(Debug)]
 pub struct SequentialPool {
     n_pes: usize,
-    stats: WorkStats,
 }
 
 impl SequentialPool {
@@ -149,10 +86,7 @@ impl SequentialPool {
     /// ```
     pub fn new(n_pes: usize) -> Self {
         assert!(n_pes > 0, "SequentialPool: zero PEs");
-        SequentialPool {
-            n_pes,
-            stats: WorkStats::default(),
-        }
+        SequentialPool { n_pes }
     }
 }
 
@@ -166,12 +100,7 @@ impl PePool for SequentialPool {
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        self.stats.record(tasks.len());
         tasks.into_iter().map(|t| t()).collect()
-    }
-
-    fn stats(&self) -> &WorkStats {
-        &self.stats
     }
 }
 
@@ -332,7 +261,6 @@ impl Drop for Retract<'_> {
 /// ```
 pub struct CrossbeamPool {
     n_pes: usize,
-    stats: WorkStats,
     shared: Arc<Shared>,
     helpers: Vec<JoinHandle<()>>,
 }
@@ -359,7 +287,6 @@ impl CrossbeamPool {
             .collect();
         CrossbeamPool {
             n_pes,
-            stats: WorkStats::default(),
             shared,
             helpers,
         }
@@ -370,7 +297,6 @@ impl std::fmt::Debug for CrossbeamPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CrossbeamPool")
             .field("n_pes", &self.n_pes)
-            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
@@ -398,7 +324,6 @@ impl PePool for CrossbeamPool {
         F: FnOnce() -> T + Send,
     {
         let n = tasks.len();
-        self.stats.record(n);
         if n == 0 {
             return Vec::new();
         }
@@ -451,18 +376,13 @@ impl PePool for CrossbeamPool {
             .map(|v| v.expect("missing task result"))
             .collect()
     }
-
-    fn stats(&self) -> &WorkStats {
-        &self.stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WeightedPool;
     use std::collections::HashSet;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::mpsc::RecvTimeoutError;
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
@@ -547,8 +467,6 @@ mod tests {
             let want: Vec<u64> = skewed_tasks(n).into_iter().map(|t| t()).collect();
             assert_eq!(pool.run(skewed_tasks(n)), want, "{name}: {n} tasks");
         }
-        assert_eq!(pool.stats().tasks(), sizes.iter().sum::<usize>() as u64);
-        assert_eq!(pool.stats().batches(), sizes.len() as u64);
     }
 
     #[test]
@@ -556,7 +474,6 @@ mod tests {
         check_task_order("sequential", SequentialPool::new(4));
         check_task_order("work queue", CrossbeamPool::work_queue(4));
         check_task_order("work queue, 8 PEs", CrossbeamPool::work_queue(8));
-        check_task_order("weighted", WeightedPool::new(vec![4.0, 1.0, 1.0]));
     }
 
     /// A rendezvous that cannot hang a test: [`Meet::wait`] returns `true`
@@ -661,7 +578,6 @@ mod tests {
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..5000).collect::<Vec<_>>());
-        assert_eq!(pool.stats().batches(), 1000);
     }
 
     #[test]
@@ -850,14 +766,21 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
+    fn the_sequential_pool_calls_its_tasks_in_order_on_the_calling_thread() {
         let pool = SequentialPool::new(4);
-        pool.run(skewed_tasks(4));
-        pool.run(skewed_tasks(8));
-        assert_eq!(pool.stats().tasks(), 12);
-        assert_eq!(pool.stats().batches(), 2);
-        pool.stats().reset();
-        assert_eq!(pool.stats().tasks(), 0);
-        assert_eq!(pool.stats().batches(), 0);
+        let me = std::thread::current().id();
+        let log = std::sync::Mutex::new(Vec::new());
+        let tasks: Vec<_> = (0..12usize)
+            .map(|i| {
+                let log = &log;
+                move || {
+                    log.lock().unwrap().push(i);
+                    (i * i, std::thread::current().id())
+                }
+            })
+            .collect();
+        let out = pool.run(tasks);
+        assert_eq!(log.into_inner().unwrap(), (0..12).collect::<Vec<_>>());
+        assert_eq!(out, (0..12).map(|i| (i * i, me)).collect::<Vec<_>>());
     }
 }

@@ -41,7 +41,7 @@ use flexcore::CellDetector;
 use flexcore_engine::{ChannelStream, LatencyRecord, RxFrame, StreamingCell};
 use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
 use flexcore_modulation::Constellation;
-use flexcore_parallel::{lpt_makespan_weighted, PePool, WeightedPool};
+use flexcore_parallel::{lpt_makespan_weighted, PePool, SequentialPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -216,9 +216,10 @@ pub struct DeliveredFrame<'a> {
 pub struct CityCell {
     cell: StreamingCell<CellDetector>,
     pub(super) users: Vec<CellUser>,
-    /// The fabric as an execution substrate: rounds run on it, and its
-    /// speed factors price them.
-    pool: WeightedPool,
+    /// The fabric's per-PE speed factors: each round's plan is priced on
+    /// them (weighted LPT), then runs in order on `pool`.
+    speeds: Vec<f64>,
+    pool: SequentialPool,
     /// Seconds one path-extension unit takes on the FX-8120 cost model.
     unit_s: f64,
     /// Path-extension units the fabric retires per subframe.
@@ -251,7 +252,8 @@ impl CityCell {
         CityCell {
             cell: StreamingCell::new(),
             users: Vec::new(),
-            pool: WeightedPool::new(fabric.speed_factors()),
+            speeds: fabric.speed_factors(),
+            pool: SequentialPool::new(fabric.n_pes()),
             unit_s,
             capacity_units: fabric.total_speed() * SUBFRAME_S / unit_s,
             constellation: Constellation::new(CityConfig::MODULATION),
@@ -418,7 +420,7 @@ impl CityCell {
         let mut free_at = self.backlog_s;
         while free_at < SUBFRAME_S && cell.has_queued() {
             let plan = cell.plan_tick(self.pool.n_pes());
-            free_at += lpt_makespan_weighted(plan.costs(), self.pool.speeds()) * self.unit_s;
+            free_at += lpt_makespan_weighted(plan.costs(), &self.speeds) * self.unit_s;
             let done_s = start_s + free_at;
             for (user, cells) in cell.run_tick(plan, &self.pool) {
                 self.deliver(user, cells, done_s, sink);
@@ -769,9 +771,12 @@ mod tests {
 
     #[test]
     fn a_round_is_priced_and_run_from_one_plan() {
-        // One `step_with` carves each round once: the cost vector that
-        // priced the round's modelled duration is the cost vector of the
-        // plan that then ran — same length, same values, same order.
+        // One `step_with` carves each round once: the round's modelled
+        // duration is the makespan of the plan of exactly the frames it
+        // served. A twin cell — the served users' streams and templates,
+        // one frame of the same shape each — replans that round: a plan's
+        // prices depend on the prepared detectors and the grid, not on
+        // the received samples.
         let mut cfg = CityConfig::small_city();
         cfg.shedding = false;
         let mut cell = CityCell::new(&cfg);
@@ -783,24 +788,33 @@ mod tests {
             // of its interval.
             assert_eq!(cell.backlog_s(), 0.0);
             assert!(!cell.cell.has_queued());
-            let rounds_before = cell.pool.stats().batches();
+            let rounds_before = cell.cell.stats().ticks;
             let mut served: Vec<(usize, f64)> = Vec::new();
             cell.step_with(1.0, &mut |f| served.push((f.user, f.latency_s)));
-            if cell.pool.stats().batches() - rounds_before != 1 {
+            if cell.cell.stats().ticks - rounds_before != 1 {
                 continue; // no arrivals, or a user queued two frames
             }
             single_round_ticks += 1;
 
-            // What ran: the prices the pool was handed with the tasks.
-            let ran = cell.pool.last_run().expect("the round ran on the fabric");
-            assert!(ran.costs.windows(2).all(|w| w[0] >= w[1]), "run order");
+            // The round, replanned.
+            let mut twin = StreamingCell::new();
+            for &(u, _) in &served {
+                let engine = cell.cell.engine(u);
+                let id = twin.add_user(cell.cell.stream(u).clone(), engine.template().clone());
+                let n_vectors = CityConfig::N_SYMBOLS * CityConfig::N_SUBCARRIERS;
+                let zeros = vec![vec![flexcore_numeric::Cx::ZERO; CityConfig::NT]; n_vectors];
+                twin.submit(id, RxFrame::from_vectors(CityConfig::N_SUBCARRIERS, zeros));
+            }
+            let plan = twin.plan_tick(cell.pool.n_pes());
+            let ran = plan.costs();
+            assert!(ran.windows(2).all(|w| w[0] >= w[1]), "run order");
             // Every served user's whole frame is in that one vector.
             let offered: u64 = served.iter().map(|&(u, _)| cell.frame_units(u)).sum();
-            assert_eq!(ran.costs.iter().sum::<u64>(), offered);
+            assert_eq!(ran.iter().sum::<u64>(), offered);
             // What was priced: every delivery's latency is the round's
             // modelled duration, which must be the makespan of exactly
-            // the vector that ran.
-            let round_s = lpt_makespan_weighted(&ran.costs, cell.pool.speeds()) * cell.unit_s;
+            // that vector.
+            let round_s = lpt_makespan_weighted(ran, &cell.speeds) * cell.unit_s;
             // (`latency = (start + round) − start`, so equal up to the
             // rounding of the tick's start time.)
             assert!(round_s > 0.0);

@@ -17,10 +17,9 @@ use flexcore::{CellDetector, FlexCoreDetector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_engine::{ChannelStream, StreamingCell};
-use flexcore_hwmodel::HeterogeneousFabric;
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::CMat;
-use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool, WeightedPool};
+use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
 use flexcore_phy::link::{cell_packet_tick, simulate_packet};
 use flexcore_phy::soft_link::{cell_packet_tick_soft, simulate_packet_soft};
 use flexcore_phy::{LinkConfig, LinkOutcome};
@@ -131,8 +130,6 @@ fn cell_tick_equals_the_per_vector_reference() {
         &seeds,
         &reference,
     );
-    let fabric = WeightedPool::new(HeterogeneousFabric::lte_smallcell().speed_factors());
-    check(&fabric, &cfg, cell, &seeds, &reference);
 }
 
 #[test]

@@ -13,11 +13,13 @@ use flexcore_hwmodel::HeterogeneousFabric;
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::Cx;
-use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool, WeightedPool};
+use flexcore_parallel::{lpt_makespan_weighted, CrossbeamPool, PePool, SequentialPool};
 use flexcore_phy::link::{cell_packet_tick, simulate_packet, LinkConfig};
 use flexcore_phy::LinkOutcome;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
+use std::time::Instant;
 
 const NT: usize = 4;
 const SNR: f64 = 14.0;
@@ -32,6 +34,14 @@ fn selective_channel_at(nt: usize, snr_db: f64, n_sc: usize, seed: u64) -> Frame
         ChannelEnsemble::iid(nt, nt).draw_many(&mut rng, n_sc),
         sigma2_from_snr_db(snr_db),
     )
+}
+
+/// The band [`selective_channel_at`] draws, as a static (`ρ = 1`) stream
+/// whose estimate a [`StreamingCell`] user prepares against.
+fn selective_stream(nt: usize, snr_db: f64, n_sc: usize, seed: u64) -> ChannelStream {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ens = ChannelEnsemble::iid(nt, nt);
+    ChannelStream::new(&ens, n_sc, 1.0, 1, sigma2_from_snr_db(snr_db), &mut rng)
 }
 
 fn random_frame(channel: &FrameChannel, n_sym: usize, seed: u64) -> RxFrame {
@@ -64,6 +74,98 @@ fn frame_on<D: Detector + Clone + Sync, P: PePool>(
     let mut engine = FrameEngine::new(template);
     engine.prepare(channel);
     engine.detect_frame(frame, pool)
+}
+
+/// `frame` as a one-user tick on `stream`'s estimate, planned for `n_pes`
+/// PEs: the plan's prices (run order), then its decisions after a run on
+/// `pool`, flattened like [`DetectedFrame::iter`].
+fn plan_and_run<D: Detector + Clone + Sync, P: PePool>(
+    template: D,
+    stream: &ChannelStream,
+    frame: &RxFrame,
+    n_pes: usize,
+    pool: &P,
+) -> (Vec<u64>, Vec<usize>) {
+    let mut cell = StreamingCell::new();
+    let user = cell.add_user(stream.clone(), template);
+    cell.submit(user, frame.clone());
+    let plan = cell.plan_tick(n_pes);
+    let costs = plan.costs().to_vec();
+    let decisions = cell
+        .run_tick(plan, pool)
+        .flat_map(|(_, cells)| cells.iter().map(|&s| usize::from(s)))
+        .collect();
+    (costs, decisions)
+}
+
+fn flat(frame: &DetectedFrame) -> Vec<usize> {
+    frame.iter().flatten().copied().collect()
+}
+
+/// Runs tasks in order on the calling thread and keeps the wall-clock
+/// seconds of each task of its last batch.
+struct TimedPool {
+    n_pes: usize,
+    task_seconds: RefCell<Vec<f64>>,
+}
+
+impl PePool for TimedPool {
+    fn n_pes(&self) -> usize {
+        self.n_pes
+    }
+
+    fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+    {
+        let mut seconds = self.task_seconds.borrow_mut();
+        seconds.clear();
+        tasks
+            .into_iter()
+            .map(|task| {
+                let t0 = Instant::now();
+                let out = task();
+                seconds.push(t0.elapsed().as_secs_f64());
+                out
+            })
+            .collect()
+    }
+}
+
+/// `|predicted − measured| / measured` makespan of one priced run on a
+/// fabric of `speeds`. `costs` and `task_seconds` are in run order, which
+/// is the plan's LPT order, so visiting them in order books each task
+/// where the weighted LPT rule does: to the PE that would finish its
+/// price earliest (ties to the lowest index). Measured busy time is
+/// `Σ seconds / speed` per PE; the prediction is the model's makespan in
+/// units times the run's own mean seconds per unit, which divides the
+/// host's absolute speed out.
+fn makespan_error(costs: &[u64], speeds: &[f64], task_seconds: &[f64]) -> f64 {
+    assert_eq!(costs.len(), task_seconds.len(), "one time per priced task");
+    let mut loads = vec![0u64; speeds.len()];
+    let mut busy_s = vec![0.0f64; speeds.len()];
+    for (&cost, &seconds) in costs.iter().zip(task_seconds) {
+        let finish = |pe: usize| (loads[pe] + cost) as f64 / speeds[pe];
+        let mut pe = 0;
+        for other in 1..speeds.len() {
+            if finish(other) < finish(pe) {
+                pe = other;
+            }
+        }
+        loads[pe] += cost;
+        busy_s[pe] += seconds / speeds[pe];
+    }
+    let units = lpt_makespan_weighted(costs, speeds);
+    let booked = loads.iter().zip(speeds).map(|(&l, &s)| l as f64 / s);
+    assert_eq!(
+        booked.fold(0.0, f64::max),
+        units,
+        "not the model's placement"
+    );
+    let predicted = units * task_seconds.iter().sum::<f64>() / costs.iter().sum::<u64>() as f64;
+    let measured = busy_s.iter().copied().fold(0.0, f64::max);
+    (predicted - measured).abs() / measured
 }
 
 #[test]
@@ -145,15 +247,15 @@ fn one_persistent_pool_serves_100_frames_bit_identically_across_a_task_panic() {
 #[test]
 fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
     // The PR 5 extension of the substrate-equivalence requirement:
-    // heterogeneous placement is placement only. On every fabric shape a
-    // plain `detect_frame` on the weighted pool — which places the
-    // engine's priced batches by the uniform-machines LPT rule — must
-    // match the sequential reference, fixed and adaptive, and leave a run
-    // record that audits under any `PeCost` model.
+    // heterogeneous placement is a model over a plan's prices, never a
+    // different run. On every fabric shape a one-user plan for the
+    // fabric's PE count must detect exactly the sequential reference,
+    // fixed and adaptive, and its weighted-LPT makespan must price under
+    // any `PeCost` model.
     use flexcore_hwmodel::{CpuModel, FpgaModel, PeClass, PeCost, WorkUnit};
 
-    let channel = selective_channel(12, 31);
-    let frame = random_frame(&channel, 5, 32);
+    let stream = selective_stream(NT, SNR, 12, 31);
+    let frame = random_frame(stream.estimate(), 5, 32);
     let c = Constellation::new(Modulation::Qam16);
     let work = WorkUnit::new(NT, 16);
     let seq = SequentialPool::new(1);
@@ -169,33 +271,31 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
     let mk_fixed = || FlexCoreDetector::with_pes(c.clone(), 12);
     let mk_adaptive = || FlexCoreDetector::adaptive(c.clone(), 16, 0.95);
 
-    let fixed_ref = frame_on(mk_fixed(), &channel, &frame, &seq);
-    let adaptive_ref = frame_on(mk_adaptive(), &channel, &frame, &seq);
+    let fixed_ref = flat(&frame_on(mk_fixed(), stream.estimate(), &frame, &seq));
+    let adaptive_ref = flat(&frame_on(mk_adaptive(), stream.estimate(), &frame, &seq));
     for fabric in &fabrics {
-        let pool = WeightedPool::new(fabric.speed_factors());
-        assert_eq!(
-            frame_on(mk_fixed(), &channel, &frame, &pool),
-            fixed_ref,
-            "{} fixed",
+        let (n_pes, speeds) = (fabric.n_pes(), fabric.speed_factors());
+        let pool = SequentialPool::new(n_pes);
+        let (_, fixed) = plan_and_run(mk_fixed(), &stream, &frame, n_pes, &pool);
+        assert_eq!(fixed, fixed_ref, "{} fixed", fabric.name);
+        let (costs, adaptive) = plan_and_run(mk_adaptive(), &stream, &frame, n_pes, &pool);
+        assert_eq!(adaptive, adaptive_ref, "{} adaptive", fabric.name);
+        // The adaptive plan, priced on CPU and FPGA models.
+        let units: u64 = costs.iter().sum();
+        let span = lpt_makespan_weighted(&costs, &speeds);
+        let packing = units as f64 / (speeds.iter().sum::<f64>() * span);
+        assert!(units > 0);
+        assert!(
+            packing > 0.0 && packing <= 1.0,
+            "{} packing {packing}",
             fabric.name
         );
-        assert_eq!(
-            frame_on(mk_adaptive(), &channel, &frame, &pool),
-            adaptive_ref,
-            "{} adaptive",
-            fabric.name
-        );
-        // The record of the adaptive run, priced on CPU and FPGA models.
-        let run = pool.last_run().expect("the fabric recorded the run");
         let fpga = FpgaModel::new(flexcore_hwmodel::EngineKind::FlexCore, NT, 16);
         for unit_s in [
             CpuModel::fx8120().unit_seconds(&work),
             fpga.unit_seconds(&work),
         ] {
-            assert_eq!(run.speeds.len(), fabric.n_pes(), "{}", fabric.name);
-            assert!(run.total_units() > 0);
-            assert!(run.packing_efficiency() > 0.0 && run.packing_efficiency() <= 1.0);
-            let model_makespan_s = run.makespan_units * unit_s;
+            let model_makespan_s = span * unit_s;
             assert!(model_makespan_s > 0.0 && model_makespan_s.is_finite());
         }
     }
@@ -208,25 +308,38 @@ fn fabric_makespan_prediction_tracks_real_detection_cost() {
     // tick durations): a batch priced at `extension_work × symbols` must
     // cost real detection time in proportion, or the predicted makespan
     // silently drifts. PR 6 caught the unpriced nt² rotate at 64×64 with
-    // exactly this audit; spin-loop tasks
-    // (`weighted::tests::stats_from_a_perfectly_predicted_run`) cannot.
+    // exactly this audit; spin-loop tasks cannot.
     const MAX_MAKESPAN_ERROR: f64 = 0.25;
-    let pool = WeightedPool::new(HeterogeneousFabric::lte_smallcell().speed_factors());
+    let fabric = HeterogeneousFabric::lte_smallcell();
+    let speeds = fabric.speed_factors();
+    let pool = TimedPool {
+        n_pes: fabric.n_pes(),
+        task_seconds: RefCell::default(),
+    };
     let c = Constellation::new(Modulation::Qam16);
     for nt in [8usize, 64] {
         // 52 subcarriers: each of the 8 PEs averages several, so
         // per-subcarrier cost spread the price cannot see evens out.
-        let channel = selective_channel_at(nt, 20.0, 52, 600 + nt as u64);
+        let stream = selective_stream(nt, 20.0, 52, 600 + nt as u64);
         let frames: Vec<RxFrame> = (0..10)
-            .map(|i| random_frame(&channel, 8, 700 + 10 * nt as u64 + i))
+            .map(|i| random_frame(stream.estimate(), 8, 700 + 10 * nt as u64 + i))
             .collect();
         for template in [
             FlexCoreDetector::with_pes(c.clone(), 16),
             FlexCoreDetector::adaptive(c.clone(), 16, 0.95),
         ] {
             let name = template.name();
-            let mut engine = FrameEngine::new(template);
-            engine.prepare(&channel);
+            let mut cell = StreamingCell::new();
+            cell.add_user(stream.clone(), template);
+            // One frame as a one-user tick: the plan's prices, then that
+            // plan run on the timed pool.
+            let mut frame_error = |frame: &RxFrame| {
+                cell.submit(0, frame.clone());
+                let plan = cell.plan_tick(pool.n_pes());
+                let costs = plan.costs().to_vec();
+                let _ = cell.run_tick(plan, &pool);
+                makespan_error(&costs, &speeds, &pool.task_seconds.borrow())
+            };
             // One warm-up frame, then the *minimum* error over 9 timed
             // frames: the channel (and so the batch plan and predicted
             // makespan) is the same every frame, and host-scheduler
@@ -236,15 +349,11 @@ fn fabric_makespan_prediction_tracks_real_detection_cost() {
             // shows up in every frame including the quietest one, so
             // min-of-N is the denoised estimate of exactly the error this
             // audit is after.
-            let quietest_frame_error = || {
-                engine.detect_frame(&frames[0], &pool);
+            let mut quietest_frame_error = || {
+                frame_error(&frames[0]);
                 frames[1..]
                     .iter()
-                    .map(|frame| {
-                        engine.detect_frame(frame, &pool);
-                        let run = pool.last_run().expect("the fabric recorded the run");
-                        run.makespan_error()
-                    })
+                    .map(&mut frame_error)
                     .fold(f64::INFINITY, f64::min)
             };
             let mut error = quietest_frame_error();
@@ -343,15 +452,6 @@ fn framed_uplink_equals_sequential_uplink_through_every_pool() {
             (
                 "work_queue(4)",
                 tick_one_user(&cfg, seed, snr, &CrossbeamPool::work_queue(4)),
-            ),
-            (
-                "fabric",
-                tick_one_user(
-                    &cfg,
-                    seed,
-                    snr,
-                    &WeightedPool::new(HeterogeneousFabric::lte_smallcell().speed_factors()),
-                ),
             ),
         ];
         for (pool, framed) in framed {

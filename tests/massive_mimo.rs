@@ -3,7 +3,7 @@
 //!
 //! The spill-capable `SymVec` opens 32×32 and 64×64 uplinks; these tests
 //! drive them through `FrameEngine` and assert the substrate-equivalence
-//! contract at scale: sequential, thread-pool, and fabric-scheduled
+//! contract at scale: sequential, thread-pool, and fabric-priced plan
 //! detection must be bit-identical, and noiseless frames must be
 //! recovered exactly.
 
@@ -18,7 +18,7 @@ use flexcore_hwmodel::HeterogeneousFabric;
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::Cx;
-use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool, WeightedPool};
+use flexcore_parallel::{lpt_makespan_weighted, CrossbeamPool, PePool, SequentialPool};
 use flexcore_phy::link::{cell_packet_tick, LinkConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,19 +94,27 @@ fn assert_substrate_identity(nt: usize, m: Modulation, seed: u64) {
         adaptive_ref
     );
 
-    // Heterogeneous fabric: the weighted pool places the engine's priced
-    // batches, and its run record audits the placement.
+    // Heterogeneous fabric: a one-user plan for its 8 PEs is priced on
+    // its speed factors, then runs bit-identically.
     let fabric = HeterogeneousFabric::lte_smallcell();
-    let pool = WeightedPool::new(fabric.speed_factors());
-    assert_eq!(frame_on(mk_fixed(), &channel, &frame, &pool), fixed_ref);
-    assert_eq!(
-        frame_on(mk_adaptive(), &channel, &frame, &pool),
-        adaptive_ref
-    );
-    let run = pool.last_run().expect("the fabric recorded the run");
-    assert_eq!(run.speeds.len(), 8);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ens = ChannelEnsemble::iid(nt, nt);
+    let stream = ChannelStream::new(&ens, 4, 1.0, 1, sigma2_from_snr_db(22.0), &mut rng);
+    let mut cell = StreamingCell::new();
+    cell.add_user(stream, mk_adaptive());
+    cell.submit(0, frame.clone());
+    let plan = cell.plan_tick(fabric.n_pes());
+    let units: u64 = plan.costs().iter().sum();
     // At massive-MIMO widths every vector pays at least its nt² rotate.
-    assert!(run.total_units() >= (nt * nt * frame.n_vectors()) as u64);
+    assert!(units >= (nt * nt * frame.n_vectors()) as u64);
+    let span = lpt_makespan_weighted(plan.costs(), &fabric.speed_factors());
+    assert!(span * fabric.total_speed() >= units as f64 * (1.0 - 1e-12));
+    let want: Vec<usize> = adaptive_ref.iter().flatten().copied().collect();
+    let got: Vec<usize> = cell
+        .run_tick(plan, &SequentialPool::new(fabric.n_pes()))
+        .flat_map(|(_, cells)| cells.iter().map(|&s| usize::from(s)))
+        .collect();
+    assert_eq!(got, want);
 }
 
 #[test]

@@ -10,14 +10,15 @@
 //! products, `run_path_into`, `ped_increment`, `first_min_metric`) across
 //! the full width sweep (nt 1..=64), every modulation (BPSK..256-QAM),
 //! the lane-remainder edge cases (nt = 3, 5, 17; path counts 1, 2, 3),
-//! and — at nt ∈ {4, 8, 16, 32, 64} — every pool/fabric execution
-//! substrate.
+//! and — at nt ∈ {4, 8, 16, 32, 64} — every pool execution substrate.
 
 use flexcore::{CellDetector, FlexCoreDetector, PathScratch};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::{first_min_metric, Detector, Triangular};
 use flexcore_detect::FcsdDetector;
-use flexcore_engine::{DetectedFrame, FrameChannel, FrameEngine, RxFrame};
+use flexcore_engine::{
+    ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
+};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::qr::sorted_qr_sqrd;
 use flexcore_numeric::rng::CxRng;
@@ -370,13 +371,13 @@ fn frame_workload(
     n_sc: usize,
     n_sym: usize,
     seed: u64,
-) -> (FrameChannel, RxFrame) {
+) -> (ChannelStream, RxFrame) {
     let c = Constellation::new(m);
     let mut rng = StdRng::seed_from_u64(seed);
-    let channel = FrameChannel::per_subcarrier(
-        ChannelEnsemble::iid(nt, nt).draw_many(&mut rng, n_sc),
-        sigma2_from_snr_db(14.0),
-    );
+    // A static (ρ = 1) band: its estimate is the channel every frame sees.
+    let ens = ChannelEnsemble::iid(nt, nt);
+    let stream = ChannelStream::new(&ens, n_sc, 1.0, 1, sigma2_from_snr_db(14.0), &mut rng);
+    let channel = stream.estimate();
     let mut frame = RxFrame::empty(n_sc);
     for _ in 0..n_sym {
         let mut row = Vec::with_capacity(n_sc);
@@ -392,16 +393,16 @@ fn frame_workload(
         }
         frame.push_symbol(row);
     }
-    (channel, frame)
+    (stream, frame)
 }
 
 #[test]
 fn substrates_bit_identical_across_dispatch_at_required_widths() {
-    // The acceptance grid: at nt ∈ {4, 8, 16, 32, 64}, every pool/fabric
+    // The acceptance grid: at nt ∈ {4, 8, 16, 32, 64}, every pool
     // substrate's frame equals the scalar chain (scalar rotate +
     // `run_path_into` + `first_min_metric`) on every vector.
     use flexcore_hwmodel::HeterogeneousFabric;
-    use flexcore_parallel::WeightedPool;
+    use flexcore_parallel::lpt_makespan_weighted;
 
     for &nt in &[4usize, 8, 16, 32, 64] {
         let m = if nt > 8 {
@@ -411,9 +412,8 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
         };
         let c = Constellation::new(m);
         // 6 OFDM symbols per subcarrier: one full lane block + tail.
-        let (channel, frame) = frame_workload(nt, m, 3, 6, 11_000 + nt as u64);
-        let flat = HeterogeneousFabric::uniform("flat", 3);
-        let skewed = HeterogeneousFabric::lte_smallcell();
+        let (stream, frame) = frame_workload(nt, m, 3, 6, 11_000 + nt as u64);
+        let channel = stream.estimate();
 
         fn on_pool<P: PePool>(
             pool: &P,
@@ -427,18 +427,22 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
         }
         let seq = SequentialPool::new(1);
         let cb = CrossbeamPool::work_queue(3);
-        let weighted = WeightedPool::new(flat.speed_factors());
-        let fabric = WeightedPool::new(skewed.speed_factors());
         let frames = [
-            on_pool(&seq, &c, &channel, &frame),
-            on_pool(&cb, &c, &channel, &frame),
-            on_pool(&weighted, &c, &channel, &frame),
-            on_pool(&fabric, &c, &channel, &frame),
+            on_pool(&seq, &c, channel, &frame),
+            on_pool(&cb, &c, channel, &frame),
         ];
-        // The fabric run was placed by the engine's prices: every vector
-        // pays at least its nt² rotate.
-        let run = fabric.last_run().expect("the fabric recorded the run");
-        assert!(run.total_units() >= (nt * nt * frame.n_vectors()) as u64);
+        // The same frame planned for the LTE small-cell fabric: every
+        // vector is priced at least its nt² rotate, and the weighted-LPT
+        // makespan is at least the area bound.
+        let fabric = HeterogeneousFabric::lte_smallcell();
+        let mut cell = StreamingCell::new();
+        cell.add_user(stream.clone(), FlexCoreDetector::with_pes(c.clone(), 8));
+        cell.submit(0, frame.clone());
+        let plan = cell.plan_tick(fabric.n_pes());
+        let units: u64 = plan.costs().iter().sum();
+        assert!(units >= (nt * nt * frame.n_vectors()) as u64);
+        let span = lpt_makespan_weighted(plan.costs(), &fabric.speed_factors());
+        assert!(span * fabric.total_speed() >= units as f64 * (1.0 - 1e-12));
 
         let detectors: Vec<FlexCoreDetector> = (0..frame.n_subcarriers())
             .map(|sc| {
