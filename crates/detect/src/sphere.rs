@@ -245,6 +245,9 @@ mod tests {
     #[test]
     fn exponential_complexity_in_antennas() {
         // Table 1's message: per-vector FLOPs grow super-linearly with Nt.
+        // The per-vector count is heavy-tailed, so each width averages
+        // 4 000 draws: at 40 the 6/4 ratio ranged 1.8–4.0 over seeds 5–8,
+        // at 4 000 it reads 2.35–2.92 with one standard error of 0.15–0.40.
         let c = Constellation::new(Modulation::Qam16);
         let mut rng = StdRng::seed_from_u64(5);
         let mut mean_flops = Vec::new();
@@ -252,7 +255,7 @@ mod tests {
             let ens = ChannelEnsemble::iid(nt, nt);
             let mut sd = SphereDecoder::new(c.clone());
             let mut total = 0u64;
-            let trials = 40;
+            let trials = 4000;
             for _ in 0..trials {
                 let h = ens.draw(&mut rng);
                 let snr = 13.0;

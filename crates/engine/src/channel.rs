@@ -49,8 +49,17 @@ impl Clone for FrameChannel {
 
 impl FrameChannel {
     /// A frequency-selective channel: one matrix per subcarrier.
+    ///
+    /// # Panics
+    /// Panics on zero subcarriers, or unless `sigma2` is finite and
+    /// `≥ 0` (a NaN, infinite or negative variance makes every noise
+    /// sample NaN, so every frame would be silently garbage).
     pub fn per_subcarrier(hs: Vec<CMat>, sigma2: f64) -> Self {
         assert!(!hs.is_empty(), "FrameChannel: zero subcarriers");
+        assert!(
+            sigma2.is_finite() && sigma2 >= 0.0,
+            "FrameChannel: sigma2 must be finite and >= 0: {sigma2}"
+        );
         let n = hs.len();
         FrameChannel {
             id: fresh_channel_id(),
@@ -88,10 +97,23 @@ impl FrameChannel {
         self.generations[subcarrier]
     }
 
-    /// Replaces one subcarrier's channel (a narrowband estimation update);
-    /// only that subcarrier's generation is bumped.
-    pub fn update_subcarrier(&mut self, subcarrier: usize, h: CMat) {
-        self.hs[subcarrier] = h;
+    /// Replaces one subcarrier's channel (a narrowband estimation update)
+    /// by copying `h` over the held matrix, so an update allocates
+    /// nothing; only that subcarrier's generation is bumped.
+    ///
+    /// # Panics
+    /// Panics unless `h` has the held matrix's shape.
+    pub fn update_subcarrier(&mut self, subcarrier: usize, h: &CMat) {
+        let held = &mut self.hs[subcarrier];
+        assert!(
+            (h.rows(), h.cols()) == (held.rows(), held.cols()),
+            "FrameChannel: subcarrier {subcarrier} is {}x{}, the update {}x{}",
+            held.rows(),
+            held.cols(),
+            h.rows(),
+            h.cols()
+        );
+        held.clone_from(h);
         self.generations[subcarrier] = self.next_generation;
         self.next_generation += 1;
     }
@@ -130,11 +152,43 @@ mod tests {
     #[test]
     fn narrowband_update_bumps_one_generation() {
         let mut ch = uniform(4);
-        ch.update_subcarrier(2, mat(3.0));
+        ch.update_subcarrier(2, &mat(3.0));
         assert_eq!(ch.generation(2), 2);
         assert_eq!(ch.generation(0), 1);
         assert_eq!(ch.h(2)[(0, 0)].re, 3.0);
         assert_eq!(ch.h(0)[(0, 0)].re, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "subcarrier 1 is 2x2, the update 3x2")]
+    fn update_of_another_shape_is_rejected() {
+        uniform(2).update_subcarrier(1, &CMat::zeros(3, 2));
+    }
+
+    #[test]
+    fn zero_noise_variance_is_legal() {
+        assert_eq!(
+            FrameChannel::per_subcarrier(vec![mat(1.0)], 0.0).sigma2(),
+            0.0
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma2 must be finite and >= 0: NaN")]
+    fn nan_noise_variance_is_rejected() {
+        let _ = FrameChannel::per_subcarrier(vec![mat(1.0)], f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma2 must be finite and >= 0: inf")]
+    fn infinite_noise_variance_is_rejected() {
+        let _ = FrameChannel::per_subcarrier(vec![mat(1.0)], f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma2 must be finite and >= 0: -0.1")]
+    fn negative_noise_variance_is_rejected() {
+        let _ = FrameChannel::per_subcarrier(vec![mat(1.0)], -0.1);
     }
 
     #[test]

@@ -397,7 +397,7 @@ mod tests {
         assert_eq!(engine.prepare(&ch), 0, "unchanged channel re-prepared");
         let ens = ChannelEnsemble::iid(NT, NT);
         let mut rng = StdRng::seed_from_u64(99);
-        ch.update_subcarrier(3, ens.draw(&mut rng));
+        ch.update_subcarrier(3, &ens.draw(&mut rng));
         assert_eq!(engine.prepare(&ch), 1, "only the touched subcarrier");
         assert_eq!(engine.stats().subcarriers_refreshed, 9);
     }

@@ -41,6 +41,11 @@ impl ChannelStream {
     /// for `~n_subcarriers / refresh_period` subcarriers per
     /// [`ChannelStream::advance`] (`refresh_period = 1` re-sounds the whole
     /// band every frame).
+    ///
+    /// # Panics
+    /// Panics on zero subcarriers, a zero refresh period, or a `sigma2`
+    /// that is NaN, infinite or negative
+    /// ([`FrameChannel::per_subcarrier`]).
     pub fn new<R: Rng + ?Sized>(
         ensemble: &ChannelEnsemble,
         n_subcarriers: usize,
@@ -72,6 +77,10 @@ impl ChannelStream {
     /// [`ChannelStream::transmit_frame_into`] then behaves exactly like a
     /// block-fading flat channel — what lets the cross-layer tests hold a
     /// serving cell's coded ticks to the per-vector references.
+    ///
+    /// # Panics
+    /// Panics on zero subcarriers or a `sigma2` that is NaN, infinite or
+    /// negative ([`FrameChannel::per_subcarrier`]).
     pub fn frozen(h: CMat, n_subcarriers: usize, sigma2: f64) -> Self {
         assert!(n_subcarriers > 0, "ChannelStream: zero subcarriers");
         let truth: Vec<GaussMarkovChannel> = (0..n_subcarriers)
@@ -124,7 +133,7 @@ impl ChannelStream {
         for sc in 0..self.truth.len() {
             if sc % self.refresh_period == due {
                 self.estimate
-                    .update_subcarrier(sc, self.truth[sc].current().clone());
+                    .update_subcarrier(sc, self.truth[sc].current());
                 refreshed += 1;
             }
         }
@@ -414,6 +423,20 @@ mod tests {
             }
         }
         assert_eq!(s.estimate().sigma2(), 0.02);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma2 must be finite and >= 0: NaN")]
+    fn a_stream_with_nan_noise_variance_is_rejected() {
+        let ens = ChannelEnsemble::iid(4, 4);
+        let mut rng = StdRng::seed_from_u64(37);
+        let _ = ChannelStream::new(&ens, 3, 0.9, 1, f64::NAN, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma2 must be finite and >= 0: -0.01")]
+    fn a_frozen_stream_with_negative_noise_variance_is_rejected() {
+        let _ = ChannelStream::frozen(CMat::identity(2), 3, -0.01);
     }
 
     #[test]

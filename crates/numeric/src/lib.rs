@@ -17,7 +17,7 @@
 //!   (module [`solve`]);
 //! * `erf`/`erfc` and the Gaussian Q-function (module [`special`]) — needed
 //!   by FlexCore's Eq. (4) symbol-error model;
-//! * seeded complex-Gaussian sampling via Marsaglia polar (module
+//! * seeded complex-Gaussian sampling via a 256-layer ziggurat (module
 //!   [`rng`]);
 //! * a lightweight FLOP-accounting helper (module [`flops`]) used to
 //!   regenerate Table 1 and Table 2 of the paper;

@@ -234,7 +234,8 @@ impl<T: Copy + Default> Codec<T> {
 /// Per-user transmit chains: random payloads → convolutional encode → pad →
 /// interleave → one symbol index per grid cell, per stream. Shared by
 /// every packet path, which must consume the RNG in exactly the same order
-/// to stay bit-identical.
+/// to stay bit-identical. A payload's bits come 64 to a `next_u64`, low
+/// bit first; the unused bits of a user's last word are dropped.
 pub(crate) fn transmit_chains<T, R: Rng + ?Sized>(
     cfg: &LinkConfig,
     codec: &mut Codec<T>,
@@ -247,7 +248,11 @@ pub(crate) fn transmit_chains<T, R: Rng + ?Sized>(
     let mut payloads = Vec::with_capacity(nt * payload_bits);
     let mut symbols = Vec::with_capacity(nt * n_cells);
     for u in 0..nt {
-        payloads.extend((0..payload_bits).map(|_| rng.gen_range(0..2u8)));
+        for start in (0..payload_bits).step_by(64) {
+            let word = rng.next_u64();
+            let n = (payload_bits - start).min(64);
+            payloads.extend((0..n).map(|k| (word >> k) as u8 & 1));
+        }
         let payload = &payloads[u * payload_bits..];
         codec.code.encode_into(payload, &mut codec.coded);
         // Pad the final OFDM symbol with zero bits.

@@ -163,14 +163,14 @@ fn downgraded_user_detections_match_a_solo_run_with_the_same_schedule() {
 /// onto one plan → run core). The digest folds every delivered detection
 /// in delivery order, so it moves if planning, scheduling or shedding ever
 /// leaks into results — a rerun compared only with itself cannot see that.
-/// Both pins were re-recorded once, deliberately, when `CxRng::cx_normal`
-/// moved from Box–Muller to the polar method: that changes every channel
-/// and noise draw, so every detection input.
-const SMALL_CITY_DIGEST: u64 = 0x12a7_1b48_731d_7356;
+/// Both pins were re-recorded twice, deliberately, when `CxRng::cx_normal`
+/// moved from Box–Muller to the polar method and then to the ziggurat:
+/// each changes every channel and noise draw, so every detection input.
+const SMALL_CITY_DIGEST: u64 = 0x803f_a1ea_9699_8a13;
 
 /// The same pin at full `CityConfig::small_city()` size (2 cells × 32
 /// users, shedding on): seed `0x5EED_0010`, 60 ticks at load 1.8.
-const SEEDED_SMALL_CITY_DIGEST: u64 = 0x441d_81a0_46bc_0193;
+const SEEDED_SMALL_CITY_DIGEST: u64 = 0xf6d1_a60e_958b_4c59;
 
 #[test]
 fn same_seed_city_runs_are_bit_identical() {

@@ -101,7 +101,7 @@ fn main() {
     );
 
     // Narrowband channel update: the cache re-prepares exactly one slot.
-    channel.update_subcarrier(7, ens.draw(&mut rng));
+    channel.update_subcarrier(7, &ens.draw(&mut rng));
     let refreshed = par_engine.prepare(&channel);
     println!("narrowband update on subcarrier 7: {refreshed} subcarrier re-prepared");
     let stats = par_engine.stats();

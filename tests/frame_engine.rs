@@ -392,8 +392,8 @@ fn engine_cache_tracks_narrowband_updates_through_detection() {
     // detection uses the fresh channels.
     let mut rng = StdRng::seed_from_u64(5);
     let ens = ChannelEnsemble::iid(NT, NT);
-    channel.update_subcarrier(2, ens.draw(&mut rng));
-    channel.update_subcarrier(5, ens.draw(&mut rng));
+    channel.update_subcarrier(2, &ens.draw(&mut rng));
+    channel.update_subcarrier(5, &ens.draw(&mut rng));
     assert_eq!(engine.prepare(&channel), 2);
 
     let frame_b = random_frame(&channel, 4, 6);
