@@ -10,7 +10,7 @@
 //!
 //! * [`model`] — i.i.d. Rayleigh channel ensembles, with the paper's
 //!   ≤ 3 dB per-user SNR spread control;
-//! * [`timevar`] — Gauss–Markov channel ageing;
+//! * [`GaussMarkovChannel`] — Gauss–Markov channel ageing;
 //! * [`trace`] — a line-oriented text trace format plus reader/writer, so
 //!   large-array evaluations are *trace-driven* exactly as in §5.1 of the
 //!   paper (generate once, replay across detectors).
@@ -23,10 +23,10 @@
 #![warn(missing_docs)]
 
 pub mod model;
-pub mod timevar;
+mod timevar;
 pub mod trace;
 
-pub use model::{sigma2_from_snr_db, snr_db_from_sigma2, ChannelEnsemble, MimoChannel};
+pub use model::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 pub use timevar::GaussMarkovChannel;
 pub use trace::{read_traces, write_traces, TraceSet};
 

@@ -67,11 +67,6 @@ impl GaussMarkovChannel {
         &self.h
     }
 
-    /// The per-step correlation.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
     /// Advances one step: `H ← ρH + √(1−ρ²)·W`.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let innov = (1.0 - self.rho * self.rho).sqrt();
@@ -87,36 +82,34 @@ impl GaussMarkovChannel {
             }
         }
     }
-
-    /// Advances `n` steps.
-    pub fn step_many<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) {
-        for _ in 0..n {
-            self.step(rng);
-        }
-    }
-
-    /// Empirical correlation between the current realisation and `other`
-    /// (normalised inner product of the vectorised matrices) — a test and
-    /// diagnostics helper.
-    pub fn correlation_with(&self, other: &CMat) -> f64 {
-        let num: f64 = self
-            .h
-            .as_slice()
-            .iter()
-            .zip(other.as_slice())
-            .map(|(&a, &b)| a.mul_conj(b).re)
-            .sum();
-        let na = self.h.fro_norm();
-        let nb = other.fro_norm();
-        num / (na * nb)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexcore_numeric::Cx;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A realisation's entries, row by row.
+    fn entries(h: &CMat) -> impl Iterator<Item = &Cx> {
+        (0..h.rows()).flat_map(|r| h.row(r))
+    }
+
+    /// `‖H‖²_F`: the summed entry power of a realisation.
+    fn energy(h: &CMat) -> f64 {
+        entries(h).map(|z| z.norm_sqr()).sum()
+    }
+
+    /// Empirical correlation between two realisations: the normalised
+    /// inner product `Re⟨a, b⟩ / (‖a‖·‖b‖)` of the vectorised matrices.
+    fn correlation(a: &CMat, b: &CMat) -> f64 {
+        let num: f64 = entries(a)
+            .zip(entries(b))
+            .map(|(x, y)| x.re * y.re + x.im * y.im)
+            .sum();
+        num / (energy(a) * energy(b)).sqrt()
+    }
 
     #[test]
     fn static_channel_never_moves() {
@@ -124,7 +117,9 @@ mod tests {
         let ens = ChannelEnsemble::iid(4, 4);
         let mut ch = GaussMarkovChannel::new(&ens, 1.0, &mut rng);
         let h0 = ch.current().clone();
-        ch.step_many(50, &mut rng);
+        for _ in 0..50 {
+            ch.step(&mut rng);
+        }
         assert_eq!(ch.current(), &h0);
     }
 
@@ -134,11 +129,13 @@ mod tests {
         let ens = ChannelEnsemble::iid(3, 3);
         let h = ens.draw(&mut rng);
         let mut frozen = GaussMarkovChannel::frozen(h.clone());
-        assert_eq!(frozen.rho(), 1.0);
+        assert_eq!(frozen.rho, 1.0);
         let before: u64 = rng.gen();
         let mut check = StdRng::seed_from_u64(11);
         let _ = ens.draw(&mut check);
-        frozen.step_many(25, &mut check);
+        for _ in 0..25 {
+            frozen.step(&mut check);
+        }
         assert_eq!(check.gen::<u64>(), before, "step must not draw from rng");
         assert_eq!(frozen.current(), &h);
     }
@@ -154,8 +151,10 @@ mod tests {
         let h0 = ch.current().clone();
         let mut last = 1.0f64;
         for checkpoint in 0..4 {
-            ch.step_many(10, &mut rng);
-            let corr = ch.correlation_with(&h0);
+            for _ in 0..10 {
+                ch.step(&mut rng);
+            }
+            let corr = correlation(ch.current(), &h0);
             assert!(
                 corr < last + 0.05,
                 "correlation should decay: step {checkpoint} corr {corr} last {last}"
@@ -177,7 +176,7 @@ mod tests {
         let n = 400;
         for _ in 0..n {
             ch.step(&mut rng);
-            acc += ch.current().fro_norm().powi(2) / 36.0;
+            acc += energy(ch.current()) / 36.0;
         }
         let mean = acc / n as f64;
         assert!((mean - 1.0).abs() < 0.1, "mean entry power {mean}");

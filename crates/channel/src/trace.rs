@@ -41,16 +41,6 @@ impl TraceSet {
         TraceSet { nr, nt, channels }
     }
 
-    /// Receive antennas.
-    pub fn nr(&self) -> usize {
-        self.nr
-    }
-
-    /// Transmit streams.
-    pub fn nt(&self) -> usize {
-        self.nt
-    }
-
     /// Number of recorded channels.
     pub fn len(&self) -> usize {
         self.channels.len()
@@ -64,24 +54,6 @@ impl TraceSet {
     /// Borrow of the recorded channels.
     pub fn channels(&self) -> &[CMat] {
         &self.channels
-    }
-
-    /// The `i`-th channel.
-    pub fn get(&self, i: usize) -> &CMat {
-        &self.channels[i]
-    }
-
-    /// Restricts every channel to its first `nt` columns — the paper builds
-    /// its "6 to 12 users → 12-antenna AP" sweep (Fig. 10) this way from the
-    /// combined 1×12 user traces.
-    pub fn with_users(&self, nt: usize) -> TraceSet {
-        assert!(nt >= 1 && nt <= self.nt, "with_users: bad user count");
-        let channels = self
-            .channels
-            .iter()
-            .map(|h| CMat::from_fn(self.nr, nt, |r, c| h[(r, c)]))
-            .collect();
-        TraceSet::new(channels)
     }
 }
 
@@ -111,7 +83,11 @@ pub fn write_traces<W: Write>(w: &mut W, set: &TraceSet) -> io::Result<()> {
 
 /// Parses a trace set from a reader.
 ///
-/// Returns an error describing the first malformed line, if any.
+/// Returns an [`io::ErrorKind::InvalidData`] error describing the first
+/// malformed line, if any: a bad header, dimensions whose product
+/// overflows, a body shorter than the header promises, or an entry that is
+/// not a finite number. The header sizes nothing up front, so memory grows
+/// only with the lines the file delivers.
 pub fn read_traces<R: BufRead>(r: &mut R) -> io::Result<TraceSet> {
     let mut lines = r.lines();
     let header = lines.next().ok_or_else(|| bad("empty trace file"))??;
@@ -125,33 +101,34 @@ pub fn read_traces<R: BufRead>(r: &mut R) -> io::Result<TraceSet> {
     if nr == 0 || nt == 0 || count == 0 {
         return Err(bad("zero dimension in header"));
     }
-    let mut channels = Vec::with_capacity(count);
+    let per_channel = nr
+        .checked_mul(nt)
+        .ok_or_else(|| bad(&format!("{nr} × {nt} entries per channel overflow")))?;
+    let (mut channels, mut entries) = (Vec::new(), Vec::new());
     for ci in 0..count {
-        let mut h = CMat::zeros(nr, nt);
-        for r in 0..nr {
-            for c in 0..nt {
-                let line = loop {
-                    let l = lines
-                        .next()
-                        .ok_or_else(|| bad(&format!("truncated trace (channel {ci})")))??;
-                    let t = l.trim();
-                    if !t.is_empty() && !t.starts_with('#') {
-                        break t.to_string();
-                    }
-                };
-                let mut it = line.split_whitespace();
-                let re: f64 = it
+        entries.clear();
+        for _ in 0..per_channel {
+            let line = loop {
+                let l = lines
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad(&format!("bad entry: {line:?}")))?;
-                let im: f64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad(&format!("bad entry: {line:?}")))?;
-                h[(r, c)] = Cx::new(re, im);
-            }
+                    .ok_or_else(|| bad(&format!("truncated trace (channel {ci})")))??;
+                let t = l.trim();
+                if !t.is_empty() && !t.starts_with('#') {
+                    break t.to_string();
+                }
+            };
+            let mut it = line.split_whitespace();
+            let mut part = || {
+                it.next()
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .filter(|v| v.is_finite())
+                    .ok_or_else(|| bad(&format!("bad entry: {line:?}")))
+            };
+            let re = part()?;
+            let im = part()?;
+            entries.push(Cx::new(re, im));
         }
-        channels.push(h);
+        channels.push(CMat::from_fn(nr, nt, |r, c| entries[r * nt + c]));
     }
     Ok(TraceSet::new(channels))
 }
@@ -218,18 +195,37 @@ mod tests {
         assert!(read_traces(&mut &buf[..cut]).is_err());
     }
 
+    /// The error a malformed trace text reads as, which must be
+    /// `InvalidData` rather than a panic or an abort.
+    fn invalid(text: &str) -> String {
+        let err = read_traces(&mut text.as_bytes()).expect_err("malformed trace accepted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    }
+
     #[test]
-    fn with_users_takes_prefix_columns() {
-        let set = sample_set(3);
-        let sub = set.with_users(2);
-        assert_eq!(sub.nt(), 2);
-        assert_eq!(sub.len(), 3);
-        for i in 0..3 {
-            for r in 0..4 {
-                for c in 0..2 {
-                    assert_eq!(sub.get(i)[(r, c)], set.get(i)[(r, c)]);
-                }
-            }
+    fn count_that_overflows_a_capacity_reads_as_truncated() {
+        let err = invalid("flexcore-trace v1 1 1 18446744073709551615\n0 0\n");
+        assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn huge_count_over_a_short_body_reads_as_truncated() {
+        let err = invalid("flexcore-trace v1 4 4 1152921504606846976\n1 0\n");
+        assert!(err.contains("truncated"), "{err}");
+    }
+
+    #[test]
+    fn dimensions_whose_product_overflows_are_rejected() {
+        let err = invalid("flexcore-trace v1 4294967296 4294967296 1\n0 0\n");
+        assert!(err.contains("overflow"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_entries_are_rejected() {
+        for entry in ["NaN 0", "inf 1", "0 -inf", "1 nan"] {
+            let err = invalid(&format!("flexcore-trace v1 1 1 1\n{entry}\n"));
+            assert!(err.contains("bad entry"), "{entry}: {err}");
         }
     }
 

@@ -14,13 +14,13 @@
 use std::hint::select_unpredictable;
 
 /// Constraint length of the 802.11 code.
-pub const CONSTRAINT: usize = 7;
+pub(crate) const CONSTRAINT: usize = 7;
 /// Number of trellis states (`2^(K−1)`).
-pub const STATES: usize = 1 << (CONSTRAINT - 1);
+pub(crate) const STATES: usize = 1 << (CONSTRAINT - 1);
 /// Generator polynomial `g0` (octal 133).
-pub const G0: u32 = 0o133;
+pub(crate) const G0: u32 = 0o133;
 /// Generator polynomial `g1` (octal 171).
-pub const G1: u32 = 0o171;
+pub(crate) const G1: u32 = 0o171;
 /// Butterflies per trellis step: predecessors `2j`, `2j + 1` feed states
 /// `j` (input 0) and `j + BUTTERFLIES` (input 1).
 const BUTTERFLIES: usize = STATES / 2;
@@ -136,7 +136,7 @@ pub enum CodeRate {
 
 impl CodeRate {
     /// The rate as a fraction `(num, den)` of info bits per coded bit.
-    pub fn fraction(self) -> (usize, usize) {
+    pub(crate) fn fraction(self) -> (usize, usize) {
         match self {
             CodeRate::Half => (1, 2),
             CodeRate::TwoThirds => (2, 3),
@@ -184,11 +184,6 @@ impl ConvCode {
     /// Builds the code at the given rate.
     pub fn new(rate: CodeRate) -> Self {
         ConvCode { rate }
-    }
-
-    /// The configured rate.
-    pub fn rate(&self) -> CodeRate {
-        self.rate
     }
 
     /// Number of coded bits produced for `info_len` information bits

@@ -50,7 +50,7 @@ const fn bit_step(crc: u32, b: u8) -> u32 {
 ///
 /// # Panics
 /// Panics if any entry is not 0 or 1.
-pub fn crc32_bits(bits: &[u8]) -> u32 {
+pub(crate) fn crc32_bits(bits: &[u8]) -> u32 {
     let worst = bits.iter().fold(0, |worst, &b| worst.max(b));
     assert!(worst <= 1, "crc32_bits: non-bit value {worst}");
     let mut crc: u32 = 0xFFFF_FFFF;

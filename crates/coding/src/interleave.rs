@@ -9,7 +9,6 @@
 /// Interleaver for one OFDM symbol's worth of coded bits.
 #[derive(Clone, Debug)]
 pub struct Interleaver {
-    n_cbps: usize,
     /// `perm[k]` = output position of input bit `k`.
     perm: Vec<usize>,
     /// Inverse permutation.
@@ -42,27 +41,7 @@ impl Interleaver {
         for (k, &j) in perm.iter().enumerate() {
             inv[j] = k;
         }
-        Interleaver { n_cbps, perm, inv }
-    }
-
-    /// Block size in bits.
-    pub fn block_len(&self) -> usize {
-        self.n_cbps
-    }
-
-    /// Interleaves one block.
-    ///
-    /// # Panics
-    /// Panics if `bits.len() != block_len()`.
-    pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len(), self.n_cbps, "interleave: wrong block size");
-        self.interleave_stream(bits)
-    }
-
-    /// Inverts [`Interleaver::interleave`].
-    pub fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len(), self.n_cbps, "deinterleave: wrong block size");
-        self.deinterleave_stream(bits)
+        Interleaver { perm, inv }
     }
 
     /// Interleaves a multi-block stream (length must be a multiple of the
@@ -116,6 +95,41 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Single-block forms: the product interleaves whole streams.
+    impl Interleaver {
+        /// Block size in bits.
+        fn block_len(&self) -> usize {
+            self.perm.len()
+        }
+
+        /// Interleaves one block.
+        fn interleave(&self, bits: &[u8]) -> Vec<u8> {
+            assert_eq!(bits.len(), self.block_len(), "interleave: wrong block size");
+            self.interleave_stream(bits)
+        }
+
+        /// Inverts `interleave`.
+        fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
+            assert_eq!(
+                bits.len(),
+                self.block_len(),
+                "deinterleave: wrong block size"
+            );
+            self.deinterleave_stream(bits)
+        }
+    }
+
+    #[test]
+    fn interleaver_is_a_bijection() {
+        // 256 seeded random blocks of the 48 × 2 (QPSK) numerology.
+        let il = Interleaver::new(48, 2);
+        let mut rng = StdRng::seed_from_u64(0x1EAF);
+        for _ in 0..256 {
+            let bits: Vec<u8> = (0..96).map(|_| rng.gen_range(0..2)).collect();
+            assert_eq!(il.deinterleave(&il.interleave(&bits)), bits);
+        }
+    }
 
     #[test]
     fn permutation_is_bijective() {

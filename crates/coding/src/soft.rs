@@ -11,29 +11,30 @@ use crate::conv::{label_costs, ConvCode, Received, StepCosts, ViterbiScratch};
 
 /// LLR magnitude clamp: keeps path metrics well-conditioned and mirrors
 /// fixed-point detector outputs.
-pub const LLR_CLAMP: f64 = 50.0;
+pub(crate) const LLR_CLAMP: f64 = 50.0;
 
 impl ConvCode {
-    /// Decodes `info_len` information bits from per-coded-bit LLRs.
+    /// Allocating form of [`ConvCode::decode_soft_into`], for tests.
+    #[cfg(test)]
+    pub(crate) fn decode_soft(&self, llrs: &[f64], info_len: usize) -> Vec<u8> {
+        let (mut scratch, mut decoded) = (ViterbiScratch::default(), Vec::new());
+        self.decode_soft_into(llrs, info_len, &mut scratch, &mut decoded);
+        decoded
+    }
+
+    /// Decodes `info_len` information bits from per-coded-bit LLRs into
+    /// caller-owned buffers: `decoded` is overwritten with the bits.
     ///
     /// `llrs` must contain exactly the *transmitted* coded positions (the
     /// same layout [`ConvCode::encode`] emits, after puncturing). Branch
     /// metrics are the max-log path costs `Σ cost(bit_hyp, llr)` with
     /// `cost(0, llr) = max(−llr, 0)` and `cost(1, llr) = max(llr, 0)`, so
     /// a confident LLR penalises the disagreeing hypothesis by |llr|.
-    /// LLRs beyond ±[`LLR_CLAMP`] (±∞ included) clamp to it; a NaN LLR is
-    /// an erasure (`0.0`, what a punctured position reads).
+    /// LLRs beyond ±`LLR_CLAMP` (50; ±∞ included) clamp to it; a NaN LLR
+    /// is an erasure (`0.0`, what a punctured position reads).
     ///
     /// # Panics
     /// Panics if `llrs.len()` differs from the coded length.
-    pub fn decode_soft(&self, llrs: &[f64], info_len: usize) -> Vec<u8> {
-        let (mut scratch, mut decoded) = (ViterbiScratch::default(), Vec::new());
-        self.decode_soft_into(llrs, info_len, &mut scratch, &mut decoded);
-        decoded
-    }
-
-    /// [`ConvCode::decode_soft`] into caller-owned buffers: `decoded` is
-    /// overwritten with the `info_len` information bits.
     pub fn decode_soft_into(
         &self,
         llrs: &[f64],
@@ -80,9 +81,9 @@ pub(crate) fn branch_cost(out: u8, pair: &[f64; 2]) -> f64 {
     cost(out >> 1, pair[0]) + cost(out & 1, pair[1])
 }
 
-/// Converts hard bits to saturated LLRs (for testing and for mixing hard
-/// and soft stages).
-pub fn hard_to_llr(bits: &[u8]) -> Vec<f64> {
+/// Converts hard bits to saturated LLRs: the soft decoder's test input.
+#[cfg(test)]
+pub(crate) fn hard_to_llr(bits: &[u8]) -> Vec<f64> {
     bits.iter()
         .map(|&b| if b == 0 { LLR_CLAMP } else { -LLR_CLAMP })
         .collect()

@@ -1013,6 +1013,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The constellation's level→amplitude scale: the point nearest the
+    /// origin sits one grid unit out on each axis.
+    fn unit_level(c: &Constellation) -> f64 {
+        c.point(c.slice(Cx::ZERO)).re.abs()
+    }
+
     fn ser(det: &mut dyn Detector, snr: f64, nt: usize, trials: usize, seed: u64) -> f64 {
         let c = Constellation::new(Modulation::Qam16);
         let ens = ChannelEnsemble::iid(nt, nt);
@@ -1514,7 +1520,7 @@ mod tests {
         let (mut far, mut points) = (0usize, 0usize);
         for m in [Modulation::Qpsk, Modulation::Qam16] {
             let c = Constellation::new(m);
-            let side = c.grid_side() as i32;
+            let side = (c.order() as f64).sqrt() as i32;
             let near = -2..side + 2;
             let coord = |rng: &mut StdRng| {
                 if rng.gen_range(0..4) == 0 {
@@ -1543,7 +1549,9 @@ mod tests {
                         let mut ybars = vec![Cx::ZERO; LANES * nt];
                         for ybar in ybars.chunks_exact_mut(nt) {
                             let x: Vec<Cx> = (0..nt)
-                                .map(|_| Cx::new(coord(&mut rng), coord(&mut rng)).scale(c.scale()))
+                                .map(|_| {
+                                    Cx::new(coord(&mut rng), coord(&mut rng)).scale(unit_level(&c))
+                                })
                                 .collect();
                             tri.qr.q.mul_vec_hermitian_into_scalar(&h.mul_vec(&x), ybar);
                         }
@@ -1689,8 +1697,11 @@ mod tests {
         // would skip that chain and crown path 2.
         let c = Constellation::new(Modulation::Qpsk);
         let mut fc = FlexCoreDetector::with_pes(c.clone(), 3);
-        fc.prepare(&CMat::identity(2), 0.1);
-        let e = Cx::new(0.3 * c.scale(), 0.1 * c.scale());
+        fc.prepare(
+            &CMat::from_fn(2, 2, |r, c| if r == c { Cx::real(1.0) } else { Cx::ZERO }),
+            0.1,
+        );
+        let e = Cx::new(0.3 * unit_level(&c), 0.1 * unit_level(&c));
         let on_point = c.point(0);
         let midway = Cx::new(0.0, on_point.im);
         // Ranks bottom row first, observations `[bottom, top]`.
@@ -1797,7 +1808,11 @@ mod tests {
         };
         let strict = with(PathOrdering::TriangleLutStrict);
         assert!(!shared(&strict));
-        assert!(table(&strict).strict() && !table(&det).strict());
+        assert!(Arc::ptr_eq(
+            &table(&strict),
+            &det.lut.shared_table(&c, true)
+        ));
+        assert!(Arc::ptr_eq(&table(&det), &det.lut.shared_table(&c, false)));
         assert!(with(PathOrdering::Exact).fast_lut.is_none());
     }
 

@@ -518,7 +518,7 @@ mod tests {
                     Cx::new(-0.0, 0.0),
                     Cx::new(-3.0, -0.0),
                 ];
-                let eff = tri.effective_point_lanes(CxLane::load(&zeros), &points, nt - 1);
+                let eff = tri.effective_point_lanes(CxLane::from_fn(|l| zeros[l]), &points, nt - 1);
                 for (l, &z) in zeros.iter().enumerate() {
                     let mut ybar_z = ybar.clone();
                     ybar_z[nt - 1] = z;

@@ -27,8 +27,9 @@
 //! Stages are coupled by the bounded channels of `flexcore-parallel`
 //! ([`flexcore_parallel::bounded`]): a slow detect stage back-pressures
 //! the transmitter instead of queueing unboundedly, so offered load beyond
-//! capacity shows up as latency — which is what the per-frame deadline
-//! (see `flexcore_hwmodel::lte::frame_deadline_s`) is measured against.
+//! capacity shows up as latency — which is what the per-frame deadline is
+//! measured against. The deadline is the `deadline_s` the caller passes to
+//! [`PipelinedCell::run`]; the pipeline only counts misses against it.
 //!
 //! **Pipelining is placement-only.** A batch's result depends on exactly
 //! two things: the prepared detector state it runs against and the batch

@@ -355,8 +355,9 @@ mod tests {
             for _ in 0..600 {
                 s.advance(&mut rng);
                 let cur = s.truth(0);
-                for (a, b) in cur.as_slice().iter().zip(prev.as_slice()) {
-                    num += a.mul_conj(*b).re;
+                let prev_entries = (0..prev.rows()).flat_map(|r| prev.row(r));
+                for (a, b) in (0..cur.rows()).flat_map(|r| cur.row(r)).zip(prev_entries) {
+                    num += a.re * b.re + a.im * b.im; // Re(a·conj(b))
                     den += b.norm_sqr();
                 }
                 prev = cur.clone();
@@ -436,7 +437,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sigma2 must be finite and >= 0: -0.01")]
     fn a_frozen_stream_with_negative_noise_variance_is_rejected() {
-        let _ = ChannelStream::frozen(CMat::identity(2), 3, -0.01);
+        let _ = ChannelStream::frozen(CMat::zeros(2, 2), 3, -0.01);
     }
 
     #[test]

@@ -38,12 +38,6 @@ use crate::gpu::{CpuModel, GpuModel};
 /// This is the work quantum both the detectors' `effort()` values and the
 /// [`PeCost`] models are denominated in: a FlexCore detector with `|E|`
 /// active paths spends `|E|` units per received vector.
-///
-/// ```
-/// use flexcore_hwmodel::WorkUnit;
-/// let w = WorkUnit::new(8, 16); // 8×8 MIMO, 16-QAM
-/// assert_eq!(w.bits_per_vector(), 8 * 4);
-/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkUnit {
     /// Transmit streams (tree height).
@@ -69,12 +63,7 @@ impl WorkUnit {
     }
 
     /// Information bits one detected vector carries: `nt · log2(q)`.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::WorkUnit;
-    /// assert_eq!(WorkUnit::new(12, 64).bits_per_vector(), 72);
-    /// ```
-    pub fn bits_per_vector(&self) -> usize {
+    pub(crate) fn bits_per_vector(&self) -> usize {
         self.nt * self.q.ilog2() as usize
     }
 }
@@ -83,8 +72,7 @@ impl WorkUnit {
 /// of work — the common denominator over the FPGA, GPU and CPU models.
 ///
 /// Implementations are *throughput* costs: the steady-state occupancy one
-/// unit adds to a PE, not the fill latency of a cold pipeline (the FPGA
-/// model keeps [`FpgaModel::pipeline_latency_cycles`] for that). A PE with
+/// unit adds to a PE, not the fill latency of a cold pipeline. A PE with
 /// speed factor `s` in a [`HeterogeneousFabric`] finishes a unit in
 /// [`PeCost::unit_seconds`]` / s`.
 ///
@@ -133,10 +121,10 @@ impl PeCost for FpgaModel {
 }
 
 /// On the GPU one tree path is one thread (§4), so the unit cost is the
-/// whole-descent thread cost [`GpuModel::path_cycles`] — `cycles_per_level
+/// whole-descent thread cost `GpuModel::path_cycles` — `cycles_per_level
 /// · nt(nt+3)/2`, with `cycles_per_level = 220` calibrated against the
 /// paper's Fig. 12 path budgets — times the ×1.60 FlexCore per-thread
-/// overhead ([`GpuModel::FLEXCORE_THREAD_OVERHEAD`]). The reference PE is
+/// overhead (`GpuModel::FLEXCORE_THREAD_OVERHEAD`). The reference PE is
 /// one resident thread; a whole SM is represented in a fabric as a PE with
 /// speed factor `cores_per_sm`.
 impl PeCost for GpuModel {
@@ -251,17 +239,6 @@ impl HeterogeneousFabric {
         HeterogeneousFabric { name, classes }
     }
 
-    /// A fabric of `n` identical reference-speed PEs.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::HeterogeneousFabric;
-    /// let f = HeterogeneousFabric::uniform("flat", 4);
-    /// assert_eq!(f.speed_factors(), vec![1.0; 4]);
-    /// ```
-    pub fn uniform(name: &'static str, n: usize) -> Self {
-        Self::new(name, vec![PeClass::new("pe", n, 1.0)])
-    }
-
     /// The XCVU440 FPGA fabric: `m` identical pipelined detection engines.
     /// Engines stamped from the same RTL close timing together, so the
     /// fabric is uniform — heterogeneity on the FPGA shows up as *how
@@ -310,16 +287,11 @@ impl HeterogeneousFabric {
         )
     }
 
-    /// The PE classes, in declaration order.
-    pub fn classes(&self) -> &[PeClass] {
-        &self.classes
-    }
-
     /// Total number of PEs across all classes.
     ///
     /// ```
     /// use flexcore_hwmodel::HeterogeneousFabric;
-    /// assert_eq!(HeterogeneousFabric::uniform("u", 5).n_pes(), 5);
+    /// assert_eq!(HeterogeneousFabric::fpga_engines(5).n_pes(), 5);
     /// ```
     pub fn n_pes(&self) -> usize {
         self.classes.iter().map(|c| c.count).sum()
@@ -347,7 +319,7 @@ impl HeterogeneousFabric {
     /// `units_per_vector` path-extension units: the fabric completes
     /// `total_speed / unit_seconds` units/s, each vector costs
     /// `units_per_vector` of them and yields
-    /// [`WorkUnit::bits_per_vector`] bits.
+    /// `nt · log2|Q|` bits.
     ///
     /// `flexcore-sim`'s `hwtable` driver multiplies this by the
     /// scheduler's packing efficiency to get table throughput.
@@ -384,6 +356,12 @@ impl HeterogeneousFabric {
 mod tests {
     use super::*;
     use crate::fpga::EngineKind;
+
+    #[test]
+    fn bits_per_vector_is_nt_log2_q() {
+        assert_eq!(WorkUnit::new(8, 16).bits_per_vector(), 8 * 4);
+        assert_eq!(WorkUnit::new(12, 64).bits_per_vector(), 72);
+    }
 
     #[test]
     fn fpga_unit_cost_is_one_cycle_at_fmax() {
@@ -434,7 +412,6 @@ mod tests {
         assert_eq!(f.speed_factors(), vec![4.0, 4.0, 1.0, 1.0, 1.0]);
         assert_eq!(f.n_pes(), 5);
         assert_eq!(f.total_speed(), 11.0);
-        assert_eq!(f.classes().len(), 2);
     }
 
     #[test]
@@ -469,7 +446,7 @@ mod tests {
         let cpu = CpuModel::fx8120();
         let w = WorkUnit::new(8, 16);
         let hetero = HeterogeneousFabric::lte_smallcell(); // total speed 14
-        let slow = HeterogeneousFabric::uniform("slow", 8); // total speed 8
+        let slow = HeterogeneousFabric::new("slow", vec![PeClass::new("pe", 8, 1.0)]); // total speed 8
         assert!(
             hetero.ideal_throughput_bps(&cpu, &w, 16.0) > slow.ideal_throughput_bps(&cpu, &w, 16.0)
         );

@@ -31,8 +31,9 @@ pub enum EngineKind {
 ///
 /// ```
 /// use flexcore_hwmodel::{EngineKind, FpgaModel};
+/// // Table 3 anchor, Nt = 8 FlexCore: 3 206 logic + 15 276 memory LUTs.
 /// let pe = FpgaModel::new(EngineKind::FlexCore, 8, 64).single_pe();
-/// assert_eq!(pe.total_luts(), pe.lut_logic + pe.lut_mem);
+/// assert_eq!((pe.lut_logic, pe.lut_mem), (3206.0, 15276.0));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct PeResources {
@@ -50,33 +51,16 @@ pub struct PeResources {
 
 impl PeResources {
     /// Total LUTs (logic + memory).
-    ///
-    /// ```
-    /// use flexcore_hwmodel::{EngineKind, FpgaModel};
-    /// // Table 3 anchor, Nt = 8 FlexCore: 3 206 + 15 276 LUTs.
-    /// let pe = FpgaModel::new(EngineKind::FlexCore, 8, 64).single_pe();
-    /// assert_eq!(pe.total_luts(), 3206.0 + 15276.0);
-    /// ```
-    pub fn total_luts(&self) -> f64 {
+    pub(crate) fn total_luts(&self) -> f64 {
         self.lut_logic + self.lut_mem
-    }
-
-    fn scale(&self, k: f64) -> PeResources {
-        PeResources {
-            lut_logic: self.lut_logic * k,
-            lut_mem: self.lut_mem * k,
-            ff_pairs: self.ff_pairs * k,
-            clb_slices: self.clb_slices * k,
-            dsp48: self.dsp48 * k,
-        }
     }
 }
 
 /// Device capacity (the paper's Virtex UltraScale XCVU440).
 ///
 /// ```
-/// use flexcore_hwmodel::FpgaDevice;
-/// let dev = FpgaDevice::xcvu440();
+/// use flexcore_hwmodel::{EngineKind, FpgaModel};
+/// let dev = FpgaModel::new(EngineKind::FlexCore, 8, 64).device;
 /// assert_eq!(dev.dsp48, 2880.0);
 /// assert_eq!(dev.max_utilisation, 0.75);
 /// ```
@@ -93,12 +77,7 @@ pub struct FpgaDevice {
 
 impl FpgaDevice {
     /// XCVU440: 2,532,960 CLB LUTs, 2,880 DSP48E2 slices.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::FpgaDevice;
-    /// assert_eq!(FpgaDevice::xcvu440().luts, 2_532_960.0);
-    /// ```
-    pub fn xcvu440() -> Self {
+    pub(crate) fn xcvu440() -> Self {
         FpgaDevice {
             luts: 2_532_960.0,
             dsp48: 2_880.0,
@@ -261,21 +240,6 @@ impl FpgaModel {
         STATIC_POWER_W + (single - STATIC_POWER_W) * m as f64
     }
 
-    /// Pipeline latency in cycles for one path: the paper's FCSD spans 95
-    /// (Nt=8) to 150 (Nt=12) cycles; FlexCore adds ≥5 cycles per level.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::{EngineKind, FpgaModel};
-    /// assert_eq!(FpgaModel::new(EngineKind::Fcsd, 8, 64).pipeline_latency_cycles(), 95.0);
-    /// ```
-    pub fn pipeline_latency_cycles(&self) -> f64 {
-        let base = affine(8.0, 95.0, 12.0, 150.0, self.nt as f64);
-        match self.kind {
-            EngineKind::Fcsd => base,
-            EngineKind::FlexCore => base + 5.0 * self.nt as f64,
-        }
-    }
-
     /// Maximum PEs that fit the device at its utilisation ceiling.
     ///
     /// ```
@@ -288,17 +252,6 @@ impl FpgaModel {
         let by_lut = self.device.luts * self.device.max_utilisation / pe.total_luts();
         let by_dsp = self.device.dsp48 * self.device.max_utilisation / pe.dsp48;
         by_lut.min(by_dsp).floor() as usize
-    }
-
-    /// Resources for `m` PEs.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::{EngineKind, FpgaModel};
-    /// let m = FpgaModel::new(EngineKind::Fcsd, 8, 64);
-    /// assert_eq!(m.resources(4).dsp48, 4.0 * m.single_pe().dsp48);
-    /// ```
-    pub fn resources(&self, m: usize) -> PeResources {
-        self.single_pe().scale(m as f64)
     }
 
     /// Sustained processing throughput in bits/second with `m` pipelined
@@ -333,19 +286,6 @@ impl FpgaModel {
         self.power_w(m) / self.throughput_bps(m, paths)
     }
 
-    /// Detection latency (s) for one batch of `nsc` subcarriers with `m`
-    /// PEs and `paths` paths per vector: pipeline fill + streaming drain.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::{EngineKind, FpgaModel};
-    /// let m = FpgaModel::new(EngineKind::FlexCore, 8, 64);
-    /// assert!(m.batch_latency_s(1200, 16, 32) < m.batch_latency_s(1200, 8, 32));
-    /// ```
-    pub fn batch_latency_s(&self, nsc: usize, m: usize, paths: usize) -> f64 {
-        let cycles = self.pipeline_latency_cycles() + (nsc as f64 * paths as f64 / m as f64).ceil();
-        cycles / self.fmax_hz()
-    }
-
     /// Area–delay product for a single PE (used by Table 3's caption
     /// comparison): CLB slices × critical-path delay.
     ///
@@ -364,6 +304,18 @@ impl FpgaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn xcvu440_capacity_and_table3_lut_anchor() {
+        let dev = FpgaDevice::xcvu440();
+        assert_eq!(dev.luts, 2_532_960.0);
+        assert_eq!(dev.dsp48, 2880.0);
+        assert_eq!(dev.max_utilisation, 0.75);
+        // Table 3 anchor, Nt = 8 FlexCore: 3 206 + 15 276 LUTs.
+        let pe = FpgaModel::new(EngineKind::FlexCore, 8, 64).single_pe();
+        assert_eq!(pe.total_luts(), pe.lut_logic + pe.lut_mem);
+        assert_eq!(pe.total_luts(), 3206.0 + 15276.0);
+    }
 
     #[test]
     fn table3_anchors_reproduce_exactly() {
@@ -438,9 +390,10 @@ mod tests {
         assert!(cap >= 32, "must fit at least the paper's M=32, got {cap}");
         assert!(cap < 200, "cap should be finite and modest, got {cap}");
         // Resources at the cap stay within the ceiling.
-        let r = m.resources(cap);
-        assert!(r.total_luts() <= m.device.luts * m.device.max_utilisation);
-        assert!(r.dsp48 <= m.device.dsp48 * m.device.max_utilisation);
+        let pe = m.single_pe();
+        let n = cap as f64;
+        assert!(n * pe.total_luts() <= m.device.luts * m.device.max_utilisation);
+        assert!(n * pe.dsp48 <= m.device.dsp48 * m.device.max_utilisation);
     }
 
     #[test]
@@ -465,19 +418,5 @@ mod tests {
         let t1 = m.throughput_bps(1, 32);
         let t4 = m.throughput_bps(4, 32);
         assert!((t4 / t1 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_model() {
-        let fcsd8 = FpgaModel::new(EngineKind::Fcsd, 8, 64);
-        let fcsd12 = FpgaModel::new(EngineKind::Fcsd, 12, 64);
-        assert_eq!(fcsd8.pipeline_latency_cycles(), 95.0);
-        assert_eq!(fcsd12.pipeline_latency_cycles(), 150.0);
-        let fc8 = FpgaModel::new(EngineKind::FlexCore, 8, 64);
-        assert_eq!(fc8.pipeline_latency_cycles(), 95.0 + 40.0);
-        // Batch latency grows with paths and shrinks with PEs.
-        let a = fc8.batch_latency_s(1200, 8, 32);
-        let b = fc8.batch_latency_s(1200, 16, 32);
-        assert!(b < a);
     }
 }

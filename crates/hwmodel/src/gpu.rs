@@ -50,15 +50,7 @@ impl GpuModel {
     /// arithmetic/branching applied to the topmost level, §4). Calibrated
     /// jointly with `cycles_per_level` against the paper's measured
     /// |E|=128-vs-L=2 speedup ("up to 19×").
-    ///
-    /// ```
-    /// use flexcore_hwmodel::GpuModel;
-    /// let gpu = GpuModel::gtx970();
-    /// // FlexCore threads cost more than FCSD threads at equal counts.
-    /// assert!(gpu.flexcore_time_s(1024, 64, 12, 64) > gpu.fcsd_time_s(1024, 64, 1, 12) / 2.0);
-    /// assert_eq!(GpuModel::FLEXCORE_THREAD_OVERHEAD, 1.60);
-    /// ```
-    pub const FLEXCORE_THREAD_OVERHEAD: f64 = 1.60;
+    pub(crate) const FLEXCORE_THREAD_OVERHEAD: f64 = 1.60;
 
     /// The paper's NVIDIA GTX 970 (Maxwell): 13 SMs × 128 cores, 1.05 GHz,
     /// 145 W TDP. `cycles_per_level` (effective cycles per tree level per
@@ -84,26 +76,13 @@ impl GpuModel {
     }
 
     /// Threads resident across the device.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::GpuModel;
-    /// assert_eq!(GpuModel::gtx970().concurrent_threads(), 13 * 128);
-    /// ```
-    pub fn concurrent_threads(&self) -> usize {
+    pub(crate) fn concurrent_threads(&self) -> usize {
         self.sm_count * self.cores_per_sm
     }
 
     /// Raw kernel compute time for `threads` threads of `cycles` cycles
     /// each (no launch overhead).
-    ///
-    /// ```
-    /// use flexcore_hwmodel::GpuModel;
-    /// let gpu = GpuModel::gtx970();
-    /// // One extra thread beyond full residency starts a second wave.
-    /// let full = gpu.kernel_time_s(gpu.concurrent_threads(), 100.0);
-    /// assert_eq!(gpu.kernel_time_s(gpu.concurrent_threads() + 1, 100.0), 2.0 * full);
-    /// ```
-    pub fn kernel_time_s(&self, threads: usize, cycles: f64) -> f64 {
+    pub(crate) fn kernel_time_s(&self, threads: usize, cycles: f64) -> f64 {
         if threads == 0 {
             return 0.0;
         }
@@ -112,13 +91,7 @@ impl GpuModel {
     }
 
     /// Host→device transfer time.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::GpuModel;
-    /// // 12 GB at 12 GB/s takes one second.
-    /// assert!((GpuModel::gtx970().transfer_time_s(12_000_000_000) - 1.0).abs() < 1e-12);
-    /// ```
-    pub fn transfer_time_s(&self, bytes: usize) -> f64 {
+    pub(crate) fn transfer_time_s(&self, bytes: usize) -> f64 {
         bytes as f64 / self.pcie_bw
     }
 
@@ -128,13 +101,7 @@ impl GpuModel {
     /// `cycles_per_level · nt·(nt+3)/2`. This is the FCSD thread cost; the
     /// [`PeCost`](crate::PeCost) view of this model multiplies in
     /// [`GpuModel::FLEXCORE_THREAD_OVERHEAD`] for FlexCore threads.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::GpuModel;
-    /// let gpu = GpuModel::gtx970();
-    /// assert_eq!(gpu.path_cycles(8), 220.0 * 8.0 * 11.0 / 2.0);
-    /// ```
-    pub fn path_cycles(&self, nt: usize) -> f64 {
+    pub(crate) fn path_cycles(&self, nt: usize) -> f64 {
         self.cycles_per_level * (nt as f64) * (nt as f64 + 3.0) / 2.0
     }
 
@@ -168,14 +135,7 @@ impl GpuModel {
     /// products), so like the QR factors they amortise across the many
     /// detection batches of a packet and are excluded from the per-batch
     /// critical path.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::GpuModel;
-    /// let gpu = GpuModel::gtx970();
-    /// // Fewer paths, faster detection.
-    /// assert!(gpu.flexcore_time_s(4096, 32, 12, 64) < gpu.flexcore_time_s(4096, 256, 12, 64));
-    /// ```
-    pub fn flexcore_time_s(&self, nsc: usize, e: usize, nt: usize, q: usize) -> f64 {
+    pub(crate) fn flexcore_time_s(&self, nsc: usize, e: usize, nt: usize, q: usize) -> f64 {
         let _ = q;
         let threads = nsc * e;
         self.batch_time_s(
@@ -203,18 +163,6 @@ impl GpuModel {
     /// ```
     pub fn speedup_vs_fcsd(&self, e: usize, nsc: usize, q: usize, l: u32, nt: usize) -> f64 {
         self.fcsd_time_s(nsc, q, l, nt) / self.flexcore_time_s(nsc, e, nt, q)
-    }
-
-    /// Energy per information bit for a detection batch that carries
-    /// `bits` information bits and takes `time_s` seconds.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::GpuModel;
-    /// // 145 W for 1 s over 145 bits = 1 J/bit.
-    /// assert!((GpuModel::gtx970().joules_per_bit(1.0, 145.0) - 1.0).abs() < 1e-12);
-    /// ```
-    pub fn joules_per_bit(&self, time_s: f64, bits: f64) -> f64 {
-        self.power_w * time_s / bits
     }
 }
 
@@ -330,6 +278,28 @@ mod tests {
     }
 
     #[test]
+    fn thread_timing_internals() {
+        let gpu = GpuModel::gtx970();
+        assert_eq!(GpuModel::FLEXCORE_THREAD_OVERHEAD, 1.60);
+        assert_eq!(gpu.concurrent_threads(), 13 * 128);
+        // Calibration pins: a path is cycles_per_level · nt(nt+3)/2.
+        assert_eq!(gpu.path_cycles(8), 220.0 * 8.0 * 11.0 / 2.0);
+        assert!((gpu.path_cycles(12) - 19_800.0).abs() <= 1e-9 * 19_800.0);
+        // One extra thread beyond full residency starts a second wave.
+        let full = gpu.kernel_time_s(gpu.concurrent_threads(), 100.0);
+        assert_eq!(
+            gpu.kernel_time_s(gpu.concurrent_threads() + 1, 100.0),
+            2.0 * full
+        );
+        // 12 GB at 12 GB/s takes one second.
+        assert!((gpu.transfer_time_s(12_000_000_000) - 1.0).abs() < 1e-12);
+        // FlexCore threads cost more than FCSD threads at equal counts, and
+        // fewer paths detect faster.
+        assert!(gpu.flexcore_time_s(1024, 64, 12, 64) > gpu.fcsd_time_s(1024, 64, 1, 12) / 2.0);
+        assert!(gpu.flexcore_time_s(4096, 32, 12, 64) < gpu.flexcore_time_s(4096, 256, 12, 64));
+    }
+
+    #[test]
     fn speedup_grows_as_e_shrinks() {
         let gpu = GpuModel::gtx970();
         let mut prev = 0.0;
@@ -366,8 +336,10 @@ mod tests {
         let gpu = GpuModel::gtx970();
         let nsc = 16384;
         let bits = (nsc * 12 * 6) as f64; // info bits per batch
-        let e_fc = gpu.joules_per_bit(gpu.flexcore_time_s(nsc, 128, 12, 64), bits);
-        let e_fcsd = gpu.joules_per_bit(gpu.fcsd_time_s(nsc, 64, 2, 12), bits);
+
+        // Energy per information bit: power × batch time / bits.
+        let e_fc = gpu.power_w * gpu.flexcore_time_s(nsc, 128, 12, 64) / bits;
+        let e_fcsd = gpu.power_w * gpu.fcsd_time_s(nsc, 64, 2, 12) / bits;
         assert!(
             e_fcsd / e_fc > 1.9,
             "FCSD J/bit should be ≫ FlexCore's: {e_fcsd} vs {e_fc}"

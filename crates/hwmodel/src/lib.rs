@@ -9,13 +9,15 @@
 //! calibrated against the paper's published absolute anchors (Table 3,
 //! the 5.14× 8-thread OpenMP speedup, the 19× GPU headline).
 //!
-//! * [`gpu`] — a SIMT occupancy model (threads → warps → SMs) plus an
-//!   OpenMP-style multicore model and PCIe transfer costs → Fig. 11/12;
-//! * [`fpga`] — per-engine resource/latency/power composition anchored on
+//! * [`GpuModel`] / [`CpuModel`] — a SIMT occupancy model (threads → warps
+//!   → SMs) with PCIe transfer costs, plus an OpenMP-style multicore model
+//!   → Fig. 11/12;
+//! * [`FpgaModel`] — per-engine resource/power composition anchored on
 //!   Table 3 → Table 3 and Fig. 13;
-//! * [`lte`] — LTE frame timing (1.25–20 MHz modes, 500 µs slots) and the
-//!   "how many paths fit in the budget" solver → Fig. 12;
-//! * [`fabric`] — the **unified scheduling view**: every substrate reduced
+//! * [`LTE_MODES`] — LTE frame timing (1.25–20 MHz modes, 500 µs slots)
+//!   and the "how many paths fit in the budget" solver
+//!   ([`LteMode::max_flexcore_paths`]) → Fig. 12;
+//! * the **unified scheduling view**: every substrate reduced
 //!   to a [`PeCost`] (cycles per path-extension unit of work at a given
 //!   antenna/modulation config) and a [`HeterogeneousFabric`] (a pool of
 //!   PEs with per-PE speed factors) that `flexcore-parallel`'s
@@ -34,10 +36,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fabric;
-pub mod fpga;
-pub mod gpu;
-pub mod lte;
+mod fabric;
+mod fpga;
+mod gpu;
+mod lte;
 
 pub use fabric::{HeterogeneousFabric, PeClass, PeCost, WorkUnit};
 pub use fpga::{EngineKind, FpgaDevice, FpgaModel, PeResources};

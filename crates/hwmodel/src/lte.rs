@@ -8,7 +8,6 @@
 //! such budget; the FCSD only at powers of `|Q|` — which is why the paper
 //! finds it unsupported beyond the 1.25 MHz mode.
 
-use crate::fabric::{PeCost, WorkUnit};
 use crate::gpu::GpuModel;
 
 /// One LTE bandwidth mode.
@@ -17,7 +16,7 @@ use crate::gpu::GpuModel;
 /// use flexcore_hwmodel::LTE_MODES;
 /// let narrow = LTE_MODES[0];
 /// assert_eq!(narrow.bandwidth_mhz, 1.25);
-/// assert_eq!(narrow.vectors_per_slot(), 76 * 7);
+/// assert_eq!(narrow.occupied_subcarriers, 76);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LteMode {
@@ -62,27 +61,13 @@ pub const LTE_MODES: [LteMode; 6] = [
 ];
 
 /// Timeslot duration (s).
-///
-/// ```
-/// // An LTE 10 ms frame holds 20 of these.
-/// assert_eq!(20.0 * flexcore_hwmodel::lte::SLOT_S, 10e-3);
-/// ```
-pub const SLOT_S: f64 = 500e-6;
+pub(crate) const SLOT_S: f64 = 500e-6;
 /// OFDM symbols per slot (normal cyclic prefix).
-///
-/// ```
-/// assert_eq!(flexcore_hwmodel::lte::SYMBOLS_PER_SLOT, 7);
-/// ```
-pub const SYMBOLS_PER_SLOT: usize = 7;
+pub(crate) const SYMBOLS_PER_SLOT: usize = 7;
 
 impl LteMode {
     /// Received MIMO vectors that must be detected per timeslot.
-    ///
-    /// ```
-    /// use flexcore_hwmodel::LTE_MODES;
-    /// assert_eq!(LTE_MODES[2].vectors_per_slot(), 300 * 7);
-    /// ```
-    pub fn vectors_per_slot(&self) -> usize {
+    pub(crate) fn vectors_per_slot(&self) -> usize {
         self.occupied_subcarriers * SYMBOLS_PER_SLOT
     }
 
@@ -126,58 +111,6 @@ impl LteMode {
     }
 }
 
-/// Total detection work a path budget buys for one subframe, in abstract
-/// path-walk units: `budget_paths` tree paths for each of `n_vectors`
-/// received vectors. This is the currency the Fig. 12 budget vector is
-/// denominated in — [`LteMode::max_flexcore_paths`] answers *how many
-/// paths per vector fit the slot*, and this converts that per-vector
-/// budget into the subframe's total unit allowance.
-///
-/// ```
-/// use flexcore_hwmodel::{lte, GpuModel, LTE_MODES};
-/// let budget = LTE_MODES[0].max_flexcore_paths(&GpuModel::gtx970(), 8, 64);
-/// let units = lte::path_budget_units(budget, LTE_MODES[0].vectors_per_slot());
-/// assert_eq!(units, budget as u64 * (76 * 7) as u64);
-/// ```
-pub fn path_budget_units(budget_paths: usize, n_vectors: usize) -> u64 {
-    budget_paths as u64 * n_vectors as u64
-}
-
-/// The per-frame detection deadline implied by a Fig. 12 path budget on a
-/// concrete substrate: the wall-clock seconds a fabric of aggregate speed
-/// `total_speed` (see `HeterogeneousFabric::total_speed`; `1.0` for a
-/// single unit-speed PE) needs to walk
-/// [`path_budget_units`]`(budget_paths, n_vectors)` units when one unit
-/// costs [`PeCost::unit_seconds`]`(work)`. A frame whose detection takes
-/// longer than this is spending more than the slot budget affords — the
-/// deadline the pipelined cell's latency SLO and effort controller are
-/// measured against.
-///
-/// ```
-/// use flexcore_hwmodel::{lte, CpuModel, WorkUnit};
-/// let cost = CpuModel::fx8120();
-/// let work = WorkUnit::new(8, 64);
-/// let d1 = lte::frame_deadline_s(&cost, &work, 13, 600 * 7, 8.0);
-/// // Twice the aggregate speed halves the deadline; twice the budget
-/// // doubles it.
-/// let d2 = lte::frame_deadline_s(&cost, &work, 13, 600 * 7, 16.0);
-/// let d3 = lte::frame_deadline_s(&cost, &work, 26, 600 * 7, 8.0);
-/// assert!((d1 - 2.0 * d2).abs() < 1e-12 && (d3 - 2.0 * d1).abs() < 1e-12);
-/// ```
-pub fn frame_deadline_s<C: PeCost>(
-    cost: &C,
-    work: &WorkUnit,
-    budget_paths: usize,
-    n_vectors: usize,
-    total_speed: f64,
-) -> f64 {
-    assert!(
-        total_speed > 0.0,
-        "frame_deadline_s: fabric speed must be positive"
-    );
-    path_budget_units(budget_paths, n_vectors) as f64 * cost.unit_seconds(work) / total_speed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +125,12 @@ mod tests {
             assert!(w[1].occupied_subcarriers > w[0].occupied_subcarriers);
         }
         assert_eq!(LTE_MODES[0].vectors_per_slot(), 76 * 7);
+        assert_eq!(LTE_MODES[2].vectors_per_slot(), 300 * 7);
+        // Slot arithmetic is fixed by the standard, not by calibration:
+        // an LTE 10 ms frame holds 20 slots of 7 symbols.
+        assert_eq!(20.0 * SLOT_S, 10e-3);
+        assert_eq!(SYMBOLS_PER_SLOT, 7);
+        assert_eq!(LTE_MODES[5].vectors_per_slot(), 1200 * 7);
     }
 
     #[test]
@@ -228,35 +167,6 @@ mod tests {
         // same order of magnitude here.
         assert!(paths[0] >= 20, "1.25 MHz budget too small: {paths:?}");
         assert!(paths[5] <= 64, "20 MHz budget too large: {paths:?}");
-    }
-
-    #[test]
-    fn deadline_scales_with_budget_and_speed() {
-        use crate::gpu::CpuModel;
-        let cost = CpuModel::fx8120();
-        let work = WorkUnit::new(8, 64);
-        let gpu = GpuModel::gtx970();
-        // The Fig. 12 budget vector is monotone in bandwidth, so the
-        // implied deadlines for a fixed vector count must be too.
-        let deadlines: Vec<f64> = LTE_MODES
-            .iter()
-            .map(|m| {
-                let b = m.max_flexcore_paths(&gpu, 8, 64);
-                frame_deadline_s(&cost, &work, b, 76 * 7, 8.0)
-            })
-            .collect();
-        for w in deadlines.windows(2) {
-            assert!(
-                w[1] <= w[0],
-                "deadlines must shrink with bandwidth: {deadlines:?}"
-            );
-        }
-        assert!(deadlines.iter().all(|d| *d > 0.0));
-        // And the unit algebra: seconds = units × s/unit ÷ speed.
-        let b = LTE_MODES[2].max_flexcore_paths(&gpu, 8, 64);
-        let d = frame_deadline_s(&cost, &work, b, 300 * 7, 2.0);
-        let expect = path_budget_units(b, 300 * 7) as f64 * cost.unit_seconds(&work) / 2.0;
-        assert_eq!(d, expect);
     }
 
     #[test]

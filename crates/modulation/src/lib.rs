@@ -3,8 +3,9 @@
 //! Gray-mapped square QAM constellations and the symbol-ordering machinery
 //! FlexCore's parallel detection relies on.
 //!
-//! * [`qam`] — constellations (BPSK, QPSK, 16/64/256-QAM) normalised to unit
-//!   average symbol energy, Gray bit mapping, hard slicing;
+//! * [`Constellation`] / [`Modulation`] — constellations (BPSK, QPSK,
+//!   16/64/256-QAM) normalised to unit average symbol energy, Gray bit
+//!   mapping, hard slicing;
 //! * [`ordering`] — finding the *k-th closest* constellation symbol to an
 //!   arbitrary "effective received point":
 //!   an exact (sort-everything) oracle, and the paper's **approximate
@@ -21,8 +22,7 @@
 mod derive;
 mod octant;
 pub mod ordering;
-pub mod qam;
+mod qam;
 
-pub use octant::{triangle_index, triangle_index_fast};
 pub use ordering::{LocatedOrderingTable, OrderingLut};
 pub use qam::{Constellation, Modulation};

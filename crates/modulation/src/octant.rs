@@ -12,7 +12,7 @@
 /// square's centre, in *grid units* (square side = 2, so `dx, dy ∈ [−1, 1]`).
 /// Triangles are octants: index `i ∈ 0..8` covers angles
 /// `[i·45°, (i+1)·45°)`.
-pub fn triangle_index(dx: f64, dy: f64) -> usize {
+pub(crate) fn triangle_index(dx: f64, dy: f64) -> usize {
     let a = dy.atan2(dx); // (−π, π]
     let two_pi = 2.0 * std::f64::consts::PI;
     let norm = if a < 0.0 { a + two_pi } else { a };
@@ -36,7 +36,7 @@ pub fn triangle_index(dx: f64, dy: f64) -> usize {
 /// uses it to drop `atan2` from the per-chain locate without perturbing a
 /// single bit of any decision.
 #[inline]
-pub fn triangle_index_fast(dx: f64, dy: f64) -> usize {
+pub(crate) fn triangle_index_fast(dx: f64, dy: f64) -> usize {
     const GUARD: f64 = 1e-9;
     let ax = dx.abs();
     let ay = dy.abs();

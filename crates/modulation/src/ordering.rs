@@ -30,8 +30,8 @@
 //! depend on nothing but the modulation, and every [`OrderingLut`] of it
 //! (any depth, any detector clone) reads the same `static` slices.
 
+use crate::octant::triangle_index_fast;
 use crate::qam::{Constellation, Modulation};
-use crate::triangle_index_fast;
 use flexcore_numeric::{Cx, LANES};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -118,16 +118,6 @@ impl OrderingLut {
         }
     }
 
-    /// The modulation this table was built for.
-    pub fn modulation(&self) -> Modulation {
-        self.modulation
-    }
-
-    /// Largest `k` this table can answer.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// The approximate `k`-th closest symbol index to the effective point
     /// `y` (1-based `k`), with the paper's **strict** semantics.
     ///
@@ -200,7 +190,7 @@ impl OrderingLut {
 
     /// Locates the effective point: nearest infinite-lattice centre
     /// `(ci, cj)` in level-index units and the triangle index within its
-    /// minimum-distance square ([`triangle_index_fast`], so no
+    /// minimum-distance square (`triangle_index_fast`, so no
     /// unconditional `atan2`). This is what the block walk's packed grid
     /// locate ([`LocatedOrderingTable::locate_bases`]) reproduces, and
     /// re-runs on any lane that fails its guard.
@@ -254,7 +244,6 @@ const INT_MAGIC: f64 = 6_755_399_441_055_744.0;
 /// caller falls back to the scan.
 #[derive(Clone, Debug)]
 pub struct LocatedOrderingTable {
-    strict: bool,
     lo: i32,
     w: i32,
     depth: usize,
@@ -355,7 +344,6 @@ impl OrderingLut {
             }
         }
         LocatedOrderingTable {
-            strict,
             lo,
             w,
             depth,
@@ -368,11 +356,6 @@ impl OrderingLut {
 }
 
 impl LocatedOrderingTable {
-    /// Which semantics this table was built with (`true` = strict).
-    pub fn strict(&self) -> bool {
-        self.strict
-    }
-
     /// Division- and `atan2`-free locate of `N` points at once: nearest
     /// lattice centre `(ci, cj)`, octant triangle and a per-lane guard
     /// verdict, from one unit-grid `floor` per axis. A lane whose verdict
@@ -778,7 +761,7 @@ mod tests {
     fn assert_table_contract(m: Modulation) {
         let c = Constellation::new(m);
         let lut = OrderingLut::new(m, m.order());
-        let depth = lut.depth();
+        let depth = lut.depth;
         let (strict_t, skip_t) = (lut.build_table(&c, true), lut.build_table(&c, false));
         let side = c.grid_side() as i32;
         let window = -side..2 * side;
@@ -987,8 +970,8 @@ mod tests {
     #[test]
     fn depth_clamps_to_order() {
         let lut = OrderingLut::new(Modulation::Qpsk, 1000);
-        assert_eq!(lut.depth(), 4);
-        assert_eq!(OrderingLut::new(Modulation::Bpsk, 5).depth(), 2);
+        assert_eq!(lut.depth, 4);
+        assert_eq!(OrderingLut::new(Modulation::Bpsk, 5).depth, 2);
     }
 
     /// The defining derivation — one comparator sort of every candidate
@@ -1163,7 +1146,7 @@ mod tests {
     }
 
     use crate::derive::{derive_orders, ENTERED, LUT_SAMPLES, LUT_SEED};
-    use crate::triangle_index;
+    use crate::octant::triangle_index;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 }

@@ -45,7 +45,7 @@ impl Modulation {
 
     /// Grid side `m = √|Q|` for square constellations; BPSK reports 2
     /// (a 2×1 grid handled specially).
-    pub fn grid_side(self) -> usize {
+    pub(crate) fn grid_side(self) -> usize {
         match self {
             Modulation::Bpsk => 2,
             m => (m.order() as f64).sqrt() as usize,
@@ -134,12 +134,12 @@ impl Constellation {
     }
 
     /// Grid side `m` (√|Q| for square QAM).
-    pub fn grid_side(&self) -> usize {
+    pub(crate) fn grid_side(&self) -> usize {
         self.modulation.grid_side()
     }
 
     /// Level→amplitude scaling factor (grid levels are odd integers).
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.scale
     }
 
@@ -159,21 +159,13 @@ impl Constellation {
     /// Converts `(col, row)` grid coordinates to a symbol index.
     ///
     /// BPSK uses `row = 0` and `col ∈ {0, 1}`.
-    pub fn grid_to_index(&self, col: usize, row: usize) -> usize {
+    pub(crate) fn grid_to_index(&self, col: usize, row: usize) -> usize {
         match self.modulation {
             Modulation::Bpsk => {
                 debug_assert!(row == 0 && col < 2);
                 col
             }
             _ => row * self.grid_side() + col,
-        }
-    }
-
-    /// Converts a symbol index to `(col, row)` grid coordinates.
-    pub fn index_to_grid(&self, idx: usize) -> (usize, usize) {
-        match self.modulation {
-            Modulation::Bpsk => (idx, 0),
-            _ => (idx % self.grid_side(), idx / self.grid_side()),
         }
     }
 
@@ -215,20 +207,6 @@ impl Constellation {
         out.copy_from_slice(&self.bit_words[idx].to_le_bytes()[..out.len()]);
     }
 
-    /// Modulates a bit slice into symbols (length must be a multiple of
-    /// `bits_per_symbol`).
-    pub fn modulate(&self, bits: &[u8]) -> Vec<Cx> {
-        let bps = self.bits_per_symbol();
-        assert_eq!(
-            bits.len() % bps,
-            0,
-            "modulate: bit count not a multiple of bits/symbol"
-        );
-        bits.chunks(bps)
-            .map(|c| self.point(self.bits_to_index(c)))
-            .collect()
-    }
-
     /// Hard-slices an arbitrary complex point to the nearest symbol index.
     pub fn slice(&self, y: Cx) -> usize {
         match self.modulation {
@@ -241,25 +219,17 @@ impl Constellation {
             }
         }
     }
-
-    /// Demodulates symbol points to bits by hard slicing.
-    pub fn demodulate(&self, symbols: &[Cx]) -> Vec<u8> {
-        symbols
-            .iter()
-            .flat_map(|&y| self.index_to_bits(self.slice(y)))
-            .collect()
-    }
 }
 
 /// The amplitude (in integer grid units) of level index `i` out of `side`:
 /// `−(side−1), −(side−3), …, (side−1)` — consecutive odd integers.
-pub fn level_value(i: usize, side: usize) -> f64 {
+pub(crate) fn level_value(i: usize, side: usize) -> f64 {
     (2.0 * i as f64) - (side as f64 - 1.0)
 }
 
 /// Nearest level index to a real coordinate in integer grid units
 /// (clamped to the constellation).
-pub fn nearest_level_index(x: f64, side: usize) -> usize {
+pub(crate) fn nearest_level_index(x: f64, side: usize) -> usize {
     // Levels are at 2i − (side−1); invert and round.
     let i = (x + side as f64 - 1.0) / 2.0;
     (i.round().max(0.0) as usize).min(side - 1)
@@ -290,6 +260,42 @@ fn pattern_of(word: u64, bps: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Test-only conversions: the product maps bits and grid cells
+    /// through `bits_to_index`, `grid_to_index` and `slice`.
+    impl Constellation {
+        /// Converts a symbol index to `(col, row)` grid coordinates.
+        fn index_to_grid(&self, idx: usize) -> (usize, usize) {
+            match self.modulation {
+                Modulation::Bpsk => (idx, 0),
+                _ => (idx % self.grid_side(), idx / self.grid_side()),
+            }
+        }
+
+        /// Modulates a bit slice into symbols (length must be a multiple of
+        /// `bits_per_symbol`).
+        fn modulate(&self, bits: &[u8]) -> Vec<Cx> {
+            let bps = self.bits_per_symbol();
+            assert_eq!(
+                bits.len() % bps,
+                0,
+                "modulate: bit count not a multiple of bits/symbol"
+            );
+            bits.chunks(bps)
+                .map(|c| self.point(self.bits_to_index(c)))
+                .collect()
+        }
+
+        /// Demodulates symbol points to bits by hard slicing.
+        fn demodulate(&self, symbols: &[Cx]) -> Vec<u8> {
+            symbols
+                .iter()
+                .flat_map(|&y| self.index_to_bits(self.slice(y)))
+                .collect()
+        }
+    }
 
     const ALL: &[Modulation] = &[
         Modulation::Bpsk,
@@ -445,6 +451,27 @@ mod tests {
             let syms = c.modulate(&bits);
             assert_eq!(syms.len(), 32);
             assert_eq!(c.demodulate(&syms), bits, "{:?}", m);
+        }
+    }
+
+    #[test]
+    fn modulation_roundtrip() {
+        // Random bit strings through every modulation up to 64-QAM: 256
+        // seeded cases of 120 bits, cut to whole symbols.
+        let mut rng = StdRng::seed_from_u64(0xDE4D);
+        for _ in 0..256 {
+            let bits: Vec<u8> = (0..6 * 20).map(|_| rng.gen_range(0u8..2)).collect();
+            for m in [
+                Modulation::Bpsk,
+                Modulation::Qpsk,
+                Modulation::Qam16,
+                Modulation::Qam64,
+            ] {
+                let c = Constellation::new(m);
+                let n = bits.len() - bits.len() % c.bits_per_symbol();
+                let chunk = &bits[..n];
+                assert_eq!(c.demodulate(&c.modulate(chunk)), chunk.to_vec());
+            }
         }
     }
 

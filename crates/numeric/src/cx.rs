@@ -16,7 +16,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// let a = Cx::new(1.0, 2.0);
 /// let b = Cx::new(3.0, -1.0);
 /// assert_eq!(a * b, Cx::new(5.0, 5.0));
-/// assert_eq!(a.conj(), Cx::new(1.0, -2.0));
+/// assert_eq!(a.norm_sqr(), 5.0);
 /// ```
 #[derive(Clone, Copy, PartialEq, Default)]
 pub struct Cx {
@@ -30,9 +30,7 @@ impl Cx {
     /// The additive identity `0 + 0i`.
     pub const ZERO: Cx = Cx { re: 0.0, im: 0.0 };
     /// The multiplicative identity `1 + 0i`.
-    pub const ONE: Cx = Cx { re: 1.0, im: 0.0 };
-    /// The imaginary unit `0 + 1i`.
-    pub const I: Cx = Cx { re: 0.0, im: 1.0 };
+    pub(crate) const ONE: Cx = Cx { re: 1.0, im: 0.0 };
 
     /// Creates a complex number from real and imaginary parts.
     #[inline]
@@ -46,15 +44,9 @@ impl Cx {
         Cx { re, im: 0.0 }
     }
 
-    /// Creates a complex number from polar coordinates `r·e^{iθ}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Cx::new(r * theta.cos(), r * theta.sin())
-    }
-
     /// Complex conjugate.
     #[inline]
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Cx::new(self.re, -self.im)
     }
 
@@ -73,12 +65,6 @@ impl Cx {
         self.norm_sqr().sqrt()
     }
 
-    /// Argument (phase) in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplicative inverse `1/z`.
     ///
     /// Returns an all-NaN value when `z == 0`, mirroring `f64` division.
@@ -90,7 +76,7 @@ impl Cx {
 
     /// `self * other.conj()`, the correlation kernel `⟨a, b⟩ = a·b*`.
     #[inline]
-    pub fn mul_conj(self, other: Cx) -> Self {
+    pub(crate) fn mul_conj(self, other: Cx) -> Self {
         Cx::new(
             self.re * other.re + self.im * other.im,
             self.im * other.re - self.re * other.im,
@@ -101,30 +87,6 @@ impl Cx {
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         Cx::new(self.re * k, self.im * k)
-    }
-
-    /// Principal square root.
-    pub fn sqrt(self) -> Self {
-        let r = self.abs();
-        let (re, im) = (((r + self.re) / 2.0).sqrt(), ((r - self.re) / 2.0).sqrt());
-        Cx::new(re, if self.im >= 0.0 { im } else { -im })
-    }
-
-    /// Complex exponential `e^z`.
-    pub fn exp(self) -> Self {
-        Cx::from_polar(self.re.exp(), self.im)
-    }
-
-    /// True if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
-    }
-
-    /// True if both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 
     /// Squared Euclidean distance `|a - b|²`.
@@ -285,6 +247,8 @@ impl fmt::Display for Cx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn close(a: Cx, b: Cx) -> bool {
         (a - b).abs() < 1e-12
@@ -293,7 +257,6 @@ mod tests {
     #[test]
     fn constructors_and_constants() {
         assert_eq!(Cx::ZERO + Cx::ONE, Cx::ONE);
-        assert_eq!(Cx::I * Cx::I, -Cx::ONE);
         assert_eq!(Cx::real(3.0), Cx::new(3.0, 0.0));
         assert_eq!(Cx::from(2.5), Cx::new(2.5, 0.0));
     }
@@ -325,29 +288,17 @@ mod tests {
     }
 
     #[test]
-    fn polar_roundtrip() {
-        let z = Cx::new(-1.5, 2.5);
-        let w = Cx::from_polar(z.abs(), z.arg());
-        assert!(close(z, w));
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        for &z in &[
-            Cx::new(4.0, 0.0),
-            Cx::new(-4.0, 0.0),
-            Cx::new(3.0, -4.0),
-            Cx::new(-1.0, 1.0),
-        ] {
-            let s = z.sqrt();
-            assert!(close(s * s, z), "sqrt({z:?})² = {:?}", s * s);
+    fn conj_is_a_multiplicative_involution() {
+        // The conjugation half of the workspace's complex-field-axioms
+        // property, over 256 seeded pairs.
+        let mut rng = StdRng::seed_from_u64(0xF1E1D);
+        let mut cx = || Cx::new(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0));
+        for _ in 0..256 {
+            let (a, b) = (cx(), cx());
+            assert_eq!(a.conj().conj(), a);
+            let mc = (a * b).conj() - a.conj() * b.conj();
+            assert!(mc.abs() < 1e-12 + 1e-12 * a.abs() * b.abs());
         }
-    }
-
-    #[test]
-    fn exp_of_i_pi_is_minus_one() {
-        let z = Cx::new(0.0, std::f64::consts::PI).exp();
-        assert!((z - Cx::real(-1.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -364,14 +315,6 @@ mod tests {
         let v = vec![Cx::new(1.0, 1.0); 8];
         let s: Cx = v.into_iter().sum();
         assert_eq!(s, Cx::new(8.0, 8.0));
-    }
-
-    #[test]
-    fn nan_and_finite_predicates() {
-        assert!(Cx::new(f64::NAN, 0.0).is_nan());
-        assert!(!Cx::ONE.is_nan());
-        assert!(Cx::ONE.is_finite());
-        assert!(!Cx::new(f64::INFINITY, 0.0).is_finite());
     }
 
     #[test]

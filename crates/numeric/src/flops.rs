@@ -23,11 +23,6 @@ pub struct FlopCounter {
 }
 
 impl FlopCounter {
-    /// A fresh, zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one complex multiplication (4 mults, 2 adds).
     #[inline]
     pub fn cmul(&mut self, n: u64) {
@@ -65,11 +60,6 @@ impl FlopCounter {
     pub fn total_flops(&self) -> u64 {
         self.mults + self.adds
     }
-
-    /// Resets all tallies to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// Converts a per-detection FLOP count into the sustained rate (in GFLOPS)
@@ -94,7 +84,7 @@ mod tests {
 
     #[test]
     fn complex_op_costs() {
-        let mut f = FlopCounter::new();
+        let mut f = FlopCounter::default();
         f.cmul(2);
         assert_eq!(f.mults, 8);
         assert_eq!(f.adds, 4);
@@ -107,14 +97,12 @@ mod tests {
     }
 
     #[test]
-    fn real_ops_and_reset() {
-        let mut a = FlopCounter::new();
+    fn real_ops() {
+        let mut a = FlopCounter::default();
         a.rmul(5);
         a.cmp(2);
         assert_eq!(a.mults, 5);
         assert_eq!(a.cmps, 2);
-        a.reset();
-        assert_eq!(a, FlopCounter::new());
     }
 
     #[test]

@@ -57,9 +57,9 @@ pub const G: usize = 4;
 /// use flexcore_numeric::{Cx, CxLane};
 /// let a = CxLane::splat(Cx::new(1.0, 2.0));
 /// let b = CxLane::splat(Cx::new(3.0, -1.0));
-/// let mut acc = CxLane::zero();
-/// acc.add_mul(a, b);
-/// assert_eq!(acc.get(2), Cx::new(1.0, 2.0) * Cx::new(3.0, -1.0));
+/// let mut acc = CxLane::splat(Cx::new(0.5, 0.5));
+/// acc.sub_mul(a, b);
+/// assert_eq!(acc.get(2), Cx::new(0.5, 0.5) - Cx::new(1.0, 2.0) * Cx::new(3.0, -1.0));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CxLane {
@@ -95,7 +95,7 @@ impl CxLane {
     /// # Panics
     /// Panics if `src.len() < LANES`.
     #[inline]
-    pub fn load(src: &[Cx]) -> Self {
+    pub(crate) fn load(src: &[Cx]) -> Self {
         let mut out = CxLane::zero();
         for (l, z) in src.iter().take(LANES).enumerate() {
             out.re[l] = z.re;
@@ -127,7 +127,7 @@ impl CxLane {
     /// # Panics
     /// Panics if `dst.len() < LANES`.
     #[inline]
-    pub fn store(self, dst: &mut [Cx]) {
+    pub(crate) fn store(self, dst: &mut [Cx]) {
         for (l, slot) in dst.iter_mut().take(LANES).enumerate() {
             *slot = Cx::new(self.re[l], self.im[l]);
         }
@@ -138,7 +138,7 @@ impl CxLane {
     /// `im = a.re·b.im + a.im·b.re`), then added — exactly
     /// `acc + a * b` on [`Cx`].
     #[inline]
-    pub fn add_mul(&mut self, a: CxLane, b: CxLane) {
+    pub(crate) fn add_mul(&mut self, a: CxLane, b: CxLane) {
         for l in 0..LANES {
             let t_re = a.re[l] * b.re[l] - a.im[l] * b.im[l];
             let t_im = a.re[l] * b.im[l] + a.im[l] * b.re[l];
@@ -153,7 +153,7 @@ impl CxLane {
     /// multiply negates the product exactly, so
     /// `a.re·b.re − (−a.im)·b.im ≡ a.re·b.re + a.im·b.im`.
     #[inline]
-    pub fn add_conj_mul(&mut self, a: CxLane, b: CxLane) {
+    pub(crate) fn add_conj_mul(&mut self, a: CxLane, b: CxLane) {
         for l in 0..LANES {
             let t_re = a.re[l] * b.re[l] + a.im[l] * b.im[l];
             let t_im = a.re[l] * b.im[l] - a.im[l] * b.re[l];

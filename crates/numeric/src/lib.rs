@@ -7,24 +7,24 @@
 //! samples and complex channel matrices. Mainstream Rust DSP crates for this
 //! are thin, so this crate implements everything FlexCore needs from scratch:
 //!
-//! * [`Cx`] — a `f64` complex scalar with full arithmetic (module [`cx`]);
+//! * [`Cx`] — a `f64` complex scalar with full arithmetic;
 //! * [`CMat`] / [`CVec`] — dense row-major complex matrices and vectors
 //!   (module [`mat`]);
 //! * QR decompositions: modified Gram–Schmidt, plus the two *sorted* QR
 //!   variants the paper evaluates — Wübben's SQRD and the Barbero–Thompson
-//!   FCSD ordering (module [`qr`]);
-//! * triangular solvers, Hermitian inversion and the MMSE filter kernel
-//!   (module [`solve`]);
-//! * `erf`/`erfc` and the Gaussian Q-function (module [`special`]) — needed
-//!   by FlexCore's Eq. (4) symbol-error model;
+//!   FCSD ordering — and the MMSE-extended sorted QR (module [`qr`]);
+//! * the MMSE filter kernel (module [`solve`]);
+//! * `erfc` (module [`special`]), needed by FlexCore's Eq. (4)
+//!   symbol-error model, and the Bessel `J₀` behind the Doppler → ρ
+//!   mapping of the time-varying channel;
 //! * seeded complex-Gaussian sampling via a 256-layer ziggurat (module
 //!   [`rng`]);
 //! * a lightweight FLOP-accounting helper (module [`flops`]) used to
 //!   regenerate Table 1 and Table 2 of the paper;
 //! * [`CxLane`] — a four-wide structure-of-arrays complex lane type
-//!   (module [`lanes`]) behind the SIMD kernels of
-//!   `mul_vec_into` / `mul_vec_hermitian_into` / `Qr::rotate_batch_into`,
-//!   bit-identical per lane to the scalar path by construction;
+//!   behind the SIMD kernels of `mul_vec_into` /
+//!   `Qr::rotate_into` / `Qr::rotate_batch_into`, bit-identical per lane to
+//!   the scalar path by construction;
 //! * [`SymVec`] — a spill-capable small-vector of symbol indices (module
 //!   [`symvec`]): allocation-free inline storage for the paper's
 //!   ≤ 16-stream experiments, transparent heap spill for massive-MIMO
@@ -37,9 +37,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cx;
+mod cx;
 pub mod flops;
-pub mod lanes;
+mod lanes;
 pub mod mat;
 pub mod qr;
 pub mod rng;

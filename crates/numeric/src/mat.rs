@@ -66,7 +66,7 @@ impl CMat {
 
     /// Reshapes to an all-zero `rows × cols` matrix, keeping the storage
     /// (no allocation once it has held `rows * cols` entries).
-    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn reset_zeros(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
@@ -74,7 +74,7 @@ impl CMat {
     }
 
     /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = CMat::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = Cx::ONE;
@@ -86,7 +86,8 @@ impl CMat {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: &[Cx]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: usize, cols: usize, data: &[Cx]) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
@@ -132,7 +133,7 @@ impl CMat {
 
     /// Borrow of the underlying row-major storage.
     #[inline]
-    pub fn as_slice(&self) -> &[Cx] {
+    pub(crate) fn as_slice(&self) -> &[Cx] {
         &self.data
     }
 
@@ -149,7 +150,7 @@ impl CMat {
     }
 
     /// Copies column `c` into a new vector.
-    pub fn col(&self, c: usize) -> CVec {
+    pub(crate) fn col(&self, c: usize) -> CVec {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
@@ -157,7 +158,7 @@ impl CMat {
     ///
     /// # Panics
     /// Panics if `v.len() != self.rows()`.
-    pub fn set_col(&mut self, c: usize, v: &[Cx]) {
+    pub(crate) fn set_col(&mut self, c: usize, v: &[Cx]) {
         assert_eq!(v.len(), self.rows, "set_col: length mismatch");
         for (r, &x) in v.iter().enumerate() {
             self[(r, c)] = x;
@@ -165,20 +166,15 @@ impl CMat {
     }
 
     /// Conjugate (Hermitian) transpose `A*`.
-    pub fn hermitian(&self) -> CMat {
+    pub(crate) fn hermitian(&self) -> CMat {
         CMat::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
-    }
-
-    /// Plain transpose `Aᵀ` (no conjugation).
-    pub fn transpose(&self) -> CMat {
-        CMat::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
     /// Matrix–matrix product `A·B`.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
-    pub fn mul_mat(&self, other: &CMat) -> CMat {
+    pub(crate) fn mul_mat(&self, other: &CMat) -> CMat {
         assert_eq!(
             self.cols, other.rows,
             "mul_mat: {}×{} · {}×{}",
@@ -282,7 +278,7 @@ impl CMat {
     ///
     /// # Panics
     /// Panics if `x.len() != self.rows()` or `out.len() != self.cols()`.
-    pub fn mul_vec_hermitian_into(&self, x: &[Cx], out: &mut [Cx]) {
+    pub(crate) fn mul_vec_hermitian_into(&self, x: &[Cx], out: &mut [Cx]) {
         assert_eq!(x.len(), self.rows, "mul_vec_hermitian: dimension mismatch");
         assert_eq!(
             out.len(),
@@ -305,7 +301,7 @@ impl CMat {
         }
     }
 
-    /// Scalar twin of [`CMat::mul_vec_hermitian_into`]: one accumulation
+    /// Scalar twin of `CMat::mul_vec_hermitian_into`: one accumulation
     /// chain per output entry, public so identity tests can pin the lane
     /// kernel against it.
     ///
@@ -334,7 +330,7 @@ impl CMat {
     }
 
     /// Entry-wise sum `A + B`.
-    pub fn add_mat(&self, other: &CMat) -> CMat {
+    pub(crate) fn add_mat(&self, other: &CMat) -> CMat {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let mut out = self.clone();
         for (a, &b) in out.data.iter_mut().zip(&other.data) {
@@ -344,7 +340,7 @@ impl CMat {
     }
 
     /// Scales every entry by a real factor.
-    pub fn scale(&self, k: f64) -> CMat {
+    pub(crate) fn scale(&self, k: f64) -> CMat {
         let mut out = self.clone();
         for a in &mut out.data {
             *a = a.scale(k);
@@ -353,18 +349,20 @@ impl CMat {
     }
 
     /// Gram matrix `A*·A` (Hermitian, positive semi-definite).
-    pub fn gram(&self) -> CMat {
+    pub(crate) fn gram(&self) -> CMat {
         self.hermitian().mul_mat(self)
     }
 
     /// Frobenius norm `‖A‖_F`.
-    pub fn fro_norm(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fro_norm(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute entry difference to `other` — a convenient
-    /// "matrices are equal up to tolerance" metric for tests.
-    pub fn max_abs_diff(&self, other: &CMat) -> f64 {
+    /// Maximum absolute entry difference to `other`: the "matrices are
+    /// equal up to tolerance" metric of this crate's tests.
+    #[cfg(test)]
+    pub(crate) fn max_abs_diff(&self, other: &CMat) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         self.data
             .iter()
@@ -386,11 +384,6 @@ impl CMat {
             seen[p] = true;
         }
         CMat::from_fn(self.rows, self.cols, |r, c| self[(r, perm[c])])
-    }
-
-    /// True if all entries are finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|z| z.is_finite())
     }
 }
 
@@ -426,7 +419,7 @@ impl fmt::Debug for CMat {
 }
 
 /// Inner product `⟨a, b⟩ = Σ a_i · b_i*` (conjugate-linear in `b`).
-pub fn dot(a: &[Cx], b: &[Cx]) -> Cx {
+pub(crate) fn dot(a: &[Cx], b: &[Cx]) -> Cx {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
     a.iter()
         .zip(b)
@@ -434,30 +427,8 @@ pub fn dot(a: &[Cx], b: &[Cx]) -> Cx {
 }
 
 /// Squared Euclidean norm `‖v‖²`.
-pub fn norm_sqr(v: &[Cx]) -> f64 {
+pub(crate) fn norm_sqr(v: &[Cx]) -> f64 {
     v.iter().map(|z| z.norm_sqr()).sum()
-}
-
-/// Euclidean norm `‖v‖`.
-pub fn norm(v: &[Cx]) -> f64 {
-    norm_sqr(v).sqrt()
-}
-
-/// Entry-wise difference `a − b` as a new vector.
-pub fn sub(a: &[Cx], b: &[Cx]) -> CVec {
-    assert_eq!(a.len(), b.len(), "sub: length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| x - y).collect()
-}
-
-/// Entry-wise sum `a + b` as a new vector.
-pub fn add(a: &[Cx], b: &[Cx]) -> CVec {
-    assert_eq!(a.len(), b.len(), "add: length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| x + y).collect()
-}
-
-/// Scales a vector by a real factor.
-pub fn scale(v: &[Cx], k: f64) -> CVec {
-    v.iter().map(|&z| z.scale(k)).collect()
 }
 
 /// Squared Euclidean distance `‖a − b‖²`.
@@ -469,6 +440,9 @@ pub fn dist_sqr(a: &[Cx], b: &[Cx]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::CxRng;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn m22(a: f64, b: f64, c: f64, d: f64) -> CMat {
         CMat::from_rows(2, 2, &[Cx::real(a), Cx::real(b), Cx::real(c), Cx::real(d)])
@@ -565,6 +539,31 @@ mod tests {
     }
 
     #[test]
+    fn mul_vec_hermitian_into_bit_identical_to_scalar_twin_across_nt_1_to_64() {
+        // Square and tall shapes cover every tail remainder of the lane
+        // kernel, including the all-tail shapes below four columns.
+        for nt in 1..=64usize {
+            for (rows, cols) in [(nt, nt), (nt + 3, nt)] {
+                let mut rng = StdRng::seed_from_u64(1000 + nt as u64);
+                let a = CMat::from_fn(rows, cols, |_, _| rng.cx_normal(1.0));
+                let mut rng = StdRng::seed_from_u64(3000 + nt as u64);
+                let x: Vec<Cx> = (0..rows).map(|_| rng.cx_normal(1.0)).collect();
+                let mut want = vec![Cx::ZERO; cols];
+                let mut got = vec![Cx::ZERO; cols];
+                a.mul_vec_hermitian_into_scalar(&x, &mut want);
+                a.mul_vec_hermitian_into(&x, &mut got);
+                for (w, g) in want.iter().zip(&got) {
+                    assert_eq!(
+                        (w.re.to_bits(), w.im.to_bits()),
+                        (g.re.to_bits(), g.im.to_bits()),
+                        "mul_vec_hermitian {rows}x{cols}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn gram_is_hermitian_psd() {
         let a = CMat::from_rows(
             3,
@@ -617,22 +616,15 @@ mod tests {
     #[test]
     fn vector_helpers() {
         let a = vec![Cx::real(3.0), Cx::real(4.0)];
-        assert_eq!(norm(&a), 5.0);
+        assert_eq!(norm_sqr(&a), 25.0);
         let b = vec![Cx::real(1.0), Cx::real(1.0)];
-        assert_eq!(sub(&a, &b), vec![Cx::real(2.0), Cx::real(3.0)]);
-        assert_eq!(add(&a, &b), vec![Cx::real(4.0), Cx::real(5.0)]);
-        assert_eq!(scale(&b, 2.0), vec![Cx::real(2.0), Cx::real(2.0)]);
         assert_eq!(dist_sqr(&a, &b), 4.0 + 9.0);
     }
 
     #[test]
-    fn fro_norm_and_finiteness() {
+    fn fro_norm() {
         let a = m22(3.0, 0.0, 0.0, 4.0);
         assert_eq!(a.fro_norm(), 5.0);
-        assert!(a.is_finite());
-        let mut b = a.clone();
-        b[(0, 0)] = Cx::new(f64::NAN, 0.0);
-        assert!(!b.is_finite());
     }
 
     #[test]

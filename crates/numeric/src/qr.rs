@@ -120,22 +120,6 @@ impl Qr {
             self.rotate_into(y, out);
         }
     }
-
-    /// Undoes the column permutation on a detected symbol vector:
-    /// `out[perm[j]] = s_detected[j]`.
-    pub fn unpermute<T: Copy + Default>(&self, s: &[T]) -> Vec<T> {
-        assert_eq!(s.len(), self.perm.len(), "unpermute: length mismatch");
-        let mut out = vec![T::default(); s.len()];
-        for (j, &p) in self.perm.iter().enumerate() {
-            out[p] = s[j];
-        }
-        out
-    }
-
-    /// Reconstructs `Q·R` (for testing / validation).
-    pub fn reconstruct(&self) -> CMat {
-        self.q.mul_mat(&self.r)
-    }
 }
 
 /// Rows of `Q` (samples per observation) one pass of
@@ -700,6 +684,7 @@ pub fn mmse_sorted_qr(h: &CMat, sigma: f64) -> Qr {
 mod tests {
     use super::*;
     use crate::rng::CxRng;
+    use crate::solve::full_rank_square;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -712,7 +697,7 @@ mod tests {
         // Q·R reproduces the permuted H.
         let hp = h.permute_cols(&qr.perm);
         assert!(
-            qr.reconstruct().max_abs_diff(&hp) < tol,
+            qr.q.mul_mat(&qr.r).max_abs_diff(&hp) < tol,
             "QR does not reconstruct permuted H"
         );
         // Q is orthonormal.
@@ -728,6 +713,20 @@ mod tests {
             }
             assert!(qr.r[(r, r)].im.abs() < tol, "R diagonal not real");
             assert!(qr.r[(r, r)].re >= -tol, "R diagonal negative");
+        }
+    }
+
+    #[test]
+    fn qr_reconstructs_any_full_rank_matrix() {
+        let mut rng = StdRng::seed_from_u64(0x9E);
+        for _ in 0..256 {
+            let h = full_rank_square(&mut rng, 4);
+            for qr in [mgs_qr(&h), sorted_qr_sqrd(&h)] {
+                let hp = h.permute_cols(&qr.perm);
+                let scale = h.fro_norm().max(1.0);
+                assert!(qr.q.mul_mat(&qr.r).max_abs_diff(&hp) < 1e-8 * scale);
+                assert!(qr.q.gram().max_abs_diff(&CMat::identity(4)) < 1e-8);
+            }
         }
     }
 
@@ -946,17 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn unpermute_inverts_permutation() {
-        let h = random_h(5, 5, 3);
-        let qr = sorted_qr_sqrd(&h);
-        let vals: Vec<usize> = (10..15).collect(); // payload tied to position
-        let unp = qr.unpermute(&vals);
-        for (j, &p) in qr.perm.iter().enumerate() {
-            assert_eq!(unp[p], vals[j]);
-        }
-    }
-
-    #[test]
     fn rotate_matches_manual() {
         let h = random_h(4, 4, 77);
         let qr = mgs_qr(&h);
@@ -1020,8 +1008,7 @@ mod tests {
     #[test]
     fn qr_rejects_wide_matrices() {
         let h = random_h(8, 8, 1);
-        let wide = h.transpose(); // 8x8 still square; build a truly wide one
-        let wide = CMat::from_fn(3, 5, |r, c| wide[(r, c)]);
+        let wide = CMat::from_fn(3, 5, |r, c| h[(r, c)]);
         assert!(std::panic::catch_unwind(|| mgs_qr(&wide)).is_err());
     }
 }

@@ -13,7 +13,7 @@ use crate::mat::{CMat, CVec};
 ///
 /// # Panics
 /// Panics on dimension mismatch or an exactly-zero diagonal entry.
-pub fn back_substitute(r: &CMat, b: &[Cx]) -> CVec {
+pub(crate) fn back_substitute(r: &CMat, b: &[Cx]) -> CVec {
     let n = r.cols();
     assert!(r.is_square() && b.len() == n, "back_substitute: bad dims");
     let mut x = vec![Cx::ZERO; n];
@@ -30,7 +30,7 @@ pub fn back_substitute(r: &CMat, b: &[Cx]) -> CVec {
 }
 
 /// Solves the lower-triangular system `L·x = b` by forward-substitution.
-pub fn forward_substitute(l: &CMat, b: &[Cx]) -> CVec {
+pub(crate) fn forward_substitute(l: &CMat, b: &[Cx]) -> CVec {
     let n = l.cols();
     assert!(
         l.is_square() && b.len() == n,
@@ -53,7 +53,7 @@ pub fn forward_substitute(l: &CMat, b: &[Cx]) -> CVec {
 ///
 /// Returns the lower-triangular `L` with real positive diagonal, or `None`
 /// if the matrix is not (numerically) positive definite.
-pub fn cholesky(a: &CMat) -> Option<CMat> {
+pub(crate) fn cholesky(a: &CMat) -> Option<CMat> {
     let n = a.rows();
     assert!(a.is_square(), "cholesky: matrix must be square");
     let mut l = CMat::zeros(n, n);
@@ -82,7 +82,7 @@ pub fn cholesky(a: &CMat) -> Option<CMat> {
 /// # Panics
 /// Panics if the matrix is not positive definite (callers in this workspace
 /// only pass Gram matrices of full-rank channels, possibly regularised).
-pub fn hermitian_inverse(a: &CMat) -> CMat {
+pub(crate) fn hermitian_inverse(a: &CMat) -> CMat {
     let n = a.rows();
     // flexcore-lint: allow(FL004, reason = "documented panic contract: callers only pass Gram matrices of full-rank (possibly regularised) channels; fallible variant is cholesky()")
     let l = cholesky(a).expect("hermitian_inverse: matrix not positive definite");
@@ -101,7 +101,7 @@ pub fn hermitian_inverse(a: &CMat) -> CMat {
 
 /// Moore–Penrose pseudo-inverse `H⁺ = (H*H)^{-1}·H*` for a full-column-rank
 /// (tall or square) matrix.
-pub fn pseudo_inverse(h: &CMat) -> CMat {
+pub(crate) fn pseudo_inverse(h: &CMat) -> CMat {
     hermitian_inverse(&h.gram()).mul_mat(&h.hermitian())
 }
 
@@ -115,12 +115,34 @@ pub fn mmse_filter(h: &CMat, sigma2: f64) -> CMat {
     hermitian_inverse(&reg).mul_mat(&h.hermitian())
 }
 
+/// A seeded `n × n` matrix with real and imaginary parts uniform on
+/// `(−10, 10)`, redrawn until its Gram matrix is positive definite and
+/// finite: the full-rank inputs of this crate's property tests.
+#[cfg(test)]
+pub(crate) fn full_rank_square(rng: &mut impl rand::Rng, n: usize) -> CMat {
+    loop {
+        let m = CMat::from_fn(n, n, |_, _| {
+            Cx::new(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0))
+        });
+        let g = m.gram();
+        let finite = g
+            .as_slice()
+            .iter()
+            .all(|z| z.re.is_finite() && z.im.is_finite());
+        if finite && cholesky(&g).is_some() {
+            return m;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mat::norm_sqr;
+    use crate::qr::sorted_qr_sqrd;
     use crate::rng::CxRng;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn random_h(nr: usize, nt: usize, seed: u64) -> CMat {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -138,6 +160,48 @@ mod tests {
         let x = back_substitute(&r, &b);
         assert_eq!(x[1], Cx::real(2.0));
         assert_eq!(x[0], Cx::real(1.5));
+    }
+
+    #[test]
+    fn back_substitution_solves() {
+        // On the triangular factor the detectors use, over 256 full-rank
+        // channels whose R is comfortably non-singular.
+        let mut rng = StdRng::seed_from_u64(0x501FE);
+        let mut cases = 0;
+        while cases < 256 {
+            let h = full_rank_square(&mut rng, 4);
+            let xs: Vec<Cx> = (0..4)
+                .map(|_| Cx::new(rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0)))
+                .collect();
+            let qr = sorted_qr_sqrd(&h);
+            let min_diag = (0..4)
+                .map(|i| qr.r[(i, i)].abs())
+                .fold(f64::INFINITY, f64::min);
+            if min_diag <= 1e-3 {
+                continue;
+            }
+            cases += 1;
+            let b = qr.r.mul_vec(&xs);
+            let sol = back_substitute(&qr.r, &b);
+            let err: f64 = sol.iter().zip(&xs).map(|(a, b)| (*a - *b).norm_sqr()).sum();
+            assert!(err.sqrt() < 1e-6 * (1.0 + norm_sqr(&xs).sqrt()));
+        }
+    }
+
+    #[test]
+    fn hermitian_inverse_roundtrip() {
+        let mut rng = StdRng::seed_from_u64(0x14E25);
+        let mut cases = 0;
+        while cases < 256 {
+            let g = full_rank_square(&mut rng, 3).gram();
+            if !(0..3).all(|i| g[(i, i)].re > 1e-3) {
+                continue;
+            }
+            cases += 1;
+            let gi = hermitian_inverse(&g);
+            let err = g.mul_mat(&gi).max_abs_diff(&CMat::identity(3));
+            assert!(err < 1e-6 * g.fro_norm().max(1.0));
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Special functions: `erf`, `erfc`, the Gaussian Q-function, and the
-//! Bessel function `J₀`.
+//! Special functions: `erfc` and the Bessel function `J₀` (plus the
+//! Gaussian Q-function, a test reference).
 //!
 //! FlexCore's pre-processing model (Eq. 4 of the paper) evaluates the
 //! complementary error function at `|R(l,l)|·√Es/σ`, which at the SNRs of
@@ -43,31 +43,11 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function `erf(x) = 1 − erfc(x)`.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
-/// Gaussian tail probability `Q(x) = P(N(0,1) > x) = erfc(x/√2)/2`.
-pub fn q_function(x: f64) -> f64 {
+/// Gaussian tail probability `Q(x) = P(N(0,1) > x) = erfc(x/√2)/2`: the
+/// reference the ziggurat sampler's distribution tests compare against.
+#[cfg(test)]
+pub(crate) fn q_function(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Inverse of the Q-function on `(0, 1)`, via bisection on the monotone
-/// `q_function`. Accurate to ~1e-10 in the argument; used by SNR
-/// calibration utilities.
-pub fn q_inverse(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "q_inverse: p must be in (0,1)");
-    let (mut lo, mut hi) = (-40.0, 40.0);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if q_function(mid) > p {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
 }
 
 /// Bessel function of the first kind, order zero, `J₀(x)`.
@@ -157,13 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn erf_is_odd() {
-        for x in [0.1, 0.7, 1.3, 2.9] {
-            assert!((erf(x) + erf(-x)).abs() < 1e-7);
-        }
-    }
-
-    #[test]
     fn erfc_monotone_decreasing() {
         let mut prev = erfc(-6.0);
         let mut x = -6.0;
@@ -185,22 +158,6 @@ mod tests {
         for x in [0.3, 1.1, 2.7] {
             assert!((q_function(x) + q_function(-x) - 1.0).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn q_inverse_roundtrip() {
-        for p in [0.4, 0.1, 0.01, 1e-4, 1e-8] {
-            let x = q_inverse(p);
-            let back = q_function(x);
-            let rel = ((back - p) / p).abs();
-            assert!(rel < 1e-5, "Q(Q^-1({p})) = {back}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "p must be in (0,1)")]
-    fn q_inverse_rejects_bad_input() {
-        q_inverse(1.5);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 /// Number of streams held without heap allocation — the inline fast-path
 /// capacity (the paper's largest experiment is 12×12; 16 leaves headroom).
 ///
-/// This is **not** an upper bound on [`SymVec::len`]: larger widths spill
-/// to the heap.
+/// This is **not** an upper bound on a vector's length: larger widths
+/// spill to the heap.
 pub const INLINE_STREAMS: usize = 16;
 
 /// Storage behind a [`SymVec`]: inline registers for the ≤ 16-stream hot
@@ -38,8 +38,7 @@ enum Repr {
 /// A small-vector of per-stream symbol indices.
 ///
 /// Indices are stored as `u16` (constellations up to 256-QAM need 8 bits;
-/// 16 bits leaves room for any realistic QAM order — wider indices are
-/// rejected, see [`SymVec::from_indices`]). Up to [`INLINE_STREAMS`]
+/// 16 bits leaves room for any realistic QAM order). Up to [`INLINE_STREAMS`]
 /// entries are stored inline (allocation-free, cheap to clone by memcpy);
 /// beyond that the storage spills to the heap.
 ///
@@ -52,11 +51,10 @@ enum Repr {
 /// let mut s = SymVec::zeroed(4);
 /// s.set(2, 7);
 /// assert_eq!(s.as_slice(), &[0, 0, 7, 0]);
-/// assert_eq!(s.to_indices(), vec![0usize, 0, 7, 0]);
+/// assert_eq!(s.get(2), 7);
 /// // Massive-MIMO widths spill transparently:
 /// let wide = SymVec::zeroed(64);
-/// assert_eq!(wide.len(), 64);
-/// assert!(wide.is_spilled());
+/// assert_eq!(wide.as_slice().len(), 64);
 /// ```
 pub struct SymVec {
     repr: Repr,
@@ -69,7 +67,7 @@ impl Clone for SymVec {
         }
     }
 
-    /// Capacity-reusing overwrite (forwards to [`SymVec::assign`]): a
+    /// Capacity-reusing overwrite (forwards to `SymVec::assign`): a
     /// spilled destination keeps its heap buffer, so `best.clone_from(&cur)`
     /// in a detector's reduction loop is allocation-free once warmed.
     fn clone_from(&mut self, source: &Self) {
@@ -107,23 +105,6 @@ impl SymVec {
         }
     }
 
-    /// Builds from a slice of symbol indices.
-    ///
-    /// # Panics
-    /// Panics if any index exceeds `u16` (no realistic QAM order does; the
-    /// check guards against garbage indices silently truncating).
-    pub fn from_indices(syms: &[usize]) -> Self {
-        let mut v = SymVec::zeroed(syms.len());
-        for (i, &s) in syms.iter().enumerate() {
-            v.set(
-                i,
-                // flexcore-lint: allow(FL004, reason = "documented guard: no realistic QAM order exceeds u16; silent truncation of a garbage index would be worse than the panic")
-                u16::try_from(s).expect("SymVec: symbol index exceeds u16"),
-            );
-        }
-        v
-    }
-
     /// Resets to an all-zero vector of length `len` — the per-evaluation
     /// initialisation of the detection hot path.
     ///
@@ -154,7 +135,7 @@ impl SymVec {
     /// [`Clone::clone_from`] forwards to, so `best.clone_from(&scratch)`
     /// in a detector's reduction loop stays allocation-free once warmed).
     #[inline]
-    pub fn assign(&mut self, syms: &[u16]) {
+    pub(crate) fn assign(&mut self, syms: &[u16]) {
         match &mut self.repr {
             Repr::Spilled(v) => {
                 v.clear();
@@ -167,30 +148,6 @@ impl SymVec {
             // flexcore-lint: allow(FL001, reason = "spill-boundary crossing: allocates only the first time an inline vector receives a width beyond INLINE_STREAMS; the warmed buffer is reused thereafter (alloc_regression pins this)")
             repr => *repr = Repr::Spilled(syms.to_vec()),
         }
-    }
-
-    /// Number of streams held.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Spilled(v) => v.len(),
-        }
-    }
-
-    /// True if the vector holds no streams.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if the indices live in a heap buffer rather than the inline
-    /// registers. Observable behaviour never depends on this; it exists so
-    /// the edge-case and allocation-regression tests can pin down which
-    /// representation a scenario exercises.
-    #[inline]
-    pub fn is_spilled(&self) -> bool {
-        matches!(self.repr, Repr::Spilled(_))
     }
 
     /// The stored indices as a slice.
@@ -225,12 +182,6 @@ impl SymVec {
             }
         }
     }
-
-    /// Widens to the `Vec<usize>` shape of the allocating detector APIs.
-    pub fn to_indices(&self) -> Vec<usize> {
-        // flexcore-lint: allow(FL001, reason = "compat widening to the allocating Vec<usize> detector API; allocates by design and is not called from the scratch path")
-        self.as_slice().iter().map(|&s| s as usize).collect()
-    }
 }
 
 impl Default for SymVec {
@@ -264,8 +215,43 @@ impl std::fmt::Debug for SymVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
+
+    /// Test-only views and constructors: the product reads a vector through
+    /// `as_slice` / `get` and builds it with `zeroed` / `set`.
+    impl SymVec {
+        /// Builds from a slice of symbol indices.
+        ///
+        /// # Panics
+        /// Panics if any index exceeds `u16`.
+        fn from_indices(syms: &[usize]) -> Self {
+            let mut v = SymVec::zeroed(syms.len());
+            for (i, &s) in syms.iter().enumerate() {
+                v.set(
+                    i,
+                    u16::try_from(s).expect("SymVec: symbol index exceeds u16"),
+                );
+            }
+            v
+        }
+
+        fn len(&self) -> usize {
+            self.as_slice().len()
+        }
+
+        /// True if the indices live in a heap buffer rather than the
+        /// inline registers: which representation a scenario exercises.
+        fn is_spilled(&self) -> bool {
+            matches!(self.repr, Repr::Spilled(_))
+        }
+
+        fn to_indices(&self) -> Vec<usize> {
+            self.as_slice().iter().map(|&s| s as usize).collect()
+        }
+    }
 
     /// A spilled `SymVec` holding the given (short) contents — reached
     /// through the public API: spill past the boundary, then shrink (the
@@ -287,10 +273,52 @@ mod tests {
     }
 
     #[test]
+    fn symvec_storage_is_representation_independent() {
+        // The massive-MIMO storage contract: any length up to 64 round
+        // trips, spills exactly past the inline bound, and all observable
+        // behaviour (slice, equality, hash, clone, reset) is independent
+        // of whether the indices live inline or in a spill buffer.
+        let mut rng = StdRng::seed_from_u64(0x5EC7);
+        for _ in 0..256 {
+            let len = rng.gen_range(0usize..65);
+            let syms: Vec<u16> = (0..len).map(|_| rng.gen_range(0u16..1024)).collect();
+            let idx: Vec<usize> = syms.iter().map(|&s| s as usize).collect();
+            let v = SymVec::from_indices(&idx);
+            assert_eq!(v.len(), syms.len());
+            assert_eq!(v.as_slice(), &syms[..]);
+            assert_eq!(v.is_spilled(), syms.len() > INLINE_STREAMS);
+            assert_eq!(v.to_indices(), idx);
+            // A spilled twin with the same contents, forced through the
+            // boundary: equal and hash-identical whatever `v`'s
+            // representation.
+            let mut twin = SymVec::zeroed(INLINE_STREAMS + 1);
+            twin.assign(&syms);
+            assert!(twin.is_spilled());
+            assert_eq!(&twin, &v);
+            assert_eq!(hash_of(&twin), hash_of(&v));
+            // Clone preserves contents; clone_from reuses the destination.
+            assert_eq!(&v.clone(), &v);
+            let mut dst = SymVec::zeroed(INLINE_STREAMS + 1);
+            dst.clone_from(&v);
+            assert_eq!(&dst, &v);
+            // reset() zeroes at the same length, and crossing the spill
+            // boundary in either direction keeps the vector well-formed.
+            let mut r = v.clone();
+            r.reset(syms.len());
+            assert!(r.as_slice().iter().all(|&s| s == 0));
+            assert_eq!(r.len(), syms.len());
+            r.reset(64);
+            assert_eq!(r.len(), 64);
+            assert!(r.is_spilled());
+            r.reset(1);
+            assert_eq!(r.as_slice(), &[0u16][..]);
+        }
+    }
+
+    #[test]
     fn construction_and_access() {
         let mut v = SymVec::zeroed(5);
         assert_eq!(v.len(), 5);
-        assert!(!v.is_empty());
         v.set(0, 3);
         v.set(4, 9);
         assert_eq!(v.get(0), 3);

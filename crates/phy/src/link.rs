@@ -95,14 +95,6 @@ pub struct StreamedOutcome {
     pub crc_ok: Vec<bool>,
 }
 
-impl LinkOutcome {
-    /// Fraction of users whose packet failed.
-    pub fn packet_error_rate(&self) -> f64 {
-        let fails = self.user_ok.iter().filter(|&&ok| !ok).count();
-        fails as f64 / self.user_ok.len() as f64
-    }
-}
-
 /// One packet's transmit-side product, every spatial stream's back to
 /// back: the payload bits and the symbol index each grid cell carries.
 pub(crate) struct TxChains {
@@ -574,7 +566,6 @@ mod tests {
         det.prepare(&h, sigma2_from_snr_db(snr));
         let out = simulate_packet(&cfg, &ch, &det, &mut rng);
         assert!(out.user_ok.iter().all(|&ok| ok));
-        assert_eq!(out.packet_error_rate(), 0.0);
         assert!(out.raw_bit_errors.iter().all(|&e| e == 0));
     }
 

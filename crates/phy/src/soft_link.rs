@@ -3,7 +3,7 @@
 //! The end-to-end realisation of the paper's §7 extension: instead of
 //! hard-slicing each detected symbol, the detector's candidate list
 //! produces per-bit LLRs (`flexcore::soft`) which the deinterleaver passes
-//! to the soft Viterbi decoder (`flexcore-coding::soft`). At equal SNR and
+//! to the soft Viterbi decoder (`ConvCode::decode_soft_into`). At equal SNR and
 //! equal PE count the soft pipeline delivers strictly more packets — the
 //! gain the paper anticipates from "soft-detectors as in \[7, 43\]".
 //!

@@ -17,7 +17,7 @@ use flexcore_coding::CodeRate;
 use flexcore_modulation::Modulation;
 
 /// Peak (PER = 0) information rate of one user, in Mbit/s.
-pub fn per_user_peak_mbps(cfg: &OfdmConfig, modulation: Modulation, rate: CodeRate) -> f64 {
+pub(crate) fn per_user_peak_mbps(cfg: &OfdmConfig, modulation: Modulation, rate: CodeRate) -> f64 {
     let bits = cfg.n_data as f64 * modulation.bits_per_symbol() as f64 * rate.as_f64();
     bits / cfg.symbol_duration_s() / 1e6
 }

@@ -4,7 +4,7 @@
 //! Two ingredients:
 //! 1. the **timing budget**: for each LTE mode, how many tree paths per
 //!    subcarrier the GPU sustains inside the 500 µs timeslot
-//!    (`flexcore-hwmodel::lte`);
+//!    (`flexcore-hwmodel`'s `LteMode::max_flexcore_paths`);
 //! 2. the **algorithmic loss**: how far from ML a FlexCore limited to that
 //!    many paths operates, measured as the extra SNR needed to match the
 //!    ML detector's vector error rate at the operating point.

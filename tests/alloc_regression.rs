@@ -18,7 +18,6 @@
 
 use flexcore::{CellDetector, FlexCoreDetector, PathScratch};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel, MimoChannel};
-use flexcore_coding::soft::hard_to_llr;
 use flexcore_coding::{CodeRate, ConvCode, ViterbiScratch};
 use flexcore_detect::common::Detector;
 use flexcore_detect::FcsdDetector;
@@ -359,7 +358,11 @@ fn hot_path_allocation_budget() {
             let code = ConvCode::new(rate);
             let info: Vec<u8> = (0..240).map(|_| rng.gen_range(0..2u8)).collect();
             let coded = code.encode(&info);
-            let llrs = hard_to_llr(&coded);
+            // Hard bits as saturated LLRs (±50, the soft decoder's clamp).
+            let llrs: Vec<f64> = coded
+                .iter()
+                .map(|&b| if b == 0 { 50.0 } else { -50.0 })
+                .collect();
             code.decode_into(&coded, info.len(), &mut scratch, &mut decoded);
             let mut encoded = Vec::new();
             code.encode_into(&info, &mut encoded);

@@ -22,7 +22,9 @@ fn ver_over_drift(refresh: bool, rho: f64, seed: u64) -> f64 {
     det.prepare(chan.current(), sigma2);
     let (mut errs, mut total) = (0usize, 0usize);
     for _ in 0..40 {
-        chan.step_many(5, &mut rng);
+        for _ in 0..5 {
+            chan.step(&mut rng);
+        }
         if refresh {
             det.prepare(chan.current(), sigma2);
         }

@@ -129,7 +129,7 @@ fn detectors_share_identical_interfaces() {
     ];
     for mut det in detectors {
         det.prepare(&h, 0.01);
-        let y = vec![flexcore_numeric::Cx::ONE; 4];
+        let y = vec![flexcore_numeric::Cx::real(1.0); 4];
         let out = det.detect(&y);
         assert_eq!(out.len(), 4, "{}", det.name());
         assert!(out.iter().all(|&s| s < 16));

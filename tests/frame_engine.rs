@@ -262,7 +262,7 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
 
     let fabrics = [
         HeterogeneousFabric::lte_smallcell(),
-        HeterogeneousFabric::uniform("flat", 5),
+        HeterogeneousFabric::new("flat", vec![PeClass::new("pe", 5, 1.0)]),
         HeterogeneousFabric::new(
             "skew",
             vec![PeClass::new("fast", 1, 10.0), PeClass::new("slow", 2, 0.5)],

@@ -351,8 +351,8 @@ proptest! {
 
 /// Bits of a complex matrix, for exact comparison.
 fn mat_bits(m: &CMat) -> Vec<(u64, u64)> {
-    m.as_slice()
-        .iter()
+    (0..m.rows())
+        .flat_map(|r| m.row(r))
         .map(|z| (z.re.to_bits(), z.im.to_bits()))
         .collect()
 }

@@ -1,7 +1,8 @@
 //! Bit-identity property tests for the PR 7 SIMD/SoA detection kernels.
 //!
-//! The lane kernels (`CxLane`, the `mul_vec*` products, the blocked QR
-//! rotate, the four-wide trie walk and path blocks)
+//! The lane kernels (`CxLane`, the `mul_vec_into` product, the blocked QR
+//! rotate, the four-wide trie walk and path blocks; the crate-internal
+//! Hermitian product is pinned in `flexcore-numeric`'s own tests)
 //! promise *bitwise* equality with their scalar twins: each lane replays
 //! the scalar operation chain, so a lane path must never change a single
 //! bit of any symbol decision or metric. A kernel picks its lane form from
@@ -68,14 +69,9 @@ fn mat_lane_kernels_bit_identical_across_nt_1_to_64() {
             for (w, g) in want.iter().zip(&got) {
                 assert_cx_bits(*w, *g, &format!("mul_vec {rows}x{cols}"));
             }
-            let xh = random_vec(rows, 3000 + nt as u64);
-            let mut want = vec![Cx::ZERO; cols];
-            let mut got = vec![Cx::ZERO; cols];
-            a.mul_vec_hermitian_into_scalar(&xh, &mut want);
-            a.mul_vec_hermitian_into(&xh, &mut got);
-            for (w, g) in want.iter().zip(&got) {
-                assert_cx_bits(*w, *g, &format!("mul_vec_hermitian {rows}x{cols}"));
-            }
+            // The Hermitian product's lane kernel is crate-internal; its
+            // pin over the same sweep lives in `flexcore_numeric::mat`'s
+            // tests.
         }
     }
 }
