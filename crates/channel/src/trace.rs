@@ -30,13 +30,18 @@ impl TraceSet {
     /// Creates a trace set from channels of identical dimensions.
     ///
     /// # Panics
-    /// Panics if the channels do not all share the same shape, or if the
-    /// set is empty.
+    /// Panics if the channels do not all share the same shape, if the set
+    /// is empty, or if an entry is not finite (the format cannot replay it).
     pub fn new(channels: Vec<CMat>) -> Self {
         assert!(!channels.is_empty(), "TraceSet: empty");
         let (nr, nt) = (channels[0].rows(), channels[0].cols());
         for c in &channels {
             assert_eq!((c.rows(), c.cols()), (nr, nt), "TraceSet: mixed shapes");
+            let finite = |z: &Cx| z.re.is_finite() && z.im.is_finite();
+            assert!(
+                (0..nr).flat_map(|r| c.row(r)).all(finite),
+                "TraceSet: non-finite entry"
+            );
         }
         TraceSet { nr, nt, channels }
     }
@@ -236,5 +241,13 @@ mod tests {
         let a = ChannelEnsemble::iid(4, 3).draw(&mut rng);
         let b = ChannelEnsemble::iid(4, 4).draw(&mut rng);
         let _ = TraceSet::new(vec![a, b]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite entry")]
+    fn rejects_non_finite_entries() {
+        let mut h = ChannelEnsemble::iid(2, 2).draw(&mut StdRng::seed_from_u64(1));
+        h[(1, 0)] = Cx::new(0.0, f64::NAN);
+        let _ = TraceSet::new(vec![h]);
     }
 }

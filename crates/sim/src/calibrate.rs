@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 /// This is the uncoded proxy for PER: one vector error typically produces
 /// a burst the convolutional code cannot absorb, so VER tracks PER closely
 /// while being orders of magnitude cheaper to estimate.
-pub fn vector_error_rate(
+pub(crate) fn vector_error_rate(
     det: &mut dyn Detector,
     ens: &ChannelEnsemble,
     constellation: &Constellation,
@@ -57,7 +57,7 @@ pub fn vector_error_rate(
 /// Finds the SNR (dB) at which `det` reaches the target vector error rate,
 /// via bisection over `[lo, hi]`. The curve is monotone decreasing in SNR.
 #[allow(clippy::too_many_arguments)]
-pub fn calibrate_snr_for_ver(
+pub(crate) fn calibrate_snr_for_ver(
     det: &mut dyn Detector,
     ens: &ChannelEnsemble,
     constellation: &Constellation,

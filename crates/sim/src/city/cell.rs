@@ -212,7 +212,7 @@ pub struct DeliveredFrame<'a> {
 }
 
 /// One cell of the city: traffic in, modelled-time serving, QoS-aware
-/// shedding. See the [module docs](self).
+/// shedding, one 1 ms LTE subframe per [`CityCell::step_with`].
 pub struct CityCell {
     cell: StreamingCell<CellDetector>,
     pub(super) users: Vec<CellUser>,
@@ -312,7 +312,7 @@ impl CityCell {
     }
 
     /// Registered users.
-    pub fn n_users(&self) -> usize {
+    pub(crate) fn n_users(&self) -> usize {
         self.users.len()
     }
 
@@ -328,7 +328,8 @@ impl CityCell {
 
     /// Modelled processing backlog carried past the last tick's interval,
     /// in seconds — positive means the cell is running behind real time.
-    pub fn backlog_s(&self) -> f64 {
+    #[cfg(test)]
+    fn backlog_s(&self) -> f64 {
         self.backlog_s
     }
 
@@ -346,7 +347,7 @@ impl CityCell {
     /// path-extension units (`n_symbols × Σ_sc slot_extension_work`) —
     /// the same units [`CityCell::capacity_units`] prices capacity in.
     /// The city's load calibration sums this over users.
-    pub fn frame_units(&self, user: usize) -> u64 {
+    pub(crate) fn frame_units(&self, user: usize) -> u64 {
         let engine = self.cell.engine(user);
         let per_symbol: u64 = (0..CityConfig::N_SUBCARRIERS)
             .map(|sc| engine.slot_extension_work(sc) as u64)
@@ -358,7 +359,7 @@ impl CityCell {
     /// perfect packing: `total_speed × subframe / unit_seconds` on the
     /// FX-8120 cost model. The realised capacity is this times the LPT
     /// packing efficiency.
-    pub fn capacity_units(&self) -> f64 {
+    pub(crate) fn capacity_units(&self) -> f64 {
         self.capacity_units
     }
 
@@ -377,7 +378,7 @@ impl CityCell {
 
     /// Advances one scheduling interval. Equivalent to
     /// [`CityCell::step_with`] with a sink that drops the frames.
-    pub fn step(&mut self, multiplier: f64) {
+    pub(crate) fn step(&mut self, multiplier: f64) {
         self.step_with(multiplier, &mut |_| {});
     }
 

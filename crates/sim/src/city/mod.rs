@@ -6,11 +6,11 @@
 //! it: **who gets in, who gets what tier, and what happens at 2× load.**
 //! A [`City`] is a set of [`CityCell`]s, each serving 1 ms LTE subframes
 //! on the LTE small-cell fabric; a deterministic population of
-//! [`UserProfile`]s (per-user arrival processes from [`traffic`], QoS
-//! classes from [`qos`]) is placed round-robin and gated by latency-first
-//! admission. Under overload each cell's shed policy downgrades
-//! backlogged bulk users down the [`ServiceTier`] ladder (FlexCore → SIC
-//! → linear) instead of letting the backlog starve everyone — decisions
+//! [`UserProfile`]s (per-user [`ArrivalProcess`]es and [`QosClass`]es)
+//! is placed round-robin and gated by latency-first admission. Under
+//! overload each cell's shed policy downgrades backlogged bulk users down
+//! the [`ServiceTier`] ladder (FlexCore → SIC → linear) instead of letting
+//! the backlog starve everyone — decisions
 //! driven by the serving layer's frames-behind counters and windowed
 //! latency percentiles.
 //!
@@ -21,13 +21,13 @@
 //! matter the multiplier — so offered load scales without reshuffling
 //! anyone's burst timing.
 
-pub mod cell;
-pub mod qos;
-pub mod traffic;
+mod cell;
+mod qos;
+mod traffic;
 
 pub use cell::{CityCell, DeliveredFrame, ServiceTier, ShedEvent};
 pub use qos::{QosClass, UserProfile};
-pub use traffic::{poisson_quantile, ArrivalProcess, TrafficSource, MAX_ARRIVALS_PER_TICK};
+pub use traffic::{ArrivalProcess, TrafficSource};
 
 use flexcore_engine::LatencyRecord;
 use flexcore_modulation::Modulation;
@@ -251,7 +251,7 @@ impl City {
     /// offered work equal `load ×` the city's total per-tick capacity.
     /// Deterministic: prices each admitted user at its measured full-tier
     /// frame cost.
-    pub fn calibrate_multiplier(&self, load: f64) -> f64 {
+    fn calibrate_multiplier(&self, load: f64) -> f64 {
         assert!(load.is_finite() && load > 0.0, "City: bad load {load}");
         let capacity: f64 = self.cells.iter().map(CityCell::capacity_units).sum();
         let offered: f64 = self

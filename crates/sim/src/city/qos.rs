@@ -42,7 +42,7 @@ impl QosClass {
     /// The class's queue cap in frames: latency queues stay shallow (a
     /// frame queued deeper than the deadline is already dead), bulk queues
     /// ride out bursts. Arrivals beyond the cap are shed at the door.
-    pub fn queue_cap(self) -> usize {
+    pub(crate) fn queue_cap(self) -> usize {
         match self {
             QosClass::Latency => 4,
             QosClass::Bulk => 32,

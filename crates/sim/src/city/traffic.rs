@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 /// Hard cap on the frames one user can offer in a single tick. Bounds the
 /// quantile inversion loop and keeps a mis-calibrated multiplier from
 /// turning one tick into an unbounded allocation.
-pub const MAX_ARRIVALS_PER_TICK: usize = 64;
+const MAX_ARRIVALS_PER_TICK: usize = 64;
 
 /// A per-user arrival process, priced in frames per tick. All rates are
 /// at load multiplier 1.0; [`TrafficSource::step`] scales them.
@@ -128,7 +128,7 @@ impl ArrivalProcess {
 /// ordered), which is what couples a user's sample paths across load
 /// multipliers: scaling the rate can only add arrivals tick by tick,
 /// never move them.
-pub fn poisson_quantile(lambda: f64, u: f64) -> usize {
+fn poisson_quantile(lambda: f64, u: f64) -> usize {
     if lambda <= 0.0 {
         return 0;
     }
@@ -180,16 +180,6 @@ impl TrafficSource {
             on,
             acc: 0.0,
         }
-    }
-
-    /// The process this source draws from.
-    pub fn process(&self) -> &ArrivalProcess {
-        &self.process
-    }
-
-    /// Ticks stepped so far.
-    pub fn ticks(&self) -> u64 {
-        self.tick
     }
 
     /// Whether an on/off source is currently in a burst (always `false`

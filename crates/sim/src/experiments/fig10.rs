@@ -21,17 +21,20 @@ use flexcore_phy::throughput::network_throughput_mbps;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// AP antennas.
+const NR: usize = 12;
+/// Available PEs for (a-)FlexCore.
+const N_PE: usize = 64;
+/// a-FlexCore probability target.
+const THRESHOLD: f64 = 0.95;
+/// RNG seed, shared by every detector.
+const SEED: u64 = 0xF1EC_0010;
+
 /// Configuration for the Fig. 10 run.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    /// AP antennas.
-    pub nr: usize,
     /// User counts to sweep.
     pub users: Vec<usize>,
-    /// Available PEs for (a-)FlexCore.
-    pub n_pe: usize,
-    /// a-FlexCore probability target.
-    pub threshold: f64,
     /// Per-user payload (bytes).
     pub payload_bytes: usize,
     /// Packets per point.
@@ -42,22 +45,16 @@ pub struct Cfg {
     /// the exact search's complexity explodes — the very effect Table 1
     /// quantifies — and the proxy sits on the ML bound (Fig. 9).
     pub exact_ml: bool,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Cfg {
     /// Fast preset (three user counts).
     pub fn quick() -> Self {
         Cfg {
-            nr: 12,
             users: vec![6, 9, 12],
-            n_pe: 64,
-            threshold: 0.95,
             payload_bytes: 30,
             n_packets: 6,
             exact_ml: false,
-            seed: 0xF1EC_0010,
         }
     }
 
@@ -68,7 +65,6 @@ impl Cfg {
             payload_bytes: 60,
             n_packets: 20,
             exact_ml: true,
-            ..Cfg::quick()
         }
     }
 }
@@ -79,7 +75,7 @@ pub fn run(cfg: &Cfg) -> ResultTable {
     let c = Constellation::new(modulation);
     // The paper fixes the SNR at the 12-user PER_ML = 0.01 point for the
     // whole sweep.
-    let snr = operating_point_snr_db(cfg.nr, c.order(), 0.01);
+    let snr = operating_point_snr_db(NR, c.order(), 0.01);
     let mut table = ResultTable::new(
         "Fig. 10: throughput vs active users (12-antenna AP, 64-QAM)",
         &[
@@ -91,7 +87,7 @@ pub fn run(cfg: &Cfg) -> ResultTable {
         ],
     );
     for &nt in &cfg.users {
-        let ens = ChannelEnsemble::iid(cfg.nr, nt);
+        let ens = ChannelEnsemble::iid(NR, nt);
         let link = LinkConfig::paper_default(c.clone(), cfg.payload_bytes);
         // Geosphere (exact ML or near-ML proxy), MMSE, FlexCore-64,
         // a-FlexCore-64.
@@ -101,10 +97,10 @@ pub fn run(cfg: &Cfg) -> ResultTable {
             Box::new(FlexCoreDetector::with_pes(c.clone(), 6 * c.order()))
         };
         let mut mmse = MmseDetector::new(c.clone());
-        let mut fc = FlexCoreDetector::with_pes(c.clone(), cfg.n_pe);
-        let mut afc = FlexCoreDetector::adaptive(c.clone(), cfg.n_pe, cfg.threshold);
+        let mut fc = FlexCoreDetector::with_pes(c.clone(), N_PE);
+        let mut afc = FlexCoreDetector::adaptive(c.clone(), N_PE, THRESHOLD);
         let measure = |det: &mut dyn Detector, label: &str| {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            let mut rng = StdRng::seed_from_u64(SEED);
             let per = packet_error_rate(
                 &link,
                 det,
@@ -123,7 +119,7 @@ pub fn run(cfg: &Cfg) -> ResultTable {
         ];
         // a-FlexCore runs `packet_error_rate`'s loop here, on the same RNG
         // stream, so each prepared channel's active-PE count can be read.
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let (mut fails, mut active_sum) = (0usize, 0usize);
         for _ in 0..cfg.n_packets {
             let ch = MimoChannel::new(ens.draw(&mut rng), snr);

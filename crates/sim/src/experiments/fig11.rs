@@ -13,55 +13,33 @@
 use crate::table::ResultTable;
 use flexcore_hwmodel::{CpuModel, GpuModel};
 
-/// Configuration for the Fig. 11 run.
-#[derive(Clone, Debug)]
-pub struct Cfg {
-    /// Streams (the paper plots 12×12).
-    pub nt: usize,
-    /// Constellation size.
-    pub q: usize,
-    /// FlexCore path counts (the x-axis, descending in the paper).
-    pub e_grid: Vec<usize>,
-    /// Subcarrier batch sizes (the paper's three curves).
-    pub nsc_grid: Vec<usize>,
-    /// FCSD expansion depths to use as baselines.
-    pub l_grid: Vec<u32>,
-    /// OpenMP thread counts for the CPU reference rows.
-    pub omp_threads: Vec<usize>,
-}
-
-impl Cfg {
-    /// The paper's grid (analytic, so quick == full).
-    pub fn quick() -> Self {
-        Cfg {
-            nt: 12,
-            q: 64,
-            e_grid: vec![1024, 512, 256, 128, 64, 32, 16, 8],
-            nsc_grid: vec![64, 1024, 16384],
-            l_grid: vec![1, 2],
-            omp_threads: vec![1, 2, 4, 8],
-        }
-    }
-
-    /// Same grid.
-    pub fn full() -> Self {
-        Cfg::quick()
-    }
-}
+/// Streams (the paper plots 12×12).
+const NT: usize = 12;
+/// Constellation size.
+const Q: usize = 64;
+/// FlexCore path counts (the x-axis, descending in the paper).
+const E_GRID: [usize; 8] = [1024, 512, 256, 128, 64, 32, 16, 8];
+/// Subcarrier batch sizes (the paper's three curves).
+const NSC_GRID: [usize; 3] = [64, 1024, 16384];
+/// FCSD expansion depths to use as baselines.
+const L_GRID: [u32; 2] = [1, 2];
+/// OpenMP thread counts for the CPU reference rows.
+const OMP_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs the experiment. Rows: FlexCore speedups per (L, Nsc, |E|), then
 /// CPU reference rows (speedup < 1 means slower than the GPU FCSD).
-pub fn run(cfg: &Cfg) -> ResultTable {
+/// Analytic: the paper's grid, with no preset to choose.
+pub fn run() -> ResultTable {
     let gpu = GpuModel::gtx970();
     let cpu = CpuModel::fx8120();
     let mut table = ResultTable::new(
         "Fig. 11: FlexCore speedup vs GPU-based FCSD (12x12, 64-QAM)",
         &["kind", "fcsd_l", "nsc", "e_paths", "speedup_vs_gpu_fcsd"],
     );
-    for &l in &cfg.l_grid {
-        for &nsc in &cfg.nsc_grid {
-            for &e in &cfg.e_grid {
-                let s = gpu.speedup_vs_fcsd(e, nsc, cfg.q, l, cfg.nt);
+    for l in L_GRID {
+        for nsc in NSC_GRID {
+            for e in E_GRID {
+                let s = gpu.speedup_vs_fcsd(e, nsc, Q, l, NT);
                 table.push_row(vec![
                     "FlexCore".into(),
                     format!("{l}"),
@@ -74,17 +52,17 @@ pub fn run(cfg: &Cfg) -> ResultTable {
     }
     // CPU reference rows: FCSD on OpenMP vs FCSD on GPU (same L, large
     // batch — the regime the paper profiles).
-    for &l in &cfg.l_grid {
+    for l in L_GRID {
         let nsc = 1024usize;
-        let paths = nsc * cfg.q.pow(l);
-        let t_gpu = gpu.fcsd_time_s(nsc, cfg.q, l, cfg.nt);
-        for &threads in &cfg.omp_threads {
-            let t_cpu = cpu.time_s(paths, cfg.nt, threads);
+        let paths = nsc * Q.pow(l);
+        let t_gpu = gpu.fcsd_time_s(nsc, Q, l, NT);
+        for threads in OMP_THREADS {
+            let t_cpu = cpu.time_s(paths, NT, threads);
             table.push_row(vec![
                 format!("FCSD-OpenMP-{threads}"),
                 format!("{l}"),
                 format!("{nsc}"),
-                format!("{}", cfg.q.pow(l)),
+                format!("{}", Q.pow(l)),
                 format!("{:.4}", t_gpu / t_cpu),
             ]);
         }
@@ -98,7 +76,7 @@ mod tests {
 
     #[test]
     fn headline_numbers() {
-        let t = run(&Cfg::quick());
+        let t = run();
         // Find the |E|=128, L=2, Nsc=16384 row.
         let row = t
             .rows()
@@ -111,7 +89,7 @@ mod tests {
 
     #[test]
     fn cpu_rows_are_below_one() {
-        let t = run(&Cfg::quick());
+        let t = run();
         for r in t.rows().iter().filter(|r| r[0].starts_with("FCSD-OpenMP")) {
             let s: f64 = r[4].parse().unwrap();
             assert!(s < 1.0, "CPU must be slower than the GPU FCSD: {r:?}");
@@ -130,7 +108,7 @@ mod tests {
 
     #[test]
     fn speedup_monotone_in_e() {
-        let t = run(&Cfg::quick());
+        let t = run();
         let series: Vec<f64> = t
             .rows()
             .iter()

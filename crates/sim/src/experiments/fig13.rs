@@ -11,82 +11,64 @@ use crate::table::ResultTable;
 use flexcore_hwmodel::{EngineKind, FpgaModel};
 
 /// One iso-throughput curve of the figure.
-#[derive(Clone, Copy, Debug)]
-pub struct Curve {
+struct Curve {
     /// Engine.
-    pub kind: EngineKind,
+    kind: EngineKind,
     /// Streams.
-    pub nt: usize,
+    nt: usize,
     /// Paths per received vector this engine must evaluate.
-    pub paths: usize,
+    paths: usize,
     /// Label (matches the paper's legend).
-    pub label: &'static str,
+    label: &'static str,
 }
 
-/// Configuration for the Fig. 13 run.
-#[derive(Clone, Debug)]
-pub struct Cfg {
-    /// Curves to sweep.
-    pub curves: Vec<Curve>,
-    /// PE counts (paper: 1 → ~100, instantiated ≤32/64, extrapolated
-    /// beyond at 75 % utilisation).
-    pub m_grid: Vec<usize>,
-}
+/// The paper's six curves.
+const CURVES: [Curve; 6] = [
+    Curve {
+        kind: EngineKind::Fcsd,
+        nt: 8,
+        paths: 64,
+        label: "FCSD Nt=8 L=1",
+    },
+    Curve {
+        kind: EngineKind::FlexCore,
+        nt: 8,
+        paths: 32,
+        label: "FlexCore Nt=8 (L=1 pair)",
+    },
+    Curve {
+        kind: EngineKind::Fcsd,
+        nt: 12,
+        paths: 64,
+        label: "FCSD Nt=12 L=1",
+    },
+    Curve {
+        kind: EngineKind::Fcsd,
+        nt: 12,
+        paths: 4096,
+        label: "FCSD Nt=12 L=2",
+    },
+    Curve {
+        kind: EngineKind::FlexCore,
+        nt: 12,
+        paths: 32,
+        label: "FlexCore Nt=12 (L=1 pair)",
+    },
+    Curve {
+        kind: EngineKind::FlexCore,
+        nt: 12,
+        paths: 128,
+        label: "FlexCore Nt=12 (L=2 pair)",
+    },
+];
 
-impl Cfg {
-    /// The paper's six curves.
-    pub fn quick() -> Self {
-        Cfg {
-            curves: vec![
-                Curve {
-                    kind: EngineKind::Fcsd,
-                    nt: 8,
-                    paths: 64,
-                    label: "FCSD Nt=8 L=1",
-                },
-                Curve {
-                    kind: EngineKind::FlexCore,
-                    nt: 8,
-                    paths: 32,
-                    label: "FlexCore Nt=8 (L=1 pair)",
-                },
-                Curve {
-                    kind: EngineKind::Fcsd,
-                    nt: 12,
-                    paths: 64,
-                    label: "FCSD Nt=12 L=1",
-                },
-                Curve {
-                    kind: EngineKind::Fcsd,
-                    nt: 12,
-                    paths: 4096,
-                    label: "FCSD Nt=12 L=2",
-                },
-                Curve {
-                    kind: EngineKind::FlexCore,
-                    nt: 12,
-                    paths: 32,
-                    label: "FlexCore Nt=12 (L=1 pair)",
-                },
-                Curve {
-                    kind: EngineKind::FlexCore,
-                    nt: 12,
-                    paths: 128,
-                    label: "FlexCore Nt=12 (L=2 pair)",
-                },
-            ],
-            m_grid: vec![1, 2, 4, 8, 16, 32, 64, 100],
-        }
-    }
+/// PE counts (paper: 1 → ~100, instantiated ≤32/64, extrapolated beyond
+/// at 75 % utilisation).
+const M_GRID: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 100];
 
-    /// Same (analytic).
-    pub fn full() -> Self {
-        Cfg::quick()
-    }
-}
-
-/// Runs the experiment. One row per (curve, M).
-pub fn run(cfg: &Cfg) -> ResultTable {
+/// Runs the experiment. One row per (curve, M). Analytic: the paper's
+/// curves, with no preset to choose.
+pub fn run() -> ResultTable {
     let mut table = ResultTable::new(
         "Fig. 13: FPGA energy efficiency at iso-throughput (64-QAM)",
         &[
@@ -97,10 +79,10 @@ pub fn run(cfg: &Cfg) -> ResultTable {
             "throughput_gbps",
         ],
     );
-    for curve in &cfg.curves {
+    for curve in &CURVES {
         let model = FpgaModel::new(curve.kind, curve.nt, 64);
         let cap = model.max_pes();
-        for &m in &cfg.m_grid {
+        for m in M_GRID {
             let jpb = model.joules_per_bit(m, curve.paths);
             let tput = model.throughput_bps(m, curve.paths) / 1e9;
             table.push_row(vec![
@@ -115,26 +97,26 @@ pub fn run(cfg: &Cfg) -> ResultTable {
     table
 }
 
-/// The §5.3 summary statistic: mean FCSD-vs-FlexCore J/bit ratio across a
-/// PE grid for one iso-throughput pairing.
-pub fn mean_jpb_ratio(
-    nt: usize,
-    fcsd_paths: usize,
-    flexcore_paths: usize,
-    m_grid: &[usize],
-) -> f64 {
-    let fcsd = FpgaModel::new(EngineKind::Fcsd, nt, 64);
-    let fc = FpgaModel::new(EngineKind::FlexCore, nt, 64);
-    let mut acc = 0.0;
-    for &m in m_grid {
-        acc += fcsd.joules_per_bit(m, fcsd_paths) / fc.joules_per_bit(m, flexcore_paths);
-    }
-    acc / m_grid.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The §5.3 summary statistic: mean FCSD-vs-FlexCore J/bit ratio across a
+    /// PE grid for one iso-throughput pairing.
+    fn mean_jpb_ratio(
+        nt: usize,
+        fcsd_paths: usize,
+        flexcore_paths: usize,
+        m_grid: &[usize],
+    ) -> f64 {
+        let fcsd = FpgaModel::new(EngineKind::Fcsd, nt, 64);
+        let fc = FpgaModel::new(EngineKind::FlexCore, nt, 64);
+        let mut acc = 0.0;
+        for &m in m_grid {
+            acc += fcsd.joules_per_bit(m, fcsd_paths) / fc.joules_per_bit(m, flexcore_paths);
+        }
+        acc / m_grid.len() as f64
+    }
 
     #[test]
     fn fcsd_needs_more_joules_per_bit() {
@@ -151,7 +133,7 @@ mod tests {
     fn more_pes_do_not_change_jpb_much_but_raise_throughput() {
         // J/bit = (static + M·dyn) / (M·rate): falls toward dyn/rate as M
         // grows; throughput rises linearly.
-        let t = run(&Cfg::quick());
+        let t = run();
         let series: Vec<(f64, f64)> = t
             .rows()
             .iter()
@@ -166,7 +148,7 @@ mod tests {
 
     #[test]
     fn extrapolation_flagged_beyond_capacity() {
-        let t = run(&Cfg::quick());
+        let t = run();
         // The big 12×12 FlexCore engine (~35k LUTs/PE) exceeds the 75%
         // ceiling at M=100; the small Nt=8 FCSD engine does not.
         for r in t.rows().iter().filter(|r| r[1] == "100") {
@@ -180,7 +162,7 @@ mod tests {
         }
         // And every curve has a finite capacity of at least the paper's
         // instantiated M=32.
-        for c in &Cfg::quick().curves {
+        for c in &CURVES {
             let cap = FpgaModel::new(c.kind, c.nt, 64).max_pes();
             assert!(cap >= 32, "{}: cap {cap}", c.label);
         }

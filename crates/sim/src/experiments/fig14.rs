@@ -11,7 +11,7 @@
 
 use crate::table::ResultTable;
 use flexcore::model::symbol_error_probability;
-use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
+use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble};
 use flexcore_modulation::ordering::exact_order;
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::qr::sorted_qr_sqrd;
@@ -19,36 +19,33 @@ use flexcore_numeric::Cx;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Modulation (the paper's figure uses a square QAM; we use 16-QAM).
+const MODULATION: Modulation = Modulation::Qam16;
+/// System size (`Nt = Nr`).
+const NT: usize = 8;
+/// SNRs to evaluate (paper: 1 dB and 15 dB).
+const SNRS_DB: [f64; 2] = [1.0, 15.0];
+/// RNG seed, restarted at each SNR.
+const SEED: u64 = 0xF1EC_0014;
+
 /// Configuration for the Fig. 14 run.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    /// Modulation (the paper's figure uses a square QAM; we default 16-QAM).
-    pub modulation: Modulation,
-    /// System size (`Nt = Nr`).
-    pub nt: usize,
-    /// SNRs to evaluate (paper: 1 dB and 15 dB).
-    pub snrs_db: Vec<f64>,
     /// Largest rank to tabulate.
     pub k_max: usize,
     /// Channels × vectors to average.
     pub n_channels: usize,
     /// Vectors per channel.
     pub vectors_per_channel: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Cfg {
     /// Fast preset.
     pub fn quick() -> Self {
         Cfg {
-            modulation: Modulation::Qam16,
-            nt: 8,
-            snrs_db: vec![1.0, 15.0],
             k_max: 10,
             n_channels: 150,
             vectors_per_channel: 30,
-            seed: 0xF1EC_0014,
         }
     }
 
@@ -65,33 +62,31 @@ impl Cfg {
 /// Runs the experiment. One row per (SNR, k): simulated frequency vs the
 /// geometric model (both averaged over the channel ensemble).
 pub fn run(cfg: &Cfg) -> ResultTable {
-    let c = Constellation::new(cfg.modulation);
-    let ens = ChannelEnsemble::iid(cfg.nt, cfg.nt);
+    let c = Constellation::new(MODULATION);
+    let ens = ChannelEnsemble::iid(NT, NT);
     let mut table = ResultTable::new(
         "Fig. 14: top-level rank distribution — model vs simulation",
         &["snr_db", "k", "simulated", "model"],
     );
-    for &snr in &cfg.snrs_db {
+    for snr in SNRS_DB {
         let sigma2 = sigma2_from_snr_db(snr);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut rank_counts = vec![0u64; cfg.k_max + 1]; // [0] = beyond k_max
         let mut model_acc = vec![0.0f64; cfg.k_max];
         let mut total = 0u64;
         for _ in 0..cfg.n_channels {
             let h = ens.draw(&mut rng);
             let qr = sorted_qr_sqrd(&h);
-            let _ch = MimoChannel::new(h.clone(), snr);
-            let top = cfg.nt - 1;
+            // Transmit in permuted order so stream j maps to R column j.
+            let hp = h.permute_cols(&qr.perm);
+            let top = NT - 1;
             // Model curve for this channel's top level.
-            let pe =
-                symbol_error_probability(qr.r[(top, top)].abs(), sigma2.sqrt(), cfg.modulation);
+            let pe = symbol_error_probability(qr.r[(top, top)].abs(), sigma2.sqrt(), MODULATION);
             for (k, acc) in model_acc.iter_mut().enumerate() {
                 *acc += (1.0 - pe) * pe.powi(k as i32);
             }
             for _ in 0..cfg.vectors_per_channel {
-                let s: Vec<usize> = (0..cfg.nt).map(|_| rng.gen_range(0..c.order())).collect();
-                // Transmit in permuted order so stream j maps to R column j.
-                let hp = h.permute_cols(&qr.perm);
+                let s: Vec<usize> = (0..NT).map(|_| rng.gen_range(0..c.order())).collect();
                 let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
                 let mut y = hp.mul_vec(&x);
                 for v in &mut y {

@@ -52,6 +52,11 @@ const N_PE: usize = 16;
 const STOP: f64 = 0.95;
 const SNR_DB: f64 = 20.0;
 const SEED: u64 = 0x5EED_0005;
+/// Subcarriers per frame: 4 batches per PE even on the widest fabric (13
+/// GPU SMs). The price cannot see per-subcarrier cost spread at equal
+/// path counts, so each PE must average several subcarriers for the
+/// packing figure to mean anything.
+const N_SUBCARRIERS: usize = 52;
 
 /// Configuration.
 #[derive(Clone, Debug)]
@@ -59,23 +64,15 @@ pub struct Cfg {
     /// Stream counts (`nt × nt` uplinks; widths past 16 exercise the
     /// spill-capable symbol storage).
     pub sizes: Vec<usize>,
-    /// Subcarriers per frame.
-    pub n_subcarriers: usize,
     /// OFDM symbols per frame.
     pub n_symbols: usize,
 }
 
 impl Cfg {
     /// The paper's small configurations.
-    ///
-    /// 52 subcarriers = 4 batches per PE even on the widest fabric (13 GPU
-    /// SMs): the price cannot see per-subcarrier cost spread at equal
-    /// path counts, so each PE must average several subcarriers for the
-    /// packing figure to mean anything.
     pub fn quick() -> Self {
         Cfg {
             sizes: vec![4, 8],
-            n_subcarriers: 52,
             n_symbols: 8,
         }
     }
@@ -84,7 +81,6 @@ impl Cfg {
     pub fn full() -> Self {
         Cfg {
             sizes: vec![4, 8, 12, 16, 32, 64],
-            n_subcarriers: 52,
             n_symbols: 14,
         }
     }
@@ -110,11 +106,11 @@ struct Prepared {
     cell: StreamingCell<FlexCoreDetector>,
 }
 
-fn prepare(nt: usize, template: FlexCoreDetector, n_subcarriers: usize) -> Prepared {
+fn prepare(nt: usize, template: FlexCoreDetector) -> Prepared {
     let mut rng = StdRng::seed_from_u64(SEED + nt as u64);
     let stream = ChannelStream::new(
         &ChannelEnsemble::iid(nt, nt),
-        n_subcarriers,
+        N_SUBCARRIERS,
         1.0,
         1,
         sigma2_from_snr_db(SNR_DB),
@@ -138,9 +134,9 @@ fn push_fabric_rows(
     for p in prepared {
         // The plan prices the grid's shape; its samples are never read,
         // and the plan itself is dropped unrun.
-        let blank = vec![vec![Cx::ZERO; p.nt]; cfg.n_subcarriers * cfg.n_symbols];
+        let blank = vec![vec![Cx::ZERO; p.nt]; N_SUBCARRIERS * cfg.n_symbols];
         p.cell
-            .submit(0, RxFrame::from_vectors(cfg.n_subcarriers, blank));
+            .submit(0, RxFrame::from_vectors(N_SUBCARRIERS, blank));
         let plan = p.cell.plan_tick(fabric.n_pes());
         let total_units: u64 = plan.costs().iter().sum();
         let makespan_units = lpt_makespan_weighted(plan.costs(), &speeds);
@@ -167,8 +163,8 @@ fn push_fabric_rows(
 pub fn run(cfg: &Cfg) -> ResultTable {
     let mut table = ResultTable::new(
         format!(
-            "Hardware efficiency (modelled): {} sc x {} sym, {SNR_DB} dB, 16-QAM",
-            cfg.n_subcarriers, cfg.n_symbols
+            "Hardware efficiency (modelled): {N_SUBCARRIERS} sc x {} sym, {SNR_DB} dB, 16-QAM",
+            cfg.n_symbols
         ),
         &[
             "fabric",
@@ -186,7 +182,7 @@ pub fn run(cfg: &Cfg) -> ResultTable {
             FlexCoreDetector::with_pes(c.clone(), N_PE),
             FlexCoreDetector::adaptive(c.clone(), N_PE, STOP),
         ] {
-            prepared.push(prepare(nt, template, cfg.n_subcarriers));
+            prepared.push(prepare(nt, template));
         }
     }
     let gpu = GpuModel::gtx970();

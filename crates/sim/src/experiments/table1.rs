@@ -21,30 +21,28 @@ use flexcore_phy::throughput::network_throughput_mbps;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// MIMO sizes (`Nt = Nr`).
+const SIZES: [usize; 4] = [2, 4, 6, 8];
+/// Per-stream SNR in dB (the paper's footnote says 13 dB).
+const SNR_DB: f64 = 13.0;
+/// RNG seed: one stream runs through every size in turn.
+const SEED: u64 = 0xF1EC_0001;
+
 /// Configuration for the Table 1 run.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    /// MIMO sizes (`Nt = Nr`).
-    pub sizes: Vec<usize>,
-    /// Per-stream SNR in dB (the paper's footnote says 13 dB).
-    pub snr_db: f64,
     /// Channels × vectors per channel to average over.
     pub n_channels: usize,
     /// Vectors per channel.
     pub vectors_per_channel: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Cfg {
     /// Fast preset.
     pub fn quick() -> Self {
         Cfg {
-            sizes: vec![2, 4, 6, 8],
-            snr_db: 13.0,
             n_channels: 30,
             vectors_per_channel: 8,
-            seed: 0xF1EC_0001,
         }
     }
 
@@ -53,7 +51,6 @@ impl Cfg {
         Cfg {
             n_channels: 200,
             vectors_per_channel: 16,
-            ..Cfg::quick()
         }
     }
 }
@@ -74,8 +71,8 @@ pub fn run(cfg: &Cfg) -> ResultTable {
             "mean_nodes",
         ],
     );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    for &nt in &cfg.sizes {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for nt in SIZES {
         let ens = ChannelEnsemble::iid(nt, nt);
         let mut sd = SphereDecoder::new(c.clone());
         let mut total_flops = 0u64;
@@ -84,8 +81,8 @@ pub fn run(cfg: &Cfg) -> ResultTable {
         let mut n = 0usize;
         for _ in 0..cfg.n_channels {
             let h = ens.draw(&mut rng);
-            let ch = MimoChannel::new(h.clone(), cfg.snr_db);
-            sd.prepare(&h, sigma2_from_snr_db(cfg.snr_db));
+            let ch = MimoChannel::new(h.clone(), SNR_DB);
+            sd.prepare(&h, sigma2_from_snr_db(SNR_DB));
             for _ in 0..cfg.vectors_per_channel {
                 let s: Vec<usize> = (0..nt).map(|_| rng.gen_range(0..16)).collect();
                 let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();

@@ -20,50 +20,42 @@ use flexcore_numeric::qr::sorted_qr_sqrd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Configuration for the Table 2 run.
+/// MIMO sizes.
+const SIZES: [usize; 2] = [8, 12];
+/// PE budgets: the table's 32 and 128 columns.
+const BUDGETS: [usize; 2] = [32, 128];
+/// Per-stream SNR for the error model (64-QAM operating point).
+const SNR_DB: f64 = 21.6;
+/// RNG seed: one stream runs through every size and budget in turn.
+const SEED: u64 = 0xF1EC_0002;
+
+/// Configuration for the Table 2 run (the grid is the paper's exact one).
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    /// MIMO sizes.
-    pub sizes: Vec<usize>,
-    /// PE budgets.
-    pub budgets: Vec<usize>,
-    /// Per-stream SNR for the error model (64-QAM operating point).
-    pub snr_db: f64,
     /// Channels to average pre-processing cost over.
     pub n_channels: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Cfg {
-    /// Fast preset (the paper's exact grid — it is small).
+    /// Fast preset.
     pub fn quick() -> Self {
-        Cfg {
-            sizes: vec![8, 12],
-            budgets: vec![32, 128],
-            snr_db: 21.6,
-            n_channels: 25,
-            seed: 0xF1EC_0002,
-        }
+        Cfg { n_channels: 25 }
     }
 
     /// Deeper averaging.
     pub fn full() -> Self {
-        Cfg {
-            n_channels: 200,
-            ..Cfg::quick()
-        }
+        Cfg { n_channels: 200 }
     }
 }
 
 /// Closed-form detection multiplications per path (see module docs).
-pub fn detection_mults_per_path(nt: usize) -> u64 {
+fn detection_mults_per_path(nt: usize) -> u64 {
     (2 * nt * nt + 2 * nt) as u64
 }
 
 /// Complex QR decomposition cost in real multiplications, ≈ `4·Nt³`
 /// (matches the paper's ≈2048 / ≈6912).
-pub fn qr_mults(nt: usize) -> u64 {
+fn qr_mults(nt: usize) -> u64 {
     4 * (nt as u64).pow(3)
 }
 
@@ -80,25 +72,17 @@ pub fn run(cfg: &Cfg) -> ResultTable {
             "detect_npe128",
         ],
     );
-    assert_eq!(
-        cfg.budgets,
-        vec![32, 128],
-        "table layout expects budgets 32/128"
-    );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    for &nt in &cfg.sizes {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for nt in SIZES {
         let ens = ChannelEnsemble::iid(nt, nt);
         let mut pre_cost = Vec::new();
-        for &n_pe in &cfg.budgets {
+        for n_pe in BUDGETS {
             let mut total = 0u64;
             for _ in 0..cfg.n_channels {
                 let h = ens.draw(&mut rng);
                 let qr = sorted_qr_sqrd(&h);
-                let model = LevelErrorModel::from_r(
-                    &qr.r,
-                    sigma2_from_snr_db(cfg.snr_db),
-                    Modulation::Qam64,
-                );
+                let model =
+                    LevelErrorModel::from_r(&qr.r, sigma2_from_snr_db(SNR_DB), Modulation::Qam64);
                 let out = Preprocessor::new(n_pe).run(&model, 64);
                 total += out.real_mults;
             }

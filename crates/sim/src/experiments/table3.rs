@@ -9,27 +9,12 @@
 use crate::table::ResultTable;
 use flexcore_hwmodel::{EngineKind, FpgaModel};
 
-/// Configuration (sizes to tabulate).
-#[derive(Clone, Debug)]
-pub struct Cfg {
-    /// Stream counts.
-    pub sizes: Vec<usize>,
-}
+/// Stream counts to tabulate (the paper's grid).
+const SIZES: [usize; 2] = [8, 12];
 
-impl Cfg {
-    /// The paper's grid.
-    pub fn quick() -> Self {
-        Cfg { sizes: vec![8, 12] }
-    }
-
-    /// Same (the table is analytic).
-    pub fn full() -> Self {
-        Cfg::quick()
-    }
-}
-
-/// Runs the experiment.
-pub fn run(cfg: &Cfg) -> ResultTable {
+/// Runs the experiment. Analytic: the paper's grid, with no preset to
+/// choose.
+pub fn run() -> ResultTable {
     let mut table = ResultTable::new(
         "Table 3: single PE on the XCVU440 (64-QAM)",
         &[
@@ -45,7 +30,7 @@ pub fn run(cfg: &Cfg) -> ResultTable {
             "area_delay_overhead_pct",
         ],
     );
-    for &nt in &cfg.sizes {
+    for nt in SIZES {
         let fc = FpgaModel::new(EngineKind::FlexCore, nt, 64);
         let fcsd = FpgaModel::new(EngineKind::Fcsd, nt, 64);
         let overhead = (fc.area_delay() / fcsd.area_delay() - 1.0) * 100.0;
@@ -78,7 +63,7 @@ mod tests {
 
     #[test]
     fn reproduces_paper_anchors() {
-        let t = run(&Cfg::quick());
+        let t = run();
         assert_eq!(t.len(), 4);
         // 8×8 FlexCore row.
         assert_eq!(t.cell(0, "lut_logic"), Some("3206"));
@@ -91,7 +76,7 @@ mod tests {
 
     #[test]
     fn overhead_matches_caption_band() {
-        let t = run(&Cfg::quick());
+        let t = run();
         let o8: f64 = t
             .cell(0, "area_delay_overhead_pct")
             .unwrap()

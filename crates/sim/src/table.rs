@@ -4,8 +4,6 @@
 //! with headers is all that is needed — no serde, per the workspace
 //! dependency policy.
 
-use std::fmt;
-
 /// A named table of results.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResultTable {
@@ -31,7 +29,7 @@ impl ResultTable {
     ///
     /// # Panics
     /// Panics if the cell count differs from the header count.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -40,11 +38,6 @@ impl ResultTable {
             self.headers.len()
         );
         self.rows.push(cells);
-    }
-
-    /// Convenience: appends a row of displayable values.
-    pub fn row(&mut self, cells: &[&dyn fmt::Display]) {
-        self.push_row(cells.iter().map(|c| c.to_string()).collect());
     }
 
     /// Borrow of the rows.
@@ -142,6 +135,9 @@ mod tests {
         assert_eq!(t.cell(1, "b"), Some("y,z"));
         assert_eq!(t.cell(0, "nope"), None);
         assert_eq!(t.cell(9, "a"), None);
+        assert_eq!(t.len(), 2);
+        assert!(!t.is_empty());
+        assert!(ResultTable::new("T", &["a"]).is_empty());
     }
 
     #[test]
@@ -149,15 +145,6 @@ mod tests {
         let p = sample().to_pretty();
         assert!(p.contains("Demo"));
         assert!(p.contains("y,z"));
-    }
-
-    #[test]
-    fn row_builder() {
-        let mut t = ResultTable::new("T", &["n", "v"]);
-        t.row(&[&3usize, &1.5f64]);
-        assert_eq!(t.cell(0, "n"), Some("3"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

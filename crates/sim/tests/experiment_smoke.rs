@@ -6,10 +6,11 @@
 //! numbers) — the statistical claims live in each driver's own
 //! `#[cfg(test)]` module at larger sample counts. The one exception is
 //! the city sweep, whose claim is pinned here as bands on its quick
-//! preset, the size the driver prints. They are
-//! `#[ignore]`d by default to keep `cargo test` fast; CI runs them
-//! explicitly with `cargo test -p flexcore-sim --test experiment_smoke
-//! --release -- --ignored`.
+//! preset, the size the driver prints. A driver is shrunk only through
+//! the knobs its `Cfg` carries; the analytic fig11, fig13 and table3 run
+//! whole. The tests are `#[ignore]`d by default to keep `cargo test`
+//! fast; CI runs them explicitly with `cargo test -p flexcore-sim --test
+//! experiment_smoke --release -- --ignored`.
 
 use flexcore_modulation::Modulation;
 use flexcore_sim::city::{CityReport, QosClass};
@@ -50,10 +51,7 @@ fn fig10_driver_runs_at_tiny_scale() {
 #[test]
 #[ignore = "CI smoke profile: cargo test -p flexcore-sim --test experiment_smoke -- --ignored"]
 fn fig11_driver_runs_at_tiny_scale() {
-    let mut cfg = fig11::Cfg::quick();
-    cfg.e_grid.truncate(2);
-    cfg.nsc_grid.truncate(1);
-    assert_table_sane("fig11", &fig11::run(&cfg));
+    assert_table_sane("fig11", &fig11::run());
 }
 
 #[test]
@@ -69,16 +67,13 @@ fn fig12_driver_runs_at_tiny_scale() {
 #[test]
 #[ignore = "CI smoke profile: cargo test -p flexcore-sim --test experiment_smoke -- --ignored"]
 fn fig13_driver_runs_at_tiny_scale() {
-    let mut cfg = fig13::Cfg::quick();
-    cfg.m_grid = vec![1, 32];
-    assert_table_sane("fig13", &fig13::run(&cfg));
+    assert_table_sane("fig13", &fig13::run());
 }
 
 #[test]
 #[ignore = "CI smoke profile: cargo test -p flexcore-sim --test experiment_smoke -- --ignored"]
 fn fig14_driver_runs_at_tiny_scale() {
     let mut cfg = fig14::Cfg::quick();
-    cfg.snrs_db = vec![15.0];
     cfg.k_max = 3;
     cfg.n_channels = 10;
     cfg.vectors_per_channel = 4;
@@ -89,7 +84,6 @@ fn fig14_driver_runs_at_tiny_scale() {
 #[ignore = "CI smoke profile: cargo test -p flexcore-sim --test experiment_smoke -- --ignored"]
 fn table1_driver_runs_at_tiny_scale() {
     let mut cfg = table1::Cfg::quick();
-    cfg.sizes.truncate(2);
     cfg.n_channels = 4;
     cfg.vectors_per_channel = 2;
     assert_table_sane("table1", &table1::run(&cfg));
@@ -106,7 +100,7 @@ fn table2_driver_runs_at_tiny_scale() {
 #[test]
 #[ignore = "CI smoke profile: cargo test -p flexcore-sim --test experiment_smoke -- --ignored"]
 fn table3_driver_runs_at_tiny_scale() {
-    assert_table_sane("table3", &table3::run(&table3::Cfg::quick()));
+    assert_table_sane("table3", &table3::run());
 }
 
 #[test]
