@@ -476,8 +476,23 @@ impl FlexCoreDetector {
     /// ordering semantics, not the channel): the orders are `static`, and
     /// only the first detector of a modulation and semantics in a process
     /// builds the located table.
+    ///
+    /// # Panics
+    /// Panics unless `config.n_pe ≥ 1`, `config.expand_batch ≥ 1` and any
+    /// `config.stop_threshold` lies in `[0, 1]` — checked here, so a bad
+    /// configuration never reaches `prepare`.
     pub fn new(constellation: Constellation, config: FlexCoreConfig) -> Self {
         assert!(config.n_pe >= 1, "FlexCore: need at least one PE");
+        assert!(
+            config.expand_batch >= 1,
+            "FlexCore: expand_batch must be >= 1"
+        );
+        if let Some(t) = config.stop_threshold {
+            assert!(
+                (0.0..=1.0).contains(&t),
+                "FlexCore: stop_threshold must be in [0, 1], got {t}"
+            );
+        }
         let lut = OrderingLut::new(constellation.modulation(), constellation.order());
         let fast_lut = match config.path_ordering {
             PathOrdering::Exact => None,
@@ -510,7 +525,8 @@ impl FlexCoreDetector {
     }
 
     /// The configuration in use.
-    pub fn config(&self) -> &FlexCoreConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &FlexCoreConfig {
         &self.config
     }
 
@@ -553,7 +569,7 @@ impl FlexCoreDetector {
     }
 
     /// The constellation this detector slices against.
-    pub fn constellation(&self) -> &Constellation {
+    pub(crate) fn constellation(&self) -> &Constellation {
         &self.constellation
     }
 
@@ -916,11 +932,11 @@ impl Detector for FlexCoreDetector {
         state
             .model
             .refit_from_r(&qr.r, sigma2, self.constellation.modulation());
-        let mut pre =
-            Preprocessor::new(self.config.n_pe).with_expand_batch(self.config.expand_batch);
-        if let Some(t) = self.config.stop_threshold {
-            pre = pre.with_stop_threshold(t);
-        }
+        let pre = Preprocessor {
+            stop_threshold: self.config.stop_threshold,
+            expand_batch: self.config.expand_batch,
+            ..Preprocessor::new(self.config.n_pe)
+        };
         pre.run_into(
             &state.model,
             self.constellation.order(),
@@ -1013,6 +1029,50 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// A FlexCore-8 16-QAM configuration with one knob changed, built
+    /// into a detector: a bad knob must panic here, at construction, not
+    /// in the first `prepare`.
+    fn build_with(edit: impl FnOnce(&mut FlexCoreConfig)) -> FlexCoreDetector {
+        let mut config = FlexCoreConfig::new(8);
+        edit(&mut config);
+        FlexCoreDetector::new(Constellation::new(Modulation::Qam16), config)
+    }
+
+    #[test]
+    #[should_panic(expected = "expand_batch must be >= 1")]
+    fn zero_expand_batch_is_rejected_at_construction() {
+        build_with(|c| c.expand_batch = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "stop_threshold must be in [0, 1]")]
+    fn threshold_above_one_is_rejected_at_construction() {
+        build_with(|c| c.stop_threshold = Some(1.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "stop_threshold must be in [0, 1]")]
+    fn negative_threshold_is_rejected_at_construction() {
+        FlexCoreDetector::adaptive(Constellation::new(Modulation::Qam16), 8, -0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "stop_threshold must be in [0, 1]")]
+    fn nan_threshold_is_rejected_at_construction() {
+        build_with(|c| c.stop_threshold = Some(f64::NAN));
+    }
+
+    #[test]
+    fn threshold_bounds_are_legal() {
+        // Both ends of [0, 1] build and prepare.
+        let h = ChannelEnsemble::iid(4, 4).draw(&mut StdRng::seed_from_u64(7));
+        for t in [0.0, 1.0] {
+            let mut det = build_with(|c| c.stop_threshold = Some(t));
+            det.prepare(&h, sigma2_from_snr_db(12.0));
+            assert!(det.active_paths() >= 1);
+        }
+    }
+
     /// The constellation's level→amplitude scale: the point nearest the
     /// origin sits one grid unit out on each axis.
     fn unit_level(c: &Constellation) -> f64 {
@@ -1088,10 +1148,12 @@ mod tests {
             let model = LevelErrorModel::from_pe(pe);
             let order = [2usize, 4, 16][rng.gen_range(0..3usize)];
             let n_pe = rng.gen_range(1..=48);
-            let mut pre =
-                Preprocessor::new(n_pe).with_expand_batch([1, 4][rng.gen_range(0..2usize)]);
+            let mut pre = Preprocessor {
+                expand_batch: [1, 4][rng.gen_range(0..2usize)],
+                ..Preprocessor::new(n_pe)
+            };
             if rng.gen_bool(0.5) {
-                pre = pre.with_stop_threshold([0.95, 0.6][rng.gen_range(0..2usize)]);
+                pre.stop_threshold = Some([0.95, 0.6][rng.gen_range(0..2usize)]);
             }
             pre.run_into(&model, order, &mut out);
             let what = format!("draw {draw}: nt {nt} order {order} {pre:?}");
@@ -1170,7 +1232,11 @@ mod tests {
                     let mut det = FlexCoreDetector::adaptive(c.clone(), 32, t);
                     det.prepare(&h, sigma2_from_snr_db(snr));
                     let model = &det.state.as_ref().expect("prepared").model;
-                    let search = Preprocessor::new(32).with_stop_threshold(t).run(model, 16);
+                    let pre = Preprocessor {
+                        stop_threshold: Some(t),
+                        ..Preprocessor::new(32)
+                    };
+                    let search = pre.run(model, 16);
                     assert_eq!(det.active_paths(), search.paths.len(), "{n}x{n} t={t}");
                     assert_eq!(
                         det.cumulative_prob().to_bits(),
@@ -1417,7 +1483,7 @@ mod tests {
             // Reference: independent per-path scratch evaluations reduced
             // in path order with first-min tie-breaking.
             let ybar = fc.triangular().rotate(&y);
-            let mut scratch = PathScratch::new();
+            let mut scratch = PathScratch::default();
             let mut best: Option<(SymVec, f64)> = None;
             for p in fc.position_vectors() {
                 if let Some(m) = fc.run_path_into(&ybar, p, &mut scratch) {

@@ -6,19 +6,19 @@
 //!
 //! FlexCore splits detection into two phases (§3 of the paper):
 //!
-//! 1. **Pre-processing** (module [`preprocess`], model in [`model`]):
+//! 1. **Pre-processing** ([`Preprocessor`], model in [`LevelErrorModel`]):
 //!    runs only when the channel changes. From the triangular factor `R`
 //!    and the noise power alone — *before any signal arrives* — it selects
 //!    the `N_PE` sphere-decoder tree paths most likely to contain the
 //!    transmitted vector. Paths are identified by **position vectors**
-//!    (module [`position`]): `p(l) = k` means "take the k-th closest symbol
+//!    ([`PositionVector`]): `p(l) = k` means "take the k-th closest symbol
 //!    to the effective received point at level `l`". Path likelihoods
 //!    follow the geometric per-level model
 //!    `Pc(p) ≈ Π_l (1−Pe(l))·Pe(l)^(p(l)−1)` (Eqs. 2–4, Appendix), and the
 //!    top-`N_PE` set is found with a dedicated best-first *pre-processing
 //!    tree* search with duplicate suppression, a bounded candidate list and
 //!    an optional stopping criterion (§3.1.1).
-//! 2. **Parallel detection** (module [`detector`]): each selected position
+//! 2. **Parallel detection** ([`FlexCoreDetector`]): each selected position
 //!    vector is materialised into a concrete tree path by one processing
 //!    element, using the O(1) triangle-LUT symbol ordering from
 //!    `flexcore-modulation` instead of per-level exhaustive sorting (§3.2).
@@ -33,18 +33,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod detector;
-pub mod mixed;
-pub mod model;
-pub mod position;
-pub mod preprocess;
-pub mod soft;
+mod detector;
+mod mixed;
+mod model;
+mod position;
+mod preprocess;
+mod soft;
 
 pub use detector::{FlexCoreConfig, FlexCoreDetector, PathOrdering, QrOrdering};
-pub use flexcore_detect::common::PathScratch;
-pub use flexcore_numeric::SymVec;
 pub use mixed::CellDetector;
-pub use model::LevelErrorModel;
+pub use model::{symbol_error_probability, LevelErrorModel};
 pub use position::PositionVector;
 pub use preprocess::{PreprocessOutput, Preprocessor};
 pub use soft::{SoftDecision, SoftDetector};

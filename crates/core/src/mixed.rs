@@ -15,8 +15,7 @@
 use crate::detector::FlexCoreDetector;
 use crate::soft::{MaxLogDemap, SoftDecision, SoftDetector};
 use flexcore_detect::common::Detector;
-use flexcore_detect::linear::MmseDetector;
-use flexcore_detect::sic::SicDetector;
+use flexcore_detect::{MmseDetector, SicDetector};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::{CMat, Cx, SymVec};
 
@@ -273,8 +272,6 @@ mod tests {
 
     #[test]
     fn degraded_variants_are_transparent() {
-        use flexcore_detect::linear::MmseDetector;
-        use flexcore_detect::sic::SicDetector;
         let (h, sigma2, ys, c) = workload(5);
         let mut sic_wrapped = CellDetector::sic(c.clone());
         let mut sic_plain = SicDetector::new(c.clone());

@@ -29,10 +29,10 @@ use flexcore_numeric::special::erfc;
 use flexcore_numeric::CMat;
 
 /// Lower clamp for `Pe`: keeps `log(Pe)` finite for ultra-clean levels.
-pub const PE_FLOOR: f64 = 1e-300;
+pub(crate) const PE_FLOOR: f64 = 1e-300;
 /// Upper clamp for `Pe`: the geometric model needs `Pe < 1`; 0.5 is the
 /// natural ceiling (beyond it the "closest symbol" is no longer the mode).
-pub const PE_CEIL: f64 = 0.5;
+pub(crate) const PE_CEIL: f64 = 0.5;
 
 /// Per-level error probabilities derived from `R` and the noise power.
 #[derive(Clone, Debug, Default)]
@@ -66,9 +66,10 @@ impl LevelErrorModel {
         self.refit((0..r.rows()).map(|l| pe(r[(l, l)].abs(), sigma)));
     }
 
-    /// Builds the model directly from per-level error probabilities
-    /// (used by tests and the independent-channel example of §3.1).
-    pub fn from_pe(pe: Vec<f64>) -> Self {
+    /// Builds the model directly from per-level error probabilities (the
+    /// tests' fixture, and the independent-channel example of §3.1).
+    #[cfg(test)]
+    pub(crate) fn from_pe(pe: Vec<f64>) -> Self {
         let mut model = LevelErrorModel::default();
         model.refit(pe.into_iter());
         model
@@ -92,29 +93,33 @@ impl LevelErrorModel {
     }
 
     /// Number of levels.
-    pub fn levels(&self) -> usize {
+    pub(crate) fn levels(&self) -> usize {
         self.pe.len()
     }
 
     /// `Pe` for `R` row `row` (0-based; tree level `row+1`).
-    pub fn pe(&self, row: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pe(&self, row: usize) -> f64 {
         self.pe[row]
     }
 
     /// `ln Pe(row)` — the log-domain cost of deepening a position vector by
     /// one rank at this level.
-    pub fn ln_pe(&self, row: usize) -> f64 {
+    pub(crate) fn ln_pe(&self, row: usize) -> f64 {
         self.ln_pe[row]
     }
 
     /// `ln P_l(k) = ln(1−Pe) + (k−1)·ln Pe` (Eq. 3 in log domain).
-    pub fn ln_level_prob(&self, row: usize, k: u32) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn ln_level_prob(&self, row: usize, k: u32) -> f64 {
         assert!(k >= 1, "position vector entries are 1-based");
         self.ln_1m_pe[row] + (k as f64 - 1.0) * self.ln_pe[row]
     }
 
-    /// `ln Pc(p) = Σ_l ln P_l(p(l))` (Eq. 2 in log domain).
-    pub fn ln_path_prob(&self, p: &[u32]) -> f64 {
+    /// `ln Pc(p) = Σ_l ln P_l(p(l))` (Eq. 2 in log domain): the reference
+    /// the search's incremental `ln Pc` is checked against.
+    #[cfg(test)]
+    pub(crate) fn ln_path_prob(&self, p: &[u32]) -> f64 {
         assert_eq!(p.len(), self.levels(), "position vector length mismatch");
         p.iter()
             .enumerate()
@@ -123,7 +128,7 @@ impl LevelErrorModel {
     }
 
     /// `ln Pc` of the all-ones root path, the most promising one.
-    pub fn ln_root_prob(&self) -> f64 {
+    pub(crate) fn ln_root_prob(&self) -> f64 {
         self.ln_1m_pe.iter().sum()
     }
 }
@@ -163,7 +168,7 @@ mod tests {
 
     fn diag_r(d: &[f64]) -> CMat {
         let n = d.len();
-        let mut r = CMat::zeros(n, n);
+        let mut r = CMat::from_fn(n, n, |_, _| Cx::ZERO);
         for (i, &v) in d.iter().enumerate() {
             r[(i, i)] = Cx::real(v);
         }
@@ -300,6 +305,27 @@ mod tests {
         let model = LevelErrorModel::from_pe(vec![0.1, 0.2, 0.3]);
         let ones = vec![1u32; 3];
         assert!((model.ln_root_prob() - model.ln_path_prob(&ones)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn path_probabilities_are_consistent() {
+        // Any ranks over any levels: no path is likelier than the root,
+        // every path's ln Pc is finite, and deepening a level strictly
+        // lowers it.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(50);
+        for _ in 0..256 {
+            let levels = rng.gen_range(2..6usize);
+            let pes: Vec<f64> = (0..levels).map(|_| rng.gen_range(0.01..0.5)).collect();
+            let ranks: Vec<u32> = (0..levels).map(|_| rng.gen_range(1..8u32)).collect();
+            let model = LevelErrorModel::from_pe(pes);
+            let lp = model.ln_path_prob(&ranks);
+            assert!(lp <= model.ln_root_prob() + 1e-12, "{ranks:?}");
+            assert!(lp.is_finite(), "{ranks:?}");
+            let mut deeper = ranks.clone();
+            deeper[0] += 1;
+            assert!(model.ln_path_prob(&deeper) < lp, "{ranks:?}");
+        }
     }
 
     #[test]

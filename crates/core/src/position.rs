@@ -35,7 +35,7 @@ pub struct PositionVector {
 
 impl PositionVector {
     /// The root/most-promising vector `[1, 1, …, 1]` (a pure SIC descent).
-    pub fn ones(levels: usize) -> Self {
+    pub(crate) fn ones(levels: usize) -> Self {
         let mut p = PositionVector {
             levels: 0,
             inline: [0; INLINE_STREAMS],
@@ -49,7 +49,8 @@ impl PositionVector {
     ///
     /// # Panics
     /// Panics if any entry is zero or the vector is empty.
-    pub fn from_entries(entries: Vec<u32>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_entries(entries: Vec<u32>) -> Self {
         assert!(!entries.is_empty(), "PositionVector: empty");
         assert!(
             entries.iter().all(|&e| e >= 1),
@@ -90,7 +91,8 @@ impl PositionVector {
     }
 
     /// Number of levels.
-    pub fn levels(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn levels(&self) -> usize {
         self.levels
     }
 
@@ -100,7 +102,7 @@ impl PositionVector {
     }
 
     /// Raw entries, indexed by `R` row.
-    pub fn entries(&self) -> &[u32] {
+    pub(crate) fn entries(&self) -> &[u32] {
         if self.levels > INLINE_STREAMS {
             &self.spill
         } else {
@@ -117,20 +119,23 @@ impl PositionVector {
     }
 
     /// Returns a copy with `entries[row]` incremented.
-    pub fn child(&self, row: usize) -> PositionVector {
+    #[cfg(test)]
+    pub(crate) fn child(&self, row: usize) -> PositionVector {
         let mut c = self.clone();
         c.entries_mut()[row] += 1;
         c
     }
 
     /// Sum of (rank − 1) over levels: the total "depth" of the vector —
-    /// 0 for the SIC path. Useful for tests and diagnostics.
-    pub fn excess(&self) -> u32 {
+    /// 0 for the SIC path.
+    #[cfg(test)]
+    pub(crate) fn excess(&self) -> u32 {
         self.entries().iter().map(|&e| e - 1).sum()
     }
 
     /// True if every entry is within a constellation of `order` symbols.
-    pub fn within_order(&self, order: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn within_order(&self, order: usize) -> bool {
         self.entries().iter().all(|&e| e as usize <= order)
     }
 }

@@ -37,13 +37,15 @@ use std::cmp::Ordering;
 #[derive(Clone, Debug)]
 pub struct Preprocessor {
     /// Number of position vectors to select (`N_PE`).
-    pub n_pe: usize,
+    pub(crate) n_pe: usize,
     /// Stop early once the cumulative probability of the selected set
     /// exceeds this (e.g. `Some(0.95)` for a-FlexCore). `None` = select
-    /// exactly `n_pe` vectors (when that many exist).
-    pub stop_threshold: Option<f64>,
-    /// Nodes expanded per iteration (1 = the paper's sequential baseline).
-    pub expand_batch: usize,
+    /// exactly `n_pe` vectors (when that many exist). In `[0, 1]`:
+    /// `FlexCoreDetector::new` checks its configuration's threshold.
+    pub(crate) stop_threshold: Option<f64>,
+    /// Nodes expanded per iteration (1 = the paper's sequential baseline;
+    /// ≥ 1, checked with the threshold).
+    pub(crate) expand_batch: usize,
 }
 
 impl Preprocessor {
@@ -55,20 +57,6 @@ impl Preprocessor {
             stop_threshold: None,
             expand_batch: 1,
         }
-    }
-
-    /// Sets the a-FlexCore stopping threshold.
-    pub fn with_stop_threshold(mut self, t: f64) -> Self {
-        assert!((0.0..=1.0).contains(&t), "threshold must be in [0,1]");
-        self.stop_threshold = Some(t);
-        self
-    }
-
-    /// Sets the parallel expansion batch size.
-    pub fn with_expand_batch(mut self, b: usize) -> Self {
-        assert!(b >= 1, "expand_batch must be >= 1");
-        self.expand_batch = b;
-        self
     }
 
     /// Runs the search for a constellation of `order` symbols.
@@ -368,9 +356,41 @@ mod tests {
     }
 
     #[test]
+    fn preprocessor_output_is_sorted_unique_and_bounded() {
+        // Any level model and budget: at most `n_pe` distinct vectors,
+        // the root first, `ln Pc` non-increasing, Σ Pc ≤ 1, every rank
+        // within the constellation.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(51);
+        for _ in 0..256 {
+            let levels = rng.gen_range(2..8usize);
+            let pes: Vec<f64> = (0..levels).map(|_| rng.gen_range(0.01..0.5)).collect();
+            let n_pe = rng.gen_range(1..64usize);
+            let out = Preprocessor::new(n_pe).run(&model(&pes), 16);
+            assert!(out.paths.len() <= n_pe);
+            assert!(!out.paths.is_empty());
+            assert_eq!(out.paths[0], PositionVector::ones(levels));
+            assert_eq!(out.ln_probs.len(), out.paths.len());
+            for w in out.ln_probs.windows(2) {
+                assert!(w[0] >= w[1], "not sorted: {pes:?} n_pe {n_pe}");
+            }
+            let set: HashSet<_> = out.paths.iter().cloned().collect();
+            assert_eq!(set.len(), out.paths.len());
+            assert!(out.cumulative_prob <= 1.0 + 1e-9);
+            for p in &out.paths {
+                assert!(p.within_order(16));
+            }
+        }
+    }
+
+    #[test]
     fn stop_threshold_truncates_selection() {
         let m = model(&[0.01, 0.01]); // root alone has Pc ≈ 0.98
-        let out = Preprocessor::new(64).with_stop_threshold(0.95).run(&m, 16);
+        let pre = Preprocessor {
+            stop_threshold: Some(0.95),
+            ..Preprocessor::new(64)
+        };
+        let out = pre.run(&m, 16);
         assert_eq!(out.paths.len(), 1, "root alone passes the threshold");
         assert!(out.cumulative_prob >= 0.95);
     }
@@ -405,7 +425,11 @@ mod tests {
         let m = model(&[0.35, 0.2, 0.28, 0.15, 0.3, 0.22, 0.18, 0.25]);
         let n_pe = 128;
         let seq = Preprocessor::new(n_pe).run(&m, 64);
-        let par = Preprocessor::new(n_pe).with_expand_batch(12).run(&m, 64);
+        let par = Preprocessor {
+            expand_batch: 12,
+            ..Preprocessor::new(n_pe)
+        }
+        .run(&m, 64);
         assert_eq!(par.paths.len(), n_pe);
         // Compare cumulative captured probability.
         let loss = (seq.cumulative_prob - par.cumulative_prob) / seq.cumulative_prob;
@@ -500,10 +524,11 @@ mod tests {
             for n_pe in [1usize, 7, 16, 64] {
                 for batch in [1usize, 4] {
                     for threshold in [None, Some(0.95), Some(0.5)] {
-                        let mut pre = Preprocessor::new(n_pe).with_expand_batch(batch);
-                        if let Some(t) = threshold {
-                            pre = pre.with_stop_threshold(t);
-                        }
+                        let pre = Preprocessor {
+                            stop_threshold: threshold,
+                            expand_batch: batch,
+                            ..Preprocessor::new(n_pe)
+                        };
                         for order in [2usize, 16] {
                             pre.run_into(m, order, &mut out);
                             let (paths, ln_probs, cumulative, mults, expanded) =

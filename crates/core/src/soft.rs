@@ -28,7 +28,7 @@ use flexcore_numeric::Cx;
 /// magnitude, and the value assigned when the candidate list contains no
 /// path with the complementary bit value (cf. the ±8 clip of Hochwald &
 /// ten Brink's LSD and \[7\]).
-pub const MISSING_HYPOTHESIS_LLR: f64 = 8.0;
+pub(crate) const MISSING_HYPOTHESIS_LLR: f64 = 8.0;
 
 /// Per-stream, per-bit log-likelihood ratios for one received vector.
 #[derive(Clone, Debug)]
@@ -62,23 +62,12 @@ pub trait SoftDetector: Detector {
 }
 
 impl SoftDetector for FlexCoreDetector {
-    fn detect_soft(&self, y: &[Cx], sigma2: f64) -> SoftDecision {
-        // Inherent method (defined below); inherent resolution wins, so
-        // this is not a recursive trait call.
-        FlexCoreDetector::detect_soft(self, y, sigma2)
-    }
-}
-
-impl FlexCoreDetector {
-    /// Detects one vector and produces max-log LLRs from the evaluated
-    /// candidate list.
-    ///
-    /// `sigma2` is the complex noise variance (the same value passed to
-    /// `prepare`; it scales metric differences into true LLRs).
+    /// Max-log LLRs from the evaluated candidate list: the selected paths'
+    /// trie walk.
     ///
     /// # Panics
     /// Panics if `prepare` was never called.
-    pub fn detect_soft(&self, y: &[Cx], sigma2: f64) -> SoftDecision {
+    fn detect_soft(&self, y: &[Cx], sigma2: f64) -> SoftDecision {
         let paths = self.position_vectors();
         let tri = self.triangular();
         let ybar = tri.rotate(y);

@@ -127,14 +127,14 @@ pub fn batch_rows(out: &mut [u16], n: usize, nt: usize) -> std::slice::ChunksExa
 /// scratch-based, pool-based, and batched paths stay bit-identical. `NaN`
 /// (a deactivated path) never replaces.
 #[inline]
-pub fn replaces_best(candidate: f64, best: Option<f64>) -> bool {
+pub(crate) fn replaces_best(candidate: f64, best: Option<f64>) -> bool {
     !candidate.is_nan() && best.is_none_or(|b| candidate < b)
 }
 
 /// First strict minimum over a metric sequence, skipping `NaN`
 /// (deactivated) entries; ties keep the earliest index. The indexed form
-/// of [`replaces_best`] — the single definition of the minimum-metric
-/// tie-breaking every detection path relies on.
+/// of the crate's streaming `replaces_best` — the single definition of
+/// the minimum-metric tie-breaking every detection path relies on.
 pub fn first_min_metric<I: IntoIterator<Item = f64>>(metrics: I) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, m) in metrics.into_iter().enumerate() {
@@ -151,16 +151,12 @@ pub fn first_min_metric<I: IntoIterator<Item = f64>>(metrics: I) -> Option<(usiz
 /// `FcsdDetector::run_path_into`) write their per-level symbol decisions
 /// here instead of allocating a fresh `Vec` per (path × symbol-vector)
 /// evaluation — the software analogue of a processing element's private
-/// registers. The embedded rotate buffer lets batch drivers reuse one
-/// `ȳ` allocation across a whole subcarrier's symbols.
+/// registers.
 #[derive(Clone, Debug, Default)]
 pub struct PathScratch {
     /// Symbol decisions of the most recent evaluation, in tree (permuted)
     /// order: `symbols.get(row)` is the decision for row `row` of `R`.
     pub symbols: SymVec,
-    /// Reusable buffer for the rotated observation `ȳ = Q*·y` (length
-    /// `Nt` once primed by [`PathScratch::rotate`]).
-    pub ybar: Vec<Cx>,
     /// Level-major, lane-minor SoA symbol plane for the four-wide block
     /// kernels: `plane[row * LANES + lane]` is lane `lane`'s decision at
     /// tree row `row`. Empty until a blocked evaluation first primes it;
@@ -174,10 +170,10 @@ pub struct PathScratch {
 
 impl PathScratch {
     // flexcore-lint: hot-path
-    /// A fresh workspace. No heap allocation happens until the rotate
-    /// buffer is first primed (or, past 16 streams, until the symbol
-    /// store first spills — after which both buffers are reused).
-    pub fn new() -> Self {
+    /// A fresh workspace. No heap allocation happens until a blocked
+    /// evaluation first primes the lane planes (or, past 16 streams, until
+    /// the symbol store first spills — after which every buffer is reused).
+    pub(crate) fn new() -> Self {
         PathScratch::default()
     }
 
@@ -187,14 +183,6 @@ impl PathScratch {
         let pt = c.point(sym);
         self.points[row].re[lane] = pt.re;
         self.points[row].im[lane] = pt.im;
-    }
-
-    /// Rotates `y` into the workspace's `ybar` buffer via
-    /// [`Triangular::rotate_into`], resizing it only on first use (or a
-    /// dimension change).
-    pub fn rotate(&mut self, tri: &Triangular, y: &[Cx]) {
-        self.ybar.resize(tri.nt(), Cx::ZERO);
-        tri.rotate_into(y, &mut self.ybar);
     }
 }
 
@@ -238,7 +226,7 @@ impl Triangular {
     ///
     /// # Panics
     /// Panics if `y.len() != Nr` or `out.len() != Nt`.
-    pub fn rotate_into(&self, y: &[Cx], out: &mut [Cx]) {
+    pub(crate) fn rotate_into(&self, y: &[Cx], out: &mut [Cx]) {
         self.qr.rotate_into(y, out);
     }
 
@@ -292,7 +280,7 @@ impl Triangular {
     /// ascending `p` exactly as the scalar kernel, and the division
     /// multiplies by the same [`Triangular::pivot_inv`] — so lane `l` is
     /// bit-identical to `effective_point` on lane `l`'s inputs.
-    pub fn effective_point_lanes(
+    pub(crate) fn effective_point_lanes(
         &self,
         ybar_lane: CxLane,
         points: &[CxLane],
@@ -322,7 +310,7 @@ impl Triangular {
     /// `points[row]` against its own observation and its own decisions
     /// above (the points plane of [`Triangular::effective_point_lanes`]).
     /// Bit-identical per lane to the scalar kernel.
-    pub fn ped_increment_lanes(
+    pub(crate) fn ped_increment_lanes(
         &self,
         ybar_lane: CxLane,
         points: &[CxLane],
@@ -337,7 +325,7 @@ impl Triangular {
     }
 
     /// Full path metric `‖ȳ − R·s‖²` for a complete symbol-index vector.
-    pub fn path_metric(&self, ybar: &[Cx], symbols: &[u16]) -> f64 {
+    pub(crate) fn path_metric(&self, ybar: &[Cx], symbols: &[u16]) -> f64 {
         (0..self.nt())
             .map(|row| self.ped_increment(ybar, symbols, row, symbols[row] as usize))
             .sum()
@@ -564,14 +552,66 @@ mod tests {
     }
 
     #[test]
-    fn path_scratch_rotate_primes_and_reuses_buffer() {
-        let (tri, _, y) = setup(4, 8);
-        let mut scratch = PathScratch::new();
-        assert!(scratch.ybar.is_empty());
-        scratch.rotate(&tri, &y);
-        assert_eq!(scratch.ybar, tri.rotate(&y));
-        let ptr = scratch.ybar.as_ptr();
-        scratch.rotate(&tri, &y);
-        assert_eq!(ptr, scratch.ybar.as_ptr(), "buffer must be reused");
+    fn triangular_lane_kernels_bit_identical_nt_sweep_all_modulations() {
+        // The full width sweep (nt 1..=64) crossed with every modulation,
+        // BPSK included: these methods take the lane path unconditionally;
+        // the scalar kernels on lane `l`'s inputs are the reference.
+        let random_mat = |n: usize, seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            CMat::from_fn(n, n, |_, _| rng.cx_normal(1.0))
+        };
+        let random_vec = |n: usize, seed: u64| -> Vec<Cx> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..n).map(|_| rng.cx_normal(1.0)).collect()
+        };
+        let bits = |z: Cx| (z.re.to_bits(), z.im.to_bits());
+        for nt in 1..=64usize {
+            let qr = sorted_qr_sqrd(&random_mat(nt, 4000 + nt as u64));
+            let ybar = random_vec(nt, 5000 + nt as u64);
+            for m in [
+                Modulation::Bpsk,
+                Modulation::Qpsk,
+                Modulation::Qam16,
+                Modulation::Qam64,
+                Modulation::Qam256,
+            ] {
+                let c = Constellation::new(m);
+                let q = c.order();
+                let tri = Triangular::new(qr.clone(), c);
+                let mut rng = StdRng::seed_from_u64(6000 + nt as u64 + q as u64);
+                // Four independent decision vectors → one lane-resident
+                // points plane.
+                let lanes_syms: Vec<Vec<u16>> = (0..LANES)
+                    .map(|_| (0..nt).map(|_| rng.gen_range(0..q) as u16).collect())
+                    .collect();
+                let points: Vec<CxLane> = (0..nt)
+                    .map(|p| {
+                        CxLane::from_fn(|l| tri.constellation.point(lanes_syms[l][p] as usize))
+                    })
+                    .collect();
+                for row in [0, nt / 2, nt - 1] {
+                    let ybar_lane =
+                        CxLane::from_fn(|l| ybar[row] * Cx::real(1.0 + l as f64 * 0.25));
+                    let eff = tri.effective_point_lanes(ybar_lane, &points, row);
+                    let peds = tri.ped_increment_lanes(ybar_lane, &points, row);
+                    for (l, syms) in lanes_syms.iter().enumerate() {
+                        let mut yb = ybar.clone();
+                        yb[row] = ybar_lane.get(l);
+                        let want_eff = tri.effective_point(&yb, syms, row);
+                        assert_eq!(
+                            bits(want_eff),
+                            bits(eff.get(l)),
+                            "eff nt={nt} q={q} row={row}"
+                        );
+                        let want_ped = tri.ped_increment(&yb, syms, row, syms[row] as usize);
+                        assert_eq!(
+                            want_ped.to_bits(),
+                            peds[l].to_bits(),
+                            "ped_lanes nt={nt} q={q} row={row}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -37,11 +37,6 @@ impl FcsdDetector {
         }
     }
 
-    /// Number of fully-expanded levels `L`.
-    pub fn l_full(&self) -> usize {
-        self.l_full
-    }
-
     /// Number of parallel paths (`|Q|^L`) — the PE count this scheme needs
     /// for minimum-latency operation.
     pub fn paths(&self) -> usize {

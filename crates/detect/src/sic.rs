@@ -134,7 +134,7 @@ impl ParallelSicDetector {
     ///
     /// # Panics
     /// Panics if `prepare` was never called.
-    pub fn run_path(&self, ybar: &[Cx], top_sym: usize) -> (SymVec, f64) {
+    pub(crate) fn run_path(&self, ybar: &[Cx], top_sym: usize) -> (SymVec, f64) {
         let tri = self.prepared();
         let nt = tri.nt();
         let mut symbols = SymVec::zeroed(nt);

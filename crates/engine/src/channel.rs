@@ -73,7 +73,7 @@ impl FrameChannel {
     /// This channel instance's unique identity. Generations are only
     /// meaningful relative to one id; a rebuilt channel gets a fresh id so
     /// caches never confuse it with its predecessor.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
@@ -93,7 +93,7 @@ impl FrameChannel {
     }
 
     /// The current generation of one subcarrier (bumped on every update).
-    pub fn generation(&self, subcarrier: usize) -> u64 {
+    pub(crate) fn generation(&self, subcarrier: usize) -> u64 {
         self.generations[subcarrier]
     }
 
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "subcarrier 1 is 2x2, the update 3x2")]
     fn update_of_another_shape_is_rejected() {
-        uniform(2).update_subcarrier(1, &CMat::zeros(3, 2));
+        uniform(2).update_subcarrier(1, &CMat::from_fn(3, 2, |_, _| Cx::ZERO));
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl<D: Detector + Clone + Sync> FrameEngine<D> {
     /// Work counters are kept: the user keeps its service history across
     /// the swap. The engine is unprepared until the next
     /// [`FrameEngine::prepare`].
-    pub fn set_template(&mut self, template: D) {
+    pub(crate) fn set_template(&mut self, template: D) {
         self.template = template;
         self.slots.fill_with(|| None);
     }

@@ -89,7 +89,7 @@ impl RxFrame {
     }
 
     /// Total received vectors (`n_symbols × n_subcarriers`).
-    pub fn n_vectors(&self) -> usize {
+    pub(crate) fn n_vectors(&self) -> usize {
         self.data.len().checked_div(self.nr).unwrap_or(0)
     }
 
@@ -124,18 +124,15 @@ impl DetectedFrame {
         }
     }
 
-    /// Number of data subcarriers per OFDM symbol.
-    pub fn n_subcarriers(&self) -> usize {
-        self.n_subcarriers
-    }
-
     /// Number of OFDM symbols in the frame.
-    pub fn n_symbols(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_symbols(&self) -> usize {
         self.symbols.len() / self.nt.max(1) / self.n_subcarriers
     }
 
     /// The detected stream-symbol indices at `(symbol, subcarrier)`.
-    pub fn get(&self, symbol: usize, subcarrier: usize) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn get(&self, symbol: usize, subcarrier: usize) -> &[usize] {
         assert!(subcarrier < self.n_subcarriers, "subcarrier out of range");
         let v = symbol * self.n_subcarriers + subcarrier;
         &self.symbols[v * self.nt..(v + 1) * self.nt]

@@ -62,12 +62,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
-pub mod engine;
-pub mod frame;
-pub mod multiuser;
-pub mod pipeline;
-pub mod stream;
+mod channel;
+mod engine;
+mod frame;
+mod multiuser;
+mod pipeline;
+mod stream;
 mod tick;
 
 pub use channel::FrameChannel;

@@ -76,11 +76,14 @@ pub struct CellStats {
 
 /// N per-user streaming uplinks sharing one processing-element pool.
 ///
-/// See the [module docs](self) for the serving model. All engines must be
-/// prepared before a tick — [`StreamingCell::add_user`] prepares against
-/// the stream's initial estimates and [`StreamingCell::age_user`]
-/// re-prepares exactly the refreshed subcarriers, so the invariant holds
-/// as long as frames are built from the same streams.
+/// Every serving loop is a driver of this one cell: age a user's channel
+/// ([`StreamingCell::advance_user`]), [`StreamingCell::submit`] its
+/// frame, [`StreamingCell::plan_tick`], then run and book
+/// ([`StreamingCell::run_tick`]). All engines must be prepared before a
+/// tick — [`StreamingCell::add_user`] prepares against the stream's
+/// initial estimates and every ageing re-prepares exactly the refreshed
+/// subcarriers, so the invariant holds as long as frames are built from
+/// the same streams.
 pub struct StreamingCell<D> {
     users: Vec<UserSlot<D>>,
     /// Non-empty ticks booked.
@@ -141,7 +144,7 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
     /// moved — the one place a stream is mutated, so the engine can never
     /// be left stale against it. Returns how many subcarriers were
     /// re-prepared.
-    pub fn age_user(&mut self, user: usize, age: impl FnOnce(&mut ChannelStream)) -> usize {
+    pub(crate) fn age_user(&mut self, user: usize, age: impl FnOnce(&mut ChannelStream)) -> usize {
         let slot = &mut self.users[user];
         age(&mut slot.stream);
         slot.engine.prepare(slot.stream.estimate())
@@ -149,7 +152,7 @@ impl<D: Detector + Clone + Sync> StreamingCell<D> {
 
     /// Ages one user's truth channels by a frame, refreshes its estimate
     /// share, and re-prepares exactly the moved subcarriers:
-    /// [`StreamingCell::age_user`] with [`ChannelStream::advance`].
+    /// `age_user` with [`ChannelStream::advance`].
     /// Returns how many subcarriers were refreshed.
     pub fn advance_user<R: Rng + ?Sized>(&mut self, user: usize, rng: &mut R) -> usize {
         self.age_user(user, |stream| {
@@ -734,7 +737,7 @@ mod tests {
 
     #[test]
     fn swap_user_detector_is_bit_identical_to_a_solo_swapped_engine() {
-        use flexcore_detect::sic::SicDetector;
+        use flexcore_detect::SicDetector;
         // Downgrading user 1 of a 3-user cell to SIC must leave its
         // detections bit-identical to a solo engine built with the same
         // SIC template against the same estimates — the shedding lever

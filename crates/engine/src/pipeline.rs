@@ -58,7 +58,7 @@ use std::time::Instant;
 /// [`LatencyRecord::quantile`] reads nearest-rank percentiles off them.
 ///
 /// ```
-/// use flexcore_engine::pipeline::LatencyRecord;
+/// use flexcore_engine::LatencyRecord;
 /// let mut rec = LatencyRecord::new(0.010);
 /// for ms in 1..=10u32 {
 ///     rec.record(ms as f64 * 1e-3);
@@ -171,31 +171,22 @@ pub struct PipelineReport {
     pub overall: LatencyRecord,
 }
 
-/// The pipelined driver of a [`StreamingCell`] — see the
-/// [module docs](self).
+/// The pipelined driver of a [`StreamingCell`].
 ///
 /// Per tick, the transmit stage builds frame *N+1* while the detect stage
 /// works frame *N* and the decode stage drains frame *N−1*; the bounded
 /// hand-off queues (capacity [`PipelinedCell::with_queue_depth`]) make a
-/// saturated detect stage back-pressure the transmitter.
+/// saturated detect stage back-pressure the transmitter. Pipelining is
+/// placement-only: the detect stage runs the very plan a barrier tick
+/// would, so every detection is bit-identical to
+/// [`StreamingCell::process_tick`]'s; only the submit→decode latency in
+/// the [`PipelineReport`] depends on the overlap.
 pub struct PipelinedCell<D> {
     cell: StreamingCell<D>,
     queue_depth: usize,
 }
 
-impl<D: Detector + Clone + Send + Sync> Default for PipelinedCell<D> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
-    /// An empty cell with the default hand-off queue depth of 2 (one tick
-    /// in flight per stage boundary plus one buffered).
-    pub fn new() -> Self {
-        Self::with_queue_depth(2)
-    }
-
     /// An empty cell whose stage hand-off queues each hold `queue_depth`
     /// ticks (must be ≥ 1). Deeper queues smooth bursty detect cost at
     /// the price of more frames in flight, each waiting longer.
@@ -211,11 +202,6 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
     /// user id.
     pub fn add_user(&mut self, stream: ChannelStream, template: D) -> usize {
         self.cell.add_user(stream, template)
-    }
-
-    /// Number of registered users.
-    pub fn n_users(&self) -> usize {
-        self.cell.n_users()
     }
 
     /// One user's channel stream.
@@ -498,7 +484,7 @@ mod tests {
         }
 
         // Pipelined run over the identical schedule on `pool`.
-        let mut pipe = PipelinedCell::new();
+        let mut pipe = PipelinedCell::with_queue_depth(2);
         for (stream, det) in mk_users() {
             pipe.add_user(stream, det);
         }
@@ -578,7 +564,7 @@ mod tests {
         pool: &CrossbeamPool,
         detect_panics: bool,
     ) -> Box<dyn std::any::Any + Send> {
-        let mut pipe = PipelinedCell::new();
+        let mut pipe = PipelinedCell::with_queue_depth(2);
         pipe.add_user(mk_stream(4, 61), CellDetector::fixed(c16(), 8));
         pipe.add_user(mk_stream(4, 62), CellDetector::fixed(c16(), 8));
         let tick_of_next_call = AtomicUsize::new(0);
@@ -637,7 +623,7 @@ mod tests {
 
     #[test]
     fn empty_transmit_ticks_flow_through_without_output() {
-        let mut pipe = PipelinedCell::new();
+        let mut pipe = PipelinedCell::with_queue_depth(2);
         pipe.add_user(mk_stream(3, 91), CellDetector::fixed(c16(), 4));
         let decoded = Mutex::new(0usize);
         let report = pipe.run(

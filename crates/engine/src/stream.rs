@@ -114,11 +114,6 @@ impl ChannelStream {
         self.truth.len()
     }
 
-    /// Frames advanced so far.
-    pub fn frames_elapsed(&self) -> u64 {
-        self.frames_elapsed
-    }
-
     /// Ages every truth channel by one frame interval, then delivers fresh
     /// estimates for this frame's round-robin share of the band (bumping
     /// exactly those subcarriers' [`FrameChannel`] generations). Returns
@@ -437,7 +432,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sigma2 must be finite and >= 0: -0.01")]
     fn a_frozen_stream_with_negative_noise_variance_is_rejected() {
-        let _ = ChannelStream::frozen(CMat::zeros(2, 2), 3, -0.01);
+        let _ = ChannelStream::frozen(CMat::from_fn(2, 2, |_, _| Cx::ZERO), 3, -0.01);
     }
 
     #[test]

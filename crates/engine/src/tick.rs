@@ -520,7 +520,7 @@ mod tests {
             }
 
             // The pipelined cell: the plan crosses the job channel.
-            let mut pipe = PipelinedCell::new();
+            let mut pipe = PipelinedCell::with_queue_depth(2);
             for (stream, template, _) in &tick {
                 pipe.add_user(stream.clone(), template.clone());
             }

@@ -22,7 +22,7 @@ pub type CVec = Vec<Cx>;
 ///
 /// ```
 /// use flexcore_numeric::{CMat, Cx};
-/// let mut m = CMat::zeros(2, 3);
+/// let mut m = CMat::from_fn(2, 3, |_, _| Cx::ZERO);
 /// m[(0, 2)] = Cx::new(1.0, -1.0);
 /// assert_eq!(m[(0, 2)].im, -1.0);
 /// assert_eq!(m.rows(), 2);
@@ -56,7 +56,7 @@ impl Clone for CMat {
 
 impl CMat {
     /// Creates an all-zero `rows × cols` matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         CMat {
             rows,
             cols,

@@ -47,9 +47,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
-pub mod pool;
-pub mod weighted;
+mod channel;
+mod pool;
+mod weighted;
 
 pub use channel::{bounded, Receiver, SendError, Sender};
 pub use pool::{lpt_order, CrossbeamPool, PePool, SequentialPool};

@@ -10,7 +10,7 @@
 //! Rayleigh channels).
 
 use crate::table::ResultTable;
-use flexcore::model::symbol_error_probability;
+use flexcore::symbol_error_probability;
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble};
 use flexcore_modulation::ordering::exact_order;
 use flexcore_modulation::{Constellation, Modulation};

@@ -14,12 +14,38 @@
 # A name is matched as a whole word, so a common method name can read as
 # reached through an unrelated item: read the hits before keeping one.
 # Prints `crate: item (file:line)` per unreached item; exits 0 either way.
+#
+#   scripts/reach.sh --check
+#
+# is the gate: it runs the audit over every crate but the lint tool (a
+# build tool, never audited) and compares the printed `crate: item` set
+# with `scripts/reach.keep`, the items kept `pub` by a named rule (one
+# `crate: item — rule` line each). It prints every printed item the file
+# does not list and every listed item no longer printed, and exits 1 if
+# there is either.
 set -eu
 
-crate=${1:?usage: scripts/reach.sh <crate>}
+root=$(git rev-parse --show-toplevel)
+if [ "${1:-}" = --check ]; then
+    printed=$(mktemp)
+    listed=$(mktemp)
+    trap 'rm -f "$printed" "$listed"' EXIT
+    for c in "$root"/crates/*; do
+        [ "${c##*/}" = lint ] || "$0" "${c##*/}"
+    done | sed 's/ (.*)$//' | LC_ALL=C sort -u > "$printed"
+    grep -v -e '^#' -e '^$' "$root/scripts/reach.keep" | sed 's/ — .*$//' | LC_ALL=C sort -u > "$listed"
+    missing=$(LC_ALL=C comm -23 "$printed" "$listed")
+    stale=$(LC_ALL=C comm -13 "$printed" "$listed")
+    [ -z "$missing" ] || printf '%s\n' "$missing" | sed 's/^/unreached, not kept by a rule: /'
+    [ -z "$stale" ] || printf '%s\n' "$stale" | sed 's/^/kept by a rule, no longer unreached: /'
+    [ -z "$missing$stale" ] || exit 1
+    echo "reach: each of the $(wc -l < "$printed") unreached items is kept by a rule"
+    exit 0
+fi
+
+crate=${1:?usage: scripts/reach.sh <crate> | --check}
 crate=${crate#crates/}
 crate=${crate%/}
-root=$(git rev-parse --show-toplevel)
 cd "$root"
 [ -d "crates/$crate/src" ] || { echo "no such crate: crates/$crate" >&2; exit 2; }
 

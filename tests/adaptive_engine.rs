@@ -234,11 +234,11 @@ fn streaming_scenario_is_substrate_independent() {
         let mut engine = FrameEngine::new(FlexCoreDetector::adaptive(c.clone(), 12, 0.95));
         assert_eq!(engine.prepare(stream.estimate()), 9);
         let mut all = Vec::new();
-        for _ in 0..4 {
+        for frame_no in 1..=4u64 {
             let refreshed = stream.advance(&mut rng);
             assert_eq!(refreshed, 3);
             assert_eq!(engine.prepare(stream.estimate()), 3);
-            let mut sym_rng = StdRng::seed_from_u64(49 ^ stream.frames_elapsed());
+            let mut sym_rng = StdRng::seed_from_u64(49 ^ frame_no);
             let frame = stream.transmit_frame(
                 3,
                 |_, _| {
@@ -246,7 +246,7 @@ fn streaming_scenario_is_substrate_independent() {
                         .map(|_| c.point(sym_rng.gen_range(0..c.order())))
                         .collect()
                 },
-                &mut StdRng::seed_from_u64(50 ^ stream.frames_elapsed()),
+                &mut StdRng::seed_from_u64(50 ^ frame_no),
             );
             all.extend(pool(&frame, &engine));
         }

@@ -16,10 +16,10 @@
 //! inside the single `#[test]` below — libtest would otherwise run tests
 //! on sibling threads and bleed their allocations into the counter.
 
-use flexcore::{CellDetector, FlexCoreDetector, PathScratch};
+use flexcore::{CellDetector, FlexCoreDetector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel, MimoChannel};
 use flexcore_coding::{CodeRate, ConvCode, ViterbiScratch};
-use flexcore_detect::common::Detector;
+use flexcore_detect::common::{Detector, PathScratch};
 use flexcore_detect::FcsdDetector;
 use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, StreamingCell};
 use flexcore_modulation::{Constellation, Modulation};
@@ -116,14 +116,14 @@ fn hot_path_allocation_budget() {
     for nt in [4usize, 12, INLINE_STREAMS] {
         let (det, ys, _) = workload(nt, Modulation::Qam16, nt as u64);
         let tri = det.triangular();
-        let mut scratch = PathScratch::new();
+        let mut scratch = PathScratch::default();
         // Warm the ybar buffer (sized on first rotate).
         let mut ybar = vec![Cx::ZERO; nt];
-        tri.rotate_into(&ys[0], &mut ybar);
+        tri.qr.rotate_into(&ys[0], &mut ybar);
         let _ = det.run_path_into(&ybar, &det.position_vectors()[0], &mut scratch);
         let n = allocs_in(|| {
             for y in &ys {
-                tri.rotate_into(y, &mut ybar);
+                tri.qr.rotate_into(y, &mut ybar);
                 for p in det.position_vectors() {
                     let _ = det.run_path_into(&ybar, p, &mut scratch);
                 }
@@ -143,8 +143,8 @@ fn hot_path_allocation_budget() {
         let tri = det.triangular();
         let y: Vec<Cx> = (0..nt).map(|_| c.point(rng.gen_range(0..16))).collect();
         let mut ybar = vec![Cx::ZERO; nt];
-        tri.rotate_into(&y, &mut ybar);
-        let mut scratch = PathScratch::new();
+        tri.qr.rotate_into(&y, &mut ybar);
+        let mut scratch = PathScratch::default();
         let _ = det.run_path_into(&ybar, 0, &mut scratch);
         let n = allocs_in(|| {
             for idx in 0..det.paths() {
@@ -158,14 +158,14 @@ fn hot_path_allocation_budget() {
     for nt in [17usize, 32] {
         let (det, ys, _) = workload(nt, Modulation::Qam16, 100 + nt as u64);
         let tri = det.triangular();
-        let mut scratch = PathScratch::new();
+        let mut scratch = PathScratch::default();
         let mut ybar = vec![Cx::ZERO; nt];
         // First evaluation spills the scratch; everything after reuses it.
-        tri.rotate_into(&ys[0], &mut ybar);
+        tri.qr.rotate_into(&ys[0], &mut ybar);
         let _ = det.run_path_into(&ybar, &det.position_vectors()[0], &mut scratch);
         let n = allocs_in(|| {
             for y in &ys {
-                tri.rotate_into(y, &mut ybar);
+                tri.qr.rotate_into(y, &mut ybar);
                 for p in det.position_vectors() {
                     let _ = det.run_path_into(&ybar, p, &mut scratch);
                 }
@@ -182,7 +182,7 @@ fn hot_path_allocation_budget() {
         let nt = 32;
         let (det, ys, _) = workload(nt, Modulation::Qam16, 300 + nt as u64);
         let q = &det.triangular().qr.q;
-        let mut scratch = PathScratch::new();
+        let mut scratch = PathScratch::default();
         let mut ybar = vec![Cx::ZERO; nt];
         q.mul_vec_hermitian_into_scalar(&ys[0], &mut ybar);
         let _ = det.run_path_into(&ybar, &det.position_vectors()[0], &mut scratch);

@@ -407,7 +407,8 @@ fn engine_cache_tracks_narrowband_updates_through_detection() {
         &SequentialPool::new(1),
     );
     assert_eq!(out_b, reference);
-    assert_eq!(out_a.n_symbols(), 4); // the pre-update output stays valid
+    // The pre-update output stays valid: 4 symbols × 8 subcarriers.
+    assert_eq!(out_a.iter().count(), 4 * 8);
 }
 
 /// One coded packet through the engine: a one-user cell tick on a frozen

@@ -106,7 +106,7 @@ fn assert_substrate_identity(nt: usize, m: Modulation, seed: u64) {
     let plan = cell.plan_tick(fabric.n_pes());
     let units: u64 = plan.costs().iter().sum();
     // At massive-MIMO widths every vector pays at least its nt² rotate.
-    assert!(units >= (nt * nt * frame.n_vectors()) as u64);
+    assert!(units >= (nt * nt * frame.n_symbols() * frame.n_subcarriers()) as u64);
     let span = lpt_makespan_weighted(plan.costs(), &fabric.speed_factors());
     assert!(span * fabric.total_speed() >= units as f64 * (1.0 - 1e-12));
     let want: Vec<usize> = adaptive_ref.iter().flatten().copied().collect();
@@ -148,9 +148,11 @@ fn noiseless_massive_mimo_frames_recover_exactly() {
             &frame,
             &SequentialPool::new(1),
         );
+        let got: Vec<&[usize]> = out.iter().collect();
         for (t, row) in sent.iter().enumerate() {
             for (sc, s) in row.iter().enumerate() {
-                assert_eq!(out.get(t, sc), &s[..], "nt={nt} {m:?} symbol {t} sc {sc}");
+                let cell = got[t * row.len() + sc];
+                assert_eq!(cell, &s[..], "nt={nt} {m:?} symbol {t} sc {sc}");
             }
         }
     }

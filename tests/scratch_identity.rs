@@ -7,9 +7,9 @@
 //! These tests enforce the contract against independent re-enactments of
 //! those allocating implementations, across random channels and SNRs.
 
-use flexcore::{FlexCoreConfig, FlexCoreDetector, PathScratch, PositionVector, QrOrdering};
+use flexcore::{FlexCoreConfig, FlexCoreDetector, PositionVector, QrOrdering, SoftDetector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
-use flexcore_detect::common::{Detector, Triangular};
+use flexcore_detect::common::{Detector, PathScratch, Triangular};
 use flexcore_detect::FcsdDetector;
 use flexcore_modulation::{Constellation, Modulation, OrderingLut};
 use flexcore_numeric::{CMat, Cx};
@@ -62,9 +62,10 @@ fn rotate_scalar(tri: &Triangular, y: &[Cx]) -> Vec<Cx> {
     ybar
 }
 
-/// The triangle LUT `FlexCoreDetector::new` builds, for [`run_path_pr1`].
+/// The triangle LUT `FlexCoreDetector::new` builds, for [`run_path_pr1`]
+/// (of a prepared detector).
 fn pr1_lut(det: &FlexCoreDetector) -> OrderingLut {
-    let c = det.constellation();
+    let c = &det.triangular().constellation;
     OrderingLut::new(c.modulation(), c.order())
 }
 
@@ -107,7 +108,7 @@ fn assert_run_path_into_equals_pr1(
 ) -> Result<(), TestCaseError> {
     let tri = det.triangular();
     let lut = pr1_lut(det);
-    let mut scratch = PathScratch::new();
+    let mut scratch = PathScratch::default();
     for y in ys {
         let ybar = tri.rotate(y);
         for p in det.position_vectors() {
@@ -163,7 +164,7 @@ fn detect_batch_pr1(det: &FlexCoreDetector, ys: &[Vec<Cx>]) -> Vec<Vec<usize>> {
 fn fcsd_per_path_reference(det: &FcsdDetector, y: &[Cx]) -> Vec<usize> {
     let tri = det.triangular();
     let ybar = rotate_scalar(tri, y);
-    let mut scratch = PathScratch::new();
+    let mut scratch = PathScratch::default();
     let (symbols, _) = (0..det.paths())
         .map(|idx| {
             let metric = det.run_path_into(&ybar, idx, &mut scratch);

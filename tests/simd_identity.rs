@@ -2,20 +2,21 @@
 //!
 //! The lane kernels (`CxLane`, the `mul_vec_into` product, the blocked QR
 //! rotate, the four-wide trie walk and path blocks; the crate-internal
-//! Hermitian product is pinned in `flexcore-numeric`'s own tests)
+//! Hermitian product is pinned in `flexcore-numeric`'s own tests, the
+//! crate-internal `Triangular` lane kernels in `flexcore-detect`'s)
 //! promise *bitwise* equality with their scalar twins: each lane replays
 //! the scalar operation chain, so a lane path must never change a single
 //! bit of any symbol decision or metric. A kernel picks its lane form from
 //! its input size alone, so these tests pin every lane path to an
 //! **explicitly scalar** chain built from the twins (`_scalar` matrix
-//! products, `run_path_into`, `ped_increment`, `first_min_metric`) across
+//! products, `run_path_into`, `first_min_metric`) across
 //! the full width sweep (nt 1..=64), every modulation (BPSK..256-QAM),
 //! the lane-remainder edge cases (nt = 3, 5, 17; path counts 1, 2, 3),
 //! and — at nt ∈ {4, 8, 16, 32, 64} — every pool execution substrate.
 
-use flexcore::{CellDetector, FlexCoreDetector, PathScratch};
+use flexcore::{CellDetector, FlexCoreDetector};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
-use flexcore_detect::common::{first_min_metric, Detector, Triangular};
+use flexcore_detect::common::{first_min_metric, Detector, PathScratch, Triangular};
 use flexcore_detect::FcsdDetector;
 use flexcore_engine::{
     ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
@@ -23,7 +24,7 @@ use flexcore_engine::{
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::qr::sorted_qr_sqrd;
 use flexcore_numeric::rng::CxRng;
-use flexcore_numeric::{CMat, Cx, CxLane, LANES};
+use flexcore_numeric::{CMat, Cx};
 use flexcore_parallel::{CrossbeamPool, PePool, SequentialPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,54 +78,6 @@ fn mat_lane_kernels_bit_identical_across_nt_1_to_64() {
 }
 
 #[test]
-fn triangular_lane_kernels_bit_identical_nt_sweep_all_modulations() {
-    // The detection-side lane kernels read constellation points, so the
-    // sweep crosses width with every modulation. These methods take the
-    // lane path unconditionally; the scalar kernels are the reference.
-    for nt in 1..=64usize {
-        let qr = sorted_qr_sqrd(&random_mat(nt, nt, 4000 + nt as u64));
-        let ybar = random_vec(nt, 5000 + nt as u64);
-        for m in ALL_MODS {
-            let c = Constellation::new(m);
-            let q = c.order();
-            let tri = Triangular::new(qr.clone(), c);
-            let mut rng = StdRng::seed_from_u64(6000 + nt as u64 + q as u64);
-            // Four independent decision vectors → one lane-resident
-            // points plane.
-            let lanes_syms: Vec<Vec<u16>> = (0..LANES)
-                .map(|_| (0..nt).map(|_| rng.gen_range(0..q) as u16).collect())
-                .collect();
-            let points: Vec<CxLane> = (0..nt)
-                .map(|p| CxLane::from_fn(|l| tri.constellation.point(lanes_syms[l][p] as usize)))
-                .collect();
-            let rows = [0, nt / 2, nt - 1];
-            for &row in rows.iter() {
-                let ybar_lane = CxLane::from_fn(|l| ybar[row] * Cx::real(1.0 + l as f64 * 0.25));
-                let eff = tri.effective_point_lanes(ybar_lane, &points, row);
-                let peds = tri.ped_increment_lanes(ybar_lane, &points, row);
-                for l in 0..LANES {
-                    let mut yb = ybar.clone();
-                    yb[row] = ybar_lane.get(l);
-                    let want_eff = tri.effective_point(&yb, &lanes_syms[l], row);
-                    assert_cx_bits(
-                        want_eff,
-                        eff.get(l),
-                        &format!("eff nt={nt} q={q} row={row}"),
-                    );
-                    let chosen = lanes_syms[l][row] as usize;
-                    let want_ped = tri.ped_increment(&yb, &lanes_syms[l], row, chosen);
-                    assert_eq!(
-                        want_ped.to_bits(),
-                        peds[l].to_bits(),
-                        "ped_lanes nt={nt} q={q} row={row}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn rotate_batch_bit_identical_under_both_dispatch_modes() {
     // The blocked batch rotate (full blocks of four observations plus the
     // per-vector tail) and the per-vector rotate, against the scalar twin
@@ -166,7 +119,7 @@ fn rotate_scalar(tri: &Triangular, y: &[Cx]) -> Vec<Cx> {
 fn flexcore_scalar(det: &FlexCoreDetector, y: &[Cx]) -> Vec<usize> {
     let tri = det.triangular();
     let ybar = rotate_scalar(tri, y);
-    let mut scratch = PathScratch::new();
+    let mut scratch = PathScratch::default();
     let paths = det.position_vectors();
     let metrics: Vec<f64> = paths
         .iter()
@@ -185,7 +138,7 @@ fn flexcore_scalar(det: &FlexCoreDetector, y: &[Cx]) -> Vec<usize> {
 fn fcsd_scalar(det: &FcsdDetector, y: &[Cx]) -> Vec<usize> {
     let tri = det.triangular();
     let ybar = rotate_scalar(tri, y);
-    let mut scratch = PathScratch::new();
+    let mut scratch = PathScratch::default();
     let metrics: Vec<f64> = (0..det.paths())
         .map(|idx| det.run_path_into(&ybar, idx, &mut scratch))
         .collect();
@@ -436,7 +389,7 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
         cell.submit(0, frame.clone());
         let plan = cell.plan_tick(fabric.n_pes());
         let units: u64 = plan.costs().iter().sum();
-        assert!(units >= (nt * nt * frame.n_vectors()) as u64);
+        assert!(units >= (nt * nt * frame.n_symbols() * frame.n_subcarriers()) as u64);
         let span = lpt_makespan_weighted(plan.costs(), &fabric.speed_factors());
         assert!(span * fabric.total_speed() >= units as f64 * (1.0 - 1e-12));
 
@@ -448,11 +401,13 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
             })
             .collect();
         for (i, got) in frames.iter().enumerate() {
+            let got: Vec<&[usize]> = got.iter().collect();
             for sym in 0..frame.n_symbols() {
                 for (sc, det) in detectors.iter().enumerate() {
                     let want = flexcore_scalar(det, frame.get(sym, sc));
                     let ctx = format!("nt={nt} substrate {i} symbol {sym} subcarrier {sc}");
-                    assert_eq!(got.get(sym, sc), want.as_slice(), "{ctx}");
+                    let cell = got[sym * frame.n_subcarriers() + sc];
+                    assert_eq!(cell, want.as_slice(), "{ctx}");
                 }
             }
         }
