@@ -24,6 +24,7 @@ use flexcore_detect::common::{batch_rows, first_min_metric, Detector, PathScratc
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
+use flexcore_numeric::symvec::INLINE_STREAMS;
 use flexcore_numeric::{CMat, Cx, CxLane, SymVec, LANES};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -390,6 +391,24 @@ impl State {
             diag: Vec::new(),
         }
     }
+
+    /// Whether [`Detector::detect_batch_into`] may send its blocks to
+    /// [`FlexCoreDetector::walk_chain_block`]: the selection is the SIC
+    /// path alone (a-FlexCore on a well-conditioned channel, §5.1), it fits
+    /// the kernel's stack planes, and every row's `|R(row,row)|²` and
+    /// reciprocal are finite. The last condition keeps each Eq. 1 increment
+    /// off `NaN` for any effective point that is not itself `NaN` (a dead
+    /// row has both zero), so the one path the general walk would complete
+    /// on a lane is the one the kernel returns.
+    fn walks_one_chain(&self) -> bool {
+        let finite = |z: Cx| z.re.is_finite() && z.im.is_finite();
+        self.selection.paths.len() == 1
+            && (1..=INLINE_STREAMS).contains(&self.tri.nt())
+            && self
+                .diag
+                .iter()
+                .all(|&(inv, rdiag)| finite(inv) && rdiag.is_finite())
+    }
 }
 
 /// Reusable per-worker workspace for the sequential FlexCore hot path:
@@ -728,7 +747,11 @@ impl FlexCoreDetector {
     /// `nt` chains; at the benchmark's operating points (i.i.d. channels,
     /// FlexCore-16, four observations per channel) whole chains skipped
     /// 47 % of the nodes at 8×8, 45 % at 64×64 and 48 % at fixed 4×4, but
-    /// 7 % of the ≈ 1.5-path tries adaptive 4×4 keeps.
+    /// 7 % of the ≈ 1.5-path tries adaptive 4×4 keeps. That last figure
+    /// counts one-path tries, which no longer come here: a one-path
+    /// selection's batches go to [`FlexCoreDetector::walk_chain_block`],
+    /// and at `cell_coded`'s operating point 72 % of the batches are
+    /// one-path (539 884 of the first 750 000, seed 1).
     ///
     /// `active` is the partial-tail mask: a batch whose length is not a
     /// multiple of [`LANES`] pads its last block by repeating the final
@@ -872,6 +895,130 @@ impl FlexCoreDetector {
         }
     }
 
+    /// The one-path batch: each block rotated into a stack plane of `N ≥ nt`
+    /// rows per observation and walked by
+    /// [`FlexCoreDetector::walk_chain_block`], or by the general walk when
+    /// the kernel declines it. `N` is the smallest of 4, 8 and
+    /// [`INLINE_STREAMS`] that holds `nt`, so a 4×4 block zeroes 256-byte
+    /// planes, not 1 KiB ones.
+    fn detect_chains<const N: usize>(
+        &self,
+        ys: &[&[Cx]],
+        rows: &mut std::slice::ChunksExactMut<'_, u16>,
+    ) {
+        // flexcore-lint: hot-path
+        let state = self.prepared();
+        let nt = state.tri.nt();
+        let mut plane = [[Cx::ZERO; N]; LANES];
+        let ybars = &mut plane.as_flattened_mut()[..LANES * nt];
+        for chunk in ys.chunks(LANES) {
+            state.tri.qr.rotate_batch_into(&padded(chunk), ybars);
+            if !self.walk_chain_block::<N>(ybars, rows, chunk.len()) {
+                let mut scratch = BATCH_SCRATCH.take();
+                self.detect_block(ybars, chunk.len(), &mut scratch.block, rows);
+                BATCH_SCRATCH.set(scratch);
+            }
+        }
+    }
+
+    /// [`FlexCoreDetector::walk_paths_block`] for a one-path selection,
+    /// which writes the block's first `n` rows straight into `rows`
+    /// (unpermuted) and returns `true`. With one path the winner is path 0
+    /// on every lane by construction, so the kernel walks the SIC chain
+    /// top row first and keeps only what the next row reads: the four
+    /// decided points per row, in a stack array of `N ≥ nt` rows. It
+    /// computes no metric, no bound and no winner, gathers no lineage, and
+    /// takes nothing from the thread's batch scratch.
+    ///
+    /// Per row and lane, the effective point (`ȳ` minus the ancestors'
+    /// points in ascending row order, times `diag[row].0`) and the pick
+    /// (the located table's `get`, or the same `pick_off_table` fallback)
+    /// are the block walk's, so the symbols are the scalar walk's bits.
+    /// At rank 1 the fallback always answers, so the path never
+    /// deactivates. A `NaN` effective point (a non-finite observation, or
+    /// one huge enough to overflow the cancellation) or a pick with no
+    /// answer returns `false` before any row is written: the caller runs
+    /// the general walk on the block, which ends as it always has.
+    ///
+    /// Out of line like the block walk, so CI can disassemble it.
+    #[inline(never)]
+    fn walk_chain_block<const N: usize>(
+        &self,
+        ybars: &[Cx],
+        rows: &mut std::slice::ChunksExactMut<'_, u16>,
+        n: usize,
+    ) -> bool {
+        // flexcore-lint: scalar-twin = walk_paths
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        let state = self.prepared();
+        let (trie, r) = (&state.trie, &state.tri.qr.r);
+        let nt = state.tri.nt();
+        assert!(nt <= N, "walk_chain_block: {nt} rows");
+        assert_eq!(ybars.len(), LANES * nt, "walk_chain_block: plane length");
+        let fast = self.fast_lut.as_deref();
+        let cpoints = self.constellation.points();
+        let mut points = [CxLane::zero(); N];
+        let mut syms = [[0u16; LANES]; N];
+        for row in (0..nt).rev() {
+            let mut acc = CxLane::from_fn(|l| ybars[l * nt + row]);
+            for (&coef, &point) in r.row(row)[row + 1..].iter().zip(&points[row + 1..nt]) {
+                acc.sub_mul(CxLane::splat(coef), point);
+            }
+            let eff = acc * CxLane::splat(state.diag[row].0);
+            let nan = (0..LANES).fold(false, |nan, l| {
+                nan | eff.re[l].is_nan() | eff.im[l].is_nan()
+            });
+            if nan {
+                return false;
+            }
+            let mut bases = [NIL; LANES];
+            if let Some(t) = fast {
+                t.locate_bases(&self.lut, &self.constellation, &eff.re, &eff.im, &mut bases);
+            }
+            let k = trie.nodes[trie.lineage[row] as usize].rank as usize;
+            for l in 0..LANES {
+                let on_table = fast.filter(|_| bases[l] != NIL);
+                let picked = match on_table.and_then(|t| t.get(bases[l] as usize, k)) {
+                    None => self.pick_off_table(eff.get(l), k, on_table.is_none()),
+                    s => s,
+                };
+                let Some(s) = picked else {
+                    return false;
+                };
+                syms[row][l] = s as u16;
+                points[row].re[l] = cpoints[s].re;
+                points[row].im[l] = cpoints[s].im;
+            }
+        }
+        let perm = &state.tri.qr.perm;
+        for (l, out) in rows.take(n).enumerate() {
+            for (&p, syms) in perm.iter().zip(&syms) {
+                out[p] = syms[l];
+            }
+        }
+        true
+    }
+
+    /// One block through the general walk: [`FlexCoreDetector::walk_paths_block`]
+    /// with the first `n` lanes active, then each of those lanes' winner
+    /// unpermuted into the next row of `rows`.
+    fn detect_block(
+        &self,
+        ybars: &[Cx],
+        n: usize,
+        block: &mut WalkBlockScratch,
+        rows: &mut std::slice::ChunksExactMut<'_, u16>,
+    ) {
+        // flexcore-lint: scalar-twin = detect_prepared
+        let tri = &self.prepared().tri;
+        self.walk_paths_block(ybars, std::array::from_fn(|l| l < n), block);
+        for (l, row) in rows.take(n).enumerate() {
+            self.block_winner(l, block);
+            tri.unpermute_into(&block.winner, row);
+        }
+    }
+
     /// Materialises lane `lane`'s winning path of the last
     /// [`FlexCoreDetector::walk_paths_block`] into `out.winner` (tree
     /// order) — the only path of the block whose symbols are ever
@@ -901,6 +1048,13 @@ impl FlexCoreDetector {
             first_min_metric(walk.metrics.iter().copied()).expect("the SIC path always completes");
         state.tri.unpermute_into(walk.syms[i].as_slice(), row);
     }
+}
+
+/// One block of a batch, padded to [`LANES`] observations by repeating
+/// its last one: valid data, so every lane kernel sees finite inputs. The
+/// walk keeps only the real lanes active and extracts those only.
+fn padded<'y>(chunk: &[&'y [Cx]]) -> [&'y [Cx]; LANES] {
+    std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)])
 }
 
 impl Detector for FlexCoreDetector {
@@ -971,29 +1125,31 @@ impl Detector for FlexCoreDetector {
     /// block); a batch tail shorter than a block is padded by repeating
     /// its last observation and walked as a masked partial block, so no
     /// observation ever falls back to the scalar per-vector loop. Every
-    /// plane lives in this thread's `BatchScratch`, so once the thread has
-    /// seen the shape a batch touches no heap. Results stay bit-identical
-    /// to per-vector [`Detector::detect`], the scalar walk.
+    /// plane of the walk lives in this thread's `BatchScratch`, so once
+    /// the thread has seen the shape a batch touches no heap. A one-path
+    /// selection (most of a-FlexCore's at `cell_coded`'s operating point)
+    /// rotates each block into a stack plane and walks it as a SIC chain
+    /// instead (`walk_chain_block`), with no scratch at all. Results stay
+    /// bit-identical to per-vector [`Detector::detect`], the scalar walk.
     fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
         // flexcore-lint: hot-path
         let state = self.prepared();
         let nt = state.tri.nt();
         let mut rows = batch_rows(out, ys.len(), nt);
+        if state.walks_one_chain() {
+            match nt {
+                0..=4 => self.detect_chains::<4>(ys, &mut rows),
+                5..=8 => self.detect_chains::<8>(ys, &mut rows),
+                _ => self.detect_chains::<INLINE_STREAMS>(ys, &mut rows),
+            }
+            return;
+        }
         let mut scratch = BATCH_SCRATCH.take();
         let BatchScratch { ybars, block } = &mut scratch;
         ybars.resize(LANES * nt, Cx::ZERO);
         for chunk in ys.chunks(LANES) {
-            // Masked partial tail: pad to a full block by repeating the
-            // last real observation (valid data, so every lane kernel
-            // sees finite inputs), walk with only the real lanes active,
-            // and extract those lanes only.
-            let padded: [&[Cx]; LANES] = std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)]);
-            state.tri.qr.rotate_batch_into(&padded, ybars);
-            self.walk_paths_block(ybars, std::array::from_fn(|l| l < chunk.len()), block);
-            for (l, row) in (0..chunk.len()).zip(&mut rows) {
-                self.block_winner(l, block);
-                state.tri.unpermute_into(&block.winner, row);
-            }
+            state.tri.qr.rotate_batch_into(&padded(chunk), ybars);
+            self.detect_block(ybars, chunk.len(), block, &mut rows);
         }
         BATCH_SCRATCH.set(scratch);
     }
@@ -1572,6 +1728,197 @@ mod tests {
             }
         }
         assert!(deactivated > 0, "the sweep never deactivated a path");
+    }
+
+    #[test]
+    fn one_path_chain_matches_the_block_walk_and_per_vector_detect() {
+        // One-path selections — FlexCore-1, and a-FlexCore-16 channels
+        // whose search stops at the root — at nt 1, 4, 8 and 16 (all three
+        // stack-plane sizes) and 17 (past the inline width, so the general
+        // walk), BPSK to 256-QAM under every ordering, on observations near
+        // the constellation and on far outliers whose effective points get
+        // no table answer, each with and without a zero pivot. The chain
+        // kernel's rows must be the general block walk's winners under all
+        // 16 lane masks, and batches of 1 to 7 vectors must return
+        // per-vector `detect`'s rows.
+        use flexcore_numeric::rng::CxRng;
+        let (mut kernels, mut stopped_at_root, mut off_table) = (0, 0, 0);
+        for nt in [1usize, 4, 8, 16, 17] {
+            for m in [
+                Modulation::Bpsk,
+                Modulation::Qpsk,
+                Modulation::Qam16,
+                Modulation::Qam64,
+                Modulation::Qam256,
+            ] {
+                let c = Constellation::new(m);
+                let reach = (c.order() as f64).sqrt().ceil() * unit_level(&c);
+                for ordering in [
+                    PathOrdering::TriangleLut,
+                    PathOrdering::TriangleLutStrict,
+                    PathOrdering::Exact,
+                ] {
+                    for adaptive in [false, true] {
+                        let what = format!("nt={nt} {m:?} {ordering:?} adaptive={adaptive}");
+                        let mut rng = StdRng::seed_from_u64(nt as u64 * 977 + m.order() as u64);
+                        let mut cfg = FlexCoreConfig::new(if adaptive { 16 } else { 1 });
+                        cfg.path_ordering = ordering;
+                        cfg.stop_threshold = adaptive.then_some(0.95);
+                        let mut fc = FlexCoreDetector::new(c.clone(), cfg);
+                        let h = ChannelEnsemble::iid(nt, nt).draw(&mut rng);
+                        fc.prepare(&h, sigma2_from_snr_db(if adaptive { 40.0 } else { 10.0 }));
+                        if fc.active_paths() > 1 {
+                            assert!(adaptive, "{what}: FlexCore-1 kept several paths");
+                            continue;
+                        }
+                        stopped_at_root += usize::from(adaptive);
+                        let ch = MimoChannel::new(h.clone(), 10.0);
+                        for (zero_pivot, far) in [(false, false), (false, true), (true, false)] {
+                            let what = format!("{what} zero_pivot={zero_pivot} far={far}");
+                            if zero_pivot {
+                                let state = fc.state.as_mut().expect("prepared");
+                                let row = nt / 2;
+                                state.tri.qr.r[(row, row)] = Cx::ZERO;
+                                state.diag[row] = (state.tri.pivot_inv(row), 0.0);
+                            }
+                            let ys: Vec<Vec<Cx>> = (0..7)
+                                .map(|_| {
+                                    let x: Vec<Cx> = (0..nt)
+                                        .map(|_| {
+                                            let s = c.point(rng.gen_range(0..c.order()));
+                                            if far {
+                                                s + rng.cx_normal(1.0).scale(4.0 * reach)
+                                            } else {
+                                                s
+                                            }
+                                        })
+                                        .collect();
+                                    if far {
+                                        h.mul_vec(&x)
+                                    } else {
+                                        ch.transmit(&x, &mut rng)
+                                    }
+                                })
+                                .collect();
+                            let per_vector: Vec<Vec<usize>> =
+                                ys.iter().map(|y| fc.detect(y)).collect();
+                            let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+                            for n in 1..=refs.len() {
+                                assert_eq!(
+                                    fc.detect_batch_refs(&refs[..n]),
+                                    per_vector[..n],
+                                    "{what}: batch of {n}"
+                                );
+                            }
+                            let state = fc.prepared();
+                            let tri = &state.tri;
+                            assert_eq!(state.walks_one_chain(), nt <= INLINE_STREAMS, "{what}");
+                            if nt > INLINE_STREAMS {
+                                continue;
+                            }
+                            // Where the scalar chain's effective points fall.
+                            if let Some(t) = fc.fast_lut.as_deref() {
+                                for (y, row) in ys.iter().zip(&per_vector) {
+                                    let ybar = tri.rotate(y);
+                                    let syms: Vec<u16> =
+                                        tri.qr.perm.iter().map(|&p| row[p] as u16).collect();
+                                    for level in 0..nt {
+                                        let eff = tri.effective_point(&ybar, &syms, level);
+                                        let mut base = [NIL; LANES];
+                                        t.locate_bases(
+                                            &fc.lut,
+                                            &c,
+                                            &[eff.re; LANES],
+                                            &[eff.im; LANES],
+                                            &mut base,
+                                        );
+                                        let none =
+                                            base[0] == NIL || t.get(base[0] as usize, 1).is_none();
+                                        off_table += usize::from(none);
+                                    }
+                                }
+                            }
+                            let mut ybars = vec![Cx::ZERO; LANES * nt];
+                            for (y, ybar) in ys.iter().zip(ybars.chunks_exact_mut(nt)) {
+                                tri.qr.q.mul_vec_hermitian_into_scalar(y, ybar);
+                            }
+                            let mut chain = vec![0u16; LANES * nt];
+                            let done = fc.walk_chain_block::<INLINE_STREAMS>(
+                                &ybars,
+                                &mut chain.chunks_exact_mut(nt),
+                                LANES,
+                            );
+                            assert!(done, "{what}: the kernel declined finite observations");
+                            kernels += 1;
+                            let mut block = WalkBlockScratch::default();
+                            let mut row = vec![0u16; nt];
+                            for mask in 0..1u32 << LANES {
+                                let active: [bool; LANES] =
+                                    std::array::from_fn(|l| mask >> l & 1 == 1);
+                                fc.walk_paths_block(&ybars, active, &mut block);
+                                for l in 0..LANES {
+                                    if !active[l] {
+                                        assert_eq!(
+                                            block.best_path[l], NIL,
+                                            "{what}: masked lane won"
+                                        );
+                                        continue;
+                                    }
+                                    fc.block_winner(l, &mut block);
+                                    tri.unpermute_into(&block.winner, &mut row);
+                                    let at = format!("{what} mask {mask:04b} lane {l}");
+                                    assert_eq!(row, chain[l * nt..(l + 1) * nt], "{at}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            stopped_at_root > 0,
+            "no a-FlexCore search stopped at the root"
+        );
+        assert!(off_table > 0, "no effective point went off the table");
+        assert!(kernels > 0);
+    }
+
+    #[test]
+    fn a_nan_sample_ends_a_one_path_batch_as_the_general_walk_ends() {
+        // Until non-finite input gets a typed outcome, a NaN sample must
+        // end a one-path batch exactly as it ends a batch the general walk
+        // runs: in the block walk's "the SIC path always completes" panic,
+        // never in returned bits.
+        use flexcore_numeric::rng::CxRng;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let c = Constellation::new(Modulation::Qam16);
+        let mut rng = StdRng::seed_from_u64(0x4e41);
+        let h = ChannelEnsemble::iid(4, 4).draw(&mut rng);
+        let mut ys: Vec<Vec<Cx>> = (0..3)
+            .map(|_| (0..4).map(|_| rng.cx_normal(1.0)).collect())
+            .collect();
+        ys[1][2].re = f64::NAN;
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        let panic_of = |n_pe: usize| {
+            let mut fc = FlexCoreDetector::with_pes(c.clone(), n_pe);
+            fc.prepare(&h, sigma2_from_snr_db(12.0));
+            assert_eq!(fc.prepared().walks_one_chain(), n_pe == 1);
+            let mut plane = vec![0u16; refs.len() * 4];
+            let err = catch_unwind(AssertUnwindSafe(|| fc.detect_batch_into(&refs, &mut plane)))
+                .expect_err("a NaN sample returned bits");
+            match err.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(err) => err
+                    .downcast_ref::<&str>()
+                    .map_or_else(String::new, |m| m.to_string()),
+            }
+        };
+        let one_path = panic_of(1);
+        assert!(
+            one_path.contains("the SIC path always completes"),
+            "{one_path}"
+        );
+        assert_eq!(one_path, panic_of(2));
     }
 
     #[test]

@@ -42,8 +42,7 @@
 //!   transmit/prepare of frame *N+1*, detection of frame *N*, and decode of frame *N−1* run
 //!   concurrently, coupled by bounded backpressure queues
 //!   ([`flexcore_parallel::bounded`]); every decoded frame's
-//!   submit→decode latency lands in a [`LatencyRecord`] measured against
-//!   a per-frame deadline. Pipelining is placement-only: detections are
+//!   submit→decode latency lands in a [`LatencyRecord`]. Pipelining is placement-only: detections are
 //!   bit-identical to the barrier tick's;
 //! * heterogeneous fabrics — every path above prices its batches at
 //!   `extension_work × symbols` ([`TickPlan::costs`]), and placement on a

@@ -27,9 +27,7 @@
 //! Stages are coupled by the bounded channels of `flexcore-parallel`
 //! ([`flexcore_parallel::bounded`]): a slow detect stage back-pressures
 //! the transmitter instead of queueing unboundedly, so offered load beyond
-//! capacity shows up as latency — which is what the per-frame deadline is
-//! measured against. The deadline is the `deadline_s` the caller passes to
-//! [`PipelinedCell::run`]; the pipeline only counts misses against it.
+//! capacity shows up as latency, which the record keeps frame by frame.
 //!
 //! **Pipelining is placement-only.** A batch's result depends on exactly
 //! two things: the prepared detector state it runs against and the batch
@@ -52,52 +50,33 @@ use flexcore_numeric::Cx;
 use flexcore_parallel::{bounded, PePool};
 use std::time::Instant;
 
-/// Per-frame submit→decode latency samples against one deadline.
+/// Per-frame submit→decode latency samples.
 ///
-/// Records every sample (seconds) plus a running deadline-miss count;
-/// [`LatencyRecord::quantile`] reads nearest-rank percentiles off them.
+/// Records every sample (seconds); [`LatencyRecord::quantile`] reads
+/// nearest-rank percentiles off them.
 ///
 /// ```
 /// use flexcore_engine::LatencyRecord;
-/// let mut rec = LatencyRecord::new(0.010);
+/// let mut rec = LatencyRecord::default();
 /// for ms in 1..=10u32 {
 ///     rec.record(ms as f64 * 1e-3);
 /// }
 /// assert_eq!(rec.len(), 10);
-/// assert_eq!(rec.miss_rate(), 0.0); // 10 ms meets a 10 ms deadline
 /// assert_eq!(rec.quantile(0.5), 0.005);
 /// assert_eq!(rec.quantile(0.0), 0.001); // q = 0 reads the minimum
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LatencyRecord {
-    deadline_s: f64,
     samples: Vec<f64>,
-    misses: u64,
 }
 
 impl LatencyRecord {
-    /// An empty record measured against `deadline_s` (must be positive).
-    pub fn new(deadline_s: f64) -> Self {
-        assert!(
-            deadline_s > 0.0,
-            "LatencyRecord: deadline must be positive, got {deadline_s}"
-        );
-        LatencyRecord {
-            deadline_s,
-            samples: Vec::new(),
-            misses: 0,
-        }
-    }
-
     /// Stamps one frame's latency (seconds).
     pub fn record(&mut self, seconds: f64) {
         // flexcore-lint: hot-path
-        // One push and one compare per decoded frame — this runs inside
-        // the decode stage, between a frame's CRC and the next recv.
+        // One push per decoded frame — this runs inside the decode stage,
+        // between a frame's CRC and the next recv.
         self.samples.push(seconds);
-        if seconds > self.deadline_s {
-            self.misses += 1;
-        }
     }
 
     /// Samples recorded so far.
@@ -110,18 +89,10 @@ impl LatencyRecord {
         self.samples.is_empty()
     }
 
-    /// The raw samples, in arrival order — enough to recompute the miss
-    /// rate or window the record (e.g. drop a warm-up prefix).
+    /// The raw samples, in arrival order — enough to count misses against
+    /// a deadline or window the record (e.g. drop a warm-up prefix).
     pub fn samples(&self) -> &[f64] {
         &self.samples
-    }
-
-    /// Fraction of samples strictly above the deadline (0.0 when empty).
-    pub fn miss_rate(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.misses as f64 / self.samples.len() as f64
     }
 
     /// Nearest-rank `q`-quantile (`0 ≤ q ≤ 1`) of the samples, 0.0 when
@@ -230,14 +201,15 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
     /// [`TickPlan`] and booked, exactly like a barrier tick. The **detect
     /// stage** runs each plan on `pool`. The **decode stage** feeds every
     /// [`TickOutput`] to `decode` and stamps the frame's submit→decode
-    /// latency against `deadline_s`.
+    /// latency.
     ///
     /// Every user's detections are bit-identical to the barrier
     /// [`StreamingCell::process_tick`] fed the same frames — pipelining
     /// is placement-only.
     ///
-    /// `_retune`: ignored; removed by ROADMAP's `[benchmark]` item 5 (the
-    /// benchmark still passes `|_, _| false`).
+    /// `deadline_s` (checked positive) and `_retune` are ignored; they go
+    /// with ROADMAP's `[benchmark]` item, which still passes them (a
+    /// deadline and `|_, _| false`).
     ///
     /// # Panics
     /// Panics if `deadline_s` is not positive, if a transmitted frame does
@@ -291,7 +263,7 @@ impl<D: Detector + Clone + Send + Sync> PipelinedCell<D> {
             });
             let mut decode = decode;
             let decode_handle = scope.spawn(move || {
-                let mut overall = LatencyRecord::new(deadline_s);
+                let mut overall = LatencyRecord::default();
                 while let Some(done) = done_rx.recv() {
                     for out in &done.outputs {
                         decode(done.tick, out);
@@ -412,15 +384,14 @@ mod tests {
     }
 
     #[test]
-    fn latency_record_quantiles_and_miss_rate() {
-        let empty = LatencyRecord::new(1.0);
+    fn latency_record_quantiles() {
+        let empty = LatencyRecord::default();
         assert!(empty.is_empty());
-        assert_eq!(empty.miss_rate(), 0.0);
         assert_eq!(empty.quantile(0.99), 0.0);
 
         // 1..=100 ms recorded out of order; nearest-rank percentiles must
         // be the observed samples regardless.
-        let mut rec = LatencyRecord::new(0.095);
+        let mut rec = LatencyRecord::default();
         for ms in (1..=100u32).rev() {
             rec.record(ms as f64 * 1e-3);
         }
@@ -429,12 +400,10 @@ mod tests {
             [0.50, 0.95, 0.99, 1.0].map(|q| rec.quantile(q)),
             [0.050, 0.095, 0.099, 0.100]
         );
-        // 96..=100 ms are strictly above the 95 ms deadline.
-        assert_eq!(rec.miss_rate(), 0.05);
 
         // An unsorted record with ties and a non-round count: every rank
         // is an observed sample, and rank 1.0 is the maximum.
-        let mut rec = LatencyRecord::new(0.5);
+        let mut rec = LatencyRecord::default();
         for i in 0..37u32 {
             rec.record(f64::from(i * 7919 % 13) * 0.1 + 0.01);
         }

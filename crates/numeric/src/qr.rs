@@ -82,23 +82,44 @@ impl Qr {
         // flexcore-lint: scalar-twin = rotate_into
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
-        let (nr, nt) = (self.q.rows(), self.q.cols());
+        let nt = self.q.cols();
         assert_eq!(out.len(), ys.len() * nt, "rotate_batch_into: output length");
         let full = ys.len() / LANES * LANES;
+        let (blocks, tail) = ys.split_at(full);
+        let (out, out_tail) = out.split_at_mut(full * nt);
+        if self.q.rows() <= SMALL_ROTATE_TILE {
+            self.rotate_blocks::<SMALL_ROTATE_TILE>(blocks, out);
+        } else {
+            self.rotate_blocks::<ROTATE_TILE>(blocks, out);
+        }
+        for (y, out) in tail.iter().zip(out_tail.chunks_mut(nt.max(1))) {
+            self.rotate_into(y, out);
+        }
+    }
+
+    /// The full blocks of [`Qr::rotate_batch_into`] through a `TILE`-row
+    /// transposed tile. The tile is on the stack, so a block allocates
+    /// nothing; a taller `Q` goes through in several tiles, its
+    /// accumulators parked in `out` in between. `TILE` only sizes the
+    /// stack array a block zeroes: every output lane adds the same terms
+    /// in the same order at any tile length.
+    fn rotate_blocks<const TILE: usize>(&self, blocks: &[&[Cx]], out: &mut [Cx]) {
+        // flexcore-lint: scalar-twin = rotate_into
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        let (nr, nt) = (self.q.rows(), self.q.cols());
         // The block's observations, transposed: `tile[i]` holds sample
-        // `c0 + i` of all four. On the stack, so a block allocates
-        // nothing; a taller `Q` goes through in several tiles, its
-        // accumulators parked in `out` in between.
-        let mut tile = [CxLane::zero(); ROTATE_TILE];
-        for (block, out) in ys[..full]
+        // `c0 + i` of all four.
+        let mut tile = [CxLane::zero(); TILE];
+        for (block, out) in blocks
             .chunks_exact(LANES)
             .zip(out.chunks_exact_mut(LANES * nt.max(1)))
         {
             for y in block {
                 assert_eq!(y.len(), nr, "rotate_batch_into: observation length");
             }
-            for c0 in (0..nr).step_by(ROTATE_TILE) {
-                let tile = &mut tile[..ROTATE_TILE.min(nr - c0)];
+            for c0 in (0..nr).step_by(TILE) {
+                let tile = &mut tile[..TILE.min(nr - c0)];
                 for (i, t) in tile.iter_mut().enumerate() {
                     *t = CxLane::from_fn(|l| block[l][c0 + i]);
                 }
@@ -113,23 +134,25 @@ impl Qr {
                 }
             }
         }
-        for (y, out) in ys[full..]
-            .iter()
-            .zip(out[full * nt..].chunks_mut(nt.max(1)))
-        {
-            self.rotate_into(y, out);
-        }
     }
 }
 
 /// Rows of `Q` (samples per observation) one pass of
-/// [`Qr::rotate_batch_into`] holds transposed on its stack: 4 KiB, and one
-/// tile is the whole of `Q` up to 64 receive antennas. Smaller tiles were
-/// measured (one block per call, as `detect_batch_refs` drives it, ns per
-/// vector at 4×4 / 64×64): 16 rows 19–24 / 2 455, 32 rows 20–28 / 1 755,
-/// 64 rows 22–23 / 1 305 — zeroing the tile costs a 4×4 block a few ns,
-/// picking the accumulators up from `out` again costs 64×64 far more.
+/// [`Qr::rotate_batch_into`] holds transposed on its stack when `Q` has
+/// more than [`SMALL_ROTATE_TILE`] rows: 4 KiB, and one tile is the whole
+/// of `Q` up to 64 receive antennas. Smaller tiles were measured (one
+/// block per call, as `detect_batch_refs` drives it, ns per vector at 4×4
+/// / 64×64): 16 rows 19–24 / 2 455, 32 rows 20–28 / 1 755, 64 rows 22–23
+/// / 1 305 — picking the accumulators up from `out` again costs 64×64 far
+/// more than zeroing the tile costs a small block.
 const ROTATE_TILE: usize = 64;
+
+/// The tile of a `Q` with at most 8 rows: 512 bytes to zero per block
+/// instead of [`ROTATE_TILE`]'s 4 KiB. One block of four observations per
+/// call, low decile of 201 runs of 2 000 calls, alternating builds on a
+/// 2-vCPU x86-64 host: 93–97 → 58–69 ns at 4×4 and 164–169 → 125–139 ns
+/// at 8×8 (64×64 unchanged, 5.3 µs).
+const SMALL_ROTATE_TILE: usize = 8;
 
 /// Output rows `r..r + N` of one four-observation block (`out`,
 /// observation-major) over `Q` rows `c0..c0 + tile.len()`: the
@@ -957,12 +980,17 @@ mod tests {
     #[test]
     fn rotate_batch_into_matches_per_vector_bitwise() {
         // Widths on both sides of every `G` remainder (and 1), square and
-        // tall, two shapes taller than one `ROTATE_TILE` (so accumulators
+        // tall, both sides of the small tile's height, two shapes taller
+        // than one `ROTATE_TILE` (so accumulators
         // are parked in `out` between tiles), × batch lengths with full
         // blocks plus every tail remainder.
         let shapes = [1, 2, 3, 5, 7, 12, 64]
             .iter()
             .flat_map(|&nt| [(nt, nt), (nt + 3, nt)])
+            .chain([
+                (SMALL_ROTATE_TILE, SMALL_ROTATE_TILE),
+                (SMALL_ROTATE_TILE + 1, 4),
+            ])
             .chain([(12, 8), (ROTATE_TILE + 6, 5), (2 * ROTATE_TILE + 1, 9)]);
         for (nr, nt) in shapes {
             let qr = sorted_qr_sqrd(&random_h(nr, nt, 400 + (nr * 64 + nt) as u64));

@@ -264,13 +264,13 @@ impl CityCell {
             shedding: cfg.shedding,
             tick: 0,
             backlog_s: 0.0,
-            window: LatencyRecord::new(P95_LIMIT_S),
+            window: LatencyRecord::default(),
             last_window_p95: 0.0,
             cooldown: 0,
             calm_streak: 0,
             events: Vec::new(),
-            latency_rec: LatencyRecord::new(QosClass::Latency.deadline_s()),
-            bulk_rec: LatencyRecord::new(QosClass::Bulk.deadline_s()),
+            latency_rec: LatencyRecord::default(),
+            bulk_rec: LatencyRecord::default(),
             digest: FNV_OFFSET,
         }
     }
@@ -438,7 +438,7 @@ impl CityCell {
             } else {
                 self.window.quantile(0.95)
             };
-            self.window = LatencyRecord::new(P95_LIMIT_S);
+            self.window = LatencyRecord::default();
         }
         self.apply_policy();
     }

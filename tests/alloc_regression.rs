@@ -218,6 +218,29 @@ fn hot_path_allocation_budget() {
         }
     }
 
+    // A one-path selection (FlexCore-1 here; most a-FlexCore channels at
+    // high SNR) walks each block as a SIC chain in stack planes and never
+    // touches the thread's scratch: a warm batch allocates nothing at every
+    // plane size, 4, 8 and 16 rows.
+    for nt in [4usize, 8, INLINE_STREAMS] {
+        let (_, ys, sigma2) = workload(nt, Modulation::Qam16, 300 + nt as u64);
+        let mut det = FlexCoreDetector::with_pes(Constellation::new(Modulation::Qam16), 1);
+        let mut rng = StdRng::seed_from_u64(300 + nt as u64);
+        det.prepare(&ChannelEnsemble::iid(nt, nt).draw(&mut rng), sigma2);
+        assert_eq!(det.active_paths(), 1);
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        let mut plane = vec![0u16; refs.len() * nt];
+        det.detect_batch_into(&refs, &mut plane);
+        for n in [1usize, 3, 4, 7, 8] {
+            let rows = &mut plane[..n * nt];
+            let allocs = allocs_in(|| det.detect_batch_into(&refs[..n], rows));
+            assert_eq!(
+                allocs, 0,
+                "warm one-path detect_batch_into of {n} vectors allocated at nt={nt}"
+            );
+        }
+    }
+
     // --- The frame engine and the serving cell: per call, not per vector --
     // A warm detect_frame / detect_tick plans and runs into planes, so what
     // it allocates (the plan, one slice table and task list per run, the
