@@ -7,9 +7,10 @@
 //! with punctured positions treated as erasures (zero branch-metric
 //! contribution). The forward pass is a butterfly add-compare-select over
 //! per-step branch-cost vectors that keeps one decision byte per
-//! (step, state); the hard decoder carries 16-bit path metrics,
-//! renormalised so that any packet length fits, which is what lets the
-//! step run on full-width packed 16-bit lanes.
+//! (step, state); the hard decoder carries 8-bit path metrics,
+//! renormalised every [`Received::RENORM_PERIOD`] steps so that any packet
+//! length fits, which is what lets one step run as two 32-lane byte
+//! vectors.
 
 use std::hint::select_unpredictable;
 
@@ -88,8 +89,8 @@ pub(crate) type StepCosts<M> = [[M; BUTTERFLIES]; 2];
 /// `3·r0 + r1` with `r ∈ {0, 1, 2 = erased}`: Hamming distance to each
 /// lane's straight label and to its complement, an erased position
 /// adding 0 either way.
-const HARD_COSTS: [StepCosts<u16>; 9] = {
-    let mut table = [[[0u16; BUTTERFLIES]; 2]; 9];
+const HARD_COSTS: [StepCosts<u8>; 9] = {
+    let mut table = [[[0u8; BUTTERFLIES]; 2]; 9];
     let mut r = 0;
     while r < 9 {
         let mut j = 0;
@@ -106,22 +107,35 @@ const HARD_COSTS: [StepCosts<u16>; 9] = {
 
 /// Hamming distance of output pair `out` to the received `(r0, r1)`, each
 /// 0, 1 or 2 (erased, no cost).
-const fn hamming(out: u8, r0: usize, r1: usize) -> u16 {
+const fn hamming(out: u8, r0: usize, r1: usize) -> u8 {
     miss(out >> 1, r0) + miss(out & 1, r1)
 }
 
 /// 1 iff the received `r` (0, 1 or 2 = erased) is a bit other than `bit`.
-const fn miss(bit: u8, r: usize) -> u16 {
-    (r < 2 && bit as usize != r) as u16
+const fn miss(bit: u8, r: usize) -> u8 {
+    (r < 2 && bit as usize != r) as u8
 }
 
-/// Trellis steps between two renormalisations of the 16-bit metrics. Once
-/// every state is reachable (after `K − 1` steps) the metrics span at most
-/// `2·(K − 1)` (any state is `K − 1` steps of at most 2 each from the
-/// best), and the best grows by at most 2 per step, so a period of `2^14`
-/// steps keeps every metric below `2^15 + 12`; before that the unreachable
-/// start value `2^15 − 1` drifts by at most 12.
-const RENORM_PERIOD: usize = 1 << 14;
+/// The hard decoder's unreachable start metric. A step costs 0–2, so
+/// during the `K − 1` steps before every state is reachable a reachable
+/// metric stays ≤ `2·(K − 1)` = 12 while an unreachable one only grows
+/// from here: no unreachable candidate ever beats a reachable one.
+const HARD_UNREACHABLE: u8 = 64;
+
+/// Trellis steps between two renormalisations of the 8-bit metrics. Once
+/// every state is reachable the metrics span at most `2·(K − 1)` = 12 (any
+/// state is `K − 1` steps of at most 2 each from the best), and the best
+/// grows by at most 2 a step, so every metric stays ≤
+/// `HARD_UNREACHABLE + 12 + 2·HARD_RENORM_PERIOD` = 204 < 256 between two
+/// renormalisations.
+const HARD_RENORM_PERIOD: usize = 64;
+const _: () = assert!(
+    HARD_UNREACHABLE as usize + 2 * (CONSTRAINT - 1) + 2 * HARD_RENORM_PERIOD <= u8::MAX as usize
+);
+
+/// A decision byte's value when its state took its odd predecessor: the
+/// decision bit pre-shifted to where the traceback merges it.
+const ODD: u8 = 1 << 4;
 
 /// Supported puncturing rates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -189,9 +203,11 @@ impl ConvCode {
     /// Number of coded bits produced for `info_len` information bits
     /// (including the 6 zero tail bits that terminate the trellis).
     pub fn coded_len(&self, info_len: usize) -> usize {
-        let sent = self.rate.pattern().iter().cycle();
-        let sent = sent.take(info_len + (CONSTRAINT - 1)).flatten();
-        sent.filter(|&&sent| sent).count()
+        // Whole puncturing periods, then the first steps of one more.
+        let pattern = self.rate.pattern();
+        let sent = |pairs: &[[bool; 2]]| pairs.iter().flatten().filter(|&&sent| sent).count();
+        let steps = info_len + (CONSTRAINT - 1);
+        steps / pattern.len() * sent(pattern) + sent(&pattern[..steps % pattern.len()])
     }
 
     /// Encodes information bits (values 0/1), appending `K−1` zero tail bits
@@ -276,29 +292,35 @@ impl ConvCode {
         // Traceback from state 0 (tail bits force termination there), in
         // positions of the bit-reversed layout: position `p` holds state
         // `rev6(p)`, whose top bit — the input — is `p`'s low bit, whose
-        // decision sits at `rotr1(p)`, and whose predecessor (shifted up,
-        // the decision as low bit) sits at `p >> 1 | decision << 5`.
-        let mut p = 0usize;
+        // decision is byte `q = rotr1(p)` of its step's row, and whose
+        // predecessor (shifted up, the decision as low bit) sits at
+        // `p >> 1 | decision << 5`. The walk carries `q` itself: the input
+        // is `q`'s top bit, and the predecessor's `q` is
+        // `(q >> 1) & 15 | decision << 4 | (q & 1) << 5`. A decision byte
+        // is already `decision << 4` ([`ODD`]), so each step's dependency
+        // chain is one load and one merge.
+        let mut q = 0usize;
         decoded.clear();
         decoded.resize(total_in, 0);
         for (bit, decision) in decoded.iter_mut().zip(decisions.iter()).rev() {
-            *bit = (p & 1) as u8;
-            let taken = usize::from(decision[p >> 1 | (p & 1) << (CONSTRAINT - 2)] & 1);
-            p = p >> 1 | taken << (CONSTRAINT - 2);
+            *bit = (q >> (CONSTRAINT - 2)) as u8;
+            q = (q >> 1 & 15) | (q & 1) << (CONSTRAINT - 2) | usize::from(decision[q]);
         }
         decoded.truncate(info_len);
     }
 }
 
 /// The forward pass: depuncture `received` by `pattern` (punctured
-/// positions read as [`Received::ERASED`]), then one butterfly
+/// positions read as [`Received::ERASED`]; at rate 1/2, which punctures
+/// nothing, `received` is read pair by pair with no per-step pattern
+/// logic, which took about a quarter off a rate-1/2 decode), then one butterfly
 /// add-compare-select ([`acs_step`]) per step with [`Received::costs`] as
 /// the branch metrics, one row of `decisions` per step. A state keeps its
 /// odd predecessor only on a strictly smaller metric, so ties keep the
 /// even (lower) one. The metrics are a value carried from step to step —
 /// registers, not a buffer a step stores and the next reloads — and
-/// every [`RENORM_PERIOD`] steps [`Received::renormalise`] shifts them all
-/// by one common amount, which moves no comparison.
+/// every [`Received::RENORM_PERIOD`] steps [`Received::renormalise`]
+/// shifts them all by one common amount, which moves no comparison.
 ///
 /// The metrics are laid out by bit-reversed state (position `p` holds
 /// state `rev6(p)`): the successors of states `2j`, `2j + 1` are `j`,
@@ -309,29 +331,43 @@ impl ConvCode {
 ///
 /// An unreachable state's metric drifts upwards from its start value
 /// (by at most one branch cost per step for the six steps until every
-/// state is reachable — the start values cannot wrap, `∞` stays `∞`) and
+/// state is reachable — the start values cannot wrap (see
+/// [`HARD_RENORM_PERIOD`]), `∞` stays `∞`) and
 /// its decision is arbitrary, but a reachable state's survivor is always
 /// reachable, so no such decision is on the path traced from state 0.
 ///
-/// Never inlined so CI can disassemble the hard (`u16`) instantiation,
-/// which holds the step, and fail if it stops compiling to full-width
-/// packed 16-bit min.
+/// Never inlined so CI can disassemble the hard (`u8`) instantiation,
+/// which holds the step, and fail if it stops compiling to packed 8-bit
+/// unsigned min.
 #[inline(never)]
 fn forward<R: Received>(pattern: &[[bool; 2]], received: &[R], decisions: &mut [[u8; STATES]]) {
-    let mut metric = [R::START.1; STATES];
-    metric[0] = R::START.0; // encoder starts in state 0
-    let mut costs = [[R::START.0; BUTTERFLIES]; 2];
-    let mut pos = 0;
-    let mut pattern = pattern.iter().cycle();
-    for chunk in decisions.chunks_mut(RENORM_PERIOD) {
-        metric = R::renormalise(metric);
-        for (decision, sent) in chunk.iter_mut().zip(&mut pattern) {
-            // flexcore-lint: hot-path
-            let pair = sent.map(|sent| {
+    if let [[true, true]] = pattern {
+        // Rate 1/2 punctures nothing: every step reads the next pair.
+        trellis(received.as_chunks().0.iter().copied(), decisions);
+    } else {
+        let mut pos = 0;
+        let pairs = pattern.iter().cycle().map(|sent| {
+            sent.map(|sent| {
                 let value = if sent { received[pos] } else { R::ERASED };
                 pos += usize::from(sent);
                 value
-            });
+            })
+        });
+        trellis(pairs, decisions);
+    }
+}
+
+/// [`forward`]'s trellis over the depunctured received `pairs`, one per
+/// row of `decisions`.
+#[inline(always)]
+fn trellis<R: Received>(mut pairs: impl Iterator<Item = [R; 2]>, decisions: &mut [[u8; STATES]]) {
+    let mut metric = [R::START.1; STATES];
+    metric[0] = R::START.0; // encoder starts in state 0
+    let mut costs = [[R::START.0; BUTTERFLIES]; 2];
+    for chunk in decisions.chunks_mut(R::RENORM_PERIOD) {
+        metric = R::renormalise(metric);
+        for (decision, pair) in chunk.iter_mut().zip(&mut pairs) {
+            // flexcore-lint: hot-path
             metric = acs_step(&metric, R::costs(&pair, &mut costs), decision);
         }
     }
@@ -340,8 +376,8 @@ fn forward<R: Received>(pattern: &[[bool; 2]], received: &[R], decisions: &mut [
 /// One trellis step in the bit-reversed layout: every state's two
 /// candidate metrics from `metric` and the step's branch `costs`, the
 /// smaller one into the returned metrics, and the step's decisions
-/// (1 iff the state took its odd predecessor, i.e. iff `odd < even`
-/// strictly): lane `i`'s successor at position `2i` decides into byte
+/// ([`ODD`] iff the state took its odd predecessor, i.e. iff `odd < even`
+/// strictly, else 0): lane `i`'s successor at position `2i` decides into byte
 /// `i`, the one at `2i + 1` into byte `i + 32`. Decisions are bytes, not
 /// bits: a bit-packed decision word made LLVM pick a vector width for the
 /// 32-bit word and halve every metric lane.
@@ -361,8 +397,8 @@ fn acs_step<M: Copy + PartialOrd + std::ops::Add<Output = M>>(
         let (even1, odd1) = (even + cross[i], odd + straight[i]);
         to_low[i] = if odd0 < even0 { odd0 } else { even0 };
         to_high[i] = if odd1 < even1 { odd1 } else { even1 };
-        decision[i] = u8::from(odd0 < even0);
-        decision[i + BUTTERFLIES] = u8::from(odd1 < even1);
+        decision[i] = ODD * u8::from(odd0 < even0);
+        decision[i + BUTTERFLIES] = ODD * u8::from(odd1 < even1);
     }
     let mut next = *metric;
     for i in 0..BUTTERFLIES {
@@ -390,8 +426,10 @@ pub(crate) trait Received: Copy {
         pair: &[Self; 2],
         buf: &'a mut StepCosts<Self::Metric>,
     ) -> &'a StepCosts<Self::Metric>;
+    /// Trellis steps between two [`Received::renormalise`] calls.
+    const RENORM_PERIOD: usize;
     /// Shifts every metric down by one common amount (or leaves them be)
-    /// so the next [`RENORM_PERIOD`] steps cannot overflow.
+    /// so the next [`Received::RENORM_PERIOD`] steps cannot overflow.
     #[inline(always)]
     fn renormalise(metric: [Self::Metric; STATES]) -> [Self::Metric; STATES] {
         metric
@@ -399,19 +437,20 @@ pub(crate) trait Received: Copy {
 }
 
 impl Received for u8 {
-    type Metric = u16;
+    type Metric = u8;
     const ERASED: u8 = 255;
-    const START: (u16, u16) = (0, u16::MAX / 2);
+    const START: (u8, u8) = (0, HARD_UNREACHABLE);
     const WRONG_LEN: &'static str = "decode: wrong coded length";
-    fn costs<'a>(pair: &[u8; 2], _: &'a mut StepCosts<u16>) -> &'a StepCosts<u16> {
+    const RENORM_PERIOD: usize = HARD_RENORM_PERIOD;
+    fn costs<'a>(pair: &[u8; 2], _: &'a mut StepCosts<u8>) -> &'a StepCosts<u8> {
         // 0 and 1 index themselves, the erasure (and any non-bit, which
         // costs every label alike) reads as 2.
         let [r0, r1] = pair.map(|r| usize::from(r.min(2)));
         &HARD_COSTS[3 * r0 + r1]
     }
     #[inline(always)]
-    fn renormalise(metric: [u16; STATES]) -> [u16; STATES] {
-        let best = metric.iter().copied().fold(u16::MAX, u16::min);
+    fn renormalise(metric: [u8; STATES]) -> [u8; STATES] {
+        let best = metric.iter().copied().fold(u8::MAX, u8::min);
         metric.map(|m| m - best)
     }
 }
@@ -700,17 +739,28 @@ mod tests {
         }
     }
 
+    /// Information lengths whose trellis (`info_len + K − 1` steps) ends
+    /// one step before, on and one step after a renormalisation, and the
+    /// same counts as information lengths.
+    fn around_the_period(period: usize) -> [usize; 6] {
+        let steps = period - (CONSTRAINT - 1);
+        [steps - 1, steps, steps + 1, period - 1, period, period + 1]
+    }
+
     #[test]
-    fn sixteen_bit_pass_equals_the_u32_twin() {
-        // The renormalised 16-bit pass against the parent's unrenormalised
+    fn eight_bit_pass_equals_the_u32_twin() {
+        // The renormalised 8-bit pass against the parent's unrenormalised
         // 32-bit one, bit for bit, through one shared scratch: every rate
         // (punctured positions as erasures), 0–10 % flips, lengths across
-        // the renormalisation period, and the soft pass on the same words.
+        // and far past the renormalisation period, and the soft pass on the
+        // same words.
         let mut scratch = ViterbiScratch::default();
         let mut decoded = Vec::new();
+        let p = HARD_RENORM_PERIOD;
+        let lengths = [1usize, 2, 6, 7, 240, 3 * p + 1, 1000, 20_000];
         for &rate in RATES {
             let code = ConvCode::new(rate);
-            for info_len in [1usize, 2, 6, 7, 64, 240, 1000, RENORM_PERIOD - 6, 20_000] {
+            for info_len in lengths.into_iter().chain(around_the_period(p)) {
                 for flip in [0.0, 0.02, 0.05, 0.1] {
                     let seed = info_len as u64 * 31 + (flip * 100.0) as u64;
                     let mut rng = StdRng::seed_from_u64(seed);
@@ -736,26 +786,46 @@ mod tests {
     }
 
     #[test]
-    fn sixteen_bit_pass_equals_the_u32_twin_on_worst_case_growth() {
+    fn eight_bit_pass_equals_the_u32_twin_on_worst_case_growth() {
         // Words far from every codeword make the best metric grow fastest:
-        // every coded bit flipped, coin-flip noise, and a word of ones.
+        // every coded bit flipped, coin-flip noise, and a word of ones, at
+        // every rate (rate 3/4's punctured positions erased), from one step
+        // to three and more renormalisation periods.
         let mut scratch = ViterbiScratch::default();
         let mut decoded = Vec::new();
+        let p = HARD_RENORM_PERIOD;
         for &rate in RATES {
             let code = ConvCode::new(rate);
-            for info_len in [1usize, 300, 2 * RENORM_PERIOD + 1] {
+            let lengths = [1usize, 300, 3 * p + 1, 10 * p, 32_769];
+            for info_len in lengths.into_iter().chain(around_the_period(p)) {
                 let n = code.coded_len(info_len);
                 let mut flipped = code.encode(&random_bits(info_len, 8));
                 flipped.iter_mut().for_each(|b| *b ^= 1);
                 for (word, what) in [
                     (flipped, "all flipped"),
-                    (random_bits(n, 9), "coin flips"),
+                    (random_bits(n, 9 + info_len as u64), "coin flips"),
                     (vec![1u8; n], "all ones"),
                 ] {
                     code.decode_into(&word, info_len, &mut scratch, &mut decoded);
                     let want = code.viterbi_parent(&word, info_len);
                     assert_eq!(decoded, want, "{rate:?} n={info_len} {what}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn viterbi_inverts_encoder() {
+        // 64 seeded random payloads of 24–199 bits, each through the 8-bit
+        // pass at all three rates.
+        let mut rng = StdRng::seed_from_u64(0x5EED_C0DE);
+        for _ in 0..64 {
+            let len = rng.gen_range(24..200usize);
+            let bits: Vec<u8> = (0..len).map(|_| rng.gen_range(0..2u8)).collect();
+            for &rate in RATES {
+                let code = ConvCode::new(rate);
+                let coded = code.encode(&bits);
+                assert_eq!(code.decode(&coded, bits.len()), bits, "{rate:?} n={len}");
             }
         }
     }
@@ -813,6 +883,10 @@ mod tests {
         let n = 120;
         for &r in RATES {
             let code = ConvCode::new(r);
+            for len in 0..40 {
+                let coded = code.encode(&random_bits(len, len as u64));
+                assert_eq!(coded.len(), code.coded_len(len), "{r:?} n={len}");
+            }
             let coded = code.encode(&random_bits(n, 1));
             assert_eq!(coded.len(), code.coded_len(n), "{r:?}");
             // coded_len ≈ (n + 6)/rate.

@@ -10,14 +10,18 @@
 #[derive(Clone, Debug)]
 pub struct Interleaver {
     /// `perm[k]` = output position of input bit `k`.
-    perm: Vec<usize>,
+    perm: Vec<u16>,
     /// Inverse permutation.
-    inv: Vec<usize>,
+    inv: Vec<u16>,
 }
 
 impl Interleaver {
     /// Builds the interleaver for `n_data_subcarriers` subcarriers carrying
     /// `bits_per_symbol` coded bits each (e.g. 48 × 6 for 64-QAM 802.11).
+    ///
+    /// # Panics
+    /// Panics unless the block size `n_cbps` is a positive multiple of 16
+    /// and at most 2¹⁶ (positions are stored as `u16`).
     // The index-form loop mirrors the 802.11 standard's k → i → j notation.
     #[allow(clippy::needless_range_loop)]
     pub fn new(n_data_subcarriers: usize, bits_per_symbol: usize) -> Self {
@@ -28,66 +32,62 @@ impl Interleaver {
             0,
             "802.11 interleaver needs N_CBPS divisible by 16 (got {n_cbps})"
         );
+        assert!(n_cbps <= 1 << 16, "N_CBPS {n_cbps} exceeds 2^16");
         let s = (bits_per_symbol / 2).max(1);
-        let mut perm = vec![0usize; n_cbps];
+        let mut perm = vec![0u16; n_cbps];
         for k in 0..n_cbps {
             // First permutation.
             let i = (n_cbps / 16) * (k % 16) + k / 16;
             // Second permutation.
             let j = s * (i / s) + (i + n_cbps - (16 * i) / n_cbps) % s;
-            perm[k] = j;
+            perm[k] = j as u16;
         }
-        let mut inv = vec![0usize; n_cbps];
+        let mut inv = vec![0u16; n_cbps];
         for (k, &j) in perm.iter().enumerate() {
-            inv[j] = k;
+            inv[usize::from(j)] = k as u16;
         }
         Interleaver { perm, inv }
     }
 
-    /// Interleaves a multi-block stream (length must be a multiple of the
-    /// block size).
-    pub fn interleave_stream(&self, bits: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; bits.len()];
-        self.interleave_stream_into(bits, &mut out);
-        out
+    /// The air-position → coded-position table of one block:
+    /// `coded_positions()[j]` is the position, within its block, of the
+    /// coded bit the interleaver sends at position `j`. A transmitter
+    /// gathers through it and a receiver scatters through it, each in one
+    /// pass with no second buffer.
+    pub fn coded_positions(&self) -> &[u16] {
+        &self.inv
     }
 
-    /// [`Interleaver::interleave_stream`] into a caller-owned buffer, for
-    /// any element.
+    /// Interleaves a multi-block stream of any element (length must be a
+    /// multiple of the block size).
     ///
     /// # Panics
-    /// Panics unless `src` is block-aligned and `dst` is as long.
-    pub fn interleave_stream_into<T: Copy>(&self, src: &[T], dst: &mut [T]) {
-        scatter_blocks(&self.perm, src, dst);
+    /// Panics unless `bits` is block-aligned.
+    pub fn interleave_stream<T: Copy + Default>(&self, bits: &[T]) -> Vec<T> {
+        scatter_blocks(&self.perm, bits)
     }
 
-    /// Inverts [`Interleaver::interleave_stream`].
-    pub fn deinterleave_stream(&self, bits: &[u8]) -> Vec<u8> {
-        let mut out = vec![0u8; bits.len()];
-        self.deinterleave_stream_into(bits, &mut out);
-        out
-    }
-
-    /// The inverse permutation over a multi-block stream of any element —
-    /// bits, or the LLRs of a soft pipeline — into a caller-owned buffer.
+    /// Inverts [`Interleaver::interleave_stream`] over a multi-block stream
+    /// of any element — bits, or the LLRs of a soft pipeline.
     ///
     /// # Panics
-    /// Panics unless `src` is block-aligned and `dst` is as long.
-    pub fn deinterleave_stream_into<T: Copy>(&self, src: &[T], dst: &mut [T]) {
-        scatter_blocks(&self.inv, src, dst);
+    /// Panics unless `bits` is block-aligned.
+    pub fn deinterleave_stream<T: Copy + Default>(&self, bits: &[T]) -> Vec<T> {
+        scatter_blocks(&self.inv, bits)
     }
 }
 
-/// `dst[block][perm[k]] = src[block][k]` over every `perm.len()`-block.
-fn scatter_blocks<T: Copy>(perm: &[usize], src: &[T], dst: &mut [T]) {
+/// `out[block][perm[k]] = src[block][k]` over every `perm.len()`-block.
+fn scatter_blocks<T: Copy + Default>(perm: &[u16], src: &[T]) -> Vec<T> {
     let n = perm.len();
     assert_eq!(src.len() % n, 0, "stream not block-aligned");
-    assert_eq!(src.len(), dst.len(), "stream and output differ in length");
-    for (dst, src) in dst.chunks_exact_mut(n).zip(src.chunks_exact(n)) {
+    let mut out = vec![T::default(); src.len()];
+    for (dst, src) in out.chunks_exact_mut(n).zip(src.chunks_exact(n)) {
         for (&to, &value) in perm.iter().zip(src) {
-            dst[to] = value;
+            dst[usize::from(to)] = value;
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -137,6 +137,7 @@ mod tests {
             let il = Interleaver::new(48, bps);
             let mut seen = vec![false; il.block_len()];
             for &p in &il.perm {
+                let p = usize::from(p);
                 assert!(!seen[p], "collision at {p}");
                 seen[p] = true;
             }
@@ -159,10 +160,6 @@ mod tests {
             .map(|_| rng.gen_range(0..2))
             .collect();
         assert_eq!(il.deinterleave_stream(&il.interleave_stream(&bits)), bits);
-        // The in-place form overwrites whatever the buffer held.
-        let mut reused = vec![7u8; bits.len()];
-        il.interleave_stream_into(&bits, &mut reused);
-        assert_eq!(reused, il.interleave_stream(&bits));
     }
 
     #[test]
@@ -178,8 +175,7 @@ mod tests {
             .iter()
             .map(|&b| if b == 0 { 5.0 } else { -5.0 })
             .collect();
-        let mut back = vec![0.0; llrs.len()];
-        il.deinterleave_stream_into(&llrs, &mut back);
+        let back = il.deinterleave_stream(&llrs);
         let back: Vec<u8> = back.iter().map(|&l| u8::from(l < 0.0)).collect();
         assert_eq!(back, bits);
         assert_eq!(il.deinterleave_stream(&interleaved), bits);
@@ -193,8 +189,8 @@ mod tests {
         let bps = 6;
         let il = Interleaver::new(48, bps);
         for k in 0..il.block_len() - 1 {
-            let sc_a = il.perm[k] / bps;
-            let sc_b = il.perm[k + 1] / bps;
+            let sc_a = usize::from(il.perm[k]) / bps;
+            let sc_b = usize::from(il.perm[k + 1]) / bps;
             assert_ne!(sc_a, sc_b, "bits {k},{} share subcarrier {sc_a}", k + 1);
         }
     }
@@ -209,7 +205,7 @@ mod tests {
         let burst_start = 100;
         let mut hit = vec![0usize; 48];
         for j in burst_start..burst_start + 12 {
-            let k = il.inv[j];
+            let k = usize::from(il.inv[j]);
             hit[k / bps] += 1;
         }
         assert!(hit.iter().all(|&h| h <= 2), "burst concentrated: {hit:?}");

@@ -52,6 +52,8 @@ impl Received for f64 {
     const ERASED: f64 = 0.0;
     const START: (f64, f64) = (0.0, f64::INFINITY);
     const WRONG_LEN: &'static str = "decode_soft: wrong LLR count";
+    /// `f64` metrics never overflow, so the pass never shifts them.
+    const RENORM_PERIOD: usize = usize::MAX;
     fn costs<'a>(pair: &[f64; 2], buf: &'a mut StepCosts<f64>) -> &'a StepCosts<f64> {
         let pair = pair.map(sanitize_llr);
         label_costs(&[0, 1, 2, 3].map(|out| branch_cost(out, &pair)), buf);

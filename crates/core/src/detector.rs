@@ -1883,6 +1883,118 @@ mod tests {
         assert!(kernels > 0);
     }
 
+    /// Row 0's effective point with its ancestors (`syms` above row 0)
+    /// cancelled in ascending row order, as the scalar walk does, or in
+    /// descending order.
+    fn row0_effective_point(tri: &Triangular, ybar0: Cx, syms: &[u16], descending: bool) -> Cx {
+        let c = &tri.constellation;
+        let mut acc = ybar0;
+        let mut cancel = |p: usize| acc -= tri.qr.r[(0, p)] * c.point(usize::from(syms[p]));
+        if descending {
+            (1..syms.len()).rev().for_each(&mut cancel);
+        } else {
+            (1..syms.len()).for_each(&mut cancel);
+        }
+        acc * tri.pivot_inv(0)
+    }
+
+    #[test]
+    fn one_path_chain_cancels_in_the_scalar_walks_order() {
+        // The chain kernel computes no metric, so only its picks can show
+        // a cancellation sum taken in another order, and only where the
+        // sum's last ulps decide the pick. Per stack-plane size (nt 4, 8,
+        // 16) and modulation: rotated observations `ȳ = R·x` whose row-0
+        // sample is bisected onto the boundary between two picks, then
+        // stepped ulp by ulp to where cancelling the ancestors in
+        // descending order picks another symbol than the scalar walk's
+        // ascending order. On those the kernel's rows must equal the
+        // scalar walk's.
+        let mut sensitive = 0;
+        for nt in [4usize, 8, 16] {
+            for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
+                let c = Constellation::new(m);
+                let mut rng = StdRng::seed_from_u64(0xB0DE + nt as u64 * 256 + m.order() as u64);
+                let mut fc = FlexCoreDetector::with_pes(c.clone(), 1);
+                let h = ChannelEnsemble::iid(nt, nt).draw(&mut rng);
+                fc.prepare(&h, sigma2_from_snr_db(10.0));
+                let tri = &fc.prepared().tri;
+                let r = &tri.qr.r;
+                let step = 2.0 * unit_level(&c) * r[(0, 0)].abs();
+                let mut lanes: Vec<Vec<Cx>> = Vec::new();
+                for _ in 0..400 {
+                    if lanes.len() == LANES {
+                        break;
+                    }
+                    let syms: Vec<u16> = (0..nt)
+                        .map(|_| rng.gen_range(0..c.order()) as u16)
+                        .collect();
+                    let x = |p: usize| c.point(usize::from(syms[p]));
+                    let mut ybar: Vec<Cx> = (0..nt)
+                        .map(|row| (row..nt).fold(Cx::ZERO, |acc, p| acc + r[(row, p)] * x(p)))
+                        .collect();
+                    let pick = |re: f64, descending: bool| {
+                        let ybar0 = Cx::new(re, ybar[0].im);
+                        let eff = row0_effective_point(tri, ybar0, &syms, descending);
+                        fc.pick_symbol(eff, 1)
+                    };
+                    let (mut lo, mut hi) = (ybar[0].re, ybar[0].re + step);
+                    let below = pick(lo, false);
+                    if pick(hi, false) == below {
+                        continue;
+                    }
+                    loop {
+                        let mid = lo + (hi - lo) / 2.0;
+                        if mid == lo || mid == hi {
+                            break;
+                        }
+                        if pick(mid, false) == below {
+                            lo = mid;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    let start = (0..32).fold(lo, |v, _| v.next_down());
+                    let flips = std::iter::successors(Some(start), |v| Some(v.next_up()))
+                        .take(64)
+                        .find(|&v| pick(v, false) != pick(v, true));
+                    if let Some(re) = flips {
+                        ybar[0].re = re;
+                        lanes.push(ybar);
+                    }
+                }
+                if lanes.is_empty() {
+                    continue;
+                }
+                sensitive += lanes.len();
+                let plane: Vec<Cx> = (0..LANES)
+                    .flat_map(|l| lanes[l.min(lanes.len() - 1)].clone())
+                    .collect();
+                let mut chain = vec![0u16; LANES * nt];
+                let rows = &mut chain.chunks_exact_mut(nt);
+                let done = match nt {
+                    4 => fc.walk_chain_block::<4>(&plane, rows, LANES),
+                    8 => fc.walk_chain_block::<8>(&plane, rows, LANES),
+                    _ => fc.walk_chain_block::<INLINE_STREAMS>(&plane, rows, LANES),
+                };
+                assert!(
+                    done,
+                    "nt={nt} {m:?}: the kernel declined finite observations"
+                );
+                let mut walk = WalkScratch::default();
+                let mut want = vec![0u16; nt];
+                for (l, ybar) in plane.chunks_exact(nt).enumerate() {
+                    fc.walk_paths(ybar, &mut walk);
+                    tri.unpermute_into(walk.syms[0].as_slice(), &mut want);
+                    assert_eq!(chain[l * nt..(l + 1) * nt], want, "nt={nt} {m:?} lane {l}");
+                }
+            }
+        }
+        assert!(
+            sensitive >= 16,
+            "only {sensitive} order-sensitive observations found"
+        );
+    }
+
     #[test]
     fn a_nan_sample_ends_a_one_path_batch_as_the_general_walk_ends() {
         // Until non-finite input gets a typed outcome, a NaN sample must

@@ -27,10 +27,12 @@ use flexcore_channel::MimoChannel;
 use flexcore_coding::{crc_check, CodeRate, ConvCode, Interleaver, ViterbiScratch};
 use flexcore_detect::common::Detector;
 use flexcore_engine::StreamingCell;
-use flexcore_modulation::Constellation;
+use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::Cx;
 use flexcore_parallel::PePool;
 use rand::Rng;
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 /// Link-level simulation parameters.
 #[derive(Clone, Debug)]
@@ -139,79 +141,188 @@ impl TxChains {
     }
 }
 
-/// The coding side of a packet exchange, built **once** per reference
-/// packet or `run_cell_tick` and shared by all of its streams: the code, the
-/// interleaver, the constellation's demap table, and the transmit and
-/// receive chains' reusable buffers (`T` is the decoder input, a bit or
-/// an LLR).
+/// The coding side of a packet exchange for one [`LinkConfig`]: the code,
+/// the interleaver's air-position → coded-position table, the
+/// constellation's demap words and its bit-pattern → symbol map, and the
+/// transmit and receive chains' reusable buffers (`T` is the decoder
+/// input, a bit or an LLR). Each thread keeps one per input type
+/// ([`Codec::with`]), so a serving loop builds its tables and grows its
+/// buffers once, not once per tick.
 pub(crate) struct Codec<T> {
+    /// What the tables were built for.
+    key: CodecKey,
     code: ConvCode,
-    il: Interleaver,
+    /// Bits per symbol.
+    bps: usize,
+    /// One OFDM symbol's [`Interleaver::coded_positions`]: air position
+    /// `j` of a block carries that block's coded bit `air[j]`.
+    air: Vec<u16>,
     /// `words[idx]` = symbol `idx`'s bits, one byte each, MSB first
     /// (byte `k` of the little-endian word is bit `k`).
     words: Vec<u64>,
-    /// One stream's coded bits, padded to whole OFDM symbols, and the
-    /// same bits in air order.
+    /// `index_of[pattern]` = the symbol whose bits, read MSB first, are
+    /// `pattern`.
+    index_of: Vec<u8>,
+    /// One stream's coded bits, padded with zeros to whole OFDM symbols.
     coded: Vec<u8>,
-    interleaved: Vec<u8>,
-    /// One stream's decoder inputs in air order, plus room for one whole
-    /// word past the last cell.
+    /// One stream's decoder inputs in coded order.
     inputs: Vec<T>,
-    deinterleaved: Vec<T>,
     scratch: ViterbiScratch,
     decoded: Vec<u8>,
 }
 
-impl<T: Copy + Default> Codec<T> {
-    pub(crate) fn new(cfg: &LinkConfig) -> Self {
+/// Everything of a [`LinkConfig`] a [`Codec`]'s tables depend on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct CodecKey {
+    n_data: usize,
+    modulation: Modulation,
+    rate: CodeRate,
+    payload_bytes: usize,
+}
+
+fn codec_key(cfg: &LinkConfig) -> CodecKey {
+    CodecKey {
+        n_data: cfg.ofdm.n_data,
+        modulation: cfg.constellation.modulation(),
+        rate: cfg.rate,
+        payload_bytes: cfg.payload_bytes,
+    }
+}
+
+/// A decoder input with its per-thread [`Codec`] slot.
+pub(crate) trait Input: Copy + Default + 'static {
+    /// This thread's cached codec for this input type, if any.
+    fn slot() -> &'static LocalKey<Cell<Option<Codec<Self>>>>;
+}
+
+impl Input for u8 {
+    fn slot() -> &'static LocalKey<Cell<Option<Codec<u8>>>> {
+        thread_local!(static SLOT: Cell<Option<Codec<u8>>> = const { Cell::new(None) });
+        &SLOT
+    }
+}
+
+impl<T: Input> Codec<T> {
+    fn new(cfg: &LinkConfig) -> Self {
         let c = &cfg.constellation;
+        let bps = c.bits_per_symbol();
         let mut bits = [0u8; 8];
-        let words = (0..c.order())
+        let words: Vec<u64> = (0..c.order())
             .map(|idx| {
-                c.index_to_bits_into(idx, &mut bits[..c.bits_per_symbol()]);
+                c.index_to_bits_into(idx, &mut bits[..bps]);
                 u64::from_le_bytes(bits)
             })
             .collect();
+        let mut index_of = vec![0u8; c.order()];
+        for (idx, word) in words.iter().enumerate() {
+            let pattern = word.to_le_bytes()[..bps]
+                .iter()
+                .fold(0, |acc, &b| acc << 1 | usize::from(b));
+            index_of[pattern] = idx as u8;
+        }
         Codec {
+            key: codec_key(cfg),
             code: ConvCode::new(cfg.rate),
-            il: Interleaver::new(cfg.ofdm.n_data, c.bits_per_symbol()),
+            bps,
+            air: Interleaver::new(cfg.ofdm.n_data, bps)
+                .coded_positions()
+                .to_vec(),
             words,
+            index_of,
             coded: Vec::new(),
-            interleaved: Vec::new(),
             inputs: Vec::new(),
-            deinterleaved: Vec::new(),
             scratch: ViterbiScratch::default(),
             decoded: Vec::new(),
         }
     }
 
-    /// Receive chain of stream `u` of `grid`, sent as `sent` symbol
-    /// indices: demaps each hard decision to its bit word, counts the bits
-    /// it gets wrong (XOR + popcount), lays out the decoder inputs, then
-    /// deinterleaves and Viterbi-decodes the first
-    /// `coded_len(payload_bits)` positions (the rest is padding). Returns
-    /// the raw bit errors and the decoded payload.
-    fn receive<G: Grid<Metric = T> + ?Sized>(
+    /// Runs `f` on this thread's codec for `cfg`, built on first use and
+    /// kept, buffers grown, for the next call with the same configuration
+    /// (a call for another one rebuilds it). A nested call finds the slot
+    /// empty and builds its own.
+    pub(crate) fn with<R>(cfg: &LinkConfig, f: impl FnOnce(&mut Codec<T>) -> R) -> R {
+        let key = codec_key(cfg);
+        let cached = T::slot().take().filter(|codec| codec.key == key);
+        let mut codec = cached.unwrap_or_else(|| Codec::new(cfg));
+        let out = f(&mut codec);
+        T::slot().set(Some(codec));
+        out
+    }
+
+    /// Appends the symbol index of every grid cell of `padded` — one
+    /// stream's coded bits, whole OFDM symbols — to `symbols`, in one
+    /// pass: each cell gathers its bits through the air table and maps the
+    /// pattern to its symbol. The bits per symbol are a constant of each
+    /// instantiation, so a cell's gather is unrolled.
+    fn modulate(&self, padded: &[u8], symbols: &mut Vec<u8>) {
+        match self.key.modulation {
+            Modulation::Bpsk => self.modulate_cells::<1>(padded, symbols),
+            Modulation::Qpsk => self.modulate_cells::<2>(padded, symbols),
+            Modulation::Qam16 => self.modulate_cells::<4>(padded, symbols),
+            Modulation::Qam64 => self.modulate_cells::<6>(padded, symbols),
+            Modulation::Qam256 => self.modulate_cells::<8>(padded, symbols),
+        }
+    }
+
+    /// [`Codec::modulate`] at `B` bits per symbol.
+    fn modulate_cells<const B: usize>(&self, padded: &[u8], symbols: &mut Vec<u8>) {
+        let (cells, _) = self.air.as_chunks::<B>();
+        for block in padded.chunks_exact(self.air.len()) {
+            symbols.extend(cells.iter().map(|cell| {
+                // flexcore-lint: hot-path
+                let pattern = cell
+                    .iter()
+                    .fold(0, |acc, &k| acc << 1 | usize::from(block[usize::from(k)]));
+                self.index_of[pattern]
+            }));
+        }
+    }
+
+    /// Demaps stream `u` of `grid`, sent as `sent` symbol indices (whole
+    /// OFDM symbols), into `self.inputs` in coded order — each cell's
+    /// decoder inputs scattered straight to their coded positions through
+    /// the air table — and returns the bits the hard decisions get wrong
+    /// (XOR + popcount of the demap words).
+    fn demap<G: Grid<Metric = T> + ?Sized>(
         &mut self,
         grid: &G,
         (nt, u): (usize, usize),
         sent: &[u8],
+    ) -> usize {
+        let n_cbps = self.air.len();
+        let n_data = n_cbps / self.bps;
+        self.inputs.resize(sent.len() * self.bps, T::default());
+        let mut raw_bit_errors = 0;
+        let blocks = sent
+            .chunks_exact(n_data)
+            .zip(self.inputs.chunks_exact_mut(n_cbps));
+        for (b, (sent, inputs)) in blocks.enumerate() {
+            for (c, (&sent, to)) in sent.iter().zip(self.air.chunks_exact(self.bps)).enumerate() {
+                // flexcore-lint: hot-path
+                let v = b * n_data + c;
+                let word = self.words[grid.hard(nt, v, u)];
+                raw_bit_errors += (word ^ self.words[usize::from(sent)]).count_ones() as usize;
+                for (&k, value) in to.iter().zip(grid.inputs(v, u, word)) {
+                    inputs[usize::from(k)] = value;
+                }
+            }
+        }
+        raw_bit_errors
+    }
+
+    /// Receive chain of stream `u` of `grid`, sent as `sent` symbol
+    /// indices: [`Codec::demap`], then Viterbi-decodes the first
+    /// `coded_len(payload_bits)` inputs (the rest is padding). Returns the
+    /// raw bit errors and the decoded payload.
+    fn receive<G: Grid<Metric = T> + ?Sized>(
+        &mut self,
+        grid: &G,
+        stream: (usize, usize),
+        sent: &[u8],
         payload_bits: usize,
     ) -> (usize, &[u8]) {
-        let bps = self.words.len().trailing_zeros() as usize;
-        let n_bits = sent.len() * bps;
-        self.inputs.resize(n_bits + 8, T::default());
-        let mut raw_bit_errors = 0;
-        for (v, &sent) in sent.iter().enumerate() {
-            // flexcore-lint: hot-path
-            let word = self.words[grid.hard(nt, v, u)];
-            raw_bit_errors += (word ^ self.words[usize::from(sent)]).count_ones() as usize;
-            grid.feed(v, u, word, &mut self.inputs[v * bps..]);
-        }
-        self.deinterleaved.resize(n_bits, T::default());
-        self.il
-            .deinterleave_stream_into(&self.inputs[..n_bits], &mut self.deinterleaved);
-        let coded = &self.deinterleaved[..self.code.coded_len(payload_bits)];
+        let raw_bit_errors = self.demap(grid, stream, sent);
+        let coded = &self.inputs[..self.code.coded_len(payload_bits)];
         G::DECODE(
             &self.code,
             coded,
@@ -224,17 +335,16 @@ impl<T: Copy + Default> Codec<T> {
 }
 
 /// Per-user transmit chains: random payloads → convolutional encode → pad →
-/// interleave → one symbol index per grid cell, per stream. Shared by
-/// every packet path, which must consume the RNG in exactly the same order
-/// to stay bit-identical. A payload's bits come 64 to a `next_u64`, low
-/// bit first; the unused bits of a user's last word are dropped.
-pub(crate) fn transmit_chains<T, R: Rng + ?Sized>(
+/// interleave and map, one symbol index per grid cell, per stream. Shared
+/// by every packet path, which must consume the RNG in exactly the same
+/// order to stay bit-identical. A payload's bits come 64 to a `next_u64`,
+/// low bit first; the unused bits of a user's last word are dropped.
+pub(crate) fn transmit_chains<T: Input, R: Rng + ?Sized>(
     cfg: &LinkConfig,
     codec: &mut Codec<T>,
     nt: usize,
     rng: &mut R,
 ) -> TxChains {
-    let c = &cfg.constellation;
     let n_cells = cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data;
     let payload_bits = cfg.payload_bytes * 8;
     let mut payloads = Vec::with_capacity(nt * payload_bits);
@@ -248,13 +358,8 @@ pub(crate) fn transmit_chains<T, R: Rng + ?Sized>(
         let payload = &payloads[u * payload_bits..];
         codec.code.encode_into(payload, &mut codec.coded);
         // Pad the final OFDM symbol with zero bits.
-        codec.coded.resize(n_cells * c.bits_per_symbol(), 0);
-        codec.interleaved.resize(codec.coded.len(), 0);
-        codec
-            .il
-            .interleave_stream_into(&codec.coded, &mut codec.interleaved);
-        let cells = codec.interleaved.chunks_exact(c.bits_per_symbol());
-        symbols.extend(cells.map(|bits| c.bits_to_index(bits) as u8));
+        codec.coded.resize(n_cells * codec.bps, 0);
+        codec.modulate(&codec.coded, &mut symbols);
     }
     TxChains {
         payloads,
@@ -271,17 +376,16 @@ pub(crate) fn transmit_chains<T, R: Rng + ?Sized>(
 /// accounting — is shared.
 pub(crate) trait Grid {
     /// One coded bit's decoder input.
-    type Metric: Copy + Default;
+    type Metric: Input;
     /// Viterbi-decodes one stream's deinterleaved inputs.
     const DECODE: DecodeInto<Self::Metric>;
     /// Stream `u`'s hard symbol decision at grid cell `v` of an
     /// `nt`-stream grid.
     fn hard(&self, nt: usize, v: usize, u: usize) -> usize;
-    /// Writes stream `u`'s decoder inputs for cell `v` to the front of
-    /// `out`, which has room for 8; `word` is its hard decision's bit word
-    /// (byte `k` = bit `k`). Whatever lands past the cell's
-    /// `bits_per_symbol` inputs is overwritten by the next cell.
-    fn feed(&self, v: usize, u: usize, word: u64, out: &mut [Self::Metric]);
+    /// Stream `u`'s decoder inputs for cell `v`, MSB first, in the first
+    /// `bits_per_symbol` entries; `word` is its hard decision's bit word
+    /// (byte `k` = bit `k`).
+    fn inputs(&self, v: usize, u: usize, word: u64) -> [Self::Metric; 8];
 }
 
 /// The shape [`ConvCode::decode_into`] and [`ConvCode::decode_soft_into`]
@@ -296,8 +400,8 @@ impl Grid for [u16] {
     fn hard(&self, nt: usize, v: usize, u: usize) -> usize {
         usize::from(self[v * nt + u])
     }
-    fn feed(&self, _v: usize, _u: usize, word: u64, out: &mut [u8]) {
-        out[..8].copy_from_slice(&word.to_le_bytes());
+    fn inputs(&self, _v: usize, _u: usize, word: u64) -> [u8; 8] {
+        word.to_le_bytes()
     }
 }
 
@@ -365,16 +469,17 @@ pub fn simulate_packet<R: Rng + ?Sized>(
     detector: &dyn Detector,
     rng: &mut R,
 ) -> LinkOutcome {
-    let mut codec = Codec::new(cfg);
-    let chains = transmit_chains(cfg, &mut codec, channel.nt(), rng);
-    // Transmit symbol-by-symbol, subcarrier-by-subcarrier, and detect.
-    let mut cells: Vec<u16> = Vec::new();
-    for v in 0..cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data {
-        let tx = chains.tx_vector(&cfg.constellation, v);
-        let decision = detector.detect(&channel.transmit(&tx, rng));
-        cells.extend(decision.into_iter().map(|s| s as u16));
-    }
-    receive_chains(cfg, &mut codec, 0, &chains, cells.as_slice()).link
+    Codec::with(cfg, |codec| {
+        let chains = transmit_chains(cfg, codec, channel.nt(), rng);
+        // Transmit symbol-by-symbol, subcarrier-by-subcarrier, and detect.
+        let mut cells: Vec<u16> = Vec::new();
+        for v in 0..cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data {
+            let tx = chains.tx_vector(&cfg.constellation, v);
+            let decision = detector.detect(&channel.transmit(&tx, rng));
+            cells.extend(decision.into_iter().map(|s| s as u16));
+        }
+        receive_chains(cfg, codec, 0, &chains, cells.as_slice()).link
+    })
 }
 
 /// The one serving tick, generic over the output: every cell user ages
@@ -421,25 +526,26 @@ where
              chains, so the queue must be drained before serving"
         );
     }
-    let mut codec = Codec::new(cfg);
-    let mut chains: Vec<TxChains> = Vec::with_capacity(cell.n_users());
-    for (u, rng) in rngs.iter_mut().enumerate() {
-        cell.advance_user(u, rng);
-        let nt = cell.stream(u).truth(0).cols();
-        let user_chains = transmit_chains(cfg, &mut codec, nt, rng);
-        let frame = cell.stream(u).transmit_frame_into(
-            n_sym,
-            |sym_idx, sc, x| user_chains.tx_into(&cfg.constellation, sym_idx * n_sc + sc, x),
-            rng,
-        );
-        cell.submit(u, frame);
-        chains.push(user_chains);
-    }
-    let mut outcomes = Vec::with_capacity(chains.len());
-    O::tick(cell, pool, |user, rows| {
-        outcomes.push(receive_chains(cfg, &mut codec, user, &chains[user], rows));
-    });
-    outcomes
+    Codec::with(cfg, |codec| {
+        let mut chains: Vec<TxChains> = Vec::with_capacity(cell.n_users());
+        for (u, rng) in rngs.iter_mut().enumerate() {
+            cell.advance_user(u, rng);
+            let nt = cell.stream(u).truth(0).cols();
+            let user_chains = transmit_chains(cfg, codec, nt, rng);
+            let frame = cell.stream(u).transmit_frame_into(
+                n_sym,
+                |sym_idx, sc, x| user_chains.tx_into(&cfg.constellation, sym_idx * n_sc + sc, x),
+                rng,
+            );
+            cell.submit(u, frame);
+            chains.push(user_chains);
+        }
+        let mut outcomes = Vec::with_capacity(chains.len());
+        O::tick(cell, pool, |user, rows| {
+            outcomes.push(receive_chains(cfg, codec, user, &chains[user], rows));
+        });
+        outcomes
+    })
 }
 
 /// One multi-user serving tick, hard detection: every cell user ages one
@@ -544,6 +650,122 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_pass_chains_equal_the_two_pass_interleaver_path() {
+        // Transmit: the gather-and-map pass equals interleave_stream →
+        // bits_to_index per cell, on whole blocks (unpadded) and on coded
+        // streams zero-padded to whole blocks. Receive: the demap scatter
+        // equals demapping in air order → deinterleave_stream, for hard
+        // `u8` and soft `f64` inputs, and decoding its first `coded_len`
+        // inputs equals decoding the two-pass stream's.
+        use flexcore::SoftDecision;
+        let mut rng = StdRng::seed_from_u64(0x1A7E);
+        for m in [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+            Modulation::Qam256,
+        ] {
+            let c = Constellation::new(m);
+            let bps = c.bits_per_symbol();
+            for payload_bytes in [1, 10, 37] {
+                let cfg = LinkConfig::paper_default(c.clone(), payload_bytes);
+                let il = Interleaver::new(cfg.ofdm.n_data, bps);
+                let n_cbps = cfg.bits_per_ofdm_symbol();
+                let what = format!("{m:?} {payload_bytes} B");
+                let (mut hard, mut soft) = (Codec::<u8>::new(&cfg), Codec::<f64>::new(&cfg));
+                for (blocks, short) in [(1, 0), (1, 5), (3, 0), (3, n_cbps - 1)] {
+                    let n = blocks * n_cbps;
+                    let mut coded: Vec<u8> = (0..n - short).map(|_| rng.gen_range(0..2)).collect();
+                    coded.resize(n, 0);
+                    let mut one_pass = Vec::new();
+                    hard.modulate(&coded, &mut one_pass);
+                    let two_pass: Vec<u8> = il
+                        .interleave_stream(&coded)
+                        .chunks_exact(bps)
+                        .map(|bits| c.bits_to_index(bits) as u8)
+                        .collect();
+                    assert_eq!(one_pass, two_pass, "{what}, {blocks} blocks less {short}");
+                }
+
+                // Stream 1 of a 2-stream grid, one cell per row.
+                let (nt, u) = (2, 1);
+                let n_cells = cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data;
+                let order = c.order();
+                let sent: Vec<u8> = (0..n_cells)
+                    .map(|_| rng.gen_range(0..order) as u8)
+                    .collect();
+                let plane: Vec<u16> = (0..n_cells * nt)
+                    .map(|_| rng.gen_range(0..order) as u16)
+                    .collect();
+                let cells: Vec<SoftDecision> = (0..n_cells)
+                    .map(|v| SoftDecision {
+                        llrs: (0..nt)
+                            .map(|_| (0..bps).map(|_| rng.gen_range(-9.0..9.0)).collect())
+                            .collect(),
+                        hard: (0..nt).map(|s| usize::from(plane[v * nt + s])).collect(),
+                    })
+                    .collect();
+                let decided = |v: usize| c.index_to_bits(usize::from(plane[v * nt + u]));
+                let air_bits: Vec<u8> = (0..n_cells).flat_map(decided).collect();
+                let air_llrs: Vec<f64> = cells.iter().flat_map(|d| d.llrs[u].clone()).collect();
+                let raw: usize = (0..n_cells)
+                    .map(|v| {
+                        let sent = c.index_to_bits(usize::from(sent[v]));
+                        sent.iter()
+                            .zip(decided(v))
+                            .filter(|(a, b)| **a != *b)
+                            .count()
+                    })
+                    .sum();
+                assert_eq!(hard.demap(plane.as_slice(), (nt, u), &sent), raw, "{what}");
+                assert_eq!(hard.inputs, il.deinterleave_stream(&air_bits), "{what}");
+                assert_eq!(soft.demap(&cells, (nt, u), &sent), raw, "{what}");
+                assert_eq!(soft.inputs, il.deinterleave_stream(&air_llrs), "{what}");
+
+                let payload_bits = payload_bytes * 8;
+                let n = hard.code.coded_len(payload_bits);
+                let want = hard
+                    .code
+                    .decode(&il.deinterleave_stream(&air_bits)[..n], payload_bits);
+                let (_, decoded) = hard.receive(plane.as_slice(), (nt, u), &sent, payload_bits);
+                assert_eq!(decoded, want, "hard, {what}");
+                let mut want = Vec::new();
+                let llrs = &il.deinterleave_stream(&air_llrs)[..n];
+                let mut scratch = ViterbiScratch::default();
+                soft.code
+                    .decode_soft_into(llrs, payload_bits, &mut scratch, &mut want);
+                let (_, decoded) = soft.receive(&cells, (nt, u), &sent, payload_bits);
+                assert_eq!(decoded, want, "soft, {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_codec_is_built_once_per_thread_and_configuration() {
+        // Two calls with one configuration share the codec (its grown
+        // buffers included); another configuration rebuilds it, and a
+        // nested call builds its own.
+        let (a, b) = (cfg16(30), cfg16(31));
+        let buffer = |cfg| {
+            Codec::<u8>::with(cfg, |codec| {
+                codec.coded.resize(1, 0);
+                codec.coded.as_ptr()
+            })
+        };
+        let first = buffer(&a);
+        assert_eq!(buffer(&a), first);
+        Codec::<u8>::with(&a, |outer| {
+            assert_eq!(outer.coded.as_ptr(), first);
+            assert_ne!(buffer(&a), first, "a nested call shared the codec");
+        });
+        assert_eq!(buffer(&a), first);
+        let other = Codec::<u8>::with(&b, |codec| codec.key);
+        assert_eq!(other, codec_key(&b));
+        assert_eq!(Codec::<u8>::with(&a, |codec| codec.key), codec_key(&a));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! tick, instantiated at `Soft`.
 
 use crate::link::{
-    receive_chains, run_cell_tick, transmit_chains, Codec, DecodeInto, Grid, LinkConfig,
+    receive_chains, run_cell_tick, transmit_chains, Codec, DecodeInto, Grid, Input, LinkConfig,
     LinkOutcome, LinkOutput, StreamedOutcome,
 };
 use flexcore::{SoftDecision, SoftDetector};
@@ -23,6 +23,8 @@ use flexcore_engine::StreamingCell;
 use flexcore_numeric::Cx;
 use flexcore_parallel::PePool;
 use rand::Rng;
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 /// Soft decisions, one per grid cell: per-bit LLRs → soft Viterbi.
 impl Grid for Vec<SoftDecision> {
@@ -31,9 +33,18 @@ impl Grid for Vec<SoftDecision> {
     fn hard(&self, _nt: usize, v: usize, u: usize) -> usize {
         self[v].hard[u]
     }
-    fn feed(&self, v: usize, u: usize, _word: u64, out: &mut [f64]) {
+    fn inputs(&self, v: usize, u: usize, _word: u64) -> [f64; 8] {
         let llrs = &self[v].llrs[u];
+        let mut out = [0.0; 8];
         out[..llrs.len()].copy_from_slice(llrs);
+        out
+    }
+}
+
+impl Input for f64 {
+    fn slot() -> &'static LocalKey<Cell<Option<Codec<f64>>>> {
+        thread_local!(static SLOT: Cell<Option<Codec<f64>>> = const { Cell::new(None) });
+        &SLOT
     }
 }
 
@@ -77,15 +88,16 @@ pub fn simulate_packet_soft<R: Rng + ?Sized, D: SoftDetector>(
     detector: &D,
     rng: &mut R,
 ) -> LinkOutcome {
-    let mut codec = Codec::new(cfg);
-    let chains = transmit_chains(cfg, &mut codec, channel.nt(), rng);
-    let cells: Vec<SoftDecision> = (0..cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data)
-        .map(|v| {
-            let tx = chains.tx_vector(&cfg.constellation, v);
-            detector.detect_soft(&channel.transmit(&tx, rng), channel.sigma2)
-        })
-        .collect();
-    receive_chains(cfg, &mut codec, 0, &chains, &cells).link
+    Codec::with(cfg, |codec| {
+        let chains = transmit_chains(cfg, codec, channel.nt(), rng);
+        let cells: Vec<SoftDecision> = (0..cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data)
+            .map(|v| {
+                let tx = chains.tx_vector(&cfg.constellation, v);
+                detector.detect_soft(&channel.transmit(&tx, rng), channel.sigma2)
+            })
+            .collect();
+        receive_chains(cfg, codec, 0, &chains, &cells).link
+    })
 }
 
 /// One multi-user serving tick, soft detection: the soft-path counterpart

@@ -13,7 +13,6 @@ use flexcore_detect::common::{Detector, PathScratch, Triangular};
 use flexcore_detect::FcsdDetector;
 use flexcore_modulation::{Constellation, Modulation, OrderingLut};
 use flexcore_numeric::{CMat, Cx};
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,10 +101,7 @@ fn run_path_pr1(
 
 /// Asserts `run_path_into` reproduces [`run_path_pr1`] — symbols, metric
 /// bits and deactivation — for every selected path of every observation.
-fn assert_run_path_into_equals_pr1(
-    det: &FlexCoreDetector,
-    ys: &[Vec<Cx>],
-) -> Result<(), TestCaseError> {
+fn assert_run_path_into_equals_pr1(det: &FlexCoreDetector, ys: &[Vec<Cx>]) {
     let tri = det.triangular();
     let lut = pr1_lut(det);
     let mut scratch = PathScratch::default();
@@ -118,15 +114,14 @@ fn assert_run_path_into_equals_pr1(
                 (Some((symbols, m_alloc)), Some(m_into)) => {
                     // Exact f64 equality: the kernels must run the same
                     // operations in the same order.
-                    prop_assert_eq!(m_alloc.to_bits(), m_into.to_bits());
-                    prop_assert_eq!(symbols.as_slice(), scratch.symbols.as_slice());
+                    assert_eq!(m_alloc.to_bits(), m_into.to_bits());
+                    assert_eq!(symbols.as_slice(), scratch.symbols.as_slice());
                 }
                 (None, None) => {}
-                (a, b) => prop_assert!(false, "activation mismatch: {a:?} vs {b:?}"),
+                (a, b) => panic!("activation mismatch: {a:?} vs {b:?}"),
             }
         }
     }
-    Ok(())
 }
 
 /// PR 1's nested batched reduction, re-enacted: evaluate every path with
@@ -175,65 +170,80 @@ fn fcsd_per_path_reference(det: &FcsdDetector, y: &[Cx]) -> Vec<usize> {
     tri.unpermute(symbols.as_slice())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Cases per property, each drawn from the test's own seeded stream.
+const CASES: usize = 12;
 
-    #[test]
-    fn run_path_into_equals_run_path(
-        seed in 0u64..1_000_000,
-        nt in 2usize..7,
-        snr in 6.0f64..24.0,
-        n_pe in 1usize..48,
-    ) {
+#[test]
+fn run_path_into_equals_run_path() {
+    let mut rng = StdRng::seed_from_u64(0x5C7A_0000 + 1);
+    for _ in 0..CASES {
+        let (seed, nt, snr, n_pe) = (
+            rng.gen_range(0u64..1_000_000),
+            rng.gen_range(2usize..7),
+            rng.gen_range(6.0f64..24.0),
+            rng.gen_range(1usize..48),
+        );
         let (h, sigma2, ys) = draw_workload(seed, nt, snr, 3);
         let c = Constellation::new(Modulation::Qam16);
         let mut det = FlexCoreDetector::with_pes(c, n_pe);
         det.prepare(&h, sigma2);
-        assert_run_path_into_equals_pr1(&det, &ys)?;
+        assert_run_path_into_equals_pr1(&det, &ys);
     }
+}
 
-    #[test]
-    fn batch_equals_nested_reduction(
-        seed in 0u64..1_000_000,
-        nt in 2usize..6,
-        snr in 6.0f64..24.0,
-        n_pe in 1usize..32,
-    ) {
+#[test]
+fn batch_equals_nested_reduction() {
+    let mut rng = StdRng::seed_from_u64(0x5C7A_0000 + 2);
+    for _ in 0..CASES {
+        let (seed, nt, snr, n_pe) = (
+            rng.gen_range(0u64..1_000_000),
+            rng.gen_range(2usize..6),
+            rng.gen_range(6.0f64..24.0),
+            rng.gen_range(1usize..32),
+        );
         let (h, sigma2, ys) = draw_workload(seed, nt, snr, 8);
         let c = Constellation::new(Modulation::Qam16);
         let mut det = FlexCoreDetector::with_pes(c, n_pe);
         det.prepare(&h, sigma2);
         let reference = detect_batch_pr1(&det, &ys);
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        prop_assert_eq!(&det.detect_batch_refs(&refs), &reference);
+        assert_eq!(&det.detect_batch_refs(&refs), &reference);
         // And the trie-walk decisions match the nested reduction too.
         let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
-        prop_assert_eq!(&per_vector, &reference);
+        assert_eq!(&per_vector, &reference);
     }
+}
 
-    #[test]
-    fn fcsd_scratch_equals_allocating_paths(
-        seed in 0u64..1_000_000,
-        nt in 2usize..6,
-        snr in 6.0f64..24.0,
-        l_full in 0usize..3,
-    ) {
+#[test]
+fn fcsd_scratch_equals_allocating_paths() {
+    let mut rng = StdRng::seed_from_u64(0x5C7A_0000 + 3);
+    for _ in 0..CASES {
+        let (seed, nt, snr, l_full) = (
+            rng.gen_range(0u64..1_000_000),
+            rng.gen_range(2usize..6),
+            rng.gen_range(6.0f64..24.0),
+            rng.gen_range(0usize..3),
+        );
         let (h, sigma2, ys) = draw_workload(seed, nt, snr, 5);
         let c = Constellation::new(Modulation::Qam16);
         let mut det = FcsdDetector::new(c, l_full.min(nt));
         det.prepare(&h, sigma2);
         for y in &ys {
-            prop_assert_eq!(&det.detect(y), &fcsd_per_path_reference(&det, y));
+            assert_eq!(&det.detect(y), &fcsd_per_path_reference(&det, y));
         }
     }
+}
 
-    #[test]
-    fn run_path_into_equals_run_path_at_any_width(
-        seed in 0u64..1_000_000,
-        nt in 1usize..65,
-        m_idx in 0usize..4,
-        n_pe in 1usize..17,
-    ) {
+#[test]
+fn run_path_into_equals_run_path_at_any_width() {
+    let mut rng = StdRng::seed_from_u64(0x5C7A_0000 + 4);
+    for _ in 0..CASES {
+        let (seed, nt, m_idx, n_pe) = (
+            rng.gen_range(0u64..1_000_000),
+            rng.gen_range(1usize..65),
+            rng.gen_range(0usize..4),
+            rng.gen_range(1usize..17),
+        );
         // The massive-MIMO domain: nt crosses the SymVec spill boundary
         // (16→17) and reaches 64, across all four modulations. The
         // spill-path kernels must stay bit-identical to the allocating
@@ -243,16 +253,20 @@ proptest! {
         let c = Constellation::new(m);
         let mut det = FlexCoreDetector::with_pes(c, n_pe);
         det.prepare(&h, sigma2);
-        assert_run_path_into_equals_pr1(&det, &ys)?;
+        assert_run_path_into_equals_pr1(&det, &ys);
     }
+}
 
-    #[test]
-    fn detect_paths_agree_at_any_width(
-        seed in 0u64..1_000_000,
-        nt in 1usize..65,
-        m_idx in 0usize..4,
-        n_pe in 1usize..13,
-    ) {
+#[test]
+fn detect_paths_agree_at_any_width() {
+    let mut rng = StdRng::seed_from_u64(0x5C7A_0000 + 5);
+    for _ in 0..CASES {
+        let (seed, nt, m_idx, n_pe) = (
+            rng.gen_range(0u64..1_000_000),
+            rng.gen_range(1usize..65),
+            rng.gen_range(0usize..4),
+            rng.gen_range(1usize..13),
+        );
         // Every public detection surface must agree at every width: the
         // trie-walk detect(), the shared-scratch batch, and the soft
         // output's hard decision.
@@ -263,18 +277,22 @@ proptest! {
         det.prepare(&h, sigma2);
         let per_vector: Vec<Vec<usize>> = ys.iter().map(|y| det.detect(y)).collect();
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        prop_assert_eq!(&det.detect_batch_refs(&refs), &per_vector);
+        assert_eq!(&det.detect_batch_refs(&refs), &per_vector);
         for (y, want) in ys.iter().zip(&per_vector) {
-            prop_assert_eq!(&det.detect_soft(y, sigma2).hard, want);
+            assert_eq!(&det.detect_soft(y, sigma2).hard, want);
         }
     }
+}
 
-    #[test]
-    fn fcsd_scratch_equals_allocating_paths_at_any_width(
-        seed in 0u64..1_000_000,
-        nt in 1usize..65,
-        m_idx in 0usize..4,
-    ) {
+#[test]
+fn fcsd_scratch_equals_allocating_paths_at_any_width() {
+    let mut rng = StdRng::seed_from_u64(0x5C7A_0000 + 6);
+    for _ in 0..CASES {
+        let (seed, nt, m_idx) = (
+            rng.gen_range(0u64..1_000_000),
+            rng.gen_range(1usize..65),
+            rng.gen_range(0usize..4),
+        );
         let m = modulation(m_idx);
         let (h, sigma2, ys) = draw_workload_mod(seed, nt, m, 14.0, 2);
         let c = Constellation::new(m);
@@ -283,17 +301,21 @@ proptest! {
         let mut det = FcsdDetector::new(c, l_full);
         det.prepare(&h, sigma2);
         for y in &ys {
-            prop_assert_eq!(&det.detect(y), &fcsd_per_path_reference(&det, y));
+            assert_eq!(&det.detect(y), &fcsd_per_path_reference(&det, y));
         }
     }
+}
 
-    #[test]
-    fn soft_llrs_flat_buffers_equal_nested_reference(
-        seed in 0u64..1_000_000,
-        nt in 2usize..5,
-        snr in 6.0f64..24.0,
-        n_pe in 1usize..24,
-    ) {
+#[test]
+fn soft_llrs_flat_buffers_equal_nested_reference() {
+    let mut rng = StdRng::seed_from_u64(0x5C7A_0000 + 7);
+    for _ in 0..CASES {
+        let (seed, nt, snr, n_pe) = (
+            rng.gen_range(0u64..1_000_000),
+            rng.gen_range(2usize..5),
+            rng.gen_range(6.0f64..24.0),
+            rng.gen_range(1usize..24),
+        );
         let (h, sigma2, ys) = draw_workload(seed, nt, snr, 4);
         let c = Constellation::new(Modulation::Qam16);
         let mut det = FlexCoreDetector::with_pes(c.clone(), n_pe);
@@ -317,7 +339,7 @@ proptest! {
                 .expect("non-empty")
                 .0
                 .clone();
-            prop_assert_eq!(&soft.hard, &hard);
+            assert_eq!(&soft.hard, &hard);
             let mut min0 = vec![vec![f64::INFINITY; bps]; nt];
             let mut min1 = vec![vec![f64::INFINITY; bps]; nt];
             for (symbols, metric) in &list {
@@ -343,7 +365,7 @@ proptest! {
                         (false, true) => -8.0,
                         (false, false) => 0.0,
                     };
-                    prop_assert_eq!(soft.llrs[stream][j].to_bits(), want.to_bits());
+                    assert_eq!(soft.llrs[stream][j].to_bits(), want.to_bits());
                 }
             }
         }
