@@ -20,7 +20,9 @@
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
 use crate::preprocess::{prob_sum, PreprocessOutput, Preprocessor, ROOT};
-use flexcore_detect::common::{batch_rows, first_min_metric, Detector, PathScratch, Triangular};
+use flexcore_detect::common::{
+    batch_rows, detect_each_into, first_min_metric, group_len, Detector, PathScratch, Triangular,
+};
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
@@ -378,6 +380,9 @@ struct State {
     /// Per row `(Triangular::pivot_inv, |R(row,row)|²)`, exactly as the
     /// scalar walk forms them per chain.
     diag: Vec<(Cx, f64)>,
+    /// [`State::walks_one_chain`], decided by `prepare` once the rest is
+    /// in place: a group's members are checked several times per batch.
+    one_chain: bool,
 }
 
 impl State {
@@ -389,27 +394,58 @@ impl State {
             selection: PreprocessOutput::default(),
             trie: PathTrie::default(),
             diag: Vec::new(),
+            one_chain: false,
         }
     }
 
     /// Whether [`Detector::detect_batch_into`] may send its blocks to
     /// [`FlexCoreDetector::walk_chain_block`]: the selection is the SIC
-    /// path alone (a-FlexCore on a well-conditioned channel, §5.1), it fits
+    /// path alone (a-FlexCore on a well-conditioned channel, §5.1; rank 1
+    /// on every row, which the search's root path always is), it fits
     /// the kernel's stack planes, and every row's `|R(row,row)|²` and
     /// reciprocal are finite. The last condition keeps each Eq. 1 increment
     /// off `NaN` for any effective point that is not itself `NaN` (a dead
     /// row has both zero), so the one path the general walk would complete
     /// on a lane is the one the kernel returns.
     fn walks_one_chain(&self) -> bool {
+        self.one_chain
+    }
+
+    /// What [`State::walks_one_chain`] reads, from the selection and
+    /// `diag` as `prepare` leaves them.
+    fn decide_one_chain(&self) -> bool {
         let finite = |z: Cx| z.re.is_finite() && z.im.is_finite();
+        let rank_one = |&node: &u32| self.trie.nodes[node as usize].rank == 1;
         self.selection.paths.len() == 1
+            && self.trie.lineage.iter().all(rank_one)
             && (1..=INLINE_STREAMS).contains(&self.tri.nt())
             && self
                 .diag
                 .iter()
                 .all(|&(inv, rdiag)| finite(inv) && rdiag.is_finite())
     }
+
+    /// Whether this state's batches may take a lane of
+    /// [`FlexCoreDetector::walk_lane_group`]: it walks one chain, and `Q`
+    /// (so `R` too) fits the kernel's [`GROUP_ROWS`]-row stack planes.
+    fn groups(&self) -> bool {
+        self.tri.qr.q.rows() <= GROUP_ROWS && self.walks_one_chain()
+    }
+
+    /// `(Q rows, transmit streams)`: what the lane-group kernel's members
+    /// must share.
+    fn shape(&self) -> (usize, usize) {
+        (self.tri.qr.q.rows(), self.tri.nt())
+    }
 }
+
+/// Rows of the lane-group kernel's largest stack planes: a state groups
+/// only when its `Q` has at most this many rows.
+const GROUP_ROWS: usize = 8;
+
+/// Symbols of one lane group the kernel walks interleaved: each row step
+/// advances this many independent SIC chains.
+const GROUP_SYMBOLS: usize = 4;
 
 /// Reusable per-worker workspace for the sequential FlexCore hot path:
 /// per-path result planes for one trie walk, sized on first use and
@@ -748,10 +784,12 @@ impl FlexCoreDetector {
     /// FlexCore-16, four observations per channel) whole chains skipped
     /// 47 % of the nodes at 8×8, 45 % at 64×64 and 48 % at fixed 4×4, but
     /// 7 % of the ≈ 1.5-path tries adaptive 4×4 keeps. That last figure
-    /// counts one-path tries, which no longer come here: a one-path
-    /// selection's batches go to [`FlexCoreDetector::walk_chain_block`],
-    /// and at `cell_coded`'s operating point 72 % of the batches are
-    /// one-path (539 884 of the first 750 000, seed 1).
+    /// counts one-path tries, which no longer come here: at `cell_coded`'s
+    /// operating point 72 % of the batches are one-path (539 884 of the
+    /// first 750 000, seed 1), and the tick hands them to
+    /// [`FlexCoreDetector::walk_lane_group`] four subcarriers to a block
+    /// (69 quads of a tick's 384 batches); a one-path batch that runs
+    /// alone goes to [`FlexCoreDetector::walk_chain_block`].
     ///
     /// `active` is the partial-tail mask: a batch whose length is not a
     /// multiple of [`LANES`] pads its last block by repeating the final
@@ -1000,6 +1038,150 @@ impl FlexCoreDetector {
         true
     }
 
+    /// [`FlexCoreDetector::walk_chain_block`] across subcarriers: one to
+    /// four groupable detectors (`quad`, [`State::groups`], one shape and
+    /// one located table) in the four lanes of each block, one lane per
+    /// slot, and one block per symbol. `ys` holds the members' batches back
+    /// to back (`ys.len() / quad.len()` vectors each) and `out` their rows.
+    /// A quad of fewer than four repeats its last member in the spare
+    /// lanes, which nothing reads back.
+    ///
+    /// Each member's `Q`, the upper triangle of its `R` and its
+    /// reciprocals go into stack lane planes once per call. Then, per
+    /// [`GROUP_SYMBOLS`] symbols: each symbol's four observations are
+    /// rotated, every lane adding `conj(Q[c, r])·y[c]` in ascending `c`
+    /// from zero as `Qr::rotate_batch_into` does; and the chains are
+    /// walked top row first, all the chunk's symbols each row step, which
+    /// is what the lanes buy: a one-path chain is bound by its latency, and
+    /// up to four independent ones hide each other's. Per row and lane the
+    /// effective point (`ȳ` minus the ancestors' points in ascending row
+    /// order, times the lane's `diag[row].0`) and the rank-1 pick (the
+    /// located table's `get`, or the lane's own `pick_off_table`) are
+    /// `walk_chain_block`'s, so each lane's symbols are its slot's scalar
+    /// walk's bits; each lane is unpermuted through its own slot's `perm`.
+    ///
+    /// Like `walk_chain_block`, it returns `false` on a `NaN` effective
+    /// point or a pick with no answer, and the caller detects the quad
+    /// member by member, which ends as each member's own batch ends.
+    ///
+    /// Out of line so CI can disassemble it.
+    #[inline(never)]
+    fn walk_lane_group<const N: usize>(quad: &[&Self], ys: &[&[Cx]], out: &mut [u16]) -> bool {
+        // flexcore-lint: scalar-twin = walk_paths
+        // flexcore-lint: hot-path
+        // flexcore-lint: bit-identity
+        let slot = |l: usize| quad[l.min(quad.len() - 1)];
+        let states: [&State; LANES] = std::array::from_fn(|l| slot(l).prepared());
+        let (nr, nt) = states[0].shape();
+        assert!(
+            nr <= N && (1..=LANES).contains(&quad.len()),
+            "walk_lane_group: {} slots of {nr} rows",
+            quad.len()
+        );
+        let n_sym = group_len(quad.len(), ys.len());
+        assert_eq!(
+            out.len(),
+            ys.len() * nt,
+            "walk_lane_group: output plane length"
+        );
+        let Some(t) = quad[0].fast_lut.as_deref() else {
+            return false;
+        };
+        let (lut, constellation) = (&quad[0].lut, &quad[0].constellation);
+        let cpoints = constellation.points();
+        for y in ys {
+            assert_eq!(y.len(), nr, "walk_lane_group: observation length");
+        }
+        // `q[c][row]`, `r[row][p]` (p > row) and `inv[row]`: lane `l` is
+        // slot `l`'s.
+        let mut q = [[CxLane::zero(); N]; N];
+        let mut r = [[CxLane::zero(); N]; N];
+        let mut inv = [CxLane::zero(); N];
+        let set = |lane: &mut CxLane, l: usize, z: Cx| (lane.re[l], lane.im[l]) = (z.re, z.im);
+        for (l, s) in states.iter().enumerate() {
+            let qr = &s.tri.qr;
+            for (c, q) in q[..nr].iter_mut().enumerate() {
+                for (lane, &z) in q[..nt].iter_mut().zip(qr.q.row(c)) {
+                    set(lane, l, z);
+                }
+            }
+            for (row, r) in r[..nt].iter_mut().enumerate() {
+                for (lane, &z) in r[row + 1..nt].iter_mut().zip(&qr.r.row(row)[row + 1..]) {
+                    set(lane, l, z);
+                }
+            }
+            for (lane, &(z, _)) in inv[..nt].iter_mut().zip(&s.diag) {
+                set(lane, l, z);
+            }
+        }
+        let vector = |l: usize, sym: usize| ys[l.min(quad.len() - 1) * n_sym + sym];
+        for s0 in (0..n_sym).step_by(GROUP_SYMBOLS) {
+            let m = GROUP_SYMBOLS.min(n_sym - s0);
+            let mut ybars = [[CxLane::zero(); N]; GROUP_SYMBOLS];
+            for (s, ybar) in ybars[..m].iter_mut().enumerate() {
+                let mut tile = [CxLane::zero(); N];
+                for (c, t) in tile[..nr].iter_mut().enumerate() {
+                    *t = CxLane::from_fn(|l| vector(l, s0 + s)[c]);
+                }
+                for (row, acc) in ybar[..nt].iter_mut().enumerate() {
+                    for (q, &y) in q[..nr].iter().zip(&tile[..nr]) {
+                        acc.add_conj_mul(q[row], y);
+                    }
+                }
+            }
+            let mut points = [[CxLane::zero(); N]; GROUP_SYMBOLS];
+            let mut syms = [[[0u16; LANES]; N]; GROUP_SYMBOLS];
+            for row in (0..nt).rev() {
+                for s in 0..m {
+                    let mut acc = ybars[s][row];
+                    for (&coef, &point) in r[row][row + 1..nt].iter().zip(&points[s][row + 1..nt]) {
+                        acc.sub_mul(coef, point);
+                    }
+                    let eff = acc * inv[row];
+                    let nan = (0..LANES).fold(false, |nan, l| {
+                        nan | eff.re[l].is_nan() | eff.im[l].is_nan()
+                    });
+                    if nan {
+                        return false;
+                    }
+                    let mut bases = [NIL; LANES];
+                    t.locate_bases(lut, constellation, &eff.re, &eff.im, &mut bases);
+                    for l in 0..LANES {
+                        let on_table = Some(t).filter(|_| bases[l] != NIL);
+                        let picked = match on_table.and_then(|t| t.get(bases[l] as usize, 1)) {
+                            None => slot(l).pick_off_table(eff.get(l), 1, on_table.is_none()),
+                            s => s,
+                        };
+                        let Some(sym) = picked else {
+                            return false;
+                        };
+                        syms[s][row][l] = sym as u16;
+                        points[s][row].re[l] = cpoints[sym].re;
+                        points[s][row].im[l] = cpoints[sym].im;
+                    }
+                }
+            }
+            for (l, state) in states.iter().enumerate().take(quad.len()) {
+                let rows = out[(l * n_sym + s0) * nt..].chunks_exact_mut(nt);
+                for (row, syms) in rows.zip(&syms[..m]) {
+                    for (&p, syms) in state.tri.qr.perm.iter().zip(syms) {
+                        row[p] = syms[l];
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// The prepared state and located table of a detector whose batches
+    /// may take a lane of [`FlexCoreDetector::walk_lane_group`]
+    /// ([`State::groups`]; `Exact` ordering has no table and never
+    /// groups).
+    fn lane_state(&self) -> Option<(&State, &Arc<LocatedOrderingTable>)> {
+        let state = self.state.as_ref().filter(|s| s.groups())?;
+        Some((state, self.fast_lut.as_ref()?))
+    }
+
     /// One block through the general walk: [`FlexCoreDetector::walk_paths_block`]
     /// with the first `n` lanes active, then each of those lanes' winner
     /// unpermuted into the next row of `rows`.
@@ -1105,6 +1287,7 @@ impl Detector for FlexCoreDetector {
         state
             .diag
             .extend((0..tri.nt()).map(|row| (tri.pivot_inv(row), tri.qr.r[(row, row)].norm_sqr())));
+        state.one_chain = state.decide_one_chain();
     }
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
@@ -1152,6 +1335,50 @@ impl Detector for FlexCoreDetector {
             self.detect_block(ybars, chunk.len(), block, &mut rows);
         }
         BATCH_SCRATCH.set(scratch);
+    }
+
+    /// Both prepared selections are the SIC path alone with a `Q` of at
+    /// most 8 rows, of one shape, and both detectors read the same located
+    /// table (so one constellation and one ordering semantics; `Exact` has
+    /// none and never groups).
+    fn groups_with(&self, other: &Self) -> bool {
+        match (self.lane_state(), other.lane_state()) {
+            (Some((a, x)), Some((b, y))) => a.shape() == b.shape() && Arc::ptr_eq(x, y),
+            _ => false,
+        }
+    }
+
+    /// Quads of one-path subcarriers through the lane-group kernel
+    /// (`walk_lane_group`), one slot per lane, so four SIC chains share
+    /// each block; a quad of one, a group with a member that does not
+    /// group with the first, and a quad the kernel declines go member by
+    /// member ([`detect_each_into`]).
+    fn detect_group_into(group: &[&Self], ys: &[&[Cx]], out: &mut [u16]) {
+        // flexcore-lint: hot-path
+        let per = group_len(group.len(), ys.len());
+        let lead = group.first().and_then(|d| d.lane_state());
+        let Some((nr, nt)) = lead
+            .map(|(s, _)| s.shape())
+            .filter(|_| group[1..].iter().all(|m| group[0].groups_with(m)))
+        else {
+            return detect_each_into(group, ys, out);
+        };
+        assert_eq!(
+            out.len(),
+            ys.len() * nt,
+            "detect_group_into: output plane length"
+        );
+        let quads = group.chunks(LANES).zip(ys.chunks(LANES * per.max(1)));
+        for ((quad, ys), out) in quads.zip(out.chunks_mut(LANES * per.max(1) * nt)) {
+            let done = quad.len() > 1
+                && match nr {
+                    0..=4 => Self::walk_lane_group::<4>(quad, ys, out),
+                    _ => Self::walk_lane_group::<GROUP_ROWS>(quad, ys, out),
+                };
+            if !done {
+                detect_each_into(quad, ys, out);
+            }
+        }
     }
 
     /// Per-vector cost = tree paths evaluated, i.e. the PEs the prepared
@@ -2031,6 +2258,297 @@ mod tests {
             "{one_path}"
         );
         assert_eq!(one_path, panic_of(2));
+    }
+
+    /// `n` one-path detectors of one `(nr, nt)` shape, each prepared on a
+    /// channel of its own (one user per slot): FlexCore-1, and every other
+    /// one a-FlexCore-16 wherever its search stops at the root within a
+    /// few draws.
+    fn one_path_slots(
+        c: &Constellation,
+        ordering: PathOrdering,
+        (nr, nt): (usize, usize),
+        n: usize,
+        rng: &mut StdRng,
+    ) -> Vec<(FlexCoreDetector, CMat)> {
+        let mut slot = |k: usize| {
+            for attempt in 0.. {
+                let adaptive = k % 2 == 1 && attempt < 8;
+                let mut cfg = FlexCoreConfig::new(if adaptive { 16 } else { 1 });
+                cfg.path_ordering = ordering;
+                cfg.stop_threshold = adaptive.then_some(0.95);
+                let mut fc = FlexCoreDetector::new(c.clone(), cfg);
+                let h = ChannelEnsemble::iid(nr, nt).draw(rng);
+                fc.prepare(&h, sigma2_from_snr_db(if adaptive { 40.0 } else { 10.0 }));
+                if fc.active_paths() == 1 {
+                    return (fc, h);
+                }
+            }
+            unreachable!("FlexCore-1 keeps one path")
+        };
+        (0..n).map(&mut slot).collect()
+    }
+
+    /// Each slot's per-vector `detect` over its own vectors (`ys`, the
+    /// slots' batches back to back), as one row plane.
+    fn per_vector_rows(slots: &[&FlexCoreDetector], ys: &[&[Cx]]) -> Vec<u16> {
+        let per = ys.len() / slots.len();
+        let rows = ys.chunks(per).zip(slots).flat_map(|(ys, fc)| {
+            ys.iter()
+                .flat_map(|y| fc.detect(y).into_iter().map(|s| s as u16))
+        });
+        rows.collect()
+    }
+
+    /// The lane-group kernel at the stack-plane size the group call picks.
+    fn lane_group(slots: &[&FlexCoreDetector], ys: &[&[Cx]], out: &mut [u16]) -> bool {
+        match slots[0].prepared().shape().0 {
+            0..=4 => FlexCoreDetector::walk_lane_group::<4>(slots, ys, out),
+            _ => FlexCoreDetector::walk_lane_group::<GROUP_ROWS>(slots, ys, out),
+        }
+    }
+
+    #[test]
+    fn lane_group_matches_per_vector_detect() {
+        // Quads of one to four one-path slots, each on a channel of its
+        // own, at nt 1 to 8 (both stack-plane sizes) and a tall 6×3, BPSK
+        // to 256-QAM under both table orderings, on observations near the
+        // constellation and far outliers whose effective points get no
+        // table answer, with a zero pivot in the second slot, and 1 to 9
+        // symbols per slot. The group call's rows must be each slot's
+        // per-vector `detect` (the scalar walk), and from two slots on the
+        // lane-group kernel itself must have taken the quad.
+        use flexcore_numeric::rng::CxRng;
+        let (mut kernels, mut off_table) = (0, 0);
+        let shapes = (1..=8usize).map(|nt| (nt, nt)).chain([(6, 3)]);
+        for (nr, nt) in shapes {
+            for m in [
+                Modulation::Bpsk,
+                Modulation::Qpsk,
+                Modulation::Qam16,
+                Modulation::Qam64,
+                Modulation::Qam256,
+            ] {
+                let c = Constellation::new(m);
+                let reach = (c.order() as f64).sqrt().ceil() * unit_level(&c);
+                for ordering in [PathOrdering::TriangleLut, PathOrdering::TriangleLutStrict] {
+                    let what = format!("{nr}x{nt} {m:?} {ordering:?}");
+                    let seed = (nr * 64 + nt) as u64 * 977 + m.order() as u64;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut slots = one_path_slots(&c, ordering, (nr, nt), LANES, &mut rng);
+                    let state = slots[1].0.state.as_mut().expect("prepared");
+                    let row = nt / 2;
+                    state.tri.qr.r[(row, row)] = Cx::ZERO;
+                    state.diag[row] = (state.tri.pivot_inv(row), 0.0);
+                    let fcs: Vec<&FlexCoreDetector> = slots.iter().map(|(fc, _)| fc).collect();
+                    assert!(fcs.iter().all(|fc| fcs[0].groups_with(fc)), "{what}");
+                    for far in [false, true] {
+                        for n_sym in 1..=9 {
+                            let ys: Vec<Vec<Cx>> = slots
+                                .iter()
+                                .flat_map(|(_, h)| std::iter::repeat_n(h, n_sym))
+                                .map(|h| {
+                                    let x: Vec<Cx> = (0..nt)
+                                        .map(|_| c.point(rng.gen_range(0..c.order())))
+                                        .collect();
+                                    if !far {
+                                        return MimoChannel::new(h.clone(), 10.0)
+                                            .transmit(&x, &mut rng);
+                                    }
+                                    let x: Vec<Cx> = x
+                                        .iter()
+                                        .map(|&s| s + rng.cx_normal(1.0).scale(4.0 * reach))
+                                        .collect();
+                                    h.mul_vec(&x)
+                                })
+                                .collect();
+                            let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+                            if far {
+                                off_table += off_table_picks(&fcs, &refs);
+                            }
+                            for g in 1..=LANES {
+                                let at = format!("{what} far={far}, {n_sym} symbols, {g} slots");
+                                let ys = &refs[..g * n_sym];
+                                let want = per_vector_rows(&fcs[..g], ys);
+                                let mut got = vec![0u16; want.len()];
+                                FlexCoreDetector::detect_group_into(&fcs[..g], ys, &mut got);
+                                assert_eq!(got, want, "{at}: group call");
+                                if g > 1 {
+                                    got.fill(u16::MAX);
+                                    assert!(lane_group(&fcs[..g], ys, &mut got), "{at}: declined");
+                                    assert_eq!(got, want, "{at}: kernel");
+                                    kernels += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(kernels > 0);
+        assert!(off_table > 0, "no effective point went off the table");
+    }
+
+    #[test]
+    fn lane_group_cancels_in_the_scalar_walks_order() {
+        // The lane-group kernel computes no metric either, so only picks
+        // decided by a cancellation sum's last ulps show an order change.
+        // Per stack-plane size (nt 4 and 8) and modulation, four slots on
+        // channels of their own each get two received vectors
+        // `y = H·x + t·Q[·, 0]`, with `t` bisected onto the boundary where
+        // row 0's pick changes and then stepped ulp by ulp to where
+        // cancelling the ancestors in descending order picks another
+        // symbol than the scalar walk's ascending order. On those the
+        // kernel's rows must equal the scalar walk's.
+        let (mut sensitive, mut cases) = (0, 0);
+        for nt in [4usize, 8] {
+            for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
+                let c = Constellation::new(m);
+                let what = format!("nt={nt} {m:?}");
+                let mut rng = StdRng::seed_from_u64(0x6A0E + nt as u64 * 256 + m.order() as u64);
+                let slots =
+                    one_path_slots(&c, PathOrdering::TriangleLut, (nt, nt), LANES, &mut rng);
+                let mut ys: Vec<Vec<Cx>> = Vec::new();
+                for (fc, h) in &slots {
+                    let tri = fc.triangular();
+                    let q0: Vec<Cx> = (0..nt).map(|r| tri.qr.q[(r, 0)]).collect();
+                    let step = 2.0 * unit_level(&c) * tri.qr.r[(0, 0)].abs();
+                    let mut found: Vec<Vec<Cx>> = Vec::new();
+                    for _ in 0..400 {
+                        if found.len() == 2 {
+                            break;
+                        }
+                        let x: Vec<Cx> = (0..nt)
+                            .map(|_| c.point(rng.gen_range(0..c.order())))
+                            .collect();
+                        let base = h.mul_vec(&x);
+                        let y_at = |t: f64| -> Vec<Cx> {
+                            base.iter()
+                                .zip(&q0)
+                                .map(|(&b, &q)| b + q.scale(t))
+                                .collect()
+                        };
+                        let pick = |t: f64, descending: bool| {
+                            let ybar = tri.rotate(&y_at(t));
+                            let mut walk = WalkScratch::default();
+                            fc.walk_paths(&ybar, &mut walk);
+                            let syms = walk.syms[0].as_slice();
+                            fc.pick_symbol(row0_effective_point(tri, ybar[0], syms, descending), 1)
+                        };
+                        let (mut lo, mut hi) = (0.0, step);
+                        let below = pick(lo, false);
+                        if pick(hi, false) == below {
+                            continue;
+                        }
+                        loop {
+                            let mid = lo + (hi - lo) / 2.0;
+                            if mid == lo || mid == hi {
+                                break;
+                            }
+                            if pick(mid, false) == below {
+                                lo = mid;
+                            } else {
+                                hi = mid;
+                            }
+                        }
+                        let start = (0..32).fold(lo, |v: f64, _| v.next_down());
+                        let flips = std::iter::successors(Some(start), |v| Some(v.next_up()))
+                            .take(64)
+                            .find(|&t| pick(t, false) != pick(t, true));
+                        if let Some(t) = flips {
+                            found.push(y_at(t));
+                        }
+                    }
+                    if found.is_empty() {
+                        break;
+                    }
+                    sensitive += found.len();
+                    ys.extend((0..2).map(|s| found[s.min(found.len() - 1)].clone()));
+                }
+                if ys.len() < LANES * 2 {
+                    continue;
+                }
+                let fcs: Vec<&FlexCoreDetector> = slots.iter().map(|(fc, _)| fc).collect();
+                let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+                let want = per_vector_rows(&fcs, &refs);
+                let mut got = vec![0u16; want.len()];
+                assert!(lane_group(&fcs, &refs, &mut got), "{what}: declined");
+                assert_eq!(got, want, "{what}");
+                cases += 1;
+            }
+        }
+        assert!(
+            cases >= 4 && sensitive >= 16,
+            "{cases} cases, {sensitive} order-sensitive observations"
+        );
+    }
+
+    #[test]
+    fn a_nan_sample_ends_a_lane_group_as_its_slots_batch_ends() {
+        // A NaN sample in one slot of a group must end the call exactly as
+        // that slot's own batch ends (the block walk's "the SIC path
+        // always completes" panic), whether the slot sits inside the quad
+        // or last, where its lane is also repeated into the spare ones.
+        use flexcore_numeric::rng::CxRng;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let c = Constellation::new(Modulation::Qam16);
+        let mut rng = StdRng::seed_from_u64(0x4e42);
+        let slots = one_path_slots(&c, PathOrdering::TriangleLut, (4, 4), LANES, &mut rng);
+        let fcs: Vec<&FlexCoreDetector> = slots.iter().map(|(fc, _)| fc).collect();
+        let mut ys: Vec<Vec<Cx>> = (0..LANES * 3)
+            .map(|_| (0..4).map(|_| rng.cx_normal(1.0)).collect())
+            .collect();
+        ys[2 * 3 + 1][2].re = f64::NAN;
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        let message = |f: &mut dyn FnMut()| {
+            let err = catch_unwind(AssertUnwindSafe(f)).expect_err("a NaN sample returned bits");
+            match err.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(err) => err
+                    .downcast_ref::<&str>()
+                    .map_or_else(String::new, |m| m.to_string()),
+            }
+        };
+        let own = message(&mut || fcs[2].detect_batch_into(&refs[6..9], &mut [0u16; 12]));
+        assert!(own.contains("the SIC path always completes"), "{own}");
+        for g in [3, LANES] {
+            let mut out = vec![0u16; g * 3 * 4];
+            let group = message(&mut || {
+                FlexCoreDetector::detect_group_into(&fcs[..g], &refs[..g * 3], &mut out)
+            });
+            assert_eq!(group, own, "{g} slots");
+        }
+    }
+
+    /// How many of the scalar chain's effective points over `ys` (the
+    /// slots' batches back to back) the located table has no rank-1
+    /// answer for.
+    fn off_table_picks(slots: &[&FlexCoreDetector], ys: &[&[Cx]]) -> usize {
+        let per = ys.len() / slots.len();
+        let mut none = 0;
+        for (ys, fc) in ys.chunks(per).zip(slots) {
+            let (Some(t), tri) = (fc.fast_lut.as_deref(), fc.triangular()) else {
+                continue;
+            };
+            for y in ys {
+                let ybar = tri.rotate(y);
+                let mut walk = WalkScratch::default();
+                fc.walk_paths(&ybar, &mut walk);
+                for level in 0..tri.nt() {
+                    let eff = tri.effective_point(&ybar, walk.syms[0].as_slice(), level);
+                    let mut base = [NIL; LANES];
+                    t.locate_bases(
+                        &fc.lut,
+                        fc.constellation(),
+                        &[eff.re; LANES],
+                        &[eff.im; LANES],
+                        &mut base,
+                    );
+                    none += usize::from(base[0] == NIL || t.get(base[0] as usize, 1).is_none());
+                }
+            }
+        }
+        none
     }
 
     #[test]

@@ -14,10 +14,10 @@
 
 use crate::detector::FlexCoreDetector;
 use crate::soft::{MaxLogDemap, SoftDecision, SoftDetector};
-use flexcore_detect::common::Detector;
+use flexcore_detect::common::{detect_each_into, Detector};
 use flexcore_detect::{MmseDetector, SicDetector};
 use flexcore_modulation::Constellation;
-use flexcore_numeric::{CMat, Cx, SymVec};
+use flexcore_numeric::{CMat, Cx, SymVec, LANES};
 
 /// A per-user detector choice for a mixed cell — one type, so a
 /// [`FrameEngine`](../flexcore_engine) template (and therefore a
@@ -121,6 +121,32 @@ impl Detector for CellDetector {
             CellDetector::Sic(d) => d.detect_batch_into(ys, out),
             CellDetector::Linear(d) => d.detect_batch_into(ys, out),
         }
+    }
+
+    /// Only two FlexCore users group, as FlexCore decides.
+    fn groups_with(&self, other: &Self) -> bool {
+        match (self, other) {
+            (CellDetector::FlexCore(a), CellDetector::FlexCore(b)) => a.groups_with(b),
+            _ => false,
+        }
+    }
+
+    /// A group of up to [`LANES`] FlexCore users goes to FlexCore's group
+    /// call; any other group, member by member.
+    fn detect_group_into(group: &[&Self], ys: &[&[Cx]], out: &mut [u16]) {
+        // flexcore-lint: hot-path
+        let lead = group.first().and_then(|d| d.core());
+        let Some(lead) = lead.filter(|_| group.len() <= LANES) else {
+            return detect_each_into(group, ys, out);
+        };
+        let mut cores = [lead; LANES];
+        for (core, member) in cores.iter_mut().zip(group) {
+            match member.core() {
+                Some(d) => *core = d,
+                None => return detect_each_into(group, ys, out),
+            }
+        }
+        FlexCoreDetector::detect_group_into(&cores[..group.len()], ys, out);
     }
 
     fn effort(&self) -> usize {

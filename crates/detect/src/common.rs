@@ -73,6 +73,43 @@ pub trait Detector {
             .collect()
     }
 
+    /// Whether one [`Detector::detect_group_into`] call may take this
+    /// detector's batch and `other`'s together: a property of the two
+    /// prepared states alone, never of the vectors. A scheduler groups a
+    /// batch with a lead only when this holds for the pair (FlexCore: both
+    /// selections are the SIC path alone, on the same shape, ordering and
+    /// constellation). `false` unless overridden, so a detector that
+    /// overrides neither method is never grouped.
+    fn groups_with(&self, other: &Self) -> bool
+    where
+        Self: Sized,
+    {
+        let _ = other;
+        false
+    }
+
+    /// Detects one batch per member of `group` in one call: `ys` holds the
+    /// members' batches back to back, `ys.len() / group.len()` vectors
+    /// each, and `out` their decision rows back to back in the same order,
+    /// each member's rows as [`Detector::detect_batch_into`] lays them
+    /// out. Every row must be **bit-identical** to that member's
+    /// `detect_batch_into` (hence to its per-vector `detect`); a panic on
+    /// one member's input must be the one its own batch raises. The caller
+    /// passes only members every one of which the first
+    /// [`Detector::groups_with`]. The default runs `detect_batch_into` per
+    /// member ([`detect_each_into`]); FlexCore overrides it to put four
+    /// one-path subcarriers in the four lanes of one block.
+    ///
+    /// # Panics
+    /// Panics if `ys.len()` is not a multiple of `group.len()`, or if
+    /// `out` is not the members' rows exactly.
+    fn detect_group_into(group: &[&Self], ys: &[&[Cx]], out: &mut [u16])
+    where
+        Self: Sized,
+    {
+        detect_each_into(group, ys, out);
+    }
+
     /// Relative cost of detecting **one vector** under the currently
     /// prepared channel, in detector-specific work units (FlexCore: active
     /// tree paths). `1` for detectors whose per-vector cost is
@@ -117,6 +154,35 @@ pub trait Detector {
 pub fn batch_rows(out: &mut [u16], n: usize, nt: usize) -> std::slice::ChunksExactMut<'_, u16> {
     assert_eq!(out.len(), n * nt, "detect_batch_into: output plane length");
     out.chunks_exact_mut(nt.max(1))
+}
+
+/// [`Detector::detect_group_into`] as one [`Detector::detect_batch_into`]
+/// per member: the trait's default, and what an override falls back to
+/// for a group its kernel does not take.
+///
+/// # Panics
+/// Panics if `ys.len()` is not a multiple of `group.len()`, or if `out` is
+/// not the members' rows exactly.
+pub fn detect_each_into<D: Detector>(group: &[&D], ys: &[&[Cx]], out: &mut [u16]) {
+    let per = group_len(group.len(), ys.len());
+    let mut rest = out;
+    for (member, ys) in group.iter().zip(ys.chunks(per.max(1))) {
+        let (rows, tail) = std::mem::take(&mut rest).split_at_mut(ys.len() * member.n_streams());
+        member.detect_batch_into(ys, rows);
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "detect_group_into: output plane length");
+}
+
+/// Vectors per member of a group of `members` batches holding `vectors`
+/// vectors between them.
+///
+/// # Panics
+/// Panics unless the batches split `vectors` evenly.
+pub fn group_len(members: usize, vectors: usize) -> usize {
+    let per = vectors.checked_div(members).unwrap_or(0);
+    assert_eq!(per * members, vectors, "detect_group_into: uneven batches");
+    per
 }
 
 /// Streaming form of the workspace-wide minimum-metric reduction: `true`

@@ -31,11 +31,22 @@
 //! its price or its place in the run order — the scatter erases both — so
 //! every caller returns cells bit-identical to per-vector
 //! [`Detector::detect`] on any pool.
+//!
+//! **Grouping is placement-only.** The hard run ([`TickPlan::detect_rows`])
+//! hands up to four batches adjacent in run order to one pool task when
+//! their detectors [group](Detector::groups_with) and their symbol counts
+//! match: a-FlexCore's one-path subcarriers, which share one price and so
+//! already sit together in LPT order, go through
+//! [`Detector::detect_group_into`] four to a lane block. The plan, its
+//! prices and its order do not change, the members' vectors and rows are
+//! the adjacent stretches they already were, and the group call owes each
+//! member the bits of its own `detect_batch_into`. The closure form
+//! ([`TickPlan::run`]) never groups.
 
 use crate::engine::FrameEngine;
 use crate::frame::RxFrame;
 use flexcore_detect::common::Detector;
-use flexcore_numeric::Cx;
+use flexcore_numeric::{Cx, LANES};
 use flexcore_parallel::{lpt_order, PePool};
 use std::borrow::Borrow;
 use std::ops::Range;
@@ -55,6 +66,13 @@ pub struct TickOutput<T> {
 
 /// One batch of a plan: `(entry index, subcarrier, symbol range)`.
 type Batch = (usize, usize, usize, usize);
+
+/// One batch of a pool task: `(prepared detector, user id, subcarrier)`.
+type Member<'a, D> = (&'a D, usize, usize);
+
+/// Most batches one pool task takes: the lane width of FlexCore's group
+/// kernel, four one-path subcarriers to a lane block.
+const GROUP: usize = LANES;
 
 /// One served user's frame and the prepared detectors it runs against.
 struct Entry<D, R> {
@@ -197,30 +215,35 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
     }
 
     /// The run core under every output form. One pool run in which each
-    /// batch writes its rows — `width(entry)` elements per vector — into
-    /// its own stretch of `rows`, batch-major in run order: the stretches
-    /// are split off with `split_at_mut`, so the tasks share nothing
-    /// mutable, and one slice table per run lends every batch its received
-    /// vectors (consecutive symbols of one subcarrier, borrowed straight
-    /// from the frame's flat plane). Then `place(entry, cell, row)` gets
-    /// every row at its symbol-major grid position in that entry's frame —
-    /// the ordering-erasing step that makes price and LPT order invisible
-    /// downstream. A plan with no batches (it serves nobody, or only
-    /// empty frames) does not touch the pool.
+    /// task writes the rows of its batches — `width(entry)` elements per
+    /// vector — into its own stretch of `rows`, batch-major in run order:
+    /// the stretches are split off with `split_at_mut`, so the tasks share
+    /// nothing mutable, and one slice table per run lends every batch its
+    /// received vectors (consecutive symbols of one subcarrier, borrowed
+    /// straight from the frame's flat plane). Then `place(entry, cell,
+    /// row)` gets every row at its symbol-major grid position in that
+    /// entry's frame — the ordering-erasing step that makes price and LPT
+    /// order invisible downstream. A plan with no batches (it serves
+    /// nobody, or only empty frames) does not touch the pool.
     ///
-    /// `fill` receives the batch's prepared detector, the user id, the
-    /// subcarrier index, the batch's vectors and its rows.
+    /// A task is one batch, or up to [`GROUP`] batches adjacent in run
+    /// order with one symbol count whose detectors `joins` the first
+    /// batch's: their vectors and rows are adjacent in the table and in
+    /// `rows` already, so grouping moves nothing. `fill` receives the
+    /// task's batches — `(prepared detector, user id, subcarrier)` each —
+    /// with their vectors and rows back to back.
     fn run_core<P, E, F>(
         &self,
         pool: &P,
         rows: &mut [E],
         width: impl Fn(&Entry<D, R>) -> usize,
+        joins: impl Fn(&D, &D) -> bool,
         fill: F,
         mut place: impl FnMut(usize, usize, &mut [E]),
     ) where
         P: PePool,
         E: Send,
-        F: Fn(&D, usize, usize, &[&[Cx]], &mut [E]) + Sync,
+        F: Fn(&[Member<'_, D>], &[&[Cx]], &mut [E]) + Sync,
     {
         if self.batches.is_empty() {
             return;
@@ -232,19 +255,30 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
         }
         let fill = &fill;
         let (mut ys_left, mut rows_left) = (table.as_slice(), &mut *rows);
-        let tasks: Vec<_> = self
-            .batches
-            .iter()
-            .map(|&(e, sc, from, to)| {
-                let entry = &self.entries[e];
-                let (ys, ys_rest) = ys_left.split_at(to - from);
-                let (out, rows_rest) =
-                    std::mem::take(&mut rows_left).split_at_mut((to - from) * width(entry));
-                (ys_left, rows_left) = (ys_rest, rows_rest);
-                let (det, user): (&D, usize) = (&entry.detectors[sc], entry.user);
-                move || fill(det, user, sc, ys, out)
-            })
-            .collect();
+        let member = |(e, sc, from, to): Batch| {
+            let entry = &self.entries[e];
+            let det: &D = &entry.detectors[sc];
+            ((det, entry.user, sc), to - from, width(entry))
+        };
+        let mut tasks = Vec::with_capacity(self.batches.len());
+        let mut next = self.batches.iter().copied().map(member).peekable();
+        while let Some((lead, len, w)) = next.next() {
+            let (mut members, mut n, mut n_rows) = ([lead; GROUP], 1, len * w);
+            while n < GROUP {
+                let Some(&(m, _, w)) = next
+                    .peek()
+                    .filter(|&&(m, l, _)| l == len && joins(lead.0, m.0))
+                else {
+                    break;
+                };
+                next.next();
+                (members[n], n, n_rows) = (m, n + 1, n_rows + len * w);
+            }
+            let (ys, ys_rest) = ys_left.split_at(n * len);
+            let (out, rows_rest) = std::mem::take(&mut rows_left).split_at_mut(n_rows);
+            (ys_left, rows_left) = (ys_rest, rows_rest);
+            tasks.push(move || fill(&members[..n], ys, out));
+        }
         pool.run(tasks);
         // flexcore-lint: hot-path
         let mut left = rows;
@@ -259,11 +293,15 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
         }
     }
 
-    /// Hard-detects the whole plan in one pool run
-    /// ([`Detector::detect_batch_into`] per batch) and hands every vector's
-    /// decision row to `place(entry, cell, row)` by grid position. `rows`
-    /// is the run's batch-major buffer, resized here (a warm one is
-    /// reused). A plan with no batches does not touch the pool.
+    /// Hard-detects the whole plan in one pool run and hands every
+    /// vector's decision row to `place(entry, cell, row)` by grid
+    /// position. A batch runs as [`Detector::detect_batch_into`], or, with
+    /// up to [`GROUP`] adjacent batches its detector
+    /// [`groups with`](Detector::groups_with), as one
+    /// [`Detector::detect_group_into`] (a-FlexCore's one-path subcarriers,
+    /// which share one price and so sit together in LPT order). `rows` is
+    /// the run's batch-major buffer, resized here (a warm one is reused).
+    /// A plan with no batches does not touch the pool.
     pub(crate) fn detect_rows<P: PePool>(
         &self,
         pool: &P,
@@ -275,9 +313,14 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
             .iter()
             .map(|e| e.frame.borrow().n_vectors() * e.nt);
         rows.resize(n_rows.sum(), 0);
-        let detect =
-            |det: &D, _user, _sc, ys: &[&[Cx]], out: &mut [u16]| det.detect_batch_into(ys, out);
-        self.run_core(pool, rows, |e| e.nt, detect, place);
+        let detect = |group: &[Member<'_, D>], ys: &[&[Cx]], out: &mut [u16]| match *group {
+            [(det, _, _)] => det.detect_batch_into(ys, out),
+            _ => {
+                let dets: [&D; GROUP] = std::array::from_fn(|k| group[k.min(group.len() - 1)].0);
+                D::detect_group_into(&dets[..group.len()], ys, out)
+            }
+        };
+        self.run_core(pool, rows, |e| e.nt, D::groups_with, detect, place);
     }
 
     /// [`TickPlan::detect_rows`] into `plane`: every served user's
@@ -323,15 +366,18 @@ impl<D: Detector + Clone + Sync, R: Borrow<RxFrame>> TickPlan<D, R> {
             .iter()
             .map(|e| (0..e.frame.borrow().n_vectors()).map(|_| None).collect())
             .collect();
-        let fill = |det: &D, user, sc, ys: &[&[Cx]], out: &mut [Option<T>]| {
-            let outputs = f(det, user, sc, ys);
-            assert_eq!(outputs.len(), out.len(), "batch output count mismatch");
-            for (slot, value) in out.iter_mut().zip(outputs) {
-                *slot = Some(value);
+        // Nothing joins (`|_, _| false` below): every task is one batch.
+        let fill = |group: &[Member<'_, D>], ys: &[&[Cx]], out: &mut [Option<T>]| {
+            for &(det, user, sc) in group {
+                let outputs = f(det, user, sc, ys);
+                assert_eq!(outputs.len(), out.len(), "batch output count mismatch");
+                for (slot, value) in out.iter_mut().zip(outputs) {
+                    *slot = Some(value);
+                }
             }
         };
         let place = |e: usize, v: usize, row: &mut [Option<T>]| grids[e][v] = row[0].take();
-        self.run_core(pool, &mut rows, |_| 1, fill, place);
+        self.run_core(pool, &mut rows, |_| 1, |_, _| false, fill, place);
         self.entries
             .iter()
             .zip(grids)
@@ -355,7 +401,7 @@ mod tests {
     use crate::multiuser::StreamingCell;
     use crate::pipeline::PipelinedCell;
     use crate::stream::ChannelStream;
-    use flexcore::CellDetector;
+    use flexcore::{CellDetector, FlexCoreDetector};
     use flexcore_channel::ChannelEnsemble;
     use flexcore_modulation::{Constellation, Modulation};
     use flexcore_parallel::{lpt_makespan_weighted, CrossbeamPool, SequentialPool};
@@ -548,6 +594,141 @@ mod tests {
                     "{tag}: pipelined booking, user {u}"
                 );
                 assert_eq!(pipe.cell().frames_behind(u), 0, "{tag}: user {u} undrained");
+            }
+        }
+    }
+
+    /// A pool that counts the tasks of every run it forwards.
+    struct Counting<P> {
+        pool: P,
+        tasks: Mutex<Vec<usize>>,
+    }
+
+    impl<P: PePool> PePool for Counting<P> {
+        fn n_pes(&self) -> usize {
+            self.pool.n_pes()
+        }
+
+        fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
+        where
+            T: Send,
+            F: FnOnce() -> T + Send,
+        {
+            self.tasks.lock().unwrap().push(tasks.len());
+            self.pool.run(tasks)
+        }
+    }
+
+    /// One tick through `run_tick`, then each frame through
+    /// `detect_frame`, on `pool`: every cell must be per-vector `detect`'s
+    /// and the plan's prices the ungrouped `extension_work × symbols` list
+    /// in LPT order. Returns `(batches, tasks)` per pool run and the
+    /// number of one-path subcarriers.
+    fn grouped_runs<P: PePool>(
+        pool: &Counting<P>,
+        users: &[(ChannelStream, RxFrame)],
+        template: &CellDetector,
+    ) -> (Vec<(usize, usize)>, usize) {
+        let mut cell = StreamingCell::new();
+        for (u, (stream, frame)) in users.iter().enumerate() {
+            cell.add_user(stream.clone(), template.clone());
+            cell.submit(u, frame.clone());
+        }
+        let (n_sc, n_sym) = (users[0].1.n_subcarriers(), users[0].1.n_symbols());
+        let slots = || (0..users.len()).flat_map(|u| (0..n_sc).map(move |sc| (u, sc)));
+        let want: Vec<Vec<u16>> = users
+            .iter()
+            .enumerate()
+            .map(|(u, (_, frame))| {
+                let engine = cell.engine(u);
+                (0..n_sym * n_sc)
+                    .flat_map(|v| {
+                        engine
+                            .detector(v % n_sc)
+                            .detect(frame.get(v / n_sc, v % n_sc))
+                    })
+                    .map(|s| s as u16)
+                    .collect()
+            })
+            .collect();
+        let one_path = slots()
+            .filter(|&(u, sc)| {
+                let core = cell.engine(u).detector(sc).core();
+                core.map(FlexCoreDetector::active_paths) == Some(1)
+            })
+            .count();
+        let plan = cell.plan_tick(pool.n_pes());
+        let mut prices: Vec<u64> = slots()
+            .map(|(u, sc)| cell.engine(u).detector(sc).extension_work() as u64 * n_sym as u64)
+            .collect();
+        prices.sort_by(|a, b| b.cmp(a));
+        assert_eq!(plan.costs(), prices, "prices");
+        let mut batches = vec![plan.batches.len()];
+        for (u, cells) in cell.run_tick(plan, pool) {
+            assert_eq!(cells, want[u], "run_tick, user {u}");
+        }
+        for (u, (_, frame)) in users.iter().enumerate() {
+            let engine = cell.engine(u);
+            batches.push(
+                TickPlan::new([(u, frame, engine)], pool.n_pes())
+                    .batches
+                    .len(),
+            );
+            let got: Vec<u16> = engine
+                .detect_frame(frame, pool)
+                .iter()
+                .flatten()
+                .map(|&s| s as u16)
+                .collect();
+            assert_eq!(got, want[u], "detect_frame, user {u}");
+        }
+        let tasks = pool.tasks.lock().unwrap().clone();
+        (batches.into_iter().zip(tasks).collect(), one_path)
+    }
+
+    #[test]
+    fn one_path_batches_group_on_both_pools_without_moving_a_bit() {
+        // An all-a-FlexCore cell at 40 dB, where most subcarriers select
+        // the SIC path alone: `run_tick` and `detect_frame` put up to four
+        // adjacent one-path batches in one pool task. On the sequential
+        // and the work-queue pool every cell must still be per-vector
+        // `detect`'s, the prices must not move, and groups must actually
+        // have formed: every run has fewer tasks than batches.
+        let mut rng = StdRng::seed_from_u64(0x71C4_0054);
+        let c = Constellation::new(Modulation::Qam16);
+        let ens = ChannelEnsemble::iid(NT, NT);
+        let sigma2 = flexcore_channel::sigma2_from_snr_db(40.0);
+        let users: Vec<(ChannelStream, RxFrame)> = (0..4)
+            .map(|_| {
+                let stream = ChannelStream::new(&ens, 12, 0.9, 3, sigma2, &mut rng);
+                let mut noise_rng = StdRng::seed_from_u64(rng.gen());
+                let tx = |_, _| (0..NT).map(|_| c.point(rng.gen_range(0..16))).collect();
+                let frame = stream.transmit_frame(3, tx, &mut noise_rng);
+                (stream, frame)
+            })
+            .collect();
+        let template = CellDetector::adaptive(c.clone(), 16, 0.95);
+        let seq = Counting {
+            pool: SequentialPool::new(2),
+            tasks: Mutex::new(Vec::new()),
+        };
+        let queue = Counting {
+            pool: CrossbeamPool::work_queue(2),
+            tasks: Mutex::new(Vec::new()),
+        };
+        let seq = grouped_runs(&seq, &users, &template);
+        let queue = grouped_runs(&queue, &users, &template);
+        for (pool, (runs, one_path)) in [("sequential", seq), ("work queue", queue)] {
+            assert!(
+                one_path >= 24,
+                "{pool}: only {one_path} one-path subcarriers"
+            );
+            assert_eq!(runs.len(), 5, "{pool}: one tick and four frames");
+            for (run, (batches, tasks)) in runs.into_iter().enumerate() {
+                assert!(
+                    tasks < batches,
+                    "{pool} run {run}: {tasks} tasks for {batches} batches"
+                );
             }
         }
     }

@@ -153,7 +153,7 @@ impl CxLane {
     /// multiply negates the product exactly, so
     /// `a.re·b.re − (−a.im)·b.im ≡ a.re·b.re + a.im·b.im`.
     #[inline]
-    pub(crate) fn add_conj_mul(&mut self, a: CxLane, b: CxLane) {
+    pub fn add_conj_mul(&mut self, a: CxLane, b: CxLane) {
         for l in 0..LANES {
             let t_re = a.re[l] * b.re[l] + a.im[l] * b.im[l];
             let t_im = a.re[l] * b.im[l] - a.im[l] * b.re[l];

@@ -241,6 +241,40 @@ fn hot_path_allocation_budget() {
         }
     }
 
+    // Four one-path subcarriers to a lane block: a group call copies its
+    // slots' factors into stack lane planes and allocates nothing, at
+    // both plane sizes (4 and 8 rows), for two to four slots, directly
+    // and through `CellDetector`.
+    for nt in [4usize, 8] {
+        let c16 = Constellation::new(Modulation::Qam16);
+        let mut rng = StdRng::seed_from_u64(320 + nt as u64);
+        let (_, ys, sigma2) = workload(nt, Modulation::Qam16, 320 + nt as u64);
+        let slots: Vec<CellDetector> = (0..4)
+            .map(|_| {
+                let mut det = CellDetector::fixed(c16.clone(), 1);
+                det.prepare(&ChannelEnsemble::iid(nt, nt).draw(&mut rng), sigma2);
+                det
+            })
+            .collect();
+        let cell: Vec<&CellDetector> = slots.iter().collect();
+        let cores: Vec<&FlexCoreDetector> = slots.iter().filter_map(CellDetector::core).collect();
+        assert!(cell.iter().all(|d| cell[0].groups_with(d)));
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        let mut plane = vec![0u16; refs.len() * nt];
+        for g in 2..=4 {
+            let ys = &refs[..g * 2];
+            let rows = &mut plane[..g * 2 * nt];
+            FlexCoreDetector::detect_group_into(&cores[..g], ys, rows);
+            let direct = allocs_in(|| FlexCoreDetector::detect_group_into(&cores[..g], ys, rows));
+            let wrapped = allocs_in(|| CellDetector::detect_group_into(&cell[..g], ys, rows));
+            assert_eq!(
+                (direct, wrapped),
+                (0, 0),
+                "warm group call of {g} slots allocated at nt={nt}"
+            );
+        }
+    }
+
     // --- The frame engine and the serving cell: per call, not per vector --
     // A warm detect_frame / detect_tick plans and runs into planes, so what
     // it allocates (the plan, one slice table and task list per run, the

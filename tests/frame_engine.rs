@@ -133,6 +133,66 @@ impl PePool for TimedPool {
     }
 }
 
+thread_local! {
+    /// Batches per detection call on this thread, in call order: what
+    /// [`Logged`] saw while a [`TimedPool`] ran a plan's tasks.
+    static BATCHES_PER_CALL: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
+/// FlexCore that logs how many batches each detection call took: one, or
+/// a group's members when the tick put several one-path batches in one
+/// task. The audit prices each timed task at the sum of its batches.
+#[derive(Clone, Debug)]
+struct Logged(FlexCoreDetector);
+
+impl Detector for Logged {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn prepare(&mut self, h: &flexcore_numeric::CMat, sigma2: f64) {
+        self.0.prepare(h, sigma2)
+    }
+    fn detect(&self, y: &[Cx]) -> Vec<usize> {
+        self.0.detect(y)
+    }
+    fn n_streams(&self) -> usize {
+        self.0.n_streams()
+    }
+    fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
+        BATCHES_PER_CALL.with_borrow_mut(|calls| calls.push(1));
+        self.0.detect_batch_into(ys, out)
+    }
+    fn groups_with(&self, other: &Self) -> bool {
+        self.0.groups_with(&other.0)
+    }
+    fn detect_group_into(group: &[&Self], ys: &[&[Cx]], out: &mut [u16]) {
+        BATCHES_PER_CALL.with_borrow_mut(|calls| calls.push(group.len()));
+        let inner: Vec<&FlexCoreDetector> = group.iter().map(|d| &d.0).collect();
+        FlexCoreDetector::detect_group_into(&inner, ys, out)
+    }
+    fn effort(&self) -> usize {
+        self.0.effort()
+    }
+    fn extension_work(&self) -> usize {
+        self.0.extension_work()
+    }
+}
+
+/// The plan's batch prices (run order) summed per task of the run
+/// [`BATCHES_PER_CALL`] logged: one detection call per task.
+fn task_costs(costs: &[u64]) -> Vec<u64> {
+    let calls = BATCHES_PER_CALL.take();
+    let mut left = costs;
+    let tasks = calls.iter().map(|&n| {
+        let (task, rest) = left.split_at(n);
+        left = rest;
+        task.iter().sum()
+    });
+    let tasks = tasks.collect();
+    assert!(left.is_empty(), "batches no call took");
+    tasks
+}
+
 /// `|predicted − measured| / measured` makespan of one priced run on a
 /// fabric of `speeds`. `costs` and `task_seconds` are in run order, which
 /// is the plan's LPT order, so visiting them in order books each task
@@ -325,8 +385,8 @@ fn fabric_makespan_prediction_tracks_real_detection_cost() {
             .map(|i| random_frame(stream.estimate(), 8, 700 + 10 * nt as u64 + i))
             .collect();
         for template in [
-            FlexCoreDetector::with_pes(c.clone(), 16),
-            FlexCoreDetector::adaptive(c.clone(), 16, 0.95),
+            Logged(FlexCoreDetector::with_pes(c.clone(), 16)),
+            Logged(FlexCoreDetector::adaptive(c.clone(), 16, 0.95)),
         ] {
             let name = template.name();
             let mut cell = StreamingCell::new();
@@ -338,6 +398,7 @@ fn fabric_makespan_prediction_tracks_real_detection_cost() {
                 let plan = cell.plan_tick(pool.n_pes());
                 let costs = plan.costs().to_vec();
                 let _ = cell.run_tick(plan, &pool);
+                let costs = task_costs(&costs);
                 makespan_error(&costs, &speeds, &pool.task_seconds.borrow())
             };
             // One warm-up frame, then the *minimum* error over 9 timed
