@@ -26,7 +26,6 @@ use flexcore_detect::common::{
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
-use flexcore_numeric::symvec::INLINE_STREAMS;
 use flexcore_numeric::{CMat, Cx, CxLane, SymVec, LANES};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -380,9 +379,18 @@ struct State {
     /// Per row `(Triangular::pivot_inv, |R(row,row)|²)`, exactly as the
     /// scalar walk forms them per chain.
     diag: Vec<(Cx, f64)>,
-    /// [`State::walks_one_chain`], decided by `prepare` once the rest is
-    /// in place: a group's members are checked several times per batch.
-    one_chain: bool,
+    /// Whether this state's batches may take a lane of
+    /// [`FlexCoreDetector::walk_lane_group`], decided by `prepare` once the
+    /// rest is in place: the selection is the SIC path alone (a-FlexCore
+    /// on a well-conditioned channel, §5.1; rank 1 on every row, which the
+    /// search's root path always is), there is a stream at all and `Q` (so
+    /// `R` too, as QR needs rows ≥ streams) fits the kernel's
+    /// [`GROUP_ROWS`]-row stack planes, and every row's `|R(row,row)|²` and
+    /// reciprocal are finite. The last keeps each Eq. 1 increment off `NaN`
+    /// for any effective point that is not itself `NaN` (a dead row has
+    /// both zero), so the one path the general walk would complete on a
+    /// lane is the one the kernel returns.
+    groups: bool,
 }
 
 impl State {
@@ -394,42 +402,8 @@ impl State {
             selection: PreprocessOutput::default(),
             trie: PathTrie::default(),
             diag: Vec::new(),
-            one_chain: false,
+            groups: false,
         }
-    }
-
-    /// Whether [`Detector::detect_batch_into`] may send its blocks to
-    /// [`FlexCoreDetector::walk_chain_block`]: the selection is the SIC
-    /// path alone (a-FlexCore on a well-conditioned channel, §5.1; rank 1
-    /// on every row, which the search's root path always is), it fits
-    /// the kernel's stack planes, and every row's `|R(row,row)|²` and
-    /// reciprocal are finite. The last condition keeps each Eq. 1 increment
-    /// off `NaN` for any effective point that is not itself `NaN` (a dead
-    /// row has both zero), so the one path the general walk would complete
-    /// on a lane is the one the kernel returns.
-    fn walks_one_chain(&self) -> bool {
-        self.one_chain
-    }
-
-    /// What [`State::walks_one_chain`] reads, from the selection and
-    /// `diag` as `prepare` leaves them.
-    fn decide_one_chain(&self) -> bool {
-        let finite = |z: Cx| z.re.is_finite() && z.im.is_finite();
-        let rank_one = |&node: &u32| self.trie.nodes[node as usize].rank == 1;
-        self.selection.paths.len() == 1
-            && self.trie.lineage.iter().all(rank_one)
-            && (1..=INLINE_STREAMS).contains(&self.tri.nt())
-            && self
-                .diag
-                .iter()
-                .all(|&(inv, rdiag)| finite(inv) && rdiag.is_finite())
-    }
-
-    /// Whether this state's batches may take a lane of
-    /// [`FlexCoreDetector::walk_lane_group`]: it walks one chain, and `Q`
-    /// (so `R` too) fits the kernel's [`GROUP_ROWS`]-row stack planes.
-    fn groups(&self) -> bool {
-        self.tri.qr.q.rows() <= GROUP_ROWS && self.walks_one_chain()
     }
 
     /// `(Q rows, transmit streams)`: what the lane-group kernel's members
@@ -784,12 +758,12 @@ impl FlexCoreDetector {
     /// FlexCore-16, four observations per channel) whole chains skipped
     /// 47 % of the nodes at 8×8, 45 % at 64×64 and 48 % at fixed 4×4, but
     /// 7 % of the ≈ 1.5-path tries adaptive 4×4 keeps. That last figure
-    /// counts one-path tries, which no longer come here: at `cell_coded`'s
+    /// counts one-path tries, which seldom come here: at `cell_coded`'s
     /// operating point 72 % of the batches are one-path (539 884 of the
     /// first 750 000, seed 1), and the tick hands them to
     /// [`FlexCoreDetector::walk_lane_group`] four subcarriers to a block
-    /// (69 quads of a tick's 384 batches); a one-path batch that runs
-    /// alone goes to [`FlexCoreDetector::walk_chain_block`].
+    /// (69 quads of a tick's 384 batches); only a one-path batch that runs
+    /// alone walks here.
     ///
     /// `active` is the partial-tail mask: a batch whose length is not a
     /// multiple of [`LANES`] pads its last block by repeating the final
@@ -933,118 +907,16 @@ impl FlexCoreDetector {
         }
     }
 
-    /// The one-path batch: each block rotated into a stack plane of `N ≥ nt`
-    /// rows per observation and walked by
-    /// [`FlexCoreDetector::walk_chain_block`], or by the general walk when
-    /// the kernel declines it. `N` is the smallest of 4, 8 and
-    /// [`INLINE_STREAMS`] that holds `nt`, so a 4×4 block zeroes 256-byte
-    /// planes, not 1 KiB ones.
-    fn detect_chains<const N: usize>(
-        &self,
-        ys: &[&[Cx]],
-        rows: &mut std::slice::ChunksExactMut<'_, u16>,
-    ) {
-        // flexcore-lint: hot-path
-        let state = self.prepared();
-        let nt = state.tri.nt();
-        let mut plane = [[Cx::ZERO; N]; LANES];
-        let ybars = &mut plane.as_flattened_mut()[..LANES * nt];
-        for chunk in ys.chunks(LANES) {
-            state.tri.qr.rotate_batch_into(&padded(chunk), ybars);
-            if !self.walk_chain_block::<N>(ybars, rows, chunk.len()) {
-                let mut scratch = BATCH_SCRATCH.take();
-                self.detect_block(ybars, chunk.len(), &mut scratch.block, rows);
-                BATCH_SCRATCH.set(scratch);
-            }
-        }
-    }
-
-    /// [`FlexCoreDetector::walk_paths_block`] for a one-path selection,
-    /// which writes the block's first `n` rows straight into `rows`
-    /// (unpermuted) and returns `true`. With one path the winner is path 0
-    /// on every lane by construction, so the kernel walks the SIC chain
-    /// top row first and keeps only what the next row reads: the four
-    /// decided points per row, in a stack array of `N ≥ nt` rows. It
-    /// computes no metric, no bound and no winner, gathers no lineage, and
-    /// takes nothing from the thread's batch scratch.
-    ///
-    /// Per row and lane, the effective point (`ȳ` minus the ancestors'
-    /// points in ascending row order, times `diag[row].0`) and the pick
-    /// (the located table's `get`, or the same `pick_off_table` fallback)
-    /// are the block walk's, so the symbols are the scalar walk's bits.
-    /// At rank 1 the fallback always answers, so the path never
-    /// deactivates. A `NaN` effective point (a non-finite observation, or
-    /// one huge enough to overflow the cancellation) or a pick with no
-    /// answer returns `false` before any row is written: the caller runs
-    /// the general walk on the block, which ends as it always has.
-    ///
-    /// Out of line like the block walk, so CI can disassemble it.
-    #[inline(never)]
-    fn walk_chain_block<const N: usize>(
-        &self,
-        ybars: &[Cx],
-        rows: &mut std::slice::ChunksExactMut<'_, u16>,
-        n: usize,
-    ) -> bool {
-        // flexcore-lint: scalar-twin = walk_paths
-        // flexcore-lint: hot-path
-        // flexcore-lint: bit-identity
-        let state = self.prepared();
-        let (trie, r) = (&state.trie, &state.tri.qr.r);
-        let nt = state.tri.nt();
-        assert!(nt <= N, "walk_chain_block: {nt} rows");
-        assert_eq!(ybars.len(), LANES * nt, "walk_chain_block: plane length");
-        let fast = self.fast_lut.as_deref();
-        let cpoints = self.constellation.points();
-        let mut points = [CxLane::zero(); N];
-        let mut syms = [[0u16; LANES]; N];
-        for row in (0..nt).rev() {
-            let mut acc = CxLane::from_fn(|l| ybars[l * nt + row]);
-            for (&coef, &point) in r.row(row)[row + 1..].iter().zip(&points[row + 1..nt]) {
-                acc.sub_mul(CxLane::splat(coef), point);
-            }
-            let eff = acc * CxLane::splat(state.diag[row].0);
-            let nan = (0..LANES).fold(false, |nan, l| {
-                nan | eff.re[l].is_nan() | eff.im[l].is_nan()
-            });
-            if nan {
-                return false;
-            }
-            let mut bases = [NIL; LANES];
-            if let Some(t) = fast {
-                t.locate_bases(&self.lut, &self.constellation, &eff.re, &eff.im, &mut bases);
-            }
-            let k = trie.nodes[trie.lineage[row] as usize].rank as usize;
-            for l in 0..LANES {
-                let on_table = fast.filter(|_| bases[l] != NIL);
-                let picked = match on_table.and_then(|t| t.get(bases[l] as usize, k)) {
-                    None => self.pick_off_table(eff.get(l), k, on_table.is_none()),
-                    s => s,
-                };
-                let Some(s) = picked else {
-                    return false;
-                };
-                syms[row][l] = s as u16;
-                points[row].re[l] = cpoints[s].re;
-                points[row].im[l] = cpoints[s].im;
-            }
-        }
-        let perm = &state.tri.qr.perm;
-        for (l, out) in rows.take(n).enumerate() {
-            for (&p, syms) in perm.iter().zip(&syms) {
-                out[p] = syms[l];
-            }
-        }
-        true
-    }
-
-    /// [`FlexCoreDetector::walk_chain_block`] across subcarriers: one to
-    /// four groupable detectors (`quad`, [`State::groups`], one shape and
-    /// one located table) in the four lanes of each block, one lane per
-    /// slot, and one block per symbol. `ys` holds the members' batches back
-    /// to back (`ys.len() / quad.len()` vectors each) and `out` their rows.
-    /// A quad of fewer than four repeats its last member in the spare
-    /// lanes, which nothing reads back.
+    /// [`FlexCoreDetector::walk_paths_block`] for one-path selections
+    /// across subcarriers: one to four groupable detectors (`quad`,
+    /// [`State::groups`], one shape and one located table) in the four
+    /// lanes of each block, one lane per slot, and one block per symbol.
+    /// With one path the winner is path 0 on every lane by construction,
+    /// so the kernel walks the SIC chains top row first and keeps only
+    /// what the next row reads: no metric, no bound, no winner. `ys` holds
+    /// the members' batches back to back (`ys.len() / quad.len()` vectors
+    /// each) and `out` their rows. A quad of fewer than four repeats its
+    /// last member in the spare lanes, which nothing reads back.
     ///
     /// Each member's `Q`, the upper triangle of its `R` and its
     /// reciprocals go into stack lane planes once per call. Then, per
@@ -1056,13 +928,15 @@ impl FlexCoreDetector {
     /// up to four independent ones hide each other's. Per row and lane the
     /// effective point (`ȳ` minus the ancestors' points in ascending row
     /// order, times the lane's `diag[row].0`) and the rank-1 pick (the
-    /// located table's `get`, or the lane's own `pick_off_table`) are
-    /// `walk_chain_block`'s, so each lane's symbols are its slot's scalar
-    /// walk's bits; each lane is unpermuted through its own slot's `perm`.
+    /// located table's `get`, or the lane's own `pick_off_table`) are the
+    /// block walk's, so each lane's symbols are its slot's scalar walk's
+    /// bits; each lane is unpermuted through its own slot's `perm`.
     ///
-    /// Like `walk_chain_block`, it returns `false` on a `NaN` effective
-    /// point or a pick with no answer, and the caller detects the quad
-    /// member by member, which ends as each member's own batch ends.
+    /// At rank 1 the fallback always answers, so no chain deactivates. A
+    /// `NaN` effective point (a non-finite observation, or one huge enough
+    /// to overflow the cancellation) or a pick with no answer returns
+    /// `false`, and the caller detects the quad member by member, which
+    /// ends as each member's own batch ends.
     ///
     /// Out of line so CI can disassemble it.
     #[inline(never)]
@@ -1178,27 +1052,8 @@ impl FlexCoreDetector {
     /// ([`State::groups`]; `Exact` ordering has no table and never
     /// groups).
     fn lane_state(&self) -> Option<(&State, &Arc<LocatedOrderingTable>)> {
-        let state = self.state.as_ref().filter(|s| s.groups())?;
+        let state = self.state.as_ref().filter(|s| s.groups)?;
         Some((state, self.fast_lut.as_ref()?))
-    }
-
-    /// One block through the general walk: [`FlexCoreDetector::walk_paths_block`]
-    /// with the first `n` lanes active, then each of those lanes' winner
-    /// unpermuted into the next row of `rows`.
-    fn detect_block(
-        &self,
-        ybars: &[Cx],
-        n: usize,
-        block: &mut WalkBlockScratch,
-        rows: &mut std::slice::ChunksExactMut<'_, u16>,
-    ) {
-        // flexcore-lint: scalar-twin = detect_prepared
-        let tri = &self.prepared().tri;
-        self.walk_paths_block(ybars, std::array::from_fn(|l| l < n), block);
-        for (l, row) in rows.take(n).enumerate() {
-            self.block_winner(l, block);
-            tri.unpermute_into(&block.winner, row);
-        }
     }
 
     /// Materialises lane `lane`'s winning path of the last
@@ -1209,8 +1064,10 @@ impl FlexCoreDetector {
         // flexcore-lint: hot-path
         let state = self.prepared();
         let nt = state.tri.nt();
-        // The rank-1 slicing fallback completes the SIC path on every
-        // active lane, with a finite metric even past a zero pivot.
+        // On finite observations the rank-1 slicing fallback completes the
+        // SIC path on every active lane, with a finite metric even past a
+        // zero pivot. A `NaN` sample completes none and panics here
+        // (`a_nan_sample_ends_a_lane_group_as_its_slots_batch_ends`).
         assert!(out.best_path[lane] != NIL, "the SIC path always completes");
         let lineage = &state.trie.lineage[out.best_path[lane] as usize * nt..][..nt];
         out.winner.clear();
@@ -1226,17 +1083,10 @@ impl FlexCoreDetector {
         let state = self.prepared();
         self.walk_paths(ybar, walk);
         let (i, _) =
-            // flexcore-lint: allow(FL004, reason = "rank-1 slicing fallback completes the SIC path and pivot_inv keeps a zero pivot's effective point finite, so the walk always yields a finite metric")
+            // flexcore-lint: allow(FL004, reason = "on finite observations the rank-1 slicing fallback completes the SIC path and pivot_inv keeps a zero pivot's effective point finite, so the walk yields a finite metric; a NaN sample panics here as the batch path does, pinned by a_nan_sample_ends_a_lane_group_as_its_slots_batch_ends")
             first_min_metric(walk.metrics.iter().copied()).expect("the SIC path always completes");
         state.tri.unpermute_into(walk.syms[i].as_slice(), row);
     }
-}
-
-/// One block of a batch, padded to [`LANES`] observations by repeating
-/// its last one: valid data, so every lane kernel sees finite inputs. The
-/// walk keeps only the real lanes active and extracts those only.
-fn padded<'y>(chunk: &[&'y [Cx]]) -> [&'y [Cx]; LANES] {
-    std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)])
 }
 
 impl Detector for FlexCoreDetector {
@@ -1287,7 +1137,16 @@ impl Detector for FlexCoreDetector {
         state
             .diag
             .extend((0..tri.nt()).map(|row| (tri.pivot_inv(row), tri.qr.r[(row, row)].norm_sqr())));
-        state.one_chain = state.decide_one_chain();
+        let finite = |z: Cx| z.re.is_finite() && z.im.is_finite();
+        let rank_one = |&node: &u32| state.trie.nodes[node as usize].rank == 1;
+        state.groups = state.selection.paths.len() == 1
+            && state.trie.lineage.iter().all(rank_one)
+            && tri.nt() > 0
+            && tri.qr.q.rows() <= GROUP_ROWS
+            && state
+                .diag
+                .iter()
+                .all(|&(inv, rdiag)| finite(inv) && rdiag.is_finite());
     }
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
@@ -1309,30 +1168,32 @@ impl Detector for FlexCoreDetector {
     /// its last observation and walked as a masked partial block, so no
     /// observation ever falls back to the scalar per-vector loop. Every
     /// plane of the walk lives in this thread's `BatchScratch`, so once
-    /// the thread has seen the shape a batch touches no heap. A one-path
-    /// selection (most of a-FlexCore's at `cell_coded`'s operating point)
-    /// rotates each block into a stack plane and walks it as a SIC chain
-    /// instead (`walk_chain_block`), with no scratch at all. Results stay
-    /// bit-identical to per-vector [`Detector::detect`], the scalar walk.
+    /// the thread has seen the shape a batch touches no heap. One-path
+    /// selections (most of a-FlexCore's at `cell_coded`'s operating point)
+    /// detect four subcarriers to a block through
+    /// [`Detector::detect_group_into`]; one that runs alone walks here like
+    /// any other. Results stay bit-identical to per-vector
+    /// [`Detector::detect`], the scalar walk.
     fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
         // flexcore-lint: hot-path
         let state = self.prepared();
         let nt = state.tri.nt();
         let mut rows = batch_rows(out, ys.len(), nt);
-        if state.walks_one_chain() {
-            match nt {
-                0..=4 => self.detect_chains::<4>(ys, &mut rows),
-                5..=8 => self.detect_chains::<8>(ys, &mut rows),
-                _ => self.detect_chains::<INLINE_STREAMS>(ys, &mut rows),
-            }
-            return;
-        }
         let mut scratch = BATCH_SCRATCH.take();
         let BatchScratch { ybars, block } = &mut scratch;
         ybars.resize(LANES * nt, Cx::ZERO);
         for chunk in ys.chunks(LANES) {
-            state.tri.qr.rotate_batch_into(&padded(chunk), ybars);
-            self.detect_block(ybars, chunk.len(), block, &mut rows);
+            // Masked partial tail: pad to a full block by repeating the
+            // last real observation (valid data, so every lane kernel
+            // sees finite inputs), walk with only the real lanes active,
+            // and extract those lanes only.
+            let padded: [&[Cx]; LANES] = std::array::from_fn(|l| chunk[l.min(chunk.len() - 1)]);
+            state.tri.qr.rotate_batch_into(&padded, ybars);
+            self.walk_paths_block(ybars, std::array::from_fn(|l| l < chunk.len()), block);
+            for (l, row) in (0..chunk.len()).zip(&mut rows) {
+                self.block_winner(l, block);
+                state.tri.unpermute_into(&block.winner, row);
+            }
         }
         BATCH_SCRATCH.set(scratch);
     }
@@ -1352,7 +1213,7 @@ impl Detector for FlexCoreDetector {
     /// (`walk_lane_group`), one slot per lane, so four SIC chains share
     /// each block; a quad of one, a group with a member that does not
     /// group with the first, and a quad the kernel declines go member by
-    /// member ([`detect_each_into`]).
+    /// member ([`detect_each_into`]), each through the general block walk.
     fn detect_group_into(group: &[&Self], ys: &[&[Cx]], out: &mut [u16]) {
         // flexcore-lint: hot-path
         let per = group_len(group.len(), ys.len());
@@ -1958,18 +1819,17 @@ mod tests {
     }
 
     #[test]
-    fn one_path_chain_matches_the_block_walk_and_per_vector_detect() {
+    fn one_path_batches_walk_the_general_walk_bit_identically() {
         // One-path selections — FlexCore-1, and a-FlexCore-16 channels
-        // whose search stops at the root — at nt 1, 4, 8 and 16 (all three
-        // stack-plane sizes) and 17 (past the inline width, so the general
-        // walk), BPSK to 256-QAM under every ordering, on observations near
-        // the constellation and on far outliers whose effective points get
-        // no table answer, each with and without a zero pivot. The chain
-        // kernel's rows must be the general block walk's winners under all
-        // 16 lane masks, and batches of 1 to 7 vectors must return
-        // per-vector `detect`'s rows.
+        // whose search stops at the root — at nt 1, 4, 8 (both lane-group
+        // plane sizes), 16 and 17 (too tall to group, and past the inline
+        // width), BPSK to 256-QAM under every ordering, on observations
+        // near the constellation and on far outliers whose effective points
+        // get no table answer, each with and without a zero pivot. Only a
+        // `Q` of at most `GROUP_ROWS` rows groups, and a batch of 1 to 7
+        // vectors that runs alone must return per-vector `detect`'s rows.
         use flexcore_numeric::rng::CxRng;
-        let (mut kernels, mut stopped_at_root, mut off_table) = (0, 0, 0);
+        let (mut stopped_at_root, mut off_table) = (0, 0);
         for nt in [1usize, 4, 8, 16, 17] {
             for m in [
                 Modulation::Bpsk,
@@ -1999,6 +1859,7 @@ mod tests {
                             continue;
                         }
                         stopped_at_root += usize::from(adaptive);
+                        assert_eq!(fc.prepared().groups, nt <= GROUP_ROWS, "{what}");
                         let ch = MimoChannel::new(h.clone(), 10.0);
                         for (zero_pivot, far) in [(false, false), (false, true), (true, false)] {
                             let what = format!("{what} zero_pivot={zero_pivot} far={far}");
@@ -2037,66 +1898,7 @@ mod tests {
                                     "{what}: batch of {n}"
                                 );
                             }
-                            let state = fc.prepared();
-                            let tri = &state.tri;
-                            assert_eq!(state.walks_one_chain(), nt <= INLINE_STREAMS, "{what}");
-                            if nt > INLINE_STREAMS {
-                                continue;
-                            }
-                            // Where the scalar chain's effective points fall.
-                            if let Some(t) = fc.fast_lut.as_deref() {
-                                for (y, row) in ys.iter().zip(&per_vector) {
-                                    let ybar = tri.rotate(y);
-                                    let syms: Vec<u16> =
-                                        tri.qr.perm.iter().map(|&p| row[p] as u16).collect();
-                                    for level in 0..nt {
-                                        let eff = tri.effective_point(&ybar, &syms, level);
-                                        let mut base = [NIL; LANES];
-                                        t.locate_bases(
-                                            &fc.lut,
-                                            &c,
-                                            &[eff.re; LANES],
-                                            &[eff.im; LANES],
-                                            &mut base,
-                                        );
-                                        let none =
-                                            base[0] == NIL || t.get(base[0] as usize, 1).is_none();
-                                        off_table += usize::from(none);
-                                    }
-                                }
-                            }
-                            let mut ybars = vec![Cx::ZERO; LANES * nt];
-                            for (y, ybar) in ys.iter().zip(ybars.chunks_exact_mut(nt)) {
-                                tri.qr.q.mul_vec_hermitian_into_scalar(y, ybar);
-                            }
-                            let mut chain = vec![0u16; LANES * nt];
-                            let done = fc.walk_chain_block::<INLINE_STREAMS>(
-                                &ybars,
-                                &mut chain.chunks_exact_mut(nt),
-                                LANES,
-                            );
-                            assert!(done, "{what}: the kernel declined finite observations");
-                            kernels += 1;
-                            let mut block = WalkBlockScratch::default();
-                            let mut row = vec![0u16; nt];
-                            for mask in 0..1u32 << LANES {
-                                let active: [bool; LANES] =
-                                    std::array::from_fn(|l| mask >> l & 1 == 1);
-                                fc.walk_paths_block(&ybars, active, &mut block);
-                                for l in 0..LANES {
-                                    if !active[l] {
-                                        assert_eq!(
-                                            block.best_path[l], NIL,
-                                            "{what}: masked lane won"
-                                        );
-                                        continue;
-                                    }
-                                    fc.block_winner(l, &mut block);
-                                    tri.unpermute_into(&block.winner, &mut row);
-                                    let at = format!("{what} mask {mask:04b} lane {l}");
-                                    assert_eq!(row, chain[l * nt..(l + 1) * nt], "{at}");
-                                }
-                            }
+                            off_table += off_table_picks(&[&fc], &refs);
                         }
                     }
                 }
@@ -2107,7 +1909,6 @@ mod tests {
             "no a-FlexCore search stopped at the root"
         );
         assert!(off_table > 0, "no effective point went off the table");
-        assert!(kernels > 0);
     }
 
     /// Row 0's effective point with its ancestors (`syms` above row 0)
@@ -2123,141 +1924,6 @@ mod tests {
             (1..syms.len()).for_each(&mut cancel);
         }
         acc * tri.pivot_inv(0)
-    }
-
-    #[test]
-    fn one_path_chain_cancels_in_the_scalar_walks_order() {
-        // The chain kernel computes no metric, so only its picks can show
-        // a cancellation sum taken in another order, and only where the
-        // sum's last ulps decide the pick. Per stack-plane size (nt 4, 8,
-        // 16) and modulation: rotated observations `ȳ = R·x` whose row-0
-        // sample is bisected onto the boundary between two picks, then
-        // stepped ulp by ulp to where cancelling the ancestors in
-        // descending order picks another symbol than the scalar walk's
-        // ascending order. On those the kernel's rows must equal the
-        // scalar walk's.
-        let mut sensitive = 0;
-        for nt in [4usize, 8, 16] {
-            for m in [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64] {
-                let c = Constellation::new(m);
-                let mut rng = StdRng::seed_from_u64(0xB0DE + nt as u64 * 256 + m.order() as u64);
-                let mut fc = FlexCoreDetector::with_pes(c.clone(), 1);
-                let h = ChannelEnsemble::iid(nt, nt).draw(&mut rng);
-                fc.prepare(&h, sigma2_from_snr_db(10.0));
-                let tri = &fc.prepared().tri;
-                let r = &tri.qr.r;
-                let step = 2.0 * unit_level(&c) * r[(0, 0)].abs();
-                let mut lanes: Vec<Vec<Cx>> = Vec::new();
-                for _ in 0..400 {
-                    if lanes.len() == LANES {
-                        break;
-                    }
-                    let syms: Vec<u16> = (0..nt)
-                        .map(|_| rng.gen_range(0..c.order()) as u16)
-                        .collect();
-                    let x = |p: usize| c.point(usize::from(syms[p]));
-                    let mut ybar: Vec<Cx> = (0..nt)
-                        .map(|row| (row..nt).fold(Cx::ZERO, |acc, p| acc + r[(row, p)] * x(p)))
-                        .collect();
-                    let pick = |re: f64, descending: bool| {
-                        let ybar0 = Cx::new(re, ybar[0].im);
-                        let eff = row0_effective_point(tri, ybar0, &syms, descending);
-                        fc.pick_symbol(eff, 1)
-                    };
-                    let (mut lo, mut hi) = (ybar[0].re, ybar[0].re + step);
-                    let below = pick(lo, false);
-                    if pick(hi, false) == below {
-                        continue;
-                    }
-                    loop {
-                        let mid = lo + (hi - lo) / 2.0;
-                        if mid == lo || mid == hi {
-                            break;
-                        }
-                        if pick(mid, false) == below {
-                            lo = mid;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    let start = (0..32).fold(lo, |v, _| v.next_down());
-                    let flips = std::iter::successors(Some(start), |v| Some(v.next_up()))
-                        .take(64)
-                        .find(|&v| pick(v, false) != pick(v, true));
-                    if let Some(re) = flips {
-                        ybar[0].re = re;
-                        lanes.push(ybar);
-                    }
-                }
-                if lanes.is_empty() {
-                    continue;
-                }
-                sensitive += lanes.len();
-                let plane: Vec<Cx> = (0..LANES)
-                    .flat_map(|l| lanes[l.min(lanes.len() - 1)].clone())
-                    .collect();
-                let mut chain = vec![0u16; LANES * nt];
-                let rows = &mut chain.chunks_exact_mut(nt);
-                let done = match nt {
-                    4 => fc.walk_chain_block::<4>(&plane, rows, LANES),
-                    8 => fc.walk_chain_block::<8>(&plane, rows, LANES),
-                    _ => fc.walk_chain_block::<INLINE_STREAMS>(&plane, rows, LANES),
-                };
-                assert!(
-                    done,
-                    "nt={nt} {m:?}: the kernel declined finite observations"
-                );
-                let mut walk = WalkScratch::default();
-                let mut want = vec![0u16; nt];
-                for (l, ybar) in plane.chunks_exact(nt).enumerate() {
-                    fc.walk_paths(ybar, &mut walk);
-                    tri.unpermute_into(walk.syms[0].as_slice(), &mut want);
-                    assert_eq!(chain[l * nt..(l + 1) * nt], want, "nt={nt} {m:?} lane {l}");
-                }
-            }
-        }
-        assert!(
-            sensitive >= 16,
-            "only {sensitive} order-sensitive observations found"
-        );
-    }
-
-    #[test]
-    fn a_nan_sample_ends_a_one_path_batch_as_the_general_walk_ends() {
-        // Until non-finite input gets a typed outcome, a NaN sample must
-        // end a one-path batch exactly as it ends a batch the general walk
-        // runs: in the block walk's "the SIC path always completes" panic,
-        // never in returned bits.
-        use flexcore_numeric::rng::CxRng;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let c = Constellation::new(Modulation::Qam16);
-        let mut rng = StdRng::seed_from_u64(0x4e41);
-        let h = ChannelEnsemble::iid(4, 4).draw(&mut rng);
-        let mut ys: Vec<Vec<Cx>> = (0..3)
-            .map(|_| (0..4).map(|_| rng.cx_normal(1.0)).collect())
-            .collect();
-        ys[1][2].re = f64::NAN;
-        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
-        let panic_of = |n_pe: usize| {
-            let mut fc = FlexCoreDetector::with_pes(c.clone(), n_pe);
-            fc.prepare(&h, sigma2_from_snr_db(12.0));
-            assert_eq!(fc.prepared().walks_one_chain(), n_pe == 1);
-            let mut plane = vec![0u16; refs.len() * 4];
-            let err = catch_unwind(AssertUnwindSafe(|| fc.detect_batch_into(&refs, &mut plane)))
-                .expect_err("a NaN sample returned bits");
-            match err.downcast::<String>() {
-                Ok(msg) => *msg,
-                Err(err) => err
-                    .downcast_ref::<&str>()
-                    .map_or_else(String::new, |m| m.to_string()),
-            }
-        };
-        let one_path = panic_of(1);
-        assert!(
-            one_path.contains("the SIC path always completes"),
-            "{one_path}"
-        );
-        assert_eq!(one_path, panic_of(2));
     }
 
     /// `n` one-path detectors of one `(nr, nt)` shape, each prepared on a

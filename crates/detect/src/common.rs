@@ -98,7 +98,9 @@ pub trait Detector {
     /// passes only members every one of which the first
     /// [`Detector::groups_with`]. The default runs `detect_batch_into` per
     /// member ([`detect_each_into`]); FlexCore overrides it to put four
-    /// one-path subcarriers in the four lanes of one block.
+    /// one-path subcarriers in the four lanes of one block, its only
+    /// one-path kernel (a one-path batch that runs alone takes the general
+    /// block walk of its `detect_batch_into`).
     ///
     /// # Panics
     /// Panics if `ys.len()` is not a multiple of `group.len()`, or if

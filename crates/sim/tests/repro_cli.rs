@@ -1,6 +1,8 @@
-//! `repro`'s command line, run as a process: the usage path, and the
-//! analytic drivers printing the same bytes whatever the preset flag.
+//! `repro`'s command line, run as a process: the usage path, the analytic
+//! drivers printing the same bytes whatever the preset flag, and every
+//! driver's quick-preset bytes against the recorded `tests/golden/`.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 /// Every driver name, in the order `repro` lists them.
@@ -38,4 +40,33 @@ fn analytic_drivers_print_the_same_bytes_with_and_without_full() {
             assert_eq!(quick.stdout, full.stdout, "{name} {format:?}");
         }
     }
+}
+
+/// Every driver, pretty and `--csv`, prints exactly the bytes recorded in
+/// `tests/golden/<name>.{txt,csv}`, so a change that moves no printed
+/// number proves it here. Ignored by default (about 8 s in release, far
+/// longer in debug); CI runs it in release with `--ignored`. A change that
+/// moves output on purpose re-records the files with `scripts/golden.sh`.
+#[test]
+#[ignore]
+fn every_driver_prints_its_golden_bytes() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut moved = Vec::new();
+    for name in NAMES.split(' ') {
+        for (ext, format) in [("txt", &[][..]), ("csv", &["--csv"][..])] {
+            let out = repro(&[&[name][..], format].concat());
+            assert!(out.status.success(), "{name} {format:?}");
+            let path = golden.join(format!("{name}.{ext}"));
+            let want = std::fs::read(&path).unwrap_or_else(|e| {
+                panic!("{}: {e} (scripts/golden.sh records it)", path.display())
+            });
+            if out.stdout != want {
+                moved.push(format!("{name}.{ext}"));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "repro output moved in {moved:?}: `scripts/golden.sh` then `git diff` shows how"
+    );
 }

@@ -219,9 +219,9 @@ fn hot_path_allocation_budget() {
     }
 
     // A one-path selection (FlexCore-1 here; most a-FlexCore channels at
-    // high SNR) walks each block as a SIC chain in stack planes and never
-    // touches the thread's scratch: a warm batch allocates nothing at every
-    // plane size, 4, 8 and 16 rows.
+    // high SNR) whose batch runs alone, not in a lane group, takes the
+    // general block walk in the thread's scratch: once the thread has seen
+    // the shape, a batch allocates nothing at 4, 8 and 16 rows.
     for nt in [4usize, 8, INLINE_STREAMS] {
         let (_, ys, sigma2) = workload(nt, Modulation::Qam16, 300 + nt as u64);
         let mut det = FlexCoreDetector::with_pes(Constellation::new(Modulation::Qam16), 1);
