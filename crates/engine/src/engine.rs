@@ -39,17 +39,6 @@ pub struct EngineStats {
     pub effort_histogram: Vec<(usize, u64)>,
 }
 
-impl EngineStats {
-    /// Mean per-subcarrier effort (0.0 when nothing is prepared) — the
-    /// frame-scale analogue of Fig. 10's mean active PEs.
-    pub fn mean_effort(&self) -> f64 {
-        if self.prepared_subcarriers == 0 {
-            return 0.0;
-        }
-        self.effort_total as f64 / self.prepared_subcarriers as f64
-    }
-}
-
 struct Slot<D> {
     /// Shared with every in-flight [`TickPlan`] that was planned against
     /// this slot, so a plan keeps the state it was planned against: a
@@ -505,14 +494,12 @@ mod tests {
         // histogram is a single bucket.
         let mut engine = FrameEngine::new(MmseDetector::new(Constellation::new(Modulation::Qam16)));
         assert_eq!(engine.stats().prepared_subcarriers, 0);
-        assert_eq!(engine.stats().mean_effort(), 0.0);
         let ch = selective_channel(6, 21);
         engine.prepare(&ch);
         let stats = engine.stats();
         assert_eq!(stats.prepared_subcarriers, 6);
         assert_eq!(stats.effort_total, 6);
         assert_eq!(stats.effort_histogram, vec![(1, 6)]);
-        assert_eq!(stats.mean_effort(), 1.0);
     }
 
     #[test]
@@ -528,7 +515,6 @@ mod tests {
         // No stopping threshold: every subcarrier spends the full budget.
         assert_eq!(stats.effort_total, 5 * 12);
         assert_eq!(stats.effort_histogram, vec![(12, 5)]);
-        assert_eq!(stats.mean_effort(), 12.0);
     }
 
     #[test]

@@ -23,31 +23,14 @@ pub struct RxFrame {
 }
 
 impl RxFrame {
-    /// Builds a frame from symbol-major vectors; `vectors.len()` must be a
-    /// multiple of `n_subcarriers` and all vectors equally long.
-    pub fn from_vectors(n_subcarriers: usize, vectors: Vec<Vec<Cx>>) -> Self {
+    /// An empty frame ready for [`RxFrame::push_symbol`].
+    pub fn empty(n_subcarriers: usize) -> Self {
         assert!(n_subcarriers > 0, "RxFrame: zero subcarriers");
-        assert_eq!(
-            vectors.len() % n_subcarriers,
-            0,
-            "RxFrame: vector count {} not a multiple of {} subcarriers",
-            vectors.len(),
-            n_subcarriers
-        );
-        let mut frame = RxFrame {
+        RxFrame {
             n_subcarriers,
             nr: 0,
             data: Vec::new(),
-        };
-        for v in &vectors {
-            frame.push_vector(v);
         }
-        frame
-    }
-
-    /// An empty frame ready for [`RxFrame::push_symbol`].
-    pub fn empty(n_subcarriers: usize) -> Self {
-        Self::from_vectors(n_subcarriers, Vec::new())
     }
 
     /// Reserves room for `n_samples` more samples in the flat plane.
@@ -168,9 +151,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a multiple")]
+    #[should_panic(expected = "ragged received vector")]
     fn ragged_frame_rejected() {
-        let _ = RxFrame::from_vectors(3, vec![v(0.0), v(1.0)]);
+        let mut f = RxFrame::empty(2);
+        f.push_symbol(vec![v(0.0), vec![Cx::ZERO; 2]]);
     }
 
     #[test]

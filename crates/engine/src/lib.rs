@@ -45,9 +45,10 @@
 //!   submit→decode latency lands in a [`LatencyRecord`]. Pipelining is placement-only: detections are
 //!   bit-identical to the barrier tick's;
 //! * heterogeneous fabrics — every path above prices its batches at
-//!   `extension_work × symbols` ([`TickPlan::costs`]), and placement on a
-//!   [`flexcore_hwmodel::HeterogeneousFabric`]'s non-uniform PEs is
-//!   modelled from those prices alone
+//!   `extension_work × symbols` ([`TickPlan::costs`]), and placement on
+//!   non-uniform PEs (a speed vector such as
+//!   [`flexcore_hwmodel::LTE_SMALLCELL_SPEEDS`]) is modelled from those
+//!   prices alone
 //!   ([`flexcore_parallel::lpt_makespan_weighted`] over the speed
 //!   factors); the same plan then runs unchanged on any pool.
 //!

@@ -795,7 +795,8 @@ mod tests {
         cell.add_user(mk_stream(4, 1.0, 84), FlexCoreDetector::with_pes(c16(), 4));
         cell.submit(0, tx_frame(cell.stream(0), 1, 85));
         // Right width, one receive antenna too many.
-        let wide = RxFrame::from_vectors(4, vec![vec![Cx::ZERO; NT + 1]; 4]);
+        let mut wide = RxFrame::empty(4);
+        wide.push_symbol(vec![vec![Cx::ZERO; NT + 1]; 4]);
         let payload = catch_unwind(AssertUnwindSafe(|| cell.submit(0, wide)))
             .expect_err("a wrong-Nr frame must be rejected at submit");
         let message = payload

@@ -98,9 +98,8 @@ impl GpuModel {
     /// Per-path (whole-descent) cycle cost for an `nt`-level tree:
     /// level `l` from the top does `O(nt − l)` cancellation multiply-adds
     /// plus fixed slicing/metric work, so a path is
-    /// `cycles_per_level · nt·(nt+3)/2`. This is the FCSD thread cost; the
-    /// [`PeCost`](crate::PeCost) view of this model multiplies in
-    /// [`GpuModel::FLEXCORE_THREAD_OVERHEAD`] for FlexCore threads.
+    /// `cycles_per_level · nt·(nt+3)/2`. This is the FCSD thread cost; a
+    /// FlexCore thread multiplies in [`GpuModel::FLEXCORE_THREAD_OVERHEAD`].
     pub(crate) fn path_cycles(&self, nt: usize) -> f64 {
         self.cycles_per_level * (nt as f64) * (nt as f64 + 3.0) / 2.0
     }
@@ -221,6 +220,21 @@ impl CpuModel {
         threads as f64 / (1.0 + ALPHA * (threads as f64 - 1.0))
     }
 
+    /// Seconds one core spends on one path-extension unit of work (a full
+    /// `nt`-level path descent): the same `nt(nt+3)/2` level-step sweep as
+    /// the GPU's thread, at `cycles_per_level = 48` (calibrated so the GPU
+    /// beats the 8-thread FX-8120 by the paper's "at least 21×", §5.2) and
+    /// 3.1 GHz. The city prices its modelled rounds with it.
+    ///
+    /// ```
+    /// use flexcore_hwmodel::CpuModel;
+    /// let unit_s = CpuModel::fx8120().unit_seconds(4);
+    /// assert_eq!(unit_s, 48.0 * 4.0 * 7.0 / 2.0 / 3.1e9);
+    /// ```
+    pub fn unit_seconds(&self, nt: usize) -> f64 {
+        self.cycles_per_level * (nt as f64) * (nt as f64 + 3.0) / 2.0 / self.clock_hz
+    }
+
     /// Time for `paths` total tree paths of `nt` levels on `threads`
     /// OpenMP threads.
     ///
@@ -232,8 +246,7 @@ impl CpuModel {
     /// assert!((ratio - 5.14).abs() < 0.02);
     /// ```
     pub fn time_s(&self, paths: usize, nt: usize, threads: usize) -> f64 {
-        let cycles = paths as f64 * self.cycles_per_level * nt as f64 * (nt as f64 + 3.0) / 2.0;
-        cycles / self.clock_hz / self.parallel_speedup(threads)
+        paths as f64 * self.unit_seconds(nt) / self.parallel_speedup(threads)
     }
 }
 

@@ -17,34 +17,32 @@
 //! * [`LTE_MODES`] — LTE frame timing (1.25–20 MHz modes, 500 µs slots)
 //!   and the "how many paths fit in the budget" solver
 //!   ([`LteMode::max_flexcore_paths`]) → Fig. 12;
-//! * the **unified scheduling view**: every substrate reduced
-//!   to a [`PeCost`] (cycles per path-extension unit of work at a given
-//!   antenna/modulation config) and a [`HeterogeneousFabric`] (a pool of
-//!   PEs with per-PE speed factors) that `flexcore-parallel`'s
-//!   `lpt_makespan_weighted` places a plan's prices on.
+//! * the **city's prices**: [`CpuModel::unit_seconds`] (seconds one core
+//!   spends on one path-extension unit of work) and
+//!   [`LTE_SMALLCELL_SPEEDS`] (the per-PE speed factors of a small-cell
+//!   SoC) that `flexcore-parallel`'s `lpt_makespan_weighted` places a
+//!   plan's prices on.
 //!
 //! ```
-//! use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
-//! // An 8×8 16-QAM FlexCore-16 vector costs 16 path units; on the LTE
-//! // small-cell fabric (2 fast DSP + 6 slow ARM PEs) the model predicts:
-//! let work = WorkUnit::new(8, 16);
-//! let fabric = HeterogeneousFabric::lte_smallcell();
-//! let bps = fabric.ideal_throughput_bps(&CpuModel::fx8120(), &work, 16.0);
-//! assert!(bps > 1e6, "small cell should manage megabits: {bps}");
+//! use flexcore_hwmodel::{CpuModel, LTE_SMALLCELL_SPEEDS};
+//! // One 8×8 path descent on one FX-8120 core: 48 cycles per level step,
+//! // 8·11/2 = 44 steps, at 3.1 GHz (about 0.68 µs).
+//! let unit_s = CpuModel::fx8120().unit_seconds(8);
+//! assert!((unit_s - 48.0 * 44.0 / 3.1e9).abs() < 1e-18);
+//! // 2 fast DSP cores beside 6 slow ARM cores retire 14 units per unit time.
+//! assert_eq!(LTE_SMALLCELL_SPEEDS.iter().sum::<f64>(), 14.0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fabric;
 mod fpga;
 mod gpu;
 mod lte;
 
-pub use fabric::{HeterogeneousFabric, PeClass, PeCost, WorkUnit};
 pub use fpga::{EngineKind, FpgaDevice, FpgaModel, PeResources};
 pub use gpu::{CpuModel, GpuModel};
-pub use lte::{LteMode, LTE_MODES};
+pub use lte::{LteMode, LTE_MODES, LTE_SMALLCELL_SPEEDS};
 
 /// The crate README's examples, compiled as doctests so they cannot rot
 /// (`cargo test --doc`): this item exists only during doctest collection.

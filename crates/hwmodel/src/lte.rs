@@ -60,6 +60,18 @@ pub const LTE_MODES: [LteMode; 6] = [
     },
 ];
 
+/// Per-PE speed factors of a small-cell LTE baseband SoC: 2 fast DSP
+/// cores (speed 4) beside 6 slow ARM cores (speed 1), the asymmetric
+/// fabric an eNodeB ships. A PE of speed `s` finishes a unit of work in
+/// `unit_seconds / s`; the city prices its rounds on this vector with
+/// `flexcore_parallel::lpt_makespan_weighted`.
+///
+/// ```
+/// use flexcore_hwmodel::LTE_SMALLCELL_SPEEDS;
+/// assert_eq!(LTE_SMALLCELL_SPEEDS.iter().sum::<f64>(), 2.0 * 4.0 + 6.0);
+/// ```
+pub const LTE_SMALLCELL_SPEEDS: [f64; 8] = [4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+
 /// Timeslot duration (s).
 pub(crate) const SLOT_S: f64 = 500e-6;
 /// OFDM symbols per slot (normal cyclic prefix).

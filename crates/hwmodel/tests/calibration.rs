@@ -1,6 +1,6 @@
 //! Calibration pins: exact expectations for every cost model's constants.
 //!
-//! The hardware tables and the engine's fabric audit are only meaningful
+//! The hardware figures and the city's modelled time are only meaningful
 //! if the cost models stay put: a refactor that silently changed a
 //! calibration constant would shift every hardware prediction in the repo
 //! without failing a single behavioural test. This table pins the
@@ -8,7 +8,7 @@
 //! values, so any such change has to be made — and justified — here.
 
 use flexcore_hwmodel::{
-    CpuModel, EngineKind, FpgaModel, GpuModel, HeterogeneousFabric, PeCost, WorkUnit, LTE_MODES,
+    CpuModel, EngineKind, FpgaModel, GpuModel, LTE_MODES, LTE_SMALLCELL_SPEEDS,
 };
 
 const TOL: f64 = 1e-9;
@@ -21,27 +21,38 @@ fn assert_close(got: f64, want: f64, label: &str) {
 }
 
 #[test]
-fn gpu_unit_cycles_pin_table() {
+fn gpu_thread_cycles_pin_table() {
     // cycles_per_level = 220, path = 220·nt(nt+3)/2, ×1.60 FlexCore
-    // thread overhead. One row per swept antenna config.
+    // thread overhead, read through the times Fig. 11 and Fig. 12 divide:
+    // one thread per path, `q` of them (one wave), so a batch is one
+    // thread's cycles plus the launch overhead.
     let gpu = GpuModel::gtx970();
+    let cycles = |t: f64| (t - gpu.launch_overhead_s) * gpu.clock_hz;
     let table: &[(usize, usize, f64)] = &[
-        // (nt, q, pinned unit cycles)
-        (4, 16, 220.0 * 14.0 * 1.60),  // 220·4·7/2 ·1.6  = 4 928
-        (8, 16, 220.0 * 44.0 * 1.60),  // 220·8·11/2·1.6  = 15 488
-        (12, 16, 220.0 * 90.0 * 1.60), // 220·12·15/2·1.6 = 31 680
-        (12, 64, 220.0 * 90.0 * 1.60), // |Q| does not change thread cost
+        // (nt, q, pinned FCSD thread cycles)
+        (4, 16, 220.0 * 14.0),  // 220·4·7/2   = 3 080
+        (8, 16, 220.0 * 44.0),  // 220·8·11/2  = 9 680
+        (12, 16, 220.0 * 90.0), // 220·12·15/2 = 19 800
+        (12, 64, 220.0 * 90.0), // |Q| does not change thread cost
     ];
     for &(nt, q, want) in table {
-        let w = WorkUnit::new(nt, q);
-        assert_close(gpu.unit_cycles(&w), want, &format!("gpu {nt}x{nt} {q}-QAM"));
+        let label = format!("gpu {nt}x{nt} {q}-QAM");
+        let fcsd = gpu.fcsd_time_s(1, q, 1, nt);
+        assert_close(cycles(fcsd), want, &format!("{label} FCSD thread"));
+        // FlexCore with |E| = q paths runs as many threads, each 1.60×.
+        let flexcore = fcsd / gpu.speedup_vs_fcsd(q, 1, q, 1, nt);
+        assert_close(
+            cycles(flexcore),
+            want * 1.60,
+            &format!("{label} FlexCore thread"),
+        );
     }
-    assert_close(gpu.clock_hz(), 1.05e9, "gpu clock");
+    assert_close(gpu.clock_hz, 1.05e9, "gpu clock");
 }
 
 #[test]
-fn cpu_unit_cycles_pin_table() {
-    // cycles_per_level = 48, no thread overhead factor.
+fn cpu_unit_seconds_pin_table() {
+    // cycles_per_level = 48 at 3.1 GHz, no thread overhead factor.
     let cpu = CpuModel::fx8120();
     let table: &[(usize, f64)] = &[
         (4, 48.0 * 14.0),  //  672
@@ -49,28 +60,25 @@ fn cpu_unit_cycles_pin_table() {
         (12, 48.0 * 90.0), // 4 320
     ];
     for &(nt, want) in table {
-        let w = WorkUnit::new(nt, 16);
-        assert_close(cpu.unit_cycles(&w), want, &format!("cpu {nt}x{nt}"));
+        assert_close(
+            cpu.unit_seconds(nt) * 3.1e9,
+            want,
+            &format!("cpu {nt}x{nt}"),
+        );
     }
-    assert_close(cpu.clock_hz(), 3.1e9, "cpu clock");
+    assert_close(cpu.clock_hz, 3.1e9, "cpu clock");
     // OpenMP calibration: α solves 8/(1+7α) = 5.14.
     assert!((cpu.parallel_speedup(8) - 5.14).abs() < 0.02);
 }
 
 #[test]
-fn fpga_unit_seconds_pin_table() {
+fn fpga_fmax_pin_table() {
     // Pipelined engines: one path per cycle at the Table 3 fmax,
     // independent of nt and |Q|.
     for (kind, fmax) in [(EngineKind::FlexCore, 312.5e6), (EngineKind::Fcsd, 370.4e6)] {
         for nt in [4usize, 8, 12] {
             let m = FpgaModel::new(kind, nt, 64);
-            let w = WorkUnit::new(nt, 64);
-            assert_close(m.unit_cycles(&w), 1.0, &format!("{kind:?} nt={nt} cycles"));
-            assert_close(
-                m.unit_seconds(&w),
-                1.0 / fmax,
-                &format!("{kind:?} nt={nt} seconds"),
-            );
+            assert_close(m.fmax_hz(), fmax, &format!("{kind:?} nt={nt} fmax"));
         }
     }
 }
@@ -131,23 +139,12 @@ fn lte_path_budget_pin_table() {
 }
 
 #[test]
-fn fabric_presets_pin_table() {
-    // The fabric shapes the `hwtable` sweep commits to.
-    let table: &[(HeterogeneousFabric, usize, f64)] = &[
-        (HeterogeneousFabric::fpga_engines(8), 8, 8.0),
-        (
-            HeterogeneousFabric::gpu_sms(&GpuModel::gtx970()),
-            13,
-            13.0 * 128.0,
-        ),
-        (HeterogeneousFabric::lte_smallcell(), 8, 14.0),
-    ];
-    for (fabric, n_pes, total_speed) in table {
-        assert_eq!(fabric.n_pes(), *n_pes, "{} n_pes", fabric.name);
-        assert_close(
-            fabric.total_speed(),
-            *total_speed,
-            &format!("{} total_speed", fabric.name),
-        );
-    }
+fn lte_smallcell_speeds_pin_table() {
+    // The fabric the city prices its rounds on: 2 DSP + 6 ARM PEs, whose
+    // speeds sum to exactly 14.
+    assert_eq!(
+        LTE_SMALLCELL_SPEEDS,
+        [4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    );
+    assert_eq!(LTE_SMALLCELL_SPEEDS.iter().sum::<f64>(), 14.0);
 }

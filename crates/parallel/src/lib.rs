@@ -30,7 +30,7 @@
 //! detector in the workspace runs unmodified on either, and
 //! `flexcore-engine` drives whole OFDM frames through them. Placement on
 //! a **non-uniform** fabric (e.g. 2 fast DSP cores beside 6 slow ARM
-//! cores, from `flexcore_hwmodel::HeterogeneousFabric`) is a model, not a
+//! cores, `flexcore_hwmodel::LTE_SMALLCELL_SPEEDS`) is a model, not a
 //! pool: [`lpt_makespan_weighted`] places a batch's prices with the
 //! uniform-machines LPT rule, which assigns each task to the PE that
 //! would *finish it earliest*, and returns the makespan. Scheduling is

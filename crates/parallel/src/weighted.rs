@@ -13,7 +13,7 @@
 //! carries it: a caller prices a plan, reads its makespan here, and runs
 //! the same tasks on any [`PePool`](crate::PePool) — results never depend
 //! on where a task would have landed. Speed factors typically come from
-//! `flexcore_hwmodel::HeterogeneousFabric::speed_factors()`.
+//! `flexcore_hwmodel::LTE_SMALLCELL_SPEEDS`.
 
 /// Longest-processing-time-first list scheduling for **uniform machines**:
 /// tasks are visited most-expensive-first ([`lpt_order`](crate::lpt_order))

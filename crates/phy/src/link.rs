@@ -582,11 +582,16 @@ where
 }
 
 /// Measures the mean packet error rate over `n_packets` packets with a
-/// fresh channel draw (block fading) per packet.
+/// fresh channel draw (block fading) per packet, and the mean
+/// [`Detector::effort`] of the packets' preparations: `(per, mean_effort)`.
 ///
 /// `draw_channel` supplies each packet's channel (e.g. from an ensemble or
 /// a recorded trace set) and `detector.prepare` is re-run per packet —
-/// exactly the paper's per-channel pre-processing amortisation.
+/// exactly the paper's per-channel pre-processing amortisation. A packet's
+/// vectors are all transmitted first, in [`simulate_packet`]'s RNG order
+/// (detection draws none), then detected in one
+/// [`Detector::detect_batch_into`] call, so the outcome is
+/// [`simulate_packet`]'s, bit for bit.
 pub fn packet_error_rate<R: Rng + ?Sized>(
     cfg: &LinkConfig,
     detector: &mut dyn Detector,
@@ -594,17 +599,30 @@ pub fn packet_error_rate<R: Rng + ?Sized>(
     sigma2: f64,
     mut draw_channel: impl FnMut(&mut R) -> MimoChannel,
     rng: &mut R,
-) -> f64 {
-    let mut fails = 0usize;
-    let mut total = 0usize;
+) -> (f64, f64) {
+    let (mut fails, mut total, mut effort) = (0usize, 0usize, 0usize);
+    let n_cells = cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data;
     for _ in 0..n_packets {
         let ch = draw_channel(rng);
         detector.prepare(&ch.h, sigma2);
-        let out = simulate_packet(cfg, &ch, detector, rng);
+        effort += detector.effort();
+        let out = Codec::with(cfg, |codec| {
+            let chains = transmit_chains(cfg, codec, ch.nt(), rng);
+            let ys: Vec<Vec<Cx>> = (0..n_cells)
+                .map(|v| ch.transmit(&chains.tx_vector(&cfg.constellation, v), rng))
+                .collect();
+            let mut plane = vec![0; n_cells * ch.nt()];
+            let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+            detector.detect_batch_into(&refs, &mut plane);
+            receive_chains(cfg, codec, 0, &chains, plane.as_slice()).link
+        });
         fails += out.user_ok.iter().filter(|&&ok| !ok).count();
         total += out.user_ok.len();
     }
-    fails as f64 / total as f64
+    (
+        fails as f64 / total as f64,
+        effort as f64 / n_packets as f64,
+    )
 }
 
 #[cfg(test)]
@@ -798,7 +816,7 @@ mod tests {
         let mut det = MmseDetector::new(cfg.constellation.clone());
         let ens = ChannelEnsemble::iid(4, 4);
         let snr = 2.0; // far below the 16-QAM waterfall
-        let per = packet_error_rate(
+        let (per, _) = packet_error_rate(
             &cfg,
             &mut det,
             6,
@@ -817,7 +835,7 @@ mod tests {
         for snr in [6.0, 14.0, 30.0] {
             let mut det = SphereDecoder::new(cfg.constellation.clone());
             let mut rng = StdRng::seed_from_u64(3);
-            let per = packet_error_rate(
+            let (per, _) = packet_error_rate(
                 &cfg,
                 &mut det,
                 12,
@@ -829,6 +847,56 @@ mod tests {
         }
         assert!(pers[0] >= pers[1] && pers[1] >= pers[2], "{pers:?}");
         assert!(pers[2] < 0.1, "30 dB should be nearly clean: {pers:?}");
+    }
+
+    #[test]
+    fn packet_error_rate_equals_the_per_vector_reference_loop() {
+        // The batch path transmits a packet's vectors first and detects
+        // them in one call: its PER and mean effort must equal a loop of
+        // `prepare` + `simulate_packet` on the same seed, bit for bit, at
+        // an SNR where packets fail.
+        use flexcore::FlexCoreDetector;
+        use flexcore_detect::{FcsdDetector, ParallelSicDetector};
+        let cfg = cfg16(20);
+        let c = &cfg.constellation;
+        let ens = ChannelEnsemble::iid(4, 4);
+        let (snr, n_packets, seed) = (9.0, 5, 0xB47C);
+        let sigma2 = sigma2_from_snr_db(snr);
+        let detectors: Vec<Box<dyn Detector>> = vec![
+            Box::new(FlexCoreDetector::with_pes(c.clone(), 16)),
+            Box::new(FlexCoreDetector::adaptive(c.clone(), 16, 0.95)),
+            Box::new(FcsdDetector::new(c.clone(), 1)),
+            Box::new(MmseDetector::new(c.clone())),
+            Box::new(ParallelSicDetector::new(c.clone())),
+            Box::new(SphereDecoder::new(c.clone())),
+        ];
+        for mut det in detectors {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut fails, mut users, mut effort) = (0usize, 0usize, 0usize);
+            for _ in 0..n_packets {
+                let ch = MimoChannel::new(ens.draw(&mut rng), snr);
+                det.prepare(&ch.h, sigma2);
+                effort += det.effort();
+                let out = simulate_packet(&cfg, &ch, det.as_ref(), &mut rng);
+                fails += out.user_ok.iter().filter(|&&ok| !ok).count();
+                users += out.user_ok.len();
+            }
+            let want = (
+                fails as f64 / users as f64,
+                effort as f64 / n_packets as f64,
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let got = packet_error_rate(
+                &cfg,
+                det.as_mut(),
+                n_packets,
+                sigma2,
+                |r| MimoChannel::new(ens.draw(r), snr),
+                &mut rng,
+            );
+            assert_eq!(got, want, "{}", det.name());
+            assert!(fails > 0, "{}: no packet failed at {snr} dB", det.name());
+        }
     }
 
     /// Test-local detector wrapper that counts which entry point a serving
@@ -930,7 +998,8 @@ mod tests {
             // The engine exposes the paper's Fig. 10 quantity at packet
             // scale: mean active PEs over the prepared band.
             let stats = cell.engine(0).stats();
-            assert!(stats.mean_effort() >= 1.0 && stats.mean_effort() <= 16.0);
+            let mean_effort = stats.effort_total as f64 / stats.prepared_subcarriers as f64;
+            assert!((1.0..=16.0).contains(&mean_effort), "{mean_effort}");
         }
     }
 

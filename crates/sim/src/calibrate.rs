@@ -22,7 +22,9 @@ use rand::{Rng, SeedableRng};
 ///
 /// This is the uncoded proxy for PER: one vector error typically produces
 /// a burst the convolutional code cannot absorb, so VER tracks PER closely
-/// while being orders of magnitude cheaper to estimate.
+/// while being orders of magnitude cheaper to estimate. A channel's
+/// vectors are all transmitted first (detection draws no randomness), then
+/// detected in one [`Detector::detect_batch_into`] call.
 pub(crate) fn vector_error_rate(
     det: &mut dyn Detector,
     ens: &ChannelEnsemble,
@@ -36,22 +38,33 @@ pub(crate) fn vector_error_rate(
     let nt = ens.nt;
     let q = constellation.order();
     let mut errs = 0usize;
-    let mut total = 0usize;
+    let (mut sent, mut plane) = (Vec::new(), vec![0u16; vectors_per_channel * nt]);
     for _ in 0..n_channels {
         let h = ens.draw(&mut rng);
         let ch = MimoChannel::new(h.clone(), snr_db);
         det.prepare(&h, sigma2_from_snr_db(snr_db));
-        for _ in 0..vectors_per_channel {
-            let s: Vec<usize> = (0..nt).map(|_| rng.gen_range(0..q)).collect();
-            let x: Vec<Cx> = s.iter().map(|&i| constellation.point(i)).collect();
-            let y = ch.transmit(&x, &mut rng);
-            if det.detect(&y) != s {
-                errs += 1;
-            }
-            total += 1;
-        }
+        sent.clear();
+        let ys: Vec<Vec<Cx>> = (0..vectors_per_channel)
+            .map(|_| {
+                let x: Vec<Cx> = (0..nt)
+                    .map(|_| {
+                        let i = rng.gen_range(0..q);
+                        sent.push(i as u16);
+                        constellation.point(i)
+                    })
+                    .collect();
+                ch.transmit(&x, &mut rng)
+            })
+            .collect();
+        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        det.detect_batch_into(&refs, &mut plane);
+        errs += plane
+            .chunks_exact(nt)
+            .zip(sent.chunks_exact(nt))
+            .filter(|(got, want)| got != want)
+            .count();
     }
-    errs as f64 / total as f64
+    errs as f64 / (n_channels * vectors_per_channel) as f64
 }
 
 /// Finds the SNR (dB) at which `det` reaches the target vector error rate,
@@ -105,7 +118,7 @@ pub fn calibrate_snr_for_ml_per(
     for _ in 0..8 {
         let mid = 0.5 * (lo + hi);
         let mut rng = StdRng::seed_from_u64(seed);
-        let per = packet_error_rate(
+        let (per, _) = packet_error_rate(
             cfg,
             &mut det,
             n_packets,
@@ -141,6 +154,7 @@ pub fn ml_per_at(
         |r| MimoChannel::new(ens.draw(r), snr_db),
         &mut rng,
     )
+    .0
 }
 
 /// Cached operating points: SNRs at which our substrate's ML detector
@@ -192,6 +206,36 @@ mod tests {
         let lo = vector_error_rate(&mut det, &ens, &c, 8.0, 30, 6, 1);
         let hi = vector_error_rate(&mut det, &ens, &c, 25.0, 30, 6, 1);
         assert!(hi < lo, "VER at 25 dB ({hi}) vs 8 dB ({lo})");
+    }
+
+    #[test]
+    fn vector_error_rate_equals_a_per_vector_detect_count() {
+        // The batch path against one `detect` per vector, same draws, on
+        // detectors with a batch kernel of their own.
+        let c = Constellation::new(Modulation::Qam16);
+        let ens = ChannelEnsemble::iid(4, 4);
+        let (snr, n_channels, per_channel, seed) = (10.0, 12, 5, 3);
+        let detectors: [Box<dyn Detector>; 2] = [
+            Box::new(FlexCoreDetector::with_pes(c.clone(), 16)),
+            Box::new(MmseDetector::new(c.clone())),
+        ];
+        for mut det in detectors {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut errs = 0usize;
+            for _ in 0..n_channels {
+                let ch = MimoChannel::new(ens.draw(&mut rng), snr);
+                det.prepare(&ch.h, sigma2_from_snr_db(snr));
+                for _ in 0..per_channel {
+                    let s: Vec<usize> = (0..4).map(|_| rng.gen_range(0..16)).collect();
+                    let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
+                    errs += usize::from(det.detect(&ch.transmit(&x, &mut rng)) != s);
+                }
+            }
+            assert!(errs > 0, "{}: no vector error at {snr} dB", det.name());
+            let want = errs as f64 / (n_channels * per_channel) as f64;
+            let got = vector_error_rate(det.as_mut(), &ens, &c, snr, n_channels, per_channel, seed);
+            assert_eq!(got, want, "{}", det.name());
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 
 use flexcore::CellDetector;
 use flexcore_engine::{ChannelStream, LatencyRecord, RxFrame, StreamingCell};
-use flexcore_hwmodel::{CpuModel, HeterogeneousFabric, PeCost, WorkUnit};
+use flexcore_hwmodel::{CpuModel, LTE_SMALLCELL_SPEEDS};
 use flexcore_modulation::Constellation;
 use flexcore_parallel::{lpt_makespan_weighted, PePool, SequentialPool};
 use rand::rngs::StdRng;
@@ -216,9 +216,8 @@ pub struct DeliveredFrame<'a> {
 pub struct CityCell {
     cell: StreamingCell<CellDetector>,
     pub(super) users: Vec<CellUser>,
-    /// The fabric's per-PE speed factors: each round's plan is priced on
-    /// them (weighted LPT), then runs in order on `pool`.
-    speeds: Vec<f64>,
+    /// One PE per entry of [`LTE_SMALLCELL_SPEEDS`]: each round's plan is
+    /// priced on those speeds (weighted LPT), then runs in order here.
     pool: SequentialPool,
     /// Seconds one path-extension unit takes on the FX-8120 cost model.
     unit_s: f64,
@@ -246,16 +245,13 @@ pub struct CityCell {
 impl CityCell {
     /// An empty cell running `cfg`'s shed policy.
     pub fn new(cfg: &CityConfig) -> Self {
-        let fabric = HeterogeneousFabric::lte_smallcell();
-        let work_unit = WorkUnit::new(CityConfig::NT, CityConfig::MODULATION.order());
-        let unit_s = CpuModel::fx8120().unit_seconds(&work_unit);
+        let unit_s = CpuModel::fx8120().unit_seconds(CityConfig::NT);
         CityCell {
             cell: StreamingCell::new(),
             users: Vec::new(),
-            speeds: fabric.speed_factors(),
-            pool: SequentialPool::new(fabric.n_pes()),
+            pool: SequentialPool::new(LTE_SMALLCELL_SPEEDS.len()),
             unit_s,
-            capacity_units: fabric.total_speed() * SUBFRAME_S / unit_s,
+            capacity_units: LTE_SMALLCELL_SPEEDS.iter().sum::<f64>() * SUBFRAME_S / unit_s,
             constellation: Constellation::new(CityConfig::MODULATION),
             base: CellDetector::fixed(
                 Constellation::new(CityConfig::MODULATION),
@@ -356,8 +352,8 @@ impl CityCell {
     }
 
     /// The cell's per-subframe capacity in path-extension units under
-    /// perfect packing: `total_speed × subframe / unit_seconds` on the
-    /// FX-8120 cost model. The realised capacity is this times the LPT
+    /// perfect packing: `Σ LTE_SMALLCELL_SPEEDS × subframe / unit_seconds`
+    /// on the FX-8120 cost model. The realised capacity is this times the LPT
     /// packing efficiency.
     pub(crate) fn capacity_units(&self) -> f64 {
         self.capacity_units
@@ -421,7 +417,7 @@ impl CityCell {
         let mut free_at = self.backlog_s;
         while free_at < SUBFRAME_S && cell.has_queued() {
             let plan = cell.plan_tick(self.pool.n_pes());
-            free_at += lpt_makespan_weighted(plan.costs(), &self.speeds) * self.unit_s;
+            free_at += lpt_makespan_weighted(plan.costs(), &LTE_SMALLCELL_SPEEDS) * self.unit_s;
             let done_s = start_s + free_at;
             for (user, cells) in cell.run_tick(plan, &self.pool) {
                 self.deliver(user, cells, done_s, sink);
@@ -802,9 +798,12 @@ mod tests {
             for &(u, _) in &served {
                 let engine = cell.cell.engine(u);
                 let id = twin.add_user(cell.cell.stream(u).clone(), engine.template().clone());
-                let n_vectors = CityConfig::N_SYMBOLS * CityConfig::N_SUBCARRIERS;
-                let zeros = vec![vec![flexcore_numeric::Cx::ZERO; CityConfig::NT]; n_vectors];
-                twin.submit(id, RxFrame::from_vectors(CityConfig::N_SUBCARRIERS, zeros));
+                let mut zeros = RxFrame::empty(CityConfig::N_SUBCARRIERS);
+                for _ in 0..CityConfig::N_SYMBOLS {
+                    let symbol = vec![flexcore_numeric::Cx::ZERO; CityConfig::NT];
+                    zeros.push_symbol(vec![symbol; CityConfig::N_SUBCARRIERS]);
+                }
+                twin.submit(id, zeros);
             }
             let plan = twin.plan_tick(cell.pool.n_pes());
             let ran = plan.costs();
@@ -815,7 +814,7 @@ mod tests {
             // What was priced: every delivery's latency is the round's
             // modelled duration, which must be the makespan of exactly
             // that vector.
-            let round_s = lpt_makespan_weighted(ran, &cell.speeds) * cell.unit_s;
+            let round_s = lpt_makespan_weighted(ran, &LTE_SMALLCELL_SPEEDS) * cell.unit_s;
             // (`latency = (start + round) − start`, so equal up to the
             // rounding of the tick's start time.)
             assert!(round_s > 0.0);

@@ -16,7 +16,7 @@ use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, MimoChannel};
 use flexcore_detect::common::Detector;
 use flexcore_detect::{MmseDetector, SphereDecoder};
 use flexcore_modulation::{Constellation, Modulation};
-use flexcore_phy::link::{packet_error_rate, simulate_packet, LinkConfig};
+use flexcore_phy::link::{packet_error_rate, LinkConfig};
 use flexcore_phy::throughput::network_throughput_mbps;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,7 +101,7 @@ pub fn run(cfg: &Cfg) -> ResultTable {
         let mut afc = FlexCoreDetector::adaptive(c.clone(), N_PE, THRESHOLD);
         let measure = |det: &mut dyn Detector, label: &str| {
             let mut rng = StdRng::seed_from_u64(SEED);
-            let per = packet_error_rate(
+            let (per, mean_effort) = packet_error_rate(
                 &link,
                 det,
                 cfg.n_packets,
@@ -110,29 +110,16 @@ pub fn run(cfg: &Cfg) -> ResultTable {
                 &mut rng,
             );
             let tput = network_throughput_mbps(&link.ofdm, modulation, link.rate, nt, per);
-            (label.to_string(), per, tput)
+            (label.to_string(), per, tput, mean_effort)
         };
-        let mut rows = vec![
+        // a-FlexCore's mean effort is its mean active PEs.
+        let rows = [
             measure(geo.as_mut(), "Geosphere"),
             measure(&mut mmse, "MMSE"),
             measure(&mut fc, "FlexCore"),
+            measure(&mut afc, "a-FlexCore"),
         ];
-        // a-FlexCore runs `packet_error_rate`'s loop here, on the same RNG
-        // stream, so each prepared channel's active-PE count can be read.
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let (mut fails, mut active_sum) = (0usize, 0usize);
-        for _ in 0..cfg.n_packets {
-            let ch = MimoChannel::new(ens.draw(&mut rng), snr);
-            afc.prepare(&ch.h, sigma2_from_snr_db(snr));
-            active_sum += afc.active_paths();
-            let out = simulate_packet(&link, &ch, &afc, &mut rng);
-            fails += out.user_ok.iter().filter(|&&ok| !ok).count();
-        }
-        let per = fails as f64 / (cfg.n_packets * nt) as f64;
-        let active = active_sum as f64 / cfg.n_packets as f64;
-        let tput = network_throughput_mbps(&link.ofdm, modulation, link.rate, nt, per);
-        rows.push(("a-FlexCore".to_string(), per, tput));
-        for (i, (label, per, tput)) in rows.into_iter().enumerate() {
+        for (i, (label, per, tput, active)) in rows.into_iter().enumerate() {
             table.push_row(vec![
                 format!("{nt}"),
                 label,

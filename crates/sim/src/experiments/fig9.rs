@@ -192,7 +192,7 @@ pub fn run(cfg: &Cfg) -> ResultTable {
         for (mut det, pes) in entries {
             let name = det.name();
             let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let per = packet_error_rate(
+            let (per, _) = packet_error_rate(
                 &link,
                 det.as_mut(),
                 cfg.n_packets,

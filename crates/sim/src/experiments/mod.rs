@@ -19,7 +19,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig9;
-pub mod hwtable;
 pub mod table1;
 pub mod table2;
 pub mod table3;
@@ -53,7 +52,6 @@ pub const EXPERIMENTS: &[(&str, Run)] = &[
     ("table1", preset!(table1)),
     ("table2", preset!(table2)),
     ("table3", |_| table3::run()),
-    ("hwtable", preset!(hwtable)),
     ("ablation", preset!(ablation)),
     ("city", preset!(city)),
 ];

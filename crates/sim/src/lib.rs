@@ -15,10 +15,8 @@
 //! * [`city`] — the city-scale serving layer: multi-cell simulation with
 //!   per-user arrival processes, QoS classes, admission control and
 //!   QoS-aware load shedding over `flexcore_engine::StreamingCell`;
-//! * [`experiments`] — the per-figure drivers, plus
-//!   [`experiments::hwtable`]: the modelled hardware-efficiency table
-//!   (effort, LPT packing and Mb/s per fabric via the unified
-//!   `flexcore_hwmodel::PeCost` pricing).
+//! * [`experiments`] — the per-figure drivers, the ablation and the
+//!   city's load sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -105,29 +105,6 @@ fn table3_driver_runs_at_tiny_scale() {
 
 #[test]
 #[ignore = "CI smoke profile: cargo test -p flexcore-sim --test experiment_smoke -- --ignored"]
-fn hwtable_driver_runs_at_tiny_scale() {
-    let mut cfg = hwtable::Cfg::quick();
-    cfg.sizes = vec![4];
-    cfg.n_symbols = 4;
-    let t = hwtable::run(&cfg);
-    assert_table_sane("hwtable", &t);
-    // One width, two detectors, all three fabrics.
-    assert_eq!(t.len(), 6);
-    for fabric in ["fpga", "gpu", "lte"] {
-        assert_eq!(
-            (0..t.len())
-                .filter(|&r| t.cell(r, "fabric") == Some(fabric))
-                .count(),
-            2,
-            "{fabric}"
-        );
-    }
-    // Modelled time only: no column reads a clock, so a rerun is equal.
-    assert_eq!(t, hwtable::run(&cfg));
-}
-
-#[test]
-#[ignore = "CI smoke profile: cargo test -p flexcore-sim --test experiment_smoke -- --ignored"]
 fn ablation_driver_runs_at_tiny_scale() {
     let mut cfg = ablation::Cfg::quick();
     cfg.modulation = Modulation::Qam16;

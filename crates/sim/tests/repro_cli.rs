@@ -6,7 +6,7 @@ use std::path::Path;
 use std::process::{Command, Output};
 
 /// Every driver name, in the order `repro` lists them.
-const NAMES: &str = "fig9 fig10 fig11 fig12 fig13 fig14 table1 table2 table3 hwtable ablation city";
+const NAMES: &str = "fig9 fig10 fig11 fig12 fig13 fig14 table1 table2 table3 ablation city";
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -44,13 +44,37 @@ fn analytic_drivers_print_the_same_bytes_with_and_without_full() {
 
 /// Every driver, pretty and `--csv`, prints exactly the bytes recorded in
 /// `tests/golden/<name>.{txt,csv}`, so a change that moves no printed
-/// number proves it here. Ignored by default (about 8 s in release, far
-/// longer in debug); CI runs it in release with `--ignored`. A change that
-/// moves output on purpose re-records the files with `scripts/golden.sh`.
+/// number proves it here, and every recorded file belongs to a listed
+/// driver, so a deleted driver cannot leave its goldens behind. Ignored by
+/// default (about 8 s in release, far longer in debug); CI runs it in
+/// release with `--ignored`. A change that moves output on purpose
+/// re-records the files with `scripts/golden.sh`.
 #[test]
 #[ignore]
 fn every_driver_prints_its_golden_bytes() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let recorded: Vec<String> = std::fs::read_dir(&golden)
+        .expect("tests/golden lists")
+        .map(|entry| {
+            entry
+                .expect("golden entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    let orphans: Vec<&String> = recorded
+        .iter()
+        .filter(|file| {
+            !NAMES
+                .split(' ')
+                .any(|name| [format!("{name}.txt"), format!("{name}.csv")].contains(file))
+        })
+        .collect();
+    assert!(
+        orphans.is_empty(),
+        "golden files no driver prints: {orphans:?}"
+    );
     let mut moved = Vec::new();
     for name in NAMES.split(' ') {
         for (ext, format) in [("txt", &[][..]), ("csv", &["--csv"][..])] {

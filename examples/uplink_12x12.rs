@@ -14,7 +14,7 @@ use flexcore_channel::{
 use flexcore_detect::common::Detector;
 use flexcore_detect::{FcsdDetector, MmseDetector};
 use flexcore_modulation::{Constellation, Modulation};
-use flexcore_phy::link::{simulate_packet, LinkConfig};
+use flexcore_phy::link::{packet_error_rate, LinkConfig};
 use flexcore_phy::throughput::network_throughput_mbps;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,16 +55,15 @@ fn main() {
     );
     for det in detectors.iter_mut() {
         let mut rng = StdRng::seed_from_u64(7); // identical noise per scheme
-        let mut fails = 0usize;
-        let mut users = 0usize;
-        for h in replay.channels() {
-            let ch = MimoChannel::new(h.clone(), snr_db);
-            det.prepare(h, sigma2_from_snr_db(snr_db));
-            let out = simulate_packet(&link, &ch, det.as_ref(), &mut rng);
-            fails += out.user_ok.iter().filter(|&&ok| !ok).count();
-            users += out.user_ok.len();
-        }
-        let per = fails as f64 / users as f64;
+        let mut traces = replay.channels().iter();
+        let (per, _) = packet_error_rate(
+            &link,
+            det.as_mut(),
+            replay.len(),
+            sigma2_from_snr_db(snr_db),
+            |_| MimoChannel::new(traces.next().expect("one trace per packet").clone(), snr_db),
+            &mut rng,
+        );
         let tput = network_throughput_mbps(&link.ofdm, modulation, link.rate, nt, per);
         println!("{:<22} {:>8.3} {:>18.1}", det.name(), per, tput);
     }

@@ -9,7 +9,7 @@ use flexcore_detect::{FcsdDetector, MmseDetector, SphereDecoder};
 use flexcore_engine::{
     ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
 };
-use flexcore_hwmodel::HeterogeneousFabric;
+use flexcore_hwmodel::LTE_SMALLCELL_SPEEDS;
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::Cx;
@@ -311,50 +311,39 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
     // different run. On every fabric shape a one-user plan for the
     // fabric's PE count must detect exactly the sequential reference,
     // fixed and adaptive, and its weighted-LPT makespan must price under
-    // any `PeCost` model.
-    use flexcore_hwmodel::{CpuModel, FpgaModel, PeClass, PeCost, WorkUnit};
+    // the CPU and FPGA models.
+    use flexcore_hwmodel::{CpuModel, EngineKind, FpgaModel};
 
     let stream = selective_stream(NT, SNR, 12, 31);
     let frame = random_frame(stream.estimate(), 5, 32);
     let c = Constellation::new(Modulation::Qam16);
-    let work = WorkUnit::new(NT, 16);
     let seq = SequentialPool::new(1);
 
-    let fabrics = [
-        HeterogeneousFabric::lte_smallcell(),
-        HeterogeneousFabric::new("flat", vec![PeClass::new("pe", 5, 1.0)]),
-        HeterogeneousFabric::new(
-            "skew",
-            vec![PeClass::new("fast", 1, 10.0), PeClass::new("slow", 2, 0.5)],
-        ),
+    let fabrics: [(&str, &[f64]); 3] = [
+        ("lte", &LTE_SMALLCELL_SPEEDS),
+        ("flat", &[1.0; 5]),
+        ("skew", &[10.0, 0.5, 0.5]),
     ];
     let mk_fixed = || FlexCoreDetector::with_pes(c.clone(), 12);
     let mk_adaptive = || FlexCoreDetector::adaptive(c.clone(), 16, 0.95);
 
     let fixed_ref = flat(&frame_on(mk_fixed(), stream.estimate(), &frame, &seq));
     let adaptive_ref = flat(&frame_on(mk_adaptive(), stream.estimate(), &frame, &seq));
-    for fabric in &fabrics {
-        let (n_pes, speeds) = (fabric.n_pes(), fabric.speed_factors());
+    for (name, speeds) in fabrics {
+        let n_pes = speeds.len();
         let pool = SequentialPool::new(n_pes);
         let (_, fixed) = plan_and_run(mk_fixed(), &stream, &frame, n_pes, &pool);
-        assert_eq!(fixed, fixed_ref, "{} fixed", fabric.name);
+        assert_eq!(fixed, fixed_ref, "{name} fixed");
         let (costs, adaptive) = plan_and_run(mk_adaptive(), &stream, &frame, n_pes, &pool);
-        assert_eq!(adaptive, adaptive_ref, "{} adaptive", fabric.name);
+        assert_eq!(adaptive, adaptive_ref, "{name} adaptive");
         // The adaptive plan, priced on CPU and FPGA models.
         let units: u64 = costs.iter().sum();
-        let span = lpt_makespan_weighted(&costs, &speeds);
+        let span = lpt_makespan_weighted(&costs, speeds);
         let packing = units as f64 / (speeds.iter().sum::<f64>() * span);
         assert!(units > 0);
-        assert!(
-            packing > 0.0 && packing <= 1.0,
-            "{} packing {packing}",
-            fabric.name
-        );
-        let fpga = FpgaModel::new(flexcore_hwmodel::EngineKind::FlexCore, NT, 16);
-        for unit_s in [
-            CpuModel::fx8120().unit_seconds(&work),
-            fpga.unit_seconds(&work),
-        ] {
+        assert!(packing > 0.0 && packing <= 1.0, "{name} packing {packing}");
+        let fpga = FpgaModel::new(EngineKind::FlexCore, NT, 16);
+        for unit_s in [CpuModel::fx8120().unit_seconds(NT), 1.0 / fpga.fmax_hz()] {
             let model_makespan_s = span * unit_s;
             assert!(model_makespan_s > 0.0 && model_makespan_s.is_finite());
         }
@@ -364,16 +353,15 @@ fn weighted_fabric_output_is_identical_to_sequential_for_real_detectors() {
 #[test]
 #[ignore = "timing audit: run in release"]
 fn fabric_makespan_prediction_tracks_real_detection_cost() {
-    // What every modelled number rests on (`hwtable`'s Mb/s, the city's
-    // tick durations): a batch priced at `extension_work × symbols` must
+    // What every modelled number rests on (the city's tick durations): a
+    // batch priced at `extension_work × symbols` must
     // cost real detection time in proportion, or the predicted makespan
     // silently drifts. PR 6 caught the unpriced nt² rotate at 64×64 with
     // exactly this audit; spin-loop tasks cannot.
     const MAX_MAKESPAN_ERROR: f64 = 0.25;
-    let fabric = HeterogeneousFabric::lte_smallcell();
-    let speeds = fabric.speed_factors();
+    let speeds = LTE_SMALLCELL_SPEEDS;
     let pool = TimedPool {
-        n_pes: fabric.n_pes(),
+        n_pes: speeds.len(),
         task_seconds: RefCell::default(),
     };
     let c = Constellation::new(Modulation::Qam16);

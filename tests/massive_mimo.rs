@@ -14,7 +14,7 @@ use flexcore_detect::FcsdDetector;
 use flexcore_engine::{
     ChannelStream, DetectedFrame, FrameChannel, FrameEngine, RxFrame, StreamingCell,
 };
-use flexcore_hwmodel::HeterogeneousFabric;
+use flexcore_hwmodel::LTE_SMALLCELL_SPEEDS;
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
 use flexcore_numeric::Cx;
@@ -96,22 +96,22 @@ fn assert_substrate_identity(nt: usize, m: Modulation, seed: u64) {
 
     // Heterogeneous fabric: a one-user plan for its 8 PEs is priced on
     // its speed factors, then runs bit-identically.
-    let fabric = HeterogeneousFabric::lte_smallcell();
+    let speeds = LTE_SMALLCELL_SPEEDS;
     let mut rng = StdRng::seed_from_u64(seed);
     let ens = ChannelEnsemble::iid(nt, nt);
     let stream = ChannelStream::new(&ens, 4, 1.0, 1, sigma2_from_snr_db(22.0), &mut rng);
     let mut cell = StreamingCell::new();
     cell.add_user(stream, mk_adaptive());
     cell.submit(0, frame.clone());
-    let plan = cell.plan_tick(fabric.n_pes());
+    let plan = cell.plan_tick(speeds.len());
     let units: u64 = plan.costs().iter().sum();
     // At massive-MIMO widths every vector pays at least its nt² rotate.
     assert!(units >= (nt * nt * frame.n_symbols() * frame.n_subcarriers()) as u64);
-    let span = lpt_makespan_weighted(plan.costs(), &fabric.speed_factors());
-    assert!(span * fabric.total_speed() >= units as f64 * (1.0 - 1e-12));
+    let span = lpt_makespan_weighted(plan.costs(), &speeds);
+    assert!(span * speeds.iter().sum::<f64>() >= units as f64 * (1.0 - 1e-12));
     let want: Vec<usize> = adaptive_ref.iter().flatten().copied().collect();
     let got: Vec<usize> = cell
-        .run_tick(plan, &SequentialPool::new(fabric.n_pes()))
+        .run_tick(plan, &SequentialPool::new(speeds.len()))
         .flat_map(|(_, cells)| cells.iter().map(|&s| usize::from(s)))
         .collect();
     assert_eq!(got, want);

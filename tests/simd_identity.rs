@@ -350,7 +350,7 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
     // The acceptance grid: at nt ∈ {4, 8, 16, 32, 64}, every pool
     // substrate's frame equals the scalar chain (scalar rotate +
     // `run_path_into` + `first_min_metric`) on every vector.
-    use flexcore_hwmodel::HeterogeneousFabric;
+    use flexcore_hwmodel::LTE_SMALLCELL_SPEEDS;
     use flexcore_parallel::lpt_makespan_weighted;
 
     for &nt in &[4usize, 8, 16, 32, 64] {
@@ -383,15 +383,15 @@ fn substrates_bit_identical_across_dispatch_at_required_widths() {
         // The same frame planned for the LTE small-cell fabric: every
         // vector is priced at least its nt² rotate, and the weighted-LPT
         // makespan is at least the area bound.
-        let fabric = HeterogeneousFabric::lte_smallcell();
+        let speeds = LTE_SMALLCELL_SPEEDS;
         let mut cell = StreamingCell::new();
         cell.add_user(stream.clone(), FlexCoreDetector::with_pes(c.clone(), 8));
         cell.submit(0, frame.clone());
-        let plan = cell.plan_tick(fabric.n_pes());
+        let plan = cell.plan_tick(speeds.len());
         let units: u64 = plan.costs().iter().sum();
         assert!(units >= (nt * nt * frame.n_symbols() * frame.n_subcarriers()) as u64);
-        let span = lpt_makespan_weighted(plan.costs(), &fabric.speed_factors());
-        assert!(span * fabric.total_speed() >= units as f64 * (1.0 - 1e-12));
+        let span = lpt_makespan_weighted(plan.costs(), &speeds);
+        assert!(span * speeds.iter().sum::<f64>() >= units as f64 * (1.0 - 1e-12));
 
         let detectors: Vec<FlexCoreDetector> = (0..frame.n_subcarriers())
             .map(|sc| {
