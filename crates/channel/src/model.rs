@@ -88,12 +88,23 @@ impl MimoChannel {
 
     /// Passes a symbol vector through the channel, adding fresh AWGN.
     pub fn transmit<R: Rng + ?Sized>(&self, s: &[Cx], rng: &mut R) -> Vec<Cx> {
+        let mut y = vec![Cx::ZERO; self.h.rows()];
+        self.transmit_into(s, rng, &mut y);
+        y
+    }
+
+    /// [`MimoChannel::transmit`] into a caller-owned buffer of `Nr`
+    /// samples: the same product and the same noise draws, in antenna
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if `s.len() != Nt` or `y.len() != Nr`.
+    pub fn transmit_into<R: Rng + ?Sized>(&self, s: &[Cx], rng: &mut R, y: &mut [Cx]) {
         assert_eq!(s.len(), self.nt(), "transmit: symbol count != Nt");
-        let mut y = self.h.mul_vec(s);
-        for v in &mut y {
+        self.h.mul_vec_into(s, y);
+        for v in y {
             *v += rng.cx_normal(self.sigma2);
         }
-        y
     }
 }
 

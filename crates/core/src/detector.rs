@@ -19,7 +19,7 @@
 
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
-use crate::preprocess::{prob_sum, PreprocessOutput, Preprocessor, ROOT};
+use crate::preprocess::{prob_sum, Preprocessor, Selection, ROOT};
 use flexcore_detect::common::{
     batch_rows, detect_each_into, first_min_metric, group_len, Detector, PathScratch, Triangular,
 };
@@ -28,7 +28,7 @@ use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
 use flexcore_numeric::{CMat, Cx, CxLane, SymVec, LANES};
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How each level finds its k-th closest symbol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,34 +89,68 @@ impl FlexCoreConfig {
     }
 }
 
-/// Sentinel for "no node / no path" links in the [`PathTrie`].
+/// The block walk's "no path yet" per lane, and the located table's "no
+/// row".
 const NIL: u32 = u32::MAX;
 
+/// A [`PathTrie`] node id, path index, rank or row. [`PathTrie::build`]
+/// checks that its budget's `N_PE · nt` nodes stay below [`NONE`], which
+/// bounds the other three as well (a row is below `nt`, a path index below
+/// `N_PE`, and a rank `k` takes `k` sibling nodes).
+type Id = u16;
+
+/// "No node / no path" in the [`PathTrie`].
+const NONE: Id = Id::MAX;
+
 /// One node of the prefix-sharing path trie: the decision "take rank `k`
-/// at row `row`" given the (shared) rank prefix above it.
+/// at row `row`" given the (shared) rank prefix above it. A node above
+/// row 0 has children, and the first of them is the node made right after
+/// it (node `id + 1`): a path lays its nodes down top row first.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct TrieNode {
-    row: u16,
-    rank: u32,
+    row: Id,
+    rank: Id,
     /// Index into the path list when this node completes a path
-    /// (`row == 0`), else [`NIL`].
-    path_idx: u32,
-    first_child: u32,
-    next_sibling: u32,
+    /// (`row == 0`), else [`NONE`].
+    path_idx: Id,
+    next_sibling: Id,
 }
 
 impl TrieNode {
-    /// Node `id` at `row` of rank `rank`, made while [`PathTrie::build`]
-    /// lays a path down top row first: its first child, if it has a row
-    /// below it, is the next node made.
-    fn fresh(row: usize, rank: u32, id: u32) -> Self {
+    /// A node at `row` of rank `rank` with no path and no sibling yet.
+    fn fresh(row: usize, rank: Id) -> Self {
         TrieNode {
-            row: row as u16,
+            row: row as Id,
             rank,
-            path_idx: NIL,
-            first_child: if row > 0 { id + 1 } else { NIL },
-            next_sibling: NIL,
+            path_idx: NONE,
+            next_sibling: NONE,
         }
+    }
+
+    /// Node `id`'s first child, if it has a row below it.
+    fn first_child(self, id: Id) -> Id {
+        if self.row > 0 {
+            id + 1
+        } else {
+            NONE
+        }
+    }
+}
+
+impl From<[Id; 4]> for TrieNode {
+    fn from([row, rank, path_idx, next_sibling]: [Id; 4]) -> Self {
+        TrieNode {
+            row,
+            rank,
+            path_idx,
+            next_sibling,
+        }
+    }
+}
+
+impl From<TrieNode> for [Id; 4] {
+    fn from(n: TrieNode) -> Self {
+        [n.row, n.rank, n.path_idx, n.next_sibling]
     }
 }
 
@@ -124,11 +158,11 @@ impl TrieNode {
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Chain {
     /// First node; the rest follow `next_sibling`.
-    first: u32,
+    first: Id,
     /// The path that opened the chain, so one through its parent: the
     /// chain's ancestors, parent first, are
     /// `lineage[via · nt + row + 1 .. (via + 1) · nt]`.
-    via: u32,
+    via: Id,
 }
 
 /// Prefix-sharing trie over the selected position vectors, built in place
@@ -163,17 +197,27 @@ struct Chain {
 /// whole trie; and path 0, the SIC path, completes within its first `nt`
 /// chains, so every later chain already meets a finished path's metric —
 /// the bound [`FlexCoreDetector::walk_paths_block`] prunes against.
+///
+/// Nodes, chains and lineage live in one buffer of [`Id`] words sized for
+/// the budget once (`bound = N_PE · nt`: 4 words a node, 2 a chain, 1 a
+/// lineage entry, 14 bytes per possible node), so a channel refresh never
+/// regrows it.
 #[derive(Clone, Debug, Default)]
 struct PathTrie {
-    nodes: Vec<TrieNode>,
+    /// `[nodes: 4·bound | chains: 2·bound | lineage: bound]`. The
+    /// lineage's `lineage[path · nt + row]` is the node of `path` at
+    /// `row`: every chain's ancestor list is a row suffix of one path's
+    /// lineage, so the ids are materialised once per path (`n_paths · nt`
+    /// words), not once per chain.
+    words: Vec<Id>,
+    /// The budget's node bound the buffer is laid out for.
+    bound: usize,
+    /// Paths, nodes and chains in use.
+    n_paths: usize,
+    n_nodes: usize,
+    n_chains: usize,
     /// Set by [`PathTrie::build`]; meaningless before the first one.
-    first_root: u32,
-    chains: Vec<Chain>,
-    /// `lineage[path · nt + row]` = the node of `path` at `row`. Every
-    /// chain's ancestor list is a row suffix of one path's lineage, so the
-    /// ids are materialised once per path (`n_paths · nt` words), not once
-    /// per chain.
-    lineage: Vec<u32>,
+    first_root: Id,
     /// Static per-vector work of walking this trie, in arithmetic-weighted
     /// path-extension units, counted as the trie is built: each sibling
     /// chain whose nodes sit at `row` pays one effective point
@@ -189,11 +233,79 @@ struct PathTrie {
 }
 
 impl PathTrie {
+    /// Empties the trie and lays its buffer out for `budget` paths over
+    /// `nt` rows, allocating only when that bound changes.
+    ///
+    /// # Panics
+    /// Panics if `budget · nt` nodes do not fit below [`NONE`].
+    fn reset(&mut self, nt: usize, budget: usize) {
+        // flexcore-lint: hot-path
+        let bound = budget * nt;
+        assert!(
+            bound < NONE as usize,
+            "PathTrie: {budget} paths over {nt} rows need {bound} node ids; at most {} fit",
+            NONE
+        );
+        if bound != self.bound {
+            self.words.clear();
+            self.words.reserve_exact(7 * bound);
+            self.words.resize(7 * bound, NONE);
+            self.bound = bound;
+        }
+        (self.n_paths, self.n_nodes, self.n_chains) = (0, 0, 0);
+        (self.first_root, self.work) = (NONE, 0);
+    }
+
+    /// The nodes in use, as words ([`TrieNode::from`] reads one).
+    fn nodes(&self) -> &[[Id; 4]] {
+        &self.words[..4 * self.bound].as_chunks().0[..self.n_nodes]
+    }
+
+    fn node(&self, id: Id) -> TrieNode {
+        TrieNode::from(self.nodes()[id as usize])
+    }
+
+    fn set_node(&mut self, id: Id, node: TrieNode) {
+        let at = 4 * id as usize;
+        self.words[at..at + 4].copy_from_slice(&<[Id; 4]>::from(node));
+    }
+
+    /// Appends a node; returns its id.
+    fn push_node(&mut self, node: TrieNode) -> Id {
+        let id = self.n_nodes as Id;
+        self.n_nodes += 1;
+        self.set_node(id, node);
+        id
+    }
+
+    /// The chains in selection order.
+    fn chains(&self) -> impl Iterator<Item = Chain> + '_ {
+        let words = &self.words[4 * self.bound..6 * self.bound];
+        let chains = &words.as_chunks().0[..self.n_chains];
+        chains.iter().map(|&[first, via]| Chain { first, via })
+    }
+
+    fn push_chain(&mut self, chain: Chain) {
+        let at = 4 * self.bound + 2 * self.n_chains;
+        self.words[at..at + 2].copy_from_slice(&[chain.first, chain.via]);
+        self.n_chains += 1;
+    }
+
+    /// Every built path's nodes by row, `nt` per path in selection order
+    /// (and unused words past them).
+    fn lineage(&self) -> &[Id] {
+        &self.words[6 * self.bound..]
+    }
+
+    fn lineage_mut(&mut self) -> &mut [Id] {
+        &mut self.words[6 * self.bound..]
+    }
+
     /// Builds the trie over the paths the search reached through `links`
-    /// (see `PreprocessOutput::links`) inside its own storage, in
-    /// O(nodes built). `budget` is the most paths this trie will ever be
-    /// built over (the search's `N_PE`): capacity is sized for it once, so
-    /// a channel refresh never regrows it.
+    /// (see `Selection::links`) inside its own storage, in O(nodes built).
+    /// `budget` is the most paths this trie will ever be built over (the
+    /// search's `N_PE`): the buffer is laid out for it once, so a channel
+    /// refresh never regrows it.
     ///
     /// Path `i` with link `(p, row)` is path `p` plus one at `row`, and all
     /// of `p`'s own increments sit at rows ≥ `row` (the search only
@@ -210,59 +322,57 @@ impl PathTrie {
     /// exactly as a scan of the vectors in selection order makes them
     /// (the test-only `PathTrie::rebuild`, which looks each path's rank up
     /// in the sibling list at every row).
+    ///
+    /// # Panics
+    /// Panics if `budget · nt` nodes do not fit below [`NONE`].
     fn build(&mut self, links: &[(u32, u32)], nt: usize, budget: usize) {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
-        assert!(nt <= u16::MAX as usize, "PathTrie: {nt} rows exceed u16");
-        // At most one node (and one chain) per path and row.
-        let bound = budget * nt;
-        self.nodes.clear();
-        self.nodes.reserve(bound);
-        self.chains.clear();
-        self.chains.reserve(bound);
-        self.lineage.clear();
-        self.lineage.reserve(bound);
-        (self.first_root, self.work) = (NIL, 0);
+        self.reset(nt, budget);
+        self.n_paths = links.len();
         for (pi, &(parent, row)) in links.iter().enumerate() {
-            let via = pi as u32;
+            let via = pi as Id;
             // Rows below `fresh` are this path's alone; at `fresh` a child
             // path opens its link node, and above it shares its parent's.
             let (fresh, shared) = match parent {
                 ROOT => {
-                    self.first_root = self.nodes.len() as u32;
+                    self.first_root = self.n_nodes as Id;
                     (nt, None)
                 }
                 parent => {
                     let (from, row) = (parent as usize * nt, row as usize);
-                    let (tail, id) = (self.lineage[from + row] as usize, self.nodes.len() as u32);
-                    debug_assert_eq!(self.nodes[tail].next_sibling, NIL);
-                    self.nodes[tail].next_sibling = id;
-                    let rank = self.nodes[tail].rank + 1;
-                    self.nodes.push(TrieNode::fresh(row, rank, id));
+                    let tail = self.lineage()[from + row];
+                    let mut sibling = self.node(tail);
+                    debug_assert_eq!(sibling.next_sibling, NONE);
+                    sibling.next_sibling = self.n_nodes as Id;
+                    self.set_node(tail, sibling);
+                    let id = self.push_node(TrieNode::fresh(row, sibling.rank + 1));
                     self.work += 2;
                     (row, Some((id, from)))
                 }
             };
             // Each fresh node, rank 1, opens a chain under the one made
-            // just before it (or heads the top row's list).
-            let end = self.nodes.len() + fresh;
-            let id_at = move |row: usize| (end - 1 - row) as u32;
-            let node = |row| TrieNode::fresh(row, 1, id_at(row));
-            self.nodes.extend((0..fresh).rev().map(node));
-            let chain = |row| Chain {
-                first: id_at(row),
-                via,
-            };
-            self.chains.extend((0..fresh).rev().map(chain));
+            // just before it (or heads the top row's list); the path's
+            // lineage takes them in row order.
+            let at = pi * nt;
+            for row in (0..fresh).rev() {
+                let first = self.push_node(TrieNode::fresh(row, 1));
+                self.push_chain(Chain { first, via });
+                self.lineage_mut()[at + row] = first;
+            }
             // Σ over rows r < fresh of a chain's `nt − r` and a node's 2.
             self.work += fresh * (nt + 2) - fresh * fresh.saturating_sub(1) / 2;
-            // The path's lineage in row order.
-            self.lineage.extend((0..fresh).map(id_at));
             if let Some((id, from)) = shared {
-                self.lineage.push(id);
-                self.lineage.extend_from_within(from + fresh + 1..from + nt);
+                let lineage = self.lineage_mut();
+                lineage[at + fresh] = id;
+                lineage.copy_within(from + fresh + 1..from + nt, at + fresh + 1);
             }
-            self.nodes[self.lineage[pi * nt] as usize].path_idx = via;
+            let leaf = self.lineage()[at];
+            let node = TrieNode {
+                path_idx: via,
+                ..self.node(leaf)
+            };
+            self.set_node(leaf, node);
         }
     }
 
@@ -273,63 +383,58 @@ impl PathTrie {
     /// afterwards. Also builds the hand-made tries of the walk tests.
     #[cfg(test)]
     fn rebuild(&mut self, paths: &[PositionVector], nt: usize, budget: usize) {
-        let bound = budget * nt;
-        self.nodes.clear();
-        self.nodes.reserve(bound);
-        self.chains.clear();
-        self.chains.reserve(bound);
-        self.lineage.clear();
-        self.lineage.reserve(bound);
-        self.lineage.resize(paths.len() * nt, NIL);
-        self.first_root = NIL;
+        self.reset(nt, budget);
+        self.n_paths = paths.len();
         for (pi, p) in paths.iter().enumerate() {
-            let mut parent: Option<u32> = None;
+            let mut parent: Option<Id> = None;
             for row in (0..nt).rev() {
-                let rank = p.rank(row);
+                let rank = p.rank(row) as Id;
                 // Scan the sibling list for an existing node; append a new
-                // node at the tail otherwise.
+                // node at the tail otherwise. A node's children, once it
+                // has any, start right after it.
                 let mut slot = match parent {
                     None => self.first_root,
-                    Some(pa) => self.nodes[pa as usize].first_child,
+                    Some(pa) if pa as usize + 1 < self.n_nodes => pa + 1,
+                    Some(_) => NONE,
                 };
-                let mut prev = NIL;
-                let mut found = NIL;
-                while slot != NIL {
-                    if self.nodes[slot as usize].rank == rank {
+                let mut prev = NONE;
+                let mut found = NONE;
+                while slot != NONE {
+                    if self.node(slot).rank == rank {
                         found = slot;
                         break;
                     }
                     prev = slot;
-                    slot = self.nodes[slot as usize].next_sibling;
+                    slot = self.node(slot).next_sibling;
                 }
-                if found == NIL {
-                    found = self.nodes.len() as u32;
-                    self.nodes.push(TrieNode {
-                        row: row as u16,
-                        rank,
-                        path_idx: NIL,
-                        first_child: NIL,
-                        next_sibling: NIL,
-                    });
-                    if prev != NIL {
-                        self.nodes[prev as usize].next_sibling = found;
+                if found == NONE {
+                    found = self.push_node(TrieNode::fresh(row, rank));
+                    if prev != NONE {
+                        let tail = TrieNode {
+                            next_sibling: found,
+                            ..self.node(prev)
+                        };
+                        self.set_node(prev, tail);
                     } else {
                         // A new sibling list: its chain runs in this
                         // path's turn.
-                        match parent {
-                            None => self.first_root = found,
-                            Some(pa) => self.nodes[pa as usize].first_child = found,
+                        if parent.is_none() {
+                            self.first_root = found;
                         }
-                        self.chains.push(Chain {
+                        self.push_chain(Chain {
                             first: found,
-                            via: pi as u32,
+                            via: pi as Id,
                         });
                     }
                 }
                 if row == 0 {
-                    self.nodes[found as usize].path_idx = pi as u32;
+                    let leaf = TrieNode {
+                        path_idx: pi as Id,
+                        ..self.node(found)
+                    };
+                    self.set_node(found, leaf);
                 }
-                self.lineage[pi * nt + row] = found;
+                self.lineage_mut()[pi * nt + row] = found;
                 parent = Some(found);
             }
         }
@@ -341,14 +446,12 @@ impl PathTrie {
     /// its row, and each node 2.
     #[cfg(test)]
     fn static_work(&self, nt: usize) -> usize {
-        let chain_cost = |first: u32| match first {
-            NIL => 0,
-            first => nt - self.nodes[first as usize].row as usize,
+        let chain_cost = |first: Id| match first {
+            NONE => 0,
+            first => nt - self.node(first).row as usize,
         };
-        let children: usize = self
-            .nodes
-            .iter()
-            .map(|n| 2 + chain_cost(n.first_child))
+        let children: usize = (0..self.n_nodes as Id)
+            .map(|id| 2 + chain_cost(self.node(id).first_child(id)))
             .sum();
         chain_cost(self.first_root) + children
     }
@@ -356,9 +459,9 @@ impl PathTrie {
     /// The ancestor nodes of `chain`, whose own nodes sit at `row`: parent
     /// first, ascending by row.
     #[inline]
-    fn ancestors(&self, chain: &Chain, row: usize, nt: usize) -> &[u32] {
+    fn ancestors(&self, chain: Chain, row: usize, nt: usize) -> &[Id] {
         let via = chain.via as usize * nt;
-        &self.lineage[via + row + 1..via + nt]
+        &self.lineage()[via + row + 1..via + nt]
     }
 }
 
@@ -370,12 +473,16 @@ struct State {
     tri: Triangular,
     /// Per-level error model of `tri`'s `R` (Eq. 4).
     model: LevelErrorModel,
-    /// The selection the prepare-time search produced (position vectors
-    /// with ln-probabilities, most promising first): every selected path
-    /// is an active one.
-    selection: PreprocessOutput,
+    /// The selection the prepare-time search produced (links and
+    /// ln-probabilities, most promising first): every selected path is an
+    /// active one.
+    selection: Selection,
     /// Prefix-sharing evaluation order over the selected paths.
     trie: PathTrie,
+    /// The selected position vectors, built from `selection` by the first
+    /// [`FlexCoreDetector::position_vectors`] call after a `prepare`: no
+    /// detection path reads them.
+    paths: OnceLock<Vec<PositionVector>>,
     /// Per row `(Triangular::pivot_inv, |R(row,row)|²)`, exactly as the
     /// scalar walk forms them per chain.
     diag: Vec<(Cx, f64)>,
@@ -399,8 +506,9 @@ impl State {
         State {
             tri: Triangular::new(Qr::default(), constellation),
             model: LevelErrorModel::default(),
-            selection: PreprocessOutput::default(),
+            selection: Selection::default(),
             trie: PathTrie::default(),
+            paths: OnceLock::new(),
             diag: Vec::new(),
             groups: false,
         }
@@ -572,7 +680,7 @@ impl FlexCoreDetector {
     /// `n_pe` unless the stopping criterion fired earlier) — the quantity
     /// plotted as "active PEs" in Fig. 10.
     pub fn active_paths(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| s.selection.paths.len())
+        self.state.as_ref().map_or(0, |s| s.selection.len())
     }
 
     /// `Σ Pc` captured by the active paths for the current channel, summed
@@ -603,9 +711,14 @@ impl FlexCoreDetector {
     }
 
     /// The selected position vectors (most promising first), borrowed from
-    /// the prepared state (empty before `prepare`).
+    /// the prepared state (empty before `prepare`). The state keeps the
+    /// selection as links and a trie; the first call after a `prepare`
+    /// builds the vectors from them.
     pub fn position_vectors(&self) -> &[PositionVector] {
-        self.state.as_ref().map_or(&[], |s| &s.selection.paths)
+        self.state.as_ref().map_or(&[], |s| {
+            s.paths
+                .get_or_init(|| s.selection.position_vectors(s.tri.nt()))
+        })
     }
 
     /// Allocation-free path evaluation: streams the tree path selected by
@@ -674,7 +787,7 @@ impl FlexCoreDetector {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
         let state = self.prepared();
-        let n = state.selection.paths.len();
+        let n = state.trie.n_paths;
         out.metrics.clear();
         out.metrics.resize(n, f64::NAN);
         // No clear(): surviving slots keep their storage (spill buffers
@@ -697,31 +810,32 @@ impl FlexCoreDetector {
         &self,
         state: &State,
         ybar: &[Cx],
-        first: u32,
+        first: Id,
         symbols: &mut SymVec,
         parent_metric: f64,
         out: &mut WalkScratch,
     ) {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
-        if first == NIL {
+        if first == NONE {
             return;
         }
         let tri = &state.tri;
-        let row = state.trie.nodes[first as usize].row as usize;
+        let row = state.trie.node(first).row as usize;
         let eff = tri.effective_point(ybar, symbols.as_slice(), row);
         let rdiag = tri.qr.r[(row, row)].norm_sqr();
         let mut idx = first;
-        while idx != NIL {
-            let node = state.trie.nodes[idx as usize];
+        while idx != NONE {
+            let node = state.trie.node(idx);
             if let Some(sym) = self.pick_symbol(eff, node.rank as usize) {
                 symbols.set(row, sym as u16);
                 let metric = parent_metric + rdiag * self.constellation.point(sym).dist_sqr(eff);
-                if node.path_idx != NIL {
+                if node.path_idx != NONE {
                     out.metrics[node.path_idx as usize] = metric;
                     out.syms[node.path_idx as usize].clone_from(symbols);
                 }
-                self.walk_level(state, ybar, node.first_child, symbols, metric, out);
+                let child = node.first_child(idx);
+                self.walk_level(state, ybar, child, symbols, metric, out);
             }
             idx = node.next_sibling;
         }
@@ -797,7 +911,8 @@ impl FlexCoreDetector {
         let (trie, r) = (&state.trie, &state.tri.qr.r);
         let nt = state.tri.nt();
         assert_eq!(ybars.len(), LANES * nt, "walk_paths_block: plane length");
-        let n = trie.nodes.len();
+        let nodes = trie.nodes();
+        let n = nodes.len();
         // Every node starts dead, so a skipped chain needs no marking.
         out.metric.clear();
         out.metric.resize(n, [f64::NAN; LANES]);
@@ -811,8 +926,8 @@ impl FlexCoreDetector {
         // `Exact` ordering has no LUT.
         let fast = self.fast_lut.as_deref();
         let cpoints = self.constellation.points();
-        for chain in &trie.chains {
-            let row = trie.nodes[chain.first as usize].row as usize;
+        for chain in trie.chains() {
+            let row = TrieNode::from(nodes[chain.first as usize]).row as usize;
             let above = trie.ancestors(chain, row, nt);
             let mut parent_metric = match above.first() {
                 Some(&pa) => out.metric[pa as usize],
@@ -844,9 +959,9 @@ impl FlexCoreDetector {
             }
             let live = parent_metric.map(|m| !m.is_nan());
             let mut next = chain.first;
-            while next != NIL {
+            while next != NONE {
                 let idx = next as usize;
-                let node = trie.nodes[idx];
+                let node = TrieNode::from(nodes[idx]);
                 next = node.next_sibling;
                 let k = node.rank as usize;
                 let (mut points, mut syms) = (CxLane::zero(), [0u16; LANES]);
@@ -873,12 +988,13 @@ impl FlexCoreDetector {
                 out.points[idx] = points;
                 out.syms[idx] = syms;
                 out.metric[idx] = metric;
-                if node.path_idx != NIL {
+                if node.path_idx != NONE {
+                    let path = u32::from(node.path_idx);
                     for l in 0..LANES {
                         let (m, best) = (metric[l], best_metric[l]);
-                        if (m < best) | ((m == best) & (node.path_idx < best_path[l])) {
+                        if (m < best) | ((m == best) & (path < best_path[l])) {
                             best_metric[l] = m;
-                            best_path[l] = node.path_idx;
+                            best_path[l] = path;
                         }
                     }
                 }
@@ -1069,7 +1185,7 @@ impl FlexCoreDetector {
         // zero pivot. A `NaN` sample completes none and panics here
         // (`a_nan_sample_ends_a_lane_group_as_its_slots_batch_ends`).
         assert!(out.best_path[lane] != NIL, "the SIC path always completes");
-        let lineage = &state.trie.lineage[out.best_path[lane] as usize * nt..][..nt];
+        let lineage = &state.trie.lineage()[out.best_path[lane] as usize * nt..][..nt];
         out.winner.clear();
         out.winner
             .extend(lineage.iter().map(|&node| out.syms[node as usize][lane]));
@@ -1099,15 +1215,18 @@ impl Detector for FlexCoreDetector {
 
     /// Overwrites the prepared state in place: after one `prepare`, the
     /// next one on a channel of the same shape performs no heap
-    /// allocation (for [`QrOrdering::Sqrd`] and up to the inline width of
-    /// a [`PositionVector`]), and leaves exactly the state a fresh clone of
-    /// this detector would reach on that channel.
+    /// allocation (for [`QrOrdering::Sqrd`], at any width and budget), and
+    /// leaves exactly the state a fresh clone of this detector would reach
+    /// on that channel.
+    ///
+    /// # Panics
+    /// Panics if `N_PE · nt` reaches 65 535, the path trie's node-id range.
     fn prepare(&mut self, h: &CMat, sigma2: f64) {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
         let state = self
             .state
-            // flexcore-lint: allow(FL001, reason = "first prepare only: the state's own copy of the constellation, kept across refreshes")
+            // flexcore-lint: allow(FL001, reason = "first prepare only, and allocation-free: a constellation clone copies a reference to its modulation's shared tables")
             .get_or_insert_with(|| State::new(self.constellation.clone()));
         let qr = &mut state.tri.qr;
         match self.config.qr_ordering {
@@ -1132,15 +1251,16 @@ impl Detector for FlexCoreDetector {
         state
             .trie
             .build(&state.selection.links, state.tri.nt(), self.config.n_pe);
+        state.paths.take();
         let tri = &state.tri;
         state.diag.clear();
         state
             .diag
             .extend((0..tri.nt()).map(|row| (tri.pivot_inv(row), tri.qr.r[(row, row)].norm_sqr())));
         let finite = |z: Cx| z.re.is_finite() && z.im.is_finite();
-        let rank_one = |&node: &u32| state.trie.nodes[node as usize].rank == 1;
-        state.groups = state.selection.paths.len() == 1
-            && state.trie.lineage.iter().all(rank_one)
+        let rank_one = |&node: &Id| state.trie.node(node).rank == 1;
+        state.groups = state.selection.len() == 1
+            && state.trie.lineage()[..tri.nt()].iter().all(rank_one)
             && tri.nt() > 0
             && tri.qr.q.rows() <= GROUP_ROWS
             && state
@@ -1358,10 +1478,12 @@ mod tests {
     ) {
         let mut reference = PathTrie::default();
         reference.rebuild(paths, nt, paths.len());
-        assert_eq!(trie.nodes, reference.nodes, "{what}: nodes");
+        assert_eq!(trie.nodes(), reference.nodes(), "{what}: nodes");
         assert_eq!(trie.first_root, reference.first_root, "{what}: root");
-        assert_eq!(trie.chains, reference.chains, "{what}: chains");
-        assert_eq!(trie.lineage, reference.lineage, "{what}: lineage");
+        let chains = |t: &PathTrie| t.chains().collect::<Vec<_>>();
+        assert_eq!(chains(trie), chains(&reference), "{what}: chains");
+        let lineage = |t: &PathTrie| t.lineage()[..paths.len() * nt].to_vec();
+        assert_eq!(lineage(trie), lineage(&reference), "{what}: lineage");
         assert_eq!(trie.work, reference.static_work(nt), "{what}: counted work");
     }
 
@@ -1374,7 +1496,7 @@ mod tests {
     fn sweep_link_built_tries(seed: u64, draws: usize) {
         use crate::model::PE_CEIL;
         let mut rng = StdRng::seed_from_u64(seed);
-        let (mut out, mut trie) = (PreprocessOutput::default(), PathTrie::default());
+        let (mut out, mut trie) = (Selection::default(), PathTrie::default());
         let (mut capped, mut tied_at_ceiling, mut cut) = (0, 0, 0);
         for draw in 0..draws {
             let nt = match rng.gen_range(0..21) {
@@ -1401,12 +1523,13 @@ mod tests {
             }
             pre.run_into(&model, order, &mut out);
             let what = format!("draw {draw}: nt {nt} order {order} {pre:?}");
-            let short = out.paths.len() < n_pe;
+            let paths = out.position_vectors(nt);
+            let short = paths.len() < n_pe;
             capped += usize::from(short && pre.stop_threshold.is_none());
             cut +=
                 usize::from(short && pre.stop_threshold.is_some_and(|t| out.cumulative_prob >= t));
             trie.build(&out.links, nt, n_pe);
-            assert_trie_is_the_reference(&trie, &out.paths, nt, &what);
+            assert_trie_is_the_reference(&trie, &paths, nt, &what);
         }
         assert!(capped > 0, "no constellation order ever capped a selection");
         assert!(
@@ -1453,7 +1576,8 @@ mod tests {
                     det.prepare(&h, sigma2_from_snr_db(rng.gen_range(6.0..24.0)));
                     let what = format!("{nr}x{nt} {m:?} {:?}", det.config);
                     let state = det.state.as_ref().expect("prepared");
-                    assert_trie_is_the_reference(&state.trie, &state.selection.paths, nt, &what);
+                    let paths = det.position_vectors();
+                    assert_trie_is_the_reference(&state.trie, paths, nt, &what);
                     let walked = state.trie.static_work(nt);
                     assert_eq!(det.extension_work(), nt * nt + walked, "{what}");
                 }
@@ -2342,8 +2466,7 @@ mod tests {
                         .collect();
                     let state = fc.state.as_mut().expect("prepared");
                     state.trie.rebuild(&paths, nt, budget);
-                    assert_eq!(state.trie.chains.len(), 1 + (nt - 1) * c);
-                    state.selection.paths = paths;
+                    assert_eq!(state.trie.chains().count(), 1 + (nt - 1) * c);
                     let what = format!("nt={nt} c={c} dead={dead:?}");
                     let mut block = WalkBlockScratch::default();
                     for mask in 1..1u32 << LANES {
@@ -2357,7 +2480,8 @@ mod tests {
                             let winner = format!("{what} mask {mask:04b} lane {l}: winner");
                             assert_eq!(block.best_metric[l].to_bits(), want.to_bits(), "{winner}");
                             let trie = &fc.state.as_ref().expect("prepared").trie;
-                            for (path, lineage) in trie.lineage.chunks(nt).enumerate() {
+                            let lineage = &trie.lineage()[..trie.n_paths * nt];
+                            for (path, lineage) in lineage.chunks(nt).enumerate() {
                                 let what = format!("{what} mask {mask:04b} lane {l} path {path}");
                                 let got = block.metric[lineage[0] as usize][l];
                                 let want = walk.metrics[path];
@@ -2426,16 +2550,16 @@ mod tests {
                 .collect();
             let state = fc.state.as_mut().expect("prepared");
             state.trie.rebuild(&paths, 2, 3);
-            state.selection.paths = paths;
             let trie = &state.trie;
-            let leaves: Vec<u32> = trie.chains[1..]
-                .iter()
+            let leaves: Vec<Id> = trie
+                .chains()
+                .skip(1)
                 .flat_map(|chain| {
                     std::iter::successors(Some(chain.first), |&i| {
-                        Some(trie.nodes[i as usize].next_sibling).filter(|&next| next != NIL)
+                        Some(trie.node(i).next_sibling).filter(|&next| next != NONE)
                     })
                 })
-                .map(|i| trie.nodes[i as usize].path_idx)
+                .map(|i| trie.node(i).path_idx)
                 .collect();
             assert_eq!(
                 leaves,
@@ -2443,7 +2567,7 @@ mod tests {
                 "{what}: the craft relies on this visit order"
             );
             // `lineage[path · nt + row]`: path 1's top-row node.
-            let path1_top = trie.lineage[2 + 1] as usize;
+            let path1_top = trie.lineage()[2 + 1] as usize;
             let mut walk = WalkScratch::default();
             fc.walk_paths(&ybar, &mut walk);
             assert_eq!(
@@ -2559,11 +2683,11 @@ mod tests {
 
     #[test]
     fn rows_past_255_keep_their_index() {
-        // `TrieNode::row` was a `u8`: at 257 streams rows 256 and 255
+        // `TrieNode::row` was once a `u8`: at 257 streams rows 256 and 255
         // wrapped to 0 and 255, the scalar walk returned wrong symbols
-        // and the block walk found no completed path. The wider field
-        // fits the padding the struct already had.
-        assert_eq!(std::mem::size_of::<TrieNode>(), 20);
+        // and the block walk found no completed path. Every node field is
+        // one 16-bit word now.
+        assert_eq!(std::mem::size_of::<TrieNode>(), 8);
         let nt = 257;
         let c = Constellation::new(Modulation::Qpsk);
         let mut rng = StdRng::seed_from_u64(42);
@@ -2575,6 +2699,37 @@ mod tests {
         let y = h.mul_vec(&x);
         assert_eq!(fc.detect(&y), s, "scalar walk");
         assert_eq!(fc.detect_batch_refs(&[&y]), [s], "block walk");
+    }
+
+    #[test]
+    #[should_panic(expected = "node ids; at most 65535 fit")]
+    fn a_budget_past_the_trie_ids_fails_loudly() {
+        // 65 535 paths over one row need node id 65 535, which is the
+        // trie's `NONE`: the prepare that sizes the trie refuses it rather
+        // than wrap an id.
+        let c = Constellation::new(Modulation::Bpsk);
+        let mut fc = FlexCoreDetector::with_pes(c, usize::from(NONE));
+        fc.prepare(&CMat::from_fn(1, 1, |_, _| Cx::real(1.0)), 0.1);
+    }
+
+    #[test]
+    fn the_largest_budgets_in_use_fit_the_trie_ids() {
+        // 1 024 nodes (exhaustive FlexCore at QPSK 4×4), the 257-row trie
+        // and the last bound below `NONE`: prepared, detected, no panic.
+        for (m, nt, n_pe) in [
+            (Modulation::Qpsk, 4, 256),
+            (Modulation::Qpsk, 257, 4),
+            (Modulation::Bpsk, 1, usize::from(NONE) - 1),
+        ] {
+            let c = Constellation::new(m);
+            let mut rng = StdRng::seed_from_u64(43);
+            let h = ChannelEnsemble::iid(nt, nt).draw(&mut rng);
+            let mut fc = FlexCoreDetector::with_pes(c.clone(), n_pe);
+            fc.prepare(&h, 1e-6);
+            let s: Vec<usize> = (0..nt).map(|_| rng.gen_range(0..c.order())).collect();
+            let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
+            assert_eq!(fc.detect(&h.mul_vec(&x)), s, "{m:?} nt {nt} N_PE {n_pe}");
+        }
     }
 
     #[test]

@@ -37,12 +37,21 @@ pub(crate) const PE_CEIL: f64 = 0.5;
 /// Per-level error probabilities derived from `R` and the noise power.
 #[derive(Clone, Debug, Default)]
 pub struct LevelErrorModel {
-    /// `pe[row]` for `R` row `row` (tree level `row+1`).
-    pe: Vec<f64>,
-    /// Cached `ln(pe[row])`.
-    ln_pe: Vec<f64>,
-    /// Cached `ln(1 − pe[row])`.
-    ln_1m_pe: Vec<f64>,
+    /// One entry per `R` row `row` (tree level `row+1`), in one buffer a
+    /// refit sizes to the level count at once.
+    levels: Vec<Level>,
+}
+
+/// The two logarithms of one level's `Pe` the search reads (and `Pe`
+/// itself, for the tests' pins).
+#[derive(Clone, Copy, Debug)]
+struct Level {
+    #[cfg(test)]
+    pe: f64,
+    /// `ln(pe)`.
+    ln_pe: f64,
+    /// `ln(1 − pe)`.
+    ln_1m_pe: f64,
 }
 
 impl LevelErrorModel {
@@ -75,45 +84,49 @@ impl LevelErrorModel {
         model
     }
 
-    /// The one place the per-level caches are derived from `Pe`.
-    fn refit(&mut self, pe: impl Iterator<Item = f64>) {
+    /// The one place the per-level caches are derived from `Pe`. `pe`
+    /// knows its length, so the buffer is sized once for it.
+    fn refit(&mut self, pe: impl ExactSizeIterator<Item = f64>) {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
-        self.pe.clear();
-        self.ln_pe.clear();
-        self.ln_1m_pe.clear();
-        for p in pe {
-            let p = p.clamp(PE_FLOOR, PE_CEIL);
-            self.pe.push(p);
-            // flexcore-lint: allow(FL002, reason = "Eq. 3 is defined in the log domain; a fresh and an in-place fit reach this one call with the same argument, and nothing compares its bits across hosts")
-            self.ln_pe.push(p.ln());
-            // flexcore-lint: allow(FL002, reason = "as above: the one ln(1 − Pe) every fit of this level performs")
-            self.ln_1m_pe.push((1.0 - p).ln());
-        }
+        self.levels.clear();
+        self.levels.reserve_exact(pe.len());
+        self.levels.extend(pe.map(|p| {
+            let pe = p.clamp(PE_FLOOR, PE_CEIL);
+            Level {
+                #[cfg(test)]
+                pe,
+                // flexcore-lint: allow(FL002, reason = "Eq. 3 is defined in the log domain; a fresh and an in-place fit reach this one call with the same argument, and nothing compares its bits across hosts")
+                ln_pe: pe.ln(),
+                // flexcore-lint: allow(FL002, reason = "as above: the one ln(1 − Pe) every fit of this level performs")
+                ln_1m_pe: (1.0 - pe).ln(),
+            }
+        }));
     }
 
     /// Number of levels.
     pub(crate) fn levels(&self) -> usize {
-        self.pe.len()
+        self.levels.len()
     }
 
     /// `Pe` for `R` row `row` (0-based; tree level `row+1`).
     #[cfg(test)]
     pub(crate) fn pe(&self, row: usize) -> f64 {
-        self.pe[row]
+        self.levels[row].pe
     }
 
     /// `ln Pe(row)` — the log-domain cost of deepening a position vector by
     /// one rank at this level.
     pub(crate) fn ln_pe(&self, row: usize) -> f64 {
-        self.ln_pe[row]
+        self.levels[row].ln_pe
     }
 
     /// `ln P_l(k) = ln(1−Pe) + (k−1)·ln Pe` (Eq. 3 in log domain).
     #[cfg(test)]
     pub(crate) fn ln_level_prob(&self, row: usize, k: u32) -> f64 {
         assert!(k >= 1, "position vector entries are 1-based");
-        self.ln_1m_pe[row] + (k as f64 - 1.0) * self.ln_pe[row]
+        let level = self.levels[row];
+        level.ln_1m_pe + (k as f64 - 1.0) * level.ln_pe
     }
 
     /// `ln Pc(p) = Σ_l ln P_l(p(l))` (Eq. 2 in log domain): the reference
@@ -129,7 +142,7 @@ impl LevelErrorModel {
 
     /// `ln Pc` of the all-ones root path, the most promising one.
     pub(crate) fn ln_root_prob(&self) -> f64 {
-        self.ln_1m_pe.iter().sum()
+        self.levels.iter().map(|level| level.ln_1m_pe).sum()
     }
 }
 

@@ -12,37 +12,30 @@
 //! `R`, i.e. the paper's tree level `row + 1` (index 0 = bottom level,
 //! detected last).
 
-use flexcore_numeric::symvec::INLINE_STREAMS;
-use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// A 1-based rank per tree level. The all-ones vector is the SIC path.
 ///
-/// Like the symbol store (`SymVec`), up to [`INLINE_STREAMS`] levels live
-/// inside the value, so a prepared detector's selection is one contiguous
-/// plane that a channel refresh overwrites without touching the heap;
-/// wider vectors spill to a heap buffer, which overwrites reuse. Equality,
-/// ordering and hashing see only the entries.
-#[derive(Clone)]
+/// Equality, ordering and hashing see only the entries (ordering is
+/// lexicographic from row 0). The detector keeps its selection as the
+/// search's `(parent, row)` links and its path trie, and builds these
+/// values only when asked for them
+/// (`FlexCoreDetector::position_vectors`).
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PositionVector {
-    levels: usize,
-    inline: [u32; INLINE_STREAMS],
-    /// Holds the entries when `levels > INLINE_STREAMS`; kept (for its
-    /// capacity) otherwise.
-    spill: Vec<u32>,
+    entries: Vec<u32>,
 }
 
 impl PositionVector {
     /// The root/most-promising vector `[1, 1, …, 1]` (a pure SIC descent).
+    ///
+    /// # Panics
+    /// Panics if `levels` is zero.
     pub(crate) fn ones(levels: usize) -> Self {
-        let mut p = PositionVector {
-            levels: 0,
-            inline: [0; INLINE_STREAMS],
-            spill: Vec::new(),
-        };
-        p.set_ones(levels);
-        p
+        assert!(levels > 0, "PositionVector: zero levels");
+        PositionVector {
+            entries: vec![1; levels],
+        }
     }
 
     /// Builds from explicit 1-based entries.
@@ -56,73 +49,31 @@ impl PositionVector {
             entries.iter().all(|&e| e >= 1),
             "PositionVector entries are 1-based"
         );
-        let mut p = PositionVector::ones(entries.len());
-        p.entries_mut().copy_from_slice(&entries);
-        p
-    }
-
-    /// Overwrites with the all-ones vector of `levels` levels, reusing the
-    /// storage.
-    pub(crate) fn set_ones(&mut self, levels: usize) {
-        // flexcore-lint: hot-path
-        assert!(levels > 0, "PositionVector: zero levels");
-        self.levels = levels;
-        if levels > INLINE_STREAMS {
-            self.spill.clear();
-            self.spill.resize(levels, 1);
-        } else {
-            self.inline[..levels].fill(1);
-        }
-    }
-
-    /// Overwrites with `parent`'s entries and `entries[row]` incremented —
-    /// the pre-processing tree's child-generation step (§3.1.1, Fig. 5) —
-    /// reusing the storage.
-    pub(crate) fn set_child(&mut self, parent: &PositionVector, row: usize) {
-        // flexcore-lint: hot-path
-        self.levels = parent.levels;
-        if parent.levels > INLINE_STREAMS {
-            self.spill.clear();
-            self.spill.extend_from_slice(&parent.spill);
-        } else {
-            self.inline = parent.inline;
-        }
-        self.entries_mut()[row] += 1;
+        PositionVector { entries }
     }
 
     /// Number of levels.
     #[cfg(test)]
     pub(crate) fn levels(&self) -> usize {
-        self.levels
+        self.entries.len()
     }
 
     /// The rank at `R` row `row` (0-based row, 1-based rank).
     pub fn rank(&self, row: usize) -> u32 {
-        self.entries()[row]
+        self.entries[row]
     }
 
     /// Raw entries, indexed by `R` row.
-    pub(crate) fn entries(&self) -> &[u32] {
-        if self.levels > INLINE_STREAMS {
-            &self.spill
-        } else {
-            &self.inline[..self.levels]
-        }
-    }
-
-    fn entries_mut(&mut self) -> &mut [u32] {
-        if self.levels > INLINE_STREAMS {
-            &mut self.spill
-        } else {
-            &mut self.inline[..self.levels]
-        }
-    }
-
-    /// Returns a copy with `entries[row]` incremented.
     #[cfg(test)]
+    pub(crate) fn entries(&self) -> &[u32] {
+        &self.entries
+    }
+
+    /// Returns a copy with `entries[row]` incremented — the
+    /// pre-processing tree's child-generation step (§3.1.1, Fig. 5).
     pub(crate) fn child(&self, row: usize) -> PositionVector {
         let mut c = self.clone();
-        c.entries_mut()[row] += 1;
+        c.entries[row] += 1;
         c
     }
 
@@ -130,39 +81,13 @@ impl PositionVector {
     /// 0 for the SIC path.
     #[cfg(test)]
     pub(crate) fn excess(&self) -> u32 {
-        self.entries().iter().map(|&e| e - 1).sum()
+        self.entries.iter().map(|&e| e - 1).sum()
     }
 
     /// True if every entry is within a constellation of `order` symbols.
     #[cfg(test)]
     pub(crate) fn within_order(&self, order: usize) -> bool {
-        self.entries().iter().all(|&e| e as usize <= order)
-    }
-}
-
-impl PartialEq for PositionVector {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries() == other.entries()
-    }
-}
-
-impl Eq for PositionVector {}
-
-impl Hash for PositionVector {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.entries().hash(state);
-    }
-}
-
-impl PartialOrd for PositionVector {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PositionVector {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.entries().cmp(other.entries())
+        self.entries.iter().all(|&e| e as usize <= order)
     }
 }
 
@@ -181,13 +106,13 @@ fn fmt_paper(entries: &[u32], f: &mut fmt::Formatter<'_>) -> fmt::Result {
 
 impl fmt::Debug for PositionVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_paper(self.entries(), f)
+        fmt_paper(&self.entries, f)
     }
 }
 
 impl fmt::Display for PositionVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_paper(self.entries(), f)
+        fmt_paper(&self.entries, f)
     }
 }
 
@@ -211,27 +136,6 @@ mod tests {
         assert_eq!(c.excess(), 1);
         // Parent unchanged.
         assert_eq!(p.entries(), &[1, 1, 1]);
-    }
-
-    #[test]
-    fn overwrites_cross_the_inline_width_both_ways() {
-        // One vector reused as 20 → 3 → 20 levels: entries, equality and
-        // order never see which storage holds them (or what it held).
-        let wide = PositionVector::ones(INLINE_STREAMS + 4).child(INLINE_STREAMS + 2);
-        let narrow = PositionVector::from_entries(vec![2, 1, 3]);
-        let mut p = PositionVector::ones(1);
-        p.set_child(&wide, 0);
-        assert_eq!(p.levels(), INLINE_STREAMS + 4);
-        assert_eq!((p.rank(0), p.rank(INLINE_STREAMS + 2)), (2, 2));
-        assert_eq!(p.excess(), 2);
-        p.set_child(&narrow, 1);
-        assert_eq!(p.entries(), &[2, 2, 3]);
-        assert_eq!(p, PositionVector::from_entries(vec![2, 2, 3]));
-        assert!(narrow < p, "lexicographic from row 0");
-        p.set_ones(INLINE_STREAMS + 4);
-        assert_eq!(p, PositionVector::ones(INLINE_STREAMS + 4));
-        p.set_ones(2);
-        assert_eq!(p, PositionVector::ones(2));
     }
 
     #[test]

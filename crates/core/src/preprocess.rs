@@ -31,6 +31,7 @@
 
 use crate::model::LevelErrorModel;
 use crate::position::PositionVector;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// Configuration + entry point for the pre-processing search.
@@ -61,52 +62,62 @@ impl Preprocessor {
 
     /// Runs the search for a constellation of `order` symbols.
     pub fn run(&self, model: &LevelErrorModel, order: usize) -> PreprocessOutput {
-        let mut out = PreprocessOutput::default();
-        self.run_into(model, order, &mut out);
-        if self.stop_threshold.is_none() {
-            out.cumulative_prob = prob_sum(&out.ln_probs);
+        let mut selection = Selection::default();
+        self.run_into(model, order, &mut selection);
+        let cumulative_prob = match self.stop_threshold {
+            Some(_) => selection.cumulative_prob,
+            None => prob_sum(&selection.ln_probs),
+        };
+        PreprocessOutput {
+            paths: selection.position_vectors(model.levels()),
+            cumulative_prob,
+            real_mults: selection.real_mults,
+            expanded_nodes: selection.expanded_nodes,
+            ln_probs: selection.ln_probs,
         }
-        out
     }
 
-    /// [`Preprocessor::run`] over an existing output, which doubles as the
-    /// search's workspace: a channel refresh overwrites the selection it
-    /// replaces, with no heap traffic once `out` has run a search of this
-    /// budget (and, past the inline width of a [`PositionVector`], once it
-    /// has held this many vectors).
+    /// [`Preprocessor::run`] over an existing selection: a channel refresh
+    /// overwrites the one it replaces, with no heap traffic once `out` has
+    /// held a selection of this budget and this thread has searched at
+    /// this budget and depth.
     ///
     /// A child is only ever generated from a node that has just been
     /// selected, so a candidate is stored as `(ln Pc, index of its selected
-    /// parent, incremented row)` and its vector is only materialised when
-    /// it is selected itself — straight into `out.paths`, with its
-    /// `(parent, row)` link into `out.links`.
+    /// parent, incremented row)`, and the selection as those `(parent,
+    /// row)` links (`out.links`). The search reads the selected vectors'
+    /// ranks — the constellation bound and the tie order — from a flat
+    /// plane in this thread's workspace, next to its candidate list.
     ///
     /// Only a stopping threshold reads the running `Σ Pc`, so only a
     /// thresholded search keeps one: without a threshold,
     /// `out.cumulative_prob` is left `NaN` ([`prob_sum`] over
     /// `out.ln_probs` gives the same bits on demand).
-    pub(crate) fn run_into(
-        &self,
-        model: &LevelErrorModel,
-        order: usize,
-        out: &mut PreprocessOutput,
-    ) {
+    pub(crate) fn run_into(&self, model: &LevelErrorModel, order: usize, out: &mut Selection) {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
         let levels = model.levels();
-        let PreprocessOutput {
-            paths,
-            ln_probs,
-            links,
+        let mut scratch = SEARCH_SCRATCH.take();
+        let SearchScratch {
             candidates,
             popped,
-            ..
+            ranks,
+        } = &mut scratch;
+        let Selection {
+            ln_probs, links, ..
         } = out;
         ln_probs.clear();
         ln_probs.reserve(self.n_pe);
         links.clear();
         links.reserve(self.n_pe);
-        paths.reserve(self.n_pe.saturating_sub(paths.len()));
+        // The workspace is sized for the budget up front (the list never
+        // outgrows it: it is cut back to the selections still to make as
+        // soon as an insertion passes that), so a later search of this
+        // budget and depth on this thread touches no heap, whatever its
+        // channel.
+        ranks.clear();
+        ranks.reserve(self.n_pe * levels);
+        popped.reserve(self.expand_batch.min(self.n_pe));
         // Candidate list L, kept sorted by descending ln-probability.
         candidates.clear();
         candidates.reserve(self.n_pe);
@@ -115,7 +126,6 @@ impl Preprocessor {
             parent: ROOT,
             row: levels as u32 - 1,
         });
-        popped.reserve(self.expand_batch.min(self.n_pe));
         let mut cumulative = 0.0f64;
         let mut real_mults = 0u64;
         let mut expanded = 0u64;
@@ -129,14 +139,14 @@ impl Preprocessor {
             popped.extend(candidates.drain(..batch));
             for &Candidate { ln_pc, parent, row } in popped.iter() {
                 let n = ln_probs.len();
-                if n == paths.len() {
-                    paths.push(PositionVector::ones(levels));
-                }
-                let (selected, rest) = paths.split_at_mut(n);
-                if parent == ROOT {
-                    rest[0].set_ones(levels);
-                } else {
-                    rest[0].set_child(&selected[parent as usize], row as usize);
+                let at = n * levels;
+                match parent {
+                    ROOT => ranks.resize(at + levels, 1),
+                    parent => {
+                        let from = parent as usize * levels;
+                        ranks.extend_from_within(from..from + levels);
+                        ranks[at + row as usize] += 1;
+                    }
                 }
                 ln_probs.push(ln_pc);
                 links.push((parent, row));
@@ -158,7 +168,7 @@ impl Preprocessor {
                 expanded += 1;
                 let horizon = self.n_pe - ln_probs.len();
                 for child_row in 0..=row {
-                    if paths[n].rank(child_row as usize) as usize >= order {
+                    if ranks[at + child_row as usize] as usize >= order {
                         continue; // rank cannot exceed |Q|
                     }
                     // Pc(child) = Pc(parent)·Pe(row): one real multiplication
@@ -170,11 +180,11 @@ impl Preprocessor {
                         row: child_row,
                     };
                     real_mults += 1;
-                    insert_sorted(candidates, &paths[..=n], child, horizon);
+                    insert_sorted(candidates, ranks, levels, child, horizon);
                 }
             }
         }
-        paths.truncate(ln_probs.len());
+        SEARCH_SCRATCH.set(scratch);
         out.cumulative_prob = self.stop_threshold.map_or(f64::NAN, |_| cumulative);
         out.real_mults = real_mults;
         out.expanded_nodes = expanded;
@@ -203,13 +213,34 @@ struct Candidate {
     row: u32,
 }
 
+/// What the search works in besides its output, sized by the first
+/// search of a budget and depth on a thread and reused by every later
+/// one.
+#[derive(Default)]
+struct SearchScratch {
+    candidates: Vec<Candidate>,
+    popped: Vec<Candidate>,
+    /// The selected vectors' ranks, `levels` per vector in selection
+    /// order.
+    ranks: Vec<u32>,
+}
+
+thread_local! {
+    /// The search's workspace, one per thread like the SQRD planes and
+    /// the batch walk's scratch: only `prepare` uses it, so a band of
+    /// prepared detectors shares it instead of keeping a set each. A
+    /// search takes it out of the slot and puts it back.
+    static SEARCH_SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::default());
+}
+
 /// Binary insertion keeping `list` sorted by descending ln-probability
 /// (ties broken by the vector itself for determinism) and no longer than
 /// `horizon`. The root is popped before anything is inserted, so every
 /// candidate compared has a parent.
 fn insert_sorted(
     list: &mut Vec<Candidate>,
-    selected: &[PositionVector],
+    ranks: &[u32],
+    levels: usize,
     item: Candidate,
     horizon: usize,
 ) {
@@ -217,7 +248,7 @@ fn insert_sorted(
     // flexcore-lint: bit-identity
     let before_item = |e: &Candidate| {
         e.ln_pc > item.ln_pc
-            || (e.ln_pc == item.ln_pc && cmp_vectors(selected, *e, item) != Ordering::Greater)
+            || (e.ln_pc == item.ln_pc && cmp_vectors(ranks, levels, *e, item) != Ordering::Greater)
     };
     if list.len() >= horizon && list.last().is_some_and(before_item) {
         return; // would land past the horizon
@@ -228,11 +259,10 @@ fn insert_sorted(
 }
 
 /// Lexicographic order of two candidates' vectors, read off their
-/// selected parents without materialising either.
-fn cmp_vectors(selected: &[PositionVector], a: Candidate, b: Candidate) -> Ordering {
+/// selected parents' ranks without materialising either.
+fn cmp_vectors(ranks: &[u32], levels: usize, a: Candidate, b: Candidate) -> Ordering {
     let entries = |c: Candidate| {
-        selected[c.parent as usize]
-            .entries()
+        ranks[c.parent as usize * levels..][..levels]
             .iter()
             .enumerate()
             .map(move |(row, &rank)| rank + u32::from(row as u32 == c.row))
@@ -248,24 +278,53 @@ pub struct PreprocessOutput {
     pub paths: Vec<PositionVector>,
     /// `ln Pc` of each selected vector, parallel to `paths`.
     pub ln_probs: Vec<f64>,
-    /// How the search reached each selected vector, parallel to `paths`:
-    /// `(index of its selected parent, incremented row)`, with a [`ROOT`]
-    /// parent for the all-ones root. The detector builds its path trie
-    /// from these instead of re-scanning the vectors.
-    pub(crate) links: Vec<(u32, u32)>,
-    /// `Σ Pc` over the selected set (linear domain), as
-    /// [`Preprocessor::run`] reports it. The detector's in-place search
-    /// keeps it only under a stopping threshold; the detector sums its
-    /// active prefix on demand instead
-    /// (`FlexCoreDetector::cumulative_prob`).
+    /// `Σ Pc` over the selected set (linear domain).
     pub cumulative_prob: f64,
     /// Real multiplications performed (Table 2 accounting).
     pub real_mults: u64,
     /// Number of nodes expanded.
     pub expanded_nodes: u64,
-    /// The search's candidate list and pop buffer, kept for their capacity.
-    candidates: Vec<Candidate>,
-    popped: Vec<Candidate>,
+}
+
+/// A selection as the detector keeps it: no vectors, only how the search
+/// reached each one ([`Preprocessor::run_into`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Selection {
+    /// `ln Pc` of each selected vector, most promising first.
+    pub(crate) ln_probs: Vec<f64>,
+    /// How the search reached each selected vector, parallel to
+    /// `ln_probs`: `(index of its selected parent, incremented row)`, with
+    /// a [`ROOT`] parent for the all-ones root. The detector builds its
+    /// path trie from these.
+    pub(crate) links: Vec<(u32, u32)>,
+    /// `Σ Pc` of a thresholded search at its cut, `NaN` without a
+    /// threshold.
+    pub(crate) cumulative_prob: f64,
+    /// Real multiplications performed (Table 2 accounting).
+    pub(crate) real_mults: u64,
+    /// Number of nodes expanded.
+    pub(crate) expanded_nodes: u64,
+}
+
+impl Selection {
+    /// Selected vectors.
+    pub(crate) fn len(&self) -> usize {
+        self.links.len()
+    }
+
+    /// The selected vectors of `levels` levels, rebuilt from the links in
+    /// selection order: each is its parent plus one at its row.
+    pub(crate) fn position_vectors(&self, levels: usize) -> Vec<PositionVector> {
+        let mut paths: Vec<PositionVector> = Vec::with_capacity(self.len());
+        for &(parent, row) in &self.links {
+            let path = match parent {
+                ROOT => PositionVector::ones(levels),
+                parent => paths[parent as usize].child(row as usize),
+            };
+            paths.push(path);
+        }
+        paths
+    }
 }
 
 #[cfg(test)]
@@ -511,7 +570,7 @@ mod tests {
         // past the inline bound — sequential and batched, with and without
         // a threshold, including one that selects a shorter set than the
         // run before it.
-        let mut out = PreprocessOutput::default();
+        let mut out = Selection::default();
         let models = [
             model(&[0.22, 0.31, 0.17, 0.28, 0.05, 0.4, 0.11, 0.3]),
             model(&[0.2; 6]),
@@ -531,10 +590,11 @@ mod tests {
                         };
                         for order in [2usize, 16] {
                             pre.run_into(m, order, &mut out);
+                            let selected = out.position_vectors(m.levels());
                             let (paths, ln_probs, cumulative, mults, expanded) =
                                 run_cloning(&pre, m, order);
                             let what = format!("{pre:?} order {order} levels {}", m.levels());
-                            assert_eq!(out.paths, paths, "{what}");
+                            assert_eq!(selected, paths, "{what}");
                             let bits =
                                 |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                             assert_eq!(bits(&out.ln_probs), bits(&ln_probs), "{what}");

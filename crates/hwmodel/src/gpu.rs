@@ -134,8 +134,7 @@ impl GpuModel {
     /// products), so like the QR factors they amortise across the many
     /// detection batches of a packet and are excluded from the per-batch
     /// critical path.
-    pub(crate) fn flexcore_time_s(&self, nsc: usize, e: usize, nt: usize, q: usize) -> f64 {
-        let _ = q;
+    pub(crate) fn flexcore_time_s(&self, nsc: usize, e: usize, nt: usize) -> f64 {
         let threads = nsc * e;
         self.batch_time_s(
             threads,
@@ -161,7 +160,7 @@ impl GpuModel {
     /// assert!(gpu.speedup_vs_fcsd(64, 1024, 64, 2, 12) > gpu.speedup_vs_fcsd(512, 1024, 64, 2, 12));
     /// ```
     pub fn speedup_vs_fcsd(&self, e: usize, nsc: usize, q: usize, l: u32, nt: usize) -> f64 {
-        self.fcsd_time_s(nsc, q, l, nt) / self.flexcore_time_s(nsc, e, nt, q)
+        self.fcsd_time_s(nsc, q, l, nt) / self.flexcore_time_s(nsc, e, nt)
     }
 }
 
@@ -308,8 +307,8 @@ mod tests {
         assert!((gpu.transfer_time_s(12_000_000_000) - 1.0).abs() < 1e-12);
         // FlexCore threads cost more than FCSD threads at equal counts, and
         // fewer paths detect faster.
-        assert!(gpu.flexcore_time_s(1024, 64, 12, 64) > gpu.fcsd_time_s(1024, 64, 1, 12) / 2.0);
-        assert!(gpu.flexcore_time_s(4096, 32, 12, 64) < gpu.flexcore_time_s(4096, 256, 12, 64));
+        assert!(gpu.flexcore_time_s(1024, 64, 12) > gpu.fcsd_time_s(1024, 64, 1, 12) / 2.0);
+        assert!(gpu.flexcore_time_s(4096, 32, 12) < gpu.flexcore_time_s(4096, 256, 12));
     }
 
     #[test]
@@ -351,7 +350,7 @@ mod tests {
         let bits = (nsc * 12 * 6) as f64; // info bits per batch
 
         // Energy per information bit: power × batch time / bits.
-        let e_fc = gpu.power_w * gpu.flexcore_time_s(nsc, 128, 12, 64) / bits;
+        let e_fc = gpu.power_w * gpu.flexcore_time_s(nsc, 128, 12) / bits;
         let e_fcsd = gpu.power_w * gpu.fcsd_time_s(nsc, 64, 2, 12) / bits;
         assert!(
             e_fcsd / e_fc > 1.9,

@@ -91,16 +91,16 @@ impl LteMode {
     /// use flexcore_hwmodel::{GpuModel, LTE_MODES};
     /// let gpu = GpuModel::gtx970();
     /// // Wider bands afford fewer paths per subcarrier (Fig. 12).
-    /// let narrow = LTE_MODES[0].max_flexcore_paths(&gpu, 8, 64);
-    /// let wide = LTE_MODES[5].max_flexcore_paths(&gpu, 8, 64);
+    /// let narrow = LTE_MODES[0].max_flexcore_paths(&gpu, 8);
+    /// let wide = LTE_MODES[5].max_flexcore_paths(&gpu, 8);
     /// assert!(narrow > wide && wide >= 1);
     /// ```
-    pub fn max_flexcore_paths(&self, gpu: &GpuModel, nt: usize, q: usize) -> usize {
+    pub fn max_flexcore_paths(&self, gpu: &GpuModel, nt: usize) -> usize {
         let nsc = self.vectors_per_slot();
         let mut best = 0usize;
         // |E| is at most a few thousand; linear scan keeps this exact.
         for e in 1..=4096 {
-            if gpu.flexcore_time_s(nsc, e, nt, q) <= SLOT_S {
+            if gpu.flexcore_time_s(nsc, e, nt) <= SLOT_S {
                 best = e;
             } else {
                 break;
@@ -152,7 +152,7 @@ mod tests {
         let gpu = GpuModel::gtx970();
         for mode in LTE_MODES {
             for nt in [8usize, 12] {
-                let e = mode.max_flexcore_paths(&gpu, nt, 64);
+                let e = mode.max_flexcore_paths(&gpu, nt);
                 assert!(
                     e >= 1,
                     "FlexCore must support {} MHz at Nt={nt} (got {e} paths)",
@@ -167,7 +167,7 @@ mod tests {
         let gpu = GpuModel::gtx970();
         let paths: Vec<usize> = LTE_MODES
             .iter()
-            .map(|m| m.max_flexcore_paths(&gpu, 8, 64))
+            .map(|m| m.max_flexcore_paths(&gpu, 8))
             .collect();
         for w in paths.windows(2) {
             assert!(

@@ -131,7 +131,7 @@ fn lte_path_budget_pin_table() {
     let gpu = GpuModel::gtx970();
     let budgets: Vec<usize> = LTE_MODES
         .iter()
-        .map(|m| m.max_flexcore_paths(&gpu, 8, 64))
+        .map(|m| m.max_flexcore_paths(&gpu, 8))
         .collect();
     // The committed budget vector across the 1.25–20 MHz modes — the
     // model's analogue of the paper's "~105 down to ~4 paths" range.

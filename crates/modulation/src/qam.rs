@@ -10,6 +10,7 @@
 //! nearest-neighbour symbol error flips exactly one bit per axis.
 
 use flexcore_numeric::Cx;
+use std::sync::OnceLock;
 
 /// Supported modulation orders.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -65,9 +66,19 @@ impl Modulation {
 }
 
 /// A concrete constellation: points, bit mapping, scaling and slicing.
+///
+/// Its tables are built once per modulation and process and shared by
+/// every constellation of that modulation, so a clone (one per detector,
+/// and per prepared state) copies a reference and allocates nothing.
 #[derive(Clone, Debug)]
 pub struct Constellation {
     modulation: Modulation,
+    tables: &'static Tables,
+}
+
+/// What a [`Constellation`] looks up, one set per modulation.
+#[derive(Debug)]
+struct Tables {
     /// All points, indexed by symbol index.
     points: Vec<Cx>,
     /// `scale` maps integer grid levels to normalised amplitudes.
@@ -80,9 +91,8 @@ pub struct Constellation {
     index_of: Vec<u8>,
 }
 
-impl Constellation {
-    /// Builds the constellation for a modulation order.
-    pub fn new(modulation: Modulation) -> Self {
+impl Tables {
+    fn new(modulation: Modulation) -> Self {
         let (points, scale) = match modulation {
             // ±1 on the real axis; Es = 1 already.
             Modulation::Bpsk => (vec![Cx::real(-1.0), Cx::real(1.0)], 1.0),
@@ -109,12 +119,31 @@ impl Constellation {
         for (idx, &word) in bit_words.iter().enumerate() {
             index_of[pattern_of(word, modulation.bits_per_symbol())] = idx as u8;
         }
-        Constellation {
-            modulation,
+        Tables {
             points,
             scale,
             bit_words,
             index_of,
+        }
+    }
+}
+
+impl Constellation {
+    /// The constellation for a modulation order. The first one of a
+    /// modulation in a process builds its tables; every later one shares
+    /// them.
+    pub fn new(modulation: Modulation) -> Self {
+        static TABLES: [OnceLock<Tables>; 5] = [const { OnceLock::new() }; 5];
+        let slot = match modulation {
+            Modulation::Bpsk => 0,
+            Modulation::Qpsk => 1,
+            Modulation::Qam16 => 2,
+            Modulation::Qam64 => 3,
+            Modulation::Qam256 => 4,
+        };
+        Constellation {
+            modulation,
+            tables: TABLES[slot].get_or_init(|| Tables::new(modulation)),
         }
     }
 
@@ -125,7 +154,7 @@ impl Constellation {
 
     /// `|Q|`.
     pub fn order(&self) -> usize {
-        self.points.len()
+        self.tables.points.len()
     }
 
     /// `log2 |Q|`.
@@ -140,12 +169,12 @@ impl Constellation {
 
     /// Level→amplitude scaling factor (grid levels are odd integers).
     pub(crate) fn scale(&self) -> f64 {
-        self.scale
+        self.tables.scale
     }
 
     /// All constellation points, indexed by symbol index.
     pub fn points(&self) -> &[Cx] {
-        &self.points
+        &self.tables.points
     }
 
     /// The point for a symbol index.
@@ -153,7 +182,7 @@ impl Constellation {
     /// # Panics
     /// Panics if `idx >= |Q|`.
     pub fn point(&self, idx: usize) -> Cx {
-        self.points[idx]
+        self.tables.points[idx]
     }
 
     /// Converts `(col, row)` grid coordinates to a symbol index.
@@ -186,7 +215,7 @@ impl Constellation {
             debug_assert!(b <= 1);
             (acc << 1) | usize::from(b & 1)
         });
-        usize::from(self.index_of[pattern])
+        usize::from(self.tables.index_of[pattern])
     }
 
     /// Maps a symbol index back to its bits (MSB first).
@@ -204,7 +233,7 @@ impl Constellation {
     /// Panics if `out.len() != bits_per_symbol()`.
     pub fn index_to_bits_into(&self, idx: usize, out: &mut [u8]) {
         assert_eq!(out.len(), self.bits_per_symbol(), "index_to_bits_into");
-        out.copy_from_slice(&self.bit_words[idx].to_le_bytes()[..out.len()]);
+        out.copy_from_slice(&self.tables.bit_words[idx].to_le_bytes()[..out.len()]);
     }
 
     /// Hard-slices an arbitrary complex point to the nearest symbol index.
@@ -213,8 +242,8 @@ impl Constellation {
             Modulation::Bpsk => usize::from(y.re >= 0.0),
             _ => {
                 let side = self.grid_side();
-                let col = nearest_level_index(y.re / self.scale, side);
-                let row = nearest_level_index(y.im / self.scale, side);
+                let col = nearest_level_index(y.re / self.scale(), side);
+                let row = nearest_level_index(y.im / self.scale(), side);
                 self.grid_to_index(col, row)
             }
         }
@@ -372,6 +401,19 @@ mod tests {
                     idx,
                     "{m:?} pattern {pattern}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn constellations_of_a_modulation_share_one_set_of_tables() {
+        // A clone, and a constellation built later, read the tables the
+        // first one built: the same points in the same memory.
+        for &m in ALL {
+            let first = Constellation::new(m);
+            for other in [first.clone(), Constellation::new(m)] {
+                assert!(std::ptr::eq(first.points(), other.points()), "{m:?}");
+                assert!(std::ptr::eq(first.tables, other.tables), "{m:?}");
             }
         }
     }

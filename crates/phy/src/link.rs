@@ -602,18 +602,31 @@ pub fn packet_error_rate<R: Rng + ?Sized>(
 ) -> (f64, f64) {
     let (mut fails, mut total, mut effort) = (0usize, 0usize, 0usize);
     let n_cells = cfg.ofdm_symbols_per_packet() * cfg.ofdm.n_data;
+    // One packet's received vectors back to back, its decisions, one
+    // transmit vector, and the vector slices' buffer (empty between
+    // packets, so it borrows nothing across them).
+    let (mut ys, mut plane, mut x) = (Vec::new(), Vec::new(), Vec::new());
+    let mut spare: Vec<&'static [Cx]> = Vec::new();
     for _ in 0..n_packets {
         let ch = draw_channel(rng);
         detector.prepare(&ch.h, sigma2);
         effort += detector.effort();
+        let (nr, nt) = (ch.h.rows(), ch.nt());
+        ys.resize(n_cells * nr, Cx::ZERO);
+        plane.resize(n_cells * nt, 0);
+        x.resize(nt, Cx::ZERO);
         let out = Codec::with(cfg, |codec| {
-            let chains = transmit_chains(cfg, codec, ch.nt(), rng);
-            let ys: Vec<Vec<Cx>> = (0..n_cells)
-                .map(|v| ch.transmit(&chains.tx_vector(&cfg.constellation, v), rng))
-                .collect();
-            let mut plane = vec![0; n_cells * ch.nt()];
-            let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+            let chains = transmit_chains(cfg, codec, nt, rng);
+            for (v, y) in ys.chunks_exact_mut(nr).enumerate() {
+                chains.tx_into(&cfg.constellation, v, &mut x);
+                ch.transmit_into(&x, rng, y);
+            }
+            let mut refs: Vec<&[Cx]> = std::mem::take(&mut spare);
+            refs.extend(ys.chunks_exact(nr));
             detector.detect_batch_into(&refs, &mut plane);
+            // Emptied, back to `'static` by a collect that keeps the buffer.
+            refs.clear();
+            spare = refs.into_iter().map(|_| &[][..]).collect();
             receive_chains(cfg, codec, 0, &chains, plane.as_slice()).link
         });
         fails += out.user_ok.iter().filter(|&&ok| !ok).count();

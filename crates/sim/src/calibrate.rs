@@ -39,25 +39,32 @@ pub(crate) fn vector_error_rate(
     let q = constellation.order();
     let mut errs = 0usize;
     let (mut sent, mut plane) = (Vec::new(), vec![0u16; vectors_per_channel * nt]);
+    // One channel's received vectors back to back, one transmit vector,
+    // and the vector slices' buffer (empty between channels, so it borrows
+    // nothing across them).
+    let (mut ys, mut x) = (
+        vec![Cx::ZERO; vectors_per_channel * ens.nr],
+        vec![Cx::ZERO; nt],
+    );
+    let mut spare: Vec<&'static [Cx]> = Vec::new();
     for _ in 0..n_channels {
-        let h = ens.draw(&mut rng);
-        let ch = MimoChannel::new(h.clone(), snr_db);
-        det.prepare(&h, sigma2_from_snr_db(snr_db));
+        let ch = MimoChannel::new(ens.draw(&mut rng), snr_db);
+        det.prepare(&ch.h, sigma2_from_snr_db(snr_db));
         sent.clear();
-        let ys: Vec<Vec<Cx>> = (0..vectors_per_channel)
-            .map(|_| {
-                let x: Vec<Cx> = (0..nt)
-                    .map(|_| {
-                        let i = rng.gen_range(0..q);
-                        sent.push(i as u16);
-                        constellation.point(i)
-                    })
-                    .collect();
-                ch.transmit(&x, &mut rng)
-            })
-            .collect();
-        let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
+        for y in ys.chunks_exact_mut(ens.nr) {
+            for x in &mut x {
+                let i = rng.gen_range(0..q);
+                sent.push(i as u16);
+                *x = constellation.point(i);
+            }
+            ch.transmit_into(&x, &mut rng, y);
+        }
+        let mut refs: Vec<&[Cx]> = std::mem::take(&mut spare);
+        refs.extend(ys.chunks_exact(ens.nr));
         det.detect_batch_into(&refs, &mut plane);
+        // Emptied, back to `'static` by a collect that keeps the buffer.
+        refs.clear();
+        spare = refs.into_iter().map(|_| &[][..]).collect();
         errs += plane
             .chunks_exact(nt)
             .zip(sent.chunks_exact(nt))

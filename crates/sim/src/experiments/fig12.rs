@@ -96,7 +96,7 @@ pub fn run(cfg: &Cfg) -> ResultTable {
             (snr_fc - snr_op).max(0.0)
         };
         for mode in LTE_MODES {
-            let budget = mode.max_flexcore_paths(&gpu, nt, q);
+            let budget = mode.max_flexcore_paths(&gpu, nt);
             // FlexCore at its budget.
             let fc_loss = loss_for(budget);
             table.push_row(vec![

@@ -21,7 +21,7 @@ fn main() {
             "LTE mode", "FlexCore paths", "FCSD L=1", "FCSD L=2"
         );
         for mode in LTE_MODES {
-            let e = mode.max_flexcore_paths(&gpu, nt, q);
+            let e = mode.max_flexcore_paths(&gpu, nt);
             let l1 = if mode.fcsd_supported(&gpu, nt, q, 1) {
                 "fits"
             } else {

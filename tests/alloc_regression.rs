@@ -9,14 +9,16 @@
 //!
 //! The same discipline covers the channel-rate step: after one warm-up
 //! `prepare`, a re-prepare on a new channel of the same shape overwrites
-//! the prepared state in place — zero heap traffic for a detector at
-//! nt ≤ 16 and for a whole `FrameEngine` band no plan shares.
+//! the prepared state in place — zero heap traffic for a detector of any
+//! width, budget and modulation, and for a whole `FrameEngine` band no
+//! plan shares. A cold slot (its first prepare) is pinned by what it
+//! allocates and by the bytes it asks for.
 //!
 //! This binary installs a counting global allocator, so everything runs
 //! inside the single `#[test]` below — libtest would otherwise run tests
 //! on sibling threads and bleed their allocations into the counter.
 
-use flexcore::{CellDetector, FlexCoreDetector};
+use flexcore::{CellDetector, FlexCoreConfig, FlexCoreDetector, PathOrdering};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel, MimoChannel};
 use flexcore_coding::{CodeRate, ConvCode, ViterbiScratch};
 use flexcore_detect::common::{Detector, PathScratch};
@@ -36,10 +38,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested: each allocation's size, and a reallocation's new size.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -49,6 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -56,11 +62,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Heap allocations performed, and bytes requested, while running `f`.
+fn heap_in(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
+    f();
+    (
+        ALLOCS.load(Ordering::SeqCst) - before.0,
+        BYTES.load(Ordering::SeqCst) - before.1,
+    )
+}
+
 /// Heap allocations performed while running `f`.
 fn allocs_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::SeqCst);
-    f();
-    ALLOCS.load(Ordering::SeqCst) - before
+    heap_in(f).0
 }
 
 fn workload(nt: usize, m: Modulation, seed: u64) -> (FlexCoreDetector, Vec<Vec<Cx>>, f64) {
@@ -356,8 +370,11 @@ fn hot_path_allocation_budget() {
 
     // --- Re-prepare: a channel refresh overwrites the state it replaces ---
     // After one warm-up prepare, a second prepare on a different channel
-    // of the same shape is allocation-free at the inline widths — fixed
-    // and a-FlexCore (whose selection length moves with the channel).
+    // of the same shape is allocation-free — fixed and a-FlexCore (whose
+    // selection length moves with the channel), inline and spilled widths:
+    // the state keeps the selection as links and the trie in one buffer,
+    // both sized for the budget, and the search works in this thread's
+    // workspace, sized for the budget too.
     let c16 = Constellation::new(Modulation::Qam16);
     let sigma2 = sigma2_from_snr_db(12.0);
     for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 64] {
@@ -375,16 +392,104 @@ fn hot_path_allocation_budget() {
                     det.prepare(h, sigma2);
                 }
             });
-            let what = format!("nt={nt} adaptive={adaptive}");
-            if nt <= INLINE_STREAMS || !adaptive {
-                assert_eq!(n, 0, "warm re-prepare allocated: {what}");
-            } else {
-                // Spilled position vectors own a heap buffer each: a
-                // selection that grows past its previous length buys
-                // the new ones, never more than the budget per refresh.
-                assert!(n <= 3 * 12, "warm re-prepare allocated {n}: {what}");
+            assert_eq!(
+                n, 0,
+                "warm re-prepare allocated: nt={nt} adaptive={adaptive}"
+            );
+        }
+    }
+
+    // The same, swept: seeded draws over widths 1–16 and 64, BPSK to
+    // 256-QAM, fixed and adaptive budgets 1–64 at SNRs from 0 to 30 dB
+    // (so adaptive selections shrink and grow between refreshes), and
+    // exhaustive FlexCore at QPSK 4×4 — 256 paths, a 1 024-node trie, the
+    // largest budget the workspace builds. Each detector warms on its
+    // first channel; its next three refreshes must not touch the heap.
+    {
+        let mut rng = StdRng::seed_from_u64(410);
+        let modulations = [
+            Modulation::Bpsk,
+            Modulation::Qpsk,
+            Modulation::Qam16,
+            Modulation::Qam64,
+            Modulation::Qam256,
+        ];
+        let mut cases: Vec<(usize, Modulation, FlexCoreConfig)> = Vec::new();
+        for (i, nt) in (1..=INLINE_STREAMS).chain([64]).enumerate() {
+            for (j, &m) in modulations.iter().enumerate() {
+                let mut cfg = FlexCoreConfig::new(rng.gen_range(1..=64));
+                if (i + j) % 2 == 1 {
+                    cfg.stop_threshold = Some([0.95, 0.6][rng.gen_range(0..2usize)]);
+                }
+                cases.push((nt, m, cfg));
             }
         }
+        for n_pe in [1, 64] {
+            for threshold in [None, Some(0.95)] {
+                let mut cfg = FlexCoreConfig::new(n_pe);
+                cfg.stop_threshold = threshold;
+                cases.push((8, Modulation::Qam16, cfg));
+            }
+        }
+        let mut exact = FlexCoreConfig::new(256);
+        exact.path_ordering = PathOrdering::Exact;
+        cases.push((4, Modulation::Qpsk, exact));
+        for (nt, m, cfg) in cases {
+            let what = format!("nt={nt} {m:?} {cfg:?}");
+            let mut det = FlexCoreDetector::new(Constellation::new(m), cfg);
+            let ens = ChannelEnsemble::iid(nt, nt);
+            let draws: Vec<_> = (0..4)
+                .map(|_| {
+                    (
+                        ens.draw(&mut rng),
+                        sigma2_from_snr_db(rng.gen_range(0.0..30.0)),
+                    )
+                })
+                .collect();
+            det.prepare(&draws[0].0, draws[0].1);
+            let n = allocs_in(|| {
+                for (h, sigma2) in &draws[1..] {
+                    det.prepare(h, *sigma2);
+                }
+            });
+            assert_eq!(n, 0, "warm re-prepare allocated: {what}");
+        }
+    }
+
+    // --- A cold slot: the first prepare of a one-slot engine --------------
+    // What bringing a subcarrier up costs the heap, on a thread that has
+    // already prepared this shape (the SQRD planes and the search's
+    // workspace are per thread): the engine's slot table, `Q`, `R` and the
+    // permutation, the error model, the selection's ln-probabilities and
+    // links, the trie's one buffer, the per-row diagonal, and the slot's
+    // shared detector. The constellation's tables are shared, so the
+    // template's clone and the state's copy allocate nothing.
+    for (what, template, nt, max_bytes) in [
+        (
+            "8x8 FlexCore-16",
+            CellDetector::fixed(c16.clone(), 16),
+            8,
+            6 * 1024,
+        ),
+        (
+            "4x4 a-FlexCore-16",
+            CellDetector::adaptive(c16.clone(), 16, 0.95),
+            4,
+            3 * 1024 + 512,
+        ),
+    ] {
+        let mut rng = StdRng::seed_from_u64(420 + nt as u64);
+        let ens = ChannelEnsemble::iid(nt, nt);
+        let mut warm = template.clone();
+        warm.prepare(&ens.draw(&mut rng), sigma2_from_snr_db(9.0));
+        let channel = FrameChannel::per_subcarrier(ens.draw_many(&mut rng, 1), sigma2);
+        let mut engine = FrameEngine::new(template);
+        let (allocs, bytes) = heap_in(|| assert_eq!(engine.prepare(&channel), 1));
+        println!("a cold {what} slot: {allocs} allocations, {bytes} bytes");
+        assert!(
+            allocs <= 13 && bytes <= max_bytes,
+            "a cold {what} slot made {allocs} allocations of {bytes} bytes"
+        );
     }
 
     // A whole band: every subcarrier of a 48-wide frame channel refreshed,
@@ -481,7 +586,6 @@ fn hot_path_allocation_budget() {
             "crates/core/src/detector.rs",   // FlexCore run_path_into / trie walk / prepare
             "crates/core/src/preprocess.rs", // the best-first search workspace
             "crates/core/src/model.rs",      // level-model refit
-            "crates/core/src/position.rs",   // position-vector overwrites
             "crates/detect/src/fcsd.rs",     // FCSD run_path_into
             "crates/coding/src/conv.rs",     // the Viterbi step loop and its ACS kernel
             "crates/engine/src/tick.rs",     // the run core's scatter into planes
