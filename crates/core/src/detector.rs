@@ -26,7 +26,7 @@ use flexcore_detect::common::{
 use flexcore_modulation::ordering::kth_nearest_exact;
 use flexcore_modulation::{Constellation, LocatedOrderingTable, OrderingLut};
 use flexcore_numeric::qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd_into, Qr};
-use flexcore_numeric::{CMat, Cx, CxLane, SymVec, LANES};
+use flexcore_numeric::{CMat, Cx, CxLane, LANES};
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
@@ -94,9 +94,10 @@ impl FlexCoreConfig {
 const NIL: u32 = u32::MAX;
 
 /// A [`PathTrie`] node id, path index, rank or row. [`PathTrie::build`]
-/// checks that its budget's `N_PE · nt` nodes stay below [`NONE`], which
+/// checks that its budget's `budget · nt` nodes stay below [`NONE`], which
 /// bounds the other three as well (a row is below `nt`, a path index below
-/// `N_PE`, and a rank `k` takes `k` sibling nodes).
+/// the budget, and a rank `k` takes `k` sibling nodes). The budget is
+/// `min(N_PE, |Q|^nt)`, the most paths a search can select.
 type Id = u16;
 
 /// "No node / no path" in the [`PathTrie`].
@@ -199,7 +200,7 @@ struct Chain {
 /// the bound [`FlexCoreDetector::walk_paths_block`] prunes against.
 ///
 /// Nodes, chains and lineage live in one buffer of [`Id`] words sized for
-/// the budget once (`bound = N_PE · nt`: 4 words a node, 2 a chain, 1 a
+/// the budget once (`bound = budget · nt`: 4 words a node, 2 a chain, 1 a
 /// lineage entry, 14 bytes per possible node), so a channel refresh never
 /// regrows it.
 #[derive(Clone, Debug, Default)]
@@ -304,8 +305,8 @@ impl PathTrie {
     /// Builds the trie over the paths the search reached through `links`
     /// (see `Selection::links`) inside its own storage, in O(nodes built).
     /// `budget` is the most paths this trie will ever be built over (the
-    /// search's `N_PE`): the buffer is laid out for it once, so a channel
-    /// refresh never regrows it.
+    /// search's, `min(N_PE, |Q|^nt)`): the buffer is laid out for it once,
+    /// so a channel refresh never regrows it.
     ///
     /// Path `i` with link `(p, row)` is path `p` plus one at `row`, and all
     /// of `p`'s own increments sit at rows ≥ `row` (the search only
@@ -536,14 +537,24 @@ const GROUP_SYMBOLS: usize = 4;
 pub(crate) struct WalkScratch {
     /// Path metrics, `NaN` = deactivated.
     pub(crate) metrics: Vec<f64>,
-    /// Completed tree-order decisions per path. Slots (and, beyond the
-    /// inline width, their spill buffers) are reused across vectors: a
-    /// slot is only read when its metric is non-`NaN`, and both are
+    /// Completed tree-order decisions, `nt` per path in path order
+    /// ([`WalkScratch::path`] reads one). Reused across vectors: a path's
+    /// entries are only read when its metric is non-`NaN`, and both are
     /// rewritten together on every walk.
-    pub(crate) syms: Vec<SymVec>,
-    /// The walk's single branch-state vector, reused across vectors so
-    /// wide (spilled) channels stay allocation-free in steady state.
-    branch: SymVec,
+    syms: Vec<u16>,
+    /// Streams per path of the last walk.
+    nt: usize,
+    /// The walk's branch state, `nt` tree-order decisions, reused across
+    /// vectors.
+    branch: Vec<u16>,
+}
+
+impl WalkScratch {
+    /// Path `i`'s tree-order decisions from the last walk (meaningful
+    /// only when `metrics[i]` is not `NaN`).
+    pub(crate) fn path(&self, i: usize) -> &[u16] {
+        &self.syms[i * self.nt..][..self.nt]
+    }
 }
 
 /// Workspace of the four-observation block walk: per-node lane state (by
@@ -743,12 +754,14 @@ impl FlexCoreDetector {
         let state = self.prepared();
         let tri = &state.tri;
         let nt = tri.nt();
-        scratch.symbols.reset(nt);
+        let symbols = &mut scratch.symbols;
+        symbols.clear();
+        symbols.resize(nt, 0);
         let mut metric = 0.0f64;
         for row in (0..nt).rev() {
-            let eff = tri.effective_point(ybar, scratch.symbols.as_slice(), row);
+            let eff = tri.effective_point(ybar, symbols, row);
             let sym = self.pick_symbol(eff, p.rank(row) as usize)?;
-            scratch.symbols.set(row, sym as u16);
+            symbols[row] = sym as u16;
             let rdiag = tri.qr.r[(row, row)].norm_sqr();
             metric += rdiag * self.constellation.point(sym).dist_sqr(eff);
         }
@@ -777,7 +790,7 @@ impl FlexCoreDetector {
     }
 
     /// Evaluates **all** prepared paths over one rotated observation via
-    /// the prefix-sharing trie, filling `out.metrics[i]` / `out.syms[i]`
+    /// the prefix-sharing trie, filling `out.metrics[i]` / `out.path(i)`
     /// for path `i` (`NaN` = deactivated). Each distinct rank-prefix node
     /// costs one effective point + one LUT lookup, instead of once per
     /// path; values and accumulation order are unchanged, so
@@ -787,18 +800,20 @@ impl FlexCoreDetector {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
         let state = self.prepared();
-        let n = state.trie.n_paths;
+        let (n, nt) = (state.trie.n_paths, state.tri.nt());
         out.metrics.clear();
         out.metrics.resize(n, f64::NAN);
-        // No clear(): surviving slots keep their storage (spill buffers
-        // included) and are overwritten in place by the walk. A slot is
-        // only read when its metric is non-NaN, and the two planes are
-        // always written together, so stale symbols are unreachable.
-        out.syms.resize_with(n, SymVec::new);
+        // No clear(): surviving entries are overwritten in place by the
+        // walk. A path's entries are only read when its metric is
+        // non-NaN, and the two planes are always written together, so
+        // stale symbols are unreachable.
+        out.nt = nt;
+        out.syms.resize(n * nt, 0);
         // Detach the branch buffer to walk with, dodging the double
         // &mut borrow of `out`; its storage is preserved across vectors.
         let mut symbols = std::mem::take(&mut out.branch);
-        symbols.reset(state.tri.nt());
+        symbols.clear();
+        symbols.resize(nt, 0);
         self.walk_level(state, ybar, state.trie.first_root, &mut symbols, 0.0, out);
         out.branch = symbols;
     }
@@ -811,7 +826,7 @@ impl FlexCoreDetector {
         state: &State,
         ybar: &[Cx],
         first: Id,
-        symbols: &mut SymVec,
+        symbols: &mut [u16],
         parent_metric: f64,
         out: &mut WalkScratch,
     ) {
@@ -822,17 +837,18 @@ impl FlexCoreDetector {
         }
         let tri = &state.tri;
         let row = state.trie.node(first).row as usize;
-        let eff = tri.effective_point(ybar, symbols.as_slice(), row);
+        let eff = tri.effective_point(ybar, symbols, row);
         let rdiag = tri.qr.r[(row, row)].norm_sqr();
         let mut idx = first;
         while idx != NONE {
             let node = state.trie.node(idx);
             if let Some(sym) = self.pick_symbol(eff, node.rank as usize) {
-                symbols.set(row, sym as u16);
+                symbols[row] = sym as u16;
                 let metric = parent_metric + rdiag * self.constellation.point(sym).dist_sqr(eff);
                 if node.path_idx != NONE {
-                    out.metrics[node.path_idx as usize] = metric;
-                    out.syms[node.path_idx as usize].clone_from(symbols);
+                    let (path, nt) = (node.path_idx as usize, symbols.len());
+                    out.metrics[path] = metric;
+                    out.syms[path * nt..][..nt].copy_from_slice(symbols);
                 }
                 let child = node.first_child(idx);
                 self.walk_level(state, ybar, child, symbols, metric, out);
@@ -1201,7 +1217,7 @@ impl FlexCoreDetector {
         let (i, _) =
             // flexcore-lint: allow(FL004, reason = "on finite observations the rank-1 slicing fallback completes the SIC path and pivot_inv keeps a zero pivot's effective point finite, so the walk yields a finite metric; a NaN sample panics here as the batch path does, pinned by a_nan_sample_ends_a_lane_group_as_its_slots_batch_ends")
             first_min_metric(walk.metrics.iter().copied()).expect("the SIC path always completes");
-        state.tri.unpermute_into(walk.syms[i].as_slice(), row);
+        state.tri.unpermute_into(walk.path(i), row);
     }
 }
 
@@ -1220,7 +1236,8 @@ impl Detector for FlexCoreDetector {
     /// on that channel.
     ///
     /// # Panics
-    /// Panics if `N_PE · nt` reaches 65 535, the path trie's node-id range.
+    /// Panics if `min(N_PE, |Q|^nt) · nt` reaches 65 535, the path trie's
+    /// node-id range.
     fn prepare(&mut self, h: &CMat, sigma2: f64) {
         // flexcore-lint: hot-path
         // flexcore-lint: bit-identity
@@ -1237,10 +1254,18 @@ impl Detector for FlexCoreDetector {
         state
             .model
             .refit_from_r(&qr.r, sigma2, self.constellation.modulation());
+        // The search selects at most the |Q|^nt vectors there are, so the
+        // search and the trie are sized for no more.
+        let nt = state.tri.nt();
+        let n_pe = self.config.n_pe;
+        let budget = u32::try_from(nt)
+            .ok()
+            .and_then(|nt| self.constellation.order().checked_pow(nt))
+            .map_or(n_pe, |all| all.min(n_pe));
         let pre = Preprocessor {
             stop_threshold: self.config.stop_threshold,
             expand_batch: self.config.expand_batch,
-            ..Preprocessor::new(self.config.n_pe)
+            ..Preprocessor::new(budget)
         };
         pre.run_into(
             &state.model,
@@ -1248,9 +1273,7 @@ impl Detector for FlexCoreDetector {
             &mut state.selection,
         );
         // Every selected path is active: the trie spans the whole selection.
-        state
-            .trie
-            .build(&state.selection.links, state.tri.nt(), self.config.n_pe);
+        state.trie.build(&state.selection.links, nt, budget);
         state.paths.take();
         let tri = &state.tri;
         state.diag.clear();
@@ -1852,7 +1875,7 @@ mod tests {
             // in path order with first-min tie-breaking.
             let ybar = fc.triangular().rotate(&y);
             let mut scratch = PathScratch::default();
-            let mut best: Option<(SymVec, f64)> = None;
+            let mut best: Option<(Vec<u16>, f64)> = None;
             for p in fc.position_vectors() {
                 if let Some(m) = fc.run_path_into(&ybar, p, &mut scratch) {
                     if best.as_ref().is_none_or(|(_, bm)| m < *bm) {
@@ -1861,7 +1884,7 @@ mod tests {
                 }
             }
             let (best, _) = best.expect("SIC always completes");
-            let reference = fc.triangular().unpermute(best.as_slice());
+            let reference = fc.triangular().unpermute(&best);
             assert_eq!(fc.detect(&y), reference, "trial {trial}");
         }
     }
@@ -1882,13 +1905,13 @@ mod tests {
         assert_eq!(block.best_path[lane] as usize, i, "{what}: winning path");
         assert_eq!(block.best_metric[lane].to_bits(), m.to_bits(), "{what}");
         fc.block_winner(lane, block);
-        assert_eq!(block.winner, walk.syms[i].as_slice(), "{what}: symbols");
+        assert_eq!(block.winner, walk.path(i), "{what}: symbols");
         walk.metrics.iter().filter(|m| m.is_nan()).count()
     }
 
     #[test]
     fn block_walk_winner_matches_scalar_walk_under_every_lane_mask() {
-        // Widths on both sides of the lane and spill boundaries × every
+        // Widths on both sides of the lane boundaries and of 16 streams, × every
         // ordering × all 16 initial lane masks, on observations noisy
         // enough that strict ordering deactivates lanes mid-tree — with a
         // single live lane that kills whole chains.
@@ -2222,7 +2245,7 @@ mod tests {
                             let ybar = tri.rotate(&y_at(t));
                             let mut walk = WalkScratch::default();
                             fc.walk_paths(&ybar, &mut walk);
-                            let syms = walk.syms[0].as_slice();
+                            let syms = walk.path(0);
                             fc.pick_symbol(row0_effective_point(tri, ybar[0], syms, descending), 1)
                         };
                         let (mut lo, mut hi) = (0.0, step);
@@ -2325,7 +2348,7 @@ mod tests {
                 let mut walk = WalkScratch::default();
                 fc.walk_paths(&ybar, &mut walk);
                 for level in 0..tri.nt() {
-                    let eff = tri.effective_point(&ybar, walk.syms[0].as_slice(), level);
+                    let eff = tri.effective_point(&ybar, walk.path(0), level);
                     let mut base = [NIL; LANES];
                     t.locate_bases(
                         &fc.lut,
@@ -2501,7 +2524,7 @@ mod tests {
                                 assert_eq!(got.to_bits(), want.to_bits(), "{what}: metric");
                                 let syms: Vec<u16> =
                                     lineage.iter().map(|&n| block.syms[n as usize][l]).collect();
-                                assert_eq!(syms, walk.syms[path].as_slice(), "{what}: symbols");
+                                assert_eq!(syms, walk.path(path), "{what}: symbols");
                             }
                         }
                     }
@@ -2668,9 +2691,9 @@ mod tests {
 
     #[test]
     fn prepare_accepts_streams_beyond_the_inline_capacity() {
-        // Seed-era `prepare` rejected anything past SymVec's inline
-        // [u16; 16]; the spill-capable storage detects 17 streams (the
-        // first spilled width) end-to-end.
+        // Seed-era `prepare` rejected anything past an inline
+        // `[u16; 16]` symbol store; the `Vec<u16>` stores detect 17
+        // streams end-to-end.
         let c = Constellation::new(Modulation::Qpsk);
         let mut rng = StdRng::seed_from_u64(40);
         let h = ChannelEnsemble::iid(17, 17).draw(&mut rng);
@@ -2704,22 +2727,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "node ids; at most 65535 fit")]
     fn a_budget_past_the_trie_ids_fails_loudly() {
-        // 65 535 paths over one row need node id 65 535, which is the
-        // trie's `NONE`: the prepare that sizes the trie refuses it rather
-        // than wrap an id.
-        let c = Constellation::new(Modulation::Bpsk);
-        let mut fc = FlexCoreDetector::with_pes(c, usize::from(NONE));
-        fc.prepare(&CMat::from_fn(1, 1, |_, _| Cx::real(1.0)), 0.1);
+        // 7 282 QPSK paths (of 4^9) over nine rows need 65 538 node ids,
+        // past the trie's `NONE` (65 535): the prepare that sizes the trie
+        // refuses it rather than wrap an id.
+        let c = Constellation::new(Modulation::Qpsk);
+        let h = ChannelEnsemble::iid(9, 9).draw(&mut StdRng::seed_from_u64(44));
+        let mut fc = FlexCoreDetector::with_pes(c, 7_282);
+        fc.prepare(&h, 0.1);
     }
 
     #[test]
     fn the_largest_budgets_in_use_fit_the_trie_ids() {
         // 1 024 nodes (exhaustive FlexCore at QPSK 4×4), the 257-row trie
-        // and the last bound below `NONE`: prepared, detected, no panic.
+        // and 65 529 nodes, the last nine-row bound below `NONE`: prepared,
+        // detected, no panic.
         for (m, nt, n_pe) in [
             (Modulation::Qpsk, 4, 256),
             (Modulation::Qpsk, 257, 4),
-            (Modulation::Bpsk, 1, usize::from(NONE) - 1),
+            (Modulation::Qpsk, 9, 7_281),
         ] {
             let c = Constellation::new(m);
             let mut rng = StdRng::seed_from_u64(43);
@@ -2730,6 +2755,19 @@ mod tests {
             let x: Vec<Cx> = s.iter().map(|&i| c.point(i)).collect();
             assert_eq!(fc.detect(&h.mul_vec(&x)), s, "{m:?} nt {nt} N_PE {n_pe}");
         }
+    }
+
+    #[test]
+    fn a_budget_past_the_constellation_sizes_the_trie_for_its_vectors() {
+        // BPSK over one row has 2 vectors, so 65 534 PEs select 2 paths
+        // and the trie is laid out for 2 one-node paths: 7 words each.
+        let c = Constellation::new(Modulation::Bpsk);
+        let mut fc = FlexCoreDetector::with_pes(c, usize::from(NONE) - 1);
+        fc.prepare(&CMat::from_fn(1, 1, |_, _| Cx::real(1.0)), 0.1);
+        assert_eq!(fc.active_paths(), 2);
+        let words = &fc.prepared().trie.words;
+        assert_eq!((words.len(), words.capacity()), (14, 14));
+        assert_eq!(fc.detect(&[Cx::real(-1.0)]).len(), 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::soft::{MaxLogDemap, SoftDecision, SoftDetector};
 use flexcore_detect::common::{detect_each_into, Detector};
 use flexcore_detect::{MmseDetector, SicDetector};
 use flexcore_modulation::Constellation;
-use flexcore_numeric::{CMat, Cx, SymVec, LANES};
+use flexcore_numeric::{CMat, Cx, LANES};
 
 /// A per-user detector choice for a mixed cell — one type, so a
 /// [`FrameEngine`](../flexcore_engine) template (and therefore a
@@ -193,13 +193,13 @@ fn sic_soft(d: &SicDetector, y: &[Cx], sigma2: f64) -> SoftDecision {
     let c = d.constellation();
     let nt = tri.nt();
     let ybar = tri.rotate(y);
-    let mut symbols = SymVec::zeroed(nt);
+    let mut symbols = vec![0u16; nt];
     let mut demap = MaxLogDemap::new(c, nt);
     for row in (0..nt).rev() {
-        let eff = tri.effective_point(&ybar, symbols.as_slice(), row);
-        symbols.set(row, c.slice(eff) as u16);
+        let eff = tri.effective_point(&ybar, &symbols, row);
+        symbols[row] = c.slice(eff) as u16;
         for sym in 0..c.order() {
-            let ped = tri.ped_increment(&ybar, symbols.as_slice(), row, sym);
+            let ped = tri.ped_increment(&ybar, &symbols, row, sym);
             demap.offer(row, sym, ped);
         }
     }
@@ -211,7 +211,7 @@ fn sic_soft(d: &SicDetector, y: &[Cx], sigma2: f64) -> SoftDecision {
     }
     SoftDecision {
         llrs,
-        hard: tri.unpermute(symbols.as_slice()),
+        hard: tri.unpermute(&symbols),
     }
 }
 

@@ -68,7 +68,6 @@ impl SoftDetector for FlexCoreDetector {
     /// # Panics
     /// Panics if `prepare` was never called.
     fn detect_soft(&self, y: &[Cx], sigma2: f64) -> SoftDecision {
-        let paths = self.position_vectors();
         let tri = self.triangular();
         let ybar = tri.rotate(y);
         let c = &tri.constellation;
@@ -79,8 +78,9 @@ impl SoftDetector for FlexCoreDetector {
         // walk, no per-candidate `Vec` allocations.
         let mut walk = WalkScratch::default();
         self.walk_paths(&ybar, &mut walk);
-        let mut cand_syms: Vec<u16> = Vec::with_capacity(paths.len() * nt);
-        let mut cand_metrics: Vec<f64> = Vec::with_capacity(paths.len());
+        let n_paths = walk.metrics.len();
+        let mut cand_syms: Vec<u16> = Vec::with_capacity(n_paths * nt);
+        let mut cand_metrics: Vec<f64> = Vec::with_capacity(n_paths);
         for (pi, &metric) in walk.metrics.iter().enumerate() {
             if metric.is_nan() {
                 continue; // deactivated path
@@ -88,8 +88,8 @@ impl SoftDetector for FlexCoreDetector {
             let base = cand_syms.len();
             cand_syms.resize(base + nt, 0);
             // Unpermute straight into the flat plane.
-            for (j, &pj) in perm.iter().enumerate() {
-                cand_syms[base + pj] = walk.syms[pi].get(j);
+            for (&pj, &sym) in perm.iter().zip(walk.path(pi)) {
+                cand_syms[base + pj] = sym;
             }
             cand_metrics.push(metric);
         }

@@ -3,7 +3,7 @@
 
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::Qr;
-use flexcore_numeric::{CMat, Cx, CxLane, SymVec, LANES};
+use flexcore_numeric::{CMat, Cx, CxLane, LANES};
 
 /// Object-safe detector interface shared by every scheme in the workspace.
 ///
@@ -223,8 +223,9 @@ pub fn first_min_metric<I: IntoIterator<Item = f64>>(metrics: I) -> Option<(usiz
 #[derive(Clone, Debug, Default)]
 pub struct PathScratch {
     /// Symbol decisions of the most recent evaluation, in tree (permuted)
-    /// order: `symbols.get(row)` is the decision for row `row` of `R`.
-    pub symbols: SymVec,
+    /// order: `symbols[row]` is the decision for row `row` of `R`. Cleared
+    /// and resized per evaluation, so a warm workspace keeps its capacity.
+    pub symbols: Vec<u16>,
     /// Level-major, lane-minor SoA symbol plane for the four-wide block
     /// kernels: `plane[row * LANES + lane]` is lane `lane`'s decision at
     /// tree row `row`. Empty until a blocked evaluation first primes it;
@@ -238,9 +239,8 @@ pub struct PathScratch {
 
 impl PathScratch {
     // flexcore-lint: hot-path
-    /// A fresh workspace. No heap allocation happens until a blocked
-    /// evaluation first primes the lane planes (or, past 16 streams, until
-    /// the symbol store first spills — after which every buffer is reused).
+    /// A fresh workspace. No heap allocation happens until the first
+    /// evaluation sizes its buffers; every later one reuses them.
     pub(crate) fn new() -> Self {
         PathScratch::default()
     }
@@ -301,8 +301,7 @@ impl Triangular {
     /// The *effective received point* at row `row` (Eq. 5):
     /// `ỹ = (ȳ_row − Σ_{p>row} R(row,p)·s_p) / R(row,row)`,
     /// where `symbols[p]` for `p > row` holds the already-decided symbol
-    /// indices (entries `≤ row` are ignored) — a [`SymVec`]'s `as_slice()`,
-    /// the workspace's one symbol storage.
+    /// indices (entries `≤ row` are ignored).
     ///
     /// Slicing this point gives the zero-forcing decision for the row given
     /// the decisions above it. A dead row (`R(row,row) = 0`, see
@@ -542,7 +541,7 @@ mod tests {
 
     #[test]
     fn lane_kernels_match_scalar_kernels_bitwise() {
-        // Widths on both sides of every lane and spill boundary × every
+        // Widths on both sides of every lane boundary and of 16 streams, × every
         // modulation; the scalar kernels on lane `l`'s inputs are the
         // reference.
         for nt in [1usize, 4, 16, 17, 64] {

@@ -74,22 +74,22 @@ impl FcsdDetector {
         let tri = self.prepared();
         let nt = tri.nt();
         let q = self.constellation.order();
-        scratch.symbols.reset(nt);
+        let symbols = &mut scratch.symbols;
+        symbols.clear();
+        symbols.resize(nt, 0);
         // Fix the fully-enumerated top levels.
         let mut rem = path_idx;
         for lvl in 0..self.l_full {
-            scratch.symbols.set(nt - 1 - lvl, (rem % q) as u16);
+            symbols[nt - 1 - lvl] = (rem % q) as u16;
             rem /= q;
         }
         debug_assert_eq!(rem, 0, "path_idx out of range");
         // Single-child (SIC) descent below.
         for row in (0..nt - self.l_full).rev() {
-            let eff = tri.effective_point(ybar, scratch.symbols.as_slice(), row);
-            scratch
-                .symbols
-                .set(row, self.constellation.slice(eff) as u16);
+            let eff = tri.effective_point(ybar, symbols, row);
+            symbols[row] = self.constellation.slice(eff) as u16;
         }
-        tri.path_metric(ybar, scratch.symbols.as_slice())
+        tri.path_metric(ybar, symbols)
     }
 
     /// Evaluates four consecutive paths `path0..path0+4` at once through
@@ -173,7 +173,7 @@ impl FcsdDetector {
             let metric = self.run_path_into(ybar, idx, scratch);
             if replaces_best(metric, best_metric) {
                 best_metric = Some(metric);
-                tri.unpermute_into(scratch.symbols.as_slice(), row);
+                tri.unpermute_into(&scratch.symbols, row);
             }
             idx += 1;
         }

@@ -14,7 +14,7 @@
 use crate::common::{batch_rows, Detector, Triangular};
 use flexcore_modulation::Constellation;
 use flexcore_numeric::qr::mmse_sorted_qr;
-use flexcore_numeric::{CMat, Cx, SymVec};
+use flexcore_numeric::{CMat, Cx};
 
 /// Ordered successive interference cancellation (V-BLAST style).
 #[derive(Clone, Debug)]
@@ -50,13 +50,13 @@ impl SicDetector {
         &self.constellation
     }
 
-    /// One SIC descent over a rotated observation, decisions into
-    /// `symbols` (tree order).
-    fn descend(&self, tri: &Triangular, ybar: &[Cx], symbols: &mut SymVec) {
-        symbols.reset(tri.nt());
+    /// One SIC descent over a rotated observation, decisions into the
+    /// `Nt` entries of `symbols` (tree order). Each row reads only the
+    /// rows above it, which this descent has already written.
+    fn descend(&self, tri: &Triangular, ybar: &[Cx], symbols: &mut [u16]) {
         for row in (0..tri.nt()).rev() {
-            let eff = tri.effective_point(ybar, symbols.as_slice(), row);
-            symbols.set(row, self.constellation.slice(eff) as u16);
+            let eff = tri.effective_point(ybar, symbols, row);
+            symbols[row] = self.constellation.slice(eff) as u16;
         }
     }
 }
@@ -77,9 +77,9 @@ impl Detector for SicDetector {
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
         let tri = self.prepared();
         let ybar = tri.rotate(y);
-        let mut symbols = SymVec::new();
+        let mut symbols = vec![0u16; tri.nt()];
         self.descend(tri, &ybar, &mut symbols);
-        tri.unpermute(symbols.as_slice())
+        tri.unpermute(&symbols)
     }
 
     fn n_streams(&self) -> usize {
@@ -91,11 +91,11 @@ impl Detector for SicDetector {
     fn detect_batch_into(&self, ys: &[&[Cx]], out: &mut [u16]) {
         let tri = self.prepared();
         let mut ybar = vec![Cx::ZERO; tri.nt()];
-        let mut symbols = SymVec::new();
+        let mut symbols = vec![0u16; tri.nt()];
         for (y, row) in ys.iter().zip(batch_rows(out, ys.len(), tri.nt())) {
             tri.rotate_into(y, &mut ybar);
             self.descend(tri, &ybar, &mut symbols);
-            tri.unpermute_into(symbols.as_slice(), row);
+            tri.unpermute_into(&symbols, row);
         }
     }
 }
@@ -134,16 +134,16 @@ impl ParallelSicDetector {
     ///
     /// # Panics
     /// Panics if `prepare` was never called.
-    pub(crate) fn run_path(&self, ybar: &[Cx], top_sym: usize) -> (SymVec, f64) {
+    pub(crate) fn run_path(&self, ybar: &[Cx], top_sym: usize) -> (Vec<u16>, f64) {
         let tri = self.prepared();
         let nt = tri.nt();
-        let mut symbols = SymVec::zeroed(nt);
-        symbols.set(nt - 1, top_sym as u16);
+        let mut symbols = vec![0u16; nt];
+        symbols[nt - 1] = top_sym as u16;
         for row in (0..nt - 1).rev() {
-            let eff = tri.effective_point(ybar, symbols.as_slice(), row);
-            symbols.set(row, self.constellation.slice(eff) as u16);
+            let eff = tri.effective_point(ybar, &symbols, row);
+            symbols[row] = self.constellation.slice(eff) as u16;
         }
-        let metric = tri.path_metric(ybar, symbols.as_slice());
+        let metric = tri.path_metric(ybar, &symbols);
         (symbols, metric)
     }
 }
@@ -168,7 +168,7 @@ impl Detector for ParallelSicDetector {
         let tri = self.prepared();
         // One rotation per vector, shared by all |Q| paths.
         let ybar = tri.rotate(y);
-        let mut best = SymVec::new();
+        let mut best = Vec::new();
         let mut best_metric = f64::INFINITY;
         for top in 0..self.constellation.order() {
             let (sym, m) = self.run_path(&ybar, top);
@@ -177,7 +177,7 @@ impl Detector for ParallelSicDetector {
                 best = sym;
             }
         }
-        tri.unpermute(best.as_slice())
+        tri.unpermute(&best)
     }
 }
 
@@ -296,12 +296,12 @@ mod tests {
         // on the once-rotated observation.
         let tri = det.prepared();
         let ybar = tri.rotate(&y);
-        let paths: Vec<(SymVec, f64)> = (0..16).map(|t| det.run_path(&ybar, t)).collect();
+        let paths: Vec<(Vec<u16>, f64)> = (0..16).map(|t| det.run_path(&ybar, t)).collect();
         let best = paths
             .iter()
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
-        assert_eq!(det.detect(&y), tri.unpermute(best.0.as_slice()));
+        assert_eq!(det.detect(&y), tri.unpermute(&best.0));
         // Sharing one `ȳ` moves nothing: a fresh rotation per path (what
         // detect() used to do) gives the same symbols and metric bits.
         for (top, (syms, metric)) in paths.iter().enumerate() {

@@ -19,9 +19,12 @@ use crate::channel::FrameChannel;
 use crate::frame::RxFrame;
 use flexcore_channel::{ChannelEnsemble, GaussMarkovChannel};
 use flexcore_numeric::rng::CxRng;
-use flexcore_numeric::symvec::INLINE_STREAMS;
 use flexcore_numeric::{CMat, Cx};
 use rand::Rng;
+
+/// Antennas per side up to which [`ChannelStream::transmit_frame_into`]
+/// keeps its transmit and receive vectors on the stack.
+const STACK_ANTENNAS: usize = 16;
 
 /// Per-subcarrier Gauss–Markov truth channels plus the staggered,
 /// generation-bumping estimate the receiver actually detects with.
@@ -151,7 +154,7 @@ impl ChannelStream {
 
     /// [`ChannelStream::transmit_frame`] with the transmit vector written
     /// in place: `tx(symbol, subcarrier, x)` fills each grid cell's `Nt`
-    /// symbols into `x`. Up to [`INLINE_STREAMS`] antennas per side, `x`
+    /// symbols into `x`. Up to 16 antennas per side, `x`
     /// and the received vector are stack buffers, so building a frame
     /// allocates its plane and nothing else.
     pub fn transmit_frame_into<R, F>(&self, n_symbols: usize, mut tx: F, rng: &mut R) -> RxFrame
@@ -164,9 +167,9 @@ impl ChannelStream {
         let (nr, nt) = (self.truth(0).rows(), self.truth(0).cols());
         let mut frame = RxFrame::empty(n_sc);
         frame.reserve(n_symbols * n_sc * nr);
-        let mut stack = [[Cx::ZERO; INLINE_STREAMS]; 2];
+        let mut stack = [[Cx::ZERO; STACK_ANTENNAS]; 2];
         let mut heap = Vec::new();
-        let (x, y) = if nt.max(nr) <= INLINE_STREAMS {
+        let (x, y) = if nt.max(nr) <= STACK_ANTENNAS {
             let [x, y] = &mut stack;
             (&mut x[..nt], &mut y[..nr])
         } else {

@@ -24,12 +24,7 @@
 //! * [`CxLane`] — a four-wide structure-of-arrays complex lane type
 //!   behind the SIMD kernels of `mul_vec_into` /
 //!   `Qr::rotate_into` / `Qr::rotate_batch_into`, bit-identical per lane to
-//!   the scalar path by construction;
-//! * [`SymVec`] — a spill-capable small-vector of symbol indices (module
-//!   [`symvec`]): allocation-free inline storage for the paper's
-//!   ≤ 16-stream experiments, transparent heap spill for massive-MIMO
-//!   widths beyond, the storage unit of the detectors' scratch-based
-//!   `_into` hot paths.
+//!   the scalar path by construction.
 //!
 //! Everything is deterministic given a caller-supplied RNG seed; nothing in
 //! this crate performs I/O or allocation beyond `Vec`.
@@ -45,14 +40,12 @@ pub mod qr;
 pub mod rng;
 pub mod solve;
 pub mod special;
-pub mod symvec;
 
 pub use cx::Cx;
 pub use flops::FlopCounter;
 pub use lanes::{CxLane, G, LANES};
 pub use mat::{CMat, CVec};
 pub use qr::{fcsd_sorted_qr, mgs_qr, sorted_qr_sqrd, sorted_qr_sqrd_into, Qr};
-pub use symvec::SymVec;
 
 /// The crate README's examples, compiled as doctests so they cannot rot
 /// (`cargo test --doc`): this item exists only during doctest collection.

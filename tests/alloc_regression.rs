@@ -1,11 +1,9 @@
 //! Allocation-regression guard for the detection hot path.
 //!
-//! The spill-capable `SymVec` must not tax the paper-regime (nt ≤ 16)
-//! kernels: after `prepare()`, a warmed path evaluation touches the heap
-//! zero times, exactly as the fixed-capacity storage guaranteed. Beyond
-//! the inline bound the contract weakens only to *steady state*: once a
-//! scratch has seen the width, further evaluations are allocation-free
-//! because `reset`/`clone_from` reuse the spill buffers.
+//! After `prepare()`, a warmed path evaluation touches the heap zero
+//! times at any width: the scratch's symbol store is a `Vec<u16>` that is
+//! cleared and resized per evaluation, so once it has seen a width it
+//! keeps the capacity for it.
 //!
 //! The same discipline covers the channel-rate step: after one warm-up
 //! `prepare`, a re-prepare on a new channel of the same shape overwrites
@@ -26,7 +24,6 @@ use flexcore_detect::FcsdDetector;
 use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, StreamingCell};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
-use flexcore_numeric::symvec::{SymVec, INLINE_STREAMS};
 use flexcore_numeric::{sorted_qr_sqrd, sorted_qr_sqrd_into, Cx};
 use flexcore_parallel::SequentialPool;
 use flexcore_phy::link::{cell_packet_tick, LinkConfig};
@@ -98,40 +95,12 @@ fn workload(nt: usize, m: Modulation, seed: u64) -> (FlexCoreDetector, Vec<Vec<C
 
 #[test]
 fn hot_path_allocation_budget() {
-    // --- SymVec storage itself -------------------------------------------
-    // Inline construction never allocates, right up to the boundary.
-    assert_eq!(allocs_in(|| drop(SymVec::new())), 0);
-    assert_eq!(allocs_in(|| drop(SymVec::zeroed(INLINE_STREAMS))), 0);
-    // The first spilled width allocates exactly its buffer.
-    assert_eq!(allocs_in(|| drop(SymVec::zeroed(INLINE_STREAMS + 1))), 1);
-    // A warmed spilled vector resets across the boundary (both
-    // directions) and is overwritten without further allocation.
-    let mut warmed = SymVec::zeroed(64);
-    let wide = SymVec::zeroed(40);
-    assert_eq!(
-        allocs_in(|| {
-            warmed.reset(4);
-            warmed.reset(64);
-            warmed.clone_from(&wide);
-        }),
-        0
-    );
-    // An inline vector stays allocation-free through inline resets.
-    let mut inline = SymVec::zeroed(12);
-    assert_eq!(
-        allocs_in(|| {
-            inline.reset(INLINE_STREAMS);
-            inline.reset(2);
-        }),
-        0
-    );
-
-    // --- Paper-regime kernels (nt ≤ 16): zero heap after prepare ---------
-    for nt in [4usize, 12, INLINE_STREAMS] {
+    // --- Path kernels: zero heap after prepare, at any width --------------
+    // The first evaluation sizes the scratch; everything after reuses it.
+    for nt in [4usize, 12, 16, 17, 32] {
         let (det, ys, _) = workload(nt, Modulation::Qam16, nt as u64);
         let tri = det.triangular();
         let mut scratch = PathScratch::default();
-        // Warm the ybar buffer (sized on first rotate).
         let mut ybar = vec![Cx::ZERO; nt];
         tri.qr.rotate_into(&ys[0], &mut ybar);
         let _ = det.run_path_into(&ybar, &det.position_vectors()[0], &mut scratch);
@@ -168,27 +137,7 @@ fn hot_path_allocation_budget() {
         assert_eq!(n, 0, "FCSD kernel allocated");
     }
 
-    // --- Spilled regime (nt > 16): steady-state allocation-free ----------
-    for nt in [17usize, 32] {
-        let (det, ys, _) = workload(nt, Modulation::Qam16, 100 + nt as u64);
-        let tri = det.triangular();
-        let mut scratch = PathScratch::default();
-        let mut ybar = vec![Cx::ZERO; nt];
-        // First evaluation spills the scratch; everything after reuses it.
-        tri.qr.rotate_into(&ys[0], &mut ybar);
-        let _ = det.run_path_into(&ybar, &det.position_vectors()[0], &mut scratch);
-        let n = allocs_in(|| {
-            for y in &ys {
-                tri.qr.rotate_into(y, &mut ybar);
-                for p in det.position_vectors() {
-                    let _ = det.run_path_into(&ybar, p, &mut scratch);
-                }
-            }
-        });
-        assert_eq!(n, 0, "spilled FlexCore kernel allocated at nt={nt}");
-    }
-
-    // Same spilled width through the scalar twins (the rotate's scalar
+    // A 32-stream detector through the scalar twins (the rotate's scalar
     // form and the per-path walk): they honour the identical steady-state
     // budget, so the zero-alloc guarantee is a property of the kernels,
     // not of the lane path the input size happens to pick.
@@ -216,8 +165,8 @@ fn hot_path_allocation_budget() {
     // thread's scratch, which the first batch of a shape sizes (per-node
     // points, metrics and symbols, the winner buffer): from then on a
     // batch of any length — full blocks, a masked partial tail, one vector
-    // — allocates nothing, inline and spilled widths alike.
-    for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 32, 64] {
+    // — allocates nothing, at every width.
+    for nt in [4usize, 8, 16, 17, 32, 64] {
         let (det, ys, _) = workload(nt, Modulation::Qam16, 200 + nt as u64);
         let refs: Vec<&[Cx]> = ys.iter().map(Vec::as_slice).collect();
         let mut plane = vec![0u16; refs.len() * nt];
@@ -236,7 +185,7 @@ fn hot_path_allocation_budget() {
     // high SNR) whose batch runs alone, not in a lane group, takes the
     // general block walk in the thread's scratch: once the thread has seen
     // the shape, a batch allocates nothing at 4, 8 and 16 rows.
-    for nt in [4usize, 8, INLINE_STREAMS] {
+    for nt in [4usize, 8, 16] {
         let (_, ys, sigma2) = workload(nt, Modulation::Qam16, 300 + nt as u64);
         let mut det = FlexCoreDetector::with_pes(Constellation::new(Modulation::Qam16), 1);
         let mut rng = StdRng::seed_from_u64(300 + nt as u64);
@@ -371,13 +320,13 @@ fn hot_path_allocation_budget() {
     // --- Re-prepare: a channel refresh overwrites the state it replaces ---
     // After one warm-up prepare, a second prepare on a different channel
     // of the same shape is allocation-free — fixed and a-FlexCore (whose
-    // selection length moves with the channel), inline and spilled widths:
+    // selection length moves with the channel), at 4 to 64 streams:
     // the state keeps the selection as links and the trie in one buffer,
     // both sized for the budget, and the search works in this thread's
     // workspace, sized for the budget too.
     let c16 = Constellation::new(Modulation::Qam16);
     let sigma2 = sigma2_from_snr_db(12.0);
-    for nt in [4usize, 8, INLINE_STREAMS, INLINE_STREAMS + 1, 64] {
+    for nt in [4usize, 8, 16, 17, 64] {
         let mut rng = StdRng::seed_from_u64(400 + nt as u64);
         let hs = ChannelEnsemble::iid(nt, nt).draw_many(&mut rng, 4);
         for adaptive in [false, true] {
@@ -415,7 +364,7 @@ fn hot_path_allocation_budget() {
             Modulation::Qam256,
         ];
         let mut cases: Vec<(usize, Modulation, FlexCoreConfig)> = Vec::new();
-        for (i, nt) in (1..=INLINE_STREAMS).chain([64]).enumerate() {
+        for (i, nt) in (1..=16).chain([64]).enumerate() {
             for (j, &m) in modulations.iter().enumerate() {
                 let mut cfg = FlexCoreConfig::new(rng.gen_range(1..=64));
                 if (i + j) % 2 == 1 {
@@ -579,18 +528,17 @@ fn hot_path_allocation_budget() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
         let marked = flexcore_lint::hot_path_modules(root).expect("lint scan");
         for exercised in [
-            "crates/numeric/src/symvec.rs",  // SymVec storage contract
-            "crates/numeric/src/qr.rs",      // rotate_into, the split-plane SQRD sweeps
-            "crates/numeric/src/lanes.rs",   // lane kernels inside run_path_into
-            "crates/detect/src/common.rs",   // Triangular::rotate_into, PathScratch
-            "crates/core/src/detector.rs",   // FlexCore run_path_into / trie walk / prepare
+            "crates/numeric/src/qr.rs",    // rotate_into, the split-plane SQRD sweeps
+            "crates/numeric/src/lanes.rs", // lane kernels inside run_path_into
+            "crates/detect/src/common.rs", // Triangular::rotate_into, PathScratch
+            "crates/core/src/detector.rs", // FlexCore run_path_into / trie walk / prepare
             "crates/core/src/preprocess.rs", // the best-first search workspace
-            "crates/core/src/model.rs",      // level-model refit
-            "crates/detect/src/fcsd.rs",     // FCSD run_path_into
-            "crates/coding/src/conv.rs",     // the Viterbi step loop and its ACS kernel
-            "crates/engine/src/tick.rs",     // the run core's scatter into planes
-            "crates/engine/src/frame.rs",    // RxFrame::get, the run's slice table
-            "crates/phy/src/link.rs",        // the receive chains' demap loop
+            "crates/core/src/model.rs",    // level-model refit
+            "crates/detect/src/fcsd.rs",   // FCSD run_path_into
+            "crates/coding/src/conv.rs",   // the Viterbi step loop and its ACS kernel
+            "crates/engine/src/tick.rs",   // the run core's scatter into planes
+            "crates/engine/src/frame.rs",  // RxFrame::get, the run's slice table
+            "crates/phy/src/link.rs",      // the receive chains' demap loop
         ] {
             assert!(
                 marked.iter().any(|m| m == exercised),

@@ -154,8 +154,8 @@ fn repeated_prepare_is_idempotent() {
 
 #[test]
 fn detection_works_at_the_exact_inline_capacity() {
-    // nt = 16 is the last width stored inline; noiseless recovery must be
-    // exact and the scratch must never spill.
+    // nt = 16, the widest channel the seed's fixed `[u16; 16]` store
+    // held: noiseless recovery must be exact.
     let c = Constellation::new(Modulation::Qam16);
     let mut rng = StdRng::seed_from_u64(16);
     let h = ChannelEnsemble::iid(16, 16).draw(&mut rng);
@@ -168,8 +168,8 @@ fn detection_works_at_the_exact_inline_capacity() {
 
 #[test]
 fn detection_works_at_the_first_spilled_width() {
-    // nt = 17: one past the inline bound — the first channel the seed-era
-    // prepare() rejected outright.
+    // nt = 17: one past the seed's fixed store — the first channel the
+    // seed-era prepare() rejected outright.
     let c = Constellation::new(Modulation::Qam16);
     let mut rng = StdRng::seed_from_u64(17);
     let h = ChannelEnsemble::iid(17, 17).draw(&mut rng);

@@ -1,8 +1,8 @@
 //! Massive-MIMO end-to-end tests: the widths the 16-stream ceiling used
 //! to reject, run through the full prepare/plan/run lifecycle.
 //!
-//! The spill-capable `SymVec` opens 32×32 and 64×64 uplinks; these tests
-//! drive them through `FrameEngine` and assert the substrate-equivalence
+//! The detectors' `Vec<u16>` symbol stores have no width ceiling, so
+//! 32×32 and 64×64 uplinks run; these tests drive them through `FrameEngine` and assert the substrate-equivalence
 //! contract at scale: sequential, thread-pool, and fabric-priced plan
 //! detection must be bit-identical, and noiseless frames must be
 //! recovered exactly.
@@ -160,8 +160,8 @@ fn noiseless_massive_mimo_frames_recover_exactly() {
 
 #[test]
 fn classical_detectors_cross_the_spill_boundary() {
-    // FCSD's path scratch spills past 16 streams; it must detect a
-    // noiseless 17-stream uplink (the first spilled width) and 32 streams.
+    // FCSD's path scratch has no width ceiling: it must detect a
+    // noiseless 17-stream uplink (one past the seed's 16) and 32 streams.
     for nt in [17usize, 32] {
         let c = Constellation::new(Modulation::Qam16);
         let mut rng = StdRng::seed_from_u64(nt as u64);

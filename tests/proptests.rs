@@ -1,7 +1,7 @@
 //! Property tests over the workspace's core invariants, through the
 //! crates' public items, as seeded loops. Properties of crate-internal
-//! items (conjugation, QR reconstruction, the triangular solvers, `SymVec`
-//! storage, the modulation and interleaver round trips, the Viterbi
+//! items (conjugation, QR reconstruction, the triangular solvers, the
+//! modulation and interleaver round trips, the Viterbi
 //! decoder inverting the encoder, FlexCore's path model and pre-processing
 //! search) run as seeded loops in their owning modules' tests.
 

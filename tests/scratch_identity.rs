@@ -1,7 +1,8 @@
 //! Bit-identity property tests for the allocation-free detection hot path.
 //!
 //! PR 2 rebuilt every tree-search hot loop on scratch workspaces
-//! (`PathScratch`/`SymVec`) and `_into` kernels. The refactor's contract is *bit-identity*: for any channel,
+//! (`PathScratch`, whose `Vec<u16>` symbol store is reused across
+//! evaluations and widths) and `_into` kernels. The refactor's contract is *bit-identity*: for any channel,
 //! SNR, and observation, the scratch-based paths must produce exactly the
 //! symbols, metrics, and LLRs of the allocating paths they replaced.
 //! These tests enforce the contract against independent re-enactments of
@@ -100,22 +101,27 @@ fn run_path_pr1(
 }
 
 /// Asserts `run_path_into` reproduces [`run_path_pr1`] — symbols, metric
-/// bits and deactivation — for every selected path of every observation.
-fn assert_run_path_into_equals_pr1(det: &FlexCoreDetector, ys: &[Vec<Cx>]) {
+/// bits and deactivation — for every selected path of every observation,
+/// evaluated in the caller's `scratch` (whatever an earlier width left in
+/// it).
+fn assert_run_path_into_equals_pr1(
+    det: &FlexCoreDetector,
+    ys: &[Vec<Cx>],
+    scratch: &mut PathScratch,
+) {
     let tri = det.triangular();
     let lut = pr1_lut(det);
-    let mut scratch = PathScratch::default();
     for y in ys {
         let ybar = tri.rotate(y);
         for p in det.position_vectors() {
             let alloc = run_path_pr1(det, &lut, &ybar, p);
-            let metric = det.run_path_into(&ybar, p, &mut scratch);
+            let metric = det.run_path_into(&ybar, p, scratch);
             match (alloc, metric) {
                 (Some((symbols, m_alloc)), Some(m_into)) => {
                     // Exact f64 equality: the kernels must run the same
                     // operations in the same order.
                     assert_eq!(m_alloc.to_bits(), m_into.to_bits());
-                    assert_eq!(symbols.as_slice(), scratch.symbols.as_slice());
+                    assert_eq!(symbols, scratch.symbols);
                 }
                 (None, None) => {}
                 (a, b) => panic!("activation mismatch: {a:?} vs {b:?}"),
@@ -187,7 +193,7 @@ fn run_path_into_equals_run_path() {
         let c = Constellation::new(Modulation::Qam16);
         let mut det = FlexCoreDetector::with_pes(c, n_pe);
         det.prepare(&h, sigma2);
-        assert_run_path_into_equals_pr1(&det, &ys);
+        assert_run_path_into_equals_pr1(&det, &ys, &mut PathScratch::default());
     }
 }
 
@@ -237,6 +243,11 @@ fn fcsd_scratch_equals_allocating_paths() {
 #[test]
 fn run_path_into_equals_run_path_at_any_width() {
     let mut rng = StdRng::seed_from_u64(0x5C7A_0000 + 4);
+    // One workspace for every case: consecutive widths shrink and grow
+    // its symbol store, so stale entries past a new width must not leak
+    // into a result.
+    let mut scratch = PathScratch::default();
+    let (mut prev_nt, mut shrank, mut grew) = (0, false, false);
     for _ in 0..CASES {
         let (seed, nt, m_idx, n_pe) = (
             rng.gen_range(0u64..1_000_000),
@@ -244,17 +255,19 @@ fn run_path_into_equals_run_path_at_any_width() {
             rng.gen_range(0usize..4),
             rng.gen_range(1usize..17),
         );
-        // The massive-MIMO domain: nt crosses the SymVec spill boundary
-        // (16→17) and reaches 64, across all four modulations. The
-        // spill-path kernels must stay bit-identical to the allocating
-        // reference, exactly as the inline path was gated in PR 2.
+        // The massive-MIMO domain: nt from 1 to 64, across all four
+        // modulations, bit-identical to the allocating reference.
+        shrank |= prev_nt > 16 && nt <= 16;
+        grew |= prev_nt != 0 && prev_nt <= 16 && nt > 16;
+        prev_nt = nt;
         let m = modulation(m_idx);
         let (h, sigma2, ys) = draw_workload_mod(seed, nt, m, 14.0, 2);
         let c = Constellation::new(m);
         let mut det = FlexCoreDetector::with_pes(c, n_pe);
         det.prepare(&h, sigma2);
-        assert_run_path_into_equals_pr1(&det, &ys);
+        assert_run_path_into_equals_pr1(&det, &ys, &mut scratch);
     }
+    assert!(shrank && grew, "the widths never crossed 16 both ways");
 }
 
 #[test]
@@ -448,8 +461,8 @@ fn in_place_prepare_equals_a_fresh_prepare() {
                     // Equal R diagonals: every ln Pc ties exactly and the
                     // vector comparison decides the whole selection order.
                     (scaled_identity(8, 0.8), 8.0, true),
-                    (iid(20, 20), 14.0, true), // past the inline width …
-                    (iid(8, 8), 9.0, true),    // … and back inside it
+                    (iid(20, 20), 14.0, true), // past 16 streams …
+                    (iid(8, 8), 9.0, true),    // … and back below
                 ];
                 let mut reused = template.clone();
                 let mut longest = 0;

@@ -217,8 +217,8 @@ fn assert_pinned<D: Detector>(
 fn detect_batch_into_is_bit_identical_to_detect_for_every_product_detector() {
     // Every batch path writes rows bit-identical to per-vector `detect`:
     // an empty batch, one vector, full four-observation blocks and masked
-    // tails (batch lengths 0–9), at widths on both sides of each lane and
-    // spill boundary. The detectors with lane forms of their own (the
+    // tails (batch lengths 0–9), at widths on both sides of each lane
+    // boundary and of 16 streams. The detectors with lane forms of their own (the
     // block walk, path blocks) are also pinned to their scalar chains; SIC
     // and linear run only the matrix kernels above.
     for nt in [1usize, 3, 4, 8, 16, 17, 64] {
