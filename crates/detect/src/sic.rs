@@ -128,23 +128,22 @@ impl ParallelSicDetector {
     }
 
     /// Evaluates the path seeded with `top_sym` at the top level against
-    /// the rotated observation `ybar` and returns `(symbols, metric)` in
-    /// tree order. Each invocation is independent — this is the unit of
-    /// work one processing element executes.
+    /// the rotated observation `ybar`, writes its decisions into the `Nt`
+    /// entries of `symbols` (tree order) and returns its metric. Each
+    /// invocation is independent — this is the unit of work one
+    /// processing element executes.
     ///
     /// # Panics
     /// Panics if `prepare` was never called.
-    pub(crate) fn run_path(&self, ybar: &[Cx], top_sym: usize) -> (Vec<u16>, f64) {
+    pub(crate) fn run_path(&self, ybar: &[Cx], top_sym: usize, symbols: &mut [u16]) -> f64 {
         let tri = self.prepared();
         let nt = tri.nt();
-        let mut symbols = vec![0u16; nt];
         symbols[nt - 1] = top_sym as u16;
         for row in (0..nt - 1).rev() {
-            let eff = tri.effective_point(ybar, &symbols, row);
+            let eff = tri.effective_point(ybar, symbols, row);
             symbols[row] = self.constellation.slice(eff) as u16;
         }
-        let metric = tri.path_metric(ybar, &symbols);
-        (symbols, metric)
+        tri.path_metric(ybar, symbols)
     }
 }
 
@@ -166,15 +165,18 @@ impl Detector for ParallelSicDetector {
 
     fn detect(&self, y: &[Cx]) -> Vec<usize> {
         let tri = self.prepared();
-        // One rotation per vector, shared by all |Q| paths.
+        // One rotation and two symbol buffers per vector, shared by all
+        // |Q| paths. `best` stays empty until a path beats +∞.
         let ybar = tri.rotate(y);
-        let mut best = Vec::new();
+        let mut path = vec![0u16; tri.nt()];
+        let mut best = Vec::with_capacity(tri.nt());
         let mut best_metric = f64::INFINITY;
         for top in 0..self.constellation.order() {
-            let (sym, m) = self.run_path(&ybar, top);
+            let m = self.run_path(&ybar, top, &mut path);
             if m < best_metric {
                 best_metric = m;
-                best = sym;
+                best.clear();
+                best.extend_from_slice(&path);
             }
         }
         tri.unpermute(&best)
@@ -296,7 +298,12 @@ mod tests {
         // on the once-rotated observation.
         let tri = det.prepared();
         let ybar = tri.rotate(&y);
-        let paths: Vec<(Vec<u16>, f64)> = (0..16).map(|t| det.run_path(&ybar, t)).collect();
+        let run = |ybar: &[Cx], top| {
+            let mut syms = vec![0u16; 4];
+            let metric = det.run_path(ybar, top, &mut syms);
+            (syms, metric)
+        };
+        let paths: Vec<(Vec<u16>, f64)> = (0..16).map(|t| run(&ybar, t)).collect();
         let best = paths
             .iter()
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
@@ -305,7 +312,7 @@ mod tests {
         // Sharing one `ȳ` moves nothing: a fresh rotation per path (what
         // detect() used to do) gives the same symbols and metric bits.
         for (top, (syms, metric)) in paths.iter().enumerate() {
-            let (fresh_syms, fresh_metric) = det.run_path(&tri.rotate(&y), top);
+            let (fresh_syms, fresh_metric) = run(&tri.rotate(&y), top);
             assert_eq!(syms, &fresh_syms, "top {top}");
             assert_eq!(metric.to_bits(), fresh_metric.to_bits(), "top {top}");
         }

@@ -20,7 +20,7 @@ use flexcore::{CellDetector, FlexCoreConfig, FlexCoreDetector, PathOrdering};
 use flexcore_channel::{sigma2_from_snr_db, ChannelEnsemble, GaussMarkovChannel, MimoChannel};
 use flexcore_coding::{CodeRate, ConvCode, ViterbiScratch};
 use flexcore_detect::common::{Detector, PathScratch};
-use flexcore_detect::FcsdDetector;
+use flexcore_detect::{FcsdDetector, ParallelSicDetector};
 use flexcore_engine::{ChannelStream, FrameChannel, FrameEngine, StreamingCell};
 use flexcore_modulation::{Constellation, Modulation};
 use flexcore_numeric::rng::CxRng;
@@ -135,6 +135,34 @@ fn hot_path_allocation_budget() {
             }
         });
         assert_eq!(n, 0, "FCSD kernel allocated");
+    }
+
+    // Parallel SIC (the trellis decoder of Fig. 9) runs |Q| paths per
+    // vector through two symbol buffers, so a per-vector `detect` makes
+    // the same allocations at every constellation size: the rotate, the
+    // working and best buffers, and the returned decisions.
+    {
+        let nt = 8;
+        let counts: Vec<u64> = [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64]
+            .into_iter()
+            .map(|m| {
+                let c = Constellation::new(m);
+                let mut rng = StdRng::seed_from_u64(120);
+                let h = ChannelEnsemble::iid(nt, nt).draw(&mut rng);
+                let mut det = ParallelSicDetector::new(c.clone());
+                det.prepare(&h, sigma2_from_snr_db(18.0));
+                let x: Vec<Cx> = (0..nt)
+                    .map(|_| c.point(rng.gen_range(0..c.order())))
+                    .collect();
+                let y = MimoChannel::new(h, 18.0).transmit(&x, &mut rng);
+                drop(det.detect(&y));
+                allocs_in(|| drop(det.detect(&y)))
+            })
+            .collect();
+        assert!(
+            counts.iter().all(|&n| n == counts[0] && n <= 4),
+            "parallel-SIC detect allocations at QPSK / 16-QAM / 64-QAM: {counts:?}"
+        );
     }
 
     // A 32-stream detector through the scalar twins (the rotate's scalar
