@@ -1,11 +1,13 @@
 #!/bin/sh
-# Check that the two top-level docs still describe the tree:
+# Check that the top-level docs and the verify skill still describe the
+# tree:
 #
 #   scripts/docs.sh        # prints one line per finding; exits 1 if any
 #
-# - ARCHITECTURE.md is at most 500 lines and README.md at most 300;
+# - ARCHITECTURE.md is at most 500 lines, README.md at most 300 and
+#   .claude/skills/verify/SKILL.md at most 300;
 # - no ARCHITECTURE.md heading matches `PR [0-9]`: history is CHANGES.md;
-# - every backticked repo path in either file (`crates/…`, `tests/…`,
+# - every backticked repo path in the three files (`crates/…`, `tests/…`,
 #   `scripts/…`, `examples/…`, `benchmark/…`, read up to the first
 #   character that cannot be part of a path) exists;
 # - every backticked `file::…::name` whose first segment is the stem of a
@@ -21,7 +23,7 @@ cd "$root"
 bad=0
 fail() { echo "$1"; bad=1; }
 
-for pair in ARCHITECTURE.md:500 README.md:300; do
+for pair in ARCHITECTURE.md:500 README.md:300 .claude/skills/verify/SKILL.md:300; do
     doc=${pair%%:*} max=${pair##*:}
     n=$(wc -l < "$doc")
     [ "$n" -le "$max" ] || fail "$doc: $n lines (at most $max)"
@@ -33,7 +35,7 @@ grep -nE '^#+ .*PR [0-9]' ARCHITECTURE.md | sed 's/^/ARCHITECTURE.md: heading na
 sources=$(find crates tests examples src benchmark/src -name '*.rs' -not -path '*/target/*')
 stems=$(printf '%s\n' $sources | sed 's|.*/||; s|\.rs$||' | LC_ALL=C sort -u)
 
-spans=$(grep -Hno '`[^`]*`' ARCHITECTURE.md README.md | tr -d '`')
+spans=$(grep -Hno '`[^`]*`' ARCHITECTURE.md README.md .claude/skills/verify/SKILL.md | tr -d '`')
 paths=$(printf '%s\n' "$spans" \
     | grep -oE '^[^:]+:[0-9]+:(.*[ (=])?(crates|tests|scripts|examples|benchmark)/[A-Za-z0-9_./-]*' \
     | sed -E 's/^([^:]+:[0-9]+:).*(^|[ (=:])((crates|tests|scripts|examples|benchmark)\/)/\1\3/' || true)

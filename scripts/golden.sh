@@ -4,7 +4,7 @@
 # test `every_driver_prints_its_golden_bytes` in
 # crates/sim/tests/repro_cli.rs compares byte for byte.
 #
-#   scripts/golden.sh          # release build of repro, then 24 files (~10 s)
+#   scripts/golden.sh   # release build of repro, then a .txt and a .csv per name (~10 s)
 #
 # Re-record only for a change that moves printed numbers on purpose (a new
 # sampler, a new seed), and list every moved file in CHANGES.md: the files
